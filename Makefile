@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-hotpath bench-serve bench-gate chaos doc-lint trace-verify ci examples tools figures attack loc clean
+.PHONY: all build test vet race bench bench-hotpath bench-serve bench-gate bench-build chaos doc-lint trace-verify ci examples tools figures attack loc clean
 
 all: build vet test race
 
@@ -70,7 +70,8 @@ bench-gate:
 doc-lint:
 	$(GO) run ./cmd/cronus-doclint
 
-# Short deterministic chaos soak: 3 seeds over all fault kinds, plus a
+# Short deterministic chaos soak, all through the one harness (-nodes is the
+# topology): 3 seeds over the single-platform fault kinds, plus a
 # targeted supervision soak (persistent-hang wedges caught by the heartbeat
 # watchdog, crash loops ending in quarantine), plus a 2-node cluster soak
 # (node crashes, net-partitions, slow links over the fabric), plus an
@@ -93,22 +94,26 @@ trace-verify:
 	$(GO) test -count=1 ./internal/otrace ./internal/slo ./internal/trace
 	$(GO) test -run '^$$' -bench Disabled -benchtime=1x ./internal/trace
 
-# Exactly what .github/workflows/ci.yml runs: build, vet, the full test
-# suite, the race detector over the concurrency-heavy packages, the
-# documentation bar, the causal-tracing guards, the replay-verified chaos
-# soaks, and the serving-plane host-time regression gate.
+# bench/ is its own module (cronus/bench, replace cronus => ../), so the root
+# ./... patterns never see it: vet and test it here so an API change it uses
+# cannot break the repository benchmark unseen.
+bench-build:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The one CI list — .github/workflows/ci.yml runs exactly `make ci`: build,
+# vet, the full test suite, the race detector over the concurrency-heavy
+# packages, the documentation bar, the benchmark module, the causal-tracing
+# guards, the replay-verified chaos soaks, and the serving-plane host-time
+# regression gate (loosened to 100% — see bench-gate).
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./... -count=1
 	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/sim
 	$(GO) run ./cmd/cronus-doclint
+	$(MAKE) bench-build
 	$(MAKE) trace-verify
-	$(GO) run ./cmd/cronus-chaos -seeds 3 -verify
-	$(GO) run ./cmd/cronus-chaos -seeds 2 -kinds persistent-hang,crash-loop -faults 2 -verify
-	$(GO) run ./cmd/cronus-chaos -nodes 2 -partitions 4 -tenants 4 -seeds 3 -verify
-	$(GO) run ./cmd/cronus-chaos -nodes 2 -partitions 4 -tenants 4 -kinds attest-storm,stale-measurement -seeds 3 -verify
-	$(GO) run ./cmd/cronus-chaos -nodes 2 -partitions 4 -tenants 4 -kinds migrate-interrupt,scale-storm,drain-race -seeds 3 -verify
+	$(MAKE) chaos
 	$(MAKE) bench-gate BENCH_THRESHOLD=1.0
 
 # Pretty-printed tables for all experiments.

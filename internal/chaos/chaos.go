@@ -24,20 +24,31 @@
 // detect the silence, and crash-loops re-fail a partition through
 // consecutive recoveries until the sliding-window policy quarantines it.
 //
-// RunOne executes one seed twice — a fault-free baseline and a faulted run
-// over the identical serving config — and checks the invariants: request
-// conservation with zero duplicates, typed failures only, survivor-tenant
-// latency within tolerance of baseline, and memory of a crashed partition
-// never readable by survivors (probe.go). RunCampaign soaks N consecutive
-// seeds; cronus-chaos is the CLI front end. Reports are deterministic text:
-// same seed, byte-identical report.
+// Options.Nodes is the topology. Below 2 the seed runs on one booted platform
+// and the Injector arms it; with Nodes >= 2 it runs on the serving plane's
+// multi-node fabric, where faults ride the serving config itself
+// (serve.Config.NodeFaults, AttestFaults, Migrations, ScaleStorms). Every
+// kind belongs to exactly one topology (the taxonomy table below); naming a
+// kind on the other one is a typed *TopologyError, never a silent no-op.
+//
+// Run executes one seed twice — a fault-free baseline and a faulted run over
+// the identical serving config — and checks the invariants. The shared core
+// holds on both topologies: request conservation with zero duplicates,
+// exactly-once completion, typed failures only, and survivor tenants
+// indistinguishable from baseline (identical accounting, p95 within
+// tolerance). A single platform adds the supervision, observability and
+// crashed-memory probes (probe.go); the fabric adds no-split-brain, victims
+// rehomed, and the attestation and elastic checks. RunCampaign soaks N
+// consecutive seeds; cronus-chaos is the CLI front end. Reports are
+// deterministic text: same seed, byte-identical report.
 package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
+	"cronus/internal/elastic"
+	"cronus/internal/serve"
 	"cronus/internal/sim"
 )
 
@@ -72,9 +83,8 @@ const (
 )
 
 // Node-level fault kinds target whole fabric nodes rather than single
-// partitions; they are only meaningful for cluster campaigns
-// (Options.Nodes >= 2, CompileCluster) and ride the serving plane's
-// Config.NodeFaults hooks instead of an Injector.
+// partitions; they belong to the cluster topology (Options.Nodes >= 2) and
+// ride the serving plane's Config.NodeFaults hooks instead of an Injector.
 const (
 	// KindNodeCrash kills a whole fabric node at a virtual instant: its
 	// partition block quarantines permanently (the machine is gone), every
@@ -92,9 +102,9 @@ const (
 
 // Attestation fault kinds exercise the serving plane's attestation gate
 // (serve.Config.AttestTickets + AttestFaults); like the node kinds they are
-// cluster-campaign faults, riding the serving config instead of an Injector.
-// Compiling either kind turns the gate on in both the baseline and faulted
-// runs of the seed, so the two stay comparable.
+// cluster-topology faults, riding the serving config instead of an Injector.
+// Naming either kind in Options.Kinds turns the gate on in both the baseline
+// and faulted runs of the seed, so the two stay comparable.
 const (
 	// KindAttestStorm flushes the whole session-ticket cache at a virtual
 	// instant: a mass expiry that sends every tenant back through cold
@@ -110,7 +120,7 @@ const (
 // Migration fault kinds exercise the serving plane's elastic-capacity layer
 // (serve.Config.Migrations / ScaleStorms / Autoscale): planned live migration
 // and the load-driven autoscaler under duress. Like the node and attestation
-// kinds they are cluster-campaign faults riding the serving config, and like
+// kinds they are cluster-topology faults riding the serving config, and like
 // the attestation kinds they change the config symmetrically where needed —
 // a scale-storm in the mix arms an inert autoscaler in the baseline run too,
 // so the two runs stay comparable.
@@ -131,32 +141,99 @@ const (
 	KindDrainRace Kind = "drain-race"
 )
 
-// AttestKinds is the attestation fault mix for cluster schedules that opt in
-// via Options.Kinds (they are never drawn by default).
-var AttestKinds = []Kind{KindAttestStorm, KindStaleMeasurement}
+// taxon is one row of the fault taxonomy: the topology a kind belongs to,
+// whether an empty Options.Kinds draws it, and the serving-config feature its
+// mere presence in the mix arms — in the baseline and the faulted run alike,
+// so the two stay comparable.
+type taxon struct {
+	kind      Kind
+	cluster   bool // runs on the multi-node fabric (Nodes >= 2), else on one platform
+	byDefault bool
+	arm       func(*serve.Config)
+}
 
-// MigrationKinds is the elastic-capacity fault mix for cluster schedules that
-// opt in via Options.Kinds (they are never drawn by default).
-var MigrationKinds = []Kind{KindMigrateInterrupt, KindScaleStorm, KindDrainRace}
+// taxonomy is every fault kind in canonical order. Compile's default mixes,
+// Options validation, KnownKinds, ParseKinds and the cronus-chaos usage text
+// all read this one table, so none of them can drift from the others.
+var taxonomy = []taxon{
+	{kind: KindCrash, byDefault: true},
+	{kind: KindRingCorrupt, byDefault: true},
+	{kind: KindDeviceHang, byDefault: true},
+	{kind: KindAttestFail, byDefault: true},
+	{kind: KindPersistentHang, byDefault: true},
+	{kind: KindCrashLoop, byDefault: true},
+	{kind: KindNodeCrash, cluster: true, byDefault: true},
+	{kind: KindNetPartition, cluster: true, byDefault: true},
+	{kind: KindSlowLink, cluster: true, byDefault: true},
+	{kind: KindAttestStorm, cluster: true, arm: armAttestGate},
+	{kind: KindStaleMeasurement, cluster: true, arm: armAttestGate},
+	{kind: KindMigrateInterrupt, cluster: true},
+	{kind: KindScaleStorm, cluster: true, arm: armAutoscaler},
+	{kind: KindDrainRace, cluster: true},
+}
 
-// AllKinds is the default fault mix for compiled single-node schedules.
-var AllKinds = []Kind{KindCrash, KindRingCorrupt, KindDeviceHang, KindAttestFail,
-	KindPersistentHang, KindCrashLoop}
+// armAttestGate turns on the session-ticket admission gate: a short TTL makes
+// tickets cycle a few times inside the window, and a tight reprobe catches a
+// tampered measurement well before the drain.
+func armAttestGate(cfg *serve.Config) {
+	cfg.AttestTickets = true
+	cfg.AttestTicketTTL = 2 * sim.Millisecond
+	cfg.AttestReprobe = 500 * sim.Microsecond
+}
 
-// NodeKinds is the default fault mix for cluster schedules (CompileCluster).
-var NodeKinds = []Kind{KindNodeCrash, KindNetPartition, KindSlowLink}
+// armAutoscaler arms the autoscaler with watermarks it can never hit on its
+// own: only a compiled scale-storm window makes it act, so the baseline run
+// stays a true control.
+func armAutoscaler(cfg *serve.Config) {
+	cfg.Autoscale = &elastic.Config{
+		Interval:  100 * sim.Microsecond,
+		HighDepth: 1 << 30,
+		LowDepth:  -1,
+		HighShed:  2,
+	}
+}
+
+// lookup returns the kind's taxonomy row, or nil for an unknown kind.
+func lookup(k Kind) *taxon {
+	for i := range taxonomy {
+		if taxonomy[i].kind == k {
+			return &taxonomy[i]
+		}
+	}
+	return nil
+}
+
+// kindsWhere lists the taxonomy's kinds that satisfy keep, in canonical order.
+func kindsWhere(keep func(*taxon) bool) []Kind {
+	var kinds []Kind
+	for i := range taxonomy {
+		if keep(&taxonomy[i]) {
+			kinds = append(kinds, taxonomy[i].kind)
+		}
+	}
+	return kinds
+}
 
 // KnownKinds is every parseable fault kind in canonical order: the
-// partition-level mix, then the node-level, attestation and migration mixes.
-// ParseKinds validates against exactly this list and kindNames renders it, so
-// error and usage text can never drift from what the parser accepts.
+// single-platform kinds, then the node-level, attestation and migration
+// kinds of the cluster topology.
 func KnownKinds() []Kind {
-	kinds := make([]Kind, 0, len(AllKinds)+len(NodeKinds)+len(AttestKinds)+len(MigrationKinds))
-	kinds = append(kinds, AllKinds...)
-	kinds = append(kinds, NodeKinds...)
-	kinds = append(kinds, AttestKinds...)
-	kinds = append(kinds, MigrationKinds...)
-	return kinds
+	return kindsWhere(func(*taxon) bool { return true })
+}
+
+// TopologyKinds is the comma-separated list of the kinds that belong to one
+// topology — cluster (Nodes >= 2) or single platform — for usage text.
+func TopologyKinds(cluster bool) string {
+	return joinKinds(kindsWhere(func(t *taxon) bool { return t.cluster == cluster }))
+}
+
+// joinKinds renders a kind list comma-separated.
+func joinKinds(kinds []Kind) string {
+	names := make([]string, len(kinds))
+	for i, k := range kinds {
+		names[i] = string(k)
+	}
+	return strings.Join(names, ",")
 }
 
 // ParseKinds parses a comma-separated fault-kind list (the cronus-chaos
@@ -166,30 +243,20 @@ func ParseKinds(s string) ([]Kind, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
-	all := KnownKinds()
-	known := make(map[Kind]bool, len(all))
-	for _, k := range all {
-		known[k] = true
-	}
 	var kinds []Kind
 	for _, part := range strings.Split(s, ",") {
 		k := Kind(strings.TrimSpace(part))
-		if !known[k] {
-			return nil, fmt.Errorf("chaos: unknown fault kind %q (known: %s)", k, kindNames())
+		if lookup(k) == nil {
+			return nil, unknownKind(k)
 		}
 		kinds = append(kinds, k)
 	}
 	return kinds, nil
 }
 
-// kindNames renders every known kind for error and usage text.
-func kindNames() string {
-	all := KnownKinds()
-	names := make([]string, 0, len(all))
-	for _, k := range all {
-		names = append(names, string(k))
-	}
-	return strings.Join(names, ",")
+// unknownKind is the error for a kind the taxonomy does not list.
+func unknownKind(k Kind) error {
+	return fmt.Errorf("chaos: unknown fault kind %q (known: %s)", k, joinKinds(KnownKinds()))
 }
 
 // Fault is one compiled fault with its trigger. Which fields are meaningful
@@ -219,8 +286,7 @@ type Fault struct {
 	// Crashes is how many back-to-back crashes a crash-loop injects
 	// (matched to the supervision policy's QuarantineAfter).
 	Crashes int
-	// Node is the target fabric node of a node-level fault (cluster
-	// campaigns only).
+	// Node is the target fabric node of a cluster-topology fault.
 	Node int
 	// Until closes a net-partition, slow-link or scale-storm window opened
 	// at After.
@@ -319,12 +385,14 @@ type Options struct {
 	// Faults is the number of faults Compile draws (default 3; an
 	// attest-fail draw adds its paired crash on top).
 	Faults int
-	// Nodes selects the cluster campaign: with Nodes >= 2 the serving runs
-	// span a simulated multi-node fabric (CompileCluster / RunNodeOne) and
-	// the fault mix comes from NodeKinds. Zero keeps the single-node
-	// campaign. Partitions must divide evenly over Nodes.
+	// Nodes is the topology: with Nodes >= 2 the serving runs span a
+	// simulated multi-node fabric and the fault mix comes from the cluster
+	// kinds; below 2 the seed runs on one platform with the single-platform
+	// kinds. Partitions must be a positive multiple of Nodes >= 2.
 	Nodes int
-	// Kinds restricts the fault mix (default AllKinds).
+	// Kinds restricts the fault mix (default: every kind the taxonomy draws
+	// by default on the selected topology). A kind of the other topology is
+	// rejected with a *TopologyError.
 	Kinds []Kind
 	// RelTol is the survivor-tenant p95 latency tolerance relative to
 	// baseline (default 0.02).
@@ -336,9 +404,14 @@ type Options struct {
 	// their partition's recent spans, and any invariant violation dumps
 	// every ring — the dumps ride in the (still deterministic) report.
 	// Request-level causal traces and the SLO invariants are always on;
-	// Trace only controls the event spine and its recorder.
+	// Trace only controls the event spine and its recorder. The sharded
+	// plane under the cluster topology records no spans, so Trace with
+	// Nodes >= 2 is rejected with a *TopologyError.
 	Trace bool
 }
+
+// cluster reports whether the options select the multi-node topology.
+func (o *Options) cluster() bool { return o.Nodes >= 2 }
 
 func (o *Options) defaults() {
 	if o.Tenants <= 0 {
@@ -357,7 +430,8 @@ func (o *Options) defaults() {
 		o.Faults = 3
 	}
 	if len(o.Kinds) == 0 {
-		o.Kinds = AllKinds
+		cluster := o.cluster()
+		o.Kinds = kindsWhere(func(t *taxon) bool { return t.byDefault && t.cluster == cluster })
 	}
 	if o.RelTol <= 0 {
 		o.RelTol = 0.02
@@ -367,71 +441,49 @@ func (o *Options) defaults() {
 	}
 }
 
-// Compile derives a fault schedule from the seed: kinds, targets and
-// triggers all come from one seeded stream, so the same (seed, Options)
-// always compiles the same schedule.
-//
-// Crash instants land in the middle three fifths of the window, so the
-// plane has traffic in flight when the partition dies and time to recover
-// before the drain. Ring corruptions target the tenant's active replica
-// stream under device-affinity placement (stream ids are minted 1,2,3,… in
-// replica creation order, tenant-major) at a push ordinal past the two
-// setup calls every replica issues. Hang ordinals are deduplicated per
-// device, since a launch can only hang once.
-func Compile(seed int64, opts Options) *Schedule {
-	opts.defaults()
-	rng := rand.New(rand.NewSource(seed ^ 0x63686173)) // domain-separate from serve seeds
-	s := &Schedule{Seed: seed}
-	crashAfter := func() sim.Duration {
-		return opts.Window/5 + sim.Duration(rng.Int63n(int64(3*opts.Window/5)))
+// TopologyError is the typed usage error for a fault kind or option that does
+// not belong to the selected topology: a single-platform kind with Nodes >= 2,
+// a cluster kind with Nodes < 2, or Trace on the cluster topology. Exactly one
+// of Kind and Option is set.
+type TopologyError struct {
+	// Kind is the offending fault kind.
+	Kind Kind
+	// Option is the offending Options field name.
+	Option string
+	// Nodes is the topology the options selected.
+	Nodes int
+}
+
+// Error implements error.
+func (e *TopologyError) Error() string {
+	what, belongs := fmt.Sprintf("fault kind %q", e.Kind), "cluster topology (Nodes >= 2)"
+	if e.Option != "" {
+		what = "option " + e.Option
 	}
-	hangArmed := map[[2]uint64]bool{} // (device, launch) pairs already taken
-	crashLoopDrawn := false           // at most one per schedule (see KindCrashLoop below)
-	for n := 0; n < opts.Faults; n++ {
-		f := &Fault{Kind: opts.Kinds[rng.Intn(len(opts.Kinds))]}
-		if f.Kind == KindCrashLoop && (crashLoopDrawn || opts.Partitions < 2) {
-			// A second crash-loop could quarantine the whole pool and
-			// leave admitted requests unplaceable; a one-partition pool
-			// has no survivors to re-place onto. Degrade the draw to a
-			// plain crash (targets drawn below keep the stream aligned).
-			f.Kind = KindCrash
-		}
-		switch f.Kind {
-		case KindCrash:
-			f.Partition = rng.Intn(opts.Partitions)
-			f.After = crashAfter()
-		case KindDeviceHang:
-			f.Partition = rng.Intn(opts.Partitions)
-			f.Launch = uint64(2 + rng.Intn(40))
-			for hangArmed[[2]uint64{uint64(f.Partition), f.Launch}] {
-				f.Launch++
-			}
-			hangArmed[[2]uint64{uint64(f.Partition), f.Launch}] = true
-		case KindRingCorrupt:
-			f.Tenant = rng.Intn(opts.Tenants)
-			// The tenant's device-affinity replica: streams are minted
-			// tenant-major at boot, one per (tenant, partition).
-			f.Stream = uint64(f.Tenant*opts.Partitions + f.Tenant%opts.Partitions + 1)
-			f.AfterCalls = uint64(3 + rng.Intn(38))
-			f.Mask = uint32(1) << uint(rng.Intn(20))
-		case KindAttestFail:
-			f.Partition = rng.Intn(opts.Partitions)
-			f.Fails = 1 + rng.Intn(2)
-			// Without a restart there is no report to veto: pair the
-			// outage with a crash on the same partition.
-			s.Faults = append(s.Faults, &Fault{
-				Kind: KindCrash, Partition: f.Partition, After: crashAfter(),
-			})
-		case KindPersistentHang:
-			f.Partition = rng.Intn(opts.Partitions)
-			f.After = crashAfter()
-		case KindCrashLoop:
-			crashLoopDrawn = true
-			f.Partition = rng.Intn(opts.Partitions)
-			f.After = crashAfter()
-			f.Crashes = quarantineAfter
-		}
-		s.Faults = append(s.Faults, f)
+	if e.Nodes >= 2 {
+		belongs = "single-platform topology (Nodes < 2)"
 	}
-	return s
+	return fmt.Sprintf("chaos: %s belongs to the %s, got Nodes = %d", what, belongs, e.Nodes)
+}
+
+// validate rejects (defaulted) options no topology can run: a partition
+// layout that does not divide over the nodes (*serve.ShardLayoutError, one
+// shard per partition), an unknown kind, or a kind or option of the other
+// topology (*TopologyError).
+func (o *Options) validate() error {
+	if err := serve.CheckShardLayout(o.Partitions, o.Partitions, o.Nodes); err != nil {
+		return err
+	}
+	for _, k := range o.Kinds {
+		switch t := lookup(k); {
+		case t == nil:
+			return unknownKind(k)
+		case t.cluster != o.cluster():
+			return &TopologyError{Kind: k, Nodes: o.Nodes}
+		}
+	}
+	if o.Trace && o.cluster() {
+		return &TopologyError{Option: "Trace", Nodes: o.Nodes}
+	}
+	return nil
 }

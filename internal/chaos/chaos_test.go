@@ -1,21 +1,48 @@
 package chaos
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"cronus/internal/serve"
 	"cronus/internal/spm"
 )
+
+// clusterOpts is the `make chaos` cluster layout: two nodes, two partitions
+// and two tenants each.
+func clusterOpts() Options {
+	return Options{Nodes: 2, Partitions: 4, Tenants: 4}
+}
+
+// migrationKinds is the elastic-capacity fault mix.
+var migrationKinds = []Kind{KindMigrateInterrupt, KindScaleStorm, KindDrainRace}
+
+// withKinds returns o restricted to the given fault mix.
+func withKinds(o Options, kinds ...Kind) Options {
+	o.Kinds = kinds
+	return o
+}
+
+// mustCompile compiles a schedule the test expects to be valid.
+func mustCompile(t *testing.T, seed int64, o Options) *Schedule {
+	t.Helper()
+	s, err := Compile(seed, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
 
 // TestScheduleDeterministic pins Compile to its seed: same (seed, Options),
 // same schedule; different seeds, (almost surely) different schedules.
 func TestScheduleDeterministic(t *testing.T) {
-	a := Compile(42, Options{})
-	b := Compile(42, Options{})
+	a := mustCompile(t, 42, Options{})
+	b := mustCompile(t, 42, Options{})
 	if a.String() != b.String() {
 		t.Fatalf("same seed compiled different schedules:\n%s\nvs\n%s", a, b)
 	}
-	c := Compile(43, Options{})
+	c := mustCompile(t, 43, Options{})
 	if a.String() == c.String() {
 		t.Errorf("seeds 42 and 43 compiled identical schedules:\n%s", a)
 	}
@@ -24,49 +51,175 @@ func TestScheduleDeterministic(t *testing.T) {
 	}
 }
 
-// TestDeterministicReplay is the replay contract: running the same seed
-// twice must produce byte-identical reports — schedules, fired flags,
-// serving tables, probe lines and verdicts all derive from virtual time and
-// the seed alone.
+// TestDeterministicReplay is the replay contract — what cronus-chaos -verify
+// checks — on both topologies: running the same seed twice must produce
+// byte-identical reports — schedules, fired flags, serving tables, probe
+// lines and verdicts all derive from virtual time and the seed alone.
 func TestDeterministicReplay(t *testing.T) {
-	a, err := RunOne(7, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunOne(7, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, rb := a.Report(), b.Report()
-	if ra != rb {
-		t.Fatalf("same-seed reports differ:\n--- first ---\n%s\n--- second ---\n%s", ra, rb)
-	}
-	if !a.Passed() {
-		t.Errorf("seed 7 violated invariants:\n%s", ra)
+	for _, c := range []struct {
+		name string
+		o    Options
+	}{{"platform", Options{}}, {"cluster", clusterOpts()}} {
+		t.Run(c.name, func(t *testing.T) {
+			a, err := Run(7, c.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Run(7, c.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ra, rb := a.Report(), b.Report()
+			if ra != rb {
+				t.Fatalf("same-seed reports differ:\n--- first ---\n%s\n--- second ---\n%s", ra, rb)
+			}
+			if !a.Passed() {
+				t.Errorf("seed 7 violated invariants:\n%s", ra)
+			}
+		})
 	}
 }
 
-// TestCampaignInvariants is the soak: 25 consecutive seeds (5 under -short),
-// every invariant upheld on each — conservation with zero duplicates,
-// survivors within tolerance of baseline, crashed partitions unreadable.
+// TestCampaignInvariants is the soak on both topologies: consecutive seeds
+// (25 on one platform, 5 under -short; 5 on the fabric), every invariant
+// upheld on each — conservation with zero duplicates, survivors within
+// tolerance of baseline, crashed partitions unreadable — and the campaign
+// summary rendered in the topology's shape.
 func TestCampaignInvariants(t *testing.T) {
 	n := 25
 	if testing.Short() {
 		n = 5
 	}
-	cr, err := RunCampaign(1, n, Options{})
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name   string
+		seeds  int
+		o      Options
+		header string
+	}{
+		{"platform", n, Options{}, "chaos campaign: seeds 1.."},
+		{"cluster", 5, clusterOpts(), "chaos cluster campaign: seeds 1..5 (5 runs, 2 nodes)"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cr, err := RunCampaign(1, c.seeds, c.o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep := cr.Report()
+			if !cr.Passed() {
+				t.Fatalf("campaign violations:\n%s", rep)
+			}
+			if !strings.Contains(rep, c.header) || !strings.Contains(rep, "0 violations") {
+				t.Fatalf("unexpected campaign summary, want header %q and a zero violation total:\n%s", c.header, rep)
+			}
+			fired := 0
+			for _, rr := range cr.Runs {
+				fired += rr.FiredCount()
+				if !strings.Contains(rr.Report(), "verdict: PASS") {
+					t.Fatalf("run report missing verdict:\n%s", rr.Report())
+				}
+			}
+			if !c.o.cluster() && fired == 0 {
+				t.Fatalf("no fault fired across %d seeds — the harness is injecting nothing:\n%s", c.seeds, rep)
+			}
+		})
 	}
-	if !cr.Passed() {
-		t.Fatalf("campaign violations:\n%s", cr.Report())
+}
+
+// TestRunRejectsTopologyMismatch pins the usage errors: a kind or option that
+// does not belong to the topology Options.Nodes selects, or a partition pool
+// that does not divide over the nodes, is a typed error before anything boots
+// — never a green run that injected nothing.
+func TestRunRejectsTopologyMismatch(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		o      Options
+		kind   Kind   // want *TopologyError naming this kind
+		option string // want *TopologyError naming this option
+		layout bool   // want *serve.ShardLayoutError
+	}{
+		{name: "cluster kinds on one platform",
+			o: Options{Kinds: []Kind{KindNodeCrash, KindAttestStorm}}, kind: KindNodeCrash},
+		{name: "platform kinds on the fabric",
+			o: withKinds(clusterOpts(), KindCrash, KindRingCorrupt), kind: KindCrash},
+		{name: "mixed kinds name the stranger",
+			o: withKinds(clusterOpts(), KindSlowLink, KindDeviceHang), kind: KindDeviceHang},
+		{name: "trace on the fabric",
+			o: Options{Nodes: 2, Partitions: 4, Tenants: 4, Trace: true}, option: "Trace"},
+		{name: "one node is one platform",
+			o: Options{Nodes: 1, Kinds: []Kind{KindNodeCrash}}, kind: KindNodeCrash},
+		{name: "indivisible partition pool",
+			o: Options{Nodes: 2, Partitions: 3}, layout: true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rr, err := Run(1, c.o)
+			if err == nil {
+				t.Fatalf("accepted; report:\n%s", rr.Report())
+			}
+			var te *TopologyError
+			var le *serve.ShardLayoutError
+			switch {
+			case c.layout:
+				if !errors.As(err, &le) || le.Partitions != c.o.Partitions || le.Nodes != c.o.Nodes {
+					t.Fatalf("want *serve.ShardLayoutError for the layout, got %T: %v", err, err)
+				}
+			case !errors.As(err, &te):
+				t.Fatalf("want *TopologyError, got %T: %v", err, err)
+			case te.Kind != c.kind || te.Option != c.option || te.Nodes != c.o.Nodes:
+				t.Fatalf("error names kind %q option %q nodes %d, want %q %q %d: %v",
+					te.Kind, te.Option, te.Nodes, c.kind, c.option, c.o.Nodes, err)
+			}
+			if _, cerr := RunCampaign(1, 2, c.o); cerr == nil || cerr.Error() != err.Error() {
+				t.Errorf("RunCampaign error %v, want %v", cerr, err)
+			}
+		})
 	}
-	fired := 0
-	for _, rr := range cr.Runs {
-		fired += rr.FiredCount()
+	// Nodes: 1 with its own kinds is simply the single-platform topology.
+	if _, err := Compile(1, Options{Nodes: 1}); err != nil {
+		t.Errorf("Nodes: 1 with the default mix rejected: %v", err)
 	}
-	if fired == 0 {
-		t.Fatalf("no fault fired across %d seeds — the harness is injecting nothing:\n%s", n, cr.Report())
+	// A kind no taxonomy row lists is an error on either topology.
+	if _, err := Compile(1, Options{Kinds: []Kind{"node-melt"}}); err == nil {
+		t.Error("unknown kind accepted")
+	}
+}
+
+// TestEveryKindEarnsItsPlace runs each known kind alone through Run on the
+// topology the taxonomy assigns it: every seed tried must pass with the kind
+// in its schedule, and within a small seed range the fault must land — fired
+// by the Injector on one platform; on the fabric, where faults ride the
+// serving config, a faulted run that differs from the baseline — so deleting
+// or mis-wiring any kind fails here.
+func TestEveryKindEarnsItsPlace(t *testing.T) {
+	for _, k := range KnownKinds() {
+		k := k
+		t.Run(string(k), func(t *testing.T) {
+			o := Options{Kinds: []Kind{k}, Faults: 1}
+			if lookup(k).cluster {
+				o = withKinds(clusterOpts(), k)
+				o.Faults = 1
+			}
+			for seed := int64(1); seed <= 6; seed++ {
+				rr, err := Run(seed, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !rr.Passed() {
+					t.Fatalf("seed %d violated invariants:\n%s", seed, rr.Report())
+				}
+				if !rr.Schedule.has(k) {
+					t.Fatalf("seed %d never drew %q:\n%s", seed, k, rr.Schedule)
+				}
+				if o.cluster() && rr.Faulted.Report() != rr.Baseline.Report() {
+					return
+				}
+				for i, f := range rr.Schedule.Faults {
+					if !o.cluster() && f.Kind == k && rr.Fired[i] {
+						return
+					}
+				}
+			}
+			t.Fatalf("%q never landed over seeds 1..6", k)
+		})
 	}
 }
 
@@ -75,7 +228,7 @@ func TestCampaignInvariants(t *testing.T) {
 // zero lost and zero duplicated requests.
 func TestHangRecoveryExactlyOnce(t *testing.T) {
 	o := Options{Kinds: []Kind{KindDeviceHang}, Faults: 2}
-	rr, err := RunOne(3, o)
+	rr, err := Run(3, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +264,7 @@ func TestHangRecoveryExactlyOnce(t *testing.T) {
 // partition read back scrubbed.
 func TestCrashIsolationProbe(t *testing.T) {
 	o := Options{Kinds: []Kind{KindCrash}, Faults: 1}
-	rr, err := RunOne(11, o)
+	rr, err := Run(11, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +354,7 @@ func TestKnownKindsPinned(t *testing.T) {
 // crash-loop per schedule, and none on a one-partition pool (no survivors to
 // re-place onto) — excess draws degrade to plain crashes.
 func TestCrashLoopCompileDegrades(t *testing.T) {
-	s := Compile(17, Options{Kinds: []Kind{KindCrashLoop}, Faults: 3, Partitions: 2})
+	s := mustCompile(t, 17, Options{Kinds: []Kind{KindCrashLoop}, Faults: 3, Partitions: 2})
 	loops, crashes := 0, 0
 	for _, f := range s.Faults {
 		switch f.Kind {
@@ -217,7 +370,7 @@ func TestCrashLoopCompileDegrades(t *testing.T) {
 	if loops != 1 || crashes != 2 {
 		t.Errorf("3 crash-loop draws compiled to %d loops + %d crashes, want 1 + 2", loops, crashes)
 	}
-	s1 := Compile(17, Options{Kinds: []Kind{KindCrashLoop}, Faults: 2, Partitions: 1})
+	s1 := mustCompile(t, 17, Options{Kinds: []Kind{KindCrashLoop}, Faults: 2, Partitions: 1})
 	for _, f := range s1.Faults {
 		if f.Kind == KindCrashLoop {
 			t.Error("crash-loop compiled for a one-partition pool")
@@ -231,7 +384,7 @@ func TestCrashLoopCompileDegrades(t *testing.T) {
 // conservation must hold.
 func TestPersistentHangDetectedByWatchdog(t *testing.T) {
 	o := Options{Kinds: []Kind{KindPersistentHang}, Faults: 1}
-	rr, err := RunOne(13, o)
+	rr, err := Run(13, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +404,7 @@ func TestPersistentHangDetectedByWatchdog(t *testing.T) {
 // tenant's load must still be conserved on the surviving partition.
 func TestCrashLoopEndsQuarantined(t *testing.T) {
 	o := Options{Kinds: []Kind{KindCrashLoop}, Faults: 1}
-	rr, err := RunOne(9, o)
+	rr, err := Run(9, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +433,7 @@ func TestCrashLoopEndsQuarantined(t *testing.T) {
 // conservation or leak requests.
 func TestAttestOutageRecovered(t *testing.T) {
 	o := Options{Kinds: []Kind{KindAttestFail}, Faults: 1}
-	rr, err := RunOne(5, o)
+	rr, err := Run(5, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,13 @@
 package chaos
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
-func clusterOpts() Options {
-	return Options{Nodes: 2, Partitions: 4, Tenants: 4}
-}
-
-// CompileCluster is a pure function of (seed, Options): same inputs, same
+// The cluster draw table is a pure function of (seed, Options): same inputs, same
 // schedule; the crash budget never exceeds Nodes-1 distinct nodes.
 func TestCompileClusterDeterministic(t *testing.T) {
 	o := clusterOpts()
 	for seed := int64(1); seed <= 50; seed++ {
-		a, b := CompileCluster(seed, o), CompileCluster(seed, o)
+		a, b := mustCompile(t, seed, o), mustCompile(t, seed, o)
 		if a.String() != b.String() {
 			t.Fatalf("seed %d compiled two different schedules:\n%s\nvs\n%s", seed, a, b)
 		}
@@ -37,7 +30,7 @@ func TestCompileClusterDeterministic(t *testing.T) {
 					t.Fatalf("seed %d: slow-link mult %g < 2", seed, f.Mult)
 				}
 			default:
-				t.Fatalf("seed %d: single-node kind %q in a cluster schedule", seed, f.Kind)
+				t.Fatalf("seed %d: single-platform kind %q in a cluster schedule", seed, f.Kind)
 			}
 		}
 		if len(crashed) > o.Nodes-1 {
@@ -47,7 +40,7 @@ func TestCompileClusterDeterministic(t *testing.T) {
 }
 
 // The -kinds parser accepts node-level names alongside the partition-level
-// ones, and CompileCluster honors a restricted mix.
+// ones, and the cluster draw table honors a restricted mix.
 func TestNodeKindParsing(t *testing.T) {
 	kinds, err := ParseKinds("node-crash,slow-link")
 	if err != nil {
@@ -62,67 +55,24 @@ func TestNodeKindParsing(t *testing.T) {
 	o := clusterOpts()
 	o.Kinds = []Kind{KindSlowLink}
 	for seed := int64(1); seed <= 10; seed++ {
-		for _, f := range CompileCluster(seed, o).Faults {
+		for _, f := range mustCompile(t, seed, o).Faults {
 			if f.Kind != KindSlowLink {
 				t.Fatalf("seed %d: restricted mix compiled %q", seed, f.Kind)
 			}
 		}
 	}
-	// A single-node default mix falls back to every node kind rather than
-	// compiling partition-level faults the cluster cannot inject.
+	// An empty mix draws every default kind of the cluster topology, never
+	// the partition-level faults the fabric cannot inject.
 	o.Kinds = nil
 	saw := map[Kind]bool{}
 	for seed := int64(1); seed <= 30; seed++ {
-		for _, f := range CompileCluster(seed, o).Faults {
+		for _, f := range mustCompile(t, seed, o).Faults {
 			saw[f.Kind] = true
 		}
 	}
-	for _, k := range NodeKinds {
+	for _, k := range []Kind{KindNodeCrash, KindNetPartition, KindSlowLink} {
 		if !saw[k] {
 			t.Errorf("default cluster mix never drew %q over 30 seeds", k)
-		}
-	}
-}
-
-// One cluster seed replays byte-identically — the cronus-chaos -nodes
-// -verify contract.
-func TestRunNodeOneReplay(t *testing.T) {
-	o := clusterOpts()
-	a, err := RunNodeOne(7, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Passed() {
-		t.Fatalf("seed 7 violated invariants:\n%s", a.Report())
-	}
-	b, err := RunNodeOne(7, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Report() != b.Report() {
-		t.Fatalf("seed 7 produced two different reports:\n%s\nvs\n%s", a.Report(), b.Report())
-	}
-}
-
-// A short soak upholds every invariant and renders the expected summary.
-func TestRunNodeCampaign(t *testing.T) {
-	cr, err := RunNodeCampaign(1, 5, clusterOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cr.Passed() {
-		t.Fatalf("campaign failed:\n%s", cr.Report())
-	}
-	rep := cr.Report()
-	if !strings.Contains(rep, "chaos cluster campaign: seeds 1..5 (5 runs, 2 nodes)") {
-		t.Fatalf("unexpected campaign header:\n%s", rep)
-	}
-	if !strings.Contains(rep, "0 violations") {
-		t.Fatalf("campaign report missing violation total:\n%s", rep)
-	}
-	for _, rr := range cr.Runs {
-		if !strings.Contains(rr.Report(), "verdict: PASS") {
-			t.Fatalf("run report missing verdict:\n%s", rr.Report())
 		}
 	}
 }
@@ -133,7 +83,7 @@ func TestRunNodeCrashFailover(t *testing.T) {
 	o := clusterOpts()
 	o.Kinds = []Kind{KindNodeCrash}
 	o.Faults = 1
-	rr, err := RunNodeOne(3, o)
+	rr, err := Run(3, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,13 +114,13 @@ func TestRunNodeCrashFailover(t *testing.T) {
 // migration.
 func TestMigrationKindsCompile(t *testing.T) {
 	o := clusterOpts()
-	o.Kinds = MigrationKinds
+	o.Kinds = migrationKinds
 	o.Faults = 6 // enough draws to force duplicate sources on a 2x2 pool
 	ppn := o.Partitions / o.Nodes
 	sawStormDegrade := false
 	for seed := int64(1); seed <= 30; seed++ {
 		sources := map[[2]int]bool{}
-		for _, f := range CompileCluster(seed, o).Faults {
+		for _, f := range mustCompile(t, seed, o).Faults {
 			switch f.Kind {
 			case KindMigrateInterrupt, KindDrainRace:
 				if f.Node < 0 || f.Node >= o.Nodes || f.ToNode < 0 || f.ToNode >= o.Nodes ||
@@ -214,7 +164,7 @@ func TestRunMigrateInterrupt(t *testing.T) {
 	o := clusterOpts()
 	o.Kinds = []Kind{KindMigrateInterrupt}
 	o.Faults = 1
-	rr, err := RunNodeOne(5, o)
+	rr, err := Run(5, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +183,7 @@ func TestRunDrainRace(t *testing.T) {
 	o := clusterOpts()
 	o.Kinds = []Kind{KindDrainRace}
 	o.Faults = 1
-	rr, err := RunNodeOne(5, o)
+	rr, err := Run(5, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +203,7 @@ func TestRunScaleStorm(t *testing.T) {
 	o := clusterOpts()
 	o.Kinds = []Kind{KindScaleStorm}
 	o.Faults = 1
-	rr, err := RunNodeOne(5, o)
+	rr, err := Run(5, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,29 +226,19 @@ func TestRunScaleStorm(t *testing.T) {
 // byte-identically — the `make chaos` migration soak contract.
 func TestRunMigrationCampaign(t *testing.T) {
 	o := clusterOpts()
-	o.Kinds = MigrationKinds
-	cr, err := RunNodeCampaign(1, 5, o)
+	o.Kinds = migrationKinds
+	cr, err := RunCampaign(1, 5, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cr.Passed() {
 		t.Fatalf("migration campaign failed:\n%s", cr.Report())
 	}
-	again, err := RunNodeOne(cr.Runs[2].Seed, o)
+	again, err := Run(cr.Runs[2].Seed, o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again.Report() != cr.Runs[2].Report() {
 		t.Fatalf("migration seed %d diverged on replay", cr.Runs[2].Seed)
-	}
-}
-
-// RunNodeOne rejects configurations the fabric cannot model.
-func TestRunNodeOneValidation(t *testing.T) {
-	if _, err := RunNodeOne(1, Options{Nodes: 1, Partitions: 2}); err == nil {
-		t.Fatal("Nodes=1 accepted")
-	}
-	if _, err := RunNodeOne(1, Options{Nodes: 2, Partitions: 3}); err == nil {
-		t.Fatal("indivisible partition count accepted")
 	}
 }

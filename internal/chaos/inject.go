@@ -18,6 +18,8 @@ import (
 type Injector struct {
 	pl    *core.Platform
 	sched *Schedule
+	// fired is index-aligned with the schedule's faults. Dormant faults
+	// (triggers the run never reached) are normal for ordinal-based triggers.
 	fired []bool
 	// injectAt records, per fault index, the virtual instant a
 	// persistent-hang wedge actually landed (zero otherwise) — the origin
@@ -52,7 +54,6 @@ func (in *Injector) Arm(p *sim.Proc) {
 	var outages []*attestOutage
 	for i, f := range in.sched.Faults {
 		i, f := i, f
-		mFaultsArmed.Inc()
 		switch f.Kind {
 		case KindCrash:
 			part := in.pl.GPUs[f.Partition].Part
@@ -148,19 +149,7 @@ func (in *Injector) Disarm() {
 	}
 }
 
-// hit marks fault i as fired exactly once.
+// hit marks fault i as fired.
 func (in *Injector) hit(i int) {
-	if !in.fired[i] {
-		in.fired[i] = true
-		mFaultsFired.Inc()
-	}
+	in.fired[i] = true
 }
-
-// Fired returns the per-fault fired flags, index-aligned with
-// Schedule.Faults. Dormant faults (triggers the run never reached) are
-// normal for ordinal-based triggers.
-func (in *Injector) Fired() []bool { return in.fired }
-
-// InjectTimes returns the per-fault injection instants (persistent-hang
-// wedges only; zero elsewhere), index-aligned with Schedule.Faults.
-func (in *Injector) InjectTimes() []sim.Time { return in.injectAt }

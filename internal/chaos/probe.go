@@ -35,8 +35,8 @@ type probe struct {
 	secret  []byte
 }
 
-// newProbeSet plants probes on the given partition indices (deduplicated,
-// in order). With no crash targets it is a no-op, keeping fault-free
+// newProbeSet plants probes on the given distinct partition indices, in
+// order. With no crash targets it is a no-op, keeping fault-free
 // timelines unperturbed.
 func newProbeSet(p *sim.Proc, pl *core.Platform, parts []int) (*probeSet, error) {
 	ps := &probeSet{pl: pl}
@@ -48,12 +48,7 @@ func newProbeSet(p *sim.Proc, pl *core.Platform, parts []int) (*probeSet, error)
 		return nil, fmt.Errorf("chaos: probe session: %w", err)
 	}
 	ps.sess = sess
-	seen := make(map[int]bool)
 	for _, pi := range parts {
-		if seen[pi] {
-			continue
-		}
-		seen[pi] = true
 		conn, err := sess.OpenCUDA(p, core.CUDAOptions{
 			Cubin:     gpu.BuildCubin("vec_add"),
 			Partition: fmt.Sprintf("gpu-part%d", pi),

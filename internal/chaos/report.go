@@ -8,9 +8,11 @@ import (
 	"cronus/internal/sim"
 )
 
-// RunReport is the outcome of one chaos seed: the compiled schedule, both
-// serving results, which faults fired, the probe audit lines, and every
-// invariant violation (empty on a clean run).
+// RunReport is the outcome of one chaos seed on either topology: the compiled
+// schedule, both serving results, and every invariant violation (empty on a
+// clean run). Fired, InjectAt, PartStates, ProbeLines and FlightDumps are the
+// Injector's and probes' evidence and stay empty on the cluster topology,
+// where faults ride the serving config and are reported as armed.
 type RunReport struct {
 	// Seed is the schedule seed.
 	Seed int64
@@ -18,7 +20,8 @@ type RunReport struct {
 	Opts Options
 	// Schedule is the compiled fault plan.
 	Schedule *Schedule
-	// Fired is index-aligned with Schedule.Faults.
+	// Fired is index-aligned with Schedule.Faults (nil on the cluster
+	// topology).
 	Fired []bool
 	// InjectAt is index-aligned with Schedule.Faults: the virtual instant a
 	// persistent-hang wedge landed (zero for every other kind).
@@ -56,13 +59,22 @@ func (rr *RunReport) FiredCount() int {
 // byte-identical text out — the replay contract cronus-chaos -verify checks.
 func (rr *RunReport) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "chaos seed=%d tenants=%d partitions=%d window=%v: %d faults, %d fired\n",
-		rr.Seed, rr.Opts.Tenants, rr.Opts.Partitions, rr.Opts.Window,
-		len(rr.Schedule.Faults), rr.FiredCount())
+	if rr.Opts.cluster() {
+		fmt.Fprintf(&b, "chaos cluster seed=%d nodes=%d tenants=%d partitions=%d window=%v: %d faults\n",
+			rr.Seed, rr.Opts.Nodes, rr.Opts.Tenants, rr.Opts.Partitions, rr.Opts.Window,
+			len(rr.Schedule.Faults))
+	} else {
+		fmt.Fprintf(&b, "chaos seed=%d tenants=%d partitions=%d window=%v: %d faults, %d fired\n",
+			rr.Seed, rr.Opts.Tenants, rr.Opts.Partitions, rr.Opts.Window,
+			len(rr.Schedule.Faults), rr.FiredCount())
+	}
 	for i, f := range rr.Schedule.Faults {
-		state := "dormant"
-		if rr.Fired[i] {
-			state = "fired"
+		state := "armed"
+		if !rr.Opts.cluster() {
+			state = "dormant"
+			if rr.Fired[i] {
+				state = "fired"
+			}
 		}
 		fmt.Fprintf(&b, "  [%d] %-58s %s\n", i, f, state)
 	}
@@ -77,7 +89,7 @@ func (rr *RunReport) Report() string {
 	}
 	b.WriteString("faulted run:\n")
 	b.WriteString(indent(rr.Faulted.Report()))
-	victims := rr.Schedule.victimTenants(rr.Opts)
+	victims := rr.victimTenants()
 	for ti := range rr.Faulted.Tenants {
 		if victims[ti] || ti >= len(rr.Baseline.Tenants) {
 			continue
@@ -107,7 +119,7 @@ func (rr *RunReport) Report() string {
 type CampaignReport struct {
 	// BaseSeed is the first seed of the campaign.
 	BaseSeed int64
-	// Opts are the shared run options.
+	// Opts are the shared (defaulted) run options.
 	Opts Options
 	// Runs holds one report per seed, in seed order.
 	Runs []*RunReport
@@ -127,22 +139,36 @@ func (cr *CampaignReport) Passed() bool { return cr.Violations() == 0 }
 
 // Report renders the campaign summary: one line per seed, then the verdict.
 // Failing seeds additionally get their full run report appended, so a soak
-// failure is diagnosable from the text alone.
+// failure is diagnosable from the text alone. Single-platform campaigns count
+// fired faults; cluster faults ride the serving config, so cluster campaigns
+// count armed ones.
 func (cr *CampaignReport) Report() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "chaos campaign: seeds %d..%d (%d runs)\n",
-		cr.BaseSeed, cr.BaseSeed+int64(len(cr.Runs))-1, len(cr.Runs))
-	fired := 0
+	last := cr.BaseSeed + int64(len(cr.Runs)) - 1
+	counted := "fired"
+	if cr.Opts.cluster() {
+		counted = "armed"
+		fmt.Fprintf(&b, "chaos cluster campaign: seeds %d..%d (%d runs, %d nodes)\n",
+			cr.BaseSeed, last, len(cr.Runs), cr.Opts.Nodes)
+	} else {
+		fmt.Fprintf(&b, "chaos campaign: seeds %d..%d (%d runs)\n", cr.BaseSeed, last, len(cr.Runs))
+	}
+	total := 0
 	for _, rr := range cr.Runs {
 		verdict := "PASS"
 		if !rr.Passed() {
 			verdict = fmt.Sprintf("FAIL (%d violations)", len(rr.Violations))
 		}
-		fmt.Fprintf(&b, "  seed %4d: %d faults, %d fired, %s\n",
-			rr.Seed, len(rr.Schedule.Faults), rr.FiredCount(), verdict)
-		fired += rr.FiredCount()
+		if cr.Opts.cluster() {
+			fmt.Fprintf(&b, "  seed %4d: %d faults, %s\n", rr.Seed, len(rr.Schedule.Faults), verdict)
+			total += len(rr.Schedule.Faults)
+		} else {
+			fmt.Fprintf(&b, "  seed %4d: %d faults, %d fired, %s\n",
+				rr.Seed, len(rr.Schedule.Faults), rr.FiredCount(), verdict)
+			total += rr.FiredCount()
+		}
 	}
-	fmt.Fprintf(&b, "total: %d faults fired, %d violations\n", fired, cr.Violations())
+	fmt.Fprintf(&b, "total: %d faults %s, %d violations\n", total, counted, cr.Violations())
 	for _, rr := range cr.Runs {
 		if !rr.Passed() {
 			fmt.Fprintf(&b, "--- seed %d ---\n%s", rr.Seed, rr.Report())

@@ -1,9 +1,7 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
 	"cronus/internal/core"
 	"cronus/internal/otrace"
@@ -11,7 +9,6 @@ import (
 	"cronus/internal/sim"
 	"cronus/internal/slo"
 	"cronus/internal/spm"
-	"cronus/internal/srpc"
 	"cronus/internal/trace"
 	"cronus/internal/tvm"
 )
@@ -21,9 +18,9 @@ import (
 // this many crashes, so a fired crash-loop always engages quarantine.
 const quarantineAfter = 3
 
-// chaosSupervision is the health-supervision policy every chaos run enables
-// — baseline and faulted alike, so the two timelines stay byte-identical up
-// to the first fault. A 200µs heartbeat with a 3-beat deadline bounds hang
+// chaosSupervision is the health-supervision policy every single-platform
+// run enables — baseline and faulted alike, so the two timelines stay
+// byte-identical up to the first fault. A 200µs heartbeat with a 3-beat deadline bounds hang
 // detection at 1ms (spm.SPM.HangDetectionBound); quarantineAfter failures
 // inside a 1s window quarantine the partition.
 func chaosSupervision() *spm.Supervision {
@@ -37,38 +34,29 @@ func chaosSupervision() *spm.Supervision {
 	}
 }
 
-// serveConfig is the serving-plane load a chaos seed runs against:
-// device-affinity placement (so fault blast radii are attributable to
-// tenants), dynamic batching, per-request records kept for the conservation
-// audit, and the watchdog/retry/supervision layers enabled so hangs,
-// corruption, and crash-loops are recoverable or contained.
-func serveConfig(seed int64, o Options) serve.Config {
+// serveConfig is the serving-plane load a chaos seed runs against, on either
+// topology: dynamic batching, per-request records kept for the conservation
+// audit, and the watchdog/retry layer enabled so hangs and lost batches are
+// recoverable. A single platform adds device-affinity placement (so fault
+// blast radii are attributable to tenants), supervision, causal tracing and
+// the SLO engine. The cluster spans Options.Nodes fabric nodes on the sharded
+// data plane, one shard per partition, round-robin placement inside each home
+// group, and HashBound 1.0 so the boot assignment spreads tenants evenly —
+// every node gets victims and survivors; supervision, tracing and the SLO
+// engine stay off there (the sharded plane rejects them by validation).
+// Features a kind in the mix arms (taxonomy) are armed whether or not inject
+// is set; only the faulted run (inject) lowers the schedule onto the config's
+// fault hooks.
+func serveConfig(s *Schedule, o Options, inject bool) serve.Config {
 	cfg := serve.Config{
-		Seed:           seed,
-		Window:         o.Window,
-		Policy:         serve.DeviceAffinity,
-		MaxBatch:       4,
-		BatchWindow:    50 * sim.Microsecond,
-		GPUPartitions:  o.Partitions,
-		GPUFlopsPerNs:  400,
-		KeepRequests:   true,
-		RequestTimeout: 500 * sim.Microsecond,
-		MaxRetries:     3,
-		RetryBackoff:   100 * sim.Microsecond,
-		Supervision:    chaosSupervision(),
-		HangReportAfter: 2,
-		// Causal tracing and the SLO engine run on every chaos seed so
-		// their invariants soak with the fault mix: per-request stage
-		// attributions must stay conservative and SLO accounting must
-		// balance under every injected fault. The latency target mirrors
-		// the watchdog bound; admission coupling stays off so the
-		// baseline-vs-faulted survivor invariants are untouched.
-		Trace: true,
-		SLO: &slo.Objective{
-			LatencyTarget: 500 * sim.Microsecond,
-			ErrorBudget:   0.05,
-			Window:        o.Window,
-		},
+		Seed:          s.Seed,
+		Window:        o.Window,
+		MaxBatch:      4,
+		BatchWindow:   50 * sim.Microsecond,
+		GPUPartitions: o.Partitions,
+		GPUFlopsPerNs: 400,
+		KeepRequests:  true,
+		RetryBackoff:  100 * sim.Microsecond,
 	}
 	for ti := 0; ti < o.Tenants; ti++ {
 		cfg.Tenants = append(cfg.Tenants, serve.TenantSpec{
@@ -78,6 +66,40 @@ func serveConfig(seed int64, o Options) serve.Config {
 			QueueCap: 512,
 			Mix:      []serve.WorkClass{{Name: "resnet18", Graph: tvm.ResNet18()}},
 		})
+	}
+	if o.cluster() {
+		cfg.Policy = serve.RoundRobin
+		cfg.RequestTimeout = 2 * sim.Millisecond
+		cfg.MaxRetries = 1
+		cfg.Shards = o.Partitions
+		cfg.Nodes = o.Nodes
+		cfg.HashBound = 1.0
+		for _, k := range o.Kinds {
+			if arm := lookup(k).arm; arm != nil {
+				arm(&cfg)
+			}
+		}
+		if inject {
+			s.lower(&cfg)
+		}
+		return cfg
+	}
+	cfg.Policy = serve.DeviceAffinity
+	cfg.RequestTimeout = 500 * sim.Microsecond
+	cfg.MaxRetries = 3
+	cfg.Supervision = chaosSupervision()
+	cfg.HangReportAfter = 2
+	// Causal tracing and the SLO engine run on every single-platform seed so
+	// their invariants soak with the fault mix: per-request stage
+	// attributions must stay conservative and SLO accounting must balance
+	// under every injected fault. The latency target mirrors the watchdog
+	// bound; admission coupling stays off so the baseline-vs-faulted
+	// survivor invariants are untouched.
+	cfg.Trace = true
+	cfg.SLO = &slo.Objective{
+		LatencyTarget: 500 * sim.Microsecond,
+		ErrorBudget:   0.05,
+		Window:        o.Window,
 	}
 	return cfg
 }
@@ -97,14 +119,42 @@ func (s *Schedule) crashTargets() []int {
 	return parts
 }
 
-// victimTenants marks every tenant a schedule can touch: tenants pinned to
+// faultNodes splits the schedule's fabric targets: every faulted node, and
+// the subset that crashes outright (both empty on a single platform).
+func (s *Schedule) faultNodes() (all, crashes map[int]bool) {
+	all, crashes = map[int]bool{}, map[int]bool{}
+	for _, f := range s.Faults {
+		switch f.Kind {
+		case KindNodeCrash:
+			all[f.Node] = true
+			crashes[f.Node] = true
+		case KindNetPartition, KindSlowLink:
+			all[f.Node] = true
+		case KindStaleMeasurement:
+			// A revocation quarantines part of the node's pool: tenants homed
+			// there shift load (possibly rehoming), so the node is faulted.
+			all[f.Node] = true
+		case KindMigrateInterrupt, KindDrainRace:
+			// A migration perturbs both ends: the source drains (or crashes,
+			// interrupted) and the destination absorbs the moved load and the
+			// fabric transfer. Scale-storms are plane-wide and handled by the
+			// survivor-check relaxation instead.
+			all[f.Node] = true
+			all[f.ToNode] = true
+		}
+	}
+	return all, crashes
+}
+
+// victimTenants marks every tenant the schedule can touch: tenants pinned to
 // a crashed/hung/attest-vetoed partition (device-affinity: tenant i runs on
-// partition i mod pool) and tenants whose stream a corruption targets.
-// Everyone else is a survivor and must be indistinguishable from baseline.
-func (s *Schedule) victimTenants(o Options) map[int]bool {
+// partition i mod pool), tenants whose stream a corruption targets, and — on
+// the fabric — tenants homed on a faulted node. Everyone else is a survivor
+// and must be indistinguishable from baseline.
+func (rr *RunReport) victimTenants() map[int]bool {
 	targetPart := make(map[int]bool)
 	victims := make(map[int]bool)
-	for _, f := range s.Faults {
+	for _, f := range rr.Schedule.Faults {
 		switch f.Kind {
 		case KindCrash, KindDeviceHang, KindAttestFail, KindPersistentHang, KindCrashLoop:
 			targetPart[f.Partition] = true
@@ -112,126 +162,114 @@ func (s *Schedule) victimTenants(o Options) map[int]bool {
 			victims[f.Tenant] = true
 		}
 	}
-	for ti := 0; ti < o.Tenants; ti++ {
-		if targetPart[ti%o.Partitions] {
+	faultNodes, _ := rr.Schedule.faultNodes()
+	for ti := range rr.Faulted.Tenants {
+		if targetPart[ti%rr.Opts.Partitions] || faultNodes[rr.Faulted.Tenants[ti].Home] {
 			victims[ti] = true
 		}
 	}
 	return victims
 }
 
-// runArtifacts bundles everything one serving window produces: the serving
-// result plus (faulted runs only) the fired flags, hang-injection instants,
-// post-drain partition states, and the probe audit.
-type runArtifacts struct {
-	res        *serve.Result
-	fired      []bool
-	injectAt   []sim.Time
-	partStates []string
-	probeLines []string
-	probeViol  []string
-	// recorder is the flight recorder of a traced faulted run (nil
-	// otherwise); its rings stay readable after the run for violation
-	// dumps.
-	recorder *otrace.FlightRecorder
-}
-
-// execute runs one serving window on a fresh platform. With inject=true the
-// schedule is armed before Serve and audited after; the baseline run still
-// plants the probes so the two timelines stay identical until the first
-// fault fires.
-func execute(sched *Schedule, o Options, inject bool) (*runArtifacts, error) {
-	cfg := serveConfig(sched.Seed, o)
+// execute runs one serving window of the seed and returns its result. On the
+// cluster topology the serving plane boots its own kernel and platforms
+// (serve.Run) and the faults ride the config. On a single platform the window
+// runs on a fresh core.Platform: with inject set the schedule is armed before
+// Serve and audited after, leaving the Injector's and probes' evidence in rr
+// (probe violations land in rr.Violations); the baseline run still plants the
+// probes so the two timelines stay identical until the first fault fires. A
+// non-nil rec records the run's event spine: the global collector and the
+// recorder are armed for this window only, and the rings stay readable after
+// it for violation dumps.
+func (rr *RunReport) execute(inject bool, rec *otrace.FlightRecorder) (*serve.Result, error) {
+	cfg := serveConfig(rr.Schedule, rr.Opts, inject)
+	if rr.Opts.cluster() {
+		return serve.Run(cfg)
+	}
 	pcfg := core.DefaultConfig()
-	pcfg.GPUs = o.Partitions
+	pcfg.GPUs = rr.Opts.Partitions
 	pcfg.NPUs = 0
-	art := &runArtifacts{}
-	// A traced faulted run arms the global collector and the flight
-	// recorder for its duration only: the baseline stays untraced (span
-	// recording costs no virtual time, so the timelines are identical
-	// either way — this just keeps baseline runs cheap).
-	if inject && o.Trace {
-		art.recorder = otrace.NewFlightRecorder(0)
+	if rec != nil {
 		trace.Default.Enable()
-		art.recorder.Attach(trace.Default)
+		rec.Attach(trace.Default)
 		defer func() {
-			art.recorder.Detach(trace.Default)
+			rec.Detach(trace.Default)
 			trace.Default.Disable()
 		}()
 	}
-	runErr := core.Run(pcfg, func(pl *core.Platform, p *sim.Proc) error {
+	var res *serve.Result
+	err := core.Run(pcfg, func(pl *core.Platform, p *sim.Proc) error {
 		srv, err := serve.New(p, pl, cfg)
 		if err != nil {
 			return err
 		}
-		ps, err := newProbeSet(p, pl, sched.crashTargets())
+		ps, err := newProbeSet(p, pl, rr.Schedule.crashTargets())
 		if err != nil {
 			return err
 		}
 		var inj *Injector
 		if inject {
-			inj = NewInjector(pl, sched)
+			inj = NewInjector(pl, rr.Schedule)
 			inj.Arm(p)
 		}
-		r, err := srv.Serve(p)
-		if err != nil {
+		if res, err = srv.Serve(p); err != nil {
 			return err
 		}
-		art.res = r
 		if inject {
 			inj.Disarm()
-			art.fired = inj.Fired()
-			art.injectAt = inj.InjectTimes()
-			art.probeLines, art.probeViol = ps.check(p)
+			rr.Fired, rr.InjectAt = inj.fired, inj.injectAt
+			var viol []string
+			rr.ProbeLines, viol = ps.check(p)
+			rr.Violations = append(rr.Violations, viol...)
 			// Partition states are snapshotted after the probe audit: the
 			// probes' AwaitReady waits ride out in-flight recoveries, so a
 			// crash-loop decided at Fail time has actually reached
 			// PartQuarantined by the time the invariant reads the state.
 			for _, g := range pl.GPUs {
-				art.partStates = append(art.partStates, g.Part.State().String())
+				rr.PartStates = append(rr.PartStates, g.Part.State().String())
 			}
 		}
 		return nil
 	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	return art, nil
+	return res, err
 }
 
-// RunOne compiles the seed's schedule and executes it: a fault-free
-// baseline, then the faulted run, then every invariant check. The returned
-// report is fully deterministic — same (seed, Options), byte-identical
-// Report().
-func RunOne(seed int64, o Options) (*RunReport, error) {
+// Run compiles the seed's schedule for the topology Options.Nodes selects and
+// executes it: a fault-free baseline, then the faulted run over the identical
+// config, then every invariant check. Options no topology can run are
+// rejected with a typed usage error (*TopologyError, *serve.ShardLayoutError)
+// before anything boots. The returned report is fully deterministic — same
+// (seed, Options), byte-identical Report().
+func Run(seed int64, o Options) (*RunReport, error) {
 	o.defaults()
-	mRuns.Inc()
-	rr := &RunReport{Seed: seed, Opts: o, Schedule: Compile(seed, o)}
-	base, err := execute(rr.Schedule, o, false)
+	sched, err := Compile(seed, o)
 	if err != nil {
+		return nil, err
+	}
+	rr := &RunReport{Seed: seed, Opts: o, Schedule: sched}
+	if rr.Baseline, err = rr.execute(false, nil); err != nil {
 		return nil, fmt.Errorf("chaos: baseline run (seed %d): %w", seed, err)
 	}
-	rr.Baseline = base.res
-	art, err := execute(rr.Schedule, o, true)
-	if err != nil {
+	// Only the faulted run is traced: span recording costs no virtual time,
+	// so the timelines are identical either way — this just keeps baseline
+	// runs cheap.
+	var rec *otrace.FlightRecorder
+	if o.Trace {
+		rec = otrace.NewFlightRecorder(0)
+	}
+	if rr.Faulted, err = rr.execute(true, rec); err != nil {
 		return nil, fmt.Errorf("chaos: faulted run (seed %d): %w", seed, err)
 	}
-	rr.Faulted = art.res
-	rr.Fired = art.fired
-	rr.InjectAt = art.injectAt
-	rr.PartStates = art.partStates
-	rr.ProbeLines = art.probeLines
-	rr.Violations = append(rr.checkInvariants(), art.probeViol...)
-	mViolations.Add(uint64(len(rr.Violations)))
-	if art.recorder != nil {
+	rr.Violations = append(rr.checkInvariants(), rr.Violations...)
+	if rec != nil {
 		// Quarantine auto-dumps first (capture order), then — only when an
 		// invariant failed — every ring, so a FAIL report carries each
 		// partition's last moments.
-		for _, d := range art.recorder.Dumps() {
+		for _, d := range rec.Dumps() {
 			rr.FlightDumps = append(rr.FlightDumps, d.String())
 		}
 		if len(rr.Violations) > 0 {
-			for _, d := range art.recorder.DumpAll("invariant-violation", rr.Faulted.DrainedAt) {
+			for _, d := range rec.DumpAll("invariant-violation", rr.Faulted.DrainedAt) {
 				rr.FlightDumps = append(rr.FlightDumps, d.String())
 			}
 		}
@@ -239,180 +277,14 @@ func RunOne(seed int64, o Options) (*RunReport, error) {
 	return rr, nil
 }
 
-// checkInvariants audits one finished seed. Every violated invariant
-// becomes one deterministic line.
-func (rr *RunReport) checkInvariants() []string {
-	var v []string
-	v = append(v, conservation("baseline", rr.Baseline)...)
-	v = append(v, conservation("faulted", rr.Faulted)...)
-	// Exactly-once per request: everything admitted completes exactly once
-	// (conservation covers the counts; here we catch lost records and
-	// untyped failures).
-	for _, r := range rr.Faulted.Requests {
-		if r.Done == 0 {
-			v = append(v, fmt.Sprintf("request %d (%s) admitted but never completed", r.ID, r.Tenant))
-			continue
-		}
-		if r.Err != nil {
-			var te *serve.TimeoutError
-			var pq *serve.PoolQuarantinedError
-			if !errors.As(r.Err, &te) && !errors.As(r.Err, &pq) &&
-				!errors.Is(r.Err, srpc.ErrRingCorrupt) {
-				v = append(v, fmt.Sprintf("request %d (%s) failed with untyped error %q",
-					r.ID, r.Tenant, r.Err))
-			}
-		}
-	}
-	v = append(v, rr.checkSupervision()...)
-	v = append(v, rr.checkObservability()...)
-	// Survivors must be indistinguishable from baseline: identical
-	// accounting, p95 within tolerance.
-	victims := rr.Schedule.victimTenants(rr.Opts)
-	for ti := range rr.Faulted.Tenants {
-		if victims[ti] || ti >= len(rr.Baseline.Tenants) {
-			continue
-		}
-		ft, bt := &rr.Faulted.Tenants[ti], &rr.Baseline.Tenants[ti]
-		if ft.Offered != bt.Offered || ft.Completed != bt.Completed ||
-			ft.Shed != bt.Shed || ft.Failed != bt.Failed {
-			v = append(v, fmt.Sprintf(
-				"survivor %s: accounting drifted from baseline (offered %d/%d completed %d/%d shed %d/%d failed %d/%d)",
-				ft.Name, ft.Offered, bt.Offered, ft.Completed, bt.Completed,
-				ft.Shed, bt.Shed, ft.Failed, bt.Failed))
-		}
-		tol := math.Max(rr.Opts.RelTol*bt.P95NS, float64(rr.Opts.AbsTol))
-		if math.Abs(ft.P95NS-bt.P95NS) > tol {
-			v = append(v, fmt.Sprintf("survivor %s: p95 %s drifted beyond tolerance of baseline %s",
-				ft.Name, sim.Duration(ft.P95NS), sim.Duration(bt.P95NS)))
-		}
-		// Survivor SLO accounting must match baseline exactly — the burn
-		// rate of a tenant untouched by the fault must not move.
-		if ti < len(rr.Faulted.SLOs) && ti < len(rr.Baseline.SLOs) {
-			fs, bs := &rr.Faulted.SLOs[ti], &rr.Baseline.SLOs[ti]
-			if fs.Good != bs.Good || fs.Bad != bs.Bad {
-				v = append(v, fmt.Sprintf(
-					"survivor %s: SLO accounting drifted from baseline (good %d/%d bad %d/%d)",
-					ft.Name, fs.Good, bs.Good, fs.Bad, bs.Bad))
-			}
-		}
-	}
-	return v
-}
-
-// checkObservability audits the observability layer's own invariants on
-// both runs: every per-request causal trace must be conservative (stage
-// segments contiguous over [arrived, done], so attributions sum to the
-// latency exactly), and per-tenant SLO accounting must balance against the
-// serving counters (every completion scored exactly once, good+bad =
-// completed+failed).
-func (rr *RunReport) checkObservability() []string {
-	var v []string
-	for _, run := range []struct {
-		label string
-		res   *serve.Result
-	}{{"baseline", rr.Baseline}, {"faulted", rr.Faulted}} {
-		for i := range run.res.Traces {
-			if err := run.res.Traces[i].Validate(); err != nil {
-				v = append(v, fmt.Sprintf("%s: non-conservative attribution: %v", run.label, err))
-			}
-		}
-		for i := range run.res.SLOs {
-			s := &run.res.SLOs[i]
-			t := run.res.Tenant(s.Name)
-			if t == nil {
-				v = append(v, fmt.Sprintf("%s: SLO row for unknown tenant %s", run.label, s.Name))
-				continue
-			}
-			if s.Good+s.Bad != t.Completed+t.Failed {
-				v = append(v, fmt.Sprintf(
-					"%s %s: SLO outcomes %d (good %d + bad %d) != completions %d (completed %d + failed %d)",
-					run.label, s.Name, s.Good+s.Bad, s.Good, s.Bad,
-					t.Completed+t.Failed, t.Completed, t.Failed))
-			}
-		}
-	}
-	return v
-}
-
-// checkSupervision audits the health-supervision invariants: a fired
-// persistent hang must be detected by the watchdog within the configured
-// bound (heartbeat period × (missed beats + 2), mirroring
-// spm.SPM.HangDetectionBound), and a fired crash-loop must leave its
-// partition quarantined after the drain.
-func (rr *RunReport) checkSupervision() []string {
-	var v []string
-	sv := chaosSupervision()
-	bound := sv.HeartbeatEvery * sim.Duration(sv.MissedBeats+2)
-	for i, f := range rr.Schedule.Faults {
-		if !rr.Fired[i] {
-			continue
-		}
-		switch f.Kind {
-		case KindPersistentHang:
-			injected := rr.InjectAt[i]
-			part := fmt.Sprintf("gpu-part%d", f.Partition)
-			detected, reason := firstFailureAfter(rr.Faulted, part, injected)
-			switch {
-			case detected == 0:
-				v = append(v, fmt.Sprintf("persistent hang on %s injected at %s never detected",
-					part, sim.Duration(injected)))
-			case reason == spm.FailHang && sim.Duration(detected-injected) > bound:
-				v = append(v, fmt.Sprintf(
-					"persistent hang on %s detected at %s, %s after injection (bound %s)",
-					part, sim.Duration(detected), sim.Duration(detected-injected), bound))
-			}
-			// A non-hang failure arriving first (an overlapping crash on the
-			// same partition) restarts the mOS and re-arms its heartbeat,
-			// clearing the wedge — detection by proxy, not a violation.
-		case KindCrashLoop:
-			if st := rr.PartStates[f.Partition]; st != "quarantined" {
-				v = append(v, fmt.Sprintf(
-					"crash-loop on gpu-part%d fired but partition ended %q, not quarantined",
-					f.Partition, st))
-			}
-		}
-	}
-	return v
-}
-
-// firstFailureAfter finds the first failure of the named partition at or
-// after t, returning its instant and reason (zero instant when none).
-func firstFailureAfter(res *serve.Result, part string, t sim.Time) (sim.Time, spm.FailReason) {
-	for _, f := range res.Failures {
-		if f.Partition == part && f.FailedAt >= t {
-			return f.FailedAt, f.Reason
-		}
-	}
-	return 0, 0
-}
-
-// conservation checks the flow balance of one run: offered = admitted +
-// shed, admitted = completed + failed, and zero duplicate completions.
-func conservation(label string, res *serve.Result) []string {
-	var v []string
-	for _, t := range res.Tenants {
-		if t.Offered != t.Admitted+t.Shed {
-			v = append(v, fmt.Sprintf("%s %s: offered %d != admitted %d + shed %d",
-				label, t.Name, t.Offered, t.Admitted, t.Shed))
-		}
-		if t.Admitted != t.Completed+t.Failed {
-			v = append(v, fmt.Sprintf("%s %s: admitted %d != completed %d + failed %d",
-				label, t.Name, t.Admitted, t.Completed, t.Failed))
-		}
-		if t.Duplicates != 0 {
-			v = append(v, fmt.Sprintf("%s %s: %d duplicate completions", label, t.Name, t.Duplicates))
-		}
-	}
-	return v
-}
-
 // RunCampaign soaks n consecutive seeds starting at baseSeed. It returns an
 // error only when a run cannot execute at all; invariant violations are
 // collected in the report.
 func RunCampaign(baseSeed int64, n int, o Options) (*CampaignReport, error) {
+	o.defaults() // the Opts echoed in the report are the set the runs used
 	cr := &CampaignReport{BaseSeed: baseSeed, Opts: o}
 	for i := 0; i < n; i++ {
-		rr, err := RunOne(baseSeed+int64(i), o)
+		rr, err := Run(baseSeed+int64(i), o)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bufio"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -123,6 +124,42 @@ func Table3() (*Table, error) {
 	}
 	t.Rows = append(t.Rows, []string{"monolithic total (what one TEE OS would carry)", fmt.Sprintf("%d", total)})
 	return t, nil
+}
+
+// PackageLoC is the repository's size yardstick: non-test, non-blank Go lines
+// (the Table III count) for every package directory in the tree, plus the
+// total — the before/after column simplification PRs are measured by.
+func PackageLoC() (*Table, error) {
+	root, err := repoRoot()
+	if err != nil {
+		return nil, err
+	}
+	t := &Table{
+		Title:   "Non-test Go lines per package (this repository)",
+		Columns: []string{"package", "LoC"},
+	}
+	total := 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // .git, and the benchmark's build cache
+		}
+		n, err := countGoLines(path)
+		if err != nil || n == 0 {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		total += n
+		t.Rows = append(t.Rows, []string{filepath.ToSlash(rel), fmt.Sprintf("%d", n)})
+		return nil
+	})
+	t.Rows = append(t.Rows, []string{"total", fmt.Sprintf("%d", total)})
+	return t, err
 }
 
 // repoRoot locates the module root from this source file's path.

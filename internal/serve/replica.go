@@ -279,6 +279,16 @@ func (rep *replica) drainPending() {
 	rep.requeue(rs)
 }
 
+// The replica reconnect policy after a failover or recycle: the delay starts
+// at reconnectBase and doubles per attempt up to reconnectMax;
+// reconnectMaxAttempts bounds the attempts against a quarantined partition,
+// after which the reconnect fails with a typed *spm.QuarantinedError.
+const (
+	reconnectBase        = sim.Millisecond
+	reconnectMax         = 16 * sim.Millisecond
+	reconnectMaxAttempts = 8
+)
+
 // reconnectBackoff is the delay after reconnect attempt n (1-based): the
 // base doubling per attempt, capped at max.
 func reconnectBackoff(base, max sim.Duration, attempt int) sim.Duration {
@@ -296,15 +306,14 @@ func reconnectBackoff(base, max sim.Duration, attempt int) sim.Duration {
 }
 
 // reconnect re-creates the replica's enclave, retrying with exponential
-// backoff (Config.ReconnectBackoff doubling up to ReconnectBackoffMax) and
+// backoff (reconnectBase doubling up to reconnectMax) and
 // counting every attempt in serve.reconnect.attempts. It waits out any
 // in-flight recovery before each attempt; a quarantined partition surfaces
 // as a typed *spm.QuarantinedError — immediately via AwaitReady, or at the
-// ReconnectMaxAttempts cap if the quarantine engaged mid-attempt. A
+// reconnectMaxAttempts cap if the quarantine engaged mid-attempt. A
 // partition that is merely slow keeps being retried at the capped backoff.
 func (rep *replica) reconnect(p *sim.Proc) error {
 	part := rep.plat().GPUs[rep.partIdx].Part
-	cfg := &rep.srv.cfg
 	for attempt := 1; ; attempt++ {
 		if err := rep.plat().SPM.AwaitReady(p, part); err != nil {
 			return err
@@ -313,10 +322,10 @@ func (rep *replica) reconnect(p *sim.Proc) error {
 		if err := rep.connect(p); err == nil {
 			return nil
 		}
-		if attempt >= cfg.ReconnectMaxAttempts && part.State() == spm.PartQuarantined {
+		if attempt >= reconnectMaxAttempts && part.State() == spm.PartQuarantined {
 			return &spm.QuarantinedError{Partition: rep.partName}
 		}
-		p.Sleep(reconnectBackoff(cfg.ReconnectBackoff, cfg.ReconnectBackoffMax, attempt))
+		p.Sleep(reconnectBackoff(reconnectBase, reconnectMax, attempt))
 	}
 }
 

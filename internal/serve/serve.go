@@ -144,9 +144,6 @@ type Config struct {
 	// GPUFlopsPerNs calibrates inference service time (default 40 — an
 	// order of magnitude above the CPU fallback rate).
 	GPUFlopsPerNs float64
-	// SMShare is the SM fraction one batch kernel occupies (default 0.5,
-	// so two tenants share a device spatially under MPS).
-	SMShare float64
 
 	// RequestTimeout bounds one batch execution attempt on a replica: a
 	// watchdog abandons the attempt — stream and enclave torn down, a
@@ -173,15 +170,6 @@ type Config struct {
 	// to the SPM as hung (FailHang) instead of retrying blindly. 0
 	// disables the breaker.
 	HangReportAfter int
-
-	// ReconnectBackoff is the base delay between replica reconnect
-	// attempts after a failover or recycle, doubling per attempt up to
-	// ReconnectBackoffMax (defaults 1ms and 16ms). ReconnectMaxAttempts
-	// (default 8) bounds the attempts against a quarantined partition,
-	// after which the reconnect fails with a typed *spm.QuarantinedError.
-	ReconnectBackoff     sim.Duration
-	ReconnectBackoffMax  sim.Duration
-	ReconnectMaxAttempts int
 
 	// Trace enables end-to-end causal tracing: every admitted request gets
 	// a deterministic TraceID (otrace.DeriveTraceID of tenant name and
@@ -307,9 +295,6 @@ func (c *Config) defaults() {
 	if c.GPUFlopsPerNs <= 0 {
 		c.GPUFlopsPerNs = 40
 	}
-	if c.SMShare <= 0 {
-		c.SMShare = 0.5
-	}
 	if c.RequestTimeout > 0 {
 		if c.MaxRetries == 0 {
 			c.MaxRetries = 3
@@ -320,15 +305,6 @@ func (c *Config) defaults() {
 	}
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
-	}
-	if c.ReconnectBackoff <= 0 {
-		c.ReconnectBackoff = sim.Millisecond
-	}
-	if c.ReconnectBackoffMax <= 0 {
-		c.ReconnectBackoffMax = 16 * sim.Millisecond
-	}
-	if c.ReconnectMaxAttempts <= 0 {
-		c.ReconnectMaxAttempts = 8
 	}
 	if c.Shards >= 2 && c.Lanes < 1 {
 		c.Lanes = 2
@@ -496,6 +472,10 @@ type Server struct {
 // serves every class and calibration.
 const serveKernel = "serve_infer"
 
+// smShare is the SM fraction one batch kernel occupies, so two tenants share
+// a device spatially under MPS.
+const smShare = 0.5
+
 func init() {
 	gpu.Register(&gpu.Kernel{
 		Name: serveKernel,
@@ -610,7 +590,7 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 		}
 		pl.SPM.StartWatchdog()
 	}
-	smDemand := uint64(pl.GPUs[0].Dev.SMs() * cfg.SMShare)
+	smDemand := uint64(pl.GPUs[0].Dev.SMs() * smShare)
 	if smDemand < 1 {
 		smDemand = 1
 	}
