@@ -25,12 +25,13 @@ bench: bench-hotpath
 	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' .
 
 # Hot-path microbenchmarks (simulated-TLB view accesses, TZASC checks, sRPC
-# sync calls, the sharded-kernel engine, multi-ring sRPC, and the fig7/fig8
-# experiment benches), recorded as JSON so before/after host-time numbers can
-# be committed and diffed.
+# sync calls, the sim kernel's per-event costs — self-wake sleep, process
+# switch, CallAt, mailbox round trip, sharded engine — multi-ring sRPC, and the
+# fig7/fig8 experiment benches), recorded as JSON so before/after host-time
+# numbers can be committed and diffed.
 bench-hotpath:
 	{ $(GO) test -bench 'ViewAccess|TZASCCheck|PhysMemWrite4K|Translate' -benchmem -run '^$$' ./internal/spm ./internal/hw ; \
-	  $(GO) test -bench 'ShardedEngine' -benchmem -run '^$$' ./internal/sim ; \
+	  $(GO) test -bench 'ShardedEngine|Kernel|MailboxRoundTrip' -benchmem -run '^$$' ./internal/sim ; \
 	  $(GO) test -bench 'SRPCSyncCall|SrpcMultiRing' -benchmem -benchtime=200x -run '^$$' ./internal/srpc ; \
 	  $(GO) test -bench 'ServeLoadMultiNode' -benchmem -benchtime=1x -run '^$$' ./internal/serve ; \
 	  $(GO) test -bench 'Figure7Rodinia|Figure8Training|SRPCStreaming' -benchmem -benchtime=1x -run '^$$' . ; } \

@@ -19,6 +19,7 @@ import (
 
 	"cronus/internal/experiments"
 	"cronus/internal/metrics"
+	"cronus/internal/prof"
 	"cronus/internal/sim"
 )
 
@@ -165,6 +166,7 @@ func main() {
 	expFlag := flag.String("exp", "", "experiment id to run (default: all)")
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	showMetrics := flag.Bool("metrics", false, "print a metrics appendix after each experiment")
+	profile := prof.Flags()
 	flag.Parse()
 
 	exps := experimentsList()
@@ -180,6 +182,11 @@ func main() {
 	}
 	sort.Strings(ids)
 
+	if err := profile.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "cronus-bench:", err)
+		os.Exit(1)
+	}
+	defer profile.Stop()
 	ran := 0
 	for _, e := range exps {
 		if *expFlag != "" && e.id != *expFlag {
@@ -193,7 +200,7 @@ func main() {
 		out, err := e.run()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cronus-bench: %s failed: %v\n", e.id, err)
-			os.Exit(1)
+			profile.Exit(1)
 		}
 		fmt.Println(out.String())
 		if *showMetrics {
@@ -203,6 +210,6 @@ func main() {
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "cronus-bench: unknown experiment %q (have: %s)\n", *expFlag, strings.Join(ids, ", "))
-		os.Exit(2)
+		profile.Exit(2)
 	}
 }

@@ -55,6 +55,7 @@ import (
 	"cronus/internal/cluster"
 	"cronus/internal/elastic"
 	"cronus/internal/otrace"
+	"cronus/internal/prof"
 	"cronus/internal/serve"
 	"cronus/internal/sim"
 	"cronus/internal/slo"
@@ -122,6 +123,7 @@ func main() {
 		"arm the load-driven autoscaler: watermark-driven scale-up/down with boot, attest and scrub costs (requires -shards >= 2)")
 	autoscaleIntervalUS := flag.Int("autoscale-interval-us", 0,
 		"autoscaler control tick, virtual µs (0 = default 250; requires -autoscale)")
+	profile := prof.Flags()
 	flag.Parse()
 
 	if *migrateAtMS <= 0 && (*migrateInterrupt || *migrateRace) {
@@ -245,10 +247,16 @@ func main() {
 		cfg.Tenants = append(cfg.Tenants, spec)
 	}
 
+	// The arguments are usable: profile from here, on every way out.
+	if err := profile.Start(); err != nil {
+		fmt.Fprintln(os.Stderr, "cronus-serve:", err)
+		os.Exit(1)
+	}
+	defer profile.Stop()
 	res, err := serve.Run(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cronus-serve:", err)
-		os.Exit(1)
+		profile.Exit(1)
 	}
 	fmt.Print(res.Report())
 	if *attTickets {
@@ -265,7 +273,7 @@ func main() {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cronus-serve:", err)
-			os.Exit(1)
+			profile.Exit(1)
 		}
 		if err := trace.Default.WriteChromeTrace(f); err == nil {
 			err = f.Close()
@@ -274,7 +282,7 @@ func main() {
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cronus-serve:", err)
-			os.Exit(1)
+			profile.Exit(1)
 		}
 		fmt.Printf("trace: %d spans -> %s\n", trace.Default.Len(), *traceOut)
 		fmt.Print(otrace.Attribute(res.Traces).Table())
@@ -299,7 +307,7 @@ func main() {
 	if ok {
 		fmt.Println("accounting: zero lost, zero duplicated")
 	} else {
-		os.Exit(1)
+		profile.Exit(1)
 	}
 }
 

@@ -424,7 +424,8 @@ func (srv *Server) shBatchIn(now sim.Time, t *tenant, r *Request) {
 		}
 		srv.shCloseBatch(now, t)
 	}
-	t.shOpen = &batch{class: r.class, reqs: []*Request{r}, t: t}
+	// One allocation sized for a full batch, not a 1→2→4 regrowth per batch.
+	t.shOpen = &batch{class: r.class, reqs: append(make([]*Request, 0, srv.cfg.MaxBatch), r), t: t}
 	if srv.cfg.MaxBatch <= 1 {
 		srv.shCloseBatch(now, t)
 		return

@@ -20,6 +20,43 @@ func BenchmarkKernelContextSwitch(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelProcSwitch measures one event that hands control to another
+// process: two sleepers due alternately, so no wake is ever the blocker's own.
+func BenchmarkKernelProcSwitch(b *testing.B) {
+	k := NewKernel()
+	for i := 0; i < 2; i++ {
+		k.Spawn("switcher", func(p *Proc) {
+			for n := 0; n < b.N/2+1; n++ {
+				p.Sleep(2)
+			}
+		})
+	}
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkKernelCallAt measures one callback event: a timer that re-arms
+// itself with a pre-built fn, no process involved.
+func BenchmarkKernelCallAt(b *testing.B) {
+	k := NewKernel()
+	k.Spawn("timer", func(p *Proc) {
+		n := 0
+		var tick func()
+		tick = func() {
+			if n++; n < b.N {
+				p.CallAt(p.Now()+1, tick)
+			}
+		}
+		tick()
+	})
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkMailboxRoundTrip measures one send + blocking receive handoff
 // between two simulated processes.
 func BenchmarkMailboxRoundTrip(b *testing.B) {

@@ -1,0 +1,221 @@
+package sim
+
+import (
+	"errors"
+	"math/rand"
+	"runtime/debug"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// TestEventQueueMatchesSortOracle drives the typed heap with random pushes and
+// pops over keys that collide on t and band, and checks every pop against a
+// sorted slice. It also pins that a popped slot keeps nothing reachable.
+func TestEventQueueMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	owner := &Proc{}
+	var q eventQueue
+	var oracle []event
+	var b uint64
+	// Random pushes and pops, then a full drain so the deep tail is checked too.
+	for step := 0; step < 4000 || len(oracle) > 0; step++ {
+		if step < 4000 && (len(oracle) == 0 || rng.Intn(5) < 3) {
+			b++ // the one component that never collides, as in the kernel
+			e := event{t: Time(rng.Intn(8)), band: uint8(rng.Intn(2)), a: uint64(rng.Intn(3)), b: b, p: owner, fn: func() {}}
+			q.push(e)
+			oracle = append(oracle, e)
+			continue
+		}
+		sort.Slice(oracle, func(i, j int) bool { return keyLess(&oracle[i], &oracle[j]) })
+		want := oracle[0]
+		oracle = oracle[1:]
+		got := q.pop()
+		if got.t != want.t || got.band != want.band || got.a != want.a || got.b != want.b {
+			t.Fatalf("step %d: popped (%d,%d,%d,%d), oracle says (%d,%d,%d,%d)",
+				step, got.t, got.band, got.a, got.b, want.t, want.band, want.a, want.b)
+		}
+		if len(q) != len(oracle) {
+			t.Fatalf("step %d: heap holds %d events, oracle %d", step, len(q), len(oracle))
+		}
+		if slot := q[:len(q)+1][len(q)]; slot.p != nil || slot.fn != nil {
+			t.Fatalf("step %d: vacated slot still holds p=%v fn set=%v", step, slot.p, slot.fn != nil)
+		}
+	}
+}
+
+// TestFifoMatchesSliceOracle checks the wait-path queue against a plain slice
+// under random push/pop/remove, and that a queue which keeps draining settles
+// on one backing array instead of growing a new one per round trip.
+func TestFifoMatchesSliceOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var q fifo[*int]
+	var oracle []*int
+	for step := 0; step < 20000; step++ {
+		switch r := rng.Intn(10); {
+		case r < 5 || len(oracle) == 0:
+			v := new(int)
+			q.push(v)
+			oracle = append(oracle, v)
+		case r < 8:
+			if got := q.pop(); got != oracle[0] {
+				t.Fatalf("step %d: pop returned the wrong element", step)
+			}
+			oracle = oracle[1:]
+		default:
+			i := rng.Intn(len(oracle))
+			q.remove(i)
+			oracle = append(oracle[:i:i], oracle[i+1:]...)
+		}
+		if q.len() != len(oracle) {
+			t.Fatalf("step %d: len %d, oracle %d", step, q.len(), len(oracle))
+		}
+		for i, v := range q.live() {
+			if v != oracle[i] {
+				t.Fatalf("step %d: element %d differs from the oracle", step, i)
+			}
+		}
+		for i, v := range q.buf[:cap(q.buf)] {
+			if live := i >= q.head && i < len(q.buf); !live && v != nil {
+				t.Fatalf("step %d: dead slot %d still holds a pointer", step, i)
+			}
+		}
+	}
+	var rt fifo[int]
+	rt.push(0)
+	rt.pop()
+	base := &rt.buf[:1][0]
+	for i := 0; i < 100; i++ {
+		rt.push(i)
+		rt.pop()
+	}
+	if &rt.buf[:1][0] != base {
+		t.Fatal("a drained fifo did not reuse its backing array")
+	}
+}
+
+// TestHotPathsDoNotAllocate pins the zero-allocation budget of the dispatch
+// core and the wait paths: each scenario is warmed up, then a thousand virtual
+// nanoseconds of it (a thousand or more events) must allocate nothing at all.
+func TestHotPathsDoNotAllocate(t *testing.T) {
+	scenarios := map[string]func(k *Kernel){
+		"self-wake sleep": func(k *Kernel) {
+			k.Spawn("sleeper", func(p *Proc) {
+				for {
+					p.Sleep(1)
+				}
+			})
+		},
+		"cross-process switch": func(k *Kernel) {
+			for i := 0; i < 2; i++ {
+				k.Spawn("sleeper", func(p *Proc) {
+					for {
+						p.Sleep(1)
+					}
+				})
+			}
+		},
+		"CallAt with a pre-built fn": func(k *Kernel) {
+			k.Spawn("timer", func(p *Proc) {
+				var tick func()
+				tick = func() { p.CallAt(p.Now()+1, tick) }
+				tick()
+				p.Sleep(Second)
+			})
+		},
+		"park and wake": func(k *Kernel) {
+			c := NewCond(k)
+			k.Spawn("waiter", func(p *Proc) {
+				for {
+					c.Wait(p)
+				}
+			})
+			k.Spawn("waker", func(p *Proc) {
+				for {
+					p.Sleep(1)
+					c.Broadcast()
+				}
+			})
+		},
+		"mailbox round trip": func(k *Kernel) {
+			req, rsp := NewMailbox[int](k, "req"), NewMailbox[int](k, "rsp")
+			k.Spawn("server", func(p *Proc) {
+				for {
+					v, _ := req.Recv(p)
+					rsp.Send(v)
+				}
+			})
+			k.Spawn("client", func(p *Proc) {
+				for i := 0; ; i++ {
+					req.Send(i)
+					rsp.Recv(p)
+					p.Sleep(1)
+				}
+			})
+		},
+		"resource hand-over": func(k *Kernel) {
+			r := NewResource(k, "engine", 1)
+			for i := 0; i < 3; i++ {
+				k.Spawn("user", func(p *Proc) {
+					for {
+						r.Use(p, 1, 1)
+					}
+				})
+			}
+		},
+	}
+	for name, setup := range scenarios {
+		k := NewKernel()
+		setup(k)
+		step := func() {
+			if err := k.RunUntil(k.Now() + 1000); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		step() // grow the heap and the wait queues to their working size
+		if allocs := testing.AllocsPerRun(20, step); allocs != 0 {
+			t.Errorf("%s: %.1f allocs per 1000 virtual ns, want 0", name, allocs)
+		}
+		k.Shutdown()
+	}
+}
+
+// TestCallbackPanicSparesBatonHolder: a callback that panics while a blocked
+// process is the one dispatching must surface from Run as a *PanicError naming
+// the process that scheduled it — and must not unwind the dispatching process,
+// which did nothing wrong.
+func TestCallbackPanicSparesBatonHolder(t *testing.T) {
+	k := NewKernel()
+	var stack string
+	unwound := false
+	k.Spawn("culprit", func(p *Proc) {
+		p.CallAt(50, func() {
+			stack = string(debug.Stack())
+			panic("boom")
+		})
+		p.Sleep(200) // hands the baton to holder, which is due first
+	})
+	holder := k.Spawn("holder", func(p *Proc) {
+		defer func() { unwound = true }()
+		p.Sleep(100)
+		t.Error("holder ran past the failed run")
+	})
+	err := k.Run()
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Proc != "culprit" || pe.Value != "boom" {
+		t.Fatalf("Run returned %v, want a PanicError{culprit, boom}", err)
+	}
+	if !strings.Contains(stack, "(*Proc).Sleep") {
+		t.Fatalf("the callback did not run on the blocked process's goroutine:\n%s", stack)
+	}
+	if unwound || holder.Dead() {
+		t.Fatal("the panic unwound the process that held the baton")
+	}
+	if k.Now() != 50 {
+		t.Fatalf("run ended at %v, want the instant of the callback (50ns)", k.Now())
+	}
+	k.Shutdown()
+	if !unwound {
+		t.Fatal("Shutdown did not unwind the holder")
+	}
+}

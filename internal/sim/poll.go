@@ -14,7 +14,7 @@ package sim
 // variable discipline). Wakeups are delivered in Wait order.
 type Cond struct {
 	k       *Kernel
-	waiters []*Proc
+	waiters waitq
 }
 
 // NewCond creates a condition with no waiters.
@@ -23,33 +23,13 @@ func NewCond(k *Kernel) *Cond { return &Cond{k: k} }
 // Wait parks p until the next Broadcast. Spurious wakeups are possible (e.g.
 // a broadcast for a different predicate); callers loop.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters = append(c.waiters, p)
-	p.park(func() { c.drop(p) })
+	c.waiters.push(p)
+	p.park(&c.waiters)
 }
 
 // Broadcast wakes every currently parked waiter, in Wait order. It never
 // blocks and may be called from any proc or from callback context.
-func (c *Cond) Broadcast() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	ws := c.waiters
-	c.waiters = nil
-	for _, w := range ws {
-		if w.state == procParked {
-			c.k.wake(w)
-		}
-	}
-}
-
-func (c *Cond) drop(p *Proc) {
-	for i, w := range c.waiters {
-		if w == p {
-			c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-			return
-		}
-	}
-}
+func (c *Cond) Broadcast() { c.waiters.wakeAll(c.k) }
 
 // NextPollInstant returns the earliest instant in the series {first, first+
 // period, first+2·period, ...} that is ≥ now: the virtual time at which a

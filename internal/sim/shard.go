@@ -124,16 +124,18 @@ func (p *Proc) key() (a, b uint64) {
 
 // CallAt schedules fn to run in kernel context on p's shard at time t
 // (clamped to p's current time). The callback runs inline on the dispatching
-// goroutine with no process handshake — it must not block (no Sleep, Recv,
-// Acquire); it may wake processes, send on ports and chain further CallAt
-// calls through the captured p. This is the cheap-timer primitive: one heap
-// operation per occurrence instead of a parked process per timer.
+// goroutine — whichever holds the baton, often a blocked process — with no
+// handshake. It must not block (no Sleep, Recv, Acquire); it may wake
+// processes, send on ports and chain further CallAt calls through the
+// captured p. A panic in it ends the run as a *PanicError naming p. This is
+// the cheap-timer primitive: one heap operation per occurrence instead of a
+// parked process per timer.
 func (p *Proc) CallAt(t Time, fn func()) {
 	if t < p.sh.now {
 		t = p.sh.now
 	}
 	a, b := p.key()
-	p.sh.eq.pushEvent(event{t: t, band: 1, a: a, b: b, fn: fn})
+	p.sh.eq.push(event{t: t, band: 1, a: a, b: b, p: p, fn: fn})
 }
 
 // Parallelize requests the switch to windowed parallel execution at the next
@@ -169,9 +171,9 @@ func (p *Proc) Sequentialize() {
 		return // already back to sequential
 	}
 	k.seqReq.Store(true)
-	// Block once: our shard's window stops before its next dispatch, the
-	// coordinator completes the barrier and switches modes, and this
-	// process resumes under the sequential merge.
+	// Block once: the request is an end condition, so the baton goes straight
+	// back to our shard's window, the coordinator completes the barrier and
+	// switches modes, and this process resumes under the sequential merge.
 	p.Sleep(0)
 }
 
@@ -233,35 +235,37 @@ func (k *Kernel) runParallel(deadline Time) (err error, finished bool) {
 			k.endParallel()
 			return nil, false
 		}
-		w, any := k.minPending()
-		if !any {
+		first := k.minShard()
+		if first == nil {
 			if k.live.Load() > 0 {
 				return k.deadlock(), true
 			}
 			return nil, true
 		}
+		w := first.eq[0].t
 		if deadline >= 0 && w > deadline {
 			k.nowSeq = deadline
 			return nil, true
 		}
-		h := w + Time(k.eps)
-		if deadline >= 0 && h > deadline+1 {
-			h = deadline + 1
+		k.limit = w + Time(k.eps)
+		if deadline >= 0 && k.limit > deadline+1 {
+			k.limit = deadline + 1
 		}
-		var active []*shard
+		active := k.active[:0]
 		for _, sh := range k.shards {
-			if sh.eq.Len() > 0 && sh.eq.peek().t < h {
+			if len(sh.eq) > 0 && sh.eq[0].t < k.limit {
 				active = append(active, sh)
 			}
 		}
+		k.active = active
 		if len(active) == 1 {
 			// A window with one busy shard runs inline on the coordinator:
 			// no handoff, no barrier cost — the common case when load
 			// concentrates.
-			active[0].runWindow(h)
+			active[0].drive()
 		} else {
 			for _, sh := range active {
-				sh.work <- h
+				sh.work <- struct{}{}
 			}
 			for _, sh := range active {
 				<-sh.done
@@ -274,46 +278,15 @@ func (k *Kernel) runParallel(deadline Time) (err error, finished bool) {
 	}
 }
 
-// minPending returns the earliest pending event instant across shards.
-func (k *Kernel) minPending() (Time, bool) {
-	var t Time
-	ok := false
-	for _, sh := range k.shards {
-		if sh.eq.Len() == 0 {
-			continue
-		}
-		if ht := sh.eq.peek().t; !ok || ht < t {
-			t, ok = ht, true
-		}
-	}
-	return t, ok
-}
-
-// runWindow dispatches this shard's events strictly below horizon h. It
-// stops early on Stop, Sequentialize or a raised error — always safe under
-// conservative synchronization (running less before a barrier never breaks
-// the lookahead invariant).
-func (sh *shard) runWindow(h Time) {
-	k := sh.k
-	for {
-		if k.stopped.Load() || k.seqReq.Load() || k.errSet.Load() {
-			return
-		}
-		if sh.eq.Len() == 0 || sh.eq.peek().t >= h {
-			return
-		}
-		sh.dispatchPar(sh.eq.popEvent())
-	}
-}
-
 // drainOutboxes folds buffered cross-shard sends into the target shard
 // queues (coordinator only, at a barrier). Heap keys already carry the
 // canonical (arrival, sender lid, sender seq) order, so no sort is needed.
 func (k *Kernel) drainOutboxes() {
 	for _, sh := range k.shards {
 		for _, m := range sh.outbox {
-			m.to.eq.pushEvent(event{t: m.at, band: 0, a: m.a, b: m.b, fn: m.fn})
+			m.to.eq.push(m.ev)
 		}
+		clear(sh.outbox) // drop the delivered callbacks
 		sh.outbox = sh.outbox[:0]
 	}
 }
@@ -325,11 +298,11 @@ func (k *Kernel) startDispatchers() {
 	}
 	k.started = true
 	for _, sh := range k.shards {
-		sh.work = make(chan Time)
+		sh.work = make(chan struct{})
 		sh.done = make(chan struct{})
 		go func(sh *shard) {
-			for h := range sh.work {
-				sh.runWindow(h)
+			for range sh.work {
+				sh.drive()
 				sh.done <- struct{}{}
 			}
 		}(sh)
@@ -364,8 +337,8 @@ type Port[T any] struct {
 	name    string
 	sh      *shard
 	hop     Duration
-	q       []T
-	waiters []*Proc
+	q       fifo[T]
+	waiters waitq
 	handler func(at Time, v T)
 }
 
@@ -389,28 +362,26 @@ func NewPort[T any](k *Kernel, shard int, name string, hop Duration) *Port[T] {
 // parallelizes.
 func (pt *Port[T]) Send(p *Proc, v T) {
 	k := pt.k
-	at := p.sh.now + Time(pt.hop)
-	deliver := func() { pt.deliver(v) }
-	var a, b uint64
+	ev := event{t: p.sh.now + Time(pt.hop), p: p, fn: func() { pt.deliver(v) }}
 	if k.sharded {
 		if p.lid == 0 {
 			panic(fmt.Sprintf("sim: process %q sends on port %q without a logical id", p.name, pt.name))
 		}
 		p.evseq++
-		a, b = p.lid, p.evseq
+		ev.a, ev.b = p.lid, p.evseq
 	} else {
-		a, b = p.key()
+		ev.a, ev.b = p.key()
 	}
 	if p.sh != pt.sh {
 		if pt.hop < k.eps {
 			panic(fmt.Sprintf("sim: port %q cross-shard hop %v below kernel lookahead %v", pt.name, pt.hop, k.eps))
 		}
 		if k.parallel {
-			p.sh.outbox = append(p.sh.outbox, xmsg{at: at, a: a, b: b, to: pt.sh, fn: deliver})
+			p.sh.outbox = append(p.sh.outbox, xmsg{to: pt.sh, ev: ev})
 			return
 		}
 	}
-	pt.sh.eq.pushEvent(event{t: at, band: 0, a: a, b: b, fn: deliver})
+	pt.sh.eq.push(ev)
 }
 
 // SetHandler turns the port into a callback port: every delivery invokes fn
@@ -428,11 +399,9 @@ func (pt *Port[T]) deliver(v T) {
 		pt.handler(pt.sh.now, v)
 		return
 	}
-	pt.q = append(pt.q, v)
-	if len(pt.waiters) > 0 {
-		w := pt.waiters[0]
-		pt.waiters = pt.waiters[1:]
-		pt.k.wake(w)
+	pt.q.push(v)
+	if pt.waiters.len() > 0 {
+		pt.k.wake(pt.waiters.pop())
 	}
 }
 
@@ -442,20 +411,11 @@ func (pt *Port[T]) Recv(p *Proc) T {
 	if p.sh != pt.sh {
 		panic(fmt.Sprintf("sim: Recv on port %q from shard %d (port lives on shard %d)", pt.name, p.sh.id, pt.sh.id))
 	}
-	for len(pt.q) == 0 {
-		pt.waiters = append(pt.waiters, p)
-		p.park(func() {
-			for i, w := range pt.waiters {
-				if w == p {
-					pt.waiters = append(pt.waiters[:i], pt.waiters[i+1:]...)
-					break
-				}
-			}
-		})
+	for pt.q.len() == 0 {
+		pt.waiters.push(p)
+		p.park(&pt.waiters)
 	}
-	v := pt.q[0]
-	pt.q = pt.q[1:]
-	return v
+	return pt.q.pop()
 }
 
 // TryRecv returns the next message without blocking; ok is false when the
@@ -464,14 +424,12 @@ func (pt *Port[T]) TryRecv(p *Proc) (v T, ok bool) {
 	if p.sh != pt.sh {
 		panic(fmt.Sprintf("sim: TryRecv on port %q from shard %d (port lives on shard %d)", pt.name, p.sh.id, pt.sh.id))
 	}
-	if len(pt.q) == 0 {
+	if pt.q.len() == 0 {
 		return v, false
 	}
-	v = pt.q[0]
-	pt.q = pt.q[1:]
-	return v, true
+	return pt.q.pop(), true
 }
 
 // Len returns the number of delivered, unconsumed messages. Call it only
 // from the port's shard.
-func (pt *Port[T]) Len() int { return len(pt.q) }
+func (pt *Port[T]) Len() int { return pt.q.len() }

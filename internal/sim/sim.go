@@ -5,8 +5,15 @@
 // The kernel runs each simulated thread of execution (an mEnclave thread, an
 // mOS service loop, a device engine, the untrusted OS) in its own goroutine,
 // but — in the default sequential mode — only one process ever runs at a
-// time: every blocking operation (Sleep, mailbox receive, resource acquire)
-// hands control back to the event loop. Virtual time advances only when the
+// time. There is no scheduler goroutine between them: the right to dispatch
+// (the "baton") travels with control. A process that blocks (Sleep, mailbox
+// receive, resource acquire) runs the event loop itself — kernel callbacks
+// inline, its own wake returns with no goroutine switch, another process's
+// wake is one channel send — and only end conditions (deadline, Stop, error,
+// drained queue, mode switch, process exit) hand the baton back to Run.
+// Every event carries a unique, totally ordered key, so the pop order — and
+// with it every output — depends neither on the shape of the heap nor on
+// which goroutine happens to dispatch. Virtual time advances only when the
 // event queue does, so simulation results are fully deterministic and
 // independent of the host machine.
 //
@@ -19,8 +26,8 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -100,7 +107,9 @@ func (d Duration) Milliseconds() float64 { return float64(d) / 1e6 }
 //     events at the same instant regardless of mode.
 //
 // fn events are kernel callbacks (port deliveries, Proc.CallAt timers): they
-// run inline on the dispatching goroutine with no process handshake.
+// run inline on whichever goroutine holds the baton, with no process
+// handshake; p is then only the process that scheduled them (it names the
+// culprit if the callback panics).
 type event struct {
 	t    Time
 	band uint8
@@ -110,27 +119,63 @@ type event struct {
 	fn   func()
 }
 
+// keyLess orders two events by the canonical (t, band, a, b) key. Keys are
+// unique, so this is a strict total order.
+func keyLess(x, y *event) bool {
+	if x.t != y.t {
+		return x.t < y.t
+	}
+	if x.band != y.band {
+		return x.band < y.band
+	}
+	if x.a != y.a {
+		return x.a < y.a
+	}
+	return x.b < y.b
+}
+
+// eventQueue is a binary min-heap of events by key, typed so that scheduling
+// boxes nothing: push and pop allocate only when the backing array grows.
 type eventQueue []event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
+func (q *eventQueue) push(e event) {
+	h := append(*q, e)
+	i := len(h) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !keyLess(&e, &h[up]) {
+			break
+		}
+		h[i] = h[up]
+		i = up
 	}
-	if q[i].band != q[j].band {
-		return q[i].band < q[j].band
-	}
-	if q[i].a != q[j].a {
-		return q[i].a < q[j].a
-	}
-	return q[i].b < q[j].b
+	h[i] = e
+	*q = h
 }
-func (q eventQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)        { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any          { old := *q; n := len(old); e := old[n-1]; *q = old[:n-1]; return e }
-func (q eventQueue) peek() event        { return q[0] }
-func (q *eventQueue) popEvent() event   { return heap.Pop(q).(event) }
-func (q *eventQueue) pushEvent(e event) { heap.Push(q, e) }
+
+// pop removes the minimal event. The vacated slot is zeroed so the queue does
+// not keep a popped *Proc or callback reachable.
+func (q *eventQueue) pop() event {
+	h := *q
+	top, n := h[0], len(h)-1
+	e := h[n]
+	h[n] = event{}
+	h = h[:n]
+	for i := 0; n > 0; {
+		c := 2*i + 1
+		if c+1 < n && keyLess(&h[c+1], &h[c]) {
+			c++
+		}
+		if c >= n || !keyLess(&h[c], &e) {
+			h[i] = e
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	*q = h
+	return top
+}
 
 // procState tracks where a process is in its lifecycle.
 type procState int
@@ -157,9 +202,9 @@ type Proc struct {
 	state  procState
 	gen    uint64
 	killed bool
-	// onKill callbacks run (in kernel context) when the process is killed
-	// while parked, letting wait-queues drop it eagerly.
-	onKill func()
+	// onKill is the wait queue the process is parked on, if any: a kill while
+	// parked drops the process from it eagerly (in kernel context).
+	onKill dropper
 	// lid is the application-assigned logical id (SetLID). In the parallel
 	// phase it keys every event the process schedules, making event order a
 	// function of the simulated program rather than of shard placement.
@@ -231,38 +276,35 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sim: process %q panicked: %v", e.Proc, e.Value)
 }
 
-// shard is one event domain of the kernel: its own clock, queue, parked set
-// and yield channel. The unsharded kernel is a single shard. Only one
-// goroutine drives a shard at a time: the coordinator in sequential mode,
-// the shard's dispatcher goroutine during parallel windows.
+// shard is one event domain of the kernel: its own clock, queue and yield
+// channel. The unsharded kernel is a single shard. Only one goroutine — the
+// baton holder — touches a shard at a time: in sequential mode one baton
+// covers every shard, during a parallel window each active shard has its own.
 type shard struct {
-	k      *Kernel
-	id     int
-	now    Time
-	eq     eventQueue
-	parked map[*Proc]struct{}
-	procs  map[*Proc]struct{} // all live processes on this shard, for Shutdown
-	yield  chan struct{}
-	cur    *Proc
+	k     *Kernel
+	id    int
+	now   Time
+	eq    eventQueue
+	procs map[*Proc]struct{} // all live processes on this shard
+	// yield is where the baton comes back to the coordinator that drives this
+	// shard (see home) at an end condition or a process exit.
+	yield chan struct{}
 
 	// outbox buffers cross-shard port sends made during a parallel window;
 	// the coordinator drains it into the target shards at the barrier.
 	outbox []xmsg
 
-	// work/done carry window horizons to the dispatcher goroutine and
-	// completions back (started lazily at Parallelize).
-	work chan Time
+	// work/done start a window on the dispatcher goroutine and report its
+	// completion (started lazily at Parallelize).
+	work chan struct{}
 	done chan struct{}
 }
 
-// xmsg is one buffered cross-shard send: an arrival callback plus its
-// placement-invariant key (arrival instant, sender lid, sender seq).
+// xmsg is one buffered cross-shard send: the delivery event, already keyed
+// (arrival instant, sender lid, sender seq), and the shard it is bound for.
 type xmsg struct {
-	at Time
-	a  uint64
-	b  uint64
 	to *shard
-	fn func()
+	ev event
 }
 
 // Kernel is the discrete-event scheduler. The zero value is not usable; use
@@ -273,7 +315,14 @@ type Kernel struct {
 	gseq   uint64 // global schedule sequence of the sequential mode
 	nextID int
 	eps    Duration // lookahead: minimum cross-shard port hop latency
-	seqCur *Proc    // process being dispatched in sequential mode
+	seqCur *Proc    // process last dispatched in sequential mode
+	// limit bounds dispatch: only events strictly before it run. It is the
+	// RunUntil deadline+1 in sequential mode and the window horizon in the
+	// parallel phase, written by the coordinator while it holds every baton.
+	limit  Time
+	active []*shard // runParallel's per-window scratch
+	// probe, set by tests only, sees the key of every dispatched event.
+	probe func(shard int, t Time, band uint8, a, b uint64)
 
 	sharded  bool // EnableSharding called
 	parallel bool // currently in the parallel phase (toggled at safe points)
@@ -298,13 +347,7 @@ func NewKernel() *Kernel {
 }
 
 func newShard(k *Kernel, id int) *shard {
-	return &shard{
-		k:      k,
-		id:     id,
-		yield:  make(chan struct{}),
-		parked: make(map[*Proc]struct{}),
-		procs:  make(map[*Proc]struct{}),
-	}
+	return &shard{k: k, id: id, yield: make(chan struct{}), procs: make(map[*Proc]struct{})}
 }
 
 // Now returns the current virtual time of the sequential clock. It must not
@@ -401,7 +444,7 @@ func (k *Kernel) spawn(sh *shard, t Time, name string, fn func(p *Proc), lid uin
 			p.state = procDead
 			k.live.Add(-1)
 			delete(sh.procs, p)
-			sh.yield <- struct{}{}
+			sh.home().yield <- struct{}{}
 		}()
 		p.state = procRunning
 		p.gen++
@@ -416,14 +459,8 @@ func (k *Kernel) spawn(sh *shard, t Time, name string, fn func(p *Proc), lid uin
 
 // schedule queues p's next event at time t with the mode-appropriate key.
 func (sh *shard) schedule(t Time, p *Proc) {
-	k := sh.k
-	if k.parallel {
-		p.evseq++
-		sh.eq.pushEvent(event{t: t, band: 1, a: p.lid, b: p.evseq, p: p, gen: p.gen})
-		return
-	}
-	k.gseq++
-	sh.eq.pushEvent(event{t: t, band: 1, b: k.gseq, p: p, gen: p.gen})
+	a, b := p.key()
+	sh.eq.push(event{t: t, band: 1, a: a, b: b, p: p, gen: p.gen})
 }
 
 // Run executes events until the queue drains. It returns nil on a clean
@@ -454,137 +491,165 @@ func (k *Kernel) RunUntil(deadline Time) error {
 			}
 			continue // Sequentialize switched the mode; keep going below
 		}
+		k.limit = math.MaxInt64
+		if deadline >= 0 {
+			k.limit = deadline + 1
+		}
+		k.shards[0].drive()
+		// The baton is back: work out which end condition next ran into.
+		if k.pendPar {
+			continue
+		}
 		if err := k.getErr(); err != nil {
 			return err
 		}
 		if k.stopped.Load() {
 			return nil
 		}
-		sh := k.minShard()
-		if sh == nil {
+		if k.minShard() == nil {
 			if k.live.Load() > 0 {
 				return k.deadlock()
 			}
 			return nil
 		}
-		if deadline >= 0 && sh.eq.peek().t > deadline {
-			k.nowSeq = deadline
-			return nil
-		}
-		ev := sh.eq.popEvent()
-		k.dispatchSeq(sh, ev)
+		k.nowSeq = deadline // the earliest pending event lies beyond it
+		return nil
 	}
 }
 
 // minShard returns the shard holding the globally minimal pending event, or
-// nil when every queue is empty. With one shard this is a direct peek.
+// nil when every queue is empty. Queue heads are compared in place.
 func (k *Kernel) minShard() *shard {
-	if len(k.shards) == 1 {
-		if k.shards[0].eq.Len() == 0 {
-			return nil
-		}
-		return k.shards[0]
-	}
 	var best *shard
 	for _, sh := range k.shards {
-		if sh.eq.Len() == 0 {
-			continue
-		}
-		if best == nil || keyLess(sh.eq.peek(), best.eq.peek()) {
+		if len(sh.eq) > 0 && (best == nil || keyLess(&sh.eq[0], &best.eq[0])) {
 			best = sh
 		}
 	}
 	return best
 }
 
-// keyLess orders two events by the canonical (t, band, a, b) key.
-func keyLess(x, y event) bool {
-	if x.t != y.t {
-		return x.t < y.t
-	}
-	if x.band != y.band {
-		return x.band < y.band
-	}
-	if x.a != y.a {
-		return x.a < y.a
-	}
-	return x.b < y.b
-}
-
 // deadlock collects the parked-process names across shards.
 func (k *Kernel) deadlock() error {
 	var names []string
 	for _, sh := range k.shards {
-		for p := range sh.parked {
-			names = append(names, p.name)
+		for p := range sh.procs {
+			if p.state == procParked {
+				names = append(names, p.name)
+			}
 		}
 	}
 	sort.Strings(names)
 	return &DeadlockError{Parked: names}
 }
 
-// dispatchSeq runs one event in sequential mode, advancing both the shard
-// clock and the global clock.
-func (k *Kernel) dispatchSeq(sh *shard, ev event) {
-	if ev.fn == nil && (ev.p.state == procDead || ev.gen != ev.p.gen || ev.p.state == procRunning) {
-		return // stale wake
+// home is the shard whose yield channel the coordinator of the current baton
+// listens on: the shard itself during a parallel window, shard 0 (RunUntil)
+// under the sequential merge, where one baton covers every shard.
+func (sh *shard) home() *shard {
+	if sh.k.parallel {
+		return sh
 	}
-	mEvents.Inc()
-	if !k.sharded {
-		gQueueDepth.Set(int64(sh.eq.Len()))
-	}
-	if ev.t > sh.now {
-		sh.now = ev.t
-	}
-	if ev.t > k.nowSeq {
-		k.nowSeq = ev.t
-	}
-	if ev.fn != nil {
-		ev.fn()
-		return
-	}
-	k.seqCur = ev.p
-	sh.cur = ev.p
-	ev.p.state = procRunning
-	ev.p.resume <- struct{}{}
-	<-sh.yield
-	sh.cur = nil
-	k.seqCur = nil
+	return sh.k.shards[0]
 }
 
-// dispatchPar runs one event inside a parallel window on sh's goroutine.
-func (sh *shard) dispatchPar(ev event) {
-	if ev.fn == nil && (ev.p.state == procDead || ev.gen != ev.p.gen || ev.p.state == procRunning) {
-		return // stale wake
+// drive is the coordinator's end of the baton: RunUntil in sequential mode, a
+// shard window in the parallel phase. It starts the next process and sleeps
+// until the baton comes back; processes pass it among themselves meanwhile.
+func (sh *shard) drive() {
+	for p := sh.next(); p != nil; p = sh.next() {
+		p.resume <- struct{}{}
+		<-sh.yield
 	}
-	mEvents.Inc()
-	if ev.t > sh.now {
-		sh.now = ev.t
-	}
-	if ev.fn != nil {
-		ev.fn()
-		return
-	}
-	sh.cur = ev.p
-	ev.p.state = procRunning
-	ev.p.resume <- struct{}{}
-	<-sh.yield
-	sh.cur = nil
 }
 
-// block yields to the kernel and waits to be resumed; on resume the wake
-// generation is bumped so pending duplicate events become stale. It panics
-// with the kill token if the process was killed while blocked.
+// next is the one dispatch routine, run by whoever holds the baton — a
+// coordinator or a blocked process — for the unsharded kernel, the sequential
+// shard merge and a parallel window alike. It runs callback events inline,
+// skips stale wakes and returns the next process to run, already marked
+// running with the clocks advanced; nil means an end condition holds (Stop,
+// error, mode switch, drained queue, deadline or horizon) and the baton goes
+// back to the coordinator, which works out which. Stopping early is always
+// safe in a window: running less before a barrier never breaks the lookahead.
+func (sh *shard) next() *Proc {
+	k := sh.k
+	for {
+		if k.stopped.Load() || k.errSet.Load() {
+			return nil
+		}
+		if k.parallel {
+			if k.seqReq.Load() {
+				return nil
+			}
+		} else if sh = k.minShard(); sh == nil || k.pendPar {
+			return nil // (the sequential merge dispatches from every shard)
+		}
+		if len(sh.eq) == 0 || sh.eq[0].t >= k.limit {
+			return nil
+		}
+		ev := sh.eq.pop()
+		if ev.fn == nil && (ev.p.state == procDead || ev.gen != ev.p.gen || ev.p.state == procRunning) {
+			continue // stale wake
+		}
+		mEvents.Inc()
+		if k.probe != nil {
+			k.probe(sh.id, ev.t, ev.band, ev.a, ev.b)
+		}
+		if !k.sharded {
+			gQueueDepth.Set(int64(len(sh.eq)))
+		}
+		if ev.t > sh.now {
+			sh.now = ev.t
+		}
+		if !k.parallel && ev.t > k.nowSeq {
+			k.nowSeq = ev.t
+		}
+		if ev.fn != nil {
+			k.call(&ev)
+			continue
+		}
+		ev.p.state = procRunning
+		if !k.parallel {
+			k.seqCur = ev.p
+		}
+		return ev.p
+	}
+}
+
+// call runs a callback event. The goroutine it runs on may be a blocked
+// process that merely holds the baton, so a panic must not unwind it: it is
+// recorded against the process that scheduled the callback and ends the run.
+func (k *Kernel) call(ev *event) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.setErr(&PanicError{Proc: ev.p.name, Value: r})
+		}
+	}()
+	ev.fn()
+}
+
+// block takes the baton and dispatches until this process's own wake comes
+// up (return at once, no goroutine switch); if another process is due first
+// the baton goes to it, at an end condition back to the coordinator, and the
+// process waits to be resumed. On resume the wake generation is bumped so
+// pending duplicate events become stale. It panics with the kill token if the
+// process was killed while blocked.
 func (p *Proc) block() {
 	// Already marked killed (deferred cleanup blocking during an unwind,
-	// or Shutdown): terminate without stranding the goroutine. The yield
-	// handshake is preserved because the trampoline yields on the panic.
+	// or Shutdown): terminate without stranding the goroutine. The baton is
+	// not lost because the trampoline yields on the panic.
 	if p.killed {
 		p.onKill = nil
 		panic(killToken{p})
 	}
-	p.sh.yield <- struct{}{}
-	<-p.resume
+	if q := p.sh.next(); q != p {
+		if q != nil {
+			q.resume <- struct{}{}
+		} else {
+			p.sh.home().yield <- struct{}{}
+		}
+		<-p.resume
+	}
 	p.gen++
 	p.onKill = nil
 	if p.killed {
@@ -592,12 +657,14 @@ func (p *Proc) block() {
 	}
 }
 
+// dropper is a wait queue that can forget a process killed while parked on it.
+type dropper interface{ drop(p *Proc) }
+
 // park blocks the process with no pending event; some other process must
-// Wake it. onKill, if non-nil, runs when the process is killed while parked.
-func (p *Proc) park(onKill func()) {
+// Wake it. onKill, if non-nil, drops the process when it is killed parked.
+func (p *Proc) park(onKill dropper) {
 	p.state = procParked
 	p.onKill = onKill
-	p.sh.parked[p] = struct{}{}
 	p.block()
 }
 
@@ -615,7 +682,6 @@ func (k *Kernel) wake(p *Proc) {
 	}
 	switch p.state {
 	case procParked:
-		delete(sh.parked, p)
 		p.state = procQueued
 		sh.schedule(t, p)
 	case procQueued:
@@ -666,27 +732,18 @@ func (k *Kernel) Kill(p *Proc) {
 	if traceHook != nil {
 		traceHook(k.killNow(p), "kill", p.name)
 	}
-	sh := p.sh
-	t := sh.now
-	if !k.parallel && k.nowSeq > t {
-		t = k.nowSeq
-	}
 	switch p.state {
+	case procRunning:
+		// Nothing else runs while a process does (on its shard, in the
+		// parallel phase), so the caller is p itself: unwind in place.
+		panic(killToken{p})
 	case procParked:
 		if p.onKill != nil {
-			p.onKill()
+			p.onKill.drop(p)
 			p.onKill = nil
 		}
-		delete(sh.parked, p)
-		p.state = procQueued
-		sh.schedule(t, p)
-	case procQueued:
-		sh.schedule(t, p) // cut any pending sleep short
-	case procRunning:
-		if p == sh.cur {
-			panic(killToken{p}) // self-kill: unwind in place
-		}
 	}
+	k.wake(p) // runnable now, cutting any pending sleep short: it unwinds in block
 }
 
 // killNow picks the timestamp reported to the trace hook for a kill.
@@ -719,9 +776,8 @@ func (k *Kernel) Shutdown() {
 			p.killed = true
 			p.state = procQueued
 			p.resume <- struct{}{}
-			<-sh.yield
+			<-sh.home().yield
 		}
-		sh.parked = make(map[*Proc]struct{})
 	}
 }
 

@@ -5,13 +5,78 @@ package sim
 // one-shot signals. All blocking methods take the calling Proc explicitly —
 // simulated code always knows which simulated thread it is running on.
 
+// fifo is the queue under every wait path: a slice plus a head index, so that
+// a pop keeps the backing array (q = q[1:] gives its capacity away and makes
+// every round trip grow a new one). Once the dead prefix is half the slice the
+// live tail slides down over it — amortized O(1), and a drained queue restarts
+// at the front of the same array.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int  { return len(q.buf) - q.head }
+func (q *fifo[T]) live() []T { return q.buf[q.head:] }
+func (q *fifo[T]) push(v T)  { q.buf = append(q.buf, v) }
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	q.head++
+	q.trim(len(q.buf))
+	return v
+}
+
+// remove deletes the i-th queued element.
+func (q *fifo[T]) remove(i int) {
+	i += q.head
+	copy(q.buf[i:], q.buf[i+1:])
+	q.trim(len(q.buf) - 1)
+}
+
+// trim cuts the queue back to buf[head:n], sliding it down when due and
+// zeroing the slots it lets go of.
+func (q *fifo[T]) trim(n int) {
+	if 2*q.head >= n {
+		n, q.head = copy(q.buf, q.buf[q.head:n]), 0
+	}
+	clear(q.buf[n:])
+	q.buf = q.buf[:n]
+}
+
+// waitq is a FIFO of parked processes. It is the dropper handed to park: a
+// process killed while waiting is removed from the queue it sits in.
+type waitq struct{ fifo[*Proc] }
+
+func (w *waitq) drop(p *Proc) {
+	for i, q := range w.live() {
+		if q == p {
+			w.remove(i)
+			return
+		}
+	}
+}
+
+// wakeAll wakes every still-parked waiter in arrival order and empties the
+// queue. Waking only schedules, so no waiter can re-queue during the sweep.
+func (w *waitq) wakeAll(k *Kernel) {
+	for _, p := range w.live() {
+		if p.state == procParked {
+			k.wake(p)
+		}
+	}
+	clear(w.buf)
+	w.buf, w.head = w.buf[:0], 0
+}
+
 // Mailbox is an unbounded FIFO queue of values passed between processes.
 // Send never blocks; Recv blocks until a value is available.
 type Mailbox[T any] struct {
 	k       *Kernel
 	name    string
-	items   []T
-	waiters []*Proc
+	items   fifo[T]
+	waiters waitq
 	closed  bool
 }
 
@@ -21,20 +86,14 @@ func NewMailbox[T any](k *Kernel, name string) *Mailbox[T] {
 }
 
 // Len reports the number of queued values.
-func (m *Mailbox[T]) Len() int { return len(m.items) }
+func (m *Mailbox[T]) Len() int { return m.items.len() }
 
 // Send enqueues v and wakes one waiting receiver. It may be called from any
 // process, or from setup code before Run.
 func (m *Mailbox[T]) Send(v T) {
-	m.items = append(m.items, v)
-	m.wakeOne()
-}
-
-func (m *Mailbox[T]) wakeOne() {
-	for len(m.waiters) > 0 {
-		w := m.waiters[0]
-		m.waiters = m.waiters[1:]
-		if w.state == procParked {
+	m.items.push(v)
+	for m.waiters.len() > 0 {
+		if w := m.waiters.pop(); w.state == procParked {
 			m.k.wake(w)
 			return
 		}
@@ -45,52 +104,30 @@ func (m *Mailbox[T]) wakeOne() {
 // drain remaining items and then report ok=false.
 func (m *Mailbox[T]) Close() {
 	m.closed = true
-	for _, w := range m.waiters {
-		if w.state == procParked {
-			m.k.wake(w)
-		}
-	}
-	m.waiters = nil
+	m.waiters.wakeAll(m.k)
 }
 
 // Recv dequeues the next value, blocking p until one arrives. ok is false if
 // the mailbox was closed and drained.
 func (m *Mailbox[T]) Recv(p *Proc) (v T, ok bool) {
 	for {
-		if len(m.items) > 0 {
-			v = m.items[0]
-			var zero T
-			m.items[0] = zero
-			m.items = m.items[1:]
-			return v, true
+		if m.items.len() > 0 {
+			return m.items.pop(), true
 		}
 		if m.closed {
 			return v, false
 		}
-		m.waiters = append(m.waiters, p)
-		p.park(func() { m.drop(p) })
+		m.waiters.push(p)
+		p.park(&m.waiters)
 	}
 }
 
 // TryRecv dequeues a value without blocking.
 func (m *Mailbox[T]) TryRecv() (v T, ok bool) {
-	if len(m.items) == 0 {
+	if m.items.len() == 0 {
 		return v, false
 	}
-	v = m.items[0]
-	var zero T
-	m.items[0] = zero
-	m.items = m.items[1:]
-	return v, true
-}
-
-func (m *Mailbox[T]) drop(p *Proc) {
-	for i, w := range m.waiters {
-		if w == p {
-			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
-			return
-		}
-	}
+	return m.items.pop(), true
 }
 
 // Resource is a counting resource (e.g., DMA engines, copy queues) with FIFO
@@ -100,7 +137,7 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  []resWait
+	waiters  fifo[resWait]
 }
 
 type resWait struct {
@@ -132,13 +169,13 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		n = r.capacity
 	}
 	// FIFO: if anyone is ahead of us, queue even if units are free.
-	if len(r.waiters) == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.len() == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
 		return
 	}
-	r.waiters = append(r.waiters, resWait{p: p, n: n})
+	r.waiters.push(resWait{p: p, n: n})
 	for {
-		p.park(func() { r.drop(p) })
+		p.park(r)
 		// Woken: either our grant happened (inUse already bumped by
 		// Release on our behalf) — signalled by us no longer queued —
 		// or a spurious wake. Check by scanning the queue.
@@ -149,7 +186,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 }
 
 func (r *Resource) queued(p *Proc) bool {
-	for _, w := range r.waiters {
+	for _, w := range r.waiters.live() {
 		if w.p == p {
 			return true
 		}
@@ -158,9 +195,9 @@ func (r *Resource) queued(p *Proc) bool {
 }
 
 func (r *Resource) drop(p *Proc) {
-	for i, w := range r.waiters {
+	for i, w := range r.waiters.live() {
 		if w.p == p {
-			r.waiters = append(r.waiters[:i], r.waiters[i+1:]...)
+			r.waiters.remove(i)
 			r.grant()
 			return
 		}
@@ -183,17 +220,17 @@ func (r *Resource) Release(n int) {
 }
 
 func (r *Resource) grant() {
-	for len(r.waiters) > 0 {
-		w := r.waiters[0]
+	for r.waiters.len() > 0 {
+		w := r.waiters.live()[0]
 		if w.p.state == procDead {
-			r.waiters = r.waiters[1:]
+			r.waiters.pop()
 			continue
 		}
 		if r.inUse+w.n > r.capacity {
 			return
 		}
 		r.inUse += w.n
-		r.waiters = r.waiters[1:]
+		r.waiters.pop()
 		r.k.wake(w.p)
 	}
 }
@@ -211,7 +248,7 @@ func (r *Resource) Use(p *Proc, n int, d Duration) {
 type Signal struct {
 	k       *Kernel
 	fired   bool
-	waiters []*Proc
+	waiters waitq
 }
 
 // NewSignal creates an unfired signal.
@@ -226,28 +263,14 @@ func (s *Signal) Fire() {
 		return
 	}
 	s.fired = true
-	for _, w := range s.waiters {
-		if w.state == procParked {
-			s.k.wake(w)
-		}
-	}
-	s.waiters = nil
+	s.waiters.wakeAll(s.k)
 }
 
 // Wait blocks p until the signal fires.
 func (s *Signal) Wait(p *Proc) {
 	for !s.fired {
-		s.waiters = append(s.waiters, p)
-		p.park(func() { s.drop(p) })
-	}
-}
-
-func (s *Signal) drop(p *Proc) {
-	for i, w := range s.waiters {
-		if w == p {
-			s.waiters = append(s.waiters[:i], s.waiters[i+1:]...)
-			return
-		}
+		s.waiters.push(p)
+		p.park(&s.waiters)
 	}
 }
 
@@ -255,7 +278,7 @@ func (s *Signal) drop(p *Proc) {
 type WaitGroup struct {
 	k       *Kernel
 	n       int
-	waiters []*Proc
+	waiters waitq
 }
 
 // NewWaitGroup creates a wait group with zero outstanding tasks.
@@ -268,12 +291,7 @@ func (w *WaitGroup) Add(delta int) {
 		panic("sim: negative WaitGroup counter")
 	}
 	if w.n == 0 {
-		for _, p := range w.waiters {
-			if p.state == procParked {
-				w.k.wake(p)
-			}
-		}
-		w.waiters = nil
+		w.waiters.wakeAll(w.k)
 	}
 }
 
@@ -283,16 +301,7 @@ func (w *WaitGroup) Done() { w.Add(-1) }
 // Wait blocks p until the count reaches zero.
 func (w *WaitGroup) Wait(p *Proc) {
 	for w.n > 0 {
-		w.waiters = append(w.waiters, p)
-		p.park(func() { w.drop(p) })
-	}
-}
-
-func (w *WaitGroup) drop(p *Proc) {
-	for i, q := range w.waiters {
-		if q == p {
-			w.waiters = append(w.waiters[:i], w.waiters[i+1:]...)
-			return
-		}
+		w.waiters.push(p)
+		p.park(&w.waiters)
 	}
 }
