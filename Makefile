@@ -39,7 +39,7 @@ bench-hotpath:
 	@echo "wrote BENCH_hotpath.json"
 
 # Serving-plane throughput/latency vs dynamic batch cap, recorded as JSON.
-# Two passes: the classic sequential plane (shards=0) and the sharded data
+# Two passes: the classic executed plane (shards=0) and the flow-model data
 # plane (-shards 4) over the same batch caps, plus the four-partition
 # scale-out row. Rows are distinguished by the "shards" metric. The vreq/s,
 # vp50_ns and vbatch metrics are virtual-time and deterministic; ns/op is
@@ -57,9 +57,9 @@ bench-serve:
 # Host time is machine-dependent — the default 10% bar assumes a baseline
 # recorded on the same, otherwise-quiet machine (the before/after workflow
 # for data-plane changes); automated full-suite runs (`make ci`, ci.yml)
-# loosen the bar to 100%, which still fails hard on the gross "sharded plane
-# fell back to per-request handshakes" class of regression while tolerating
-# shared-runner noise. The virtual-metric drift check is exact everywhere.
+# loosen the bar to 100%, which still fails hard on the gross "flow-model
+# plane fell back to per-request handshakes" class of regression while
+# tolerating shared-runner noise. The virtual-metric drift check is exact everywhere.
 BENCH_THRESHOLD ?= 0.10
 bench-gate:
 	{ $(GO) test -bench ServeLoad -benchtime=2s -count=3 -run '^$$' ./internal/serve ; \

@@ -16,8 +16,8 @@
 //	cronus-serve -max-batch 1                     # disable batching
 //	cronus-serve -trace out.json                  # causal spans -> Perfetto JSON
 //	cronus-serve -slo-target-us 400               # arm the SLO burn-rate engine
-//	cronus-serve -shards 2                        # sharded kernel + flow-model data plane
-//	cronus-serve -partitions 8 -shards 4 -lanes 4 -parallel  # ... parallel shard execution
+//	cronus-serve -shards 2                        # flow-model data plane
+//	cronus-serve -partitions 8 -shards 4 -lanes 4 # ... eight partitions, four rings each
 //	cronus-serve -nodes 2 -partitions 8 -shards 8            # two-node fabric cluster
 //	cronus-serve -nodes 2 -partitions 8 -shards 8 -node-crash-ms 11  # ... with a node crash
 //	cronus-serve -attest-tickets                  # attestation admission gate
@@ -26,18 +26,17 @@
 //	cronus-serve -shards 4 -partitions 4 -migrate-at-ms 10 -migrate-interrupt  # die mid-checkpoint
 //	cronus-serve -shards 4 -partitions 4 -autoscale          # load-driven elastic capacity
 //
-// -shards 0 (the default) and -shards 1 run the classic sequential plane
-// byte-identically. With -shards >= 2 the run moves to the sharded data
-// plane, which models inference serving only: the general-compute rodinia
-// class is left out of the tenant mix, and -trace/-supervise are rejected
-// by config validation. The partition count must be a positive multiple of
-// the shard count (a -shards value that does not divide it is a usage
-// error, exit status 2). With -nodes >= 2 the run spans a simulated
-// multi-node fabric: shards and partitions must also divide evenly across
-// the nodes, tenants are homed by consistent hashing, and -link-latency-us /
-// -link-gbps price the inter-node transport.
+// -shards 0 (the default) and -shards 1 run the classic executed plane
+// byte-identically. Any -shards >= 2 selects the flow-model plane (the value
+// is otherwise unobservable), which models inference serving only: the
+// general-compute rodinia class is left out of the tenant mix, and
+// -trace/-supervise are rejected by config validation. With -nodes >= 2 the
+// run spans a simulated multi-node fabric: it needs the flow-model plane and
+// a partition count that divides evenly across the nodes (anything else is a
+// usage error, exit status 2), tenants are homed by consistent hashing, and
+// -link-latency-us / -link-gbps price the inter-node transport.
 //
-// The elastic-capacity flags also require the sharded plane. -migrate-at-ms
+// The elastic-capacity flags also require the flow-model plane. -migrate-at-ms
 // schedules one planned live migration (quiesce, checkpoint, transfer, replay,
 // release) from -migrate-from to -migrate-to, each a node/partition pair;
 // -migrate-interrupt kills the source mid-checkpoint so the plane must degrade
@@ -88,13 +87,11 @@ func main() {
 	sloAdmit := flag.Bool("slo-admission", false,
 		"halve a tenant's admission cap while its SLO burn rate is firing")
 	shards := flag.Int("shards", 0,
-		"kernel shards for the sharded data plane (0 or 1 = classic sequential plane)")
+		">= 2 selects the flow-model data plane (0 or 1 = classic executed plane)")
 	lanes := flag.Int("lanes", 0,
-		"sRPC rings per replica on the sharded plane (0 = default)")
-	parallel := flag.Bool("parallel", false,
-		"run kernel shards on their own goroutines (requires -shards >= 2)")
+		"sRPC rings per replica on the flow-model plane (0 = default)")
 	nodes := flag.Int("nodes", 0,
-		"simulated fabric nodes (0 or 1 = single node; >= 2 requires -shards and -partitions divisible by it)")
+		"simulated fabric nodes (0 or 1 = single node; >= 2 requires -shards >= 2 and -partitions divisible by it)")
 	linkLatencyUS := flag.Float64("link-latency-us", 0,
 		"inter-node link latency, virtual µs (0 = default 5µs)")
 	linkGBps := flag.Float64("link-gbps", 0,
@@ -156,7 +153,6 @@ func main() {
 		FailPartition: *failPart,
 		Shards:        *shards,
 		Lanes:         *lanes,
-		Parallel:      *parallel,
 	}
 	if *nodes >= 2 {
 		cfg.Nodes = *nodes
@@ -238,7 +234,7 @@ func main() {
 			},
 		}
 		// The first tenant mixes in general compute (unbatchable rodinia
-		// passes) so the run exercises both execution paths. The sharded
+		// passes) so the run exercises both execution paths. The flow-model
 		// plane models inference serving only, so it keeps the pure-graph
 		// mix.
 		if i == 0 && *shards < 2 {

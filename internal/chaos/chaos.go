@@ -404,7 +404,7 @@ type Options struct {
 	// their partition's recent spans, and any invariant violation dumps
 	// every ring — the dumps ride in the (still deterministic) report.
 	// Request-level causal traces and the SLO invariants are always on;
-	// Trace only controls the event spine and its recorder. The sharded
+	// Trace only controls the event spine and its recorder. The flow-model
 	// plane under the cluster topology records no spans, so Trace with
 	// Nodes >= 2 is rejected with a *TopologyError.
 	Trace bool
@@ -467,9 +467,8 @@ func (e *TopologyError) Error() string {
 }
 
 // validate rejects (defaulted) options no topology can run: a partition
-// layout that does not divide over the nodes (*serve.ShardLayoutError, one
-// shard per partition), an unknown kind, or a kind or option of the other
-// topology (*TopologyError).
+// layout that does not divide over the nodes (*serve.ShardLayoutError), an
+// unknown kind, or a kind or option of the other topology (*TopologyError).
 func (o *Options) validate() error {
 	if err := serve.CheckShardLayout(o.Partitions, o.Partitions, o.Nodes); err != nil {
 		return err

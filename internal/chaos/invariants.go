@@ -155,7 +155,7 @@ func conservation(label string, res *serve.Result) []string {
 }
 
 // checkObservability audits the observability layer's own invariants on one
-// run (the sharded plane records neither, so this is vacuous on the fabric):
+// run (the flow-model plane records neither, so this is vacuous on the fabric):
 // every per-request causal trace must be conservative (stage segments
 // contiguous over [arrived, done], so attributions sum to the latency
 // exactly), and per-tenant SLO accounting must balance against the serving

@@ -39,11 +39,11 @@ func chaosSupervision() *spm.Supervision {
 // audit, and the watchdog/retry layer enabled so hangs and lost batches are
 // recoverable. A single platform adds device-affinity placement (so fault
 // blast radii are attributable to tenants), supervision, causal tracing and
-// the SLO engine. The cluster spans Options.Nodes fabric nodes on the sharded
-// data plane, one shard per partition, round-robin placement inside each home
-// group, and HashBound 1.0 so the boot assignment spreads tenants evenly —
-// every node gets victims and survivors; supervision, tracing and the SLO
-// engine stay off there (the sharded plane rejects them by validation).
+// the SLO engine. The cluster spans Options.Nodes fabric nodes on the
+// flow-model data plane, round-robin placement inside each home group, and
+// HashBound 1.0 so the boot assignment spreads tenants evenly — every node
+// gets victims and survivors; supervision, tracing and the SLO engine stay
+// off there (the flow-model plane rejects them by validation).
 // Features a kind in the mix arms (taxonomy) are armed whether or not inject
 // is set; only the faulted run (inject) lowers the schedule onto the config's
 // fault hooks.

@@ -10,10 +10,9 @@ import (
 // BootNodes builds n independent platforms — each with its own SPM,
 // partition pool, mOS instances, attestation service, and dispatcher — on
 // the calling proc's kernel. Node i's dispatcher mints stream ids from base
-// i<<16, so executor logical ids (1<<20|streamID) are disjoint across nodes
-// and the kernel can parallelize with every executor alive. 16 bits of
-// stream space per node bounds a run at 65,535 streams per node, far above
-// anything the serving plane opens.
+// i<<16, so stream ids (and the executor names derived from them) are
+// disjoint across nodes. 16 bits of stream space per node bounds a run at
+// 65,535 streams per node, far above anything the serving plane opens.
 func BootNodes(p *sim.Proc, n int, cfg core.Config) ([]*core.Platform, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: need at least one node, got %d", n)

@@ -10,20 +10,18 @@
 //
 //   - Fabric: the star-topology gateway↔node links. Per-link latency and
 //     GBps are configurable; net-partition and slow-link fault windows are
-//     registered before the kernel parallelizes and consulted afterwards as
-//     pure functions of (node, time), so the fabric never mutates shared
-//     state from a shard goroutine.
+//     registered before serving starts and consulted afterwards as pure
+//     functions of (node, time).
 //   - Ring: seeded consistent hashing with virtual nodes and bounded-load
 //     overflow, used by the serving plane's global placement tier for
 //     tenant→node assignment and for re-homing on node loss.
 //   - BootNodes: builds N platforms on one kernel and gives each node a
-//     disjoint stream-id range so executor logical ids stay unique when the
-//     kernel parallelizes.
+//     disjoint stream-id range so stream ids and executor names stay unique
+//     across the simulation.
 //
-// Determinism contract: node count, like shard count, only changes where
-// work runs — never virtual-time outputs for a fixed configuration. All
-// fault windows are fixed before Parallelize; cross-node deliveries ride
-// sim.Port, so they land in the canonical (time, band, lid, seq) order.
+// Determinism contract: every decision is a function of virtual time and the
+// seed; cross-node deliveries ride sim.Port, so they land in the kernel's
+// total event order.
 package cluster
 
 import (

@@ -19,15 +19,13 @@ type slowWindow struct {
 
 // Fabric models the inter-node interconnect as a star: the serving gateway
 // owns one full-duplex link per node. Latency is the one-way propagation
-// delay (it must be at least the kernel lookahead so cross-shard sends stay
-// legal); GBps is the link bandwidth; SerPerByte is the per-byte
+// delay; GBps is the link bandwidth; SerPerByte is the per-byte
 // serialization cost charged on top, playing the role MemcpyPerByte plays
 // for local staging.
 //
-// Fault windows (net-partition, slow-link) are registered while the kernel
-// is still sequential and are immutable afterwards: every query is a pure
-// function of (node, instant), which is what makes the fabric safe to
-// consult from parallel shard execution.
+// Fault windows (net-partition, slow-link) are registered before serving
+// starts and are immutable afterwards: every query is a pure function of
+// (node, instant).
 type Fabric struct {
 	nodes      int
 	Latency    sim.Duration
@@ -64,13 +62,12 @@ func NewFabric(n int, latency sim.Duration, gbps, serPerByte float64) (*Fabric, 
 func (f *Fabric) Nodes() int { return f.nodes }
 
 // AddPartition marks the link to node as partitioned over [from, to).
-// Must be called before the kernel parallelizes.
 func (f *Fabric) AddPartition(node int, from, to sim.Time) {
 	f.parts[node] = append(f.parts[node], window{from: from, to: to})
 }
 
 // AddSlowLink multiplies the link's transport latency by mult over
-// [from, to). Must be called before the kernel parallelizes.
+// [from, to).
 func (f *Fabric) AddSlowLink(node int, mult float64, from, to sim.Time) {
 	f.slows[node] = append(f.slows[node], slowWindow{window: window{from: from, to: to}, mult: mult})
 }
@@ -117,7 +114,7 @@ func (f *Fabric) SlowMultAt(node int, at sim.Time) float64 {
 // serialization (SerPerByte · n) plus bandwidth occupancy (n / GBps; one
 // GB/s is one byte per ns) plus the slow-link round-trip surcharge
 // 2·(mult−1)·Latency. The base propagation delay is NOT included — it is
-// carried by the cross-shard port hop so event ordering and cost accounting
+// carried by the sim.Port hop so event ordering and cost accounting
 // agree on when bytes arrive.
 func (f *Fabric) TransferNS(node int, nbytes int, at sim.Time) sim.Duration {
 	ns := f.SerPerByte*float64(nbytes) + float64(nbytes)/f.GBps

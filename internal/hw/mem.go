@@ -9,12 +9,10 @@ import (
 // PhysMem is the machine's physical memory: sparse 4 KiB pages guarded by
 // the TZASC. Every read and write declares the world it originates from.
 //
-// Concurrency: when the simulation kernel runs in its parallel sharded phase
-// (sim.Parallelize), processes on different shards access disjoint guarded
-// ranges concurrently. The page table (first-touch allocation) and the watch
-// registry are the only structures those accesses share, so both are guarded
-// here; page contents themselves are disjoint by the isolation the TZASC and
-// stage-2 tables enforce.
+// Concurrency: the page table (first-touch allocation) and the watch registry
+// are guarded, so simulated processes running on different goroutines may
+// share a PhysMem; page contents themselves are disjoint by the isolation the
+// TZASC and stage-2 tables enforce.
 type PhysMem struct {
 	size    uint64
 	pageMu  sync.RWMutex

@@ -82,11 +82,10 @@ func (d *Dispatcher) NextStreamID() uint64 {
 }
 
 // SetStreamBase offsets this platform's stream-id counter. Multi-node
-// fabrics boot several platforms into one simulation kernel; executor procs
-// derive their logical ids from stream ids, and logical ids must be unique
-// across every process alive when the kernel parallelizes — so each node
-// gets a disjoint stream-id range (cluster.BootNodes assigns node<<16).
-// Call it before the first stream is minted.
+// fabrics boot several platforms into one simulation kernel; each node gets
+// a disjoint stream-id range (cluster.BootNodes assigns node<<16) so stream
+// ids stay unique across the simulation. Call it before the first stream is
+// minted.
 func (d *Dispatcher) SetStreamBase(base uint64) {
 	d.nextStream = base
 }
@@ -245,24 +244,12 @@ func (d *Dispatcher) SpawnExecutor(p *sim.Proc, eid uint32, streamID uint64) err
 	if err != nil {
 		return err
 	}
-	body := func(tp *sim.Proc) {
+	d.K.Spawn(fmt.Sprintf("executor-%#x-%d", eid, streamID), func(tp *sim.Proc) {
 		m.Part.Register(tp)
 		defer m.Part.Unregister(tp)
 		mWorldSwitches.Inc()
 		tp.Sleep(d.Costs.WorldSwitch)
 		srv.RunExecutor(tp, streamID)
-	}
-	name := fmt.Sprintf("executor-%#x-%d", eid, streamID)
-	if d.K.Sharded() {
-		// Place the executor on its partition's event shard so record
-		// execution parallelizes with other partitions. The logical id
-		// derives from the platform-minted stream id, so event keys — and
-		// therefore all virtual-time outputs — are placement-invariant.
-		// Connect and reconnect both run in sequential contexts, so SpawnOn
-		// is always legal here.
-		d.K.SpawnOn(m.Part.Shard(), 1<<20|streamID, name, body)
-	} else {
-		d.K.Spawn(name, body)
-	}
+	})
 	return nil
 }

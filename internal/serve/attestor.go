@@ -14,7 +14,7 @@ package serve
 //     identical in-flight verifications — plus one MAC to seal the fresh
 //     ticket it mints;
 //   - the delay lands where admission cost lives on each plane: folded
-//     into the batch submit cost on the sharded plane, slept on the
+//     into the batch submit cost on the flow-model plane, slept on the
 //     dispatcher proc on the classic plane.
 //
 // Continuous re-measurement (Config.AttestReprobe) spawns a background
@@ -69,8 +69,7 @@ type AttestFault struct {
 	Part int
 }
 
-// attState is the serving plane's attestation-gate state. All of it is
-// host-shard / sequentialized-injector territory, so no locking is needed.
+// attState is the serving plane's attestation-gate state.
 type attState struct {
 	tickets *attest.TicketCache
 	verify  *attest.VerifyCache
@@ -203,27 +202,18 @@ func (srv *Server) attestGate(t *tenant, rep *replica, now sim.Time) (sim.Durati
 }
 
 // atStart arms the run's attestation machinery after the load exists: the
-// continuous re-measurement prober and the scheduled fault injectors. On
-// the sharded plane both sequentialize the kernel before mutating global
-// state, exactly like the FailAt and node-crash injectors.
+// continuous re-measurement prober and the scheduled fault injectors.
 func (srv *Server) atStart(p *sim.Proc) {
 	if srv.at == nil {
 		return
 	}
 	if srv.cfg.AttestReprobe > 0 {
-		if srv.sh != nil {
-			srv.pl.K.SpawnOn(0, lidAttestProber, "serve-attest-prober", srv.atProbe)
-		} else {
-			srv.pl.K.Spawn("serve-attest-prober", srv.atProbe)
-		}
+		srv.pl.K.Spawn("serve-attest-prober", srv.atProbe)
 	}
 	for i, f := range srv.cfg.AttestFaults {
 		f := f
-		body := func(p *sim.Proc) {
+		srv.pl.K.Spawn(fmt.Sprintf("serve-attest-fault-%d", i), func(p *sim.Proc) {
 			p.Sleep(f.At)
-			if srv.sh != nil {
-				p.Sequentialize()
-			}
 			switch f.Kind {
 			case AttestStorm:
 				n := srv.at.tickets.Storm(p.Now())
@@ -235,22 +225,13 @@ func (srv *Server) atStart(p *sim.Proc) {
 				part := srv.plats[f.Node].GPUs[f.Part].Part
 				srv.plats[f.Node].SPM.TamperMeasurement(part)
 			}
-		}
-		if srv.sh != nil {
-			srv.pl.K.SpawnOn(0, lidAttestFault+uint64(i),
-				fmt.Sprintf("serve-attest-fault-%d", i), body)
-		} else {
-			srv.pl.K.Spawn(fmt.Sprintf("serve-attest-fault-%d", i), body)
-		}
+		})
 	}
 }
 
 // atProbe is the continuous re-measurement loop: every AttestReprobe of
 // virtual time, compare each ready partition's current measurement against
-// the boot-pinned value and revoke on mismatch. Reads are parallel-safe
-// (only sequentialized injectors mutate measurements on this plane); the
-// revocation itself sequentializes first — it is a global, totally ordered
-// control-plane event, like a partition failure.
+// the boot-pinned value and revoke on mismatch.
 func (srv *Server) atProbe(p *sim.Proc) {
 	a := srv.at
 	ppn := len(a.pinned[0])
@@ -265,9 +246,6 @@ func (srv *Server) atProbe(p *sim.Proc) {
 				}
 				if part.MOSHash() == a.pinned[n][pi] {
 					continue
-				}
-				if srv.sh != nil {
-					p.Sequentialize()
 				}
 				srv.atRevoke(p, n, pi, part)
 			}
@@ -308,25 +286,9 @@ func (srv *Server) atRevoke(p *sim.Proc, n, pi int, part *spm.Partition) {
 		// fail typed instead of replaying a measurement we no longer trust.
 		ppn := len(a.pinned[0])
 		for _, t := range srv.tenants {
-			rep := t.reps[n*ppn+pi]
-			if len(rep.inflightB) == 0 {
-				continue
-			}
 			err := &attest.RevokedError{Tenant: t.spec.Name, Partition: partName, Meas: tampered}
-			for _, b := range rep.inflightB {
-				b.cancelled = true
-				rep.outstanding -= len(b.reqs)
-				t.shInFl -= len(b.reqs)
-				if srv.cl != nil {
-					t.liveCnt -= len(b.reqs)
-				}
-				for _, r := range b.reqs {
-					srv.shFinish(t, r, now, err)
-				}
-			}
-			rep.inflightB = nil
-			for i := range rep.lanes {
-				rep.lanes[i].busyUntil = 0
+			for _, b := range srv.shTakeInflight(t, t.reps[n*ppn+pi]) {
+				srv.finishBatch(b, now, err)
 			}
 		}
 	}
@@ -347,16 +309,7 @@ func (srv *Server) atRevoke(p *sim.Proc, n, pi int, part *spm.Partition) {
 				continue
 			}
 			if !srv.clRehome(now, t, "measurement-revoked") {
-				// No survivor can take the tenant: complete its backlog with
-				// the typed pool error so the drain is never stranded.
-				backlog := t.shBacklog
-				t.shBacklog = nil
-				err := &PoolQuarantinedError{Tenant: t.spec.Name}
-				for _, b := range backlog {
-					for _, r := range b.reqs {
-						srv.shFinish(t, r, now, err)
-					}
-				}
+				srv.shFailBacklog(now, t) // no survivor can take the tenant
 			}
 		}
 	}

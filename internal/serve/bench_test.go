@@ -10,14 +10,14 @@ import (
 	"cronus/internal/tvm"
 )
 
-// shardsFlag reruns the ServeLoad benchmarks on the sharded data plane:
+// shardsFlag reruns the ServeLoad benchmarks on the flow-model data plane:
 //
 //	go test ./internal/serve -bench ServeLoad -shards 4
 //
-// 0 (the default) keeps the classic sequential plane. The shard count is
-// reported as the "shards" metric so BENCH_serve.json rows from both planes
-// stay distinguishable.
-var shardsFlag = flag.Int("shards", 0, "run ServeLoad benchmarks with this many kernel shards (0 = classic plane)")
+// 0 (the default) keeps the classic executed plane. The value is reported as
+// the "shards" metric so BENCH_serve.json rows from both planes stay
+// distinguishable.
+var shardsFlag = flag.Int("shards", 0, "run ServeLoad benchmarks with Config.Shards set to this (0 = classic plane, >= 2 = flow-model plane)")
 
 // benchConfig is the saturation load used for BENCH_serve.json: one tenant
 // offering more than an unbatched replica can serve, swept over batch caps.
@@ -72,9 +72,9 @@ func BenchmarkServeLoadBatch1(b *testing.B) { benchServe(b, 1) }
 func BenchmarkServeLoadBatch4(b *testing.B) { benchServe(b, 4) }
 func BenchmarkServeLoadBatch8(b *testing.B) { benchServe(b, 8) }
 
-// BenchmarkServeLoadScaleOut is the sharded plane's aggregate-throughput
+// BenchmarkServeLoadScaleOut is the flow-model plane's aggregate-throughput
 // row: four tenants, each offering the single-tenant saturation load on its
-// own partition (DeviceAffinity), served with four kernel shards. The
+// own partition (DeviceAffinity). The
 // vreq/s metric is the aggregate goodput across tenants — the number that
 // moves past the single-partition 90k plateau.
 func BenchmarkServeLoadScaleOut(b *testing.B) {
@@ -117,7 +117,7 @@ func BenchmarkServeLoadScaleOut(b *testing.B) {
 
 // BenchmarkServeLoadMultiNode is the fabric cluster's aggregate-throughput
 // row: eight tenants, each offering the single-tenant saturation load, over
-// eight partitions and eight kernel shards split across two nodes. Tenants
+// eight partitions split across two nodes. Tenants
 // hash onto home nodes (HashBound 1.0 forces an even four-per-node split)
 // and DeviceAffinity pins each to its own partition inside the home group,
 // so the vreq/s aggregate is the two-node scale-out of the four-partition
@@ -127,15 +127,16 @@ func BenchmarkServeLoadMultiNode(b *testing.B) {
 }
 
 // BenchmarkServeLoadMultiNode4 pushes the scale-out row to four nodes: sixteen
-// tenants over sixteen partitions and sixteen kernel shards, four per node —
-// the -nodes 4 -partitions 16 -shards 16 configuration. Together with the
-// two-node row it shows how the aggregate scales as the fabric doubles.
+// tenants over sixteen partitions, four per node — the -nodes 4 -partitions 16
+// -shards 16 configuration. Together with the two-node row it shows how the
+// aggregate scales as the fabric doubles.
 func BenchmarkServeLoadMultiNode4(b *testing.B) {
 	benchMultiNode(b, 4)
 }
 
 // benchMultiNode runs the fabric scale-out row over `nodes` nodes with four
-// partitions, four shards and four pinned tenants per node.
+// partitions and four pinned tenants per node. Shards stays 4·nodes: it is
+// the row key in BENCH_serve.json.
 func benchMultiNode(b *testing.B, nodes int) {
 	cfg := benchConfig(4)
 	cfg.Nodes = nodes

@@ -2,10 +2,8 @@ package serve
 
 // The global placement tier: the serving plane's cluster mode, selected by
 // Config.Nodes >= 2. N platforms (cluster.BootNodes) share one simulation
-// kernel; the host shard is the serving gateway — arrivals, admission,
-// batching and placement all run there — and node i owns the kernel shards
-// [1+i·spn, 1+(i+1)·spn) together with a contiguous block of the partition
-// pool, so per-node partition groups map onto per-node shard groups.
+// kernel; one serving gateway — arrivals, admission, batching and placement —
+// fronts them all, and node i owns a contiguous block of the partition pool.
 //
 // Placement is two-tier: tenants hash onto home nodes over a seeded
 // consistent-hash ring with bounded-load overflow (cluster.Ring), and the
@@ -16,9 +14,8 @@ package serve
 // surcharges are folded into the submit cost (cluster.Fabric.TransferNS);
 // completions ride per-node return ports with the same hop.
 //
-// Cross-node failover: when a node crashes (clCrashNode — the injector
-// sequentializes the kernel first, like FailAt) or a tenant's whole home
-// pool quarantines, the tenant re-hashes to a surviving node. In-flight
+// Cross-node failover: when a node crashes (clCrashNode) or a tenant's whole
+// home pool quarantines, the tenant re-hashes to a surviving node. In-flight
 // batches on the lost node are cancelled and replayed through the same
 // completion accounting the single-node plane uses (cancelled batches'
 // events become no-ops, requests requeue exactly once), and admission caps
@@ -26,8 +23,8 @@ package serve
 //
 // No-split-brain invariant: a tenant's requests are never concurrently
 // live on two nodes. The gateway maintains the ledger — liveCnt/liveNode
-// per tenant, updated at dispatch, completion and cancellation, all on the
-// host shard — and counts violations in Result.SplitBrain (must be 0).
+// per tenant, updated at dispatch, completion and cancellation — and counts
+// violations in Result.SplitBrain (must be 0).
 //
 // Net-partition windows yield typed *cluster.NetPartitionedError on
 // dispatch; completions arriving at the gateway while the link is
@@ -41,13 +38,10 @@ import (
 	"cronus/internal/sim"
 )
 
-// clState is the serving plane's cluster-mode state. Everything here is
-// gateway-side: only host-shard events (dispatch, completion, heal flush)
-// and sequentialized fault injectors touch it.
+// clState is the serving plane's cluster-mode state, all of it gateway-side.
 type clState struct {
 	nodes int
 	ppn   int // partitions per node
-	spn   int // kernel shards per node
 
 	fab  *cluster.Fabric
 	ring *cluster.Ring
@@ -59,7 +53,6 @@ type clState struct {
 	alive    []bool
 	aliveCnt int
 
-	gw    *sim.Proc           // gateway anchor proc (host shard, lidGateway)
 	compl []*sim.Port[*batch] // per-node completion return ports
 	healQ [][]*batch          // completions parked during a net-partition
 
@@ -69,15 +62,11 @@ type clState struct {
 
 // validateCluster rejects cluster configurations the plane cannot model.
 func validateCluster(cfg Config) error {
-	switch {
-	case cfg.Nodes > 16:
+	if cfg.Nodes > 16 {
 		return fmt.Errorf("serve: at most 16 nodes, got %d", cfg.Nodes)
-	case cfg.Shards < 2:
-		return fmt.Errorf("serve: cluster mode (Nodes >= 2) requires the sharded data plane (Shards >= 2)")
-	case cfg.Shards%cfg.Nodes != 0:
-		return fmt.Errorf("serve: Shards (%d) must divide evenly over Nodes (%d)", cfg.Shards, cfg.Nodes)
-	case cfg.GPUPartitions%cfg.Nodes != 0:
-		return fmt.Errorf("serve: GPUPartitions (%d) must divide evenly over Nodes (%d)", cfg.GPUPartitions, cfg.Nodes)
+	}
+	if err := CheckShardLayout(cfg.Shards, cfg.GPUPartitions, cfg.Nodes); err != nil {
+		return err
 	}
 	for i, f := range cfg.NodeFaults {
 		if f.Node < 0 || f.Node >= cfg.Nodes {
@@ -103,14 +92,10 @@ func validateCluster(cfg Config) error {
 }
 
 // clBoot builds the cluster state — fabric, placement ring, liveness — from
-// the validated config. Runs before shBoot so partition→shard mapping can
-// consult it.
+// the validated config. Runs before shBoot, which builds the per-node
+// completion ports.
 func (srv *Server) clBoot() error {
 	nodes := len(srv.plats)
-	if la := srv.pl.Costs.PCIeLatency; srv.cfg.LinkLatency < la {
-		return fmt.Errorf("serve: LinkLatency (%s) must be at least the kernel lookahead (%s)",
-			srv.cfg.LinkLatency, la)
-	}
 	fab, err := cluster.NewFabric(nodes, srv.cfg.LinkLatency, srv.cfg.LinkGBps, srv.pl.Costs.MemcpyPerByte)
 	if err != nil {
 		return err
@@ -126,7 +111,6 @@ func (srv *Server) clBoot() error {
 	srv.cl = &clState{
 		nodes:    nodes,
 		ppn:      srv.cfg.GPUPartitions / nodes,
-		spn:      srv.cfg.Shards / nodes,
 		fab:      fab,
 		ring:     ring,
 		loads:    make([]int, nodes),
@@ -162,7 +146,7 @@ func (srv *Server) clComplArrive(n int, at sim.Time, b *batch) {
 	if srv.cl.fab.PartitionedAt(n, at) {
 		if len(srv.cl.healQ[n]) == 0 {
 			heal := srv.cl.fab.HealAt(n, at)
-			srv.cl.gw.CallAt(heal, func() { srv.clFlushHeal(n, heal) })
+			srv.sh.anchor.CallAt(heal, func() { srv.clFlushHeal(n, heal) })
 		}
 		srv.cl.healQ[n] = append(srv.cl.healQ[n], b)
 		return
@@ -180,12 +164,9 @@ func (srv *Server) clFlushHeal(n int, at sim.Time) {
 	}
 }
 
-// clArmFaults registers the scheduled node faults. Net-partition and
-// slow-link windows are static fabric state fixed here, before the kernel
-// parallelizes — afterwards they are consulted read-only, which keeps them
-// parallel-safe. Node crashes mutate global placement state, so each crash
-// injector sequentializes the kernel first, exactly like the FailAt
-// injector.
+// clArmFaults registers the scheduled node faults: net-partition and
+// slow-link windows are static fabric state fixed here, each node crash gets
+// an injector proc.
 func (srv *Server) clArmFaults(p *sim.Proc) {
 	start := p.Now()
 	for i, f := range srv.cfg.NodeFaults {
@@ -196,21 +177,18 @@ func (srv *Server) clArmFaults(p *sim.Proc) {
 			srv.cl.fab.AddSlowLink(f.Node, f.Mult, start+sim.Time(f.At), start+sim.Time(f.Until))
 		case cluster.NodeCrash:
 			f := f
-			srv.pl.K.SpawnOn(0, lidNodeFault+uint64(i),
-				fmt.Sprintf("serve-node-fault-%d", i), func(p *sim.Proc) {
-					p.Sleep(f.At)
-					p.Sequentialize()
-					srv.clCrashNode(p, f.Node)
-				})
+			srv.pl.K.Spawn(fmt.Sprintf("serve-node-fault-%d", i), func(p *sim.Proc) {
+				p.Sleep(f.At)
+				srv.clCrashNode(p, f.Node)
+			})
 		}
 	}
 }
 
 // clCrashNode kills a whole node: its replicas quarantine permanently (the
 // machine is gone — this is not a restartable proceed-trap), every batch in
-// flight there is cancelled and requeued exactly once through the same
-// accounting shReplicaDown uses, and each tenant homed on the node re-hashes
-// to a survivor. Runs sequentialized.
+// flight there is cancelled and requeued exactly once (shCancelInflight),
+// and each tenant homed on the node re-hashes to a survivor.
 func (srv *Server) clCrashNode(p *sim.Proc, n int) {
 	cl := srv.cl
 	if !cl.alive[n] {
@@ -221,40 +199,14 @@ func (srv *Server) clCrashNode(p *sim.Proc, n int) {
 	cl.aliveCnt--
 	cl.events = append(cl.events, fmt.Sprintf("node n%d crashed at %s", n, sim.Duration(now)))
 	for _, t := range srv.tenants {
-		var requeued []*batch
-		for _, rep := range t.reps[n*cl.ppn : (n+1)*cl.ppn] {
+		lost := t.reps[n*cl.ppn : (n+1)*cl.ppn]
+		for _, rep := range lost {
 			rep.down = true
 			rep.quarantined = true
-			for _, b := range rep.inflightB {
-				b.cancelled = true
-				rep.outstanding -= len(b.reqs)
-				t.shInFl -= len(b.reqs)
-				t.liveCnt -= len(b.reqs)
-				for _, r := range b.reqs {
-					r.Replays++
-					t.replayed++
-				}
-				requeued = append(requeued, &batch{class: b.class, reqs: b.reqs, t: t})
-			}
-			rep.inflightB = nil
-			for i := range rep.lanes {
-				rep.lanes[i].busyUntil = 0
-			}
 		}
-		if len(requeued) > 0 {
-			t.shBacklog = append(requeued, t.shBacklog...)
-		}
+		srv.shCancelInflight(t, lost...)
 		if t.home == n && !srv.clRehome(now, t, "node-crash") {
-			// No survivor can take the tenant: complete its backlog with the
-			// typed pool error so the drain is never stranded.
-			backlog := t.shBacklog
-			t.shBacklog = nil
-			err := &PoolQuarantinedError{Tenant: t.spec.Name}
-			for _, b := range backlog {
-				for _, r := range b.reqs {
-					srv.shFinish(t, r, now, err)
-				}
-			}
+			srv.shFailBacklog(now, t) // no survivor can take the tenant
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 
 // clusterConfig is the common two-node test load: four tenants hashed over
 // two nodes (HashBound 1.0 forces an even 2/2 split), eight partitions in
-// four-per-node blocks, eight kernel shards in four-per-node groups.
+// four-per-node blocks.
 func clusterConfig() serve.Config {
 	return serve.Config{
 		Seed:          23,
@@ -85,13 +85,11 @@ func TestClusterPlacement(t *testing.T) {
 }
 
 // TestClusterDeterminism pins the acceptance criterion: a 2-node run replays
-// byte-identically across repeats and across -parallel on/off, with and
-// without a scheduled node crash.
+// byte-identically, with and without a scheduled node crash.
 func TestClusterDeterminism(t *testing.T) {
 	for _, fault := range []bool{false, true} {
-		mk := func(parallel bool) serve.Config {
+		mk := func() serve.Config {
 			cfg := clusterConfig()
-			cfg.Parallel = parallel
 			if fault {
 				cfg.GPUFlopsPerNs = 100
 				cfg.NodeFaults = []cluster.Fault{
@@ -100,29 +98,19 @@ func TestClusterDeterminism(t *testing.T) {
 			}
 			return cfg
 		}
-		ref, err := serve.Run(mk(false))
+		ref, err := serve.Run(mk())
 		if err != nil {
 			t.Fatal(err)
 		}
-		refReport, refReqs := ref.Report(), requestsDigest(t, ref)
-		for _, tc := range []struct {
-			name     string
-			parallel bool
-		}{
-			{"rerun", false},
-			{"parallel", true},
-		} {
-			res, err := serve.Run(mk(tc.parallel))
-			if err != nil {
-				t.Fatalf("fault=%v %s: %v", fault, tc.name, err)
-			}
-			if got := res.Report(); got != refReport {
-				t.Errorf("fault=%v %s: report diverged\n--- ref ---\n%s--- got ---\n%s",
-					fault, tc.name, refReport, got)
-			}
-			if got := requestsDigest(t, res); got != refReqs {
-				t.Errorf("fault=%v %s: per-request records diverged", fault, tc.name)
-			}
+		res, err := serve.Run(mk())
+		if err != nil {
+			t.Fatalf("fault=%v rerun: %v", fault, err)
+		}
+		if got, want := res.Report(), ref.Report(); got != want {
+			t.Errorf("fault=%v rerun: report diverged\n--- ref ---\n%s--- got ---\n%s", fault, want, got)
+		}
+		if requestsDigest(t, res) != requestsDigest(t, ref) {
+			t.Errorf("fault=%v rerun: per-request records diverged", fault)
 		}
 	}
 }
@@ -249,7 +237,6 @@ func TestClusterValidation(t *testing.T) {
 		mutate func(*serve.Config)
 	}{
 		{"no-shards", func(c *serve.Config) { c.Shards = 0 }},
-		{"shards-indivisible", func(c *serve.Config) { c.Shards = 5 }},
 		{"partitions-indivisible", func(c *serve.Config) { c.GPUPartitions = 7 }},
 		{"too-many-nodes", func(c *serve.Config) { c.Nodes = 17 }},
 		{"fault-bad-node", func(c *serve.Config) {
@@ -273,27 +260,26 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
-// TestCheckShardLayout pins the CLI-facing divisibility check (PR 8
-// satellite): a -shards value that does not divide the partition count is a
-// typed usage error, as is any shard/partition count that does not divide
-// across nodes.
+// TestCheckShardLayout pins the layout check (PR 8 satellite): a cluster
+// needs the flow-model plane and a partition count that divides across the
+// nodes; anything else is a typed usage error. The shard count itself
+// constrains nothing.
 func TestCheckShardLayout(t *testing.T) {
 	for _, tc := range []struct {
 		shards, partitions, nodes int
 		wantErr                   bool
 	}{
-		{0, 2, 0, false},  // classic plane: no constraint
-		{1, 3, 0, false},  // still classic
-		{2, 2, 0, false},  // even split
-		{4, 8, 0, false},  // even split
-		{4, 2, 0, true},   // partitions do not divide over shards
-		{3, 8, 0, true},   // 8 % 3 != 0
-		{8, 8, 2, false},  // cluster, even everywhere
-		{4, 8, 2, false},  // 2 shards + 4 partitions per node
-		{4, 8, 3, true},   // shards do not divide over nodes
-		{8, 10, 2, true},  // partitions divide over nodes but not shards
+		{0, 2, 0, false}, // classic plane: no constraint
+		{1, 3, 0, false}, // still classic
+		{2, 2, 0, false},
+		{4, 2, 0, false},  // more shards than partitions: nothing to divide
+		{3, 8, 0, false},  // 8 % 3 != 0: likewise
+		{8, 8, 2, false},  // cluster, four partitions per node
+		{4, 8, 3, true},   // partitions do not divide over nodes
+		{3, 10, 2, false}, // five partitions per node; shards need not divide
 		{2, 6, 4, true},   // partitions do not divide over nodes
-		{0, 8, 2, true},   // cluster requires the sharded plane
+		{2, 0, 2, true},   // no partitions
+		{0, 8, 2, true},   // cluster requires the flow-model plane
 	} {
 		err := serve.CheckShardLayout(tc.shards, tc.partitions, tc.nodes)
 		if (err != nil) != tc.wantErr {

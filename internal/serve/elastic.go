@@ -1,7 +1,7 @@
 package serve
 
 // The elastic-capacity layer (DESIGN.md §16): planned live migration and the
-// load-driven autoscaler, both built on the sharded plane's existing
+// load-driven autoscaler, both built on the flow-model plane's existing
 // exactly-once machinery rather than beside it.
 //
 // Planned migration generalizes the proceed-trap failover into a graceful
@@ -28,11 +28,6 @@ package serve
 // the loop's own actions feed back into the signals it watches: it can
 // oscillate, overshoot and be tuned like a real controller, and the
 // scale-storm chaos kind forces exactly that oscillation.
-//
-// Fault discipline matches the rest of the sharded plane: every migration
-// proc and every autoscaler action sequentializes the kernel before touching
-// shared state (a no-op on sequential runs), so the mutations interleave
-// deterministically with the data plane.
 
 import (
 	"fmt"
@@ -72,7 +67,7 @@ func validateElastic(cfg Config) error {
 		return nil
 	}
 	if cfg.Shards < 2 {
-		return fmt.Errorf("serve: Migrations/Autoscale require the sharded data plane (Shards >= 2)")
+		return fmt.Errorf("serve: Migrations/Autoscale require the flow-model plane (Shards >= 2)")
 	}
 	if len(cfg.ScaleStorms) > 0 && cfg.Autoscale == nil {
 		return fmt.Errorf("serve: ScaleStorms require Autoscale")
@@ -102,8 +97,8 @@ func validateElastic(cfg Config) error {
 	return nil
 }
 
-// elState is the elastic-capacity layer's server-side state. Only
-// sequentialized procs (migration injectors, the autoscaler loop) mutate it.
+// elState is the elastic-capacity layer's server-side state. Only the
+// migration injectors and the autoscaler loop mutate it.
 type elState struct {
 	ctl *elastic.Controller
 
@@ -169,10 +164,8 @@ func (srv *Server) elRepIdx(e elastic.Endpoint) int {
 	return e.Node*srv.elPPN() + e.Part
 }
 
-// elStart arms the elastic layer from shServe: one injector proc per planned
-// migration plus the autoscaler loop, all spawned before the kernel may
-// parallelize (stable lids — part of the determinism contract). No-op when
-// the layer is unarmed.
+// elStart arms the elastic layer from Serve: one injector proc per planned
+// migration plus the autoscaler loop. No-op when the layer is unarmed.
 func (srv *Server) elStart(p *sim.Proc) {
 	if srv.el == nil {
 		return
@@ -180,20 +173,16 @@ func (srv *Server) elStart(p *sim.Proc) {
 	start := p.Now()
 	for i, m := range srv.cfg.Migrations {
 		i, m := i, m
-		srv.pl.K.SpawnOn(0, lidMigration+uint64(i),
-			fmt.Sprintf("serve-migrate-%d", i), func(p *sim.Proc) {
-				p.Sleep(m.At)
-				p.Sequentialize()
-				srv.elMigrate(p, m)
-			})
+		srv.pl.K.Spawn(fmt.Sprintf("serve-migrate-%d", i), func(p *sim.Proc) {
+			p.Sleep(m.At)
+			srv.elMigrate(p, m)
+		})
 	}
 	if srv.cfg.Autoscale != nil {
 		for _, w := range srv.cfg.ScaleStorms {
 			srv.el.ctl.AddStorm(start+sim.Time(w.At), start+sim.Time(w.Until))
 		}
-		srv.pl.K.SpawnOn(0, lidAutoscaler, "serve-autoscaler", func(p *sim.Proc) {
-			srv.elRun(p)
-		})
+		srv.pl.K.Spawn("serve-autoscaler", srv.elRun)
 	}
 }
 
@@ -222,7 +211,7 @@ func (srv *Server) elSignals(now sim.Time) elastic.Signals {
 
 // elRun is the autoscaler loop body: sample, decide, act, every control
 // interval until the kernel stops (the same park-forever shape as the
-// re-measurement prober). Every action runs sequentialized.
+// re-measurement prober).
 func (srv *Server) elRun(p *sim.Proc) {
 	interval := srv.el.ctl.Config().Interval
 	inStorm := false
@@ -234,9 +223,6 @@ func (srv *Server) elRun(p *sim.Proc) {
 		if act == elastic.Hold && !(inStorm && !storm) {
 			inStorm = storm
 			continue
-		}
-		if srv.sh != nil {
-			p.Sequentialize()
 		}
 		switch act {
 		case elastic.ScaleUp:

@@ -12,7 +12,7 @@ import (
 )
 
 // elasticConfig is the common migration test load: a saturating fixed-rate
-// tenant plus a Poisson tenant over four partitions, sharded.
+// tenant plus a Poisson tenant over four partitions on the flow-model plane.
 func elasticConfig() serve.Config {
 	return serve.Config{
 		Seed:          29,
@@ -236,12 +236,10 @@ func TestMigrationTicketSurvival(t *testing.T) {
 }
 
 // TestElasticDeterminism pins the determinism contract over every elastic
-// scenario: reports and per-request records replay byte-identically, with
-// the parallel engine on or off.
+// scenario: reports and per-request records replay byte-identically.
 func TestElasticDeterminism(t *testing.T) {
-	mk := func(parallel bool) serve.Config {
+	mk := func() serve.Config {
 		cfg := elasticConfig()
-		cfg.Parallel = parallel
 		cfg.Migrations = []serve.Migration{
 			{At: 1500 * sim.Microsecond, From: elastic.Endpoint{Part: 3}, To: elastic.Endpoint{Part: 0}, Race: true},
 			{At: 2500 * sim.Microsecond, From: elastic.Endpoint{Part: 2}, To: elastic.Endpoint{Part: 1}, Interrupt: true},
@@ -250,28 +248,19 @@ func TestElasticDeterminism(t *testing.T) {
 		cfg.ScaleStorms = []serve.ScaleStorm{{At: 3 * sim.Millisecond, Until: 3500 * sim.Microsecond}}
 		return cfg
 	}
-	ref, err := serve.Run(mk(false))
+	ref, err := serve.Run(mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	refReport, refReqs := ref.Report(), requestsDigest(t, ref)
-	for _, tc := range []struct {
-		name     string
-		parallel bool
-	}{
-		{"rerun", false},
-		{"parallel", true},
-	} {
-		res, err := serve.Run(mk(tc.parallel))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got := res.Report(); got != refReport {
-			t.Errorf("%s: report diverged\n--- ref ---\n%s--- got ---\n%s", tc.name, refReport, got)
-		}
-		if got := requestsDigest(t, res); got != refReqs {
-			t.Errorf("%s: per-request records diverged", tc.name)
-		}
+	res, err := serve.Run(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Report(), ref.Report(); got != want {
+		t.Errorf("rerun: report diverged\n--- ref ---\n%s--- got ---\n%s", want, got)
+	}
+	if requestsDigest(t, res) != requestsDigest(t, ref) {
+		t.Errorf("rerun: per-request records diverged")
 	}
 }
 

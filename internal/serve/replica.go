@@ -49,9 +49,8 @@ type replica struct {
 	// Config.HangReportAfter reports the partition to the SPM as hung.
 	consecTimeouts int
 
-	// Sharded-plane state (sharded.go; nil/zero on the classic path): the
-	// per-lane flow-model stripes living on the replica's partition shard,
-	// the host-side round-robin lane cursor, the host-side set of batches
+	// Flow-model-plane state (sharded.go; nil/zero on the classic path): the
+	// modeled lanes, the round-robin lane cursor, the set of batches
 	// dispatched but not yet completed (cancellation on failover), and the
 	// mailbox port batches arrive on.
 	lanes     []laneState
@@ -138,10 +137,10 @@ func (rep *replica) connect(p *sim.Proc) error {
 		Name:      fmt.Sprintf("%s/r%d.%d", rep.t.spec.Name, rep.partIdx, rep.gen),
 	}
 	if rep.srv.sh != nil {
-		// The sharded plane opens one real sRPC ring per modeled lane, each
-		// with a zero-copy payload arena sized for a full batch: executors
-		// land on the partition's kernel shard and the control-plane costs
-		// (attestation, ring setup, arena grant) are paid for real.
+		// The flow-model plane opens one real sRPC ring per modeled lane,
+		// each with a zero-copy payload arena sized for a full batch: the
+		// control-plane costs (attestation, ring setup, arena grant) are
+		// paid for real.
 		opts.Rings = rep.srv.cfg.Lanes
 		opts.ZCPayload = rep.inCap
 	}
@@ -224,9 +223,7 @@ func (rep *replica) run(p *sim.Proc) {
 			continue
 		}
 		rep.outstanding -= len(b.reqs)
-		for _, r := range b.reqs {
-			rep.srv.complete(p, rep.t, r, err)
-		}
+		rep.srv.finishBatch(b, p.Now(), err)
 	}
 }
 

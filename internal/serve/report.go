@@ -253,9 +253,9 @@ func (srv *Server) result() *Result {
 		Metrics:   srv.reg.Snapshot(),
 	}
 	if srv.sh != nil {
-		// Fold the sharded plane's striped state in deterministic tenant →
-		// replica → lane order: per-lane batch counters and the per-tenant
-		// kept-request stripes (admission order within each stripe).
+		// Fold the flow-model plane's per-lane batch counters and per-tenant
+		// kept-request records (admission order within each tenant) in
+		// tenant → replica → lane order.
 		for _, t := range srv.tenants {
 			for _, rep := range t.reps {
 				for i := range rep.lanes {
@@ -284,7 +284,9 @@ func (srv *Server) result() *Result {
 			P99NS:      t.latHist.Quantile(0.99),
 		}
 		if n := t.latHist.Count(); n > 0 {
-			tr.MeanNS = float64(srv.latSum(t)) / float64(n)
+			// The histogram keeps the exact sum; read it from the one snapshot.
+			sum := res.Metrics.Histograms["serve.tenant."+t.spec.Name+".latency_ns"].Sum
+			tr.MeanNS = float64(sum) / float64(n)
 		}
 		if winSec > 0 {
 			tr.GoodputRPS = float64(t.completed) / winSec
@@ -346,11 +348,4 @@ func (srv *Server) result() *Result {
 		}
 	}
 	return res
-}
-
-// latSum reads the tenant's total completed latency from the histogram
-// snapshot (the histogram keeps the exact sum).
-func (srv *Server) latSum(t *tenant) int64 {
-	snap := srv.reg.Snapshot()
-	return snap.Histograms["serve.tenant."+t.spec.Name+".latency_ns"].Sum
 }

@@ -10,21 +10,27 @@ import (
 )
 
 // Serve runs the configured load against the booted plane: spawn workers
-// are already live (New started them); this starts dispatchers, the load
-// generators and the optional failure injector, sleeps out the load window,
-// then drains — it returns only after every admitted request has completed,
-// so a Result never has requests unaccounted for.
+// are already live (New started them); this starts the load (dispatchers and
+// generators on the classic plane, arrival chains on the flow-model plane)
+// and the configured injectors, sleeps out the load window, then drains — it
+// returns only after every admitted request has completed, so a Result never
+// has requests unaccounted for.
 func (srv *Server) Serve(p *sim.Proc) (*Result, error) {
-	if srv.sh != nil {
-		return srv.shServe(p)
-	}
 	srv.endAt = p.Now() + sim.Time(srv.cfg.Window)
-	srv.startDispatchers()
-	srv.startLoad()
+	if srv.sh != nil {
+		srv.shStartLoad(p)
+	} else {
+		srv.startDispatchers()
+		srv.startLoad()
+	}
 	if srv.cfg.FailAt > 0 {
 		srv.startFailInjector()
 	}
+	if srv.cl != nil {
+		srv.clArmFaults(p)
+	}
 	srv.atStart(p)
+	srv.elStart(p)
 	p.Sleep(srv.cfg.Window)
 	for srv.completedTotal < srv.admittedTotal {
 		srv.drainCond.Wait(p)
@@ -35,37 +41,28 @@ func (srv *Server) Serve(p *sim.Proc) (*Result, error) {
 
 // startFailInjector arms the single mid-run FailPanic the config asked for:
 // at FailAt, the named GPU partition (default gpu-part0) proceed-traps as
-// if its mOS hit an unhandled fault. On the sharded plane the injector first
-// sequentializes the kernel — a partition failure is a global, totally
-// ordered control-plane event, so the parallel windows end here and the
-// whole failover (cancellation, SPM restart, reconnect, backlog re-drive)
-// runs single-threaded.
+// if its mOS hit an unhandled fault.
 func (srv *Server) startFailInjector() {
-	body := func(p *sim.Proc) {
+	srv.pl.K.Spawn("serve-fail-injector", func(p *sim.Proc) {
 		p.Sleep(srv.cfg.FailAt)
-		if srv.sh != nil {
-			p.Sequentialize()
-			if part := srv.failPartition(); part != nil {
-				srv.pl.SPM.Fail(part, spm.FailPanic)
-			}
-			return
+		if part := srv.failPartition(); part != nil {
+			srv.pl.SPM.Fail(part, spm.FailPanic)
 		}
-		name := srv.cfg.FailPartition
-		if name == "" {
-			name = "gpu-part0"
-		}
-		for _, g := range srv.pl.GPUs {
-			if g.Part.Name == name {
-				srv.pl.SPM.Fail(g.Part, spm.FailPanic)
-				return
-			}
+	})
+}
+
+// failPartition resolves the partition the FailAt injector targets.
+func (srv *Server) failPartition() *spm.Partition {
+	name := srv.cfg.FailPartition
+	if name == "" {
+		name = "gpu-part0"
+	}
+	for _, g := range srv.pl.GPUs {
+		if g.Part.Name == name {
+			return g.Part
 		}
 	}
-	if srv.sh != nil {
-		srv.pl.K.SpawnOn(0, lidFailInjector, "serve-fail-injector", body)
-		return
-	}
-	srv.pl.K.Spawn("serve-fail-injector", body)
+	return nil
 }
 
 // Run boots a fresh platform sized for cfg, serves the configured load, and
@@ -106,12 +103,11 @@ func Run(cfg Config) (*Result, error) {
 // mOS instances) joined by the modeled fabric, one serving plane spanning
 // them.
 func runCluster(cfg Config) (*Result, error) {
+	if err := CheckShardLayout(cfg.Shards, cfg.GPUPartitions, cfg.Nodes); err != nil {
+		return nil, err
+	}
 	pcfg := core.DefaultConfig()
 	pcfg.GPUs = cfg.GPUPartitions / cfg.Nodes
-	if pcfg.GPUs < 1 || cfg.GPUPartitions%cfg.Nodes != 0 {
-		return nil, fmt.Errorf("serve: GPUPartitions (%d) must be a positive multiple of Nodes (%d)",
-			cfg.GPUPartitions, cfg.Nodes)
-	}
 	pcfg.NPUs = 0
 	pcfg.MPS = true
 	var (

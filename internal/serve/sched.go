@@ -12,22 +12,22 @@ import (
 // configured policy.
 
 // batch is one placement unit: same tenant, same work class, FIFO order.
-// The fields below class and reqs belong to the sharded plane (sharded.go),
-// which routes batch pointers through cross-shard ports: t and rep identify
-// the owners on each side, lane the modeled ring, submitNS the host-side
-// submit cost folded into lane service, and cancelled neuters the pending
-// lane/completion events of a batch requeued by a failover.
+// The fields below t belong to the flow-model plane (sharded.go), which
+// routes batch pointers through ports: rep is the replica serving the batch,
+// lane the modeled ring, submitNS the host-side submit cost folded into lane
+// service, and cancelled neuters the pending lane/completion events of a
+// batch requeued by a failover.
 type batch struct {
 	class *workClass
 	reqs  []*Request
+	t     *tenant
 
-	t         *tenant
 	rep       *replica
 	lane      int
 	submitNS  sim.Duration
 	cancelled bool
 
-	// attempts is set by the sharded lane-deadline model when the batch's
+	// attempts is set by the lane-deadline model when the batch's
 	// service time exceeds RequestTimeout: the number of watchdog attempts
 	// (MaxRetries+1) the lane burned before the batch resolved as a timeout.
 	attempts int
@@ -55,7 +55,7 @@ func (srv *Server) dispatch(p *sim.Proc, t *tenant) {
 			return
 		}
 		srv.mark(first, otrace.StageBatch, p.Now())
-		b := &batch{class: first.class, reqs: []*Request{first}}
+		b := &batch{class: first.class, reqs: []*Request{first}, t: t}
 		t.held = 1
 		if first.class.spec.Graph != nil && srv.cfg.MaxBatch > 1 {
 			deadline := p.Now() + sim.Time(srv.cfg.BatchWindow)
@@ -89,9 +89,7 @@ func (srv *Server) dispatch(p *sim.Proc, t *tenant) {
 			// is quarantined): complete the admitted requests with the
 			// typed error so conservation holds instead of polling
 			// forever.
-			for _, r := range b.reqs {
-				srv.complete(p, t, r, err)
-			}
+			srv.finishBatch(b, p.Now(), err)
 			t.held = 0
 			continue
 		}
@@ -100,9 +98,7 @@ func (srv *Server) dispatch(p *sim.Proc, t *tenant) {
 		// the delay on the dispatcher; a revoked partition sheds the batch
 		// with the typed error instead of dispatching untrusted work.
 		if d, aerr := srv.attestGate(t, rep, p.Now()); aerr != nil {
-			for _, r := range b.reqs {
-				srv.complete(p, t, r, aerr)
-			}
+			srv.finishBatch(b, p.Now(), aerr)
 			t.held = 0
 			continue
 		} else if d > 0 {

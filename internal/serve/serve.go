@@ -191,36 +191,28 @@ type Config struct {
 	// degraded mode engaging before circuit breakers trip.
 	SLOAdmission bool
 
-	// Shards, when >= 2, selects the sharded data plane (sharded.go): the
-	// simulation kernel is partitioned into one host shard plus Shards
-	// device shards, GPU partitions are spread across the device shards,
-	// and the per-request path runs as an event-driven flow model over the
-	// fused zero-copy sRPC cost surface instead of per-batch worker procs.
-	// 0 or 1 keeps the classic sequential plane byte-identically. The
-	// sharded plane serves batchable inference mixes only and is mutually
-	// exclusive with Trace, Supervision and RequestTimeout (see New).
+	// Shards >= 2 selects the flow-model plane (sharded.go): the per-request
+	// path runs as an event-driven flow model over the fused zero-copy sRPC
+	// cost surface instead of per-batch worker procs. The value does not
+	// partition anything — every value >= 2 produces the same run. 0 or 1
+	// keeps the classic executed plane byte-identically. The flow-model
+	// plane serves batchable inference mixes only and is mutually exclusive
+	// with Trace, Supervision and HangReportAfter (see New).
 	Shards int
-	// Lanes is the number of parallel sRPC rings each sharded replica opens
-	// (default 2); batches round-robin over the lanes, so service on one
-	// lane does not queue behind an independent batch on another.
+	// Lanes is the number of parallel sRPC rings each flow-model replica
+	// opens (default 2); batches round-robin over the lanes, so service on
+	// one lane does not queue behind an independent batch on another.
 	Lanes int
-	// Parallel runs the sharded event queues on one goroutine per shard
-	// (conservative lookahead windows). Outputs are byte-identical with and
-	// without it — it is an execution strategy, never a model change — and
-	// it is an explicit opt-in so runs stay machine-invariant by default.
-	// Requires Shards >= 2.
-	Parallel bool
 
 	// Nodes, when >= 2, selects cluster mode (cluster.go): the plane spans
 	// that many simulated machines (cluster.BootNodes), each owning
-	// GPUPartitions/Nodes partitions and Shards/Nodes kernel shards, joined
-	// by a modeled fabric. Tenants hash onto home nodes (consistent hashing
-	// with bounded-load overflow) and fail over across nodes when a home
-	// pool is lost. Requires the sharded plane; Shards and GPUPartitions
-	// must divide evenly over Nodes.
+	// GPUPartitions/Nodes partitions, joined by a modeled fabric. Tenants
+	// hash onto home nodes (consistent hashing with bounded-load overflow)
+	// and fail over across nodes when a home pool is lost. Requires the
+	// flow-model plane; GPUPartitions must divide evenly over Nodes.
 	Nodes int
 	// LinkLatency is the one-way gateway↔node propagation delay (default
-	// 5µs; must be at least the PCIe-latency kernel lookahead).
+	// 5µs).
 	LinkLatency sim.Duration
 	// LinkGBps is the per-link bandwidth in GB/s (default 10).
 	LinkGBps float64
@@ -261,12 +253,13 @@ type Config struct {
 	// §16): at each offset from serving start the source partition's lanes
 	// quiesce, the mEnclave state checkpoints, transfers (fabric-priced
 	// across nodes), and the source releases only after the in-flight work
-	// replayed exactly once on the destination. Requires the sharded plane.
+	// replayed exactly once on the destination. Requires the flow-model
+	// plane.
 	Migrations []Migration
 	// Autoscale, when set, runs the elastic autoscaler control loop over
 	// the plane's load signals (queue depth, shed rate, p95, SLO burn
 	// rate), scaling partitions down (via the migration primitive) and back
-	// up (boot + attest charged in virtual time). Requires the sharded
+	// up (boot + attest charged in virtual time). Requires the flow-model
 	// plane.
 	Autoscale *elastic.Config
 	// ScaleStorms schedules forced autoscaler oscillation windows (the
@@ -391,14 +384,10 @@ type tenant struct {
 	replayed, duplicates    uint64
 	retried, timeouts       uint64
 
-	// Sharded-plane state (zero on the classic path). The open batch, its
-	// generation counter (invalidates stale window timers), the host-side
-	// in-flight count, the undispatchable-batch backlog and the per-tenant
-	// kept-request stripe all live on the host shard; shAnchor is the
-	// tenant's host-shard anchor proc whose (lid, seq) identity keys every
-	// arrival and timer event of this tenant, making same-instant tie order
-	// identical between sequential and parallel execution.
-	shAnchor  *sim.Proc
+	// Flow-model-plane state (zero on the classic path): the open batch, its
+	// generation counter (invalidates stale window timers), the admission
+	// sequence, the in-flight count, the undispatchable-batch backlog and
+	// the kept-request records.
 	shOpen    *batch
 	shGen     uint64
 	shSeq     uint64
@@ -456,7 +445,7 @@ type Server struct {
 	// (deterministic) when cfg.Trace is set.
 	traces []otrace.RequestTrace
 
-	// sh is the sharded data plane (nil on the classic path); cl is the
+	// sh is the flow-model data plane (nil on the classic path); cl is the
 	// cluster placement tier (nil on single-node runs); at is the
 	// attestation admission gate (nil unless Config.AttestTickets); el is
 	// the elastic-capacity layer (nil unless migrations or autoscaling are
@@ -557,15 +546,13 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 		ctrHangReports: reg.Counter("serve.hang_reports"),
 	}
 	if len(plats) >= 2 {
-		// The placement tier must exist before shBoot: the partition→shard
-		// mapping groups each node's partitions onto its shard block.
+		// The placement tier must exist before shBoot, which builds the
+		// per-node completion ports.
 		if err := srv.clBoot(); err != nil {
 			return nil, err
 		}
 	}
 	if cfg.Shards >= 2 {
-		// Partition the kernel and anchor the cross-shard ports before any
-		// replica connects: executor placement reads the partition's shard.
 		srv.shBoot()
 	}
 	if cfg.AttestTickets {
@@ -645,10 +632,6 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 		if cfg.SLO != nil {
 			t.slo = slo.NewTracker(*cfg.SLO)
 		}
-		if srv.sh != nil {
-			t.shAnchor = srv.shSpawnAnchor(0, lidTenantAnchor+uint64(ti),
-				"serve-anchor-"+spec.Name)
-		}
 		if srv.cl != nil {
 			srv.clAssignHome(t)
 		}
@@ -725,15 +708,15 @@ func (srv *Server) markBatch(b *batch, st otrace.Stage, at sim.Time) {
 	}
 }
 
-// complete finalizes one request exactly once; duplicate completions are
-// counted and dropped.
-func (srv *Server) complete(p *sim.Proc, t *tenant, r *Request, err error) {
+// finish finalizes one request exactly once at the given instant; duplicate
+// completions are counted and dropped.
+func (srv *Server) finish(t *tenant, r *Request, at sim.Time, err error) {
 	r.completions++
 	if r.completions > 1 {
 		t.duplicates++
 		return
 	}
-	r.Done = p.Now()
+	r.Done = at
 	r.Err = err
 	if err != nil {
 		t.failed++
@@ -756,6 +739,13 @@ func (srv *Server) complete(p *sim.Proc, t *tenant, r *Request, err error) {
 		r.done.Fire()
 	}
 	srv.drainCond.Broadcast()
+}
+
+// finishBatch finalizes every request of a batch with one outcome.
+func (srv *Server) finishBatch(b *batch, at sim.Time, err error) {
+	for _, r := range b.reqs {
+		srv.finish(b.t, r, at, err)
+	}
 }
 
 // finishTrace cuts the request's conservative stage decomposition, retains

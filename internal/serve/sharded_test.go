@@ -1,15 +1,19 @@
 package serve_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"cronus/internal/cluster"
+	"cronus/internal/elastic"
 	"cronus/internal/serve"
 	"cronus/internal/sim"
 	"cronus/internal/tvm"
 	"cronus/internal/workload/rodinia"
 )
 
-// shardedConfig is the common sharded-plane test load: two open-loop
+// shardedConfig is the common flow-model-plane test load: two open-loop
 // inference tenants over two partitions, heavy enough that batching and
 // both lanes engage.
 func shardedConfig() serve.Config {
@@ -35,18 +39,17 @@ func shardedConfig() serve.Config {
 // requestsDigest renders the per-request records into a comparable string.
 func requestsDigest(t *testing.T, res *serve.Result) string {
 	t.Helper()
-	out := ""
+	var b strings.Builder
 	for _, r := range res.Requests {
-		out += r.Tenant + "/" + r.Class
-		out += string(rune('0' + r.Replays))
-		out += sim.Duration(r.Arrived).String() + "+" + r.Latency().String() + ";"
+		fmt.Fprintf(&b, "%d %s/%s %d+%d replays=%d retries=%d err=%v\n",
+			r.ID, r.Tenant, r.Class, r.Arrived, r.Latency(), r.Replays, r.Retries, r.Err)
 	}
-	return out
+	return b.String()
 }
 
-// TestShardedDeterminism pins the canonical-total-order claim: the same
-// config must produce byte-identical reports and per-request records across
-// shard counts and with the parallel dispatchers on or off.
+// TestShardedDeterminism pins the determinism contract on the flow-model
+// plane: the same config must produce byte-identical reports and per-request
+// records across reruns and across Shards values.
 func TestShardedDeterminism(t *testing.T) {
 	base := shardedConfig()
 	ref, err := serve.Run(base)
@@ -64,8 +67,6 @@ func TestShardedDeterminism(t *testing.T) {
 		{"rerun", func(c *serve.Config) {}},
 		{"shards=4", func(c *serve.Config) { c.Shards = 4 }},
 		{"shards=8", func(c *serve.Config) { c.Shards = 8 }},
-		{"parallel", func(c *serve.Config) { c.Parallel = true }},
-		{"shards=4-parallel", func(c *serve.Config) { c.Shards = 4; c.Parallel = true }},
 	} {
 		cfg := shardedConfig()
 		tc.mutate(&cfg)
@@ -78,6 +79,52 @@ func TestShardedDeterminism(t *testing.T) {
 		}
 		if got := requestsDigest(t, res); got != refReqs {
 			t.Errorf("%s: per-request records diverged", tc.name)
+		}
+	}
+}
+
+// TestShardsValueUnobservable pins Config.Shards as a plane selector and
+// nothing else: for every value >= 2 the report, the metrics snapshot and the
+// kept request records are byte-identical — on a single node, on a two-node
+// cluster losing a node, and through a migration with an attestation storm.
+func TestShardsValueUnobservable(t *testing.T) {
+	crash := clusterConfig()
+	crash.GPUFlopsPerNs = 100
+	crash.NodeFaults = []cluster.Fault{{Kind: cluster.NodeCrash, Node: 1, At: 1500 * sim.Microsecond}}
+	migrate := elasticConfig()
+	migrate.AttestTickets = true
+	migrate.AttestFaults = []serve.AttestFault{{Kind: serve.AttestStorm, At: 2 * sim.Millisecond}}
+	migrate.Migrations = []serve.Migration{
+		{At: 1500 * sim.Microsecond, From: elastic.Endpoint{Part: 3}, To: elastic.Endpoint{Part: 0}},
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  serve.Config
+	}{
+		{"single-node", shardedConfig()},
+		{"cluster-node-crash", crash},
+		{"migration-attest-storm", migrate},
+	} {
+		var ref string
+		for _, shards := range []int{2, 4, 8} {
+			cfg := tc.cfg
+			cfg.Shards = shards
+			res, err := serve.Run(cfg)
+			if err != nil {
+				t.Fatalf("%s shards=%d: %v", tc.name, shards, err)
+			}
+			var b strings.Builder
+			b.WriteString(res.Report())
+			if err := res.Metrics.WriteJSON(&b); err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(requestsDigest(t, res))
+			if ref == "" {
+				ref = b.String()
+			} else if b.String() != ref {
+				t.Errorf("%s: Shards=%d is observable (report, metrics or request records differ from Shards=2)",
+					tc.name, shards)
+			}
 		}
 	}
 }
@@ -115,25 +162,24 @@ func TestShardedMatchesClassicAccounting(t *testing.T) {
 	}
 }
 
-// TestShardedFailover injects the mid-run partition panic on the sharded
+// TestShardedFailover injects the mid-run partition panic on the flow-model
 // plane. DeviceAffinity pins tenant alpha to the failing partition and a
 // slow device keeps its lanes saturated, so the failure always catches
 // batches in flight: they must replay (not vanish, not duplicate), the
 // pinned tenant must drain through the recovery + backlog-flush path, the
 // survivor must be untouched, and the report must stay byte-identical
-// across shard counts and parallel mode.
+// across Shards values.
 func TestShardedFailover(t *testing.T) {
-	mk := func(shards int, parallel bool) serve.Config {
+	mk := func(shards int) serve.Config {
 		cfg := shardedConfig()
 		cfg.Policy = serve.DeviceAffinity
 		cfg.GPUFlopsPerNs = 100
 		cfg.Shards = shards
-		cfg.Parallel = parallel
 		cfg.FailAt = 1500 * sim.Microsecond
 		cfg.FailPartition = "gpu-part0"
 		return cfg
 	}
-	ref, err := serve.Run(mk(2, false))
+	ref, err := serve.Run(mk(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,30 +210,20 @@ func TestShardedFailover(t *testing.T) {
 		t.Errorf("survivor tenant perturbed by the failover: %+v", surv)
 	}
 	refReport, refReqs := ref.Report(), requestsDigest(t, ref)
-	for _, tc := range []struct {
-		name     string
-		shards   int
-		parallel bool
-	}{
-		{"shards=4", 4, false},
-		{"parallel", 2, true},
-		{"shards=4-parallel", 4, true},
-	} {
-		res, err := serve.Run(mk(tc.shards, tc.parallel))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got := res.Report(); got != refReport {
-			t.Errorf("%s: faulted report diverged\n--- ref ---\n%s--- got ---\n%s", tc.name, refReport, got)
-		}
-		if got := requestsDigest(t, res); got != refReqs {
-			t.Errorf("%s: faulted per-request records diverged", tc.name)
-		}
+	res, err := serve.Run(mk(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Report(); got != refReport {
+		t.Errorf("shards=4: faulted report diverged\n--- ref ---\n%s--- got ---\n%s", refReport, got)
+	}
+	if got := requestsDigest(t, res); got != refReqs {
+		t.Errorf("shards=4: faulted per-request records diverged")
 	}
 }
 
 // TestShardedClosedLoop exercises the closed-loop arrival process on the
-// sharded plane: synchronous clients must make progress and drain cleanly.
+// flow-model plane: synchronous clients must make progress and drain cleanly.
 func TestShardedClosedLoop(t *testing.T) {
 	cfg := shardedConfig()
 	cfg.Tenants = append(cfg.Tenants, serve.TenantSpec{
@@ -232,7 +268,7 @@ func TestShardsOneIsClassic(t *testing.T) {
 	}
 }
 
-// TestShardedValidation pins the typed refusals of the sharded plane.
+// TestShardedValidation pins the refusals of the flow-model plane.
 func TestShardedValidation(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -248,19 +284,13 @@ func TestShardedValidation(t *testing.T) {
 		cfg := shardedConfig()
 		tc.mutate(&cfg)
 		if _, err := serve.Run(cfg); err == nil {
-			t.Errorf("%s: sharded config accepted, want a validation error", tc.name)
+			t.Errorf("%s: flow-model config accepted, want a validation error", tc.name)
 		}
-	}
-	cfg := shardedConfig()
-	cfg.Shards = 0
-	cfg.Parallel = true
-	if _, err := serve.Run(cfg); err == nil {
-		t.Errorf("Parallel without Shards accepted, want a validation error")
 	}
 }
 
 // TestShardedBatchCap verifies the batch-8 window actually fills batches on
-// the sharded plane: at 90k fixed-rate the eighth arrival lands 77.8µs after
+// the flow-model plane: at 90k fixed-rate the eighth arrival lands 77.8µs after
 // the first, so an 80µs window must yield an average batch near 8.
 func TestShardedBatchCap(t *testing.T) {
 	cfg := shardedConfig()

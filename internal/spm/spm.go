@@ -86,7 +86,6 @@ type Partition struct {
 
 	spm          *SPM
 	stage2       *hw.AddrSpace // IPA -> PA
-	shard        int           // kernel shard hosting this partition's procs (0 = host shard)
 	ipaNext      uint64        // bump allocator for IPA page numbers
 	state        PartState
 	epoch        uint64 // incremented every restart; stale views/eids die
@@ -142,14 +141,6 @@ func (p *Partition) Epoch() uint64 { return p.epoch }
 
 // MOSHash returns the measured mOS image hash.
 func (p *Partition) MOSHash() attest.Measurement { return p.mosHash }
-
-// SetShard records the kernel shard this partition's processes run on when
-// the serving plane shards the event queue; executors spawned for the
-// partition are placed there. Zero (the default) means the host shard.
-func (p *Partition) SetShard(sh int) { p.shard = sh }
-
-// Shard returns the kernel shard assigned by SetShard.
-func (p *Partition) Shard() int { return p.shard }
 
 // Register adds a simulated thread to the partition so a failure kills it.
 func (p *Partition) Register(proc *sim.Proc) { p.procs[proc] = struct{}{} }
@@ -212,9 +203,8 @@ type SPM struct {
 	// isoWatches are the isolation-change observers (see tlb.go): waiters
 	// parked on shared-memory doorbells that must re-check state when the
 	// SPM tears down a mapping without writing the watched word. isoMu
-	// guards the list: doorbell waiters register and cancel from partition
-	// shards during parallel windows, while teardown notifications always
-	// run in sequential contexts.
+	// guards the list: doorbell waiters register and cancel from their own
+	// process goroutines.
 	isoMu      sync.Mutex
 	isoWatches []isoWatch
 	isoNext    int

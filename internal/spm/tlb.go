@@ -66,8 +66,9 @@ type isoWatch struct {
 // resolution. Waiters parked on shared-memory doorbells use this to re-check
 // their predicate on failure paths that never write the watched word.
 // Callbacks run in registration order; the returned cancel removes the hook.
-// Registration and cancel may run concurrently from different kernel shards
-// (doorbell waiters arm on the poll path); isoMu serializes list mutation.
+// Registration and cancel may run concurrently from different process
+// goroutines (doorbell waiters arm on the poll path); isoMu serializes list
+// mutation.
 func (s *SPM) OnIsolationChange(fn func()) (cancel func()) {
 	s.isoMu.Lock()
 	s.isoNext++

@@ -305,7 +305,7 @@ func (c *Client) push(p *sim.Proc, name string, args []byte, kind uint32, respCa
 			if db != nil {
 				db.disarm()
 			}
-			// Fused records are pushed from parallel shards; a last-writer
+			// Fused records may be pushed concurrently; a last-writer
 			// gauge there would make snapshots depend on host scheduling.
 			if kind != kindNotify {
 				gRingOcc.Set(int64(c.rid + slots - sid))

@@ -1,7 +1,7 @@
 package srpc
 
 // Zero-copy payload grants and fused execution records (the sRPC data-plane
-// optimization of the sharded serving path).
+// optimization behind the serving plane's flow model).
 //
 // The classic streamed path moves every bulk payload through the ring: the
 // owner pays RingPush + a bounded memcpy per record, and a batched inference
@@ -17,8 +17,8 @@ package srpc
 // virtual time charged for payload movement is the span permission check;
 // the device DMA itself is still charged by the driver, exactly as before.
 //
-// Completion callbacks run in the executor's process context, possibly on a
-// different kernel shard than the submitter. They must not block; sending on
+// Completion callbacks run in the executor's process context, not the
+// submitter's. They must not block; sending on
 // a sim.Port, firing a Signal or waking a condition are the intended uses.
 
 import (
@@ -51,8 +51,8 @@ type notifyKey struct{ stream, slot uint64 }
 // notifyReg maps in-flight fused records to their completion callbacks,
 // keyed by (stream id, record slot). A process-global registry — like the
 // tracer's flow map — keeps the ring layout and virtual-time costs
-// untouched; the mutex makes registration from submitter shards and
-// consumption from executor shards race-free during parallel windows.
+// untouched; the mutex makes registration by submitters and consumption by
+// executors race-free whatever goroutines they run on.
 var (
 	notifyMu  sync.Mutex
 	notifyReg = map[notifyKey]NotifyFn{}
