@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race bench bench-hotpath bench-serve bench-gate bench-build chaos doc-lint trace-verify ci examples tools figures attack loc clean
+.PHONY: all build test vet race fuzz bench bench-hotpath bench-serve bench-gate bench-build chaos doc-lint trace-verify ci examples tools figures attack loc clean
 
 all: build vet test race
 
@@ -26,13 +26,15 @@ bench: bench-hotpath
 
 # Hot-path microbenchmarks (simulated-TLB view accesses, TZASC checks, sRPC
 # sync calls, the sim kernel's per-event costs — self-wake sleep, process
-# switch, CallAt, mailbox round trip, sharded engine — multi-ring sRPC, and the
-# fig7/fig8 experiment benches), recorded as JSON so before/after host-time
-# numbers can be committed and diffed.
+# switch, CallAt, mailbox round trip, sharded engine — multi-ring sRPC, the
+# 64 KiB data-path shapes — streamed HtoD, synchronous DtoH, fused ExecZC,
+# sealed Ping — and the fig7/fig8 experiment benches), recorded as JSON so
+# before/after host-time numbers can be committed and diffed.
 bench-hotpath:
 	{ $(GO) test -bench 'ViewAccess|TZASCCheck|PhysMemWrite4K|Translate' -benchmem -run '^$$' ./internal/spm ./internal/hw ; \
 	  $(GO) test -bench 'ShardedEngine|Kernel|MailboxRoundTrip' -benchmem -run '^$$' ./internal/sim ; \
 	  $(GO) test -bench 'SRPCSyncCall|SrpcMultiRing' -benchmem -benchtime=200x -run '^$$' ./internal/srpc ; \
+	  $(GO) test -bench 'SRPC(HtoD|DtoH|ExecZC)64K|SealedPing64K' -benchmem -benchtime=2000x -run '^$$' ./internal/core ; \
 	  $(GO) test -bench 'ServeLoadMultiNode' -benchmem -benchtime=1x -run '^$$' ./internal/serve ; \
 	  $(GO) test -bench 'Figure7Rodinia|Figure8Training|SRPCStreaming' -benchmem -benchtime=1x -run '^$$' . ; } \
 	| $(GO) run ./cmd/cronus-benchjson > BENCH_hotpath.json
@@ -65,6 +67,17 @@ bench-gate:
 	{ $(GO) test -bench ServeLoad -benchtime=2s -count=3 -run '^$$' ./internal/serve ; \
 	  $(GO) test -bench ServeLoadBatch -benchtime=2s -count=3 -run '^$$' ./internal/serve -shards 4 ; } \
 	| $(GO) run ./cmd/cronus-benchjson -baseline BENCH_serve.json -threshold $(BENCH_THRESHOLD)
+
+# Native fuzzing of the decoders that face bytes another party wrote: the wire
+# codec (mECall arguments, replies, sealed payloads) and the sRPC record header
+# the executor validates before trusting a length. One short leg per target —
+# `go test -fuzz` takes a single target and a single package — on top of the
+# checked-in seed corpora under testdata/fuzz, which every plain `go test` run
+# already replays.
+FUZZTIME ?= 10s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime $(FUZZTIME) ./internal/wire
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordHeader$$' -fuzztime $(FUZZTIME) ./internal/srpc
 
 # Documentation bar: package docs plus doc comments on every exported
 # identifier of the API-bearing packages (serve, srpc, spm, mos, chaos).
@@ -103,14 +116,15 @@ bench-build:
 
 # The one CI list — .github/workflows/ci.yml runs exactly `make ci`: build,
 # vet, the full test suite, the race detector over the concurrency-heavy
-# packages, the documentation bar, the benchmark module, the causal-tracing
-# guards, the replay-verified chaos soaks, and the serving-plane host-time
-# regression gate (loosened to 100% — see bench-gate).
+# packages, a short fuzz leg per target, the documentation bar, the benchmark
+# module, the causal-tracing guards, the replay-verified chaos soaks, and the
+# serving-plane host-time regression gate (loosened to 100% — see bench-gate).
 ci:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./... -count=1
 	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/sim
+	$(MAKE) fuzz
 	$(GO) run ./cmd/cronus-doclint
 	$(MAKE) bench-build
 	$(MAKE) trace-verify

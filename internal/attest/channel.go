@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 )
 
 // This file implements the two communication-security building blocks of
@@ -45,10 +46,13 @@ func (k *DHKey) Shared(peerPub []byte) ([]byte, error) {
 }
 
 // SealedMsg is a MAC'd, sequence-numbered message for untrusted channels.
+// Payload is carried by reference: Seal does not copy it and Open returns it,
+// so whoever holds the message owns those bytes and must not change them
+// while the message is in flight (a change is what the MAC exists to catch).
 type SealedMsg struct {
 	Seq     uint64
 	Payload []byte
-	MAC     []byte
+	MAC     [sha256.Size]byte
 }
 
 // Channel provides ordered, integrity-protected messaging over an untrusted
@@ -56,7 +60,10 @@ type SealedMsg struct {
 // memory: tampering (MAC), replay and reorder (strictly increasing sequence
 // numbers), and cross-channel splicing (per-direction labels).
 type Channel struct {
-	key     []byte
+	// mac is HMAC-SHA256 keyed with the channel key, built once: Reset
+	// rewinds it to the keyed state, which costs two block copies instead
+	// of the two SHA-256 states and key schedule hmac.New pays per message.
+	mac     hash.Hash
 	label   string
 	sendSeq uint64
 	recvSeq uint64
@@ -66,27 +73,28 @@ type Channel struct {
 // send direction with the same label the receiver uses for its receive
 // direction; conventionally "a->b" and "b->a".
 func NewChannel(secret []byte, label string) *Channel {
-	mac := hmac.New(sha256.New, secret)
-	mac.Write([]byte("channel/" + label))
-	return &Channel{key: mac.Sum(nil), label: label}
+	kdf := hmac.New(sha256.New, secret)
+	kdf.Write([]byte("channel/" + label))
+	return &Channel{mac: hmac.New(sha256.New, kdf.Sum(nil)), label: label}
 }
 
-func (c *Channel) mac(seq uint64, payload []byte) []byte {
-	m := hmac.New(sha256.New, c.key)
+// sum computes HMAC(key, seq ‖ payload), the tag of one message.
+func (c *Channel) sum(seq uint64, payload []byte) (tag [sha256.Size]byte) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], seq)
-	m.Write(b[:])
-	m.Write(payload)
-	return m.Sum(nil)
+	c.mac.Reset()
+	c.mac.Write(b[:])
+	c.mac.Write(payload)
+	c.mac.Sum(tag[:0])
+	return tag
 }
 
-// Seal wraps a payload for sending.
+// Seal wraps a payload for sending. The message takes the payload by
+// reference (see SealedMsg).
 func (c *Channel) Seal(payload []byte) SealedMsg {
 	mChannelSeals.Inc()
 	c.sendSeq++
-	cp := make([]byte, len(payload))
-	copy(cp, payload)
-	return SealedMsg{Seq: c.sendSeq, Payload: cp, MAC: c.mac(c.sendSeq, cp)}
+	return SealedMsg{Seq: c.sendSeq, Payload: payload, MAC: c.sum(c.sendSeq, payload)}
 }
 
 // ErrTampered reports a MAC failure.
@@ -96,10 +104,11 @@ var ErrTampered = errors.New("attest: message MAC invalid (tampered or wrong pee
 // traffic).
 var ErrReplayed = errors.New("attest: message sequence violation (replay/reorder/drop)")
 
-// Open verifies and unwraps a received message, enforcing exactly-once
-// in-order delivery.
+// Open verifies a received message, enforcing exactly-once in-order
+// delivery, and returns its payload (m.Payload itself, not a copy).
 func (c *Channel) Open(m SealedMsg) ([]byte, error) {
-	if !hmac.Equal(m.MAC, c.mac(m.Seq, m.Payload)) {
+	want := c.sum(m.Seq, m.Payload)
+	if !hmac.Equal(m.MAC[:], want[:]) {
 		return nil, ErrTampered
 	}
 	if m.Seq != c.recvSeq+1 {

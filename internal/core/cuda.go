@@ -11,6 +11,7 @@ import (
 	"cronus/internal/sim"
 	"cronus/internal/spm"
 	"cronus/internal/srpc"
+	"cronus/internal/wire"
 )
 
 // CUDAOptions configures a CUDA mEnclave connection.
@@ -182,33 +183,50 @@ func (c *CUDAConn) MemFree(p *sim.Proc, ptr uint64) error {
 
 // HtoD implements accel.CUDA: asynchronous, chunked to the ring size.
 func (c *CUDAConn) HtoD(p *sim.Proc, dst uint64, data []byte) error {
-	for off := 0; off < len(data); off += c.chunk {
-		end := off + c.chunk
+	return streamHtoD(p, c.client, driver.CallHtoD, c.chunk, dst, data)
+}
+
+// DtoH implements accel.CUDA: synchronous, chunked.
+func (c *CUDAConn) DtoH(p *sim.Proc, src uint64, n int) ([]byte, error) {
+	return streamDtoH(p, c.client, driver.CallDtoH, c.chunk, src, n)
+}
+
+// streamHtoD streams data to device address dst in ring-sized chunks. Each
+// chunk is a vectored call — the (dst, length) words from the stack, the
+// payload from the caller's slice — so the bytes go from data into the ring
+// and nowhere in between.
+func streamHtoD(p *sim.Proc, client *srpc.Client, call string, chunk int, dst uint64, data []byte) error {
+	for off := 0; off < len(data); off += chunk {
+		end := off + chunk
 		if end > len(data) {
 			end = len(data)
 		}
-		if _, err := c.client.Call(p, driver.CallHtoD, driver.EncodeHtoD(dst+uint64(off), data[off:end])); err != nil {
+		head := driver.HtoDHead(dst+uint64(off), end-off)
+		if _, err := client.CallVec(p, call, head[:], data[off:end]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// DtoH implements accel.CUDA: synchronous, chunked.
-func (c *CUDAConn) DtoH(p *sim.Proc, src uint64, n int) ([]byte, error) {
+// streamDtoH reads n bytes at device address src in ring-sized chunks into a
+// slice the caller owns. Each chunk's reply is only valid until the next
+// call on the stream, so it is appended to the result before that.
+func streamDtoH(p *sim.Proc, client *srpc.Client, call string, chunk int, src uint64, n int) ([]byte, error) {
 	out := make([]byte, 0, n)
-	for off := 0; off < n; off += c.chunk {
-		end := off + c.chunk
+	for off := 0; off < n; off += chunk {
+		end := off + chunk
 		if end > n {
 			end = n
 		}
-		res, err := c.client.CallSyncCap(p, driver.CallDtoH,
+		res, err := client.CallSyncCap(p, call,
 			driver.EncodeDtoH(src+uint64(off), uint64(end-off)), end-off+64)
 		if err != nil {
 			return nil, err
 		}
-		blob, err := driver.DecodeBlob(res)
-		if err != nil {
+		d := wire.NewDecoder(res)
+		blob := d.BlobRef()
+		if err := d.Err(); err != nil {
 			return nil, err
 		}
 		out = append(out, blob...)

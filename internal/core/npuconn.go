@@ -118,38 +118,12 @@ func (c *NPUConn) MemAlloc(p *sim.Proc, n uint64) (uint64, error) {
 
 // HtoD implements accel.NPU (asynchronous, chunked).
 func (c *NPUConn) HtoD(p *sim.Proc, dst uint64, data []byte) error {
-	for off := 0; off < len(data); off += c.chunk {
-		end := off + c.chunk
-		if end > len(data) {
-			end = len(data)
-		}
-		if _, err := c.client.Call(p, driver.CallVTAHtoD, driver.EncodeHtoD(dst+uint64(off), data[off:end])); err != nil {
-			return err
-		}
-	}
-	return nil
+	return streamHtoD(p, c.client, driver.CallVTAHtoD, c.chunk, dst, data)
 }
 
 // DtoH implements accel.NPU (synchronous, chunked).
 func (c *NPUConn) DtoH(p *sim.Proc, src uint64, n int) ([]byte, error) {
-	out := make([]byte, 0, n)
-	for off := 0; off < n; off += c.chunk {
-		end := off + c.chunk
-		if end > n {
-			end = n
-		}
-		res, err := c.client.CallSyncCap(p, driver.CallVTADtoH,
-			driver.EncodeDtoH(src+uint64(off), uint64(end-off)), end-off+64)
-		if err != nil {
-			return nil, err
-		}
-		blob, err := driver.DecodeBlob(res)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, blob...)
-	}
-	return out, nil
+	return streamDtoH(p, c.client, driver.CallVTADtoH, c.chunk, src, n)
 }
 
 // Run implements accel.NPU (asynchronous instruction stream submission).

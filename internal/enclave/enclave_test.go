@@ -145,19 +145,19 @@ func TestCPUModelLifecycle(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		res, err := m.Call(p, "double", wire.NewEncoder().U64(21).Bytes())
-		if err != nil {
+		var res wire.Encoder
+		if err := m.Call(p, "double", wire.NewEncoder().U64(21).Bytes(), &res); err != nil {
 			t.Error(err)
 			return
 		}
-		if wire.NewDecoder(res).U64() != 42 {
+		if wire.NewDecoder(res.Bytes()).U64() != 42 {
 			t.Error("wrong result")
 		}
-		if _, err := m.Call(p, "nope", nil); err == nil {
+		if err := m.Call(p, "nope", nil, &res); err == nil {
 			t.Error("unknown entry point accepted")
 		}
 		m.Destroy(p)
-		if _, err := m.Call(p, "double", nil); err == nil {
+		if err := m.Call(p, "double", nil, &res); err == nil {
 			t.Error("destroyed model still callable")
 		}
 	})

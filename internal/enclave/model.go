@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cronus/internal/sim"
+	"cronus/internal/wire"
 )
 
 // Model is the execution-model contract (§IV-A): the mEnclave is a black-box
@@ -17,13 +18,24 @@ import (
 type Model interface {
 	// Create parses the image and initializes the executor (me_create).
 	Create(p *sim.Proc, image []byte) error
-	// Call executes one mECall with wire-encoded arguments.
-	Call(p *sim.Proc, name string, args []byte) ([]byte, error)
+	// Call executes one mECall with wire-encoded arguments and appends its
+	// wire-encoded result to res (nothing for a call that returns no data).
+	//
+	// Lifetime: args is lent for the duration of the call only. It aliases
+	// a buffer the transport recycles — the sRPC executor's staging buffer
+	// or a sealed message — so an implementation must consume it (copy it
+	// into device memory, decode it) before returning and must not retain
+	// it or any sub-slice of it. res is likewise the transport's: append
+	// to it, never keep it. What a failed call appended is discarded.
+	Call(p *sim.Proc, name string, args []byte, res *wire.Encoder) error
 	// Destroy releases device state (scrubbed).
 	Destroy(p *sim.Proc)
 }
 
-// CPUFunc is one entry point of a CPU mEnclave's "dynamic library".
+// CPUFunc is one entry point of a CPU mEnclave's "dynamic library". args
+// follows Model.Call's lifetime rule; the returned bytes are copied into the
+// reply before the call completes, so they may alias args (an echo) or
+// storage the function reuses.
 type CPUFunc func(p *sim.Proc, args []byte) ([]byte, error)
 
 // CPULibrary is the loadable content of a CPU mEnclave image: a named set of
@@ -76,15 +88,20 @@ func (m *CPUModel) Create(p *sim.Proc, image []byte) error {
 }
 
 // Call implements Model.
-func (m *CPUModel) Call(p *sim.Proc, name string, args []byte) ([]byte, error) {
+func (m *CPUModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder) error {
 	if m.lib == nil {
-		return nil, fmt.Errorf("enclave: CPU model not created")
+		return fmt.Errorf("enclave: CPU model not created")
 	}
 	fn, ok := m.lib.Funcs[name]
 	if !ok {
-		return nil, fmt.Errorf("enclave: no entry point %q in library %q", name, m.lib.Name)
+		return fmt.Errorf("enclave: no entry point %q in library %q", name, m.lib.Name)
 	}
-	return fn(p, args)
+	out, err := fn(p, args)
+	if err != nil {
+		return err
+	}
+	copy(res.Reserve(len(out)), out)
+	return nil
 }
 
 // Destroy implements Model.

@@ -12,6 +12,7 @@ package gpu
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"cronus/internal/attest"
@@ -266,6 +267,18 @@ func (c *Context) resolve(ptr uint64, n int) ([]byte, error) {
 		}
 	}
 	return nil, fmt.Errorf("gpu: invalid device pointer %#x (+%d) in context %d", ptr, n, c.id)
+}
+
+// CheckRange reports whether [ptr, ptr+n) lies inside one live allocation of
+// this context, with the error a transfer over that range would return. A
+// driver asks before it sizes a host-side buffer from a length the caller
+// supplied.
+func (c *Context) CheckRange(ptr, n uint64) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("gpu: transfer of %d bytes exceeds the device", n)
+	}
+	_, err := c.resolve(ptr, int(n))
+	return err
 }
 
 // HtoD copies host bytes to device memory, occupying a copy engine for the

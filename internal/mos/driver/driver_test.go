@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"cronus/internal/enclave"
 	"cronus/internal/gpu"
 	"cronus/internal/mos/driver"
 	"cronus/internal/npu"
@@ -29,21 +30,29 @@ func cudaModel(t *testing.T, rig *testrig.Rig, p *sim.Proc) *driver.CUDAModel {
 	return cm
 }
 
+// call runs one mECall the way a transport does: the model appends its result
+// to an encoder the caller owns.
+func call(m enclave.Model, p *sim.Proc, name string, args []byte) ([]byte, error) {
+	var res wire.Encoder
+	err := m.Call(p, name, args, &res)
+	return res.Bytes(), err
+}
+
 func TestCUDAModelArgValidation(t *testing.T) {
 	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
 		m := cudaModel(t, rig, p)
 		// Truncated arguments are rejected, not mis-decoded.
-		if _, err := m.Call(p, driver.CallMemAlloc, []byte{1, 2}); err == nil {
+		if _, err := call(m, p, driver.CallMemAlloc, []byte{1, 2}); err == nil {
 			t.Error("truncated MemAlloc args accepted")
 		}
-		if _, err := m.Call(p, driver.CallHtoD, []byte{0}); err == nil {
+		if _, err := call(m, p, driver.CallHtoD, []byte{0}); err == nil {
 			t.Error("truncated HtoD args accepted")
 		}
-		if _, err := m.Call(p, driver.CallLaunch, []byte{9}); err == nil {
+		if _, err := call(m, p, driver.CallLaunch, []byte{9}); err == nil {
 			t.Error("truncated Launch args accepted")
 		}
 		// Unknown mECall name.
-		if _, err := m.Call(p, "cuWarpDrive", nil); err == nil || !strings.Contains(err.Error(), "unknown CUDA mECall") {
+		if _, err := call(m, p, "cuWarpDrive", nil); err == nil || !strings.Contains(err.Error(), "unknown CUDA mECall") {
 			t.Errorf("err = %v", err)
 		}
 		return nil
@@ -56,7 +65,7 @@ func TestCUDAModelArgValidation(t *testing.T) {
 func TestCUDAModelLifecycle(t *testing.T) {
 	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
 		m := cudaModel(t, rig, p)
-		res, err := m.Call(p, driver.CallMemAlloc, driver.EncodeMemAlloc(64))
+		res, err := call(m, p, driver.CallMemAlloc, driver.EncodeMemAlloc(64))
 		if err != nil {
 			return err
 		}
@@ -64,18 +73,18 @@ func TestCUDAModelLifecycle(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if _, err := m.Call(p, driver.CallHtoD, driver.EncodeHtoD(ptr, make([]byte, 64))); err != nil {
+		if _, err := call(m, p, driver.CallHtoD, driver.EncodeHtoD(ptr, make([]byte, 64))); err != nil {
 			return err
 		}
-		if _, err := m.Call(p, driver.CallMemFree, driver.EncodeMemFree(ptr)); err != nil {
+		if _, err := call(m, p, driver.CallMemFree, driver.EncodeMemFree(ptr)); err != nil {
 			return err
 		}
 		// Freed pointer: the device rejects the access.
-		if _, err := m.Call(p, driver.CallHtoD, driver.EncodeHtoD(ptr, make([]byte, 4))); err == nil {
+		if _, err := call(m, p, driver.CallHtoD, driver.EncodeHtoD(ptr, make([]byte, 4))); err == nil {
 			t.Error("use-after-free accepted")
 		}
 		m.Destroy(p)
-		if _, err := m.Call(p, driver.CallMemAlloc, driver.EncodeMemAlloc(4)); err == nil {
+		if _, err := call(m, p, driver.CallMemAlloc, driver.EncodeMemAlloc(4)); err == nil {
 			t.Error("destroyed model still callable")
 		}
 		return nil
@@ -160,25 +169,25 @@ func TestNPUModelRunAndSync(t *testing.T) {
 		if err := m.Create(p, nil); err != nil {
 			return err
 		}
-		res, err := m.Call(p, driver.CallVTAMemAlloc, driver.EncodeMemAlloc(256))
+		res, err := call(m, p, driver.CallVTAMemAlloc, driver.EncodeMemAlloc(256))
 		if err != nil {
 			return err
 		}
 		addr, _ := driver.DecodePtr(res)
-		if _, err := m.Call(p, driver.CallVTAHtoD, driver.EncodeHtoD(addr, make([]byte, 256))); err != nil {
+		if _, err := call(m, p, driver.CallVTAHtoD, driver.EncodeHtoD(addr, make([]byte, 256))); err != nil {
 			return err
 		}
 		prog := driver.EncodeInsns([]npu.Insn{
 			{Op: npu.OpLoad, Mem: npu.MemInp, DRAMAddr: addr, Count: 4},
 			{Op: npu.OpFinish},
 		})
-		if _, err := m.Call(p, driver.CallVTARun, prog); err != nil {
+		if _, err := call(m, p, driver.CallVTARun, prog); err != nil {
 			return err
 		}
-		if _, err := m.Call(p, driver.CallVTASync, nil); err != nil {
+		if _, err := call(m, p, driver.CallVTASync, nil); err != nil {
 			return err
 		}
-		out, err := m.Call(p, driver.CallVTADtoH, driver.EncodeDtoH(addr, 16))
+		out, err := call(m, p, driver.CallVTADtoH, driver.EncodeDtoH(addr, 16))
 		if err != nil {
 			return err
 		}

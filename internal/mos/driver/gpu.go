@@ -118,55 +118,57 @@ func CUDAEDL() []byte {
 	)
 }
 
-// Call implements enclave.Model.
-func (m *CUDAModel) Call(p *sim.Proc, name string, args []byte) ([]byte, error) {
+// Call implements enclave.Model. Arguments are consumed in place — an HtoD
+// payload is DMA-copied to the device straight out of args, a DtoH lands
+// straight in res — so nothing here outlives the call (see enclave.Model).
+func (m *CUDAModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder) error {
 	if m.ctx == nil {
-		return nil, fmt.Errorf("driver: CUDA model not created")
+		return fmt.Errorf("driver: CUDA model not created")
 	}
 	d := wire.NewDecoder(args)
 	switch name {
 	case CallMemAlloc:
 		size := d.U64()
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		ptr, err := m.ctx.MemAlloc(size)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return wire.NewEncoder().U64(ptr).Bytes(), nil
+		res.U64(ptr)
+		return nil
 	case CallMemFree:
 		ptr := d.U64()
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		return nil, m.ctx.MemFree(ptr)
+		return m.ctx.MemFree(ptr)
 	case CallHtoD:
 		dst := d.U64()
-		data := d.Blob()
+		data := d.BlobRef()
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		mGPUHtoDBytes.Add(uint64(len(data)))
 		end := trace.Default.Span(p, "driver", m.hal.dev.Name(), "dma-htod")
 		err := m.ctx.HtoD(p, dst, data)
 		end()
-		return nil, err
+		return err
 	case CallDtoH:
 		src := d.U64()
 		n := d.U64()
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
+		}
+		if err := m.ctx.CheckRange(src, n); err != nil {
+			return err
 		}
 		mGPUDtoHBytes.Add(n)
-		buf := make([]byte, n)
 		end := trace.Default.Span(p, "driver", m.hal.dev.Name(), "dma-dtoh")
-		err := m.ctx.DtoH(p, buf, src)
+		err := m.ctx.DtoH(p, res.U32(uint32(n)).Reserve(int(n)), src)
 		end()
-		if err != nil {
-			return nil, err
-		}
-		return wire.NewEncoder().Blob(buf).Bytes(), nil
+		return err
 	case CallLaunch:
 		kname := d.Str()
 		var grid gpu.Dim
@@ -179,20 +181,20 @@ func (m *CUDAModel) Call(p *sim.Proc, name string, args []byte) ([]byte, error) 
 			kargs[i] = d.U64()
 		}
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		mGPULaunches.Inc()
 		end := trace.Default.Span(p, "driver", m.hal.dev.Name(), "kernel-launch")
 		err := m.ctx.Launch(p, kname, grid, kargs...)
 		end()
-		return nil, err
+		return err
 	case CallSync:
 		// Device-level synchronization: in the model, launches already
 		// completed when executed; charge the driver round trip.
 		p.Sleep(m.hal.costs.DeviceMMIO)
-		return nil, nil
+		return nil
 	}
-	return nil, fmt.Errorf("driver: unknown CUDA mECall %q", name)
+	return fmt.Errorf("driver: unknown CUDA mECall %q", name)
 }
 
 // Destroy implements enclave.Model.
@@ -205,7 +207,7 @@ func (m *CUDAModel) Destroy(*sim.Proc) {
 
 // EncodeLaunch builds cuLaunchKernel arguments (client-side helper).
 func EncodeLaunch(kernel string, grid gpu.Dim, kargs ...uint64) []byte {
-	e := wire.NewEncoder().Str(kernel)
+	e := wire.NewEncoder().Grow(4 + len(kernel) + 4*len(grid) + 4 + 8*len(kargs)).Str(kernel)
 	for _, g := range grid {
 		e.U32(uint32(g))
 	}
@@ -218,12 +220,21 @@ func EncodeLaunch(kernel string, grid gpu.Dim, kargs ...uint64) []byte {
 
 // EncodeHtoD builds cuMemcpyHtoD arguments.
 func EncodeHtoD(dst uint64, data []byte) []byte {
-	return wire.NewEncoder().U64(dst).Blob(data).Bytes()
+	return wire.NewEncoder().Grow(12 + len(data)).U64(dst).Blob(data).Bytes()
+}
+
+// HtoDHead returns the part of EncodeHtoD(dst, data) that precedes the data
+// itself, for n bytes of data: the head of a vectored call (srpc.CallVec)
+// whose bulk is the caller's own slice.
+func HtoDHead(dst uint64, n int) (head [12]byte) {
+	binary.LittleEndian.PutUint64(head[0:], dst)
+	binary.LittleEndian.PutUint32(head[8:], uint32(n))
+	return head
 }
 
 // EncodeDtoH builds cuMemcpyDtoH arguments.
 func EncodeDtoH(src uint64, n uint64) []byte {
-	return wire.NewEncoder().U64(src).U64(n).Bytes()
+	return wire.NewEncoder().Grow(16).U64(src).U64(n).Bytes()
 }
 
 // EncodeMemAlloc builds cuMemAlloc arguments.

@@ -112,64 +112,65 @@ func (m *NPUModel) Create(p *sim.Proc, image []byte) error {
 	return nil
 }
 
-// Call implements enclave.Model.
-func (m *NPUModel) Call(p *sim.Proc, name string, args []byte) ([]byte, error) {
+// Call implements enclave.Model; like the CUDA model it consumes args in
+// place and DMA-copies a DtoH straight into res.
+func (m *NPUModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder) error {
 	if m.ctx == nil {
-		return nil, fmt.Errorf("driver: NPU model not created")
+		return fmt.Errorf("driver: NPU model not created")
 	}
 	d := wire.NewDecoder(args)
 	switch name {
 	case CallVTAMemAlloc:
 		size := d.U64()
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		addr, err := m.ctx.MemAlloc(size)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		return wire.NewEncoder().U64(addr).Bytes(), nil
+		res.U64(addr)
+		return nil
 	case CallVTAHtoD:
 		dst := d.U64()
-		data := d.Blob()
+		data := d.BlobRef()
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		mNPUHtoDBytes.Add(uint64(len(data)))
 		end := trace.Default.Span(p, "driver", m.hal.dev.Name(), "dma-htod")
 		err := m.ctx.HtoD(p, dst, data)
 		end()
-		return nil, err
+		return err
 	case CallVTADtoH:
 		src := d.U64()
 		n := d.U64()
 		if err := d.Err(); err != nil {
-			return nil, err
+			return err
+		}
+		if err := m.ctx.CheckRange(src, n); err != nil {
+			return err
 		}
 		mNPUDtoHBytes.Add(n)
-		buf := make([]byte, n)
 		end := trace.Default.Span(p, "driver", m.hal.dev.Name(), "dma-dtoh")
-		err := m.ctx.DtoH(p, buf, src)
+		err := m.ctx.DtoH(p, res.U32(uint32(n)).Reserve(int(n)), src)
 		end()
-		if err != nil {
-			return nil, err
-		}
-		return wire.NewEncoder().Blob(buf).Bytes(), nil
+		return err
 	case CallVTARun:
 		insns, err := DecodeInsns(args)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mNPURuns.Inc()
 		end := trace.Default.Span(p, "driver", m.hal.dev.Name(), "vta-run")
 		err = m.ctx.Run(p, insns)
 		end()
-		return nil, err
+		return err
 	case CallVTASync:
 		p.Sleep(m.hal.costs.DeviceMMIO)
-		return nil, nil
+		return nil
 	}
-	return nil, fmt.Errorf("driver: unknown NPU mECall %q", name)
+	return fmt.Errorf("driver: unknown NPU mECall %q", name)
 }
 
 // Destroy implements enclave.Model.

@@ -175,6 +175,11 @@ func (em *EnclaveManager) LocalReport(eid uint32, nonce uint64) (attest.LocalRep
 // message must be sealed with secret_dhke — this is what enforces "only the
 // owner can invoke mECall of the created mEnclave" (§IV-A) — and the reply
 // is sealed on the return channel. Payload format: wire(name, args).
+//
+// The request is decoded in place: the model sees args as a sub-slice of
+// msg.Payload (the MAC was computed over exactly those bytes), so the caller
+// must leave the message alone until InvokeSealed returns. The reply is a
+// fresh message the caller owns.
 func (em *EnclaveManager) InvokeSealed(p *sim.Proc, eid uint32, msg attest.SealedMsg) (attest.SealedMsg, error) {
 	e, ok := em.Get(eid)
 	if !ok {
@@ -187,27 +192,32 @@ func (em *EnclaveManager) InvokeSealed(p *sim.Proc, eid uint32, msg attest.Seale
 	}
 	d := wire.NewDecoder(payload)
 	name := d.Str()
-	args := d.Blob()
+	args := d.BlobRef()
 	if d.Err() != nil {
 		return attest.SealedMsg{}, d.Err()
 	}
-	res, err := e.Invoke(p, name, args)
-	reply := wire.NewEncoder()
-	if err != nil {
-		reply.U32(1).Str(err.Error())
+	// Sized for status + length prefix + a result as large as the arguments
+	// (an echo, a transform in place); anything larger grows it.
+	reply := wire.NewEncoder().Grow(8 + len(args)).U32(0)
+	mark := reply.BeginBlob()
+	if err := e.Invoke(p, name, args, reply); err != nil {
+		reply.Reset().U32(1).Str(err.Error())
 	} else {
-		reply.U32(0).Blob(res)
+		reply.EndBlob(mark)
 	}
 	p.Sleep(em.mos.Costs.MACFixed) // seal reply
 	return e.txOwner.Seal(reply.Bytes()), nil
 }
 
-// SealRequest is the owner-side helper pairing with InvokeSealed.
+// SealRequest is the owner-side helper pairing with InvokeSealed. args is
+// copied once, into the message.
 func SealRequest(ch *attest.Channel, name string, args []byte) attest.SealedMsg {
-	return ch.Seal(wire.NewEncoder().Str(name).Blob(args).Bytes())
+	return ch.Seal(wire.NewEncoder().Grow(8 + len(name) + len(args)).Str(name).Blob(args).Bytes())
 }
 
-// OpenReply is the owner-side helper decoding an InvokeSealed reply.
+// OpenReply is the owner-side helper decoding an InvokeSealed reply. The
+// result aliases msg.Payload — the reply message is the caller's, so the
+// bytes are too.
 func OpenReply(ch *attest.Channel, msg attest.SealedMsg) ([]byte, error) {
 	payload, err := ch.Open(msg)
 	if err != nil {
@@ -217,35 +227,37 @@ func OpenReply(ch *attest.Channel, msg attest.SealedMsg) ([]byte, error) {
 	if code := d.U32(); code != 0 {
 		return nil, fmt.Errorf("mECall failed: %s", d.Str())
 	}
-	res := d.Blob()
+	res := d.BlobRef()
 	return res, d.Err()
 }
 
 // Invoke dispatches an mECall arriving from outside the enclave (the sealed
-// untrusted-memory path): it pays the enclave entry plus dispatch.
-func (e *Enclave) Invoke(p *sim.Proc, name string, args []byte) ([]byte, error) {
+// untrusted-memory path): it pays the enclave entry plus dispatch. args and
+// res follow enclave.Model.Call's lifetime rule.
+func (e *Enclave) Invoke(p *sim.Proc, name string, args []byte, res *wire.Encoder) error {
 	if e.dead {
-		return nil, fmt.Errorf("mos: enclave %#x is dead", e.EID)
+		return fmt.Errorf("mos: enclave %#x is dead", e.EID)
 	}
 	if _, ok := e.EDL.Lookup(name); !ok {
-		return nil, fmt.Errorf("mos: mECall %q not declared in EDL of enclave %#x", name, e.EID)
+		return fmt.Errorf("mos: mECall %q not declared in EDL of enclave %#x", name, e.EID)
 	}
 	mSealedCalls.Inc()
 	mCtxSwitchS2.Add(2) // enclave entry + exit each cross S-EL2
 	p.Sleep(e.em.mos.Costs.EnclaveEntry + e.em.mos.Costs.RPCDispatch)
-	return e.Model.Call(p, name, args)
+	return e.Model.Call(p, name, args, res)
 }
 
 // InvokeStreamed dispatches an mECall from the sRPC executor thread, which
 // already executes inside the enclave (§IV-C: the execution loop runs in
 // mE_B), so only the record dispatch is charged — this is precisely the
-// context-switch saving that makes sRPC fast.
-func (e *Enclave) InvokeStreamed(p *sim.Proc, name string, args []byte) ([]byte, error) {
+// context-switch saving that makes sRPC fast. args is the executor's staging
+// buffer and res its reply encoder (enclave.Model.Call's lifetime rule).
+func (e *Enclave) InvokeStreamed(p *sim.Proc, name string, args []byte, res *wire.Encoder) error {
 	if e.dead {
-		return nil, fmt.Errorf("mos: enclave %#x is dead", e.EID)
+		return fmt.Errorf("mos: enclave %#x is dead", e.EID)
 	}
 	if _, ok := e.EDL.Lookup(name); !ok {
-		return nil, fmt.Errorf("mos: mECall %q not declared in EDL of enclave %#x", name, e.EID)
+		return fmt.Errorf("mos: mECall %q not declared in EDL of enclave %#x", name, e.EID)
 	}
 	mStreamedCalls.Inc()
 	// The dispatch span sits between the executor's exec span and the
@@ -255,7 +267,7 @@ func (e *Enclave) InvokeStreamed(p *sim.Proc, name string, args []byte) ([]byte,
 		defer trace.Default.Span(p, "mos", e.em.mos.Part.Name, "dispatch "+name)()
 	}
 	p.Sleep(e.em.mos.Costs.RPCDispatch)
-	return e.Model.Call(p, name, args)
+	return e.Model.Call(p, name, args, res)
 }
 
 // Spec returns the EDL entry for an mECall.

@@ -136,6 +136,13 @@ func TestWrongPartitionDispatchRejected(t *testing.T) {
 	}
 }
 
+// invoke runs one mECall through Enclave.Invoke and returns its encoded result.
+func invoke(e *mos.Enclave, p *sim.Proc, name string, args []byte) ([]byte, error) {
+	var res wire.Encoder
+	err := e.Invoke(p, name, args, &res)
+	return res.Bytes(), err
+}
+
 func TestMECallMustBeDeclaredInEDL(t *testing.T) {
 	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
 		man, files := cpuManifest()
@@ -145,12 +152,12 @@ func TestMECallMustBeDeclaredInEDL(t *testing.T) {
 			return err
 		}
 		// "sum" is declared; direct invocation works.
-		if _, err := e.Invoke(p, "sum", wire.NewEncoder().U64(1).U64(1).Bytes()); err != nil {
+		if _, err := invoke(e, p, "sum", wire.NewEncoder().U64(1).U64(1).Bytes()); err != nil {
 			t.Errorf("declared call failed: %v", err)
 		}
 		// An undeclared name is rejected even though the library has
 		// no such function anyway — the EDL is the contract.
-		if _, err := e.Invoke(p, "backdoor", nil); err == nil || !strings.Contains(err.Error(), "EDL") {
+		if _, err := invoke(e, p, "backdoor", nil); err == nil || !strings.Contains(err.Error(), "EDL") {
 			t.Errorf("undeclared call: err = %v", err)
 		}
 		return nil
@@ -169,7 +176,7 @@ func TestCUDAEnclaveComputesOnGPU(t *testing.T) {
 			return err
 		}
 		alloc := func(n uint64) uint64 {
-			res, err := e.Invoke(p, driver.CallMemAlloc, driver.EncodeMemAlloc(n))
+			res, err := invoke(e, p, driver.CallMemAlloc, driver.EncodeMemAlloc(n))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,16 +184,16 @@ func TestCUDAEnclaveComputesOnGPU(t *testing.T) {
 			return ptr
 		}
 		a, b, c := alloc(16), alloc(16), alloc(16)
-		if _, err := e.Invoke(p, driver.CallHtoD, driver.EncodeHtoD(a, gpu.PackF32([]float32{1, 2, 3, 4}))); err != nil {
+		if _, err := invoke(e, p, driver.CallHtoD, driver.EncodeHtoD(a, gpu.PackF32([]float32{1, 2, 3, 4}))); err != nil {
 			return err
 		}
-		if _, err := e.Invoke(p, driver.CallHtoD, driver.EncodeHtoD(b, gpu.PackF32([]float32{10, 20, 30, 40}))); err != nil {
+		if _, err := invoke(e, p, driver.CallHtoD, driver.EncodeHtoD(b, gpu.PackF32([]float32{10, 20, 30, 40}))); err != nil {
 			return err
 		}
-		if _, err := e.Invoke(p, driver.CallLaunch, driver.EncodeLaunch("vec_add", gpu.Dim{4, 1, 1}, a, b, c)); err != nil {
+		if _, err := invoke(e, p, driver.CallLaunch, driver.EncodeLaunch("vec_add", gpu.Dim{4, 1, 1}, a, b, c)); err != nil {
 			return err
 		}
-		res, err := e.Invoke(p, driver.CallDtoH, driver.EncodeDtoH(c, 16))
+		res, err := invoke(e, p, driver.CallDtoH, driver.EncodeDtoH(c, 16))
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,7 @@ package npu
 
 import (
 	"fmt"
+	"math"
 
 	"cronus/internal/attest"
 	"cronus/internal/sim"
@@ -267,6 +268,18 @@ func (c *Context) resolve(addr uint64, n int) ([]byte, error) {
 		}
 	}
 	return nil, fmt.Errorf("npu: invalid device address %#x (+%d) in context %d", addr, n, c.id)
+}
+
+// CheckRange reports whether [addr, addr+n) lies inside one live allocation
+// of this context, with the error a transfer over that range would return. A
+// driver asks before it sizes a host-side buffer from a length the caller
+// supplied.
+func (c *Context) CheckRange(addr, n uint64) error {
+	if n > math.MaxInt32 {
+		return fmt.Errorf("npu: transfer of %d bytes exceeds the device", n)
+	}
+	_, err := c.resolve(addr, int(n))
+	return err
 }
 
 // HtoD copies host bytes into device DRAM (PCIe DMA).

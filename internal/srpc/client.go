@@ -1,6 +1,7 @@
 package srpc
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -33,6 +34,15 @@ type Client struct {
 	zcSeq    uint64 // fused-call ordinal, rotates arena slots
 	closed   bool
 	dead     bool
+
+	// Reused per call, so a steady-state call allocates nothing that scales
+	// with its payload: frame holds the record header, name and argument
+	// length prefix push lays down ahead of the caller's argument bytes;
+	// zcArgs the fused-record descriptor CallZC pushes; reply the result of
+	// the last synchronous call (see Call for how long that stays valid).
+	frame  wire.Encoder
+	zcArgs wire.Encoder
+	reply  []byte
 
 	costs *sim.CostModel
 }
@@ -212,7 +222,22 @@ func corruptf(format string, args ...any) error {
 // Call issues an mECall on the stream. Calls declared async in the EDL
 // return immediately after enqueuing (no context switch, no wait);
 // synchronous calls block until the executor publishes the result.
+//
+// args is copied into the ring before Call returns, so the caller may reuse
+// it at once. The result is the other way round: it aliases a buffer the
+// client reuses, and is valid only until the next call on this client —
+// decode it or copy it before calling again.
 func (c *Client) Call(p *sim.Proc, name string, args []byte) ([]byte, error) {
+	return c.CallVec(p, name, args, nil)
+}
+
+// CallVec is Call with the argument bytes supplied in two pieces, laid end to
+// end in the record: head, typically a few wire-encoded words (a destination
+// pointer, a length prefix), and bulk, the caller's payload. Each piece goes
+// from the caller's slice straight into the ring, so a transfer does not
+// first assemble head‖bulk in a buffer of its own — the one copy the host
+// makes is the one the model charges. Result ownership is Call's.
+func (c *Client) CallVec(p *sim.Proc, name string, head, bulk []byte) ([]byte, error) {
 	if c.closed {
 		return nil, ErrStreamClosed
 	}
@@ -224,13 +249,13 @@ func (c *Client) Call(p *sim.Proc, name string, args []byte) ([]byte, error) {
 		return nil, fmt.Errorf("srpc: mECall %q not in peer EDL", name)
 	}
 	if spec.Async {
-		return nil, c.push(p, name, args, kindAsync, 0)
+		return nil, c.push(p, name, head, bulk, kindAsync, 0)
 	}
-	return c.CallSyncCap(p, name, args, 4096)
+	return c.callSync(p, name, head, bulk, 4096)
 }
 
 // CallSyncCap issues a synchronous mECall reserving respCap bytes for the
-// result (use for large DtoH transfers).
+// result (use for large DtoH transfers). Result ownership is Call's.
 func (c *Client) CallSyncCap(p *sim.Proc, name string, args []byte, respCap int) ([]byte, error) {
 	if c.closed {
 		return nil, ErrStreamClosed
@@ -241,8 +266,12 @@ func (c *Client) CallSyncCap(p *sim.Proc, name string, args []byte, respCap int)
 	if _, ok := c.edl.Lookup(name); !ok {
 		return nil, fmt.Errorf("srpc: mECall %q not in peer EDL", name)
 	}
+	return c.callSync(p, name, args, nil, respCap)
+}
+
+func (c *Client) callSync(p *sim.Proc, name string, head, bulk []byte, respCap int) ([]byte, error) {
 	recSlot := c.rid
-	if err := c.push(p, name, args, kindSync, respCap); err != nil {
+	if err := c.push(p, name, head, bulk, kindSync, respCap); err != nil {
 		return nil, err
 	}
 	// Wait for the executor to pass the record (it publishes the result
@@ -254,28 +283,42 @@ func (c *Client) CallSyncCap(p *sim.Proc, name string, args []byte, respCap int)
 	if err := c.checkSticky(p); err != nil {
 		return nil, err
 	}
-	out, err := c.ring.readSlots(p, recSlot, int(c.rid-recSlot)*SlotSize)
-	if err != nil {
+	// The reply sits where the record was: a status word, then the
+	// length-prefixed result (or error text). Only the bytes the prefix
+	// declares are read, and only once the prefix is known to fit the
+	// record — the reply buffer is bounded by the ring, not by the peer.
+	var pre [8]byte
+	if err := c.ring.readAt(p, recSlot, 0, pre[:]); err != nil {
 		return nil, c.fail(err)
 	}
-	d := wire.NewDecoder(out)
-	if status := d.U32(); status != 0 {
-		return nil, fmt.Errorf("srpc: mECall %q failed: %s", name, d.Str())
+	status, n := binary.LittleEndian.Uint32(pre[0:]), int(binary.LittleEndian.Uint32(pre[4:]))
+	if room := int(c.rid-recSlot) * SlotSize; n > room-len(pre) {
+		return nil, c.fail(corruptf("reply of %d bytes exceeds its %d-byte record", n, room))
 	}
-	res := d.Blob()
-	return res, d.Err()
+	if cap(c.reply) < n {
+		c.reply = make([]byte, n)
+	}
+	res := c.reply[:n:n]
+	if err := c.ring.readAt(p, recSlot, len(pre), res); err != nil {
+		return nil, c.fail(err)
+	}
+	if status != 0 {
+		return nil, fmt.Errorf("srpc: mECall %q failed: %s", name, res)
+	}
+	return res, nil
 }
 
-// push serializes and enqueues one record, with slot-level flow control.
-func (c *Client) push(p *sim.Proc, name string, args []byte, kind uint32, respCap int) error {
-	payload := wire.NewEncoder().Str(name).Blob(args).Bytes()
-	body := recHdrSize + len(payload)
-	if respCap+8 > len(payload) {
-		body = recHdrSize + respCap + 8
+// push frames and enqueues one record whose argument bytes are head‖bulk,
+// with slot-level flow control.
+func (c *Client) push(p *sim.Proc, name string, head, bulk []byte, kind uint32, respCap int) error {
+	if recycleHook != nil {
+		recycleHook(c.reply[:cap(c.reply)]) // the previous call's result dies here
 	}
-	slots := slotsFor(body)
+	argLen := len(head) + len(bulk)
+	payloadLen := 4 + len(name) + 4 + argLen // wire(Str name, Blob args)
+	slots := recordSlots(uint32(payloadLen), uint32(respCap))
 	if slots > c.ring.slots {
-		return fmt.Errorf("srpc: record of %d bytes exceeds ring capacity", body)
+		return fmt.Errorf("srpc: record of %d slots exceeds ring capacity of %d", slots, c.ring.slots)
 	}
 	// Flow control: wait until the ring has room. Same read grid as the
 	// polling loop it replaced — immediately, then every quantum — with a
@@ -322,18 +365,29 @@ func (c *Client) push(p *sim.Proc, name string, args []byte, kind uint32, respCa
 		}
 		alignedWait(p, db, first, pollQuantum, p.Now())
 	}
-	rec := wire.NewEncoder().U32(uint32(len(payload))).U32(kind).U32(uint32(slots)).U32(uint32(respCap))
-	full := append(rec.Bytes(), payload...)
+	// Everything of the record that is not the caller's bytes: the header
+	// words, the name, and the length prefix of the arguments.
+	frame := c.frame.Reset().
+		U32(uint32(payloadLen)).U32(kind).U32(uint32(slots)).U32(uint32(respCap)).
+		Str(name).U32(uint32(argLen)).Bytes()
+	total := len(frame) + argLen
 	// Bulk payloads are produced directly into the trusted shared region
 	// (zero-copy staging, §IV-C); only the record metadata is copied by
 	// the sRPC layer itself.
-	meta := len(full)
+	meta := total
 	if meta > 256 {
 		meta = 256
 	}
 	p.Sleep(c.costs.RingPush + c.costs.Memcpy(meta))
-	if err := c.ring.writeSlots(p, c.rid, full); err != nil {
-		return c.fail(err)
+	at := 0
+	for _, piece := range [...][]byte{frame, head, bulk} {
+		if len(piece) == 0 {
+			continue
+		}
+		if err := c.ring.writeAt(p, c.rid, at, piece); err != nil {
+			return c.fail(err)
+		}
+		at += len(piece)
 	}
 	c.lastRec = c.rid
 	c.rid += slots
@@ -350,7 +404,7 @@ func (c *Client) push(p *sim.Proc, name string, args []byte, kind uint32, respCa
 		}
 	}
 	mCalls.Inc()
-	mBytesMoved.Add(uint64(len(full)))
+	mBytesMoved.Add(uint64(total))
 	c.calls++
 	if callHook != nil {
 		callHook(p, c, c.calls)

@@ -1,6 +1,11 @@
 package srpc
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"cronus/internal/wire"
+)
 
 // TestRecordSlotsConsistency pins the executor's header validation to the
 // owner's framing: recordSlots must reproduce exactly the slot count push
@@ -12,14 +17,15 @@ func TestRecordSlotsConsistency(t *testing.T) {
 		{4096, 0}, {4096, 65536}, {10, 100000}, {SlotSize * 3, SlotSize},
 	}
 	for _, c := range cases {
-		// The owner-side computation from push.
+		// The framing rule spelled out on its own: the body is the larger of
+		// the payload and the reserved reply, behind the record header.
 		body := recHdrSize + c.payload
 		if c.respCap+8 > c.payload {
 			body = recHdrSize + c.respCap + 8
 		}
 		want := slotsFor(body)
 		if got := recordSlots(uint32(c.payload), uint32(c.respCap)); got != want {
-			t.Errorf("recordSlots(%d, %d) = %d, push computes %d", c.payload, c.respCap, got, want)
+			t.Errorf("recordSlots(%d, %d) = %d, the framing rule gives %d", c.payload, c.respCap, got, want)
 		}
 		// Any single-bit corruption of the slots word breaks the equality
 		// the executor checks.
@@ -29,4 +35,61 @@ func TestRecordSlotsConsistency(t *testing.T) {
 			}
 		}
 	}
+}
+
+// recHdrBytes frames a header the way push does.
+func recHdrBytes(payloadLen, kind, slots, respCap uint32) []byte {
+	return new(wire.Encoder).U32(payloadLen).U32(kind).U32(slots).U32(respCap).Bytes()
+}
+
+// FuzzRecordHeader feeds the executor's header validation arbitrary ring
+// bytes. Whatever the 16 bytes say, the outcome is one of two: the typed
+// ErrRingCorrupt the executor aborts the stream with, or a header that is
+// exactly what push would have framed — known kind, a slot count inside the
+// ring and equal to recordSlots — in which case the body the executor goes on
+// to stage lies inside both the record and the staging buffer it sizes from
+// the slot count.
+func FuzzRecordHeader(f *testing.F) {
+	const ring = (DefaultPages*4096 - headerBytes) / SlotSize
+	f.Add(recHdrBytes(40, kindAsync, 1, 0), uint8(ring))              // small streamed call
+	f.Add(recHdrBytes(24, kindSync, 3, 4096), uint8(ring))            // sync call, default result reservation
+	f.Add(recHdrBytes(16404, kindAsync, 9, 0), uint8(ring))           // 16 KiB HtoD chunk
+	f.Add(recHdrBytes(70, kindNotify, 1, 0), uint8(ring))             // fused record
+	f.Add(recHdrBytes(65536-16, kindAsync, ring, 0), uint8(ring))     // fills the ring exactly
+	f.Add(recHdrBytes(65536-15, kindAsync, ring+1, 0), uint8(ring))   // one byte more than the ring holds
+	f.Add(recHdrBytes(40, kindAsync, 1^4, 0), uint8(ring))            // flipped slots word
+	f.Add(recHdrBytes(40, 3, 1, 0), uint8(ring))                      // unknown kind
+	f.Add(recHdrBytes(0xffffffff, kindSync, 1, 0xffffffff), uint8(2)) // lengths that overflow 32-bit sums
+	f.Add(recHdrBytes(0, kindAsync, 0, 0), uint8(ring))               // zero slots
+	f.Fuzz(func(t *testing.T, raw []byte, ringSlots uint8) {
+		var hdr [recHdrSize]byte
+		copy(hdr[:], raw)
+		h, err := parseRecHeader(&hdr, uint64(ringSlots))
+		if err != nil {
+			if !errors.Is(err, ErrRingCorrupt) {
+				t.Fatalf("rejection is not ErrRingCorrupt: %v", err)
+			}
+			return
+		}
+		if h.kind > kindNotify {
+			t.Fatalf("unknown kind %d validated", h.kind)
+		}
+		if h.slots == 0 || uint64(h.slots) > uint64(ringSlots) {
+			t.Fatalf("%d slots validated on a ring of %d", h.slots, ringSlots)
+		}
+		if uint64(h.slots) != recordSlots(h.payloadLen, h.respCap) {
+			t.Fatalf("slots %d validated, push frames %d", h.slots, recordSlots(h.payloadLen, h.respCap))
+		}
+		// The executor reads payloadLen bytes from offset recHdrSize of the
+		// record into its staging buffer: inside the record, inside the
+		// buffer (bodyBuf panics on a slice past its capacity), and the
+		// buffer no larger than the ring.
+		if room := int(h.slots) * SlotSize; recHdrSize+int(h.payloadLen) > room {
+			t.Fatalf("body of %d bytes runs past its %d-byte record", h.payloadLen, room)
+		}
+		st := &serverStream{}
+		if body := st.bodyBuf(h); len(body) != int(h.payloadLen) || cap(st.stage) > int(ringSlots)*SlotSize {
+			t.Fatalf("staged %d of %d bytes in a %d-byte buffer on a %d-slot ring", len(body), h.payloadLen, cap(st.stage), ringSlots)
+		}
+	})
 }

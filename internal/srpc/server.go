@@ -47,6 +47,43 @@ type serverStream struct {
 	track   string // precomputed trace track name ("stream-N")
 	sid     uint64
 	running bool
+
+	// The executor's buffers, reused record after record (the stream has
+	// one executor, and it runs one record at a time). stage receives a
+	// record's body — wire(name, args) — out of the ring and is what the
+	// mECall sees as args; it grows to the largest record seen, which the
+	// validated header bounds by the ring. zc is the same for a fused
+	// record's arena payload, bounded by the arena slot. res is where a
+	// synchronous record's reply is encoded before it is written back.
+	stage []byte
+	zc    []byte
+	res   wire.Encoder
+
+	// Arena geometry the owner published in the ring header (GrantArena),
+	// read on the first fused record.
+	arenaIPA  uint64
+	arenaSlot uint64
+}
+
+// bodyBuf returns the staging buffer cut to the body of the record h heads.
+// h has been validated: payloadLen fits the record's own slots and those fit
+// the ring, so the buffer never outgrows the ring whatever the owner writes.
+func (st *serverStream) bodyBuf(h recHeader) []byte {
+	if cap(st.stage) < int(h.payloadLen) {
+		st.stage = make([]byte, int(h.slots)*SlotSize)
+	}
+	return st.stage[:h.payloadLen]
+}
+
+// recycle hands the stream's buffers to the recycle hook once a record is
+// done with them.
+func (st *serverStream) recycle() {
+	if recycleHook != nil {
+		res := st.res.Bytes()
+		recycleHook(st.stage[:cap(st.stage)])
+		recycleHook(st.zc[:cap(st.zc)])
+		recycleHook(res[:cap(res)])
+	}
 }
 
 // NewServer wraps an enclave as an sRPC endpoint.
@@ -184,44 +221,34 @@ func (s *Server) RunExecutor(p *sim.Proc, streamID uint64) {
 			continue
 		}
 		idleAnchor = -1
-		// Read the record header at sid.
-		hdr, err := r.readSlots(p, st.sid, recHdrSize)
+		// Read the record header at sid and validate it before trusting
+		// any of its fields (parseRecHeader).
+		var hdr [recHdrSize]byte
+		if err := r.readAt(p, st.sid, 0, hdr[:]); err != nil {
+			return
+		}
+		h, err := parseRecHeader(&hdr, r.slots)
 		if err != nil {
+			s.corrupt(p, st, fmt.Sprintf("corrupt record header at sid %d (%s)", st.sid, h))
 			return
 		}
-		hd := wire.NewDecoder(hdr)
-		payloadLen := hd.U32()
-		kind := hd.U32()
-		slots := hd.U32()
-		respCap := hd.U32()
-		// Validate the record header before trusting any field: the kind
-		// must be known, and the slot count must match what push would have
-		// computed for these lengths (which also bounds payloadLen to the
-		// record and the record to the ring). A mismatch means a corrupted
-		// header — misparsing it would desynchronize Sid from the record
-		// framing for the rest of the stream's life.
-		if hd.Err() != nil || kind > kindNotify || slots == 0 ||
-			uint64(slots) > r.slots || uint64(slots) != recordSlots(payloadLen, respCap) {
-			s.corrupt(p, st, fmt.Sprintf("corrupt record header at sid %d (len=%d kind=%d slots=%d respCap=%d)",
-				st.sid, payloadLen, kind, slots, respCap))
+		body := st.bodyBuf(h)
+		if err := r.readAt(p, st.sid, recHdrSize, body); err != nil {
 			return
 		}
-		body, err := r.readSlots(p, st.sid, recHdrSize+int(payloadLen))
-		if err != nil {
-			return
-		}
-		bd := wire.NewDecoder(body[recHdrSize:])
+		bd := wire.NewDecoder(body)
 		name := bd.Str()
-		args := bd.Blob()
-		var res []byte
+		args := bd.BlobRef() // lent to the mECall; dies when the record does
+		res := st.res.Reset().U32(0)
+		mark := res.BeginBlob()
 		var callErr error
 		if err := bd.Err(); err != nil {
 			callErr = err
-		} else if kind == kindNotify {
+		} else if h.kind == kindNotify {
 			// Fused zero-copy record: the payload lives in the arena grant,
 			// not the ring; execute both calls, then deliver completion
 			// through the registered callback below.
-			callErr = s.execZC(p, name, args)
+			callErr = s.execZC(p, st, name, args)
 		} else {
 			// Name concatenation only happens when tracing is on — the
 			// executor loop is the hot path of every streamed mECall.
@@ -241,36 +268,34 @@ func (s *Server) RunExecutor(p *sim.Proc, streamID uint64) {
 					p.SetTraceCtx(0, 0)
 				}
 			}
-			res, callErr = s.enc.InvokeStreamed(p, name, args)
+			callErr = s.enc.InvokeStreamed(p, name, args, res)
 			end()
 		}
-		if kind == kindSync {
+		if h.kind == kindSync {
 			// Publish the result in place, then advance Sid.
-			e := wire.NewEncoder()
 			if callErr != nil {
-				e.U32(1).Str(callErr.Error())
+				res.Reset().U32(1).Str(callErr.Error())
 			} else {
-				e.U32(0).Blob(res)
+				res.EndBlob(mark)
 			}
-			out := e.Bytes()
-			if len(out) > int(slots)*SlotSize {
-				e2 := wire.NewEncoder().U32(1).Str("srpc: result exceeds record capacity")
-				out = e2.Bytes()
+			if len(res.Bytes()) > int(h.slots)*SlotSize {
+				res.Reset().U32(1).Str("srpc: result exceeds record capacity")
 			}
-			if err := r.writeSlots(p, st.sid, out); err != nil {
+			if err := r.writeAt(p, st.sid, 0, res.Bytes()); err != nil {
 				return
 			}
-		} else if callErr != nil && kind != kindNotify {
+		} else if callErr != nil && h.kind != kindNotify {
 			// Asynchronous failure: sticky error, surfaced at the
 			// next synchronization point (CUDA-style).
 			s.sticky(p, r, stickyAppErr, callErr.Error())
 		}
+		st.recycle()
 		recSlot := st.sid
-		st.sid += uint64(slots)
+		st.sid += uint64(h.slots)
 		if err := r.writeU64(p, offSid, st.sid); err != nil {
 			return
 		}
-		if kind == kindNotify {
+		if h.kind == kindNotify {
 			// Completion callback, after the Sid advance so the ring state
 			// observed from the callback is consistent. A fused record with
 			// no registered callback surfaces failures sticky, like async.

@@ -18,6 +18,7 @@ import (
 	"cronus/internal/spm"
 	"cronus/internal/srpc"
 	"cronus/internal/testrig"
+	"cronus/internal/wire"
 )
 
 // harness wires a CPU owner enclave and a CUDA callee enclave through a
@@ -777,4 +778,60 @@ func BenchmarkStreamSyncCall(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+}
+
+// TestRecordBytesOnRing pins the ring format across the piecewise write: a
+// record pushed as header scratch + head + bulk must leave exactly the bytes
+// the single-buffer encoding wire(len, kind, slots, respCap | name | args)
+// put there, slot by slot, including where the record wraps the ring.
+func TestRecordBytesOnRing(t *testing.T) {
+	run(t, func(h *harness, p *sim.Proc) error {
+		c, err := h.connect(p)
+		if err != nil {
+			return err
+		}
+		res, err := c.Call(p, driver.CallMemAlloc, driver.EncodeMemAlloc(32<<10))
+		if err != nil {
+			return err
+		}
+		dst, _ := driver.DecodePtr(res)
+		rng := rand.New(rand.NewSource(15))
+		ringSlots := uint64((srpc.DefaultPages - 1) * 4096 / srpc.SlotSize)
+		wrapped := false
+		// Sizes that end inside a slot, on a slot boundary (2048·k − 44 bytes
+		// of data), and that walk the 32-slot ring past its end twice.
+		for _, n := range []int{0, 1, 300, 2048 - 44, 2048 - 43, 5000, 4096 - 44, 16 << 10, 9000, 16 << 10, 16 << 10, 12345, 16 << 10} {
+			data := make([]byte, n)
+			rng.Read(data)
+			slot := c.NextSlot()
+			head := driver.HtoDHead(dst, n)
+			if _, err := c.CallVec(p, driver.CallHtoD, head[:], data); err != nil {
+				return err
+			}
+			args := driver.EncodeHtoD(dst, data)
+			payload := wire.NewEncoder().Str(driver.CallHtoD).Blob(args).Bytes()
+			slots := c.NextSlot() - slot
+			want := append(wire.NewEncoder().U32(uint32(len(payload))).U32(0).U32(uint32(slots)).U32(0).Bytes(), payload...)
+			if slots != uint64((len(want)+srpc.SlotSize-1)/srpc.SlotSize) {
+				t.Fatalf("%d-byte HtoD took %d slots for a %d-byte record", n, slots, len(want))
+			}
+			if slot%ringSlots+slots > ringSlots {
+				wrapped = true
+			}
+			got, err := c.ReadRecordBySlots(p, slot, len(want))
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%d-byte HtoD at slot %d: ring holds different bytes than the single-buffer encoding", n, slot)
+			}
+			if err := c.Barrier(p); err != nil {
+				return err
+			}
+		}
+		if !wrapped {
+			t.Error("no record wrapped the ring; the sizes above no longer cover the wrap")
+		}
+		return c.Close(p)
+	})
 }

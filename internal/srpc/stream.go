@@ -55,20 +55,25 @@ const (
 
 // Header field offsets within page 0.
 const (
-	offMagic   = 0
-	offRid     = 8
-	offSid     = 16
-	offClosed  = 24
-	offSticky  = 28
-	offDCheck  = 32
-	offDMAC    = 40 // 32 bytes
-	offChal    = 72
-	offLock    = 80
-	offErrLen  = 128
-	offErrMsg  = 132
-	maxErrMsg  = 890
-	slotBase   = headerBytes
-	recHdrSize = 16
+	offMagic  = 0
+	offRid    = 8
+	offSid    = 16
+	offClosed = 24
+	offSticky = 28
+	offDCheck = 32
+	offDMAC   = 40 // 32 bytes
+	offChal   = 72
+	offLock   = 80
+	// Arena geometry, published by GrantArena for the executor's fused-
+	// record bounds check: the callee-side IPA of the arena and the bytes
+	// of one payload slot (0 = no arena granted).
+	offArenaIPA  = 88
+	offArenaSlot = 96
+	offErrLen    = 128
+	offErrMsg    = 132
+	maxErrMsg    = 890
+	slotBase     = headerBytes
+	recHdrSize   = 16
 )
 
 const streamMagic = 0x5352504356310001 // "SRPCV1" + version
@@ -107,8 +112,8 @@ var ErrStreamClosed = errors.New("srpc: stream closed")
 // ErrPeerFailed: abandon the stream and re-establish.
 var ErrRingCorrupt = errors.New("srpc: ring corruption detected; stream torn down")
 
-// recordSlots is the slot footprint the owner computes in push for a record
-// with the given header words; the executor re-derives it to validate that a
+// recordSlots is the slot footprint of a record with the given header words:
+// push frames with it, and the executor re-derives it to validate that a
 // decoded header is self-consistent before trusting any length field.
 func recordSlots(payloadLen, respCap uint32) uint64 {
 	body := recHdrSize + int(payloadLen)
@@ -116,6 +121,40 @@ func recordSlots(payloadLen, respCap uint32) uint64 {
 		body = recHdrSize + int(respCap) + 8
 	}
 	return slotsFor(body)
+}
+
+// recHeader is a decoded record header (the first recHdrSize bytes of a
+// record's first slot).
+type recHeader struct {
+	payloadLen uint32 // bytes of wire(name, args) that follow the header
+	kind       uint32
+	slots      uint32 // ring slots the record occupies
+	respCap    uint32 // bytes reserved for a synchronous result
+}
+
+// parseRecHeader decodes and validates a record header read from a ring of
+// ringSlots slots. Nothing in it is trusted until it all holds together: the
+// kind must be known, and the slot count must be what push would have framed
+// for these lengths — which bounds payloadLen to the record and the record to
+// the ring, so the staging read that follows can never run past either. A
+// mismatch is a corrupted header (ErrRingCorrupt); misparsing it would
+// desynchronize Sid from the record framing for the rest of the stream.
+func parseRecHeader(b *[recHdrSize]byte, ringSlots uint64) (recHeader, error) {
+	h := recHeader{
+		payloadLen: binary.LittleEndian.Uint32(b[0:]),
+		kind:       binary.LittleEndian.Uint32(b[4:]),
+		slots:      binary.LittleEndian.Uint32(b[8:]),
+		respCap:    binary.LittleEndian.Uint32(b[12:]),
+	}
+	if h.kind > kindNotify || h.slots == 0 || uint64(h.slots) > ringSlots ||
+		uint64(h.slots) != recordSlots(h.payloadLen, h.respCap) {
+		return h, corruptf("corrupt record header (%s)", h)
+	}
+	return h, nil
+}
+
+func (h recHeader) String() string {
+	return fmt.Sprintf("len=%d kind=%d slots=%d respCap=%d", h.payloadLen, h.kind, h.slots, h.respCap)
 }
 
 // ring provides byte access to an smem region through a memory view,
@@ -168,39 +207,47 @@ func (r *ring) writeU32(p *sim.Proc, off uint64, v uint32) error {
 	return r.view.Write(p, r.base+off, b[:])
 }
 
-// writeSlots writes data starting at slot idx, wrapping modularly.
-func (r *ring) writeSlots(p *sim.Proc, idx uint64, data []byte) error {
-	off := 0
-	for off < len(data) {
-		n := SlotSize
-		if n > len(data)-off {
-			n = len(data) - off
-		}
-		if err := r.view.Write(p, r.slotAddr(idx), data[off:off+n]); err != nil {
-			return err
-		}
-		idx++
-		off += n
+// writeAt writes data at byte offset off of the record that starts at slot
+// idx. A record's slots are consecutive in the region except where the ring
+// wraps, so a piece is one view access, or two when it straddles the wrap;
+// callers lay a record down piece by piece (header scratch, then the
+// caller's own argument bytes) without assembling it anywhere first.
+func (r *ring) writeAt(p *sim.Proc, idx uint64, off int, data []byte) error {
+	at, first := r.span(idx, off, len(data))
+	if err := r.view.Write(p, at, data[:first]); err != nil {
+		return err
+	}
+	if first < len(data) {
+		return r.view.Write(p, r.base+slotBase, data[first:])
 	}
 	return nil
 }
 
-// readSlots reads n bytes starting at slot idx.
-func (r *ring) readSlots(p *sim.Proc, idx uint64, n int) ([]byte, error) {
-	out := make([]byte, n)
-	off := 0
-	for off < n {
-		c := SlotSize
-		if c > n-off {
-			c = n - off
-		}
-		if err := r.view.Read(p, r.slotAddr(idx), out[off:off+c]); err != nil {
-			return nil, err
-		}
-		idx++
-		off += c
+// readAt fills buf from byte offset off of the record that starts at slot
+// idx — the mirror of writeAt, reading into storage the caller owns.
+func (r *ring) readAt(p *sim.Proc, idx uint64, off int, buf []byte) error {
+	at, first := r.span(idx, off, len(buf))
+	if err := r.view.Read(p, at, buf[:first]); err != nil {
+		return err
 	}
-	return out, nil
+	if first < len(buf) {
+		return r.view.Read(p, r.base+slotBase, buf[first:])
+	}
+	return nil
+}
+
+// span locates n bytes at offset off of the record at slot idx: the address
+// of the first byte and how many of the n lie before the ring wraps (the
+// rest continue at the first slot). Records never exceed the ring, so one
+// wrap is all there can be.
+func (r *ring) span(idx uint64, off, n int) (at uint64, first int) {
+	size := r.slots * SlotSize
+	pos := ((idx%r.slots)*SlotSize + uint64(off)) % size
+	first = n
+	if room := size - pos; uint64(n) > room {
+		first = int(room)
+	}
+	return r.base + slotBase + pos, first
 }
 
 func slotsFor(n int) uint64 {

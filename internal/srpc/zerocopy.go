@@ -10,18 +10,25 @@ package srpc
 // to the ring — the owner stages bulk bytes in place through its span-checked
 // view (the PR 2 TLB caches the walk; the TZASC verdict rides on the physical
 // access), then pushes ONE small fused record describing where the payload
-// sits and which two mECalls to run. The executor span-checks the arena
-// range, reads the payload in place, runs the copy call and the exec call
-// back to back, and reports completion through a registered callback — no
-// synchronous wait, no barrier record, no ring copy of the payload. The only
-// virtual time charged for payload movement is the span permission check;
-// the device DMA itself is still charged by the driver, exactly as before.
+// sits and which two mECalls to run. The executor checks the declared range
+// against the arena geometry the owner published at grant time, reads the
+// payload out of the arena — through its own span-checked view, once, into a
+// per-stream staging buffer laid out as the copy call's arguments — runs the
+// copy call and the exec call back to back, and reports completion through a
+// registered callback: no synchronous wait, no barrier record, and the
+// payload never passes through the ring. On the host that is the same three
+// copies a streamed HtoD makes (caller → arena, arena → staging, staging →
+// device); what "zero-copy" buys is in the model: the only virtual time
+// charged for payload movement is the span permission check, the device DMA
+// itself still being charged by the driver, exactly as before.
 //
 // Completion callbacks run in the executor's process context, not the
 // submitter's. They must not block; sending on
 // a sim.Port, firing a Signal or waking a condition are the intended uses.
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -35,9 +42,16 @@ import (
 // any enclave's EDL.
 const ZCExecName = "__zc_exec"
 
-// maxZCBytes bounds a fused record's declared payload length before the
-// executor allocates a staging buffer for it (sanity limit, not a protocol
-// constant: arenas are far smaller in practice).
+// ErrArenaBounds reports a fused record whose declared payload does not lie
+// inside one slot of the arena its stream was granted. The executor refuses
+// it before reading or allocating anything, so the length a record declares
+// never sizes a buffer; the error reaches the submitter through the record's
+// completion callback.
+var ErrArenaBounds = errors.New("srpc: fused payload outside the granted arena slot")
+
+// maxZCBytes bounds the arena slot size an executor accepts from the ring
+// header (sanity limit, not a protocol constant: arena slots are far smaller
+// in practice). Per record, the bound is the slot size itself.
 const maxZCBytes = 1 << 24
 
 // NotifyFn is a fused-record completion callback: the executor invokes it
@@ -140,6 +154,16 @@ func (c *Client) GrantArena(p *sim.Proc, payloadCap int) error {
 	}
 	c.owner.TrackGrant(gid)
 	p.Sleep(sim.Duration(npages) * c.costs.MapPage)
+	// Publish the geometry in the ring header — trusted shared memory the
+	// executor already reads its indices from — so it can hold every fused
+	// record to the slot size granted here rather than to what the record
+	// itself declares.
+	if err := c.ring.writeU64(p, offArenaIPA, peerIPA); err != nil {
+		return c.fail(err)
+	}
+	if err := c.ring.writeU64(p, offArenaSlot, slotBytes); err != nil {
+		return c.fail(err)
+	}
 	c.arena = &arena{base: ipa, peerIPA: peerIPA, pages: npages, gid: gid, slotBytes: slotBytes, nslots: nslots}
 	return nil
 }
@@ -224,7 +248,7 @@ func (c *Client) CallZC(p *sim.Proc, req ZCRequest, notify NotifyFn) error {
 	if err := c.ArenaWrite(p, off, req.Payload); err != nil {
 		return err
 	}
-	args := wire.NewEncoder().
+	args := c.zcArgs.Reset().
 		U64(c.arena.peerIPA).U64(off).U64(uint64(len(req.Payload))).
 		Str(req.CopyCall).U64(req.Dst).
 		Str(req.ExecCall).Blob(req.ExecArgs).Bytes()
@@ -232,7 +256,7 @@ func (c *Client) CallZC(p *sim.Proc, req ZCRequest, notify NotifyFn) error {
 	if notify != nil {
 		putNotify(c.streamID, slot, notify)
 	}
-	if err := c.push(p, ZCExecName, args, kindNotify, 0); err != nil {
+	if err := c.push(p, ZCExecName, args, nil, kindNotify, 0); err != nil {
 		if notify != nil {
 			takeNotify(c.streamID, slot)
 		}
@@ -242,10 +266,12 @@ func (c *Client) CallZC(p *sim.Proc, req ZCRequest, notify NotifyFn) error {
 	return nil
 }
 
-// execZC is the executor-side half of CallZC: span-check and read the arena
-// payload in place, then run the two mECalls back to back in the executor's
-// enclave context.
-func (s *Server) execZC(p *sim.Proc, name string, args []byte) error {
+// execZC is the executor-side half of CallZC: hold the declared range to the
+// granted arena slot, read the payload out of the arena once — directly
+// behind the (dst, length) prefix the copy call's arguments start with — then
+// run the two mECalls back to back in the executor's enclave context. name
+// and args alias the record's staging buffer.
+func (s *Server) execZC(p *sim.Proc, st *serverStream, name string, args []byte) error {
 	if name != ZCExecName {
 		return fmt.Errorf("srpc: unexpected fused record %q", name)
 	}
@@ -256,26 +282,50 @@ func (s *Server) execZC(p *sim.Proc, name string, args []byte) error {
 	copyCall := d.Str()
 	dst := d.U64()
 	execCall := d.Str()
-	execArgs := d.Blob()
+	execArgs := d.BlobRef()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if n > maxZCBytes {
-		return fmt.Errorf("srpc: fused payload of %d bytes exceeds sanity limit", n)
+	if st.arenaSlot == 0 {
+		var err error
+		if st.arenaIPA, err = st.ring.readU64(p, offArenaIPA); err != nil {
+			return translateFault(err)
+		}
+		if st.arenaSlot, err = st.ring.readU64(p, offArenaSlot); err != nil {
+			return translateFault(err)
+		}
+	}
+	// One arena slot per ring slot (GrantArena): the payload must sit
+	// inside a single slot of the arena this stream was granted. This also
+	// bounds the staging buffer below by the slot size.
+	if arenaIPA != st.arenaIPA || st.arenaSlot == 0 || st.arenaSlot > maxZCBytes || n > st.arenaSlot ||
+		off/st.arenaSlot >= st.ring.slots || off%st.arenaSlot+n > st.arenaSlot {
+		return fmt.Errorf("%w: [%d,+%d) at %#x, slots of %d bytes at %#x",
+			ErrArenaBounds, off, n, arenaIPA, st.arenaSlot, st.arenaIPA)
 	}
 	costs := s.enc.MOS().Costs
 	// The arena pages are already mapped in this partition: the only
 	// virtual time the payload handoff costs is the span permission check.
-	// The view read underneath still performs the real TZASC + stage-2
-	// checks, so a revoked grant faults exactly as the ring would.
+	// The read below goes through the stream's own view — the one its ring
+	// accesses use, so the arena's translations stay cached across records
+	// — and still performs the real TZASC + stage-2 checks: a revoked grant
+	// faults exactly as the ring would.
 	p.Sleep(costs.SpanCheck)
-	payload := make([]byte, n)
-	if err := s.enc.View().Read(p, arenaIPA+off, payload); err != nil {
+	const prefix = 8 + 4 // wire(U64 dst, Blob payload) up to the payload
+	if cap(st.zc) < prefix+int(n) {
+		st.zc = make([]byte, prefix+int(st.arenaSlot))
+	}
+	copyArgs := st.zc[:prefix+int(n)]
+	binary.LittleEndian.PutUint64(copyArgs[0:], dst)
+	binary.LittleEndian.PutUint32(copyArgs[8:], uint32(n))
+	if err := st.ring.view.Read(p, arenaIPA+off, copyArgs[prefix:]); err != nil {
 		return translateFault(err)
 	}
-	if _, err := s.enc.InvokeStreamed(p, copyCall, wire.NewEncoder().U64(dst).Blob(payload).Bytes()); err != nil {
+	// Neither call's result is delivered (completion is the callback), so
+	// both write to the record's reply encoder, which a fused record never
+	// publishes.
+	if err := s.enc.InvokeStreamed(p, copyCall, copyArgs, &st.res); err != nil {
 		return err
 	}
-	_, err := s.enc.InvokeStreamed(p, execCall, execArgs)
-	return err
+	return s.enc.InvokeStreamed(p, execCall, execArgs, &st.res)
 }

@@ -1,6 +1,7 @@
 package srpc_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"cronus/internal/mos/driver"
 	"cronus/internal/sim"
 	"cronus/internal/srpc"
+	"cronus/internal/wire"
 )
 
 // TestZeroCopyFusedExec drives the fused data plane end to end: the payload
@@ -192,6 +194,77 @@ func TestZeroCopyEventBudget(t *testing.T) {
 		classicTime := p.Now() - start
 		if fusedTime >= classicTime {
 			t.Errorf("fused path not faster in virtual time: fused %v vs classic %v", fusedTime, classicTime)
+		}
+		return c.Close(p)
+	})
+}
+
+// TestFusedRecordHeldToArenaSlot: the executor bounds a fused record by the
+// arena geometry the owner published at grant time, not by what the record
+// declares. A record whose payload range leaves its arena slot — too long,
+// straddling two slots, past the last slot, or naming another region — fails
+// with the typed ErrArenaBounds before the executor reads or allocates
+// anything for it, and the staging it does keep never exceeds one slot.
+func TestFusedRecordHeldToArenaSlot(t *testing.T) {
+	run(t, func(h *harness, p *sim.Proc) error {
+		c, err := h.connect(p)
+		if err != nil {
+			return err
+		}
+		if err := c.GrantArena(p, 1000); err != nil { // rounds to 1024-byte slots
+			return err
+		}
+		res, err := c.Call(p, driver.CallMemAlloc, driver.EncodeMemAlloc(4096))
+		if err != nil {
+			return err
+		}
+		dst, _ := driver.DecodePtr(res)
+		launch := driver.EncodeLaunch("saxpy", gpu.Dim{16, 1, 1}, dst, dst, 2)
+		arena, slot := c.ArenaGeometry()
+		ringSlots := uint64((srpc.DefaultPages - 1) * 4096 / srpc.SlotSize)
+		srv := h.disp.Server(h.eidB)
+
+		fused := func(arenaIPA, off, n uint64) error {
+			desc := wire.NewEncoder().U64(arenaIPA).U64(off).U64(n).
+				Str(driver.CallHtoD).U64(dst).Str(driver.CallLaunch).Blob(launch).Bytes()
+			var got error
+			done := false
+			if err := c.PushRawFused(p, desc, func(_ *sim.Proc, err error) { got, done = err, true }); err != nil {
+				return err
+			}
+			if err := c.Barrier(p); err != nil {
+				return err
+			}
+			if !done {
+				t.Fatal("fused record never completed")
+			}
+			return got
+		}
+		bad := []struct {
+			name             string
+			arenaIPA, off, n uint64
+		}{
+			{"declares 8 MiB", arena, 0, 8 << 20},
+			{"one byte more than a slot", arena, 0, slot + 1},
+			{"straddles two slots", arena, slot - 8, 16},
+			{"past the last slot", arena, ringSlots * slot, 8},
+			{"names another region", arena + 4096, 0, 8},
+			{"length wraps the address space", arena, 8, ^uint64(0) - 4},
+		}
+		for _, b := range bad {
+			if err := fused(b.arenaIPA, b.off, b.n); !errors.Is(err, srpc.ErrArenaBounds) {
+				t.Errorf("%s: err = %v, want ErrArenaBounds", b.name, err)
+			}
+			if got := srv.ZCStagingCap(c.StreamID()); got != 0 {
+				t.Errorf("%s: executor holds %d bytes of staging for a refused record", b.name, got)
+			}
+		}
+		// In bounds: the last bytes of the last slot.
+		if err := fused(arena, ringSlots*slot-8, 8); err != nil {
+			t.Errorf("in-bounds fused record refused: %v", err)
+		}
+		if got, max := srv.ZCStagingCap(c.StreamID()), int(slot)+12; got == 0 || got > max {
+			t.Errorf("executor staging is %d bytes, want within (0, %d] — one arena slot plus the copy call's prefix", got, max)
 		}
 		return c.Close(p)
 	})

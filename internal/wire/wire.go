@@ -9,30 +9,74 @@ import (
 	"fmt"
 )
 
-// Encoder appends values to a buffer.
+// Encoder appends values to a buffer. The zero value is ready to use, so a
+// long-lived owner (an sRPC stream, a client) can embed one and Reset it per
+// message instead of allocating a buffer per message.
 type Encoder struct {
 	buf []byte
 }
 
-// NewEncoder creates an encoder, optionally around an existing buffer.
+// NewEncoder creates an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
-// Bytes returns the encoded buffer.
+// Bytes returns the encoded buffer. It aliases the encoder's storage: it is
+// valid until the next Reset, and a later append may or may not move it.
 func (e *Encoder) Bytes() []byte { return e.buf }
+
+// Reset empties the encoder, keeping its storage for the next message.
+// Slices obtained from Bytes or Reserve before the Reset are overwritten by
+// what is encoded after it.
+func (e *Encoder) Reset() *Encoder {
+	e.buf = e.buf[:0]
+	return e
+}
+
+// Grow makes room for n more bytes, so the appends that follow do not
+// reallocate; sizing a message once is one allocation instead of a doubling
+// series.
+func (e *Encoder) Grow(n int) *Encoder {
+	if cap(e.buf)-len(e.buf) < n {
+		buf := make([]byte, len(e.buf), max(len(e.buf)+n, 2*cap(e.buf)))
+		copy(buf, e.buf)
+		e.buf = buf
+	}
+	return e
+}
+
+// Reserve appends n bytes and returns them for the caller to fill in place —
+// a device DMA or a memory-view read lands directly in the message instead of
+// in a buffer that is then copied. The bytes are NOT cleared (they hold
+// whatever the storage held before), so the caller must fill all n or discard
+// the message. The returned slice has its capacity clamped to n and is valid
+// until the next append or Reset.
+func (e *Encoder) Reserve(n int) []byte {
+	at := len(e.buf)
+	e.buf = e.Grow(n).buf[:at+n]
+	return e.buf[at : at+n : at+n]
+}
+
+// BeginBlob opens a length-prefixed byte string whose length is not known
+// yet: it appends a placeholder prefix and returns a mark for EndBlob.
+// Whatever is appended between the two calls is the blob's content.
+func (e *Encoder) BeginBlob() (mark int) {
+	e.U32(0)
+	return len(e.buf)
+}
+
+// EndBlob closes the blob opened at mark by patching its length prefix.
+func (e *Encoder) EndBlob(mark int) {
+	binary.LittleEndian.PutUint32(e.buf[mark-4:], uint32(len(e.buf)-mark))
+}
 
 // U32 appends a uint32.
 func (e *Encoder) U32(v uint32) *Encoder {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	e.buf = append(e.buf, b[:]...)
+	e.buf = binary.LittleEndian.AppendUint32(e.buf, v)
 	return e
 }
 
 // U64 appends a uint64.
 func (e *Encoder) U64(v uint64) *Encoder {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	e.buf = append(e.buf, b[:]...)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 	return e
 }
 
@@ -116,14 +160,29 @@ func (d *Decoder) Str() string {
 	return string(b)
 }
 
-// Blob reads a length-prefixed byte string (copied).
+// Blob reads a length-prefixed byte string (copied): the result is the
+// caller's to keep and to modify.
 func (d *Decoder) Blob() []byte {
-	n := d.U32()
-	b := d.take(int(n))
+	b := d.BlobRef()
 	if b == nil {
 		return nil
 	}
 	out := make([]byte, len(b))
 	copy(out, b)
 	return out
+}
+
+// BlobRef reads a length-prefixed byte string WITHOUT copying it: the result
+// aliases the decoder's buffer and is only valid while that buffer is — for a
+// message decoded out of a recycled staging buffer, until the buffer's owner
+// reuses it. Its capacity is clamped to its length, so an append by the
+// holder reallocates instead of writing over the bytes that follow the blob
+// in the message. Use Blob when the bytes must outlive the message.
+func (d *Decoder) BlobRef() []byte {
+	n := d.U32()
+	b := d.take(int(n))
+	if b == nil {
+		return nil
+	}
+	return b[:len(b):len(b)]
 }

@@ -61,3 +61,134 @@ func TestQuickProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestBlobRefAliasesWithClampedCap(t *testing.T) {
+	raw := NewEncoder().Blob([]byte("abc")).U32(0xfeedface).Bytes()
+	d := NewDecoder(raw)
+	b := d.BlobRef()
+	if string(b) != "abc" || cap(b) != len(b) {
+		t.Fatalf("BlobRef = %q cap %d, want \"abc\" cap 3", b, cap(b))
+	}
+	b[0] = 'X'
+	if raw[4] != 'X' {
+		t.Fatal("BlobRef copied the blob")
+	}
+	// An append by the holder must move the bytes, not run over the word
+	// that follows the blob in the message.
+	_ = append(b, 0, 0, 0, 0)
+	if d.U32() != 0xfeedface || d.Err() != nil {
+		t.Fatal("append through a BlobRef result overwrote the message")
+	}
+}
+
+func TestEncoderReuse(t *testing.T) {
+	var e Encoder // the zero value is usable
+	e.U32(1).Blob(bytes.Repeat([]byte{7}, 100))
+	first := &e.Bytes()[0]
+	e.Reset().U32(2)
+	if got := e.Bytes(); len(got) != 4 || &got[0] != first {
+		t.Fatalf("Reset did not keep the storage: len %d", len(got))
+	}
+
+	// Reserve hands out exactly n bytes, in place, cap clamped.
+	e.Reset().U32(9)
+	r := e.Reserve(5)
+	if len(r) != 5 || cap(r) != 5 {
+		t.Fatalf("Reserve(5): len %d cap %d", len(r), cap(r))
+	}
+	copy(r, "hello")
+	e.U32(3)
+	d := NewDecoder(e.Bytes())
+	if d.U32() != 9 || string(d.take(5)) != "hello" || d.U32() != 3 || d.Remaining() != 0 {
+		t.Fatalf("Reserve bytes not in place: % x", e.Bytes())
+	}
+
+	// BeginBlob/EndBlob frame whatever was appended between them as a blob.
+	e.Reset().U32(0)
+	mark := e.BeginBlob()
+	e.U64(42)
+	copy(e.Reserve(3), "xyz")
+	e.EndBlob(mark)
+	d = NewDecoder(e.Bytes())
+	if d.U32() != 0 {
+		t.Fatal("status word mangled")
+	}
+	inner := NewDecoder(d.Blob())
+	if inner.U64() != 42 || string(inner.take(3)) != "xyz" || d.Remaining() != 0 || d.Err() != nil {
+		t.Fatalf("BeginBlob/EndBlob framing wrong: % x", e.Bytes())
+	}
+
+	// Grow sizes once: the appends that follow stay in the same storage.
+	g := NewEncoder().Grow(64)
+	g.U32(1)
+	p0 := &g.Bytes()[0]
+	g.Blob(make([]byte, 50))
+	if &g.Bytes()[0] != p0 {
+		t.Fatal("append within Grow's room reallocated")
+	}
+}
+
+// FuzzDecoder drives two decoders over the same attacker-controlled bytes in
+// lockstep — one reading blobs with Blob, the other with BlobRef — through an
+// attacker-chosen sequence of reads. Neither may panic; they must agree on
+// every value, on the error and on how much they consumed; a BlobRef must not
+// expose a byte past its length; a Blob must not alias the input.
+func FuzzDecoder(f *testing.F) {
+	f.Add(NewEncoder().U32(7).U64(1<<40).Str("mECall").Blob([]byte{1, 2, 3}).Bytes(), []byte{0, 1, 3, 4})
+	f.Add(NewEncoder().Str("cuMemcpyHtoD").Blob(make([]byte, 40)).Bytes(), []byte{3, 4})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3}, []byte{4, 4})       // length prefix far past the end
+	f.Add([]byte{3, 0, 0, 0, 'a', 'b'}, []byte{4, 0})                  // blob one byte short
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, []byte{4, 3, 4}) // empty blobs and strings
+	f.Add([]byte{}, []byte{0, 1, 2, 3, 4})
+	f.Fuzz(func(t *testing.T, data, ops []byte) {
+		orig := append([]byte(nil), data...)
+		dc, dr := NewDecoder(data), NewDecoder(data)
+		for _, op := range ops {
+			before := dr.Remaining()
+			switch op % 5 {
+			case 0:
+				if a, b := dc.U32(), dr.U32(); a != b {
+					t.Fatalf("U32 disagree: %d vs %d", a, b)
+				}
+			case 1:
+				if a, b := dc.U64(), dr.U64(); a != b {
+					t.Fatalf("U64 disagree: %d vs %d", a, b)
+				}
+			case 2:
+				if a, b := dc.I64(), dr.I64(); a != b {
+					t.Fatalf("I64 disagree: %d vs %d", a, b)
+				}
+			case 3:
+				if a, b := dc.Str(), dr.Str(); a != b {
+					t.Fatalf("Str disagree: %q vs %q", a, b)
+				}
+			case 4:
+				cp, ref := dc.Blob(), dr.BlobRef()
+				if !bytes.Equal(cp, ref) {
+					t.Fatalf("Blob %x, BlobRef %x", cp, ref)
+				}
+				if cap(ref) != len(ref) {
+					t.Fatalf("BlobRef exposes %d bytes past its %d", cap(ref)-len(ref), len(ref))
+				}
+				if len(ref) > before {
+					t.Fatalf("BlobRef of %d bytes out of %d remaining", len(ref), before)
+				}
+				for i := range cp {
+					cp[i] ^= 0xff
+				}
+				if !bytes.Equal(data, orig) {
+					t.Fatal("Blob aliases the input")
+				}
+			}
+			if (dc.Err() == nil) != (dr.Err() == nil) || dc.Remaining() != dr.Remaining() {
+				t.Fatalf("decoders diverged: err %v/%v, remaining %d/%d", dc.Err(), dr.Err(), dc.Remaining(), dr.Remaining())
+			}
+			if r := dr.Remaining(); r < 0 || r > before {
+				t.Fatalf("remaining went from %d to %d", before, r)
+			}
+			if err := dr.Err(); err != nil && !errors.Is(err, ErrTruncated) {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+		}
+	})
+}
