@@ -17,7 +17,7 @@
 //	cronus-serve -trace out.json                  # causal spans -> Perfetto JSON
 //	cronus-serve -slo-target-us 400               # arm the SLO burn-rate engine
 //	cronus-serve -shards 2                        # flow-model data plane
-//	cronus-serve -partitions 8 -shards 4 -lanes 4 # ... eight partitions, four rings each
+//	cronus-serve -partitions 8 -shards 4          # ... over eight partitions
 //	cronus-serve -nodes 2 -partitions 8 -shards 8            # two-node fabric cluster
 //	cronus-serve -nodes 2 -partitions 8 -shards 8 -node-crash-ms 11  # ... with a node crash
 //	cronus-serve -attest-tickets                  # attestation admission gate
@@ -33,8 +33,7 @@
 // -trace/-supervise are rejected by config validation. With -nodes >= 2 the
 // run spans a simulated multi-node fabric: it needs the flow-model plane and
 // a partition count that divides evenly across the nodes (anything else is a
-// usage error, exit status 2), tenants are homed by consistent hashing, and
-// -link-latency-us / -link-gbps price the inter-node transport.
+// usage error, exit status 2) and tenants are homed by consistent hashing.
 //
 // The elastic-capacity flags also require the flow-model plane. -migrate-at-ms
 // schedules one planned live migration (quiesce, checkpoint, transfer, replay,
@@ -88,14 +87,8 @@ func main() {
 		"halve a tenant's admission cap while its SLO burn rate is firing")
 	shards := flag.Int("shards", 0,
 		">= 2 selects the flow-model data plane (0 or 1 = classic executed plane)")
-	lanes := flag.Int("lanes", 0,
-		"sRPC rings per replica on the flow-model plane (0 = default)")
 	nodes := flag.Int("nodes", 0,
 		"simulated fabric nodes (0 or 1 = single node; >= 2 requires -shards >= 2 and -partitions divisible by it)")
-	linkLatencyUS := flag.Float64("link-latency-us", 0,
-		"inter-node link latency, virtual µs (0 = default 5µs)")
-	linkGBps := flag.Float64("link-gbps", 0,
-		"inter-node link bandwidth, GB/s (0 = default 10)")
 	nodeCrashMS := flag.Int("node-crash-ms", 0,
 		"crash node 1 at this virtual ms (0 = none; requires -nodes >= 2)")
 	attTickets := flag.Bool("attest-tickets", false,
@@ -104,8 +97,6 @@ func main() {
 		"session-ticket lifetime, virtual µs (0 = default 5000; requires -attest-tickets)")
 	attReprobeUS := flag.Int("attest-reprobe-us", 0,
 		"continuous re-measurement probe interval, virtual µs (0 = prober off; requires -attest-tickets)")
-	attCache := flag.Int("attest-cache", 0,
-		"session-ticket cache capacity (0 = default 1024; requires -attest-tickets)")
 	migrateAtMS := flag.Int("migrate-at-ms", 0,
 		"start a planned live migration at this virtual ms (0 = none; requires -shards >= 2)")
 	migrateFrom := flag.String("migrate-from", "0/1",
@@ -132,8 +123,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if !*attTickets && (*attTTLUS > 0 || *attReprobeUS > 0 || *attCache > 0) {
-		fmt.Fprintln(os.Stderr, "cronus-serve: -attest-ticket-ttl-us/-attest-reprobe-us/-attest-cache require -attest-tickets")
+	if !*attTickets && (*attTTLUS > 0 || *attReprobeUS > 0) {
+		fmt.Fprintln(os.Stderr, "cronus-serve: -attest-ticket-ttl-us/-attest-reprobe-us require -attest-tickets")
 		os.Exit(2)
 	}
 
@@ -152,14 +143,9 @@ func main() {
 		KeepRequests:  true,
 		FailPartition: *failPart,
 		Shards:        *shards,
-		Lanes:         *lanes,
 	}
 	if *nodes >= 2 {
 		cfg.Nodes = *nodes
-		if *linkLatencyUS > 0 {
-			cfg.LinkLatency = sim.Duration(*linkLatencyUS * 1e3)
-		}
-		cfg.LinkGBps = *linkGBps
 		if *nodeCrashMS > 0 {
 			cfg.NodeFaults = append(cfg.NodeFaults, cluster.Fault{
 				Kind: cluster.NodeCrash,
@@ -178,9 +164,6 @@ func main() {
 		}
 		if *attReprobeUS > 0 {
 			cfg.AttestReprobe = sim.Duration(*attReprobeUS) * sim.Microsecond
-		}
-		if *attCache > 0 {
-			cfg.AttestCacheCap = *attCache
 		}
 	}
 	if *migrateAtMS > 0 {

@@ -36,23 +36,19 @@ type queue struct {
 	// open in an interruptible sleep; a push cuts the sleep short so the
 	// new arrival can join the batch.
 	batching *sim.Proc
-	closed   bool
 }
 
 func newQueue(k *sim.Kernel, capacity int, depth *metrics.Gauge) *queue {
 	return &queue{k: k, cap: capacity, depth: depth, cond: sim.NewCond(k)}
 }
 
-// inSystem counts the tenant's requests currently inside the plane:
-// queued, held by the dispatcher's open batch window, or outstanding on
-// replicas. The admission bound applies to this total — a fast dispatcher
-// moving requests onto replica queues must not defeat the cap.
-func (t *tenant) inSystem() int {
-	n := len(t.q.items) + t.held
-	for _, rep := range t.reps {
-		n += rep.outstanding
-	}
-	return n
+// inFlight is the tenant's requests currently inside the plane, derived from
+// the ledger: admitted and not yet completed or failed — wherever they sit
+// (queued, held by an open batch window, parked in a backlog, outstanding on
+// a replica or lane). The admission bound applies to this total, so a fast
+// dispatcher moving requests onto replicas cannot defeat the cap.
+func (t *tenant) inFlight() int {
+	return int(t.admitted - t.completed - t.failed)
 }
 
 // capacity reports the tenant's usable and total replica slots for the
@@ -138,18 +134,12 @@ func (q *queue) pushFront(rs []*Request) {
 	}
 }
 
-// waitFirst blocks until a request is available and pops it. ok is false
-// once the queue is closed and drained.
-func (q *queue) waitFirst(p *sim.Proc) (*Request, bool) {
-	for {
-		if len(q.items) > 0 {
-			return q.pop(), true
-		}
-		if q.closed {
-			return nil, false
-		}
+// waitFirst blocks until a request is available and pops it.
+func (q *queue) waitFirst(p *sim.Proc) *Request {
+	for len(q.items) == 0 {
 		q.cond.Wait(p)
 	}
+	return q.pop()
 }
 
 // popMatching pops the head request only if it belongs to cl — batches stay
@@ -169,33 +159,31 @@ func (q *queue) pop() *Request {
 	return r
 }
 
-func (q *queue) close() {
-	q.closed = true
-	q.cond.Broadcast()
-}
-
-// submit runs the admission decision for one offered request: shed with a
-// typed *OverloadError when the tenant's queue is at capacity, otherwise
-// assign an id, record arrival time, and enqueue. withSignal attaches a
-// completion signal for closed-loop callers.
-func (srv *Server) submit(p *sim.Proc, t *tenant, cl *workClass, withSignal bool) (*Request, error) {
+// submit is the one admission decision both planes run for an offered
+// request, inline in arrival events and closed-loop procs: shed with a typed
+// *OverloadError when the tenant is at its in-flight bound, otherwise assign
+// the id (the plane-wide admission sequence), record the arrival, append the
+// kept record and hand the request to the plane — the dispatcher's queue on
+// the executed plane, inline batching on the flow model. withSignal attaches
+// a completion signal for closed-loop callers.
+func (srv *Server) submit(now sim.Time, t *tenant, cl *workClass, withSignal bool) (*Request, error) {
 	t.offered++
-	if limit := srv.effectiveCap(t, p.Now()); t.inSystem() >= limit {
+	if limit := srv.effectiveCap(t, now); t.inFlight() >= limit {
 		t.shed++
 		return nil, &OverloadError{Tenant: t.spec.Name, Cap: limit}
 	}
-	srv.nextID++
+	srv.admittedTotal++
 	r := &Request{
-		ID:      srv.nextID,
+		ID:      srv.admittedTotal,
 		Tenant:  t.spec.Name,
 		Class:   cl.spec.Name,
-		Arrived: p.Now(),
+		Arrived: now,
 		class:   cl,
 	}
 	if srv.cfg.Trace {
-		// The admission sequence (pre-increment) keys the deterministic
-		// trace id; the root span id is only minted when the collector is
-		// live (attribution works without the event spine).
+		// The tenant's admission sequence (pre-increment) keys the
+		// deterministic trace id; the root span id is only minted when the
+		// collector is live (attribution works without the event spine).
 		r.TraceID = otrace.DeriveTraceID(t.spec.Name, t.admitted)
 		if trace.Default.Enabled() {
 			r.spanID = trace.Default.NextSpanID()
@@ -205,10 +193,13 @@ func (srv *Server) submit(p *sim.Proc, t *tenant, cl *workClass, withSignal bool
 		r.done = sim.NewSignal(srv.pl.K)
 	}
 	t.admitted++
-	srv.admittedTotal++
 	if srv.cfg.KeepRequests {
 		srv.requests = append(srv.requests, r)
 	}
-	t.q.push(r)
+	if srv.sh != nil {
+		srv.shBatchIn(now, t, r)
+	} else {
+		t.q.push(r)
+	}
 	return r, nil
 }

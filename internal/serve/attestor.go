@@ -136,7 +136,7 @@ func validateAttest(cfg Config) error {
 func (srv *Server) atBoot() {
 	seed := []byte(fmt.Sprintf("serve-attest/%d", srv.cfg.Seed))
 	a := &attState{
-		tickets:       attest.NewTicketCache(seed, srv.cfg.AttestCacheCap, srv.cfg.AttestTicketTTL, srv.reg),
+		tickets:       attest.NewTicketCache(seed, attestCacheCap, srv.cfg.AttestTicketTTL, srv.reg),
 		verify:        attest.NewVerifyCache(srv.reg),
 		revoked:       make(map[[2]int]sim.Time),
 		coldCost:      srv.pl.Costs.VerifyFixed * 2,

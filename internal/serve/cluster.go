@@ -96,7 +96,7 @@ func validateCluster(cfg Config) error {
 // completion ports.
 func (srv *Server) clBoot() error {
 	nodes := len(srv.plats)
-	fab, err := cluster.NewFabric(nodes, srv.cfg.LinkLatency, srv.cfg.LinkGBps, srv.pl.Costs.MemcpyPerByte)
+	fab, err := cluster.NewFabric(nodes, linkLatency, linkGBps, srv.pl.Costs.MemcpyPerByte)
 	if err != nil {
 		return err
 	}
@@ -146,7 +146,7 @@ func (srv *Server) clComplArrive(n int, at sim.Time, b *batch) {
 	if srv.cl.fab.PartitionedAt(n, at) {
 		if len(srv.cl.healQ[n]) == 0 {
 			heal := srv.cl.fab.HealAt(n, at)
-			srv.sh.anchor.CallAt(heal, func() { srv.clFlushHeal(n, heal) })
+			srv.anchor.CallAt(heal, func() { srv.clFlushHeal(n, heal) })
 		}
 		srv.cl.healQ[n] = append(srv.cl.healQ[n], b)
 		return

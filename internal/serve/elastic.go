@@ -191,7 +191,7 @@ func (srv *Server) elSignals(now sim.Time) elastic.Signals {
 	var s elastic.Signals
 	var offered, shed uint64
 	for _, t := range srv.tenants {
-		s.QueueDepth += t.shInSystem()
+		s.QueueDepth += t.inFlight()
 		offered += t.offered
 		shed += t.shed
 		if p95 := sim.Duration(t.latHist.Quantile(0.95)); p95 > s.P95 {

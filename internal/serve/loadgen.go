@@ -7,12 +7,15 @@ import (
 	"cronus/internal/sim"
 )
 
-// This file is the serving plane's load generator: per-tenant arrival
-// processes driven by seeded math/rand streams. Every stream's seed is a
-// pure function of Config.Seed and the tenant (and client) index, and every
-// decision consumes the stream in a fixed order, so identical configs
-// produce identical arrival timelines — the determinism contract the
-// byte-identical-run acceptance test checks.
+// This file is the serving plane's load generator — the front of the one
+// intake both planes share (admission.go holds the rest: submit, request
+// identity, accounting). Per-tenant arrival processes are driven by seeded
+// math/rand streams: every stream's seed is a pure function of Config.Seed
+// and the tenant (and client) index, and every decision consumes the stream
+// in a fixed order (gap, class, gap, …), so a config offers the identical
+// timeline on the executed and the flow-model plane by construction. The
+// planes part only after a request is admitted, at the enqueue that ends
+// submit.
 
 // tenantSeed derives the RNG seed for one tenant's arrival stream.
 func tenantSeed(base int64, ti, client int) int64 {
@@ -31,44 +34,47 @@ func (t *tenant) pickClass(rng *rand.Rand) *workClass {
 	return t.classes[len(t.classes)-1]
 }
 
-// startLoad spawns the arrival processes for every tenant. Open-loop
-// tenants get one generator proc; closed-loop tenants get one proc per
-// client. Generation stops at srv.endAt; in-flight requests drain after.
-func (srv *Server) startLoad() {
-	k := srv.pl.K
+// startLoad arms the arrival processes for every tenant: an open-loop tenant
+// is a CallAt chain (one event per arrival, no generator proc), a
+// closed-loop tenant one proc per client. Generation stops at srv.endAt;
+// in-flight requests drain after.
+func (srv *Server) startLoad(start sim.Time) {
 	for _, t := range srv.tenants {
 		t := t
-		switch t.spec.Arrival {
-		case ClosedLoop:
-			n := t.spec.Clients
-			if n < 1 {
-				n = 1
-			}
-			for ci := 0; ci < n; ci++ {
-				ci := ci
-				k.Spawn(fmt.Sprintf("serve-load-%s-c%d", t.spec.Name, ci), func(p *sim.Proc) {
-					srv.closedLoopClient(p, t, ci)
-				})
-			}
-		default:
-			k.Spawn("serve-load-"+t.spec.Name, func(p *sim.Proc) {
-				srv.openLoop(p, t)
+		if t.spec.Arrival != ClosedLoop {
+			srv.armOpenLoop(start, t)
+			continue
+		}
+		n := t.spec.Clients
+		if n < 1 {
+			n = 1
+		}
+		for ci := 0; ci < n; ci++ {
+			ci := ci
+			srv.pl.K.Spawn(fmt.Sprintf("serve-load-%s-c%d", t.spec.Name, ci), func(p *sim.Proc) {
+				srv.closedLoopClient(p, t, ci)
 			})
 		}
 	}
 }
 
-// openLoop submits requests on a Poisson or fixed-rate schedule. Rates at
-// or below zero generate nothing. Shed requests are dropped on the floor —
-// an open-loop source does not retry (that is what the shed-rate metric
-// measures).
-func (srv *Server) openLoop(p *sim.Proc, t *tenant) {
+// armOpenLoop schedules the tenant's Poisson or fixed-rate arrivals as a
+// CallAt chain: each arrival event submits one request and arms the next.
+// Both callbacks are bound once here and carry the chain's state (the RNG
+// stream and the next instant), so an arrival allocates nothing of its own.
+// Rates at or below zero generate nothing; the gap that lands at or past
+// endAt is discarded without submitting. Shed requests are dropped on the
+// floor — an open-loop source does not retry (that is what the shed-rate
+// metric measures).
+func (srv *Server) armOpenLoop(start sim.Time, t *tenant) {
 	rate := t.spec.Rate
 	if rate <= 0 {
 		return
 	}
 	rng := rand.New(rand.NewSource(tenantSeed(srv.cfg.Seed, t.idx, 0)))
-	for {
+	next := start
+	var arrive func()
+	arm := func() {
 		var gap sim.Duration
 		if t.spec.Arrival == FixedRate {
 			gap = sim.Duration(1e9 / rate)
@@ -78,12 +84,17 @@ func (srv *Server) openLoop(p *sim.Proc, t *tenant) {
 		if gap < 1 {
 			gap = 1
 		}
-		p.Sleep(gap)
-		if p.Now() >= srv.endAt {
+		next += sim.Time(gap)
+		srv.anchor.CallAt(next, arrive)
+	}
+	arrive = func() {
+		if next >= srv.endAt {
 			return
 		}
-		_, _ = srv.submit(p, t, t.pickClass(rng), false)
+		_, _ = srv.submit(next, t, t.pickClass(rng), false)
+		arm()
 	}
+	arm()
 }
 
 // closedLoopClient is one synchronous caller: submit, wait for completion,
@@ -97,7 +108,7 @@ func (srv *Server) closedLoopClient(p *sim.Proc, t *tenant, ci int) {
 		think = 100 * sim.Microsecond
 	}
 	for p.Now() < srv.endAt {
-		r, err := srv.submit(p, t, t.pickClass(rng), true)
+		r, err := srv.submit(p.Now(), t, t.pickClass(rng), true)
 		if err == nil {
 			r.done.Wait(p)
 		}

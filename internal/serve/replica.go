@@ -50,10 +50,11 @@ type replica struct {
 	consecTimeouts int
 
 	// Flow-model-plane state (sharded.go; nil/zero on the classic path): the
-	// modeled lanes, the round-robin lane cursor, the set of batches
-	// dispatched but not yet completed (cancellation on failover), and the
-	// mailbox port batches arrive on.
-	lanes     []laneState
+	// busy-until instant of each modeled lane (one parallel sRPC ring), the
+	// round-robin lane cursor, the set of batches dispatched but not yet
+	// completed (cancellation on failover), and the mailbox port batches
+	// arrive on.
+	lanes     []sim.Time
 	nextLane  int
 	inflightB []*batch
 	lanePort  *sim.Port[*batch]
@@ -141,7 +142,7 @@ func (rep *replica) connect(p *sim.Proc) error {
 		// each with a zero-copy payload arena sized for a full batch: the
 		// control-plane costs (attestation, ring setup, arena grant) are
 		// paid for real.
-		opts.Rings = rep.srv.cfg.Lanes
+		opts.Rings = lanesPerReplica
 		opts.ZCPayload = rep.inCap
 	}
 	conn, err := rep.sess().OpenCUDA(p, opts)
@@ -241,25 +242,29 @@ func (rep *replica) requeue(rs []*Request) {
 	rep.t.q.pushFront(rs)
 }
 
-// failover drains anything still held, waits for the SPM to finish the
-// partition's proceed-trap recovery, and reconnects with bounded
-// exponential backoff. A partition quarantined while we wait flips the
+// failover is the recovery body behind both planes' replicas: requeue
+// anything still held (nothing on the flow-model plane, whose in-flight
+// batches were cancelled when the failure record fired), wait for the SPM to
+// finish the partition's proceed-trap recovery, let the driver re-probe
+// settle, and reconnect with bounded exponential backoff. It reports whether
+// the replica is back; a partition quarantined while we wait flips the
 // replica into the release-parking path instead.
-func (rep *replica) failover(p *sim.Proc) {
+func (rep *replica) failover(p *sim.Proc) bool {
 	rep.drainPending()
 	part := rep.plat().GPUs[rep.partIdx].Part
 	if err := rep.plat().SPM.AwaitReady(p, part); err != nil {
 		rep.quarantined = true
-		return
+		return false
 	}
 	// Driver re-probe settle time before the session re-creates enclaves.
 	p.Sleep(500 * sim.Microsecond)
 	if err := rep.reconnect(p); err != nil {
 		rep.quarantined = true
-		return
+		return false
 	}
 	rep.down = false
 	rep.consecTimeouts = 0
+	return true
 }
 
 // drainPending requeues every batch the replica still holds so the

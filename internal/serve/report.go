@@ -73,7 +73,10 @@ type Result struct {
 
 	Failures []FailureSummary
 
-	// Requests is the per-request record (set when Config.KeepRequests).
+	// Requests is the per-request record (set when Config.KeepRequests), in
+	// admission order on both planes; ID is the plane-wide admission
+	// sequence. Consumers (bench/, internal/chaos, cmd/) do not depend on
+	// the order.
 	Requests []*Request
 
 	// Traces is the per-request causal record in completion order (set
@@ -251,20 +254,6 @@ func (srv *Server) result() *Result {
 		Requests:  srv.requests,
 		Traces:    srv.traces,
 		Metrics:   srv.reg.Snapshot(),
-	}
-	if srv.sh != nil {
-		// Fold the flow-model plane's per-lane batch counters and per-tenant
-		// kept-request records (admission order within each tenant) in
-		// tenant → replica → lane order.
-		for _, t := range srv.tenants {
-			for _, rep := range t.reps {
-				for i := range rep.lanes {
-					res.Batches += rep.lanes[i].batches
-					res.BatchReqs += rep.lanes[i].reqs
-				}
-			}
-			res.Requests = append(res.Requests, t.shKept...)
-		}
 	}
 	winSec := float64(srv.cfg.Window) / 1e9
 	for _, t := range srv.tenants {

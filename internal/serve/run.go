@@ -10,19 +10,17 @@ import (
 )
 
 // Serve runs the configured load against the booted plane: spawn workers
-// are already live (New started them); this starts the load (dispatchers and
-// generators on the classic plane, arrival chains on the flow-model plane)
-// and the configured injectors, sleeps out the load window, then drains — it
+// are already live (New started them); this starts the load (the classic
+// plane's dispatchers, then the one intake both planes share) and the
+// configured injectors, sleeps out the load window, then drains — it
 // returns only after every admitted request has completed, so a Result never
 // has requests unaccounted for.
 func (srv *Server) Serve(p *sim.Proc) (*Result, error) {
 	srv.endAt = p.Now() + sim.Time(srv.cfg.Window)
-	if srv.sh != nil {
-		srv.shStartLoad(p)
-	} else {
+	if srv.sh == nil {
 		srv.startDispatchers()
-		srv.startLoad()
 	}
+	srv.startLoad(p.Now())
 	if srv.cfg.FailAt > 0 {
 		srv.startFailInjector()
 	}
@@ -40,29 +38,13 @@ func (srv *Server) Serve(p *sim.Proc) (*Result, error) {
 }
 
 // startFailInjector arms the single mid-run FailPanic the config asked for:
-// at FailAt, the named GPU partition (default gpu-part0) proceed-traps as
-// if its mOS hit an unhandled fault.
+// at FailAt, the named GPU partition (default gpu-part0; NewCluster resolved
+// it against the pool) proceed-traps as if its mOS hit an unhandled fault.
 func (srv *Server) startFailInjector() {
 	srv.pl.K.Spawn("serve-fail-injector", func(p *sim.Proc) {
 		p.Sleep(srv.cfg.FailAt)
-		if part := srv.failPartition(); part != nil {
-			srv.pl.SPM.Fail(part, spm.FailPanic)
-		}
+		srv.pl.SPM.Fail(srv.failPart, spm.FailPanic)
 	})
-}
-
-// failPartition resolves the partition the FailAt injector targets.
-func (srv *Server) failPartition() *spm.Partition {
-	name := srv.cfg.FailPartition
-	if name == "" {
-		name = "gpu-part0"
-	}
-	for _, g := range srv.pl.GPUs {
-		if g.Part.Name == name {
-			return g.Part
-		}
-	}
-	return nil
 }
 
 // Run boots a fresh platform sized for cfg, serves the configured load, and

@@ -50,20 +50,15 @@ func (srv *Server) startDispatchers() {
 // are unbatchable and always ship alone.
 func (srv *Server) dispatch(p *sim.Proc, t *tenant) {
 	for {
-		first, ok := t.q.waitFirst(p)
-		if !ok {
-			return
-		}
+		first := t.q.waitFirst(p)
 		srv.mark(first, otrace.StageBatch, p.Now())
 		b := &batch{class: first.class, reqs: []*Request{first}, t: t}
-		t.held = 1
 		if first.class.spec.Graph != nil && srv.cfg.MaxBatch > 1 {
 			deadline := p.Now() + sim.Time(srv.cfg.BatchWindow)
 			for len(b.reqs) < srv.cfg.MaxBatch {
 				if next := t.q.popMatching(b.class); next != nil {
 					srv.mark(next, otrace.StageBatch, p.Now())
 					b.reqs = append(b.reqs, next)
-					t.held++
 					continue
 				}
 				// Head is a different class (close the batch so FIFO order
@@ -90,7 +85,6 @@ func (srv *Server) dispatch(p *sim.Proc, t *tenant) {
 			// typed error so conservation holds instead of polling
 			// forever.
 			srv.finishBatch(b, p.Now(), err)
-			t.held = 0
 			continue
 		}
 		// Attestation gate (attestor.go): resume on a live session ticket
@@ -99,14 +93,12 @@ func (srv *Server) dispatch(p *sim.Proc, t *tenant) {
 		// with the typed error instead of dispatching untrusted work.
 		if d, aerr := srv.attestGate(t, rep, p.Now()); aerr != nil {
 			srv.finishBatch(b, p.Now(), aerr)
-			t.held = 0
 			continue
 		} else if d > 0 {
 			p.Sleep(d)
 		}
 		srv.markBatch(b, otrace.StageReplica, p.Now())
 		rep.enqueue(b)
-		t.held = 0
 	}
 }
 

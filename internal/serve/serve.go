@@ -43,6 +43,7 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 
 	"cronus/internal/cluster"
 	"cronus/internal/core"
@@ -199,10 +200,6 @@ type Config struct {
 	// plane serves batchable inference mixes only and is mutually exclusive
 	// with Trace, Supervision and HangReportAfter (see New).
 	Shards int
-	// Lanes is the number of parallel sRPC rings each flow-model replica
-	// opens (default 2); batches round-robin over the lanes, so service on
-	// one lane does not queue behind an independent batch on another.
-	Lanes int
 
 	// Nodes, when >= 2, selects cluster mode (cluster.go): the plane spans
 	// that many simulated machines (cluster.BootNodes), each owning
@@ -211,11 +208,6 @@ type Config struct {
 	// and fail over across nodes when a home pool is lost. Requires the
 	// flow-model plane; GPUPartitions must divide evenly over Nodes.
 	Nodes int
-	// LinkLatency is the one-way gateway↔node propagation delay (default
-	// 5µs).
-	LinkLatency sim.Duration
-	// LinkGBps is the per-link bandwidth in GB/s (default 10).
-	LinkGBps float64
 	// HashBound is the bounded-load factor of the placement ring: no node
 	// is assigned more than ceil(HashBound · tenants / nodes) home tenants
 	// (default 1.25).
@@ -235,8 +227,6 @@ type Config struct {
 	AttestTickets bool
 	// AttestTicketTTL is the virtual-time ticket lifetime (default 5ms).
 	AttestTicketTTL sim.Duration
-	// AttestCacheCap bounds the live-ticket LRU (default 1024).
-	AttestCacheCap int
 	// AttestReprobe, when > 0, starts the continuous re-measurement prober:
 	// every AttestReprobe of virtual time each pooled partition's current
 	// measurement is compared against the boot-pinned value, and a mismatch
@@ -299,29 +289,27 @@ func (c *Config) defaults() {
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
 	}
-	if c.Shards >= 2 && c.Lanes < 1 {
-		c.Lanes = 2
+	if c.Nodes >= 2 && c.HashBound <= 0 {
+		c.HashBound = 1.25
 	}
-	if c.Nodes >= 2 {
-		if c.LinkLatency <= 0 {
-			c.LinkLatency = 5 * sim.Microsecond
-		}
-		if c.LinkGBps <= 0 {
-			c.LinkGBps = 10
-		}
-		if c.HashBound <= 0 {
-			c.HashBound = 1.25
-		}
-	}
-	if c.AttestTickets {
-		if c.AttestTicketTTL <= 0 {
-			c.AttestTicketTTL = 5 * sim.Millisecond
-		}
-		if c.AttestCacheCap <= 0 {
-			c.AttestCacheCap = 1024
-		}
+	if c.AttestTickets && c.AttestTicketTTL <= 0 {
+		c.AttestTicketTTL = 5 * sim.Millisecond
 	}
 }
+
+// Model parameters with one value in use; none is a Config knob.
+const (
+	// lanesPerReplica is the number of parallel sRPC rings each flow-model
+	// replica opens; batches round-robin over the lanes, so service on one
+	// lane does not queue behind an independent batch on another.
+	lanesPerReplica = 2
+	// linkLatency is the one-way gateway↔node propagation delay and linkGBps
+	// the per-link bandwidth in GB/s of the cluster fabric.
+	linkLatency = 5 * sim.Microsecond
+	linkGBps    = 10
+	// attestCacheCap bounds the live-ticket LRU.
+	attestCacheCap = 1024
+)
 
 // Request is one admitted unit of tenant work.
 type Request struct {
@@ -371,9 +359,6 @@ type tenant struct {
 	q       *queue
 	reps    []*replica
 	rrNext  int
-	// held counts requests popped into the dispatcher's open batch window
-	// (out of the queue, not yet on a replica).
-	held int
 
 	latHist *metrics.Histogram
 	// slo scores completions against Config.SLO (nil when unset).
@@ -385,15 +370,11 @@ type tenant struct {
 	retried, timeouts       uint64
 
 	// Flow-model-plane state (zero on the classic path): the open batch, its
-	// generation counter (invalidates stale window timers), the admission
-	// sequence, the in-flight count, the undispatchable-batch backlog and
-	// the kept-request records.
+	// generation counter (invalidates stale window timers) and the
+	// undispatchable-batch backlog.
 	shOpen    *batch
 	shGen     uint64
-	shSeq     uint64
-	shInFl    int
 	shBacklog []*batch
-	shKept    []*Request
 
 	// Cluster-mode state (cluster.go; zero on single-node runs): one
 	// session per node, the current and initial home node, whether a
@@ -417,7 +398,11 @@ type Server struct {
 	reg   *metrics.Registry
 
 	tenants []*tenant
-	nextID  uint64
+
+	// anchor is a proc parked forever: handler-context code (arrival chains,
+	// window timers, lane and port events) raises its CallAt and Port events
+	// from it.
+	anchor *sim.Proc
 
 	endAt sim.Time // load-generation deadline
 
@@ -438,6 +423,8 @@ type Server struct {
 	// single-node runs) — cluster reports prefix the partition name with it.
 	failNodes  []int
 	cancelFail func()
+	// failPart is the FailAt injector's target (nil when FailAt is 0).
+	failPart *spm.Partition
 
 	requests []*Request // retained when cfg.KeepRequests
 
@@ -545,6 +532,23 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 		ctrReconnects:  reg.Counter("serve.reconnect.attempts"),
 		ctrHangReports: reg.Counter("serve.hang_reports"),
 	}
+	if cfg.FailAt > 0 {
+		name := cfg.FailPartition
+		if name == "" {
+			name = "gpu-part0"
+		}
+		var pool []string
+		for _, g := range pl.GPUs[:partsPerNode] {
+			if g.Part.Name == name {
+				srv.failPart = g.Part
+			}
+			pool = append(pool, g.Part.Name)
+		}
+		if srv.failPart == nil {
+			return nil, fmt.Errorf("serve: FailPartition %q is not in the pool (%s)",
+				name, strings.Join(pool, ", "))
+		}
+	}
 	if len(plats) >= 2 {
 		// The placement tier must exist before shBoot, which builds the
 		// per-node completion ports.
@@ -552,6 +556,8 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 			return nil, err
 		}
 	}
+	park := sim.NewSignal(pl.K)
+	srv.anchor = pl.K.Spawn("serve-anchor", func(p *sim.Proc) { park.Wait(p) })
 	if cfg.Shards >= 2 {
 		srv.shBoot()
 	}

@@ -1,24 +1,27 @@
 package serve
 
-// The flow-model data plane: the serving path selected by Config.Shards >= 2.
+// The flow-model data plane: what happens to an admitted request when
+// Config.Shards >= 2.
 //
-// The classic plane burns a proc handshake (park + wake, ~1µs of host time)
-// for every queue push, batch window, replica enqueue and sRPC doorbell —
-// fine at Fig.-8 scale, but at 90k requests per virtual second the host time
-// of one 20ms window is dominated by scheduler churn, not by the model. The
-// flow-model plane keeps the control plane real (platform boot, per-tenant
-// sessions, CUDA mEnclave creation with local attestation, multi-ring sRPC
-// streams with zero-copy arenas, SPM failure subscription and reconnect) and
-// replaces the per-request machinery with an event-driven flow model over
-// the exact same cost surface:
+// Arrival, admission, request identity and accounting are the one intake both
+// planes share (loadgen.go, admission.go): the same CallAt arrival chains and
+// closed-loop clients call the same submit, which ends in a per-plane
+// enqueue. The planes part there. The classic plane hands the request to a
+// dispatcher proc and an executed worker, burning a proc handshake (park +
+// wake, ~1µs of host time) for every queue push, batch window, replica
+// enqueue and sRPC doorbell — fine at Fig.-8 scale, but at 90k requests per
+// virtual second the host time of one 20ms window is dominated by scheduler
+// churn, not by the model. The flow-model plane keeps the control plane real
+// (platform boot, per-tenant sessions, CUDA mEnclave creation with local
+// attestation, multi-ring sRPC streams with zero-copy arenas, SPM failure
+// subscription and reconnect) and replaces the machinery behind submit with
+// an event-driven flow model over the exact same cost surface:
 //
-//   - arrivals are CallAt chains (one event per request, no generator proc
-//     wakeups);
-//   - admission and dynamic batching run inline in the arrival event
-//     (single-class FIFO batches, closed at MaxBatch or BatchWindow);
+//   - dynamic batching runs inline in the arrival event (shBatchIn:
+//     single-class FIFO batches, closed at MaxBatch or BatchWindow);
 //   - a closed batch crosses to its replica through a mailbox Port whose hop
 //     is the PCIe latency (the fabric link latency in cluster mode);
-//   - the lane handler serializes service on one of Config.Lanes modeled
+//   - the lane handler serializes service on one of the replica's modeled
 //     rings and charges the fused zero-copy path: RingPush + SpanCheck on
 //     the host side, RingPoll + SpanCheck + two RPC dispatches + payload
 //     DMA + kernel dispatch + per-item device work on the lane
@@ -29,12 +32,9 @@ package serve
 //
 // Everything runs on the plain sim.Kernel — one event queue, one clock — so
 // handlers and control-plane procs interleave in the kernel's total event
-// order and share state without locking. One parked anchor proc owns every
-// CallAt chain and Port send. The value of Config.Shards is unobservable
-// beyond selecting this plane (asserted by the tests).
-//
-// Lanes count their own batches, requests and busy time; result() folds them
-// in tenant → replica → lane order at snapshot time.
+// order and share state without locking. The server's parked anchor proc owns
+// every CallAt chain and Port send. The value of Config.Shards is
+// unobservable beyond selecting this plane (asserted by the tests).
 //
 // Faults. The only failure source the plane admits is the FailAt injector
 // (Supervision and HangReportAfter are validated out; a RequestTimeout is
@@ -43,33 +43,23 @@ package serve
 // and completes with the typed TimeoutError, matching the classic watchdog's
 // accounting). In-flight batches on a dead replica are cancelled (their
 // pending lane/completion events become no-ops) and their requests requeued
-// to the tenant backlog, a recovery proc waits out the SPM restart and
-// reconnects for real, then the backlog re-dispatches. An attestation
-// revocation (attestor.go) instead sheds the revoked replica's in-flight
-// batches (typed *attest.RevokedError, never requeued — results from a
-// partition with a stale measurement are untrusted) before draining the
-// partition through the quarantine path.
+// to the tenant backlog, a recovery proc runs the classic worker's failover
+// body — wait out the SPM restart, reconnect for real — then the backlog
+// re-dispatches. An attestation revocation (attestor.go) instead sheds the
+// revoked replica's in-flight batches (typed *attest.RevokedError, never
+// requeued — results from a partition with a stale measurement are
+// untrusted) before draining the partition through the quarantine path.
 
 import (
 	"fmt"
-	"math/rand"
 
 	"cronus/internal/cluster"
 	"cronus/internal/sim"
 )
 
-// laneState is one modeled parallel sRPC ring of a replica.
-type laneState struct {
-	busyUntil sim.Time
-	batches   uint64
-	reqs      uint64
-	busyNS    sim.Duration
-}
-
 // shState is the flow-model plane's kernel-facing state.
 type shState struct {
-	anchor *sim.Proc         // parked proc owning every CallAt chain and Port send
-	compl  *sim.Port[*batch] // single-node completion return port
+	compl *sim.Port[*batch] // single-node completion return port
 }
 
 // ShardLayoutError is the typed usage error for a cluster layout that cannot
@@ -124,24 +114,19 @@ func validateSharded(cfg Config) error {
 	return nil
 }
 
-// shBoot spawns the anchor proc — parked forever; it exists so handler-context
-// code has a proc to raise CallAt and Port events from — and builds the
-// completion ports. In cluster mode each node gets its own port whose hop is
-// the fabric link latency: a completion crossing node→gateway pays the
-// propagation delay in the port hop and the serialization/bandwidth cost in
-// submitNS.
+// shBoot builds the completion ports. In cluster mode each node gets its own
+// port whose hop is the fabric link latency: a completion crossing
+// node→gateway pays the propagation delay in the port hop and the
+// serialization/bandwidth cost in submitNS.
 func (srv *Server) shBoot() {
 	k := srv.pl.K
-	park := sim.NewSignal(k)
-	srv.sh = &shState{
-		anchor: k.Spawn("serve-anchor", func(p *sim.Proc) { park.Wait(p) }),
-	}
+	srv.sh = &shState{}
 	if srv.cl != nil {
 		srv.cl.compl = make([]*sim.Port[*batch], srv.cl.nodes)
 		for n := 0; n < srv.cl.nodes; n++ {
 			n := n
 			srv.cl.compl[n] = sim.NewPort[*batch](k, 0,
-				fmt.Sprintf("serve-compl-n%d", n), srv.cfg.LinkLatency)
+				fmt.Sprintf("serve-compl-n%d", n), linkLatency)
 			srv.cl.compl[n].SetHandler(func(at sim.Time, b *batch) {
 				srv.clComplArrive(n, at, b)
 			})
@@ -155,13 +140,13 @@ func (srv *Server) shBoot() {
 // shInitReplica attaches the lanes and the mailbox port to a replica being
 // built (before its first connect).
 func (srv *Server) shInitReplica(rep *replica) {
-	rep.lanes = make([]laneState, srv.cfg.Lanes)
+	rep.lanes = make([]sim.Time, lanesPerReplica)
 	hop := srv.pl.Costs.PCIeLatency
 	name := fmt.Sprintf("serve-lane-%s-p%d", rep.t.spec.Name, rep.partIdx)
 	if srv.cl != nil {
 		// Gateway→node crossings ride the fabric, not PCIe: the port hop is
 		// the inter-node link latency.
-		hop = srv.cfg.LinkLatency
+		hop = linkLatency
 		name = fmt.Sprintf("serve-lane-%s-n%d-p%d", rep.t.spec.Name, rep.node, rep.partIdx)
 	}
 	rep.lanePort = sim.NewPort[*batch](srv.pl.K, 0, name, hop)
@@ -170,132 +155,11 @@ func (srv *Server) shInitReplica(rep *replica) {
 	})
 }
 
-// shStartLoad arms the per-tenant arrival processes: open-loop tenants get a
-// CallAt chain (one event per arrival, zero proc wakeups), closed-loop
-// tenants one proc per client, exactly like the classic plane.
-// RNG streams, seeds and draw order match loadgen.go, so the offered
-// timeline of a config is identical on both planes.
-func (srv *Server) shStartLoad(p *sim.Proc) {
-	for _, t := range srv.tenants {
-		t := t
-		switch t.spec.Arrival {
-		case ClosedLoop:
-			n := t.spec.Clients
-			if n < 1 {
-				n = 1
-			}
-			for ci := 0; ci < n; ci++ {
-				ci := ci
-				srv.pl.K.Spawn(fmt.Sprintf("serve-load-%s-c%d", t.spec.Name, ci), func(p *sim.Proc) {
-					srv.shClosedLoopClient(p, t, ci)
-				})
-			}
-		default:
-			srv.shArmOpenLoop(p.Now(), t)
-		}
-	}
-}
-
-// shArmOpenLoop schedules the tenant's open-loop arrivals as a CallAt chain:
-// each arrival event submits one request and
-// schedules the next. The last gap that lands at or past endAt is discarded
-// without submitting — the same cutoff openLoop applies after its sleep.
-func (srv *Server) shArmOpenLoop(start sim.Time, t *tenant) {
-	rate := t.spec.Rate
-	if rate <= 0 {
-		return
-	}
-	rng := rand.New(rand.NewSource(tenantSeed(srv.cfg.Seed, t.idx, 0)))
-	var schedule func(prev sim.Time)
-	schedule = func(prev sim.Time) {
-		var gap sim.Duration
-		if t.spec.Arrival == FixedRate {
-			gap = sim.Duration(1e9 / rate)
-		} else {
-			gap = sim.Duration(rng.ExpFloat64() / rate * 1e9)
-		}
-		if gap < 1 {
-			gap = 1
-		}
-		ta := prev + sim.Time(gap)
-		srv.sh.anchor.CallAt(ta, func() {
-			if ta >= srv.endAt {
-				return
-			}
-			_, _ = srv.shSubmit(ta, t, t.pickClass(rng), false)
-			schedule(ta)
-		})
-	}
-	schedule(start)
-}
-
-// shClosedLoopClient mirrors closedLoopClient on the flow-model plane:
-// submit, wait for the completion signal, think, repeat.
-func (srv *Server) shClosedLoopClient(p *sim.Proc, t *tenant, ci int) {
-	rng := rand.New(rand.NewSource(tenantSeed(srv.cfg.Seed, t.idx, ci+1)))
-	think := t.spec.Think
-	if think <= 0 {
-		think = 100 * sim.Microsecond
-	}
-	for p.Now() < srv.endAt {
-		r, err := srv.shSubmit(p.Now(), t, t.pickClass(rng), true)
-		if err == nil {
-			r.done.Wait(p)
-		}
-		p.Sleep(think)
-	}
-}
-
-// shInSystem counts the tenant's requests inside the flow-model plane: held by
-// the open batch window, parked in the backlog, or in flight on a lane. The
-// admission bound applies to this total, like inSystem on the classic path.
-func (t *tenant) shInSystem() int {
-	n := t.shInFl
-	if t.shOpen != nil {
-		n += len(t.shOpen.reqs)
-	}
-	for _, b := range t.shBacklog {
-		n += len(b.reqs)
-	}
-	return n
-}
-
-// shSubmit is the flow-model admission decision, run inline in arrival events
-// and closed-loop procs. Request ids are per-tenant —
-// tenant index in the high word, admission sequence in the low — so id
-// assignment never depends on how a same-instant tie between two tenants'
-// arrivals resolved.
-func (srv *Server) shSubmit(now sim.Time, t *tenant, cl *workClass, withSignal bool) (*Request, error) {
-	t.offered++
-	if limit := srv.effectiveCap(t, now); t.shInSystem() >= limit {
-		t.shed++
-		return nil, &OverloadError{Tenant: t.spec.Name, Cap: limit}
-	}
-	t.shSeq++
-	r := &Request{
-		ID:      uint64(t.idx+1)<<32 | t.shSeq,
-		Tenant:  t.spec.Name,
-		Class:   cl.spec.Name,
-		Arrived: now,
-		class:   cl,
-	}
-	if withSignal {
-		r.done = sim.NewSignal(srv.pl.K)
-	}
-	t.admitted++
-	srv.admittedTotal++
-	if srv.cfg.KeepRequests {
-		t.shKept = append(t.shKept, r) // per tenant; folded at result()
-	}
-	srv.shBatchIn(now, t, r)
-	return r, nil
-}
-
-// shBatchIn runs dynamic batching inline: append to the tenant's open batch
-// when the class matches, close it at MaxBatch, close it early on a class
-// change (FIFO order must hold), and arm a window timer when a new batch
-// opens. The timer is a no-op if the batch already closed — the generation
-// counter invalidates it.
+// shBatchIn is the flow-model end of submit. It runs dynamic batching
+// inline: append to the tenant's open batch when the class matches, close it
+// at MaxBatch, close it early on a class change (FIFO order must hold), and
+// arm a window timer when a new batch opens. The timer is a no-op if the
+// batch already closed — the generation counter invalidates it.
 func (srv *Server) shBatchIn(now sim.Time, t *tenant, r *Request) {
 	if t.shOpen != nil {
 		if t.shOpen.class == r.class {
@@ -317,7 +181,7 @@ func (srv *Server) shBatchIn(now sim.Time, t *tenant, r *Request) {
 	}
 	t.q.depth.Set(1)
 	gen := t.shGen
-	srv.sh.anchor.CallAt(now+sim.Time(srv.cfg.BatchWindow), func() {
+	srv.anchor.CallAt(now+sim.Time(srv.cfg.BatchWindow), func() {
 		if t.shOpen != nil && t.shGen == gen {
 			srv.shCloseBatch(now+sim.Time(srv.cfg.BatchWindow), t)
 		}
@@ -399,8 +263,7 @@ func (srv *Server) shDispatchTo(now sim.Time, t *tenant, b *batch, rep *replica)
 	}
 	rep.outstanding += len(b.reqs)
 	rep.inflightB = append(rep.inflightB, b)
-	t.shInFl += len(b.reqs)
-	rep.lanePort.Send(srv.sh.anchor, b)
+	rep.lanePort.Send(srv.anchor, b)
 }
 
 // shLaneArrive is the replica's mailbox handler: serialize the batch
@@ -437,25 +300,19 @@ func (srv *Server) shLaneArrive(rep *replica, at sim.Time, b *batch) {
 		b.attempts = attempts
 		service = total
 	}
-	ln := &rep.lanes[b.lane]
-	start := at
-	if ln.busyUntil > start {
-		start = ln.busyUntil
-	}
-	done := start + sim.Time(service)
-	ln.busyUntil = done
-	ln.batches++
-	ln.reqs += uint64(n)
-	ln.busyNS += service
+	done := max(at, rep.lanes[b.lane]) + sim.Time(service)
+	rep.lanes[b.lane] = done
+	srv.batches++
+	srv.batchReqs += uint64(n)
 	compl := srv.sh.compl
 	if srv.cl != nil {
 		compl = srv.cl.compl[rep.node]
 	}
-	srv.sh.anchor.CallAt(done, func() {
+	srv.anchor.CallAt(done, func() {
 		if b.cancelled {
 			return
 		}
-		compl.Send(srv.sh.anchor, b)
+		compl.Send(srv.anchor, b)
 	})
 }
 
@@ -477,7 +334,6 @@ func (srv *Server) shDone(at sim.Time, b *batch) {
 	t := b.t
 	b.rep.outstanding -= len(b.reqs)
 	b.rep.dropInflight(b)
-	t.shInFl -= len(b.reqs)
 	if srv.cl != nil {
 		t.liveCnt -= len(b.reqs)
 	}
@@ -524,23 +380,20 @@ func (srv *Server) shReplicaDown(rep *replica) {
 }
 
 // shTakeInflight cancels every batch in flight on the replica — its pending
-// lane and completion events become no-ops — backs it out of the in-flight
-// and split-brain ledgers, resets the lanes to idle and returns the batches
-// for the caller to replay or shed.
+// lane and completion events become no-ops — backs it out of the replica's
+// outstanding count and the split-brain ledger, resets the lanes to idle and
+// returns the batches for the caller to replay or shed.
 func (srv *Server) shTakeInflight(t *tenant, rep *replica) []*batch {
 	taken := rep.inflightB
 	rep.inflightB = nil
 	for _, b := range taken {
 		b.cancelled = true
 		rep.outstanding -= len(b.reqs)
-		t.shInFl -= len(b.reqs)
 		if srv.cl != nil {
 			t.liveCnt -= len(b.reqs)
 		}
 	}
-	for i := range rep.lanes {
-		rep.lanes[i].busyUntil = 0
-	}
+	clear(rep.lanes)
 	return taken
 }
 
@@ -568,32 +421,23 @@ func (srv *Server) shCancelInflight(t *tenant, reps ...*replica) int {
 	return replayed
 }
 
-// shRecover is the recovery proc body: wait for the SPM to finish the
-// partition's proceed-trap recovery, let the driver re-probe settle, then
-// reconnect (real OpenCUDA — rings, arenas and executors in the partition's
-// new epoch) and re-drive the tenant's backlog. A quarantine refusal parks
-// the replica and, when it was the last usable one, fails the backlog.
+// shRecover is the recovery proc body: the classic worker's failover (wait
+// out the SPM's proceed-trap recovery, settle, real OpenCUDA reconnect —
+// rings, arenas and executors in the partition's new epoch), then re-drive
+// the tenant's backlog. A quarantine refusal parks the replica and, when it
+// was the last usable one, fails the backlog.
 func (srv *Server) shRecover(p *sim.Proc, rep *replica) {
-	part := rep.plat().GPUs[rep.partIdx].Part
-	if err := rep.plat().SPM.AwaitReady(p, part); err != nil {
+	if !rep.failover(p) {
 		srv.shQuarantined(p, rep)
 		return
 	}
-	// Same driver re-probe settle as the classic failover path.
-	p.Sleep(500 * sim.Microsecond)
-	if err := rep.reconnect(p); err != nil {
-		srv.shQuarantined(p, rep)
-		return
-	}
-	rep.down = false
 	srv.shFlushBacklog(p.Now(), rep.t)
 }
 
-// shQuarantined parks a replica that cannot come back and, if that leaves
-// the tenant with no usable pool, fails the backlog (mirrors the classic
-// place() giving up).
+// shQuarantined follows a replica whose failover ended in quarantine: if that
+// leaves the tenant with no usable pool, re-home it or fail the backlog
+// (mirrors the classic place() giving up).
 func (srv *Server) shQuarantined(p *sim.Proc, rep *replica) {
-	rep.quarantined = true
 	t := rep.t
 	if srv.cl != nil && rep.node == t.home && srv.clHomeUnusable(t) {
 		// The quarantine emptied the tenant's home placement set: re-home to

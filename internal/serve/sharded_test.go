@@ -129,35 +129,65 @@ func TestShardsValueUnobservable(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesClassicAccounting runs the same config on both planes:
-// the arrival timeline is shared (same seeds, same draw order), and under an
-// unsaturated load neither plane sheds, so the offered / admitted /
-// completed columns must agree exactly. Latency may differ — the planes
-// model the data path differently — but conservation must hold on both.
-func TestShardedMatchesClassicAccounting(t *testing.T) {
-	cfg := shardedConfig()
-	cfg.Shards = 0
-	classic, err := serve.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg = shardedConfig()
-	sharded, err := serve.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range classic.Tenants {
-		c, s := classic.Tenants[i], sharded.Tenants[i]
-		if c.Offered != s.Offered || c.Admitted != s.Admitted || c.Completed != s.Completed {
-			t.Errorf("tenant %s: classic offered/admitted/completed %d/%d/%d, sharded %d/%d/%d",
-				c.Name, c.Offered, c.Admitted, c.Completed, s.Offered, s.Admitted, s.Completed)
+// TestIntakeIdenticalAcrossPlanes runs one config on both planes. Arrival,
+// admission, request identity and accounting are one code path, so under an
+// unsaturated load (neither plane sheds) the kept records must list the
+// identical (ID, Tenant, Class, Arrived) in the identical admission order —
+// Arrived as an offset from the first arrival, since the planes boot for
+// different lengths of virtual time before serving starts; latency may differ — the planes model the data path differently — but
+// conservation must hold on both. Past the admission cap what is shed
+// legitimately depends on each plane's service time, yet the offered
+// timeline must still match.
+func TestIntakeIdenticalAcrossPlanes(t *testing.T) {
+	mk := func(shards int, scale float64) serve.Config {
+		cfg := shardedConfig()
+		cfg.Shards = shards
+		mix := []serve.WorkClass{
+			{Name: "resnet18", Weight: 2, Graph: tvm.ResNet18()},
+			{Name: "resnet50", Weight: 1, Graph: tvm.ResNet50()},
 		}
-		if s.Admitted != s.Completed+s.Failed {
-			t.Errorf("tenant %s: sharded conservation broken: admitted %d != completed %d + failed %d",
-				s.Name, s.Admitted, s.Completed, s.Failed)
+		cfg.Tenants[0].Rate, cfg.Tenants[0].Mix = 20000*scale, mix
+		cfg.Tenants[1].Rate, cfg.Tenants[1].Mix = 10000*scale, mix
+		return cfg
+	}
+	run := func(shards int, scale float64) *serve.Result {
+		res, err := serve.Run(mk(shards, scale))
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if s.Duplicates != 0 {
-			t.Errorf("tenant %s: %d duplicate completions", s.Name, s.Duplicates)
+		for _, tr := range res.Tenants {
+			if tr.Offered != tr.Admitted+tr.Shed || tr.Admitted != tr.Completed+tr.Failed || tr.Duplicates != 0 {
+				t.Errorf("shards=%d tenant %s: conservation broken: %+v", shards, tr.Name, tr)
+			}
+		}
+		return res
+	}
+	intake := func(res *serve.Result) string {
+		var b strings.Builder
+		for _, r := range res.Requests {
+			fmt.Fprintf(&b, "%d %s/%s +%d\n", r.ID, r.Tenant, r.Class, r.Arrived-res.Requests[0].Arrived)
+		}
+		return b.String()
+	}
+
+	classic, flow := run(0, 1), run(4, 1)
+	for i, c := range classic.Tenants {
+		if f := flow.Tenants[i]; c.Admitted == 0 || c.Shed != 0 || f.Shed != 0 {
+			t.Fatalf("tenant %s: load is not unsaturated (executed %+v, flow %+v)", c.Name, c, f)
+		}
+	}
+	if got, want := intake(flow), intake(classic); got != want {
+		t.Errorf("admitted request lists differ between the planes\n--- executed ---\n%s--- flow ---\n%s", want, got)
+	}
+
+	classic, flow = run(0, 50), run(4, 50)
+	for i, c := range classic.Tenants {
+		f := flow.Tenants[i]
+		if c.Shed == 0 || f.Shed == 0 {
+			t.Errorf("tenant %s: overload shed nothing (executed %d, flow %d)", c.Name, c.Shed, f.Shed)
+		}
+		if c.Offered != f.Offered {
+			t.Errorf("tenant %s: offered %d on the executed plane, %d on the flow model", c.Name, c.Offered, f.Offered)
 		}
 	}
 }
@@ -285,6 +315,37 @@ func TestShardedValidation(t *testing.T) {
 		tc.mutate(&cfg)
 		if _, err := serve.Run(cfg); err == nil {
 			t.Errorf("%s: flow-model config accepted, want a validation error", tc.name)
+		}
+	}
+}
+
+// TestFailPartitionValidation pins the FailAt injector's target check: a
+// partition outside the pool is a config error naming the pool, not a run
+// that silently injects nothing.
+func TestFailPartitionValidation(t *testing.T) {
+	for _, tc := range []struct {
+		name, part string
+		shards     int
+		wantErr    string
+	}{
+		{"default", "", 0, ""},
+		{"in-pool", "gpu-part1", 0, ""},
+		{"in-pool-flow", "gpu-part1", 2, ""},
+		{"unknown", "gpu-part9", 0, `FailPartition "gpu-part9" is not in the pool (gpu-part0, gpu-part1)`},
+		{"unknown-flow", "gpu-part9", 2, `FailPartition "gpu-part9" is not in the pool (gpu-part0, gpu-part1)`},
+	} {
+		cfg := shardedConfig()
+		cfg.Shards = tc.shards
+		cfg.FailAt = 1500 * sim.Microsecond
+		cfg.FailPartition = tc.part
+		res, err := serve.Run(cfg)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("%s: %v", tc.name, err)
+		case tc.wantErr == "" && len(res.Failures) != 1:
+			t.Errorf("%s: %d failures injected, want 1", tc.name, len(res.Failures))
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
 		}
 	}
 }
