@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet race fuzz bench bench-hotpath bench-build chaos doc-lint trace-verify ci examples tools figures attack loc clean
+.PHONY: all build fmt-check test vet race fuzz bench bench-hotpath bench-build chaos doc-lint trace-verify ci examples tools figures attack loc clean
 
 all: build vet test race
 
@@ -11,6 +11,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# gofmt -l prints the files it would rewrite; any name is a failure.
+fmt-check:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 
 test:
 	$(GO) test ./... -count=1
@@ -87,11 +91,12 @@ trace-verify:
 bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The one CI list — .github/workflows/ci.yml runs exactly `make ci`: build,
-# vet, the full test suite, the race detector over the concurrency-heavy
+# The one CI list — .github/workflows/ci.yml runs exactly `make ci`: the
+# format check, build, vet, the full test suite, the race detector over the concurrency-heavy
 # packages, a short fuzz leg per target, the documentation bar, the benchmark
 # module, the causal-tracing guards and the replay-verified chaos soaks.
 ci:
+	$(MAKE) fmt-check
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./... -count=1

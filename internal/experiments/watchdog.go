@@ -75,7 +75,7 @@ func HangDetectionSweep() ([]HangDetectionRow, error) {
 // RenderHangDetectionSweep formats the watchdog detection-latency table.
 func RenderHangDetectionSweep(rows []HangDetectionRow) *Table {
 	t := &Table{
-		Title: "Watchdog hang detection: analytic bound vs measured latency",
+		Title:   "Watchdog hang detection: analytic bound vs measured latency",
 		Columns: []string{"heartbeat", "missed beats", "bound", "measured", "within"},
 	}
 	for _, r := range rows {

@@ -192,38 +192,59 @@ func (m *PhysMem) access(w World, pa PA, buf []byte, write bool) error {
 // WatchWrite registers fn to run after every guarded write that overlaps
 // [pa, pa+n) — a simulated doorbell on a physical range. Watches observe only
 // Write traffic: ScrubPage and allocator zeroing are privileged maintenance,
-// not producer stores. The returned cancel removes the watch; watches fire in
-// registration order so wakeup order is deterministic.
-func (m *PhysMem) WatchWrite(pa PA, n uint64, fn func()) (cancel func()) {
+// not producer stores. The returned id (never zero) removes the watch through
+// Unwatch; watches fire in registration order so wakeup order is
+// deterministic.
+func (m *PhysMem) WatchWrite(pa PA, n uint64, fn func()) (id int) {
 	m.watchMu.Lock()
+	defer m.watchMu.Unlock()
 	m.watchID++
-	id := m.watchID
-	m.watches = append(m.watches, memWatch{id: id, lo: pa, hi: pa + PA(n), fn: fn})
-	m.watchMu.Unlock()
-	return func() {
-		m.watchMu.Lock()
-		defer m.watchMu.Unlock()
-		for i := range m.watches {
-			if m.watches[i].id == id {
-				m.watches = append(m.watches[:i], m.watches[i+1:]...)
-				return
-			}
+	m.watches = append(m.watches, memWatch{id: m.watchID, lo: pa, hi: pa + PA(n), fn: fn})
+	return m.watchID
+}
+
+// Unwatch removes the watch WatchWrite returned id for; an id that is not
+// registered (already removed, or zero) is ignored.
+func (m *PhysMem) Unwatch(id int) {
+	m.watchMu.Lock()
+	defer m.watchMu.Unlock()
+	if i := m.watchIndex(id); i >= 0 {
+		m.watches = append(m.watches[:i], m.watches[i+1:]...)
+	}
+}
+
+// WatchCount returns the number of registered watches (leak checks).
+func (m *PhysMem) WatchCount() int {
+	m.watchMu.Lock()
+	defer m.watchMu.Unlock()
+	return len(m.watches)
+}
+
+// watchIndex locates a watch by id (watchMu held); -1 when it is gone.
+func (m *PhysMem) watchIndex(id int) int {
+	for i := range m.watches {
+		if m.watches[i].id == id {
+			return i
 		}
 	}
+	return -1
 }
 
 func (m *PhysMem) fireWatches(lo, hi PA) {
 	// Snapshot the overlapping watches under the lock (registration order —
 	// wakeup order stays deterministic), then fire outside it so callbacks
-	// may cancel watches, including their own. A watch cancelled by an
-	// earlier callback of the same write is skipped: its pre-fire existence
-	// is re-checked under the lock, matching the pre-concurrency behaviour.
+	// may remove watches, including their own. A watch removed by an earlier
+	// callback of the same write is skipped: its pre-fire existence is
+	// re-checked under the lock, matching the pre-concurrency behaviour. The
+	// snapshot lives on the stack up to four overlapping watches — a doorbell
+	// word has one or two waiters — and spills to the heap beyond that.
 	m.watchMu.Lock()
 	if len(m.watches) == 0 {
 		m.watchMu.Unlock()
 		return
 	}
-	var snap []memWatch
+	var buf [4]memWatch
+	snap := buf[:0]
 	for _, w := range m.watches {
 		if w.lo < hi && lo < w.hi {
 			snap = append(snap, w)
@@ -232,13 +253,7 @@ func (m *PhysMem) fireWatches(lo, hi PA) {
 	m.watchMu.Unlock()
 	for _, w := range snap {
 		m.watchMu.Lock()
-		live := false
-		for i := range m.watches {
-			if m.watches[i].id == w.id {
-				live = true
-				break
-			}
-		}
+		live := m.watchIndex(w.id) >= 0
 		m.watchMu.Unlock()
 		if live {
 			w.fn()

@@ -59,10 +59,10 @@ func TestTZASCCheckSpan(t *testing.T) {
 		pa      PA
 		wantEnd PA
 	}{
-		{0x0, 0x10000},       // gap below first region
-		{0x10000, 0x20000},   // region 0 start
-		{0x1C000, 0x20000},   // inside region 0
-		{0x20000, 0x30000},   // gap between regions
+		{0x0, 0x10000},            // gap below first region
+		{0x10000, 0x20000},        // region 0 start
+		{0x1C000, 0x20000},        // inside region 0
+		{0x20000, 0x30000},        // gap between regions
 		{0x38000, PA(^uint64(0))}, // above the last region: unbounded
 	}
 	for _, c := range cases {
@@ -180,63 +180,93 @@ func TestPhysMemSpanCheckFaultAddr(t *testing.T) {
 	}
 }
 
-// TestWatchWrite covers the doorbell substrate: overlap filtering, firing
-// order, no firing on reads or scrubs, and cancellation (including
-// cancellation from inside a callback).
+// TestWatchWrite covers the doorbell substrate: overlap filtering, firing in
+// registration order, no firing on reads or scrubs, and removal by id —
+// before a write, from inside a watch's own callback, and of a later watch by
+// an earlier callback of the same write — with few overlapping watches (the
+// stack snapshot) and with more than four (its spill path).
 func TestWatchWrite(t *testing.T) {
 	m := NewMachine(Config{NormalMemBytes: 16 * PageSize, SecureMemBytes: 4 * PageSize})
 	var log []string
-	c1 := m.Mem.WatchWrite(16, 8, func() { log = append(log, "w1") })
-	defer c1()
-	c2 := m.Mem.WatchWrite(24, 8, func() { log = append(log, "w2") })
-	defer c2()
+	logger := func(name string) func() { return func() { log = append(log, name) } }
+	write := func(pa PA, n int) {
+		t.Helper()
+		if err := m.Mem.Write(NormalWorld, pa, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expect := func(what string, want ...string) {
+		t.Helper()
+		if got := fmt.Sprint(log); got != fmt.Sprint(want) {
+			t.Fatalf("%s: firing log %v, want %v", what, got, want)
+		}
+		log = nil
+	}
+	w1 := m.Mem.WatchWrite(16, 8, logger("w1"))
+	w2 := m.Mem.WatchWrite(24, 8, logger("w2"))
+	if w1 == 0 || w2 == 0 || w1 == w2 {
+		t.Fatalf("watch ids %d, %d: want distinct and non-zero", w1, w2)
+	}
 
-	// Write covering only the first watch.
-	if err := m.Mem.Write(NormalWorld, 16, make([]byte, 8)); err != nil {
-		t.Fatal(err)
-	}
-	// Write covering both (overlap at [16,32)).
-	if err := m.Mem.Write(NormalWorld, 20, make([]byte, 8)); err != nil {
-		t.Fatal(err)
-	}
-	// Write covering neither.
-	if err := m.Mem.Write(NormalWorld, 4096, make([]byte, 8)); err != nil {
-		t.Fatal(err)
-	}
+	write(16, 8)   // covers only the first watch
+	write(20, 8)   // covers both (overlap at [16,32))
+	write(4096, 8) // covers neither
 	// Reads and scrubs never ring doorbells.
 	if err := m.Mem.Read(NormalWorld, 16, make([]byte, 16)); err != nil {
 		t.Fatal(err)
 	}
 	m.Mem.ScrubPage(0)
-	want := fmt.Sprintf("%v", []string{"w1", "w1", "w2"})
-	if got := fmt.Sprintf("%v", log); got != want {
-		t.Fatalf("firing log %v, want %v", got, want)
-	}
+	expect("overlap filtering", "w1", "w1", "w2")
 
-	// Cancel removes the watch.
-	c1()
-	log = nil
-	if err := m.Mem.Write(NormalWorld, 16, make([]byte, 16)); err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprintf("%v", log) != fmt.Sprintf("%v", []string{"w2"}) {
-		t.Fatalf("after cancel: %v", log)
-	}
+	// Unwatch removes the watch; a second Unwatch and the zero id are ignored.
+	m.Mem.Unwatch(w1)
+	m.Mem.Unwatch(w1)
+	m.Mem.Unwatch(0)
+	write(16, 16)
+	expect("after Unwatch", "w2")
+	m.Mem.Unwatch(w2)
 
-	// A callback cancelling its own watch mid-fire must not skip others.
-	log = nil
-	var c3 func()
-	c3 = m.Mem.WatchWrite(100, 4, func() { log = append(log, "w3"); c3() })
-	c4 := m.Mem.WatchWrite(100, 4, func() { log = append(log, "w4") })
-	defer c4()
-	if err := m.Mem.Write(NormalWorld, 100, make([]byte, 4)); err != nil {
-		t.Fatal(err)
+	// A callback removing its own watch mid-fire must not skip others.
+	var w3 int
+	w3 = m.Mem.WatchWrite(100, 4, func() { log = append(log, "w3"); m.Mem.Unwatch(w3) })
+	w4 := m.Mem.WatchWrite(100, 4, logger("w4"))
+	write(100, 4)
+	write(100, 4)
+	expect("self-Unwatch", "w3", "w4", "w4")
+	m.Mem.Unwatch(w4)
+
+	// A watch removed by an earlier callback of the same write is skipped,
+	// although the snapshot of that write holds it.
+	var victim int
+	w5 := m.Mem.WatchWrite(200, 4, func() { log = append(log, "w5"); m.Mem.Unwatch(victim) })
+	victim = m.Mem.WatchWrite(200, 4, logger("victim"))
+	w6 := m.Mem.WatchWrite(200, 4, logger("w6"))
+	write(200, 4)
+	expect("removed by an earlier callback", "w5", "w6")
+	m.Mem.Unwatch(w5)
+	m.Mem.Unwatch(w6)
+
+	// More overlapping watches than the stack snapshot holds: same order,
+	// same skip rule.
+	var ids []int
+	var names []string
+	for i := 0; i < 7; i++ {
+		name := fmt.Sprintf("s%d", i)
+		fn := logger(name)
+		if i == 1 {
+			fn = func() { log = append(log, "s1"); m.Mem.Unwatch(ids[5]) }
+		}
+		ids = append(ids, m.Mem.WatchWrite(300, 8, fn))
+		if i != 5 {
+			names = append(names, name)
+		}
 	}
-	if err := m.Mem.Write(NormalWorld, 100, make([]byte, 4)); err != nil {
-		t.Fatal(err)
+	write(304, 1)
+	expect("spilled snapshot", names...)
+	for _, id := range ids {
+		m.Mem.Unwatch(id)
 	}
-	want = fmt.Sprintf("%v", []string{"w3", "w4", "w4"})
-	if got := fmt.Sprintf("%v", log); got != want {
-		t.Fatalf("self-cancel log %v, want %v", got, want)
+	if n := m.Mem.WatchCount(); n != 0 {
+		t.Fatalf("%d watches left registered", n)
 	}
 }

@@ -81,6 +81,9 @@ func (g *GPU) Device() *gpu.Device { return g.dev }
 type CUDAModel struct {
 	hal *GPU
 	ctx *gpu.Context
+	// kernels holds the kernel names launched so far (bounded: the caller
+	// chooses the bytes), so a repeated launch does not allocate its name.
+	kernels wire.Names
 }
 
 // Create implements enclave.Model: parse the CUDA ELF and load it into a
@@ -170,7 +173,7 @@ func (m *CUDAModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encode
 		end()
 		return err
 	case CallLaunch:
-		kname := d.Str()
+		kname := m.kernels.Intern(d.StrRef())
 		var grid gpu.Dim
 		for i := range grid {
 			grid[i] = int(d.U32())

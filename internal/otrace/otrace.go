@@ -103,7 +103,7 @@ type RequestTrace struct {
 	// Retries counts watchdog-triggered re-executions.
 	Retries uint32
 	// Replays counts failover requeues.
-	Replays uint32
+	Replays  uint32
 	Segments []Segment
 }
 

@@ -37,6 +37,26 @@ func BenchmarkKernelProcSwitch(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelSpawnExit measures the life of a process that does nothing:
+// spawn, first dispatch, exit. Creating the coroutine is where iter.Pull costs
+// more allocations than the goroutine + channel it replaced (its closures and
+// shared state), which is what this keeps on the books; steady-state serving
+// spawns nothing per request.
+func BenchmarkKernelSpawnExit(b *testing.B) {
+	b.ReportAllocs()
+	k := NewKernel()
+	k.Spawn("parent", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Spawn("child", func(*Proc) {})
+			p.Sleep(1)
+		}
+	})
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkKernelCallAt measures one callback event: a timer that re-arms
 // itself with a pre-built fn, no process involved.
 func BenchmarkKernelCallAt(b *testing.B) {

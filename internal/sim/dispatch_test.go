@@ -115,6 +115,20 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 				})
 			}
 		},
+		// Four sleepers a nanosecond apart: every event finds a process other
+		// than the blocker due, so each is a yield to drive and a resume of
+		// the next coroutine — the proc→proc hand-off and nothing else.
+		"proc→proc hand-off ring": func(k *Kernel) {
+			for i := 0; i < 4; i++ {
+				i := i
+				k.Spawn("runner", func(p *Proc) {
+					p.Sleep(Duration(i))
+					for {
+						p.Sleep(4)
+					}
+				})
+			}
+		},
 		"CallAt with a pre-built fn": func(k *Kernel) {
 			k.Spawn("timer", func(p *Proc) {
 				var tick func()

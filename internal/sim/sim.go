@@ -3,19 +3,32 @@
 // mailboxes, resources and a processor-sharing engine.
 //
 // The kernel runs each simulated thread of execution (an mEnclave thread, an
-// mOS service loop, a device engine, the untrusted OS) in its own goroutine,
-// but — in the default sequential mode — only one process ever runs at a
-// time. There is no scheduler goroutine between them: the right to dispatch
+// mOS service loop, a device engine, the untrusted OS) as a runtime coroutine
+// (coro.go), and — in the default sequential mode — only one process ever
+// runs at a time. There is no scheduler between them: the right to dispatch
 // (the "baton") travels with control. A process that blocks (Sleep, mailbox
 // receive, resource acquire) runs the event loop itself — kernel callbacks
-// inline, its own wake returns with no goroutine switch, another process's
-// wake is one channel send — and only end conditions (deadline, Stop, error,
-// drained queue, mode switch, process exit) hand the baton back to Run.
+// inline, its own wake returns with no switch at all. When another process's
+// wake comes up, the blocker hands that process, already dispatched, to the
+// coordinator that resumed it (Run's drive loop) and is suspended; drive
+// resumes the other one. That is two coroutine switches — direct hand-offs
+// between goroutines that never enter the Go scheduler, wake a P or touch a
+// futex — where a goroutine per process cost a channel rendezvous. End
+// conditions (deadline, Stop, error, drained queue, mode switch) and process
+// exit give control back to drive the same way, with nothing to resume.
 // Every event carries a unique, totally ordered key, so the pop order — and
 // with it every output — depends neither on the shape of the heap nor on
-// which goroutine happens to dispatch. Virtual time advances only when the
+// which process happens to dispatch. Virtual time advances only when the
 // event queue does, so simulation results are fully deterministic and
 // independent of the host machine.
+//
+// Process code runs on its own goroutine but is resumed synchronously from
+// the goroutine that called Run, and what ends one ends the other: a panic in
+// a process is caught and returned by Run as a *PanicError, while
+// runtime.Goexit — which is what t.Fatal and t.FailNow call — unwinds the
+// process and then ends the goroutine that called Run, its deferred calls
+// included. Tests should therefore report from process code with t.Error
+// and keep t.Fatal for the goroutine that owns the kernel.
 //
 // The kernel can additionally be sharded (EnableSharding): processes are
 // placed on shards (SpawnOn) and, after Parallelize, shards simulate
@@ -107,8 +120,8 @@ func (d Duration) Milliseconds() float64 { return float64(d) / 1e6 }
 //     events at the same instant regardless of mode.
 //
 // fn events are kernel callbacks (port deliveries, Proc.CallAt timers): they
-// run inline on whichever goroutine holds the baton, with no process
-// handshake; p is then only the process that scheduled them (it names the
+// run inline on whichever process or coordinator holds the baton, with no
+// switch; p is then only the process that scheduled them (it names the
 // culprit if the callback panics).
 type event struct {
 	t    Time
@@ -194,11 +207,16 @@ type killToken struct{ p *Proc }
 // Proc is a simulated thread of execution. All blocking simulation
 // operations are methods on the Proc that represents the caller.
 type Proc struct {
-	k      *Kernel
-	sh     *shard
-	name   string
-	id     int
-	resume chan struct{}
+	k    *Kernel
+	sh   *shard
+	name string
+	id   int
+	// co resumes the process's coroutine from a coordinator (drive, Shutdown)
+	// and returns what the process handed back: the next process to run, nil
+	// at an end condition, ok=false once the process has exited. yield is the
+	// other end, valid on the coroutine itself once it has started.
+	co     func() (next *Proc, ok bool)
+	yield  func(next *Proc) bool
 	state  procState
 	gen    uint64
 	killed bool
@@ -276,19 +294,16 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sim: process %q panicked: %v", e.Proc, e.Value)
 }
 
-// shard is one event domain of the kernel: its own clock, queue and yield
-// channel. The unsharded kernel is a single shard. Only one goroutine — the
-// baton holder — touches a shard at a time: in sequential mode one baton
-// covers every shard, during a parallel window each active shard has its own.
+// shard is one event domain of the kernel: its own clock and queue. The
+// unsharded kernel is a single shard. Only one thread of control — the baton
+// holder — touches a shard at a time: in sequential mode one baton covers
+// every shard, during a parallel window each active shard has its own.
 type shard struct {
 	k     *Kernel
 	id    int
 	now   Time
 	eq    eventQueue
 	procs map[*Proc]struct{} // all live processes on this shard
-	// yield is where the baton comes back to the coordinator that drives this
-	// shard (see home) at an end condition or a process exit.
-	yield chan struct{}
 
 	// outbox buffers cross-shard port sends made during a parallel window;
 	// the coordinator drains it into the target shards at the barrier.
@@ -347,7 +362,7 @@ func NewKernel() *Kernel {
 }
 
 func newShard(k *Kernel, id int) *shard {
-	return &shard{k: k, id: id, yield: make(chan struct{}), procs: make(map[*Proc]struct{})}
+	return &shard{k: k, id: id, procs: make(map[*Proc]struct{})}
 }
 
 // Now returns the current virtual time of the sequential clock. It must not
@@ -413,18 +428,17 @@ func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	return k.spawn(sh, t, name, fn, 0, k.nextID)
 }
 
-// spawn creates the process structure, starts its trampoline goroutine and
-// schedules its first event. Callers supply the shard, logical id and stable
-// id appropriate to the current mode.
+// spawn creates the process structure and its coroutine (which does not run
+// until first resumed) and schedules its first event. Callers supply the
+// shard, logical id and stable id appropriate to the current mode.
 func (k *Kernel) spawn(sh *shard, t Time, name string, fn func(p *Proc), lid uint64, id int) *Proc {
 	p := &Proc{
-		k:      k,
-		sh:     sh,
-		name:   name,
-		id:     id,
-		lid:    lid,
-		resume: make(chan struct{}),
-		state:  procQueued,
+		k:     k,
+		sh:    sh,
+		name:  name,
+		id:    id,
+		lid:   lid,
+		state: procQueued,
 	}
 	k.live.Add(1)
 	sh.procs[p] = struct{}{}
@@ -432,8 +446,10 @@ func (k *Kernel) spawn(sh *shard, t Time, name string, fn func(p *Proc), lid uin
 	if traceHook != nil {
 		traceHook(t, "spawn", name)
 	}
-	go func() {
-		<-p.resume
+	p.co = newCoro(func(yield func(*Proc) bool) {
+		p.yield = yield
+		// Returning from here is the process exit: co reports ok=false and
+		// whoever resumed the process (drive, Shutdown) carries on.
 		defer func() {
 			r := recover()
 			if r != nil {
@@ -444,7 +460,6 @@ func (k *Kernel) spawn(sh *shard, t Time, name string, fn func(p *Proc), lid uin
 			p.state = procDead
 			k.live.Add(-1)
 			delete(sh.procs, p)
-			sh.home().yield <- struct{}{}
 		}()
 		p.state = procRunning
 		p.gen++
@@ -452,7 +467,7 @@ func (k *Kernel) spawn(sh *shard, t Time, name string, fn func(p *Proc), lid uin
 			panic(killToken{p})
 		}
 		fn(p)
-	}()
+	})
 	sh.schedule(t, p)
 	return p
 }
@@ -543,23 +558,20 @@ func (k *Kernel) deadlock() error {
 	return &DeadlockError{Parked: names}
 }
 
-// home is the shard whose yield channel the coordinator of the current baton
-// listens on: the shard itself during a parallel window, shard 0 (RunUntil)
-// under the sequential merge, where one baton covers every shard.
-func (sh *shard) home() *shard {
-	if sh.k.parallel {
-		return sh
-	}
-	return sh.k.shards[0]
-}
-
 // drive is the coordinator's end of the baton: RunUntil in sequential mode, a
-// shard window in the parallel phase. It starts the next process and sleeps
-// until the baton comes back; processes pass it among themselves meanwhile.
+// shard window in the parallel phase. It resumes the next process and gets
+// control back when that process blocks on another's wake (which it hands
+// over already dispatched), hits an end condition, or exits; in the last two
+// cases drive dispatches for itself. A switch between two processes is thus
+// two coroutine switches through here and no pass through the Go scheduler.
 func (sh *shard) drive() {
-	for p := sh.next(); p != nil; p = sh.next() {
-		p.resume <- struct{}{}
-		<-sh.yield
+	p := sh.next()
+	for p != nil {
+		q, _ := p.co()
+		if q == nil {
+			q = sh.next()
+		}
+		p = q
 	}
 }
 
@@ -629,26 +641,21 @@ func (k *Kernel) call(ev *event) {
 }
 
 // block takes the baton and dispatches until this process's own wake comes
-// up (return at once, no goroutine switch); if another process is due first
-// the baton goes to it, at an end condition back to the coordinator, and the
-// process waits to be resumed. On resume the wake generation is bumped so
-// pending duplicate events become stale. It panics with the kill token if the
-// process was killed while blocked.
+// up (return at once, no switch); if another process is due first it is
+// handed to the coordinator to resume, at an end condition nil is, and the
+// process is suspended until it is resumed in turn. On resume the wake
+// generation is bumped so pending duplicate events become stale. It panics
+// with the kill token if the process was killed while blocked.
 func (p *Proc) block() {
 	// Already marked killed (deferred cleanup blocking during an unwind,
-	// or Shutdown): terminate without stranding the goroutine. The baton is
-	// not lost because the trampoline yields on the panic.
+	// or Shutdown): terminate without suspending again. The baton is not
+	// lost because the coordinator regains control when the coroutine ends.
 	if p.killed {
 		p.onKill = nil
 		panic(killToken{p})
 	}
 	if q := p.sh.next(); q != p {
-		if q != nil {
-			q.resume <- struct{}{}
-		} else {
-			p.sh.home().yield <- struct{}{}
-		}
-		<-p.resume
+		p.yield(q)
 	}
 	p.gen++
 	p.onKill = nil
@@ -760,9 +767,10 @@ func (k *Kernel) killNow(p *Proc) Time {
 // In a sharded run, Sequentialize before Stop so the cut is deterministic.
 func (k *Kernel) Stop() { k.stopped.Store(true) }
 
-// Shutdown unwinds every remaining process so their goroutines exit. Call it
-// after Run/RunUntil returns, never from inside a running process. The
-// kernel cannot be used again afterwards.
+// Shutdown unwinds every remaining process — each is resumed once, marked
+// killed, and runs its deferred calls to the end of its coroutine — so no
+// goroutine outlives the kernel. Call it after Run/RunUntil returns, never
+// from inside a running process. The kernel cannot be used again afterwards.
 func (k *Kernel) Shutdown() {
 	if k.run {
 		panic("sim: Shutdown during Run")
@@ -775,8 +783,7 @@ func (k *Kernel) Shutdown() {
 			}
 			p.killed = true
 			p.state = procQueued
-			p.resume <- struct{}{}
-			<-sh.home().yield
+			p.co()
 		}
 	}
 }

@@ -590,3 +590,132 @@ func TestShutdownUnwindsBlockingDefers(t *testing.T) {
 		t.Fatalf("goroutines leaked: before=%d after=%d", before, g)
 	}
 }
+
+// TestShutdownLeavesNoGoroutines holds Shutdown to the exact goroutine count
+// it started from, for a process in every state a run can leave behind: never
+// started (its coroutine exists but has not been resumed), parked, asleep,
+// killed while parked with the unwinding wake still queued, and one whose
+// deferred cleanup swallows the kill and blocks again mid-unwind. The second
+// leg leaves them on two shards in the middle of the parallel phase, so the
+// window dispatchers have to go too.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	neverRuns := func(*Proc) { t.Error("a never-started process ran") }
+	// populate leaves one process in each state and ends the run with Stop,
+	// so the victim's wake and the child's first event stay queued.
+	populate := func(k *Kernel, spawn func(name string, fn func(p *Proc)) *Proc, cleanups *int) {
+		never := NewCond(k)
+		cleanup := func() { *cleanups++ }
+		spawn("parked", func(p *Proc) {
+			defer cleanup()
+			never.Wait(p)
+		})
+		spawn("sleeping", func(p *Proc) {
+			defer cleanup()
+			p.Sleep(Second)
+		})
+		victim := spawn("killed-while-parked", func(p *Proc) {
+			defer cleanup()
+			never.Wait(p)
+		})
+		spawn("mid-unwind", func(p *Proc) {
+			defer func() {
+				recover() // swallow the kill ...
+				defer cleanup()
+				p.Sleep(1) // ... and block again: must unwind, not suspend
+				t.Error("a killed process slept")
+			}()
+			never.Wait(p)
+		})
+		spawn("killer", func(p *Proc) {
+			defer cleanup()
+			p.Sleep(100 * Microsecond)
+			k.Kill(victim)
+			p.Spawn("never-started", neverRuns)
+			k.Stop()
+			p.Sleep(Second)
+		})
+	}
+	// Each leg returns how many of its processes carry a deferred cleanup.
+	legs := map[string]func(k *Kernel, cleanups *int) int{
+		"sequential": func(k *Kernel, cleanups *int) int {
+			populate(k, k.Spawn, cleanups)
+			k.SpawnAt(Time(Second), "never-started", neverRuns)
+			return 5
+		},
+		"parallel phase": func(k *Kernel, cleanups *int) int {
+			k.EnableSharding(3, Microsecond)
+			lid := uint64(1)
+			for sh := 1; sh <= 2; sh++ {
+				sh := sh
+				populate(k, func(name string, fn func(p *Proc)) *Proc {
+					lid++
+					return k.SpawnOn(sh, lid, name, fn)
+				}, cleanups)
+			}
+			k.SpawnOn(0, 1, "host", func(p *Proc) {
+				k.Parallelize()
+				p.Sleep(Second)
+			})
+			return 10
+		},
+	}
+	for name, setup := range legs {
+		base := runtime.NumGoroutine()
+		k := NewKernel()
+		cleanups := 0
+		want := setup(k, &cleanups)
+		spawned := int(k.live.Load())
+		if g := runtime.NumGoroutine(); g != base+spawned {
+			t.Fatalf("%s: %d goroutines for %d processes over a baseline of %d", name, g, spawned, base)
+		}
+		if err := k.Run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cleanups != 0 {
+			t.Fatalf("%s: %d processes unwound before Shutdown", name, cleanups)
+		}
+		k.Shutdown()
+		if live := k.live.Load(); live != 0 {
+			t.Errorf("%s: %d processes alive after Shutdown", name, live)
+		}
+		if cleanups != want {
+			t.Errorf("%s: %d deferred cleanups ran, want %d", name, cleanups, want)
+		}
+		// Process coroutines end inside Shutdown; only the window dispatchers,
+		// told to stop by a channel close, exit on their own time.
+		for i := 0; i < 1000 && runtime.NumGoroutine() > base; i++ {
+			runtime.Gosched()
+		}
+		if g := runtime.NumGoroutine(); g != base {
+			t.Errorf("%s: %d goroutines after Shutdown, %d before the kernel existed", name, g, base)
+		}
+	}
+}
+
+// TestGoexitInProcessEndsRun: runtime.Goexit (which is what t.Fatal calls)
+// inside a process travels through the coroutine to the goroutine that called
+// Run and ends it there, deferred calls included — it neither hangs the
+// kernel nor lets Run return as if the process had finished.
+func TestGoexitInProcessEndsRun(t *testing.T) {
+	k := NewKernel()
+	quitter := k.Spawn("quitter", func(p *Proc) {
+		p.Sleep(5)
+		runtime.Goexit()
+	})
+	k.Spawn("bystander", func(p *Proc) { p.Sleep(Second) })
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		k.Run()
+		returned = true
+	}()
+	<-done
+	if returned {
+		t.Fatal("Run returned after a process called Goexit")
+	}
+	if !quitter.Dead() {
+		t.Fatal("the exited process is not marked dead")
+	}
+	k.Shutdown()
+}

@@ -280,4 +280,3 @@ func (s *SPM) TamperMeasurement(p *Partition) attest.Measurement {
 	}
 	return p.mosHash
 }
-

@@ -65,26 +65,36 @@ type isoWatch struct {
 // FreeMem, partition failure, recovery completion, and proceed-trap
 // resolution. Waiters parked on shared-memory doorbells use this to re-check
 // their predicate on failure paths that never write the watched word.
-// Callbacks run in registration order; the returned cancel removes the hook.
-// Registration and cancel may run concurrently from different process
-// goroutines (doorbell waiters arm on the poll path); isoMu serializes list
-// mutation.
-func (s *SPM) OnIsolationChange(fn func()) (cancel func()) {
+// Callbacks run in registration order; the returned id (never zero) removes
+// the hook through OffIsolationChange. Registration and removal may run
+// concurrently from different process goroutines (doorbell waiters arm on the
+// poll path); isoMu serializes list mutation.
+func (s *SPM) OnIsolationChange(fn func()) (id int) {
 	s.isoMu.Lock()
+	defer s.isoMu.Unlock()
 	s.isoNext++
-	id := s.isoNext
-	s.isoWatches = append(s.isoWatches, isoWatch{id: id, fn: fn})
-	s.isoMu.Unlock()
-	return func() {
-		s.isoMu.Lock()
-		defer s.isoMu.Unlock()
-		for i := range s.isoWatches {
-			if s.isoWatches[i].id == id {
-				s.isoWatches = append(s.isoWatches[:i], s.isoWatches[i+1:]...)
-				return
-			}
+	s.isoWatches = append(s.isoWatches, isoWatch{id: s.isoNext, fn: fn})
+	return s.isoNext
+}
+
+// OffIsolationChange removes the hook OnIsolationChange returned id for; an
+// id that is not registered is ignored.
+func (s *SPM) OffIsolationChange(id int) {
+	s.isoMu.Lock()
+	defer s.isoMu.Unlock()
+	if i := s.isoIndex(id); i >= 0 {
+		s.isoWatches = append(s.isoWatches[:i], s.isoWatches[i+1:]...)
+	}
+}
+
+// isoIndex locates a hook by id (isoMu held); -1 when it is gone.
+func (s *SPM) isoIndex(id int) int {
+	for i := range s.isoWatches {
+		if s.isoWatches[i].id == id {
+			return i
 		}
 	}
+	return -1
 }
 
 // isolationChanged notifies every registered observer. Spurious
@@ -98,13 +108,7 @@ func (s *SPM) isolationChanged() {
 	s.isoMu.Unlock()
 	for _, w := range ws {
 		s.isoMu.Lock()
-		live := false
-		for i := range s.isoWatches {
-			if s.isoWatches[i].id == w.id {
-				live = true
-				break
-			}
-		}
+		live := s.isoIndex(w.id) >= 0
 		s.isoMu.Unlock()
 		if live {
 			w.fn()
@@ -136,21 +140,28 @@ func (v *View) ResolvePA(va uint64) (hw.PA, bool) {
 }
 
 // WatchWrite arms a doorbell on the n bytes at va: fn runs after every
-// guarded physical write overlapping the range. The range must not cross a
-// page boundary (doorbell words are within-page by construction). ok is
-// false when va is not currently mapped — callers fall back to polling.
-func (v *View) WatchWrite(va, n uint64, fn func()) (cancel func(), ok bool) {
+// guarded physical write overlapping the range, until Unwatch(id). The range
+// must not cross a page boundary (doorbell words are within-page by
+// construction). ok is false when va is not currently mapped — callers fall
+// back to polling.
+func (v *View) WatchWrite(va, n uint64, fn func()) (id int, ok bool) {
 	if (va&(hw.PageSize-1))+n > hw.PageSize {
-		return nil, false
+		return 0, false
 	}
 	pa, ok := v.ResolvePA(va)
 	if !ok {
-		return nil, false
+		return 0, false
 	}
 	return v.spm.M.Mem.WatchWrite(pa, n, fn), true
 }
 
+// Unwatch removes a watch armed by WatchWrite.
+func (v *View) Unwatch(id int) { v.spm.M.Mem.Unwatch(id) }
+
 // OnIsolationChange forwards to the owning SPM's registry.
-func (v *View) OnIsolationChange(fn func()) (cancel func()) {
+func (v *View) OnIsolationChange(fn func()) (id int) {
 	return v.spm.OnIsolationChange(fn)
 }
+
+// OffIsolationChange forwards to the owning SPM's registry.
+func (v *View) OffIsolationChange(id int) { v.spm.OffIsolationChange(id) }

@@ -2,8 +2,10 @@ package srpc_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"cronus/internal/core"
 	"cronus/internal/gpu"
 	"cronus/internal/metrics"
 	"cronus/internal/mos/driver"
@@ -44,46 +46,141 @@ func BenchmarkSRPCSyncCall(b *testing.B) {
 	}
 }
 
-// TestSyncCallEventBudget is the event-efficiency regression guard: with the
-// doorbell waits in place, a synchronous mECall must cost a bounded number of
-// simulator events regardless of how long the executor takes. The polling
-// implementation this replaced burned ~33 events per call on this workload
-// (two timer events per 480 ns quantum); the doorbell version needs ~8. The
-// bound sits between the two so a regression to per-quantum polling fails.
+// TestSyncCallEventBudget is the regression guard on what a synchronous mECall
+// costs the host, in two legs.
+//
+// "polling bound": with the doorbell waits in place a call needs a bounded
+// number of simulator events however long the executor takes. The polling
+// implementation this replaced burned ~33 per call on this workload (two
+// timer events per 480 ns quantum), the doorbell version ~8, and the bound
+// sits between the two so a regression to per-quantum polling fails.
+//
+// "benchmark books": replays, step for step, what the repository benchmark
+// does for srpc.sync_call_events, _vns and _allocs (bench/layers.go) — a
+// default platform, one CUDA stream, then batches of 2000 eight-byte DtoH
+// calls and a closing barrier: one warm-up, five timed with the registry off,
+// one counted with it on. The virtual side is pinned to the digit: 3,527,280
+// ns for the last timed batch and 17,984 events for the counted one are the
+// 1763.64 ns and 8.992 events per call on the books, and no host-side change
+// may move them. The host side is a ceiling: a warm call allocates at most
+// four times (the caller's result slice and argument bytes among them), and
+// no wait falls back from its doorbell to polling.
 func TestSyncCallEventBudget(t *testing.T) {
-	const calls = 100
-	metrics.Default.Reset()
-	metrics.Default.Enable()
-	defer metrics.Default.Disable()
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		h, err := setup(p, rig)
-		if err != nil {
-			return err
-		}
-		c, err := h.connect(p)
-		if err != nil {
-			return err
-		}
-		args := driver.EncodeMemAlloc(4096)
-		if _, err := c.Call(p, driver.CallMemAlloc, args); err != nil {
-			return err
-		}
-		pre := metrics.Default.Snapshot()
-		for i := 0; i < calls; i++ {
+	t.Run("polling bound", func(t *testing.T) {
+		const calls = 100
+		metrics.Default.Reset()
+		metrics.Default.Enable()
+		defer metrics.Default.Disable()
+		err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
+			h, err := setup(p, rig)
+			if err != nil {
+				return err
+			}
+			c, err := h.connect(p)
+			if err != nil {
+				return err
+			}
+			args := driver.EncodeMemAlloc(4096)
 			if _, err := c.Call(p, driver.CallMemAlloc, args); err != nil {
 				return err
 			}
+			pre := metrics.Default.Snapshot()
+			for i := 0; i < calls; i++ {
+				if _, err := c.Call(p, driver.CallMemAlloc, args); err != nil {
+					return err
+				}
+			}
+			post := metrics.Default.Snapshot()
+			perCall := post.CounterDelta(pre, "sim.events.dispatched") / calls
+			if perCall > 16 {
+				t.Errorf("sync call costs %d dispatched events; the doorbell wait should need at most 16", perCall)
+			}
+			return c.Close(p)
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		post := metrics.Default.Snapshot()
-		perCall := post.CounterDelta(pre, "sim.events.dispatched") / calls
-		if perCall > 16 {
-			t.Errorf("sync call costs %d dispatched events; the doorbell wait should need at most 16", perCall)
-		}
-		return c.Close(p)
 	})
+	t.Run("benchmark books", func(t *testing.T) {
+		const n, timed = 2000, 5
+		metrics.Default.Reset()
+		defer metrics.Default.Disable()
+		k := sim.NewKernel()
+		defer k.Shutdown()
+		var err error
+		k.Spawn("main", func(p *sim.Proc) {
+			defer k.Stop()
+			var conn *core.CUDAConn
+			var ptr uint64
+			if conn, ptr, err = openBenchStream(p); err != nil {
+				return
+			}
+			// batch returns the virtual time and the allocations per call.
+			batch := func() (vns sim.Time, allocs float64) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				v0 := p.Now()
+				for i := 0; i < n && err == nil; i++ {
+					_, err = conn.DtoH(p, ptr, 8)
+				}
+				if err == nil {
+					err = conn.Sync(p)
+				}
+				runtime.ReadMemStats(&after)
+				return p.Now() - v0, float64(after.Mallocs-before.Mallocs) / n
+			}
+			batch()
+			var vns sim.Time
+			for i := 0; i < timed; i++ {
+				var allocs float64
+				if vns, allocs = batch(); allocs > 4 {
+					t.Errorf("timed batch %d: a warm sync call allocates %.2f times, want at most 4", i, allocs)
+				}
+			}
+			if vns != 3527280 {
+				t.Errorf("last timed batch: %d virtual ns for %d calls and a barrier, want 3527280", vns, n)
+			}
+			metrics.Default.Enable()
+			pre := metrics.Default.Snapshot()
+			batch()
+			post := metrics.Default.Snapshot()
+			if events := post.CounterDelta(pre, "sim.events.dispatched"); events != 17984 {
+				t.Errorf("counted batch: %d events for %d calls and a barrier, want 17984", events, n)
+			}
+			if fb := post.Counters["srpc.doorbell.fallback"]; fb != 0 {
+				t.Errorf("%d doorbell waits fell back to polling on a healthy stream", fb)
+			}
+		})
+		if runErr := k.Run(); runErr != nil {
+			t.Fatal(runErr)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// openBenchStream sets up what bench/layers.go times the sRPC call shapes on:
+// a default platform, a session, one CUDA stream with a fused-payload arena,
+// and a 4 KiB device buffer that has been written once.
+func openBenchStream(p *sim.Proc) (*core.CUDAConn, uint64, error) {
+	pl, err := core.BuildPlatform(p, core.DefaultConfig())
 	if err != nil {
-		t.Fatal(err)
+		return nil, 0, err
 	}
+	s, err := pl.NewSession(p, "layers")
+	if err != nil {
+		return nil, 0, err
+	}
+	conn, err := s.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("scale"), ZCPayload: 4096})
+	if err != nil {
+		return nil, 0, err
+	}
+	ptr, err := conn.MemAlloc(p, 4096)
+	if err != nil {
+		return nil, 0, err
+	}
+	return conn, ptr, conn.HtoD(p, ptr, make([]byte, 256))
 }
 
 // BenchmarkSrpcMultiRing measures host time per fused zero-copy call when

@@ -359,7 +359,6 @@ func (c *Client) push(p *sim.Proc, name string, head, bulk []byte, kind uint32, 
 			db = c.ring.armDoorbell(p.Kernel(), [2]uint64{offSid, 8})
 		}
 		if db == nil {
-			mDoorbellFallback.Inc()
 			p.Sleep(pollQuantum)
 			continue
 		}
@@ -450,7 +449,6 @@ func (c *Client) waitSidPast(p *sim.Proc, target uint64) error {
 		if db == nil {
 			// Header word not mapped (teardown in progress): keep the
 			// plain polling cadence; the next read faults.
-			mDoorbellFallback.Inc()
 			p.Sleep(period)
 			continue
 		}

@@ -41,3 +41,39 @@ func (c *Client) ReadRecordBySlots(p *sim.Proc, idx uint64, n int) ([]byte, erro
 	}
 	return out, nil
 }
+
+// OffSid is the ring-header offset of the consumer index, the word an owner's
+// doorbell watches.
+const OffSid = offSid
+
+// DoorbellWait performs one doorbell wait on the owner's ring the way push and
+// waitSidPast do — arm on the given 8-byte header words, park until the
+// doorbell rings, disarm — calling armed in between. It reports false, having
+// waited for nothing, when arming fell back.
+func (c *Client) DoorbellWait(p *sim.Proc, armed func(), offs ...uint64) bool {
+	var words [2][2]uint64
+	for i, off := range offs {
+		words[i] = [2]uint64{off, 8}
+	}
+	db := c.ring.armDoorbell(p.Kernel(), words[:len(offs)]...)
+	if db == nil {
+		return false
+	}
+	armed()
+	alignedWait(p, db, p.Now(), pollQuantum, p.Now())
+	db.disarm()
+	return true
+}
+
+// RewriteSid stores the consumer index the ring already holds: a write that
+// rings the owner's doorbells and changes nothing.
+func (c *Client) RewriteSid(p *sim.Proc) error {
+	sid, err := c.ring.readU64(p, offSid)
+	if err != nil {
+		return err
+	}
+	return c.ring.writeU64(p, offSid, sid)
+}
+
+// IdleDoorbells returns how many disarmed doorbells the owner's ring holds.
+func (c *Client) IdleDoorbells() int { return len(c.ring.idle) }

@@ -58,6 +58,9 @@ type serverStream struct {
 	stage []byte
 	zc    []byte
 	res   wire.Encoder
+	// names holds the mECall names this stream has carried, so naming a
+	// call again allocates nothing (bounded: the owner chooses the bytes).
+	names wire.Names
 
 	// Arena geometry the owner published in the ring header (GrantArena),
 	// read on the first fused record.
@@ -213,7 +216,6 @@ func (s *Server) RunExecutor(p *sim.Proc, streamID uint64) {
 				db = r.armDoorbell(p.Kernel(), [2]uint64{offRid, 8}, [2]uint64{offClosed, 4})
 			}
 			if db == nil {
-				mDoorbellFallback.Inc()
 				p.Sleep(idlePeriod)
 				continue
 			}
@@ -237,7 +239,7 @@ func (s *Server) RunExecutor(p *sim.Proc, streamID uint64) {
 			return
 		}
 		bd := wire.NewDecoder(body)
-		name := bd.Str()
+		name := st.names.Intern(bd.StrRef())
 		args := bd.BlobRef() // lent to the mECall; dies when the record does
 		res := st.res.Reset().U32(0)
 		mark := res.BeginBlob()

@@ -164,6 +164,9 @@ type ring struct {
 	base  uint64 // IPA of the smem region in this side's partition
 	pages int
 	slots uint64
+	// idle holds disarmed doorbells for the next wait on this ring; there is
+	// more than one only while fused records are pushed concurrently.
+	idle []*doorbell
 }
 
 func newRing(view *spm.View, base uint64, pages int) *ring {
@@ -263,32 +266,55 @@ func slotsFor(n int) uint64 {
 // unchanged; the event queue just carries one wakeup instead of one timer
 // per poll quantum.
 type doorbell struct {
-	cond    *sim.Cond
-	cancels []func()
+	r    *ring
+	cond sim.Cond
+	wake func() // cond.Broadcast, bound once for every arming
+	// Registrations of the current arming: up to two header words, then the
+	// isolation-change hook (zero = not registered).
+	words [2]int
+	iso   int
 }
 
-// armDoorbell watches the given (offset, length) header words. It returns
-// nil when any word is not currently mapped — callers then keep the plain
-// polling loop, whose next read faults or observes the teardown.
+// armDoorbell watches the given (offset, length) header words — two at most —
+// and the SPM's isolation changes. Registrations are made afresh for every
+// wait, in the order the waits begin: that order is the order watches fire in,
+// so it is part of the simulation's determinism. Only the doorbell itself is
+// recycled. It returns nil, and counts a fallback, when any word is not
+// currently mapped — callers then keep the plain polling loop, whose next
+// read faults or observes the teardown.
 func (r *ring) armDoorbell(k *sim.Kernel, watch ...[2]uint64) *doorbell {
-	db := &doorbell{cond: sim.NewCond(k)}
-	for _, w := range watch {
-		cancel, ok := r.view.WatchWrite(r.base+w[0], w[1], db.cond.Broadcast)
+	var db *doorbell
+	if n := len(r.idle); n > 0 {
+		db, r.idle = r.idle[n-1], r.idle[:n-1]
+	} else {
+		db = &doorbell{r: r, cond: *sim.NewCond(k)}
+		db.wake = db.cond.Broadcast
+	}
+	for i, w := range watch {
+		id, ok := r.view.WatchWrite(r.base+w[0], w[1], db.wake)
 		if !ok {
 			db.disarm()
+			mDoorbellFallback.Inc()
 			return nil
 		}
-		db.cancels = append(db.cancels, cancel)
+		db.words[i] = id
 	}
-	db.cancels = append(db.cancels, r.view.OnIsolationChange(db.cond.Broadcast))
+	db.iso = r.view.OnIsolationChange(db.wake)
 	return db
 }
 
+// disarm removes the doorbell's registrations and returns it to its ring.
 func (db *doorbell) disarm() {
-	for _, c := range db.cancels {
-		c()
+	for _, id := range db.words {
+		if id != 0 {
+			db.r.view.Unwatch(id)
+		}
 	}
-	db.cancels = nil
+	if db.iso != 0 {
+		db.r.view.OffIsolationChange(db.iso)
+	}
+	db.words, db.iso = [2]int{}, 0
+	db.r.idle = append(db.r.idle, db)
 }
 
 // alignedWait parks p until the doorbell rings, then sleeps to the next read

@@ -279,9 +279,9 @@ func (s *Server) execZC(p *sim.Proc, st *serverStream, name string, args []byte)
 	arenaIPA := d.U64()
 	off := d.U64()
 	n := d.U64()
-	copyCall := d.Str()
+	copyCall := st.names.Intern(d.StrRef())
 	dst := d.U64()
-	execCall := d.Str()
+	execCall := st.names.Intern(d.StrRef())
 	execArgs := d.BlobRef()
 	if err := d.Err(); err != nil {
 		return err

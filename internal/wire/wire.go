@@ -160,6 +160,14 @@ func (d *Decoder) Str() string {
 	return string(b)
 }
 
+// StrRef reads a length-prefixed string WITHOUT copying it: the result aliases
+// the decoder's buffer under BlobRef's lifetime rule. It is for a name that
+// is only compared or looked up (Names.Intern) before the buffer is reused.
+func (d *Decoder) StrRef() []byte {
+	n := d.U32()
+	return d.take(int(n))
+}
+
 // Blob reads a length-prefixed byte string (copied): the result is the
 // caller's to keep and to modify.
 func (d *Decoder) Blob() []byte {
@@ -185,4 +193,32 @@ func (d *Decoder) BlobRef() []byte {
 		return nil
 	}
 	return b[:len(b):len(b)]
+}
+
+// maxNames bounds a Names table: the bytes come from a peer partition, which
+// must not be able to grow this side's memory by inventing names.
+const maxNames = 64
+
+// Names interns the call and kernel names a long-lived decoder of records
+// (an sRPC executor, a device driver) sees over and over, so that naming the
+// same call again costs no allocation. The zero value is ready to use. Once
+// it holds maxNames distinct names, further new ones are allocated per use
+// like Str does.
+type Names struct {
+	m map[string]string
+}
+
+// Intern returns b as a string the caller may keep; b is not retained.
+func (n *Names) Intern(b []byte) string {
+	if s, ok := n.m[string(b)]; ok { // the conversion in a map index does not allocate
+		return s
+	}
+	s := string(b)
+	if len(n.m) < maxNames {
+		if n.m == nil {
+			n.m = make(map[string]string)
+		}
+		n.m[s] = s
+	}
+	return s
 }

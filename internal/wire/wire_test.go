@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -129,8 +130,8 @@ func TestEncoderReuse(t *testing.T) {
 }
 
 // FuzzDecoder drives two decoders over the same attacker-controlled bytes in
-// lockstep — one reading blobs with Blob, the other with BlobRef — through an
-// attacker-chosen sequence of reads. Neither may panic; they must agree on
+// lockstep — one reading with the copying Blob and Str, the other with the
+// aliasing BlobRef and StrRef — through an attacker-chosen sequence of reads. Neither may panic; they must agree on
 // every value, on the error and on how much they consumed; a BlobRef must not
 // expose a byte past its length; a Blob must not alias the input.
 func FuzzDecoder(f *testing.F) {
@@ -159,8 +160,8 @@ func FuzzDecoder(f *testing.F) {
 					t.Fatalf("I64 disagree: %d vs %d", a, b)
 				}
 			case 3:
-				if a, b := dc.Str(), dr.Str(); a != b {
-					t.Fatalf("Str disagree: %q vs %q", a, b)
+				if a, b := dc.Str(), dr.StrRef(); a != string(b) {
+					t.Fatalf("Str %q, StrRef %q", a, b)
 				}
 			case 4:
 				cp, ref := dc.Blob(), dr.BlobRef()
@@ -191,4 +192,42 @@ func FuzzDecoder(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestNamesIntern: a name seen before comes back without an allocation and
+// without aliasing the bytes it was looked up by, and a peer that invents
+// names cannot grow the table past its bound — the names still decode.
+func TestNamesIntern(t *testing.T) {
+	var names Names
+	buf := NewEncoder().Str("cuLaunchKernel").Bytes()
+	d := NewDecoder(buf)
+	first := names.Intern(d.StrRef())
+	if first != "cuLaunchKernel" || d.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("interned %q (err %v, %d bytes left)", first, d.Err(), d.Remaining())
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if names.Intern(NewDecoder(buf).StrRef()) != first {
+			t.Fatal("a repeated name changed")
+		}
+	}); allocs != 0 {
+		t.Fatalf("%.1f allocations to name a call again, want 0", allocs)
+	}
+	for i := range buf {
+		buf[i] = 0xA5 // the staging buffer is recycled
+	}
+	if first != "cuLaunchKernel" {
+		t.Fatal("the interned name aliases the decoder's buffer")
+	}
+	for i := 0; i < 4*maxNames; i++ {
+		want := fmt.Sprintf("invented-%d", i)
+		if got := names.Intern([]byte(want)); got != want {
+			t.Fatalf("interned %q as %q", want, got)
+		}
+	}
+	if len(names.m) != maxNames {
+		t.Fatalf("the table holds %d names, bound is %d", len(names.m), maxNames)
+	}
+	if names.Intern([]byte("cuLaunchKernel")) != first {
+		t.Fatal("an early name was evicted")
+	}
 }
