@@ -54,98 +54,42 @@ func trainCost(sms float64, flops func(args []uint64) float64, outElems func(arg
 // standard library): transposed matmuls for the backward pass and the ReLU
 // gradient. sms is the target device's SM count.
 func RegisterKernels(sms float64) {
-	// matmul_f: C[M,N] = A[M,K] × B[K,N]; args a, b, c, M, N, K.
-	// Same semantics as the std "matmul" but with the occupancy model
-	// driven by layer size (used for both forward and backward passes).
-	mm := func(name string, aT, bT bool) {
-		gpu.Register(&gpu.Kernel{
-			Name: name,
-			Cost: trainCost(sms,
-				func(args []uint64) float64 {
-					return 2 * float64(args[3]) * float64(args[4]) * float64(args[5])
-				},
-				func(args []uint64) int { return int(args[3] * args[4]) },
-			),
-			Func: func(e *gpu.Exec) error {
-				m, n, k := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
-				asz, bsz := m*k, k*n
-				if aT {
-					asz = k * m
-				}
-				if bT {
-					bsz = n * k
-				}
-				ab, err := e.Bytes(e.Arg(0), asz*4)
-				if err != nil {
-					return err
-				}
-				bb, err := e.Bytes(e.Arg(1), bsz*4)
-				if err != nil {
-					return err
-				}
-				cb, err := e.Bytes(e.Arg(2), m*n*4)
-				if err != nil {
-					return err
-				}
-				a, b := gpu.UnpackF32(ab), gpu.UnpackF32(bb)
-				c := make([]float32, m*n)
-				for i := 0; i < m; i++ {
-					for t := 0; t < k; t++ {
-						var av float32
-						if aT {
-							av = a[t*m+i] // A is stored K×M
-						} else {
-							av = a[i*k+t]
-						}
-						if av == 0 {
-							continue
-						}
-						ci := i * n
-						if bT {
-							// B stored N×K: walk the K-th column.
-							for j := 0; j < n; j++ {
-								c[ci+j] += av * b[j*k+t]
-							}
-						} else {
-							br := b[t*n : (t+1)*n]
-							for j := 0; j < n; j++ {
-								c[ci+j] += av * br[j]
-							}
-						}
-					}
-				}
-				copy(cb, gpu.PackF32(c))
-				return nil
-			},
-		})
-	}
-	mm("matmul_f", false, false) // forward: Y = X·W
-	mm("matmul_tn", true, false) // dW = Xᵀ·dY (X passed as K×M)
-	mm("matmul_nt", false, true) // dX = dY·Wᵀ (W passed as N×K)
+	// matmul_f: C[M,N] = A[M,K] × B[K,N]; args a, b, c, M, N, K. The std
+	// "matmul" body (gpu.MatmulFunc) under an occupancy model driven by
+	// layer size; matmul_tn and matmul_nt are its transposed-operand forms
+	// for the backward pass.
+	cost := trainCost(sms,
+		func(args []uint64) float64 {
+			return 2 * float64(args[3]) * float64(args[4]) * float64(args[5])
+		},
+		func(args []uint64) int { return int(args[3] * args[4]) },
+	)
+	gpu.Register(&gpu.Kernel{Name: "matmul_f", Cost: cost, Func: gpu.MatmulFunc(false, false)}) // Y = X·W
+	gpu.Register(&gpu.Kernel{Name: "matmul_tn", Cost: cost, Func: gpu.MatmulFunc(true, false)}) // dW = Xᵀ·dY, X passed K×M
+	gpu.Register(&gpu.Kernel{Name: "matmul_nt", Cost: cost, Func: gpu.MatmulFunc(false, true)}) // dX = dY·Wᵀ, W passed N×K
 
 	// im2col: dst[i] = src[i mod srcN] — the layout shuffle between a
 	// layer's output and the next layer's im2col input (and its adjoint
 	// on the backward pass). args src, dst, srcN; grid [dstN].
 	gpu.Register(&gpu.Kernel{
 		Name: "im2col",
-		Cost: gpu.FlopCost(sms, sms*0.4, func(g gpu.Dim, _ []uint64) float64 { return float64(g.Elems()) }),
+		Cost: gpu.FlopCost(sms, sms*0.4, gpu.ElemFlops(1)),
 		Func: func(e *gpu.Exec) error {
-			dstN := e.Grid.Elems()
 			srcN := int(e.Arg(2))
 			if srcN <= 0 {
 				return nil
 			}
-			sb, err := e.Bytes(e.Arg(0), srcN*4)
+			src, err := e.Bytes(e.Arg(0), srcN*4)
 			if err != nil {
 				return err
 			}
-			db, err := e.Bytes(e.Arg(1), dstN*4)
+			dst, err := e.Bytes(e.Arg(1), e.Grid.Elems()*4)
 			if err != nil {
 				return err
 			}
-			src, dst := gpu.F32(sb), gpu.F32(db)
-			for i := 0; i < dstN; i++ {
-				dst.Set(i, src.Get(i%srcN))
+			// src repeated end to end until dst is full.
+			for len(dst) > 0 {
+				dst = dst[copy(dst, src):]
 			}
 			return nil
 		},
@@ -154,23 +98,13 @@ func RegisterKernels(sms float64) {
 	// relu_bwd: dx[i] = x[i] > 0 ? dy[i] : 0; args x, dy, dx; grid [n].
 	gpu.Register(&gpu.Kernel{
 		Name: "relu_bwd",
-		Cost: gpu.FlopCost(sms, sms*0.4, func(g gpu.Dim, _ []uint64) float64 { return float64(g.Elems()) }),
+		Cost: gpu.FlopCost(sms, sms*0.4, gpu.ElemFlops(1)),
 		Func: func(e *gpu.Exec) error {
-			n := e.Grid.Elems()
-			xb, err := e.Bytes(e.Arg(0), n*4)
-			if err != nil {
+			var x, dy, dx gpu.F32
+			if err := e.F32s(e.Grid.Elems(), &x, &dy, &dx); err != nil {
 				return err
 			}
-			dyb, err := e.Bytes(e.Arg(1), n*4)
-			if err != nil {
-				return err
-			}
-			dxb, err := e.Bytes(e.Arg(2), n*4)
-			if err != nil {
-				return err
-			}
-			x, dy, dx := gpu.F32(xb), gpu.F32(dyb), gpu.F32(dxb)
-			for i := 0; i < n; i++ {
+			for i := 0; i < dx.Len(); i++ {
 				if x.Get(i) > 0 {
 					dx.Set(i, dy.Get(i))
 				} else {

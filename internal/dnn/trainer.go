@@ -90,8 +90,14 @@ func NewTrainer(p *sim.Proc, ops accel.CUDA, model *Model, batch int) (*Trainer,
 		if t.dout[l], err = alloc(t.outLen[l]); err != nil {
 			return nil, err
 		}
-		// Xavier-style init keeps activations bounded through deep nets.
-		scale := float32(1 / (2 * math.Sqrt(float64(layer.K))))
+		// He-uniform init, ±√(6/K): weight variance 2/K, so a layer's
+		// pre-activation variance is twice its input's second moment and
+		// the ReLU that follows halves it again — activations and gradients
+		// keep their scale through all ~100 layers. A tighter bound (say
+		// ±1/(2√K), variance 1/(12K)) shrinks them ~24× per layer until
+		// the backward pass multiplies subnormals, which a CPU does in
+		// microcode at a fraction of its arithmetic speed.
+		scale := float32(math.Sqrt(6 / float64(layer.K)))
 		init := make([]float32, t.wLen[l])
 		for i := range init {
 			init[i] = (rng.Float32()*2 - 1) * scale

@@ -36,6 +36,8 @@ type Device struct {
 	nextCtx   int
 	gen       uint64 // bumped on Reset; stale contexts die
 
+	scratch []float32 // kernel working set, see Exec.Scratch
+
 	launches uint64          // device-lifetime kernel launch ordinal
 	hangAt   map[uint64]bool // chaos: launch ordinals that never complete
 
@@ -201,7 +203,7 @@ type Context struct {
 	id      int
 	dev     *Device
 	gen     uint64
-	spans   []*span // sorted by va
+	spans   []*span // sorted by va: nextVA only grows, so append keeps the order
 	nextVA  uint64
 	modules map[string]*Kernel
 }
@@ -231,9 +233,7 @@ func (c *Context) MemAlloc(n uint64) (uint64, error) {
 	// forgery structurally impossible to resolve.
 	va := uint64(c.id)<<40 | (c.nextVA + 0x1000)
 	c.nextVA += (n + 0xfff) &^ 0xfff
-	s := &span{va: va, size: n, buf: make([]byte, n)}
-	c.spans = append(c.spans, s)
-	sort.Slice(c.spans, func(i, j int) bool { return c.spans[i].va < c.spans[j].va })
+	c.spans = append(c.spans, &span{va: va, size: n, buf: make([]byte, n)})
 	c.dev.memUsed += n
 	return va, nil
 }

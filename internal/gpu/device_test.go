@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -492,5 +493,53 @@ func TestMIGCapsKernelDemand(t *testing.T) {
 	want := 2*sim.Millisecond + sim.DefaultCosts().KernelDispatch
 	if took < want-sim.Microsecond || took > want+sim.Microsecond {
 		t.Errorf("took %v, want ~%v", took, want)
+	}
+}
+
+// TestResolveAfterInterleavedAllocFree pins what MemAlloc relies on now that
+// it appends instead of sorting: a context's VAs only grow, so spans stay in
+// the VA order resolve's binary search needs through any alloc/free mix.
+func TestResolveAfterInterleavedAllocFree(t *testing.T) {
+	ctx := testGPU(sim.NewKernel()).CreateContext()
+	live := map[uint64]uint64{} // va -> size
+	var order []uint64
+	rng := rand.New(rand.NewSource(7))
+	for step := 0; step < 400; step++ {
+		if len(order) > 0 && rng.Intn(3) == 0 {
+			i := rng.Intn(len(order))
+			va := order[i]
+			order = append(order[:i], order[i+1:]...)
+			if err := ctx.MemFree(va); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ctx.resolve(va, 1); err == nil {
+				t.Fatalf("step %d: freed span %#x still resolves", step, va)
+			}
+			delete(live, va)
+		} else {
+			size := uint64(1 + rng.Intn(3*0x1000))
+			va, err := ctx.MemAlloc(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live[va] = size
+			order = append(order, va)
+		}
+		for i := 1; i < len(ctx.spans); i++ {
+			if ctx.spans[i-1].va >= ctx.spans[i].va {
+				t.Fatalf("step %d: spans out of VA order at %d", step, i)
+			}
+		}
+		for va, size := range live {
+			if _, err := ctx.resolve(va, int(size)); err != nil {
+				t.Fatalf("step %d: live span %#x (+%d) lost: %v", step, va, size, err)
+			}
+			if _, err := ctx.resolve(va+size-1, 1); err != nil {
+				t.Fatalf("step %d: last byte of %#x lost: %v", step, va, err)
+			}
+			if _, err := ctx.resolve(va, int(size)+1); err == nil {
+				t.Fatalf("step %d: span %#x resolves past its end", step, va)
+			}
+		}
 	}
 }

@@ -45,6 +45,30 @@ func (e *Exec) Bytes(ptr uint64, n int) ([]byte, error) { return e.Ctx.resolve(p
 // Arg returns the i-th launch argument.
 func (e *Exec) Arg(i int) uint64 { return e.Args[i] }
 
+// F32s resolves launch arguments 0..len(dst)-1 as n-element float32 buffers.
+func (e *Exec) F32s(n int, dst ...*F32) error {
+	for i, d := range dst {
+		b, err := e.Bytes(e.Arg(i), n*4)
+		if err != nil {
+			return err
+		}
+		*d = b
+	}
+	return nil
+}
+
+// Scratch returns n float32s of the device's working memory, contents
+// undefined, valid until the kernel returns. One arena per device is enough:
+// a kernel Func never blocks and a sim kernel runs one process at a time, so
+// no two kernels of a device are ever inside their Func together.
+func (e *Exec) Scratch(n int) []float32 {
+	d := e.Ctx.dev
+	if cap(d.scratch) < n {
+		d.scratch = make([]float32, n)
+	}
+	return d.scratch[:n]
+}
+
 // Kernel is a GPU kernel: a real computation plus its cost model.
 type Kernel struct {
 	Name string

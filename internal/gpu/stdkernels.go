@@ -24,23 +24,31 @@ func (f F32) Set(i int, v float32) {
 	binary.LittleEndian.PutUint32(f[i*4:], math.Float32bits(v))
 }
 
+// decodeF32 fills dst with the first len(dst) elements of src.
+func decodeF32(dst []float32, src F32) {
+	for i := range dst {
+		dst[i] = src.Get(i)
+	}
+}
+
+// encodeF32 stores src into the first len(src) elements of dst.
+func encodeF32(dst F32, src []float32) {
+	for i, v := range src {
+		dst.Set(i, v)
+	}
+}
+
 // PackF32 encodes a float32 slice into bytes (host-side staging helper).
 func PackF32(xs []float32) []byte {
 	out := make([]byte, 4*len(xs))
-	f := F32(out)
-	for i, x := range xs {
-		f.Set(i, x)
-	}
+	encodeF32(out, xs)
 	return out
 }
 
 // UnpackF32 decodes bytes into float32s.
 func UnpackF32(b []byte) []float32 {
-	f := F32(b)
-	out := make([]float32, f.Len())
-	for i := range out {
-		out[i] = f.Get(i)
-	}
+	out := make([]float32, F32(b).Len())
+	decodeF32(out, b)
 	return out
 }
 
@@ -61,6 +69,89 @@ func FlopCost(sms float64, demand float64, flops func(grid Dim, args []uint64) f
 	}
 }
 
+// MatmulFunc is the body of every matmul kernel: C[M×N] = op(A) × op(B), args
+// a, b, c, M, N, K. aT says A is stored K×M, bT that B is stored N×K. The
+// variants differ only in the order they walk memory: each C[i,j] adds its K
+// products in ascending t, skipping zero A elements, so they all round like
+// the textbook triple loop. Operands are decoded into device scratch and C is
+// stored after the compute, so C may alias A or B.
+func MatmulFunc(aT, bT bool) func(*Exec) error {
+	return func(e *Exec) error {
+		m, n, k := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
+		ab, err := e.Bytes(e.Arg(0), m*k*4)
+		if err != nil {
+			return err
+		}
+		bb, err := e.Bytes(e.Arg(1), k*n*4)
+		if err != nil {
+			return err
+		}
+		cb, err := e.Bytes(e.Arg(2), m*n*4)
+		if err != nil {
+			return err
+		}
+		s := e.Scratch(m*k + k*n + m*n)
+		a, b, c := s[:m*k], s[m*k:m*k+k*n], s[m*k+k*n:]
+		decodeF32(a, ab)
+		if bT {
+			// Transpose while decoding: the loops below read B as K×N rows.
+			for j := 0; j < n; j++ {
+				for t := 0; t < k; t++ {
+					b[t*n+j] = F32(bb).Get(j*k + t)
+				}
+			}
+		} else {
+			decodeF32(b, bb)
+		}
+		clear(c)
+		if aT {
+			// t outermost: row t of A (its M entries) and row t of B are
+			// each read once, contiguously.
+			for t := 0; t < k; t++ {
+				br := b[t*n : (t+1)*n]
+				for i, av := range a[t*m : (t+1)*m] {
+					if av != 0 {
+						axpy(c[i*n:(i+1)*n], av, br)
+					}
+				}
+			}
+		} else {
+			for i := 0; i < m; i++ {
+				cr := c[i*n : (i+1)*n]
+				for t, av := range a[i*k : (i+1)*k] {
+					if av != 0 {
+						axpy(cr, av, b[t*n:(t+1)*n])
+					}
+				}
+			}
+		}
+		encodeF32(cb, c)
+		return nil
+	}
+}
+
+// axpy is the matmul inner loop, c[j] += a*b[j] over equal-length rows,
+// unrolled four wide (each c[j] still sees one multiply and one add).
+func axpy(c []float32, a float32, b []float32) {
+	b = b[:len(c)]
+	j := 0
+	for ; j+3 < len(c); j += 4 {
+		c[j] += a * b[j]
+		c[j+1] += a * b[j+1]
+		c[j+2] += a * b[j+2]
+		c[j+3] += a * b[j+3]
+	}
+	for ; j < len(c); j++ {
+		c[j] += a * b[j]
+	}
+}
+
+// ElemFlops is the FLOP count of a kernel doing perElem operations per grid
+// element, for FlopCost.
+func ElemFlops(perElem float64) func(Dim, []uint64) float64 {
+	return func(g Dim, _ []uint64) float64 { return perElem * float64(g.Elems()) }
+}
+
 // RegisterStdKernels installs the standard kernel library (vector add,
 // saxpy, matmul, relu, elementwise scale/sub, reductions) shared by the DNN
 // workloads and examples. sms is the device SM count the cost model is
@@ -69,24 +160,14 @@ func RegisterStdKernels(sms float64) {
 	// vec_add: c[i] = a[i] + b[i]; args: a, b, c; grid [n].
 	Register(&Kernel{
 		Name: "vec_add",
-		Cost: FlopCost(sms, sms*0.5, func(g Dim, _ []uint64) float64 { return float64(g.Elems()) }),
+		Cost: FlopCost(sms, sms*0.5, ElemFlops(1)),
 		Func: func(e *Exec) error {
-			n := e.Grid.Elems()
-			a, err := e.Bytes(e.Arg(0), n*4)
-			if err != nil {
+			var a, b, c F32
+			if err := e.F32s(e.Grid.Elems(), &a, &b, &c); err != nil {
 				return err
 			}
-			b, err := e.Bytes(e.Arg(1), n*4)
-			if err != nil {
-				return err
-			}
-			c, err := e.Bytes(e.Arg(2), n*4)
-			if err != nil {
-				return err
-			}
-			fa, fb, fc := F32(a), F32(b), F32(c)
-			for i := 0; i < n; i++ {
-				fc.Set(i, fa.Get(i)+fb.Get(i))
+			for i := 0; i < c.Len(); i++ {
+				c.Set(i, a.Get(i)+b.Get(i))
 			}
 			return nil
 		},
@@ -95,21 +176,15 @@ func RegisterStdKernels(sms float64) {
 	// saxpy: y[i] += alpha*x[i]; args: x, y, alphaBits; grid [n].
 	Register(&Kernel{
 		Name: "saxpy",
-		Cost: FlopCost(sms, sms*0.5, func(g Dim, _ []uint64) float64 { return 2 * float64(g.Elems()) }),
+		Cost: FlopCost(sms, sms*0.5, ElemFlops(2)),
 		Func: func(e *Exec) error {
-			n := e.Grid.Elems()
-			x, err := e.Bytes(e.Arg(0), n*4)
-			if err != nil {
-				return err
-			}
-			y, err := e.Bytes(e.Arg(1), n*4)
-			if err != nil {
+			var x, y F32
+			if err := e.F32s(e.Grid.Elems(), &x, &y); err != nil {
 				return err
 			}
 			alpha := math.Float32frombits(uint32(e.Arg(2)))
-			fx, fy := F32(x), F32(y)
-			for i := 0; i < n; i++ {
-				fy.Set(i, fy.Get(i)+alpha*fx.Get(i))
+			for i := 0; i < y.Len(); i++ {
+				y.Set(i, y.Get(i)+alpha*x.Get(i))
 			}
 			return nil
 		},
@@ -122,63 +197,24 @@ func RegisterStdKernels(sms float64) {
 			m, n, k := float64(args[3]), float64(args[4]), float64(args[5])
 			return 2 * m * n * k
 		}),
-		Func: func(e *Exec) error {
-			m, n, k := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
-			ab, err := e.Bytes(e.Arg(0), m*k*4)
-			if err != nil {
-				return err
-			}
-			bb, err := e.Bytes(e.Arg(1), k*n*4)
-			if err != nil {
-				return err
-			}
-			cb, err := e.Bytes(e.Arg(2), m*n*4)
-			if err != nil {
-				return err
-			}
-			// Unpack once: the inner loop runs on raw float32 slices.
-			a, b := UnpackF32(ab), UnpackF32(bb)
-			c := make([]float32, m*n)
-			for i := 0; i < m; i++ {
-				ar := a[i*k : (i+1)*k]
-				cr := c[i*n : (i+1)*n]
-				for t := 0; t < k; t++ {
-					av := ar[t]
-					if av == 0 {
-						continue
-					}
-					br := b[t*n : (t+1)*n]
-					for j := range cr {
-						cr[j] += av * br[j]
-					}
-				}
-			}
-			copy(cb, PackF32(c))
-			return nil
-		},
+		Func: MatmulFunc(false, false),
 	})
 
 	// relu: y[i] = max(0, x[i]); args: x, y; grid [n].
 	Register(&Kernel{
 		Name: "relu",
-		Cost: FlopCost(sms, sms*0.4, func(g Dim, _ []uint64) float64 { return float64(g.Elems()) }),
+		Cost: FlopCost(sms, sms*0.4, ElemFlops(1)),
 		Func: func(e *Exec) error {
-			n := e.Grid.Elems()
-			x, err := e.Bytes(e.Arg(0), n*4)
-			if err != nil {
+			var x, y F32
+			if err := e.F32s(e.Grid.Elems(), &x, &y); err != nil {
 				return err
 			}
-			y, err := e.Bytes(e.Arg(1), n*4)
-			if err != nil {
-				return err
-			}
-			fx, fy := F32(x), F32(y)
-			for i := 0; i < n; i++ {
-				v := fx.Get(i)
+			for i := 0; i < y.Len(); i++ {
+				v := x.Get(i)
 				if v < 0 {
 					v = 0
 				}
-				fy.Set(i, v)
+				y.Set(i, v)
 			}
 			return nil
 		},
@@ -187,17 +223,15 @@ func RegisterStdKernels(sms float64) {
 	// scale: x[i] *= alpha; args: x, alphaBits; grid [n].
 	Register(&Kernel{
 		Name: "scale",
-		Cost: FlopCost(sms, sms*0.4, func(g Dim, _ []uint64) float64 { return float64(g.Elems()) }),
+		Cost: FlopCost(sms, sms*0.4, ElemFlops(1)),
 		Func: func(e *Exec) error {
-			n := e.Grid.Elems()
-			x, err := e.Bytes(e.Arg(0), n*4)
-			if err != nil {
+			var x F32
+			if err := e.F32s(e.Grid.Elems(), &x); err != nil {
 				return err
 			}
 			alpha := math.Float32frombits(uint32(e.Arg(1)))
-			fx := F32(x)
-			for i := 0; i < n; i++ {
-				fx.Set(i, fx.Get(i)*alpha)
+			for i := 0; i < x.Len(); i++ {
+				x.Set(i, x.Get(i)*alpha)
 			}
 			return nil
 		},
@@ -206,24 +240,14 @@ func RegisterStdKernels(sms float64) {
 	// sub: c[i] = a[i] - b[i]; args: a, b, c; grid [n].
 	Register(&Kernel{
 		Name: "sub",
-		Cost: FlopCost(sms, sms*0.5, func(g Dim, _ []uint64) float64 { return float64(g.Elems()) }),
+		Cost: FlopCost(sms, sms*0.5, ElemFlops(1)),
 		Func: func(e *Exec) error {
-			n := e.Grid.Elems()
-			a, err := e.Bytes(e.Arg(0), n*4)
-			if err != nil {
+			var a, b, c F32
+			if err := e.F32s(e.Grid.Elems(), &a, &b, &c); err != nil {
 				return err
 			}
-			b, err := e.Bytes(e.Arg(1), n*4)
-			if err != nil {
-				return err
-			}
-			c, err := e.Bytes(e.Arg(2), n*4)
-			if err != nil {
-				return err
-			}
-			fa, fb, fc := F32(a), F32(b), F32(c)
-			for i := 0; i < n; i++ {
-				fc.Set(i, fa.Get(i)-fb.Get(i))
+			for i := 0; i < c.Len(); i++ {
+				c.Set(i, a.Get(i)-b.Get(i))
 			}
 			return nil
 		},
@@ -232,21 +256,19 @@ func RegisterStdKernels(sms float64) {
 	// reduce_sum: out[0] = sum(x); args: x, out; grid [n].
 	Register(&Kernel{
 		Name: "reduce_sum",
-		Cost: FlopCost(sms, sms*0.6, func(g Dim, _ []uint64) float64 { return float64(g.Elems()) }),
+		Cost: FlopCost(sms, sms*0.6, ElemFlops(1)),
 		Func: func(e *Exec) error {
-			n := e.Grid.Elems()
-			x, err := e.Bytes(e.Arg(0), n*4)
-			if err != nil {
+			var x F32
+			if err := e.F32s(e.Grid.Elems(), &x); err != nil {
 				return err
 			}
 			out, err := e.Bytes(e.Arg(1), 4)
 			if err != nil {
 				return err
 			}
-			fx := F32(x)
 			var s float32
-			for i := 0; i < n; i++ {
-				s += fx.Get(i)
+			for i := 0; i < x.Len(); i++ {
+				s += x.Get(i)
 			}
 			F32(out).Set(0, s)
 			return nil
