@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check test vet race fuzz bench bench-hotpath bench-build chaos doc-lint trace-verify ci examples tools figures attack loc clean
+.PHONY: all build fmt-check test vet race fuzz bench bench-hotpath bench-build chaos smoke doc-lint trace-verify ci examples tools figures attack loc clean
 
 all: build vet test race
 
@@ -79,6 +79,16 @@ chaos:
 	$(GO) run ./cmd/cronus-chaos -nodes 2 -partitions 4 -tenants 4 -kinds attest-storm,stale-measurement -seeds 3 -verify
 	$(GO) run ./cmd/cronus-chaos -nodes 2 -partitions 4 -tenants 4 -kinds migrate-interrupt,scale-storm,drain-race -seeds 3 -verify
 
+# cmd/ has no tests: run cronus-serve end to end on the three pool shapes —
+# executed plane, flow-model plane, two-node pool through a node crash — plus
+# one traced run. The CLI audits conservation itself and exits non-zero on an
+# accounting violation.
+smoke:
+	$(GO) run ./cmd/cronus-serve > /dev/null
+	$(GO) run ./cmd/cronus-serve -shards 2 > /dev/null
+	$(GO) run ./cmd/cronus-serve -nodes 2 -partitions 4 -shards 4 -node-crash-ms 11 > /dev/null
+	t="$$(mktemp)"; $(GO) run ./cmd/cronus-serve -trace "$$t" > /dev/null; rc=$$?; rm -f "$$t"; exit $$rc
+
 # Causal-tracing guards: the export-determinism and attribution-conservation
 # tests, plus the zero-alloc disabled-path benchmarks (their assertions run
 # even at -benchtime=1x).
@@ -96,7 +106,8 @@ bench-build:
 # The one CI list — .github/workflows/ci.yml runs exactly `make ci`: the
 # format check, build, vet, the full test suite, the race detector over the concurrency-heavy
 # packages, a short fuzz leg per target, the documentation bar, the benchmark
-# module, the causal-tracing guards and the replay-verified chaos soaks.
+# module, the causal-tracing guards, the CLI smoke runs and the replay-verified
+# chaos soaks.
 ci:
 	$(MAKE) fmt-check
 	$(GO) build ./...
@@ -107,6 +118,7 @@ ci:
 	$(GO) run ./cmd/cronus-doclint
 	$(MAKE) bench-build
 	$(MAKE) trace-verify
+	$(MAKE) smoke
 	$(MAKE) chaos
 
 # Pretty-printed tables for all experiments.

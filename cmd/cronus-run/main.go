@@ -12,75 +12,13 @@ import (
 	"os"
 	"strings"
 
-	"cronus/internal/accel"
 	"cronus/internal/baseline"
-	"cronus/internal/core"
-	"cronus/internal/gpu"
+	"cronus/internal/experiments"
 	"cronus/internal/metrics"
 	"cronus/internal/sim"
 	"cronus/internal/trace"
 	"cronus/internal/workload/rodinia"
 )
-
-func runOn(system baseline.System, b rodinia.Benchmark) (sim.Duration, error) {
-	var elapsed sim.Duration
-	if system == baseline.CRONUS {
-		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-			rodinia.RegisterKernels(pl.GPUs[0].Dev.SMs())
-			s, err := pl.NewSession(p, "run")
-			if err != nil {
-				return err
-			}
-			ops, err := s.OpenCUDA(p, core.CUDAOptions{Cubin: b.Cubin(), RingPages: 65})
-			if err != nil {
-				return err
-			}
-			defer ops.Close(p)
-			start := p.Now()
-			if err := b.Run(p, ops); err != nil {
-				return err
-			}
-			elapsed = sim.Duration(p.Now() - start)
-			return nil
-		})
-		return elapsed, err
-	}
-	k := sim.NewKernel()
-	var fail error
-	k.Spawn("main", func(p *sim.Proc) {
-		defer k.Stop()
-		costs := sim.DefaultCosts()
-		dev := gpu.New(k, costs, gpu.Config{Name: "gpu0", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "run"})
-		gpu.RegisterStdKernels(dev.SMs())
-		rodinia.RegisterKernels(dev.SMs())
-		var ops accel.CUDA
-		var err error
-		switch system {
-		case baseline.Native:
-			ops, err = baseline.NewNativeCUDA(dev, costs, b.Cubin())
-		case baseline.TrustZone:
-			ops, err = baseline.NewTrustZoneCUDA(dev, costs, b.Cubin())
-		case baseline.HIX:
-			ops, err = baseline.NewHIXCUDA(dev, costs, b.Cubin())
-		default:
-			err = fmt.Errorf("unknown system %q", system)
-		}
-		if err != nil {
-			fail = err
-			return
-		}
-		start := p.Now()
-		if err := b.Run(p, ops); err != nil {
-			fail = err
-			return
-		}
-		elapsed = sim.Duration(p.Now() - start)
-	})
-	if err := k.Run(); err != nil {
-		return 0, err
-	}
-	return elapsed, fail
-}
 
 func writeTrace(path string) error {
 	f, err := os.Create(path)
@@ -171,13 +109,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cronus-run: %v\n", err)
 		os.Exit(2)
 	}
-	systems := []baseline.System{baseline.Native, baseline.TrustZone, baseline.HIX, baseline.CRONUS}
+	systems := experiments.GPUSystems
 	if *system != "all" {
 		systems = []baseline.System{baseline.System(*system)}
 	}
 	var native sim.Duration
 	for _, s := range systems {
-		d, err := runOn(s, b)
+		d, err := experiments.RunOnSystem(s, b.Cubin(), rodinia.RegisterKernels, b.Run)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cronus-run: %s on %s: %v\n", b.Name, s, err)
 			os.Exit(1)

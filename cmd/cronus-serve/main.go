@@ -14,7 +14,7 @@
 //	cronus-serve -fail-at-ms 11                   # inject a partition failure
 //	cronus-serve -fail-at-ms 11 -supervise        # with health supervision on
 //	cronus-serve -max-batch 1                     # disable batching
-//	cronus-serve -trace out.json                  # causal spans -> Perfetto JSON
+//	cronus-serve -trace out.json                  # Perfetto JSON + attribution table + p99 outliers
 //	cronus-serve -slo-target-us 400               # arm the SLO burn-rate engine
 //	cronus-serve -shards 2                        # flow-model data plane
 //	cronus-serve -partitions 8 -shards 4          # ... over eight partitions
@@ -30,10 +30,11 @@
 // byte-identically. Any -shards >= 2 selects the flow-model plane (the value
 // is otherwise unobservable), which models inference serving only: the
 // general-compute rodinia class is left out of the tenant mix, and
-// -trace/-supervise are rejected by config validation. With -nodes >= 2 the
-// run spans a simulated multi-node fabric: it needs the flow-model plane and
-// a partition count that divides evenly across the nodes (anything else is a
-// usage error, exit status 2) and tenants are homed by consistent hashing.
+// -trace/-supervise are rejected by config validation. -nodes sizes the pool
+// (one node by default); with -nodes >= 2 the nodes are joined by a simulated
+// fabric: it needs the flow-model plane and a partition count that divides
+// evenly across the nodes (anything else is a usage error, exit status 2) and
+// tenants are homed by consistent hashing.
 //
 // The elastic-capacity flags also require the flow-model plane. -migrate-at-ms
 // schedules one planned live migration (quiesce, checkpoint, transfer, replay,
@@ -88,7 +89,7 @@ func main() {
 	shards := flag.Int("shards", 0,
 		">= 2 selects the flow-model data plane (0 or 1 = classic executed plane)")
 	nodes := flag.Int("nodes", 0,
-		"simulated fabric nodes (0 or 1 = single node; >= 2 requires -shards >= 2 and -partitions divisible by it)")
+		"nodes in the pool (0 = 1; >= 2 requires -shards >= 2 and -partitions divisible by it)")
 	nodeCrashMS := flag.Int("node-crash-ms", 0,
 		"crash node 1 at this virtual ms (0 = none; requires -nodes >= 2)")
 	attTickets := flag.Bool("attest-tickets", false,
@@ -127,6 +128,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cronus-serve: -attest-ticket-ttl-us/-attest-reprobe-us require -attest-tickets")
 		os.Exit(2)
 	}
+	if *nodeCrashMS > 0 && *nodes < 2 {
+		// The flag crashes node 1; a pool of one node has none.
+		fmt.Fprintln(os.Stderr, "cronus-serve: -node-crash-ms requires -nodes >= 2")
+		os.Exit(2)
+	}
 
 	if err := serve.CheckShardLayout(*shards, *partitions, *nodes); err != nil {
 		fmt.Fprintln(os.Stderr, "cronus-serve:", err)
@@ -143,16 +149,14 @@ func main() {
 		KeepRequests:  true,
 		FailPartition: *failPart,
 		Shards:        *shards,
+		Nodes:         *nodes,
 	}
-	if *nodes >= 2 {
-		cfg.Nodes = *nodes
-		if *nodeCrashMS > 0 {
-			cfg.NodeFaults = append(cfg.NodeFaults, cluster.Fault{
-				Kind: cluster.NodeCrash,
-				Node: 1,
-				At:   sim.Duration(*nodeCrashMS) * sim.Millisecond,
-			})
-		}
+	if *nodeCrashMS > 0 {
+		cfg.NodeFaults = append(cfg.NodeFaults, cluster.Fault{
+			Kind: cluster.NodeCrash,
+			Node: 1,
+			At:   sim.Duration(*nodeCrashMS) * sim.Millisecond,
+		})
 	}
 	if *failAtMS > 0 {
 		cfg.FailAt = sim.Duration(*failAtMS) * sim.Millisecond
@@ -264,7 +268,14 @@ func main() {
 			profile.Exit(1)
 		}
 		fmt.Printf("trace: %d spans -> %s\n", trace.Default.Len(), *traceOut)
-		fmt.Print(otrace.Attribute(res.Traces).Table())
+		if dropped := trace.Default.Dropped(); dropped > 0 {
+			fmt.Fprintf(os.Stderr, "cronus-serve: warning: %d trace events dropped (raise SetMaxEvents)\n", dropped)
+		}
+		// Where the latency went, per tenant and stage, and the p99 tail
+		// tied back to concrete trace ids.
+		attr := otrace.Attribute(res.Traces)
+		fmt.Print(attr.Table())
+		fmt.Print(otrace.OutlierReport(attr.Outliers(0.99, 3)))
 	}
 
 	if *showReqs {

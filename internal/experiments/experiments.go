@@ -22,9 +22,9 @@ import (
 // Systems evaluated by the GPU experiments, in rendering order.
 var GPUSystems = []baseline.System{baseline.Native, baseline.TrustZone, baseline.HIX, baseline.CRONUS}
 
-// runOnSystem executes body against a CUDA ops implementation for the given
+// RunOnSystem executes body against a CUDA ops implementation for the given
 // system in a fresh simulation, returning the virtual time body consumed.
-func runOnSystem(system baseline.System, cubin []byte, registerExtra func(sms float64),
+func RunOnSystem(system baseline.System, cubin []byte, registerExtra func(sms float64),
 	body func(p *sim.Proc, ops accel.CUDA) error) (sim.Duration, error) {
 	var elapsed sim.Duration
 	if system == baseline.CRONUS {

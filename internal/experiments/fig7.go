@@ -27,7 +27,7 @@ func Figure7() ([]Fig7Row, error) {
 			Normalized: make(map[baseline.System]float64),
 		}
 		for _, system := range GPUSystems {
-			d, err := runOnSystem(system, b.Cubin(), rodinia.RegisterKernels, b.Run)
+			d, err := RunOnSystem(system, b.Cubin(), rodinia.RegisterKernels, b.Run)
 			if err != nil {
 				return nil, fmt.Errorf("fig7 %s on %s: %w", b.Name, system, err)
 			}

@@ -42,7 +42,7 @@ func Figure8(iters, batch int) ([]Fig8Row, error) {
 		for _, system := range GPUSystems {
 			model := model
 			var stepTime sim.Duration // training iterations only, not setup
-			_, err := runOnSystem(system, dnn.Cubin(), dnn.RegisterKernels,
+			_, err := RunOnSystem(system, dnn.Cubin(), dnn.RegisterKernels,
 				func(p *sim.Proc, ops accel.CUDA) error {
 					tr, err := dnn.NewTrainer(p, ops, model, batch)
 					if err != nil {

@@ -97,8 +97,8 @@ func (srv *Server) effectiveCap(t *tenant, now sim.Time) int {
 	if usable != total {
 		c = t.q.cap * usable / total
 	}
-	if srv.cl != nil && t.rehomed && srv.cl.aliveCnt < srv.cl.nodes {
-		// Cross-node failover tightened the cluster: a re-homed tenant's cap
+	if t.rehomed && srv.cl.aliveCnt < srv.cl.nodes {
+		// Cross-node failover tightened the pool: a re-homed tenant's cap
 		// shrinks by the lost capacity fraction, so survivors shed the load
 		// the dead node can no longer carry instead of absorbing it all.
 		c = c * srv.cl.aliveCnt / srv.cl.nodes
@@ -196,7 +196,7 @@ func (srv *Server) submit(now sim.Time, t *tenant, cl *workClass, withSignal boo
 	if srv.cfg.KeepRequests {
 		srv.requests = append(srv.requests, r)
 	}
-	if srv.sh != nil {
+	if srv.flow {
 		srv.shBatchIn(now, t, r)
 	} else {
 		t.q.push(r)

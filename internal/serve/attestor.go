@@ -26,8 +26,9 @@ package serve
 // they are shed, not replayed), and the partition drains through the
 // existing quarantine machinery — spm.Revoke parks it in PartQuarantined,
 // the OnFailure subscription marks its replicas, and placement routes
-// around it exactly like a FailHang, including cross-node rehoming in
-// cluster mode. No request ever completes on a revoked partition
+// around it exactly like a FailHang, cross-node rehoming included. The
+// boot-pinned measurement and the revocation instant live on the partition's
+// pool record (poolPart). No request ever completes on a revoked partition
 // (serve.attest.post_revoke_completions must stay 0; the chaos harness
 // asserts it).
 //
@@ -64,7 +65,7 @@ type AttestFault struct {
 	Kind string       // AttestStorm or StaleMeasurement
 	At   sim.Duration // injection instant, offset from serving start
 	// Node/Part pick the StaleMeasurement victim: partition Part on node
-	// Node (Node is 0 on a single-node plane). Ignored by AttestStorm.
+	// Node. Ignored by AttestStorm.
 	Node int
 	Part int
 }
@@ -73,12 +74,6 @@ type AttestFault struct {
 type attState struct {
 	tickets *attest.TicketCache
 	verify  *attest.VerifyCache
-
-	// pinned[n][pi] is partition pi of node n's measurement at boot — the
-	// reference continuous re-measurement compares against.
-	pinned [][]attest.Measurement
-	// revoked maps (node, partition index) to the revocation instant.
-	revoked map[[2]int]sim.Time
 
 	coldCost   sim.Duration // quote verification (VerifyFixed × 2)
 	resumeCost sim.Duration // ticket MAC check / mint seal (MACFixed)
@@ -101,12 +96,7 @@ func validateAttest(cfg Config) error {
 		}
 		return nil
 	}
-	partsPerNode := cfg.GPUPartitions
-	nodes := 1
-	if cfg.Nodes >= 2 {
-		nodes = cfg.Nodes
-		partsPerNode = cfg.GPUPartitions / cfg.Nodes
-	}
+	nodes, partsPerNode := cfg.pool()
 	for i, f := range cfg.AttestFaults {
 		switch f.Kind {
 		case AttestStorm:
@@ -138,7 +128,6 @@ func (srv *Server) atBoot() {
 	a := &attState{
 		tickets:       attest.NewTicketCache(seed, attestCacheCap, srv.cfg.AttestTicketTTL, srv.reg),
 		verify:        attest.NewVerifyCache(srv.reg),
-		revoked:       make(map[[2]int]sim.Time),
 		coldCost:      srv.pl.Costs.VerifyFixed * 2,
 		resumeCost:    srv.pl.Costs.MACFixed,
 		ctrCold:       srv.reg.Counter("serve.attest.cold"),
@@ -150,16 +139,8 @@ func (srv *Server) atBoot() {
 		hColdNS:       srv.reg.Histogram("serve.attest.cold_ns"),
 		hResumeNS:     srv.reg.Histogram("serve.attest.resume_ns"),
 	}
-	ppn := srv.cfg.GPUPartitions
-	if srv.cl != nil {
-		ppn = srv.cl.ppn
-	}
-	for n := range srv.plats {
-		row := make([]attest.Measurement, ppn)
-		for pi := 0; pi < ppn; pi++ {
-			row[pi] = srv.plats[n].GPUs[pi].Part.MOSHash()
-		}
-		a.pinned = append(a.pinned, row)
+	for _, pp := range srv.parts {
+		pp.pinned = pp.sp.MOSHash()
 	}
 	srv.at = a
 }
@@ -173,10 +154,9 @@ func (srv *Server) attestGate(t *tenant, rep *replica, now sim.Time) (sim.Durati
 	if a == nil {
 		return 0, nil
 	}
-	part := rep.plat().GPUs[rep.partIdx].Part
-	meas, epoch := part.MOSHash(), part.Epoch()
-	if _, ok := a.revoked[[2]int{rep.node, rep.partIdx}]; ok {
-		return 0, &attest.RevokedError{Tenant: t.spec.Name, Partition: rep.partName, Meas: meas}
+	meas, epoch := rep.part.sp.MOSHash(), rep.part.sp.Epoch()
+	if rep.part.revokedAt > 0 {
+		return 0, &attest.RevokedError{Tenant: t.spec.Name, Partition: rep.part.sp.Name, Meas: meas}
 	}
 	hit, err := a.tickets.Resume(t.spec.Name, meas, epoch, now)
 	if err != nil {
@@ -217,10 +197,8 @@ func (srv *Server) atStart(p *sim.Proc) {
 			switch f.Kind {
 			case AttestStorm:
 				n := srv.at.tickets.Storm(p.Now())
-				if srv.cl != nil {
-					srv.cl.events = append(srv.cl.events,
-						fmt.Sprintf("attest-storm flushed %d tickets at %s", n, sim.Duration(p.Now())))
-				}
+				srv.cl.events = append(srv.cl.events,
+					fmt.Sprintf("attest-storm flushed %d tickets at %s", n, sim.Duration(p.Now())))
 			case StaleMeasurement:
 				part := srv.plats[f.Node].GPUs[f.Part].Part
 				srv.plats[f.Node].SPM.TamperMeasurement(part)
@@ -233,21 +211,12 @@ func (srv *Server) atStart(p *sim.Proc) {
 // virtual time, compare each ready partition's current measurement against
 // the boot-pinned value and revoke on mismatch.
 func (srv *Server) atProbe(p *sim.Proc) {
-	a := srv.at
-	ppn := len(a.pinned[0])
 	for {
 		p.Sleep(srv.cfg.AttestReprobe)
-		for n := range srv.plats {
-			for pi := 0; pi < ppn; pi++ {
-				part := srv.plats[n].GPUs[pi].Part
-				a.ctrProbes.Inc()
-				if part.State() != spm.PartReady {
-					continue
-				}
-				if part.MOSHash() == a.pinned[n][pi] {
-					continue
-				}
-				srv.atRevoke(p, n, pi, part)
+		for i, pp := range srv.parts {
+			srv.at.ctrProbes.Inc()
+			if pp.sp.State() == spm.PartReady && pp.sp.MOSHash() != pp.pinned {
+				srv.atRevoke(p, i)
 			}
 		}
 	}
@@ -263,31 +232,26 @@ func (srv *Server) atProbe(p *sim.Proc) {
 // partition in the pool legitimately runs that same image, so their tickets
 // and cached verdicts must survive — only the divergent value and the
 // divergent partition are poisoned.
-func (srv *Server) atRevoke(p *sim.Proc, n, pi int, part *spm.Partition) {
-	a := srv.at
-	key := [2]int{n, pi}
-	if _, ok := a.revoked[key]; ok {
+func (srv *Server) atRevoke(p *sim.Proc, i int) {
+	a, pp := srv.at, srv.parts[i]
+	if pp.revokedAt > 0 {
 		return
 	}
 	now := p.Now()
-	a.revoked[key] = now
+	pp.revokedAt = now
 	a.ctrRevoked.Inc()
-	partName := fmt.Sprintf("gpu-part%d", pi)
-	tampered := part.MOSHash()
+	partName, tampered := pp.sp.Name, pp.sp.MOSHash()
 	a.tickets.RevokeMeasurement(partName, tampered)
 	a.verify.Invalidate(tampered)
-	if srv.cl != nil {
-		srv.cl.events = append(srv.cl.events,
-			fmt.Sprintf("partition n%d/%s measurement revoked at %s", n, partName, sim.Duration(now)))
-	}
-	if srv.sh != nil {
+	srv.cl.events = append(srv.cl.events,
+		fmt.Sprintf("partition n%d/%s measurement revoked at %s", pp.node, partName, sim.Duration(now)))
+	if srv.flow {
 		// Shed everything in flight on the revoked partition before the
 		// quarantine drain runs: its results are untrusted, so the requests
 		// fail typed instead of replaying a measurement we no longer trust.
-		ppn := len(a.pinned[0])
 		for _, t := range srv.tenants {
 			err := &attest.RevokedError{Tenant: t.spec.Name, Partition: partName, Meas: tampered}
-			for _, b := range srv.shTakeInflight(t, t.reps[n*ppn+pi]) {
+			for _, b := range srv.shTakeInflight(t, t.reps[i]) {
 				srv.finishBatch(b, now, err)
 			}
 		}
@@ -296,21 +260,19 @@ func (srv *Server) atRevoke(p *sim.Proc, n, pi int, part *spm.Partition) {
 	// measurement is never a transient) and parks the partition in
 	// PartQuarantined; the OnFailure subscription marks every replica on it
 	// quarantined the same instant.
-	srv.plats[n].SPM.Revoke(part)
-	if srv.cl != nil {
-		// A revoked partition never comes back (the quarantine is forced and
-		// marked before Revoke returns), so don't wait out the device scrub
-		// before re-routing: re-home every tenant whose home pool this
-		// revocation emptied, exactly like a node crash does. The eventual
-		// shRecover → shQuarantined pass is then a no-op for these tenants
-		// (their home already moved off node n).
-		for _, t := range srv.tenants {
-			if t.home != n || !srv.clHomeUnusable(t) {
-				continue
-			}
-			if !srv.clRehome(now, t, "measurement-revoked") {
-				srv.shFailBacklog(now, t) // no survivor can take the tenant
-			}
+	srv.plats[pp.node].SPM.Revoke(pp.sp)
+	// A revoked partition never comes back (the quarantine is forced and
+	// marked before Revoke returns), so don't wait out the device scrub
+	// before re-routing: re-home every tenant whose home pool this
+	// revocation emptied, exactly like a node crash does. The eventual
+	// shRecover → shQuarantined pass is then a no-op for these tenants
+	// (their home already moved off the node).
+	for _, t := range srv.tenants {
+		if t.home != pp.node || !srv.clHomeUnusable(t) {
+			continue
+		}
+		if !srv.clRehome(now, t, "measurement-revoked") {
+			srv.shFailBacklog(now, t) // no survivor can take the tenant
 		}
 	}
 }

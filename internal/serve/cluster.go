@@ -1,25 +1,36 @@
 package serve
 
-// The global placement tier: the serving plane's cluster mode, selected by
-// Config.Nodes >= 2. N platforms (cluster.BootNodes) share one simulation
-// kernel; one serving gateway — arrivals, admission, batching and placement —
-// fronts them all, and node i owns a contiguous block of the partition pool.
+// The pool and its placement tier. A serving plane always fronts a pool of
+// Config.Nodes × (GPUPartitions / Nodes) partitions: N platforms
+// (cluster.BootNodes) share one simulation kernel; one serving gateway —
+// arrivals, admission, batching and placement — fronts them all, and node i
+// owns a contiguous block of the partition pool. A single machine is the pool
+// of one node; nothing below asks which it is, except the choice of link.
+//
+// The gateway reaches each node over a link (cluster.Fabric). Between two or
+// more nodes it is the modeled fabric: linkLatency per hop, linkGBps of
+// bandwidth, host-memcpy serialization per byte. The one node of a one-node
+// pool sits behind the local link instead: the hop is the PCIe latency and
+// moving a payload costs nothing more (the lane's DMA charge already moves
+// those bytes), so the flow-model plane prices a single machine exactly as
+// it did before it knew about nodes.
 //
 // Placement is two-tier: tenants hash onto home nodes over a seeded
 // consistent-hash ring with bounded-load overflow (cluster.Ring), and the
-// existing pluggable policies (round-robin, least-outstanding,
-// device-affinity) place each batch inside the home node's partition group.
-// Batches cross the fabric through the replica's mailbox port with the
-// link latency as the hop; serialization, bandwidth occupancy and slow-link
-// surcharges are folded into the submit cost (cluster.Fabric.TransferNS);
-// completions ride per-node return ports with the same hop.
+// pluggable policies (round-robin, least-outstanding, device-affinity) place
+// each batch inside the home node's partition group. Batches cross the link
+// through the replica's mailbox port with the link latency as the hop;
+// serialization, bandwidth occupancy and slow-link surcharges are folded into
+// the submit cost (cluster.Fabric.TransferNS); completions ride per-node
+// return ports with the same hop.
 //
 // Cross-node failover: when a node crashes (clCrashNode) or a tenant's whole
 // home pool quarantines, the tenant re-hashes to a surviving node. In-flight
-// batches on the lost node are cancelled and replayed through the same
-// completion accounting the single-node plane uses (cancelled batches'
-// events become no-ops, requests requeue exactly once), and admission caps
-// tighten by the lost capacity fraction for rehomed tenants.
+// batches on the lost node are cancelled and replayed through the one
+// completion accounting (cancelled batches' events become no-ops, requests
+// requeue exactly once), and admission caps tighten by the lost capacity
+// fraction for rehomed tenants. With no surviving node the re-hash fails and
+// the tenant's work completes with the typed pool error.
 //
 // No-split-brain invariant: a tenant's requests are never concurrently
 // live on two nodes. The gateway maintains the ledger — liveCnt/liveNode
@@ -34,21 +45,51 @@ import (
 	"fmt"
 	"math"
 
+	"cronus/internal/attest"
 	"cronus/internal/cluster"
 	"cronus/internal/sim"
+	"cronus/internal/spm"
 )
 
-// clState is the serving plane's cluster-mode state, all of it gateway-side.
+// poolPart is the server's one record of a pooled (node, partition). Every
+// tenant's replica on the partition points at it, so a lifecycle fact is
+// stated once and flips for all tenants at the same instant. Per-connection
+// facts (down, quarantined) stay on the replica: they clear at that
+// replica's own reconnect instant.
+type poolPart struct {
+	node int
+	idx  int // node-local partition index
+	sp   *spm.Partition
+
+	// pinned is the boot measurement continuous re-measurement compares
+	// against; revokedAt the revocation instant (0 = never: serving starts
+	// after boot, so no revocation lands at 0). Both belong to the
+	// attestation gate.
+	pinned    attest.Measurement
+	revokedAt sim.Time
+
+	// draining: quiescing for a planned migration — finish in-flight, take no
+	// new work. released: out of service after an elastic scale-down or
+	// migration, until a scale-up has re-booted it (a re-boot in progress
+	// holds elState.busy, so nothing else looks at the partition meanwhile).
+	draining bool
+	released bool
+}
+
+// pool is the pool shape the config asks for: the node count and the
+// partitions each node owns.
+func (c *Config) pool() (nodes, ppn int) {
+	nodes = max(c.Nodes, 1)
+	return nodes, c.GPUPartitions / nodes
+}
+
+// clState is the pool's shape and placement state, all of it gateway-side.
 type clState struct {
 	nodes int
 	ppn   int // partitions per node
 
 	fab  *cluster.Fabric
 	ring *cluster.Ring
-	// loads/bound drive the boot-time bounded-load assignment; loads is
-	// also recomputed on rehome.
-	loads []int
-	bound int
 
 	alive    []bool
 	aliveCnt int
@@ -60,17 +101,21 @@ type clState struct {
 	events     []string
 }
 
-// validateCluster rejects cluster configurations the plane cannot model.
+// validateCluster rejects pool shapes and node faults the plane cannot model.
 func validateCluster(cfg Config) error {
-	if cfg.Nodes > 16 {
-		return fmt.Errorf("serve: at most 16 nodes, got %d", cfg.Nodes)
+	nodes, _ := cfg.pool()
+	if nodes > 16 {
+		return fmt.Errorf("serve: at most 16 nodes, got %d", nodes)
 	}
-	if err := CheckShardLayout(cfg.Shards, cfg.GPUPartitions, cfg.Nodes); err != nil {
+	if err := CheckShardLayout(cfg.Shards, cfg.GPUPartitions, nodes); err != nil {
 		return err
 	}
+	if len(cfg.NodeFaults) > 0 && cfg.Shards < 2 {
+		return fmt.Errorf("serve: NodeFaults require the flow-model plane (Shards >= 2)")
+	}
 	for i, f := range cfg.NodeFaults {
-		if f.Node < 0 || f.Node >= cfg.Nodes {
-			return fmt.Errorf("serve: NodeFaults[%d] targets node %d of %d", i, f.Node, cfg.Nodes)
+		if f.Node < 0 || f.Node >= nodes {
+			return fmt.Errorf("serve: NodeFaults[%d] targets node %d of %d", i, f.Node, nodes)
 		}
 		switch f.Kind {
 		case cluster.NodeCrash:
@@ -91,12 +136,18 @@ func validateCluster(cfg Config) error {
 	return nil
 }
 
-// clBoot builds the cluster state — fabric, placement ring, liveness — from
-// the validated config. Runs before shBoot, which builds the per-node
-// completion ports.
+// clBoot builds the pool state — link, placement ring, liveness and, on the
+// flow-model plane, the per-node completion return ports — from the validated
+// config. This is the one place that asks whether the pool has one node: the
+// answer picks the link's parameters (see the file comment).
 func (srv *Server) clBoot() error {
-	nodes := len(srv.plats)
-	fab, err := cluster.NewFabric(nodes, linkLatency, linkGBps, srv.pl.Costs.MemcpyPerByte)
+	nodes, ppn := srv.cfg.pool()
+	c := srv.pl.Costs
+	latency, gbps, serPerByte := linkLatency, float64(linkGBps), c.MemcpyPerByte
+	if nodes == 1 {
+		latency, gbps, serPerByte = c.PCIeLatency, math.Inf(1), 0
+	}
+	fab, err := cluster.NewFabric(nodes, latency, gbps, serPerByte)
 	if err != nil {
 		return err
 	}
@@ -110,14 +161,23 @@ func (srv *Server) clBoot() error {
 	}
 	srv.cl = &clState{
 		nodes:    nodes,
-		ppn:      srv.cfg.GPUPartitions / nodes,
+		ppn:      ppn,
 		fab:      fab,
 		ring:     ring,
-		loads:    make([]int, nodes),
-		bound:    clBound(srv.cfg.HashBound, len(srv.cfg.Tenants), nodes),
 		alive:    alive,
 		aliveCnt: nodes,
 		healQ:    make([][]*batch, nodes),
+	}
+	if !srv.flow {
+		return nil
+	}
+	// A completion crossing node→gateway pays the propagation delay in the
+	// port hop; the serialization/bandwidth cost went into submitNS.
+	for n := 0; n < nodes; n++ {
+		n := n
+		port := sim.NewPort[*batch](srv.pl.K, 0, fmt.Sprintf("serve-compl-n%d", n), latency)
+		port.SetHandler(func(at sim.Time, b *batch) { srv.clComplArrive(n, at, b) })
+		srv.cl.compl = append(srv.cl.compl, port)
 	}
 	return nil
 }
@@ -127,12 +187,17 @@ func clBound(factor float64, tenants, nodes int) int {
 	return int(math.Ceil(factor * float64(tenants) / float64(nodes)))
 }
 
-// clAssignHome homes one tenant at boot: clockwise walk with the bounded-
-// load cap, earlier tenants claiming capacity first (ring.Assign order).
-func (srv *Server) clAssignHome(t *tenant) {
-	t.home = srv.cl.ring.Home(t.spec.Name, nil, srv.cl.loads, srv.cl.bound)
-	srv.cl.loads[t.home]++
-	t.home0 = t.home
+// clAssignHomes homes every tenant at boot: clockwise walk with the bounded-
+// load cap, earlier tenants claiming capacity first.
+func (srv *Server) clAssignHomes() {
+	names := make([]string, len(srv.tenants))
+	for i, t := range srv.tenants {
+		names[i] = t.spec.Name
+	}
+	bound := clBound(srv.cfg.HashBound, len(names), srv.cl.nodes)
+	for i, home := range srv.cl.ring.Assign(names, bound) {
+		srv.tenants[i].home, srv.tenants[i].home0 = home, home
+	}
 }
 
 // clComplArrive is the per-node completion return handler on the gateway.
@@ -211,20 +276,10 @@ func (srv *Server) clCrashNode(p *sim.Proc, n int) {
 	}
 }
 
-// clHomeUnusable reports whether every replica in the tenant's home
-// partition group has retired (quarantined, or released by an elastic
-// migration/scale-down) — the trigger for cross-node failover. Replicas
-// that are merely down (transient proceed-trap recovery) do not count:
-// those heal in bounded time and rehoming on them would make
-// single-partition failovers diverge from the single-node plane.
-func (srv *Server) clHomeUnusable(t *tenant) bool {
-	for _, rep := range srv.placementSet(t) {
-		if !rep.retired() {
-			return false
-		}
-	}
-	return true
-}
+// clHomeUnusable reports whether the tenant's home partition group has
+// retired — the trigger for cross-node failover (a single-partition failover
+// must not move the tenant).
+func (srv *Server) clHomeUnusable(t *tenant) bool { return allRetired(srv.placementSet(t)) }
 
 // clRehome re-hashes a tenant onto a surviving node: the clockwise walk
 // skips dead nodes and nodes where the tenant's pool has fully retired
@@ -236,15 +291,9 @@ func (srv *Server) clRehome(now sim.Time, t *tenant, why string) bool {
 	eligible := make([]bool, cl.nodes)
 	nEligible := 0
 	for n := 0; n < cl.nodes; n++ {
-		if !cl.alive[n] {
-			continue
-		}
-		for _, rep := range t.reps[n*cl.ppn : (n+1)*cl.ppn] {
-			if !rep.retired() {
-				eligible[n] = true
-				nEligible++
-				break
-			}
+		if cl.alive[n] && !allRetired(t.reps[n*cl.ppn:(n+1)*cl.ppn]) {
+			eligible[n] = true
+			nEligible++
 		}
 	}
 	if nEligible == 0 {

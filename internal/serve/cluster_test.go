@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"cronus/internal/cluster"
@@ -256,6 +257,76 @@ func TestClusterValidation(t *testing.T) {
 		tc.mutate(&cfg)
 		if _, err := serve.Run(cfg); err == nil {
 			t.Errorf("%s: cluster config accepted, want a validation error", tc.name)
+		}
+	}
+}
+
+// TestNodeFaultsOnOneNodePool is the regression test for NodeFaults being
+// dropped without a word when Nodes < 2: they are validated on every pool
+// (node index, windows, and the flow-model plane they need) and honoured on a
+// pool of one node, whose link can be cut and whose only machine can die.
+func TestNodeFaultsOnOneNodePool(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*serve.Config)
+		want   string
+	}{
+		{"executed-plane", func(c *serve.Config) {
+			c.Shards = 0
+			c.NodeFaults = []cluster.Fault{{Kind: cluster.NodeCrash, Node: 0, At: sim.Millisecond}}
+		}, "require the flow-model plane"},
+		{"node-out-of-range", func(c *serve.Config) {
+			c.NodeFaults = []cluster.Fault{{Kind: cluster.NodeCrash, Node: 1, At: sim.Millisecond}}
+		}, "targets node 1 of 1"},
+		{"bad-window", func(c *serve.Config) {
+			c.NodeFaults = []cluster.Fault{{Kind: cluster.NetPartition, Node: 0, At: sim.Millisecond, Until: sim.Microsecond}}
+		}, "needs 0 < At < Until"},
+	} {
+		cfg := shardedConfig()
+		tc.mutate(&cfg)
+		if _, err := serve.Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+
+	failedWith := func(res *serve.Result, match func(error) bool) (n int) {
+		for _, r := range res.Requests {
+			if r.Err != nil && match(r.Err) {
+				n++
+			}
+		}
+		return n
+	}
+	cut := shardedConfig()
+	cut.NodeFaults = []cluster.Fault{{Kind: cluster.NetPartition, Node: 0, At: sim.Millisecond, Until: 2 * sim.Millisecond}}
+	res, err := serve.Run(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterTotals(t, res)
+	if n := failedWith(res, func(err error) bool {
+		var npe *cluster.NetPartitionedError
+		return errors.As(err, &npe) && npe.Node == 0
+	}); n == 0 {
+		t.Errorf("net-partition of the one node: no request failed with *cluster.NetPartitionedError\n%s", res.Report())
+	}
+
+	crash := shardedConfig()
+	crash.NodeFaults = []cluster.Fault{{Kind: cluster.NodeCrash, Node: 0, At: 1500 * sim.Microsecond}}
+	res, err = serve.Run(crash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterTotals(t, res)
+	if n := failedWith(res, func(err error) bool {
+		var pqe *serve.PoolQuarantinedError
+		return errors.As(err, &pqe)
+	}); n == 0 {
+		t.Errorf("crash of the one node: no request failed with *serve.PoolQuarantinedError\n%s", res.Report())
+	}
+	for _, tr := range res.Tenants {
+		if tr.Rehomed {
+			t.Errorf("tenant %s rehomed with no surviving node", tr.Name)
 		}
 	}
 }

@@ -9,7 +9,7 @@ package serve
 // release: the source partition's replicas stop taking new placements but
 // finish what they hold (quiesce), the mEnclave state snapshots at the
 // host-memcpy rate like a dnn.Trainer checkpoint (checkpoint), the snapshot
-// crosses the cluster fabric priced through TransferNS — or the local DMA
+// crosses the pool link priced through TransferNS — or the local DMA
 // engine on a same-node move (transfer), anything still in flight at the
 // drain deadline is cancelled and requeued through shCancelInflight exactly
 // once (replay), and only then does the source release (release). Because
@@ -23,7 +23,9 @@ package serve
 // burn-rate — with watermark hysteresis and a cooldown (internal/elastic).
 // Scale-down rides the migration primitive and then scrubs the vacated
 // partition; scale-up re-boots a released partition, charging mOS boot plus
-// re-attestation in virtual time before the capacity is usable. Released
+// re-attestation in virtual time before the capacity is usable. A partition's
+// lifecycle (draining, released) is stated once, on its pool record
+// (poolPart), so it flips for every tenant at the same instant. Released
 // capacity shrinks the admission bound (capacity() counts it as lost), so
 // the loop's own actions feed back into the signals it watches: it can
 // oscillate, overshoot and be tuned like a real controller, and the
@@ -31,6 +33,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"cronus/internal/elastic"
 	"cronus/internal/metrics"
@@ -72,11 +75,7 @@ func validateElastic(cfg Config) error {
 	if len(cfg.ScaleStorms) > 0 && cfg.Autoscale == nil {
 		return fmt.Errorf("serve: ScaleStorms require Autoscale")
 	}
-	nodes := cfg.Nodes
-	if nodes < 1 {
-		nodes = 1
-	}
-	ppn := cfg.GPUPartitions / nodes
+	nodes, ppn := cfg.pool()
 	for i, m := range cfg.Migrations {
 		switch {
 		case m.At <= 0:
@@ -101,11 +100,6 @@ func validateElastic(cfg Config) error {
 // migration injectors and the autoscaler loop mutate it.
 type elState struct {
 	ctl *elastic.Controller
-
-	// released/booting track partition lifecycle by global partition index
-	// (node·ppn + partition); the per-replica released flags mirror it.
-	released []bool
-	booting  []bool
 
 	// busy serializes capacity actions: one migration at a time.
 	busy bool
@@ -135,8 +129,6 @@ func (srv *Server) elBoot() {
 	}
 	srv.el = &elState{
 		ctl:            elastic.NewController(ctlCfg),
-		released:       make([]bool, srv.cfg.GPUPartitions),
-		booting:        make([]bool, srv.cfg.GPUPartitions),
 		ctrMigrations:  srv.reg.Counter("serve.elastic.migrations"),
 		ctrInterrupted: srv.reg.Counter("serve.elastic.interrupted"),
 		ctrRaces:       srv.reg.Counter("serve.elastic.drain_races"),
@@ -151,17 +143,21 @@ func (el *elState) event(now sim.Time, msg string) {
 	el.events = append(el.events, fmt.Sprintf("%s at %s", msg, sim.Duration(now)))
 }
 
-// elPPN is the partition count per node (the whole pool on a single node).
-func (srv *Server) elPPN() int {
-	if srv.cl != nil {
-		return srv.cl.ppn
-	}
-	return srv.cfg.GPUPartitions
+// elRepIdx maps an endpoint to its index in srv.parts and in every tenant's
+// replica slice.
+func (srv *Server) elRepIdx(e elastic.Endpoint) int {
+	return e.Node*srv.cl.ppn + e.Part
 }
 
-// elRepIdx maps an endpoint to its index in every tenant's replica slice.
-func (srv *Server) elRepIdx(e elastic.Endpoint) int {
-	return e.Node*srv.elPPN() + e.Part
+// anyQuarantined reports whether a tenant's connection to the partition is
+// parked in quarantine.
+func (srv *Server) anyQuarantined(idx int) bool {
+	for _, t := range srv.tenants {
+		if t.reps[idx].quarantined {
+			return true
+		}
+	}
+	return false
 }
 
 // elStart arms the elastic layer from Serve: one injector proc per planned
@@ -256,11 +252,12 @@ func (srv *Server) elMigrate(p *sim.Proc, m Migration) bool {
 		return false
 	}
 	src, dst := srv.elRepIdx(m.From), srv.elRepIdx(m.To)
-	if el.released[src] || el.booting[src] {
+	srcPart, dstPart := srv.parts[src], srv.parts[dst]
+	if srcPart.released {
 		el.event(now, label+" skipped (source out of service)")
 		return false
 	}
-	if el.released[dst] || el.booting[dst] {
+	if dstPart.released {
 		el.event(now, label+" skipped (destination out of service)")
 		return false
 	}
@@ -279,9 +276,7 @@ func (srv *Server) elMigrate(p *sim.Proc, m Migration) bool {
 	// lanes hold. Admission capacity is untouched — a draining partition is
 	// still doing work.
 	el.event(now, label+": quiesce")
-	for _, t := range srv.tenants {
-		t.reps[src].draining = true
-	}
+	srcPart.draining = true
 	if m.Race {
 		srv.elDrainRace(now, m, src)
 	}
@@ -297,14 +292,12 @@ func (srv *Server) elMigrate(p *sim.Proc, m Migration) bool {
 		// and the partition rejoins after restart. The migration is
 		// abandoned, nothing is lost or duplicated.
 		p.Sleep(ckNS / 2)
-		for _, t := range srv.tenants {
-			t.reps[src].draining = false
-		}
+		srcPart.draining = false
 		el.interrupted++
 		el.ctrInterrupted.Inc()
 		el.busy = false
 		el.event(p.Now(), label+" interrupted: source failed mid-checkpoint")
-		srv.plats[m.From.Node].SPM.Fail(srv.plats[m.From.Node].GPUs[m.From.Part].Part, spm.FailPanic)
+		srv.plats[m.From.Node].SPM.Fail(srcPart.sp, spm.FailPanic)
 		return false
 	}
 	p.Sleep(ckNS)
@@ -322,7 +315,7 @@ func (srv *Server) elMigrate(p *sim.Proc, m Migration) bool {
 	// prices serialization, bandwidth and slow-link windows) or rides the
 	// local DMA engine on a same-node move, then restores into the
 	// destination enclaves at the memcpy rate.
-	if srv.cl != nil && m.From.Node != m.To.Node {
+	if m.From.Node != m.To.Node {
 		p.Sleep(srv.cl.fab.TransferNS(m.To.Node, ck, p.Now()))
 	} else {
 		p.Sleep(srv.pl.Costs.DMA(ck))
@@ -330,17 +323,13 @@ func (srv *Server) elMigrate(p *sim.Proc, m Migration) bool {
 	p.Sleep(srv.pl.Costs.Memcpy(ck))
 	// Release: only now does the source leave service.
 	done := p.Now()
-	for _, t := range srv.tenants {
-		t.reps[src].draining = false
-		t.reps[src].released = true
-	}
-	el.released[src] = true
+	srcPart.draining, srcPart.released = false, true
 	el.migrations++
 	el.ctrMigrations.Inc()
 	el.busy = false
 	el.event(done, fmt.Sprintf("%s completed (%d KiB state, %d replayed)", label, ck>>10, replayed))
 	for _, t := range srv.tenants {
-		if srv.cl != nil && t.home == m.From.Node && srv.clHomeUnusable(t) {
+		if t.home == m.From.Node && srv.clHomeUnusable(t) {
 			// The release emptied the tenant's home placement set: the move
 			// was effectively a node evacuation, so re-home (which also
 			// flushes the backlog to the new home).
@@ -358,12 +347,12 @@ func (srv *Server) elMigrate(p *sim.Proc, m Migration) bool {
 // picking it — the race between an admission decision and the quiesce. The
 // batch either completes on the source before the drain deadline or is
 // cancelled and replayed with everything else; exactly-once must hold either
-// way. Only tenants whose placement set contains the source race (on a
-// cluster that is the tenants homed on the source node — racing anyone else
-// would fabricate a split-brain the real race cannot produce).
+// way. Only tenants whose placement set contains the source race (the
+// tenants homed on the source node — racing anyone else would fabricate a
+// split-brain the real race cannot produce).
 func (srv *Server) elDrainRace(now sim.Time, m Migration, src int) {
 	for _, t := range srv.tenants {
-		if srv.cl != nil && t.home != m.From.Node {
+		if t.home != m.From.Node {
 			continue
 		}
 		rep := t.reps[src]
@@ -403,17 +392,13 @@ func (srv *Server) elCheckpointBytes() int {
 	return total
 }
 
-// elActive counts a node's in-service partitions (not released, not booting,
-// not quarantined) and returns the highest- and lowest-indexed ones.
+// elActive counts a node's in-service partitions (not released, not
+// quarantined) and returns the highest- and lowest-indexed ones.
 func (srv *Server) elActive(node int) (active, hi, lo int) {
-	ppn := srv.elPPN()
+	ppn := srv.cl.ppn
 	hi, lo = -1, -1
 	for pi := 0; pi < ppn; pi++ {
-		idx := node*ppn + pi
-		if srv.el.released[idx] || srv.el.booting[idx] {
-			continue
-		}
-		if srv.tenants[0].reps[idx].quarantined {
+		if i := node*ppn + pi; srv.parts[i].released || srv.anyQuarantined(i) {
 			continue
 		}
 		active++
@@ -432,13 +417,9 @@ func (srv *Server) elScaleDown(p *sim.Proc) {
 	if srv.el.busy {
 		return
 	}
-	nodes := 1
-	if srv.cl != nil {
-		nodes = srv.cl.nodes
-	}
 	best, bestActive := -1, 0
-	for n := 0; n < nodes; n++ {
-		if srv.cl != nil && !srv.cl.alive[n] {
+	for n := 0; n < srv.cl.nodes; n++ {
+		if !srv.cl.alive[n] {
 			continue
 		}
 		if active, _, _ := srv.elActive(n); active > bestActive {
@@ -469,35 +450,24 @@ func (srv *Server) elScaleDown(p *sim.Proc) {
 // partition order), charging mOS boot plus re-attestation in virtual time
 // before the capacity is usable. The re-booted partition runs the same mOS
 // image, so its measurement matches the boot-pinned value and existing
-// tickets keep working.
-func (srv *Server) elScaleUp(p *sim.Proc) {
+// tickets keep working. Reports whether a partition came back: false when
+// another capacity action is in progress or nothing is released.
+func (srv *Server) elScaleUp(p *sim.Proc) bool {
 	if srv.el.busy {
-		return
+		return false
 	}
-	idx := -1
-	for i, rel := range srv.el.released {
-		if rel && !srv.el.booting[i] {
-			idx = i
-			break
-		}
+	i := slices.IndexFunc(srv.parts, func(pp *poolPart) bool { return pp.released })
+	if i < 0 {
+		return false
 	}
-	if idx < 0 {
-		return
-	}
-	el := srv.el
+	el, pp := srv.el, srv.parts[i]
 	cfg := el.ctl.Config()
-	ppn := srv.elPPN()
-	ep := elastic.Endpoint{Node: idx / ppn, Part: idx % ppn}
-	el.booting[idx] = true
+	ep := elastic.Endpoint{Node: pp.node, Part: pp.idx}
 	el.busy = true
 	el.event(p.Now(), fmt.Sprintf("scale-up: booting %s (boot %s + attest %s)",
 		ep, cfg.BootCost, cfg.AttestCost))
 	p.Sleep(cfg.BootCost + cfg.AttestCost)
-	for _, t := range srv.tenants {
-		t.reps[idx].released = false
-	}
-	el.released[idx] = false
-	el.booting[idx] = false
+	pp.released = false
 	el.busy = false
 	el.ups++
 	el.ctrUps.Inc()
@@ -506,31 +476,14 @@ func (srv *Server) elScaleUp(p *sim.Proc) {
 	for _, t := range srv.tenants {
 		srv.shFlushBacklog(now, t)
 	}
+	return true
 }
 
 // elRestore scales every released partition back into service — the
 // post-storm convergence path, so a closed oscillation window leaves the
-// plane at its configured capacity.
+// plane at its configured capacity. It stops at the first scale-up that makes
+// no progress (busy): never spin.
 func (srv *Server) elRestore(p *sim.Proc) {
-	for {
-		remaining := 0
-		for i, rel := range srv.el.released {
-			if rel && !srv.el.booting[i] {
-				remaining++
-			}
-		}
-		if remaining == 0 {
-			return
-		}
-		srv.elScaleUp(p)
-		after := 0
-		for i, rel := range srv.el.released {
-			if rel && !srv.el.booting[i] {
-				after++
-			}
-		}
-		if after >= remaining {
-			return // no progress (busy or stuck): never spin
-		}
+	for srv.elScaleUp(p) {
 	}
 }

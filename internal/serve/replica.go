@@ -21,11 +21,9 @@ import (
 // fresh enclave in the partition's new epoch — the failover-aware retry
 // layer of the plane.
 type replica struct {
-	srv      *Server
-	t        *tenant
-	node     int // owning fabric node (0 on a single-node plane)
-	partIdx  int // node-local partition index
-	partName string
+	srv  *Server
+	t    *tenant
+	part *poolPart // the pooled (node, partition) the endpoint lives on
 
 	cubin    []byte
 	inCap    int
@@ -40,8 +38,6 @@ type replica struct {
 	outstanding int
 	down        bool
 	quarantined bool // partition crash-looped into quarantine; park until release
-	draining    bool // quiescing for a planned migration; finish in-flight, take no new work
-	released    bool // partition released by elastic scale-down/migration; out of service
 	cond        *sim.Cond
 
 	// consecTimeouts is the circuit-breaker state: consecutive attempt
@@ -60,16 +56,10 @@ type replica struct {
 	lanePort  *sim.Port[*batch]
 }
 
-// plat returns the platform of the replica's owning node. Partition and SPM
-// lookups must go through it: partIdx is node-local, and every node has its
-// own SPM and "gpu-part%d" namespace.
-func (rep *replica) plat() *core.Platform {
-	return rep.srv.plats[rep.node]
-}
-
-// sess returns the tenant's session on the replica's node.
-func (rep *replica) sess() *core.Session {
-	return rep.t.sessions[rep.node]
+// nodeSPM returns the SPM of the replica's owning node: every node has its own
+// SPM and "gpu-part%d" namespace.
+func (rep *replica) nodeSPM() *spm.SPM {
+	return rep.srv.plats[rep.part.node].SPM
 }
 
 // retired reports whether the replica's partition has left service for good
@@ -77,16 +67,16 @@ func (rep *replica) sess() *core.Session {
 // release. Retired replicas count against admitted capacity and are skipped
 // by placement, rehoming eligibility and the pool-dead check alike.
 func (rep *replica) retired() bool {
-	return rep.quarantined || rep.released
+	return rep.quarantined || rep.part.released
 }
 
 // unplaceable reports whether the placement policy must skip the replica:
 // retired, mid-failover, or quiescing for a planned migration.
 func (rep *replica) unplaceable() bool {
-	return rep.down || rep.quarantined || rep.draining || rep.released
+	return rep.down || rep.quarantined || rep.part.draining || rep.part.released
 }
 
-func newReplica(p *sim.Proc, srv *Server, t *tenant, node, pi int, smDemand uint64) (*replica, error) {
+func newReplica(p *sim.Proc, srv *Server, t *tenant, part *poolPart, smDemand uint64) (*replica, error) {
 	kernels := []string{serveKernel}
 	seen := map[string]bool{serveKernel: true}
 	maxIn := 4
@@ -107,22 +97,20 @@ func newReplica(p *sim.Proc, srv *Server, t *tenant, node, pi int, smDemand uint
 	rep := &replica{
 		srv:      srv,
 		t:        t,
-		node:     node,
-		partIdx:  pi,
-		partName: fmt.Sprintf("gpu-part%d", pi),
+		part:     part,
 		cubin:    gpu.BuildCubin(kernels...),
 		inCap:    maxIn * srv.cfg.MaxBatch,
 		smDemand: smDemand,
 		cond:     sim.NewCond(srv.pl.K),
 	}
-	if srv.sh != nil {
+	if srv.flow {
 		srv.shInitReplica(rep)
 	}
 	if err := rep.connect(p); err != nil {
 		return nil, err
 	}
-	if srv.sh == nil {
-		srv.pl.K.Spawn(fmt.Sprintf("serve-worker-%s-p%d", t.spec.Name, pi), rep.run)
+	if !srv.flow {
+		srv.pl.K.Spawn(fmt.Sprintf("serve-worker-%s-p%d", t.spec.Name, part.idx), rep.run)
 	}
 	return rep, nil
 }
@@ -134,10 +122,10 @@ func (rep *replica) connect(p *sim.Proc) error {
 	rep.gen++
 	opts := core.CUDAOptions{
 		Cubin:     rep.cubin,
-		Partition: rep.partName,
-		Name:      fmt.Sprintf("%s/r%d.%d", rep.t.spec.Name, rep.partIdx, rep.gen),
+		Partition: rep.part.sp.Name,
+		Name:      fmt.Sprintf("%s/r%d.%d", rep.t.spec.Name, rep.part.idx, rep.gen),
 	}
-	if rep.srv.sh != nil {
+	if rep.srv.flow {
 		// The flow-model plane opens one real sRPC ring per modeled lane,
 		// each with a zero-copy payload arena sized for a full batch: the
 		// control-plane costs (attestation, ring setup, arena grant) are
@@ -145,7 +133,7 @@ func (rep *replica) connect(p *sim.Proc) error {
 		opts.Rings = lanesPerReplica
 		opts.ZCPayload = rep.inCap
 	}
-	conn, err := rep.sess().OpenCUDA(p, opts)
+	conn, err := rep.t.sessions[rep.part.node].OpenCUDA(p, opts)
 	if err != nil {
 		return err
 	}
@@ -251,8 +239,7 @@ func (rep *replica) requeue(rs []*Request) {
 // replica into the release-parking path instead.
 func (rep *replica) failover(p *sim.Proc) bool {
 	rep.drainPending()
-	part := rep.plat().GPUs[rep.partIdx].Part
-	if err := rep.plat().SPM.AwaitReady(p, part); err != nil {
+	if err := rep.nodeSPM().AwaitReady(p, rep.part.sp); err != nil {
 		rep.quarantined = true
 		return false
 	}
@@ -315,9 +302,9 @@ func reconnectBackoff(base, max sim.Duration, attempt int) sim.Duration {
 // reconnectMaxAttempts cap if the quarantine engaged mid-attempt. A
 // partition that is merely slow keeps being retried at the capped backoff.
 func (rep *replica) reconnect(p *sim.Proc) error {
-	part := rep.plat().GPUs[rep.partIdx].Part
+	part := rep.part.sp
 	for attempt := 1; ; attempt++ {
-		if err := rep.plat().SPM.AwaitReady(p, part); err != nil {
+		if err := rep.nodeSPM().AwaitReady(p, part); err != nil {
 			return err
 		}
 		rep.srv.ctrReconnects.Inc()
@@ -325,7 +312,7 @@ func (rep *replica) reconnect(p *sim.Proc) error {
 			return nil
 		}
 		if attempt >= reconnectMaxAttempts && part.State() == spm.PartQuarantined {
-			return &spm.QuarantinedError{Partition: rep.partName}
+			return &spm.QuarantinedError{Partition: part.Name}
 		}
 		p.Sleep(reconnectBackoff(reconnectBase, reconnectMax, attempt))
 	}
@@ -337,8 +324,7 @@ func (rep *replica) reconnect(p *sim.Proc) error {
 // rejoins the pool with a fresh enclave.
 func (rep *replica) awaitRelease(p *sim.Proc) {
 	rep.drainPending()
-	part := rep.plat().GPUs[rep.partIdx].Part
-	rep.plat().SPM.AwaitRelease(p, part)
+	rep.nodeSPM().AwaitRelease(p, rep.part.sp)
 	// Same driver re-probe settle as the failover path.
 	p.Sleep(500 * sim.Microsecond)
 	if err := rep.reconnect(p); err != nil {
@@ -357,9 +343,9 @@ func (rep *replica) awaitRelease(p *sim.Proc) {
 func (rep *replica) reportHang(p *sim.Proc) error {
 	rep.consecTimeouts = 0
 	rep.srv.ctrHangReports.Inc()
-	rep.plat().SPM.Fail(rep.plat().GPUs[rep.partIdx].Part, spm.FailHang)
+	rep.nodeSPM().Fail(rep.part.sp, spm.FailHang)
 	return fmt.Errorf("serve: replica %s/p%d reported hang after consecutive timeouts: %w",
-		rep.t.spec.Name, rep.partIdx, srpc.ErrPeerFailed)
+		rep.t.spec.Name, rep.part.idx, srpc.ErrPeerFailed)
 }
 
 // execWithRetry drives one batch through bounded attempts. Peer failures
@@ -438,7 +424,7 @@ func (rep *replica) execAttempt(p *sim.Proc, b *batch) error {
 		execErr error
 	)
 	child := rep.srv.pl.K.Spawn(
-		fmt.Sprintf("serve-exec-%s-p%d", rep.t.spec.Name, rep.partIdx),
+		fmt.Sprintf("serve-exec-%s-p%d", rep.t.spec.Name, rep.part.idx),
 		func(cp *sim.Proc) {
 			execErr = rep.exec(cp, b)
 			done = true
@@ -478,7 +464,7 @@ func (rep *replica) exec(p *sim.Proc, b *batch) error {
 	// and the context restored either way).
 	if rep.srv.cfg.Trace && trace.Default.Enabled() && b.reqs[0].TraceID != 0 {
 		head := b.reqs[0]
-		defer trace.Default.StartSpan(p, "serve", rep.partName, "batch-exec",
+		defer trace.Default.StartSpan(p, "serve", rep.part.sp.Name, "batch-exec",
 			trace.SpanCtx{Trace: head.TraceID, Span: head.spanID})()
 	}
 	cl := b.class

@@ -37,8 +37,7 @@ type TenantResult struct {
 	ShedRate float64
 
 	// Home is the node the placement ring assigned at boot; Rehomed is set
-	// when cross-node failover moved the tenant during the run. Zero-valued
-	// on a single-node plane.
+	// when cross-node failover moved the tenant during the run.
 	Home    int
 	Rehomed bool
 }
@@ -95,10 +94,11 @@ type Result struct {
 	// DrainedAt is the virtual time the last admitted request completed.
 	DrainedAt sim.Time
 
-	// Nodes is the fabric node count (0 or 1 means single-node). SplitBrain
-	// counts no-split-brain invariant violations — dispatches to a node while
-	// another still carried the tenant's live requests — and must stay 0.
-	// NodeEvents is the deterministic cluster event log (crashes, re-homes).
+	// Nodes is the pool's node count and NodeEvents its deterministic event
+	// log (crashes, re-homes); both are presentation of a multi-node pool and
+	// stay zero for a pool of one. SplitBrain counts no-split-brain invariant
+	// violations — dispatches to a node while another still carried the
+	// tenant's live requests — and must stay 0.
 	Nodes      int
 	SplitBrain uint64
 	NodeEvents []string
@@ -241,8 +241,11 @@ func (r *Result) FailuresByReason() map[spm.FailReason]int {
 
 func fmtQ(ns float64) string { return sim.Duration(ns).String() }
 
-// result assembles the Result after the drain completes.
+// result assembles the Result after the drain completes. The multi-node
+// presentation — Nodes, NodeEvents, the n%d/ prefix on failed partitions —
+// is the one thing here that asks how many nodes the pool has.
 func (srv *Server) result() *Result {
+	multiNode := srv.cl.nodes >= 2
 	res := &Result{
 		Seed:      srv.cfg.Seed,
 		Policy:    srv.cfg.Policy,
@@ -254,6 +257,11 @@ func (srv *Server) result() *Result {
 		Requests:  srv.requests,
 		Traces:    srv.traces,
 		Metrics:   srv.reg.Snapshot(),
+	}
+	res.SplitBrain = srv.cl.splitBrain
+	if multiNode {
+		res.Nodes = srv.cl.nodes
+		res.NodeEvents = append([]string(nil), srv.cl.events...)
 	}
 	winSec := float64(srv.cfg.Window) / 1e9
 	for _, t := range srv.tenants {
@@ -271,6 +279,8 @@ func (srv *Server) result() *Result {
 			P50NS:      t.latHist.Quantile(0.50),
 			P95NS:      t.latHist.Quantile(0.95),
 			P99NS:      t.latHist.Quantile(0.99),
+			Home:       t.home0,
+			Rehomed:    t.rehomed,
 		}
 		if n := t.latHist.Count(); n > 0 {
 			// The histogram keeps the exact sum; read it from the one snapshot.
@@ -282,10 +292,6 @@ func (srv *Server) result() *Result {
 		}
 		if t.offered > 0 {
 			tr.ShedRate = float64(t.shed) / float64(t.offered)
-		}
-		if srv.cl != nil {
-			tr.Home = t.home0
-			tr.Rehomed = t.rehomed
 		}
 		res.Tenants = append(res.Tenants, tr)
 		if t.slo != nil {
@@ -310,7 +316,7 @@ func (srv *Server) result() *Result {
 			FailedAt:    rec.FailedAt,
 			Quarantined: rec.Quarantined,
 		}
-		if srv.cl != nil && i < len(srv.failNodes) {
+		if multiNode {
 			// Partition names repeat across nodes; qualify them.
 			fs.Partition = fmt.Sprintf("n%d/%s", srv.failNodes[i], rec.Partition)
 		}
@@ -319,11 +325,6 @@ func (srv *Server) result() *Result {
 			fs.DowntimeNS = rec.Downtime()
 		}
 		res.Failures = append(res.Failures, fs)
-	}
-	if srv.cl != nil {
-		res.Nodes = srv.cl.nodes
-		res.SplitBrain = srv.cl.splitBrain
-		res.NodeEvents = append([]string(nil), srv.cl.events...)
 	}
 	if srv.el != nil {
 		res.Elastic = &ElasticResult{

@@ -17,16 +17,14 @@ import (
 // has requests unaccounted for.
 func (srv *Server) Serve(p *sim.Proc) (*Result, error) {
 	srv.endAt = p.Now() + sim.Time(srv.cfg.Window)
-	if srv.sh == nil {
+	if !srv.flow {
 		srv.startDispatchers()
 	}
 	srv.startLoad(p.Now())
 	if srv.cfg.FailAt > 0 {
 		srv.startFailInjector()
 	}
-	if srv.cl != nil {
-		srv.clArmFaults(p)
-	}
+	srv.clArmFaults(p)
 	srv.atStart(p)
 	srv.elStart(p)
 	p.Sleep(srv.cfg.Window)
@@ -47,77 +45,44 @@ func (srv *Server) startFailInjector() {
 	})
 }
 
-// Run boots a fresh platform sized for cfg, serves the configured load, and
-// returns the drained Result — the one-call entry point used by
-// cmd/cronus-serve, the ServeTable experiment and the tests. With Nodes >= 2
-// it boots that many node platforms into one simulation and serves through
-// the cluster gateway instead.
+// Run boots a fresh pool sized for cfg — Config.Nodes independently-booted
+// platforms (each with its own SPM, partition pool and mOS instances) on one
+// simulation kernel — serves the configured load, and returns the drained
+// Result: the one-call entry point used by cmd/cronus-serve, the ServeTable
+// experiment and the tests.
 func Run(cfg Config) (*Result, error) {
 	cfg.defaults()
-	if cfg.Nodes >= 2 {
-		return runCluster(cfg)
-	}
+	nodes, ppn := cfg.pool()
 	pcfg := core.DefaultConfig()
-	pcfg.GPUs = cfg.GPUPartitions
+	pcfg.GPUs = ppn
 	pcfg.NPUs = 0 // the serving pool is GPU-backed; skip NPU boot time
 	pcfg.MPS = true
-	var res *Result
-	err := core.Run(pcfg, func(pl *core.Platform, p *sim.Proc) error {
-		srv, err := New(p, pl, cfg)
-		if err != nil {
-			return err
-		}
-		r, err := srv.Serve(p)
-		if err != nil {
-			return err
-		}
-		res = r
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	return res, nil
-}
-
-// runCluster is the multi-node Run body: one simulation kernel, Nodes
-// independently-booted platforms (each with its own SPM, partition pool and
-// mOS instances) joined by the modeled fabric, one serving plane spanning
-// them.
-func runCluster(cfg Config) (*Result, error) {
-	if err := CheckShardLayout(cfg.Shards, cfg.GPUPartitions, cfg.Nodes); err != nil {
-		return nil, err
-	}
-	pcfg := core.DefaultConfig()
-	pcfg.GPUs = cfg.GPUPartitions / cfg.Nodes
-	pcfg.NPUs = 0
-	pcfg.MPS = true
 	var (
-		res     *Result
-		bodyErr error
+		res *Result
+		err error
 	)
 	k := sim.NewKernel()
 	k.Spawn("main", func(p *sim.Proc) {
 		defer k.Stop()
-		plats, err := cluster.BootNodes(p, cfg.Nodes, pcfg)
-		if err != nil {
-			bodyErr = err
+		var plats []*core.Platform
+		if plats, err = cluster.BootNodes(p, nodes, pcfg); err != nil {
 			return
 		}
-		srv, err := NewCluster(p, plats, cfg)
-		if err != nil {
-			bodyErr = err
+		var srv *Server
+		if srv, err = NewCluster(p, plats, cfg); err != nil {
 			return
 		}
-		res, bodyErr = srv.Serve(p)
+		res, err = srv.Serve(p)
 	})
-	if err := k.Run(); err != nil {
-		k.Shutdown()
-		return nil, fmt.Errorf("serve: %w", err)
-	}
+	runErr := k.Run()
+	// Unwind leftover service loops (executors, watchdogs) so repeated
+	// simulations do not accumulate goroutines.
 	k.Shutdown()
-	if bodyErr != nil {
-		return nil, fmt.Errorf("serve: %w", bodyErr)
+	if runErr != nil {
+		err = runErr
+	}
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	return res, nil
 }

@@ -134,12 +134,14 @@ func (srv *Server) place(p *sim.Proc, t *tenant, b *batch) (*replica, error) {
 	}
 }
 
-// allQuarantined reports whether every replica of the tenant has retired from
+// allRetired reports whether every one of the replicas has retired from
 // service: parked on a quarantined partition or released by an elastic
 // scale-down. Neither comes back without operator (or autoscaler) action, so
-// the pool is not transiently unavailable — it is gone.
-func (srv *Server) allQuarantined(t *tenant) bool {
-	for _, rep := range t.reps {
+// such a set is not transiently unavailable — it is gone. Replicas that are
+// merely down (transient proceed-trap recovery) do not count: those heal in
+// bounded time.
+func allRetired(reps []*replica) bool {
+	for _, rep := range reps {
 		if !rep.retired() {
 			return false
 		}
@@ -147,14 +149,14 @@ func (srv *Server) allQuarantined(t *tenant) bool {
 	return true
 }
 
+// allQuarantined reports whether the tenant's whole pool, on every node, has
+// retired.
+func (srv *Server) allQuarantined(t *tenant) bool { return allRetired(t.reps) }
+
 // placementSet is the replica slice the placement policy ranges over: the
-// whole pool on a single-node plane, the tenant's home-node block on a
-// cluster (node-local placement — the global tier picks the node, the
-// existing policies pick within it).
+// tenant's home-node block (node-local placement — the ring picks the node,
+// the policies pick within it).
 func (srv *Server) placementSet(t *tenant) []*replica {
-	if srv.cl == nil {
-		return t.reps
-	}
 	return t.reps[t.home*srv.cl.ppn : (t.home+1)*srv.cl.ppn]
 }
 
@@ -169,7 +171,7 @@ func (srv *Server) pick(t *tenant) *replica {
 	switch srv.cfg.Policy {
 	case DeviceAffinity:
 		rep := reps[t.idx%len(reps)]
-		if rep.retired() || rep.draining {
+		if rep.retired() || rep.part.draining {
 			return pickLeastOutstanding(reps)
 		}
 		if rep.down {

@@ -201,12 +201,13 @@ type Config struct {
 	// with Trace, Supervision and HangReportAfter (see New).
 	Shards int
 
-	// Nodes, when >= 2, selects cluster mode (cluster.go): the plane spans
-	// that many simulated machines (cluster.BootNodes), each owning
-	// GPUPartitions/Nodes partitions, joined by a modeled fabric. Tenants
-	// hash onto home nodes (consistent hashing with bounded-load overflow)
-	// and fail over across nodes when a home pool is lost. Requires the
-	// flow-model plane; GPUPartitions must divide evenly over Nodes.
+	// Nodes is the pool's node count (cluster.go; 0 means 1): the plane
+	// spans that many simulated machines (cluster.BootNodes), each owning
+	// GPUPartitions/Nodes partitions. Tenants hash onto home nodes
+	// (consistent hashing with bounded-load overflow) and fail over across
+	// nodes when a home pool is lost. Two or more nodes are joined by a
+	// modeled fabric and require the flow-model plane; GPUPartitions must
+	// divide evenly over Nodes.
 	Nodes int
 	// HashBound is the bounded-load factor of the placement ring: no node
 	// is assigned more than ceil(HashBound · tenants / nodes) home tenants
@@ -214,7 +215,7 @@ type Config struct {
 	HashBound float64
 	// NodeFaults schedules node-level faults (offsets from serving start):
 	// node-crash, net-partition, slow-link. The chaos harness compiles its
-	// cluster schedules into this.
+	// cluster schedules into this. Requires the flow-model plane.
 	NodeFaults []cluster.Fault
 
 	// AttestTickets arms the attestation admission gate (attestor.go,
@@ -289,7 +290,7 @@ func (c *Config) defaults() {
 	if c.MaxRetries < 0 {
 		c.MaxRetries = 0
 	}
-	if c.Nodes >= 2 && c.HashBound <= 0 {
+	if c.HashBound <= 0 {
 		c.HashBound = 1.25
 	}
 	if c.AttestTickets && c.AttestTicketTTL <= 0 {
@@ -304,7 +305,7 @@ const (
 	// lane does not queue behind an independent batch on another.
 	lanesPerReplica = 2
 	// linkLatency is the one-way gateway↔node propagation delay and linkGBps
-	// the per-link bandwidth in GB/s of the cluster fabric.
+	// the per-link bandwidth in GB/s of the fabric joining two or more nodes.
 	linkLatency = 5 * sim.Microsecond
 	linkGBps    = 10
 	// attestCacheCap bounds the live-ticket LRU.
@@ -355,7 +356,6 @@ type tenant struct {
 	spec    TenantSpec
 	idx     int
 	classes []*workClass
-	sess    *core.Session
 	q       *queue
 	reps    []*replica
 	rrNext  int
@@ -376,10 +376,10 @@ type tenant struct {
 	shGen     uint64
 	shBacklog []*batch
 
-	// Cluster-mode state (cluster.go; zero on single-node runs): one
-	// session per node, the current and initial home node, whether a
-	// failover re-hashed the tenant, and the gateway's no-split-brain
-	// ledger (liveCnt requests in flight, all on liveNode).
+	// Pool placement state (cluster.go): one session per node, the current
+	// and initial home node, whether a failover re-hashed the tenant, and
+	// the gateway's no-split-brain ledger (liveCnt requests in flight, all
+	// on liveNode).
 	sessions []*core.Session
 	home     int
 	home0    int
@@ -391,7 +391,7 @@ type tenant struct {
 // Server is one booted serving plane.
 type Server struct {
 	// pl is the gateway-side platform (plats[0]); plats holds every node's
-	// platform in cluster mode (a single element otherwise).
+	// platform.
 	pl    *core.Platform
 	plats []*core.Platform
 	cfg   Config
@@ -419,8 +419,8 @@ type Server struct {
 	ctrHangReports *metrics.Counter // circuit-breaker FailHang reports to the SPM
 
 	failures []*spm.FailureRecord
-	// failNodes is the node index of each failures entry (always 0 on
-	// single-node runs) — cluster reports prefix the partition name with it.
+	// failNodes is the node index of each failures entry — reports of a
+	// multi-node pool prefix the partition name with it.
 	failNodes  []int
 	cancelFail func()
 	// failPart is the FailAt injector's target (nil when FailAt is 0).
@@ -432,15 +432,17 @@ type Server struct {
 	// (deterministic) when cfg.Trace is set.
 	traces []otrace.RequestTrace
 
-	// sh is the flow-model data plane (nil on the classic path); cl is the
-	// cluster placement tier (nil on single-node runs); at is the
-	// attestation admission gate (nil unless Config.AttestTickets); el is
-	// the elastic-capacity layer (nil unless migrations or autoscaling are
-	// armed).
-	sh *shState
-	cl *clState
-	at *attState
-	el *elState
+	// flow selects the flow-model data plane (Config.Shards >= 2); cl is the
+	// pool's placement tier; parts holds the one record per pooled
+	// (node, partition), indexed node·ppn + partition like every tenant's
+	// reps; at is the attestation admission gate (nil unless
+	// Config.AttestTickets); el is the elastic-capacity layer (nil unless
+	// migrations or autoscaling are armed).
+	flow  bool
+	cl    *clState
+	parts []*poolPart
+	at    *attState
+	el    *elState
 }
 
 // serveKernel is the batchable inference kernel: its cost is carried in the
@@ -469,51 +471,38 @@ func init() {
 	})
 }
 
-// New boots a serving plane on an already-built platform: one session per
-// tenant, one accelerator mEnclave per (tenant, pooled partition), buffers
-// allocated, SPM failure records subscribed.
+// New boots a serving plane on one already-built platform: a pool of one
+// node.
 func New(p *sim.Proc, pl *core.Platform, cfg Config) (*Server, error) {
 	return NewCluster(p, []*core.Platform{pl}, cfg)
 }
 
-// NewCluster boots a serving plane spanning the given node platforms (one
-// element = the single-node plane New wraps). In cluster mode every tenant
-// gets a session and a replica set on every node, a home node from the
-// placement ring, and the gateway's fabric machinery is armed.
+// NewCluster boots a serving plane over the pool the given node platforms
+// form (Config.Nodes of them, each owning GPUPartitions/Nodes partitions):
+// one session per (tenant, node), one accelerator mEnclave per (tenant,
+// pooled partition), a home node per tenant from the placement ring, buffers
+// allocated, SPM failure records subscribed.
 func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error) {
 	cfg.defaults()
-	if len(plats) == 0 {
-		return nil, fmt.Errorf("serve: no platforms")
+	nodes, ppn := cfg.pool()
+	if nodes != len(plats) {
+		return nil, fmt.Errorf("serve: Config.Nodes asks for a pool of %d but %d node platforms were booted",
+			nodes, len(plats))
 	}
 	pl := plats[0]
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("serve: no tenants configured")
 	}
-	partsPerNode := cfg.GPUPartitions
-	if len(plats) >= 2 || cfg.Nodes >= 2 {
-		if cfg.Nodes != len(plats) {
-			return nil, fmt.Errorf("serve: Config.Nodes is %d but %d node platforms were booted",
-				cfg.Nodes, len(plats))
-		}
-		if err := validateCluster(cfg); err != nil {
+	for _, validate := range []func(Config) error{validateCluster, validateSharded, validateAttest, validateElastic} {
+		if err := validate(cfg); err != nil {
 			return nil, err
 		}
-		partsPerNode = cfg.GPUPartitions / cfg.Nodes
 	}
 	for n, npl := range plats {
-		if partsPerNode > len(npl.GPUs) {
+		if ppn > len(npl.GPUs) {
 			return nil, fmt.Errorf("serve: %d partitions requested on node %d, platform has %d GPUs",
-				partsPerNode, n, len(npl.GPUs))
+				ppn, n, len(npl.GPUs))
 		}
-	}
-	if err := validateSharded(cfg); err != nil {
-		return nil, err
-	}
-	if err := validateAttest(cfg); err != nil {
-		return nil, err
-	}
-	if err := validateElastic(cfg); err != nil {
-		return nil, err
 	}
 	// The pool's rodinia kernels live in the global GPU registry alongside
 	// the std kernels BuildPlatform installs (Register replaces, so this
@@ -526,11 +515,17 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 		plats:          plats,
 		cfg:            cfg,
 		reg:            reg,
+		flow:           cfg.Shards >= 2,
 		drainCond:      sim.NewCond(pl.K),
 		ctrTimeouts:    reg.Counter("serve.timeouts"),
 		ctrRetries:     reg.Counter("serve.retries"),
 		ctrReconnects:  reg.Counter("serve.reconnect.attempts"),
 		ctrHangReports: reg.Counter("serve.hang_reports"),
+	}
+	for n, npl := range plats {
+		for pi := 0; pi < ppn; pi++ {
+			srv.parts = append(srv.parts, &poolPart{node: n, idx: pi, sp: npl.GPUs[pi].Part})
+		}
 	}
 	if cfg.FailAt > 0 {
 		name := cfg.FailPartition
@@ -538,29 +533,22 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 			name = "gpu-part0"
 		}
 		var pool []string
-		for _, g := range pl.GPUs[:partsPerNode] {
-			if g.Part.Name == name {
-				srv.failPart = g.Part
+		for _, pp := range srv.parts[:ppn] {
+			if pp.sp.Name == name {
+				srv.failPart = pp.sp
 			}
-			pool = append(pool, g.Part.Name)
+			pool = append(pool, pp.sp.Name)
 		}
 		if srv.failPart == nil {
 			return nil, fmt.Errorf("serve: FailPartition %q is not in the pool (%s)",
 				name, strings.Join(pool, ", "))
 		}
 	}
-	if len(plats) >= 2 {
-		// The placement tier must exist before shBoot, which builds the
-		// per-node completion ports.
-		if err := srv.clBoot(); err != nil {
-			return nil, err
-		}
+	if err := srv.clBoot(); err != nil {
+		return nil, err
 	}
 	park := sim.NewSignal(pl.K)
 	srv.anchor = pl.K.Spawn("serve-anchor", func(p *sim.Proc) { park.Wait(p) })
-	if cfg.Shards >= 2 {
-		srv.shBoot()
-	}
 	if cfg.AttestTickets {
 		// Pin every partition's boot measurement and build the ticket /
 		// verification caches before any load exists, so the attestation
@@ -623,35 +611,30 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 			t.classes = append(t.classes, cl)
 		}
 		// One session per node: the replica block on node n is owned by the
-		// tenant's session on that node's platform (t.sess aliases node 0).
-		for n := 0; n < len(plats); n++ {
-			sess, err := plats[n].NewSession(p, spec.Name)
+		// tenant's session on that node's platform.
+		for n, npl := range plats {
+			sess, err := npl.NewSession(p, spec.Name)
 			if err != nil {
 				return nil, fmt.Errorf("serve: session for %s on node %d: %w", spec.Name, n, err)
 			}
 			t.sessions = append(t.sessions, sess)
 		}
-		t.sess = t.sessions[0]
 		t.q = newQueue(pl.K, spec.QueueCap,
 			reg.Gauge("serve.tenant."+spec.Name+".queue_depth"))
 		t.latHist = reg.Histogram("serve.tenant." + spec.Name + ".latency_ns")
 		if cfg.SLO != nil {
 			t.slo = slo.NewTracker(*cfg.SLO)
 		}
-		if srv.cl != nil {
-			srv.clAssignHome(t)
-		}
-		for n := 0; n < len(plats); n++ {
-			for pi := 0; pi < partsPerNode; pi++ {
-				rep, err := newReplica(p, srv, t, n, pi, smDemand)
-				if err != nil {
-					return nil, fmt.Errorf("serve: replica %s/n%d/gpu-part%d: %w", spec.Name, n, pi, err)
-				}
-				t.reps = append(t.reps, rep)
+		for _, pp := range srv.parts {
+			rep, err := newReplica(p, srv, t, pp, smDemand)
+			if err != nil {
+				return nil, fmt.Errorf("serve: replica %s/n%d/%s: %w", spec.Name, pp.node, pp.sp.Name, err)
 			}
+			t.reps = append(t.reps, rep)
 		}
 		srv.tenants = append(srv.tenants, t)
 	}
+	srv.clAssignHomes()
 	// Subscribe to SPM failure records: mark every replica on the failed
 	// partition down the instant the proceed-trap fires, so the scheduler
 	// routes around it while its mOS restarts. Every node's SPM is its own
@@ -663,21 +646,23 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 		cancels = append(cancels, plats[n].SPM.OnFailure(func(rec *spm.FailureRecord) {
 			srv.failures = append(srv.failures, rec)
 			srv.failNodes = append(srv.failNodes, n)
-			for _, t := range srv.tenants {
-				for _, rep := range t.reps {
-					if rep.node == n && rep.partName == rec.Partition {
-						rep.down = true
-						if rec.Quarantined {
-							// Crash-loop policy tripped: the scheduler must
-							// stop waiting on this partition, not route
-							// around a transient restart.
-							rep.quarantined = true
-						}
-						if srv.sh != nil {
-							srv.shReplicaDown(rep)
-						} else {
-							rep.cond.Broadcast() // wake an idle worker into failover
-						}
+			for i, pp := range srv.parts {
+				if pp.node != n || pp.sp.Name != rec.Partition {
+					continue
+				}
+				for _, t := range srv.tenants {
+					rep := t.reps[i]
+					rep.down = true
+					if rec.Quarantined {
+						// Crash-loop policy tripped: the scheduler must
+						// stop waiting on this partition, not route
+						// around a transient restart.
+						rep.quarantined = true
+					}
+					if srv.flow {
+						srv.shReplicaDown(rep)
+					} else {
+						rep.cond.Broadcast() // wake an idle worker into failover
 					}
 				}
 			}

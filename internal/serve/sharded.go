@@ -20,15 +20,16 @@ package serve
 //   - dynamic batching runs inline in the arrival event (shBatchIn:
 //     single-class FIFO batches, closed at MaxBatch or BatchWindow);
 //   - a closed batch crosses to its replica through a mailbox Port whose hop
-//     is the PCIe latency (the fabric link latency in cluster mode);
+//     is the pool link's latency (PCIe to the one local node, the fabric
+//     link between several — cluster.go);
 //   - the lane handler serializes service on one of the replica's modeled
 //     rings and charges the fused zero-copy path: RingPush + SpanCheck on
 //     the host side, RingPoll + SpanCheck + two RPC dispatches + payload
 //     DMA + kernel dispatch + per-item device work on the lane
 //     (srpc.CallZC's cost surface; see zerocopy.go);
-//   - completion crosses back through a Port with the same hop whose inline
-//     handler finalizes every request of the batch — histograms, SLO
-//     scoring, closed-loop signals, drain bookkeeping.
+//   - completion crosses back through the node's return Port with the same
+//     hop, whose inline handler finalizes every request of the batch —
+//     histograms, SLO scoring, closed-loop signals, drain bookkeeping.
 //
 // Everything runs on the plain sim.Kernel — one event queue, one clock — so
 // handlers and control-plane procs interleave in the kernel's total event
@@ -57,13 +58,8 @@ import (
 	"cronus/internal/sim"
 )
 
-// shState is the flow-model plane's kernel-facing state.
-type shState struct {
-	compl *sim.Port[*batch] // single-node completion return port
-}
-
-// ShardLayoutError is the typed usage error for a cluster layout that cannot
-// be mapped: cluster mode runs on the flow-model plane only (Shards >= 2) and
+// ShardLayoutError is the typed usage error for a pool layout that cannot be
+// mapped: several nodes run on the flow-model plane only (Shards >= 2) and
 // every node owns an equal partition pool, so the partition count must be a
 // positive multiple of the node count. CLIs report it and exit with a usage
 // status instead of booting a lopsided plane.
@@ -81,7 +77,7 @@ func (e *ShardLayoutError) Error() string {
 
 // CheckShardLayout validates a shard/partition/node combination: with
 // nodes >= 2 the flow-model plane must be selected and the partitions must
-// divide evenly over the nodes. Single-node layouts are unconstrained.
+// divide evenly over the nodes. A pool of one node is unconstrained.
 func CheckShardLayout(shards, partitions, nodes int) error {
 	if nodes >= 2 && (shards < 2 || partitions < 1 || partitions%nodes != 0) {
 		return &ShardLayoutError{Shards: shards, Partitions: partitions, Nodes: nodes}
@@ -114,42 +110,14 @@ func validateSharded(cfg Config) error {
 	return nil
 }
 
-// shBoot builds the completion ports. In cluster mode each node gets its own
-// port whose hop is the fabric link latency: a completion crossing
-// node→gateway pays the propagation delay in the port hop and the
-// serialization/bandwidth cost in submitNS.
-func (srv *Server) shBoot() {
-	k := srv.pl.K
-	srv.sh = &shState{}
-	if srv.cl != nil {
-		srv.cl.compl = make([]*sim.Port[*batch], srv.cl.nodes)
-		for n := 0; n < srv.cl.nodes; n++ {
-			n := n
-			srv.cl.compl[n] = sim.NewPort[*batch](k, 0,
-				fmt.Sprintf("serve-compl-n%d", n), linkLatency)
-			srv.cl.compl[n].SetHandler(func(at sim.Time, b *batch) {
-				srv.clComplArrive(n, at, b)
-			})
-		}
-		return
-	}
-	srv.sh.compl = sim.NewPort[*batch](k, 0, "serve-completions", srv.pl.Costs.PCIeLatency)
-	srv.sh.compl.SetHandler(srv.shDone)
-}
-
 // shInitReplica attaches the lanes and the mailbox port to a replica being
-// built (before its first connect).
+// built (before its first connect). The gateway→node crossing rides the pool
+// link: the port hop is its latency.
 func (srv *Server) shInitReplica(rep *replica) {
 	rep.lanes = make([]sim.Time, lanesPerReplica)
-	hop := srv.pl.Costs.PCIeLatency
-	name := fmt.Sprintf("serve-lane-%s-p%d", rep.t.spec.Name, rep.partIdx)
-	if srv.cl != nil {
-		// Gateway→node crossings ride the fabric, not PCIe: the port hop is
-		// the inter-node link latency.
-		hop = linkLatency
-		name = fmt.Sprintf("serve-lane-%s-n%d-p%d", rep.t.spec.Name, rep.node, rep.partIdx)
-	}
-	rep.lanePort = sim.NewPort[*batch](srv.pl.K, 0, name, hop)
+	rep.lanePort = sim.NewPort[*batch](srv.pl.K, 0,
+		fmt.Sprintf("serve-lane-%s-n%d-p%d", rep.t.spec.Name, rep.part.node, rep.part.idx),
+		srv.cl.fab.Latency)
 	rep.lanePort.SetHandler(func(at sim.Time, b *batch) {
 		srv.shLaneArrive(rep, at, b)
 	})
@@ -205,7 +173,7 @@ func (srv *Server) shCloseBatch(now sim.Time, t *tenant) {
 // quarantined, which completes the requests with the typed error.
 func (srv *Server) shDispatch(now sim.Time, t *tenant, b *batch) {
 	rep := srv.pick(t)
-	if rep == nil && srv.cl != nil && srv.clHomeUnusable(t) {
+	if rep == nil && srv.clHomeUnusable(t) {
 		// The tenant's whole home-node placement set is quarantined: re-hash
 		// onto a surviving node before giving up on the batch.
 		if srv.clRehome(now, t, "pool-quarantined") {
@@ -229,10 +197,11 @@ func (srv *Server) shDispatch(now sim.Time, t *tenant, b *batch) {
 // calls it directly to force a batch onto a quiescing replica the policies
 // would skip.
 func (srv *Server) shDispatchTo(now sim.Time, t *tenant, b *batch, rep *replica) {
-	if srv.cl != nil && srv.cl.fab.PartitionedAt(rep.node, now) {
+	node := rep.part.node
+	if srv.cl.fab.PartitionedAt(node, now) {
 		// The gateway→node link is partitioned: the send fails with the
 		// typed fabric error instead of silently vanishing into the cut.
-		srv.finishBatch(b, now, &cluster.NetPartitionedError{Node: rep.node, Tenant: t.spec.Name})
+		srv.finishBatch(b, now, &cluster.NetPartitionedError{Node: node, Tenant: t.spec.Name})
 		return
 	}
 	// Attestation gate: a live ticket resumes for one MAC, a cold session
@@ -247,20 +216,19 @@ func (srv *Server) shDispatchTo(now sim.Time, t *tenant, b *batch, rep *replica)
 	b.rep = rep
 	b.lane = rep.nextLane % len(rep.lanes)
 	rep.nextLane++
-	b.submitNS = attNS + srv.pl.Costs.SpanCheck + srv.pl.Costs.RingPush
-	if srv.cl != nil {
-		// Fabric transfer: serialization + bandwidth (+ slow-link penalty)
-		// for the batch payload; the base propagation delay rides the port
-		// hop. The no-split-brain ledger also advances here: a dispatch to
-		// a node other than the one carrying the tenant's live requests is
-		// a split brain.
-		b.submitNS += srv.cl.fab.TransferNS(rep.node, b.class.inBytes*len(b.reqs), now)
-		if t.liveCnt > 0 && t.liveNode != rep.node {
-			srv.cl.splitBrain++
-		}
-		t.liveNode = rep.node
-		t.liveCnt += len(b.reqs)
+	// Link transfer: serialization + bandwidth (+ slow-link penalty) for the
+	// batch payload — nothing on the local link, whose bytes the lane's DMA
+	// charge already moves; the base propagation delay rides the port hop.
+	// The no-split-brain ledger also advances here: a dispatch to a node
+	// other than the one carrying the tenant's live requests is a split
+	// brain.
+	b.submitNS = attNS + srv.pl.Costs.SpanCheck + srv.pl.Costs.RingPush +
+		srv.cl.fab.TransferNS(node, b.class.inBytes*len(b.reqs), now)
+	if t.liveCnt > 0 && t.liveNode != node {
+		srv.cl.splitBrain++
 	}
+	t.liveNode = node
+	t.liveCnt += len(b.reqs)
 	rep.outstanding += len(b.reqs)
 	rep.inflightB = append(rep.inflightB, b)
 	rep.lanePort.Send(srv.anchor, b)
@@ -304,10 +272,7 @@ func (srv *Server) shLaneArrive(rep *replica, at sim.Time, b *batch) {
 	rep.lanes[b.lane] = done
 	srv.batches++
 	srv.batchReqs += uint64(n)
-	compl := srv.sh.compl
-	if srv.cl != nil {
-		compl = srv.cl.compl[rep.node]
-	}
+	compl := srv.cl.compl[rep.part.node]
 	srv.anchor.CallAt(done, func() {
 		if b.cancelled {
 			return
@@ -322,21 +287,17 @@ func (srv *Server) shDone(at sim.Time, b *batch) {
 	if b.cancelled {
 		return
 	}
-	if a := srv.at; a != nil && b.rep != nil {
+	if revAt := b.rep.part.revokedAt; revAt > 0 && at >= revAt {
 		// Invariant counter: a completion landing after its partition's
 		// revocation would mean untrusted results leaked past the drain.
 		// Revocation cancels everything in flight, so this must stay 0 —
 		// the chaos harness asserts it.
-		if revAt, ok := a.revoked[[2]int{b.rep.node, b.rep.partIdx}]; ok && at >= revAt {
-			a.ctrPostRevoke.Inc()
-		}
+		srv.at.ctrPostRevoke.Inc()
 	}
 	t := b.t
 	b.rep.outstanding -= len(b.reqs)
 	b.rep.dropInflight(b)
-	if srv.cl != nil {
-		t.liveCnt -= len(b.reqs)
-	}
+	t.liveCnt -= len(b.reqs)
 	var err error
 	if b.attempts > 0 {
 		// The lane-deadline model resolved this batch as a watchdog timeout:
@@ -372,10 +333,7 @@ func (rep *replica) dropInflight(b *batch) {
 func (srv *Server) shReplicaDown(rep *replica) {
 	t := rep.t
 	srv.shCancelInflight(t, rep)
-	name := fmt.Sprintf("serve-failover-%s-p%d", t.spec.Name, rep.partIdx)
-	if srv.cl != nil {
-		name = fmt.Sprintf("serve-failover-%s-n%d-p%d", t.spec.Name, rep.node, rep.partIdx)
-	}
+	name := fmt.Sprintf("serve-failover-%s-n%d-p%d", t.spec.Name, rep.part.node, rep.part.idx)
 	srv.pl.K.Spawn(name, func(p *sim.Proc) { srv.shRecover(p, rep) })
 }
 
@@ -389,9 +347,7 @@ func (srv *Server) shTakeInflight(t *tenant, rep *replica) []*batch {
 	for _, b := range taken {
 		b.cancelled = true
 		rep.outstanding -= len(b.reqs)
-		if srv.cl != nil {
-			t.liveCnt -= len(b.reqs)
-		}
+		t.liveCnt -= len(b.reqs)
 	}
 	clear(rep.lanes)
 	return taken
@@ -439,7 +395,7 @@ func (srv *Server) shRecover(p *sim.Proc, rep *replica) {
 // (mirrors the classic place() giving up).
 func (srv *Server) shQuarantined(p *sim.Proc, rep *replica) {
 	t := rep.t
-	if srv.cl != nil && rep.node == t.home && srv.clHomeUnusable(t) {
+	if rep.part.node == t.home && srv.clHomeUnusable(t) {
 		// The quarantine emptied the tenant's home placement set: re-home to
 		// a surviving node, which also re-drives the backlog there.
 		if srv.clRehome(p.Now(), t, "pool-quarantined") {

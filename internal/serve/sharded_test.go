@@ -113,17 +113,70 @@ func TestShardsValueUnobservable(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", tc.name, shards, err)
 			}
-			var b strings.Builder
-			b.WriteString(res.Report())
-			if err := res.Metrics.WriteJSON(&b); err != nil {
-				t.Fatal(err)
-			}
-			b.WriteString(requestsDigest(t, res))
-			if ref == "" {
-				ref = b.String()
-			} else if b.String() != ref {
+			if got := observable(t, res); ref == "" {
+				ref = got
+			} else if got != ref {
 				t.Errorf("%s: Shards=%d is observable (report, metrics or request records differ from Shards=2)",
 					tc.name, shards)
+			}
+		}
+	}
+}
+
+// observable is everything a run shows its caller: the report, the metrics
+// snapshot and the per-request records.
+func observable(t *testing.T, res *serve.Result) string {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(res.Report())
+	if err := res.Metrics.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	b.WriteString(requestsDigest(t, res))
+	return b.String()
+}
+
+// TestNodesOneIsSingleNode pins the pool model: a single machine is the pool
+// of one node, so Nodes 0 (unset) and Nodes 1 are the same run on both planes
+// — report, metrics snapshot and request records — through a clean window, a
+// mid-run partition failure and a planned migration under an attest storm.
+func TestNodesOneIsSingleNode(t *testing.T) {
+	executed := shardedConfig()
+	executed.Shards = 0
+	executed.FailAt = 1500 * sim.Microsecond
+	failover := shardedConfig()
+	failover.FailAt = 1500 * sim.Microsecond
+	migrate := elasticConfig()
+	migrate.AttestTickets = true
+	migrate.AttestFaults = []serve.AttestFault{{Kind: serve.AttestStorm, At: 2 * sim.Millisecond}}
+	migrate.Migrations = []serve.Migration{
+		{At: 1500 * sim.Microsecond, From: elastic.Endpoint{Part: 3}, To: elastic.Endpoint{Part: 0}},
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  serve.Config
+	}{
+		{"executed-failover", executed},
+		{"flow", shardedConfig()},
+		{"flow-failover", failover},
+		{"flow-migration-attest-storm", migrate},
+	} {
+		var ref string
+		for _, nodes := range []int{0, 1} {
+			cfg := tc.cfg
+			cfg.Nodes = nodes
+			res, err := serve.Run(cfg)
+			if err != nil {
+				t.Fatalf("%s nodes=%d: %v", tc.name, nodes, err)
+			}
+			if res.Nodes != 0 || len(res.NodeEvents) != 0 {
+				t.Errorf("%s nodes=%d: a pool of one presents as a cluster (Nodes=%d, %d node events)",
+					tc.name, nodes, res.Nodes, len(res.NodeEvents))
+			}
+			if got := observable(t, res); ref == "" {
+				ref = got
+			} else if got != ref {
+				t.Errorf("%s: Nodes=1 diverged from Nodes=0 (report, metrics or request records)", tc.name)
 			}
 		}
 	}

@@ -69,7 +69,7 @@ func TestTraceAttributionConservative(t *testing.T) {
 }
 
 // Two identical seeded runs with the collector on must export byte-identical
-// Chrome trace JSON — the determinism contract cronus-trace relies on.
+// Chrome trace JSON — the determinism contract cronus-serve -trace relies on.
 func TestTraceExportByteIdentical(t *testing.T) {
 	export := func() []byte {
 		trace.Default.Enable()

@@ -58,15 +58,6 @@ func (k *Kernel) EnableSharding(n int, lookahead Duration) {
 // NumShards returns the number of event domains (1 for an unsharded kernel).
 func (k *Kernel) NumShards() int { return len(k.shards) }
 
-// Sharded reports whether EnableSharding was called. Layers that place
-// processes (executor spawning, the serving plane) branch on this to pick
-// SpawnOn with explicit logical ids over plain Spawn.
-func (k *Kernel) Sharded() bool { return k.sharded }
-
-// Lookahead returns the conservative lookahead configured by EnableSharding
-// (zero for an unsharded kernel).
-func (k *Kernel) Lookahead() Duration { return k.eps }
-
 // SpawnOn creates a process on the given shard with the given logical id,
 // starting at the current time. Logical ids key event order in the parallel
 // phase: they must be non-zero and unique among processes alive at
@@ -108,9 +99,6 @@ func (p *Proc) SetLID(lid uint64) {
 	}
 	p.lid = lid
 }
-
-// LID returns the process's logical id (zero if never assigned).
-func (p *Proc) LID() uint64 { return p.lid }
 
 // key returns the mode-appropriate event key charged to this process.
 func (p *Proc) key() (a, b uint64) {

@@ -256,9 +256,6 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 // clock; identical to Kernel.Now in the unsharded kernel).
 func (p *Proc) Now() Time { return p.sh.now }
 
-// Shard returns the id of the shard this process runs on (0 when unsharded).
-func (p *Proc) Shard() int { return p.sh.id }
-
 // TraceCtx returns the process's current causal span context (trace id and
 // enclosing span id); both are zero when no request context is attached.
 func (p *Proc) TraceCtx() (traceID, spanID uint64) { return p.traceID, p.spanID }
