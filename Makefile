@@ -32,7 +32,8 @@ bench: bench-hotpath
 # sync calls, the sim kernel's per-event costs — self-wake sleep, process
 # switch, CallAt, mailbox round trip, sharded engine — multi-ring sRPC, the
 # 64 KiB data-path shapes — streamed HtoD, synchronous DtoH, fused ExecZC,
-# sealed Ping — one native training step per Fig 8 model, and the fig7/fig8
+# sealed Ping — one ticket resume, one batch through the flow-model plane of a
+# two-node pool, one native training step per Fig 8 model, and the fig7/fig8
 # experiment benches), recorded as JSON so before/after host-time numbers can
 # be committed and diffed. The serving plane's numbers live in bench/
 # (BENCHMARK.json); its nine virtual reference rows are pinned by
@@ -42,6 +43,8 @@ bench-hotpath:
 	  $(GO) test -bench 'ShardedEngine|Kernel|MailboxRoundTrip' -benchmem -run '^$$' ./internal/sim ; \
 	  $(GO) test -bench 'SRPCSyncCall|SrpcMultiRing' -benchmem -benchtime=200x -run '^$$' ./internal/srpc ; \
 	  $(GO) test -bench 'SRPC(HtoD|DtoH|ExecZC)64K|SealedPing64K' -benchmem -benchtime=2000x -run '^$$' ./internal/core ; \
+	  $(GO) test -bench 'TicketResume' -benchmem -run '^$$' ./internal/attest ; \
+	  $(GO) test -bench 'FlowBatch' -benchmem -run '^$$' ./internal/serve ; \
 	  $(GO) test -bench 'TrainStep' -benchmem -benchtime=10x -run '^$$' ./internal/dnn ; \
 	  $(GO) test -bench 'Figure7Rodinia|Figure8Training|SRPCStreaming' -benchmem -benchtime=1x -run '^$$' . ; } \
 	| $(GO) run ./cmd/cronus-benchjson > BENCH_hotpath.json

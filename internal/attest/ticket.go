@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 
 	"cronus/internal/metrics"
 	"cronus/internal/sim"
@@ -63,7 +64,14 @@ type ticketKey struct {
 // (attest.tickets.* counters), and every operation is deterministic — the
 // LRU order is maintained explicitly, never derived from map iteration.
 type TicketCache struct {
-	key     []byte // seal key, derived from platform seed material
+	// mac is HMAC-SHA256 keyed with the seal key (derived from platform seed
+	// material), built once: Reset rewinds it to the keyed state, so a seal
+	// hashes the ticket body and nothing else. body is the scratch the body is
+	// laid out in and tag the array the MAC lands in; both live here so that a
+	// seal puts nothing on the heap, and neither outlives one seal's caller.
+	mac     hash.Hash
+	body    []byte
+	tag     [sha256.Size]byte
 	cap     int
 	ttl     sim.Duration
 	byKey   map[ticketKey]*list.Element
@@ -92,7 +100,7 @@ func NewTicketCache(seed []byte, capacity int, ttl sim.Duration, reg *metrics.Re
 	}
 	h := sha256.Sum256(append([]byte("ticket-seal/"), seed...))
 	return &TicketCache{
-		key:            h[:],
+		mac:            hmac.New(sha256.New, h[:]),
 		cap:            capacity,
 		ttl:            ttl,
 		byKey:          make(map[ticketKey]*list.Element),
@@ -120,16 +128,18 @@ func (c *TicketCache) Cap() int { return c.cap }
 // Len is the number of live tickets.
 func (c *TicketCache) Len() int { return c.lru.Len() }
 
-// seal MACs the ticket body under the cache key.
+// seal MACs the ticket body (tenant ‖ meas ‖ epoch ‖ expires) under the cache
+// key. The result aliases c.tag: it is valid until the next seal. It allocates
+// nothing once the scratch fits the longest tenant name.
 func (c *TicketCache) seal(t *Ticket) []byte {
-	m := hmac.New(sha256.New, c.key)
-	m.Write([]byte(t.Tenant))
-	m.Write(t.Meas[:])
-	var b [16]byte
-	binary.LittleEndian.PutUint64(b[:8], t.Epoch)
-	binary.LittleEndian.PutUint64(b[8:], uint64(t.Expires))
-	m.Write(b[:])
-	return m.Sum(nil)
+	b := append(c.body[:0], t.Tenant...)
+	b = append(b, t.Meas[:]...)
+	b = binary.LittleEndian.AppendUint64(b, t.Epoch)
+	b = binary.LittleEndian.AppendUint64(b, uint64(t.Expires))
+	c.body = b
+	c.mac.Reset()
+	c.mac.Write(b)
+	return c.mac.Sum(c.tag[:0])
 }
 
 // Mint seals a fresh ticket for (tenant, meas) at the given epoch, caches
@@ -137,7 +147,7 @@ func (c *TicketCache) seal(t *Ticket) []byte {
 // Call it exactly once per completed cold attestation.
 func (c *TicketCache) Mint(tenant string, meas Measurement, epoch uint64, now sim.Time) *Ticket {
 	t := &Ticket{Tenant: tenant, Meas: meas, Epoch: epoch, Expires: now + sim.Time(c.ttl)}
-	t.MAC = c.seal(t)
+	t.MAC = append([]byte(nil), c.seal(t)...)
 	k := ticketKey{tenant, meas}
 	if el, ok := c.byKey[k]; ok {
 		el.Value.(*entry).tk = t
@@ -185,6 +195,8 @@ func (c *TicketCache) Resume(tenant string, meas Measurement, epoch uint64, now 
 		c.mExpired.Inc()
 		return false, nil
 	}
+	// The seal is recomputed in full on every resume: a verdict remembered
+	// from an earlier check would let a body tampered since then resume.
 	if !hmac.Equal(t.MAC, c.seal(t)) {
 		c.drop(el)
 		c.mMisses.Inc()

@@ -1,6 +1,10 @@
 package attest
 
 import (
+	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
 	"strings"
 	"testing"
 
@@ -174,13 +178,116 @@ func TestTicketStorm(t *testing.T) {
 	}
 }
 
+// TestTicketSealRejectsTamper flips each sealed field (and a MAC byte) of the
+// cached ticket after Mint: every one must fail the resume and cost the slot.
+// Resume is called with whatever (epoch, instant) the tampered body claims, so
+// the cheaper epoch and expiry checks pass and the verdict is the MAC's.
 func TestTicketSealRejectsTamper(t *testing.T) {
-	c, _ := testCache(8, sim.Duration(1)*sim.Second)
 	meas := Measure([]byte("mos"))
-	tk := c.Mint("t", meas, 1, 0)
-	tk.Epoch = 99 // tamper with the cached ticket body
-	if hit, _ := c.Resume("t", meas, 99, 1); hit {
-		t.Fatal("tampered ticket must not resume")
+	cases := []struct {
+		name   string
+		tamper func(tk *Ticket)
+	}{
+		{"tenant", func(tk *Ticket) { tk.Tenant = "u" }},
+		{"measurement", func(tk *Ticket) { tk.Meas[7] ^= 1 }},
+		{"epoch", func(tk *Ticket) { tk.Epoch = 99 }},
+		{"expiry", func(tk *Ticket) { tk.Expires += sim.Time(sim.Second) }},
+		{"mac byte", func(tk *Ticket) { tk.MAC[31] ^= 0x80 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c, reg := testCache(8, sim.Second)
+			tk := c.Mint("t", meas, 1, 0)
+			if hit, _ := c.Resume("t", meas, 1, 1); !hit {
+				t.Fatal("untampered ticket must resume")
+			}
+			tc.tamper(tk)
+			if hit, err := c.Resume("t", meas, tk.Epoch, 2); hit || err != nil {
+				t.Fatalf("tampered ticket: Resume = %v, %v, want false, nil", hit, err)
+			}
+			if c.Len() != 0 {
+				t.Fatalf("tampered slot still cached (Len = %d)", c.Len())
+			}
+			if n := counter(t, reg, "attest.tickets.hits"); n != 1 {
+				t.Fatalf("hits = %d, want only the untampered one", n)
+			}
+		})
+	}
+}
+
+// TestTicketMACMatchesReference pins the seal's bytes against an HMAC built
+// from scratch here — key derivation, field order and encoding — so the keyed
+// hash.Hash the cache reuses cannot drift from what a ticket has always been.
+func TestTicketMACMatchesReference(t *testing.T) {
+	c, _ := testCache(8, 1000*sim.Microsecond)
+	meas := Measure([]byte("mos"))
+	c.Mint("warm-the-scratch-with-a-longer-name", meas, 9, 1)
+	tk := c.Mint("tenant-a", meas, 3, 5000)
+
+	key := sha256.Sum256([]byte("ticket-seal/seed"))
+	m := hmac.New(sha256.New, key[:])
+	m.Write([]byte("tenant-a"))
+	m.Write(meas[:])
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[:8], 3)
+	binary.LittleEndian.PutUint64(b[8:], uint64(5000+1000*sim.Microsecond))
+	m.Write(b[:])
+	if want := m.Sum(nil); !bytes.Equal(tk.MAC, want) {
+		t.Fatalf("ticket MAC = %x, reference HMAC = %x", tk.MAC, want)
+	}
+}
+
+// TestTicketCachesDoNotShareKeys: a ticket sealed under one seed never
+// resumes in a cache keyed from another, whichever way it is carried over.
+func TestTicketCachesDoNotShareKeys(t *testing.T) {
+	meas := Measure([]byte("mos"))
+	reg := metrics.NewRegistry()
+	a := NewTicketCache([]byte("seed-a"), 8, sim.Second, reg)
+	b := NewTicketCache([]byte("seed-b"), 8, sim.Second, reg)
+	ta, tb := a.Mint("t", meas, 1, 0), b.Mint("t", meas, 1, 0)
+	if bytes.Equal(ta.MAC, tb.MAC) {
+		t.Fatal("two seeds sealed the same body to the same MAC")
+	}
+	*ta, *tb = *tb, *ta // each cache now holds the other's sealed ticket
+	if hit, _ := a.Resume("t", meas, 1, 1); hit {
+		t.Fatal("cache a resumed a ticket sealed by cache b")
+	}
+	if hit, _ := b.Resume("t", meas, 1, 1); hit {
+		t.Fatal("cache b resumed a ticket sealed by cache a")
+	}
+}
+
+// TestTicketResumeDoesNotAllocate is the attest row of the flow plane's
+// allocation budget: a resume — lookup, full MAC, LRU touch — and the seal by
+// itself put nothing on the heap.
+func TestTicketResumeDoesNotAllocate(t *testing.T) {
+	c, _ := testCache(8, sim.Second)
+	meas := Measure([]byte("mos"))
+	tk := c.Mint("tenant-a", meas, 1, 0)
+	if n := testing.AllocsPerRun(200, func() {
+		if hit, err := c.Resume("tenant-a", meas, 1, 5); !hit || err != nil {
+			t.Fatalf("Resume = %v, %v", hit, err)
+		}
+	}); n != 0 {
+		t.Errorf("Resume allocates %v per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, func() { c.seal(tk) }); n != 0 {
+		t.Errorf("seal allocates %v per call, want 0", n)
+	}
+}
+
+// BenchmarkTicketResume is the host cost of the attestation gate's steady
+// state: one live-ticket resume, full HMAC-SHA256 included.
+func BenchmarkTicketResume(b *testing.B) {
+	c, _ := testCache(1024, sim.Second)
+	meas := Measure([]byte("mos"))
+	c.Mint("tenant-a", meas, 1, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if hit, _ := c.Resume("tenant-a", meas, 1, 5); !hit {
+			b.Fatal("resume missed")
+		}
 	}
 }
 

@@ -173,13 +173,12 @@ func (srv *Server) submit(now sim.Time, t *tenant, cl *workClass, withSignal boo
 		return nil, &OverloadError{Tenant: t.spec.Name, Cap: limit}
 	}
 	srv.admittedTotal++
-	r := &Request{
-		ID:      srv.admittedTotal,
-		Tenant:  t.spec.Name,
-		Class:   cl.spec.Name,
-		Arrived: now,
-		class:   cl,
-	}
+	r := &srv.reqArena.take(1)[0] // zeroed, and nobody's before
+	r.ID = srv.admittedTotal
+	r.Tenant = t.spec.Name
+	r.Class = cl.spec.Name
+	r.Arrived = now
+	r.class = cl
 	if srv.cfg.Trace {
 		// The tenant's admission sequence (pre-increment) keys the
 		// deterministic trace id; the root span id is only minted when the

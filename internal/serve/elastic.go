@@ -359,12 +359,9 @@ func (srv *Server) elDrainRace(now sim.Time, m Migration, src int) {
 		var b *batch
 		switch {
 		case t.shOpen != nil:
-			// Seal the open batch early (shCloseBatch's bookkeeping) and aim
-			// it at the source instead of letting the policy place it.
-			b = t.shOpen
-			t.shOpen = nil
-			t.shGen++
-			t.q.depth.Set(0)
+			// Seal the open batch early and aim it at the source instead of
+			// letting the policy place it.
+			b = shSeal(t)
 		case len(t.shBacklog) > 0:
 			b = t.shBacklog[0]
 			t.shBacklog = t.shBacklog[1:]

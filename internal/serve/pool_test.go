@@ -38,15 +38,7 @@ func poolTestConfig() Config {
 // onOneNode boots a one-node pool for cfg and hands the server to body.
 func onOneNode(t *testing.T, cfg Config, body func(pl *core.Platform, p *sim.Proc, srv *Server) error) {
 	t.Helper()
-	pcfg := core.DefaultConfig()
-	pcfg.GPUs, pcfg.NPUs, pcfg.MPS = cfg.GPUPartitions, 0, true
-	err := core.Run(pcfg, func(pl *core.Platform, p *sim.Proc) error {
-		srv, err := New(p, pl, cfg)
-		if err != nil {
-			return err
-		}
-		return body(pl, p, srv)
-	})
+	err := boot(cfg, func(p *sim.Proc, srv *Server) error { return body(srv.pl, p, srv) })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,6 +28,12 @@ type replica struct {
 	cubin    []byte
 	inCap    int
 	smDemand uint64
+	// zeros is the input every executed inference batch uploads: inCap bytes —
+	// the largest class input × MaxBatch — that nobody ever writes. HtoD only
+	// borrows its argument for the call, so one buffer serves every batch, an
+	// attempt the watchdog abandoned mid-upload included. Nil on the
+	// flow-model plane, which uploads nothing.
+	zeros []byte
 
 	conn   *core.CUDAConn
 	outPtr uint64
@@ -105,6 +111,8 @@ func newReplica(p *sim.Proc, srv *Server, t *tenant, part *poolPart, smDemand ui
 	}
 	if srv.flow {
 		srv.shInitReplica(rep)
+	} else {
+		rep.zeros = make([]byte, rep.inCap)
 	}
 	if err := rep.connect(p); err != nil {
 		return nil, err
@@ -472,8 +480,7 @@ func (rep *replica) exec(p *sim.Proc, b *batch) error {
 		return cl.spec.Bench.Run(p, rep.conn)
 	}
 	n := len(b.reqs)
-	in := make([]byte, cl.inBytes*n)
-	if err := rep.conn.HtoD(p, rep.inPtr, in); err != nil {
+	if err := rep.conn.HtoD(p, rep.inPtr, rep.zeros[:cl.inBytes*n]); err != nil {
 		return err
 	}
 	work := uint64(cl.itemNS) * uint64(n)

@@ -45,22 +45,34 @@ func (srv *Server) startFailInjector() {
 	})
 }
 
-// Run boots a fresh pool sized for cfg — Config.Nodes independently-booted
-// platforms (each with its own SPM, partition pool and mOS instances) on one
-// simulation kernel — serves the configured load, and returns the drained
-// Result: the one-call entry point used by cmd/cronus-serve, the ServeTable
-// experiment and the tests.
+// Run boots a fresh pool sized for cfg, serves the configured load, and
+// returns the drained Result: the one-call entry point used by
+// cmd/cronus-serve, the ServeTable experiment and the tests.
 func Run(cfg Config) (*Result, error) {
+	var res *Result
+	err := boot(cfg, func(p *sim.Proc, srv *Server) (err error) {
+		res, err = srv.Serve(p)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	return res, nil
+}
+
+// boot builds the pool cfg asks for — Config.Nodes independently-booted
+// platforms (each with its own SPM, partition pool and mOS instances) on one
+// fresh simulation kernel — boots the serving plane over it and runs body on
+// the main proc with the idle server. The kernel stops when body returns and
+// is shut down before boot does.
+func boot(cfg Config, body func(p *sim.Proc, srv *Server) error) error {
 	cfg.defaults()
 	nodes, ppn := cfg.pool()
 	pcfg := core.DefaultConfig()
 	pcfg.GPUs = ppn
 	pcfg.NPUs = 0 // the serving pool is GPU-backed; skip NPU boot time
 	pcfg.MPS = true
-	var (
-		res *Result
-		err error
-	)
+	var err error
 	k := sim.NewKernel()
 	k.Spawn("main", func(p *sim.Proc) {
 		defer k.Stop()
@@ -72,17 +84,14 @@ func Run(cfg Config) (*Result, error) {
 		if srv, err = NewCluster(p, plats, cfg); err != nil {
 			return
 		}
-		res, err = srv.Serve(p)
+		err = body(p, srv)
 	})
 	runErr := k.Run()
 	// Unwind leftover service loops (executors, watchdogs) so repeated
 	// simulations do not accumulate goroutines.
 	k.Shutdown()
 	if runErr != nil {
-		err = runErr
+		return runErr
 	}
-	if err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	return res, nil
+	return err
 }

@@ -33,6 +33,23 @@ type batch struct {
 	attempts int
 }
 
+// newBatch carves a batch of the tenant and class over the given request
+// storage. A batch is never handed out twice: pending events refer to their
+// batch by pointer (a cancelled batch's events are no-ops, an open batch's
+// pointer is its window timer's generation), so storage that came back would
+// let a stale event act on a stranger.
+func (srv *Server) newBatch(t *tenant, cl *workClass, reqs []*Request) *batch {
+	b := &srv.batchArena.take(1)[0]
+	b.class, b.reqs, b.t = cl, reqs, t
+	return b
+}
+
+// newSlots carves a batch's request storage — room for exactly MaxBatch, so
+// filling a batch never regrows it — holding its first request.
+func (srv *Server) newSlots(first *Request) []*Request {
+	return append(srv.slotArena.take(srv.cfg.MaxBatch)[:0], first)
+}
+
 // startDispatchers spawns the per-tenant dispatcher procs.
 func (srv *Server) startDispatchers() {
 	for _, t := range srv.tenants {
@@ -52,7 +69,7 @@ func (srv *Server) dispatch(p *sim.Proc, t *tenant) {
 	for {
 		first := t.q.waitFirst(p)
 		srv.mark(first, otrace.StageBatch, p.Now())
-		b := &batch{class: first.class, reqs: []*Request{first}, t: t}
+		b := srv.newBatch(t, first.class, srv.newSlots(first))
 		if first.class.spec.Graph != nil && srv.cfg.MaxBatch > 1 {
 			deadline := p.Now() + sim.Time(srv.cfg.BatchWindow)
 			for len(b.reqs) < srv.cfg.MaxBatch {

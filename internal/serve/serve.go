@@ -369,11 +369,10 @@ type tenant struct {
 	replayed, duplicates    uint64
 	retried, timeouts       uint64
 
-	// Flow-model-plane state (zero on the classic path): the open batch, its
-	// generation counter (invalidates stale window timers) and the
-	// undispatchable-batch backlog.
+	// Flow-model-plane state (zero on the classic path): the open batch — its
+	// pointer is also its generation, a window timer fires for the batch it
+	// was armed for or for none — and the undispatchable-batch backlog.
 	shOpen    *batch
-	shGen     uint64
 	shBacklog []*batch
 
 	// Pool placement state (cluster.go): one session per node, the current
@@ -427,6 +426,19 @@ type Server struct {
 	failPart *spm.Partition
 
 	requests []*Request // retained when cfg.KeepRequests
+
+	// Every Request, batch and batch's request storage is carved from these
+	// (carve.go): one allocation per chunk, no object handed out twice.
+	reqArena   arena[Request]
+	batchArena arena[batch]
+	slotArena  arena[*Request]
+
+	// windowFn and laneDoneFn are the flow-model plane's two per-batch timer
+	// callbacks (shWindowExpired, shLaneDone), bound once in NewCluster: the
+	// batch rides in the event (sim.Proc.CallAtArg), so arming one builds no
+	// closure.
+	windowFn   func(any)
+	laneDoneFn func(any)
 
 	// traces accumulates per-request causal records in completion order
 	// (deterministic) when cfg.Trace is set.
@@ -549,6 +561,8 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 	}
 	park := sim.NewSignal(pl.K)
 	srv.anchor = pl.K.Spawn("serve-anchor", func(p *sim.Proc) { park.Wait(p) })
+	srv.windowFn = func(b any) { srv.shWindowExpired(b.(*batch)) }
+	srv.laneDoneFn = func(b any) { srv.shLaneDone(b.(*batch)) }
 	if cfg.AttestTickets {
 		// Pin every partition's boot measurement and build the ticket /
 		// verification caches before any load exists, so the attestation

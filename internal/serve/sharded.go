@@ -18,7 +18,8 @@ package serve
 // an event-driven flow model over the exact same cost surface:
 //
 //   - dynamic batching runs inline in the arrival event (shBatchIn:
-//     single-class FIFO batches, closed at MaxBatch or BatchWindow);
+//     single-class FIFO batches, closed at MaxBatch or BatchWindow by a
+//     timer that carries the batch it was armed for);
 //   - a closed batch crosses to its replica through a mailbox Port whose hop
 //     is the pool link's latency (PCIe to the one local node, the fabric
 //     link between several — cluster.go);
@@ -126,8 +127,9 @@ func (srv *Server) shInitReplica(rep *replica) {
 // shBatchIn is the flow-model end of submit. It runs dynamic batching
 // inline: append to the tenant's open batch when the class matches, close it
 // at MaxBatch, close it early on a class change (FIFO order must hold), and
-// arm a window timer when a new batch opens. The timer is a no-op if the
-// batch already closed — the generation counter invalidates it.
+// arm a window timer when a new batch opens. The timer carries its batch and
+// is a no-op unless that very batch is still the open one — batches are never
+// reused, so the pointer cannot come to mean a later batch.
 func (srv *Server) shBatchIn(now sim.Time, t *tenant, r *Request) {
 	if t.shOpen != nil {
 		if t.shOpen.class == r.class {
@@ -141,28 +143,35 @@ func (srv *Server) shBatchIn(now sim.Time, t *tenant, r *Request) {
 		}
 		srv.shCloseBatch(now, t)
 	}
-	// One allocation sized for a full batch, not a 1→2→4 regrowth per batch.
-	t.shOpen = &batch{class: r.class, reqs: append(make([]*Request, 0, srv.cfg.MaxBatch), r), t: t}
+	t.shOpen = srv.newBatch(t, r.class, srv.newSlots(r))
 	if srv.cfg.MaxBatch <= 1 {
 		srv.shCloseBatch(now, t)
 		return
 	}
 	t.q.depth.Set(1)
-	gen := t.shGen
-	srv.anchor.CallAt(now+sim.Time(srv.cfg.BatchWindow), func() {
-		if t.shOpen != nil && t.shGen == gen {
-			srv.shCloseBatch(now+sim.Time(srv.cfg.BatchWindow), t)
-		}
-	})
+	srv.anchor.CallAtArg(now+sim.Time(srv.cfg.BatchWindow), srv.windowFn, t.shOpen)
+}
+
+// shWindowExpired is the window timer (Server.windowFn): close the batch it
+// was armed for, if that batch is still open.
+func (srv *Server) shWindowExpired(b *batch) {
+	if b.t.shOpen == b {
+		srv.shCloseBatch(srv.pl.K.Now(), b.t)
+	}
+}
+
+// shSeal takes the tenant's open batch: from here no arrival joins it and its
+// window timer no longer matches.
+func shSeal(t *tenant) *batch {
+	b := t.shOpen
+	t.shOpen = nil
+	t.q.depth.Set(0)
+	return b
 }
 
 // shCloseBatch seals the open batch and dispatches it.
 func (srv *Server) shCloseBatch(now sim.Time, t *tenant) {
-	b := t.shOpen
-	t.shOpen = nil
-	t.shGen++
-	t.q.depth.Set(0)
-	srv.shDispatch(now, t, b)
+	srv.shDispatch(now, t, shSeal(t))
 }
 
 // shDispatch places one sealed batch: pick a replica under the configured
@@ -272,13 +281,16 @@ func (srv *Server) shLaneArrive(rep *replica, at sim.Time, b *batch) {
 	rep.lanes[b.lane] = done
 	srv.batches++
 	srv.batchReqs += uint64(n)
-	compl := srv.cl.compl[rep.part.node]
-	srv.anchor.CallAt(done, func() {
-		if b.cancelled {
-			return
-		}
-		compl.Send(srv.anchor, b)
-	})
+	srv.anchor.CallAtArg(done, srv.laneDoneFn, b)
+}
+
+// shLaneDone is the lane's service-done event (Server.laneDoneFn): the batch
+// starts its crossing back to the gateway on its node's return port.
+func (srv *Server) shLaneDone(b *batch) {
+	if b.cancelled {
+		return
+	}
+	srv.cl.compl[b.rep.part.node].Send(srv.anchor, b)
 }
 
 // shDone is the completion handler: one port event finalizes the
@@ -368,7 +380,7 @@ func (srv *Server) shCancelInflight(t *tenant, reps ...*replica) int {
 				t.replayed++
 			}
 			replayed += len(b.reqs)
-			requeued = append(requeued, &batch{class: b.class, reqs: b.reqs, t: t})
+			requeued = append(requeued, srv.newBatch(t, b.class, b.reqs))
 		}
 	}
 	if len(requeued) > 0 {

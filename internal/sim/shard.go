@@ -118,12 +118,24 @@ func (p *Proc) key() (a, b uint64) {
 // captured p. A panic in it ends the run as a *PanicError naming p. This is
 // the cheap-timer primitive: one heap operation per occurrence instead of a
 // parked process per timer.
-func (p *Proc) CallAt(t Time, fn func()) {
+func (p *Proc) CallAt(t Time, fn func()) { p.CallAtArg(t, callThunk, fn) }
+
+// callThunk is the one trampoline every CallAt rides: the func() is the
+// event's argument (a func value is pointer-shaped, so boxing it is free).
+func callThunk(fn any) { fn.(func())() }
+
+// CallAtArg is CallAt for a callback that takes its argument from the event:
+// fn(arg) runs at t under CallAt's rules. With fn bound once — a method value
+// or closure built at set-up — and a pointer-shaped arg, scheduling an
+// occurrence allocates nothing, where CallAt with a fresh closure per
+// occurrence allocates the closure.
+func (p *Proc) CallAtArg(t Time, fn func(any), arg any) {
 	if t < p.sh.now {
 		t = p.sh.now
 	}
 	a, b := p.key()
-	p.sh.eq.push(event{t: t, band: 1, a: a, b: b, p: p, fn: fn})
+	ev := event{t: t, a: a, b: b, gb: 1, p: p, fn: fn, arg: arg}
+	p.sh.eq.push(&ev)
 }
 
 // Parallelize requests the switch to windowed parallel execution at the next
@@ -272,7 +284,7 @@ func (k *Kernel) runParallel(deadline Time) (err error, finished bool) {
 func (k *Kernel) drainOutboxes() {
 	for _, sh := range k.shards {
 		for _, m := range sh.outbox {
-			m.to.eq.push(m.ev)
+			m.to.eq.push(&m.ev)
 		}
 		clear(sh.outbox) // drop the delivered callbacks
 		sh.outbox = sh.outbox[:0]
@@ -328,6 +340,9 @@ type Port[T any] struct {
 	q       fifo[T]
 	waiters waitq
 	handler func(at Time, v T)
+	// deliverArg is deliver behind the event's func(any) signature, bound once
+	// here so that a Send schedules it with the message as the argument.
+	deliverArg func(v any)
 }
 
 // NewPort creates a port anchored on the given shard with the given hop
@@ -339,7 +354,9 @@ func NewPort[T any](k *Kernel, shard int, name string, hop Duration) *Port[T] {
 	if hop < 0 {
 		hop = 0
 	}
-	return &Port[T]{k: k, name: name, sh: k.shards[shard], hop: hop}
+	pt := &Port[T]{k: k, name: name, sh: k.shards[shard], hop: hop}
+	pt.deliverArg = func(v any) { pt.deliver(v.(T)) }
+	return pt
 }
 
 // Send queues v for delivery at p's current time plus the port's hop
@@ -347,10 +364,11 @@ func NewPort[T any](k *Kernel, shard int, name string, hop Duration) *Port[T] {
 // lookahead. On a sharded kernel the sender must carry a logical id — the
 // delivery key is (arrival, sender lid, sender seq) in both execution modes,
 // so the receiver's view does not depend on when (or whether) the kernel
-// parallelizes.
+// parallelizes. The message rides in the delivery event, so a Send of a
+// pointer-shaped T allocates nothing.
 func (pt *Port[T]) Send(p *Proc, v T) {
 	k := pt.k
-	ev := event{t: p.sh.now + Time(pt.hop), p: p, fn: func() { pt.deliver(v) }}
+	ev := event{t: p.sh.now + Time(pt.hop), p: p, fn: pt.deliverArg, arg: v} // band 0
 	if k.sharded {
 		if p.lid == 0 {
 			panic(fmt.Sprintf("sim: process %q sends on port %q without a logical id", p.name, pt.name))
@@ -369,7 +387,7 @@ func (pt *Port[T]) Send(p *Proc, v T) {
 			return
 		}
 	}
-	pt.sh.eq.push(ev)
+	pt.sh.eq.push(&ev)
 }
 
 // SetHandler turns the port into a callback port: every delivery invokes fn

@@ -22,6 +22,17 @@
 // event queue does, so simulation results are fully deterministic and
 // independent of the host machine.
 //
+// Work that needs no thread of its own is a kernel callback: Proc.CallAt and
+// Proc.CallAtArg schedule a function to run inline on whoever holds the baton
+// at an instant, and a Port with a handler delivers each message the same
+// way. A callback event carries its argument — the event holds fn and arg and
+// the kernel calls fn(arg) — so a timer or a delivery that recurs costs one
+// heap operation and no allocation: bind fn once (a method value at set-up,
+// the port's deliver function at NewPort), pass the occurrence's state as a
+// pointer. CallAt(t, func()) is the same event with the func() as the
+// argument of one static trampoline; it allocates exactly what building that
+// closure allocates.
+//
 // Process code runs on its own goroutine but is resumed synchronously from
 // the goroutine that called Run, and what ends one ends the other: a panic in
 // a process is caught and returned by Run as a *PanicError, while
@@ -119,17 +130,39 @@ func (d Duration) Milliseconds() float64 { return float64(d) / 1e6 }
 //   - band 0 is reserved for Port deliveries, which apply before normal
 //     events at the same instant regardless of mode.
 //
-// fn events are kernel callbacks (port deliveries, Proc.CallAt timers): they
-// run inline on whichever process or coordinator holds the baton, with no
-// switch; p is then only the process that scheduled them (it names the
-// culprit if the callback panics).
+// fn events are kernel callbacks (port deliveries, Proc.CallAt/CallAtArg
+// timers): they run inline on whichever process or coordinator holds the
+// baton, with no switch; p is then only the process that scheduled them (it
+// names the culprit if the callback panics). A callback carries its argument in
+// the event — fn(arg) — so a caller that binds fn once schedules an occurrence
+// without building a closure for it; a pointer-shaped arg boxes for free.
+//
+// The struct is 64 bytes — the compiler moves that much inline, and one byte
+// more through a copy routine — so the generation and the band share a word
+// (gb): with the generation in a word of its own (72 bytes) a self-wake sleep
+// measured 36 ns against 28. The heap stays one array of whole events: a
+// keys-here, bodies-there split was tried and lost to it (EXPERIMENTS.md
+// "Flow-plane allocation budget").
 type event struct {
 	t    Time
-	band uint8
 	a, b uint64
+	gb   uint64 // wake generation << 8 | band; stale wakes are skipped
 	p    *Proc
-	gen  uint64 // wake generation; stale events are skipped
-	fn   func()
+	fn   func(any)
+	arg  any
+}
+
+// wakeEvent keys p's own wake at t: band 1, stamped with p's generation.
+func wakeEvent(t Time, a, b uint64, p *Proc) event {
+	return event{t: t, a: a, b: b, gb: p.gen<<8 | 1, p: p}
+}
+
+func (e *event) band() uint8 { return uint8(e.gb) }
+
+// stale reports whether a wake event was overtaken: its process has blocked
+// again (or died, or is running) since the event was scheduled.
+func (e *event) stale() bool {
+	return e.p.state == procDead || e.gb>>8 != e.p.gen || e.p.state == procRunning
 }
 
 // keyLess orders two events by the canonical (t, band, a, b) key. Keys are
@@ -138,8 +171,8 @@ func keyLess(x, y *event) bool {
 	if x.t != y.t {
 		return x.t < y.t
 	}
-	if x.band != y.band {
-		return x.band < y.band
+	if x.band() != y.band() {
+		return x.band() < y.band()
 	}
 	if x.a != y.a {
 		return x.a < y.a
@@ -149,45 +182,50 @@ func keyLess(x, y *event) bool {
 
 // eventQueue is a binary min-heap of events by key, typed so that scheduling
 // boxes nothing: push and pop allocate only when the backing array grows.
+// Events go in and come out through pointers, and the sift reads the moving
+// event where it lies: a 64-byte event copied through arguments, results and
+// temporaries was a third of the cost of a self-wake sleep.
 type eventQueue []event
 
-func (q *eventQueue) push(e event) {
-	h := append(*q, e)
+func (q *eventQueue) push(e *event) {
+	h := append(*q, event{})
 	i := len(h) - 1
 	for i > 0 {
 		up := (i - 1) / 2
-		if !keyLess(&e, &h[up]) {
+		if !keyLess(e, &h[up]) {
 			break
 		}
 		h[i] = h[up]
 		i = up
 	}
-	h[i] = e
+	h[i] = *e
 	*q = h
 }
 
-// pop removes the minimal event. The vacated slot is zeroed so the queue does
-// not keep a popped *Proc or callback reachable.
-func (q *eventQueue) pop() event {
+// pop moves the minimal event into *top. The vacated slot is zeroed so the
+// queue does not keep a popped *Proc, callback or callback argument reachable.
+func (q *eventQueue) pop(top *event) {
 	h := *q
-	top, n := h[0], len(h)-1
-	e := h[n]
-	h[n] = event{}
-	h = h[:n]
-	for i := 0; n > 0; {
+	n := len(h) - 1
+	*top = h[0]
+	e := &h[n]
+	i := 0
+	for n > 0 {
 		c := 2*i + 1
 		if c+1 < n && keyLess(&h[c+1], &h[c]) {
 			c++
 		}
-		if c >= n || !keyLess(&h[c], &e) {
-			h[i] = e
+		if c >= n || !keyLess(&h[c], e) {
 			break
 		}
 		h[i] = h[c]
 		i = c
 	}
-	*q = h
-	return top
+	if i != n {
+		h[i] = *e
+	}
+	*e = event{}
+	*q = h[:n]
 }
 
 // procState tracks where a process is in its lifecycle.
@@ -472,7 +510,8 @@ func (k *Kernel) spawn(sh *shard, t Time, name string, fn func(p *Proc), lid uin
 // schedule queues p's next event at time t with the mode-appropriate key.
 func (sh *shard) schedule(t Time, p *Proc) {
 	a, b := p.key()
-	sh.eq.push(event{t: t, band: 1, a: a, b: b, p: p, gen: p.gen})
+	ev := wakeEvent(t, a, b, p)
+	sh.eq.push(&ev)
 }
 
 // Run executes events until the queue drains. It returns nil on a clean
@@ -596,13 +635,14 @@ func (sh *shard) next() *Proc {
 		if len(sh.eq) == 0 || sh.eq[0].t >= k.limit {
 			return nil
 		}
-		ev := sh.eq.pop()
-		if ev.fn == nil && (ev.p.state == procDead || ev.gen != ev.p.gen || ev.p.state == procRunning) {
-			continue // stale wake
+		var ev event
+		sh.eq.pop(&ev)
+		if ev.fn == nil && ev.stale() {
+			continue
 		}
 		mEvents.Inc()
 		if k.probe != nil {
-			k.probe(sh.id, ev.t, ev.band, ev.a, ev.b)
+			k.probe(sh.id, ev.t, ev.band(), ev.a, ev.b)
 		}
 		if !k.sharded {
 			gQueueDepth.Set(int64(len(sh.eq)))
@@ -634,7 +674,7 @@ func (k *Kernel) call(ev *event) {
 			k.setErr(&PanicError{Proc: ev.p.name, Value: r})
 		}
 	}()
-	ev.fn()
+	ev.fn(ev.arg)
 }
 
 // block takes the baton and dispatches until this process's own wake comes
