@@ -21,6 +21,9 @@ test:
 
 # The trace/metrics hooks are lock-free on the hot paths; prove it under the
 # race detector (the sim kernel's handshake provides the happens-before edges).
+# `make ci` runs the subset where goroutines meet: serve, srpc, spm, sim, and
+# experiments (a figure's cells on concurrent kernels) with the core and gpu
+# packages every cell boots.
 race:
 	$(GO) test -race ./... -count=1
 
@@ -116,7 +119,8 @@ ci:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./... -count=1
-	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/sim
+	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/sim \
+		./internal/experiments ./internal/core ./internal/gpu
 	$(MAKE) fuzz
 	$(GO) run ./cmd/cronus-doclint
 	$(MAKE) bench-build

@@ -28,8 +28,6 @@ func nativeRun() (sim.Duration, error) {
 		defer k.Stop()
 		costs := sim.DefaultCosts()
 		dev := gpu.New(k, costs, gpu.Config{Name: "gpu0", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "ex"})
-		gpu.RegisterStdKernels(dev.SMs())
-		dnn.RegisterKernels(dev.SMs())
 		ops, err := baseline.NewNativeCUDA(dev, costs, dnn.Cubin())
 		if err != nil {
 			fail = err
@@ -63,7 +61,6 @@ func main() {
 
 	var protected sim.Duration
 	err = core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-		dnn.RegisterKernels(pl.GPUs[0].Dev.SMs())
 		s, err := pl.NewSession(p, "training")
 		if err != nil {
 			return err

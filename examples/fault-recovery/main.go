@@ -24,7 +24,7 @@ func main() {
 	err := core.Run(cfg, func(pl *core.Platform, p *sim.Proc) error {
 		gpu.Register(&gpu.Kernel{
 			Name: "matrix_task",
-			Cost: func(gpu.Dim, []uint64) gpu.LaunchCost {
+			Cost: func(float64, gpu.Dim, []uint64) gpu.LaunchCost {
 				return gpu.LaunchCost{Work: 5 * sim.Millisecond, SMDemand: 30}
 			},
 			Func: func(e *gpu.Exec) error { return nil },

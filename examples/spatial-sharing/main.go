@@ -19,7 +19,6 @@ const window = 15 * sim.Millisecond
 func run(tenants int, spatial bool) (int, error) {
 	total := 0
 	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-		dnn.RegisterKernels(pl.GPUs[0].Dev.SMs())
 		pl.GPUs[0].Dev.SetMPS(spatial)
 		wg := sim.NewWaitGroup(pl.K)
 		counts := make([]int, tenants)

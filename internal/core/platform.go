@@ -109,9 +109,6 @@ func BuildPlatform(p *sim.Proc, cfg Config) (*Platform, error) {
 			Name: name, MemBytes: cfg.GPUMemBytes, SMs: cfg.GPUSMs, CopyEngs: 2,
 			MPS: cfg.MPS, KeySeed: "turing/" + name,
 		})
-		if i == 0 {
-			gpu.RegisterStdKernels(d.SMs())
-		}
 		if _, err := m.Bus.Attach(d, hw.DTNode{
 			Name: name, Compatible: "nvidia,turing", Vendor: "nvidia",
 			MMIOBase: 0x1000_0000 + uint64(i)*0x100_0000, MMIOSize: 0x100_0000,

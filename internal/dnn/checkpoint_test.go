@@ -97,7 +97,6 @@ func TestRestoreValidatesShape(t *testing.T) {
 // partition, resubmit into the recovered incarnation, restore, continue.
 func TestCheckpointSurvivesPartitionFailure(t *testing.T) {
 	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-		dnn.RegisterKernels(pl.GPUs[0].Dev.SMs())
 		s, err := pl.NewSession(p, "ck-train")
 		if err != nil {
 			return err

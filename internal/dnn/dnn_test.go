@@ -52,8 +52,6 @@ func nativeTrainer(p *sim.Proc, model *dnn.Model, batch int) (*dnn.Trainer, erro
 	k := p.Kernel()
 	costs := sim.DefaultCosts()
 	dev := gpu.New(k, costs, gpu.Config{Name: "g", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "t"})
-	gpu.RegisterStdKernels(dev.SMs())
-	dnn.RegisterKernels(dev.SMs())
 	ops, err := baseline.NewNativeCUDA(dev, costs, dnn.Cubin())
 	if err != nil {
 		return nil, err
@@ -152,7 +150,6 @@ func TestTrainLeNetOnCRONUSMatchesPaperOverheadBound(t *testing.T) {
 	// Same steps inside a CRONUS CUDA mEnclave over sRPC.
 	var cronusTime sim.Duration
 	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-		dnn.RegisterKernels(pl.GPUs[0].Dev.SMs())
 		s, err := pl.NewSession(p, "train")
 		if err != nil {
 			return err

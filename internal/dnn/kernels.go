@@ -38,8 +38,8 @@ const trainKernelFloor = 40 * sim.Microsecond
 // trainCost builds the cost model for a backward/forward matmul-style
 // kernel: 2*M*N*K flops at a demand derived from the output size, floored
 // at the latency-bound minimum.
-func trainCost(sms float64, flops func(args []uint64) float64, outElems func(args []uint64) int) func(gpu.Dim, []uint64) gpu.LaunchCost {
-	return func(_ gpu.Dim, args []uint64) gpu.LaunchCost {
+func trainCost(flops func(args []uint64) float64, outElems func(args []uint64) int) func(float64, gpu.Dim, []uint64) gpu.LaunchCost {
+	return func(sms float64, _ gpu.Dim, args []uint64) gpu.LaunchCost {
 		demand := kernelDemand(sms, outElems(args))
 		rate := 8000.0 * demand / sms // FLOPs per ns at this occupancy
 		work := sim.Duration(flops(args) / rate)
@@ -50,15 +50,18 @@ func trainCost(sms float64, flops func(args []uint64) float64, outElems func(arg
 	}
 }
 
+func init() { RegisterKernels() }
+
 // RegisterKernels installs the training kernels (in addition to the
 // standard library): transposed matmuls for the backward pass and the ReLU
-// gradient. sms is the target device's SM count.
-func RegisterKernels(sms float64) {
+// gradient. It runs at package init; a test that replaced one of them calls
+// it again to put the shipped ones back.
+func RegisterKernels() {
 	// matmul_f: C[M,N] = A[M,K] × B[K,N]; args a, b, c, M, N, K. The std
 	// "matmul" body (gpu.MatmulFunc) under an occupancy model driven by
 	// layer size; matmul_tn and matmul_nt are its transposed-operand forms
 	// for the backward pass.
-	cost := trainCost(sms,
+	cost := trainCost(
 		func(args []uint64) float64 {
 			return 2 * float64(args[3]) * float64(args[4]) * float64(args[5])
 		},
@@ -73,7 +76,7 @@ func RegisterKernels(sms float64) {
 	// on the backward pass). args src, dst, srcN; grid [dstN].
 	gpu.Register(&gpu.Kernel{
 		Name: "im2col",
-		Cost: gpu.FlopCost(sms, sms*0.4, gpu.ElemFlops(1)),
+		Cost: gpu.FlopCost(0.4, gpu.ElemFlops(1)),
 		Func: func(e *gpu.Exec) error {
 			srcN := int(e.Arg(2))
 			if srcN <= 0 {
@@ -98,7 +101,7 @@ func RegisterKernels(sms float64) {
 	// relu_bwd: dx[i] = x[i] > 0 ? dy[i] : 0; args x, dy, dx; grid [n].
 	gpu.Register(&gpu.Kernel{
 		Name: "relu_bwd",
-		Cost: gpu.FlopCost(sms, sms*0.4, gpu.ElemFlops(1)),
+		Cost: gpu.FlopCost(0.4, gpu.ElemFlops(1)),
 		Func: func(e *gpu.Exec) error {
 			var x, dy, dx gpu.F32
 			if err := e.F32s(e.Grid.Elems(), &x, &dy, &dx); err != nil {

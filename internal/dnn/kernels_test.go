@@ -23,11 +23,9 @@ type kernelRig struct {
 }
 
 // newTestGPU is the unprotected device the baselines and the bare-context
-// tests run on, with the standard kernel library registered.
+// tests run on.
 func newTestGPU(k *sim.Kernel, costs *sim.CostModel) *gpu.Device {
-	dev := gpu.New(k, costs, gpu.Config{Name: "g", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "t"})
-	gpu.RegisterStdKernels(dev.SMs())
-	return dev
+	return gpu.New(k, costs, gpu.Config{Name: "g", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "t"})
 }
 
 func withKernelRig(t testing.TB, body func(r *kernelRig)) {
@@ -36,7 +34,6 @@ func withKernelRig(t testing.TB, body func(r *kernelRig)) {
 	k.Spawn("main", func(p *sim.Proc) {
 		defer k.Stop()
 		dev := newTestGPU(k, sim.DefaultCosts())
-		dnn.RegisterKernels(dev.SMs())
 		ctx := dev.CreateContext()
 		if err := ctx.LoadModule(gpu.BuildCubin("matmul", "matmul_f", "matmul_tn", "matmul_nt", "im2col", "relu", "relu_bwd", "saxpy")); err != nil {
 			t.Error(err)
@@ -289,11 +286,11 @@ func TestKernelLaunchAllocationBudget(t *testing.T) {
 // onSystem runs body against one of the four evaluated systems' CUDA surface
 // in a fresh simulation (the same four stacks experiments.Figure8 compares),
 // with register installing the training kernels before any module loads.
-func onSystem(t testing.TB, system baseline.System, register func(sms float64), body func(p *sim.Proc, ops accel.CUDA) error) {
+func onSystem(t testing.TB, system baseline.System, register func(), body func(p *sim.Proc, ops accel.CUDA) error) {
 	t.Helper()
 	if system == baseline.CRONUS {
 		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-			register(pl.GPUs[0].Dev.SMs())
+			register()
 			s, err := pl.NewSession(p, "train")
 			if err != nil {
 				return err
@@ -316,7 +313,7 @@ func onSystem(t testing.TB, system baseline.System, register func(sms float64), 
 		defer k.Stop()
 		costs := sim.DefaultCosts()
 		dev := newTestGPU(k, costs)
-		register(dev.SMs())
+		register()
 		var ops accel.CUDA
 		switch system {
 		case baseline.Native:
@@ -470,9 +467,9 @@ func TestTrainingNumericsAlive(t *testing.T) {
 // registerOldKernels installs the training kernels with matmul_f/tn/nt and
 // im2col replaced by the closures this package shipped before they were
 // rebuilt on gpu.MatmulFunc, kept verbatim as the reference.
-func registerOldKernels(sms float64) {
-	dnn.RegisterKernels(sms)
-	free := func(gpu.Dim, []uint64) gpu.LaunchCost { return gpu.LaunchCost{Work: 1, SMDemand: 1} }
+func registerOldKernels() {
+	dnn.RegisterKernels()
+	free := func(float64, gpu.Dim, []uint64) gpu.LaunchCost { return gpu.LaunchCost{Work: 1, SMDemand: 1} }
 	mm := func(name string, aT, bT bool) {
 		gpu.Register(&gpu.Kernel{Name: name, Cost: free, Func: func(e *gpu.Exec) error {
 			m, n, k := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
@@ -549,7 +546,7 @@ func registerOldKernels(sms float64) {
 // every weight-gradient buffer to come out bit-identical: the rewrite changed
 // speed, not one value.
 func TestKernelRewriteKeepsGradientBits(t *testing.T) {
-	grads := func(model *dnn.Model, register func(sms float64)) (all [][]float32) {
+	grads := func(model *dnn.Model, register func()) (all [][]float32) {
 		onSystem(t, baseline.Native, register, func(p *sim.Proc, ops accel.CUDA) error {
 			tr, err := dnn.NewTrainer(p, ops, model, 16)
 			if err != nil {

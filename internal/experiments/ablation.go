@@ -60,7 +60,6 @@ func AblationStreaming() ([]AblationStreamingRow, error) {
 	run := func(forceSync bool) (sim.Duration, error) {
 		var elapsed sim.Duration
 		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-			rodinia.RegisterKernels(pl.GPUs[0].Dev.SMs())
 			s, err := pl.NewSession(p, "ablate")
 			if err != nil {
 				return err
@@ -84,18 +83,19 @@ func AblationStreaming() ([]AblationStreamingRow, error) {
 		})
 		return elapsed, err
 	}
-	stream, err := run(false)
+	rows := []AblationStreamingRow{
+		{Mode: "sRPC streaming (async EDL flags)"},
+		{Mode: "sRPC forced lock-step (all sync)"},
+	}
+	err = each(len(rows), func(i int) error {
+		var err error
+		rows[i].Total, err = run(i == 1)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	forced, err := run(true)
-	if err != nil {
-		return nil, err
-	}
-	return []AblationStreamingRow{
-		{Mode: "sRPC streaming (async EDL flags)", Total: stream},
-		{Mode: "sRPC forced lock-step (all sync)", Total: forced},
-	}, nil
+	return rows, nil
 }
 
 // RenderAblationStreaming formats ablation ①.
@@ -121,10 +121,9 @@ type AblationRingRow struct {
 // mattering (why DefaultPages is modest).
 func AblationRingSize() ([]AblationRingRow, error) {
 	const payload = 1 << 20
-	var rows []AblationRingRow
-	for _, pages := range []int{5, 17, 65, 257} {
-		var elapsed sim.Duration
-		pages := pages
+	rows := []AblationRingRow{{RingPages: 5}, {RingPages: 17}, {RingPages: 65}, {RingPages: 257}}
+	err := each(len(rows), func(i int) error {
+		pages := rows[i].RingPages
 		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 			s, err := pl.NewSession(p, "ring")
 			if err != nil {
@@ -147,13 +146,16 @@ func AblationRingSize() ([]AblationRingRow, error) {
 			if err := conn.Sync(p); err != nil {
 				return err
 			}
-			elapsed = sim.Duration(p.Now() - start)
+			rows[i].Transfer = sim.Duration(p.Now() - start)
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("ring %d pages: %w", pages, err)
+			return fmt.Errorf("ring %d pages: %w", pages, err)
 		}
-		rows = append(rows, AblationRingRow{RingPages: pages, Transfer: elapsed})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }
@@ -190,47 +192,41 @@ func AblationSwitchCost() ([]AblationSwitchRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rows []AblationSwitchRow
-	for _, mult := range []int{1, 2, 4, 8} {
+	mults := []int{1, 2, 4, 8}
+	rows := make([]AblationSwitchRow, len(mults))
+	// Cell i = mults[i/2]: CRONUS, then HIX with the same inflated costs.
+	err = each(2*len(mults), func(i int) error {
+		row := &rows[i/2]
 		costs := sim.DefaultCosts()
-		costs.ContextSwitchS2 *= sim.Duration(mult)
-		costs.WorldSwitch *= sim.Duration(mult)
-
-		// CRONUS with the inflated costs.
-		var cronus sim.Duration
-		cfg := core.DefaultConfig()
-		cfg.Costs = costs
-		err := core.Run(cfg, func(pl *core.Platform, p *sim.Proc) error {
-			rodinia.RegisterKernels(pl.GPUs[0].Dev.SMs())
-			s, err := pl.NewSession(p, "switch")
-			if err != nil {
-				return err
-			}
-			conn, err := s.OpenCUDA(p, core.CUDAOptions{Cubin: b.Cubin(), RingPages: 65})
-			if err != nil {
-				return err
-			}
-			defer conn.Close(p)
-			start := p.Now()
-			if err := b.Run(p, conn); err != nil {
-				return err
-			}
-			cronus = sim.Duration(p.Now() - start)
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		costs.ContextSwitchS2 *= sim.Duration(mults[i/2])
+		costs.WorldSwitch *= sim.Duration(mults[i/2])
+		if i%2 == 0 {
+			row.SwitchCost = costs.ContextSwitchS2
+			cfg := core.DefaultConfig()
+			cfg.Costs = costs
+			return core.Run(cfg, func(pl *core.Platform, p *sim.Proc) error {
+				s, err := pl.NewSession(p, "switch")
+				if err != nil {
+					return err
+				}
+				conn, err := s.OpenCUDA(p, core.CUDAOptions{Cubin: b.Cubin(), RingPages: 65})
+				if err != nil {
+					return err
+				}
+				defer conn.Close(p)
+				start := p.Now()
+				if err := b.Run(p, conn); err != nil {
+					return err
+				}
+				row.CRONUS = sim.Duration(p.Now() - start)
+				return nil
+			})
 		}
-
-		// HIX with the same inflated costs.
-		var hix sim.Duration
 		k := sim.NewKernel()
 		var fail error
 		k.Spawn("main", func(p *sim.Proc) {
 			defer k.Stop()
 			dev := gpu.New(k, costs, gpu.Config{Name: "gpu0", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "abl"})
-			gpu.RegisterStdKernels(dev.SMs())
-			rodinia.RegisterKernels(dev.SMs())
 			ops, err := baseline.NewHIXCUDA(dev, costs, b.Cubin())
 			if err != nil {
 				fail = err
@@ -241,19 +237,15 @@ func AblationSwitchCost() ([]AblationSwitchRow, error) {
 				fail = err
 				return
 			}
-			hix = sim.Duration(p.Now() - start)
+			row.HIX = sim.Duration(p.Now() - start)
 		})
 		if err := k.Run(); err != nil {
-			return nil, err
+			return err
 		}
-		if fail != nil {
-			return nil, fail
-		}
-		rows = append(rows, AblationSwitchRow{
-			SwitchCost: costs.ContextSwitchS2,
-			CRONUS:     cronus,
-			HIX:        hix,
-		})
+		return fail
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

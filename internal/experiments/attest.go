@@ -61,58 +61,61 @@ func AttestAmortization(tenantCounts []int) ([]AttestRow, error) {
 			cfg.AttestTickets = true // default TTL: sessions resume
 		}},
 	}
-	var rows []AttestRow
-	for _, n := range tenantCounts {
-		for _, m := range modes {
-			cfg := serve.Config{
-				Seed:          29,
-				Window:        20 * sim.Millisecond,
-				Policy:        serve.RoundRobin,
-				MaxBatch:      4,
-				BatchWindow:   40 * sim.Microsecond,
-				GPUPartitions: 2,
-			}
-			for i := 0; i < n; i++ {
-				cfg.Tenants = append(cfg.Tenants, serve.TenantSpec{
-					Name:    fmt.Sprintf("tenant-%d", i),
-					Arrival: serve.Poisson,
-					Rate:    2000,
-					Mix:     []serve.WorkClass{{Name: "resnet18", Graph: tvm.ResNet18()}},
-				})
-			}
-			m.set(&cfg)
-			res, err := serve.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("attest sweep tenants=%d mode=%s: %w", n, m.name, err)
-			}
-			row := AttestRow{Tenants: n, Mode: m.name}
-			var p50s, p95s, goodput float64
-			for _, tr := range res.Tenants {
-				p50s += tr.P50NS
-				p95s += tr.P95NS
-				goodput += tr.GoodputRPS
-			}
-			row.P50 = sim.Duration(p50s / float64(n))
-			row.P95 = sim.Duration(p95s / float64(n))
-			row.GoodputRPS = goodput
-			c := res.Metrics.Counters
-			row.Cold = c["serve.attest.cold"]
-			row.Resumed = c["serve.attest.resumed"]
-			if total := row.Cold + row.Resumed; total > 0 {
-				row.HitRate = float64(row.Resumed) / float64(total)
-				h := res.Metrics.Histograms["serve.attest.admission_ns"]
-				row.MeanAdmitNS = float64(h.Sum) / float64(total)
-			}
-			if row.Cold > 0 {
-				h := res.Metrics.Histograms["serve.attest.cold_ns"]
-				row.ColdMeanNS = float64(h.Sum) / float64(row.Cold)
-			}
-			if row.Resumed > 0 {
-				h := res.Metrics.Histograms["serve.attest.resume_ns"]
-				row.ResumeMeanNS = float64(h.Sum) / float64(row.Resumed)
-			}
-			rows = append(rows, row)
+	rows := make([]AttestRow, len(tenantCounts)*len(modes))
+	err := each(len(rows), func(i int) error {
+		n, m := tenantCounts[i/len(modes)], modes[i%len(modes)]
+		cfg := serve.Config{
+			Seed:          29,
+			Window:        20 * sim.Millisecond,
+			Policy:        serve.RoundRobin,
+			MaxBatch:      4,
+			BatchWindow:   40 * sim.Microsecond,
+			GPUPartitions: 2,
 		}
+		for t := 0; t < n; t++ {
+			cfg.Tenants = append(cfg.Tenants, serve.TenantSpec{
+				Name:    fmt.Sprintf("tenant-%d", t),
+				Arrival: serve.Poisson,
+				Rate:    2000,
+				Mix:     []serve.WorkClass{{Name: "resnet18", Graph: tvm.ResNet18()}},
+			})
+		}
+		m.set(&cfg)
+		res, err := serve.Run(cfg)
+		if err != nil {
+			return fmt.Errorf("attest sweep tenants=%d mode=%s: %w", n, m.name, err)
+		}
+		row := AttestRow{Tenants: n, Mode: m.name}
+		var p50s, p95s, goodput float64
+		for _, tr := range res.Tenants {
+			p50s += tr.P50NS
+			p95s += tr.P95NS
+			goodput += tr.GoodputRPS
+		}
+		row.P50 = sim.Duration(p50s / float64(n))
+		row.P95 = sim.Duration(p95s / float64(n))
+		row.GoodputRPS = goodput
+		c := res.Metrics.Counters
+		row.Cold = c["serve.attest.cold"]
+		row.Resumed = c["serve.attest.resumed"]
+		if total := row.Cold + row.Resumed; total > 0 {
+			row.HitRate = float64(row.Resumed) / float64(total)
+			h := res.Metrics.Histograms["serve.attest.admission_ns"]
+			row.MeanAdmitNS = float64(h.Sum) / float64(total)
+		}
+		if row.Cold > 0 {
+			h := res.Metrics.Histograms["serve.attest.cold_ns"]
+			row.ColdMeanNS = float64(h.Sum) / float64(row.Cold)
+		}
+		if row.Resumed > 0 {
+			h := res.Metrics.Histograms["serve.attest.resume_ns"]
+			row.ResumeMeanNS = float64(h.Sum) / float64(row.Resumed)
+		}
+		rows[i] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -26,6 +26,9 @@ type ChaosRow struct {
 // ChaosSweep soaks the serving plane under each fault kind in isolation and
 // then under the full mix, seedsPerMix consecutive seeds each (default 5).
 // Every campaign is deterministic, so the table reproduces byte-identically.
+// The mixes run one after another, not through each: a campaign that schedules
+// ring corruption installs srpc's process-wide call hook, which every other
+// live platform's pushes would read.
 func ChaosSweep(seedsPerMix int) ([]ChaosRow, error) {
 	if seedsPerMix <= 0 {
 		seedsPerMix = 5

@@ -24,14 +24,10 @@ var GPUSystems = []baseline.System{baseline.Native, baseline.TrustZone, baseline
 
 // RunOnSystem executes body against a CUDA ops implementation for the given
 // system in a fresh simulation, returning the virtual time body consumed.
-func RunOnSystem(system baseline.System, cubin []byte, registerExtra func(sms float64),
-	body func(p *sim.Proc, ops accel.CUDA) error) (sim.Duration, error) {
+func RunOnSystem(system baseline.System, cubin []byte, body func(p *sim.Proc, ops accel.CUDA) error) (sim.Duration, error) {
 	var elapsed sim.Duration
 	if system == baseline.CRONUS {
 		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-			if registerExtra != nil {
-				registerExtra(pl.GPUs[0].Dev.SMs())
-			}
 			s, err := pl.NewSession(p, "exp")
 			if err != nil {
 				return err
@@ -56,10 +52,6 @@ func RunOnSystem(system baseline.System, cubin []byte, registerExtra func(sms fl
 		defer k.Stop()
 		costs := sim.DefaultCosts()
 		dev := gpu.New(k, costs, gpu.Config{Name: "gpu0", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "exp"})
-		gpu.RegisterStdKernels(dev.SMs())
-		if registerExtra != nil {
-			registerExtra(dev.SMs())
-		}
 		var ops accel.CUDA
 		var err error
 		switch system {

@@ -77,27 +77,41 @@ type Fig10aRow struct {
 
 // Figure10a reproduces the vta-bench throughput comparison on the NPU.
 func Figure10a() ([]Fig10aRow, error) {
+	benches := vtabench.All()
+	ns := len(NPUSystems)
+	type cell struct {
+		ops int
+		d   sim.Duration
+	}
+	cells := make([]cell, len(benches)*ns) // cell i = benches[i/ns] on NPUSystems[i%ns]
+	err := each(len(cells), func(i int) error {
+		b, system := benches[i/ns], NPUSystems[i%ns]
+		d, err := runOnNPUSystem(system, func(p *sim.Proc, o accel.NPU) error {
+			n, err := b.Run(p, o)
+			cells[i].ops = n
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("fig10a %s on %s: %w", b.Name, system, err)
+		}
+		cells[i].d = d
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig10aRow
-	for _, b := range vtabench.All() {
+	for r, b := range benches {
 		row := Fig10aRow{
 			Benchmark:  b.Name,
 			Times:      make(map[baseline.System]sim.Duration),
 			Throughput: make(map[baseline.System]float64),
 		}
-		for _, system := range NPUSystems {
-			b := b
-			var ops int
-			d, err := runOnNPUSystem(system, func(p *sim.Proc, o accel.NPU) error {
-				n, err := b.Run(p, o)
-				ops = n
-				return err
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig10a %s on %s: %w", b.Name, system, err)
-			}
-			row.Ops = ops
-			row.Times[system] = d
-			row.Throughput[system] = float64(ops) / d.Milliseconds()
+		for s, system := range NPUSystems {
+			c := cells[r*ns+s]
+			row.Ops = c.ops
+			row.Times[system] = c.d
+			row.Throughput[system] = float64(c.ops) / c.d.Milliseconds()
 		}
 		rows = append(rows, row)
 	}
@@ -133,39 +147,48 @@ type Fig10bRow struct {
 // ResNet50 and YoloV3 on the (simulated) NPU under each system, plus the
 // CPU-enclave fallback.
 func Figure10b() ([]Fig10bRow, error) {
-	var rows []Fig10bRow
-	for _, g := range tvm.InferenceGraphs() {
-		row := Fig10bRow{Model: g.Name, NPULatency: make(map[baseline.System]sim.Duration)}
-		for _, system := range NPUSystems {
-			g := g
-			var lat sim.Duration // inference only, excluding compilation
-			_, err := runOnNPUSystem(system, func(p *sim.Proc, o accel.NPU) error {
-				e, err := tvm.Compile(p, o, g)
-				if err != nil {
-					return err
-				}
-				input := make([]byte, e.InLen)
-				start := p.Now()
-				if _, err := e.Infer(p, input); err != nil {
-					return err
-				}
-				lat = sim.Duration(p.Now() - start)
-				return nil
+	graphs := tvm.InferenceGraphs()
+	nc := len(NPUSystems) + 1 // a graph's cells: each NPU system, then the CPU fallback
+	lats := make([]sim.Duration, len(graphs)*nc)
+	err := each(len(lats), func(i int) error {
+		g := graphs[i/nc]
+		if i%nc == len(NPUSystems) {
+			k := sim.NewKernel()
+			k.Spawn("cpu", func(p *sim.Proc) {
+				defer k.Stop()
+				lats[i] = tvm.CPUInfer(p, g)
 			})
+			return k.Run()
+		}
+		system := NPUSystems[i%nc]
+		_, err := runOnNPUSystem(system, func(p *sim.Proc, o accel.NPU) error {
+			e, err := tvm.Compile(p, o, g)
 			if err != nil {
-				return nil, fmt.Errorf("fig10b %s on %s: %w", g.Name, system, err)
+				return err
 			}
-			row.NPULatency[system] = lat
-		}
-		// CPU fallback latency.
-		k := sim.NewKernel()
-		k.Spawn("cpu", func(p *sim.Proc) {
-			defer k.Stop()
-			row.CPULatency = tvm.CPUInfer(p, g)
+			input := make([]byte, e.InLen)
+			start := p.Now()
+			if _, err := e.Infer(p, input); err != nil {
+				return err
+			}
+			lats[i] = sim.Duration(p.Now() - start) // inference only, excluding compilation
+			return nil
 		})
-		if err := k.Run(); err != nil {
-			return nil, err
+		if err != nil {
+			return fmt.Errorf("fig10b %s on %s: %w", g.Name, system, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	var rows []Fig10bRow
+	for r, g := range graphs {
+		row := Fig10bRow{Model: g.Name, NPULatency: make(map[baseline.System]sim.Duration)}
+		for s, system := range NPUSystems {
+			row.NPULatency[system] = lats[r*nc+s]
+		}
+		row.CPULatency = lats[r*nc+len(NPUSystems)]
 		rows = append(rows, row)
 	}
 	return rows, nil

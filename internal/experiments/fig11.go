@@ -29,7 +29,6 @@ func Figure11a(window sim.Duration) ([]Fig11aRow, error) {
 	run := func(tenants int, mps bool) (int, error) {
 		total := 0
 		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-			dnn.RegisterKernels(pl.GPUs[0].Dev.SMs())
 			pl.GPUs[0].Dev.SetMPS(mps)
 			k := pl.K
 			wg := sim.NewWaitGroup(k)
@@ -69,17 +68,22 @@ func Figure11a(window sim.Duration) ([]Fig11aRow, error) {
 		})
 		return total, err
 	}
+	tenantCounts := []int{1, 2, 4}
+	steps := make([]int, 2*len(tenantCounts)) // cell i = tenantCounts[i/2], spatial then temporal
+	err := each(len(steps), func(i int) error {
+		var err error
+		if steps[i], err = run(tenantCounts[i/2], i%2 == 0); err != nil {
+			return fmt.Errorf("fig11a %d tenants %s: %w", tenantCounts[i/2], [2]string{"spatial", "temporal"}[i%2], err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig11aRow
 	base1 := 0
-	for _, tenants := range []int{1, 2, 4} {
-		spatial, err := run(tenants, true)
-		if err != nil {
-			return nil, fmt.Errorf("fig11a %d tenants spatial: %w", tenants, err)
-		}
-		temporal, err := run(tenants, false)
-		if err != nil {
-			return nil, fmt.Errorf("fig11a %d tenants temporal: %w", tenants, err)
-		}
+	for r, tenants := range tenantCounts {
+		spatial, temporal := steps[2*r], steps[2*r+1]
 		if tenants == 1 {
 			base1 = spatial
 		}
@@ -163,67 +167,69 @@ func Figure11b(steps int) ([]Fig11bRow, error) {
 			if nGPUs == 1 && mode != ShareP2P {
 				continue // no exchange with a single GPU
 			}
-			var total sim.Duration
-			cfg := core.DefaultConfig()
-			cfg.GPUs = nGPUs
-			mode := mode
-			nGPUs := nGPUs
-			err := core.Run(cfg, func(pl *core.Platform, p *sim.Proc) error {
-				dnn.RegisterKernels(pl.GPUs[0].Dev.SMs())
-				k := pl.K
-				s, err := pl.NewSession(p, "dp-train")
+			rows = append(rows, Fig11bRow{GPUs: nGPUs, Mode: mode, Steps: steps})
+		}
+	}
+	err := each(len(rows), func(r int) error {
+		row := &rows[r]
+		nGPUs, mode := row.GPUs, row.Mode
+		cfg := core.DefaultConfig()
+		cfg.GPUs = nGPUs
+		err := core.Run(cfg, func(pl *core.Platform, p *sim.Proc) error {
+			k := pl.K
+			s, err := pl.NewSession(p, "dp-train")
+			if err != nil {
+				return err
+			}
+			trainers := make([]*dnn.Trainer, nGPUs)
+			conns := make([]*core.CUDAConn, nGPUs)
+			for i := 0; i < nGPUs; i++ {
+				conn, err := s.OpenCUDA(p, core.CUDAOptions{
+					Cubin: dnn.Cubin(), RingPages: 65,
+					Partition: fmt.Sprintf("gpu-part%d", i),
+					Name:      fmt.Sprintf("worker-%d", i),
+				})
 				if err != nil {
 					return err
 				}
-				trainers := make([]*dnn.Trainer, nGPUs)
-				conns := make([]*core.CUDAConn, nGPUs)
-				for i := 0; i < nGPUs; i++ {
-					conn, err := s.OpenCUDA(p, core.CUDAOptions{
-						Cubin: dnn.Cubin(), RingPages: 65,
-						Partition: fmt.Sprintf("gpu-part%d", i),
-						Name:      fmt.Sprintf("worker-%d", i),
-					})
-					if err != nil {
-						return err
-					}
-					conns[i] = conn
-					if trainers[i], err = dnn.NewTrainer(p, conn, dnn.LeNet2(), 8); err != nil {
-						return err
-					}
+				conns[i] = conn
+				if trainers[i], err = dnn.NewTrainer(p, conn, dnn.LeNet2(), 8); err != nil {
+					return err
 				}
-				gradBytes := trainers[0].GradientBytes()
-				start := p.Now()
-				for step := 0; step < steps; step++ {
-					// Workers compute their local step in parallel.
-					wg := sim.NewWaitGroup(k)
-					for i := 0; i < nGPUs; i++ {
-						i := i
-						wg.Add(1)
-						k.Spawn(fmt.Sprintf("worker-%d", i), func(tp *sim.Proc) {
-							defer wg.Done()
-							_, _ = trainers[i].Step(tp)
-						})
-					}
-					wg.Wait(p)
-					// All-reduce: 2(n-1) transfers of the gradients.
-					for i := 0; i < 2*(nGPUs-1); i++ {
-						exchangeCost(p, pl.Costs, mode, gradBytes)
-					}
-				}
-				total = sim.Duration(p.Now() - start)
-				for _, c := range conns {
-					c.Close(p)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, fmt.Errorf("fig11b %d GPUs %s: %w", nGPUs, mode, err)
 			}
-			rows = append(rows, Fig11bRow{
-				GPUs: nGPUs, Mode: mode, Steps: steps,
-				Total: total, PerStep: total / sim.Duration(steps),
-			})
+			gradBytes := trainers[0].GradientBytes()
+			start := p.Now()
+			for step := 0; step < steps; step++ {
+				// Workers compute their local step in parallel.
+				wg := sim.NewWaitGroup(k)
+				for i := 0; i < nGPUs; i++ {
+					i := i
+					wg.Add(1)
+					k.Spawn(fmt.Sprintf("worker-%d", i), func(tp *sim.Proc) {
+						defer wg.Done()
+						_, _ = trainers[i].Step(tp)
+					})
+				}
+				wg.Wait(p)
+				// All-reduce: 2(n-1) transfers of the gradients.
+				for i := 0; i < 2*(nGPUs-1); i++ {
+					exchangeCost(p, pl.Costs, mode, gradBytes)
+				}
+			}
+			row.Total = sim.Duration(p.Now() - start)
+			for _, c := range conns {
+				c.Close(p)
+			}
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("fig11b %d GPUs %s: %w", nGPUs, mode, err)
 		}
+		row.PerStep = row.Total / sim.Duration(steps)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

@@ -19,19 +19,30 @@ type Fig7Row struct {
 // time of each benchmark on native gdev, monolithic TrustZone,
 // HIX-TrustZone and CRONUS, normalized to native.
 func Figure7() ([]Fig7Row, error) {
+	benches := rodinia.AllExtended()
+	ns := len(GPUSystems)
+	times := make([]sim.Duration, len(benches)*ns) // cell i = benches[i/ns] on GPUSystems[i%ns]
+	err := each(len(times), func(i int) error {
+		b, system := benches[i/ns], GPUSystems[i%ns]
+		d, err := RunOnSystem(system, b.Cubin(), b.Run)
+		if err != nil {
+			return fmt.Errorf("fig7 %s on %s: %w", b.Name, system, err)
+		}
+		times[i] = d
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig7Row
-	for _, b := range rodinia.AllExtended() {
+	for r, b := range benches {
 		row := Fig7Row{
 			Benchmark:  b.Name,
 			Times:      make(map[baseline.System]sim.Duration),
 			Normalized: make(map[baseline.System]float64),
 		}
-		for _, system := range GPUSystems {
-			d, err := RunOnSystem(system, b.Cubin(), rodinia.RegisterKernels, b.Run)
-			if err != nil {
-				return nil, fmt.Errorf("fig7 %s on %s: %w", b.Name, system, err)
-			}
-			row.Times[system] = d
+		for s, system := range GPUSystems {
+			row.Times[system] = times[r*ns+s]
 		}
 		native := float64(row.Times[baseline.Native])
 		for s, d := range row.Times {

@@ -29,8 +29,37 @@ func Figure8(iters, batch int) ([]Fig8Row, error) {
 	if batch <= 0 {
 		batch = 16
 	}
+	models := dnn.TrainingModels()
+	ns := len(GPUSystems)
+	// Cell i = models[i/ns] on GPUSystems[i%ns]: training iterations only,
+	// not setup.
+	stepTimes := make([]sim.Duration, len(models)*ns)
+	err := each(len(stepTimes), func(i int) error {
+		model, system := models[i/ns], GPUSystems[i%ns]
+		_, err := RunOnSystem(system, dnn.Cubin(), func(p *sim.Proc, ops accel.CUDA) error {
+			tr, err := dnn.NewTrainer(p, ops, model, batch)
+			if err != nil {
+				return err
+			}
+			start := p.Now()
+			for it := 0; it < iters; it++ {
+				if _, err := tr.Step(p); err != nil {
+					return err
+				}
+			}
+			stepTimes[i] = sim.Duration(p.Now() - start)
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("fig8 %s on %s: %w", model.Name, system, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	var rows []Fig8Row
-	for _, model := range dnn.TrainingModels() {
+	for r, model := range models {
 		row := Fig8Row{
 			Model:    model.Name,
 			Dataset:  model.Dataset,
@@ -39,28 +68,8 @@ func Figure8(iters, batch int) ([]Fig8Row, error) {
 			Times:    make(map[baseline.System]sim.Duration),
 			Overhead: make(map[baseline.System]float64),
 		}
-		for _, system := range GPUSystems {
-			model := model
-			var stepTime sim.Duration // training iterations only, not setup
-			_, err := RunOnSystem(system, dnn.Cubin(), dnn.RegisterKernels,
-				func(p *sim.Proc, ops accel.CUDA) error {
-					tr, err := dnn.NewTrainer(p, ops, model, batch)
-					if err != nil {
-						return err
-					}
-					start := p.Now()
-					for i := 0; i < iters; i++ {
-						if _, err := tr.Step(p); err != nil {
-							return err
-						}
-					}
-					stepTime = sim.Duration(p.Now() - start)
-					return nil
-				})
-			if err != nil {
-				return nil, fmt.Errorf("fig8 %s on %s: %w", model.Name, system, err)
-			}
-			row.Times[system] = stepTime
+		for s, system := range GPUSystems {
+			row.Times[system] = stepTimes[r*ns+s]
 		}
 		native := float64(row.Times[baseline.Native])
 		for s, d := range row.Times {

@@ -15,10 +15,10 @@ import (
 // standing in for the FVP experiment's recorded GPU execution times (§VI-D).
 const fig9Kernel = "fig9_matrix_task"
 
-func registerFig9Kernel(sms float64) {
+func init() {
 	gpu.Register(&gpu.Kernel{
 		Name: fig9Kernel,
-		Cost: func(gpu.Dim, []uint64) gpu.LaunchCost {
+		Cost: func(sms float64, _ gpu.Dim, _ []uint64) gpu.LaunchCost {
 			return gpu.LaunchCost{Work: 2 * sim.Millisecond, SMDemand: sms * 0.6}
 		},
 		Func: func(e *gpu.Exec) error {
@@ -66,7 +66,6 @@ func Figure9() (*Fig9Result, error) {
 		cfg.GPUs = 2
 		return cfg
 	}(), func(pl *core.Platform, p *sim.Proc) error {
-		registerFig9Kernel(pl.GPUs[0].Dev.SMs())
 		res.RebootTime = baseline.RecoveryTime(baseline.TrustZone, pl.Costs)
 		k := pl.K
 		wg := sim.NewWaitGroup(k)

@@ -1,0 +1,120 @@
+package experiments
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// sharedGlobals is every package-level variable under internal/ that two
+// simulations alive in one process can both reach, each with the reason it is
+// safe for each to run them side by side. A new one is a decision, not an
+// accident: TestNoUnlistedPackageState fails until it is listed here (DESIGN.md
+// "Independent kernels side by side" carries the same table).
+var sharedGlobals = map[string]string{
+	"metrics.Default": "the process-wide registry: each runs serially while it records; disabled, instruments drop every write",
+	"trace.Default":   "the process-wide collector: each runs serially while it records; disabled, it drops every event",
+
+	"sim.traceHook":          "written once, by trace's package init",
+	"enclave.cpuLibRegistry": "filled at package init (core's session runtime, test libraries); read-only once a kernel runs",
+	"gpu.registry":           "filled at package init, replaced only by tests and examples while no simulation runs",
+
+	"srpc.callHook":    "fault-injection hook of one chaos campaign or test at a time; ChaosSweep stays serial because of it",
+	"srpc.recycleHook": "buffer-poisoning hook of one test at a time",
+
+	"experiments.GPUSystems": "read-only table",
+	"experiments.NPUSystems": "read-only table",
+	"experiments.ShareModes": "read-only table",
+	"otrace.StageOrder":      "read-only table",
+	"chaos.taxonomy":         "read-only table",
+	"srpc.noopEnd":           "shared do-nothing closure",
+	"trace.noop":             "shared do-nothing closure",
+}
+
+var sentinelName = regexp.MustCompile(`^[Ee]rr[A-Z]`)
+
+// TestNoUnlistedPackageState walks every non-test file under internal/ and
+// fails on a package-level var that is not a blank interface assertion, an
+// Err* sentinel built by errors.New or fmt.Errorf, a metrics.Default instrument
+// handle, or an entry of sharedGlobals. Without type information any other
+// var counts — maps, slices, funcs, pointers, mutexes and interfaces are the
+// ones that bite, and a package-level scalar belongs in a const.
+func TestNoUnlistedPackageState(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	found := make(map[string]bool)
+	err = filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				for i, name := range vs.Names {
+					var init string
+					if i < len(vs.Values) {
+						init = calleeOf(vs.Values[i])
+					}
+					qualified := f.Name.Name + "." + name.Name
+					switch {
+					case name.Name == "_":
+					case sentinelName.MatchString(name.Name) && (init == "errors.New" || init == "fmt.Errorf"):
+					case init == "metrics.Default.Counter" || init == "metrics.Default.Gauge" || init == "metrics.Default.Histogram":
+					case sharedGlobals[qualified] != "":
+						found[qualified] = true
+					default:
+						t.Errorf("%s: package-level var %s is state every simulation in the process shares: "+
+							"move it onto the instance that owns it, or list it in sharedGlobals with the reason it is safe",
+							fset.Position(name.Pos()), qualified)
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name := range sharedGlobals {
+		if !found[name] {
+			t.Errorf("sharedGlobals lists %s, which no longer exists: delete the entry", name)
+		}
+	}
+}
+
+// calleeOf returns the dotted name of the function a call expression calls
+// ("errors.New", "metrics.Default.Counter"), or "" for anything else.
+func calleeOf(e ast.Expr) string {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	var dotted func(ast.Expr) string
+	dotted = func(e ast.Expr) string {
+		switch e := e.(type) {
+		case *ast.Ident:
+			return e.Name
+		case *ast.SelectorExpr:
+			return fmt.Sprintf("%s.%s", dotted(e.X), e.Sel.Name)
+		}
+		return ""
+	}
+	return dotted(call.Fun)
+}

@@ -30,8 +30,9 @@ func ServeBatchSweep(batchCaps []int) ([]ServeRow, error) {
 	if len(batchCaps) == 0 {
 		batchCaps = []int{1, 4, 8}
 	}
-	var rows []ServeRow
-	for _, mb := range batchCaps {
+	rows := make([]ServeRow, len(batchCaps))
+	err := each(len(rows), func(i int) error {
+		mb := batchCaps[i]
 		cfg := serve.Config{
 			Seed:          17,
 			Window:        20 * sim.Millisecond,
@@ -49,10 +50,10 @@ func ServeBatchSweep(batchCaps []int) ([]ServeRow, error) {
 		}
 		res, err := serve.Run(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("serve sweep max-batch=%d: %w", mb, err)
+			return fmt.Errorf("serve sweep max-batch=%d: %w", mb, err)
 		}
 		tr := res.Tenants[0]
-		rows = append(rows, ServeRow{
+		rows[i] = ServeRow{
 			MaxBatch:   mb,
 			AvgBatch:   res.AvgBatch(),
 			Offered:    tr.Offered,
@@ -61,7 +62,11 @@ func ServeBatchSweep(batchCaps []int) ([]ServeRow, error) {
 			P50:        sim.Duration(tr.P50NS),
 			P95:        sim.Duration(tr.P95NS),
 			GoodputRPS: tr.GoodputRPS,
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

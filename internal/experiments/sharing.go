@@ -34,7 +34,6 @@ func SharingPolicies(window sim.Duration) ([]SharingPolicyRow, error) {
 	run := func(policy string) (int, error) {
 		total := 0
 		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-			dnn.RegisterKernels(pl.GPUs[0].Dev.SMs())
 			switch policy {
 			case "mps-spatial":
 				pl.GPUs[0].Dev.SetMPS(true)
@@ -89,13 +88,16 @@ func SharingPolicies(window sim.Duration) ([]SharingPolicyRow, error) {
 		})
 		return total, err
 	}
-	var rows []SharingPolicyRow
-	for _, policy := range []string{"mps-spatial", "mig-slices", "temporal", "hw-dedicated-reboot"} {
-		steps, err := run(policy)
-		if err != nil {
-			return nil, fmt.Errorf("sharing policy %s: %w", policy, err)
+	rows := []SharingPolicyRow{{Policy: "mps-spatial"}, {Policy: "mig-slices"}, {Policy: "temporal"}, {Policy: "hw-dedicated-reboot"}}
+	err := each(len(rows), func(i int) error {
+		var err error
+		if rows[i].Steps, err = run(rows[i].Policy); err != nil {
+			return fmt.Errorf("sharing policy %s: %w", rows[i].Policy, err)
 		}
-		rows = append(rows, SharingPolicyRow{Policy: policy, Steps: steps})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

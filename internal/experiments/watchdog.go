@@ -31,10 +31,11 @@ func HangDetectionSweep() ([]HangDetectionRow, error) {
 		{HeartbeatEvery: 500 * sim.Microsecond, MissedBeats: 3},
 		{HeartbeatEvery: sim.Millisecond, MissedBeats: 5},
 	}
-	var rows []HangDetectionRow
-	for _, pol := range policies {
-		pol := pol
-		row := HangDetectionRow{HeartbeatEvery: pol.HeartbeatEvery, MissedBeats: pol.MissedBeats}
+	rows := make([]HangDetectionRow, len(policies))
+	err := each(len(rows), func(i int) error {
+		pol := policies[i]
+		row := &rows[i]
+		*row = HangDetectionRow{HeartbeatEvery: pol.HeartbeatEvery, MissedBeats: pol.MissedBeats}
 		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 			pl.SPM.SetSupervision(pol)
 			row.Bound = pl.SPM.HangDetectionBound()
@@ -64,10 +65,13 @@ func HangDetectionSweep() ([]HangDetectionRow, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("hang-detection sweep (period %s, k %d): %w",
+			return fmt.Errorf("hang-detection sweep (period %s, k %d): %w",
 				pol.HeartbeatEvery, pol.MissedBeats, err)
 		}
-		rows = append(rows, row)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

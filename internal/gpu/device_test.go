@@ -14,7 +14,6 @@ func testGPU(k *sim.Kernel) *Device {
 	cfg := TuringConfig("gpu0")
 	cfg.MemBytes = 64 << 20
 	d := New(k, sim.DefaultCosts(), cfg)
-	RegisterStdKernels(d.SMs())
 	return d
 }
 
@@ -223,11 +222,10 @@ func TestMPSSpatialSharingBeatsExclusive(t *testing.T) {
 		cfg.MemBytes = 16 << 20
 		cfg.MPS = mps
 		d := New(k, sim.DefaultCosts(), cfg)
-		RegisterStdKernels(d.SMs())
 		Register(&Kernel{
 			Name: "half_kernel",
-			Cost: func(Dim, []uint64) LaunchCost {
-				return LaunchCost{Work: sim.Duration(1 * sim.Millisecond), SMDemand: d.SMs() * 0.45}
+			Cost: func(sms float64, _ Dim, _ []uint64) LaunchCost {
+				return LaunchCost{Work: sim.Duration(1 * sim.Millisecond), SMDemand: sms * 0.45}
 			},
 			Func: func(e *Exec) error { return nil },
 		})
@@ -426,7 +424,7 @@ func TestMIGSlicesIsolateTenants(t *testing.T) {
 		d.ConfigureMIG(mig)
 		Register(&Kernel{
 			Name: "full_kernel",
-			Cost: func(Dim, []uint64) LaunchCost {
+			Cost: func(float64, Dim, []uint64) LaunchCost {
 				return LaunchCost{Work: sim.Duration(1 * sim.Millisecond), SMDemand: d.SMs()}
 			},
 			Func: func(e *Exec) error { return nil },
@@ -473,7 +471,7 @@ func TestMIGCapsKernelDemand(t *testing.T) {
 	d.ConfigureMIG(4)
 	Register(&Kernel{
 		Name: "half_demand",
-		Cost: func(Dim, []uint64) LaunchCost {
+		Cost: func(float64, Dim, []uint64) LaunchCost {
 			return LaunchCost{Work: sim.Duration(1 * sim.Millisecond), SMDemand: d.SMs() / 2}
 		},
 		Func: func(e *Exec) error { return nil },

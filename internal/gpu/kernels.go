@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
 
 	"cronus/internal/sim"
 	"cronus/internal/trace"
@@ -74,33 +73,25 @@ type Kernel struct {
 	Name string
 	// Func performs the computation on device memory.
 	Func func(e *Exec) error
-	// Cost models the launch duration and SM footprint.
-	Cost func(grid Dim, args []uint64) LaunchCost
+	// Cost models the launch duration and SM footprint on a device with sms
+	// SMs — the device the launch runs on, so one registration prices
+	// every device in the process, whatever their sizes.
+	Cost func(sms float64, grid Dim, args []uint64) LaunchCost
 }
 
 // registry maps kernel names to implementations — the simulation's stand-in
-// for compiled SASS inside a cubin.
-var (
-	regMu    sync.Mutex
-	registry = make(map[string]*Kernel)
-)
+// for compiled SASS inside a cubin. Kernel libraries fill it at package init
+// and concurrent simulations only read it, so it needs no lock.
+var registry = make(map[string]*Kernel)
 
-// Register installs a kernel implementation. Re-registering the same name
-// replaces it (tests rely on this).
+// Register installs a kernel implementation; re-registering a name replaces
+// it. Call it before the first kernel runs: at package init, or from a test
+// or example while no simulation is running.
 func Register(k *Kernel) {
 	if k.Name == "" || k.Func == nil || k.Cost == nil {
 		panic("gpu: Register: kernel needs Name, Func and Cost")
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
 	registry[k.Name] = k
-}
-
-func lookup(name string) (*Kernel, bool) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	k, ok := registry[name]
-	return k, ok
 }
 
 // BuildCubin serializes a module image referencing the named kernels. The
@@ -147,7 +138,7 @@ func (c *Context) LoadModule(image []byte) error {
 		return err
 	}
 	for _, n := range names {
-		k, ok := lookup(n)
+		k, ok := registry[n]
 		if !ok {
 			return fmt.Errorf("gpu: cubin references unknown kernel %q", n)
 		}
@@ -168,7 +159,7 @@ func (c *Context) Launch(p *sim.Proc, name string, grid Dim, args ...uint64) err
 	if !ok {
 		return fmt.Errorf("gpu: kernel %q not loaded in context %d", name, c.id)
 	}
-	cost := k.Cost(grid, args)
+	cost := k.Cost(c.dev.SMs(), grid, args)
 	if c.dev.migSlices > 0 {
 		// MIG: the kernel runs inside its context's static slice. Work
 		// stretches by the demand it loses; the engine never sees
@@ -207,15 +198,4 @@ func (c *Context) Launch(p *sim.Proc, name string, grid Dim, args ...uint64) err
 		return err
 	}
 	return k.Func(&Exec{Ctx: c, Grid: grid, Args: args})
-}
-
-// LinearCost builds a common cost model: perElem ns of ideal work per grid
-// element, spread over demand SMs.
-func LinearCost(perElem float64, demand float64) func(Dim, []uint64) LaunchCost {
-	return func(grid Dim, _ []uint64) LaunchCost {
-		return LaunchCost{
-			Work:     sim.Duration(perElem * float64(grid.Elems())),
-			SMDemand: demand,
-		}
-	}
 }

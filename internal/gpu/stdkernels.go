@@ -56,11 +56,12 @@ func UnpackF32(b []byte) []float32 {
 // across the full SM pool, i.e. 8000 FLOPs per virtual nanosecond.
 const flopsPerNsFullDevice = 8000.0
 
-// FlopCost models a launch by FLOP count: the ideal duration at `demand` SMs
-// for a kernel whose grid performs flops(grid, args) operations on a device
-// with `sms` total SMs.
-func FlopCost(sms float64, demand float64, flops func(grid Dim, args []uint64) float64) func(Dim, []uint64) LaunchCost {
-	return func(grid Dim, args []uint64) LaunchCost {
+// FlopCost models a launch by FLOP count: the ideal duration of a kernel whose
+// grid performs flops(grid, args) operations while filling the fraction frac
+// of the launching device's SMs.
+func FlopCost(frac float64, flops func(grid Dim, args []uint64) float64) func(float64, Dim, []uint64) LaunchCost {
+	return func(sms float64, grid Dim, args []uint64) LaunchCost {
+		demand := sms * frac
 		rate := flopsPerNsFullDevice * demand / sms
 		return LaunchCost{
 			Work:     sim.Duration(flops(grid, args) / rate),
@@ -152,15 +153,17 @@ func ElemFlops(perElem float64) func(Dim, []uint64) float64 {
 	return func(g Dim, _ []uint64) float64 { return perElem * float64(g.Elems()) }
 }
 
+func init() { RegisterStdKernels() }
+
 // RegisterStdKernels installs the standard kernel library (vector add,
 // saxpy, matmul, relu, elementwise scale/sub, reductions) shared by the DNN
-// workloads and examples. sms is the device SM count the cost model is
-// calibrated against.
-func RegisterStdKernels(sms float64) {
+// workloads and examples. It runs at package init; a test that replaced one
+// of these kernels calls it again to put the shipped ones back.
+func RegisterStdKernels() {
 	// vec_add: c[i] = a[i] + b[i]; args: a, b, c; grid [n].
 	Register(&Kernel{
 		Name: "vec_add",
-		Cost: FlopCost(sms, sms*0.5, ElemFlops(1)),
+		Cost: FlopCost(0.5, ElemFlops(1)),
 		Func: func(e *Exec) error {
 			var a, b, c F32
 			if err := e.F32s(e.Grid.Elems(), &a, &b, &c); err != nil {
@@ -176,7 +179,7 @@ func RegisterStdKernels(sms float64) {
 	// saxpy: y[i] += alpha*x[i]; args: x, y, alphaBits; grid [n].
 	Register(&Kernel{
 		Name: "saxpy",
-		Cost: FlopCost(sms, sms*0.5, ElemFlops(2)),
+		Cost: FlopCost(0.5, ElemFlops(2)),
 		Func: func(e *Exec) error {
 			var x, y F32
 			if err := e.F32s(e.Grid.Elems(), &x, &y); err != nil {
@@ -193,7 +196,7 @@ func RegisterStdKernels(sms float64) {
 	// matmul: C[M×N] = A[M×K] × B[K×N]; args: a, b, c, M, N, K.
 	Register(&Kernel{
 		Name: "matmul",
-		Cost: FlopCost(sms, sms*0.75, func(_ Dim, args []uint64) float64 {
+		Cost: FlopCost(0.75, func(_ Dim, args []uint64) float64 {
 			m, n, k := float64(args[3]), float64(args[4]), float64(args[5])
 			return 2 * m * n * k
 		}),
@@ -203,7 +206,7 @@ func RegisterStdKernels(sms float64) {
 	// relu: y[i] = max(0, x[i]); args: x, y; grid [n].
 	Register(&Kernel{
 		Name: "relu",
-		Cost: FlopCost(sms, sms*0.4, ElemFlops(1)),
+		Cost: FlopCost(0.4, ElemFlops(1)),
 		Func: func(e *Exec) error {
 			var x, y F32
 			if err := e.F32s(e.Grid.Elems(), &x, &y); err != nil {
@@ -223,7 +226,7 @@ func RegisterStdKernels(sms float64) {
 	// scale: x[i] *= alpha; args: x, alphaBits; grid [n].
 	Register(&Kernel{
 		Name: "scale",
-		Cost: FlopCost(sms, sms*0.4, ElemFlops(1)),
+		Cost: FlopCost(0.4, ElemFlops(1)),
 		Func: func(e *Exec) error {
 			var x F32
 			if err := e.F32s(e.Grid.Elems(), &x); err != nil {
@@ -240,7 +243,7 @@ func RegisterStdKernels(sms float64) {
 	// sub: c[i] = a[i] - b[i]; args: a, b, c; grid [n].
 	Register(&Kernel{
 		Name: "sub",
-		Cost: FlopCost(sms, sms*0.5, ElemFlops(1)),
+		Cost: FlopCost(0.5, ElemFlops(1)),
 		Func: func(e *Exec) error {
 			var a, b, c F32
 			if err := e.F32s(e.Grid.Elems(), &a, &b, &c); err != nil {
@@ -256,7 +259,7 @@ func RegisterStdKernels(sms float64) {
 	// reduce_sum: out[0] = sum(x); args: x, out; grid [n].
 	Register(&Kernel{
 		Name: "reduce_sum",
-		Cost: FlopCost(sms, sms*0.6, ElemFlops(1)),
+		Cost: FlopCost(0.6, ElemFlops(1)),
 		Func: func(e *Exec) error {
 			var x F32
 			if err := e.F32s(e.Grid.Elems(), &x); err != nil {

@@ -3,6 +3,7 @@ package hw
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -432,5 +433,41 @@ func TestGICLockPreventsReassignment(t *testing.T) {
 	m.GIC.Lock()
 	if err := m.GIC.ConfigureSecure(5, true); err == nil {
 		t.Fatal("locked GIC accepted reconfiguration")
+	}
+}
+
+// A denial observer belongs to one machine: it sees that machine's TZASC,
+// TZPC and SMMU refusals and no other machine's, and a machine or a bare unit
+// without one still refuses (and counts) as before.
+func TestDenialObserverIsPerMachine(t *testing.T) {
+	observed, other := testMachine(), testMachine()
+	var seen []FaultKind
+	observed.ObserveDenials(func(f *Fault) { seen = append(seen, f.Kind) })
+	for _, m := range []*Machine{other, observed} {
+		if err := m.TZPC.SetSecure("gpu0", true); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Mem.Read(NormalWorld, m.SecureBase(), make([]byte, 8)); err == nil {
+			t.Fatal("normal world read secure memory")
+		}
+		if err := m.TZPC.Check(NormalWorld, "gpu0"); err == nil {
+			t.Fatal("normal world reached a secure device")
+		}
+		if _, f := m.SMMU.Translate("gpu0", 0x5000, PermR); f == nil {
+			t.Fatal("unmapped DMA translated")
+		}
+		if m == other && len(seen) != 0 {
+			t.Fatalf("observer saw %v from a machine it was not installed on", seen)
+		}
+	}
+	if want := []FaultKind{FaultTZASC, FaultTZPC, FaultSMMU}; !reflect.DeepEqual(seen, want) {
+		t.Errorf("observer saw %v, want %v", seen, want)
+	}
+	tz := NewTZASC()
+	if err := tz.SetRegion(0, 0, 1<<20, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := tz.Check(NormalWorld, 0x1000); err == nil {
+		t.Fatal("a bare TZASC admitted the normal world to a secure region")
 	}
 }

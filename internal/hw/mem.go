@@ -268,8 +268,9 @@ func (m *PhysMem) ScrubPage(pa PA) { m.zeroPage(pa.PFN()) }
 // TZASC filters physical memory accesses by world, region by region
 // (the TrustZone Address Space Controller).
 type TZASC struct {
-	regions map[int]tzRegion
-	locked  bool
+	regions  map[int]tzRegion
+	locked   bool
+	onDenial func(*Fault) // Machine.ObserveDenials
 
 	// Region slots sorted by id: the deterministic pre-lock scan order
 	// (the map's iteration order must never decide a verdict).
@@ -384,7 +385,7 @@ func (t *TZASC) Check(w World, pa PA) error {
 	secure, _ := t.lookup(pa)
 	if secure && w != SecureWorld {
 		f := &Fault{Kind: FaultTZASC, Space: "tzasc", Addr: uint64(pa), World: w}
-		reportDenial(f)
+		reportDenial(f, t.onDenial)
 		return f
 	}
 	return nil
@@ -397,7 +398,7 @@ func (t *TZASC) CheckSpan(w World, pa PA) (spanEnd PA, err error) {
 	secure, end := t.lookup(pa)
 	if secure && w != SecureWorld {
 		f := &Fault{Kind: FaultTZASC, Space: "tzasc", Addr: uint64(pa), World: w}
-		reportDenial(f)
+		reportDenial(f, t.onDenial)
 		return 0, f
 	}
 	return end, nil
@@ -412,8 +413,9 @@ func (t *TZASC) IsSecure(pa PA) bool {
 // TZPC filters peripheral (MMIO) access by world (the TrustZone Protection
 // Controller). Devices not registered default to normal-world.
 type TZPC struct {
-	secure map[string]bool
-	locked bool
+	secure   map[string]bool
+	locked   bool
+	onDenial func(*Fault) // Machine.ObserveDenials
 }
 
 // NewTZPC creates an empty controller.
@@ -435,7 +437,7 @@ func (t *TZPC) Lock() { t.locked = true }
 func (t *TZPC) Check(w World, dev string) error {
 	if t.secure[dev] && w != SecureWorld {
 		f := &Fault{Kind: FaultTZPC, Space: "tzpc:" + dev, World: w}
-		reportDenial(f)
+		reportDenial(f, t.onDenial)
 		return f
 	}
 	return nil

@@ -3,25 +3,27 @@ package hw
 import "cronus/internal/metrics"
 
 // Isolation-hardware denial accounting. The hardware layer has no notion of
-// virtual time or processes, so it only counts; the SPM installs a denial
-// hook at boot that turns each denial into a trace instant stamped with the
-// kernel clock.
+// virtual time or processes, so it only counts; the SPM that boots on a
+// machine installs a denial observer on it (Machine.ObserveDenials) that turns
+// each of that machine's denials into a trace instant stamped with that
+// platform's kernel clock.
 var (
 	mTZASCDenials = metrics.Default.Counter("hw.tzasc.denials")
 	mTZPCDenials  = metrics.Default.Counter("hw.tzpc.denials")
 	mSMMUFaults   = metrics.Default.Counter("hw.smmu.faults")
 )
 
-// denialHook observes every TZASC/TZPC/SMMU denial fault.
-var denialHook func(f *Fault)
-
-// SetDenialHook installs the denial observer (nil removes it). The hook runs
-// synchronously on the faulting path and must not touch the machine.
-func SetDenialHook(h func(f *Fault)) { denialHook = h }
+// ObserveDenials installs fn as the observer of every TZASC, TZPC and SMMU
+// denial on this machine (nil removes it). fn runs synchronously on the
+// faulting path and must not touch the machine. A machine with no observer,
+// like a unit built outside any machine, just counts.
+func (m *Machine) ObserveDenials(fn func(f *Fault)) {
+	m.TZASC.onDenial, m.TZPC.onDenial, m.SMMU.onDenial = fn, fn, fn
+}
 
 // reportDenial counts a denial on the matching instrument and forwards it to
-// the installed hook.
-func reportDenial(f *Fault) {
+// the refusing unit's observer.
+func reportDenial(f *Fault, observe func(f *Fault)) {
 	switch f.Kind {
 	case FaultTZASC:
 		mTZASCDenials.Inc()
@@ -30,7 +32,7 @@ func reportDenial(f *Fault) {
 	case FaultSMMU:
 		mSMMUFaults.Inc()
 	}
-	if denialHook != nil {
-		denialHook(f)
+	if observe != nil {
+		observe(f)
 	}
 }

@@ -140,8 +140,9 @@ func (a *AddrSpace) Clear() {
 // SMMU is the system MMU translating device DMA addresses (IOVA) to physical
 // addresses, one table per stream (device).
 type SMMU struct {
-	streams map[string]*AddrSpace
-	gen     uint64
+	streams  map[string]*AddrSpace
+	gen      uint64
+	onDenial func(*Fault) // Machine.ObserveDenials
 }
 
 // NewSMMU creates an empty SMMU.
@@ -162,13 +163,13 @@ func (s *SMMU) Translate(dev string, iova uint64, want Perm) (PA, *Fault) {
 	t, ok := s.streams[dev]
 	if !ok {
 		f := &Fault{Kind: FaultSMMU, Space: "smmu:" + dev, Addr: iova}
-		reportDenial(f)
+		reportDenial(f, s.onDenial)
 		return 0, f
 	}
 	pfn, f := t.Translate(iova>>PageShift, want)
 	if f != nil {
 		f.Kind = FaultSMMU
-		reportDenial(f)
+		reportDenial(f, s.onDenial)
 		return 0, f
 	}
 	return PA(pfn<<PageShift | iova&(PageSize-1)), nil

@@ -30,7 +30,8 @@ type Dispatcher struct {
 	byType map[string][]*mos.MOS
 	rr     map[string]int // round-robin cursor per device type
 
-	servers map[uint32]*srpc.Server
+	servers  map[uint32]*srpc.Server
+	notifies srpc.Notifies // shared by this platform's clients and servers
 
 	// nextStream is this platform's stream-id counter (srpc.Transport
 	// requires per-platform minting so co-resident platforms stay
@@ -62,6 +63,7 @@ func NewDispatcher(s *spm.SPM) *Dispatcher {
 		byType:    make(map[string][]*mos.MOS),
 		rr:        make(map[string]int),
 		servers:   make(map[uint32]*srpc.Server),
+		notifies:  make(srpc.Notifies),
 		lastSetup: make(map[uint32]setupRecord),
 	}
 }
@@ -83,12 +85,17 @@ func (d *Dispatcher) NextStreamID() uint64 {
 
 // SetStreamBase offsets this platform's stream-id counter. Multi-node
 // fabrics boot several platforms into one simulation kernel; each node gets
-// a disjoint stream-id range (cluster.BootNodes assigns node<<16) so stream
-// ids stay unique across the simulation. Call it before the first stream is
+// a disjoint stream-id range (cluster.BootNodes assigns node<<16) so a stream
+// id names one stream across the simulation — chaos schedules and the trace
+// flow map refer to streams by id. Only naming depends on it: every table
+// keyed by stream id is per platform. Call it before the first stream is
 // minted.
 func (d *Dispatcher) SetStreamBase(base uint64) {
 	d.nextStream = base
 }
+
+// Notifies implements srpc.Transport.
+func (d *Dispatcher) Notifies() srpc.Notifies { return d.notifies }
 
 // mosFor locates the mOS hosting an enclave id.
 func (d *Dispatcher) mosFor(eid uint32) (*mos.MOS, error) {
@@ -150,7 +157,7 @@ func (d *Dispatcher) createAt(p *sim.Proc, m *mos.MOS, name string, man enclave.
 	if err != nil {
 		return nil, err
 	}
-	d.servers[res.EID] = srpc.NewServer(e)
+	d.servers[res.EID] = srpc.NewServer(e, d.notifies)
 	return res, nil
 }
 

@@ -469,7 +469,7 @@ const smShare = 0.5
 func init() {
 	gpu.Register(&gpu.Kernel{
 		Name: serveKernel,
-		Cost: func(_ gpu.Dim, args []uint64) gpu.LaunchCost {
+		Cost: func(_ float64, _ gpu.Dim, args []uint64) gpu.LaunchCost {
 			return gpu.LaunchCost{Work: sim.Duration(args[2]), SMDemand: float64(args[3])}
 		},
 		Func: func(e *gpu.Exec) error {
@@ -516,10 +516,6 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 				ppn, n, len(npl.GPUs))
 		}
 	}
-	// The pool's rodinia kernels live in the global GPU registry alongside
-	// the std kernels BuildPlatform installs (Register replaces, so this
-	// is idempotent across servers in one process).
-	rodinia.RegisterKernels(pl.GPUs[0].Dev.SMs())
 	reg := metrics.NewRegistry()
 	reg.Enable()
 	srv := &Server{

@@ -1,9 +1,11 @@
 package spm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"cronus/internal/hw"
 	"cronus/internal/metrics"
 	"cronus/internal/sim"
 	"cronus/internal/trace"
@@ -79,5 +81,44 @@ func TestFailTraceAndFailoverHistogram(t *testing.T) {
 	}
 	if got := snap.Counters["spm.partitions.recovered"]; got != 1 {
 		t.Errorf("spm.partitions.recovered = %d, want 1", got)
+	}
+}
+
+// Two platforms alive in one process, advanced to different virtual times: a
+// TZASC denial on the first is stamped with the first platform's clock, not
+// with the clock of whichever platform booted last.
+func TestDenialCarriesItsOwnPlatformClock(t *testing.T) {
+	k1, m1, _ := testRig(t)
+	k2, _, _ := testRig(t)
+	advance := func(k *sim.Kernel, d sim.Duration) {
+		k.Spawn("tick", func(p *sim.Proc) {
+			defer k.Stop()
+			p.Sleep(d)
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	advance(k1, 3*sim.Millisecond)
+	advance(k2, 7*sim.Millisecond)
+
+	trace.Default.Enable()
+	defer trace.Default.Disable()
+	var f *hw.Fault
+	if err := m1.Mem.Read(hw.NormalWorld, m1.SecureBase(), make([]byte, 8)); !errors.As(err, &f) || f.Kind != hw.FaultTZASC {
+		t.Fatalf("normal-world read of secure memory: %v, want a TZASC fault", err)
+	}
+	var denied []trace.Event
+	for _, e := range trace.Default.Events() {
+		if strings.HasPrefix(e.Name, "access-denied") {
+			denied = append(denied, e)
+		}
+	}
+	if len(denied) != 1 {
+		t.Fatalf("%d access-denied instants for one denial", len(denied))
+	}
+	if denied[0].Start != k1.Now() {
+		t.Errorf("access-denied stamped %d: the denying platform's clock reads %d, the other platform's %d",
+			denied[0].Start, k1.Now(), k2.Now())
 	}
 }

@@ -276,10 +276,10 @@ func Boot(k *sim.Kernel, m *hw.Machine, costs *sim.CostModel) (*SPM, error) {
 		deviceVend: make(map[string]string),
 		booted:     true,
 	}
-	// The isolation hardware has no clock; the SPM lends it one so every
-	// TZASC/TZPC/SMMU denial shows up as a trace instant at the time the
-	// access was refused.
-	hw.SetDenialHook(func(f *hw.Fault) {
+	// The isolation hardware has no clock; the SPM lends this machine its
+	// own so every TZASC/TZPC/SMMU denial shows up as a trace instant at the
+	// time the access was refused.
+	m.ObserveDenials(func(f *hw.Fault) {
 		if trace.Default.Enabled() {
 			trace.Default.InstantAt(k.Now(), "hw", f.Space, "access-denied ("+f.Kind.String()+")", nil)
 		}

@@ -189,7 +189,7 @@ func (c *Client) teardown() {
 		if c.arena != nil {
 			_ = c.owner.MOS().SPM.Unshare(c.arena.gid)
 		}
-		dropNotifies(c.streamID)
+		c.tr.Notifies().drop(c.streamID)
 	}
 }
 
@@ -520,7 +520,7 @@ func (c *Client) Close(p *sim.Proc) error {
 	if c.arena != nil {
 		_ = c.owner.MOS().SPM.Unshare(c.arena.gid)
 	}
-	dropNotifies(c.streamID)
+	c.tr.Notifies().drop(c.streamID)
 	c.dead = true
 	return nil
 }

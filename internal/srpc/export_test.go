@@ -6,7 +6,7 @@ import "cronus/internal/sim"
 // itself — what an owner that skips CallZC's own checks could write — with
 // notify registered as its completion callback.
 func (c *Client) PushRawFused(p *sim.Proc, desc []byte, notify NotifyFn) error {
-	putNotify(c.streamID, c.rid, notify)
+	c.tr.Notifies().put(c.streamID, c.rid, notify)
 	return c.push(p, ZCExecName, desc, nil, kindNotify, 0)
 }
 

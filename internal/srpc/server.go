@@ -31,14 +31,18 @@ type Transport interface {
 	// booted platforms in one process each get a deterministic 1,2,3,…
 	// sequence regardless of interleaving.
 	NextStreamID() uint64
+	// Notifies returns this platform's fused-record completion table: the
+	// one the transport handed every Server it created.
+	Notifies() Notifies
 }
 
 // Server is the callee-side sRPC endpoint wrapped around one mEnclave. The
 // dispatcher creates one per enclave; its mOS hosts the executor threads.
 // One enclave serves many streams (one per caller thread, §IV-C).
 type Server struct {
-	enc     *mos.Enclave
-	streams map[uint64]*serverStream
+	enc      *mos.Enclave
+	streams  map[uint64]*serverStream
+	notifies Notifies
 }
 
 type serverStream struct {
@@ -89,11 +93,13 @@ func (st *serverStream) recycle() {
 	}
 }
 
-// NewServer wraps an enclave as an sRPC endpoint.
-func NewServer(e *mos.Enclave) *Server {
+// NewServer wraps an enclave as an sRPC endpoint whose executors deliver
+// fused-record completions through notifies, the creating transport's table.
+func NewServer(e *mos.Enclave, notifies Notifies) *Server {
 	return &Server{
-		enc:     e,
-		streams: make(map[uint64]*serverStream),
+		enc:      e,
+		streams:  make(map[uint64]*serverStream),
+		notifies: notifies,
 	}
 }
 
@@ -301,7 +307,7 @@ func (s *Server) RunExecutor(p *sim.Proc, streamID uint64) {
 			// Completion callback, after the Sid advance so the ring state
 			// observed from the callback is consistent. A fused record with
 			// no registered callback surfaces failures sticky, like async.
-			if fn, ok := takeNotify(st.id, recSlot); ok {
+			if fn, ok := s.notifies.take(st.id, recSlot); ok {
 				fn(p, callErr)
 			} else if callErr != nil {
 				s.sticky(p, r, stickyAppErr, callErr.Error())

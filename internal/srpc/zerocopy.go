@@ -30,7 +30,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
 	"cronus/internal/hw"
 	"cronus/internal/sim"
@@ -60,49 +59,40 @@ const maxZCBytes = 1 << 24
 // to send on ports or fire signals, but must not block or sleep.
 type NotifyFn func(p *sim.Proc, err error)
 
-type notifyKey struct{ stream, slot uint64 }
+// Notifies maps one platform's in-flight fused records to their completion
+// callbacks: stream id, then record slot. Keeping it beside the ring rather
+// than in it leaves the ring layout and virtual-time costs untouched. The
+// platform's Transport owns the table — the owner reaches it through the
+// transport it connected over, the executor through the Server that
+// transport created — so platforms alive in one process that mint the same
+// stream ids never see each other's callbacks. It needs no lock: both ends
+// of a stream are processes of one kernel, which runs one at a time.
+type Notifies map[uint64]map[uint64]NotifyFn
 
-// notifyReg maps in-flight fused records to their completion callbacks,
-// keyed by (stream id, record slot). A process-global registry — like the
-// tracer's flow map — keeps the ring layout and virtual-time costs
-// untouched; the mutex makes registration by submitters and consumption by
-// executors race-free whatever goroutines they run on.
-var (
-	notifyMu  sync.Mutex
-	notifyReg = map[notifyKey]NotifyFn{}
-)
-
-func putNotify(stream, slot uint64, fn NotifyFn) {
-	notifyMu.Lock()
-	notifyReg[notifyKey{stream, slot}] = fn
-	notifyMu.Unlock()
+func (n Notifies) put(stream, slot uint64, fn NotifyFn) {
+	m := n[stream]
+	if m == nil {
+		m = make(map[uint64]NotifyFn)
+		n[stream] = m
+	}
+	m[slot] = fn
 }
 
-func takeNotify(stream, slot uint64) (NotifyFn, bool) {
-	notifyMu.Lock()
-	k := notifyKey{stream, slot}
-	fn, ok := notifyReg[k]
+func (n Notifies) take(stream, slot uint64) (NotifyFn, bool) {
+	m := n[stream]
+	fn, ok := m[slot]
 	if ok {
-		delete(notifyReg, k)
+		delete(m, slot)
 	}
-	notifyMu.Unlock()
 	return fn, ok
 }
 
-// dropNotifies removes every registered callback of one stream without
-// invoking it — teardown path. In-flight work lost to a peer failure is
-// re-driven by the layer above (the serving plane's failover), which owns
-// the authoritative in-flight set; firing half-dead callbacks here would
-// race with that recovery.
-func dropNotifies(stream uint64) {
-	notifyMu.Lock()
-	for k := range notifyReg {
-		if k.stream == stream {
-			delete(notifyReg, k)
-		}
-	}
-	notifyMu.Unlock()
-}
+// drop forgets every registered callback of one stream without invoking it —
+// teardown path. In-flight work lost to a peer failure is re-driven by the
+// layer above (the serving plane's failover), which owns the authoritative
+// in-flight set; firing half-dead callbacks here would race with that
+// recovery.
+func (n Notifies) drop(stream uint64) { delete(n, stream) }
 
 // arena is the owner side of a zero-copy payload grant: a second shared
 // region, granted to the same peer as the ring, whose pages hold bulk
@@ -254,11 +244,11 @@ func (c *Client) CallZC(p *sim.Proc, req ZCRequest, notify NotifyFn) error {
 		Str(req.ExecCall).Blob(req.ExecArgs).Bytes()
 	slot := c.rid
 	if notify != nil {
-		putNotify(c.streamID, slot, notify)
+		c.tr.Notifies().put(c.streamID, slot, notify)
 	}
 	if err := c.push(p, ZCExecName, args, nil, kindNotify, 0); err != nil {
 		if notify != nil {
-			takeNotify(c.streamID, slot)
+			c.tr.Notifies().take(c.streamID, slot)
 		}
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"cronus/internal/mos/driver"
 	"cronus/internal/sim"
 	"cronus/internal/srpc"
+	"cronus/internal/testrig"
 	"cronus/internal/wire"
 )
 
@@ -268,4 +269,87 @@ func TestFusedRecordHeldToArenaSlot(t *testing.T) {
 		}
 		return c.Close(p)
 	})
+}
+
+// TestFusedCompletionsStayOnTheirPlatform boots two platforms into one kernel
+// with no SetStreamBase, so both mint stream 1, and has each push a fused
+// record with a completion callback at the same slot. Each callback must fire
+// exactly once, with its own record's outcome: the first platform's launch
+// succeeds, the second's names a kernel its module does not hold.
+func TestFusedCompletionsStayOnTheirPlatform(t *testing.T) {
+	k := sim.NewKernel()
+	var fail error
+	k.Spawn("main", func(p *sim.Proc) {
+		defer k.Stop()
+		type side struct {
+			c     *srpc.Client
+			buf   uint64
+			fired int
+			err   error
+		}
+		var sides [2]*side
+		for i := range sides {
+			rig, _, err := testrig.Build(p, testrig.DefaultOptions())
+			if err != nil {
+				fail = err
+				return
+			}
+			h, err := setup(p, rig)
+			if err != nil {
+				fail = err
+				return
+			}
+			c, err := h.connect(p)
+			if err != nil {
+				fail = err
+				return
+			}
+			if fail = c.GrantArena(p, 64); fail != nil {
+				return
+			}
+			res, err := c.Call(p, driver.CallMemAlloc, driver.EncodeMemAlloc(16))
+			if err != nil {
+				fail = err
+				return
+			}
+			ptr, _ := driver.DecodePtr(res)
+			sides[i] = &side{c: c, buf: ptr}
+		}
+		a, b := sides[0], sides[1]
+		if a.c.StreamID() != b.c.StreamID() || a.c.NextSlot() != b.c.NextSlot() {
+			t.Errorf("the platforms do not collide: streams %d and %d, slots %d and %d",
+				a.c.StreamID(), b.c.StreamID(), a.c.NextSlot(), b.c.NextSlot())
+		}
+		for i, s := range sides {
+			kernel := []string{"vec_add", "not_in_the_module"}[i]
+			req := srpc.ZCRequest{
+				Payload:  gpu.PackF32([]float32{1, 2, 3, 4}),
+				CopyCall: driver.CallHtoD,
+				Dst:      s.buf,
+				ExecCall: driver.CallLaunch,
+				ExecArgs: driver.EncodeLaunch(kernel, gpu.Dim{4, 1, 1}, s.buf, s.buf, s.buf),
+			}
+			if fail = s.c.CallZC(p, req, func(_ *sim.Proc, err error) {
+				s.fired++
+				s.err = err
+			}); fail != nil {
+				return
+			}
+		}
+		for _, s := range sides {
+			_ = s.c.Barrier(p) // drained; the second stream's failure reached its callback, not the ring
+		}
+		if a.fired != 1 || a.err != nil {
+			t.Errorf("first platform's callback fired %d times with %v, want once with nil", a.fired, a.err)
+		}
+		if b.fired != 1 || b.err == nil {
+			t.Errorf("second platform's callback fired %d times with %v, want once with its launch error", b.fired, b.err)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if fail != nil {
+		t.Fatal(fail)
+	}
 }

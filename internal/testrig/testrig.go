@@ -80,7 +80,6 @@ func Build(p *sim.Proc, opts Options) (*Rig, []ExtraGPU, error) {
 
 	gpuCfg := gpu.Config{Name: "gpu0", MemBytes: opts.GPUMemBytes, SMs: opts.GPUSMs, CopyEngs: 2, MPS: opts.MPS, KeySeed: "turing/gpu0"}
 	gdev := gpu.New(k, costs, gpuCfg)
-	gpu.RegisterStdKernels(gdev.SMs())
 	if _, err := m.Bus.Attach(gdev, hw.DTNode{
 		Name: "gpu0", Compatible: "nvidia,turing", Vendor: "nvidia",
 		MMIOBase: 0x1000_0000, MMIOSize: 0x100_0000, IRQ: 32, Secure: true,

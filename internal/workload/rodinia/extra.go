@@ -14,12 +14,12 @@ import (
 // per iteration with a reduction readback), and streamcluster (assign +
 // open-center rounds with host-side decisions each round).
 
-// RegisterExtraKernels installs the kernels of the extra benchmarks.
-func RegisterExtraKernels(sms float64) {
+// registerExtendedKernels installs the kernels of the extra benchmarks.
+func registerExtendedKernels() {
 	// lud_diagonal: factorize the diagonal block. args: a, size, offset.
 	gpu.Register(&gpu.Kernel{
 		Name: "lud_diagonal",
-		Cost: rodCost(sms, 18*sim.Microsecond, 2, 0.15),
+		Cost: rodCost(18*sim.Microsecond, 2, 0.15),
 		Func: func(e *gpu.Exec) error {
 			size := int(e.Arg(1))
 			off := int(e.Arg(2))
@@ -54,7 +54,7 @@ func RegisterExtraKernels(sms float64) {
 	// lud_perimeter: update the row/column strips. args: a, size, offset.
 	gpu.Register(&gpu.Kernel{
 		Name: "lud_perimeter",
-		Cost: rodCost(sms, 35*sim.Microsecond, 4, 0.4),
+		Cost: rodCost(35*sim.Microsecond, 4, 0.4),
 		Func: func(e *gpu.Exec) error {
 			size := int(e.Arg(1))
 			off := int(e.Arg(2))
@@ -83,7 +83,7 @@ func RegisterExtraKernels(sms float64) {
 	// lud_internal: trailing submatrix update. args: a, size, offset.
 	gpu.Register(&gpu.Kernel{
 		Name: "lud_internal",
-		Cost: rodCost(sms, 80*sim.Microsecond, 8, 0.9),
+		Cost: rodCost(80*sim.Microsecond, 8, 0.9),
 		Func: func(e *gpu.Exec) error {
 			size := int(e.Arg(1))
 			off := int(e.Arg(2))
@@ -109,7 +109,7 @@ func RegisterExtraKernels(sms float64) {
 	// srad_reduce: mean/variance reduction. args: img, stats, n.
 	gpu.Register(&gpu.Kernel{
 		Name: "srad_reduce",
-		Cost: rodCost(sms, 45*sim.Microsecond, 6, 0.6),
+		Cost: rodCost(45*sim.Microsecond, 6, 0.6),
 		Func: func(e *gpu.Exec) error {
 			n := e.Grid.Elems()
 			img, err := e.Bytes(e.Arg(0), n*4)
@@ -138,7 +138,7 @@ func RegisterExtraKernels(sms float64) {
 	// args: pts, centers, cost, n, k, dims.
 	gpu.Register(&gpu.Kernel{
 		Name: "sc_assign",
-		Cost: rodCost(sms, 150*sim.Microsecond, 35, 0.85),
+		Cost: rodCost(150*sim.Microsecond, 35, 0.85),
 		Func: func(e *gpu.Exec) error {
 			n, k, dims := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
 			pts, err := e.Bytes(e.Arg(0), n*dims*4)

@@ -22,8 +22,8 @@ import (
 // the functional computation runs on scaled-down data — the documented
 // substitution that keeps the simulation laptop-sized without distorting
 // the relative overheads of the four systems.
-func rodCost(sms float64, fixed sim.Duration, perElem float64, demandFrac float64) func(gpu.Dim, []uint64) gpu.LaunchCost {
-	return func(g gpu.Dim, _ []uint64) gpu.LaunchCost {
+func rodCost(fixed sim.Duration, perElem float64, demandFrac float64) func(float64, gpu.Dim, []uint64) gpu.LaunchCost {
+	return func(sms float64, g gpu.Dim, _ []uint64) gpu.LaunchCost {
 		return gpu.LaunchCost{
 			Work:     fixed + sim.Duration(perElem*float64(g.Elems())),
 			SMDemand: sms * demandFrac,
@@ -31,16 +31,18 @@ func rodCost(sms float64, fixed sim.Duration, perElem float64, demandFrac float6
 	}
 }
 
+func init() { RegisterKernels() }
+
 // RegisterKernels installs the Rodinia kernels (including the extended
-// suite's) for a device with the given SM count. Call once per process
-// before running benchmarks.
-func RegisterKernels(sms float64) {
-	RegisterExtraKernels(sms)
+// suite's). It runs at package init; a test that replaced one of them calls
+// it again to put the shipped ones back.
+func RegisterKernels() {
+	registerExtendedKernels()
 	// bfs_step: frontier relaxation. args: edgesIdx, edgesDst, cost,
 	// frontier, next, changedFlag; grid [nodes].
 	gpu.Register(&gpu.Kernel{
 		Name: "bfs_step",
-		Cost: rodCost(sms, 180*sim.Microsecond, 30, 0.5),
+		Cost: rodCost(180*sim.Microsecond, 30, 0.5),
 		Func: func(e *gpu.Exec) error {
 			n := e.Grid.Elems()
 			idx, err := e.Bytes(e.Arg(0), (n+1)*4)
@@ -99,7 +101,7 @@ func RegisterKernels(sms float64) {
 	// gaussian_fan1: compute multipliers column i. args: a, m, size, col.
 	gpu.Register(&gpu.Kernel{
 		Name: "gaussian_fan1",
-		Cost: rodCost(sms, 25*sim.Microsecond, 0.5, 0.3),
+		Cost: rodCost(25*sim.Microsecond, 0.5, 0.3),
 		Func: func(e *gpu.Exec) error {
 			size := int(e.Arg(2))
 			col := int(e.Arg(3))
@@ -126,7 +128,7 @@ func RegisterKernels(sms float64) {
 	// gaussian_fan2: eliminate below the pivot. args: a, b, m, size, col.
 	gpu.Register(&gpu.Kernel{
 		Name: "gaussian_fan2",
-		Cost: rodCost(sms, 60*sim.Microsecond, 1.0, 0.6),
+		Cost: rodCost(60*sim.Microsecond, 1.0, 0.6),
 		Func: func(e *gpu.Exec) error {
 			size := int(e.Arg(3))
 			col := int(e.Arg(4))
@@ -161,7 +163,7 @@ func RegisterKernels(sms float64) {
 	// rows, cols.
 	gpu.Register(&gpu.Kernel{
 		Name: "hotspot_step",
-		Cost: rodCost(sms, 90*sim.Microsecond, 10, 0.8),
+		Cost: rodCost(90*sim.Microsecond, 10, 0.8),
 		Func: func(e *gpu.Exec) error {
 			rows, cols := int(e.Arg(3)), int(e.Arg(4))
 			n := rows * cols
@@ -208,7 +210,7 @@ func RegisterKernels(sms float64) {
 	// membership, n, k, dims.
 	gpu.Register(&gpu.Kernel{
 		Name: "kmeans_assign",
-		Cost: rodCost(sms, 200*sim.Microsecond, 40, 0.8),
+		Cost: rodCost(200*sim.Microsecond, 40, 0.8),
 		Func: func(e *gpu.Exec) error {
 			n, k, dims := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
 			pts, err := e.Bytes(e.Arg(0), n*dims*4)
@@ -246,7 +248,7 @@ func RegisterKernels(sms float64) {
 	// n, k, dims.
 	gpu.Register(&gpu.Kernel{
 		Name: "kmeans_update",
-		Cost: rodCost(sms, 50*sim.Microsecond, 2, 0.5),
+		Cost: rodCost(50*sim.Microsecond, 2, 0.5),
 		Func: func(e *gpu.Exec) error {
 			n, k, dims := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
 			pts, err := e.Bytes(e.Arg(0), n*dims*4)
@@ -289,7 +291,7 @@ func RegisterKernels(sms float64) {
 	// nn_dist: distances from a query. args: records, query..., out, n, dims.
 	gpu.Register(&gpu.Kernel{
 		Name: "nn_dist",
-		Cost: rodCost(sms, 100*sim.Microsecond, 20, 1.0),
+		Cost: rodCost(100*sim.Microsecond, 20, 1.0),
 		Func: func(e *gpu.Exec) error {
 			n, dims := int(e.Arg(3)), int(e.Arg(4))
 			recs, err := e.Bytes(e.Arg(0), n*dims*4)
@@ -321,7 +323,7 @@ func RegisterKernels(sms float64) {
 	// size, diag, penaltyBits.
 	gpu.Register(&gpu.Kernel{
 		Name: "nw_diag",
-		Cost: rodCost(sms, 25*sim.Microsecond, 40, 0.25),
+		Cost: rodCost(25*sim.Microsecond, 40, 0.25),
 		Func: func(e *gpu.Exec) error {
 			size := int(e.Arg(2))
 			diag := int(e.Arg(3))
@@ -360,7 +362,7 @@ func RegisterKernels(sms float64) {
 	// pathfinder_row: one DP row. args: wall, prev, next, cols, row.
 	gpu.Register(&gpu.Kernel{
 		Name: "pathfinder_row",
-		Cost: rodCost(sms, 30*sim.Microsecond, 5, 0.3),
+		Cost: rodCost(30*sim.Microsecond, 5, 0.3),
 		Func: func(e *gpu.Exec) error {
 			cols := int(e.Arg(3))
 			row := int(e.Arg(4))
@@ -395,7 +397,7 @@ func RegisterKernels(sms float64) {
 	// args: x, w, y, M, N, K.
 	gpu.Register(&gpu.Kernel{
 		Name: "bp_layerforward",
-		Cost: rodCost(sms, 250*sim.Microsecond, 0, 0.8),
+		Cost: rodCost(250*sim.Microsecond, 0, 0.8),
 		Func: func(e *gpu.Exec) error {
 			m, n, k := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
 			xb, err := e.Bytes(e.Arg(0), m*k*4)
@@ -434,7 +436,7 @@ func RegisterKernels(sms float64) {
 	// bp_adjust: weight adjustment sweep. args: grad, w, alphaBits; grid [n].
 	gpu.Register(&gpu.Kernel{
 		Name: "bp_adjust",
-		Cost: rodCost(sms, 120*sim.Microsecond, 0, 0.6),
+		Cost: rodCost(120*sim.Microsecond, 0, 0.6),
 		Func: func(e *gpu.Exec) error {
 			n := e.Grid.Elems()
 			gb, err := e.Bytes(e.Arg(0), n*4)
@@ -458,7 +460,7 @@ func RegisterKernels(sms float64) {
 	// args: img, out, n, lambdaBits.
 	gpu.Register(&gpu.Kernel{
 		Name: "srad_step",
-		Cost: rodCost(sms, 150*sim.Microsecond, 10, 0.7),
+		Cost: rodCost(150*sim.Microsecond, 10, 0.7),
 		Func: func(e *gpu.Exec) error {
 			n := e.Grid.Elems()
 			img, err := e.Bytes(e.Arg(0), n*4)

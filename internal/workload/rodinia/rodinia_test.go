@@ -18,7 +18,6 @@ func timeOn(t *testing.T, b rodinia.Benchmark, system baseline.System) sim.Durat
 	switch system {
 	case baseline.CRONUS:
 		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-			rodinia.RegisterKernels(pl.GPUs[0].Dev.SMs())
 			s, err := pl.NewSession(p, "rodinia")
 			if err != nil {
 				return err
@@ -45,8 +44,6 @@ func timeOn(t *testing.T, b rodinia.Benchmark, system baseline.System) sim.Durat
 			defer k.Stop()
 			costs := sim.DefaultCosts()
 			dev := gpu.New(k, costs, gpu.Config{Name: "g", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "x"})
-			gpu.RegisterStdKernels(dev.SMs())
-			rodinia.RegisterKernels(dev.SMs())
 			var ops accel.CUDA
 			var err error
 			switch system {
