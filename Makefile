@@ -23,7 +23,9 @@ test:
 # race detector (the sim kernel's handshake provides the happens-before edges).
 # `make ci` runs the subset where goroutines meet: serve, srpc, spm, sim, and
 # experiments (a figure's cells on concurrent kernels) with the core and gpu
-# packages every cell boots.
+# packages every cell boots — plus dnn, rodinia and tvm, whose kernels compute
+# through gpu's float32 views of device memory: -race turns on checkptr, which
+# validates the alignment and bounds of every unsafe conversion behind them.
 race:
 	$(GO) test -race ./... -count=1
 
@@ -120,7 +122,8 @@ ci:
 	$(GO) vet ./...
 	$(GO) test ./... -count=1
 	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/sim \
-		./internal/experiments ./internal/core ./internal/gpu
+		./internal/experiments ./internal/core ./internal/gpu \
+		./internal/dnn ./internal/workload/rodinia ./internal/tvm
 	$(MAKE) fuzz
 	$(GO) run ./cmd/cronus-doclint
 	$(MAKE) bench-build

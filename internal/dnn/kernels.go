@@ -82,11 +82,11 @@ func RegisterKernels() {
 			if srcN <= 0 {
 				return nil
 			}
-			src, err := e.Bytes(e.Arg(0), srcN*4)
+			src, err := e.F32(e.Arg(0), srcN)
 			if err != nil {
 				return err
 			}
-			dst, err := e.Bytes(e.Arg(1), e.Grid.Elems()*4)
+			dst, err := e.F32(e.Arg(1), e.Grid.Elems())
 			if err != nil {
 				return err
 			}
@@ -107,11 +107,11 @@ func RegisterKernels() {
 			if err := e.F32s(e.Grid.Elems(), &x, &dy, &dx); err != nil {
 				return err
 			}
-			for i := 0; i < dx.Len(); i++ {
-				if x.Get(i) > 0 {
-					dx.Set(i, dy.Get(i))
+			for i := range dx {
+				if x[i] > 0 {
+					dx[i] = dy[i]
 				} else {
-					dx.Set(i, 0)
+					dx[i] = 0
 				}
 			}
 			return nil

@@ -1,6 +1,8 @@
 package dnn_test
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -96,6 +98,30 @@ func naiveMatmul(a, b []float32, m, n, k int, aT, bT bool) []float32 {
 	return c
 }
 
+// operands is one matmul's inputs as a variant stores them: A is K×M when aT,
+// B is N×K when bT.
+type operands struct {
+	a, b    []float32
+	m, n, k int
+	aT, bT  bool
+}
+
+// A returns the element of op(A) at row i, column t.
+func (o *operands) A(i, t int) *float32 {
+	if o.aT {
+		return &o.a[t*o.m+i]
+	}
+	return &o.a[i*o.k+t]
+}
+
+// B returns the element of op(B) at row t, column j.
+func (o *operands) B(t, j int) *float32 {
+	if o.bT {
+		return &o.b[j*o.k+t]
+	}
+	return &o.b[t*o.n+j]
+}
+
 func sameBits(a, b []float32) (int, bool) {
 	for i := range a {
 		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
@@ -118,41 +144,66 @@ func TestMatmulVariantsMatchNaive(t *testing.T) {
 		{6, 5, 1},    // K=1
 		{5, 1, 8},    // N=1: tail only
 		{7, 7, 7},    // square: C may alias A
-		{16, 33, 17}, // unrolled groups and a tail
+		{16, 33, 17}, // K not a multiple of the group of four
 		{144, 6, 25}, // LeNet conv1 at batch 1
+		{10, 5, 9},   // with "row-counts": row i holds i non-zero terms, 0…9
+		{3, 9, 70},   // a dense row outgrows one 64-term stretch
+		{5, 261, 3},  // matmul_nt's B (N×K) crosses a 256-row transpose block
+		{3, 2, 300},  // so does matmul_tn's A (K×M)
 	}
 	fills := []struct {
 		name string
-		fill func(rng *rand.Rand, a, b []float32)
+		fill func(rng *rand.Rand, o *operands)
 	}{
-		{"dense", func(*rand.Rand, []float32, []float32) {}},
-		{"sparse-a", func(rng *rand.Rand, a, _ []float32) {
-			for i := range a {
+		{"dense", func(*rand.Rand, *operands) {}},
+		{"sparse-a", func(rng *rand.Rand, o *operands) {
+			for i := range o.a {
 				if rng.Intn(2) == 0 {
-					a[i] = 0
+					o.a[i] = 0
 				}
 			}
 		}},
-		{"subnormal", func(rng *rand.Rand, a, b []float32) {
-			a[rng.Intn(len(a))] = 3e-41
-			b[rng.Intn(len(b))] = -7e-42
-			for i := range b {
+		{"subnormal", func(rng *rand.Rand, o *operands) {
+			o.a[rng.Intn(len(o.a))] = 3e-41
+			o.b[rng.Intn(len(o.b))] = -7e-42
+			for i := range o.b {
 				if i%3 == 0 {
-					b[i] *= 1e-36 // products with a land in the subnormal range
+					o.b[i] *= 1e-36 // products with a land in the subnormal range
 				}
 			}
-			for i := range a {
+			for i := range o.a {
 				if i%2 == 0 {
-					a[i] *= 1e-4
+					o.a[i] *= 1e-4
 				}
 			}
 		}},
-		{"zero-times-inf", func(rng *rand.Rand, a, b []float32) {
+		{"zero-times-inf", func(rng *rand.Rand, o *operands) {
 			// An all-zero A meets an Inf in B: C is +0, never NaN.
-			for i := range a {
-				a[i] = 0
+			for i := range o.a {
+				o.a[i] = 0
 			}
-			b[rng.Intn(len(b))] = float32(math.Inf(1))
+			o.b[rng.Intn(len(o.b))] = float32(math.Inf(1))
+		}},
+		{"row-counts", func(rng *rand.Rand, o *operands) {
+			// Row i keeps i mod (K+1) of its terms, wherever they fall:
+			// every remainder of the group of four, from no term to all.
+			for i := 0; i < o.m; i++ {
+				for _, t := range rng.Perm(o.k)[i%(o.k+1):] {
+					*o.A(i, t) = 0
+				}
+			}
+		}},
+		{"inf-nan-in-group", func(_ *rand.Rand, o *operands) {
+			// Columns 1 and 2 of an otherwise dense A are zero, and the B
+			// rows opposite them all Inf and all NaN: the two terms sit
+			// inside what would be the first group of four, and skipping
+			// them is what keeps every C finite.
+			for i := 0; i < o.m; i++ {
+				*o.A(i, 1%o.k), *o.A(i, 2%o.k) = 0, 0
+			}
+			for j := 0; j < o.n; j++ {
+				*o.B(1%o.k, j), *o.B(2%o.k, j) = float32(math.Inf(-1)), float32(math.NaN())
+			}
 		}},
 	}
 	withKernelRig(t, func(r *kernelRig) {
@@ -167,8 +218,15 @@ func TestMatmulVariantsMatchNaive(t *testing.T) {
 					for i := range b {
 						b[i] = rng.Float32()*2 - 1
 					}
-					f.fill(rng, a, b)
+					f.fill(rng, &operands{a, b, s.m, s.n, s.k, v.aT, v.bT})
 					want := naiveMatmul(a, b, s.m, s.n, s.k, v.aT, v.bT)
+					if f.name == "inf-nan-in-group" {
+						for i, c := range want {
+							if math.IsNaN(float64(c)) || math.IsInf(float64(c), 0) {
+								t.Fatalf("%s %dx%dx%d: the oracle's C[%d] = %v", v.name, s.m, s.n, s.k, i, c)
+							}
+						}
+					}
 					ap, bp := r.upload(t, a), r.upload(t, b)
 					cp := r.upload(t, make([]float32, s.m*s.n))
 					name := fmt.Sprintf("%s %dx%dx%d %s", v.name, s.m, s.n, s.k, f.name)
@@ -222,6 +280,26 @@ func TestIm2colMatchesDefinition(t *testing.T) {
 			if i, ok := sameBits(r.download(t, dp, c.dstN), want); !ok {
 				t.Fatalf("srcN %d dstN %d: dst[%d] differs from src[i mod srcN]", c.srcN, c.dstN, i)
 			}
+		}
+	})
+}
+
+// TestIm2colRejectsWrappingGrid: a grid whose byte count wraps to zero used to
+// make im2col return nil having copied nothing. The element count is checked
+// against the allocation now, as is a source length that does not fit it.
+func TestIm2colRejectsWrappingGrid(t *testing.T) {
+	withKernelRig(t, func(r *kernelRig) {
+		sp, dp := r.upload(t, []float32{1, 2, 3}), r.upload(t, []float32{-1, -1, -1, -1})
+		for _, c := range []struct {
+			grid gpu.Dim
+			srcN uint64
+		}{{gpu.Dim{1 << 62, 1, 1}, 3}, {gpu.Dim{1 << 31, 1 << 31, 1}, 3}, {gpu.Dim{4, 1, 1}, 1 << 62}, {gpu.Dim{5, 1, 1}, 3}} {
+			if err := r.ctx.Launch(r.p, "im2col", c.grid, sp, dp, c.srcN); !errors.Is(err, gpu.ErrInvalidPointer) {
+				t.Errorf("grid %v srcN %d: %v, want ErrInvalidPointer", c.grid, c.srcN, err)
+			}
+		}
+		if i, ok := sameBits(r.download(t, dp, 4), []float32{-1, -1, -1, -1}); !ok {
+			t.Errorf("a rejected launch wrote dst[%d]", i)
 		}
 	})
 }
@@ -533,12 +611,24 @@ func registerOldKernels() {
 		if err != nil {
 			return err
 		}
-		src, dst := gpu.F32(sb), gpu.F32(db)
+		src, dst := oldF32(sb), oldF32(db)
 		for i := 0; i < dstN; i++ {
 			dst.Set(i, src.Get(i%srcN))
 		}
 		return nil
 	}})
+}
+
+// oldF32 is the per-element byte accessor gpu.F32 was when those closures
+// shipped; only they use it.
+type oldF32 []byte
+
+func (f oldF32) Get(i int) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(f[i*4:]))
+}
+
+func (f oldF32) Set(i int, v float32) {
+	binary.LittleEndian.PutUint32(f[i*4:], math.Float32bits(v))
 }
 
 // TestKernelRewriteKeepsGradientBits trains each model for 3 steps twice —

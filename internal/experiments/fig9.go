@@ -22,12 +22,11 @@ func init() {
 			return gpu.LaunchCost{Work: 2 * sim.Millisecond, SMDemand: sms * 0.6}
 		},
 		Func: func(e *gpu.Exec) error {
-			buf, err := e.Bytes(e.Arg(0), 64)
+			f, err := e.F32(e.Arg(0), 16)
 			if err != nil {
 				return err
 			}
-			f := gpu.F32(buf)
-			f.Set(0, f.Get(0)+1)
+			f[0]++
 			return nil
 		},
 	})

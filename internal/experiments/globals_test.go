@@ -39,12 +39,18 @@ var sharedGlobals = map[string]string{
 
 var sentinelName = regexp.MustCompile(`^[Ee]rr[A-Z]`)
 
+// unsafeFile is the one non-test file under internal/ that may import unsafe:
+// the float32 → byte view of device memory (DESIGN.md §3.3). A second cast
+// is a decision too — it goes through that file or moves this line.
+const unsafeFile = "internal/gpu/view.go"
+
 // TestNoUnlistedPackageState walks every non-test file under internal/ and
 // fails on a package-level var that is not a blank interface assertion, an
 // Err* sentinel built by errors.New or fmt.Errorf, a metrics.Default instrument
 // handle, or an entry of sharedGlobals. Without type information any other
 // var counts — maps, slices, funcs, pointers, mutexes and interfaces are the
-// ones that bite, and a package-level scalar belongs in a const.
+// ones that bite, and a package-level scalar belongs in a const. The same walk
+// fails on any file but unsafeFile importing unsafe.
 func TestNoUnlistedPackageState(t *testing.T) {
 	root, err := repoRoot()
 	if err != nil {
@@ -59,6 +65,16 @@ func TestNoUnlistedPackageState(t *testing.T) {
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value != `"unsafe"` {
+				continue
+			}
+			if rel, _ := filepath.Rel(root, path); filepath.ToSlash(rel) == unsafeFile {
+				found[unsafeFile] = true
+			} else {
+				t.Errorf("%s imports unsafe: reinterpreting memory is %s's job alone", fset.Position(imp.Pos()), unsafeFile)
+			}
 		}
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -96,6 +112,9 @@ func TestNoUnlistedPackageState(t *testing.T) {
 		if !found[name] {
 			t.Errorf("sharedGlobals lists %s, which no longer exists: delete the entry", name)
 		}
+	}
+	if !found[unsafeFile] {
+		t.Errorf("%s no longer imports unsafe: delete the exception", unsafeFile)
 	}
 }
 

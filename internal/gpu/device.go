@@ -11,8 +11,10 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 
 	"cronus/internal/attest"
@@ -120,9 +122,7 @@ func (d *Device) MIGSlices() int { return d.migSlices }
 func (d *Device) Reset() {
 	for _, c := range d.contexts {
 		for _, s := range c.spans {
-			for i := range s.buf {
-				s.buf[i] = 0
-			}
+			clear(s.words)
 		}
 	}
 	d.contexts = make(map[int]*Context)
@@ -177,9 +177,7 @@ func (d *Device) DestroyContext(c *Context) {
 		return
 	}
 	for _, s := range c.spans {
-		for i := range s.buf {
-			s.buf[i] = 0
-		}
+		clear(s.words)
 		d.memUsed -= s.size
 	}
 	c.spans = nil
@@ -189,11 +187,27 @@ func (d *Device) DestroyContext(c *Context) {
 // ErrStaleContext reports use of a context from before a device reset.
 var ErrStaleContext = fmt.Errorf("gpu: context predates device reset")
 
-// span is one device memory allocation (contiguous VA and backing).
+// ErrInvalidPointer reports a device range that is not inside one live
+// allocation of the context: a forged or freed pointer, a length or element
+// count running past the allocation's end, a negative one, or dimensions
+// whose product does not fit a machine word.
+var ErrInvalidPointer = errors.New("gpu: invalid device pointer")
+
+// ErrMisaligned reports a float32 access through a device pointer that is
+// not a multiple of 4 — the misaligned-address fault of a real GPU. It is
+// decided on the device VA, never on a host address, so it is deterministic.
+var ErrMisaligned = errors.New("gpu: misaligned device pointer")
+
+// span is one device memory allocation (contiguous VA and backing). The
+// backing is allocated as 4-byte words, so every float32 view of it is
+// aligned by its type, whatever the allocator returned; buf is the same
+// memory as bytes, cut to size. Floats sit in it in host byte order, as a
+// GPU shares its host's.
 type span struct {
-	va   uint64
-	size uint64
-	buf  []byte
+	va    uint64
+	size  uint64
+	words []float32
+	buf   []byte
 }
 
 // Context is a GPU context: an isolated VA space with its loaded modules.
@@ -233,7 +247,8 @@ func (c *Context) MemAlloc(n uint64) (uint64, error) {
 	// forgery structurally impossible to resolve.
 	va := uint64(c.id)<<40 | (c.nextVA + 0x1000)
 	c.nextVA += (n + 0xfff) &^ 0xfff
-	c.spans = append(c.spans, &span{va: va, size: n, buf: make([]byte, n)})
+	words := make([]float32, (n+3)/4)
+	c.spans = append(c.spans, &span{va: va, size: n, words: words, buf: f32Bytes(words)[:n]})
 	c.dev.memUsed += n
 	return va, nil
 }
@@ -242,9 +257,7 @@ func (c *Context) MemAlloc(n uint64) (uint64, error) {
 func (c *Context) MemFree(va uint64) error {
 	for i, s := range c.spans {
 		if s.va == va {
-			for j := range s.buf {
-				s.buf[j] = 0
-			}
+			clear(s.words)
 			c.dev.memUsed -= s.size
 			c.spans = append(c.spans[:i], c.spans[i+1:]...)
 			return nil
@@ -253,20 +266,54 @@ func (c *Context) MemFree(va uint64) error {
 	return fmt.Errorf("gpu: MemFree(%#x): no such allocation", va)
 }
 
-// resolve finds the span containing [ptr, ptr+n).
-func (c *Context) resolve(ptr uint64, n int) ([]byte, error) {
+// locate finds the live span holding ptr and ptr's offset into it; s is nil
+// when no allocation of this context does.
+func (c *Context) locate(ptr uint64) (s *span, off uint64, err error) {
 	if err := c.check(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	i := sort.Search(len(c.spans), func(i int) bool { return c.spans[i].va+c.spans[i].size > ptr })
-	if i < len(c.spans) {
-		s := c.spans[i]
-		if ptr >= s.va && ptr+uint64(n) <= s.va+s.size {
-			off := ptr - s.va
-			return s.buf[off : off+uint64(n)], nil
-		}
+	if i < len(c.spans) && ptr >= c.spans[i].va {
+		return c.spans[i], ptr - c.spans[i].va, nil
 	}
-	return nil, fmt.Errorf("gpu: invalid device pointer %#x (+%d) in context %d", ptr, n, c.id)
+	return nil, 0, nil
+}
+
+// resolve returns the device memory [ptr, ptr+n), which must lie inside one
+// span.
+func (c *Context) resolve(ptr uint64, n int) ([]byte, error) {
+	s, off, err := c.locate(ptr)
+	if err != nil {
+		return nil, err
+	}
+	if s == nil || n < 0 || uint64(n) > s.size-off {
+		return nil, fmt.Errorf("%w %#x (+%d) in context %d", ErrInvalidPointer, ptr, n, c.id)
+	}
+	return s.buf[off : off+uint64(n)], nil
+}
+
+// f32 returns the device memory at ptr as a float32 view of ∏dims elements —
+// the memory itself, not a copy. Launch arguments are the caller's, so this
+// is where an element count is checked, once: no negative dimension, no
+// product that wraps, nothing past the end of the span.
+func (c *Context) f32(ptr uint64, dims ...int) (F32, error) {
+	s, off, err := c.locate(ptr)
+	if err != nil {
+		return nil, err
+	}
+	if ptr%4 != 0 {
+		return nil, fmt.Errorf("%w %#x in context %d", ErrMisaligned, ptr, c.id)
+	}
+	n, fits := uint64(1), s != nil
+	for _, d := range dims {
+		hi, lo := bits.Mul64(n, uint64(d))
+		fits = fits && d >= 0 && hi == 0
+		n = lo
+	}
+	if !fits || n > (s.size-off)/4 {
+		return nil, fmt.Errorf("%w %#x (float32 × %d) in context %d", ErrInvalidPointer, ptr, n, c.id)
+	}
+	return s.words[off/4 : off/4+n], nil
 }
 
 // CheckRange reports whether [ptr, ptr+n) lies inside one live allocation of

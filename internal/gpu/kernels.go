@@ -44,14 +44,25 @@ func (e *Exec) Bytes(ptr uint64, n int) ([]byte, error) { return e.Ctx.resolve(p
 // Arg returns the i-th launch argument.
 func (e *Exec) Arg(i int) uint64 { return e.Args[i] }
 
-// F32s resolves launch arguments 0..len(dst)-1 as n-element float32 buffers.
+// F32 is a float32 view of device memory: indexing it reads and writes the
+// device, there is no copy to write back. Only Exec.F32 and Exec.F32s hand
+// one out, and it is valid until the kernel returns.
+type F32 []float32
+
+// F32 resolves a device pointer as a view of ∏dims float32s (one dimension
+// for a vector, rows and columns for a matrix). The pointer must be 4-byte
+// aligned (ErrMisaligned) and the elements inside one allocation
+// (ErrInvalidPointer, as for a negative dimension or a product that wraps).
+func (e *Exec) F32(ptr uint64, dims ...int) (F32, error) { return e.Ctx.f32(ptr, dims...) }
+
+// F32s resolves launch arguments 0..len(dst)-1 as n-element views.
 func (e *Exec) F32s(n int, dst ...*F32) error {
 	for i, d := range dst {
-		b, err := e.Bytes(e.Arg(i), n*4)
+		v, err := e.F32(e.Arg(i), n)
 		if err != nil {
 			return err
 		}
-		*d = b
+		*d = v
 	}
 	return nil
 }

@@ -1,54 +1,23 @@
 package gpu
 
 import (
-	"encoding/binary"
-	"fmt"
 	"math"
 
 	"cronus/internal/sim"
 )
 
-// F32 is a float32 view over device memory bytes.
-type F32 []byte
-
-// Len returns the number of float32 elements.
-func (f F32) Len() int { return len(f) / 4 }
-
-// Get reads element i.
-func (f F32) Get(i int) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(f[i*4:]))
-}
-
-// Set writes element i.
-func (f F32) Set(i int, v float32) {
-	binary.LittleEndian.PutUint32(f[i*4:], math.Float32bits(v))
-}
-
-// decodeF32 fills dst with the first len(dst) elements of src.
-func decodeF32(dst []float32, src F32) {
-	for i := range dst {
-		dst[i] = src.Get(i)
-	}
-}
-
-// encodeF32 stores src into the first len(src) elements of dst.
-func encodeF32(dst F32, src []float32) {
-	for i, v := range src {
-		dst.Set(i, v)
-	}
-}
-
-// PackF32 encodes a float32 slice into bytes (host-side staging helper).
+// PackF32 encodes a float32 slice into bytes (host-side staging helper): the
+// bytes device memory holds for those floats.
 func PackF32(xs []float32) []byte {
 	out := make([]byte, 4*len(xs))
-	encodeF32(out, xs)
+	copy(out, f32Bytes(xs))
 	return out
 }
 
-// UnpackF32 decodes bytes into float32s.
+// UnpackF32 decodes bytes into float32s; b may sit at any host offset.
 func UnpackF32(b []byte) []float32 {
-	out := make([]float32, F32(b).Len())
-	decodeF32(out, b)
+	out := make([]float32, len(b)/4)
+	copy(f32Bytes(out), b)
 	return out
 }
 
@@ -72,77 +41,119 @@ func FlopCost(frac float64, flops func(grid Dim, args []uint64) float64) func(fl
 
 // MatmulFunc is the body of every matmul kernel: C[M×N] = op(A) × op(B), args
 // a, b, c, M, N, K. aT says A is stored K×M, bT that B is stored N×K. The
-// variants differ only in the order they walk memory: each C[i,j] adds its K
-// products in ascending t, skipping zero A elements, so they all round like
-// the textbook triple loop. Operands are decoded into device scratch and C is
-// stored after the compute, so C may alias A or B.
+// variants differ only in how the operands lie in memory: each C[i,j] adds its
+// K products in ascending t, skipping zero A elements, one multiply and one
+// add per product, so they all round like the textbook triple loop. A and B
+// are read where they lie in device memory, a transposed one after being
+// turned into the device arena; C is built in the arena and copied out after
+// the compute, so C may alias A or B.
 func MatmulFunc(aT, bT bool) func(*Exec) error {
 	return func(e *Exec) error {
 		m, n, k := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
-		ab, err := e.Bytes(e.Arg(0), m*k*4)
+		a, err := e.F32(e.Arg(0), m, k)
 		if err != nil {
 			return err
 		}
-		bb, err := e.Bytes(e.Arg(1), k*n*4)
+		b, err := e.F32(e.Arg(1), k, n)
 		if err != nil {
 			return err
 		}
-		cb, err := e.Bytes(e.Arg(2), m*n*4)
+		out, err := e.F32(e.Arg(2), m, n)
 		if err != nil {
 			return err
 		}
-		s := e.Scratch(m*k + k*n + m*n)
-		a, b, c := s[:m*k], s[m*k:m*k+k*n], s[m*k+k*n:]
-		decodeF32(a, ab)
+		if m == 0 || n == 0 {
+			return nil
+		}
+		// From here every loop bound and arena size is a dimension of a
+		// non-empty view, so the allocations the caller owns bound them all.
+		size := m * n
+		if aT {
+			size += m * k
+		}
 		if bT {
-			// Transpose while decoding: the loops below read B as K×N rows.
-			for j := 0; j < n; j++ {
-				for t := 0; t < k; t++ {
-					b[t*n+j] = F32(bb).Get(j*k + t)
-				}
-			}
-		} else {
-			decodeF32(b, bb)
+			size += k * n
+		}
+		s := e.Scratch(size)
+		c, s := s[:m*n], s[m*n:]
+		if aT {
+			transpose(s[:m*k], a, k, m)
+			a, s = s[:m*k], s[m*k:]
+		}
+		if bT {
+			transpose(s, b, n, k)
+			b = s
 		}
 		clear(c)
-		if aT {
-			// t outermost: row t of A (its M entries) and row t of B are
-			// each read once, contiguously.
-			for t := 0; t < k; t++ {
-				br := b[t*n : (t+1)*n]
-				for i, av := range a[t*m : (t+1)*m] {
-					if av != 0 {
-						axpy(c[i*n:(i+1)*n], av, br)
-					}
-				}
-			}
-		} else {
-			for i := 0; i < m; i++ {
-				cr := c[i*n : (i+1)*n]
-				for t, av := range a[i*k : (i+1)*k] {
-					if av != 0 {
-						axpy(cr, av, b[t*n:(t+1)*n])
-					}
-				}
-			}
-		}
-		encodeF32(cb, c)
+		mulRows(c, a, b, n, k)
+		copy(out, c)
 		return nil
 	}
 }
 
-// axpy is the matmul inner loop, c[j] += a*b[j] over equal-length rows,
-// unrolled four wide (each c[j] still sees one multiply and one add).
+// transpose stores the rows×cols matrix src into dst as cols×rows. dst is
+// written in order and src read down a column, 256 rows at a time: the lines
+// those reads touch (16 KiB) stay in L1 for the 15 columns that share them.
+func transpose(dst, src F32, rows, cols int) {
+	const block = 256
+	for r0 := 0; r0 < rows; r0 += block {
+		r1 := min(r0+block, rows)
+		for c := 0; c < cols; c++ {
+			d, s := dst[c*rows+r0:c*rows+r1], src[r0*cols+c:]
+			for r := range d {
+				d[r] = s[r*cols]
+			}
+		}
+	}
+}
+
+// mulRows is C += A × B over row-major C[m×n], A[m×k], B[k×n], n > 0: each C
+// row gains a[t]·B[t,:] for every non-zero a[t] of its A row, t ascending. A
+// row's non-zero terms are first compacted, without a branch (after a ReLU
+// half of A is zero and no predictor guesses which half), then folded four
+// per pass over the C row: one load and one store of c[j] carry four
+// multiply-adds, still applied to it one after the other in t order.
+func mulRows(c, a, b F32, n, k int) {
+	var (
+		av [64]float32 // a stretch of the row's non-zero terms ...
+		at [64]int     // ... and where their B rows start
+	)
+	for ; len(c) > 0; c, a = c[n:], a[k:] {
+		cr, ar := c[:n], a[:k]
+		for t := 0; t < k; {
+			nz := 0
+			for ; t < k && nz < len(av); t++ {
+				av[nz], at[nz] = ar[t], t*n
+				if ar[t] != 0 {
+					nz++
+				}
+			}
+			g := 0
+			for ; g+4 <= nz; g += 4 {
+				b0, b1, b2, b3 := b[at[g]:][:n], b[at[g+1]:][:n], b[at[g+2]:][:n], b[at[g+3]:][:n]
+				a0, a1, a2, a3 := av[g], av[g+1], av[g+2], av[g+3]
+				for j, v := range cr {
+					v += a0 * b0[j]
+					v += a1 * b1[j]
+					v += a2 * b2[j]
+					v += a3 * b3[j]
+					cr[j] = v
+				}
+			}
+			// A full stretch is a whole number of groups, so terms are
+			// left over only after the row's last one.
+			for ; g < nz; g++ {
+				axpy(cr, av[g], b[at[g]:][:n])
+			}
+		}
+	}
+}
+
+// axpy is c[j] += a*b[j] over equal-length rows: the matmul inner loop for
+// the up to three terms a row has left after its groups of four.
 func axpy(c []float32, a float32, b []float32) {
 	b = b[:len(c)]
-	j := 0
-	for ; j+3 < len(c); j += 4 {
-		c[j] += a * b[j]
-		c[j+1] += a * b[j+1]
-		c[j+2] += a * b[j+2]
-		c[j+3] += a * b[j+3]
-	}
-	for ; j < len(c); j++ {
+	for j := range c {
 		c[j] += a * b[j]
 	}
 }
@@ -169,8 +180,8 @@ func RegisterStdKernels() {
 			if err := e.F32s(e.Grid.Elems(), &a, &b, &c); err != nil {
 				return err
 			}
-			for i := 0; i < c.Len(); i++ {
-				c.Set(i, a.Get(i)+b.Get(i))
+			for i := range c {
+				c[i] = a[i] + b[i]
 			}
 			return nil
 		},
@@ -186,8 +197,8 @@ func RegisterStdKernels() {
 				return err
 			}
 			alpha := math.Float32frombits(uint32(e.Arg(2)))
-			for i := 0; i < y.Len(); i++ {
-				y.Set(i, y.Get(i)+alpha*x.Get(i))
+			for i := range y {
+				y[i] += alpha * x[i]
 			}
 			return nil
 		},
@@ -212,12 +223,11 @@ func RegisterStdKernels() {
 			if err := e.F32s(e.Grid.Elems(), &x, &y); err != nil {
 				return err
 			}
-			for i := 0; i < y.Len(); i++ {
-				v := x.Get(i)
+			for i, v := range x {
 				if v < 0 {
 					v = 0
 				}
-				y.Set(i, v)
+				y[i] = v
 			}
 			return nil
 		},
@@ -233,8 +243,8 @@ func RegisterStdKernels() {
 				return err
 			}
 			alpha := math.Float32frombits(uint32(e.Arg(1)))
-			for i := 0; i < x.Len(); i++ {
-				x.Set(i, x.Get(i)*alpha)
+			for i := range x {
+				x[i] *= alpha
 			}
 			return nil
 		},
@@ -249,8 +259,8 @@ func RegisterStdKernels() {
 			if err := e.F32s(e.Grid.Elems(), &a, &b, &c); err != nil {
 				return err
 			}
-			for i := 0; i < c.Len(); i++ {
-				c.Set(i, a.Get(i)-b.Get(i))
+			for i := range c {
+				c[i] = a[i] - b[i]
 			}
 			return nil
 		},
@@ -265,15 +275,15 @@ func RegisterStdKernels() {
 			if err := e.F32s(e.Grid.Elems(), &x); err != nil {
 				return err
 			}
-			out, err := e.Bytes(e.Arg(1), 4)
+			out, err := e.F32(e.Arg(1), 1)
 			if err != nil {
 				return err
 			}
 			var s float32
-			for i := 0; i < x.Len(); i++ {
-				s += x.Get(i)
+			for _, v := range x {
+				s += v
 			}
-			F32(out).Set(0, s)
+			out[0] = s
 			return nil
 		},
 	})
@@ -281,16 +291,3 @@ func RegisterStdKernels() {
 
 // FloatBits packs a float32 into a launch argument.
 func FloatBits(v float32) uint64 { return uint64(math.Float32bits(v)) }
-
-// CheckFinite validates that a device buffer holds finite float32s — a
-// debugging helper used by tests.
-func CheckFinite(buf []byte) error {
-	f := F32(buf)
-	for i := 0; i < f.Len(); i++ {
-		v := float64(f.Get(i))
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("gpu: non-finite value %v at element %d", v, i)
-		}
-	}
-	return nil
-}

@@ -9,6 +9,7 @@ package tvm
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"cronus/internal/accel"
 	"cronus/internal/dnn"
@@ -18,9 +19,33 @@ import (
 )
 
 // Graph is an inference network: a named sequence of matmul-lowered layers.
+// Share one by pointer; a Graph is not copied once it has been compiled.
 type Graph struct {
 	Name   string
 	Layers []dnn.Layer
+
+	lower   sync.Once
+	weights [][]byte // see packedWeights
+}
+
+// packedWeights returns each layer's synthetic weights, quantized to int8 and
+// packed into NPU weight blocks. They are a function of the graph alone, so
+// they are drawn once and shared, read-only, by every engine compiled from it
+// — on whichever simulation, concurrently or not.
+func (g *Graph) packedWeights() [][]byte {
+	g.lower.Do(func() {
+		rng := rand.New(rand.NewSource(99))
+		g.weights = make([][]byte, len(g.Layers))
+		for li, l := range g.Layers {
+			k, n := roundUp(l.K, npu.BlockIn), roundUp(l.N, npu.BlockOut)
+			w := make([]byte, k*n)
+			for i := range w {
+				w[i] = byte(int8(rng.Intn(7) - 3))
+			}
+			g.weights[li] = vtabench.PackWeights(w, k, n)
+		}
+	})
+	return g.weights
 }
 
 // FLOPs returns total inference FLOPs (batch 1).
@@ -117,10 +142,10 @@ type Engine struct {
 	InLen  int // input bytes per inference
 }
 
-// Compile quantizes synthetic weights, uploads them, allocates the
+// Compile uploads the graph's quantized synthetic weights, allocates the
 // activation arenas and emits one instruction stream per layer.
 func Compile(p *sim.Proc, ops accel.NPU, g *Graph) (*Engine, error) {
-	rng := rand.New(rand.NewSource(99))
+	weights := g.packedWeights()
 	maxBuf := 0
 	for _, l := range g.Layers {
 		k := roundUp(l.K, npu.BlockIn)
@@ -155,11 +180,7 @@ func Compile(p *sim.Proc, ops accel.NPU, g *Graph) (*Engine, error) {
 		if maxNb == 0 {
 			return nil, fmt.Errorf("tvm: layer %s contraction %d exceeds the weight scratchpad", l.Name, k)
 		}
-		w := make([]byte, k*n)
-		for i := range w {
-			w[i] = byte(int8(rng.Intn(7) - 3))
-		}
-		packed := vtabench.PackWeights(w, k, n)
+		packed := weights[li]
 		wAddr, err := ops.MemAlloc(p, uint64(len(packed)))
 		if err != nil {
 			return nil, err

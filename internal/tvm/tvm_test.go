@@ -2,6 +2,8 @@ package tvm_test
 
 import (
 	"bytes"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"cronus/internal/baseline"
@@ -9,6 +11,7 @@ import (
 	"cronus/internal/npu"
 	"cronus/internal/sim"
 	"cronus/internal/tvm"
+	"cronus/internal/workload/vtabench"
 )
 
 func nativeNPU(p *sim.Proc) *baseline.NativeNPU {
@@ -180,5 +183,81 @@ func TestCPUInferCharges(t *testing.T) {
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// uploadLog is an accel.NPU that records what Compile issues: every MemAlloc
+// size and every HtoD payload (copied — the point is what the bytes were at
+// upload time), in order.
+type uploadLog struct {
+	*baseline.NativeNPU
+	allocs  []uint64
+	uploads [][]byte
+}
+
+func (u *uploadLog) MemAlloc(p *sim.Proc, n uint64) (uint64, error) {
+	u.allocs = append(u.allocs, n)
+	return u.NativeNPU.MemAlloc(p, n)
+}
+
+func (u *uploadLog) HtoD(p *sim.Proc, dst uint64, data []byte) error {
+	u.uploads = append(u.uploads, bytes.Clone(data))
+	return u.NativeNPU.HtoD(p, dst, data)
+}
+
+// TestCompiledWeightsIdentical holds the weights a graph computes once and
+// shares to the ones Compile used to draw on every call: per layer, k·n draws
+// of Intn(7)-3 from one rand.NewSource(99) stream running through the layers
+// in order, packed by PackWeights. Two engines of one graph — compiled on
+// concurrent simulations, as a Fig 10b row's cells are — upload those bytes
+// after the same MemAlloc sequence, and neither upload disturbs the other's.
+func TestCompiledWeightsIdentical(t *testing.T) {
+	for _, g := range tvm.InferenceGraphs() {
+		rng := rand.New(rand.NewSource(99))
+		var want [][]byte
+		for _, l := range g.Layers {
+			k := (l.K + npu.BlockIn - 1) / npu.BlockIn * npu.BlockIn
+			n := (l.N + npu.BlockOut - 1) / npu.BlockOut * npu.BlockOut
+			w := make([]byte, k*n)
+			for i := range w {
+				w[i] = byte(int8(rng.Intn(7) - 3))
+			}
+			want = append(want, vtabench.PackWeights(w, k, n))
+		}
+		logs := make([]*uploadLog, 2)
+		var wg sync.WaitGroup
+		for c := range logs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				k := sim.NewKernel()
+				k.Spawn("main", func(p *sim.Proc) {
+					defer k.Stop()
+					logs[c] = &uploadLog{NativeNPU: nativeNPU(p)}
+					if _, err := tvm.Compile(p, logs[c], g); err != nil {
+						t.Error(err)
+					}
+				})
+				if err := k.Run(); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		for c, log := range logs {
+			if len(log.uploads) != len(want) {
+				t.Fatalf("%s engine %d: %d uploads for %d layers", g.Name, c, len(log.uploads), len(want))
+			}
+			for li := range want {
+				if !bytes.Equal(log.uploads[li], want[li]) {
+					t.Errorf("%s engine %d layer %d %s: uploaded weights differ from the per-Compile draw", g.Name, c, li, g.Layers[li].Name)
+				}
+				// Three arenas first, then one allocation per layer, sized
+				// by its packed weights.
+				if got := log.allocs[3+li]; got != uint64(len(want[li])) {
+					t.Errorf("%s engine %d layer %d: MemAlloc(%d), packed weights are %d bytes", g.Name, c, li, got, len(want[li]))
+				}
+			}
+		}
 	}
 }

@@ -27,23 +27,21 @@ func registerExtendedKernels() {
 			if off+b > size {
 				return nil
 			}
-			ab, err := e.Bytes(e.Arg(0), size*size*4)
+			a, err := e.F32(e.Arg(0), size, size)
 			if err != nil {
 				return err
 			}
-			a := gpu.F32(ab)
-			at := func(r, c int) float32 { return a.Get((off+r)*size + off + c) }
-			set := func(r, c int, v float32) { a.Set((off+r)*size+off+c, v) }
+			at := func(r, c int) int { return (off+r)*size + off + c }
 			for i := 0; i < b; i++ {
-				piv := at(i, i)
+				piv := a[at(i, i)]
 				if piv == 0 {
 					piv = 1e-6
 				}
 				for r := i + 1; r < b; r++ {
-					m := at(r, i) / piv
-					set(r, i, m)
+					m := a[at(r, i)] / piv
+					a[at(r, i)] = m
 					for c := i + 1; c < b; c++ {
-						set(r, c, at(r, c)-m*at(i, c))
+						a[at(r, c)] -= m * a[at(i, c)]
 					}
 				}
 			}
@@ -58,11 +56,10 @@ func registerExtendedKernels() {
 		Func: func(e *gpu.Exec) error {
 			size := int(e.Arg(1))
 			off := int(e.Arg(2))
-			ab, err := e.Bytes(e.Arg(0), size*size*4)
+			a, err := e.F32(e.Arg(0), size, size)
 			if err != nil {
 				return err
 			}
-			a := gpu.F32(ab)
 			b := blockDim
 			// Row strip: triangular solve against the diagonal block.
 			for cb := off + b; cb < size; cb += b {
@@ -70,9 +67,9 @@ func registerExtendedKernels() {
 					for c := 0; c < b; c++ {
 						var s float32
 						for k := 0; k < i; k++ {
-							s += a.Get((off+i)*size+off+k) * a.Get((off+k)*size+cb+c)
+							s += a[(off+i)*size+off+k] * a[(off+k)*size+cb+c]
 						}
-						a.Set((off+i)*size+cb+c, a.Get((off+i)*size+cb+c)-s)
+						a[(off+i)*size+cb+c] -= s
 					}
 				}
 			}
@@ -87,19 +84,18 @@ func registerExtendedKernels() {
 		Func: func(e *gpu.Exec) error {
 			size := int(e.Arg(1))
 			off := int(e.Arg(2))
-			ab, err := e.Bytes(e.Arg(0), size*size*4)
+			a, err := e.F32(e.Arg(0), size, size)
 			if err != nil {
 				return err
 			}
-			a := gpu.F32(ab)
 			b := blockDim
 			for r := off + b; r < size; r++ {
 				for c := off + b; c < size; c++ {
 					var s float32
 					for k := 0; k < b; k++ {
-						s += a.Get(r*size+off+k) * a.Get((off+k)*size+c)
+						s += a[r*size+off+k] * a[(off+k)*size+c]
 					}
-					a.Set(r*size+c, a.Get(r*size+c)-0.001*s)
+					a[r*size+c] -= 0.001 * s
 				}
 			}
 			return nil
@@ -112,24 +108,22 @@ func registerExtendedKernels() {
 		Cost: rodCost(45*sim.Microsecond, 6, 0.6),
 		Func: func(e *gpu.Exec) error {
 			n := e.Grid.Elems()
-			img, err := e.Bytes(e.Arg(0), n*4)
+			fi, err := e.F32(e.Arg(0), n)
 			if err != nil {
 				return err
 			}
-			stats, err := e.Bytes(e.Arg(1), 8)
+			fs, err := e.F32(e.Arg(1), 2)
 			if err != nil {
 				return err
 			}
-			fi := gpu.F32(img)
 			var sum, sq float64
-			for i := 0; i < n; i++ {
-				v := float64(fi.Get(i))
+			for _, f := range fi {
+				v := float64(f)
 				sum += v
 				sq += v * v
 			}
-			fs := gpu.F32(stats)
-			fs.Set(0, float32(sum/float64(n)))
-			fs.Set(1, float32(sq/float64(n)))
+			fs[0] = float32(sum / float64(n))
+			fs[1] = float32(sq / float64(n))
 			return nil
 		},
 	})
@@ -141,26 +135,25 @@ func registerExtendedKernels() {
 		Cost: rodCost(150*sim.Microsecond, 35, 0.85),
 		Func: func(e *gpu.Exec) error {
 			n, k, dims := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
-			pts, err := e.Bytes(e.Arg(0), n*dims*4)
+			fp, err := e.F32(e.Arg(0), n, dims)
 			if err != nil {
 				return err
 			}
-			cents, err := e.Bytes(e.Arg(1), k*dims*4)
+			fc, err := e.F32(e.Arg(1), k, dims)
 			if err != nil {
 				return err
 			}
-			cost, err := e.Bytes(e.Arg(2), 4)
+			cost, err := e.F32(e.Arg(2), 1)
 			if err != nil {
 				return err
 			}
-			fp, fc := gpu.F32(pts), gpu.F32(cents)
 			var total float64
 			for i := 0; i < n; i++ {
 				best := math.MaxFloat64
 				for c := 0; c < k; c++ {
 					var d float64
 					for j := 0; j < dims; j++ {
-						diff := float64(fp.Get(i*dims+j) - fc.Get(c*dims+j))
+						diff := float64(fp[i*dims+j] - fc[c*dims+j])
 						d += diff * diff
 					}
 					if d < best {
@@ -169,7 +162,7 @@ func registerExtendedKernels() {
 				}
 				total += best
 			}
-			gpu.F32(cost).Set(0, float32(total))
+			cost[0] = float32(total)
 			return nil
 		},
 	})

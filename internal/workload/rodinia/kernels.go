@@ -45,54 +45,50 @@ func RegisterKernels() {
 		Cost: rodCost(180*sim.Microsecond, 30, 0.5),
 		Func: func(e *gpu.Exec) error {
 			n := e.Grid.Elems()
-			idx, err := e.Bytes(e.Arg(0), (n+1)*4)
+			fi, err := e.F32(e.Arg(0), n+1)
 			if err != nil {
 				return err
 			}
 			// Edge list length from the index array's last entry.
-			fi := gpu.F32(idx)
-			nEdges := int(fi.Get(n))
-			dst, err := e.Bytes(e.Arg(1), nEdges*4)
+			nEdges := int(fi[n])
+			fd, err := e.F32(e.Arg(1), nEdges)
 			if err != nil {
 				return err
 			}
-			cost, err := e.Bytes(e.Arg(2), n*4)
+			fc, err := e.F32(e.Arg(2), n)
 			if err != nil {
 				return err
 			}
-			frontier, err := e.Bytes(e.Arg(3), n*4)
+			ff, err := e.F32(e.Arg(3), n)
 			if err != nil {
 				return err
 			}
-			next, err := e.Bytes(e.Arg(4), n*4)
+			fn, err := e.F32(e.Arg(4), n)
 			if err != nil {
 				return err
 			}
-			flag, err := e.Bytes(e.Arg(5), 4)
+			flag, err := e.F32(e.Arg(5), 1)
 			if err != nil {
 				return err
 			}
-			fd, fc, ff, fn := gpu.F32(dst), gpu.F32(cost), gpu.F32(frontier), gpu.F32(next)
 			changed := false
+			clear(fn)
 			for v := 0; v < n; v++ {
-				fn.Set(v, 0)
-			}
-			for v := 0; v < n; v++ {
-				if ff.Get(v) != 1 {
+				if ff[v] != 1 {
 					continue
 				}
-				start, end := int(fi.Get(v)), int(fi.Get(v+1))
+				start, end := int(fi[v]), int(fi[v+1])
 				for ei := start; ei < end && ei < nEdges; ei++ {
-					w := int(fd.Get(ei))
-					if w >= 0 && w < n && fc.Get(w) < 0 {
-						fc.Set(w, fc.Get(v)+1)
-						fn.Set(w, 1)
+					w := int(fd[ei])
+					if w >= 0 && w < n && fc[w] < 0 {
+						fc[w] = fc[v] + 1
+						fn[w] = 1
 						changed = true
 					}
 				}
 			}
 			if changed {
-				gpu.F32(flag).Set(0, 1)
+				flag[0] = 1
 			}
 			return nil
 		},
@@ -105,21 +101,20 @@ func RegisterKernels() {
 		Func: func(e *gpu.Exec) error {
 			size := int(e.Arg(2))
 			col := int(e.Arg(3))
-			ab, err := e.Bytes(e.Arg(0), size*size*4)
+			a, err := e.F32(e.Arg(0), size, size)
 			if err != nil {
 				return err
 			}
-			mb, err := e.Bytes(e.Arg(1), size*size*4)
+			m, err := e.F32(e.Arg(1), size, size)
 			if err != nil {
 				return err
 			}
-			a, m := gpu.F32(ab), gpu.F32(mb)
-			pivot := a.Get(col*size + col)
+			pivot := a[col*size+col]
 			if pivot == 0 {
 				pivot = 1e-6
 			}
 			for r := col + 1; r < size; r++ {
-				m.Set(r*size+col, a.Get(r*size+col)/pivot)
+				m[r*size+col] = a[r*size+col] / pivot
 			}
 			return nil
 		},
@@ -132,28 +127,27 @@ func RegisterKernels() {
 		Func: func(e *gpu.Exec) error {
 			size := int(e.Arg(3))
 			col := int(e.Arg(4))
-			ab, err := e.Bytes(e.Arg(0), size*size*4)
+			a, err := e.F32(e.Arg(0), size, size)
 			if err != nil {
 				return err
 			}
-			bb, err := e.Bytes(e.Arg(1), size*4)
+			bv, err := e.F32(e.Arg(1), size)
 			if err != nil {
 				return err
 			}
-			mb, err := e.Bytes(e.Arg(2), size*size*4)
+			m, err := e.F32(e.Arg(2), size, size)
 			if err != nil {
 				return err
 			}
-			a, bv, m := gpu.F32(ab), gpu.F32(bb), gpu.F32(mb)
 			for r := col + 1; r < size; r++ {
-				mult := m.Get(r*size + col)
+				mult := m[r*size+col]
 				if mult == 0 {
 					continue
 				}
 				for c := col; c < size; c++ {
-					a.Set(r*size+c, a.Get(r*size+c)-mult*a.Get(col*size+c))
+					a[r*size+c] -= mult * a[col*size+c]
 				}
-				bv.Set(r, bv.Get(r)-mult*bv.Get(col))
+				bv[r] -= mult * bv[col]
 			}
 			return nil
 		},
@@ -166,20 +160,18 @@ func RegisterKernels() {
 		Cost: rodCost(90*sim.Microsecond, 10, 0.8),
 		Func: func(e *gpu.Exec) error {
 			rows, cols := int(e.Arg(3)), int(e.Arg(4))
-			n := rows * cols
-			tin, err := e.Bytes(e.Arg(0), n*4)
+			ti, err := e.F32(e.Arg(0), rows, cols)
 			if err != nil {
 				return err
 			}
-			tout, err := e.Bytes(e.Arg(1), n*4)
+			to, err := e.F32(e.Arg(1), rows, cols)
 			if err != nil {
 				return err
 			}
-			pow, err := e.Bytes(e.Arg(2), n*4)
+			pw, err := e.F32(e.Arg(2), rows, cols)
 			if err != nil {
 				return err
 			}
-			ti, to, pw := gpu.F32(tin), gpu.F32(tout), gpu.F32(pow)
 			at := func(r, c int) float32 {
 				if r < 0 {
 					r = 0
@@ -193,13 +185,13 @@ func RegisterKernels() {
 				if c >= cols {
 					c = cols - 1
 				}
-				return ti.Get(r*cols + c)
+				return ti[r*cols+c]
 			}
 			for r := 0; r < rows; r++ {
 				for c := 0; c < cols; c++ {
 					center := at(r, c)
-					delta := 0.2*(at(r-1, c)+at(r+1, c)+at(r, c-1)+at(r, c+1)-4*center) + 0.05*pw.Get(r*cols+c)
-					to.Set(r*cols+c, center+delta)
+					delta := 0.2*(at(r-1, c)+at(r+1, c)+at(r, c-1)+at(r, c+1)-4*center) + 0.05*pw[r*cols+c]
+					to[r*cols+c] = center + delta
 				}
 			}
 			return nil
@@ -213,32 +205,31 @@ func RegisterKernels() {
 		Cost: rodCost(200*sim.Microsecond, 40, 0.8),
 		Func: func(e *gpu.Exec) error {
 			n, k, dims := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
-			pts, err := e.Bytes(e.Arg(0), n*dims*4)
+			fp, err := e.F32(e.Arg(0), n, dims)
 			if err != nil {
 				return err
 			}
-			cents, err := e.Bytes(e.Arg(1), k*dims*4)
+			fc, err := e.F32(e.Arg(1), k, dims)
 			if err != nil {
 				return err
 			}
-			mem, err := e.Bytes(e.Arg(2), n*4)
+			fm, err := e.F32(e.Arg(2), n)
 			if err != nil {
 				return err
 			}
-			fp, fc, fm := gpu.F32(pts), gpu.F32(cents), gpu.F32(mem)
 			for i := 0; i < n; i++ {
 				best, bestD := 0, float32(math.MaxFloat32)
 				for c := 0; c < k; c++ {
 					var d float32
 					for j := 0; j < dims; j++ {
-						diff := fp.Get(i*dims+j) - fc.Get(c*dims+j)
+						diff := fp[i*dims+j] - fc[c*dims+j]
 						d += diff * diff
 					}
 					if d < bestD {
 						bestD, best = d, c
 					}
 				}
-				fm.Set(i, float32(best))
+				fm[i] = float32(best)
 			}
 			return nil
 		},
@@ -251,29 +242,28 @@ func RegisterKernels() {
 		Cost: rodCost(50*sim.Microsecond, 2, 0.5),
 		Func: func(e *gpu.Exec) error {
 			n, k, dims := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
-			pts, err := e.Bytes(e.Arg(0), n*dims*4)
+			fp, err := e.F32(e.Arg(0), n, dims)
 			if err != nil {
 				return err
 			}
-			cents, err := e.Bytes(e.Arg(1), k*dims*4)
+			fc, err := e.F32(e.Arg(1), k, dims)
 			if err != nil {
 				return err
 			}
-			mem, err := e.Bytes(e.Arg(2), n*4)
+			fm, err := e.F32(e.Arg(2), n)
 			if err != nil {
 				return err
 			}
-			fp, fc, fm := gpu.F32(pts), gpu.F32(cents), gpu.F32(mem)
 			counts := make([]float32, k)
 			sums := make([]float32, k*dims)
 			for i := 0; i < n; i++ {
-				c := int(fm.Get(i))
+				c := int(fm[i])
 				if c < 0 || c >= k {
 					continue
 				}
 				counts[c]++
 				for j := 0; j < dims; j++ {
-					sums[c*dims+j] += fp.Get(i*dims + j)
+					sums[c*dims+j] += fp[i*dims+j]
 				}
 			}
 			for c := 0; c < k; c++ {
@@ -281,7 +271,7 @@ func RegisterKernels() {
 					continue
 				}
 				for j := 0; j < dims; j++ {
-					fc.Set(c*dims+j, sums[c*dims+j]/counts[c])
+					fc[c*dims+j] = sums[c*dims+j] / counts[c]
 				}
 			}
 			return nil
@@ -294,26 +284,25 @@ func RegisterKernels() {
 		Cost: rodCost(100*sim.Microsecond, 20, 1.0),
 		Func: func(e *gpu.Exec) error {
 			n, dims := int(e.Arg(3)), int(e.Arg(4))
-			recs, err := e.Bytes(e.Arg(0), n*dims*4)
+			fr, err := e.F32(e.Arg(0), n, dims)
 			if err != nil {
 				return err
 			}
-			q, err := e.Bytes(e.Arg(1), dims*4)
+			fq, err := e.F32(e.Arg(1), dims)
 			if err != nil {
 				return err
 			}
-			out, err := e.Bytes(e.Arg(2), n*4)
+			fo, err := e.F32(e.Arg(2), n)
 			if err != nil {
 				return err
 			}
-			fr, fq, fo := gpu.F32(recs), gpu.F32(q), gpu.F32(out)
 			for i := 0; i < n; i++ {
 				var d float32
 				for j := 0; j < dims; j++ {
-					diff := fr.Get(i*dims+j) - fq.Get(j)
+					diff := fr[i*dims+j] - fq[j]
 					d += diff * diff
 				}
-				fo.Set(i, float32(math.Sqrt(float64(d))))
+				fo[i] = float32(math.Sqrt(float64(d)))
 			}
 			return nil
 		},
@@ -328,24 +317,23 @@ func RegisterKernels() {
 			size := int(e.Arg(2))
 			diag := int(e.Arg(3))
 			penalty := math.Float32frombits(uint32(e.Arg(4)))
-			sc, err := e.Bytes(e.Arg(0), (size+1)*(size+1)*4)
-			if err != nil {
-				return err
-			}
-			ref, err := e.Bytes(e.Arg(1), size*size*4)
-			if err != nil {
-				return err
-			}
-			fs, fr := gpu.F32(sc), gpu.F32(ref)
 			w := size + 1
+			fs, err := e.F32(e.Arg(0), w, w)
+			if err != nil {
+				return err
+			}
+			fr, err := e.F32(e.Arg(1), size, size)
+			if err != nil {
+				return err
+			}
 			for i := 1; i <= size; i++ {
 				j := diag - i
 				if j < 1 || j > size {
 					continue
 				}
-				m := fs.Get((i-1)*w+j-1) + fr.Get((i-1)*size+j-1)
-				del := fs.Get((i-1)*w+j) - penalty
-				ins := fs.Get(i*w+j-1) - penalty
+				m := fs[(i-1)*w+j-1] + fr[(i-1)*size+j-1]
+				del := fs[(i-1)*w+j] - penalty
+				ins := fs[i*w+j-1] - penalty
 				best := m
 				if del > best {
 					best = del
@@ -353,7 +341,7 @@ func RegisterKernels() {
 				if ins > best {
 					best = ins
 				}
-				fs.Set(i*w+j, best)
+				fs[i*w+j] = best
 			}
 			return nil
 		},
@@ -366,28 +354,27 @@ func RegisterKernels() {
 		Func: func(e *gpu.Exec) error {
 			cols := int(e.Arg(3))
 			row := int(e.Arg(4))
-			wall, err := e.Bytes(e.Arg(0), (row+1)*cols*4)
+			fw, err := e.F32(e.Arg(0), row+1, cols)
 			if err != nil {
 				return err
 			}
-			prev, err := e.Bytes(e.Arg(1), cols*4)
+			fp, err := e.F32(e.Arg(1), cols)
 			if err != nil {
 				return err
 			}
-			next, err := e.Bytes(e.Arg(2), cols*4)
+			fn, err := e.F32(e.Arg(2), cols)
 			if err != nil {
 				return err
 			}
-			fw, fp, fn := gpu.F32(wall), gpu.F32(prev), gpu.F32(next)
 			for c := 0; c < cols; c++ {
-				best := fp.Get(c)
-				if c > 0 && fp.Get(c-1) < best {
-					best = fp.Get(c - 1)
+				best := fp[c]
+				if c > 0 && fp[c-1] < best {
+					best = fp[c-1]
 				}
-				if c < cols-1 && fp.Get(c+1) < best {
-					best = fp.Get(c + 1)
+				if c < cols-1 && fp[c+1] < best {
+					best = fp[c+1]
 				}
-				fn.Set(c, best+fw.Get(row*cols+c))
+				fn[c] = best + fw[row*cols+c]
 			}
 			return nil
 		},
@@ -400,20 +387,20 @@ func RegisterKernels() {
 		Cost: rodCost(250*sim.Microsecond, 0, 0.8),
 		Func: func(e *gpu.Exec) error {
 			m, n, k := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
-			xb, err := e.Bytes(e.Arg(0), m*k*4)
+			x, err := e.F32(e.Arg(0), m, k)
 			if err != nil {
 				return err
 			}
-			wb, err := e.Bytes(e.Arg(1), k*n*4)
+			w, err := e.F32(e.Arg(1), k, n)
 			if err != nil {
 				return err
 			}
-			yb, err := e.Bytes(e.Arg(2), m*n*4)
+			out, err := e.F32(e.Arg(2), m, n)
 			if err != nil {
 				return err
 			}
-			x, w := gpu.UnpackF32(xb), gpu.UnpackF32(wb)
-			y := make([]float32, m*n)
+			y := e.Scratch(m * n) // out may alias x or w
+			clear(y)
 			for i := 0; i < m; i++ {
 				for t := 0; t < k; t++ {
 					xv := x[i*k+t]
@@ -425,10 +412,9 @@ func RegisterKernels() {
 					}
 				}
 			}
-			for i := range y {
-				y[i] = float32(1 / (1 + math.Exp(-float64(y[i])))) // sigmoid
+			for i, v := range y {
+				out[i] = float32(1 / (1 + math.Exp(-float64(v)))) // sigmoid
 			}
-			copy(yb, gpu.PackF32(y))
 			return nil
 		},
 	})
@@ -438,19 +424,13 @@ func RegisterKernels() {
 		Name: "bp_adjust",
 		Cost: rodCost(120*sim.Microsecond, 0, 0.6),
 		Func: func(e *gpu.Exec) error {
-			n := e.Grid.Elems()
-			gb, err := e.Bytes(e.Arg(0), n*4)
-			if err != nil {
-				return err
-			}
-			wb, err := e.Bytes(e.Arg(1), n*4)
-			if err != nil {
+			var g, w gpu.F32
+			if err := e.F32s(e.Grid.Elems(), &g, &w); err != nil {
 				return err
 			}
 			alpha := math.Float32frombits(uint32(e.Arg(2)))
-			g, w := gpu.F32(gb), gpu.F32(wb)
-			for i := 0; i < n; i++ {
-				w.Set(i, w.Get(i)+alpha*g.Get(i))
+			for i := range w {
+				w[i] += alpha * g[i]
 			}
 			return nil
 		},
@@ -463,20 +443,15 @@ func RegisterKernels() {
 		Cost: rodCost(150*sim.Microsecond, 10, 0.7),
 		Func: func(e *gpu.Exec) error {
 			n := e.Grid.Elems()
-			img, err := e.Bytes(e.Arg(0), n*4)
-			if err != nil {
-				return err
-			}
-			out, err := e.Bytes(e.Arg(1), n*4)
-			if err != nil {
+			var fi, fo gpu.F32
+			if err := e.F32s(n, &fi, &fo); err != nil {
 				return err
 			}
 			lambda := math.Float32frombits(uint32(e.Arg(3)))
-			fi, fo := gpu.F32(img), gpu.F32(out)
 			for i := 0; i < n; i++ {
-				left := fi.Get((i + n - 1) % n)
-				right := fi.Get((i + 1) % n)
-				fo.Set(i, fi.Get(i)+lambda*(left+right-2*fi.Get(i)))
+				left := fi[(i+n-1)%n]
+				right := fi[(i+1)%n]
+				fo[i] = fi[i] + lambda*(left+right-2*fi[i])
 			}
 			return nil
 		},
