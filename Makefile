@@ -29,7 +29,8 @@ test:
 race:
 	$(GO) test -race ./... -count=1
 
-# Regenerate every table and figure as testing.B benchmarks with metrics.
+# Regenerate every table and figure as testing.B benchmarks, one
+# BenchmarkExperiment/<id> per experiments.Catalog entry.
 bench: bench-hotpath
 	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' .
 
@@ -38,8 +39,8 @@ bench: bench-hotpath
 # switch, CallAt, mailbox round trip, sharded engine — multi-ring sRPC, the
 # 64 KiB data-path shapes — streamed HtoD, synchronous DtoH, fused ExecZC,
 # sealed Ping — one ticket resume, one batch through the flow-model plane of a
-# two-node pool, one native training step per Fig 8 model, and the fig7/fig8
-# experiment benches), recorded as JSON so before/after host-time numbers can
+# two-node pool, one native training step per Fig 8 model, and the catalogue's
+# fig7, fig8 and sRPC-microbenchmark entries), recorded as JSON so before/after host-time numbers can
 # be committed and diffed. The serving plane's numbers live in bench/
 # (BENCHMARK.json); its nine virtual reference rows are pinned by
 # internal/serve/testdata/reference_rows.golden.
@@ -51,7 +52,7 @@ bench-hotpath:
 	  $(GO) test -bench 'TicketResume' -benchmem -run '^$$' ./internal/attest ; \
 	  $(GO) test -bench 'FlowBatch' -benchmem -run '^$$' ./internal/serve ; \
 	  $(GO) test -bench 'TrainStep' -benchmem -benchtime=10x -run '^$$' ./internal/dnn ; \
-	  $(GO) test -bench 'Figure7Rodinia|Figure8Training|SRPCStreaming' -benchmem -benchtime=1x -run '^$$' . ; } \
+	  $(GO) test -bench 'Experiment/^(fig7|fig8|srpc)$$' -benchmem -benchtime=1x -run '^$$' . ; } \
 	| $(GO) run ./cmd/cronus-benchjson > BENCH_hotpath.json
 	@echo "wrote BENCH_hotpath.json"
 
@@ -114,8 +115,8 @@ bench-build:
 # The one CI list — .github/workflows/ci.yml runs exactly `make ci`: the
 # format check, build, vet, the full test suite, the race detector over the concurrency-heavy
 # packages, a short fuzz leg per target, the documentation bar, the benchmark
-# module, the causal-tracing guards, the CLI smoke runs and the replay-verified
-# chaos soaks.
+# module, the causal-tracing guards, the CLI smoke runs, the seven examples
+# (nothing else executes them) and the replay-verified chaos soaks.
 ci:
 	$(MAKE) fmt-check
 	$(GO) build ./...
@@ -129,6 +130,7 @@ ci:
 	$(MAKE) bench-build
 	$(MAKE) trace-verify
 	$(MAKE) smoke
+	$(MAKE) examples
 	$(MAKE) chaos
 
 # Pretty-printed tables for all experiments.

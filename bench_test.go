@@ -1,263 +1,31 @@
 // Package cronus_test hosts the benchmark harness that regenerates every
-// table and figure of the CRONUS evaluation (§VI). Each benchmark runs the
-// corresponding experiment end to end — booting fresh simulated platforms,
-// executing the workloads on CRONUS and the baselines — and reports the
-// key reproduced quantities as custom benchmark metrics, so
+// table and figure of the CRONUS evaluation (§VI): one sub-benchmark per
+// experiments.Catalog entry, each running the experiment end to end — booting
+// fresh simulated platforms, executing the workloads on CRONUS and the
+// baselines — at the paper's parameters, so
 //
 //	go test -bench=. -benchmem
 //
-// regenerates the paper's results. DESIGN.md §4 maps experiment ids to
-// modules; EXPERIMENTS.md records paper-vs-measured values.
+// measures what regenerating the paper's results costs the host. The
+// reproduced quantities themselves are the paper.* metrics of bench/ and the
+// goldens under internal/experiments/testdata. DESIGN.md §4 maps experiment
+// ids to modules; EXPERIMENTS.md records paper-vs-measured values.
 package cronus_test
 
 import (
 	"testing"
 
-	"cronus/internal/baseline"
 	"cronus/internal/experiments"
-	"cronus/internal/sim"
 )
 
-// BenchmarkTable1Requirements regenerates Table I (requirement matrix).
-func BenchmarkTable1Requirements(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		t := experiments.Table1()
-		if len(t.Rows) != 4 {
-			b.Fatal("bad table")
-		}
-	}
-}
-
-// BenchmarkTable2Config regenerates Table II (prototype configuration).
-func BenchmarkTable2Config(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table2(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable3TCB regenerates Table III (TCB lines of code).
-func BenchmarkTable3TCB(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table3(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure7Rodinia regenerates Figure 7: Rodinia on the four
-// systems. Reported metrics: CRONUS's worst and mean normalized time.
-func BenchmarkFigure7Rodinia(b *testing.B) {
-	var worst, mean float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure7()
-		if err != nil {
-			b.Fatal(err)
-		}
-		worst, mean = 0, 0
-		for _, r := range rows {
-			ov := r.Normalized[baseline.CRONUS]
-			if ov > worst {
-				worst = ov
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range experiments.Catalog {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Run(); err != nil {
+					b.Fatal(err)
+				}
 			}
-			mean += ov
-		}
-		mean /= float64(len(rows))
-	}
-	b.ReportMetric((worst-1)*100, "cronus-worst-overhead-%")
-	b.ReportMetric((mean-1)*100, "cronus-mean-overhead-%")
-}
-
-// BenchmarkFigure8Training regenerates Figure 8: DNN training on the four
-// systems.
-func BenchmarkFigure8Training(b *testing.B) {
-	var worst float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure8(2, 16)
-		if err != nil {
-			b.Fatal(err)
-		}
-		worst = 0
-		for _, r := range rows {
-			if ov := r.Overhead[baseline.CRONUS]; ov > worst {
-				worst = ov
-			}
-		}
-	}
-	b.ReportMetric(worst*100, "cronus-worst-overhead-%")
-}
-
-// BenchmarkFigure9Failover regenerates Figure 9: the two-task failover
-// timeline. Reported metrics: measured mOS downtime and the reboot a
-// monolithic design would pay.
-func BenchmarkFigure9Failover(b *testing.B) {
-	var r *experiments.Fig9Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		r, err = experiments.Figure9()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(r.MOSDowntime.Milliseconds(), "mos-restart-ms")
-	b.ReportMetric(r.RebootTime.Milliseconds(), "machine-reboot-ms")
-}
-
-// BenchmarkFigure10aVTABench regenerates Figure 10a: vta-bench throughput.
-func BenchmarkFigure10aVTABench(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure10a()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = 1
-		for _, r := range rows {
-			v := r.Throughput[baseline.CRONUS] / r.Throughput[baseline.Native]
-			if v < ratio {
-				ratio = v
-			}
-		}
-	}
-	b.ReportMetric(ratio, "cronus-worst-throughput-ratio")
-}
-
-// BenchmarkFigure10bInference regenerates Figure 10b: DNN inference
-// latency on the NPU and CPU.
-func BenchmarkFigure10bInference(b *testing.B) {
-	var rows []experiments.Fig10bRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Figure10b()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.NPULatency[baseline.CRONUS].Milliseconds(), r.Model+"-npu-ms")
-	}
-}
-
-// BenchmarkFigure11aSpatial regenerates Figure 11a: spatial sharing of one
-// GPU by 1/2/4 training mEnclaves.
-func BenchmarkFigure11aSpatial(b *testing.B) {
-	var best float64
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Figure11a(12 * sim.Millisecond)
-		if err != nil {
-			b.Fatal(err)
-		}
-		best = 0
-		for _, r := range rows {
-			if r.SpatialGainPct > best {
-				best = r.SpatialGainPct
-			}
-		}
-	}
-	b.ReportMetric(best, "max-spatial-gain-%")
-}
-
-// BenchmarkFigure11bMultiGPU regenerates Figure 11b: multi-GPU gradient
-// sharing mechanisms.
-func BenchmarkFigure11bMultiGPU(b *testing.B) {
-	var rows []experiments.Fig11bRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Figure11b(3)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.GPUs == 4 {
-			b.ReportMetric(r.PerStep.Milliseconds(), string(r.Mode)+"-4gpu-ms-per-step")
-		}
-	}
-}
-
-// BenchmarkSRPCStreaming measures the per-call cost of the three RPC
-// mechanisms (§IV-C's motivation).
-func BenchmarkSRPCStreaming(b *testing.B) {
-	var rows []experiments.SRPCMicroRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.SRPCMicro(200, 256)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		name := map[string]string{
-			"sRPC streaming":   "stream-us-per-call",
-			"sRPC synchronous": "sync-us-per-call",
-			"lock-step sealed": "lockstep-us-per-call",
-		}[r.Mechanism]
-		b.ReportMetric(float64(r.PerCall)/1e3, name)
-	}
-}
-
-// BenchmarkAblationStreaming compares streaming against forced-synchronous
-// sRPC on the launch-heaviest workload (design-choice ablation ①).
-func BenchmarkAblationStreaming(b *testing.B) {
-	var rows []experiments.AblationStreamingRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.AblationStreaming()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].Total.Milliseconds(), "streaming-ms")
-	b.ReportMetric(rows[1].Total.Milliseconds(), "forced-sync-ms")
-}
-
-// BenchmarkAblationRingSize sweeps the smem ring size (ablation ②).
-func BenchmarkAblationRingSize(b *testing.B) {
-	var rows []experiments.AblationRingRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.AblationRingSize()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].Transfer.Milliseconds(), "smallest-ring-ms")
-	b.ReportMetric(rows[len(rows)-1].Transfer.Milliseconds(), "largest-ring-ms")
-}
-
-// BenchmarkAblationSwitchCost sweeps the S-EL2 context-switch cost
-// (ablation ③): HIX degrades, CRONUS does not.
-func BenchmarkAblationSwitchCost(b *testing.B) {
-	var rows []experiments.AblationSwitchRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.AblationSwitchCost()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	first, last := rows[0], rows[len(rows)-1]
-	b.ReportMetric(float64(last.HIX)/float64(first.HIX), "hix-growth-8x-switch")
-	b.ReportMetric(float64(last.CRONUS)/float64(first.CRONUS), "cronus-growth-8x-switch")
-}
-
-// BenchmarkRecoveryTime measures mOS restart vs machine reboot (§VI-D).
-func BenchmarkRecoveryTime(b *testing.B) {
-	var rows []experiments.RecoveryRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.RecoveryTimes()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.System == baseline.CRONUS {
-			b.ReportMetric(r.Recovery.Milliseconds(), "cronus-recovery-ms")
-		}
-		if r.System == baseline.TrustZone {
-			b.ReportMetric(r.Recovery.Milliseconds(), "monolithic-reboot-ms")
-		}
+		})
 	}
 }

@@ -115,7 +115,7 @@ func main() {
 	}
 	var native sim.Duration
 	for _, s := range systems {
-		d, err := experiments.RunOnSystem(s, b.Cubin(), b.Run)
+		d, err := experiments.RunOnSystem(s, b.Cubin(), nil, b.Run)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cronus-run: %s on %s: %v\n", b.Name, s, err)
 			os.Exit(1)

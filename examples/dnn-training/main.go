@@ -8,10 +8,11 @@ import (
 	"fmt"
 	"log"
 
+	"cronus/internal/accel"
 	"cronus/internal/baseline"
 	"cronus/internal/core"
 	"cronus/internal/dnn"
-	"cronus/internal/gpu"
+	"cronus/internal/experiments"
 	"cronus/internal/sim"
 )
 
@@ -20,41 +21,33 @@ const (
 	iters = 5
 )
 
-func nativeRun() (sim.Duration, error) {
-	k := sim.NewKernel()
-	var elapsed sim.Duration
-	var fail error
-	k.Spawn("main", func(p *sim.Proc) {
-		defer k.Stop()
-		costs := sim.DefaultCosts()
-		dev := gpu.New(k, costs, gpu.Config{Name: "gpu0", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "ex"})
-		ops, err := baseline.NewNativeCUDA(dev, costs, dnn.Cubin())
-		if err != nil {
-			fail = err
-			return
-		}
-		tr, err := dnn.NewTrainer(p, ops, dnn.LeNet2(), batch)
-		if err != nil {
-			fail = err
-			return
-		}
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			if _, err := tr.Step(p); err != nil {
-				fail = err
-				return
-			}
-		}
-		elapsed = sim.Duration(p.Now() - start)
-	})
-	if err := k.Run(); err != nil {
+// train runs the example's iterations on ops and returns the time they took,
+// printing each loss when verbose.
+func train(p *sim.Proc, ops accel.CUDA, verbose bool) (sim.Duration, error) {
+	tr, err := dnn.NewTrainer(p, ops, dnn.LeNet2(), batch)
+	if err != nil {
 		return 0, err
 	}
-	return elapsed, fail
+	start := p.Now()
+	for i := 0; i < iters; i++ {
+		loss, err := tr.Step(p)
+		if err != nil {
+			return 0, err
+		}
+		if verbose {
+			fmt.Printf("  iter %d: loss=%.4f\n", i+1, loss)
+		}
+	}
+	return sim.Duration(p.Now() - start), nil
 }
 
 func main() {
-	native, err := nativeRun()
+	// The unprotected run: the evaluation's native system, a bare device.
+	var native sim.Duration
+	_, err := experiments.RunOnSystem(baseline.Native, dnn.Cubin(), nil, func(p *sim.Proc, ops accel.CUDA) (err error) {
+		native, err = train(p, ops, false)
+		return err
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -74,20 +67,8 @@ func main() {
 			return err
 		}
 		fmt.Println("attestation verified; training inside the CUDA mEnclave")
-		tr, err := dnn.NewTrainer(p, conn, dnn.LeNet2(), batch)
-		if err != nil {
-			return err
-		}
-		start := p.Now()
-		for i := 0; i < iters; i++ {
-			loss, err := tr.Step(p)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("  iter %d: loss=%.4f\n", i+1, loss)
-		}
-		protected = sim.Duration(p.Now() - start)
-		return nil
+		protected, err = train(p, conn, true)
+		return err
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -9,69 +9,21 @@ import (
 	"fmt"
 	"log"
 
-	"cronus/internal/core"
-	"cronus/internal/dnn"
+	"cronus/internal/experiments"
 	"cronus/internal/sim"
 )
 
 const window = 15 * sim.Millisecond
 
-func run(tenants int, spatial bool) (int, error) {
-	total := 0
-	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-		pl.GPUs[0].Dev.SetMPS(spatial)
-		wg := sim.NewWaitGroup(pl.K)
-		counts := make([]int, tenants)
-		for i := 0; i < tenants; i++ {
-			i := i
-			wg.Add(1)
-			pl.K.Spawn(fmt.Sprintf("tenant-%d", i), func(tp *sim.Proc) {
-				defer wg.Done()
-				s, err := pl.NewSession(tp, fmt.Sprintf("tenant-%d", i))
-				if err != nil {
-					return
-				}
-				conn, err := s.OpenCUDA(tp, core.CUDAOptions{Cubin: dnn.Cubin(), RingPages: 65})
-				if err != nil {
-					return
-				}
-				defer conn.Close(tp)
-				tr, err := dnn.NewTrainer(tp, conn, dnn.LeNet2(), 8)
-				if err != nil {
-					return
-				}
-				deadline := tp.Now() + sim.Time(window)
-				for tp.Now() < deadline {
-					if _, err := tr.Step(tp); err != nil {
-						return
-					}
-					counts[i]++
-				}
-			})
-		}
-		wg.Wait(p)
-		for _, c := range counts {
-			total += c
-		}
-		return nil
-	})
-	return total, err
-}
-
 func main() {
+	rows, err := experiments.Figure11a(window)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("LeNet training tenants sharing one GPU (window %v)\n\n", window)
 	fmt.Printf("%-9s  %-16s  %-20s  %s\n", "tenants", "spatial (steps)", "temporal (steps)", "spatial gain")
-	for _, tenants := range []int{1, 2, 4} {
-		spatial, err := run(tenants, true)
-		if err != nil {
-			log.Fatal(err)
-		}
-		temporal, err := run(tenants, false)
-		if err != nil {
-			log.Fatal(err)
-		}
-		gain := 100 * (float64(spatial)/float64(temporal) - 1)
-		fmt.Printf("%-9d  %-16d  %-20d  %+.1f%%\n", tenants, spatial, temporal, gain)
+	for _, r := range rows {
+		fmt.Printf("%-9d  %-16d  %-20d  %+.1f%%\n", r.Tenants, r.SpatialSteps, r.TemporalSteps, r.SpatialGainPct)
 	}
 	fmt.Println("\n(the paper reports up to 63.4% higher throughput with spatial sharing, R2)")
 }

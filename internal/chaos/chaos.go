@@ -16,7 +16,7 @@
 //
 // An Injector arms a schedule on a platform: crashes ride the SPM's
 // proceed-trap entry point (spm.SPM.Fail), ring corruption rides the sRPC
-// call hook (srpc.SetCallHook + Client.InjectRecordCorruption), device hangs
+// call hook (srpc.CallHook + Client.InjectRecordCorruption), device hangs
 // ride the GPU launch path (gpu.Device.ArmLaunchHang), and attestation
 // outages ride the SPM report veto (spm.SPM.SetAttestFault). Two kinds
 // exercise the health supervision layer: persistent hangs kill an mOS's

@@ -11,10 +11,9 @@ import (
 )
 
 // Injector arms one compiled Schedule on one booted platform. Arm installs
-// every hook; Disarm removes the package-global ones (the sRPC call hook and
-// the SPM attestation veto), so at most one Injector may be armed per
-// process at a time — the one-campaign-at-a-time rule shared with
-// srpc.SetCallHook.
+// every hook and Disarm removes them; all of them live on the platform (its
+// dispatcher's sRPC call hook, its SPM's attestation veto, its devices), so
+// campaigns on separate platforms run side by side.
 type Injector struct {
 	pl    *core.Platform
 	sched *Schedule
@@ -45,7 +44,7 @@ func NewInjector(pl *core.Platform, sched *Schedule) *Injector {
 	}
 }
 
-// Arm installs every fault in the schedule: crash timer procs, the shared
+// Arm installs every fault in the schedule: crash timer procs, the platform's
 // sRPC call hook for ring corruptions, one-shot launch hangs, and the SPM
 // attestation veto. Call it after the serving plane (and any probes) are
 // built, immediately before Serve, so trigger ordinals count from the same
@@ -109,7 +108,7 @@ func (in *Injector) Arm(p *sim.Proc) {
 		}
 	}
 	if in.sched.has(KindRingCorrupt) {
-		srpc.SetCallHook(func(hp *sim.Proc, c *srpc.Client, n uint64) {
+		in.pl.D.CallHook().Set(func(hp *sim.Proc, c *srpc.Client, n uint64) {
 			for i, f := range in.sched.Faults {
 				if f.Kind == KindRingCorrupt && !in.fired[i] &&
 					c.StreamID() == f.Stream && n == f.AfterCalls {
@@ -134,12 +133,12 @@ func (in *Injector) Arm(p *sim.Proc) {
 	}
 }
 
-// Disarm removes the package-global hooks and settles the fired flags of
+// Disarm removes the platform's hooks and settles the fired flags of
 // launch-hang faults (a hang fired iff the device's launch counter passed
 // its ordinal). Call it once Serve has returned, before any probe checks —
 // probes reconnect to restarted partitions and must not be vetoed.
 func (in *Injector) Disarm() {
-	srpc.SetCallHook(nil)
+	in.pl.D.CallHook().Set(nil)
 	in.pl.SPM.SetAttestFault(nil)
 	for i, f := range in.sched.Faults {
 		if f.Kind == KindDeviceHang && !in.fired[i] &&

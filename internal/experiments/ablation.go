@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"cronus/internal/accel"
 	"cronus/internal/baseline"
 	"cronus/internal/core"
 	"cronus/internal/gpu"
@@ -57,39 +58,18 @@ func AblationStreaming() ([]AblationStreamingRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(forceSync bool) (sim.Duration, error) {
-		var elapsed sim.Duration
-		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-			s, err := pl.NewSession(p, "ablate")
-			if err != nil {
-				return err
-			}
-			conn, err := s.OpenCUDA(p, core.CUDAOptions{Cubin: b.Cubin(), RingPages: 65})
-			if err != nil {
-				return err
-			}
-			defer conn.Close(p)
-			start := p.Now()
-			if forceSync {
-				err = b.Run(p, &syncForcedCUDA{inner: conn})
-			} else {
-				err = b.Run(p, conn)
-			}
-			if err != nil {
-				return err
-			}
-			elapsed = sim.Duration(p.Now() - start)
-			return nil
-		})
-		return elapsed, err
-	}
 	rows := []AblationStreamingRow{
 		{Mode: "sRPC streaming (async EDL flags)"},
 		{Mode: "sRPC forced lock-step (all sync)"},
 	}
 	err = each(len(rows), func(i int) error {
 		var err error
-		rows[i].Total, err = run(i == 1)
+		rows[i].Total, err = RunOnSystem(baseline.CRONUS, b.Cubin(), nil, func(p *sim.Proc, ops accel.CUDA) error {
+			if i == 1 {
+				ops = &syncForcedCUDA{inner: ops.(*core.CUDAConn)}
+			}
+			return b.Run(p, ops)
+		})
 		return err
 	})
 	if err != nil {
@@ -124,16 +104,7 @@ func AblationRingSize() ([]AblationRingRow, error) {
 	rows := []AblationRingRow{{RingPages: 5}, {RingPages: 17}, {RingPages: 65}, {RingPages: 257}}
 	err := each(len(rows), func(i int) error {
 		pages := rows[i].RingPages
-		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-			s, err := pl.NewSession(p, "ring")
-			if err != nil {
-				return err
-			}
-			conn, err := s.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("vec_add"), RingPages: pages})
-			if err != nil {
-				return err
-			}
-			defer conn.Close(p)
+		_, err := runCUDA(baseline.CRONUS, gpu.BuildCubin("vec_add"), pages, nil, func(p *sim.Proc, conn accel.CUDA) error {
 			ptr, err := conn.MemAlloc(p, payload)
 			if err != nil {
 				return err
@@ -193,59 +164,22 @@ func AblationSwitchCost() ([]AblationSwitchRow, error) {
 		return nil, err
 	}
 	mults := []int{1, 2, 4, 8}
-	rows := make([]AblationSwitchRow, len(mults))
-	// Cell i = mults[i/2]: CRONUS, then HIX with the same inflated costs.
-	err = each(2*len(mults), func(i int) error {
-		row := &rows[i/2]
+	systems := []baseline.System{baseline.CRONUS, baseline.HIX}
+	costsAt := func(mult int) *sim.CostModel {
 		costs := sim.DefaultCosts()
-		costs.ContextSwitchS2 *= sim.Duration(mults[i/2])
-		costs.WorldSwitch *= sim.Duration(mults[i/2])
-		if i%2 == 0 {
-			row.SwitchCost = costs.ContextSwitchS2
-			cfg := core.DefaultConfig()
-			cfg.Costs = costs
-			return core.Run(cfg, func(pl *core.Platform, p *sim.Proc) error {
-				s, err := pl.NewSession(p, "switch")
-				if err != nil {
-					return err
-				}
-				conn, err := s.OpenCUDA(p, core.CUDAOptions{Cubin: b.Cubin(), RingPages: 65})
-				if err != nil {
-					return err
-				}
-				defer conn.Close(p)
-				start := p.Now()
-				if err := b.Run(p, conn); err != nil {
-					return err
-				}
-				row.CRONUS = sim.Duration(p.Now() - start)
-				return nil
-			})
-		}
-		k := sim.NewKernel()
-		var fail error
-		k.Spawn("main", func(p *sim.Proc) {
-			defer k.Stop()
-			dev := gpu.New(k, costs, gpu.Config{Name: "gpu0", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "abl"})
-			ops, err := baseline.NewHIXCUDA(dev, costs, b.Cubin())
-			if err != nil {
-				fail = err
-				return
-			}
-			start := p.Now()
-			if err := b.Run(p, ops); err != nil {
-				fail = err
-				return
-			}
-			row.HIX = sim.Duration(p.Now() - start)
-		})
-		if err := k.Run(); err != nil {
-			return err
-		}
-		return fail
+		costs.ContextSwitchS2 *= sim.Duration(mult)
+		costs.WorldSwitch *= sim.Duration(mult)
+		return costs
+	}
+	times, err := grid(len(mults), len(systems), func(r, c int) (sim.Duration, error) {
+		return RunOnSystem(systems[c], b.Cubin(), costsAt(mults[r]), b.Run)
 	})
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]AblationSwitchRow, len(mults))
+	for r, mult := range mults {
+		rows[r] = AblationSwitchRow{SwitchCost: costsAt(mult).ContextSwitchS2, CRONUS: times[r][0], HIX: times[r][1]}
 	}
 	return rows, nil
 }

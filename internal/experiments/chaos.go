@@ -26,9 +26,6 @@ type ChaosRow struct {
 // ChaosSweep soaks the serving plane under each fault kind in isolation and
 // then under the full mix, seedsPerMix consecutive seeds each (default 5).
 // Every campaign is deterministic, so the table reproduces byte-identically.
-// The mixes run one after another, not through each: a campaign that schedules
-// ring corruption installs srpc's process-wide call hook, which every other
-// live platform's pushes would read.
 func ChaosSweep(seedsPerMix int) ([]ChaosRow, error) {
 	if seedsPerMix <= 0 {
 		seedsPerMix = 5
@@ -46,14 +43,15 @@ func ChaosSweep(seedsPerMix int) ([]ChaosRow, error) {
 		{"crash-loop", []chaos.Kind{chaos.KindCrashLoop}, 1},
 		{"all", nil, 3},
 	}
-	var rows []ChaosRow
-	for _, m := range mixes {
+	rows := make([]ChaosRow, len(mixes))
+	err := each(len(mixes), func(i int) error {
+		m := mixes[i]
 		cr, err := chaos.RunCampaign(100, seedsPerMix, chaos.Options{
 			Kinds:  m.kinds,
 			Faults: m.faults,
 		})
 		if err != nil {
-			return nil, fmt.Errorf("chaos sweep %s: %w", m.label, err)
+			return fmt.Errorf("chaos sweep %s: %w", m.label, err)
 		}
 		row := ChaosRow{Mix: m.label, Seeds: len(cr.Runs), Violations: cr.Violations()}
 		for _, rr := range cr.Runs {
@@ -68,7 +66,11 @@ func ChaosSweep(seedsPerMix int) ([]ChaosRow, error) {
 				}
 			}
 		}
-		rows = append(rows, row)
+		rows[i] = row
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return rows, nil
 }

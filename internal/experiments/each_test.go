@@ -3,7 +3,10 @@ package experiments
 import (
 	"bytes"
 	"errors"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -185,8 +188,9 @@ func TestEachLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
-// figureSet is every grid the package runs through each, as typed rows and as
-// rendered text.
+// figureSet is every grid the package runs through each, as typed rows at
+// parameters small enough to run twice: rendered text rounds, typed rows do
+// not. (The rendered text, at the paper's parameters, is the catalogue's.)
 type figureSet struct {
 	Fig7      []Fig7Row
 	Fig8      []Fig8Row
@@ -203,59 +207,114 @@ type figureSet struct {
 	Attest    []AttestRow
 	Serve     []ServeRow
 	Hang      []HangDetectionRow
-	Rendered  string
+	Chaos     []ChaosRow
 }
 
-// collect runs one figure, appends its rendered table to text and returns its
-// rows.
-func collect[R any](t *testing.T, text *bytes.Buffer, name string, run func() (R, error), render func(R) *Table) R {
+// collect runs one figure and returns its rows.
+func collect[R any](t *testing.T, name string, run func() (R, error)) R {
 	t.Helper()
 	rows, err := run()
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	text.WriteString(render(rows).String())
 	return rows
 }
 
 func runFigureSet(t *testing.T) figureSet {
 	t.Helper()
-	var text bytes.Buffer
-	s := figureSet{
-		Fig7:      collect(t, &text, "fig7", Figure7, RenderFigure7),
-		Fig8:      collect(t, &text, "fig8", func() ([]Fig8Row, error) { return Figure8(1, 4) }, RenderFigure8),
-		Fig10a:    collect(t, &text, "fig10a", Figure10a, RenderFigure10a),
-		Fig10b:    collect(t, &text, "fig10b", Figure10b, RenderFigure10b),
-		Fig11a:    collect(t, &text, "fig11a", func() ([]Fig11aRow, error) { return Figure11a(4 * sim.Millisecond) }, RenderFigure11a),
-		Fig11b:    collect(t, &text, "fig11b", func() ([]Fig11bRow, error) { return Figure11b(1) }, RenderFigure11b),
-		Table2:    collect(t, &text, "table2", Table2, func(tbl *Table) *Table { return tbl }),
-		Recovery:  collect(t, &text, "recovery", RecoveryTimes, RenderRecovery),
-		Streaming: collect(t, &text, "ablation streaming", AblationStreaming, RenderAblationStreaming),
-		Ring:      collect(t, &text, "ablation ring", AblationRingSize, RenderAblationRingSize),
-		Switch:    collect(t, &text, "ablation switch", AblationSwitchCost, RenderAblationSwitchCost),
-		Sharing:   collect(t, &text, "sharing", func() ([]SharingPolicyRow, error) { return SharingPolicies(3 * sim.Millisecond) }, RenderSharingPolicies),
-		Attest:    collect(t, &text, "attest", func() ([]AttestRow, error) { return AttestAmortization([]int{2, 4}) }, RenderAttestAmortization),
-		Serve:     collect(t, &text, "serve", func() ([]ServeRow, error) { return ServeBatchSweep(nil) }, RenderServeBatchSweep),
-		Hang:      collect(t, &text, "hang", HangDetectionSweep, RenderHangDetectionSweep),
+	return figureSet{
+		Fig7:      collect(t, "fig7", Figure7),
+		Fig8:      collect(t, "fig8", func() ([]Fig8Row, error) { return Figure8(1, 4) }),
+		Fig10a:    collect(t, "fig10a", Figure10a),
+		Fig10b:    collect(t, "fig10b", Figure10b),
+		Fig11a:    collect(t, "fig11a", func() ([]Fig11aRow, error) { return Figure11a(4 * sim.Millisecond) }),
+		Fig11b:    collect(t, "fig11b", func() ([]Fig11bRow, error) { return Figure11b(1) }),
+		Table2:    collect(t, "table2", Table2),
+		Recovery:  collect(t, "recovery", RecoveryTimes),
+		Streaming: collect(t, "ablation streaming", AblationStreaming),
+		Ring:      collect(t, "ablation ring", AblationRingSize),
+		Switch:    collect(t, "ablation switch", AblationSwitchCost),
+		Sharing:   collect(t, "sharing", func() ([]SharingPolicyRow, error) { return SharingPolicies(3 * sim.Millisecond) }),
+		Attest:    collect(t, "attest", func() ([]AttestRow, error) { return AttestAmortization([]int{2, 4}) }),
+		Serve:     collect(t, "serve", func() ([]ServeRow, error) { return ServeBatchSweep(nil) }),
+		Hang:      collect(t, "hang", HangDetectionSweep),
+		Chaos:     collect(t, "chaos", func() ([]ChaosRow, error) { return ChaosSweep(1) }),
 	}
-	s.Rendered = text.String()
-	return s
 }
 
-// TestFiguresIdenticalAtAnyWidth: the same rows and the same rendered bytes
-// whether the cells of every grid run one after another or four at a time.
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from the current catalogue output")
+
+// goldenSkip is the one catalogue entry without a golden file: Table III
+// counts this repository's source lines, so it moves with every PR.
+const goldenSkip = "table3"
+
+// checkGoldens runs every catalogue entry at the current GOMAXPROCS and
+// compares its rendered table with testdata/<id>.golden — the paper's numbers
+// as this repository reproduces them. Regenerate (go test ./internal/experiments
+// -run TestFiguresIdenticalAtAnyWidth -update) only for a change that is meant
+// to move a virtual number or a rendered byte.
+func checkGoldens(t *testing.T) {
+	t.Helper()
+	for _, e := range Catalog {
+		if e.ID == goldenSkip {
+			continue
+		}
+		tbl, err := e.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		path := filepath.Join("testdata", e.ID+".golden")
+		if *update {
+			if err := os.WriteFile(path, []byte(tbl.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tbl.String(); got != string(want) {
+			t.Errorf("GOMAXPROCS %d: %s drifted from %s:\n--- got ---\n%s--- want ---\n%s", runtime.GOMAXPROCS(0), e.ID, path, got, want)
+		}
+	}
+}
+
+// TestFiguresIdenticalAtAnyWidth: the same typed rows, and the catalogue's
+// rendered bytes equal to the goldens, whether the cells of every grid run one
+// after another or four at a time.
 func TestFiguresIdenticalAtAnyWidth(t *testing.T) {
 	atWidth(t, 1)
 	serial := runFigureSet(t)
+	checkGoldens(t)
 	runtime.GOMAXPROCS(4)
 	wide := runFigureSet(t)
-	if serial.Rendered != wide.Rendered {
-		t.Errorf("rendered tables differ between GOMAXPROCS 1 and 4:\n--- 1 ---\n%s--- 4 ---\n%s", serial.Rendered, wide.Rendered)
-	}
+	checkGoldens(t)
 	sv, wv := reflect.ValueOf(serial), reflect.ValueOf(wide)
 	for i := 0; i < sv.NumField(); i++ {
 		if !reflect.DeepEqual(sv.Field(i).Interface(), wv.Field(i).Interface()) {
 			t.Errorf("%s: typed rows differ between GOMAXPROCS 1 and 4", sv.Type().Field(i).Name)
+		}
+	}
+}
+
+// TestCatalogGoldensComplete: every golden file belongs to a catalogue id, so
+// a renamed or removed experiment cannot leave a stale pin behind.
+func TestCatalogGoldensComplete(t *testing.T) {
+	ids := make(map[string]bool)
+	for _, e := range Catalog {
+		if ids[e.ID] {
+			t.Errorf("catalogue lists %s twice", e.ID)
+		}
+		ids[e.ID] = true
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if id := strings.TrimSuffix(filepath.Base(f), ".golden"); !ids[id] || id == goldenSkip {
+			t.Errorf("%s pins no catalogue entry", f)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the CRONUS
-// evaluation (§VI) as code: each ExpN function runs the relevant workloads
-// on the relevant systems inside fresh simulations and returns typed rows;
-// Render* helpers print them in the same shape the paper reports.
+// evaluation (§VI) as code: each FigureN/TableN function runs the relevant
+// workloads on the relevant systems inside fresh simulations and returns typed
+// rows; Render* helpers print them in the same shape the paper reports.
+// Catalog lists them all, with the paper's parameters.
 //
 // The per-experiment index lives in DESIGN.md §4; paper-vs-measured notes in
 // EXPERIMENTS.md.
@@ -16,69 +17,133 @@ import (
 	"cronus/internal/baseline"
 	"cronus/internal/core"
 	"cronus/internal/gpu"
+	"cronus/internal/npu"
 	"cronus/internal/sim"
 )
 
 // Systems evaluated by the GPU experiments, in rendering order.
 var GPUSystems = []baseline.System{baseline.Native, baseline.TrustZone, baseline.HIX, baseline.CRONUS}
 
-// RunOnSystem executes body against a CUDA ops implementation for the given
-// system in a fresh simulation, returning the virtual time body consumed.
-func RunOnSystem(system baseline.System, cubin []byte, body func(p *sim.Proc, ops accel.CUDA) error) (sim.Duration, error) {
+// NPUSystems evaluated by the NPU experiments.
+var NPUSystems = []baseline.System{baseline.Native, baseline.TrustZone, baseline.CRONUS}
+
+// closer is what the testbed needs of an ops handle: both accel.CUDA and
+// accel.NPU have it.
+type closer interface{ Close(p *sim.Proc) error }
+
+// testbed stands up one evaluated system in a fresh simulation on costs (nil =
+// sim.DefaultCosts()), runs body against its ops and returns the virtual time
+// body consumed. CRONUS is a booted platform, one session and the mEnclave
+// cronus opens on it, closed on the way out; a baseline is one bare kernel and
+// whatever bare builds on it.
+func testbed[O closer](system baseline.System, costs *sim.CostModel,
+	cronus func(p *sim.Proc, s *core.Session) (O, error),
+	bare func(k *sim.Kernel, costs *sim.CostModel) (O, error),
+	body func(p *sim.Proc, ops O) error) (sim.Duration, error) {
 	var elapsed sim.Duration
+	timed := func(p *sim.Proc, ops O) error {
+		start := p.Now()
+		if err := body(p, ops); err != nil {
+			return err
+		}
+		elapsed = sim.Duration(p.Now() - start)
+		return nil
+	}
 	if system == baseline.CRONUS {
-		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		cfg := core.DefaultConfig()
+		cfg.Costs = costs
+		err := core.Run(cfg, func(pl *core.Platform, p *sim.Proc) error {
 			s, err := pl.NewSession(p, "exp")
 			if err != nil {
 				return err
 			}
-			ops, err := s.OpenCUDA(p, core.CUDAOptions{Cubin: cubin, RingPages: 65})
+			ops, err := cronus(p, s)
 			if err != nil {
 				return err
 			}
 			defer ops.Close(p)
-			start := p.Now()
-			if err := body(p, ops); err != nil {
-				return err
-			}
-			elapsed = sim.Duration(p.Now() - start)
-			return nil
+			return timed(p, ops)
 		})
 		return elapsed, err
+	}
+	if costs == nil {
+		costs = sim.DefaultCosts()
 	}
 	k := sim.NewKernel()
 	var fail error
 	k.Spawn("main", func(p *sim.Proc) {
 		defer k.Stop()
-		costs := sim.DefaultCosts()
-		dev := gpu.New(k, costs, gpu.Config{Name: "gpu0", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "exp"})
-		var ops accel.CUDA
-		var err error
-		switch system {
-		case baseline.Native:
-			ops, err = baseline.NewNativeCUDA(dev, costs, cubin)
-		case baseline.TrustZone:
-			ops, err = baseline.NewTrustZoneCUDA(dev, costs, cubin)
-		case baseline.HIX:
-			ops, err = baseline.NewHIXCUDA(dev, costs, cubin)
-		default:
-			err = fmt.Errorf("experiments: unknown system %q", system)
+		ops, err := bare(k, costs)
+		if err == nil {
+			err = timed(p, ops)
 		}
-		if err != nil {
-			fail = err
-			return
-		}
-		start := p.Now()
-		if err := body(p, ops); err != nil {
-			fail = err
-			return
-		}
-		elapsed = sim.Duration(p.Now() - start)
+		fail = err
 	})
 	if err := k.Run(); err != nil {
 		return 0, err
 	}
 	return elapsed, fail
+}
+
+// RunOnSystem executes body against the CUDA ops of the given system in a
+// fresh simulation on costs (nil = sim.DefaultCosts()), returning the virtual
+// time body consumed.
+func RunOnSystem(system baseline.System, cubin []byte, costs *sim.CostModel, body func(p *sim.Proc, ops accel.CUDA) error) (sim.Duration, error) {
+	return runCUDA(system, cubin, 65, costs, body)
+}
+
+// runCUDA is RunOnSystem with the CRONUS stream's ring size as a parameter.
+func runCUDA(system baseline.System, cubin []byte, ringPages int, costs *sim.CostModel, body func(p *sim.Proc, ops accel.CUDA) error) (sim.Duration, error) {
+	return testbed(system, costs,
+		func(p *sim.Proc, s *core.Session) (accel.CUDA, error) {
+			return s.OpenCUDA(p, core.CUDAOptions{Cubin: cubin, RingPages: ringPages})
+		},
+		func(k *sim.Kernel, costs *sim.CostModel) (accel.CUDA, error) {
+			dev := gpu.New(k, costs, gpu.Config{Name: "gpu0", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "exp"})
+			switch system {
+			case baseline.Native:
+				return baseline.NewNativeCUDA(dev, costs, cubin)
+			case baseline.TrustZone:
+				return baseline.NewTrustZoneCUDA(dev, costs, cubin)
+			case baseline.HIX:
+				return baseline.NewHIXCUDA(dev, costs, cubin)
+			}
+			return nil, fmt.Errorf("experiments: unknown system %q", system)
+		}, body)
+}
+
+// runNPU is the NPU flavour of RunOnSystem.
+func runNPU(system baseline.System, costs *sim.CostModel, body func(p *sim.Proc, ops accel.NPU) error) (sim.Duration, error) {
+	return testbed(system, costs,
+		func(p *sim.Proc, s *core.Session) (accel.NPU, error) {
+			return s.OpenNPU(p, core.NPUOptions{RingPages: 257, Memory: "128M"})
+		},
+		func(k *sim.Kernel, costs *sim.CostModel) (accel.NPU, error) {
+			dev := npu.New(k, costs, npu.Config{Name: "npu0", MemBytes: 256 << 20, KeySeed: "exp"})
+			switch system {
+			case baseline.Native:
+				return baseline.NewNativeNPU(dev, costs), nil
+			case baseline.TrustZone:
+				return baseline.NewTrustZoneNPU(dev, costs), nil
+			}
+			return nil, fmt.Errorf("experiments: unknown NPU system %q", system)
+		}, body)
+}
+
+// grid runs fn(r, c) for every cell of a rows×cols figure through each and
+// returns the results as out[r][c]. Cells are flattened across rows and
+// columns, so the processors stay busy past row boundaries.
+func grid[T any](rows, cols int, fn func(r, c int) (T, error)) ([][]T, error) {
+	out := make([][]T, rows)
+	for r := range out {
+		out[r] = make([]T, cols)
+	}
+	err := each(rows*cols, func(i int) error {
+		var err error
+		out[i/cols][i%cols], err = fn(i/cols, i%cols)
+		return err
+	})
+	return out, err
 }
 
 // Table is a rendered text table.

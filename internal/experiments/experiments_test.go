@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"cronus/internal/baseline"
+	"cronus/internal/core"
 	"cronus/internal/sim"
 )
 
@@ -164,6 +166,37 @@ func TestFigure11aSpatialSharingGain(t *testing.T) {
 		t.Errorf("no contention at 4 tenants: per-tenant %d vs %d", four.SpatialSteps/4, two.SpatialSteps/2)
 	}
 	_ = RenderFigure11a(rows)
+}
+
+// TestTrainTenantsFailsLoudly: a tenant that cannot open its mEnclave, or whose
+// training step fails, fails the run with an error naming the tenant. Before
+// the tenant loop reported errors, both cases returned a smaller step count
+// and a nil error.
+func TestTrainTenantsFailsLoudly(t *testing.T) {
+	const window = 4 * sim.Millisecond
+	boom := errors.New("boom")
+	steps, err := trainTenants(2, window, func(*core.Platform) {},
+		func(_ *core.Platform, _ *sim.Proc, tenant, step int) error {
+			if tenant == 1 && step == 3 {
+				return boom
+			}
+			return nil
+		})
+	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "tenant 1: step 3") {
+		t.Errorf("tenant 1 failing its third step: %d steps, err %v; want an error naming tenant 1, step 3", steps, err)
+	}
+
+	// The normal world refuses to create executor threads: no tenant's
+	// OpenCUDA can establish its stream.
+	steps, err = trainTenants(2, window, func(pl *core.Platform) { pl.D.DropExecutor = true }, nil)
+	if err == nil || !strings.Contains(err.Error(), "tenant 0") || !strings.Contains(err.Error(), "executor") {
+		t.Errorf("OpenCUDA refused: %d steps, err %v; want an error naming tenant 0 and the executor refusal", steps, err)
+	}
+
+	healthy, err := trainTenants(2, window, func(*core.Platform) {}, nil)
+	if err != nil || healthy == 0 {
+		t.Errorf("healthy run: %d steps, err %v", healthy, err)
+	}
 }
 
 func TestFigure11bSharingModes(t *testing.T) {

@@ -18,6 +18,63 @@ type Fig11aRow struct {
 	TemporalBaseline1 int
 }
 
+// trainTenants boots one platform, lets setup configure it, and has n tenants
+// — each its own session and CUDA mEnclave on GPU 0 — train LeNet-2 (batch 8)
+// side by side until window has passed. afterStep, when non-nil, runs on the
+// tenant's proc after each of its steps. It returns the steps all tenants
+// completed, or the first error any tenant hit, naming the tenant: a tenant
+// that could not run is a failed figure, not a smaller number.
+func trainTenants(n int, window sim.Duration, setup func(pl *core.Platform),
+	afterStep func(pl *core.Platform, tp *sim.Proc, tenant, step int) error) (int, error) {
+	total := 0
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		setup(pl)
+		var first error
+		train := func(tp *sim.Proc, i int) error {
+			s, err := pl.NewSession(tp, fmt.Sprintf("tenant-%d", i))
+			if err != nil {
+				return err
+			}
+			conn, err := s.OpenCUDA(tp, core.CUDAOptions{Cubin: dnn.Cubin(), RingPages: 65})
+			if err != nil {
+				return err
+			}
+			defer conn.Close(tp)
+			tr, err := dnn.NewTrainer(tp, conn, dnn.LeNet2(), 8)
+			if err != nil {
+				return err
+			}
+			deadline := tp.Now() + sim.Time(window)
+			for step := 1; tp.Now() < deadline; step++ {
+				if _, err := tr.Step(tp); err != nil {
+					return fmt.Errorf("step %d: %w", step, err)
+				}
+				if afterStep != nil {
+					if err := afterStep(pl, tp, i, step); err != nil {
+						return fmt.Errorf("step %d: %w", step, err)
+					}
+				}
+				total++
+			}
+			return nil
+		}
+		wg := sim.NewWaitGroup(pl.K)
+		for i := 0; i < n; i++ {
+			i := i
+			wg.Add(1)
+			pl.K.Spawn(fmt.Sprintf("tenant-%d", i), func(tp *sim.Proc) {
+				defer wg.Done()
+				if err := train(tp, i); err != nil && first == nil {
+					first = fmt.Errorf("tenant %d: %w", i, err)
+				}
+			})
+		}
+		wg.Wait(p)
+		return first
+	})
+	return total, err
+}
+
 // Figure11a reproduces the spatial-sharing experiment: LeNet training
 // throughput with 1, 2 and 4 mEnclaves on the same GPU, spatially shared
 // (MPS-style concurrent kernels) versus temporally shared (each kernel owns
@@ -26,56 +83,14 @@ func Figure11a(window sim.Duration) ([]Fig11aRow, error) {
 	if window <= 0 {
 		window = 20 * sim.Millisecond
 	}
-	run := func(tenants int, mps bool) (int, error) {
-		total := 0
-		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-			pl.GPUs[0].Dev.SetMPS(mps)
-			k := pl.K
-			wg := sim.NewWaitGroup(k)
-			counts := make([]int, tenants)
-			for i := 0; i < tenants; i++ {
-				i := i
-				wg.Add(1)
-				k.Spawn(fmt.Sprintf("tenant-%d", i), func(tp *sim.Proc) {
-					defer wg.Done()
-					s, err := pl.NewSession(tp, fmt.Sprintf("tenant-%d", i))
-					if err != nil {
-						return
-					}
-					conn, err := s.OpenCUDA(tp, core.CUDAOptions{Cubin: dnn.Cubin(), RingPages: 65})
-					if err != nil {
-						return
-					}
-					defer conn.Close(tp)
-					tr, err := dnn.NewTrainer(tp, conn, dnn.LeNet2(), 8)
-					if err != nil {
-						return
-					}
-					deadline := tp.Now() + sim.Time(window)
-					for tp.Now() < deadline {
-						if _, err := tr.Step(tp); err != nil {
-							return
-						}
-						counts[i]++
-					}
-				})
-			}
-			wg.Wait(p)
-			for _, c := range counts {
-				total += c
-			}
-			return nil
-		})
-		return total, err
-	}
 	tenantCounts := []int{1, 2, 4}
-	steps := make([]int, 2*len(tenantCounts)) // cell i = tenantCounts[i/2], spatial then temporal
-	err := each(len(steps), func(i int) error {
-		var err error
-		if steps[i], err = run(tenantCounts[i/2], i%2 == 0); err != nil {
-			return fmt.Errorf("fig11a %d tenants %s: %w", tenantCounts[i/2], [2]string{"spatial", "temporal"}[i%2], err)
+	modes := []string{"spatial", "temporal"}
+	steps, err := grid(len(tenantCounts), len(modes), func(r, c int) (int, error) {
+		n, err := trainTenants(tenantCounts[r], window, func(pl *core.Platform) { pl.GPUs[0].Dev.SetMPS(c == 0) }, nil)
+		if err != nil {
+			return 0, fmt.Errorf("fig11a %d tenants %s: %w", tenantCounts[r], modes[c], err)
 		}
-		return nil
+		return n, nil
 	})
 	if err != nil {
 		return nil, err
@@ -83,7 +98,7 @@ func Figure11a(window sim.Duration) ([]Fig11aRow, error) {
 	var rows []Fig11aRow
 	base1 := 0
 	for r, tenants := range tenantCounts {
-		spatial, temporal := steps[2*r], steps[2*r+1]
+		spatial, temporal := steps[r][0], steps[r][1]
 		if tenants == 1 {
 			base1 = spatial
 		}
@@ -202,15 +217,21 @@ func Figure11b(steps int) ([]Fig11bRow, error) {
 			for step := 0; step < steps; step++ {
 				// Workers compute their local step in parallel.
 				wg := sim.NewWaitGroup(k)
+				stepErrs := make([]error, nGPUs)
 				for i := 0; i < nGPUs; i++ {
 					i := i
 					wg.Add(1)
 					k.Spawn(fmt.Sprintf("worker-%d", i), func(tp *sim.Proc) {
 						defer wg.Done()
-						_, _ = trainers[i].Step(tp)
+						_, stepErrs[i] = trainers[i].Step(tp)
 					})
 				}
 				wg.Wait(p)
+				for i, err := range stepErrs {
+					if err != nil {
+						return fmt.Errorf("worker %d step %d: %w", i, step+1, err)
+					}
+				}
 				// All-reduce: 2(n-1) transfers of the gradients.
 				for i := 0; i < 2*(nGPUs-1); i++ {
 					exchangeCost(p, pl.Costs, mode, gradBytes)

@@ -20,16 +20,13 @@ type Fig7Row struct {
 // HIX-TrustZone and CRONUS, normalized to native.
 func Figure7() ([]Fig7Row, error) {
 	benches := rodinia.AllExtended()
-	ns := len(GPUSystems)
-	times := make([]sim.Duration, len(benches)*ns) // cell i = benches[i/ns] on GPUSystems[i%ns]
-	err := each(len(times), func(i int) error {
-		b, system := benches[i/ns], GPUSystems[i%ns]
-		d, err := RunOnSystem(system, b.Cubin(), b.Run)
+	times, err := grid(len(benches), len(GPUSystems), func(r, c int) (sim.Duration, error) {
+		b, system := benches[r], GPUSystems[c]
+		d, err := RunOnSystem(system, b.Cubin(), nil, b.Run)
 		if err != nil {
-			return fmt.Errorf("fig7 %s on %s: %w", b.Name, system, err)
+			return 0, fmt.Errorf("fig7 %s on %s: %w", b.Name, system, err)
 		}
-		times[i] = d
-		return nil
+		return d, nil
 	})
 	if err != nil {
 		return nil, err
@@ -42,7 +39,7 @@ func Figure7() ([]Fig7Row, error) {
 			Normalized: make(map[baseline.System]float64),
 		}
 		for s, system := range GPUSystems {
-			row.Times[system] = times[r*ns+s]
+			row.Times[system] = times[r][s]
 		}
 		native := float64(row.Times[baseline.Native])
 		for s, d := range row.Times {

@@ -30,13 +30,11 @@ func Figure8(iters, batch int) ([]Fig8Row, error) {
 		batch = 16
 	}
 	models := dnn.TrainingModels()
-	ns := len(GPUSystems)
-	// Cell i = models[i/ns] on GPUSystems[i%ns]: training iterations only,
-	// not setup.
-	stepTimes := make([]sim.Duration, len(models)*ns)
-	err := each(len(stepTimes), func(i int) error {
-		model, system := models[i/ns], GPUSystems[i%ns]
-		_, err := RunOnSystem(system, dnn.Cubin(), func(p *sim.Proc, ops accel.CUDA) error {
+	// Training iterations only, not setup.
+	stepTimes, err := grid(len(models), len(GPUSystems), func(r, c int) (sim.Duration, error) {
+		model, system := models[r], GPUSystems[c]
+		var steps sim.Duration
+		_, err := RunOnSystem(system, dnn.Cubin(), nil, func(p *sim.Proc, ops accel.CUDA) error {
 			tr, err := dnn.NewTrainer(p, ops, model, batch)
 			if err != nil {
 				return err
@@ -47,13 +45,13 @@ func Figure8(iters, batch int) ([]Fig8Row, error) {
 					return err
 				}
 			}
-			stepTimes[i] = sim.Duration(p.Now() - start)
+			steps = sim.Duration(p.Now() - start)
 			return nil
 		})
 		if err != nil {
-			return fmt.Errorf("fig8 %s on %s: %w", model.Name, system, err)
+			return 0, fmt.Errorf("fig8 %s on %s: %w", model.Name, system, err)
 		}
-		return nil
+		return steps, nil
 	})
 	if err != nil {
 		return nil, err
@@ -69,7 +67,7 @@ func Figure8(iters, batch int) ([]Fig8Row, error) {
 			Overhead: make(map[baseline.System]float64),
 		}
 		for s, system := range GPUSystems {
-			row.Times[system] = stepTimes[r*ns+s]
+			row.Times[system] = stepTimes[r][s]
 		}
 		native := float64(row.Times[baseline.Native])
 		for s, d := range row.Times {

@@ -69,60 +69,75 @@ func Figure9() (*Fig9Result, error) {
 		k := pl.K
 		wg := sim.NewWaitGroup(k)
 
+		// A task's first unexpected error fails the figure. What task B sees
+		// between the crash and its resubmission is the experiment, not an
+		// error; anything else — and anything at all on task A, whose
+		// partition nobody crashes — is.
+		task := func(tp *sim.Proc, name, partition string, series []int, restartable bool) error {
+			s, err := pl.NewSession(tp, name)
+			if err != nil {
+				return err
+			}
+			connect := func() (*core.CUDAConn, uint64, error) {
+				c, err := s.OpenCUDA(tp, core.CUDAOptions{
+					Cubin: gpu.BuildCubin(fig9Kernel), Partition: partition,
+					Name: fmt.Sprintf("%s-%d", name, tp.Now()),
+				})
+				if err != nil {
+					return nil, 0, err
+				}
+				ptr, err := c.MemAlloc(tp, 64)
+				return c, ptr, err
+			}
+			conn, ptr, err := connect()
+			if err != nil {
+				return err
+			}
+			for tp.Now() < sim.Time(horizon) {
+				err := conn.Launch(tp, fig9Kernel, gpu.Dim{1, 1, 1}, ptr)
+				if err == nil {
+					err = conn.Sync(tp)
+				}
+				if err != nil {
+					if !restartable {
+						return err
+					}
+					// The partition failed: wait for the SPM to
+					// finish the mOS restart, then resubmit.
+					if err := pl.SPM.AwaitReady(tp, pl.GPUs[1].Part); err != nil {
+						return err
+					}
+					tp.Sleep(500 * sim.Microsecond)
+					// A partition that failed again refuses the new stream
+					// with a PeerFault: the dead connection fails the next
+					// launch and the task comes back here.
+					c, cptr, err := connect()
+					var pf *spm.PeerFault
+					switch {
+					case err == nil:
+						conn, ptr = c, cptr
+					case !errors.As(err, &pf):
+						return err
+					}
+					continue
+				}
+				b := int(tp.Now() / sim.Time(bucket))
+				if b >= 0 && b < len(series) {
+					series[b]++
+				}
+				if restartable && res.ResumedAt == 0 && tp.Now() > res.CrashAt && res.CrashAt > 0 {
+					res.ResumedAt = tp.Now()
+				}
+			}
+			return nil
+		}
+		var first error
 		runTask := func(name, partition string, series []int, restartable bool) {
 			wg.Add(1)
 			k.Spawn(name, func(tp *sim.Proc) {
 				defer wg.Done()
-				s, err := pl.NewSession(tp, name)
-				if err != nil {
-					return
-				}
-				connect := func() (*core.CUDAConn, uint64, error) {
-					c, err := s.OpenCUDA(tp, core.CUDAOptions{
-						Cubin: gpu.BuildCubin(fig9Kernel), Partition: partition,
-						Name: fmt.Sprintf("%s-%d", name, tp.Now()),
-					})
-					if err != nil {
-						return nil, 0, err
-					}
-					ptr, err := c.MemAlloc(tp, 64)
-					return c, ptr, err
-				}
-				conn, ptr, err := connect()
-				if err != nil {
-					return
-				}
-				for tp.Now() < sim.Time(horizon) {
-					err := conn.Launch(tp, fig9Kernel, gpu.Dim{1, 1, 1}, ptr)
-					if err == nil {
-						err = conn.Sync(tp)
-					}
-					if err != nil {
-						if !restartable {
-							return
-						}
-						// The partition failed: wait for the SPM to
-						// finish the mOS restart, then resubmit.
-						part := pl.GPUs[1].Part
-						pl.SPM.AwaitReady(tp, part)
-						tp.Sleep(time500us())
-						conn, ptr, err = connect()
-						if err != nil {
-							var pf *spm.PeerFault
-							if errors.As(err, &pf) {
-								continue
-							}
-							return
-						}
-						continue
-					}
-					b := int(tp.Now() / sim.Time(bucket))
-					if b >= 0 && b < len(series) {
-						series[b]++
-					}
-					if restartable && res.ResumedAt == 0 && tp.Now() > res.CrashAt && res.CrashAt > 0 {
-						res.ResumedAt = tp.Now()
-					}
+				if err := task(tp, name, partition, series, restartable); err != nil && first == nil {
+					first = fmt.Errorf("fig9: %s: %w", name, err)
 				}
 			})
 		}
@@ -142,15 +157,13 @@ func Figure9() (*Fig9Result, error) {
 		})
 
 		wg.Wait(p)
-		return nil
+		return first
 	})
 	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
-
-func time500us() sim.Duration { return 500 * sim.Microsecond }
 
 // RenderFigure9 formats the throughput timeline.
 func RenderFigure9(r *Fig9Result) *Table {

@@ -25,9 +25,9 @@ var sharedGlobals = map[string]string{
 	"enclave.cpuLibRegistry": "filled at package init (core's session runtime, test libraries); read-only once a kernel runs",
 	"gpu.registry":           "filled at package init, replaced only by tests and examples while no simulation runs",
 
-	"srpc.callHook":    "fault-injection hook of one chaos campaign or test at a time; ChaosSweep stays serial because of it",
 	"srpc.recycleHook": "buffer-poisoning hook of one test at a time",
 
+	"experiments.Catalog":    "read-only table",
 	"experiments.GPUSystems": "read-only table",
 	"experiments.NPUSystems": "read-only table",
 	"experiments.ShareModes": "read-only table",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cronus/internal/core"
-	"cronus/internal/dnn"
 	"cronus/internal/sim"
 )
 
@@ -31,68 +30,29 @@ func SharingPolicies(window sim.Duration) ([]SharingPolicyRow, error) {
 		window = 12 * sim.Millisecond
 	}
 	const tenants = 2
-	run := func(policy string) (int, error) {
-		total := 0
-		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-			switch policy {
-			case "mps-spatial":
-				pl.GPUs[0].Dev.SetMPS(true)
-			case "mig-slices":
-				pl.GPUs[0].Dev.SetMPS(true)
-				pl.GPUs[0].Dev.ConfigureMIG(tenants)
-			default:
-				pl.GPUs[0].Dev.SetMPS(false)
-			}
-			k := pl.K
-			wg := sim.NewWaitGroup(k)
-			counts := make([]int, tenants)
-			for i := 0; i < tenants; i++ {
-				i := i
-				wg.Add(1)
-				k.Spawn(fmt.Sprintf("tenant-%d", i), func(tp *sim.Proc) {
-					defer wg.Done()
-					s, err := pl.NewSession(tp, fmt.Sprintf("tenant-%d", i))
-					if err != nil {
-						return
-					}
-					conn, err := s.OpenCUDA(tp, core.CUDAOptions{Cubin: dnn.Cubin(), RingPages: 65})
-					if err != nil {
-						return
-					}
-					defer conn.Close(tp)
-					tr, err := dnn.NewTrainer(tp, conn, dnn.LeNet2(), 8)
-					if err != nil {
-						return
-					}
-					deadline := tp.Now() + sim.Time(window)
-					for tp.Now() < deadline {
-						if _, err := tr.Step(tp); err != nil {
-							return
-						}
-						if policy == "hw-dedicated-reboot" {
-							// Bus-level access control cannot see
-							// accelerator internals: handing the
-							// device to the other tenant requires a
-							// cold reboot to clear state.
-							tp.Sleep(pl.Costs.DeviceClear)
-						}
-						counts[i]++
-					}
-				})
-			}
-			wg.Wait(p)
-			for _, c := range counts {
-				total += c
-			}
-			return nil
-		})
-		return total, err
-	}
 	rows := []SharingPolicyRow{{Policy: "mps-spatial"}, {Policy: "mig-slices"}, {Policy: "temporal"}, {Policy: "hw-dedicated-reboot"}}
 	err := each(len(rows), func(i int) error {
+		policy := rows[i].Policy
+		setup := func(pl *core.Platform) {
+			dev := pl.GPUs[0].Dev
+			dev.SetMPS(policy == "mps-spatial" || policy == "mig-slices")
+			if policy == "mig-slices" {
+				dev.ConfigureMIG(tenants)
+			}
+		}
+		var afterStep func(pl *core.Platform, tp *sim.Proc, tenant, step int) error
+		if policy == "hw-dedicated-reboot" {
+			// Bus-level access control cannot see accelerator internals:
+			// handing the device to the other tenant requires a cold reboot
+			// to clear state.
+			afterStep = func(pl *core.Platform, tp *sim.Proc, _, _ int) error {
+				tp.Sleep(pl.Costs.DeviceClear)
+				return nil
+			}
+		}
 		var err error
-		if rows[i].Steps, err = run(rows[i].Policy); err != nil {
-			return fmt.Errorf("sharing policy %s: %w", rows[i].Policy, err)
+		if rows[i].Steps, err = trainTenants(tenants, window, setup, afterStep); err != nil {
+			return fmt.Errorf("sharing policy %s: %w", policy, err)
 		}
 		return nil
 	})

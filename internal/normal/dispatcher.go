@@ -32,6 +32,7 @@ type Dispatcher struct {
 
 	servers  map[uint32]*srpc.Server
 	notifies srpc.Notifies // shared by this platform's clients and servers
+	callHook srpc.CallHook // read by this platform's clients on every push
 
 	// nextStream is this platform's stream-id counter (srpc.Transport
 	// requires per-platform minting so co-resident platforms stay
@@ -96,6 +97,9 @@ func (d *Dispatcher) SetStreamBase(base uint64) {
 
 // Notifies implements srpc.Transport.
 func (d *Dispatcher) Notifies() srpc.Notifies { return d.notifies }
+
+// CallHook implements srpc.Transport.
+func (d *Dispatcher) CallHook() *srpc.CallHook { return &d.callHook }
 
 // mosFor locates the mOS hosting an enclave id.
 func (d *Dispatcher) mosFor(eid uint32) (*mos.MOS, error) {

@@ -27,6 +27,7 @@ type Client struct {
 	track    string // precomputed trace track name ("stream-N")
 	rid      uint64 // next free slot (producer index)
 	calls    uint64 // records pushed on this stream (chaos hook ordinal)
+	hook     *CallHook
 	lastRec  uint64 // slot index of the most recently pushed record
 	smem     uint64 // owner-side IPA of the region
 	gid      int
@@ -111,6 +112,7 @@ func Connect(p *sim.Proc, owner *mos.Enclave, peerEID uint32, secret []byte, pee
 		peerEID:  peerEID,
 		edl:      peerEDL,
 		tr:       tr,
+		hook:     tr.CallHook(),
 		ring:     newRing(owner.View(), ipa, pages),
 		streamID: streamID,
 		track:    track,
@@ -405,8 +407,8 @@ func (c *Client) push(p *sim.Proc, name string, head, bulk []byte, kind uint32, 
 	mCalls.Inc()
 	mBytesMoved.Add(uint64(total))
 	c.calls++
-	if callHook != nil {
-		callHook(p, c, c.calls)
+	if c.hook.fn != nil {
+		c.hook.fn(p, c, c.calls)
 	}
 	return nil
 }

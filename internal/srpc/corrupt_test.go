@@ -26,9 +26,8 @@ func TestRingCorruptionTypedError(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		defer srpc.SetCallHook(nil)
 		injected := false
-		srpc.SetCallHook(func(hp *sim.Proc, hc *srpc.Client, n uint64) {
+		h.disp.CallHook().Set(func(hp *sim.Proc, hc *srpc.Client, n uint64) {
 			if hc.StreamID() == c.StreamID() && n == 3 {
 				injected = true
 				_ = hc.InjectRingCorruption(hp, 1<<63)
@@ -87,8 +86,7 @@ func TestRingCorruptionFlowControl(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		defer srpc.SetCallHook(nil)
-		srpc.SetCallHook(func(hp *sim.Proc, hc *srpc.Client, n uint64) {
+		h.disp.CallHook().Set(func(hp *sim.Proc, hc *srpc.Client, n uint64) {
 			if hc.StreamID() == c.StreamID() && n == 2 {
 				// Corrupt the record header in place: the executor's
 				// framing validation must reject it when it drains this

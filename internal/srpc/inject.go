@@ -2,20 +2,20 @@ package srpc
 
 import "cronus/internal/sim"
 
-// callHook, when non-nil, observes every successful record push on every
-// stream in the process. It exists solely for the chaos harness.
-var callHook func(p *sim.Proc, c *Client, n uint64)
+// CallHook is one platform's push observer, for the chaos harness and the
+// corruption tests: the platform's Transport owns the slot and every Client
+// keeps a pointer to it from Connect on, so a hook set after the streams are
+// up still sees their pushes and one set on another platform never does.
+type CallHook struct {
+	fn func(p *sim.Proc, c *Client, n uint64)
+}
 
-// SetCallHook installs (or, with nil, removes) a package-level observer that
-// runs after each record push, on the pushing Proc, at the virtual instant
+// Set installs (or, with nil, removes) the observer. It runs after each
+// record push on the platform, on the pushing Proc, at the virtual instant
 // the record became visible to the executor. n is the 1-based ordinal of the
 // push on that client's stream, which is how the chaos harness implements
 // "inject on the Nth sRPC call on stream S" triggers deterministically.
-//
-// Exactly one campaign may install the hook at a time, and it must be
-// removed (SetCallHook(nil)) before another simulated platform runs, or the
-// hook would observe — and possibly perturb — an unrelated run.
-func SetCallHook(fn func(p *sim.Proc, c *Client, n uint64)) { callHook = fn }
+func (h *CallHook) Set(fn func(p *sim.Proc, c *Client, n uint64)) { h.fn = fn }
 
 // recycleHook, when non-nil, is handed every data-path buffer the package
 // reuses, at the moment its previous contents stop being valid: the
@@ -27,6 +27,6 @@ var recycleHook func(buf []byte)
 // observer. It exists for lifetime-contract tests: a hook that overwrites
 // buf makes any mECall implementation that kept its args, and any caller
 // that kept a result past the next call, read garbage instead of bytes that
-// merely happen to still be there. Like SetCallHook it is process-global and
-// must be removed before unrelated runs.
+// merely happen to still be there. It is process-global and must be removed
+// before unrelated runs.
 func SetRecycleHook(fn func(buf []byte)) { recycleHook = fn }

@@ -34,6 +34,8 @@ type Transport interface {
 	// Notifies returns this platform's fused-record completion table: the
 	// one the transport handed every Server it created.
 	Notifies() Notifies
+	// CallHook returns this platform's push-observer slot.
+	CallHook() *CallHook
 }
 
 // Server is the callee-side sRPC endpoint wrapped around one mEnclave. The

@@ -26,7 +26,7 @@
 // flow control escape promptly — and every owner-side call from then on
 // returns the typed ErrRingCorrupt. Recovery is re-establishment: Abandon
 // the dead client and Connect a fresh stream. The chaos harness drives this
-// path deliberately via SetCallHook + InjectRecordCorruption.
+// path deliberately via CallHook.Set + InjectRecordCorruption.
 package srpc
 
 import (
