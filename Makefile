@@ -21,7 +21,9 @@ test:
 
 # The trace/metrics hooks are lock-free on the hot paths; prove it under the
 # race detector (the sim kernel's handshake provides the happens-before edges).
-# `make ci` runs the subset where goroutines meet: serve, srpc, spm, sim, and
+# `make ci` runs the subset where goroutines meet: serve, srpc, spm and hw (which
+# hold no lock: one goroutine runs a kernel at a time, and this is the check
+# that nothing reaches them from a second one), sim, and
 # experiments (a figure's cells on concurrent kernels) with the core and gpu
 # packages every cell boots — plus dnn, rodinia and tvm, whose kernels compute
 # through gpu's float32 views of device memory: -race turns on checkptr, which
@@ -122,7 +124,7 @@ ci:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test ./... -count=1
-	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/sim \
+	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/hw ./internal/sim \
 		./internal/experiments ./internal/core ./internal/gpu \
 		./internal/dnn ./internal/workload/rodinia ./internal/tvm
 	$(MAKE) fuzz

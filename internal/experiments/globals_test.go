@@ -137,3 +137,67 @@ func calleeOf(e ast.Expr) string {
 	}
 	return dotted(call.Fun)
 }
+
+// lockSites is every use of sync.Mutex, sync.RWMutex or sync/atomic in a
+// non-test file of internal/hw and internal/spm, as "file: what", with the
+// second goroutine that justifies it. It is empty: a machine and its SPM
+// belong to one sim.Kernel, a kernel runs one of its processes at a time, and
+// two live platforms share nothing below metrics and trace (DESIGN.md §17).
+var lockSites = map[string]string{}
+
+// TestNoLocksUnderOneKernel fails on a lock or an atomic in the simulated
+// memory system that lockSites does not list: the data path crosses these two
+// packages on every ring word, and a lock nobody can contend is host time
+// (EXPERIMENTS.md "Simulated memory without locks or maps") and a false
+// statement about who shares the state.
+func TestNoLocksUnderOneKernel(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	found := make(map[string]bool)
+	report := func(pos token.Pos, rel, what string) {
+		site := rel + ": " + what
+		if lockSites[site] != "" {
+			found[site] = true
+			return
+		}
+		t.Errorf("%s: %s in %s: exactly one goroutine runs a kernel at a time, so nothing here can contend — "+
+			"drop it, or list %q in lockSites with the goroutine it guards against", fset.Position(pos), what, rel, site)
+	}
+	for _, pkg := range []string{"internal/hw", "internal/spm"} {
+		files, err := filepath.Glob(filepath.Join(root, pkg, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rel := pkg + "/" + filepath.Base(path)
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"sync/atomic"` {
+					report(imp.Pos(), rel, "sync/atomic")
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "sync" && (sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex") {
+						report(sel.Pos(), rel, "sync."+sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	for site := range lockSites {
+		if !found[site] {
+			t.Errorf("lockSites lists %q, which no longer exists: delete the entry", site)
+		}
+	}
+}

@@ -3,26 +3,38 @@ package hw
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
-// PhysMem is the machine's physical memory: sparse 4 KiB pages guarded by
+// PhysMem is the machine's physical memory: sparse 4 KiB frames guarded by
 // the TZASC. Every read and write declares the world it originates from.
 //
-// Concurrency: the page table (first-touch allocation) and the watch registry
-// are guarded, so simulated processes running on different goroutines may
-// share a PhysMem; page contents themselves are disjoint by the isolation the
-// TZASC and stage-2 tables enforce.
+// One goroutine per kernel: a PhysMem belongs to one machine, a machine to
+// one sim.Kernel, and a kernel runs exactly one of its processes at a time
+// (every hand-off between them is a happens-before edge), so neither the
+// frame table nor the watch registry is locked. Two live platforms in one
+// process share nothing at this level; code that reaches a PhysMem from a
+// goroutine its kernel did not schedule is a bug the race detector reports.
 type PhysMem struct {
-	size    uint64
-	pageMu  sync.RWMutex
-	pages   map[uint64][]byte
+	size uint64
+	// frames is a two-level table indexed by PFN: the top level is sized
+	// from size at construction (one pointer per 2 MiB of address space),
+	// leaves and the frames in them are allocated on first touch.
+	frames  []*frameLeaf
 	tzasc   *TZASC
 	regions map[string]*MemRegion
-	watchMu sync.Mutex
 	watches []memWatch
 	watchID int
 }
+
+const (
+	leafShift  = 9 // 512 frames, 2 MiB of address space, per leaf
+	leafFrames = 1 << leafShift
+)
+
+type (
+	frame     [PageSize]byte
+	frameLeaf [leafFrames]*frame
+)
 
 // MemRegion is a named physical range with a simple page-frame allocator.
 type MemRegion struct {
@@ -43,9 +55,13 @@ type memWatch struct {
 
 // NewPhysMem creates memory of the given size guarded by tzasc.
 func NewPhysMem(size uint64, tzasc *TZASC) *PhysMem {
+	leaves := size / (leafFrames * PageSize)
+	if size%(leafFrames*PageSize) != 0 {
+		leaves++
+	}
 	return &PhysMem{
 		size:    size,
-		pages:   make(map[uint64][]byte),
+		frames:  make([]*frameLeaf, leaves),
 		tzasc:   tzasc,
 		regions: make(map[string]*MemRegion),
 	}
@@ -104,7 +120,9 @@ func (m *PhysMem) FreePage(region string, pa PA) error {
 	if pa.Offset() != 0 {
 		return fmt.Errorf("hw: FreePage(%q, %#x): address not page-aligned", region, uint64(pa))
 	}
-	if pa < r.Base || uint64(pa)+PageSize > uint64(r.Base)+r.Size {
+	// Compared without forming pa+PageSize, which wraps for the last page
+	// of the address space.
+	if pa < r.Base || r.Size < PageSize || uint64(pa)-uint64(r.Base) > r.Size-PageSize {
 		return fmt.Errorf("hw: FreePage(%q, %#x): address outside region [%#x, %#x)",
 			region, uint64(pa), uint64(r.Base), uint64(r.Base)+r.Size)
 	}
@@ -113,32 +131,32 @@ func (m *PhysMem) FreePage(region string, pa PA) error {
 	return nil
 }
 
+// zeroPage clears a frame if it was ever touched; an untouched frame (or a
+// frame number past the end of memory) already reads as zeroes or not at all.
 func (m *PhysMem) zeroPage(pfn uint64) {
-	m.pageMu.RLock()
-	pg, ok := m.pages[pfn]
-	m.pageMu.RUnlock()
-	if ok {
-		for i := range pg {
-			pg[i] = 0
+	if top := pfn >> leafShift; top < uint64(len(m.frames)) {
+		if leaf := m.frames[top]; leaf != nil {
+			if f := leaf[pfn&(leafFrames-1)]; f != nil {
+				*f = frame{}
+			}
 		}
 	}
 }
 
-// page returns the backing slice for a frame, allocating on first touch.
-func (m *PhysMem) page(pfn uint64) []byte {
-	m.pageMu.RLock()
-	pg, ok := m.pages[pfn]
-	m.pageMu.RUnlock()
-	if ok {
-		return pg
+// page returns the backing frame, allocating leaf and frame on first touch.
+// The caller has bounded pfn by Size().
+func (m *PhysMem) page(pfn uint64) *frame {
+	leaf := m.frames[pfn>>leafShift]
+	if leaf == nil {
+		leaf = new(frameLeaf)
+		m.frames[pfn>>leafShift] = leaf
 	}
-	m.pageMu.Lock()
-	defer m.pageMu.Unlock()
-	if pg, ok = m.pages[pfn]; !ok {
-		pg = make([]byte, PageSize)
-		m.pages[pfn] = pg
+	f := leaf[pfn&(leafFrames-1)]
+	if f == nil {
+		f = new(frame)
+		leaf[pfn&(leafFrames-1)] = f
 	}
-	return pg
+	return f
 }
 
 // Read copies len(buf) bytes starting at pa into buf, checking the TZASC for
@@ -153,7 +171,9 @@ func (m *PhysMem) Write(w World, pa PA, data []byte) error {
 }
 
 func (m *PhysMem) access(w World, pa PA, buf []byte, write bool) error {
-	if uint64(pa)+uint64(len(buf)) > m.size {
+	// [pa, pa+len) must lie inside memory; compared without forming the
+	// sum, which wraps for a pa near 2^64.
+	if n := uint64(len(buf)); n > m.size || uint64(pa) > m.size-n {
 		return &Fault{Kind: FaultUnmapped, Space: "physmem", Addr: uint64(pa), World: w}
 	}
 	off := 0
@@ -183,7 +203,7 @@ func (m *PhysMem) access(w World, pa PA, buf []byte, write bool) error {
 		}
 		off += n
 	}
-	if write {
+	if write && len(m.watches) != 0 {
 		m.fireWatches(pa, pa+PA(len(buf)))
 	}
 	return nil
@@ -196,8 +216,6 @@ func (m *PhysMem) access(w World, pa PA, buf []byte, write bool) error {
 // Unwatch; watches fire in registration order so wakeup order is
 // deterministic.
 func (m *PhysMem) WatchWrite(pa PA, n uint64, fn func()) (id int) {
-	m.watchMu.Lock()
-	defer m.watchMu.Unlock()
 	m.watchID++
 	m.watches = append(m.watches, memWatch{id: m.watchID, lo: pa, hi: pa + PA(n), fn: fn})
 	return m.watchID
@@ -206,21 +224,15 @@ func (m *PhysMem) WatchWrite(pa PA, n uint64, fn func()) (id int) {
 // Unwatch removes the watch WatchWrite returned id for; an id that is not
 // registered (already removed, or zero) is ignored.
 func (m *PhysMem) Unwatch(id int) {
-	m.watchMu.Lock()
-	defer m.watchMu.Unlock()
 	if i := m.watchIndex(id); i >= 0 {
 		m.watches = append(m.watches[:i], m.watches[i+1:]...)
 	}
 }
 
 // WatchCount returns the number of registered watches (leak checks).
-func (m *PhysMem) WatchCount() int {
-	m.watchMu.Lock()
-	defer m.watchMu.Unlock()
-	return len(m.watches)
-}
+func (m *PhysMem) WatchCount() int { return len(m.watches) }
 
-// watchIndex locates a watch by id (watchMu held); -1 when it is gone.
+// watchIndex locates a watch by id; -1 when it is gone.
 func (m *PhysMem) watchIndex(id int) int {
 	for i := range m.watches {
 		if m.watches[i].id == id {
@@ -230,32 +242,23 @@ func (m *PhysMem) watchIndex(id int) int {
 	return -1
 }
 
+// fireWatches runs the watches overlapping [lo, hi) in registration order, so
+// wakeup order stays deterministic. Callbacks may remove watches (their own
+// included) and register new ones, so the loop walks a snapshot: a watch an
+// earlier callback of the same write removed is skipped, one registered
+// during the fire waits for the next write. The snapshot lives on the stack
+// up to four overlapping watches — a doorbell word has one or two waiters —
+// and spills to the heap beyond that.
 func (m *PhysMem) fireWatches(lo, hi PA) {
-	// Snapshot the overlapping watches under the lock (registration order —
-	// wakeup order stays deterministic), then fire outside it so callbacks
-	// may remove watches, including their own. A watch removed by an earlier
-	// callback of the same write is skipped: its pre-fire existence is
-	// re-checked under the lock, matching the pre-concurrency behaviour. The
-	// snapshot lives on the stack up to four overlapping watches — a doorbell
-	// word has one or two waiters — and spills to the heap beyond that.
-	m.watchMu.Lock()
-	if len(m.watches) == 0 {
-		m.watchMu.Unlock()
-		return
-	}
 	var buf [4]memWatch
 	snap := buf[:0]
-	for _, w := range m.watches {
-		if w.lo < hi && lo < w.hi {
-			snap = append(snap, w)
+	for i := range m.watches {
+		if w := &m.watches[i]; w.lo < hi && lo < w.hi {
+			snap = append(snap, *w)
 		}
 	}
-	m.watchMu.Unlock()
 	for _, w := range snap {
-		m.watchMu.Lock()
-		live := m.watchIndex(w.id) >= 0
-		m.watchMu.Unlock()
-		if live {
+		if m.watchIndex(w.id) >= 0 {
 			w.fn()
 		}
 	}

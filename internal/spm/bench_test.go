@@ -83,18 +83,47 @@ func BenchmarkViewAccessWord(b *testing.B) {
 }
 
 // TestTLBHitPathZeroAllocs guards the hot path the same way the metrics and
-// trace packages guard theirs: a warm view access must not allocate.
+// trace packages guard theirs: a warm view access must not allocate, whether
+// it is a ring word, a page or a 16-page payload.
 func TestTLBHitPathZeroAllocs(t *testing.T) {
-	v, ipa := benchRig(t, 1)
-	var buf [64]byte
-	if err := v.Read(nil, ipa, buf[:]); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := v.Read(nil, ipa, buf[:]); err != nil {
+	v, ipa := benchRig(t, 16)
+	for _, size := range []int{8, 64, hw.PageSize, 16 * hw.PageSize} {
+		buf := make([]byte, size)
+		if err := v.Write(nil, ipa, buf); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Fatalf("TLB hit path allocates %.1f times per access; want 0", n)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := v.Read(nil, ipa, buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := v.Write(nil, ipa, buf); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("warm %d-byte view access allocates %.1f times per read+write; want 0", size, n)
+		}
 	}
+}
+
+// TestIsolationRegistryZeroAllocs: a doorbell waiter arming and cancelling its
+// isolation hook, and an isolation change notifying the parked ones, stay off
+// the heap once the registry has its capacity.
+func TestIsolationRegistryZeroAllocs(t *testing.T) {
+	v, _ := benchRig(t, 1)
+	s := v.spm
+	woken := 0
+	fn := func() { woken++ }
+	keep := s.OnIsolationChange(fn)
+	s.OffIsolationChange(s.OnIsolationChange(fn))
+	if n := testing.AllocsPerRun(100, func() {
+		id := s.OnIsolationChange(fn)
+		s.isolationChanged()
+		s.OffIsolationChange(id)
+	}); n != 0 {
+		t.Fatalf("OnIsolationChange + isolationChanged + OffIsolationChange allocates %.1f times; want 0", n)
+	}
+	if woken != 2*101 {
+		t.Fatalf("hooks ran %d times, want %d", woken, 2*101)
+	}
+	s.OffIsolationChange(keep)
 }

@@ -265,10 +265,12 @@ type View struct {
 	epoch uint64
 
 	// Simulated TLB: vpn → cached walk result, valid only while the
-	// generations below match the backing tables (see tlb.go).
+	// generations below match the backing tables (see tlb.go). tlbFront
+	// holds copies of tlb entries, tried before the map.
 	tlb      map[uint64]tlbEntry
 	tlbS1Gen uint64
 	tlbS2Gen uint64
+	tlbFront [tlbFrontWays]tlbFrontEntry
 }
 
 // NewView creates a view for the partition's current incarnation.
@@ -358,6 +360,7 @@ func (v *View) walkSlow(proc *sim.Proc, vpn uint64, want hw.Perm) (uint64, error
 	}
 	e2, _ := v.part.stage2.Lookup(ipaPage)
 	v.tlb[vpn] = tlbEntry{pfn: pfn, perm: perm & e2.Perm}
+	v.tlbFront[vpn%tlbFrontWays] = tlbFrontEntry{}
 	return pfn, nil
 }
 

@@ -33,7 +33,6 @@ package spm
 
 import (
 	"fmt"
-	"sync"
 
 	"cronus/internal/attest"
 	"cronus/internal/hw"
@@ -202,10 +201,7 @@ type SPM struct {
 
 	// isoWatches are the isolation-change observers (see tlb.go): waiters
 	// parked on shared-memory doorbells that must re-check state when the
-	// SPM tears down a mapping without writing the watched word. isoMu
-	// guards the list: doorbell waiters register and cancel from their own
-	// process goroutines.
-	isoMu      sync.Mutex
+	// SPM tears down a mapping without writing the watched word.
 	isoWatches []isoWatch
 	isoNext    int
 

@@ -17,12 +17,27 @@ import (
 // access still goes through PhysMem, so world-isolation verdicts cannot go
 // stale. Faults therefore surface on exactly the accesses that would have
 // faulted with the cache disabled.
+//
+// One goroutine per kernel: a view, its TLB and the SPM's hook registry are
+// reached only from processes of the SPM's sim.Kernel, which runs one of them
+// at a time, so nothing in this file takes a lock.
 
 // tlbEntry is one cached translation: the stage-2 output frame for a view
 // page, and the intersection of the stage-1 and stage-2 permissions.
 type tlbEntry struct {
 	pfn  uint64
 	perm hw.Perm
+}
+
+// tlbFront is the direct-mapped array in front of the map, indexed by the low
+// bits of the vpn: a stream's ring header page, its slot pages and a payload's
+// run of pages land in different ways, so the accesses that take turns on them
+// stay out of the map. tag is vpn+1; zero is an empty way.
+const tlbFrontWays = 16
+
+type tlbFrontEntry struct {
+	tag uint64
+	tlbEntry
 }
 
 // tlbValidate flushes the cache if either backing table mutated since the
@@ -38,20 +53,33 @@ func (v *View) tlbValidate() {
 		for vpn := range v.tlb {
 			delete(v.tlb, vpn)
 		}
+		v.tlbFront = [tlbFrontWays]tlbFrontEntry{}
 		mTLBFlushes.Inc()
 	}
 	v.tlbS1Gen, v.tlbS2Gen = s1g, s2g
 }
 
-// tlbLookup is the hit path: zero allocations, no table walk.
+// tlbLookup is the hit path: zero allocations, no table walk. A way of
+// tlbFront answers exactly what the map would have: it holds a copy of a live
+// map entry, counts as the hit (or, short of the permission, the miss) the map
+// lookup would have been, and is dropped on every flush and on the fill of
+// its page.
 func (v *View) tlbLookup(vpn uint64, want hw.Perm) (uint64, bool) {
-	e, ok := v.tlb[vpn]
-	if !ok || e.perm&want != want {
+	f := &v.tlbFront[vpn%tlbFrontWays]
+	if f.tag != vpn+1 {
+		e, ok := v.tlb[vpn]
+		if !ok {
+			mTLBMisses.Inc()
+			return 0, false
+		}
+		*f = tlbFrontEntry{tag: vpn + 1, tlbEntry: e}
+	}
+	if f.perm&want != want {
 		mTLBMisses.Inc()
 		return 0, false
 	}
 	mTLBHits.Inc()
-	return e.pfn, true
+	return f.pfn, true
 }
 
 // isoWatch is one registered isolation-change observer.
@@ -66,12 +94,10 @@ type isoWatch struct {
 // resolution. Waiters parked on shared-memory doorbells use this to re-check
 // their predicate on failure paths that never write the watched word.
 // Callbacks run in registration order; the returned id (never zero) removes
-// the hook through OffIsolationChange. Registration and removal may run
-// concurrently from different process goroutines (doorbell waiters arm on the
-// poll path); isoMu serializes list mutation.
+// the hook through OffIsolationChange. Doorbell waiters arm and cancel from
+// their own simulated processes, which the SPM's kernel runs one at a time,
+// so the list needs no lock.
 func (s *SPM) OnIsolationChange(fn func()) (id int) {
-	s.isoMu.Lock()
-	defer s.isoMu.Unlock()
 	s.isoNext++
 	s.isoWatches = append(s.isoWatches, isoWatch{id: s.isoNext, fn: fn})
 	return s.isoNext
@@ -80,14 +106,12 @@ func (s *SPM) OnIsolationChange(fn func()) (id int) {
 // OffIsolationChange removes the hook OnIsolationChange returned id for; an
 // id that is not registered is ignored.
 func (s *SPM) OffIsolationChange(id int) {
-	s.isoMu.Lock()
-	defer s.isoMu.Unlock()
 	if i := s.isoIndex(id); i >= 0 {
 		s.isoWatches = append(s.isoWatches[:i], s.isoWatches[i+1:]...)
 	}
 }
 
-// isoIndex locates a hook by id (isoMu held); -1 when it is gone.
+// isoIndex locates a hook by id; -1 when it is gone.
 func (s *SPM) isoIndex(id int) int {
 	for i := range s.isoWatches {
 		if s.isoWatches[i].id == id {
@@ -97,20 +121,18 @@ func (s *SPM) isoIndex(id int) int {
 	return -1
 }
 
-// isolationChanged notifies every registered observer. Spurious
-// notifications are harmless — observers re-check state and re-park.
+// isolationChanged notifies every registered observer in registration order.
+// Spurious notifications are harmless — observers re-check state and re-park.
+// Callbacks may register and cancel hooks, so the loop walks a snapshot: a
+// hook an earlier callback of the same change cancelled is skipped, one
+// registered during the change waits for the next. The snapshot lives on the
+// stack up to eight hooks — one per parked doorbell waiter — and spills to
+// the heap beyond that.
 func (s *SPM) isolationChanged() {
-	// Callbacks may register/cancel watches; iterate a snapshot and skip
-	// any watch cancelled between snapshot and fire.
-	s.isoMu.Lock()
-	ws := make([]isoWatch, len(s.isoWatches))
-	copy(ws, s.isoWatches)
-	s.isoMu.Unlock()
-	for _, w := range ws {
-		s.isoMu.Lock()
-		live := s.isoIndex(w.id) >= 0
-		s.isoMu.Unlock()
-		if live {
+	var buf [8]isoWatch
+	snap := append(buf[:0], s.isoWatches...)
+	for _, w := range snap {
+		if s.isoIndex(w.id) >= 0 {
 			w.fn()
 		}
 	}

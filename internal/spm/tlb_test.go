@@ -2,6 +2,7 @@ package spm
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"cronus/internal/hw"
@@ -274,4 +275,135 @@ func TestTLBCounters(t *testing.T) {
 			t.Fatalf("want 1 miss after flush, got %d", d)
 		}
 	})
+}
+
+// TestTLBCounterScript replays one scripted access / remap / revoke sequence
+// and pins the hit, miss and flush totals it books. The totals were read off
+// the implementation with the map alone in front of the walks; an answer from
+// tlbFront must count as the hit or miss the map lookup would have been, so
+// they may not move — spm.tlb_hit_ratio is these counters.
+func TestTLBCounterScript(t *testing.T) {
+	metrics.Default.Reset()
+	metrics.Default.Enable()
+	defer metrics.Default.Disable()
+	runTLBCase(t, func(t *testing.T, p *sim.Proc, e *tlbRig) {
+		ipa, err := e.s.AllocMem(e.a, tlbFrontWays+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre := metrics.Default.Snapshot()
+		ok := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		v := e.s.NewView(e.a, nil)
+		word, line, pages := make([]byte, 8), make([]byte, 64), make([]byte, 4*hw.PageSize)
+		for i := 0; i < 3; i++ { // miss, then the same page twice
+			ok(v.Read(p, ipa, word))
+		}
+		ok(v.Read(p, ipa+hw.PageSize-32, line)) // straddles into a cold page
+		ok(v.Read(p, ipa, pages))               // two warm pages, two cold
+		ok(v.Write(p, ipa+8, word))             // the cached RW entry serves writes
+		ok(v.Write(p, ipa+8, word))
+		for i := 0; i < 4; i++ { // two pages taking turns
+			ok(v.Read(p, ipa+uint64(i%2)*hw.PageSize, word))
+		}
+		for i := 0; i < 6; i++ { // two pages taking turns on one way of tlbFront
+			ok(v.Read(p, ipa+uint64(i%2)*tlbFrontWays*hw.PageSize, word))
+		}
+		// Remap: any stage-2 mutation flushes on the next access.
+		if _, err := e.s.AllocMem(e.a, 1); err != nil {
+			t.Fatal(err)
+		}
+		ok(v.Read(p, ipa, word))
+		ok(v.Read(p, ipa, word))
+
+		// Revoke: the warm owner traps once, then walks and hits again.
+		peerIPA, gid, err := e.s.Share(e.a, ipa, 1, e.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pv := e.s.NewView(e.b, nil)
+		ok(pv.Write(p, peerIPA, word))
+		ok(pv.Read(p, peerIPA, word))
+		ok(v.Read(p, ipa, word))
+		ok(e.s.RevokeGrant(gid, "pb"))
+		var pf *PeerFault
+		if err := v.Read(p, ipa, word); !errors.As(err, &pf) {
+			t.Fatalf("owner after revoke: want PeerFault, got %v", err)
+		}
+		ok(v.Read(p, ipa, word))
+		ok(v.Read(p, ipa, word))
+
+		// A stage-1 view: a cached read-only entry never serves a write,
+		// and a stage-1 remap flushes like a stage-2 one.
+		s1 := hw.NewAddrSpace("s1:script")
+		const vpn = 0x40
+		s1.Map(vpn, ipa>>hw.PageShift+1, hw.PermR)
+		sv := e.s.NewView(e.a, s1)
+		va := uint64(vpn << hw.PageShift)
+		ok(sv.Read(p, va, word))
+		ok(sv.Read(p, va, word))
+		faultKind(t, sv.Write(p, va, word), hw.FaultPerm)
+		ok(sv.Read(p, va, word))
+		s1.Map(vpn, ipa>>hw.PageShift+2, hw.PermRW)
+		ok(sv.Write(p, va, word))
+		ok(sv.Write(p, va, word))
+
+		post := metrics.Default.Snapshot()
+		got := fmt.Sprintf("hits %d misses %d flushes %d",
+			post.CounterDelta(pre, "spm.tlb.hits"),
+			post.CounterDelta(pre, "spm.tlb.misses"),
+			post.CounterDelta(pre, "spm.tlb.flushes"))
+		if want := "hits 23 misses 12 flushes 3"; got != want {
+			t.Fatalf("the script books %s; the books say %s", got, want)
+		}
+	})
+}
+
+// TestWatchFireOrderAndRemoval pins the isolation-change registry's rules
+// through one scripted change, the same rules hw.PhysMem's write watches
+// keep: hooks run in registration order; a callback may cancel its own hook,
+// a later one (which is then skipped although the change's snapshot holds it)
+// or an earlier one (which already ran); a hook registered by a callback
+// waits for the next change. Ten more hooks push the second change past the
+// stack snapshot into its spill path.
+func TestWatchFireOrderAndRemoval(t *testing.T) {
+	_, _, s := testRig(t)
+	var log []string
+	hook := func(name string, then func()) int {
+		return s.OnIsolationChange(func() {
+			log = append(log, name)
+			if then != nil {
+				then()
+			}
+		})
+	}
+	var self, later, late int
+	first := hook("first", nil)
+	self = hook("self", func() { s.OffIsolationChange(self) })
+	hook("killer", func() {
+		s.OffIsolationChange(later)
+		s.OffIsolationChange(first)
+		if late == 0 {
+			late = hook("late", nil)
+		}
+	})
+	later = hook("later", nil)
+	hook("last", nil)
+
+	s.isolationChanged()
+	if got, want := fmt.Sprint(log), "[first self killer last]"; got != want {
+		t.Fatalf("first change ran %v, want %v", got, want)
+	}
+	log = nil
+	for i := 0; i < 10; i++ {
+		hook(fmt.Sprintf("x%d", i), nil)
+	}
+	s.isolationChanged()
+	if got, want := fmt.Sprint(log), "[killer last late x0 x1 x2 x3 x4 x5 x6 x7 x8 x9]"; got != want {
+		t.Fatalf("second change ran %v, want %v", got, want)
+	}
 }
