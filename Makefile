@@ -41,8 +41,10 @@ bench: bench-hotpath
 # switch, CallAt, mailbox round trip, sharded engine — multi-ring sRPC, the
 # 64 KiB data-path shapes — streamed HtoD, synchronous DtoH, fused ExecZC,
 # sealed Ping — one ticket resume, one batch through the flow-model plane of a
-# two-node pool, one native training step per Fig 8 model, and the catalogue's
-# fig7, fig8 and sRPC-microbenchmark entries), recorded as JSON so before/after host-time numbers can
+# two-node pool, one native training step per Fig 8 model, one 64 Ki-element
+# relu and relu_bwd launch, one NPU GEMM instruction, the catalogue's fig7, fig8
+# and sRPC-microbenchmark entries, and fig10b at GOMAXPROCS 1 and 2 — the
+# `procs` field keeps those two rows apart), recorded as JSON so before/after host-time numbers can
 # be committed and diffed. The serving plane's numbers live in bench/
 # (BENCHMARK.json); its nine virtual reference rows are pinned by
 # internal/serve/testdata/reference_rows.golden.
@@ -54,7 +56,10 @@ bench-hotpath:
 	  $(GO) test -bench 'TicketResume' -benchmem -run '^$$' ./internal/attest ; \
 	  $(GO) test -bench 'FlowBatch' -benchmem -run '^$$' ./internal/serve ; \
 	  $(GO) test -bench 'TrainStep' -benchmem -benchtime=10x -run '^$$' ./internal/dnn ; \
-	  $(GO) test -bench 'Experiment/^(fig7|fig8|srpc)$$' -benchmem -benchtime=1x -run '^$$' . ; } \
+	  $(GO) test -bench 'ReLU' -benchmem -run '^$$' ./internal/dnn ; \
+	  $(GO) test -bench 'NPUGemm' -benchmem -run '^$$' ./internal/npu ; \
+	  $(GO) test -bench 'Experiment/^(fig7|fig8|srpc)$$' -benchmem -benchtime=1x -run '^$$' . ; \
+	  $(GO) test -bench 'Experiment/^fig10b$$' -benchmem -benchtime=5x -cpu 1,2 -run '^$$' . ; } \
 	| $(GO) run ./cmd/cronus-benchjson > BENCH_hotpath.json
 	@echo "wrote BENCH_hotpath.json"
 

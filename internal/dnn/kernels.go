@@ -13,6 +13,8 @@
 package dnn
 
 import (
+	"math"
+
 	"cronus/internal/gpu"
 	"cronus/internal/sim"
 )
@@ -98,7 +100,8 @@ func RegisterKernels() {
 		},
 	})
 
-	// relu_bwd: dx[i] = x[i] > 0 ? dy[i] : 0; args x, dy, dx; grid [n].
+	// relu_bwd: dx[i] = x[i] > 0 ? dy[i] : 0 (a gpu.PosMask select); args
+	// x, dy, dx; grid [n].
 	gpu.Register(&gpu.Kernel{
 		Name: "relu_bwd",
 		Cost: gpu.FlopCost(0.4, gpu.ElemFlops(1)),
@@ -107,16 +110,19 @@ func RegisterKernels() {
 			if err := e.F32s(e.Grid.Elems(), &x, &dy, &dx); err != nil {
 				return err
 			}
-			for i := range dx {
-				if x[i] > 0 {
-					dx[i] = dy[i]
-				} else {
-					dx[i] = 0
-				}
-			}
+			reluBwd(dx, x, dy)
 			return nil
 		},
 	})
+}
+
+// reluBwd stores x > 0 ? dy : 0 into dx, element by element; the three are
+// the same length.
+func reluBwd(dx, x, dy []float32) {
+	x, dy = x[:len(dx)], dy[:len(dx)]
+	for i := range dx {
+		dx[i] = math.Float32frombits(math.Float32bits(dy[i]) & gpu.PosMask(math.Float32bits(x[i])))
+	}
 }
 
 // Cubin returns the module image for training enclaves.

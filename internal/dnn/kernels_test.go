@@ -705,3 +705,92 @@ func BenchmarkTrainStep(b *testing.B) {
 		})
 	}
 }
+
+// reluInputs is 64 Ki floats: every special a sign test can trip on — ±0,
+// ±Inf, NaNs of both signs and payloads, the smallest and largest subnormals
+// — then values of random sign, half of them random bit patterns.
+func reluInputs(seed int64) []float32 {
+	x := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)), 1, -1, math.MaxFloat32, -math.MaxFloat32}
+	for _, b := range []uint32{0x7fc00000, 0xffc00000, 0x7f800001, 0xff800001, 0x00000001, 0x80000001, 0x007fffff, 0x807fffff} {
+		x = append(x, math.Float32frombits(b))
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for len(x) < 1<<16 {
+		if len(x)%2 == 0 {
+			x = append(x, rng.Float32()*2-1)
+		} else {
+			x = append(x, math.Float32frombits(rng.Uint32()))
+		}
+	}
+	return x
+}
+
+// TestReLUKernelsMatchBranchyLoops holds relu and relu_bwd to the branches
+// they replaced, bit for bit, out of place and in place as the trainer runs
+// them: relu keeps -0 and every NaN and zeroes -Inf and negative
+// subnormals; relu_bwd passes dy, NaN payloads included, only where x > 0.
+func TestReLUKernelsMatchBranchyLoops(t *testing.T) {
+	x, dy := reluInputs(27), reluInputs(28)
+	wantY, wantDx := make([]float32, len(x)), make([]float32, len(x))
+	for i, v := range x {
+		if v < 0 {
+			v = 0
+		}
+		wantY[i] = v
+		if x[i] > 0 {
+			wantDx[i] = dy[i]
+		} else {
+			wantDx[i] = 0
+		}
+	}
+	withKernelRig(t, func(r *kernelRig) {
+		grid := gpu.Dim{len(x), 1, 1}
+		xp, dyp, out := r.upload(t, x), r.upload(t, dy), r.upload(t, make([]float32, len(x)))
+		for _, c := range []struct {
+			name, how string
+			args      []uint64
+			dst       uint64
+			want      []float32
+		}{
+			{"relu_bwd", "out of place", []uint64{xp, dyp, out}, out, wantDx},
+			{"relu_bwd", "dx over dy", []uint64{xp, dyp, dyp}, dyp, wantDx},
+			{"relu", "out of place", []uint64{xp, out}, out, wantY},
+			{"relu", "y over x", []uint64{xp, xp}, xp, wantY},
+		} {
+			if err := r.ctx.Launch(r.p, c.name, grid, c.args...); err != nil {
+				t.Fatal(err)
+			}
+			if i, ok := sameBits(r.download(t, c.dst, len(x)), c.want); !ok {
+				t.Fatalf("%s %s: element %d differs from the branch", c.name, c.how, i)
+			}
+		}
+	})
+}
+
+// benchActivation launches one 64 Ki-element activation kernel per op on
+// inputs of random sign; the outputs are separate buffers, so the signs stay
+// random from one op to the next.
+func benchActivation(b *testing.B, name string) {
+	withKernelRig(b, func(r *kernelRig) {
+		x, dy := r.upload(b, reluInputs(29)), r.upload(b, reluInputs(30))
+		out := r.upload(b, make([]float32, 1<<16))
+		args := []uint64{x, out}
+		if name == "relu_bwd" {
+			args = []uint64{x, dy, out}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := r.ctx.Launch(r.p, name, gpu.Dim{1 << 16, 1, 1}, args...); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(1<<16), "ns/elem")
+	})
+}
+
+// BenchmarkReLU is the forward activation's host cost.
+func BenchmarkReLU(b *testing.B) { benchActivation(b, "relu") }
+
+// BenchmarkReLUBwd is the activation gradient's host cost.
+func BenchmarkReLUBwd(b *testing.B) { benchActivation(b, "relu_bwd") }

@@ -1,6 +1,13 @@
 package dnn
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+
+	"cronus/internal/gpu"
+)
 
 // Layer is one trainable layer lowered to its im2col matmul shape: for a
 // batch of size B the forward pass computes Out[B·Spatial, N] =
@@ -20,7 +27,8 @@ func (l Layer) FLOPs(batch int) float64 {
 	return 2 * float64(l.Rows(batch)) * float64(l.K) * float64(l.N)
 }
 
-// Model is a structural DNN definition.
+// Model is a structural DNN definition. Share one by pointer; a Model is not
+// copied or its Layers changed once a trainer has been built on it.
 type Model struct {
 	Name    string
 	Dataset string
@@ -28,6 +36,37 @@ type Model struct {
 	// iteration (dataset-determined).
 	InputFloats int
 	Layers      []Layer
+
+	init    sync.Once
+	weights [][]byte // see initialWeights
+}
+
+// initialWeights returns each layer's initial weights as the bytes device
+// memory holds for them: He-uniform, ±√(6/K), drawn from one seed-42 stream
+// running through the layers in order. Weight variance 2/K makes a layer's
+// pre-activation variance twice its input's second moment, and the ReLU that
+// follows halves it again — activations and gradients keep their scale
+// through all ~100 layers. A tighter bound (say ±1/(2√K), variance 1/(12K))
+// shrinks them ~24× per layer until the backward pass multiplies subnormals,
+// which a CPU does in microcode at a fraction of its arithmetic speed.
+//
+// The weights are a function of the layers alone, so they are drawn once and
+// shared, read-only, by every trainer built on the model — on whichever
+// simulation, concurrently or not, as tvm.Graph shares its weights.
+func (m *Model) initialWeights() [][]byte {
+	m.init.Do(func() {
+		rng := rand.New(rand.NewSource(42))
+		m.weights = make([][]byte, len(m.Layers))
+		for l, layer := range m.Layers {
+			scale := float32(math.Sqrt(6 / float64(layer.K)))
+			w := make([]float32, layer.K*layer.N)
+			for i := range w {
+				w[i] = (rng.Float32()*2 - 1) * scale
+			}
+			m.weights[l] = gpu.PackF32(w)
+		}
+	})
+	return m.weights
 }
 
 // FLOPs returns the total forward FLOPs per iteration.

@@ -3,7 +3,6 @@ package dnn
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"cronus/internal/accel"
 	"cronus/internal/gpu"
@@ -66,7 +65,7 @@ func NewTrainer(p *sim.Proc, ops accel.CUDA, model *Model, batch int) (*Trainer,
 		return nil, err
 	}
 	t.BytesPerUpload = batch * model.InputFloats * 4
-	rng := rand.New(rand.NewSource(42))
+	init := model.initialWeights()
 	for l, layer := range model.Layers {
 		m := layer.Rows(batch)
 		t.inLen[l] = m * layer.K
@@ -90,19 +89,7 @@ func NewTrainer(p *sim.Proc, ops accel.CUDA, model *Model, batch int) (*Trainer,
 		if t.dout[l], err = alloc(t.outLen[l]); err != nil {
 			return nil, err
 		}
-		// He-uniform init, ±√(6/K): weight variance 2/K, so a layer's
-		// pre-activation variance is twice its input's second moment and
-		// the ReLU that follows halves it again — activations and gradients
-		// keep their scale through all ~100 layers. A tighter bound (say
-		// ±1/(2√K), variance 1/(12K)) shrinks them ~24× per layer until
-		// the backward pass multiplies subnormals, which a CPU does in
-		// microcode at a fraction of its arithmetic speed.
-		scale := float32(math.Sqrt(6 / float64(layer.K)))
-		init := make([]float32, t.wLen[l])
-		for i := range init {
-			init[i] = (rng.Float32()*2 - 1) * scale
-		}
-		if err := ops.HtoD(p, t.w[l], gpu.PackF32(init)); err != nil {
+		if err := ops.HtoD(p, t.w[l], init[l]); err != nil {
 			return nil, err
 		}
 	}

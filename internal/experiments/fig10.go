@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"cronus/internal/accel"
 	"cronus/internal/baseline"
@@ -88,6 +89,15 @@ type Fig10bRow struct {
 // CPU-enclave fallback.
 func Figure10b() ([]Fig10bRow, error) {
 	graphs := tvm.InferenceGraphs()
+	// Each graph's weights are drawn in a cell of its own, the largest
+	// first, before any grid cell compiles it: otherwise a row's cells wait
+	// on the one drawing them while the other cores idle.
+	bySize := slices.Clone(graphs)
+	slices.SortStableFunc(bySize, func(a, b *tvm.Graph) int { return b.WeightBytes() - a.WeightBytes() })
+	each(len(bySize), func(i int) error {
+		bySize[i].DrawWeights()
+		return nil
+	})
 	// A graph's cells: each NPU system, then the CPU fallback.
 	lats, err := grid(len(graphs), len(NPUSystems)+1, func(r, c int) (sim.Duration, error) {
 		g := graphs[r]

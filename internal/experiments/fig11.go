@@ -27,6 +27,7 @@ type Fig11aRow struct {
 func trainTenants(n int, window sim.Duration, setup func(pl *core.Platform),
 	afterStep func(pl *core.Platform, tp *sim.Proc, tenant, step int) error) (int, error) {
 	total := 0
+	model := dnn.LeNet2() // one initial draw for all tenants
 	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 		setup(pl)
 		var first error
@@ -40,7 +41,7 @@ func trainTenants(n int, window sim.Duration, setup func(pl *core.Platform),
 				return err
 			}
 			defer conn.Close(tp)
-			tr, err := dnn.NewTrainer(tp, conn, dnn.LeNet2(), 8)
+			tr, err := dnn.NewTrainer(tp, conn, model, 8)
 			if err != nil {
 				return err
 			}
@@ -185,6 +186,7 @@ func Figure11b(steps int) ([]Fig11bRow, error) {
 			rows = append(rows, Fig11bRow{GPUs: nGPUs, Mode: mode, Steps: steps})
 		}
 	}
+	model := dnn.LeNet2() // every worker of every row starts from its one draw
 	err := each(len(rows), func(r int) error {
 		row := &rows[r]
 		nGPUs, mode := row.GPUs, row.Mode
@@ -208,7 +210,7 @@ func Figure11b(steps int) ([]Fig11bRow, error) {
 					return err
 				}
 				conns[i] = conn
-				if trainers[i], err = dnn.NewTrainer(p, conn, dnn.LeNet2(), 8); err != nil {
+				if trainers[i], err = dnn.NewTrainer(p, conn, model, 8); err != nil {
 					return err
 				}
 			}

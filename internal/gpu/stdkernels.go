@@ -158,6 +158,33 @@ func axpy(c []float32, a float32, b []float32) {
 	}
 }
 
+// negMask is all ones when the float32 whose bits are b is below zero, and
+// zero otherwise: ReLU's test as a mask instead of a branch, which after a
+// layer's random signs no predictor guesses. Below zero are the patterns
+// 0x80000001 (the negative subnormal nearest -0) through 0xff800000 (-Inf);
+// -0 and the negative NaNs are not, so a mask keeps them as the comparison
+// does. One wrapping subtraction moves that range to [0, 0x7f800000), and
+// the sign of a 64-bit difference tests it.
+func negMask(b uint32) uint32 {
+	return uint32((int64(b-0x80000001) - 0x7f800000) >> 63)
+}
+
+// PosMask is all ones when the float32 whose bits are b is above zero, and
+// zero otherwise: relu_bwd's test as a mask, built as negMask is. Above zero
+// are 0x00000001 through 0x7f800000 (+Inf), neither +0 nor a NaN.
+func PosMask(b uint32) uint32 {
+	return uint32((int64(b-1) - 0x7f800000) >> 63)
+}
+
+// relu stores x < 0 ? 0 : x into y, element by element; len(y) == len(x).
+func relu(y, x []float32) {
+	y = y[:len(x)]
+	for i, v := range x {
+		b := math.Float32bits(v)
+		y[i] = math.Float32frombits(b &^ negMask(b))
+	}
+}
+
 // ElemFlops is the FLOP count of a kernel doing perElem operations per grid
 // element, for FlopCost.
 func ElemFlops(perElem float64) func(Dim, []uint64) float64 {
@@ -214,7 +241,8 @@ func RegisterStdKernels() {
 		Func: MatmulFunc(false, false),
 	})
 
-	// relu: y[i] = max(0, x[i]); args: x, y; grid [n].
+	// relu: y[i] = x[i] < 0 ? 0 : x[i]; args: x, y; grid [n]. NaN and -0
+	// pass through.
 	Register(&Kernel{
 		Name: "relu",
 		Cost: FlopCost(0.4, ElemFlops(1)),
@@ -223,12 +251,7 @@ func RegisterStdKernels() {
 			if err := e.F32s(e.Grid.Elems(), &x, &y); err != nil {
 				return err
 			}
-			for i, v := range x {
-				if v < 0 {
-					v = 0
-				}
-				y[i] = v
-			}
+			relu(y, x)
 			return nil
 		},
 	})

@@ -116,18 +116,12 @@ func (c *Context) load(in *Insn) (uint64, error) {
 		if int(in.SRAMIdx)+int(in.Count) > InpBufBlocks {
 			return 0, fmt.Errorf("inp scratchpad overflow")
 		}
-		dst := c.dev.inp[int(in.SRAMIdx)*InpBlockBytes:]
-		for i := 0; i < total; i++ {
-			dst[i] = int8(src[i])
-		}
+		copy(c.dev.inp[int(in.SRAMIdx)*InpBlockBytes:], src)
 	case MemWgt:
 		if int(in.SRAMIdx)+int(in.Count) > WgtBufBlocks {
 			return 0, fmt.Errorf("wgt scratchpad overflow")
 		}
-		dst := c.dev.wgt[int(in.SRAMIdx)*WgtBlockBytes:]
-		for i := 0; i < total; i++ {
-			dst[i] = int8(src[i])
-		}
+		copy(c.dev.wgt[int(in.SRAMIdx)*WgtBlockBytes:], src)
 	case MemAcc:
 		if int(in.SRAMIdx)+int(in.Count) > AccBufBlocks {
 			return 0, fmt.Errorf("acc scratchpad overflow")
@@ -154,17 +148,20 @@ func (c *Context) store(in *Insn) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	src := c.dev.out[int(in.SRAMIdx)*OutBlockBytes:]
-	for i := 0; i < total; i++ {
-		dst[i] = byte(src[i])
-	}
+	copy(dst, c.dev.out[int(in.SRAMIdx)*OutBlockBytes:])
 	return loadSetupCycles + uint64(total)/bytesPerCycle, nil
 }
 
 // gemm: for i in [0,Count): acc[AccIdx+i*AccStride] +=
-// wgt[WgtIdx+i*WgtStride] × inp[InpIdx+i*InpStride].
+// wgt[WgtIdx+i*WgtStride] × inp[InpIdx+i*InpStride]. The blocks are read
+// through fixed-size array views, so no product is bounds-checked; the input
+// lanes are widened once per block rather than once per weight, and each
+// output lane's 16 products are one unrolled sum. int32 sums wrap, so the
+// order they are added in changes no bit. A fixed bitset on the stack records
+// which accumulator blocks Reset has zeroed. An index out of range stops the
+// instruction there, with the blocks before it already accumulated.
 func (c *Context) gemm(in *Insn) (uint64, error) {
-	resetSeen := make(map[uint32]bool)
+	var reset [AccBufBlocks / 64]uint64
 	for i := uint32(0); i < in.Count; i++ {
 		ai := in.AccIdx + i*in.AccStride
 		wi := in.WgtIdx + i*in.WgtStride
@@ -172,21 +169,22 @@ func (c *Context) gemm(in *Insn) (uint64, error) {
 		if ai >= AccBufBlocks || wi >= WgtBufBlocks || ii >= InpBufBlocks {
 			return 0, fmt.Errorf("gemm scratchpad index out of range (acc=%d wgt=%d inp=%d)", ai, wi, ii)
 		}
-		acc := c.dev.acc[ai*BlockOut : (ai+1)*BlockOut]
-		if in.Reset && !resetSeen[ai] {
-			for o := range acc {
-				acc[o] = 0
-			}
-			resetSeen[ai] = true
+		acc := (*[BlockOut]int32)(c.dev.acc[ai*BlockOut:])
+		if in.Reset && reset[ai/64]&(1<<(ai%64)) == 0 {
+			*acc = [BlockOut]int32{}
+			reset[ai/64] |= 1 << (ai % 64)
 		}
-		wgt := c.dev.wgt[wi*WgtBlockBytes : (wi+1)*WgtBlockBytes]
-		inp := c.dev.inp[ii*InpBlockBytes : (ii+1)*InpBlockBytes]
-		for o := 0; o < BlockOut; o++ {
-			var s int32
-			for k := 0; k < BlockIn; k++ {
-				s += int32(wgt[o*BlockIn+k]) * int32(inp[k])
-			}
-			acc[o] += s
+		wgt := (*[WgtBlockBytes]byte)(c.dev.wgt[wi*WgtBlockBytes:])
+		var x [BlockIn]int32
+		for k, v := range (*[BlockIn]byte)(c.dev.inp[ii*InpBlockBytes:]) {
+			x[k] = int32(int8(v))
+		}
+		for o := range acc {
+			w := (*[BlockIn]byte)(wgt[o*BlockIn:])
+			acc[o] += int32(int8(w[0]))*x[0] + int32(int8(w[1]))*x[1] + int32(int8(w[2]))*x[2] + int32(int8(w[3]))*x[3] +
+				int32(int8(w[4]))*x[4] + int32(int8(w[5]))*x[5] + int32(int8(w[6]))*x[6] + int32(int8(w[7]))*x[7] +
+				int32(int8(w[8]))*x[8] + int32(int8(w[9]))*x[9] + int32(int8(w[10]))*x[10] + int32(int8(w[11]))*x[11] +
+				int32(int8(w[12]))*x[12] + int32(int8(w[13]))*x[13] + int32(int8(w[14]))*x[14] + int32(int8(w[15]))*x[15]
 		}
 	}
 	return uint64(in.Count) * gemmCyclesPerOp, nil
@@ -251,7 +249,7 @@ func (c *Context) CommitOut(accIdx, outIdx, count uint32) error {
 			if v < -128 {
 				v = -128
 			}
-			out[o] = int8(v)
+			out[o] = byte(v)
 		}
 	}
 	return nil

@@ -109,11 +109,12 @@ type Device struct {
 	memUsed uint64
 
 	// Scratchpads (shared by all contexts; executions are serialized like
-	// the single physical VTA pipeline).
-	inp []int8
-	wgt []int8
+	// the single physical VTA pipeline). inp, wgt and out hold int8 lanes as
+	// the bytes DMA moves, so LOAD and STORE are copies.
+	inp []byte
+	wgt []byte
 	acc []int32
-	out []int8
+	out []byte
 
 	pipeline *sim.Resource // whole-pipeline exclusivity per instruction stream
 	contexts map[int]*Context
@@ -142,10 +143,10 @@ func New(k *sim.Kernel, costs *sim.CostModel, cfg Config) *Device {
 		k:        k,
 		costs:    costs,
 		memSize:  cfg.MemBytes,
-		inp:      make([]int8, InpBufBlocks*InpBlockBytes),
-		wgt:      make([]int8, WgtBufBlocks*WgtBlockBytes),
+		inp:      make([]byte, InpBufBlocks*InpBlockBytes),
+		wgt:      make([]byte, WgtBufBlocks*WgtBlockBytes),
 		acc:      make([]int32, AccBufBlocks*BlockOut),
-		out:      make([]int8, OutBufBlocks*OutBlockBytes),
+		out:      make([]byte, OutBufBlocks*OutBlockBytes),
 		pipeline: sim.NewResource(k, cfg.Name+"/pipe", 1),
 		contexts: make(map[int]*Context),
 		priv:     attest.KeyFromSeed([]byte("npu-device-key/" + cfg.KeySeed)),

@@ -29,23 +29,51 @@ type Graph struct {
 }
 
 // packedWeights returns each layer's synthetic weights, quantized to int8 and
-// packed into NPU weight blocks. They are a function of the graph alone, so
-// they are drawn once and shared, read-only, by every engine compiled from it
-// — on whichever simulation, concurrently or not.
+// packed into NPU weight blocks: per layer, a row-major k×n matrix of
+// rand.Intn(7)-3 draws from one seed-99 stream running through the layers in
+// order. They are a function of the graph alone, so they are drawn once and
+// shared, read-only, by every engine compiled from it — on whichever
+// simulation, concurrently or not.
 func (g *Graph) packedWeights() [][]byte {
 	g.lower.Do(func() {
-		rng := rand.New(rand.NewSource(99))
+		src := rand.NewSource(99)
 		g.weights = make([][]byte, len(g.Layers))
 		for li, l := range g.Layers {
 			k, n := roundUp(l.K, npu.BlockIn), roundUp(l.N, npu.BlockOut)
 			w := make([]byte, k*n)
 			for i := range w {
-				w[i] = byte(int8(rng.Intn(7) - 3))
+				w[i] = byte(int8(intn7(src) - 3))
 			}
 			g.weights[li] = vtabench.PackWeights(w, k, n)
 		}
 	})
 	return g.weights
+}
+
+// DrawWeights draws the graph's weights now, if nothing has yet: a figure
+// calls it in a cell of its own so that the cells compiling the graph find
+// them drawn rather than wait on a neighbour that is drawing them.
+func (g *Graph) DrawWeights() { g.packedWeights() }
+
+// WeightBytes is the size of the graph's packed weights.
+func (g *Graph) WeightBytes() int {
+	n := 0
+	for _, l := range g.Layers {
+		n += roundUp(l.K, npu.BlockIn) * roundUp(l.N, npu.BlockOut)
+	}
+	return n
+}
+
+// intn7 is rand.New(src).Intn(7) — the same draws from src, the same value —
+// without the four calls between them: Int31n(7) takes the top 31 bits of an
+// Int63 and redraws the two values above the largest multiple of 7.
+func intn7(src rand.Source) int32 {
+	const max = 1<<31 - 1 - (1<<31)%7
+	v := int32(src.Int63() >> 32)
+	for v > max {
+		v = int32(src.Int63() >> 32)
+	}
+	return v % 7
 }
 
 // FLOPs returns total inference FLOPs (batch 1).

@@ -23,13 +23,16 @@ func registerExtendedKernels() {
 		Func: func(e *gpu.Exec) error {
 			size := int(e.Arg(1))
 			off := int(e.Arg(2))
-			b := blockDim
-			if off+b > size {
-				return nil
-			}
 			a, err := e.F32(e.Arg(0), size, size)
 			if err != nil {
 				return err
+			}
+			if off < 0 || off > size {
+				return badArg("lud_diagonal", "offset", off)
+			}
+			b := blockDim
+			if off+b > size {
+				return nil
 			}
 			at := func(r, c int) int { return (off+r)*size + off + c }
 			for i := 0; i < b; i++ {
@@ -60,6 +63,9 @@ func registerExtendedKernels() {
 			if err != nil {
 				return err
 			}
+			if off < 0 || off > size {
+				return badArg("lud_perimeter", "offset", off)
+			}
 			b := blockDim
 			// Row strip: triangular solve against the diagonal block.
 			for cb := off + b; cb < size; cb += b {
@@ -87,6 +93,9 @@ func registerExtendedKernels() {
 			a, err := e.F32(e.Arg(0), size, size)
 			if err != nil {
 				return err
+			}
+			if off < 0 || off > size {
+				return badArg("lud_internal", "offset", off)
 			}
 			b := blockDim
 			for r := off + b; r < size; r++ {
@@ -135,6 +144,9 @@ func registerExtendedKernels() {
 		Cost: rodCost(150*sim.Microsecond, 35, 0.85),
 		Func: func(e *gpu.Exec) error {
 			n, k, dims := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
+			if dims < 1 { // a k×0 view bounds no k
+				return badArg("sc_assign", "dims", dims)
+			}
 			fp, err := e.F32(e.Arg(0), n, dims)
 			if err != nil {
 				return err

@@ -10,11 +10,20 @@
 package rodinia
 
 import (
+	"fmt"
 	"math"
 
 	"cronus/internal/gpu"
 	"cronus/internal/sim"
 )
+
+// badArg rejects a launch argument the device views cannot bound — an index
+// outside the matrix it points into, or a zero dimension that lets another
+// one size a loop or an allocation unchecked. It is the error a bad pointer
+// gets, returned before any loop or allocation the argument would size.
+func badArg(kernel, arg string, v int) error {
+	return fmt.Errorf("%w: %s %s = %d", gpu.ErrInvalidPointer, kernel, arg, v)
+}
 
 // rodCost models a kernel's duration as fixed + perElem·grid ns. The
 // magnitudes are calibrated to the kernel times of the *full-size* Rodinia
@@ -78,6 +87,9 @@ func RegisterKernels() {
 					continue
 				}
 				start, end := int(fi[v]), int(fi[v+1])
+				if start < 0 {
+					return badArg("bfs_step", "edge offset", start)
+				}
 				for ei := start; ei < end && ei < nEdges; ei++ {
 					w := int(fd[ei])
 					if w >= 0 && w < n && fc[w] < 0 {
@@ -109,6 +121,9 @@ func RegisterKernels() {
 			if err != nil {
 				return err
 			}
+			if col < 0 || col >= size {
+				return badArg("gaussian_fan1", "col", col)
+			}
 			pivot := a[col*size+col]
 			if pivot == 0 {
 				pivot = 1e-6
@@ -138,6 +153,9 @@ func RegisterKernels() {
 			m, err := e.F32(e.Arg(2), size, size)
 			if err != nil {
 				return err
+			}
+			if col < 0 || col >= size {
+				return badArg("gaussian_fan2", "col", col)
 			}
 			for r := col + 1; r < size; r++ {
 				mult := m[r*size+col]
@@ -205,6 +223,9 @@ func RegisterKernels() {
 		Cost: rodCost(200*sim.Microsecond, 40, 0.8),
 		Func: func(e *gpu.Exec) error {
 			n, k, dims := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
+			if dims < 1 { // a k×0 view bounds no k
+				return badArg("kmeans_assign", "dims", dims)
+			}
 			fp, err := e.F32(e.Arg(0), n, dims)
 			if err != nil {
 				return err
@@ -242,6 +263,9 @@ func RegisterKernels() {
 		Cost: rodCost(50*sim.Microsecond, 2, 0.5),
 		Func: func(e *gpu.Exec) error {
 			n, k, dims := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
+			if dims < 1 { // a k×0 view bounds no k
+				return badArg("kmeans_update", "dims", dims)
+			}
 			fp, err := e.F32(e.Arg(0), n, dims)
 			if err != nil {
 				return err
@@ -326,6 +350,9 @@ func RegisterKernels() {
 			if err != nil {
 				return err
 			}
+			if diag < 2 || diag > 2*size { // cell (i, diag-i) is in no row
+				return badArg("nw_diag", "diag", diag)
+			}
 			for i := 1; i <= size; i++ {
 				j := diag - i
 				if j < 1 || j > size {
@@ -354,6 +381,9 @@ func RegisterKernels() {
 		Func: func(e *gpu.Exec) error {
 			cols := int(e.Arg(3))
 			row := int(e.Arg(4))
+			if row < 0 { // row -1 views 0×cols of the wall
+				return badArg("pathfinder_row", "row", row)
+			}
 			fw, err := e.F32(e.Arg(0), row+1, cols)
 			if err != nil {
 				return err
@@ -381,39 +411,22 @@ func RegisterKernels() {
 	})
 
 	// bp_layerforward: fused matmul+sigmoid layer of the backprop NN.
-	// args: x, w, y, M, N, K.
+	// args: x, w, y, M, N, K. The matmul is the std one (gpu.MatmulFunc,
+	// so y may alias x or w); the sigmoid then runs over y in place.
+	matmul := gpu.MatmulFunc(false, false)
 	gpu.Register(&gpu.Kernel{
 		Name: "bp_layerforward",
 		Cost: rodCost(250*sim.Microsecond, 0, 0.8),
 		Func: func(e *gpu.Exec) error {
-			m, n, k := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
-			x, err := e.F32(e.Arg(0), m, k)
-			if err != nil {
+			if err := matmul(e); err != nil {
 				return err
 			}
-			w, err := e.F32(e.Arg(1), k, n)
+			y, err := e.F32(e.Arg(2), int(e.Arg(3)), int(e.Arg(4)))
 			if err != nil {
 				return err
-			}
-			out, err := e.F32(e.Arg(2), m, n)
-			if err != nil {
-				return err
-			}
-			y := e.Scratch(m * n) // out may alias x or w
-			clear(y)
-			for i := 0; i < m; i++ {
-				for t := 0; t < k; t++ {
-					xv := x[i*k+t]
-					if xv == 0 {
-						continue
-					}
-					for j := 0; j < n; j++ {
-						y[i*n+j] += xv * w[t*n+j]
-					}
-				}
 			}
 			for i, v := range y {
-				out[i] = float32(1 / (1 + math.Exp(-float64(v)))) // sigmoid
+				y[i] = float32(1 / (1 + math.Exp(-float64(v))))
 			}
 			return nil
 		},
