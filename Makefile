@@ -64,8 +64,9 @@ bench-hotpath:
 	@echo "wrote BENCH_hotpath.json"
 
 # Native fuzzing of the decoders that face bytes another party wrote: the wire
-# codec (mECall arguments, replies, sealed payloads) and the sRPC record header
-# the executor validates before trusting a length. One short leg per target —
+# codec (mECall arguments, replies, sealed payloads), the sRPC record header
+# the executor validates before trusting a length, and the NPU program decoder
+# (vtaRun payloads and NPU enclave images). One short leg per target —
 # `go test -fuzz` takes a single target and a single package — on top of the
 # checked-in seed corpora under testdata/fuzz, which every plain `go test` run
 # already replays.
@@ -73,6 +74,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordHeader$$' -fuzztime $(FUZZTIME) ./internal/srpc
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInsns$$' -fuzztime $(FUZZTIME) ./internal/mos/driver
 
 # Documentation bar: package docs plus doc comments on every exported
 # identifier of the API-bearing packages (serve, srpc, spm, mos, chaos).
@@ -97,10 +99,12 @@ chaos:
 
 # cmd/ has no tests: run cronus-serve end to end on the three pool shapes —
 # executed plane, flow-model plane, two-node pool through a node crash — plus
-# one traced run. The CLI audits conservation itself and exits non-zero on an
-# accounting violation.
+# README's supervised failover (the one CLI path through Config.Supervise)
+# and one traced run. The CLI audits conservation itself and exits non-zero on
+# an accounting violation.
 smoke:
 	$(GO) run ./cmd/cronus-serve > /dev/null
+	$(GO) run ./cmd/cronus-serve -supervise -fail-at-ms 11 > /dev/null
 	$(GO) run ./cmd/cronus-serve -shards 2 > /dev/null
 	$(GO) run ./cmd/cronus-serve -nodes 2 -partitions 4 -shards 4 -node-crash-ms 11 > /dev/null
 	t="$$(mktemp)"; $(GO) run ./cmd/cronus-serve -trace "$$t" > /dev/null; rc=$$?; rm -f "$$t"; exit $$rc

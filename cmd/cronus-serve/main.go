@@ -11,7 +11,7 @@
 //
 //	cronus-serve                                  # two-tenant demo load
 //	cronus-serve -seed 7 -policy round-robin
-//	cronus-serve -fail-at-ms 11                   # inject a partition failure
+//	cronus-serve -fail-at-ms 11                   # inject a gpu-part0 failure
 //	cronus-serve -fail-at-ms 11 -supervise        # with health supervision on
 //	cronus-serve -max-batch 1                     # disable batching
 //	cronus-serve -trace out.json                  # Perfetto JSON + attribution table + p99 outliers
@@ -58,7 +58,6 @@ import (
 	"cronus/internal/serve"
 	"cronus/internal/sim"
 	"cronus/internal/slo"
-	"cronus/internal/spm"
 	"cronus/internal/trace"
 	"cronus/internal/tvm"
 	"cronus/internal/workload/rodinia"
@@ -74,10 +73,10 @@ func main() {
 	partitions := flag.Int("partitions", 2, "GPU partitions in the serving pool")
 	tenants := flag.Int("tenants", 2, "number of tenants")
 	rate := flag.Float64("rate", 3000, "per-tenant offered load, requests per virtual second")
-	failAtMS := flag.Int("fail-at-ms", 0, "inject a FailPanic at this virtual ms (0 = none)")
-	failPart := flag.String("fail-part", "gpu-part0", "partition to fail")
+	failAtMS := flag.Int("fail-at-ms", 0, "inject a FailPanic on gpu-part0 at this virtual ms (0 = none)")
 	supervise := flag.Bool("supervise", false,
-		"enable health supervision: mOS heartbeats + SPM watchdog, restart backoff, crash-loop quarantine, hang-report breaker")
+		"enable health supervision: mOS heartbeats + SPM watchdog, restart backoff, crash-loop quarantine "+
+			"(the hang-report breaker also needs the request watchdog, which only the chaos harness arms)")
 	showReqs := flag.Bool("requests", false, "dump the per-request timeline")
 	traceOut := flag.String("trace", "",
 		"enable causal tracing and write Chrome trace-event (Perfetto) JSON to this file")
@@ -147,9 +146,9 @@ func main() {
 		BatchWindow:   sim.Duration(*batchWinUS) * sim.Microsecond,
 		GPUPartitions: *partitions,
 		KeepRequests:  true,
-		FailPartition: *failPart,
 		Shards:        *shards,
 		Nodes:         *nodes,
+		Supervise:     *supervise,
 	}
 	if *nodeCrashMS > 0 {
 		cfg.NodeFaults = append(cfg.NodeFaults, cluster.Fault{
@@ -198,16 +197,6 @@ func main() {
 			Window:        cfg.Window,
 		}
 		cfg.SLOAdmission = *sloAdmit
-	}
-	if *supervise {
-		cfg.Supervision = &spm.Supervision{
-			HeartbeatEvery:  200 * sim.Microsecond,
-			MissedBeats:     3,
-			RestartBackoff:  500 * sim.Microsecond,
-			QuarantineAfter: 3,
-			FailureWindow:   sim.Second,
-		}
-		cfg.HangReportAfter = 2
 	}
 	nn := rodinia.NN()
 	for i := 0; i < *tenants; i++ {

@@ -360,8 +360,8 @@ func TestCrashLoopCompileDegrades(t *testing.T) {
 		switch f.Kind {
 		case KindCrashLoop:
 			loops++
-			if f.Crashes != quarantineAfter {
-				t.Errorf("crash-loop sized to %d crashes, want %d", f.Crashes, quarantineAfter)
+			if want := serve.HealthPolicy().QuarantineAfter; f.Crashes != want {
+				t.Errorf("crash-loop sized to %d crashes, want %d", f.Crashes, want)
 			}
 		case KindCrash:
 			crashes++

@@ -82,7 +82,7 @@ func compilePlatform(seed int64, opts Options) *Schedule {
 			crashLoopDrawn = true
 			f.Partition = rng.Intn(opts.Partitions)
 			f.After = midWindow(rng, opts)
-			f.Crashes = quarantineAfter
+			f.Crashes = serve.HealthPolicy().QuarantineAfter
 		}
 		s.Faults = append(s.Faults, f)
 	}

@@ -199,7 +199,7 @@ func (rr *RunReport) checkFault(i int, f *Fault) []string {
 		if !rr.Fired[i] {
 			return nil
 		}
-		sv := chaosSupervision()
+		sv := serve.HealthPolicy()
 		bound := sv.HeartbeatEvery * sim.Duration(sv.MissedBeats+2)
 		injected := rr.InjectAt[i]
 		part := fmt.Sprintf("gpu-part%d", f.Partition)

@@ -8,38 +8,18 @@ import (
 	"cronus/internal/serve"
 	"cronus/internal/sim"
 	"cronus/internal/slo"
-	"cronus/internal/spm"
 	"cronus/internal/trace"
 	"cronus/internal/tvm"
 )
-
-// quarantineAfter is the crash-loop policy shared by the fault compiler and
-// the supervision config: Compile sizes a KindCrashLoop fault to exactly
-// this many crashes, so a fired crash-loop always engages quarantine.
-const quarantineAfter = 3
-
-// chaosSupervision is the health-supervision policy every single-platform
-// run enables — baseline and faulted alike, so the two timelines stay
-// byte-identical up to the first fault. A 200µs heartbeat with a 3-beat deadline bounds hang
-// detection at 1ms (spm.SPM.HangDetectionBound); quarantineAfter failures
-// inside a 1s window quarantine the partition.
-func chaosSupervision() *spm.Supervision {
-	return &spm.Supervision{
-		HeartbeatEvery:  200 * sim.Microsecond,
-		MissedBeats:     3,
-		RestartBackoff:  500 * sim.Microsecond,
-		MaxBackoff:      4 * sim.Millisecond,
-		QuarantineAfter: quarantineAfter,
-		FailureWindow:   sim.Second,
-	}
-}
 
 // serveConfig is the serving-plane load a chaos seed runs against, on either
 // topology: dynamic batching, per-request records kept for the conservation
 // audit, and the watchdog/retry layer enabled so hangs and lost batches are
 // recoverable. A single platform adds device-affinity placement (so fault
-// blast radii are attributable to tenants), supervision, causal tracing and
-// the SLO engine. The cluster spans Options.Nodes fabric nodes on the
+// blast radii are attributable to tenants), supervision under
+// serve.HealthPolicy — baseline and faulted run alike, so the two timelines
+// stay byte-identical up to the first fault — causal tracing and the SLO
+// engine. The cluster spans Options.Nodes fabric nodes on the
 // flow-model data plane, round-robin placement inside each home group, and
 // HashBound 1.0 so the boot assignment spreads tenants evenly — every node
 // gets victims and survivors; supervision, tracing and the SLO engine stay
@@ -56,7 +36,6 @@ func serveConfig(s *Schedule, o Options, inject bool) serve.Config {
 		GPUPartitions: o.Partitions,
 		GPUFlopsPerNs: 400,
 		KeepRequests:  true,
-		RetryBackoff:  100 * sim.Microsecond,
 	}
 	for ti := 0; ti < o.Tenants; ti++ {
 		cfg.Tenants = append(cfg.Tenants, serve.TenantSpec{
@@ -70,7 +49,6 @@ func serveConfig(s *Schedule, o Options, inject bool) serve.Config {
 	if o.cluster() {
 		cfg.Policy = serve.RoundRobin
 		cfg.RequestTimeout = 2 * sim.Millisecond
-		cfg.MaxRetries = 1
 		cfg.Shards = o.Partitions
 		cfg.Nodes = o.Nodes
 		cfg.HashBound = 1.0
@@ -86,9 +64,7 @@ func serveConfig(s *Schedule, o Options, inject bool) serve.Config {
 	}
 	cfg.Policy = serve.DeviceAffinity
 	cfg.RequestTimeout = 500 * sim.Microsecond
-	cfg.MaxRetries = 3
-	cfg.Supervision = chaosSupervision()
-	cfg.HangReportAfter = 2
+	cfg.Supervise = true
 	// Causal tracing and the SLO engine run on every single-platform seed so
 	// their invariants soak with the fault mix: per-request stage
 	// attributions must stay conservative and SLO accounting must balance

@@ -2,7 +2,7 @@
 // load-driven autoscaler control loop and the planned live-migration state
 // machine (DESIGN.md §16). The package itself is pure policy — deterministic
 // decision logic over signals the serving plane already collects (queue
-// depth, shed rate, tenant p95, SLO burn rate) — while the mechanism
+// depth, shed rate) — while the mechanism
 // (quiescing lanes, checkpointing mEnclaves, fabric transfer, exactly-once
 // replay) lives in internal/serve, which consumes these types.
 //
@@ -31,11 +31,6 @@ type Signals struct {
 	QueueDepth int
 	// ShedRate is the cumulative shed/offered ratio across all tenants.
 	ShedRate float64
-	// P95 is the worst per-tenant p95 latency observed so far.
-	P95 sim.Duration
-	// BurnRate is the worst per-tenant fast burn-rate signal (0 when the
-	// SLO engine is off).
-	BurnRate float64
 }
 
 // Action is one control-loop decision.
@@ -62,10 +57,27 @@ func (a Action) String() string {
 	return "hold"
 }
 
-// Config tunes the autoscaler controller. The zero value of a field selects
-// its documented default; LowDepth < 0 disables scale-down entirely (the
-// inert configuration chaos baselines use, so an armed-but-idle controller
-// never perturbs the run).
+// The capacity-change costs and the loop's fixed hysteresis. A scaled-up
+// partition is usable only after BootCost + AttestCost of virtual time; a
+// scale-down releases a partition and then scrubs it for ScrubCost before the
+// capacity could ever be handed elsewhere; a migration checkpoints
+// EnclaveStateBytes of mEnclave state per tenant on top of the staging
+// arenas; scale-down never leaves a node with fewer than MinActive
+// partitions; and cooldown is the minimum virtual time between two capacity
+// actions — the hysteresis that damps oscillation.
+const (
+	BootCost          = 200 * sim.Microsecond
+	AttestCost        = 50 * sim.Microsecond
+	ScrubCost         = 100 * sim.Microsecond
+	EnclaveStateBytes = 256 << 10
+	MinActive         = 1
+	cooldown          = sim.Millisecond
+)
+
+// Config tunes the autoscaler controller's tick and watermarks. The zero
+// value of a field selects its documented default; LowDepth < 0 disables
+// scale-down entirely (the inert configuration chaos baselines use, so an
+// armed-but-idle controller never perturbs the run).
 type Config struct {
 	// Interval is the control-loop tick (default 250µs).
 	Interval sim.Duration
@@ -78,27 +90,6 @@ type Config struct {
 	// HighShed is the shed-rate watermark above which the loop scales up
 	// (default 0.05).
 	HighShed float64
-	// P95High, when > 0, scales up once the worst tenant p95 exceeds it.
-	P95High sim.Duration
-	// BurnHigh, when > 0, scales up once the worst fast burn rate exceeds it.
-	BurnHigh float64
-	// Cooldown is the minimum virtual time between two capacity actions
-	// (default 1ms) — the hysteresis that damps oscillation.
-	Cooldown sim.Duration
-	// MinActive is the number of partitions per node the loop never scales
-	// below (default 1).
-	MinActive int
-	// BootCost and AttestCost are charged, in virtual time, before a
-	// scaled-up partition is usable (defaults 200µs and 50µs).
-	BootCost   sim.Duration
-	AttestCost sim.Duration
-	// ScrubCost is charged after a scale-down releases a partition
-	// (default 100µs) — the vacated enclave memory is scrubbed before the
-	// capacity could ever be handed elsewhere.
-	ScrubCost sim.Duration
-	// EnclaveStateBytes sizes the per-enclave state a migration checkpoints
-	// on top of the staging arenas (default 256 KiB).
-	EnclaveStateBytes int
 }
 
 // Defaults fills unset fields with the documented defaults.
@@ -114,24 +105,6 @@ func (c *Config) Defaults() {
 	}
 	if c.HighShed <= 0 {
 		c.HighShed = 0.05
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = sim.Millisecond
-	}
-	if c.MinActive <= 0 {
-		c.MinActive = 1
-	}
-	if c.BootCost <= 0 {
-		c.BootCost = 200 * sim.Microsecond
-	}
-	if c.AttestCost <= 0 {
-		c.AttestCost = 50 * sim.Microsecond
-	}
-	if c.ScrubCost <= 0 {
-		c.ScrubCost = 100 * sim.Microsecond
-	}
-	if c.EnclaveStateBytes <= 0 {
-		c.EnclaveStateBytes = 256 << 10
 	}
 }
 
@@ -149,8 +122,6 @@ type Controller struct {
 	acted    bool
 	storms   []storm
 	flipDown bool
-
-	ups, downs, holds uint64
 }
 
 // NewController builds a controller with defaults applied.
@@ -191,10 +162,7 @@ func (c *Controller) Decide(now sim.Time, s Signals) Action {
 		}
 		return c.record(now, ScaleUp)
 	}
-	up := s.QueueDepth > c.cfg.HighDepth ||
-		s.ShedRate > c.cfg.HighShed ||
-		(c.cfg.P95High > 0 && s.P95 > c.cfg.P95High) ||
-		(c.cfg.BurnHigh > 0 && s.BurnRate > c.cfg.BurnHigh)
+	up := s.QueueDepth > c.cfg.HighDepth || s.ShedRate > c.cfg.HighShed
 	down := !up && c.cfg.LowDepth >= 0 &&
 		s.QueueDepth <= c.cfg.LowDepth && s.ShedRate <= c.cfg.HighShed/2
 	act := Hold
@@ -204,31 +172,19 @@ func (c *Controller) Decide(now sim.Time, s Signals) Action {
 	case down:
 		act = ScaleDown
 	}
-	if act != Hold && c.acted && sim.Duration(now-c.lastAct) < c.cfg.Cooldown {
+	if act != Hold && c.acted && sim.Duration(now-c.lastAct) < cooldown {
 		act = Hold // hysteresis: too soon after the last capacity change
 	}
 	return c.record(now, act)
 }
 
-// record updates the action counters and the cooldown clock.
+// record starts the cooldown clock at every capacity action.
 func (c *Controller) record(now sim.Time, act Action) Action {
-	switch act {
-	case ScaleUp:
-		c.ups++
-	case ScaleDown:
-		c.downs++
-	default:
-		c.holds++
-		return act
+	if act != Hold {
+		c.lastAct = now
+		c.acted = true
 	}
-	c.lastAct = now
-	c.acted = true
 	return act
-}
-
-// Counts returns the cumulative (scale-up, scale-down, hold) decision counts.
-func (c *Controller) Counts() (ups, downs, holds uint64) {
-	return c.ups, c.downs, c.holds
 }
 
 // Endpoint names one (node, partition) slot of the serving pool — the source

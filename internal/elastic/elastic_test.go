@@ -9,10 +9,7 @@ import (
 func TestDefaults(t *testing.T) {
 	var c Config
 	c.Defaults()
-	if c.Interval != 250*sim.Microsecond || c.HighDepth != 96 || c.LowDepth != 8 {
-		t.Fatalf("unexpected defaults: %+v", c)
-	}
-	if c.MinActive != 1 || c.BootCost != 200*sim.Microsecond || c.EnclaveStateBytes != 256<<10 {
+	if c != (Config{Interval: 250 * sim.Microsecond, HighDepth: 96, LowDepth: 8, HighShed: 0.05}) {
 		t.Fatalf("unexpected defaults: %+v", c)
 	}
 	// Negative LowDepth (scale-down disabled) must survive defaulting.
@@ -33,10 +30,8 @@ func TestDecideWatermarks(t *testing.T) {
 		{"nominal holds", Signals{QueueDepth: 50}, Hold},
 		{"deep queue scales up", Signals{QueueDepth: 200}, ScaleUp},
 		{"shedding scales up", Signals{QueueDepth: 50, ShedRate: 0.2}, ScaleUp},
-		{"slow p95 scales up", Signals{QueueDepth: 50, P95: 2 * sim.Millisecond}, ScaleUp},
-		{"burn scales up", Signals{QueueDepth: 50, BurnRate: 20}, ScaleUp},
 	} {
-		c := NewController(Config{P95High: sim.Millisecond, BurnHigh: 10})
+		c := NewController(Config{})
 		if got := c.Decide(1000, tc.s); got != tc.want {
 			t.Errorf("%s: Decide = %v, want %v", tc.name, got, tc.want)
 		}
@@ -44,7 +39,7 @@ func TestDecideWatermarks(t *testing.T) {
 }
 
 func TestDecideCooldown(t *testing.T) {
-	c := NewController(Config{Cooldown: sim.Millisecond})
+	c := NewController(Config{})
 	hot := Signals{QueueDepth: 1000}
 	if got := c.Decide(0, hot); got != ScaleUp {
 		t.Fatalf("first decision = %v, want scale-up", got)
@@ -54,10 +49,6 @@ func TestDecideCooldown(t *testing.T) {
 	}
 	if got := c.Decide(sim.Time(2*sim.Millisecond), hot); got != ScaleUp {
 		t.Fatalf("decision past cooldown = %v, want scale-up", got)
-	}
-	ups, downs, holds := c.Counts()
-	if ups != 2 || downs != 0 || holds != 1 {
-		t.Fatalf("Counts = %d/%d/%d, want 2/0/1", ups, downs, holds)
 	}
 }
 
@@ -69,7 +60,7 @@ func TestDecideScaleDownDisabled(t *testing.T) {
 }
 
 func TestStormAlternates(t *testing.T) {
-	c := NewController(Config{Cooldown: sim.Second}) // cooldown must not gate storms
+	c := NewController(Config{}) // the 1ms cooldown must not gate storms
 	c.AddStorm(100, 200)
 	if c.StormActive(50) || !c.StormActive(150) || c.StormActive(200) {
 		t.Fatal("StormActive window wrong")

@@ -10,7 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"cronus/internal/accel"
@@ -188,12 +187,3 @@ func (t *Table) String() string {
 }
 
 func ms(d sim.Duration) string { return fmt.Sprintf("%.3f", d.Milliseconds()) }
-
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -1,6 +1,8 @@
 package driver_test
 
 import (
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -219,4 +221,97 @@ func TestDriverEncodersDecoders(t *testing.T) {
 	if d.Err() != nil {
 		t.Fatal(d.Err())
 	}
+}
+
+// allocBytes is the average heap allocation, in bytes, of one call of f.
+func allocBytes(f func()) uint64 {
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// hostileCount is a count word no payload of a few dozen bytes can back.
+const hostileCount = 0xFFFFFFFF
+
+// TestDecodeInsnsHostileCount: a program image whose instruction count is
+// 0xFFFFFFFF but which carries one instruction's worth of bytes is a typed
+// truncation, and decoding it allocates in proportion to the payload — not
+// the ~300 GB the count word asks for.
+func TestDecodeInsnsHostileCount(t *testing.T) {
+	payload := wire.NewEncoder().Str("VTAPROG v1").U32(hostileCount).Bytes()
+	payload = append(payload, make([]byte, 72)...)
+	var err error
+	per := allocBytes(func() { _, err = driver.DecodeInsns(payload) })
+	if !errors.Is(err, wire.ErrTruncated) {
+		t.Fatalf("DecodeInsns error = %v, want one wrapping wire.ErrTruncated", err)
+	}
+	if limit := uint64(8 * len(payload)); per > limit {
+		t.Errorf("DecodeInsns allocated %d B for a %d B payload, want <= %d", per, len(payload), limit)
+	}
+}
+
+// TestCUDALaunchHostileArgCount: a cuLaunchKernel whose argument count is
+// 0xFFFFFFFF but which carries one argument is a typed truncation returned
+// before any launch, and the call allocates in proportion to the payload —
+// not the 32 GiB the count word asks for.
+func TestCUDALaunchHostileArgCount(t *testing.T) {
+	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
+		m := cudaModel(t, rig, p)
+		payload := wire.NewEncoder().Str("vec_add").U32(1).U32(1).U32(1).U32(hostileCount).U64(0).Bytes()
+		var err error
+		per := allocBytes(func() { _, err = call(m, p, driver.CallLaunch, payload) })
+		if !errors.Is(err, wire.ErrTruncated) {
+			t.Fatalf("Launch error = %v, want one wrapping wire.ErrTruncated", err)
+		}
+		if limit := uint64(8 * len(payload)); per > limit {
+			t.Errorf("Launch allocated %d B for a %d B payload, want <= %d", per, len(payload), limit)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// FuzzDecodeInsns feeds attacker-chosen bytes to the NPU program decoder (the
+// vtaRun payload and the NPU enclave image). It must never panic; a failure
+// is a bad magic or a typed truncation; a decoded program fits in the bytes
+// it came from and survives an encode/decode round trip unchanged.
+func FuzzDecodeInsns(f *testing.F) {
+	f.Add(driver.EncodeInsns([]npu.Insn{
+		{Op: npu.OpLoad, Mem: npu.MemWgt, DRAMAddr: 0x1234, SRAMIdx: 7, Count: 3},
+		{Op: npu.OpGemm, InpIdx: 1, WgtIdx: 2, AccIdx: 3, InpStride: 1, WgtStride: 2, Count: 9, Reset: true},
+		{Op: npu.OpAlu, Alu: npu.AluShr, DstIdx: 4, UseImm: true, Imm: -2, Count: 5},
+		{Op: npu.OpFinish},
+	}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		insns, err := driver.DecodeInsns(data)
+		if err != nil {
+			if insns != nil {
+				t.Fatalf("error %v with %d instructions", err, len(insns))
+			}
+			if !errors.Is(err, wire.ErrTruncated) && !strings.Contains(err.Error(), "not a VTA program") {
+				t.Fatalf("untyped decode error: %v", err)
+			}
+			return
+		}
+		enc := driver.EncodeInsns(insns)
+		if len(enc) > len(data) {
+			t.Fatalf("%d instructions re-encode to %d bytes, decoded from %d", len(insns), len(enc), len(data))
+		}
+		again, err := driver.DecodeInsns(enc)
+		if err != nil || len(again) != len(insns) {
+			t.Fatalf("round trip: %d instructions, err %v; want %d", len(again), err, len(insns))
+		}
+		for i := range insns {
+			if again[i] != insns[i] {
+				t.Fatalf("round trip: insn %d %+v, want %+v", i, again[i], insns[i])
+			}
+		}
+	})
 }

@@ -178,8 +178,7 @@ func (m *CUDAModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encode
 		for i := range grid {
 			grid[i] = int(d.U32())
 		}
-		n := d.U32()
-		kargs := make([]uint64, n)
+		kargs := make([]uint64, d.Count(8))
 		for i := range kargs {
 			kargs[i] = d.U64()
 		}

@@ -181,6 +181,10 @@ func (m *NPUModel) Destroy(*sim.Proc) {
 	}
 }
 
+// insnBytes is the encoded size of one instruction: sixteen u32 fields and
+// the u64 DRAM address.
+const insnBytes = 16*4 + 8
+
 // EncodeInsns serializes an NPU instruction stream for vtaRun (also the NPU
 // enclave image format).
 func EncodeInsns(insns []npu.Insn) []byte {
@@ -215,8 +219,7 @@ func DecodeInsns(data []byte) ([]npu.Insn, error) {
 	if magic := d.Str(); magic != "VTAPROG v1" {
 		return nil, fmt.Errorf("driver: not a VTA program (magic %q)", magic)
 	}
-	n := d.U32()
-	insns := make([]npu.Insn, n)
+	insns := make([]npu.Insn, d.Count(insnBytes))
 	for i := range insns {
 		in := &insns[i]
 		in.Op = npu.Op(d.U32())

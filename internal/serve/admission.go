@@ -160,13 +160,12 @@ func (q *queue) pop() *Request {
 }
 
 // submit is the one admission decision both planes run for an offered
-// request, inline in arrival events and closed-loop procs: shed with a typed
-// *OverloadError when the tenant is at its in-flight bound, otherwise assign
-// the id (the plane-wide admission sequence), record the arrival, append the
-// kept record and hand the request to the plane — the dispatcher's queue on
-// the executed plane, inline batching on the flow model. withSignal attaches
-// a completion signal for closed-loop callers.
-func (srv *Server) submit(now sim.Time, t *tenant, cl *workClass, withSignal bool) (*Request, error) {
+// request, inline in arrival events: shed with a typed *OverloadError when
+// the tenant is at its in-flight bound, otherwise assign the id (the
+// plane-wide admission sequence), record the arrival, append the kept record
+// and hand the request to the plane — the dispatcher's queue on the executed
+// plane, inline batching on the flow model.
+func (srv *Server) submit(now sim.Time, t *tenant, cl *workClass) (*Request, error) {
 	t.offered++
 	if limit := srv.effectiveCap(t, now); t.inFlight() >= limit {
 		t.shed++
@@ -187,9 +186,6 @@ func (srv *Server) submit(now sim.Time, t *tenant, cl *workClass, withSignal boo
 		if trace.Default.Enabled() {
 			r.spanID = trace.Default.NextSpanID()
 		}
-	}
-	if withSignal {
-		r.done = sim.NewSignal(srv.pl.K)
 	}
 	t.admitted++
 	if srv.cfg.KeepRequests {

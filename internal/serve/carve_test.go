@@ -53,7 +53,7 @@ func onPool(tb testing.TB, cfg Config, body func(p *sim.Proc, srv *Server)) {
 // and fails the test if admission refuses it.
 func offer(tb testing.TB, p *sim.Proc, srv *Server, tn *tenant, class int) *Request {
 	tb.Helper()
-	r, err := srv.submit(p.Now(), tn, tn.classes[class], false)
+	r, err := srv.submit(p.Now(), tn, tn.classes[class])
 	if err != nil {
 		tb.Errorf("submit at %s: %v", sim.Duration(p.Now()), err)
 	}
@@ -270,7 +270,7 @@ func BenchmarkFlowBatch(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for j := 0; j < srv.cfg.MaxBatch; j++ {
-				if _, err := srv.submit(p.Now(), tn, cl, false); err != nil {
+				if _, err := srv.submit(p.Now(), tn, cl); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -19,8 +19,8 @@ package serve
 // verification.
 //
 // The autoscaler is a control loop over signals the plane already exports —
-// total queue depth, cumulative shed rate, worst tenant p95 and the SLO
-// burn-rate — with watermark hysteresis and a cooldown (internal/elastic).
+// total queue depth and cumulative shed rate — with watermark hysteresis and
+// a cooldown (internal/elastic).
 // Scale-down rides the migration primitive and then scrubs the vacated
 // partition; scale-up re-boots a released partition, charging mOS boot plus
 // re-attestation in virtual time before the capacity is usable. A partition's
@@ -104,13 +104,8 @@ type elState struct {
 	// busy serializes capacity actions: one migration at a time.
 	busy bool
 
-	migrations  uint64
-	interrupted uint64
-	races       uint64
-	ups         uint64
-	downs       uint64
-	replayed    uint64
-
+	// The layer's books: Result.Elastic reads them back from the run's
+	// metrics snapshot.
 	ctrMigrations  *metrics.Counter
 	ctrInterrupted *metrics.Counter
 	ctrRaces       *metrics.Counter
@@ -183,21 +178,13 @@ func (srv *Server) elStart(p *sim.Proc) {
 }
 
 // elSignals samples the plane's load state for one control tick.
-func (srv *Server) elSignals(now sim.Time) elastic.Signals {
+func (srv *Server) elSignals() elastic.Signals {
 	var s elastic.Signals
 	var offered, shed uint64
 	for _, t := range srv.tenants {
 		s.QueueDepth += t.inFlight()
 		offered += t.offered
 		shed += t.shed
-		if p95 := sim.Duration(t.latHist.Quantile(0.95)); p95 > s.P95 {
-			s.P95 = p95
-		}
-		if t.slo != nil {
-			if f := t.slo.Signal(now).Fast; f > s.BurnRate {
-				s.BurnRate = f
-			}
-		}
 	}
 	if offered > 0 {
 		s.ShedRate = float64(shed) / float64(offered)
@@ -215,7 +202,7 @@ func (srv *Server) elRun(p *sim.Proc) {
 		p.Sleep(interval)
 		now := p.Now()
 		storm := srv.el.ctl.StormActive(now)
-		act := srv.el.ctl.Decide(now, srv.elSignals(now))
+		act := srv.el.ctl.Decide(now, srv.elSignals())
 		if act == elastic.Hold && !(inStorm && !storm) {
 			inStorm = storm
 			continue
@@ -293,7 +280,6 @@ func (srv *Server) elMigrate(p *sim.Proc, m Migration) bool {
 		// abandoned, nothing is lost or duplicated.
 		p.Sleep(ckNS / 2)
 		srcPart.draining = false
-		el.interrupted++
 		el.ctrInterrupted.Inc()
 		el.busy = false
 		el.event(p.Now(), label+" interrupted: source failed mid-checkpoint")
@@ -309,7 +295,6 @@ func (srv *Server) elMigrate(p *sim.Proc, m Migration) bool {
 	for _, t := range srv.tenants {
 		replayed += srv.shCancelInflight(t, t.reps[src])
 	}
-	el.replayed += uint64(replayed)
 	el.ctrReplayed.Add(uint64(replayed))
 	// Transfer: the snapshot crosses the fabric to another node (TransferNS
 	// prices serialization, bandwidth and slow-link windows) or rides the
@@ -324,7 +309,6 @@ func (srv *Server) elMigrate(p *sim.Proc, m Migration) bool {
 	// Release: only now does the source leave service.
 	done := p.Now()
 	srcPart.draining, srcPart.released = false, true
-	el.migrations++
 	el.ctrMigrations.Inc()
 	el.busy = false
 	el.event(done, fmt.Sprintf("%s completed (%d KiB state, %d replayed)", label, ck>>10, replayed))
@@ -368,7 +352,6 @@ func (srv *Server) elDrainRace(now sim.Time, m Migration, src int) {
 		default:
 			continue
 		}
-		srv.el.races++
 		srv.el.ctrRaces.Inc()
 		srv.el.event(now, fmt.Sprintf("drain-race: %s batch of %d admitted onto quiescing %s",
 			t.spec.Name, len(b.reqs), m.From))
@@ -381,10 +364,9 @@ func (srv *Server) elDrainRace(now sim.Time, m Migration, src int) {
 // elCheckpointBytes sizes one partition's migration snapshot: per tenant,
 // the mEnclave state plus the staging arena contents.
 func (srv *Server) elCheckpointBytes() int {
-	state := srv.el.ctl.Config().EnclaveStateBytes
 	total := 0
 	for _, t := range srv.tenants {
-		total += state + t.reps[0].inCap
+		total += elastic.EnclaveStateBytes + t.reps[0].inCap
 	}
 	return total
 }
@@ -409,7 +391,7 @@ func (srv *Server) elActive(node int) (active, hi, lo int) {
 
 // elScaleDown picks the node with the most active partitions (ties: lowest
 // node), migrates its highest active partition onto its lowest, and scrubs
-// the vacated one. MinActive partitions per node always survive.
+// the vacated one. elastic.MinActive partitions per node always survive.
 func (srv *Server) elScaleDown(p *sim.Proc) {
 	if srv.el.busy {
 		return
@@ -423,7 +405,7 @@ func (srv *Server) elScaleDown(p *sim.Proc) {
 			best, bestActive = n, active
 		}
 	}
-	if best < 0 || bestActive <= srv.el.ctl.Config().MinActive {
+	if best < 0 || bestActive <= elastic.MinActive {
 		return
 	}
 	_, hi, lo := srv.elActive(best)
@@ -437,9 +419,8 @@ func (srv *Server) elScaleDown(p *sim.Proc) {
 	if !srv.elMigrate(p, m) {
 		return
 	}
-	srv.el.downs++
 	srv.el.ctrDowns.Inc()
-	p.Sleep(srv.el.ctl.Config().ScrubCost)
+	p.Sleep(elastic.ScrubCost)
 	srv.el.event(p.Now(), fmt.Sprintf("scale-down: %s released and scrubbed", m.From))
 }
 
@@ -458,15 +439,13 @@ func (srv *Server) elScaleUp(p *sim.Proc) bool {
 		return false
 	}
 	el, pp := srv.el, srv.parts[i]
-	cfg := el.ctl.Config()
 	ep := elastic.Endpoint{Node: pp.node, Part: pp.idx}
 	el.busy = true
 	el.event(p.Now(), fmt.Sprintf("scale-up: booting %s (boot %s + attest %s)",
-		ep, cfg.BootCost, cfg.AttestCost))
-	p.Sleep(cfg.BootCost + cfg.AttestCost)
+		ep, elastic.BootCost, elastic.AttestCost))
+	p.Sleep(elastic.BootCost + elastic.AttestCost)
 	pp.released = false
 	el.busy = false
-	el.ups++
 	el.ctrUps.Inc()
 	now := p.Now()
 	el.event(now, fmt.Sprintf("scale-up: %s in service", ep))

@@ -22,7 +22,6 @@ func failoverConfig(seed int64) serve.Config {
 		GPUPartitions: 2,
 		KeepRequests:  true,
 		FailAt:        11 * sim.Millisecond,
-		FailPartition: "gpu-part0",
 		Tenants: []serve.TenantSpec{
 			{
 				// Tenant 0 -> gpu-part0: the victim. ~0.8 utilization, so

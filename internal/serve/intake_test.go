@@ -28,7 +28,7 @@ func TestInFlightDerivedFromLedger(t *testing.T) {
 			Tenants: []TenantSpec{
 				{Name: "alpha", Arrival: FixedRate, Rate: 60000, QueueCap: 64,
 					Mix: []WorkClass{{Name: "resnet50", Graph: tvm.ResNet50()}}},
-				{Name: "sync", Arrival: ClosedLoop, Clients: 3, Think: 50 * sim.Microsecond, QueueCap: 16,
+				{Name: "beta", Arrival: Poisson, Rate: 30000, QueueCap: 16,
 					Mix: []WorkClass{{Name: "resnet18", Graph: tvm.ResNet18()}}},
 			},
 		}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"math/rand"
 
 	"cronus/internal/sim"
@@ -9,17 +8,17 @@ import (
 
 // This file is the serving plane's load generator — the front of the one
 // intake both planes share (admission.go holds the rest: submit, request
-// identity, accounting). Per-tenant arrival processes are driven by seeded
-// math/rand streams: every stream's seed is a pure function of Config.Seed
-// and the tenant (and client) index, and every decision consumes the stream
-// in a fixed order (gap, class, gap, …), so a config offers the identical
-// timeline on the executed and the flow-model plane by construction. The
-// planes part only after a request is admitted, at the enqueue that ends
-// submit.
+// identity, accounting). Arrivals are open-loop: per-tenant arrival processes
+// are driven by seeded math/rand streams, every stream's seed is a pure
+// function of Config.Seed and the tenant index, and every decision consumes
+// the stream in a fixed order (gap, class, gap, …), so a config offers the
+// identical timeline on the executed and the flow-model plane by
+// construction. The planes part only after a request is admitted, at the
+// enqueue that ends submit.
 
 // tenantSeed derives the RNG seed for one tenant's arrival stream.
-func tenantSeed(base int64, ti, client int) int64 {
-	return base + int64(ti)*1_000_003 + int64(client)*7919
+func tenantSeed(base int64, ti int) int64 {
+	return base + int64(ti)*1_000_003
 }
 
 // pickClass samples the tenant's workload mix by cumulative weight.
@@ -34,27 +33,11 @@ func (t *tenant) pickClass(rng *rand.Rand) *workClass {
 	return t.classes[len(t.classes)-1]
 }
 
-// startLoad arms the arrival processes for every tenant: an open-loop tenant
-// is a CallAt chain (one event per arrival, no generator proc), a
-// closed-loop tenant one proc per client. Generation stops at srv.endAt;
-// in-flight requests drain after.
+// startLoad arms the arrival process of every tenant. Generation stops at
+// srv.endAt; in-flight requests drain after.
 func (srv *Server) startLoad(start sim.Time) {
 	for _, t := range srv.tenants {
-		t := t
-		if t.spec.Arrival != ClosedLoop {
-			srv.armOpenLoop(start, t)
-			continue
-		}
-		n := t.spec.Clients
-		if n < 1 {
-			n = 1
-		}
-		for ci := 0; ci < n; ci++ {
-			ci := ci
-			srv.pl.K.Spawn(fmt.Sprintf("serve-load-%s-c%d", t.spec.Name, ci), func(p *sim.Proc) {
-				srv.closedLoopClient(p, t, ci)
-			})
-		}
+		srv.armOpenLoop(start, t)
 	}
 }
 
@@ -71,7 +54,7 @@ func (srv *Server) armOpenLoop(start sim.Time, t *tenant) {
 	if rate <= 0 {
 		return
 	}
-	rng := rand.New(rand.NewSource(tenantSeed(srv.cfg.Seed, t.idx, 0)))
+	rng := rand.New(rand.NewSource(tenantSeed(srv.cfg.Seed, t.idx)))
 	next := start
 	var arrive func()
 	arm := func() {
@@ -91,27 +74,8 @@ func (srv *Server) armOpenLoop(start sim.Time, t *tenant) {
 		if next >= srv.endAt {
 			return
 		}
-		_, _ = srv.submit(next, t, t.pickClass(rng), false)
+		_, _ = srv.submit(next, t, t.pickClass(rng))
 		arm()
 	}
 	arm()
-}
-
-// closedLoopClient is one synchronous caller: submit, wait for completion,
-// think, repeat. A shed response counts as an instant (failed) reply, so an
-// overloaded closed-loop tenant spins against the admission controller at
-// think-time rate rather than queueing unboundedly.
-func (srv *Server) closedLoopClient(p *sim.Proc, t *tenant, ci int) {
-	rng := rand.New(rand.NewSource(tenantSeed(srv.cfg.Seed, t.idx, ci+1)))
-	think := t.spec.Think
-	if think <= 0 {
-		think = 100 * sim.Microsecond
-	}
-	for p.Now() < srv.endAt {
-		r, err := srv.submit(p.Now(), t, t.pickClass(rng), true)
-		if err == nil {
-			r.done.Wait(p)
-		}
-		p.Sleep(think)
-	}
 }

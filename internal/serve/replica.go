@@ -47,8 +47,8 @@ type replica struct {
 	cond        *sim.Cond
 
 	// consecTimeouts is the circuit-breaker state: consecutive attempt
-	// timeouts without an intervening success. Reaching
-	// Config.HangReportAfter reports the partition to the SPM as hung.
+	// timeouts without an intervening success. Reaching hangReportAfter
+	// (under Config.Supervise) reports the partition to the SPM as hung.
 	consecTimeouts int
 
 	// Flow-model-plane state (sharded.go; nil/zero on the classic path): the
@@ -85,6 +85,8 @@ func (rep *replica) unplaceable() bool {
 func newReplica(p *sim.Proc, srv *Server, t *tenant, part *poolPart, smDemand uint64) (*replica, error) {
 	kernels := []string{serveKernel}
 	seen := map[string]bool{serveKernel: true}
+	// An inference class uploads inBytes per request; a general-compute-only
+	// mix still gets a 4-byte staging buffer.
 	maxIn := 4
 	for _, cl := range t.classes {
 		if cl.spec.Bench != nil {
@@ -96,9 +98,7 @@ func newReplica(p *sim.Proc, srv *Server, t *tenant, part *poolPart, smDemand ui
 			}
 			continue
 		}
-		if cl.inBytes > maxIn {
-			maxIn = cl.inBytes
-		}
+		maxIn = inBytes
 	}
 	rep := &replica{
 		srv:      srv,
@@ -167,7 +167,7 @@ func (rep *replica) enqueue(b *batch) {
 }
 
 // TimeoutError is the typed completion error of a batch that exhausted its
-// retry budget: every attempt (the first plus Config.MaxRetries retries)
+// retry budget: every attempt (the first plus maxRetries retries)
 // was abandoned by the request watchdog. It counts as Failed in the tenant
 // accounting, so conservation still holds.
 type TimeoutError struct {
@@ -251,8 +251,7 @@ func (rep *replica) failover(p *sim.Proc) bool {
 		rep.quarantined = true
 		return false
 	}
-	// Driver re-probe settle time before the session re-creates enclaves.
-	p.Sleep(500 * sim.Microsecond)
+	p.Sleep(reprobeSettle)
 	if err := rep.reconnect(p); err != nil {
 		rep.quarantined = true
 		return false
@@ -276,11 +275,14 @@ func (rep *replica) drainPending() {
 	rep.requeue(rs)
 }
 
-// The replica reconnect policy after a failover or recycle: the delay starts
-// at reconnectBase and doubles per attempt up to reconnectMax;
+// The replica reconnect policy after a failover or recycle: reprobeSettle is
+// the driver re-probe settle time a recovered partition gets before the
+// session re-creates enclaves on it; the delay between reconnect attempts
+// starts at reconnectBase and doubles per attempt up to reconnectMax;
 // reconnectMaxAttempts bounds the attempts against a quarantined partition,
 // after which the reconnect fails with a typed *spm.QuarantinedError.
 const (
+	reprobeSettle        = 500 * sim.Microsecond
 	reconnectBase        = sim.Millisecond
 	reconnectMax         = 16 * sim.Millisecond
 	reconnectMaxAttempts = 8
@@ -333,8 +335,7 @@ func (rep *replica) reconnect(p *sim.Proc) error {
 func (rep *replica) awaitRelease(p *sim.Proc) {
 	rep.drainPending()
 	rep.nodeSPM().AwaitRelease(p, rep.part.sp)
-	// Same driver re-probe settle as the failover path.
-	p.Sleep(500 * sim.Microsecond)
+	p.Sleep(reprobeSettle)
 	if err := rep.reconnect(p); err != nil {
 		return // re-quarantined: the worker loop parks again
 	}
@@ -343,7 +344,7 @@ func (rep *replica) awaitRelease(p *sim.Proc) {
 	rep.consecTimeouts = 0
 }
 
-// reportHang is the circuit breaker tripping: Config.HangReportAfter
+// reportHang is the circuit breaker tripping: hangReportAfter
 // consecutive attempt timeouts mean the partition is wedged, so instead of
 // retrying blindly the replica reports the symptom to the SPM — closing
 // the loop from per-request timeout to FailHang — and hands its batch to
@@ -364,7 +365,7 @@ func (rep *replica) reportHang(p *sim.Proc) error {
 // only the final return from run() does — so exactly-once accounting is
 // preserved by construction.
 func (rep *replica) execWithRetry(p *sim.Proc, b *batch) error {
-	backoff := rep.srv.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; ; attempt++ {
 		rep.srv.markBatch(b, otrace.StageExec, p.Now())
 		err := rep.execAttempt(p, b)
@@ -380,7 +381,7 @@ func (rep *replica) execWithRetry(p *sim.Proc, b *batch) error {
 			rep.t.timeouts++
 			rep.srv.ctrTimeouts.Inc()
 			rep.consecTimeouts++
-			if hr := rep.srv.cfg.HangReportAfter; hr > 0 && rep.consecTimeouts >= hr {
+			if rep.srv.cfg.Supervise && rep.consecTimeouts >= hangReportAfter {
 				return rep.reportHang(p)
 			}
 		} else {
@@ -392,7 +393,7 @@ func (rep *replica) execWithRetry(p *sim.Proc, b *batch) error {
 		// From here the batch is between attempts: recycle teardown and the
 		// retry pause both attribute to the backoff stage.
 		rep.srv.markBatch(b, otrace.StageBackoff, p.Now())
-		if attempt >= rep.srv.cfg.MaxRetries {
+		if attempt >= maxRetries {
 			// Budget exhausted: still recycle, so the wedged stream does
 			// not bleed one more timeout into the next batch.
 			if rerr := rep.recycle(p); rerr != nil {
@@ -480,7 +481,7 @@ func (rep *replica) exec(p *sim.Proc, b *batch) error {
 		return cl.spec.Bench.Run(p, rep.conn)
 	}
 	n := len(b.reqs)
-	if err := rep.conn.HtoD(p, rep.inPtr, rep.zeros[:cl.inBytes*n]); err != nil {
+	if err := rep.conn.HtoD(p, rep.inPtr, rep.zeros[:inBytes*n]); err != nil {
 		return err
 	}
 	work := uint64(cl.itemNS) * uint64(n)

@@ -327,13 +327,14 @@ func (srv *Server) result() *Result {
 		res.Failures = append(res.Failures, fs)
 	}
 	if srv.el != nil {
+		c := res.Metrics.Counters
 		res.Elastic = &ElasticResult{
-			Migrations:  srv.el.migrations,
-			Interrupted: srv.el.interrupted,
-			DrainRaces:  srv.el.races,
-			ScaleUps:    srv.el.ups,
-			ScaleDowns:  srv.el.downs,
-			Replayed:    srv.el.replayed,
+			Migrations:  c["serve.elastic.migrations"],
+			Interrupted: c["serve.elastic.interrupted"],
+			DrainRaces:  c["serve.elastic.drain_races"],
+			ScaleUps:    c["serve.elastic.scale_ups"],
+			ScaleDowns:  c["serve.elastic.scale_downs"],
+			Replayed:    c["serve.elastic.replayed"],
 			Events:      append([]string(nil), srv.el.events...),
 		}
 	}

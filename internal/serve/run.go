@@ -36,12 +36,12 @@ func (srv *Server) Serve(p *sim.Proc) (*Result, error) {
 }
 
 // startFailInjector arms the single mid-run FailPanic the config asked for:
-// at FailAt, the named GPU partition (default gpu-part0; NewCluster resolved
-// it against the pool) proceed-traps as if its mOS hit an unhandled fault.
+// at FailAt, the pool's first partition (gpu-part0 of node 0) proceed-traps
+// as if its mOS hit an unhandled fault.
 func (srv *Server) startFailInjector() {
 	srv.pl.K.Spawn("serve-fail-injector", func(p *sim.Proc) {
 		p.Sleep(srv.cfg.FailAt)
-		srv.pl.SPM.Fail(srv.failPart, spm.FailPanic)
+		srv.pl.SPM.Fail(srv.parts[0].sp, spm.FailPanic)
 	})
 }
 

@@ -29,7 +29,7 @@ type batch struct {
 
 	// attempts is set by the lane-deadline model when the batch's
 	// service time exceeds RequestTimeout: the number of watchdog attempts
-	// (MaxRetries+1) the lane burned before the batch resolved as a timeout.
+	// (maxRetries+1) the lane burned before the batch resolved as a timeout.
 	attempts int
 }
 

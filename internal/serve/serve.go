@@ -7,9 +7,9 @@
 // The plane has four parts:
 //
 //   - a load generator (loadgen.go): seeded, deterministic open-loop
-//     (Poisson or fixed-rate) and closed-loop arrival processes per tenant,
-//     with per-tenant workload mixes drawn from the repo's workload
-//     packages (tvm inference graphs, rodinia general-compute passes);
+//     (Poisson or fixed-rate) arrival processes per tenant, with per-tenant
+//     workload mixes drawn from the repo's workload packages (tvm inference
+//     graphs, rodinia general-compute passes);
 //   - an admission controller (admission.go): one bounded FIFO queue per
 //     tenant; requests beyond the bound are shed with a typed
 //     *OverloadError so callers see backpressure instead of unbounded
@@ -26,7 +26,7 @@
 //     other partitions are untouched. A per-request watchdog
 //     (Config.RequestTimeout) bounds each batch attempt: hung devices and
 //     corrupted sRPC rings are recycled and retried with exponential
-//     backoff up to Config.MaxRetries times, after which the batch
+//     backoff up to maxRetries times, after which the batch
 //     completes with a typed *TimeoutError — so conservation (offered =
 //     completed + shed, zero duplicates) holds under every fault the chaos
 //     harness injects.
@@ -43,7 +43,6 @@ package serve
 
 import (
 	"fmt"
-	"strings"
 
 	"cronus/internal/cluster"
 	"cronus/internal/core"
@@ -74,7 +73,7 @@ const (
 	DeviceAffinity Policy = "device-affinity"
 )
 
-// ArrivalKind selects a tenant's arrival process.
+// ArrivalKind selects a tenant's open-loop arrival process.
 type ArrivalKind string
 
 const (
@@ -82,8 +81,6 @@ const (
 	Poisson ArrivalKind = "poisson"
 	// FixedRate is an open-loop process with constant inter-arrivals.
 	FixedRate ArrivalKind = "fixed"
-	// ClosedLoop models Clients synchronous callers with think time.
-	ClosedLoop ArrivalKind = "closed-loop"
 )
 
 // WorkClass is one entry of a tenant's workload mix.
@@ -96,20 +93,14 @@ type WorkClass struct {
 	// Bench makes this an unbatchable general-compute class: one full
 	// rodinia benchmark pass per request (forced batch size 1).
 	Bench *rodinia.Benchmark
-	// InBytes is the per-request input upload for inference classes
-	// (default 1024).
-	InBytes int
 }
 
 // TenantSpec describes one tenant's traffic.
 type TenantSpec struct {
 	Name    string
 	Arrival ArrivalKind
-	// Rate is the open-loop offered load in requests per virtual second.
+	// Rate is the offered load in requests per virtual second.
 	Rate float64
-	// Clients and Think shape the closed-loop process.
-	Clients int
-	Think   sim.Duration
 	// QueueCap bounds the admission queue (default 64).
 	QueueCap int
 	Mix      []WorkClass
@@ -133,10 +124,9 @@ type Config struct {
 	// accelerator mEnclave per partition.
 	GPUPartitions int
 
-	// FailAt / FailPartition inject one FailPanic proceed-trap mid-run
-	// (0 = none), exercising the failover-aware retry layer.
-	FailAt        sim.Duration
-	FailPartition string
+	// FailAt injects one FailPanic proceed-trap on gpu-part0 mid-run (0 =
+	// none), exercising the failover-aware retry layer.
+	FailAt sim.Duration
 
 	// KeepRequests retains a per-request record in the Result (tests, and
 	// the zero-lost/zero-duplicated accounting of cronus-serve).
@@ -148,29 +138,22 @@ type Config struct {
 
 	// RequestTimeout bounds one batch execution attempt on a replica: a
 	// watchdog abandons the attempt — stream and enclave torn down, a
-	// fresh one connected — when it has not completed within the bound.
-	// 0 disables the watchdog (attempts may block on a hung device
-	// forever, the pre-chaos behaviour).
+	// fresh one connected — when it has not completed within the bound,
+	// and the batch retries on the maxRetries / retryBackoff schedule. A
+	// batch that exhausts its attempts completes with a *TimeoutError,
+	// keeping the conservation accounting exact. 0 disables the watchdog
+	// (attempts may block on a hung device forever, the pre-chaos
+	// behaviour).
 	RequestTimeout sim.Duration
-	// MaxRetries bounds additional attempts per batch after the first
-	// (default 3 when RequestTimeout is set; negative means no retries).
-	// A batch that exhausts its attempts completes with a *TimeoutError,
-	// keeping the conservation accounting exact.
-	MaxRetries int
-	// RetryBackoff is the pause before the first retry, doubling on each
-	// subsequent one (default 200µs when RequestTimeout is set).
-	RetryBackoff sim.Duration
 
-	// Supervision, when set, enables SPM partition health supervision for
-	// the run: every pooled partition's mOS publishes heartbeats, the SPM
-	// watchdog fails silent partitions with FailHang, and the restart
-	// backoff / crash-loop quarantine policy applies.
-	Supervision *spm.Supervision
-	// HangReportAfter arms the replica circuit breaker: that many
-	// consecutive attempt timeouts make the replica report its partition
-	// to the SPM as hung (FailHang) instead of retrying blindly. 0
-	// disables the breaker.
-	HangReportAfter int
+	// Supervise enables SPM partition health supervision under
+	// HealthPolicy: every pooled partition's mOS publishes heartbeats, the
+	// SPM watchdog fails silent partitions with FailHang, and the restart
+	// backoff / crash-loop quarantine policy applies. It also arms the
+	// replica circuit breaker: hangReportAfter consecutive request-watchdog
+	// timeouts make the replica report its partition to the SPM as hung
+	// instead of retrying blindly (so the breaker needs RequestTimeout).
+	Supervise bool
 
 	// Trace enables end-to-end causal tracing: every admitted request gets
 	// a deterministic TraceID (otrace.DeriveTraceID of tenant name and
@@ -198,7 +181,7 @@ type Config struct {
 	// partition anything — every value >= 2 produces the same run. 0 or 1
 	// keeps the classic executed plane byte-identically. The flow-model
 	// plane serves batchable inference mixes only and is mutually exclusive
-	// with Trace, Supervision and HangReportAfter (see New).
+	// with Trace and Supervise (see New).
 	Shards int
 
 	// Nodes is the pool's node count (cluster.go; 0 means 1): the plane
@@ -279,17 +262,6 @@ func (c *Config) defaults() {
 	if c.GPUFlopsPerNs <= 0 {
 		c.GPUFlopsPerNs = 40
 	}
-	if c.RequestTimeout > 0 {
-		if c.MaxRetries == 0 {
-			c.MaxRetries = 3
-		}
-		if c.RetryBackoff <= 0 {
-			c.RetryBackoff = 200 * sim.Microsecond
-		}
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
 	if c.HashBound <= 0 {
 		c.HashBound = 1.25
 	}
@@ -310,7 +282,34 @@ const (
 	linkGBps    = 10
 	// attestCacheCap bounds the live-ticket LRU.
 	attestCacheCap = 1024
+	// inBytes is the per-request input upload of an inference class.
+	inBytes = 1024
+	// maxRetries bounds the attempts a batch gets after its first, and
+	// retryBackoff is the pause before the first retry, doubling before
+	// each later one: a request watchdog timeout or a corrupted ring
+	// recycles the connection and retries on this schedule.
+	maxRetries   = 3
+	retryBackoff = 100 * sim.Microsecond
+	// hangReportAfter consecutive attempt timeouts on one replica trip the
+	// circuit breaker Config.Supervise arms.
+	hangReportAfter = 2
 )
+
+// HealthPolicy is the one partition health policy Config.Supervise
+// installs. A 200µs heartbeat with a 3-beat deadline bounds hang detection
+// at 1ms (spm.SPM.HangDetectionBound); a repeat failure delays the mOS
+// restart by 500µs, doubling up to 4ms; and QuarantineAfter (3) panic or
+// hang failures inside one second quarantine the partition.
+func HealthPolicy() spm.Supervision {
+	return spm.Supervision{
+		HeartbeatEvery:  200 * sim.Microsecond,
+		MissedBeats:     3,
+		RestartBackoff:  500 * sim.Microsecond,
+		MaxBackoff:      4 * sim.Millisecond,
+		QuarantineAfter: 3,
+		FailureWindow:   sim.Second,
+	}
+}
 
 // Request is one admitted unit of tenant work.
 type Request struct {
@@ -331,7 +330,6 @@ type Request struct {
 	TraceID uint64
 
 	class       *workClass
-	done        *sim.Signal
 	completions int
 	// spanID is the request's root span (minted at admission when the
 	// trace collector is enabled); marks are the ordered stage-entry
@@ -345,10 +343,9 @@ func (r *Request) Latency() sim.Duration { return sim.Duration(r.Done - r.Arrive
 
 // workClass is a resolved mix entry with precomputed costs.
 type workClass struct {
-	spec    WorkClass
-	itemNS  sim.Duration // per-item device work (inference classes)
-	inBytes int
-	cum     float64 // cumulative sampling weight
+	spec   WorkClass
+	itemNS sim.Duration // per-item device work (inference classes)
+	cum    float64      // cumulative sampling weight
 }
 
 // tenant is the runtime state of one TenantSpec.
@@ -422,8 +419,6 @@ type Server struct {
 	// multi-node pool prefix the partition name with it.
 	failNodes  []int
 	cancelFail func()
-	// failPart is the FailAt injector's target (nil when FailAt is 0).
-	failPart *spm.Partition
 
 	requests []*Request // retained when cfg.KeepRequests
 
@@ -535,23 +530,6 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 			srv.parts = append(srv.parts, &poolPart{node: n, idx: pi, sp: npl.GPUs[pi].Part})
 		}
 	}
-	if cfg.FailAt > 0 {
-		name := cfg.FailPartition
-		if name == "" {
-			name = "gpu-part0"
-		}
-		var pool []string
-		for _, pp := range srv.parts[:ppn] {
-			if pp.sp.Name == name {
-				srv.failPart = pp.sp
-			}
-			pool = append(pool, pp.sp.Name)
-		}
-		if srv.failPart == nil {
-			return nil, fmt.Errorf("serve: FailPartition %q is not in the pool (%s)",
-				name, strings.Join(pool, ", "))
-		}
-	}
 	if err := srv.clBoot(); err != nil {
 		return nil, err
 	}
@@ -573,8 +551,8 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 	// Partition health supervision: arm heartbeats on every pooled
 	// partition and start the SPM watchdog before any load exists, so the
 	// supervision timeline is identical between baseline and faulted runs.
-	if cfg.Supervision != nil {
-		pl.SPM.SetSupervision(*cfg.Supervision)
+	if cfg.Supervise {
+		pl.SPM.SetSupervision(HealthPolicy())
 		sv := pl.SPM.SupervisionConfig()
 		for pi := 0; pi < cfg.GPUPartitions; pi++ {
 			pl.GPUs[pi].OS.StartHeartbeat(sv.HeartbeatEvery)
@@ -611,10 +589,7 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 				w = 1
 			}
 			cum += w
-			cl := &workClass{spec: wc, inBytes: wc.InBytes, cum: cum}
-			if cl.inBytes <= 0 {
-				cl.inBytes = 1024
-			}
+			cl := &workClass{spec: wc, cum: cum}
 			if wc.Graph != nil {
 				cl.itemNS = sim.Duration(wc.Graph.FLOPs() / cfg.GPUFlopsPerNs)
 			}
@@ -736,9 +711,6 @@ func (srv *Server) finish(t *tenant, r *Request, at sim.Time, err error) {
 		srv.finishTrace(t, r, err)
 	}
 	srv.completedTotal++
-	if r.done != nil {
-		r.done.Fire()
-	}
 	srv.drainCond.Broadcast()
 }
 

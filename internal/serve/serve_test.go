@@ -227,35 +227,6 @@ func TestPolicies(t *testing.T) {
 	}
 }
 
-// TestClosedLoop: synchronous clients with think time never overrun the
-// plane — sheds stay zero and every request completes.
-func TestClosedLoop(t *testing.T) {
-	cfg := serve.Config{
-		Seed:          9,
-		Window:        10 * sim.Millisecond,
-		MaxBatch:      4,
-		GPUPartitions: 1,
-		Tenants: []serve.TenantSpec{
-			{
-				Name: "sync", Arrival: serve.ClosedLoop, Clients: 4, Think: 200 * sim.Microsecond,
-				Mix: []serve.WorkClass{{Name: "resnet18", Graph: tvm.ResNet18()}},
-			},
-		},
-	}
-	res, err := serve.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAccounting(t, res)
-	tr := res.Tenants[0]
-	if tr.Admitted == 0 {
-		t.Fatal("closed-loop tenant admitted nothing")
-	}
-	if tr.Shed != 0 {
-		t.Errorf("closed-loop with 4 clients shed %d requests", tr.Shed)
-	}
-}
-
 // TestServeBadConfigs: constructor-level validation errors surface.
 func TestServeBadConfigs(t *testing.T) {
 	if _, err := serve.Run(serve.Config{}); err == nil {

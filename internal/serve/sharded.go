@@ -4,9 +4,8 @@ package serve
 // Config.Shards >= 2.
 //
 // Arrival, admission, request identity and accounting are the one intake both
-// planes share (loadgen.go, admission.go): the same CallAt arrival chains and
-// closed-loop clients call the same submit, which ends in a per-plane
-// enqueue. The planes part there. The classic plane hands the request to a
+// planes share (loadgen.go, admission.go): the same CallAt arrival chains
+// call the same submit, which ends in a per-plane enqueue. The planes part there. The classic plane hands the request to a
 // dispatcher proc and an executed worker, burning a proc handshake (park +
 // wake, ~1µs of host time) for every queue push, batch window, replica
 // enqueue and sRPC doorbell — fine at Fig.-8 scale, but at 90k requests per
@@ -30,7 +29,7 @@ package serve
 //     (srpc.CallZC's cost surface; see zerocopy.go);
 //   - completion crosses back through the node's return Port with the same
 //     hop, whose inline handler finalizes every request of the batch —
-//     histograms, SLO scoring, closed-loop signals, drain bookkeeping.
+//     histograms, SLO scoring, drain bookkeeping.
 //
 // Everything runs on the plain sim.Kernel — one event queue, one clock — so
 // handlers and control-plane procs interleave in the kernel's total event
@@ -39,10 +38,10 @@ package serve
 // unobservable beyond selecting this plane (asserted by the tests).
 //
 // Faults. The only failure source the plane admits is the FailAt injector
-// (Supervision and HangReportAfter are validated out; a RequestTimeout is
-// modeled as a lane deadline — a batch whose service time exceeds it burns
-// MaxRetries+1 timeout windows plus the doubling backoff gaps on its lane
-// and completes with the typed TimeoutError, matching the classic watchdog's
+// (Supervise is validated out; a RequestTimeout is modeled as a lane
+// deadline — a batch whose service time exceeds it burns maxRetries+1
+// timeout windows plus the doubling retryBackoff gaps on its lane and
+// completes with the typed TimeoutError, matching the classic watchdog's
 // accounting). In-flight batches on a dead replica are cancelled (their
 // pending lane/completion events become no-ops) and their requests requeued
 // to the tenant backlog, a recovery proc runs the classic worker's failover
@@ -95,10 +94,8 @@ func validateSharded(cfg Config) error {
 	switch {
 	case cfg.Trace:
 		return fmt.Errorf("serve: the flow-model plane does not support Trace (use Shards <= 1)")
-	case cfg.Supervision != nil:
-		return fmt.Errorf("serve: the flow-model plane does not support Supervision (use Shards <= 1)")
-	case cfg.HangReportAfter > 0:
-		return fmt.Errorf("serve: the flow-model plane does not support HangReportAfter (use Shards <= 1)")
+	case cfg.Supervise:
+		return fmt.Errorf("serve: the flow-model plane does not support Supervise (use Shards <= 1)")
 	}
 	for _, spec := range cfg.Tenants {
 		for _, wc := range spec.Mix {
@@ -232,7 +229,7 @@ func (srv *Server) shDispatchTo(now sim.Time, t *tenant, b *batch, rep *replica)
 	// other than the one carrying the tenant's live requests is a split
 	// brain.
 	b.submitNS = attNS + srv.pl.Costs.SpanCheck + srv.pl.Costs.RingPush +
-		srv.cl.fab.TransferNS(node, b.class.inBytes*len(b.reqs), now)
+		srv.cl.fab.TransferNS(node, inBytes*len(b.reqs), now)
 	if t.liveCnt > 0 && t.liveNode != node {
 		srv.cl.splitBrain++
 	}
@@ -257,25 +254,16 @@ func (srv *Server) shLaneArrive(rep *replica, at sim.Time, b *batch) {
 	n := len(b.reqs)
 	service := b.submitNS +
 		c.RingPoll + c.SpanCheck + 2*c.RPCDispatch +
-		c.DMA(b.class.inBytes*n) +
+		c.DMA(inBytes*n) +
 		c.KernelDispatch + b.class.itemNS*sim.Duration(n)
 	if to := srv.cfg.RequestTimeout; to > 0 && service > to {
 		// Lane-deadline model of the classic watchdog: a batch whose service
-		// exceeds the timeout occupies its lane for MaxRetries+1 timeout
-		// windows plus the doubling backoff gaps, then completes with the
+		// exceeds the timeout occupies its lane for maxRetries+1 timeout
+		// windows plus the maxRetries doubling backoff gaps between them
+		// (retryBackoff·(2^maxRetries − 1) in all), then completes with the
 		// typed TimeoutError. The accounting is applied in shDone.
-		attempts := srv.cfg.MaxRetries + 1
-		total := sim.Duration(0)
-		backoff := srv.cfg.RetryBackoff
-		for i := 0; i < attempts; i++ {
-			total += to
-			if i < attempts-1 {
-				total += backoff
-				backoff *= 2
-			}
-		}
-		b.attempts = attempts
-		service = total
+		b.attempts = maxRetries + 1
+		service = sim.Duration(b.attempts)*to + retryBackoff*(1<<maxRetries-1)
 	}
 	done := max(at, rep.lanes[b.lane]) + sim.Time(service)
 	rep.lanes[b.lane] = done

@@ -259,7 +259,6 @@ func TestShardedFailover(t *testing.T) {
 		cfg.GPUFlopsPerNs = 100
 		cfg.Shards = shards
 		cfg.FailAt = 1500 * sim.Microsecond
-		cfg.FailPartition = "gpu-part0"
 		return cfg
 	}
 	ref, err := serve.Run(mk(2))
@@ -305,29 +304,6 @@ func TestShardedFailover(t *testing.T) {
 	}
 }
 
-// TestShardedClosedLoop exercises the closed-loop arrival process on the
-// flow-model plane: synchronous clients must make progress and drain cleanly.
-func TestShardedClosedLoop(t *testing.T) {
-	cfg := shardedConfig()
-	cfg.Tenants = append(cfg.Tenants, serve.TenantSpec{
-		Name: "sync", Arrival: serve.ClosedLoop, Clients: 3, Think: 50 * sim.Microsecond,
-		QueueCap: 16,
-		Mix:      []serve.WorkClass{{Name: "resnet50", Graph: tvm.ResNet50()}},
-	})
-	res, err := serve.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := res.Tenant("sync")
-	if tr == nil || tr.Completed == 0 {
-		t.Fatalf("closed-loop tenant served nothing:\n%s", res.Report())
-	}
-	if tr.Admitted != tr.Completed+tr.Failed {
-		t.Errorf("closed-loop conservation broken: admitted %d != completed %d + failed %d",
-			tr.Admitted, tr.Completed, tr.Failed)
-	}
-}
-
 // TestShardsOneIsClassic pins the compatibility contract: Shards values
 // below 2 must take the classic plane untouched, byte-identically.
 func TestShardsOneIsClassic(t *testing.T) {
@@ -358,7 +334,7 @@ func TestShardedValidation(t *testing.T) {
 		mutate func(*serve.Config)
 	}{
 		{"trace", func(c *serve.Config) { c.Trace = true }},
-		{"hang-report", func(c *serve.Config) { c.HangReportAfter = 2 }},
+		{"supervise", func(c *serve.Config) { c.Supervise = true }},
 		{"bench-class", func(c *serve.Config) {
 			nn := rodinia.NN()
 			c.Tenants[0].Mix = []serve.WorkClass{{Name: "nn", Bench: &nn}}
@@ -368,37 +344,6 @@ func TestShardedValidation(t *testing.T) {
 		tc.mutate(&cfg)
 		if _, err := serve.Run(cfg); err == nil {
 			t.Errorf("%s: flow-model config accepted, want a validation error", tc.name)
-		}
-	}
-}
-
-// TestFailPartitionValidation pins the FailAt injector's target check: a
-// partition outside the pool is a config error naming the pool, not a run
-// that silently injects nothing.
-func TestFailPartitionValidation(t *testing.T) {
-	for _, tc := range []struct {
-		name, part string
-		shards     int
-		wantErr    string
-	}{
-		{"default", "", 0, ""},
-		{"in-pool", "gpu-part1", 0, ""},
-		{"in-pool-flow", "gpu-part1", 2, ""},
-		{"unknown", "gpu-part9", 0, `FailPartition "gpu-part9" is not in the pool (gpu-part0, gpu-part1)`},
-		{"unknown-flow", "gpu-part9", 2, `FailPartition "gpu-part9" is not in the pool (gpu-part0, gpu-part1)`},
-	} {
-		cfg := shardedConfig()
-		cfg.Shards = tc.shards
-		cfg.FailAt = 1500 * sim.Microsecond
-		cfg.FailPartition = tc.part
-		res, err := serve.Run(cfg)
-		switch {
-		case tc.wantErr == "" && err != nil:
-			t.Errorf("%s: %v", tc.name, err)
-		case tc.wantErr == "" && len(res.Failures) != 1:
-			t.Errorf("%s: %d failures injected, want 1", tc.name, len(res.Failures))
-		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
-			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.wantErr)
 		}
 	}
 }
@@ -422,16 +367,15 @@ func TestShardedBatchCap(t *testing.T) {
 	}
 }
 
-// TestShardedRequestTimeout pins the lane-deadline model (PR 8): a
-// RequestTimeout smaller than every batch's service time makes every request
-// resolve as a watchdog timeout with the classic accounting — Attempts =
-// MaxRetries+1, timeouts counted per attempt, retries per attempt after the
-// first — while conservation still holds.
+// TestShardedRequestTimeout pins the lane-deadline model: a RequestTimeout
+// smaller than every batch's service time makes every request resolve as a
+// watchdog timeout with the classic accounting — four attempts (the first
+// plus three retries), timeouts counted per attempt, retries per attempt
+// after the first — after occupying its lane for the four timeout windows
+// and the 100+200+400µs backoff gaps, while conservation still holds.
 func TestShardedRequestTimeout(t *testing.T) {
 	cfg := shardedConfig()
 	cfg.RequestTimeout = 10 * sim.Microsecond // far below resnet service time
-	cfg.MaxRetries = 2
-	cfg.RetryBackoff = 5 * sim.Microsecond
 	res, err := serve.Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +391,8 @@ func TestShardedRequestTimeout(t *testing.T) {
 			t.Errorf("tenant %s: no timeouts counted", tr.Name)
 		}
 	}
-	attempts := cfg.MaxRetries + 1
+	const attempts = 4
+	laneFloor := attempts*cfg.RequestTimeout + 700*sim.Microsecond
 	for _, r := range res.Requests {
 		te, ok := r.Err.(*serve.TimeoutError)
 		if !ok {
@@ -458,6 +403,9 @@ func TestShardedRequestTimeout(t *testing.T) {
 		}
 		if r.Retries != attempts-1 {
 			t.Fatalf("request %d: %d retries, want %d", r.ID, r.Retries, attempts-1)
+		}
+		if r.Latency() < laneFloor {
+			t.Fatalf("request %d: latency %v below the lane's timeout schedule %v", r.ID, r.Latency(), laneFloor)
 		}
 	}
 }

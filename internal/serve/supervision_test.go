@@ -24,8 +24,6 @@ func superviseConfig(seed int64, partitions int, policy serve.Policy) serve.Conf
 		GPUFlopsPerNs:  400,
 		KeepRequests:   true,
 		RequestTimeout: 500 * sim.Microsecond,
-		MaxRetries:     3,
-		RetryBackoff:   100 * sim.Microsecond,
 		Tenants: []serve.TenantSpec{
 			{
 				Name: "tenant-0", Arrival: serve.Poisson, Rate: 3000, QueueCap: 256,
@@ -66,12 +64,12 @@ func runSupervised(t *testing.T, cfg serve.Config, body func(pl *core.Platform))
 }
 
 // TestHangReportBreakerRaisesFailHang: two launch hangs armed on adjacent
-// ordinals give the single replica two consecutive attempt timeouts; with
-// HangReportAfter=2 the circuit breaker reports the partition to the SPM as
+// ordinals give the single replica two consecutive attempt timeouts; under
+// Supervise the circuit breaker then reports the partition to the SPM as
 // hung instead of retrying blindly, and the run records a FailHang failover.
 func TestHangReportBreakerRaisesFailHang(t *testing.T) {
 	cfg := superviseConfig(5, 1, serve.DeviceAffinity)
-	cfg.HangReportAfter = 2
+	cfg.Supervise = true
 	res := runSupervised(t, cfg, func(pl *core.Platform) {
 		pl.GPUs[0].Dev.ArmLaunchHang(5)
 		pl.GPUs[0].Dev.ArmLaunchHang(6)
@@ -79,6 +77,9 @@ func TestHangReportBreakerRaisesFailHang(t *testing.T) {
 	checkAccounting(t, res)
 	if got := res.FailuresByReason()[spm.FailHang]; got < 1 {
 		t.Fatalf("FailHang failovers = %d, want >= 1 (breaker never tripped)", got)
+	}
+	if got := res.Metrics.Counters["serve.hang_reports"]; got < 1 {
+		t.Fatalf("serve.hang_reports = %d, want >= 1 (the FailHang came from elsewhere)", got)
 	}
 }
 
@@ -89,13 +90,7 @@ func TestHangReportBreakerRaisesFailHang(t *testing.T) {
 // completes exactly once.
 func TestCrashLoopQuarantineKeepsPoolServing(t *testing.T) {
 	cfg := superviseConfig(7, 2, serve.DeviceAffinity)
-	cfg.Supervision = &spm.Supervision{
-		HeartbeatEvery:  200 * sim.Microsecond,
-		MissedBeats:     3,
-		RestartBackoff:  500 * sim.Microsecond,
-		QuarantineAfter: 3,
-		FailureWindow:   sim.Second,
-	}
+	cfg.Supervise = true
 	res := runSupervised(t, cfg, func(pl *core.Platform) {
 		part := pl.GPUs[0].Part
 		pl.K.Spawn("test-crash-loop", func(cp *sim.Proc) {

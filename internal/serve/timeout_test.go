@@ -14,7 +14,7 @@ import (
 // one partition at a rate where every batch holds a single request, per-item
 // device work (~11µs at 400 flops/ns) far below the 500µs watchdog, so only
 // injected hangs ever trip it.
-func hangConfig(maxRetries int, backoff sim.Duration) serve.Config {
+func hangConfig() serve.Config {
 	return serve.Config{
 		Seed:           13,
 		Window:         10 * sim.Millisecond,
@@ -25,8 +25,6 @@ func hangConfig(maxRetries int, backoff sim.Duration) serve.Config {
 		GPUFlopsPerNs:  400,
 		KeepRequests:   true,
 		RequestTimeout: 500 * sim.Microsecond,
-		MaxRetries:     maxRetries,
-		RetryBackoff:   backoff,
 		Tenants: []serve.TenantSpec{
 			{
 				Name: "ten", Arrival: serve.FixedRate, Rate: 2000, QueueCap: 256,
@@ -63,28 +61,29 @@ func runArmed(t *testing.T, cfg serve.Config, arm func(pl *core.Platform)) *serv
 	return res
 }
 
-// TestTimeoutRetryTable drives the watchdog through the ISSUE 4 scenarios:
-// a hang on the first batch, a hang mid-stream, hangs up to and including
-// the last permitted retry, and hangs on every attempt (budget exhausted).
-// Launch ordinals are device-lifetime, so attempt k of the first batch is
-// launch k and everything is deterministic.
+// retries is the budget every batch gets after its first attempt.
+const retries = 3
+
+// TestTimeoutRetryTable drives the watchdog through its scenarios: a hang on
+// the first batch, a hang mid-stream, hangs up to and including the last
+// permitted retry, and hangs on every attempt (budget exhausted). Launch
+// ordinals are device-lifetime, so attempt k of the first batch is launch k
+// and everything is deterministic.
 func TestTimeoutRetryTable(t *testing.T) {
 	cases := []struct {
 		name       string
 		hangAt     []uint64 // device launch ordinals that hang
-		maxRetries int
-		wantFailed bool // the hung batch exhausts its budget
+		wantFailed bool     // the hung batch exhausts its budget
 	}{
-		{"hang-first-batch", []uint64{1}, 2, false},
-		{"hang-mid-stream", []uint64{4}, 2, false},
-		{"hang-until-last-retry", []uint64{1, 2}, 2, false},
-		{"hang-all-attempts", []uint64{1, 2, 3}, 2, true},
+		{"hang-first-batch", []uint64{1}, false},
+		{"hang-mid-stream", []uint64{4}, false},
+		{"hang-until-last-retry", []uint64{1, 2, 3}, false},
+		{"hang-all-attempts", []uint64{1, 2, 3, 4}, true},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := hangConfig(tc.maxRetries, 100*sim.Microsecond)
-			res := runArmed(t, cfg, func(pl *core.Platform) {
+			res := runArmed(t, hangConfig(), func(pl *core.Platform) {
 				for _, n := range tc.hangAt {
 					pl.GPUs[0].Dev.ArmLaunchHang(n)
 				}
@@ -105,9 +104,9 @@ func TestTimeoutRetryTable(t *testing.T) {
 				var te *serve.TimeoutError
 				if errors.As(r.Err, &te) {
 					timeoutErrs++
-					if te.Attempts != tc.maxRetries+1 {
+					if te.Attempts != retries+1 {
 						t.Errorf("request %d gave up after %d attempts, want %d",
-							r.ID, te.Attempts, tc.maxRetries+1)
+							r.ID, te.Attempts, retries+1)
 					}
 				} else if r.Err != nil {
 					t.Errorf("request %d failed with %v, want nil or *TimeoutError", r.ID, r.Err)
@@ -131,42 +130,52 @@ func TestTimeoutRetryTable(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffPinned pins the exponential schedule: with MaxRetries=2 a
-// budget-exhausting batch sleeps backoff + 2·backoff between its three
-// attempts, so doubling the base backoff must shift the failing request's
-// completion instant by exactly 3× the base — no more, no less. Everything
-// else in the two runs is identical virtual time.
+// TestRetryBackoffPinned pins the retry schedule: 100µs before the first
+// retry, doubling before each later one. Hanging the first k attempts of the
+// first batch (k = 0…retries) delays its completion by k timed-out attempts,
+// k connection recycles and the first k backoffs. A timed-out attempt costs
+// the same every time, so the step from k−1 to k hangs is a constant plus the
+// k-th backoff, and consecutive steps differ by backoff(k) − backoff(k−1):
+// 100µs, then 200µs. A recycle's reconnect is not quite constant — the fresh
+// enclave's setup drifts by under a microsecond between incarnations — so the
+// differences are held to within 2µs, far below the 100µs steps they pin.
 func TestRetryBackoffPinned(t *testing.T) {
-	const base = 100 * sim.Microsecond
-	run := func(backoff sim.Duration) *serve.Request {
-		res := runArmed(t, hangConfig(2, backoff), func(pl *core.Platform) {
-			for _, n := range []uint64{1, 2, 3} {
-				pl.GPUs[0].Dev.ArmLaunchHang(n)
+	const base, drift = 100 * sim.Microsecond, 2 * sim.Microsecond
+	first := func(hangs int) *serve.Request {
+		res := runArmed(t, hangConfig(), func(pl *core.Platform) {
+			for n := 1; n <= hangs; n++ {
+				pl.GPUs[0].Dev.ArmLaunchHang(uint64(n))
 			}
 		})
 		checkAccounting(t, res)
-		for _, r := range res.Requests {
-			if r.Err != nil {
-				return r
-			}
+		if res.Requests[0].Err != nil {
+			t.Fatalf("%d hangs: first request failed: %v", hangs, res.Requests[0].Err)
 		}
-		t.Fatal("no failed request found")
-		return nil
+		return res.Requests[0]
 	}
-	a := run(base)
-	b := run(2 * base)
-	if a.Arrived != b.Arrived {
-		t.Fatalf("arrival instants differ across backoff settings: %v vs %v", a.Arrived, b.Arrived)
+	var (
+		arrived sim.Time
+		done    []sim.Time
+	)
+	for k := 0; k <= retries; k++ {
+		r := first(k)
+		if k > 0 && r.Arrived != arrived {
+			t.Fatalf("%d hangs: first arrival at %v, want %v", k, r.Arrived, arrived)
+		}
+		arrived = r.Arrived
+		done = append(done, r.Done)
 	}
-	shift := sim.Duration(b.Done - a.Done)
-	if shift != 3*base {
-		t.Errorf("doubling backoff shifted completion by %v, want exactly %v (backoff+2·backoff)",
-			shift, 3*base)
+	for k := 2; k <= retries; k++ {
+		grew := sim.Duration(done[k] - 2*done[k-1] + done[k-2])
+		if want := base << (k - 2); grew < want-drift || grew > want+drift {
+			t.Errorf("hang %d: completion step grew by %v over hang %d's, want %v ± %v (backoff %v − %v)",
+				k, grew, k-1, want, drift, base<<(k-1), base<<(k-2))
+		}
 	}
-	// The failing request's total latency bounds the schedule from below:
-	// three timed-out attempts plus the two backoffs.
-	minLat := 3*hangConfig(2, base).RequestTimeout + 3*base
-	if a.Latency() < minLat {
-		t.Errorf("failed request latency %v below the schedule floor %v", a.Latency(), minLat)
+	// Each step bounds the schedule from below: one more timed-out attempt
+	// and one more backoff.
+	if step := sim.Duration(done[1] - done[0]); step < hangConfig().RequestTimeout+base {
+		t.Errorf("one hang delayed completion by %v, below the schedule floor %v",
+			step, hangConfig().RequestTimeout+base)
 	}
 }

@@ -147,6 +147,23 @@ func (d *Decoder) U64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
+// Count reads a uint32 element count for records of size encoded bytes each
+// and checks it against what is left: a count whose records cannot fit in
+// the unread bytes fails the decoder with ErrTruncated and reads as 0. A
+// decoder that sizes an allocation from the result therefore never asks for
+// more memory than the message itself carries.
+func (d *Decoder) Count(size int) int {
+	n := d.U32()
+	if d.err == nil && uint64(n)*uint64(size) > uint64(d.Remaining()) {
+		d.err = fmt.Errorf("%w: %d records of %d bytes at offset %d, %d bytes left",
+			ErrTruncated, n, size, d.off, d.Remaining())
+	}
+	if d.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
 // I64 reads an int64.
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
 

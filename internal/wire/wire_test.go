@@ -40,6 +40,25 @@ func TestTruncationDetected(t *testing.T) {
 	}
 }
 
+// TestCountBoundedByRemaining: a count whose records fit in the unread bytes
+// reads back; one record more is a sticky ErrTruncated that reads as 0.
+func TestCountBoundedByRemaining(t *testing.T) {
+	for _, tc := range []struct {
+		count uint32
+		want  int
+		err   bool
+	}{
+		{2, 2, false},
+		{3, 0, true},
+		{0xFFFFFFFF, 0, true},
+	} {
+		d := NewDecoder(NewEncoder().U32(tc.count).U64(1).U64(2).Bytes())
+		if got := d.Count(8); got != tc.want || errors.Is(d.Err(), ErrTruncated) != tc.err {
+			t.Errorf("count %d: Count(8) = %d, err %v; want %d, truncated %v", tc.count, got, d.Err(), tc.want, tc.err)
+		}
+	}
+}
+
 func TestBlobCopied(t *testing.T) {
 	e := NewEncoder().Blob([]byte("abc"))
 	raw := e.Bytes()
