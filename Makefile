@@ -65,8 +65,9 @@ bench-hotpath:
 
 # Native fuzzing of the decoders that face bytes another party wrote: the wire
 # codec (mECall arguments, replies, sealed payloads), the sRPC record header
-# the executor validates before trusting a length, and the NPU program decoder
-# (vtaRun payloads and NPU enclave images). One short leg per target —
+# the executor validates before trusting a length, the NPU program decoder
+# (vtaRun payloads and NPU enclave images), and the EDL parser whose table a
+# sealed call's name is resolved against. One short leg per target —
 # `go test -fuzz` takes a single target and a single package — on top of the
 # checked-in seed corpora under testdata/fuzz, which every plain `go test` run
 # already replays.
@@ -75,6 +76,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordHeader$$' -fuzztime $(FUZZTIME) ./internal/srpc
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInsns$$' -fuzztime $(FUZZTIME) ./internal/mos/driver
+	$(GO) test -run '^$$' -fuzz '^FuzzEDL$$' -fuzztime $(FUZZTIME) ./internal/enclave
 
 # Documentation bar: package docs plus doc comments on every exported
 # identifier of the API-bearing packages (serve, srpc, spm, mos, chaos).

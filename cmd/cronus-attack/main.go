@@ -20,6 +20,7 @@ import (
 	"cronus/internal/sim"
 	"cronus/internal/spm"
 	"cronus/internal/srpc"
+	"cronus/internal/wire"
 )
 
 type attack struct {
@@ -54,7 +55,7 @@ func attacks() []attack {
 				return false, err.Error()
 			}
 			evil := attest.NewChannel([]byte("guessed"), "owner->enclave")
-			_, err = pl.D.InvokeSealed(p, res.EID, mos.SealRequest(evil, driver.CallMemAlloc, driver.EncodeMemAlloc(64)))
+			_, err = pl.D.InvokeSealed(p, res.EID, mos.SealRequest(evil, new(wire.Encoder), driver.CallMemAlloc, driver.EncodeMemAlloc(64)))
 			if err != nil {
 				return true, "MAC verification rejected the forged call"
 			}
@@ -69,7 +70,7 @@ func attacks() []attack {
 			}
 			sec, _ := dh.Shared(res.DHPub)
 			tx := attest.NewChannel(sec, "owner->enclave")
-			msg := mos.SealRequest(tx, driver.CallMemAlloc, driver.EncodeMemAlloc(64))
+			msg := mos.SealRequest(tx, new(wire.Encoder), driver.CallMemAlloc, driver.EncodeMemAlloc(64))
 			if _, err := pl.D.InvokeSealed(p, res.EID, msg); err != nil {
 				return false, "genuine call failed: " + err.Error()
 			}

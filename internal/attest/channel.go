@@ -67,6 +67,11 @@ type Channel struct {
 	label   string
 	sendSeq uint64
 	recvSeq uint64
+	// seq and tag are sum's input word and output: written and read within
+	// one sum, so they live here rather than escaping from its frame
+	// through the hash.Hash calls on every message.
+	seq [8]byte
+	tag [sha256.Size]byte
 }
 
 // NewChannel builds a directional channel. Both sides must construct the
@@ -79,14 +84,13 @@ func NewChannel(secret []byte, label string) *Channel {
 }
 
 // sum computes HMAC(key, seq ‖ payload), the tag of one message.
-func (c *Channel) sum(seq uint64, payload []byte) (tag [sha256.Size]byte) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], seq)
+func (c *Channel) sum(seq uint64, payload []byte) [sha256.Size]byte {
+	binary.LittleEndian.PutUint64(c.seq[:], seq)
 	c.mac.Reset()
-	c.mac.Write(b[:])
+	c.mac.Write(c.seq[:])
 	c.mac.Write(payload)
-	c.mac.Sum(tag[:0])
-	return tag
+	c.mac.Sum(c.tag[:0])
+	return c.tag
 }
 
 // Seal wraps a payload for sending. The message takes the payload by

@@ -15,6 +15,7 @@ import (
 	"cronus/internal/sim"
 	"cronus/internal/spm"
 	"cronus/internal/srpc"
+	"cronus/internal/wire"
 )
 
 func TestPlatformBootAndSessionPing(t *testing.T) {
@@ -266,7 +267,7 @@ func TestCrossTenantIsolation(t *testing.T) {
 		// Mallory (another untrusted app) tries to call alice's CUDA
 		// enclave with her own channel: no secret_dhke, no service.
 		evil := attest.NewChannel([]byte("mallory guesses"), "owner->enclave")
-		msg := mos.SealRequest(evil, driver.CallMemAlloc, driver.EncodeMemAlloc(64))
+		msg := mos.SealRequest(evil, new(wire.Encoder), driver.CallMemAlloc, driver.EncodeMemAlloc(64))
 		if _, err := pl.D.InvokeSealed(p, g.EID, msg); err == nil {
 			t.Error("cross-tenant mECall accepted")
 		}

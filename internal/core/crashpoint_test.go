@@ -1,0 +1,210 @@
+package core_test
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"testing"
+
+	"cronus/internal/core"
+	"cronus/internal/gpu"
+	"cronus/internal/sim"
+	"cronus/internal/spm"
+	"cronus/internal/srpc"
+)
+
+// The crash-point sweep: a deterministic kernel can fail a partition before
+// every event of a scenario, not at a sampled instant. The scenario here is
+// one synchronous mECall shape — a streamed Launch and the Sync behind it —
+// and the fault a crash of the callee's GPU partition (SPM.Fail, FailPanic).
+
+const (
+	sweepElems = 64
+	sweepScale = 3
+)
+
+// crashPoint is what one run of the scenario reports: the events the call
+// dispatched, whether the armed crash fired, the call's error and every
+// violated invariant.
+type crashPoint struct {
+	events     uint64
+	fired      bool
+	err        error
+	violations []string
+}
+
+// runCrashPoint boots a fresh platform, opens a CUDA stream on gpu-part0,
+// uploads sweepElems floats and — unless at is 0 — arms a crash of gpu-part0
+// before the at-th event of `Launch(scale) + Sync`. After the call it checks
+// the §IV-D contract at that crash point:
+//
+//   - the call returns nil or an error wrapping srpc.ErrPeerFailed;
+//   - the stream then reports ErrPeerFailed and, having torn down, leaves
+//     the SPM no grant to the dead incarnation;
+//   - after recovery a fresh OpenCUDA on the partition reads back what
+//     HtoD → Launch → DtoH must produce;
+//   - with the executors idle again, PhysMem.WatchCount is what it was
+//     before the call: no doorbell outlived its waiter;
+//   - once every stream is closed the run drains to quiescence — Run
+//     returns with no process parked.
+func runCrashPoint(at uint64) crashPoint {
+	var cp crashPoint
+	fail := func(format string, args ...any) { cp.violations = append(cp.violations, fmt.Sprintf(format, args...)) }
+	k := sim.NewKernel()
+	defer k.Shutdown()
+	var setupErr error
+	k.Spawn("main", func(p *sim.Proc) {
+		pl, err := core.BuildPlatform(p, core.DefaultConfig())
+		if err != nil {
+			setupErr = err
+			return
+		}
+		part := pl.GPUs[0].Part
+		sess, err := pl.NewSession(p, "sweep")
+		if err != nil {
+			setupErr = err
+			return
+		}
+		open := func() (*core.CUDAConn, uint64, error) {
+			conn, err := sess.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("scale"), Partition: part.Name})
+			if err != nil {
+				return nil, 0, err
+			}
+			buf, err := conn.MemAlloc(p, 4*sweepElems)
+			if err != nil {
+				return nil, 0, err
+			}
+			return conn, buf, conn.HtoD(p, buf, sweepInput())
+		}
+		// settle lets the stream's executor go idle on its doorbell.
+		settle := func() { p.Sleep(100 * sim.Microsecond) }
+		conn, buf, err := open()
+		if err == nil {
+			err = conn.Sync(p)
+		}
+		if err != nil {
+			setupErr = err
+			return
+		}
+		settle()
+		watches := pl.M.Mem.WatchCount()
+
+		start := k.Dispatched()
+		if at > 0 {
+			k.BeforeEvent(start+at, func() {
+				cp.fired = true
+				pl.SPM.Fail(part, spm.FailPanic)
+			})
+		}
+		cp.err = conn.Launch(p, "scale", gpu.Dim{sweepElems, 1, 1}, buf, uint64(gpu.FloatBits(sweepScale)))
+		if cp.err == nil {
+			cp.err = conn.Sync(p)
+		}
+		cp.events = k.Dispatched() - start
+		k.BeforeEvent(0, nil)
+		if cp.err != nil && !errors.Is(cp.err, srpc.ErrPeerFailed) {
+			fail("the call returned %v, not nil or ErrPeerFailed", cp.err)
+		}
+		if at == 0 {
+			if err := conn.Close(p); err != nil {
+				fail("close: %v", err)
+			}
+			return
+		}
+
+		if err := pl.SPM.AwaitReady(p, part); err != nil {
+			fail("gpu-part0 did not recover: %v", err)
+			return
+		}
+		if err := conn.Sync(p); !errors.Is(err, srpc.ErrPeerFailed) {
+			fail("the stream to the crashed partition answered %v, not ErrPeerFailed", err)
+		}
+		if _, stale := pl.SPM.GrantsTo(part); stale != 0 {
+			fail("the SPM holds %d grants to gpu-part0's dead incarnation", stale)
+		}
+		settle() // the mOS re-probes its device after a restart
+
+		fresh, fbuf, err := open()
+		if err == nil {
+			err = fresh.Launch(p, "scale", gpu.Dim{sweepElems, 1, 1}, fbuf, uint64(gpu.FloatBits(sweepScale)))
+		}
+		var out []byte
+		if err == nil {
+			out, err = fresh.DtoH(p, fbuf, 4*sweepElems)
+		}
+		if err != nil {
+			fail("a fresh stream on the recovered partition failed: %v", err)
+			return
+		}
+		if !bytes.Equal(out, sweepWant()) {
+			fail("a fresh stream on the recovered partition read back the wrong bytes")
+		}
+		settle()
+		if got := pl.M.Mem.WatchCount(); got != watches {
+			fail("%d physical watches with the fresh stream idle, %d before the call", got, watches)
+		}
+		if err := fresh.Close(p); err != nil {
+			fail("close: %v", err)
+		}
+		if err := conn.Close(p); err != nil {
+			fail("close of the dead stream: %v", err)
+		}
+	})
+	// No Stop: the run ends when the queue drains, and a process still
+	// parked then is a DeadlockError naming it.
+	if err := k.Run(); err != nil {
+		fail("the run did not reach quiescence: %v", err)
+	}
+	if setupErr != nil {
+		fail("setup: %v", setupErr)
+	}
+	return cp
+}
+
+func sweepInput() []byte {
+	xs := make([]float32, sweepElems)
+	for i := range xs {
+		xs[i] = float32(i + 1)
+	}
+	return gpu.PackF32(xs)
+}
+
+func sweepWant() []byte {
+	xs := gpu.UnpackF32(sweepInput())
+	for i := range xs {
+		xs[i] *= sweepScale
+	}
+	return gpu.PackF32(xs)
+}
+
+// TestCrashPointSweepLaunchSync runs the scenario once clean to count its N
+// events, then N more times, crashing gpu-part0 before event k for every k in
+// 1..N. Every crash point must keep the contract runCrashPoint checks.
+func TestCrashPointSweepLaunchSync(t *testing.T) {
+	clean := runCrashPoint(0)
+	if clean.err != nil || len(clean.violations) > 0 {
+		t.Fatalf("clean run: err %v, %v", clean.err, clean.violations)
+	}
+	n := clean.events
+	if n < 4 {
+		t.Fatalf("the clean call dispatched %d events: a vacuous sweep", n)
+	}
+	held, failed := 0, 0
+	for at := uint64(1); at <= n; at++ {
+		cp := runCrashPoint(at)
+		if !cp.fired {
+			t.Errorf("crash point %d of %d: the armed crash never fired", at, n)
+			continue
+		}
+		if cp.err != nil {
+			failed++
+		}
+		for _, v := range cp.violations {
+			t.Errorf("crash point %d of %d: %s", at, n, v)
+		}
+		if len(cp.violations) == 0 {
+			held++
+		}
+	}
+	t.Logf("%d of %d crash points hold (%d calls returned ErrPeerFailed, %d returned nil)", held, n, failed, int(n)-failed)
+}

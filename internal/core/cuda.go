@@ -68,7 +68,7 @@ func (s *Session) OpenCUDA(p *sim.Proc, opts CUDAOptions) (*CUDAConn, error) {
 		"app.cubin": opts.Cubin,
 	}
 	man := enclave.NewManifest("gpu", "cuda.edl", "app.cubin", files, enclave.Resources{Memory: opts.Memory})
-	dh, err := attest.NewDHKey([]byte(s.Name + "/" + opts.Name))
+	dh, err := attest.NewDHKey([]byte(s.Name + "/" + opts.Name + s.Platform.salt))
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +162,7 @@ func (c *CUDAConn) ExecZC(p *sim.Proc, dst uint64, payload []byte, kernel string
 		CopyCall: driver.CallHtoD,
 		Dst:      dst,
 		ExecCall: driver.CallLaunch,
-		ExecArgs: driver.EncodeLaunch(kernel, grid, args...),
+		ExecArgs: driver.EncodeLaunch(c.client.Args(), kernel, grid, args...),
 	}, notify)
 }
 
@@ -210,8 +210,10 @@ func streamHtoD(p *sim.Proc, client *srpc.Client, call string, chunk int, dst ui
 }
 
 // streamDtoH reads n bytes at device address src in ring-sized chunks into a
-// slice the caller owns. Each chunk's reply is only valid until the next
-// call on the stream, so it is appended to the result before that.
+// slice the caller owns — the one allocation a transfer makes. Each chunk is
+// a synchronous call whose (src, length) arguments come from the stack; its
+// reply is only valid until the next call on the stream, so it is appended
+// to the result before that.
 func streamDtoH(p *sim.Proc, client *srpc.Client, call string, chunk int, src uint64, n int) ([]byte, error) {
 	out := make([]byte, 0, n)
 	for off := 0; off < n; off += chunk {
@@ -219,8 +221,8 @@ func streamDtoH(p *sim.Proc, client *srpc.Client, call string, chunk int, src ui
 		if end > n {
 			end = n
 		}
-		res, err := client.CallSyncCap(p, call,
-			driver.EncodeDtoH(src+uint64(off), uint64(end-off)), end-off+64)
+		head := driver.DtoHHead(src+uint64(off), uint64(end-off))
+		res, err := client.CallSyncCap(p, call, head[:], end-off+64)
 		if err != nil {
 			return nil, err
 		}
@@ -236,7 +238,7 @@ func streamDtoH(p *sim.Proc, client *srpc.Client, call string, chunk int, src ui
 
 // Launch implements accel.CUDA (asynchronous).
 func (c *CUDAConn) Launch(p *sim.Proc, kernel string, grid gpu.Dim, args ...uint64) error {
-	_, err := c.client.Call(p, driver.CallLaunch, driver.EncodeLaunch(kernel, grid, args...))
+	_, err := c.client.Call(p, driver.CallLaunch, driver.EncodeLaunch(c.client.Args(), kernel, grid, args...))
 	return err
 }
 

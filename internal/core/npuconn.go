@@ -54,7 +54,7 @@ func (s *Session) OpenNPU(p *sim.Proc, opts NPUOptions) (*NPUConn, error) {
 		imageName = "prog.vta"
 	}
 	man := enclave.NewManifest("npu", "npu.edl", imageName, files, enclave.Resources{Memory: opts.Memory})
-	dh, err := attest.NewDHKey([]byte(s.Name + "/" + opts.Name))
+	dh, err := attest.NewDHKey([]byte(s.Name + "/" + opts.Name + s.Platform.salt))
 	if err != nil {
 		return nil, err
 	}

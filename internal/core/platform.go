@@ -86,12 +86,27 @@ type Platform struct {
 
 	Service  *attest.Service
 	Verifier *attest.Verifier
+
+	// salt is the node fuse (BuildNode), folded into the seeds of the DH
+	// keys the platform's sessions make; empty on a single platform.
+	salt string
 }
 
 // BuildPlatform boots a platform inside simulated process p: device tree
 // construction and validation, SPM boot (TZASC/TZPC/fuse lock-down), key
-// endorsement, partition creation, mOS boot, dispatcher registration.
+// endorsement, partition creation, mOS boot, dispatcher registration. It is
+// BuildNode's node 0.
 func BuildPlatform(p *sim.Proc, cfg Config) (*Platform, error) {
+	return BuildNode(p, cfg, 0)
+}
+
+// BuildNode boots node i of a pool of machines. Every key a platform holds
+// comes from its fuses: the root of trust and, from it, the attestation key
+// and the local seal key; the accelerators' device keys; the seeds of the DH
+// keys its mOSes and sessions make. Node i > 0 burns a node fuse that salts
+// all of them, so no two nodes share a key or a secret_dhke; node 0 burns
+// none and has exactly a single platform's keys.
+func BuildNode(p *sim.Proc, cfg Config, node int) (*Platform, error) {
 	k := p.Kernel()
 	costs := cfg.Costs
 	if costs == nil {
@@ -101,13 +116,20 @@ func BuildPlatform(p *sim.Proc, cfg Config) (*Platform, error) {
 	if err := m.Fuses.Burn("platform-rot", []byte("cronus-platform-rot")); err != nil {
 		return nil, err
 	}
+	var salt string
+	if node > 0 {
+		salt = fmt.Sprintf("/node%d", node)
+		if err := m.Fuses.Burn(spm.NodeFuse, []byte(salt)); err != nil {
+			return nil, err
+		}
+	}
 
 	var gdevs []*gpu.Device
 	for i := 0; i < cfg.GPUs; i++ {
 		name := fmt.Sprintf("gpu%d", i)
 		d := gpu.New(k, costs, gpu.Config{
 			Name: name, MemBytes: cfg.GPUMemBytes, SMs: cfg.GPUSMs, CopyEngs: 2,
-			MPS: cfg.MPS, KeySeed: "turing/" + name,
+			MPS: cfg.MPS, KeySeed: "turing/" + name + salt,
 		})
 		if _, err := m.Bus.Attach(d, hw.DTNode{
 			Name: name, Compatible: "nvidia,turing", Vendor: "nvidia",
@@ -121,7 +143,7 @@ func BuildPlatform(p *sim.Proc, cfg Config) (*Platform, error) {
 	var ndevs []*npu.Device
 	for i := 0; i < cfg.NPUs; i++ {
 		name := fmt.Sprintf("npu%d", i)
-		d := npu.New(k, costs, npu.Config{Name: name, MemBytes: cfg.NPUMemBytes, KeySeed: "vta/" + name})
+		d := npu.New(k, costs, npu.Config{Name: name, MemBytes: cfg.NPUMemBytes, KeySeed: "vta/" + name + salt})
 		if _, err := m.Bus.Attach(d, hw.DTNode{
 			Name: name, Compatible: "vta,fsim", Vendor: "vta",
 			MMIOBase: 0x3000_0000 + uint64(i)*0x10_0000, MMIOSize: 0x10_0000,
@@ -153,6 +175,7 @@ func BuildPlatform(p *sim.Proc, cfg Config) (*Platform, error) {
 	pl := &Platform{
 		K: k, M: m, SPM: s, Costs: costs,
 		Service: svc, Verifier: verifier,
+		salt: salt,
 	}
 
 	pl.CPUPart, err = s.CreatePartition("cpu-part", "", []byte("optee-based CPU mOS image v1"))

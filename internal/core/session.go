@@ -7,6 +7,7 @@ import (
 	"cronus/internal/enclave"
 	"cronus/internal/mos"
 	"cronus/internal/sim"
+	"cronus/internal/wire"
 )
 
 func init() {
@@ -47,9 +48,11 @@ type Session struct {
 	EID   uint32
 	Hash  attest.Measurement
 
-	// App <-> CPU-enclave sealed channels (untrusted-memory path).
-	tx *attest.Channel
-	rx *attest.Channel
+	// App <-> CPU-enclave sealed channels (untrusted-memory path), and the
+	// encoder Ping seals its request from when no other Ping holds it.
+	tx  *attest.Channel
+	rx  *attest.Channel
+	req *wire.Encoder
 
 	manifests map[string]attest.Measurement // created enclaves, for attestation
 }
@@ -62,7 +65,7 @@ func (pl *Platform) NewSession(p *sim.Proc, name string) (*Session, error) {
 		"session.so":  enclave.BuildCPUImage("cronus-session-runtime"),
 	}
 	man := enclave.NewManifest("cpu", "session.edl", "session.so", files, enclave.Resources{Memory: "64M"})
-	dh, err := attest.NewDHKey([]byte("app/" + name))
+	dh, err := attest.NewDHKey([]byte("app/" + name + pl.salt))
 	if err != nil {
 		return nil, err
 	}
@@ -90,10 +93,18 @@ func (pl *Platform) NewSession(p *sim.Proc, name string) (*Session, error) {
 	}, nil
 }
 
-// Ping exercises the sealed untrusted-memory mECall path end to end.
+// Ping exercises the sealed untrusted-memory mECall path end to end. The
+// request is sealed from the session's request buffer, which the call holds
+// until the enclave has answered; the reply is the caller's.
 func (s *Session) Ping(p *sim.Proc, payload []byte) ([]byte, error) {
-	req := mos.SealRequest(s.tx, "ping", payload)
-	reply, err := s.Platform.D.InvokeSealed(p, s.EID, req)
+	buf := s.req
+	s.req = nil
+	if buf == nil {
+		buf = new(wire.Encoder)
+	}
+	reply, err := s.Platform.D.InvokeSealed(p, s.EID, mos.SealRequest(s.tx, buf, "ping", payload))
+	wire.Recycle(buf.Bytes())
+	s.req = buf
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package enclave
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -20,6 +21,9 @@ type EDL struct {
 	Calls map[string]MECallSpec
 }
 
+// ErrMalformedEDL is wrapped by every error ParseEDL returns.
+var ErrMalformedEDL = errors.New("enclave: malformed EDL")
+
 // ParseEDL parses the EDL dialect. The format is line oriented:
 //
 //	// comments and blank lines are ignored
@@ -27,7 +31,8 @@ type EDL struct {
 //	mecall <name> async
 //
 // Unknown directives are rejected so a tampered EDL cannot silently widen
-// the call surface.
+// the call surface, and so is a line too long to read whole, which would
+// otherwise end the table early. Every refusal wraps ErrMalformedEDL.
 func ParseEDL(data []byte) (*EDL, error) {
 	edl := &EDL{Calls: make(map[string]MECallSpec)}
 	sc := bufio.NewScanner(bytes.NewReader(data))
@@ -40,11 +45,11 @@ func ParseEDL(data []byte) (*EDL, error) {
 		}
 		fields := strings.Fields(text)
 		if len(fields) != 3 || fields[0] != "mecall" {
-			return nil, fmt.Errorf("enclave: edl line %d: expected \"mecall <name> sync|async\", got %q", line, text)
+			return nil, fmt.Errorf("%w: line %d: expected \"mecall <name> sync|async\", got %q", ErrMalformedEDL, line, text)
 		}
 		name := fields[1]
 		if _, dup := edl.Calls[name]; dup {
-			return nil, fmt.Errorf("enclave: edl line %d: duplicate mecall %q", line, name)
+			return nil, fmt.Errorf("%w: line %d: duplicate mecall %q", ErrMalformedEDL, line, name)
 		}
 		var async bool
 		switch fields[2] {
@@ -53,9 +58,12 @@ func ParseEDL(data []byte) (*EDL, error) {
 		case "async":
 			async = true
 		default:
-			return nil, fmt.Errorf("enclave: edl line %d: bad flag %q", line, fields[2])
+			return nil, fmt.Errorf("%w: line %d: bad flag %q", ErrMalformedEDL, line, fields[2])
 		}
 		edl.Calls[name] = MECallSpec{Name: name, Async: async}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("%w: after line %d: %v", ErrMalformedEDL, line, err)
 	}
 	return edl, nil
 }
@@ -77,5 +85,12 @@ func BuildEDL(specs ...MECallSpec) []byte {
 // Lookup returns the spec for a call name.
 func (e *EDL) Lookup(name string) (MECallSpec, bool) {
 	s, ok := e.Calls[name]
+	return s, ok
+}
+
+// LookupBytes is Lookup for a name still in its wire bytes: the conversion in
+// the map index builds no string.
+func (e *EDL) LookupBytes(name []byte) (MECallSpec, bool) {
+	s, ok := e.Calls[string(name)]
 	return s, ok
 }

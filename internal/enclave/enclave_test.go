@@ -1,6 +1,7 @@
 package enclave
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -119,10 +120,13 @@ func TestEDLRejectsBadInput(t *testing.T) {
 		"syscall foo sync",
 		"mecall foo",
 		"mecall foo sync\nmecall foo async",
+		// A line longer than the scanner's buffer used to end the table
+		// there, silently: this one declared nothing and was accepted.
+		"mecall " + strings.Repeat("x", 70000) + " sync",
 	}
 	for _, s := range bad {
-		if _, err := ParseEDL([]byte(s)); err == nil {
-			t.Fatalf("EDL %q accepted", s)
+		if _, err := ParseEDL([]byte(s)); !errors.Is(err, ErrMalformedEDL) {
+			t.Fatalf("EDL %.40q: err %v, want ErrMalformedEDL", s, err)
 		}
 	}
 }

@@ -45,7 +45,8 @@ func (s *syncForcedCUDA) DtoH(p *sim.Proc, src uint64, n int) ([]byte, error) {
 	return s.inner.DtoH(p, src, n)
 }
 func (s *syncForcedCUDA) Launch(p *sim.Proc, kernel string, grid gpu.Dim, args ...uint64) error {
-	_, err := s.inner.Client().CallSyncCap(p, driver.CallLaunch, driver.EncodeLaunch(kernel, grid, args...), 16)
+	c := s.inner.Client()
+	_, err := c.CallSyncCap(p, driver.CallLaunch, driver.EncodeLaunch(c.Args(), kernel, grid, args...), 16)
 	return err
 }
 func (s *syncForcedCUDA) Sync(p *sim.Proc) error  { return s.inner.Sync(p) }

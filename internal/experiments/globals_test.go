@@ -25,7 +25,7 @@ var sharedGlobals = map[string]string{
 	"enclave.cpuLibRegistry": "filled at package init (core's session runtime, test libraries); read-only once a kernel runs",
 	"gpu.registry":           "filled at package init, replaced only by tests and examples while no simulation runs",
 
-	"srpc.recycleHook": "buffer-poisoning hook of one test at a time",
+	"wire.recycleHook": "buffer-poisoning hook of one test at a time",
 
 	"experiments.Catalog":    "read-only table",
 	"experiments.GPUSystems": "read-only table",

@@ -11,6 +11,7 @@ import (
 	"cronus/internal/mos"
 	"cronus/internal/mos/driver"
 	"cronus/internal/sim"
+	"cronus/internal/wire"
 )
 
 // SRPCMicroRow is one RPC-mechanism measurement. MECalls and Bytes are read
@@ -123,7 +124,8 @@ func SRPCMicro(calls, payload int) ([]SRPCMicroRow, error) {
 		}
 		tx := attest.NewChannel(sec, "owner->enclave")
 		rx := attest.NewChannel(sec, "enclave->owner")
-		reply, err := pl.D.InvokeSealed(p, res.EID, mos.SealRequest(tx, driver.CallMemAlloc, driver.EncodeMemAlloc(uint64(payload))))
+		req := new(wire.Encoder) // each request is delivered before the next is sealed
+		reply, err := pl.D.InvokeSealed(p, res.EID, mos.SealRequest(tx, req, driver.CallMemAlloc, driver.EncodeMemAlloc(uint64(payload))))
 		if err != nil {
 			return err
 		}
@@ -138,7 +140,7 @@ func SRPCMicro(calls, payload int) ([]SRPCMicroRow, error) {
 		pre = metrics.Default.Snapshot()
 		start = p.Now()
 		for i := 0; i < calls; i++ {
-			reply, err := pl.D.InvokeSealed(p, res.EID, mos.SealRequest(tx, driver.CallHtoD, driver.EncodeHtoD(lptr, data)))
+			reply, err := pl.D.InvokeSealed(p, res.EID, mos.SealRequest(tx, req, driver.CallHtoD, driver.EncodeHtoD(lptr, data)))
 			if err != nil {
 				return err
 			}

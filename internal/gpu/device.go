@@ -167,6 +167,7 @@ func (d *Device) Authenticate(challenge []byte) []byte {
 func (d *Device) CreateContext() *Context {
 	d.nextCtx++
 	c := &Context{id: d.nextCtx, dev: d, gen: d.gen, modules: make(map[string]*Kernel)}
+	c.exec.Ctx = c
 	d.contexts[c.id] = c
 	return c
 }
@@ -220,6 +221,9 @@ type Context struct {
 	spans   []*span // sorted by va: nextVA only grows, so append keeps the order
 	nextVA  uint64
 	modules map[string]*Kernel
+	// exec is the environment of the launch running on this context, loaded
+	// by execArgs just before the kernel's Cost or Func reads it.
+	exec Exec
 }
 
 // ID returns the context id.

@@ -170,7 +170,12 @@ func (c *Context) Launch(p *sim.Proc, name string, grid Dim, args ...uint64) err
 	if !ok {
 		return fmt.Errorf("gpu: kernel %q not loaded in context %d", name, c.id)
 	}
-	cost := k.Cost(c.dev.SMs(), grid, args)
+	// The arguments are the caller's: they reach the kernel's Cost and Func
+	// through the context's Exec, written here and again after the engine
+	// sleep below, each time consumed before anything can sleep. A second
+	// launch on this context may run in between (another ring's executor),
+	// so nothing written before the sleep is read after it.
+	cost := k.Cost(c.dev.SMs(), grid, c.execArgs(grid, args).Args)
 	if c.dev.migSlices > 0 {
 		// MIG: the kernel runs inside its context's static slice. Work
 		// stretches by the demand it loses; the engine never sees
@@ -208,5 +213,13 @@ func (c *Context) Launch(p *sim.Proc, name string, grid Dim, args ...uint64) err
 		// The device was reset (partition failure) while we computed.
 		return err
 	}
-	return k.Func(&Exec{Ctx: c, Grid: grid, Args: args})
+	return k.Func(c.execArgs(grid, args))
+}
+
+// execArgs loads a launch's grid and arguments into the context's Exec and
+// returns it, for use before the caller next sleeps.
+func (c *Context) execArgs(grid Dim, args []uint64) *Exec {
+	c.exec.Grid = grid
+	c.exec.Args = append(c.exec.Args[:0], args...)
+	return &c.exec
 }

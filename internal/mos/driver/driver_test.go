@@ -207,7 +207,7 @@ func TestNPUModelRunAndSync(t *testing.T) {
 func TestDriverEncodersDecoders(t *testing.T) {
 	// EncodeLaunch round-trips through a wire decoder the way the model
 	// parses it.
-	args := driver.EncodeLaunch("matmul", gpu.Dim{4, 5, 6}, 10, 20)
+	args := driver.EncodeLaunch(new(wire.Encoder), "matmul", gpu.Dim{4, 5, 6}, 10, 20)
 	d := wire.NewDecoder(args)
 	if d.Str() != "matmul" {
 		t.Fatal("kernel name mangled")

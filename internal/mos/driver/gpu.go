@@ -178,7 +178,17 @@ func (m *CUDAModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encode
 		for i := range grid {
 			grid[i] = int(d.U32())
 		}
-		kargs := make([]uint64, d.Count(8))
+		// The arguments are decoded into storage this call owns — its stack
+		// frame, or a slice of its own for an unusually long list — never
+		// into the model: another ring's executor can be inside this same
+		// model, asleep in its own launch, while this call runs.
+		var inline [launchArgsInline]uint64
+		var kargs []uint64
+		if n := d.Count(8); n <= len(inline) {
+			kargs = inline[:n]
+		} else {
+			kargs = make([]uint64, n)
+		}
 		for i := range kargs {
 			kargs[i] = d.U64()
 		}
@@ -189,6 +199,7 @@ func (m *CUDAModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encode
 		end := trace.Default.Span(p, "driver", m.hal.dev.Name(), "kernel-launch")
 		err := m.ctx.Launch(p, kname, grid, kargs...)
 		end()
+		wire.RecycleWords(kargs)
 		return err
 	case CallSync:
 		// Device-level synchronization: in the model, launches already
@@ -207,9 +218,16 @@ func (m *CUDAModel) Destroy(*sim.Proc) {
 	}
 }
 
-// EncodeLaunch builds cuLaunchKernel arguments (client-side helper).
-func EncodeLaunch(kernel string, grid gpu.Dim, kargs ...uint64) []byte {
-	e := wire.NewEncoder().Grow(4 + len(kernel) + 4*len(grid) + 4 + 8*len(kargs)).Str(kernel)
+// launchArgsInline is how many kernel arguments a launch decodes without a
+// heap slice: more than any registered kernel takes.
+const launchArgsInline = 16
+
+// EncodeLaunch appends cuLaunchKernel arguments to e and returns e's bytes —
+// the one encoder of the launch format. A stream's caller encodes into the
+// stream's own scratch (srpc.Client.Args), so a launch record costs no
+// allocation; anyone else passes a fresh encoder.
+func EncodeLaunch(e *wire.Encoder, kernel string, grid gpu.Dim, kargs ...uint64) []byte {
+	e.Grow(4 + len(kernel) + 4*len(grid) + 4 + 8*len(kargs)).Str(kernel)
 	for _, g := range grid {
 		e.U32(uint32(g))
 	}
@@ -234,9 +252,18 @@ func HtoDHead(dst uint64, n int) (head [12]byte) {
 	return head
 }
 
+// DtoHHead returns cuMemcpyDtoH arguments as a value, so a caller can pass
+// them from its stack the way it passes HtoDHead.
+func DtoHHead(src, n uint64) (head [16]byte) {
+	binary.LittleEndian.PutUint64(head[0:], src)
+	binary.LittleEndian.PutUint64(head[8:], n)
+	return head
+}
+
 // EncodeDtoH builds cuMemcpyDtoH arguments.
 func EncodeDtoH(src uint64, n uint64) []byte {
-	return wire.NewEncoder().Grow(16).U64(src).U64(n).Bytes()
+	head := DtoHHead(src, n)
+	return head[:]
 }
 
 // EncodeMemAlloc builds cuMemAlloc arguments.

@@ -51,6 +51,10 @@ type Enclave struct {
 	// grants tracks sRPC shared-memory grants owned by this enclave so
 	// enclave failure can revoke them (§IV-D "Handling mEnclave failures").
 	grants []int
+	// spareReply is a sealed call's reply encoder between calls. A call
+	// takes it (or a new one, if another call holds it) and puts it back
+	// emptied, its buffer gone with the reply.
+	spareReply *wire.Encoder
 }
 
 // CreateResult is returned to the caller of create: the new enclave id and
@@ -112,7 +116,7 @@ func (em *EnclaveManager) Create(p *sim.Proc, name string, man enclave.Manifest,
 	binary.LittleEndian.PutUint32(seed[:], eid)
 	binary.LittleEndian.PutUint64(seed[4:], em.epoch)
 	copy(seed[12:], em.mos.Part.Name)
-	dh, err := attest.NewDHKey(seed[:])
+	dh, err := attest.NewDHKey(append(seed[:], em.mos.SPM.NodeSalt()...))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -178,8 +182,9 @@ func (em *EnclaveManager) LocalReport(eid uint32, nonce uint64) (attest.LocalRep
 //
 // The request is decoded in place: the model sees args as a sub-slice of
 // msg.Payload (the MAC was computed over exactly those bytes), so the caller
-// must leave the message alone until InvokeSealed returns. The reply is a
-// fresh message the caller owns.
+// must leave the message alone until InvokeSealed returns, and the mECall's
+// name is resolved against the EDL from its wire bytes. The reply is a fresh
+// message the caller owns — the only storage a sealed call allocates.
 func (em *EnclaveManager) InvokeSealed(p *sim.Proc, eid uint32, msg attest.SealedMsg) (attest.SealedMsg, error) {
 	e, ok := em.Get(eid)
 	if !ok {
@@ -191,28 +196,46 @@ func (em *EnclaveManager) InvokeSealed(p *sim.Proc, eid uint32, msg attest.Seale
 		return attest.SealedMsg{}, fmt.Errorf("mos: mECall rejected: %w", err)
 	}
 	d := wire.NewDecoder(payload)
-	name := d.Str()
+	nameBytes := d.StrRef()
 	args := d.BlobRef()
 	if d.Err() != nil {
 		return attest.SealedMsg{}, d.Err()
 	}
-	// Sized for status + length prefix + a result as large as the arguments
-	// (an echo, a transform in place); anything larger grows it.
-	reply := wire.NewEncoder().Grow(8 + len(args)).U32(0)
+	// A declared name is the EDL's own string; only an undeclared one, which
+	// Invoke refuses, is built from the bytes.
+	spec, ok := e.EDL.LookupBytes(nameBytes)
+	if !ok {
+		spec.Name = string(nameBytes)
+	}
+	// The reply encoder is the enclave's spare when no other sealed call
+	// holds it. Its buffer is sized for status + length prefix + a result as
+	// large as the arguments (an echo, a transform in place; anything larger
+	// grows it) and leaves with the reply.
+	reply := e.spareReply
+	e.spareReply = nil
+	if reply == nil {
+		reply = new(wire.Encoder)
+	}
+	reply.Grow(8 + len(args)).U32(0)
 	mark := reply.BeginBlob()
-	if err := e.Invoke(p, name, args, reply); err != nil {
+	if err := e.Invoke(p, spec.Name, args, reply); err != nil {
 		reply.Reset().U32(1).Str(err.Error())
 	} else {
 		reply.EndBlob(mark)
 	}
 	p.Sleep(em.mos.Costs.MACFixed) // seal reply
-	return e.txOwner.Seal(reply.Bytes()), nil
+	out := e.txOwner.Seal(reply.Bytes())
+	*reply = wire.Encoder{}
+	e.spareReply = reply
+	return out, nil
 }
 
-// SealRequest is the owner-side helper pairing with InvokeSealed. args is
-// copied once, into the message.
-func SealRequest(ch *attest.Channel, name string, args []byte) attest.SealedMsg {
-	return ch.Seal(wire.NewEncoder().Grow(8 + len(name) + len(args)).Str(name).Blob(args).Bytes())
+// SealRequest is the owner-side helper pairing with InvokeSealed: it encodes
+// wire(name, args) into e, emptied first, and seals it. args is copied once,
+// into e; the message's payload is e's storage, so e must be left alone until
+// the message has been delivered.
+func SealRequest(ch *attest.Channel, e *wire.Encoder, name string, args []byte) attest.SealedMsg {
+	return ch.Seal(e.Reset().Grow(8 + len(name) + len(args)).Str(name).Blob(args).Bytes())
 }
 
 // OpenReply is the owner-side helper decoding an InvokeSealed reply. The

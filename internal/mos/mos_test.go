@@ -67,7 +67,7 @@ func TestCreateAndInvokeCPUEnclave(t *testing.T) {
 		}
 		tx := attest.NewChannel(secret, "owner->enclave")
 		rx := attest.NewChannel(secret, "enclave->owner")
-		msg := mos.SealRequest(tx, "sum", wire.NewEncoder().U64(19).U64(23).Bytes())
+		msg := mos.SealRequest(tx, new(wire.Encoder), "sum", wire.NewEncoder().U64(19).U64(23).Bytes())
 		reply, err := rig.CPUOS.EM.InvokeSealed(p, res.EID, msg)
 		if err != nil {
 			return err
@@ -97,14 +97,14 @@ func TestOnlyOwnerCanInvoke(t *testing.T) {
 		// A non-owner (the malicious normal OS invoking mECall with
 		// arbitrary parameters, §III-B) does not know secret_dhke.
 		evil := attest.NewChannel([]byte("guessed secret"), "owner->enclave")
-		msg := mos.SealRequest(evil, "sum", wire.NewEncoder().U64(1).U64(2).Bytes())
+		msg := mos.SealRequest(evil, new(wire.Encoder), "sum", wire.NewEncoder().U64(1).U64(2).Bytes())
 		if _, err := rig.CPUOS.EM.InvokeSealed(p, res.EID, msg); err == nil {
 			t.Error("non-owner mECall accepted")
 		}
 		// Replay of a genuine owner message is refused too.
 		secret, _ := owner.Shared(res.DHPub)
 		tx := attest.NewChannel(secret, "owner->enclave")
-		good := mos.SealRequest(tx, "sum", wire.NewEncoder().U64(1).U64(2).Bytes())
+		good := mos.SealRequest(tx, new(wire.Encoder), "sum", wire.NewEncoder().U64(1).U64(2).Bytes())
 		if _, err := rig.CPUOS.EM.InvokeSealed(p, res.EID, good); err != nil {
 			t.Errorf("genuine call rejected: %v", err)
 		}
@@ -190,7 +190,7 @@ func TestCUDAEnclaveComputesOnGPU(t *testing.T) {
 		if _, err := invoke(e, p, driver.CallHtoD, driver.EncodeHtoD(b, gpu.PackF32([]float32{10, 20, 30, 40}))); err != nil {
 			return err
 		}
-		if _, err := invoke(e, p, driver.CallLaunch, driver.EncodeLaunch("vec_add", gpu.Dim{4, 1, 1}, a, b, c)); err != nil {
+		if _, err := invoke(e, p, driver.CallLaunch, driver.EncodeLaunch(new(wire.Encoder), "vec_add", gpu.Dim{4, 1, 1}, a, b, c)); err != nil {
 			return err
 		}
 		res, err := invoke(e, p, driver.CallDtoH, driver.EncodeDtoH(c, 16))

@@ -29,7 +29,7 @@ func (e *OverloadError) Error() string {
 type queue struct {
 	k     *sim.Kernel
 	cap   int
-	items []*Request
+	items sim.FIFO[*Request]
 	depth *metrics.Gauge
 	cond  *sim.Cond
 	// batching is the dispatcher proc currently holding a batch window
@@ -114,8 +114,8 @@ func (srv *Server) effectiveCap(t *tenant, now sim.Time) int {
 
 // push appends an admitted request and wakes the dispatcher.
 func (q *queue) push(r *Request) {
-	q.items = append(q.items, r)
-	q.depth.Set(int64(len(q.items)))
+	q.items.Push(r)
+	q.depth.Set(int64(q.items.Len()))
 	q.cond.Broadcast()
 	if q.batching != nil {
 		q.k.Interrupt(q.batching)
@@ -126,8 +126,8 @@ func (q *queue) push(r *Request) {
 // original order ahead of newer arrivals. Replays bypass the admission cap:
 // the requests were already admitted once.
 func (q *queue) pushFront(rs []*Request) {
-	q.items = append(append(make([]*Request, 0, len(rs)+len(q.items)), rs...), q.items...)
-	q.depth.Set(int64(len(q.items)))
+	q.items.PushFront(rs)
+	q.depth.Set(int64(q.items.Len()))
 	q.cond.Broadcast()
 	if q.batching != nil {
 		q.k.Interrupt(q.batching)
@@ -136,7 +136,7 @@ func (q *queue) pushFront(rs []*Request) {
 
 // waitFirst blocks until a request is available and pops it.
 func (q *queue) waitFirst(p *sim.Proc) *Request {
-	for len(q.items) == 0 {
+	for q.items.Len() == 0 {
 		q.cond.Wait(p)
 	}
 	return q.pop()
@@ -145,17 +145,15 @@ func (q *queue) waitFirst(p *sim.Proc) *Request {
 // popMatching pops the head request only if it belongs to cl — batches stay
 // FIFO and single-class.
 func (q *queue) popMatching(cl *workClass) *Request {
-	if len(q.items) == 0 || q.items[0].class != cl {
+	if q.items.Len() == 0 || q.items.Live()[0].class != cl {
 		return nil
 	}
 	return q.pop()
 }
 
 func (q *queue) pop() *Request {
-	r := q.items[0]
-	q.items[0] = nil
-	q.items = q.items[1:]
-	q.depth.Set(int64(len(q.items)))
+	r := q.items.Pop()
+	q.depth.Set(int64(q.items.Len()))
 	return r
 }
 

@@ -258,6 +258,57 @@ func TestFlowPlaneAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestExecutedPlaneAllocationBudget is the executed plane's row beside it:
+// the serve_exec load — two Poisson tenants mixing resnet18 and resnet50 on
+// two GPU partitions, least-outstanding placement — where every batch really
+// pushes its HtoD, Launch and barrier records through an sRPC ring and a CUDA
+// mEnclave. Differenced the same way, a request's trip costs at most a tenth
+// of an allocation: the data path hands nothing back to the serving plane, so
+// it allocates nothing in steady state.
+func TestExecutedPlaneAllocationBudget(t *testing.T) {
+	config := func(window sim.Duration) Config {
+		mix := []WorkClass{
+			{Name: "resnet18", Weight: 2, Graph: tvm.ResNet18()},
+			{Name: "resnet50", Weight: 1, Graph: tvm.ResNet50()},
+		}
+		cfg := Config{
+			Seed: 17, Window: window, Policy: LeastOutstanding,
+			MaxBatch: 4, BatchWindow: 40 * sim.Microsecond,
+			GPUPartitions: 2, GPUFlopsPerNs: 400,
+		}
+		for i := 0; i < 2; i++ {
+			cfg.Tenants = append(cfg.Tenants, TenantSpec{
+				Name: fmt.Sprintf("t%d", i), Arrival: Poisson, Rate: 80000, QueueCap: 64, Mix: mix,
+			})
+		}
+		return cfg
+	}
+	measure := func(window sim.Duration) (mallocs, completed uint64) {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := Run(config(window))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tr := range res.Tenants {
+			completed += tr.Completed
+		}
+		return after.Mallocs - before.Mallocs, completed
+	}
+	m1, c1 := measure(10 * sim.Millisecond)
+	m2, c2 := measure(40 * sim.Millisecond)
+	if c2 < c1+2000 {
+		t.Fatalf("vacuous difference: %d and %d requests completed", c1, c2)
+	}
+	perReq := (float64(m2) - float64(m1)) / float64(c2-c1)
+	t.Logf("%d mallocs / %d requests, %d / %d: %.4f allocations per request", m1, c1, m2, c2, perReq)
+	if perReq > 0.1 {
+		t.Errorf("the executed plane allocates %.3f objects per request in steady state, budget 0.1", perReq)
+	}
+}
+
 // BenchmarkFlowBatch is one full batch through the flow-model plane of a
 // booted two-node pool: MaxBatch submits (admission, inline batching, close by
 // fill), the attestation gate, the lane port, lane service, the completion

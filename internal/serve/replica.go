@@ -40,7 +40,7 @@ type replica struct {
 	inPtr  uint64
 	gen    int // enclave incarnation, bumped per reconnect for unique names
 
-	pending     []*batch
+	pending     sim.FIFO[*batch]
 	outstanding int
 	down        bool
 	quarantined bool // partition crash-looped into quarantine; park until release
@@ -161,7 +161,7 @@ func (rep *replica) connect(p *sim.Proc) error {
 
 // enqueue places a batch on the replica (called by the dispatcher).
 func (rep *replica) enqueue(b *batch) {
-	rep.pending = append(rep.pending, b)
+	rep.pending.Push(b)
 	rep.outstanding += len(b.reqs)
 	rep.cond.Broadcast()
 }
@@ -196,13 +196,11 @@ func (rep *replica) run(p *sim.Proc) {
 			rep.failover(p)
 			continue
 		}
-		if len(rep.pending) == 0 {
+		if rep.pending.Len() == 0 {
 			rep.cond.Wait(p)
 			continue
 		}
-		b := rep.pending[0]
-		rep.pending[0] = nil
-		rep.pending = rep.pending[1:]
+		b := rep.pending.Pop()
 		err := rep.execWithRetry(p, b)
 		if err != nil && errors.Is(err, srpc.ErrPeerFailed) {
 			// The partition proceed-trapped under us. Requeue the
@@ -212,10 +210,9 @@ func (rep *replica) run(p *sim.Proc) {
 			// duplicates.
 			rep.down = true
 			rs := append([]*Request{}, b.reqs...)
-			for _, pb := range rep.pending {
-				rs = append(rs, pb.reqs...)
+			for rep.pending.Len() > 0 {
+				rs = append(rs, rep.pending.Pop().reqs...)
 			}
-			rep.pending = nil
 			rep.requeue(rs)
 			continue
 		}
@@ -264,14 +261,13 @@ func (rep *replica) failover(p *sim.Proc) bool {
 // drainPending requeues every batch the replica still holds so the
 // dispatcher re-places the load on surviving replicas.
 func (rep *replica) drainPending() {
-	if len(rep.pending) == 0 {
+	if rep.pending.Len() == 0 {
 		return
 	}
 	var rs []*Request
-	for _, b := range rep.pending {
-		rs = append(rs, b.reqs...)
+	for rep.pending.Len() > 0 {
+		rs = append(rs, rep.pending.Pop().reqs...)
 	}
-	rep.pending = nil
 	rep.requeue(rs)
 }
 

@@ -80,7 +80,7 @@ func (srv *Server) dispatch(p *sim.Proc, t *tenant) {
 				}
 				// Head is a different class (close the batch so FIFO order
 				// holds) or the queue is empty (wait out the window).
-				if len(t.q.items) > 0 {
+				if t.q.items.Len() > 0 {
 					break
 				}
 				remaining := sim.Duration(deadline - p.Now())

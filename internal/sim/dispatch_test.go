@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime/debug"
 	"sort"
@@ -70,32 +71,39 @@ func TestEventFitsOneCacheLine(t *testing.T) {
 }
 
 // TestFifoMatchesSliceOracle checks the wait-path queue against a plain slice
-// under random push/pop/remove, and that a queue which keeps draining settles
+// under random push/pop/push-front/remove, and that a queue which keeps draining settles
 // on one backing array instead of growing a new one per round trip.
 func TestFifoMatchesSliceOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var q fifo[*int]
+	var q FIFO[*int]
 	var oracle []*int
 	for step := 0; step < 20000; step++ {
 		switch r := rng.Intn(10); {
 		case r < 5 || len(oracle) == 0:
 			v := new(int)
-			q.push(v)
+			q.Push(v)
 			oracle = append(oracle, v)
 		case r < 8:
-			if got := q.pop(); got != oracle[0] {
+			if got := q.Pop(); got != oracle[0] {
 				t.Fatalf("step %d: pop returned the wrong element", step)
 			}
 			oracle = oracle[1:]
+		case r < 9:
+			vs := make([]*int, 1+rng.Intn(3))
+			for i := range vs {
+				vs[i] = new(int)
+			}
+			q.PushFront(vs)
+			oracle = append(vs, oracle...)
 		default:
 			i := rng.Intn(len(oracle))
 			q.remove(i)
 			oracle = append(oracle[:i:i], oracle[i+1:]...)
 		}
-		if q.len() != len(oracle) {
-			t.Fatalf("step %d: len %d, oracle %d", step, q.len(), len(oracle))
+		if q.Len() != len(oracle) {
+			t.Fatalf("step %d: len %d, oracle %d", step, q.Len(), len(oracle))
 		}
-		for i, v := range q.live() {
+		for i, v := range q.Live() {
 			if v != oracle[i] {
 				t.Fatalf("step %d: element %d differs from the oracle", step, i)
 			}
@@ -106,16 +114,83 @@ func TestFifoMatchesSliceOracle(t *testing.T) {
 			}
 		}
 	}
-	var rt fifo[int]
-	rt.push(0)
-	rt.pop()
+	var rt FIFO[int]
+	rt.Push(0)
+	rt.Pop()
 	base := &rt.buf[:1][0]
 	for i := 0; i < 100; i++ {
-		rt.push(i)
-		rt.pop()
+		rt.Push(i)
+		rt.Pop()
 	}
 	if &rt.buf[:1][0] != base {
 		t.Fatal("a drained fifo did not reuse its backing array")
+	}
+}
+
+// TestBeforeEventRunsBeforeTheNthEvent pins the fault-injection hook: armed
+// at n, fn runs once, at the instant of the n-th dispatched event and before
+// it runs — with n-1 events counted — and arming changes nothing else about
+// the run.
+func TestBeforeEventRunsBeforeTheNthEvent(t *testing.T) {
+	type rec struct {
+		at   Time
+		keys int
+	}
+	run := func(n uint64, fn func(k *Kernel, log *[]string)) ([]string, []Time) {
+		k := NewKernel()
+		var log []string
+		var times []Time
+		k.probe = func(_ int, at Time, _ uint8, _, _ uint64) { times = append(times, at) }
+		for i := 0; i < 3; i++ {
+			i := i
+			k.Spawn("p", func(p *Proc) {
+				for j := 0; j < 4; j++ {
+					p.Sleep(Duration(3 + i))
+					log = append(log, fmt.Sprintf("p%d@%d", i, p.Now()))
+				}
+			})
+		}
+		if fn != nil {
+			k.BeforeEvent(n, func() { fn(k, &log) })
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if k.Dispatched() != uint64(len(times)) {
+			t.Fatalf("Dispatched() = %d after %d probed events", k.Dispatched(), len(times))
+		}
+		return log, times
+	}
+	clean, times := run(0, nil)
+	for _, n := range []uint64{1, 5, uint64(len(times))} {
+		var got []rec
+		log, _ := run(n, func(k *Kernel, log *[]string) {
+			got = append(got, rec{k.Now(), int(k.Dispatched())})
+			*log = append(*log, "hook")
+		})
+		if len(got) != 1 {
+			t.Fatalf("n=%d: the hook ran %d times, want once", n, len(got))
+		}
+		if got[0].keys != int(n)-1 || got[0].at != times[n-1] {
+			t.Errorf("n=%d: the hook ran at %v with %d events dispatched, want %v and %d", n, got[0].at, got[0].keys, times[n-1], n-1)
+		}
+		var rest []string
+		for _, l := range log {
+			if l != "hook" {
+				rest = append(rest, l)
+			}
+		}
+		if strings.Join(rest, " ") != strings.Join(clean, " ") {
+			t.Errorf("n=%d: arming changed the run:\n%v\nwant\n%v", n, rest, clean)
+		}
+	}
+	k := NewKernel()
+	ran := false
+	k.Spawn("p", func(p *Proc) { p.Sleep(1) })
+	k.BeforeEvent(1, func() { ran = true })
+	k.BeforeEvent(0, nil)
+	if err := k.Run(); err != nil || ran {
+		t.Errorf("a disarmed hook ran (%v, err %v)", ran, err)
 	}
 }
 
@@ -224,6 +299,20 @@ func TestHotPathsDoNotAllocate(t *testing.T) {
 				k.Spawn("user", func(p *Proc) {
 					for {
 						r.Use(p, 1, 1)
+					}
+				})
+			}
+		},
+		// Three jobs oversubscribing a processor-sharing engine: every start
+		// and finish re-projects the others, and a finished job's record is
+		// the next run's.
+		"PSEngine run": func(k *Kernel) {
+			e := NewPSEngine(k, "sms", 4)
+			for i := 0; i < 3; i++ {
+				i := i
+				k.Spawn("job", func(p *Proc) {
+					for {
+						e.Run(p, float64(2+i), Duration(3+i))
 					}
 				})
 			}

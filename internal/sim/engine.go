@@ -21,6 +21,10 @@ type PSEngine struct {
 	capacity float64
 	jobs     []*psJob // insertion order: keeps same-timestamp wakes deterministic
 	last     Time     // time of the last settle
+	// free holds the jobs of finished runs for the next ones: a job leaves
+	// it when a Run starts and returns when that Run's deferred exit has
+	// taken it out of jobs, so no job is ever in both or in two runs.
+	free []*psJob
 }
 
 type psJob struct {
@@ -91,7 +95,13 @@ func (e *PSEngine) Run(p *Proc, demand float64, work Duration) {
 	if demand > e.capacity {
 		demand = e.capacity
 	}
-	j := &psJob{p: p, demand: demand, remaining: float64(work)}
+	var j *psJob
+	if n := len(e.free); n > 0 {
+		j, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		j = new(psJob)
+	}
+	*j = psJob{p: p, demand: demand, remaining: float64(work)}
 	e.settle(p.Now())
 	e.jobs = append(e.jobs, j)
 	e.reproject(j)
@@ -107,6 +117,8 @@ func (e *PSEngine) Run(p *Proc, demand float64, work Duration) {
 			}
 		}
 		e.reproject(nil)
+		*j = psJob{}
+		e.free = append(e.free, j)
 	}()
 	for {
 		e.settle(p.Now())

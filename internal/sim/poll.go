@@ -23,7 +23,7 @@ func NewCond(k *Kernel) *Cond { return &Cond{k: k} }
 // Wait parks p until the next Broadcast. Spurious wakeups are possible (e.g.
 // a broadcast for a different predicate); callers loop.
 func (c *Cond) Wait(p *Proc) {
-	c.waiters.push(p)
+	c.waiters.Push(p)
 	p.park(&c.waiters)
 }
 

@@ -98,7 +98,7 @@ func TestCondKilledWaiterIsDropped(t *testing.T) {
 	if reached {
 		t.Fatal("killed waiter resumed past Wait")
 	}
-	if c.waiters.len() != 0 {
-		t.Fatalf("dead waiter still queued: %d", c.waiters.len())
+	if c.waiters.Len() != 0 {
+		t.Fatalf("dead waiter still queued: %d", c.waiters.Len())
 	}
 }

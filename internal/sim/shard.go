@@ -337,7 +337,7 @@ type Port[T any] struct {
 	name    string
 	sh      *shard
 	hop     Duration
-	q       fifo[T]
+	q       FIFO[T]
 	waiters waitq
 	handler func(at Time, v T)
 	// deliverArg is deliver behind the event's func(any) signature, bound once
@@ -405,9 +405,9 @@ func (pt *Port[T]) deliver(v T) {
 		pt.handler(pt.sh.now, v)
 		return
 	}
-	pt.q.push(v)
-	if pt.waiters.len() > 0 {
-		pt.k.wake(pt.waiters.pop())
+	pt.q.Push(v)
+	if pt.waiters.Len() > 0 {
+		pt.k.wake(pt.waiters.Pop())
 	}
 }
 
@@ -417,11 +417,11 @@ func (pt *Port[T]) Recv(p *Proc) T {
 	if p.sh != pt.sh {
 		panic(fmt.Sprintf("sim: Recv on port %q from shard %d (port lives on shard %d)", pt.name, p.sh.id, pt.sh.id))
 	}
-	for pt.q.len() == 0 {
-		pt.waiters.push(p)
+	for pt.q.Len() == 0 {
+		pt.waiters.Push(p)
 		p.park(&pt.waiters)
 	}
-	return pt.q.pop()
+	return pt.q.Pop()
 }
 
 // TryRecv returns the next message without blocking; ok is false when the
@@ -430,12 +430,12 @@ func (pt *Port[T]) TryRecv(p *Proc) (v T, ok bool) {
 	if p.sh != pt.sh {
 		panic(fmt.Sprintf("sim: TryRecv on port %q from shard %d (port lives on shard %d)", pt.name, p.sh.id, pt.sh.id))
 	}
-	if pt.q.len() == 0 {
+	if pt.q.Len() == 0 {
 		return v, false
 	}
-	return pt.q.pop(), true
+	return pt.q.Pop(), true
 }
 
 // Len returns the number of delivered, unconsumed messages. Call it only
 // from the port's shard.
-func (pt *Port[T]) Len() int { return pt.q.len() }
+func (pt *Port[T]) Len() int { return pt.q.Len() }

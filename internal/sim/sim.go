@@ -373,6 +373,11 @@ type Kernel struct {
 	active []*shard // runParallel's per-window scratch
 	// probe, set by tests only, sees the key of every dispatched event.
 	probe func(shard int, t Time, band uint8, a, b uint64)
+	// dispatched counts the events next has dispatched in sequential mode;
+	// when it is about to reach armAt (nonzero), armFn runs first (BeforeEvent).
+	dispatched uint64
+	armAt      uint64
+	armFn      func()
 
 	sharded  bool // EnableSharding called
 	parallel bool // currently in the parallel phase (toggled at safe points)
@@ -650,8 +655,16 @@ func (sh *shard) next() *Proc {
 		if ev.t > sh.now {
 			sh.now = ev.t
 		}
-		if !k.parallel && ev.t > k.nowSeq {
-			k.nowSeq = ev.t
+		if !k.parallel {
+			if ev.t > k.nowSeq {
+				k.nowSeq = ev.t
+			}
+			if k.dispatched+1 == k.armAt {
+				fn := k.armFn
+				k.armAt, k.armFn = 0, nil
+				fn()
+			}
+			k.dispatched++
 		}
 		if ev.fn != nil {
 			k.call(&ev)
@@ -823,6 +836,26 @@ func (k *Kernel) Shutdown() {
 			p.co()
 		}
 	}
+}
+
+// Dispatched returns how many events the kernel has dispatched in sequential
+// mode: process resumptions and callbacks, not the stale wakes it skips. It
+// is the ordinal BeforeEvent counts in.
+func (k *Kernel) Dispatched() uint64 { return k.dispatched }
+
+// BeforeEvent arms fn to run once, just before the n-th dispatched event
+// (Dispatched() reads n-1 while it runs); a later call re-arms, n = 0
+// disarms. fn runs in kernel context, on whichever process or coordinator
+// holds the baton, at the virtual instant of the event it precedes — the
+// hook a sweep uses to inject a fault before every event of a scenario in
+// turn. It must not block. The event still dispatches after fn returns; a
+// process fn kills unwinds there. Unarmed, it costs the dispatch loop one
+// compare and one increment.
+func (k *Kernel) BeforeEvent(n uint64, fn func()) {
+	if n == 0 || fn == nil {
+		n, fn = 0, nil
+	}
+	k.armAt, k.armFn = n, fn
 }
 
 // Killed reports whether the process has been marked for termination.

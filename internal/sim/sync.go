@@ -5,21 +5,40 @@ package sim
 // one-shot signals. All blocking methods take the calling Proc explicitly —
 // simulated code always knows which simulated thread it is running on.
 
-// fifo is the queue under every wait path: a slice plus a head index, so that
-// a pop keeps the backing array (q = q[1:] gives its capacity away and makes
-// every round trip grow a new one). Once the dead prefix is half the slice the
-// live tail slides down over it — amortized O(1), and a drained queue restarts
-// at the front of the same array.
-type fifo[T any] struct {
+// FIFO is the queue under every wait path, and under any simulated queue that
+// pops from the front: a slice plus a head index, so that a pop keeps the
+// backing array (q = q[1:] gives its capacity away and makes every round trip
+// grow a new one). Once the dead prefix is half the slice the live tail slides
+// down over it — amortized O(1), and a drained queue restarts at the front of
+// the same array. The zero value is an empty queue.
+type FIFO[T any] struct {
 	buf  []T
 	head int
 }
 
-func (q *fifo[T]) len() int  { return len(q.buf) - q.head }
-func (q *fifo[T]) live() []T { return q.buf[q.head:] }
-func (q *fifo[T]) push(v T)  { q.buf = append(q.buf, v) }
+// Len returns the number of queued elements.
+func (q *FIFO[T]) Len() int { return len(q.buf) - q.head }
 
-func (q *fifo[T]) pop() T {
+// Live returns the queued elements, oldest first. The slice aliases the queue
+// and is valid until its next change.
+func (q *FIFO[T]) Live() []T { return q.buf[q.head:] }
+
+// Push appends v at the back.
+func (q *FIFO[T]) Push(v T) { q.buf = append(q.buf, v) }
+
+// PushFront puts vs, in order, ahead of everything queued — into the dead
+// prefix when it has room, else into a new array.
+func (q *FIFO[T]) PushFront(vs []T) {
+	if len(vs) <= q.head {
+		q.head -= len(vs)
+		copy(q.buf[q.head:], vs)
+		return
+	}
+	q.buf, q.head = append(append(make([]T, 0, len(vs)+q.Len()), vs...), q.Live()...), 0
+}
+
+// Pop removes and returns the front element; the queue must not be empty.
+func (q *FIFO[T]) Pop() T {
 	v := q.buf[q.head]
 	var zero T
 	q.buf[q.head] = zero
@@ -29,7 +48,7 @@ func (q *fifo[T]) pop() T {
 }
 
 // remove deletes the i-th queued element.
-func (q *fifo[T]) remove(i int) {
+func (q *FIFO[T]) remove(i int) {
 	i += q.head
 	copy(q.buf[i:], q.buf[i+1:])
 	q.trim(len(q.buf) - 1)
@@ -37,7 +56,7 @@ func (q *fifo[T]) remove(i int) {
 
 // trim cuts the queue back to buf[head:n], sliding it down when due and
 // zeroing the slots it lets go of.
-func (q *fifo[T]) trim(n int) {
+func (q *FIFO[T]) trim(n int) {
 	if 2*q.head >= n {
 		n, q.head = copy(q.buf, q.buf[q.head:n]), 0
 	}
@@ -47,10 +66,10 @@ func (q *fifo[T]) trim(n int) {
 
 // waitq is a FIFO of parked processes. It is the dropper handed to park: a
 // process killed while waiting is removed from the queue it sits in.
-type waitq struct{ fifo[*Proc] }
+type waitq struct{ FIFO[*Proc] }
 
 func (w *waitq) drop(p *Proc) {
-	for i, q := range w.live() {
+	for i, q := range w.Live() {
 		if q == p {
 			w.remove(i)
 			return
@@ -61,7 +80,7 @@ func (w *waitq) drop(p *Proc) {
 // wakeAll wakes every still-parked waiter in arrival order and empties the
 // queue. Waking only schedules, so no waiter can re-queue during the sweep.
 func (w *waitq) wakeAll(k *Kernel) {
-	for _, p := range w.live() {
+	for _, p := range w.Live() {
 		if p.state == procParked {
 			k.wake(p)
 		}
@@ -75,7 +94,7 @@ func (w *waitq) wakeAll(k *Kernel) {
 type Mailbox[T any] struct {
 	k       *Kernel
 	name    string
-	items   fifo[T]
+	items   FIFO[T]
 	waiters waitq
 	closed  bool
 }
@@ -86,14 +105,14 @@ func NewMailbox[T any](k *Kernel, name string) *Mailbox[T] {
 }
 
 // Len reports the number of queued values.
-func (m *Mailbox[T]) Len() int { return m.items.len() }
+func (m *Mailbox[T]) Len() int { return m.items.Len() }
 
 // Send enqueues v and wakes one waiting receiver. It may be called from any
 // process, or from setup code before Run.
 func (m *Mailbox[T]) Send(v T) {
-	m.items.push(v)
-	for m.waiters.len() > 0 {
-		if w := m.waiters.pop(); w.state == procParked {
+	m.items.Push(v)
+	for m.waiters.Len() > 0 {
+		if w := m.waiters.Pop(); w.state == procParked {
 			m.k.wake(w)
 			return
 		}
@@ -111,23 +130,23 @@ func (m *Mailbox[T]) Close() {
 // the mailbox was closed and drained.
 func (m *Mailbox[T]) Recv(p *Proc) (v T, ok bool) {
 	for {
-		if m.items.len() > 0 {
-			return m.items.pop(), true
+		if m.items.Len() > 0 {
+			return m.items.Pop(), true
 		}
 		if m.closed {
 			return v, false
 		}
-		m.waiters.push(p)
+		m.waiters.Push(p)
 		p.park(&m.waiters)
 	}
 }
 
 // TryRecv dequeues a value without blocking.
 func (m *Mailbox[T]) TryRecv() (v T, ok bool) {
-	if m.items.len() == 0 {
+	if m.items.Len() == 0 {
 		return v, false
 	}
-	return m.items.pop(), true
+	return m.items.Pop(), true
 }
 
 // Resource is a counting resource (e.g., DMA engines, copy queues) with FIFO
@@ -137,7 +156,7 @@ type Resource struct {
 	name     string
 	capacity int
 	inUse    int
-	waiters  fifo[resWait]
+	waiters  FIFO[resWait]
 }
 
 type resWait struct {
@@ -169,11 +188,11 @@ func (r *Resource) Acquire(p *Proc, n int) {
 		n = r.capacity
 	}
 	// FIFO: if anyone is ahead of us, queue even if units are free.
-	if r.waiters.len() == 0 && r.inUse+n <= r.capacity {
+	if r.waiters.Len() == 0 && r.inUse+n <= r.capacity {
 		r.inUse += n
 		return
 	}
-	r.waiters.push(resWait{p: p, n: n})
+	r.waiters.Push(resWait{p: p, n: n})
 	for {
 		p.park(r)
 		// Woken: either our grant happened (inUse already bumped by
@@ -186,7 +205,7 @@ func (r *Resource) Acquire(p *Proc, n int) {
 }
 
 func (r *Resource) queued(p *Proc) bool {
-	for _, w := range r.waiters.live() {
+	for _, w := range r.waiters.Live() {
 		if w.p == p {
 			return true
 		}
@@ -195,7 +214,7 @@ func (r *Resource) queued(p *Proc) bool {
 }
 
 func (r *Resource) drop(p *Proc) {
-	for i, w := range r.waiters.live() {
+	for i, w := range r.waiters.Live() {
 		if w.p == p {
 			r.waiters.remove(i)
 			r.grant()
@@ -220,17 +239,17 @@ func (r *Resource) Release(n int) {
 }
 
 func (r *Resource) grant() {
-	for r.waiters.len() > 0 {
-		w := r.waiters.live()[0]
+	for r.waiters.Len() > 0 {
+		w := r.waiters.Live()[0]
 		if w.p.state == procDead {
-			r.waiters.pop()
+			r.waiters.Pop()
 			continue
 		}
 		if r.inUse+w.n > r.capacity {
 			return
 		}
 		r.inUse += w.n
-		r.waiters.pop()
+		r.waiters.Pop()
 		r.k.wake(w.p)
 	}
 }
@@ -269,7 +288,7 @@ func (s *Signal) Fire() {
 // Wait blocks p until the signal fires.
 func (s *Signal) Wait(p *Proc) {
 	for !s.fired {
-		s.waiters.push(p)
+		s.waiters.Push(p)
 		p.park(&s.waiters)
 	}
 }
@@ -301,7 +320,7 @@ func (w *WaitGroup) Done() { w.Add(-1) }
 // Wait blocks p until the count reaches zero.
 func (w *WaitGroup) Wait(p *Proc) {
 	for w.n > 0 {
-		w.waiters.push(p)
+		w.waiters.Push(p)
 		p.park(&w.waiters)
 	}
 }

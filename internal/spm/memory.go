@@ -196,6 +196,23 @@ func (s *SPM) RevokeGrant(gid int, failedBy string) error {
 	return nil
 }
 
+// GrantsTo counts the share grants the SPM holds that name partition p as
+// owner or peer: current ones, made in p's present incarnation, and stale
+// ones, naming an incarnation p has since left. A stale grant is recovery's
+// leftover, kept until the surviving side tears its stream down (Unshare);
+// once it has, there should be none.
+func (s *SPM) GrantsTo(p *Partition) (current, stale int) {
+	for _, g := range s.grants {
+		switch {
+		case g.owner == p && g.ownerEpoch == p.epoch, g.peer == p && g.peerEpoch == p.epoch:
+			current++
+		case g.owner == p, g.peer == p:
+			stale++
+		}
+	}
+	return current, stale
+}
+
 // invalidateSMMU drops any SMMU mappings of the grant's frames for both
 // partitions' devices (spt²(P_i, P_a) in the paper's notation).
 func (s *SPM) invalidateSMMU(g *grant) {

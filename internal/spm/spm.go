@@ -227,6 +227,7 @@ type SPM struct {
 	AtKPub     attest.PublicKey
 	AtKCert    []byte // installed after the attestation service endorses AtK
 	lsk        *attest.LocalSealer
+	salt       []byte // the node fuse (NodeFuse); nil on a single machine
 	dtHash     attest.Measurement
 	deviceKeys map[string]attest.PublicKey
 	deviceCert map[string][]byte
@@ -250,6 +251,12 @@ func Boot(k *sim.Kernel, m *hw.Machine, costs *sim.CostModel) (*SPM, error) {
 	if err != nil {
 		return nil, fmt.Errorf("spm: no platform root of trust fused: %w", err)
 	}
+	// A machine that is one node of a pool also has a node fuse, which
+	// salts the root of trust — and with it every key derived below — and
+	// the mOSes' DH seeds (NodeSalt). A machine without one derives what it
+	// always did.
+	salt, _ := m.Fuses.Read(hw.SecureWorld, NodeFuse)
+	rotSeed = append(rotSeed, salt...)
 	m.Fuses.Lock()
 	rot := attest.KeyFromSeed(rotSeed)
 	atk := attest.KeyFromSeed(append([]byte("atk/"), rotSeed...))
@@ -266,6 +273,7 @@ func Boot(k *sim.Kernel, m *hw.Machine, costs *sim.CostModel) (*SPM, error) {
 		atkPriv:    atk,
 		AtKPub:     atk.Public().(attest.PublicKey),
 		lsk:        attest.NewLocalSealer(rotSeed),
+		salt:       salt,
 		dtHash:     attest.Measurement(dth),
 		deviceKeys: make(map[string]attest.PublicKey),
 		deviceCert: make(map[string][]byte),
@@ -300,6 +308,14 @@ func (s *SPM) DTHash() attest.Measurement { return s.dtHash }
 // LSK exposes the local seal key to secure-world components only. The
 // normal world has no path to this value.
 func (s *SPM) LSK() *attest.LocalSealer { return s.lsk }
+
+// NodeFuse names the fuse that makes a machine one node of a pool: its value
+// salts the machine's root of trust and its mOSes' DH seeds.
+const NodeFuse = "node"
+
+// NodeSalt returns the node fuse's value (nil on a single machine), for the
+// secure-world components that derive per-machine key material from it.
+func (s *SPM) NodeSalt() []byte { return s.salt }
 
 // CreatePartition carves out a new S-EL2 partition owning the named device
 // ("" for a CPU partition) and measures its mOS image. One partition per

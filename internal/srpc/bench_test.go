@@ -12,6 +12,7 @@ import (
 	"cronus/internal/sim"
 	"cronus/internal/srpc"
 	"cronus/internal/testrig"
+	"cronus/internal/wire"
 )
 
 // BenchmarkSRPCSyncCall measures host time per synchronous mECall round trip
@@ -72,9 +73,9 @@ func BenchmarkSRPCSyncCall(b *testing.B) {
 // one counted with it on. The virtual side is pinned to the digit: 3,527,280
 // ns for the last timed batch and 17,984 events for the counted one are the
 // 1763.64 ns and 8.992 events per call on the books, and no host-side change
-// may move them. The host side is a ceiling: a warm call allocates at most
-// four times (the caller's result slice and argument bytes among them), and
-// no wait falls back from its doorbell to polling.
+// may move them. The host side is a ceiling: a warm call allocates once — the
+// result slice it hands its caller — and no wait falls back from its doorbell
+// to polling.
 func TestSyncCallEventBudget(t *testing.T) {
 	t.Run("polling bound", func(t *testing.T) {
 		const calls = 100
@@ -143,8 +144,8 @@ func TestSyncCallEventBudget(t *testing.T) {
 			var vns sim.Time
 			for i := 0; i < timed; i++ {
 				var allocs float64
-				if vns, allocs = batch(); allocs > 4 {
-					t.Errorf("timed batch %d: a warm sync call allocates %.2f times, want at most 4", i, allocs)
+				if vns, allocs = batch(); allocs > 1.05 {
+					t.Errorf("timed batch %d: a warm sync call allocates %.2f times, want 1", i, allocs)
 				}
 			}
 			if vns != 3527280 {
@@ -232,7 +233,7 @@ func BenchmarkSrpcMultiRing(b *testing.B) {
 				for i := range clients {
 					c, dst := clients[i], dsts[i]
 					p.Kernel().Spawn(fmt.Sprintf("pusher-%d", i), func(q *sim.Proc) {
-						launch := driver.EncodeLaunch("saxpy", gpu.Dim{16, 1, 1}, dst, dst, 2)
+						launch := driver.EncodeLaunch(new(wire.Encoder), "saxpy", gpu.Dim{16, 1, 1}, dst, dst, 2)
 						for n := 0; n < perRing; n++ {
 							if err := c.CallZC(q, srpc.ZCRequest{
 								Payload: payload, CopyCall: driver.CallHtoD, Dst: dst,

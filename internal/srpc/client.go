@@ -37,10 +37,13 @@ type Client struct {
 	dead     bool
 
 	// Reused per call, so a steady-state call allocates nothing that scales
-	// with its payload: frame holds the record header, name and argument
-	// length prefix push lays down ahead of the caller's argument bytes;
-	// zcArgs the fused-record descriptor CallZC pushes; reply the result of
-	// the last synchronous call (see Call for how long that stays valid).
+	// with its payload: args holds the arguments a caller encodes for its
+	// next call (Args); frame the record header, name and argument length
+	// prefix push lays down ahead of the caller's argument bytes; zcArgs the
+	// fused-record descriptor CallZC pushes; reply the result of the last
+	// synchronous call (see Call for how long that stays valid). A stream
+	// has one calling thread (§IV-C), so no two calls ever share them.
+	args   wire.Encoder
 	frame  wire.Encoder
 	zcArgs wire.Encoder
 	reply  []byte
@@ -233,6 +236,12 @@ func (c *Client) Call(p *sim.Proc, name string, args []byte) ([]byte, error) {
 	return c.CallVec(p, name, args, nil)
 }
 
+// Args returns the stream's argument scratch, emptied. A caller encodes the
+// arguments of its next call into it and passes the bytes to that call,
+// which copies them into the ring; the next Args overwrites them. A launch
+// record therefore costs the caller no allocation, however often it is made.
+func (c *Client) Args() *wire.Encoder { return c.args.Reset() }
+
 // CallVec is Call with the argument bytes supplied in two pieces, laid end to
 // end in the record: head, typically a few wire-encoded words (a destination
 // pointer, a length prefix), and bulk, the caller's payload. Each piece goes
@@ -313,9 +322,7 @@ func (c *Client) callSync(p *sim.Proc, name string, head, bulk []byte, respCap i
 // push frames and enqueues one record whose argument bytes are head‖bulk,
 // with slot-level flow control.
 func (c *Client) push(p *sim.Proc, name string, head, bulk []byte, kind uint32, respCap int) error {
-	if recycleHook != nil {
-		recycleHook(c.reply[:cap(c.reply)]) // the previous call's result dies here
-	}
+	wire.Recycle(c.reply) // the previous call's result dies here
 	argLen := len(head) + len(bulk)
 	payloadLen := 4 + len(name) + 4 + argLen // wire(Str name, Blob args)
 	slots := recordSlots(uint32(payloadLen), uint32(respCap))
@@ -390,6 +397,10 @@ func (c *Client) push(p *sim.Proc, name string, head, bulk []byte, kind uint32, 
 		}
 		at += len(piece)
 	}
+	// The record is in the ring: the scratch it was framed from is dead.
+	wire.Recycle(c.args.Bytes())
+	wire.Recycle(c.frame.Bytes())
+	wire.Recycle(c.zcArgs.Bytes())
 	c.lastRec = c.rid
 	c.rid += slots
 	if err := c.ring.writeU64(p, offRid, c.rid); err != nil {

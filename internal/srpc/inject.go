@@ -16,17 +16,3 @@ type CallHook struct {
 // push on that client's stream, which is how the chaos harness implements
 // "inject on the Nth sRPC call on stream S" triggers deterministically.
 func (h *CallHook) Set(fn func(p *sim.Proc, c *Client, n uint64)) { h.fn = fn }
-
-// recycleHook, when non-nil, is handed every data-path buffer the package
-// reuses, at the moment its previous contents stop being valid: the
-// executor's staging buffers and reply encoder once a record is consumed, a
-// client's reply buffer when its next call starts.
-var recycleHook func(buf []byte)
-
-// SetRecycleHook installs (or, with nil, removes) the recycled-buffer
-// observer. It exists for lifetime-contract tests: a hook that overwrites
-// buf makes any mECall implementation that kept its args, and any caller
-// that kept a result past the next call, read garbage instead of bytes that
-// merely happen to still be there. It is process-global and must be removed
-// before unrelated runs.
-func SetRecycleHook(fn func(buf []byte)) { recycleHook = fn }

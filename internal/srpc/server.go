@@ -84,15 +84,12 @@ func (st *serverStream) bodyBuf(h recHeader) []byte {
 	return st.stage[:h.payloadLen]
 }
 
-// recycle hands the stream's buffers to the recycle hook once a record is
-// done with them.
+// recycle hands the stream's buffers to the recycle hook (wire.Recycle) once
+// a record is done with them.
 func (st *serverStream) recycle() {
-	if recycleHook != nil {
-		res := st.res.Bytes()
-		recycleHook(st.stage[:cap(st.stage)])
-		recycleHook(st.zc[:cap(st.zc)])
-		recycleHook(res[:cap(res)])
-	}
+	wire.Recycle(st.stage)
+	wire.Recycle(st.zc)
+	wire.Recycle(st.res.Bytes())
 }
 
 // NewServer wraps an enclave as an sRPC endpoint whose executors deliver

@@ -143,7 +143,7 @@ func TestStreamEndToEndCompute(t *testing.T) {
 		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(b, gpu.PackF32([]float32{5, 6, 7, 8}))); err != nil {
 			return err
 		}
-		if _, err := c.Call(p, driver.CallLaunch, driver.EncodeLaunch("vec_add", gpu.Dim{4, 1, 1}, a, b, cc)); err != nil {
+		if _, err := c.Call(p, driver.CallLaunch, driver.EncodeLaunch(new(wire.Encoder), "vec_add", gpu.Dim{4, 1, 1}, a, b, cc)); err != nil {
 			return err
 		}
 		// Sync call returns the data (implicit streamCheck ordering).
@@ -180,7 +180,7 @@ func TestAsyncCallsDoNotBlock(t *testing.T) {
 		// A 256³ matmul costs milliseconds of device time; the async
 		// launch must return after only the enqueue cost.
 		start := p.Now()
-		if _, err := c.Call(p, driver.CallLaunch, driver.EncodeLaunch("matmul", gpu.Dim{256, 256, 1}, a, b, cc, 256, 256, 256)); err != nil {
+		if _, err := c.Call(p, driver.CallLaunch, driver.EncodeLaunch(new(wire.Encoder), "matmul", gpu.Dim{256, 256, 1}, a, b, cc, 256, 256, 256)); err != nil {
 			return err
 		}
 		enqueue := sim.Duration(p.Now() - start)
@@ -232,7 +232,7 @@ func TestStickyAsyncErrorSurfacesAtSyncPoint(t *testing.T) {
 		}
 		// Async launch of a kernel that is not loaded fails in the
 		// executor; the error must surface at the next barrier.
-		if _, err := c.Call(p, driver.CallLaunch, driver.EncodeLaunch("reduce_sum", gpu.Dim{1, 1, 1}, 0, 0)); err != nil {
+		if _, err := c.Call(p, driver.CallLaunch, driver.EncodeLaunch(new(wire.Encoder), "reduce_sum", gpu.Dim{1, 1, 1}, 0, 0)); err != nil {
 			return err // enqueue itself must succeed
 		}
 		err = c.Barrier(p)
@@ -559,7 +559,7 @@ func TestSRPCBeatsLockStepLatency(t *testing.T) {
 		sec, _ := dh.Shared(resB.DHPub)
 		tx := attest.NewChannel(sec, "owner->enclave")
 		rx := attest.NewChannel(sec, "enclave->owner")
-		reply, err := h.disp.InvokeSealed(p, resB.EID, mos.SealRequest(tx, driver.CallMemAlloc, driver.EncodeMemAlloc(64)))
+		reply, err := h.disp.InvokeSealed(p, resB.EID, mos.SealRequest(tx, new(wire.Encoder), driver.CallMemAlloc, driver.EncodeMemAlloc(64)))
 		if err != nil {
 			return err
 		}
@@ -570,7 +570,7 @@ func TestSRPCBeatsLockStepLatency(t *testing.T) {
 		lptr, _ := driver.DecodePtr(out)
 		start = p.Now()
 		for i := 0; i < 50; i++ {
-			reply, err := h.disp.InvokeSealed(p, resB.EID, mos.SealRequest(tx, driver.CallHtoD, driver.EncodeHtoD(lptr, data)))
+			reply, err := h.disp.InvokeSealed(p, resB.EID, mos.SealRequest(tx, new(wire.Encoder), driver.CallHtoD, driver.EncodeHtoD(lptr, data)))
 			if err != nil {
 				return err
 			}

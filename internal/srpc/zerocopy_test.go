@@ -45,7 +45,7 @@ func TestZeroCopyFusedExec(t *testing.T) {
 			CopyCall: driver.CallHtoD,
 			Dst:      a,
 			ExecCall: driver.CallLaunch,
-			ExecArgs: driver.EncodeLaunch("vec_add", gpu.Dim{4, 1, 1}, a, b, cc),
+			ExecArgs: driver.EncodeLaunch(new(wire.Encoder), "vec_add", gpu.Dim{4, 1, 1}, a, b, cc),
 		}
 		if err := c.CallZC(p, req, func(_ *sim.Proc, err error) {
 			notifyErr = err
@@ -108,7 +108,7 @@ func TestZeroCopyArenaRotation(t *testing.T) {
 				CopyCall: driver.CallHtoD,
 				Dst:      a,
 				ExecCall: driver.CallLaunch,
-				ExecArgs: driver.EncodeLaunch("vec_add", gpu.Dim{4, 1, 1}, a, b, cc),
+				ExecArgs: driver.EncodeLaunch(new(wire.Encoder), "vec_add", gpu.Dim{4, 1, 1}, a, b, cc),
 			}
 			if err := c.CallZC(p, req, func(_ *sim.Proc, err error) {
 				completions++
@@ -165,7 +165,7 @@ func TestZeroCopyEventBudget(t *testing.T) {
 		}
 		dst, _ := driver.DecodePtr(res)
 		payload := make([]byte, 1024)
-		launch := driver.EncodeLaunch("saxpy", gpu.Dim{16, 1, 1}, dst, dst, 2)
+		launch := driver.EncodeLaunch(new(wire.Encoder), "saxpy", gpu.Dim{16, 1, 1}, dst, dst, 2)
 		start := p.Now()
 		for i := 0; i < calls; i++ {
 			if err := c.CallZC(p, srpc.ZCRequest{
@@ -220,7 +220,7 @@ func TestFusedRecordHeldToArenaSlot(t *testing.T) {
 			return err
 		}
 		dst, _ := driver.DecodePtr(res)
-		launch := driver.EncodeLaunch("saxpy", gpu.Dim{16, 1, 1}, dst, dst, 2)
+		launch := driver.EncodeLaunch(new(wire.Encoder), "saxpy", gpu.Dim{16, 1, 1}, dst, dst, 2)
 		arena, slot := c.ArenaGeometry()
 		ringSlots := uint64((srpc.DefaultPages - 1) * 4096 / srpc.SlotSize)
 		srv := h.disp.Server(h.eidB)
@@ -327,7 +327,7 @@ func TestFusedCompletionsStayOnTheirPlatform(t *testing.T) {
 				CopyCall: driver.CallHtoD,
 				Dst:      s.buf,
 				ExecCall: driver.CallLaunch,
-				ExecArgs: driver.EncodeLaunch(kernel, gpu.Dim{4, 1, 1}, s.buf, s.buf, s.buf),
+				ExecArgs: driver.EncodeLaunch(new(wire.Encoder), kernel, gpu.Dim{4, 1, 1}, s.buf, s.buf, s.buf),
 			}
 			if fail = s.c.CallZC(p, req, func(_ *sim.Proc, err error) {
 				s.fired++
