@@ -3,10 +3,11 @@
 // live platform — misrouting enclave requests, tampering / replaying RPC
 // establishment traffic, forging local attestation, invoking mECalls
 // without ownership, substituting a crashed mOS — and reports that every
-// attack is defeated.
+// attack is defeated, each by the typed refusal (errors.Is) of its check.
 package main
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"strings"
@@ -42,7 +43,7 @@ func attacks() []attack {
 			man, files := cudaManifest()
 			dh, _ := attest.NewDHKey([]byte("atk-misroute"))
 			_, err := pl.D.CreateEnclaveAt(p, "cpu-part", "mis", man, files, dh.Pub)
-			if err != nil && strings.Contains(err.Error(), "wrong partition") {
+			if errors.Is(err, mos.ErrWrongPartition) {
 				return true, "mOS rejected the manifest/device mismatch"
 			}
 			return false, fmt.Sprintf("err=%v", err)
@@ -56,7 +57,7 @@ func attacks() []attack {
 			}
 			evil := attest.NewChannel([]byte("guessed"), "owner->enclave")
 			_, err = pl.D.InvokeSealed(p, res.EID, mos.SealRequest(evil, new(wire.Encoder), driver.CallMemAlloc, driver.EncodeMemAlloc(64)))
-			if err != nil {
+			if errors.Is(err, attest.ErrTampered) {
 				return true, "MAC verification rejected the forged call"
 			}
 			return false, "forged mECall accepted"
@@ -74,7 +75,7 @@ func attacks() []attack {
 			if _, err := pl.D.InvokeSealed(p, res.EID, msg); err != nil {
 				return false, "genuine call failed: " + err.Error()
 			}
-			if _, err := pl.D.InvokeSealed(p, res.EID, msg); err != nil {
+			if _, err := pl.D.InvokeSealed(p, res.EID, msg); errors.Is(err, attest.ErrReplayed) {
 				return true, "sequence check rejected the replay"
 			}
 			return false, "replay accepted"
@@ -92,7 +93,7 @@ func attacks() []attack {
 				return false, err.Error()
 			}
 			_, err = s.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("vec_add")})
-			if err != nil {
+			if errors.Is(err, attest.ErrTampered) {
 				return true, "establishment failed safe: " + firstLine(err)
 			}
 			return false, "tampered setup accepted"
@@ -108,7 +109,7 @@ func attacks() []attack {
 				return false, err.Error()
 			}
 			_, err = s.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("vec_add")})
-			if err != nil {
+			if errors.Is(err, srpc.ErrForgedReport) {
 				return true, "LSK verification failed the forged report"
 			}
 			return false, "forged local report accepted"
@@ -124,7 +125,7 @@ func attacks() []attack {
 			}
 			pl.SPM.Fail(pl.GPUs[0].Part, spm.FailPanic)
 			_, err = conn.MemAlloc(p, 64)
-			if err != nil && strings.Contains(err.Error(), srpc.ErrPeerFailed.Error()) {
+			if errors.Is(err, srpc.ErrPeerFailed) {
 				return true, "owner trapped and the stream tore down; no data reached the substituted partition"
 			}
 			return false, fmt.Sprintf("err=%v", err)
@@ -148,7 +149,7 @@ func attacks() []attack {
 				DTHash: &dt,
 				Nonce:  1,
 			}
-			if err := pl.RemoteAttest(p, 1, want); err != nil {
+			if err := pl.RemoteAttest(p, 1, want); errors.Is(err, attest.ErrMeasurementMismatch) {
 				return true, "verifier rejected the measurement mismatch"
 			}
 			return false, "substituted image attested"
@@ -157,11 +158,8 @@ func attacks() []attack {
 }
 
 func firstLine(err error) string {
-	s := err.Error()
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		s = s[:i]
-	}
-	return s
+	line, _, _ := strings.Cut(err.Error(), "\n")
+	return line
 }
 
 func main() {

@@ -222,6 +222,11 @@ type Expected struct {
 	Nonce         uint64
 }
 
+// ErrMeasurementMismatch is VerifyReport's refusal of a report whose mOS,
+// enclave or device-tree measurement differs from the one the client pinned:
+// the platform runs an image the client did not review.
+var ErrMeasurementMismatch = errors.New("measurement mismatch")
+
 // VerifyReport checks the complete chain: AtK endorsed by the service, the
 // report signed by AtK, nonce freshness, pinned measurements present and
 // matching, and every device key endorsed by a trusted vendor CA.
@@ -241,7 +246,7 @@ func (v *Verifier) VerifyReport(sr *SignedReport, want Expected) error {
 			return fmt.Errorf("attest: report missing mOS %q", name)
 		}
 		if got != h {
-			return fmt.Errorf("attest: mOS %q measurement mismatch", name)
+			return fmt.Errorf("attest: mOS %q %w", name, ErrMeasurementMismatch)
 		}
 	}
 	for name, h := range want.EnclaveHashes {
@@ -250,11 +255,11 @@ func (v *Verifier) VerifyReport(sr *SignedReport, want Expected) error {
 			return fmt.Errorf("attest: report missing enclave %q", name)
 		}
 		if got != h {
-			return fmt.Errorf("attest: enclave %q measurement mismatch", name)
+			return fmt.Errorf("attest: enclave %q %w", name, ErrMeasurementMismatch)
 		}
 	}
 	if want.DTHash != nil && sr.Report.DTHash != *want.DTHash {
-		return errors.New("attest: device tree measurement mismatch")
+		return fmt.Errorf("attest: device tree %w", ErrMeasurementMismatch)
 	}
 	for dev, pub := range sr.Report.DeviceKeys {
 		vendor := sr.DeviceVendors[dev]

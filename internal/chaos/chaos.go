@@ -394,11 +394,6 @@ type Options struct {
 	// by default on the selected topology). A kind of the other topology is
 	// rejected with a *TopologyError.
 	Kinds []Kind
-	// RelTol is the survivor-tenant p95 latency tolerance relative to
-	// baseline (default 0.02).
-	RelTol float64
-	// AbsTol is the absolute survivor p95 slack floor (default 20µs).
-	AbsTol sim.Duration
 	// Trace arms the event collector and a per-partition flight recorder
 	// during each seed's faulted run: supervision quarantines auto-dump
 	// their partition's recent spans, and any invariant violation dumps
@@ -432,12 +427,6 @@ func (o *Options) defaults() {
 	if len(o.Kinds) == 0 {
 		cluster := o.cluster()
 		o.Kinds = kindsWhere(func(t *taxon) bool { return t.byDefault && t.cluster == cluster })
-	}
-	if o.RelTol <= 0 {
-		o.RelTol = 0.02
-	}
-	if o.AbsTol <= 0 {
-		o.AbsTol = 20 * sim.Microsecond
 	}
 }
 

@@ -14,6 +14,13 @@ import (
 	"cronus/internal/srpc"
 )
 
+// A survivor tenant's faulted p95 may differ from its baseline p95 by
+// survivorRelTol of the baseline or survivorAbsTol, whichever is larger.
+const (
+	survivorRelTol = 0.02
+	survivorAbsTol = 20 * sim.Microsecond
+)
+
 // checkInvariants audits one finished seed. Every violated invariant becomes
 // one deterministic line. The core — conservation, exactly-once, typed
 // failures, survivors against baseline — is stated once for both topologies;
@@ -115,7 +122,7 @@ func (rr *RunReport) checkInvariants() []string {
 				"survivor %s: accounting drifted from baseline (completed %d/%d shed %d/%d failed %d/%d)",
 				ft.Name, ft.Completed, bt.Completed, ft.Shed, bt.Shed, ft.Failed, bt.Failed))
 		}
-		tol := math.Max(rr.Opts.RelTol*bt.P95NS, float64(rr.Opts.AbsTol))
+		tol := math.Max(survivorRelTol*bt.P95NS, float64(survivorAbsTol))
 		if math.Abs(ft.P95NS-bt.P95NS) > tol {
 			v = append(v, fmt.Sprintf("survivor %s: p95 %s drifted beyond tolerance of baseline %s",
 				ft.Name, sim.Duration(ft.P95NS), sim.Duration(bt.P95NS)))

@@ -228,26 +228,14 @@ func (pl *Platform) RemoteAttest(p *sim.Proc, nonce uint64, want attest.Expected
 	return pl.Verifier.VerifyReport(sr, want)
 }
 
-// Run is a convenience harness: it boots a platform inside a fresh
-// simulation, runs body, and stops the simulation when body returns.
+// Run boots a platform inside a fresh simulation (sim.Run) and runs body on
+// it; the simulation stops when body returns.
 func Run(cfg Config, body func(pl *Platform, p *sim.Proc) error) error {
-	k := sim.NewKernel()
-	var bodyErr error
-	k.Spawn("main", func(p *sim.Proc) {
-		defer k.Stop()
+	return sim.Run(func(p *sim.Proc) error {
 		pl, err := BuildPlatform(p, cfg)
 		if err != nil {
-			bodyErr = err
-			return
+			return err
 		}
-		bodyErr = body(pl, p)
+		return body(pl, p)
 	})
-	if err := k.Run(); err != nil {
-		k.Shutdown()
-		return err
-	}
-	// Unwind leftover service loops (executors, watchdogs) so repeated
-	// simulations do not accumulate goroutines.
-	k.Shutdown()
-	return bodyErr
 }

@@ -68,20 +68,14 @@ func testbed[O closer](system baseline.System, costs *sim.CostModel,
 	if costs == nil {
 		costs = sim.DefaultCosts()
 	}
-	k := sim.NewKernel()
-	var fail error
-	k.Spawn("main", func(p *sim.Proc) {
-		defer k.Stop()
-		ops, err := bare(k, costs)
-		if err == nil {
-			err = timed(p, ops)
+	err := sim.Run(func(p *sim.Proc) error {
+		ops, err := bare(p.Kernel(), costs)
+		if err != nil {
+			return err
 		}
-		fail = err
+		return timed(p, ops)
 	})
-	if err := k.Run(); err != nil {
-		return 0, err
-	}
-	return elapsed, fail
+	return elapsed, err
 }
 
 // RunOnSystem executes body against the CUDA ops of the given system in a

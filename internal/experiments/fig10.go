@@ -103,12 +103,10 @@ func Figure10b() ([]Fig10bRow, error) {
 		g := graphs[r]
 		var lat sim.Duration
 		if c == len(NPUSystems) {
-			k := sim.NewKernel()
-			k.Spawn("cpu", func(p *sim.Proc) {
-				defer k.Stop()
+			err := sim.Run(func(p *sim.Proc) error {
 				lat = tvm.CPUInfer(p, g)
+				return nil
 			})
-			err := k.Run()
 			return lat, err
 		}
 		system := NPUSystems[c]

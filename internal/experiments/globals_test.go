@@ -118,6 +118,80 @@ func TestNoUnlistedPackageState(t *testing.T) {
 	}
 }
 
+// bootOwners names, for each call that brings a machine up or tears a
+// simulation down, the one package whose non-test files may make it: core
+// boots the platform (device tree, SPM, partitions, mOSes, dispatcher) and
+// sim owns the kernel lifecycle (sim.Run). Kernel.Shutdown is the only
+// Shutdown method in the tree, so any .Shutdown() call is one.
+var bootOwners = map[string]string{
+	"spm.Boot":             "internal/core",
+	"mos.Boot":             "internal/core",
+	"normal.NewDispatcher": "internal/core",
+	"sim.NewKernel":        "internal/sim",
+	"Shutdown":             "internal/sim",
+}
+
+// TestOnePlatformOneLifecycle walks every non-test file of the module (bench/,
+// its own module, aside) and fails on a call from bootOwners made outside its
+// owning package: a second hand-built platform or a hand-copied kernel
+// lifecycle drifts from the one the product runs, and a test on it certifies a
+// path that does not ship. Boot through core.Run / core.BuildPlatform, and run
+// simulations through sim.Run.
+func TestOnePlatformOneLifecycle(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel != "." && (rel == "bench" || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkgDir := filepath.ToSlash(filepath.Dir(rel))
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var name string
+			switch fn := call.Fun.(type) {
+			case *ast.SelectorExpr:
+				if fn.Sel.Name == "Shutdown" {
+					name = "Shutdown"
+				} else {
+					name = calleeOf(call)
+				}
+			case *ast.Ident:
+				name = f.Name.Name + "." + fn.Name // a call inside the defining package
+			}
+			if owner, ok := bootOwners[name]; ok && pkgDir != owner {
+				t.Errorf("%s: %s outside %s: boot through core.Run / core.BuildPlatform and simulate through sim.Run",
+					fset.Position(call.Pos()), name, owner)
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // calleeOf returns the dotted name of the function a call expression calls
 // ("errors.New", "metrics.Default.Counter"), or "" for anything else.
 func calleeOf(e ast.Expr) string {

@@ -7,12 +7,12 @@ import (
 	"testing"
 
 	"cronus/internal/attest"
+	"cronus/internal/core"
 	"cronus/internal/enclave"
 	"cronus/internal/ipc"
 	"cronus/internal/mos"
 	"cronus/internal/sim"
 	"cronus/internal/spm"
-	"cronus/internal/testrig"
 )
 
 func init() {
@@ -23,7 +23,7 @@ func init() {
 }
 
 // ownerEnclave creates a CPU enclave to own shared regions.
-func ownerEnclave(t *testing.T, rig *testrig.Rig, p *sim.Proc) *mos.Enclave {
+func ownerEnclave(t *testing.T, pl *core.Platform, p *sim.Proc) *mos.Enclave {
 	t.Helper()
 	files := map[string][]byte{
 		"e.edl": enclave.BuildEDL(enclave.MECallSpec{Name: "noop", Async: false}),
@@ -34,7 +34,7 @@ func ownerEnclave(t *testing.T, rig *testrig.Rig, p *sim.Proc) *mos.Enclave {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, e, err := rig.CPUOS.EM.Create(p, "ipc-owner", man, files, dh.Pub)
+	_, e, err := pl.CPUOS.EM.Create(p, "ipc-owner", man, files, dh.Pub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +42,9 @@ func ownerEnclave(t *testing.T, rig *testrig.Rig, p *sim.Proc) *mos.Enclave {
 }
 
 func TestPipeTransfersDataAcrossPartitions(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		e := ownerEnclave(t, rig, p)
-		region, err := ipc.NewRegion(p, e, rig.GPUPart, 2)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		e := ownerEnclave(t, pl, p)
+		region, err := ipc.NewRegion(p, e, pl.GPUs[0].Part, 2)
 		if err != nil {
 			return err
 		}
@@ -62,7 +62,7 @@ func TestPipeTransfersDataAcrossPartitions(t *testing.T) {
 		for i := range msg {
 			msg[i] = byte(i * 13)
 		}
-		k := rig.K
+		k := pl.K
 		var got []byte
 		wg := sim.NewWaitGroup(k)
 		wg.Add(2)
@@ -95,9 +95,9 @@ func TestPipeTransfersDataAcrossPartitions(t *testing.T) {
 }
 
 func TestPipeEOFAfterCloseWrite(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		e := ownerEnclave(t, rig, p)
-		region, err := ipc.NewRegion(p, e, rig.GPUPart, 1)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		e := ownerEnclave(t, pl, p)
+		region, err := ipc.NewRegion(p, e, pl.GPUs[0].Part, 1)
 		if err != nil {
 			return err
 		}
@@ -123,9 +123,9 @@ func TestPipeEOFAfterCloseWrite(t *testing.T) {
 }
 
 func TestPipeRejectsOversizedRing(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		e := ownerEnclave(t, rig, p)
-		region, err := ipc.NewRegion(p, e, rig.GPUPart, 1)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		e := ownerEnclave(t, pl, p)
+		region, err := ipc.NewRegion(p, e, pl.GPUs[0].Part, 1)
 		if err != nil {
 			return err
 		}
@@ -140,13 +140,13 @@ func TestPipeRejectsOversizedRing(t *testing.T) {
 }
 
 func TestSpinLockMutualExclusion(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		e := ownerEnclave(t, rig, p)
-		region, err := ipc.NewRegion(p, e, rig.GPUPart, 1)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		e := ownerEnclave(t, pl, p)
+		region, err := ipc.NewRegion(p, e, pl.GPUs[0].Part, 1)
 		if err != nil {
 			return err
 		}
-		k := rig.K
+		k := pl.K
 		counter := 0
 		wg := sim.NewWaitGroup(k)
 		worker := func(name string, ep *ipc.Endpoint, id uint32) {
@@ -186,9 +186,9 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 }
 
 func TestSpinLockUnlockValidation(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		e := ownerEnclave(t, rig, p)
-		region, err := ipc.NewRegion(p, e, rig.GPUPart, 1)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		e := ownerEnclave(t, pl, p)
+		region, err := ipc.NewRegion(p, e, pl.GPUs[0].Part, 1)
 		if err != nil {
 			return err
 		}
@@ -219,13 +219,13 @@ func TestSpinLockUnlockValidation(t *testing.T) {
 // The A2 attack from §IV-D: a lock is held by a partition that dies; the
 // waiter must trap and get an error, not spin forever.
 func TestA2DeadlockAvoidedWhenHolderPartitionDies(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		e := ownerEnclave(t, rig, p)
-		region, err := ipc.NewRegion(p, e, rig.GPUPart, 1)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		e := ownerEnclave(t, pl, p)
+		region, err := ipc.NewRegion(p, e, pl.GPUs[0].Part, 1)
 		if err != nil {
 			return err
 		}
-		k := rig.K
+		k := pl.K
 		// The GPU side takes the lock, then its partition crashes.
 		holder := ipc.NewSpinLock(region.Peer(), 0, 2)
 		if err := holder.Lock(p); err != nil {
@@ -240,7 +240,7 @@ func TestA2DeadlockAvoidedWhenHolderPartitionDies(t *testing.T) {
 		})
 		k.Spawn("crash", func(cp *sim.Proc) {
 			cp.Sleep(10 * sim.Microsecond)
-			rig.SPM.Fail(rig.GPUPart, spm.FailPanic)
+			pl.SPM.Fail(pl.GPUs[0].Part, spm.FailPanic)
 		})
 		done.Wait(p)
 		if !errors.Is(waitErr, ipc.ErrPeerFailed) {
@@ -256,14 +256,14 @@ func TestA2DeadlockAvoidedWhenHolderPartitionDies(t *testing.T) {
 // Pipe reader blocked on a dead producer's partition also traps (A2 for
 // blocking reads).
 func TestPipeReaderUnblocksOnPeerFailure(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		e := ownerEnclave(t, rig, p)
-		region, err := ipc.NewRegion(p, e, rig.GPUPart, 1)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		e := ownerEnclave(t, pl, p)
+		region, err := ipc.NewRegion(p, e, pl.GPUs[0].Part, 1)
 		if err != nil {
 			return err
 		}
 		r, _ := ipc.NewPipe(region.Owner(), 0, 256)
-		k := rig.K
+		k := pl.K
 		var readErr error
 		done := sim.NewSignal(k)
 		k.Spawn("reader", func(rp *sim.Proc) {
@@ -272,7 +272,7 @@ func TestPipeReaderUnblocksOnPeerFailure(t *testing.T) {
 		})
 		k.Spawn("crash", func(cp *sim.Proc) {
 			cp.Sleep(5 * sim.Microsecond)
-			rig.SPM.Fail(rig.GPUPart, spm.FailPanic)
+			pl.SPM.Fail(pl.GPUs[0].Part, spm.FailPanic)
 		})
 		done.Wait(p)
 		if !errors.Is(readErr, ipc.ErrPeerFailed) {
@@ -288,9 +288,9 @@ func TestPipeReaderUnblocksOnPeerFailure(t *testing.T) {
 // Property: arbitrary write/read chunkings through the pipe preserve the
 // byte stream exactly (ring wrap-around included).
 func TestPipeChunkingQuickProperty(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		e := ownerEnclave(t, rig, p)
-		region, err := ipc.NewRegion(p, e, rig.GPUPart, 1)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		e := ownerEnclave(t, pl, p)
+		region, err := ipc.NewRegion(p, e, pl.GPUs[0].Part, 1)
 		if err != nil {
 			return err
 		}
@@ -309,7 +309,7 @@ func TestPipeChunkingQuickProperty(t *testing.T) {
 			}
 			msg := make([]byte, 200+rng.Intn(800))
 			rng.Read(msg)
-			k := rig.K
+			k := pl.K
 			var got []byte
 			wg := sim.NewWaitGroup(k)
 			wg.Add(2)

@@ -211,22 +211,6 @@ type Histogram struct {
 	sum     atomic.Int64
 	min     atomic.Int64
 	max     atomic.Int64
-
-	// Tail exemplars: the maxExemplars largest samples seen, each tagged
-	// with the trace id that produced it, so a histogram's p99 tail points
-	// back at concrete causal traces. Recorded only via ObserveExemplar.
-	exMu sync.Mutex
-	ex   []Exemplar
-}
-
-// maxExemplars bounds how many tail exemplars a histogram retains.
-const maxExemplars = 4
-
-// Exemplar ties one extreme histogram sample back to the causal trace that
-// produced it.
-type Exemplar struct {
-	Value   int64  `json:"value"`
-	TraceID uint64 `json:"trace_id"`
 }
 
 // Observe records one sample. Negative samples are clamped to zero.
@@ -252,55 +236,6 @@ func (h *Histogram) Observe(v int64) {
 			break
 		}
 	}
-}
-
-// ObserveExemplar records one sample like Observe and, if the sample ranks
-// among the largest seen, retains it as a tail exemplar tagged with traceID.
-// Replacement is deterministic: the maxExemplars largest values win, and on a
-// value tie the incumbent stays. Callers on hot paths should prefer Observe
-// unless tracing is enabled.
-func (h *Histogram) ObserveExemplar(v int64, traceID uint64) {
-	if h == nil || !h.r.enabled.Load() {
-		return
-	}
-	h.Observe(v)
-	if v < 0 {
-		v = 0
-	}
-	h.exMu.Lock()
-	defer h.exMu.Unlock()
-	if len(h.ex) < maxExemplars {
-		h.ex = append(h.ex, Exemplar{Value: v, TraceID: traceID})
-	} else {
-		lo := 0
-		for i := 1; i < len(h.ex); i++ {
-			if h.ex[i].Value < h.ex[lo].Value {
-				lo = i
-			}
-		}
-		if v <= h.ex[lo].Value {
-			return
-		}
-		h.ex[lo] = Exemplar{Value: v, TraceID: traceID}
-	}
-	sort.SliceStable(h.ex, func(i, j int) bool {
-		if h.ex[i].Value != h.ex[j].Value {
-			return h.ex[i].Value > h.ex[j].Value
-		}
-		return h.ex[i].TraceID < h.ex[j].TraceID
-	})
-}
-
-// Exemplars returns a copy of the retained tail exemplars, largest first.
-func (h *Histogram) Exemplars() []Exemplar {
-	if h == nil {
-		return nil
-	}
-	h.exMu.Lock()
-	defer h.exMu.Unlock()
-	out := make([]Exemplar, len(h.ex))
-	copy(out, h.ex)
-	return out
 }
 
 // Count returns the number of recorded samples.
@@ -330,7 +265,6 @@ func (h *Histogram) value() HistValue {
 		}
 		hv.Buckets = append(hv.Buckets, HistBucket{Le: le, Count: n})
 	}
-	hv.Exemplars = h.Exemplars()
 	return hv
 }
 
@@ -351,9 +285,6 @@ func (h *Histogram) reset() {
 	h.sum.Store(0)
 	h.min.Store(math.MaxInt64)
 	h.max.Store(0)
-	h.exMu.Lock()
-	h.ex = nil
-	h.exMu.Unlock()
 }
 
 // GaugeValue is the serialized form of a gauge.
@@ -371,12 +302,11 @@ type HistBucket struct {
 // HistValue is the serialized form of a histogram. Min and Max are zero when
 // the histogram is empty.
 type HistValue struct {
-	Count     uint64       `json:"count"`
-	Sum       int64        `json:"sum"`
-	Min       int64        `json:"min"`
-	Max       int64        `json:"max"`
-	Buckets   []HistBucket `json:"buckets,omitempty"`
-	Exemplars []Exemplar   `json:"exemplars,omitempty"`
+	Count   uint64       `json:"count"`
+	Sum     int64        `json:"sum"`
+	Min     int64        `json:"min"`
+	Max     int64        `json:"max"`
+	Buckets []HistBucket `json:"buckets,omitempty"`
 }
 
 // bucketLo returns the inclusive lower bound of the bucket whose upper

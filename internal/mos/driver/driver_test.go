@@ -6,19 +6,19 @@ import (
 	"strings"
 	"testing"
 
+	"cronus/internal/core"
 	"cronus/internal/enclave"
 	"cronus/internal/gpu"
 	"cronus/internal/mos/driver"
 	"cronus/internal/npu"
 	"cronus/internal/sim"
-	"cronus/internal/testrig"
 	"cronus/internal/wire"
 )
 
-// model builds a CUDA model through the rig's GPU HAL.
-func cudaModel(t *testing.T, rig *testrig.Rig, p *sim.Proc) *driver.CUDAModel {
+// cudaModel builds a CUDA model through the platform's GPU HAL.
+func cudaModel(t *testing.T, pl *core.Platform, p *sim.Proc) *driver.CUDAModel {
 	t.Helper()
-	m, err := rig.GPUOS.HAL.NewModel(p)
+	m, err := pl.GPUs[0].OS.HAL.NewModel(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +41,8 @@ func call(m enclave.Model, p *sim.Proc, name string, args []byte) ([]byte, error
 }
 
 func TestCUDAModelArgValidation(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		m := cudaModel(t, rig, p)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		m := cudaModel(t, pl, p)
 		// Truncated arguments are rejected, not mis-decoded.
 		if _, err := call(m, p, driver.CallMemAlloc, []byte{1, 2}); err == nil {
 			t.Error("truncated MemAlloc args accepted")
@@ -65,8 +65,8 @@ func TestCUDAModelArgValidation(t *testing.T) {
 }
 
 func TestCUDAModelLifecycle(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		m := cudaModel(t, rig, p)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		m := cudaModel(t, pl, p)
 		res, err := call(m, p, driver.CallMemAlloc, driver.EncodeMemAlloc(64))
 		if err != nil {
 			return err
@@ -97,8 +97,8 @@ func TestCUDAModelLifecycle(t *testing.T) {
 }
 
 func TestCUDAModelRejectsBadCubin(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		m, err := rig.GPUOS.HAL.NewModel(p)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		m, err := pl.GPUs[0].OS.HAL.NewModel(p)
 		if err != nil {
 			return err
 		}
@@ -138,8 +138,8 @@ func TestNPUModelInsnCodec(t *testing.T) {
 }
 
 func TestNPUModelValidatesProgramImage(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		m, err := rig.NPUOS.HAL.NewModel(p)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		m, err := pl.NPUs[0].OS.HAL.NewModel(p)
 		if err != nil {
 			return err
 		}
@@ -147,11 +147,11 @@ func TestNPUModelValidatesProgramImage(t *testing.T) {
 			t.Error("bad NPU image accepted")
 		}
 		// Valid image and nil image both load.
-		m2, _ := rig.NPUOS.HAL.NewModel(p)
+		m2, _ := pl.NPUs[0].OS.HAL.NewModel(p)
 		if err := m2.Create(p, driver.EncodeInsns([]npu.Insn{{Op: npu.OpFinish}})); err != nil {
 			t.Errorf("valid program rejected: %v", err)
 		}
-		m3, _ := rig.NPUOS.HAL.NewModel(p)
+		m3, _ := pl.NPUs[0].OS.HAL.NewModel(p)
 		if err := m3.Create(p, nil); err != nil {
 			t.Errorf("nil image rejected: %v", err)
 		}
@@ -163,8 +163,8 @@ func TestNPUModelValidatesProgramImage(t *testing.T) {
 }
 
 func TestNPUModelRunAndSync(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		m, err := rig.NPUOS.HAL.NewModel(p)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		m, err := pl.NPUs[0].OS.HAL.NewModel(p)
 		if err != nil {
 			return err
 		}
@@ -260,8 +260,8 @@ func TestDecodeInsnsHostileCount(t *testing.T) {
 // before any launch, and the call allocates in proportion to the payload —
 // not the 32 GiB the count word asks for.
 func TestCUDALaunchHostileArgCount(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		m := cudaModel(t, rig, p)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		m := cudaModel(t, pl, p)
 		payload := wire.NewEncoder().Str("vec_add").U32(1).U32(1).U32(1).U32(hostileCount).U64(0).Bytes()
 		var err error
 		per := allocBytes(func() { _, err = call(m, p, driver.CallLaunch, payload) })

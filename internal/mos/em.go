@@ -2,6 +2,7 @@ package mos
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"cronus/internal/attest"
@@ -57,6 +58,11 @@ type Enclave struct {
 	spareReply *wire.Encoder
 }
 
+// ErrWrongPartition is Create's refusal of a manifest whose device type is not
+// this mOS's: the untrusted OS dispatched the request to the wrong partition
+// (§III-B).
+var ErrWrongPartition = errors.New("wrong partition")
+
 // CreateResult is returned to the caller of create: the new enclave id and
 // its DH public key so the caller can derive secret_dhke.
 type CreateResult struct {
@@ -74,8 +80,8 @@ func (em *EnclaveManager) Create(p *sim.Proc, name string, man enclave.Manifest,
 		return nil, nil, fmt.Errorf("mos: partition %q not ready", em.mos.Part.Name)
 	}
 	if man.DeviceType != em.mos.HAL.DeviceType() {
-		return nil, nil, fmt.Errorf("mos: manifest device type %q does not match this mOS (%q) — wrong partition",
-			man.DeviceType, em.mos.HAL.DeviceType())
+		return nil, nil, fmt.Errorf("mos: manifest device type %q does not match this mOS (%q) — %w",
+			man.DeviceType, em.mos.HAL.DeviceType(), ErrWrongPartition)
 	}
 	if err := man.VerifyImages(files); err != nil {
 		return nil, nil, err

@@ -1,17 +1,18 @@
 package mos_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"cronus/internal/attest"
+	"cronus/internal/core"
 	"cronus/internal/enclave"
 	"cronus/internal/gpu"
 	"cronus/internal/mos"
 	"cronus/internal/mos/driver"
 	"cronus/internal/sim"
 	"cronus/internal/spm"
-	"cronus/internal/testrig"
 	"cronus/internal/wire"
 )
 
@@ -48,17 +49,17 @@ func gpuManifest() (enclave.Manifest, map[string][]byte) {
 }
 
 func TestCreateAndInvokeCPUEnclave(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 		man, files := cpuManifest()
 		callerDH, err := attest.NewDHKey([]byte("app-owner"))
 		if err != nil {
 			return err
 		}
-		res, _, err := rig.CPUOS.EM.Create(p, "math-e", man, files, callerDH.Pub)
+		res, _, err := pl.CPUOS.EM.Create(p, "math-e", man, files, callerDH.Pub)
 		if err != nil {
 			return err
 		}
-		if spm.PartitionID(res.EID>>24) != rig.CPUPart.ID {
+		if spm.PartitionID(res.EID>>24) != pl.CPUPart.ID {
 			t.Errorf("eid %#x not minted for CPU partition", res.EID)
 		}
 		secret, err := callerDH.Shared(res.DHPub)
@@ -68,7 +69,7 @@ func TestCreateAndInvokeCPUEnclave(t *testing.T) {
 		tx := attest.NewChannel(secret, "owner->enclave")
 		rx := attest.NewChannel(secret, "enclave->owner")
 		msg := mos.SealRequest(tx, new(wire.Encoder), "sum", wire.NewEncoder().U64(19).U64(23).Bytes())
-		reply, err := rig.CPUOS.EM.InvokeSealed(p, res.EID, msg)
+		reply, err := pl.CPUOS.EM.InvokeSealed(p, res.EID, msg)
 		if err != nil {
 			return err
 		}
@@ -87,10 +88,10 @@ func TestCreateAndInvokeCPUEnclave(t *testing.T) {
 }
 
 func TestOnlyOwnerCanInvoke(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 		man, files := cpuManifest()
 		owner, _ := attest.NewDHKey([]byte("owner"))
-		res, _, err := rig.CPUOS.EM.Create(p, "math-e", man, files, owner.Pub)
+		res, _, err := pl.CPUOS.EM.Create(p, "math-e", man, files, owner.Pub)
 		if err != nil {
 			return err
 		}
@@ -98,17 +99,17 @@ func TestOnlyOwnerCanInvoke(t *testing.T) {
 		// arbitrary parameters, §III-B) does not know secret_dhke.
 		evil := attest.NewChannel([]byte("guessed secret"), "owner->enclave")
 		msg := mos.SealRequest(evil, new(wire.Encoder), "sum", wire.NewEncoder().U64(1).U64(2).Bytes())
-		if _, err := rig.CPUOS.EM.InvokeSealed(p, res.EID, msg); err == nil {
+		if _, err := pl.CPUOS.EM.InvokeSealed(p, res.EID, msg); err == nil {
 			t.Error("non-owner mECall accepted")
 		}
 		// Replay of a genuine owner message is refused too.
 		secret, _ := owner.Shared(res.DHPub)
 		tx := attest.NewChannel(secret, "owner->enclave")
 		good := mos.SealRequest(tx, new(wire.Encoder), "sum", wire.NewEncoder().U64(1).U64(2).Bytes())
-		if _, err := rig.CPUOS.EM.InvokeSealed(p, res.EID, good); err != nil {
+		if _, err := pl.CPUOS.EM.InvokeSealed(p, res.EID, good); err != nil {
 			t.Errorf("genuine call rejected: %v", err)
 		}
-		if _, err := rig.CPUOS.EM.InvokeSealed(p, res.EID, good); err == nil {
+		if _, err := pl.CPUOS.EM.InvokeSealed(p, res.EID, good); err == nil {
 			t.Error("replayed mECall accepted")
 		}
 		return nil
@@ -119,14 +120,14 @@ func TestOnlyOwnerCanInvoke(t *testing.T) {
 }
 
 func TestWrongPartitionDispatchRejected(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 		// The untrusted OS dispatches a GPU manifest to the CPU mOS
 		// (§III-B: "maliciously dispatch an mEnclave request to an
 		// incorrect partition").
 		man, files := gpuManifest()
 		dh, _ := attest.NewDHKey([]byte("owner"))
-		_, _, err := rig.CPUOS.EM.Create(p, "mis", man, files, dh.Pub)
-		if err == nil || !strings.Contains(err.Error(), "wrong partition") {
+		_, _, err := pl.CPUOS.EM.Create(p, "mis", man, files, dh.Pub)
+		if !errors.Is(err, mos.ErrWrongPartition) {
 			t.Errorf("misdispatch: err = %v", err)
 		}
 		return nil
@@ -144,10 +145,10 @@ func invoke(e *mos.Enclave, p *sim.Proc, name string, args []byte) ([]byte, erro
 }
 
 func TestMECallMustBeDeclaredInEDL(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 		man, files := cpuManifest()
 		dh, _ := attest.NewDHKey([]byte("owner"))
-		_, e, err := rig.CPUOS.EM.Create(p, "math-e", man, files, dh.Pub)
+		_, e, err := pl.CPUOS.EM.Create(p, "math-e", man, files, dh.Pub)
 		if err != nil {
 			return err
 		}
@@ -168,10 +169,10 @@ func TestMECallMustBeDeclaredInEDL(t *testing.T) {
 }
 
 func TestCUDAEnclaveComputesOnGPU(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 		man, files := gpuManifest()
 		dh, _ := attest.NewDHKey([]byte("owner"))
-		_, e, err := rig.GPUOS.EM.Create(p, "cuda-e", man, files, dh.Pub)
+		_, e, err := pl.GPUs[0].OS.EM.Create(p, "cuda-e", man, files, dh.Pub)
 		if err != nil {
 			return err
 		}
@@ -214,10 +215,10 @@ func TestCUDAEnclaveComputesOnGPU(t *testing.T) {
 }
 
 func TestEnclaveMemoryCapEnforced(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 		man, files := cpuManifest() // cap: 1M = 256 pages
 		dh, _ := attest.NewDHKey([]byte("owner"))
-		_, e, err := rig.CPUOS.EM.Create(p, "math-e", man, files, dh.Pub)
+		_, e, err := pl.CPUOS.EM.Create(p, "math-e", man, files, dh.Pub)
 		if err != nil {
 			return err
 		}
@@ -235,10 +236,10 @@ func TestEnclaveMemoryCapEnforced(t *testing.T) {
 }
 
 func TestEnclaveKillRevokesGrantsAndDies(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 		man, files := cpuManifest()
 		dh, _ := attest.NewDHKey([]byte("owner"))
-		res, e, err := rig.CPUOS.EM.Create(p, "math-e", man, files, dh.Pub)
+		res, e, err := pl.CPUOS.EM.Create(p, "math-e", man, files, dh.Pub)
 		if err != nil {
 			return err
 		}
@@ -246,17 +247,17 @@ func TestEnclaveKillRevokesGrantsAndDies(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		peerIPA, gid, err := rig.SPM.Share(rig.CPUPart, ipa, 1, rig.GPUPart)
+		peerIPA, gid, err := pl.SPM.Share(pl.CPUPart, ipa, 1, pl.GPUs[0].Part)
 		if err != nil {
 			return err
 		}
 		e.TrackGrant(gid)
 		e.Kill(p)
-		if _, ok := rig.CPUOS.EM.Get(res.EID); ok {
+		if _, ok := pl.CPUOS.EM.Get(res.EID); ok {
 			t.Error("killed enclave still resolvable")
 		}
 		// The peer partition traps on access (enclave-failure signal).
-		v := rig.SPM.NewView(rig.GPUPart, nil)
+		v := pl.SPM.NewView(pl.GPUs[0].Part, nil)
 		if err := v.Read(p, peerIPA, make([]byte, 1)); err == nil {
 			t.Error("peer access after enclave kill succeeded")
 		}
@@ -268,18 +269,18 @@ func TestEnclaveKillRevokesGrantsAndDies(t *testing.T) {
 }
 
 func TestLocalReportFromEM(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 		man, files := cpuManifest()
 		dh, _ := attest.NewDHKey([]byte("owner"))
-		res, _, err := rig.CPUOS.EM.Create(p, "math-e", man, files, dh.Pub)
+		res, _, err := pl.CPUOS.EM.Create(p, "math-e", man, files, dh.Pub)
 		if err != nil {
 			return err
 		}
-		r, mac, err := rig.CPUOS.EM.LocalReport(res.EID, 77)
+		r, mac, err := pl.CPUOS.EM.LocalReport(res.EID, 77)
 		if err != nil {
 			return err
 		}
-		if !rig.SPM.LSK().Verify(r, mac) {
+		if !pl.SPM.LSK().Verify(r, mac) {
 			t.Error("local report rejected")
 		}
 		if r.EnclaveHash != res.Hash || r.Nonce != 77 {
@@ -293,16 +294,16 @@ func TestLocalReportFromEM(t *testing.T) {
 }
 
 func TestPlatformReportCoversEnclavesAndDevices(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 		man, files := gpuManifest()
 		dh, _ := attest.NewDHKey([]byte("owner"))
-		_, _, err := rig.GPUOS.EM.Create(p, "cuda-e", man, files, dh.Pub)
+		_, _, err := pl.GPUs[0].OS.EM.Create(p, "cuda-e", man, files, dh.Pub)
 		if err != nil {
 			return err
 		}
-		sr := rig.SPM.BuildReport(rig.GPUOS.EM.Measurements(), 5)
-		dt := rig.SPM.DTHash()
-		err = rig.Verifier.VerifyReport(sr, attest.Expected{
+		sr := pl.SPM.BuildReport(pl.GPUs[0].OS.EM.Measurements(), 5)
+		dt := pl.SPM.DTHash()
+		err = pl.Verifier.VerifyReport(sr, attest.Expected{
 			EnclaveHashes: map[string]attest.Measurement{"cuda-e": man.Measure(files)},
 			DTHash:        &dt,
 			Nonce:         5,
@@ -324,21 +325,21 @@ func TestPlatformReportCoversEnclavesAndDevices(t *testing.T) {
 }
 
 func TestPartitionRestartRebuildsEnclaveManager(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 		man, files := gpuManifest()
 		dh, _ := attest.NewDHKey([]byte("owner"))
-		res, _, err := rig.GPUOS.EM.Create(p, "cuda-e", man, files, dh.Pub)
+		res, _, err := pl.GPUs[0].OS.EM.Create(p, "cuda-e", man, files, dh.Pub)
 		if err != nil {
 			return err
 		}
-		rig.SPM.Fail(rig.GPUPart, spm.FailPanic)
-		rig.SPM.AwaitReady(p, rig.GPUPart)
+		pl.SPM.Fail(pl.GPUs[0].Part, spm.FailPanic)
+		pl.SPM.AwaitReady(p, pl.GPUs[0].Part)
 		p.Sleep(sim.Millisecond) // let the reinit proc run
 		// The old enclave is gone; a new EM is live and can create.
-		if _, ok := rig.GPUOS.EM.Get(res.EID); ok {
+		if _, ok := pl.GPUs[0].OS.EM.Get(res.EID); ok {
 			t.Error("enclave survived partition restart")
 		}
-		if _, _, err := rig.GPUOS.EM.Create(p, "cuda-e2", man, files, dh.Pub); err != nil {
+		if _, _, err := pl.GPUs[0].OS.EM.Create(p, "cuda-e2", man, files, dh.Pub); err != nil {
 			t.Errorf("create after restart: %v", err)
 		}
 		return nil
@@ -349,17 +350,17 @@ func TestPartitionRestartRebuildsEnclaveManager(t *testing.T) {
 }
 
 func TestHeartbeatKeepsWatchdogQuiet(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		rig.GPUOS.StartHeartbeat(0)
-		wd := rig.SPM.EnableWatchdog()
-		p.Sleep(20 * rig.Costs.HangPollEvery)
-		if rig.GPUPart.Epoch() != 0 {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		pl.GPUs[0].OS.StartHeartbeat(0)
+		wd := pl.SPM.StartWatchdog()
+		p.Sleep(20 * pl.Costs.HangPollEvery)
+		if pl.GPUs[0].Part.Epoch() != 0 {
 			t.Error("healthy heart-beating partition was restarted")
 		}
-		rig.K.Kill(wd)
+		pl.K.Kill(wd)
 		// Stop the heartbeat via partition teardown machinery.
-		rig.SPM.Fail(rig.GPUPart, spm.FailRequested)
-		rig.SPM.AwaitReady(p, rig.GPUPart)
+		pl.SPM.Fail(pl.GPUs[0].Part, spm.FailRequested)
+		pl.SPM.AwaitReady(p, pl.GPUs[0].Part)
 		return nil
 	})
 	if err != nil {
@@ -368,15 +369,15 @@ func TestHeartbeatKeepsWatchdogQuiet(t *testing.T) {
 }
 
 func TestDeviceInterruptReachesDriver(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		hal, ok := rig.GPUOS.HAL.(*driver.GPU)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		hal, ok := pl.GPUs[0].OS.HAL.(*driver.GPU)
 		if !ok {
 			t.Fatal("unexpected HAL type")
 		}
 		before := hal.IRQs()
 		// The GPU raises its device-tree-assigned line (e.g. a fault or
 		// completion); the driver's handler runs in the secure world.
-		if err := rig.M.Bus.RaiseIRQ("gpu0"); err != nil {
+		if err := pl.M.Bus.RaiseIRQ("gpu0"); err != nil {
 			return err
 		}
 		if hal.IRQs() != before+1 {
@@ -384,7 +385,7 @@ func TestDeviceInterruptReachesDriver(t *testing.T) {
 		}
 		// Spoofing from the NPU's identity onto the GPU line is refused.
 		gpuIRQ := 32
-		if err := rig.M.GIC.Raise("npu0", gpuIRQ); err == nil {
+		if err := pl.M.GIC.Raise("npu0", gpuIRQ); err == nil {
 			t.Error("cross-device interrupt spoofing accepted")
 		}
 		return nil

@@ -1,16 +1,17 @@
 package normal_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"cronus/internal/attest"
+	"cronus/internal/core"
 	"cronus/internal/enclave"
 	"cronus/internal/gpu"
+	"cronus/internal/mos"
 	"cronus/internal/mos/driver"
-	"cronus/internal/normal"
 	"cronus/internal/sim"
-	"cronus/internal/testrig"
 )
 
 func gpuManifest() (enclave.Manifest, map[string][]byte) {
@@ -26,24 +27,16 @@ func npuManifest() (enclave.Manifest, map[string][]byte) {
 	return enclave.NewManifest("npu", "npu.edl", "", files, enclave.Resources{Memory: "16M"}), files
 }
 
-func dispatcher(rig *testrig.Rig) *normal.Dispatcher {
-	d := normal.NewDispatcher(rig.SPM)
-	d.RegisterMOS(rig.CPUOS)
-	d.RegisterMOS(rig.GPUOS)
-	d.RegisterMOS(rig.NPUOS)
-	return d
-}
-
 func TestRoutingByDeviceType(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		d := dispatcher(rig)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		d := pl.D
 		dh, _ := attest.NewDHKey([]byte("r"))
 		gman, gfiles := gpuManifest()
 		res, err := d.CreateEnclave(p, "g", gman, gfiles, dh.Pub)
 		if err != nil {
 			return err
 		}
-		if uint32(res.EID>>24) != uint32(rig.GPUPart.ID) {
+		if uint32(res.EID>>24) != uint32(pl.GPUs[0].Part.ID) {
 			t.Errorf("gpu manifest routed to partition %d", res.EID>>24)
 		}
 		nman, nfiles := npuManifest()
@@ -51,7 +44,7 @@ func TestRoutingByDeviceType(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if uint32(res2.EID>>24) != uint32(rig.NPUPart.ID) {
+		if uint32(res2.EID>>24) != uint32(pl.NPUs[0].Part.ID) {
 			t.Errorf("npu manifest routed to partition %d", res2.EID>>24)
 		}
 		// The dispatcher registered sRPC endpoints for both.
@@ -66,8 +59,8 @@ func TestRoutingByDeviceType(t *testing.T) {
 }
 
 func TestRoutingUnknownDeviceType(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		d := dispatcher(rig)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		d := pl.D
 		files := map[string][]byte{"f.edl": enclave.BuildEDL()}
 		man := enclave.NewManifest("fpga", "f.edl", "", files, enclave.Resources{})
 		dh, _ := attest.NewDHKey([]byte("r"))
@@ -83,15 +76,15 @@ func TestRoutingUnknownDeviceType(t *testing.T) {
 }
 
 func TestRouteOverrideIsMaliciousButHarmless(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		d := dispatcher(rig)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		d := pl.D
 		// The malicious OS redirects GPU requests to the NPU partition;
 		// the mOS's device-type check stops it (§III-B).
-		d.RouteOverride = func(string) string { return "npu-part" }
+		d.RouteOverride = func(string) string { return "npu-part0" }
 		dh, _ := attest.NewDHKey([]byte("r"))
 		gman, gfiles := gpuManifest()
 		_, err := d.CreateEnclave(p, "g", gman, gfiles, dh.Pub)
-		if err == nil || !strings.Contains(err.Error(), "wrong partition") {
+		if !errors.Is(err, mos.ErrWrongPartition) {
 			t.Errorf("err = %v", err)
 		}
 		return nil
@@ -102,8 +95,8 @@ func TestRouteOverrideIsMaliciousButHarmless(t *testing.T) {
 }
 
 func TestCreateEnclaveAtUnknownPartition(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		d := dispatcher(rig)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		d := pl.D
 		dh, _ := attest.NewDHKey([]byte("r"))
 		gman, gfiles := gpuManifest()
 		if _, err := d.CreateEnclaveAt(p, "mars-part", "g", gman, gfiles, dh.Pub); err == nil {
@@ -117,11 +110,10 @@ func TestCreateEnclaveAtUnknownPartition(t *testing.T) {
 }
 
 func TestRoundRobinAcrossSameTypePartitions(t *testing.T) {
-	opts := testrig.DefaultOptions()
-	opts.ExtraGPUs = 1
-	err := testrig.Run(opts, func(rig *testrig.Rig, extras []testrig.ExtraGPU, p *sim.Proc) error {
-		d := dispatcher(rig)
-		d.RegisterMOS(extras[0].OS)
+	cfg := core.DefaultConfig()
+	cfg.GPUs = 2
+	err := core.Run(cfg, func(pl *core.Platform, p *sim.Proc) error {
+		d := pl.D
 		dh, _ := attest.NewDHKey([]byte("r"))
 		gman, gfiles := gpuManifest()
 		seen := map[uint32]bool{}
@@ -143,8 +135,8 @@ func TestRoundRobinAcrossSameTypePartitions(t *testing.T) {
 }
 
 func TestInvokeSealedToUnknownEID(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		d := dispatcher(rig)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		d := pl.D
 		_, err := d.InvokeSealed(p, 0xFF000001, attest.SealedMsg{})
 		if err == nil {
 			t.Error("invoke to unknown partition accepted")
@@ -157,8 +149,8 @@ func TestInvokeSealedToUnknownEID(t *testing.T) {
 }
 
 func TestBuildReportAggregatesAllPartitions(t *testing.T) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		d := dispatcher(rig)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		d := pl.D
 		dh, _ := attest.NewDHKey([]byte("r"))
 		gman, gfiles := gpuManifest()
 		if _, err := d.CreateEnclave(p, "report-e", gman, gfiles, dh.Pub); err != nil {
@@ -171,8 +163,8 @@ func TestBuildReportAggregatesAllPartitions(t *testing.T) {
 		if _, ok := sr.Report.EnclaveHashes["report-e"]; !ok {
 			t.Error("enclave missing from report")
 		}
-		dt := rig.SPM.DTHash()
-		if err := rig.Verifier.VerifyReport(sr, attest.Expected{DTHash: &dt, Nonce: 9}); err != nil {
+		dt := pl.SPM.DTHash()
+		if err := pl.Verifier.VerifyReport(sr, attest.Expected{DTHash: &dt, Nonce: 9}); err != nil {
 			t.Errorf("verification failed: %v", err)
 		}
 		return nil

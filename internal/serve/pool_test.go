@@ -8,6 +8,7 @@ import (
 	"cronus/internal/core"
 	"cronus/internal/elastic"
 	"cronus/internal/sim"
+	"cronus/internal/spm"
 	"cronus/internal/tvm"
 )
 
@@ -126,6 +127,90 @@ func TestPartitionRecordSharedAcrossTenants(t *testing.T) {
 		}
 		if res.Elastic.Migrations != 1 || res.Elastic.ScaleUps != 1 {
 			t.Errorf("vacuous run: %d migrations, %d scale-ups", res.Elastic.Migrations, res.Elastic.ScaleUps)
+		}
+		for _, tr := range res.Tenants {
+			if tr.Offered != tr.Admitted+tr.Shed || tr.Admitted != tr.Completed+tr.Failed || tr.Duplicates != 0 {
+				t.Errorf("tenant %s: conservation broken: %+v", tr.Name, tr)
+			}
+		}
+		return nil
+	})
+}
+
+// TestQuarantineRetiresExecutedWorker: on the executed plane a crash-loop
+// quarantine is terminal. The third panic lands while partition 0's replica
+// holds requests; every one of them is replayed once and completes on the
+// surviving partition, and the quarantined replica's worker exits instead of
+// waiting for a release nothing issues.
+func TestQuarantineRetiresExecutedWorker(t *testing.T) {
+	cfg := Config{
+		Seed:           7,
+		Window:         10 * sim.Millisecond,
+		Policy:         DeviceAffinity,
+		MaxBatch:       4,
+		BatchWindow:    50 * sim.Microsecond,
+		GPUPartitions:  2,
+		GPUFlopsPerNs:  400,
+		KeepRequests:   true,
+		RequestTimeout: 500 * sim.Microsecond,
+		Supervise:      true,
+		Tenants: []TenantSpec{{
+			Name: "tenant-0", Arrival: Poisson, Rate: 3000, QueueCap: 256,
+			Mix: []WorkClass{{Name: "resnet18", Graph: tvm.ResNet18()}},
+		}},
+	}
+	onOneNode(t, cfg, func(pl *core.Platform, p *sim.Proc, srv *Server) error {
+		rep := srv.tenants[0].reps[0]
+		part := srv.parts[0].sp
+		held := -1
+		var replays map[*Request]int // every admitted request's replays at the quarantine
+		pl.K.Spawn("crash-loop", func(cp *sim.Proc) {
+			cp.Sleep(2 * sim.Millisecond)
+			for {
+				for rep.down || rep.outstanding == 0 {
+					cp.Sleep(10 * sim.Microsecond)
+				}
+				if rec := pl.SPM.Fail(part, spm.FailPanic); rec != nil && rec.Quarantined {
+					held = rep.outstanding
+					replays = make(map[*Request]int, len(srv.requests))
+					for _, r := range srv.requests {
+						replays[r] = r.Replays
+					}
+					return
+				}
+				if err := pl.SPM.AwaitReady(cp, part); err != nil {
+					t.Errorf("recovery before the third panic: %v", err)
+					return
+				}
+			}
+		})
+		res, err := srv.Serve(p)
+		if err != nil {
+			return err
+		}
+		if held <= 0 {
+			t.Errorf("quarantine caught %d held requests; the scenario needs some", held)
+			return nil
+		}
+		replayed := 0
+		for _, r := range res.Requests {
+			if r.Replays == replays[r] {
+				continue
+			}
+			replayed++
+			if r.Replays != replays[r]+1 || r.Err != nil || r.Done == 0 {
+				t.Errorf("held request %d: %d replays (was %d), err %v, done at %s; want one replay and a completion",
+					r.ID, r.Replays, replays[r], r.Err, sim.Duration(r.Done))
+			}
+		}
+		if replayed != held {
+			t.Errorf("%d requests replayed after the quarantine, %d were held", replayed, held)
+		}
+		if rep.outstanding != 0 || rep.pending.Len() != 0 {
+			t.Errorf("quarantined replica still holds %d requests (%d batches)", rep.outstanding, rep.pending.Len())
+		}
+		if !rep.worker.Dead() {
+			t.Error("the quarantined replica's worker is still alive")
 		}
 		for _, tr := range res.Tenants {
 			if tr.Offered != tr.Admitted+tr.Shed || tr.Admitted != tr.Completed+tr.Failed || tr.Duplicates != 0 {

@@ -40,10 +40,11 @@ type replica struct {
 	inPtr  uint64
 	gen    int // enclave incarnation, bumped per reconnect for unique names
 
+	worker      *sim.Proc // runs placed batches (nil on the flow-model plane)
 	pending     sim.FIFO[*batch]
 	outstanding int
 	down        bool
-	quarantined bool // partition crash-looped into quarantine; park until release
+	quarantined bool // partition crash-looped into quarantine; retired for good
 	cond        *sim.Cond
 
 	// consecTimeouts is the circuit-breaker state: consecutive attempt
@@ -118,7 +119,7 @@ func newReplica(p *sim.Proc, srv *Server, t *tenant, part *poolPart, smDemand ui
 		return nil, err
 	}
 	if !srv.flow {
-		srv.pl.K.Spawn(fmt.Sprintf("serve-worker-%s-p%d", t.spec.Name, part.idx), rep.run)
+		rep.worker = srv.pl.K.Spawn(fmt.Sprintf("serve-worker-%s-p%d", t.spec.Name, part.idx), rep.run)
 	}
 	return rep, nil
 }
@@ -189,8 +190,10 @@ var errAttemptTimeout = errors.New("serve: batch attempt timed out")
 func (rep *replica) run(p *sim.Proc) {
 	for {
 		if rep.quarantined {
-			rep.awaitRelease(p)
-			continue
+			// Quarantine is terminal: hand what is held to the surviving
+			// replicas and exit.
+			rep.drainPending()
+			return
 		}
 		if rep.down {
 			rep.failover(p)
@@ -240,8 +243,8 @@ func (rep *replica) requeue(rs []*Request) {
 // batches were cancelled when the failure record fired), wait for the SPM to
 // finish the partition's proceed-trap recovery, let the driver re-probe
 // settle, and reconnect with bounded exponential backoff. It reports whether
-// the replica is back; a partition quarantined while we wait flips the
-// replica into the release-parking path instead.
+// the replica is back; a partition quarantined while we wait retires the
+// replica instead.
 func (rep *replica) failover(p *sim.Proc) bool {
 	rep.drainPending()
 	if err := rep.nodeSPM().AwaitReady(p, rep.part.sp); err != nil {
@@ -322,22 +325,6 @@ func (rep *replica) reconnect(p *sim.Proc) error {
 		}
 		p.Sleep(reconnectBackoff(reconnectBase, reconnectMax, attempt))
 	}
-}
-
-// awaitRelease parks the worker while its partition sits in quarantine:
-// held batches are requeued so load re-places on surviving replicas, then
-// the worker waits through the quarantine for the operator's release and
-// rejoins the pool with a fresh enclave.
-func (rep *replica) awaitRelease(p *sim.Proc) {
-	rep.drainPending()
-	rep.nodeSPM().AwaitRelease(p, rep.part.sp)
-	p.Sleep(reprobeSettle)
-	if err := rep.reconnect(p); err != nil {
-		return // re-quarantined: the worker loop parks again
-	}
-	rep.quarantined = false
-	rep.down = false
-	rep.consecTimeouts = 0
 }
 
 // reportHang is the circuit breaker tripping: hangReportAfter

@@ -86,9 +86,8 @@ type Result struct {
 	// SLOs is the per-tenant burn-rate accounting (set when Config.SLO).
 	SLOs []TenantSLO
 
-	// Metrics is the run's final metrics snapshot — including the tenant
-	// latency histograms, whose tails carry trace-id exemplars when
-	// Config.Trace is set.
+	// Metrics is the run's final metrics snapshot, including the tenant
+	// latency histograms.
 	Metrics *metrics.Snapshot
 
 	// DrainedAt is the virtual time the last admitted request completed.

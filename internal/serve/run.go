@@ -62,9 +62,8 @@ func Run(cfg Config) (*Result, error) {
 
 // boot builds the pool cfg asks for — Config.Nodes independently-booted
 // platforms (each with its own SPM, partition pool and mOS instances) on one
-// fresh simulation kernel — boots the serving plane over it and runs body on
-// the main proc with the idle server. The kernel stops when body returns and
-// is shut down before boot does.
+// fresh simulation (sim.Run) — boots the serving plane over it and runs body
+// on the main proc with the idle server.
 func boot(cfg Config, body func(p *sim.Proc, srv *Server) error) error {
 	cfg.defaults()
 	nodes, ppn := cfg.pool()
@@ -72,26 +71,15 @@ func boot(cfg Config, body func(p *sim.Proc, srv *Server) error) error {
 	pcfg.GPUs = ppn
 	pcfg.NPUs = 0 // the serving pool is GPU-backed; skip NPU boot time
 	pcfg.MPS = true
-	var err error
-	k := sim.NewKernel()
-	k.Spawn("main", func(p *sim.Proc) {
-		defer k.Stop()
-		var plats []*core.Platform
-		if plats, err = cluster.BootNodes(p, nodes, pcfg); err != nil {
-			return
+	return sim.Run(func(p *sim.Proc) error {
+		plats, err := cluster.BootNodes(p, nodes, pcfg)
+		if err != nil {
+			return err
 		}
-		var srv *Server
-		if srv, err = NewCluster(p, plats, cfg); err != nil {
-			return
+		srv, err := NewCluster(p, plats, cfg)
+		if err != nil {
+			return err
 		}
-		err = body(p, srv)
+		return body(p, srv)
 	})
-	runErr := k.Run()
-	// Unwind leftover service loops (executors, watchdogs) so repeated
-	// simulations do not accumulate goroutines.
-	k.Shutdown()
-	if runErr != nil {
-		return runErr
-	}
-	return err
 }

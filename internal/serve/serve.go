@@ -158,9 +158,9 @@ type Config struct {
 	// Trace enables end-to-end causal tracing: every admitted request gets
 	// a deterministic TraceID (otrace.DeriveTraceID of tenant name and
 	// admission sequence — never wall clock), its latency is decomposed
-	// into conservative stage segments (Result.Traces), tail exemplars are
-	// attached to the latency histograms, and — when the global trace
-	// collector is enabled — linked spans are emitted through admission,
+	// into conservative stage segments (Result.Traces), whose p99 tail
+	// otrace.Attribution.Outliers names by trace id, and — when the global
+	// trace collector is enabled — linked spans are emitted through admission,
 	// batching, placement, sRPC, mOS dispatch and device launch. Off, the
 	// request path pays one branch per hook and allocates nothing extra.
 	Trace bool
@@ -698,11 +698,7 @@ func (srv *Server) finish(t *tenant, r *Request, at sim.Time, err error) {
 		t.failed++
 	} else {
 		t.completed++
-		if srv.cfg.Trace {
-			t.latHist.ObserveExemplar(int64(r.Latency()), r.TraceID)
-		} else {
-			t.latHist.Observe(int64(r.Latency()))
-		}
+		t.latHist.Observe(int64(r.Latency()))
 	}
 	if t.slo != nil {
 		t.slo.Record(r.Done, r.Latency(), err != nil)

@@ -98,43 +98,6 @@ func TestTraceExportByteIdentical(t *testing.T) {
 	}
 }
 
-// With tracing on, completion latencies reach the tenant histograms as
-// exemplars: the p99 tail points back at concrete trace ids.
-func TestTraceTailExemplars(t *testing.T) {
-	res, err := serve.Run(tracedConfig(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	report := res.Report()
-	if !strings.Contains(report, "degradation:") {
-		t.Fatalf("report missing degradation breakdown:\n%s", report)
-	}
-	// The largest exemplar equals the tenant's max latency and names a
-	// real trace id from this run.
-	ids := make(map[uint64]bool)
-	var maxLat sim.Duration
-	for i := range res.Traces {
-		ids[res.Traces[i].TraceID] = true
-		if l := res.Traces[i].Latency(); l > maxLat {
-			maxLat = l
-		}
-	}
-	var best int64
-	for _, h := range res.Metrics.Histograms {
-		for _, ex := range h.Exemplars {
-			if !ids[ex.TraceID] {
-				t.Fatalf("exemplar trace %#x not in this run", ex.TraceID)
-			}
-			if ex.Value > best {
-				best = ex.Value
-			}
-		}
-	}
-	if best != int64(maxLat) {
-		t.Fatalf("largest exemplar %d != max latency %d", best, int64(maxLat))
-	}
-}
-
 // SLO accounting must balance: good + bad == completed + failed, and the
 // burn-rate report rows are present in the text report.
 func TestSLOAccountingBalances(t *testing.T) {

@@ -41,6 +41,12 @@
 // included. Tests should therefore report from process code with t.Error
 // and keep t.Fatal for the goroutine that owns the kernel.
 //
+// A simulation has one lifecycle, and Run (the package function) is it:
+// create a kernel, run a body as the process "main", Stop when the body
+// returns, Run, and always Shutdown. No non-test file outside this package
+// calls NewKernel or Kernel.Shutdown (a source scan in internal/experiments
+// holds the tree to that).
+//
 // The kernel can additionally be sharded (EnableSharding): processes are
 // placed on shards (SpawnOn) and, after Parallelize, shards simulate
 // concurrently on their own goroutines up to a conservative lookahead
@@ -836,6 +842,26 @@ func (k *Kernel) Shutdown() {
 			p.co()
 		}
 	}
+}
+
+// Run is the one kernel lifecycle: it creates a kernel, runs body as the
+// process "main", stops the simulation when body returns (service loops —
+// executors, watchdogs — may still be queued), runs it, and always shuts it
+// down, so no process outlives the call. It returns Run's error (a
+// *PanicError, a *DeadlockError) before body's.
+func Run(body func(p *Proc) error) error {
+	k := NewKernel()
+	var bodyErr error
+	k.Spawn("main", func(p *Proc) {
+		defer k.Stop()
+		bodyErr = body(p)
+	})
+	err := k.Run()
+	k.Shutdown()
+	if err != nil {
+		return err
+	}
+	return bodyErr
 }
 
 // Dispatched returns how many events the kernel has dispatched in sequential

@@ -598,8 +598,22 @@ func TestShutdownUnwindsBlockingDefers(t *testing.T) {
 // killed while parked with the unwinding wake still queued, and one whose
 // deferred cleanup swallows the kill and blocks again mid-unwind. The second
 // leg leaves them on two shards in the middle of the parallel phase, so the
-// window dispatchers have to go too.
+// window dispatchers have to go too. The lifecycle rows hold Run (the package
+// function) to the same count however its body ends.
 func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	// quietBase reads the goroutine count once the window dispatchers of
+	// earlier kernels (the previous leg's, other tests') have exited on their
+	// own time.
+	quietBase := func() int {
+		base := runtime.NumGoroutine()
+		for quiet := 0; quiet < 20; quiet++ {
+			time.Sleep(time.Millisecond)
+			if g := runtime.NumGoroutine(); g != base {
+				base, quiet = g, 0
+			}
+		}
+		return base
+	}
 	neverRuns := func(*Proc) { t.Error("a never-started process ran") }
 	// populate leaves one process in each state and ends the run with Stop,
 	// so the victim's wake and the child's first event stay queued.
@@ -661,15 +675,7 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 		},
 	}
 	for name, setup := range legs {
-		// Window dispatchers of earlier kernels (the previous leg's, other
-		// tests') exit on their own time: read the baseline once they have.
-		base := runtime.NumGoroutine()
-		for quiet := 0; quiet < 20; quiet++ {
-			time.Sleep(time.Millisecond)
-			if g := runtime.NumGoroutine(); g != base {
-				base, quiet = g, 0
-			}
-		}
+		base := quietBase()
 		k := NewKernel()
 		cleanups := 0
 		want := setup(k, &cleanups)
@@ -698,6 +704,61 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 		}
 		if g := runtime.NumGoroutine(); g != base {
 			t.Errorf("%s: %d goroutines after Shutdown, %d before the kernel existed", name, g, base)
+		}
+	}
+
+	// Every lifecycle row leaves a parked and a sleeping service loop behind
+	// its body, each with a deferred cleanup that must run.
+	errBody := errors.New("body failed")
+	rows := []struct {
+		name string
+		body func(p *Proc) error
+		want func(err error) bool
+	}{
+		{"clean body", func(*Proc) error { return nil },
+			func(err error) bool { return err == nil }},
+		{"body error", func(*Proc) error { return errBody },
+			func(err error) bool { return errors.Is(err, errBody) }},
+		{"process panic", func(p *Proc) error {
+			p.Kernel().Spawn("panicker", func(*Proc) { panic("boom") })
+			p.Sleep(Second)
+			return errBody
+		}, func(err error) bool {
+			var pe *PanicError
+			return errors.As(err, &pe) && pe.Proc == "panicker"
+		}},
+		{"deadlock", func(p *Proc) error {
+			NewCond(p.Kernel()).Wait(p)
+			return errBody
+		}, func(err error) bool {
+			var de *DeadlockError
+			return errors.As(err, &de)
+		}},
+	}
+	for _, row := range rows {
+		base := quietBase()
+		cleanups := 0
+		err := Run(func(p *Proc) error {
+			never := NewCond(p.Kernel())
+			p.Kernel().Spawn("parked", func(q *Proc) {
+				defer func() { cleanups++ }()
+				never.Wait(q)
+			})
+			p.Kernel().Spawn("sleeping", func(q *Proc) {
+				defer func() { cleanups++ }()
+				q.Sleep(Second)
+			})
+			p.Sleep(Microsecond)
+			return row.body(p)
+		})
+		if !row.want(err) {
+			t.Errorf("%s: Run returned %v", row.name, err)
+		}
+		if cleanups != 2 {
+			t.Errorf("%s: %d service loops unwound, want 2", row.name, cleanups)
+		}
+		if g := runtime.NumGoroutine(); g != base {
+			t.Errorf("%s: %d goroutines after Run, %d before", row.name, g, base)
 		}
 	}
 }

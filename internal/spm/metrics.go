@@ -24,7 +24,6 @@ var (
 	mFailHang         = metrics.Default.Counter("spm.partitions.failed.hang")
 	mFailRevoked      = metrics.Default.Counter("spm.partitions.failed.revoked")
 	mPartsQuarantined = metrics.Default.Counter("spm.partitions.quarantined")
-	mPartsReleased    = metrics.Default.Counter("spm.partitions.released")
 
 	// Simulated-TLB effectiveness (tlb.go): hits skip both stage walks,
 	// flushes count whole-cache invalidations after a table mutation.

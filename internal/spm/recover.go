@@ -56,8 +56,7 @@ type FailureRecord struct {
 	// reloading the mOS (zero for a first failure or disabled backoff).
 	Backoff sim.Duration
 	// Quarantined reports that this failure tripped the crash-loop policy:
-	// the partition is scrubbed but not restarted (ReadyAt stays zero)
-	// until an operator calls ReleaseQuarantine.
+	// the partition is scrubbed and never restarted (ReadyAt stays zero).
 	Quarantined bool
 }
 
@@ -122,7 +121,6 @@ func (s *SPM) Fail(p *Partition, reason FailReason) *FailureRecord {
 	recent := s.recordFailure(p, failedAt, reason)
 	if p.forceQuarantine || (sv.QuarantineAfter > 0 && recent >= sv.QuarantineAfter) {
 		rec.Quarantined = true
-		p.quarantine = true
 		p.forceQuarantine = false
 	} else {
 		rec.Backoff = restartBackoff(sv, recent)
@@ -180,8 +178,8 @@ func (s *SPM) Fail(p *Partition, reason FailReason) *FailureRecord {
 		}
 		if rec.Quarantined {
 			// Crash-loop policy tripped: the partition is scrubbed and
-			// isolated but the SPM refuses the mOS reload until an
-			// operator calls ReleaseQuarantine. ReadyAt stays zero.
+			// isolated and the SPM never reloads its mOS. ReadyAt stays
+			// zero.
 			p.state = PartQuarantined
 			mPartsQuarantined.Inc()
 			// The reason and failure count travel in args so a flight-
@@ -254,10 +252,9 @@ func (s *SPM) UpdateMOS(p *Partition, newImage []byte) *FailureRecord {
 // quarantine: the same step-① sharer invalidation and scrub a FailHang
 // gets, but with the crash-loop counting bypassed — a revoked measurement
 // is never a transient, so the partition parks in PartQuarantined
-// regardless of its failure history and stays there until an operator
-// re-provisions it (ReleaseQuarantine). This is the recovery half of
-// continuous re-measurement (DESIGN.md §15): the serving plane calls it
-// when a background probe finds the partition's measurement stale or
+// regardless of its failure history and stays there. This is the recovery
+// half of continuous re-measurement (DESIGN.md §15): the serving plane calls
+// it when a background probe finds the partition's measurement stale or
 // mismatched, and the quarantine propagates to placement exactly like a
 // hang does today.
 func (s *SPM) Revoke(p *Partition) *FailureRecord {

@@ -21,8 +21,8 @@
 // heartbeat word into SPM-visible memory, a watchdog process fails silent
 // partitions with FailHang after MissedBeats periods, restart backoff grows
 // exponentially with the sliding-window failure history, and a partition
-// that crash-loops past QuarantineAfter is parked in PartQuarantined until
-// an operator's ReleaseQuarantine.
+// that crash-loops past QuarantineAfter is parked in PartQuarantined for
+// good: quarantine is terminal.
 //
 // Two hooks exist for deterministic fault injection (the chaos harness):
 // Fail itself doubles as the crash injection point, and SetAttestFault can
@@ -56,8 +56,8 @@ const (
 	// PartRestarting: device clearing and mOS reload are underway.
 	PartRestarting
 	// PartQuarantined: the partition crash-looped past the supervision
-	// policy's window; the SPM scrubbed it but refuses to restart it until
-	// an operator calls ReleaseQuarantine.
+	// policy's window (or its measurement was revoked); the SPM scrubbed it
+	// and never restarts it.
 	PartQuarantined
 )
 
@@ -113,11 +113,9 @@ type Partition struct {
 	beatSeen  uint64
 
 	// Crash-loop supervision state: panic/hang failure instants inside
-	// the sliding window, and whether the partition is quarantined.
-	// forceQuarantine makes the next Fail quarantine unconditionally —
-	// the measurement-revocation path (Revoke), which never restarts.
+	// the sliding window. forceQuarantine makes the next Fail quarantine
+	// unconditionally — the measurement-revocation path (Revoke).
 	failTimes       []sim.Time
-	quarantine      bool
 	forceQuarantine bool
 
 	// onRestart is installed by the mOS layer to re-initialize services

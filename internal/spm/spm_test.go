@@ -1,6 +1,7 @@
 package spm
 
 import (
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -412,12 +413,23 @@ func TestWatchdogDetectsHang(t *testing.T) {
 	k, _, s := testRig(t)
 	pb, _ := s.CreatePartition("gpu", "gpu0", []byte("b"))
 	pb.WatchHangs()
-	wd := s.EnableWatchdog()
+	wd := s.StartWatchdog()
 	k.Spawn("test", func(proc *sim.Proc) {
-		// Beat for a while, then go silent (hang).
-		for i := 0; i < 5; i++ {
+		// Beat the partition's heartbeat word for a while, then go silent
+		// (hang).
+		ipa, err := s.AllocMem(pb, 1)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		pb.ArmHeartbeat(ipa)
+		view := s.NewView(pb, nil)
+		for i := 1; i <= 5; i++ {
 			proc.Sleep(s.Costs.HangPollEvery)
-			pb.Heartbeat(proc.Now())
+			if err := view.Write(proc, ipa, binary.LittleEndian.AppendUint64(nil, uint64(i))); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 		// Wait long enough for the watchdog to notice and recovery to finish.
 		proc.Sleep(5*s.Costs.HangPollEvery + s.Costs.DeviceClear + s.Costs.MOSRestart + sim.Millisecond)

@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"cronus/internal/attest"
 	"cronus/internal/hw"
 	"cronus/internal/sim"
-	"cronus/internal/trace"
 )
 
 // Supervision is the SPM's partition health policy: how hang detection,
@@ -117,8 +115,8 @@ func (s *SPM) recordFailure(p *Partition, at sim.Time, reason FailReason) int {
 }
 
 // QuarantinedError reports an operation refused because the partition is
-// quarantined: its crash-loop history exceeded the supervision policy and
-// the SPM refuses to restart it until ReleaseQuarantine.
+// quarantined: its crash-loop history exceeded the supervision policy (or its
+// measurement was revoked) and the SPM never restarts it.
 type QuarantinedError struct {
 	Partition string
 }
@@ -148,11 +146,6 @@ func (p *Partition) WatchHangs() {
 	p.lastBeat = p.spm.K.Now()
 }
 
-// Heartbeat refreshes the watchdog timestamp directly. Kept for callers
-// without a shared heartbeat word (tests); supervised mOS instances publish
-// through the word armed with ArmHeartbeat instead.
-func (p *Partition) Heartbeat(t sim.Time) { p.lastBeat = t }
-
 // beatProgress samples the partition's heartbeat word (if armed for the
 // current incarnation) and returns the virtual time of the latest observed
 // progress. Reading happens through the partition's stage-2 table into
@@ -177,9 +170,9 @@ func (s *SPM) beatProgress(p *Partition, now sim.Time) sim.Time {
 
 // StartWatchdog starts the SPM hang detector: every HeartbeatEvery it
 // samples each supervised partition's heartbeat (the shared word armed via
-// ArmHeartbeat, or direct Heartbeat timestamps) and fails partitions silent
-// for more than MissedBeats periods with FailHang. Detection latency is
-// bounded by HangDetectionBound. Kill the returned proc to stop it.
+// ArmHeartbeat) and fails partitions silent for more than MissedBeats periods
+// with FailHang. Detection latency is bounded by HangDetectionBound. Kill the
+// returned proc to stop it.
 func (s *SPM) StartWatchdog() *sim.Proc {
 	sv := s.SupervisionConfig()
 	deadline := sim.Time(sim.Duration(sv.MissedBeats) * sv.HeartbeatEvery)
@@ -199,16 +192,10 @@ func (s *SPM) StartWatchdog() *sim.Proc {
 	})
 }
 
-// EnableWatchdog starts the SPM hang detector with the installed (or
-// default) supervision policy. Deprecated spelling of StartWatchdog, kept
-// for the original watchdog tests.
-func (s *SPM) EnableWatchdog() *sim.Proc { return s.StartWatchdog() }
-
 // AwaitReady blocks proc until the partition's in-flight recovery (if any)
 // completes. If the partition is (or becomes) quarantined, AwaitReady
-// returns a *QuarantinedError immediately instead of parking forever —
-// quarantine only lifts on an operator's ReleaseQuarantine, which callers
-// must wait for explicitly via AwaitRelease.
+// returns a *QuarantinedError immediately instead of parking forever:
+// quarantine is terminal.
 func (s *SPM) AwaitReady(proc *sim.Proc, p *Partition) error {
 	for p.state != PartReady {
 		if p.state == PartQuarantined {
@@ -216,49 +203,5 @@ func (s *SPM) AwaitReady(proc *sim.Proc, p *Partition) error {
 		}
 		p.restartSig.Wait(proc)
 	}
-	return nil
-}
-
-// AwaitRelease blocks proc until the partition is ready, waiting through a
-// quarantine (unlike AwaitReady, which refuses). It returns when an
-// operator released the partition and its restart completed.
-func (s *SPM) AwaitRelease(proc *sim.Proc, p *Partition) {
-	for p.state != PartReady {
-		p.restartSig.Wait(proc)
-	}
-}
-
-// ReleaseQuarantine is the operator action that lifts a quarantine: the
-// failure history is cleared and the partition goes through the mOS reload
-// half of recovery (device and memory were already scrubbed when the
-// quarantine engaged). Returns an error unless the partition is currently
-// quarantined.
-func (s *SPM) ReleaseQuarantine(p *Partition) error {
-	if p.state != PartQuarantined {
-		return fmt.Errorf("spm: partition %q is %s, not quarantined", p.Name, p.state)
-	}
-	p.quarantine = false
-	p.failTimes = nil
-	p.state = PartRestarting
-	mPartsReleased.Inc()
-	trace.Default.InstantAt(s.K.Now(), "spm", p.Name, "quarantine-released", nil)
-	sig := p.restartSig
-	s.K.Spawn(fmt.Sprintf("spm-release-%s", p.Name), func(proc *sim.Proc) {
-		proc.Sleep(s.Costs.MOSRestart)
-		if p.pendingImage != nil {
-			p.mosHash = attest.Measure(p.pendingImage)
-			p.pendingImage = nil
-		}
-		p.epoch++
-		p.lastBeat = proc.Now()
-		p.state = PartReady
-		trace.Default.Instant(proc, "spm", p.Name, "partition-ready", nil)
-		p.restartSig = sim.NewSignal(s.K)
-		s.isolationChanged()
-		if p.onRestart != nil {
-			p.onRestart(p.epoch)
-		}
-		sig.Fire()
-	})
 	return nil
 }

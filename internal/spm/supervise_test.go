@@ -32,14 +32,15 @@ func TestRestartBackoffSchedule(t *testing.T) {
 	}
 }
 
+// TestSlidingWindowQuarantineAndRelease: the third panic inside the window
+// quarantines the partition, and no release follows — quarantine is
+// terminal, so the partition is still quarantined and refusing AwaitReady
+// long after every restart it would have had.
 func TestSlidingWindowQuarantineAndRelease(t *testing.T) {
 	k, _, s := testRig(t)
 	s.SetSupervision(Supervision{QuarantineAfter: 3, FailureWindow: sim.Second})
 	pb, _ := s.CreatePartition("gpu", "gpu0", []byte("b"))
 	k.Spawn("test", func(proc *sim.Proc) {
-		if err := s.ReleaseQuarantine(pb); err == nil {
-			t.Error("ReleaseQuarantine accepted a healthy partition")
-		}
 		for i := 0; i < 2; i++ {
 			rec := s.Fail(pb, FailPanic)
 			if rec == nil || rec.Quarantined {
@@ -60,21 +61,12 @@ func TestSlidingWindowQuarantineAndRelease(t *testing.T) {
 		if pb.State() != PartQuarantined {
 			t.Fatalf("state = %v, want %v", pb.State(), PartQuarantined)
 		}
-		if err := s.ReleaseQuarantine(pb); err != nil {
-			t.Fatalf("ReleaseQuarantine: %v", err)
+		proc.Sleep(2 * sim.Second)
+		if err := s.AwaitReady(proc, pb); !errors.As(err, &qe) || pb.State() != PartQuarantined || rec.ReadyAt != 0 {
+			t.Fatalf("two seconds on: AwaitReady %v, state %v, ready at %v; want still quarantined", err, pb.State(), rec.ReadyAt)
 		}
-		s.AwaitRelease(proc, pb)
-		if pb.State() != PartReady {
-			t.Fatalf("state after release = %v, want ready", pb.State())
-		}
-		// Release cleared the history: the next failure is a first failure
-		// again, not the fourth.
-		rec = s.Fail(pb, FailPanic)
-		if rec == nil || rec.Quarantined || rec.Backoff != 0 {
-			t.Fatalf("post-release failure record %+v, want a clean first failure", rec)
-		}
-		if err := s.AwaitReady(proc, pb); err != nil {
-			t.Fatal(err)
+		if again := s.Fail(pb, FailPanic); again != nil {
+			t.Fatalf("a quarantined partition failed again: %+v", again)
 		}
 	})
 	if err := k.Run(); err != nil {

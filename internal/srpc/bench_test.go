@@ -11,7 +11,6 @@ import (
 	"cronus/internal/mos/driver"
 	"cronus/internal/sim"
 	"cronus/internal/srpc"
-	"cronus/internal/testrig"
 	"cronus/internal/wire"
 )
 
@@ -22,8 +21,8 @@ import (
 // device as it found it, so the benchmark runs at any -benchtime.
 func BenchmarkSRPCSyncCall(b *testing.B) {
 	b.ReportAllocs()
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		h, err := setup(p, rig)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		h, err := setup(p, pl)
 		if err != nil {
 			return err
 		}
@@ -82,8 +81,8 @@ func TestSyncCallEventBudget(t *testing.T) {
 		metrics.Default.Reset()
 		metrics.Default.Enable()
 		defer metrics.Default.Disable()
-		err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-			h, err := setup(p, rig)
+		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+			h, err := setup(p, pl)
 			if err != nil {
 				return err
 			}
@@ -203,8 +202,8 @@ func BenchmarkSrpcMultiRing(b *testing.B) {
 	for _, rings := range []int{1, 4} {
 		rings := rings
 		b.Run(fmt.Sprintf("rings=%d", rings), func(b *testing.B) {
-			err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-				h, err := setup(p, rig)
+			err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+				h, err := setup(p, pl)
 				if err != nil {
 					return err
 				}

@@ -51,6 +51,11 @@ type Client struct {
 	costs *sim.CostModel
 }
 
+// ErrForgedReport is Connect's refusal of a local report whose MAC does not
+// verify under this machine's local seal key: something other than the SPM
+// (the untrusted OS relaying it) produced it.
+var ErrForgedReport = errors.New("srpc: local report not sealed by this machine's SPM")
+
 // Connect establishes a stream from the owner enclave to peer eid (§IV-C):
 // ① local attestation of the peer (automatic, verified against want),
 // ② trusted shared memory establishment through the SPM,
@@ -81,7 +86,7 @@ func Connect(p *sim.Proc, owner *mos.Enclave, peerEID uint32, secret []byte, pee
 	}
 	p.Sleep(costs.LocalAttest)
 	if !m.SPM.LSK().Verify(rep, mac) {
-		return nil, fmt.Errorf("srpc: local report not sealed by this machine's SPM")
+		return nil, ErrForgedReport
 	}
 	if rep.EnclaveID != peerEID || rep.Nonce != nonce {
 		return nil, fmt.Errorf("srpc: local report identity mismatch")

@@ -27,7 +27,7 @@ func TestRingCorruptionTypedError(t *testing.T) {
 			return err
 		}
 		injected := false
-		h.disp.CallHook().Set(func(hp *sim.Proc, hc *srpc.Client, n uint64) {
+		h.pl.D.CallHook().Set(func(hp *sim.Proc, hc *srpc.Client, n uint64) {
 			if hc.StreamID() == c.StreamID() && n == 3 {
 				injected = true
 				_ = hc.InjectRingCorruption(hp, 1<<63)
@@ -86,7 +86,7 @@ func TestRingCorruptionFlowControl(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		h.disp.CallHook().Set(func(hp *sim.Proc, hc *srpc.Client, n uint64) {
+		h.pl.D.CallHook().Set(func(hp *sim.Proc, hc *srpc.Client, n uint64) {
 			if hc.StreamID() == c.StreamID() && n == 2 {
 				// Corrupt the record header in place: the executor's
 				// framing validation must reject it when it drains this

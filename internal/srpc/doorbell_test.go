@@ -20,7 +20,7 @@ func TestDoorbellCycleDoesNotAllocate(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		k, mem := p.Kernel(), h.rig.M.Mem
+		k, mem := p.Kernel(), h.pl.M.Mem
 		// The executor: rewrites Sid whenever it is told to.
 		ring := sim.NewMailbox[struct{}](k, "ring")
 		k.Spawn("executor", func(q *sim.Proc) {
@@ -94,7 +94,7 @@ func TestDoorbellPartialArmLeavesNoWatch(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		mem := h.rig.M.Mem
+		mem := h.pl.M.Mem
 		watches, idle := mem.WatchCount(), c.IdleDoorbells()
 		pre := metrics.Default.Snapshot()
 		const unmapped = 1 << 40 // far past the stream's region

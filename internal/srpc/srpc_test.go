@@ -9,23 +9,22 @@ import (
 	"testing"
 
 	"cronus/internal/attest"
+	"cronus/internal/core"
 	"cronus/internal/enclave"
 	"cronus/internal/gpu"
 	"cronus/internal/mos"
 	"cronus/internal/mos/driver"
-	"cronus/internal/normal"
 	"cronus/internal/sim"
 	"cronus/internal/spm"
 	"cronus/internal/srpc"
-	"cronus/internal/testrig"
 	"cronus/internal/wire"
 )
 
-// harness wires a CPU owner enclave and a CUDA callee enclave through a
-// dispatcher, mirroring the paper's Figure 4 partitioned application.
+// harness wires a CPU owner enclave and a CUDA callee enclave through the
+// platform's dispatcher, mirroring the paper's Figure 4 partitioned
+// application.
 type harness struct {
-	rig   *testrig.Rig
-	disp  *normal.Dispatcher
+	pl    *core.Platform
 	owner *mos.Enclave // mE_A (CPU)
 	eidB  uint32       // mE_C (CUDA)
 	secB  []byte       // secret_dhke with mE_C
@@ -56,19 +55,14 @@ func init() {
 	})
 }
 
-// setup builds the platform, both enclaves and returns the harness.
-func setup(p *sim.Proc, rig *testrig.Rig) (*harness, error) {
-	disp := normal.NewDispatcher(rig.SPM)
-	disp.RegisterMOS(rig.CPUOS)
-	disp.RegisterMOS(rig.GPUOS)
-	disp.RegisterMOS(rig.NPUOS)
-
+// setup builds both enclaves on a booted platform and returns the harness.
+func setup(p *sim.Proc, pl *core.Platform) (*harness, error) {
 	manA, filesA := cpuOwnerManifest()
 	dhA, err := attest.NewDHKey([]byte("app"))
 	if err != nil {
 		return nil, err
 	}
-	resA, encA, err := rig.CPUOS.EM.Create(p, "mE-A", manA, filesA, dhA.Pub)
+	resA, encA, err := pl.CPUOS.EM.Create(p, "mE-A", manA, filesA, dhA.Pub)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +74,7 @@ func setup(p *sim.Proc, rig *testrig.Rig) (*harness, error) {
 	if err != nil {
 		return nil, err
 	}
-	resB, err := disp.CreateEnclave(p, "mE-C", manB, filesB, dhAB.Pub)
+	resB, err := pl.D.CreateEnclave(p, "mE-C", manB, filesB, dhAB.Pub)
 	if err != nil {
 		return nil, err
 	}
@@ -93,20 +87,19 @@ func setup(p *sim.Proc, rig *testrig.Rig) (*harness, error) {
 		return nil, err
 	}
 	return &harness{
-		rig:   rig,
-		disp:  disp,
+		pl:    pl,
 		owner: encA,
 		eidB:  resB.EID,
 		secB:  secret,
 		edlB:  edl,
-		wantB: srpc.Expected{EnclaveHash: manB.Measure(filesB), MOSHash: rig.GPUPart.MOSHash()},
+		wantB: srpc.Expected{EnclaveHash: manB.Measure(filesB), MOSHash: pl.GPUs[0].Part.MOSHash()},
 	}, nil
 }
 
 func run(t *testing.T, body func(h *harness, p *sim.Proc) error) {
 	t.Helper()
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		h, err := setup(p, rig)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		h, err := setup(p, pl)
 		if err != nil {
 			return err
 		}
@@ -118,7 +111,7 @@ func run(t *testing.T, body func(h *harness, p *sim.Proc) error) {
 }
 
 func (h *harness) connect(p *sim.Proc) (*srpc.Client, error) {
-	return srpc.Connect(p, h.owner, h.eidB, h.secB, h.edlB, h.wantB, h.disp, 0)
+	return srpc.Connect(p, h.owner, h.eidB, h.secB, h.edlB, h.wantB, h.pl.D, 0)
 }
 
 func TestStreamEndToEndCompute(t *testing.T) {
@@ -167,7 +160,7 @@ func TestStreamEndToEndCompute(t *testing.T) {
 func TestAsyncCallsDoNotBlock(t *testing.T) {
 	run(t, func(h *harness, p *sim.Proc) error {
 		// 1 MiB payload needs a ring bigger than the default 64 KiB.
-		c, err := srpc.Connect(p, h.owner, h.eidB, h.secB, h.edlB, h.wantB, h.disp, 300)
+		c, err := srpc.Connect(p, h.owner, h.eidB, h.secB, h.edlB, h.wantB, h.pl.D, 300)
 		if err != nil {
 			return err
 		}
@@ -316,7 +309,7 @@ func TestConnectRejectsSubstitutedEnclaveMeasurement(t *testing.T) {
 	run(t, func(h *harness, p *sim.Proc) error {
 		bad := h.wantB
 		bad.EnclaveHash = attest.Measure([]byte("some other image"))
-		_, err := srpc.Connect(p, h.owner, h.eidB, h.secB, h.edlB, bad, h.disp, 0)
+		_, err := srpc.Connect(p, h.owner, h.eidB, h.secB, h.edlB, bad, h.pl.D, 0)
 		if err == nil || !strings.Contains(err.Error(), "measurement mismatch") {
 			t.Errorf("err = %v, want measurement mismatch", err)
 		}
@@ -327,7 +320,7 @@ func TestConnectRejectsSubstitutedEnclaveMeasurement(t *testing.T) {
 func TestConnectRejectsForgedLocalReport(t *testing.T) {
 	run(t, func(h *harness, p *sim.Proc) error {
 		// The malicious OS forges a local report (it cannot: no LSK).
-		h.disp.FakeLocalReport = func(eid uint32, nonce uint64) (attest.LocalReport, []byte) {
+		h.pl.D.FakeLocalReport = func(eid uint32, nonce uint64) (attest.LocalReport, []byte) {
 			r := attest.LocalReport{EnclaveID: eid, EnclaveHash: h.wantB.EnclaveHash, MOSHash: h.wantB.MOSHash, Nonce: nonce}
 			fake := attest.NewLocalSealer([]byte("attacker guess"))
 			return r, fake.Seal(r)
@@ -342,7 +335,7 @@ func TestConnectRejectsForgedLocalReport(t *testing.T) {
 
 func TestSetupTamperAndReplayDetected(t *testing.T) {
 	run(t, func(h *harness, p *sim.Proc) error {
-		h.disp.TamperSetup = func(m attest.SealedMsg) attest.SealedMsg {
+		h.pl.D.TamperSetup = func(m attest.SealedMsg) attest.SealedMsg {
 			if len(m.Payload) > 0 {
 				m.Payload[0] ^= 0xff
 			}
@@ -351,7 +344,7 @@ func TestSetupTamperAndReplayDetected(t *testing.T) {
 		if _, err := h.connect(p); err == nil {
 			t.Error("tampered setup accepted")
 		}
-		h.disp.TamperSetup = nil
+		h.pl.D.TamperSetup = nil
 		// First legitimate connect primes lastSetup; the replayed copy
 		// must then be rejected by the channel sequence check.
 		good, err := h.connect(p)
@@ -359,7 +352,7 @@ func TestSetupTamperAndReplayDetected(t *testing.T) {
 			return err
 		}
 		defer good.Close(p)
-		h.disp.ReplaySetup = true
+		h.pl.D.ReplaySetup = true
 		if _, err := h.connect(p); err == nil {
 			t.Error("replayed setup accepted")
 		}
@@ -369,7 +362,7 @@ func TestSetupTamperAndReplayDetected(t *testing.T) {
 
 func TestDroppedExecutorFailsEstablishment(t *testing.T) {
 	run(t, func(h *harness, p *sim.Proc) error {
-		h.disp.DropExecutor = true
+		h.pl.D.DropExecutor = true
 		if _, err := h.connect(p); err == nil {
 			t.Error("connect succeeded without an executor")
 		}
@@ -387,7 +380,7 @@ func TestPeerPartitionFailureTearsDownStream(t *testing.T) {
 			return err
 		}
 		// The GPU partition crashes (malicious or buggy).
-		h.rig.SPM.Fail(h.rig.GPUPart, spm.FailPanic)
+		h.pl.SPM.Fail(h.pl.GPUs[0].Part, spm.FailPanic)
 		// The owner's next stream access traps and the stream reports
 		// the failure instead of deadlocking (A2) or silently writing
 		// into a substituted partition (A1).
@@ -412,23 +405,23 @@ func TestOwnerCanRebuildAfterPeerRecovery(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		h.rig.SPM.Fail(h.rig.GPUPart, spm.FailPanic)
+		h.pl.SPM.Fail(h.pl.GPUs[0].Part, spm.FailPanic)
 		if _, err := c.Call(p, driver.CallSync, nil); !errors.Is(err, srpc.ErrPeerFailed) {
 			t.Errorf("err = %v", err)
 		}
-		h.rig.SPM.AwaitReady(p, h.rig.GPUPart)
+		h.pl.SPM.AwaitReady(p, h.pl.GPUs[0].Part)
 		p.Sleep(sim.Millisecond) // let mOS reinit run
 		// Recreate the enclave (the task is resubmitted, §VI-D) and
 		// connect a fresh stream.
 		manB, filesB := cudaManifest()
 		dh, _ := attest.NewDHKey([]byte("retry"))
-		resB, err := h.disp.CreateEnclave(p, "mE-C2", manB, filesB, dh.Pub)
+		resB, err := h.pl.D.CreateEnclave(p, "mE-C2", manB, filesB, dh.Pub)
 		if err != nil {
 			return err
 		}
 		sec, _ := dh.Shared(resB.DHPub)
 		c2, err := srpc.Connect(p, h.owner, resB.EID, sec, h.edlB,
-			srpc.Expected{EnclaveHash: manB.Measure(filesB), MOSHash: h.rig.GPUPart.MOSHash()}, h.disp, 0)
+			srpc.Expected{EnclaveHash: manB.Measure(filesB), MOSHash: h.pl.GPUs[0].Part.MOSHash()}, h.pl.D, 0)
 		if err != nil {
 			return err
 		}
@@ -450,7 +443,7 @@ func TestEnclaveFailureNotifiesOwner(t *testing.T) {
 		}
 		// Only the callee mEnclave dies (not the partition). Note the
 		// grant is owned by mE_A; enclave-level kill revokes via the EM.
-		srv := h.disp.Server(h.eidB)
+		srv := h.pl.D.Server(h.eidB)
 		srv.Enclave().Kill(p)
 		_, err = c.Call(p, driver.CallDtoH, driver.EncodeDtoH(0, 4))
 		if err == nil {
@@ -488,7 +481,7 @@ func TestTwoStreamsOneCalleeInterleave(t *testing.T) {
 		// stream (multi-threading: one stream per thread, §IV-C).
 		manB, filesB := cudaManifest()
 		dh2, _ := attest.NewDHKey([]byte("second"))
-		res2, err := h.disp.CreateEnclave(p, "mE-C2", manB, filesB, dh2.Pub)
+		res2, err := h.pl.D.CreateEnclave(p, "mE-C2", manB, filesB, dh2.Pub)
 		if err != nil {
 			return err
 		}
@@ -498,7 +491,7 @@ func TestTwoStreamsOneCalleeInterleave(t *testing.T) {
 			return err
 		}
 		c2, err := srpc.Connect(p, h.owner, res2.EID, sec2, h.edlB,
-			srpc.Expected{EnclaveHash: manB.Measure(filesB), MOSHash: h.rig.GPUPart.MOSHash()}, h.disp, 0)
+			srpc.Expected{EnclaveHash: manB.Measure(filesB), MOSHash: h.pl.GPUs[0].Part.MOSHash()}, h.pl.D, 0)
 		if err != nil {
 			return err
 		}
@@ -552,14 +545,14 @@ func TestSRPCBeatsLockStepLatency(t *testing.T) {
 		// Same 50 calls via the lock-step sealed path (owner channels).
 		manB, filesB := cudaManifest()
 		dh, _ := attest.NewDHKey([]byte("lockstep"))
-		resB, err := h.disp.CreateEnclave(p, "mE-lock", manB, filesB, dh.Pub)
+		resB, err := h.pl.D.CreateEnclave(p, "mE-lock", manB, filesB, dh.Pub)
 		if err != nil {
 			return err
 		}
 		sec, _ := dh.Shared(resB.DHPub)
 		tx := attest.NewChannel(sec, "owner->enclave")
 		rx := attest.NewChannel(sec, "enclave->owner")
-		reply, err := h.disp.InvokeSealed(p, resB.EID, mos.SealRequest(tx, new(wire.Encoder), driver.CallMemAlloc, driver.EncodeMemAlloc(64)))
+		reply, err := h.pl.D.InvokeSealed(p, resB.EID, mos.SealRequest(tx, new(wire.Encoder), driver.CallMemAlloc, driver.EncodeMemAlloc(64)))
 		if err != nil {
 			return err
 		}
@@ -570,7 +563,7 @@ func TestSRPCBeatsLockStepLatency(t *testing.T) {
 		lptr, _ := driver.DecodePtr(out)
 		start = p.Now()
 		for i := 0; i < 50; i++ {
-			reply, err := h.disp.InvokeSealed(p, resB.EID, mos.SealRequest(tx, new(wire.Encoder), driver.CallHtoD, driver.EncodeHtoD(lptr, data)))
+			reply, err := h.pl.D.InvokeSealed(p, resB.EID, mos.SealRequest(tx, new(wire.Encoder), driver.CallHtoD, driver.EncodeHtoD(lptr, data)))
 			if err != nil {
 				return err
 			}
@@ -640,8 +633,8 @@ func TestDuplicateExecutorSpawnIsHarmless(t *testing.T) {
 			return err
 		}
 		// Attacker duplicates the executor (stream id 1 belongs to this
-		// stream: ids are process-global and this is the only stream).
-		_ = h.disp.SpawnExecutor(p, h.eidB, 1)
+		// stream: the platform mints ids from 1 and this is its only stream).
+		_ = h.pl.D.SpawnExecutor(p, h.eidB, 1)
 		p.Sleep(10 * sim.Microsecond)
 		// The stream still behaves: one more overwrite, one read.
 		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(ptr, gpu.PackF32([]float32{43}))); err != nil {
@@ -665,7 +658,7 @@ func TestDuplicateExecutorSpawnIsHarmless(t *testing.T) {
 // included.
 func TestStreamRandomOpsProperty(t *testing.T) {
 	run(t, func(h *harness, p *sim.Proc) error {
-		c, err := srpc.Connect(p, h.owner, h.eidB, h.secB, h.edlB, h.wantB, h.disp, 33)
+		c, err := srpc.Connect(p, h.owner, h.eidB, h.secB, h.edlB, h.wantB, h.pl.D, 33)
 		if err != nil {
 			return err
 		}
@@ -725,8 +718,8 @@ func TestStreamRandomOpsProperty(t *testing.T) {
 // BenchmarkStreamAsyncCall measures one streamed (async) mECall through the
 // full stack: ring push, executor dispatch, device no-op.
 func BenchmarkStreamAsyncCall(b *testing.B) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		h, err := setup(p, rig)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		h, err := setup(p, pl)
 		if err != nil {
 			return err
 		}
@@ -757,8 +750,8 @@ func BenchmarkStreamAsyncCall(b *testing.B) {
 // BenchmarkStreamSyncCall measures one synchronous mECall round trip
 // (push, executor dispatch, result publish, wait).
 func BenchmarkStreamSyncCall(b *testing.B) {
-	err := testrig.Run(testrig.DefaultOptions(), func(rig *testrig.Rig, _ []testrig.ExtraGPU, p *sim.Proc) error {
-		h, err := setup(p, rig)
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		h, err := setup(p, pl)
 		if err != nil {
 			return err
 		}

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"testing"
 
+	"cronus/internal/core"
 	"cronus/internal/gpu"
 	"cronus/internal/mos/driver"
 	"cronus/internal/sim"
 	"cronus/internal/srpc"
-	"cronus/internal/testrig"
 	"cronus/internal/wire"
 )
 
@@ -223,7 +223,7 @@ func TestFusedRecordHeldToArenaSlot(t *testing.T) {
 		launch := driver.EncodeLaunch(new(wire.Encoder), "saxpy", gpu.Dim{16, 1, 1}, dst, dst, 2)
 		arena, slot := c.ArenaGeometry()
 		ringSlots := uint64((srpc.DefaultPages - 1) * 4096 / srpc.SlotSize)
-		srv := h.disp.Server(h.eidB)
+		srv := h.pl.D.Server(h.eidB)
 
 		fused := func(arenaIPA, off, n uint64) error {
 			desc := wire.NewEncoder().U64(arenaIPA).U64(off).U64(n).
@@ -277,10 +277,7 @@ func TestFusedRecordHeldToArenaSlot(t *testing.T) {
 // exactly once, with its own record's outcome: the first platform's launch
 // succeeds, the second's names a kernel its module does not hold.
 func TestFusedCompletionsStayOnTheirPlatform(t *testing.T) {
-	k := sim.NewKernel()
-	var fail error
-	k.Spawn("main", func(p *sim.Proc) {
-		defer k.Stop()
+	err := sim.Run(func(p *sim.Proc) error {
 		type side struct {
 			c     *srpc.Client
 			buf   uint64
@@ -289,28 +286,24 @@ func TestFusedCompletionsStayOnTheirPlatform(t *testing.T) {
 		}
 		var sides [2]*side
 		for i := range sides {
-			rig, _, err := testrig.Build(p, testrig.DefaultOptions())
+			pl, err := core.BuildPlatform(p, core.DefaultConfig())
 			if err != nil {
-				fail = err
-				return
+				return err
 			}
-			h, err := setup(p, rig)
+			h, err := setup(p, pl)
 			if err != nil {
-				fail = err
-				return
+				return err
 			}
 			c, err := h.connect(p)
 			if err != nil {
-				fail = err
-				return
+				return err
 			}
-			if fail = c.GrantArena(p, 64); fail != nil {
-				return
+			if err := c.GrantArena(p, 64); err != nil {
+				return err
 			}
 			res, err := c.Call(p, driver.CallMemAlloc, driver.EncodeMemAlloc(16))
 			if err != nil {
-				fail = err
-				return
+				return err
 			}
 			ptr, _ := driver.DecodePtr(res)
 			sides[i] = &side{c: c, buf: ptr}
@@ -329,11 +322,11 @@ func TestFusedCompletionsStayOnTheirPlatform(t *testing.T) {
 				ExecCall: driver.CallLaunch,
 				ExecArgs: driver.EncodeLaunch(new(wire.Encoder), kernel, gpu.Dim{4, 1, 1}, s.buf, s.buf, s.buf),
 			}
-			if fail = s.c.CallZC(p, req, func(_ *sim.Proc, err error) {
+			if err := s.c.CallZC(p, req, func(_ *sim.Proc, err error) {
 				s.fired++
 				s.err = err
-			}); fail != nil {
-				return
+			}); err != nil {
+				return err
 			}
 		}
 		for _, s := range sides {
@@ -345,11 +338,9 @@ func TestFusedCompletionsStayOnTheirPlatform(t *testing.T) {
 		if b.fired != 1 || b.err == nil {
 			t.Errorf("second platform's callback fired %d times with %v, want once with its launch error", b.fired, b.err)
 		}
+		return nil
 	})
-	if err := k.Run(); err != nil {
+	if err != nil {
 		t.Fatal(err)
-	}
-	if fail != nil {
-		t.Fatal(fail)
 	}
 }
