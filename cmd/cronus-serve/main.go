@@ -275,19 +275,14 @@ func main() {
 	}
 
 	// Conservation audit: every admitted request completed exactly once.
-	ok := true
-	for _, tr := range res.Tenants {
-		if tr.Offered != tr.Admitted+tr.Shed || tr.Admitted != tr.Completed+tr.Failed || tr.Duplicates != 0 {
-			ok = false
-			fmt.Printf("ACCOUNTING VIOLATION: %s offered=%d admitted=%d shed=%d completed=%d failed=%d dups=%d\n",
-				tr.Name, tr.Offered, tr.Admitted, tr.Shed, tr.Completed, tr.Failed, tr.Duplicates)
-		}
+	violations := res.Conservation()
+	for _, v := range violations {
+		fmt.Println("ACCOUNTING VIOLATION:", v)
 	}
-	if ok {
-		fmt.Println("accounting: zero lost, zero duplicated")
-	} else {
+	if len(violations) > 0 {
 		profile.Exit(1)
 	}
+	fmt.Println("accounting: zero lost, zero duplicated")
 }
 
 // parseEndpoint parses a node/partition pair from a migration endpoint flag.

@@ -33,7 +33,9 @@ func (rr *RunReport) checkInvariants() []string {
 		label string
 		res   *serve.Result
 	}{{"baseline", rr.Baseline}, {"faulted", rr.Faulted}} {
-		v = append(v, conservation(run.label, run.res)...)
+		for _, c := range run.res.Conservation() {
+			v = append(v, run.label+" "+c)
+		}
 		v = append(v, checkObservability(run.label, run.res)...)
 		// No-split-brain: a tenant's requests were never concurrently live
 		// on two nodes.
@@ -141,26 +143,6 @@ func (rr *RunReport) checkInvariants() []string {
 	return v
 }
 
-// conservation checks the flow balance of one run: offered = admitted +
-// shed, admitted = completed + failed, and zero duplicate completions.
-func conservation(label string, res *serve.Result) []string {
-	var v []string
-	for _, t := range res.Tenants {
-		if t.Offered != t.Admitted+t.Shed {
-			v = append(v, fmt.Sprintf("%s %s: offered %d != admitted %d + shed %d",
-				label, t.Name, t.Offered, t.Admitted, t.Shed))
-		}
-		if t.Admitted != t.Completed+t.Failed {
-			v = append(v, fmt.Sprintf("%s %s: admitted %d != completed %d + failed %d",
-				label, t.Name, t.Admitted, t.Completed, t.Failed))
-		}
-		if t.Duplicates != 0 {
-			v = append(v, fmt.Sprintf("%s %s: %d duplicate completions", label, t.Name, t.Duplicates))
-		}
-	}
-	return v
-}
-
 // checkObservability audits the observability layer's own invariants on one
 // run (the flow-model plane records neither, so this is vacuous on the fabric):
 // every per-request causal trace must be conservative (stage segments
@@ -194,9 +176,8 @@ func checkObservability(label string, res *serve.Result) []string {
 
 // checkFault audits the one invariant a single compiled fault arms, from the
 // evidence its injection leaves behind. A fired persistent hang must be
-// detected by the watchdog within the configured bound (heartbeat period ×
-// (missed beats + 2), mirroring spm.SPM.HangDetectionBound); a fired
-// crash-loop must leave its partition quarantined after the drain; a
+// detected by the watchdog within the health policy's HangDetectionBound; a
+// fired crash-loop must leave its partition quarantined after the drain; a
 // stale-measurement victim must show the revoked + quarantined failure the
 // prober is supposed to raise; a migration fault must show in the elastic
 // event log (checkMigrationFault).
@@ -206,8 +187,7 @@ func (rr *RunReport) checkFault(i int, f *Fault) []string {
 		if !rr.Fired[i] {
 			return nil
 		}
-		sv := serve.HealthPolicy()
-		bound := sv.HeartbeatEvery * sim.Duration(sv.MissedBeats+2)
+		bound := serve.HealthPolicy().HangDetectionBound()
 		injected := rr.InjectAt[i]
 		part := fmt.Sprintf("gpu-part%d", f.Partition)
 		detected, reason := firstFailureAfter(rr.Faulted, part, injected)

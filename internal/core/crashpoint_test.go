@@ -14,16 +14,89 @@ import (
 )
 
 // The crash-point sweep: a deterministic kernel can fail a partition before
-// every event of a scenario, not at a sampled instant. The scenario here is
-// one synchronous mECall shape — a streamed Launch and the Sync behind it —
-// and the fault a crash of the callee's GPU partition (SPM.Fail, FailPanic).
+// every event of a scenario, not at a sampled instant. A scenario is one
+// mECall shape ending in a Sync — a streamed Launch, a streamed 64 KiB HtoD, a
+// fused ExecZC — and the fault a crash of the callee's GPU partition
+// (SPM.Fail, FailPanic).
 
-const (
-	sweepElems = 64
-	sweepScale = 3
-)
+const sweepScale = 3
 
-// crashPoint is what one run of the scenario reports: the events the call
+// crashScenario is one call shape the sweep crashes the callee under: the
+// device buffer's length in floats (HtoD'd with ramp(elems, 1) when the
+// stream opens), the zero-copy arena the stream needs (0: none), and the call
+// itself, which ends in a Sync. A clean call leaves want in the buffer.
+type crashScenario struct {
+	elems     int
+	zcPayload int
+	call      func(p *sim.Proc, conn *core.CUDAConn, buf uint64) error
+	want      []byte
+}
+
+// launchSync is one streamed Launch scaling the buffer, then a Sync.
+func launchSync() crashScenario {
+	const n = 64
+	return crashScenario{
+		elems: n,
+		call: func(p *sim.Proc, conn *core.CUDAConn, buf uint64) error {
+			if err := conn.Launch(p, "scale", gpu.Dim{n, 1, 1}, buf, uint64(gpu.FloatBits(sweepScale))); err != nil {
+				return err
+			}
+			return conn.Sync(p)
+		},
+		want: ramp(n, sweepScale),
+	}
+}
+
+// htodSync is one streamed 64 KiB HtoD — four ring-sized chunks — then a
+// Sync.
+func htodSync() crashScenario {
+	const n = 16 << 10
+	payload := ramp(n, 2)
+	return crashScenario{
+		elems: n,
+		call: func(p *sim.Proc, conn *core.CUDAConn, buf uint64) error {
+			if err := conn.HtoD(p, buf, payload); err != nil {
+				return err
+			}
+			return conn.Sync(p)
+		},
+		want: payload,
+	}
+}
+
+// execZCSync is one fused ExecZC — the payload staged in the arena, copied to
+// the buffer and scaled there in one record — then a Sync. The executor's
+// notification must report nil or ErrPeerFailed, and a Sync that succeeds
+// must come after it.
+func execZCSync() crashScenario {
+	const n = 64
+	payload := ramp(n, 2)
+	return crashScenario{
+		elems:     n,
+		zcPayload: len(payload),
+		call: func(p *sim.Proc, conn *core.CUDAConn, buf uint64) error {
+			notified, zcErr := false, error(nil)
+			err := conn.ExecZC(p, buf, payload, "scale", gpu.Dim{n, 1, 1},
+				func(_ *sim.Proc, err error) { notified, zcErr = true, err },
+				buf, uint64(gpu.FloatBits(sweepScale)))
+			if err == nil {
+				err = conn.Sync(p)
+			}
+			switch {
+			case zcErr != nil && !errors.Is(zcErr, srpc.ErrPeerFailed):
+				return fmt.Errorf("the ExecZC notification reported %w", zcErr)
+			case err == nil && !notified:
+				return errors.New("Sync returned before the ExecZC notification")
+			case err == nil:
+				return zcErr
+			}
+			return err
+		},
+		want: ramp(n, 2*sweepScale),
+	}
+}
+
+// crashPoint is what one run of a scenario reports: the events the call
 // dispatched, whether the armed crash fired, the call's error and every
 // violated invariant.
 type crashPoint struct {
@@ -33,21 +106,21 @@ type crashPoint struct {
 	violations []string
 }
 
-// runCrashPoint boots a fresh platform, opens a CUDA stream on gpu-part0,
-// uploads sweepElems floats and — unless at is 0 — arms a crash of gpu-part0
-// before the at-th event of `Launch(scale) + Sync`. After the call it checks
-// the §IV-D contract at that crash point:
+// runCrashPoint boots a fresh platform, opens a CUDA stream on gpu-part0 with
+// the scenario's buffer uploaded and — unless at is 0 — arms a crash of
+// gpu-part0 before the at-th event of the scenario's call. After the call it
+// checks the §IV-D contract at that crash point:
 //
 //   - the call returns nil or an error wrapping srpc.ErrPeerFailed;
 //   - the stream then reports ErrPeerFailed and, having torn down, leaves
 //     the SPM no grant to the dead incarnation;
-//   - after recovery a fresh OpenCUDA on the partition reads back what
-//     HtoD → Launch → DtoH must produce;
+//   - after recovery a fresh OpenCUDA on the partition runs the same call
+//     and reads back what it must produce;
 //   - with the executors idle again, PhysMem.WatchCount is what it was
 //     before the call: no doorbell outlived its waiter;
 //   - once every stream is closed the run drains to quiescence — Run
 //     returns with no process parked.
-func runCrashPoint(at uint64) crashPoint {
+func runCrashPoint(sc crashScenario, at uint64) crashPoint {
 	var cp crashPoint
 	fail := func(format string, args ...any) { cp.violations = append(cp.violations, fmt.Sprintf(format, args...)) }
 	k := sim.NewKernel()
@@ -66,15 +139,17 @@ func runCrashPoint(at uint64) crashPoint {
 			return
 		}
 		open := func() (*core.CUDAConn, uint64, error) {
-			conn, err := sess.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("scale"), Partition: part.Name})
+			conn, err := sess.OpenCUDA(p, core.CUDAOptions{
+				Cubin: gpu.BuildCubin("scale"), Partition: part.Name, ZCPayload: sc.zcPayload,
+			})
 			if err != nil {
 				return nil, 0, err
 			}
-			buf, err := conn.MemAlloc(p, 4*sweepElems)
+			buf, err := conn.MemAlloc(p, uint64(4*sc.elems))
 			if err != nil {
 				return nil, 0, err
 			}
-			return conn, buf, conn.HtoD(p, buf, sweepInput())
+			return conn, buf, conn.HtoD(p, buf, ramp(sc.elems, 1))
 		}
 		// settle lets the stream's executor go idle on its doorbell.
 		settle := func() { p.Sleep(100 * sim.Microsecond) }
@@ -96,10 +171,7 @@ func runCrashPoint(at uint64) crashPoint {
 				pl.SPM.Fail(part, spm.FailPanic)
 			})
 		}
-		cp.err = conn.Launch(p, "scale", gpu.Dim{sweepElems, 1, 1}, buf, uint64(gpu.FloatBits(sweepScale)))
-		if cp.err == nil {
-			cp.err = conn.Sync(p)
-		}
+		cp.err = sc.call(p, conn, buf)
 		cp.events = k.Dispatched() - start
 		k.BeforeEvent(0, nil)
 		if cp.err != nil && !errors.Is(cp.err, srpc.ErrPeerFailed) {
@@ -126,17 +198,17 @@ func runCrashPoint(at uint64) crashPoint {
 
 		fresh, fbuf, err := open()
 		if err == nil {
-			err = fresh.Launch(p, "scale", gpu.Dim{sweepElems, 1, 1}, fbuf, uint64(gpu.FloatBits(sweepScale)))
+			err = sc.call(p, fresh, fbuf)
 		}
 		var out []byte
 		if err == nil {
-			out, err = fresh.DtoH(p, fbuf, 4*sweepElems)
+			out, err = fresh.DtoH(p, fbuf, 4*sc.elems)
 		}
 		if err != nil {
 			fail("a fresh stream on the recovered partition failed: %v", err)
 			return
 		}
-		if !bytes.Equal(out, sweepWant()) {
+		if !bytes.Equal(out, sc.want) {
 			fail("a fresh stream on the recovered partition read back the wrong bytes")
 		}
 		settle()
@@ -161,27 +233,20 @@ func runCrashPoint(at uint64) crashPoint {
 	return cp
 }
 
-func sweepInput() []byte {
-	xs := make([]float32, sweepElems)
+// ramp is n float32s step, 2·step, …, n·step, packed.
+func ramp(n int, step float32) []byte {
+	xs := make([]float32, n)
 	for i := range xs {
-		xs[i] = float32(i + 1)
+		xs[i] = step * float32(i+1)
 	}
 	return gpu.PackF32(xs)
 }
 
-func sweepWant() []byte {
-	xs := gpu.UnpackF32(sweepInput())
-	for i := range xs {
-		xs[i] *= sweepScale
-	}
-	return gpu.PackF32(xs)
-}
-
-// TestCrashPointSweepLaunchSync runs the scenario once clean to count its N
-// events, then N more times, crashing gpu-part0 before event k for every k in
-// 1..N. Every crash point must keep the contract runCrashPoint checks.
-func TestCrashPointSweepLaunchSync(t *testing.T) {
-	clean := runCrashPoint(0)
+// sweepCrashPoints runs the scenario once clean to count its N events, then N
+// more times, crashing gpu-part0 before event k for every k in 1..N. Every
+// crash point must keep the contract runCrashPoint checks.
+func sweepCrashPoints(t *testing.T, sc crashScenario) {
+	clean := runCrashPoint(sc, 0)
 	if clean.err != nil || len(clean.violations) > 0 {
 		t.Fatalf("clean run: err %v, %v", clean.err, clean.violations)
 	}
@@ -191,7 +256,7 @@ func TestCrashPointSweepLaunchSync(t *testing.T) {
 	}
 	held, failed := 0, 0
 	for at := uint64(1); at <= n; at++ {
-		cp := runCrashPoint(at)
+		cp := runCrashPoint(sc, at)
 		if !cp.fired {
 			t.Errorf("crash point %d of %d: the armed crash never fired", at, n)
 			continue
@@ -208,3 +273,12 @@ func TestCrashPointSweepLaunchSync(t *testing.T) {
 	}
 	t.Logf("%d of %d crash points hold (%d calls returned ErrPeerFailed, %d returned nil)", held, n, failed, int(n)-failed)
 }
+
+// TestCrashPointSweepLaunchSync sweeps a streamed Launch + Sync.
+func TestCrashPointSweepLaunchSync(t *testing.T) { sweepCrashPoints(t, launchSync()) }
+
+// TestCrashPointSweepHtoDSync sweeps a streamed 64 KiB HtoD + Sync.
+func TestCrashPointSweepHtoDSync(t *testing.T) { sweepCrashPoints(t, htodSync()) }
+
+// TestCrashPointSweepExecZCSync sweeps a fused ExecZC + Sync.
+func TestCrashPointSweepExecZCSync(t *testing.T) { sweepCrashPoints(t, execZCSync()) }

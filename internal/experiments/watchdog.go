@@ -38,7 +38,7 @@ func HangDetectionSweep() ([]HangDetectionRow, error) {
 		*row = HangDetectionRow{HeartbeatEvery: pol.HeartbeatEvery, MissedBeats: pol.MissedBeats}
 		err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 			pl.SPM.SetSupervision(pol)
-			row.Bound = pl.SPM.HangDetectionBound()
+			row.Bound = pl.SPM.SupervisionConfig().HangDetectionBound()
 			var failedAt sim.Time
 			unsub := pl.SPM.OnFailure(func(rec *spm.FailureRecord) {
 				if failedAt == 0 && rec.Reason == spm.FailHang {

@@ -67,12 +67,12 @@ func (srv *Server) capacity(t *tenant) (usable, total int) {
 	if len(reps) == 0 {
 		return 0, 0
 	}
-	if srv.cfg.Policy == DeviceAffinity && !reps[t.idx%len(reps)].retired() {
+	if srv.cfg.Policy == DeviceAffinity && !reps[t.idx%len(reps)].part.retired() {
 		return 1, 1
 	}
 	total = len(reps)
 	for _, rep := range reps {
-		if !rep.retired() {
+		if !rep.part.retired() {
 			usable++
 		}
 	}

@@ -25,12 +25,12 @@ package serve
 // (results from a partition with a flipped measurement are untrusted, so
 // they are shed, not replayed), and the partition drains through the
 // existing quarantine machinery — spm.Revoke parks it in PartQuarantined,
-// the OnFailure subscription marks its replicas, and placement routes
-// around it exactly like a FailHang, cross-node rehoming included. The
-// boot-pinned measurement and the revocation instant live on the partition's
-// pool record (poolPart). No request ever completes on a revoked partition
-// (serve.attest.post_revoke_completions must stay 0; the chaos harness
-// asserts it).
+// the OnFailure subscription marks its pool record quarantined, and
+// placement routes around it exactly like a FailHang, cross-node rehoming
+// included. The boot-pinned measurement and the revocation instant live on
+// the same record (poolPart). No request ever completes on a revoked
+// partition (serve.attest.post_revoke_completions must stay 0; the chaos
+// harness asserts it).
 //
 // Fault injection: AttestStorm flushes the whole ticket cache at a drawn
 // instant (mass expiry — every session goes back through cold
@@ -227,11 +227,10 @@ func (srv *Server) atProbe(p *sim.Proc) {
 // verification verdicts dropped, in-flight batches on the partition are shed
 // with the typed error, and the partition drains into quarantine through the
 // SPM — from where the existing failure subscription propagates it to
-// placement (replica quarantine, backlog re-drive, cluster rehome) exactly
-// like a hang. The boot-pinned measurement stays trusted: every other
-// partition in the pool legitimately runs that same image, so their tickets
-// and cached verdicts must survive — only the divergent value and the
-// divergent partition are poisoned.
+// placement exactly like a hang. The boot-pinned measurement stays trusted:
+// every other partition in the pool legitimately runs that same image, so
+// their tickets and cached verdicts must survive — only the divergent value
+// and the divergent partition are poisoned.
 func (srv *Server) atRevoke(p *sim.Proc, i int) {
 	a, pp := srv.at, srv.parts[i]
 	if pp.revokedAt > 0 {
@@ -245,34 +244,23 @@ func (srv *Server) atRevoke(p *sim.Proc, i int) {
 	a.verify.Invalidate(tampered)
 	srv.cl.events = append(srv.cl.events,
 		fmt.Sprintf("partition n%d/%s measurement revoked at %s", pp.node, partName, sim.Duration(now)))
-	if srv.flow {
-		// Shed everything in flight on the revoked partition before the
-		// quarantine drain runs: its results are untrusted, so the requests
-		// fail typed instead of replaying a measurement we no longer trust.
-		for _, t := range srv.tenants {
-			err := &attest.RevokedError{Tenant: t.spec.Name, Partition: partName, Meas: tampered}
-			for _, b := range srv.shTakeInflight(t, t.reps[i]) {
-				srv.finishBatch(b, now, err)
-			}
-		}
+	// Shed everything in flight on the revoked partition before the
+	// quarantine drain runs: its results are untrusted, so the requests fail
+	// typed instead of replaying a measurement we no longer trust. (The
+	// executed plane holds nothing in flight here: its workers hold batches
+	// in pending, which the failover drains.)
+	for _, t := range srv.tenants {
+		srv.evacuate(now, t, &attest.RevokedError{Tenant: t.spec.Name, Partition: partName, Meas: tampered}, t.reps[i])
 	}
 	// Quarantine drain: spm.Revoke bypasses the crash-loop count (a stale
 	// measurement is never a transient) and parks the partition in
-	// PartQuarantined; the OnFailure subscription marks every replica on it
-	// quarantined the same instant.
+	// PartQuarantined; the OnFailure subscription marks it quarantined the
+	// same instant.
 	srv.plats[pp.node].SPM.Revoke(pp.sp)
-	// A revoked partition never comes back (the quarantine is forced and
-	// marked before Revoke returns), so don't wait out the device scrub
-	// before re-routing: re-home every tenant whose home pool this
-	// revocation emptied, exactly like a node crash does. The eventual
-	// shRecover → shQuarantined pass is then a no-op for these tenants
-	// (their home already moved off the node).
+	// A revoked partition never comes back, so don't wait out the device
+	// scrub before re-routing: re-home every tenant whose home pool this
+	// revocation emptied, exactly like a node crash does.
 	for _, t := range srv.tenants {
-		if t.home != pp.node || !srv.clHomeUnusable(t) {
-			continue
-		}
-		if !srv.clRehome(now, t, "measurement-revoked") {
-			srv.shFailBacklog(now, t) // no survivor can take the tenant
-		}
+		srv.redrive(now, t, "measurement-revoked")
 	}
 }

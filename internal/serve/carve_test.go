@@ -175,7 +175,7 @@ func TestCancelInflightReplaysCarvedBatches(t *testing.T) {
 		}
 		parked := tn.shBacklog[0]
 
-		if n := srv.shCancelInflight(tn, rep); n != 8 {
+		if n := srv.evacuate(p.Now(), tn, nil, rep); n != 8 {
 			t.Errorf("replayed %d requests, want 8", n)
 		}
 		if len(tn.shBacklog) != 4 || tn.shBacklog[3] != parked {

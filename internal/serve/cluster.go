@@ -25,12 +25,12 @@ package serve
 // return ports with the same hop.
 //
 // Cross-node failover: when a node crashes (clCrashNode) or a tenant's whole
-// home pool quarantines, the tenant re-hashes to a surviving node. In-flight
-// batches on the lost node are cancelled and replayed through the one
-// completion accounting (cancelled batches' events become no-ops, requests
-// requeue exactly once), and admission caps tighten by the lost capacity
-// fraction for rehomed tenants. With no surviving node the re-hash fails and
-// the tenant's work completes with the typed pool error.
+// home pool retires, the tenant re-hashes to a surviving node (redrive). In-
+// flight batches on the lost node are cancelled and replayed through the one
+// evacuation (cancelled batches' events become no-ops, requests requeue
+// exactly once), and admission caps tighten by the lost capacity fraction for
+// rehomed tenants. With no surviving node the re-hash fails and the tenant's
+// work completes with the typed pool error.
 //
 // No-split-brain invariant: a tenant's requests are never concurrently
 // live on two nodes. The gateway maintains the ledger — liveCnt/liveNode
@@ -53,8 +53,8 @@ import (
 
 // poolPart is the server's one record of a pooled (node, partition). Every
 // tenant's replica on the partition points at it, so a lifecycle fact is
-// stated once and flips for all tenants at the same instant. Per-connection
-// facts (down, quarantined) stay on the replica: they clear at that
+// stated once and flips for all tenants at the same instant. The one
+// per-connection fact, down, stays on the replica: it clears at that
 // replica's own reconnect instant.
 type poolPart struct {
 	node int
@@ -72,9 +72,19 @@ type poolPart struct {
 	// new work. released: out of service after an elastic scale-down or
 	// migration, until a scale-up has re-booted it (a re-boot in progress
 	// holds elState.busy, so nothing else looks at the partition meanwhile).
-	draining bool
-	released bool
+	// quarantined: gone for good — a failure record that tripped the
+	// crash-loop policy or a revocation (the SPM failure subscription), or
+	// its node crashed (clCrashNode).
+	draining    bool
+	released    bool
+	quarantined bool
 }
+
+// retired reports whether the partition has left service for good barring
+// operator or autoscaler action: quarantined or released. Retired partitions
+// count against admitted capacity and are skipped by placement, rehoming
+// eligibility and the pool-dead check alike.
+func (pp *poolPart) retired() bool { return pp.quarantined || pp.released }
 
 // pool is the pool shape the config asks for: the node count and the
 // partitions each node owns.
@@ -250,10 +260,10 @@ func (srv *Server) clArmFaults(p *sim.Proc) {
 	}
 }
 
-// clCrashNode kills a whole node: its replicas quarantine permanently (the
+// clCrashNode kills a whole node: its partitions quarantine permanently (the
 // machine is gone — this is not a restartable proceed-trap), every batch in
-// flight there is cancelled and requeued exactly once (shCancelInflight),
-// and each tenant homed on the node re-hashes to a survivor.
+// flight there replays exactly once (evacuate), and each tenant homed on the
+// node re-hashes to a survivor (redrive).
 func (srv *Server) clCrashNode(p *sim.Proc, n int) {
 	cl := srv.cl
 	if !cl.alive[n] {
@@ -263,16 +273,12 @@ func (srv *Server) clCrashNode(p *sim.Proc, n int) {
 	cl.alive[n] = false
 	cl.aliveCnt--
 	cl.events = append(cl.events, fmt.Sprintf("node n%d crashed at %s", n, sim.Duration(now)))
+	for _, pp := range srv.parts[n*cl.ppn : (n+1)*cl.ppn] {
+		pp.quarantined = true
+	}
 	for _, t := range srv.tenants {
-		lost := t.reps[n*cl.ppn : (n+1)*cl.ppn]
-		for _, rep := range lost {
-			rep.down = true
-			rep.quarantined = true
-		}
-		srv.shCancelInflight(t, lost...)
-		if t.home == n && !srv.clRehome(now, t, "node-crash") {
-			srv.shFailBacklog(now, t) // no survivor can take the tenant
-		}
+		srv.evacuate(now, t, nil, t.reps[n*cl.ppn:(n+1)*cl.ppn]...)
+		srv.redrive(now, t, "node-crash")
 	}
 }
 

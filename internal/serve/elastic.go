@@ -11,8 +11,8 @@ package serve
 // host-memcpy rate like a dnn.Trainer checkpoint (checkpoint), the snapshot
 // crosses the pool link priced through TransferNS — or the local DMA
 // engine on a same-node move (transfer), anything still in flight at the
-// drain deadline is cancelled and requeued through shCancelInflight exactly
-// once (replay), and only then does the source release (release). Because
+// drain deadline is requeued exactly once through the failover's evacuate
+// (replay), and only then does the source release (release). Because
 // every partition boots the same mOS image, the destination carries the same
 // measurement as the source: the tenant's attestation tickets stay valid
 // across the move and re-admission costs one MAC resume, not a cold quote
@@ -144,17 +144,6 @@ func (srv *Server) elRepIdx(e elastic.Endpoint) int {
 	return e.Node*srv.cl.ppn + e.Part
 }
 
-// anyQuarantined reports whether a tenant's connection to the partition is
-// parked in quarantine.
-func (srv *Server) anyQuarantined(idx int) bool {
-	for _, t := range srv.tenants {
-		if t.reps[idx].quarantined {
-			return true
-		}
-	}
-	return false
-}
-
 // elStart arms the elastic layer from Serve: one injector proc per planned
 // migration plus the autoscaler loop. No-op when the layer is unarmed.
 func (srv *Server) elStart(p *sim.Proc) {
@@ -240,23 +229,20 @@ func (srv *Server) elMigrate(p *sim.Proc, m Migration) bool {
 	}
 	src, dst := srv.elRepIdx(m.From), srv.elRepIdx(m.To)
 	srcPart, dstPart := srv.parts[src], srv.parts[dst]
-	if srcPart.released {
-		el.event(now, label+" skipped (source out of service)")
-		return false
+	skip := ""
+	switch {
+	case srcPart.released:
+		skip = "source out of service"
+	case dstPart.released:
+		skip = "destination out of service"
+	case srcPart.quarantined || slices.ContainsFunc(srv.tenants, func(t *tenant) bool { return t.reps[src].down }):
+		skip = "source failed"
+	case dstPart.quarantined:
+		skip = "destination quarantined"
 	}
-	if dstPart.released {
-		el.event(now, label+" skipped (destination out of service)")
+	if skip != "" {
+		el.event(now, label+" skipped ("+skip+")")
 		return false
-	}
-	for _, t := range srv.tenants {
-		if t.reps[src].down || t.reps[src].quarantined {
-			el.event(now, label+" skipped (source failed)")
-			return false
-		}
-		if t.reps[dst].quarantined {
-			el.event(now, label+" skipped (destination quarantined)")
-			return false
-		}
 	}
 	el.busy = true
 	// Quiesce: the source takes no new placements but finishes what its
@@ -275,7 +261,7 @@ func (srv *Server) elMigrate(p *sim.Proc, m Migration) bool {
 		// The source dies halfway through the snapshot. Un-quiesce (the
 		// partition is about to be down, not draining) and hand the wreck to
 		// the ordinary crash-failover path: the SPM proceed-trap fires the
-		// failure subscription, shCancelInflight replays the in-flight work,
+		// failure subscription, evacuate replays the in-flight work,
 		// and the partition rejoins after restart. The migration is
 		// abandoned, nothing is lost or duplicated.
 		p.Sleep(ckNS / 2)
@@ -288,12 +274,12 @@ func (srv *Server) elMigrate(p *sim.Proc, m Migration) bool {
 	}
 	p.Sleep(ckNS)
 	// Replay: the drain deadline. Whatever the source still holds is
-	// cancelled and requeued through the failover primitive — each request
+	// evacuated and requeued exactly like a failover's — each request
 	// re-dispatches exactly once, on the destination, because the source is
 	// still draining and about to release.
 	replayed := 0
 	for _, t := range srv.tenants {
-		replayed += srv.shCancelInflight(t, t.reps[src])
+		replayed += srv.evacuate(p.Now(), t, nil, t.reps[src])
 	}
 	el.ctrReplayed.Add(uint64(replayed))
 	// Transfer: the snapshot crosses the fabric to another node (TransferNS
@@ -313,15 +299,9 @@ func (srv *Server) elMigrate(p *sim.Proc, m Migration) bool {
 	el.busy = false
 	el.event(done, fmt.Sprintf("%s completed (%d KiB state, %d replayed)", label, ck>>10, replayed))
 	for _, t := range srv.tenants {
-		if t.home == m.From.Node && srv.clHomeUnusable(t) {
-			// The release emptied the tenant's home placement set: the move
-			// was effectively a node evacuation, so re-home (which also
-			// flushes the backlog to the new home).
-			if srv.clRehome(done, t, "migrated") {
-				continue
-			}
-		}
-		srv.shFlushBacklog(done, t)
+		// A release that emptied the tenant's home placement set was
+		// effectively a node evacuation: redrive re-homes the tenant.
+		srv.redrive(done, t, "migrated")
 	}
 	return true
 }
@@ -377,7 +357,7 @@ func (srv *Server) elActive(node int) (active, hi, lo int) {
 	ppn := srv.cl.ppn
 	hi, lo = -1, -1
 	for pi := 0; pi < ppn; pi++ {
-		if i := node*ppn + pi; srv.parts[i].released || srv.anyQuarantined(i) {
+		if srv.parts[node*ppn+pi].retired() {
 			continue
 		}
 		active++
@@ -450,7 +430,7 @@ func (srv *Server) elScaleUp(p *sim.Proc) bool {
 	now := p.Now()
 	el.event(now, fmt.Sprintf("scale-up: %s in service", ep))
 	for _, t := range srv.tenants {
-		srv.shFlushBacklog(now, t)
+		srv.redrive(now, t, "scale-up")
 	}
 	return true
 }

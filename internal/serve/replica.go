@@ -44,7 +44,6 @@ type replica struct {
 	pending     sim.FIFO[*batch]
 	outstanding int
 	down        bool
-	quarantined bool // partition crash-looped into quarantine; retired for good
 	cond        *sim.Cond
 
 	// consecTimeouts is the circuit-breaker state: consecutive attempt
@@ -69,18 +68,11 @@ func (rep *replica) nodeSPM() *spm.SPM {
 	return rep.srv.plats[rep.part.node].SPM
 }
 
-// retired reports whether the replica's partition has left service for good
-// barring operator/autoscaler action: crash-loop quarantine or an elastic
-// release. Retired replicas count against admitted capacity and are skipped
-// by placement, rehoming eligibility and the pool-dead check alike.
-func (rep *replica) retired() bool {
-	return rep.quarantined || rep.part.released
-}
-
 // unplaceable reports whether the placement policy must skip the replica:
-// retired, mid-failover, or quiescing for a planned migration.
+// mid-failover, or its partition retired or quiescing for a planned
+// migration.
 func (rep *replica) unplaceable() bool {
-	return rep.down || rep.quarantined || rep.part.draining || rep.part.released
+	return rep.down || rep.part.retired() || rep.part.draining
 }
 
 func newReplica(p *sim.Proc, srv *Server, t *tenant, part *poolPart, smDemand uint64) (*replica, error) {
@@ -189,7 +181,7 @@ var errAttemptTimeout = errors.New("serve: batch attempt timed out")
 // requeue and reconnect.
 func (rep *replica) run(p *sim.Proc) {
 	for {
-		if rep.quarantined {
+		if rep.part.quarantined {
 			// Quarantine is terminal: hand what is held to the surviving
 			// replicas and exit.
 			rep.drainPending()
@@ -206,17 +198,13 @@ func (rep *replica) run(p *sim.Proc) {
 		b := rep.pending.Pop()
 		err := rep.execWithRetry(p, b)
 		if err != nil && errors.Is(err, srpc.ErrPeerFailed) {
-			// The partition proceed-trapped under us. Requeue the
-			// in-flight batch and everything behind it, oldest first, and
-			// enter failover. Nothing completes here, so nothing is lost;
-			// nothing completed earlier is requeued, so nothing
-			// duplicates.
+			// The partition proceed-trapped under us. Put the in-flight
+			// batch back ahead of everything behind it and enter failover,
+			// whose drainPending requeues them all, oldest first. Nothing
+			// completes here, so nothing is lost; nothing completed earlier
+			// is requeued, so nothing duplicates.
 			rep.down = true
-			rs := append([]*Request{}, b.reqs...)
-			for rep.pending.Len() > 0 {
-				rs = append(rs, rep.pending.Pop().reqs...)
-			}
-			rep.requeue(rs)
+			rep.pending.PushFront([]*batch{b})
 			continue
 		}
 		rep.outstanding -= len(b.reqs)
@@ -224,45 +212,30 @@ func (rep *replica) run(p *sim.Proc) {
 	}
 }
 
-// requeue sends held requests back through the tenant queue (at the front,
-// bypassing admission: they were admitted once already) for re-placement on
-// a live replica.
-func (rep *replica) requeue(rs []*Request) {
-	rep.outstanding -= len(rs)
-	now := rep.srv.pl.K.Now()
-	for _, r := range rs {
-		r.Replays++
-		rep.t.replayed++
-		rep.srv.mark(r, otrace.StageRequeue, now)
-	}
-	rep.t.q.pushFront(rs)
-}
-
 // failover is the recovery body behind both planes' replicas: requeue
 // anything still held (nothing on the flow-model plane, whose in-flight
-// batches were cancelled when the failure record fired), wait for the SPM to
+// batches were evacuated when the failure record fired), wait for the SPM to
 // finish the partition's proceed-trap recovery, let the driver re-probe
-// settle, and reconnect with bounded exponential backoff. It reports whether
-// the replica is back; a partition quarantined while we wait retires the
-// replica instead.
-func (rep *replica) failover(p *sim.Proc) bool {
+// settle, and reconnect with bounded exponential backoff. The replica stays
+// down when the partition is quarantined instead — the failure subscription
+// already retired it, and both waits refuse a quarantined partition.
+func (rep *replica) failover(p *sim.Proc) {
 	rep.drainPending()
-	if err := rep.nodeSPM().AwaitReady(p, rep.part.sp); err != nil {
-		rep.quarantined = true
-		return false
+	if rep.nodeSPM().AwaitReady(p, rep.part.sp) != nil {
+		return
 	}
 	p.Sleep(reprobeSettle)
-	if err := rep.reconnect(p); err != nil {
-		rep.quarantined = true
-		return false
+	if rep.reconnect(p) != nil {
+		return
 	}
 	rep.down = false
 	rep.consecTimeouts = 0
-	return true
 }
 
-// drainPending requeues every batch the replica still holds so the
-// dispatcher re-places the load on surviving replicas.
+// drainPending is the executed plane's one requeue: every request the
+// replica still holds goes back through the front of the tenant queue,
+// oldest first and bypassing admission (it was admitted once already), so
+// the dispatcher re-places the load on surviving replicas.
 func (rep *replica) drainPending() {
 	if rep.pending.Len() == 0 {
 		return
@@ -271,7 +244,14 @@ func (rep *replica) drainPending() {
 	for rep.pending.Len() > 0 {
 		rs = append(rs, rep.pending.Pop().reqs...)
 	}
-	rep.requeue(rs)
+	rep.outstanding -= len(rs)
+	now := rep.srv.pl.K.Now()
+	for _, r := range rs {
+		r.Replays++
+		rep.t.replayed++
+		rep.srv.mark(r, otrace.StageRequeue, now)
+	}
+	rep.t.q.pushFront(rs)
 }
 
 // The replica reconnect policy after a failover or recycle: reprobeSettle is

@@ -144,6 +144,27 @@ func (r *Result) AvgBatch() float64 {
 	return float64(r.BatchReqs) / float64(r.Batches)
 }
 
+// Conservation audits the run's flow balance, one line per violation (none
+// for a sound run): per tenant, offered = admitted + shed, admitted =
+// completed + failed, and zero duplicate completions.
+func (r *Result) Conservation() []string {
+	var v []string
+	for _, t := range r.Tenants {
+		if t.Offered != t.Admitted+t.Shed {
+			v = append(v, fmt.Sprintf("%s: offered %d != admitted %d + shed %d",
+				t.Name, t.Offered, t.Admitted, t.Shed))
+		}
+		if t.Admitted != t.Completed+t.Failed {
+			v = append(v, fmt.Sprintf("%s: admitted %d != completed %d + failed %d",
+				t.Name, t.Admitted, t.Completed, t.Failed))
+		}
+		if t.Duplicates != 0 {
+			v = append(v, fmt.Sprintf("%s: %d duplicate completions", t.Name, t.Duplicates))
+		}
+	}
+	return v
+}
+
 // Tenant returns the named tenant's result row.
 func (r *Result) Tenant(name string) *TenantResult {
 	for i := range r.Tenants {

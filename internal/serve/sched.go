@@ -144,31 +144,26 @@ func (srv *Server) place(p *sim.Proc, t *tenant, b *batch) (*replica, error) {
 			srv.batchReqs += uint64(len(b.reqs))
 			return rep, nil
 		}
-		if srv.allQuarantined(t) {
+		if allRetired(t.reps) {
 			return nil, &PoolQuarantinedError{Tenant: t.spec.Name}
 		}
 		p.Sleep(100 * sim.Microsecond)
 	}
 }
 
-// allRetired reports whether every one of the replicas has retired from
-// service: parked on a quarantined partition or released by an elastic
-// scale-down. Neither comes back without operator (or autoscaler) action, so
-// such a set is not transiently unavailable — it is gone. Replicas that are
-// merely down (transient proceed-trap recovery) do not count: those heal in
-// bounded time.
+// allRetired reports whether every one of the replicas sits on a retired
+// partition (poolPart.retired). Retired capacity does not come back without
+// operator (or autoscaler) action, so such a set is not transiently
+// unavailable — it is gone. Replicas that are merely down (transient
+// proceed-trap recovery) do not count: those heal in bounded time.
 func allRetired(reps []*replica) bool {
 	for _, rep := range reps {
-		if !rep.retired() {
+		if !rep.part.retired() {
 			return false
 		}
 	}
 	return true
 }
-
-// allQuarantined reports whether the tenant's whole pool, on every node, has
-// retired.
-func (srv *Server) allQuarantined(t *tenant) bool { return allRetired(t.reps) }
 
 // placementSet is the replica slice the placement policy ranges over: the
 // tenant's home-node block (node-local placement — the ring picks the node,
@@ -188,7 +183,7 @@ func (srv *Server) pick(t *tenant) *replica {
 	switch srv.cfg.Policy {
 	case DeviceAffinity:
 		rep := reps[t.idx%len(reps)]
-		if rep.retired() || rep.part.draining {
+		if rep.part.retired() || rep.part.draining {
 			return pickLeastOutstanding(reps)
 		}
 		if rep.down {

@@ -297,7 +297,7 @@ const (
 
 // HealthPolicy is the one partition health policy Config.Supervise
 // installs. A 200µs heartbeat with a 3-beat deadline bounds hang detection
-// at 1ms (spm.SPM.HangDetectionBound); a repeat failure delays the mOS
+// at 1ms (spm.Supervision.HangDetectionBound); a repeat failure delays the mOS
 // restart by 500µs, doubling up to 4ms; and QuarantineAfter (3) panic or
 // hang failures inside one second quarantine the partition.
 func HealthPolicy() spm.Supervision {
@@ -622,7 +622,8 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 	srv.clAssignHomes()
 	// Subscribe to SPM failure records: mark every replica on the failed
 	// partition down the instant the proceed-trap fires, so the scheduler
-	// routes around it while its mOS restarts. Every node's SPM is its own
+	// routes around it while its mOS restarts, and the partition quarantined
+	// when the record says it never restarts. Every node's SPM is its own
 	// failure domain, and partition names repeat across nodes ("gpu-part0"
 	// exists on each), so the subscription matches (node, partition) pairs.
 	cancels := make([]func(), 0, len(plats))
@@ -635,15 +636,15 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 				if pp.node != n || pp.sp.Name != rec.Partition {
 					continue
 				}
+				if rec.Quarantined {
+					// Crash-loop policy tripped or the measurement was
+					// revoked: the scheduler must stop waiting on this
+					// partition, not route around a transient restart.
+					pp.quarantined = true
+				}
 				for _, t := range srv.tenants {
 					rep := t.reps[i]
 					rep.down = true
-					if rec.Quarantined {
-						// Crash-loop policy tripped: the scheduler must
-						// stop waiting on this partition, not route
-						// around a transient restart.
-						rep.quarantined = true
-					}
 					if srv.flow {
 						srv.shReplicaDown(rep)
 					} else {

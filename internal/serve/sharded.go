@@ -42,14 +42,15 @@ package serve
 // deadline — a batch whose service time exceeds it burns maxRetries+1
 // timeout windows plus the doubling retryBackoff gaps on its lane and
 // completes with the typed TimeoutError, matching the classic watchdog's
-// accounting). In-flight batches on a dead replica are cancelled (their
-// pending lane/completion events become no-ops) and their requests requeued
-// to the tenant backlog, a recovery proc runs the classic worker's failover
-// body — wait out the SPM restart, reconnect for real — then the backlog
-// re-dispatches. An attestation revocation (attestor.go) instead sheds the
-// revoked replica's in-flight batches (typed *attest.RevokedError, never
-// requeued — results from a partition with a stale measurement are
-// untrusted) before draining the partition through the quarantine path.
+// accounting). Capacity has one lifecycle (DESIGN.md §14.4): in-flight
+// batches on a dead replica are evacuated (their pending lane/completion
+// events become no-ops) and their requests requeued to the tenant backlog, a
+// recovery proc runs the classic worker's failover body — wait out the SPM
+// restart, reconnect for real — then redrive re-places the backlog. An
+// attestation revocation (attestor.go) evacuates with a shed error instead
+// (typed *attest.RevokedError, never requeued — results from a partition
+// with a stale measurement are untrusted) before draining the partition
+// through the quarantine path.
 
 import (
 	"fmt"
@@ -175,19 +176,19 @@ func (srv *Server) shCloseBatch(now sim.Time, t *tenant) {
 // policy, round-robin a lane, charge the host-side submit cost (span check
 // of the arena write plus the ring push) and send the batch through the
 // replica's mailbox port. With no usable replica the batch parks in the
-// tenant backlog (re-driven after recovery) — unless the whole pool is
-// quarantined, which completes the requests with the typed error.
+// tenant backlog (re-driven after recovery) — unless the whole pool has
+// retired, which completes the requests with the typed error.
 func (srv *Server) shDispatch(now sim.Time, t *tenant, b *batch) {
 	rep := srv.pick(t)
 	if rep == nil && srv.clHomeUnusable(t) {
-		// The tenant's whole home-node placement set is quarantined: re-hash
+		// The tenant's whole home-node placement set has retired: re-hash
 		// onto a surviving node before giving up on the batch.
 		if srv.clRehome(now, t, "pool-quarantined") {
 			rep = srv.pick(t)
 		}
 	}
 	if rep == nil {
-		if srv.allQuarantined(t) {
+		if allRetired(t.reps) {
 			srv.finishBatch(b, now, &PoolQuarantinedError{Tenant: t.spec.Name})
 			return
 		}
@@ -328,48 +329,51 @@ func (rep *replica) dropInflight(b *batch) {
 }
 
 // shReplicaDown is the flow-model half of the SPM failure subscription: the
-// replica's in-flight work replays (shCancelInflight), then a recovery proc
-// waits out the restart and reconnects.
+// replica's in-flight work replays (evacuate), then a recovery proc runs the
+// classic worker's failover — wait out the SPM's proceed-trap recovery,
+// settle, real OpenCUDA reconnect: rings, arenas and executors in the
+// partition's new epoch — and re-drives the tenant's backlog, whether the
+// replica came back or its partition quarantined.
 func (srv *Server) shReplicaDown(rep *replica) {
 	t := rep.t
-	srv.shCancelInflight(t, rep)
+	srv.evacuate(srv.pl.K.Now(), t, nil, rep)
 	name := fmt.Sprintf("serve-failover-%s-n%d-p%d", t.spec.Name, rep.part.node, rep.part.idx)
-	srv.pl.K.Spawn(name, func(p *sim.Proc) { srv.shRecover(p, rep) })
+	srv.pl.K.Spawn(name, func(p *sim.Proc) {
+		rep.failover(p)
+		srv.redrive(p.Now(), t, "pool-quarantined")
+	})
 }
 
-// shTakeInflight cancels every batch in flight on the replica — its pending
-// lane and completion events become no-ops — backs it out of the replica's
-// outstanding count and the split-brain ledger, resets the lanes to idle and
-// returns the batches for the caller to replay or shed.
-func (srv *Server) shTakeInflight(t *tenant, rep *replica) []*batch {
-	taken := rep.inflightB
-	rep.inflightB = nil
-	for _, b := range taken {
-		b.cancelled = true
-		rep.outstanding -= len(b.reqs)
-		t.liveCnt -= len(b.reqs)
-	}
-	clear(rep.lanes)
-	return taken
-}
-
-// shCancelInflight is the shared replay primitive of failover, node crash and
-// planned migration: every batch in flight on the given replicas is cancelled
-// and requeued to the front of the tenant backlog as a fresh batch
-// (composition preserved, FIFO order kept), with the per-request replay
-// accounting applied. Returns the number of requests replayed.
-func (srv *Server) shCancelInflight(t *tenant, reps ...*replica) int {
+// evacuate is the one way work leaves a replica early — failover, node crash,
+// a migration's drain deadline and revocation all call it. Every batch in
+// flight on the given replicas is cancelled (its pending lane and completion
+// events become no-ops) and backed out of the replica's outstanding count and
+// the split-brain ledger, and the lanes reset to idle. With shed nil the
+// batches replay: each is requeued to the front of the tenant backlog as a
+// fresh batch (composition preserved, FIFO order kept) with the per-request
+// replay accounting applied. Otherwise they complete at now with shed.
+// Returns the number of requests replayed.
+func (srv *Server) evacuate(now sim.Time, t *tenant, shed error, reps ...*replica) int {
 	var requeued []*batch
 	replayed := 0
 	for _, rep := range reps {
-		for _, b := range srv.shTakeInflight(t, rep) {
+		for _, b := range rep.inflightB {
+			b.cancelled = true
+			rep.outstanding -= len(b.reqs)
+			t.liveCnt -= len(b.reqs)
+			if shed != nil {
+				srv.finishBatch(b, now, shed)
+				continue
+			}
 			for _, r := range b.reqs {
 				r.Replays++
-				t.replayed++
 			}
+			t.replayed += uint64(len(b.reqs))
 			replayed += len(b.reqs)
 			requeued = append(requeued, srv.newBatch(t, b.class, b.reqs))
 		}
+		rep.inflightB = nil
+		clear(rep.lanes)
 	}
 	if len(requeued) > 0 {
 		t.shBacklog = append(requeued, t.shBacklog...)
@@ -377,44 +381,25 @@ func (srv *Server) shCancelInflight(t *tenant, reps ...*replica) int {
 	return replayed
 }
 
-// shRecover is the recovery proc body: the classic worker's failover (wait
-// out the SPM's proceed-trap recovery, settle, real OpenCUDA reconnect —
-// rings, arenas and executors in the partition's new epoch), then re-drive
-// the tenant's backlog. A quarantine refusal parks the replica and, when it
-// was the last usable one, fails the backlog.
-func (srv *Server) shRecover(p *sim.Proc, rep *replica) {
-	if !rep.failover(p) {
-		srv.shQuarantined(p, rep)
-		return
-	}
-	srv.shFlushBacklog(p.Now(), rep.t)
-}
-
-// shQuarantined follows a replica whose failover ended in quarantine: if that
-// leaves the tenant with no usable pool, re-home it or fail the backlog
-// (mirrors the classic place() giving up).
-func (srv *Server) shQuarantined(p *sim.Proc, rep *replica) {
-	t := rep.t
-	if rep.part.node == t.home && srv.clHomeUnusable(t) {
-		// The quarantine emptied the tenant's home placement set: re-home to
-		// a surviving node, which also re-drives the backlog there.
-		if srv.clRehome(p.Now(), t, "pool-quarantined") {
-			return
+// redrive is the one way a tenant's backlog moves after capacity left or came
+// back: re-home the tenant when its home group has retired (clRehome flushes
+// the backlog at the new home), fail the backlog with the typed pool error
+// when the whole pool has retired (no replica can ever take it, and the drain
+// must not be stranded), and otherwise flush it — a batch that still finds no
+// usable replica parks again, in the same order.
+func (srv *Server) redrive(now sim.Time, t *tenant, why string) {
+	switch {
+	case srv.clHomeUnusable(t) && srv.clRehome(now, t, why):
+		// Flushed at the new home.
+	case allRetired(t.reps):
+		backlog := t.shBacklog
+		t.shBacklog = nil
+		err := &PoolQuarantinedError{Tenant: t.spec.Name}
+		for _, b := range backlog {
+			srv.finishBatch(b, now, err)
 		}
-	}
-	if srv.allQuarantined(t) {
-		srv.shFailBacklog(p.Now(), t)
-	}
-}
-
-// shFailBacklog completes the tenant's parked batches with the typed pool
-// error: no replica can ever take them, and the drain must not be stranded.
-func (srv *Server) shFailBacklog(now sim.Time, t *tenant) {
-	backlog := t.shBacklog
-	t.shBacklog = nil
-	err := &PoolQuarantinedError{Tenant: t.spec.Name}
-	for _, b := range backlog {
-		srv.finishBatch(b, now, err)
+	default:
+		srv.shFlushBacklog(now, t)
 	}
 }
 

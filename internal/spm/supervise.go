@@ -62,14 +62,14 @@ func (s *SPM) SetSupervision(sv Supervision) { s.sup = sv }
 // SupervisionConfig returns the effective (defaulted) health policy.
 func (s *SPM) SupervisionConfig() Supervision { return s.sup.withDefaults(s.Costs) }
 
-// HangDetectionBound is the worst-case latency from an mOS wedging to the
-// watchdog raising FailHang: up to one poll period for the watchdog to
-// observe the final pre-wedge beat (resetting its progress clock as late as
-// wedge+period), then MissedBeats periods of required silence, then one more
-// period of poll phase slack before the deadline check strictly exceeds —
-// MissedBeats+2 periods in all.
-func (s *SPM) HangDetectionBound() sim.Duration {
-	sv := s.SupervisionConfig()
+// HangDetectionBound is the worst-case latency under the policy from an mOS
+// wedging to the watchdog raising FailHang: up to one poll period for the
+// watchdog to observe the final pre-wedge beat (resetting its progress clock
+// as late as wedge+period), then MissedBeats periods of required silence,
+// then one more period of poll phase slack before the deadline check strictly
+// exceeds — MissedBeats+2 periods in all. The SPM's effective bound is
+// SupervisionConfig().HangDetectionBound().
+func (sv Supervision) HangDetectionBound() sim.Duration {
 	return sv.HeartbeatEvery * sim.Duration(sv.MissedBeats+2)
 }
 
@@ -171,8 +171,8 @@ func (s *SPM) beatProgress(p *Partition, now sim.Time) sim.Time {
 // StartWatchdog starts the SPM hang detector: every HeartbeatEvery it
 // samples each supervised partition's heartbeat (the shared word armed via
 // ArmHeartbeat) and fails partitions silent for more than MissedBeats periods
-// with FailHang. Detection latency is bounded by HangDetectionBound. Kill the
-// returned proc to stop it.
+// with FailHang. Detection latency is bounded by the policy's
+// HangDetectionBound. Kill the returned proc to stop it.
 func (s *SPM) StartWatchdog() *sim.Proc {
 	sv := s.SupervisionConfig()
 	deadline := sim.Time(sim.Duration(sv.MissedBeats) * sv.HeartbeatEvery)

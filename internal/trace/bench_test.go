@@ -14,22 +14,39 @@ func benchProc() *sim.Proc {
 	return k.Spawn("bench", func(*sim.Proc) {})
 }
 
-func assertZeroAllocs(tb testing.TB, name string, fn func()) {
-	tb.Helper()
-	if n := testing.AllocsPerRun(100, fn); n != 0 {
-		tb.Fatalf("%s allocated %.1f objects per op when disabled", name, n)
+// TestDisabledHooksDoNotAllocate is the disabled-path cost contract for trace
+// hooks: one atomic load, one branch, zero allocations. Causal linkage must
+// not weaken it: with a span context threaded through the process, the hooks
+// still allocate nothing while the collector is off.
+func TestDisabledHooksDoNotAllocate(t *testing.T) {
+	c := &trace.Collector{}
+	p, pc := benchProc(), benchProc()
+	pc.SetTraceCtx(0xdeadbeef, 42)
+	hooks := []struct {
+		name string
+		fn   func()
+	}{
+		{"Instant", func() { c.Instant(p, "cat", "track", "name", nil) }},
+		{"Span", func() { c.Span(p, "cat", "track", "name")() }},
+		{"InstantAt", func() { c.InstantAt(42, "cat", "track", "name", nil) }},
+		{"Span+ctx", func() { c.Span(pc, "cat", "track", "name")() }},
+		{"BeginSpan+ctx", func() { c.BeginSpan(pc, "cat", "track", "name")() }},
+		{"StartSpan+ctx", func() {
+			c.StartSpan(pc, "cat", "track", "name", trace.SpanCtx{Trace: 1, Span: 2})()
+		}},
+		{"SpanAtLinked", func() { c.SpanAtLinked(1, 2, "cat", "track", "name", 1, 2, 3) }},
+	}
+	for _, h := range hooks {
+		if n := testing.AllocsPerRun(100, h.fn); n != 0 {
+			t.Errorf("%s allocated %.1f objects per op when disabled", h.name, n)
+		}
 	}
 }
-
-// The disabled-path cost contract for trace hooks: one atomic load, one
-// branch, zero allocations.
 
 func BenchmarkDisabledInstant(b *testing.B) {
 	c := &trace.Collector{}
 	p := benchProc()
-	assertZeroAllocs(b, "Instant", func() { c.Instant(p, "cat", "track", "name", nil) })
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Instant(p, "cat", "track", "name", nil)
 	}
@@ -38,29 +55,17 @@ func BenchmarkDisabledInstant(b *testing.B) {
 func BenchmarkDisabledSpan(b *testing.B) {
 	c := &trace.Collector{}
 	p := benchProc()
-	assertZeroAllocs(b, "Span", func() { c.Span(p, "cat", "track", "name")() })
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Span(p, "cat", "track", "name")()
 	}
 }
 
-// Causal linkage must not weaken the disabled-path contract: with a span
-// context threaded through the process, the hooks still allocate nothing
-// while the collector is off.
 func BenchmarkDisabledSpanWithCtx(b *testing.B) {
 	c := &trace.Collector{}
 	p := benchProc()
 	p.SetTraceCtx(0xdeadbeef, 42)
-	assertZeroAllocs(b, "Span+ctx", func() { c.Span(p, "cat", "track", "name")() })
-	assertZeroAllocs(b, "BeginSpan+ctx", func() { c.BeginSpan(p, "cat", "track", "name")() })
-	assertZeroAllocs(b, "StartSpan+ctx", func() {
-		c.StartSpan(p, "cat", "track", "name", trace.SpanCtx{Trace: 1, Span: 2})()
-	})
-	assertZeroAllocs(b, "SpanAtLinked", func() { c.SpanAtLinked(1, 2, "cat", "track", "name", 1, 2, 3) })
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Span(p, "cat", "track", "name")()
 	}
@@ -68,9 +73,7 @@ func BenchmarkDisabledSpanWithCtx(b *testing.B) {
 
 func BenchmarkDisabledInstantAt(b *testing.B) {
 	c := &trace.Collector{}
-	assertZeroAllocs(b, "InstantAt", func() { c.InstantAt(42, "cat", "track", "name", nil) })
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.InstantAt(42, "cat", "track", "name", nil)
 	}
