@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check test vet race fuzz bench bench-hotpath bench-build chaos smoke doc-lint ci examples tools figures attack loc clean
+.PHONY: all build fmt-check test vet race fuzz bench bench-build chaos smoke doc-lint ci examples tools figures attack loc clean
 
 all: build vet test race
 
@@ -31,43 +31,20 @@ test:
 race:
 	$(GO) test -race ./... -count=1
 
-# Regenerate every table and figure as testing.B benchmarks, one
-# BenchmarkExperiment/<id> per experiments.Catalog entry.
-bench: bench-hotpath
-	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' .
-
-# Hot-path microbenchmarks (simulated-TLB view accesses, TZASC checks, sRPC
-# sync calls, the sim kernel's per-event costs — self-wake sleep, process
-# switch, CallAt, mailbox round trip, sharded engine — multi-ring sRPC, the
-# 64 KiB data-path shapes — streamed HtoD, synchronous DtoH, fused ExecZC,
-# sealed Ping — one ticket resume, one batch through the flow-model plane of a
-# two-node pool, one native training step per Fig 8 model, one 64 Ki-element
-# relu and relu_bwd launch, one NPU GEMM instruction, the catalogue's fig7, fig8
-# and sRPC-microbenchmark entries, and fig10b at GOMAXPROCS 1 and 2 — the
-# `procs` field keeps those two rows apart), recorded as JSON so before/after host-time numbers can
-# be committed and diffed. The serving plane's numbers live in bench/
-# (BENCHMARK.json); its nine virtual reference rows are pinned by
-# internal/serve/testdata/reference_rows.golden.
-bench-hotpath:
-	{ $(GO) test -bench 'ViewAccess|TZASCCheck|PhysMemWrite4K|Translate' -benchmem -run '^$$' ./internal/spm ./internal/hw ; \
-	  $(GO) test -bench 'ShardedEngine|Kernel|MailboxRoundTrip' -benchmem -run '^$$' ./internal/sim ; \
-	  $(GO) test -bench 'SRPCSyncCall|SrpcMultiRing' -benchmem -benchtime=200x -run '^$$' ./internal/srpc ; \
-	  $(GO) test -bench 'SRPC(HtoD|DtoH|ExecZC)64K|SealedPing64K' -benchmem -benchtime=2000x -run '^$$' ./internal/core ; \
-	  $(GO) test -bench 'TicketResume' -benchmem -run '^$$' ./internal/attest ; \
-	  $(GO) test -bench 'FlowBatch' -benchmem -run '^$$' ./internal/serve ; \
-	  $(GO) test -bench 'TrainStep' -benchmem -benchtime=10x -run '^$$' ./internal/dnn ; \
-	  $(GO) test -bench 'ReLU' -benchmem -run '^$$' ./internal/dnn ; \
-	  $(GO) test -bench 'NPUGemm' -benchmem -run '^$$' ./internal/npu ; \
-	  $(GO) test -bench 'Experiment/^(fig7|fig8|srpc)$$' -benchmem -benchtime=1x -run '^$$' . ; \
-	  $(GO) test -bench 'Experiment/^fig10b$$' -benchmem -benchtime=5x -cpu 1,2 -run '^$$' . ; } \
-	| $(GO) run ./cmd/cronus-benchjson > BENCH_hotpath.json
-	@echo "wrote BENCH_hotpath.json"
+# The repository benchmark (BENCHMARK.json): five workloads, each an untraced
+# run for the end-to-end metrics and a traced run for the per-layer ones. A
+# change's end-to-end medians are appended to BENCH_history.jsonl, which
+# cronus-doclint checks. The Benchmark* functions under internal/ remain
+# `go test -bench` entry points for profiling one layer.
+bench:
+	bash bench/run.sh
 
 # Native fuzzing of the decoders that face bytes another party wrote: the wire
 # codec (mECall arguments, replies, sealed payloads), the sRPC record header
 # the executor validates before trusting a length, the NPU program decoder
-# (vtaRun payloads and NPU enclave images), and the EDL parser whose table a
-# sealed call's name is resolved against. One short leg per target —
+# (vtaRun payloads and NPU enclave images), the EDL parser whose table a
+# sealed call's name is resolved against, and the manifest parser whose memory
+# cap the mEnclave manager enforces. One short leg per target —
 # `go test -fuzz` takes a single target and a single package — on top of the
 # checked-in seed corpora under testdata/fuzz, which every plain `go test` run
 # already replays.
@@ -77,9 +54,12 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordHeader$$' -fuzztime $(FUZZTIME) ./internal/srpc
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInsns$$' -fuzztime $(FUZZTIME) ./internal/mos/driver
 	$(GO) test -run '^$$' -fuzz '^FuzzEDL$$' -fuzztime $(FUZZTIME) ./internal/enclave
+	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/enclave
 
 # Documentation bar: package docs plus doc comments on every exported
-# identifier of the API-bearing packages (serve, srpc, spm, mos, chaos).
+# identifier of the API-bearing packages (serve, srpc, spm, mos, chaos), and
+# the documents: DESIGN.md §4 against experiments.Catalog, every cited
+# DESIGN.md section or EXPERIMENTS.md heading, and BENCH_history.jsonl.
 doc-lint:
 	$(GO) run ./cmd/cronus-doclint
 

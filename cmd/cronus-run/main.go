@@ -80,7 +80,7 @@ func main() {
 			// truncated export is never mistaken for a complete one. The same
 			// count is exported as the trace.events.dropped counter.
 			if dropped := trace.Default.Dropped(); dropped > 0 {
-				fmt.Fprintf(os.Stderr, "cronus-run: warning: %d trace events dropped (raise SetMaxEvents)\n", dropped)
+				fmt.Fprintf(os.Stderr, "cronus-run: warning: %d trace events dropped at the %d-event cap\n", dropped, trace.DefaultMaxEvents)
 			}
 			for _, line := range parts {
 				fmt.Println(line)

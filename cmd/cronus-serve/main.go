@@ -258,7 +258,7 @@ func main() {
 		}
 		fmt.Printf("trace: %d spans -> %s\n", trace.Default.Len(), *traceOut)
 		if dropped := trace.Default.Dropped(); dropped > 0 {
-			fmt.Fprintf(os.Stderr, "cronus-serve: warning: %d trace events dropped (raise SetMaxEvents)\n", dropped)
+			fmt.Fprintf(os.Stderr, "cronus-serve: warning: %d trace events dropped at the %d-event cap\n", dropped, trace.DefaultMaxEvents)
 		}
 		// Where the latency went, per tenant and stage, and the p99 tail
 		// tied back to concrete trace ids.

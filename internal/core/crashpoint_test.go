@@ -16,20 +16,29 @@ import (
 // The crash-point sweep: a deterministic kernel can fail a partition before
 // every event of a scenario, not at a sampled instant. A scenario is one
 // mECall shape ending in a Sync — a streamed Launch, a streamed 64 KiB HtoD, a
-// fused ExecZC — and the fault a crash of the callee's GPU partition
-// (SPM.Fail, FailPanic).
+// fused ExecZC — or the opening of a stream itself (the dynamic-attestation
+// handshake), and the fault a crash of the callee's GPU partition (SPM.Fail,
+// FailPanic).
 
 const sweepScale = 3
 
 // crashScenario is one call shape the sweep crashes the callee under: the
 // device buffer's length in floats (HtoD'd with ramp(elems, 1) when the
 // stream opens), the zero-copy arena the stream needs (0: none), and the call
-// itself, which ends in a Sync. A clean call leaves want in the buffer.
+// itself, which ends in a Sync. A clean call leaves want in the buffer. A nil
+// call sweeps a second OpenCUDA to the partition, beside the open stream.
 type crashScenario struct {
 	elems     int
 	zcPayload int
 	call      func(p *sim.Proc, conn *core.CUDAConn, buf uint64) error
 	want      []byte
+}
+
+// handshake is one OpenCUDA with a zero-copy arena: local attestation, the
+// ring's grant, dCheck, the executor, then the arena's grant.
+func handshake() crashScenario {
+	const n = 64
+	return crashScenario{elems: n, zcPayload: 4 * n, want: ramp(n, 1)}
 }
 
 // launchSync is one streamed Launch scaling the buffer, then a Sync.
@@ -111,8 +120,9 @@ type crashPoint struct {
 // gpu-part0 before the at-th event of the scenario's call. After the call it
 // checks the §IV-D contract at that crash point:
 //
-//   - the call returns nil or an error wrapping srpc.ErrPeerFailed;
-//   - the stream then reports ErrPeerFailed and, having torn down, leaves
+//   - the call returns nil or an error wrapping srpc.ErrPeerFailed; an
+//     opening may also be refused with *spm.NotReadyError;
+//   - the streams then report ErrPeerFailed and, having torn down, leave
 //     the SPM no grant to the dead incarnation;
 //   - after recovery a fresh OpenCUDA on the partition runs the same call
 //     and reads back what it must produce;
@@ -138,10 +148,13 @@ func runCrashPoint(sc crashScenario, at uint64) crashPoint {
 			setupErr = err
 			return
 		}
-		open := func() (*core.CUDAConn, uint64, error) {
-			conn, err := sess.OpenCUDA(p, core.CUDAOptions{
+		dial := func() (*core.CUDAConn, error) {
+			return sess.OpenCUDA(p, core.CUDAOptions{
 				Cubin: gpu.BuildCubin("scale"), Partition: part.Name, ZCPayload: sc.zcPayload,
 			})
+		}
+		open := func() (*core.CUDAConn, uint64, error) {
+			conn, err := dial()
 			if err != nil {
 				return nil, 0, err
 			}
@@ -164,6 +177,19 @@ func runCrashPoint(sc crashScenario, at uint64) crashPoint {
 		settle()
 		watches := pl.M.Mem.WatchCount()
 
+		// streams are the ones the crash must leave dead: the open one and,
+		// when the swept call is an opening that returned, its stream too.
+		streams := []*core.CUDAConn{conn}
+		call := func() error { return sc.call(p, conn, buf) }
+		if sc.call == nil {
+			call = func() error {
+				second, err := dial()
+				if err == nil {
+					streams = append(streams, second)
+				}
+				return err
+			}
+		}
 		start := k.Dispatched()
 		if at > 0 {
 			k.BeforeEvent(start+at, func() {
@@ -171,16 +197,21 @@ func runCrashPoint(sc crashScenario, at uint64) crashPoint {
 				pl.SPM.Fail(part, spm.FailPanic)
 			})
 		}
-		cp.err = sc.call(p, conn, buf)
+		cp.err = call()
 		cp.events = k.Dispatched() - start
 		k.BeforeEvent(0, nil)
-		if cp.err != nil && !errors.Is(cp.err, srpc.ErrPeerFailed) {
+		if cp.err != nil && !isPeerFailed(cp.err) && (sc.call != nil || !isNotReady(cp.err)) {
 			fail("the call returned %v, not nil or ErrPeerFailed", cp.err)
 		}
-		if at == 0 {
-			if err := conn.Close(p); err != nil {
-				fail("close: %v", err)
+		closeAll := func() {
+			for _, s := range streams {
+				if err := s.Close(p); err != nil {
+					fail("close: %v", err)
+				}
 			}
+		}
+		if at == 0 {
+			closeAll()
 			return
 		}
 
@@ -188,8 +219,10 @@ func runCrashPoint(sc crashScenario, at uint64) crashPoint {
 			fail("gpu-part0 did not recover: %v", err)
 			return
 		}
-		if err := conn.Sync(p); !errors.Is(err, srpc.ErrPeerFailed) {
-			fail("the stream to the crashed partition answered %v, not ErrPeerFailed", err)
+		for _, s := range streams {
+			if err := s.Sync(p); !isPeerFailed(err) {
+				fail("a stream to the crashed partition answered %v, not ErrPeerFailed", err)
+			}
 		}
 		if _, stale := pl.SPM.GrantsTo(part); stale != 0 {
 			fail("the SPM holds %d grants to gpu-part0's dead incarnation", stale)
@@ -197,7 +230,7 @@ func runCrashPoint(sc crashScenario, at uint64) crashPoint {
 		settle() // the mOS re-probes its device after a restart
 
 		fresh, fbuf, err := open()
-		if err == nil {
+		if err == nil && sc.call != nil {
 			err = sc.call(p, fresh, fbuf)
 		}
 		var out []byte
@@ -218,9 +251,7 @@ func runCrashPoint(sc crashScenario, at uint64) crashPoint {
 		if err := fresh.Close(p); err != nil {
 			fail("close: %v", err)
 		}
-		if err := conn.Close(p); err != nil {
-			fail("close of the dead stream: %v", err)
-		}
+		closeAll()
 	})
 	// No Stop: the run ends when the queue drains, and a process still
 	// parked then is a DeadlockError naming it.
@@ -254,15 +285,18 @@ func sweepCrashPoints(t *testing.T, sc crashScenario) {
 	if n < 4 {
 		t.Fatalf("the clean call dispatched %d events: a vacuous sweep", n)
 	}
-	held, failed := 0, 0
+	held, peerFailed, notReady := 0, 0, 0
 	for at := uint64(1); at <= n; at++ {
 		cp := runCrashPoint(sc, at)
 		if !cp.fired {
 			t.Errorf("crash point %d of %d: the armed crash never fired", at, n)
 			continue
 		}
-		if cp.err != nil {
-			failed++
+		switch {
+		case isPeerFailed(cp.err):
+			peerFailed++
+		case isNotReady(cp.err):
+			notReady++
 		}
 		for _, v := range cp.violations {
 			t.Errorf("crash point %d of %d: %s", at, n, v)
@@ -271,8 +305,16 @@ func sweepCrashPoints(t *testing.T, sc crashScenario) {
 			held++
 		}
 	}
-	t.Logf("%d of %d crash points hold (%d calls returned ErrPeerFailed, %d returned nil)", held, n, failed, int(n)-failed)
+	t.Logf("%d of %d crash points hold (calls returned ErrPeerFailed %d, NotReadyError %d, nil %d)",
+		held, n, peerFailed, notReady, int(n)-peerFailed-notReady)
 }
+
+func isNotReady(err error) bool {
+	var notReady *spm.NotReadyError
+	return errors.As(err, &notReady)
+}
+
+func isPeerFailed(err error) bool { return errors.Is(err, srpc.ErrPeerFailed) }
 
 // TestCrashPointSweepLaunchSync sweeps a streamed Launch + Sync.
 func TestCrashPointSweepLaunchSync(t *testing.T) { sweepCrashPoints(t, launchSync()) }
@@ -282,3 +324,41 @@ func TestCrashPointSweepHtoDSync(t *testing.T) { sweepCrashPoints(t, htodSync())
 
 // TestCrashPointSweepExecZCSync sweeps a fused ExecZC + Sync.
 func TestCrashPointSweepExecZCSync(t *testing.T) { sweepCrashPoints(t, execZCSync()) }
+
+// TestCrashPointSweepHandshake sweeps the opening of a stream with an arena.
+func TestCrashPointSweepHandshake(t *testing.T) { sweepCrashPoints(t, handshake()) }
+
+// holdHandshakeCrash crashes gpu-part0 at each of the handshake's points,
+// which must refuse the opening as want says and keep the contract.
+func holdHandshakeCrash(t *testing.T, want func(error) bool, points ...uint64) {
+	t.Helper()
+	for _, at := range points {
+		cp := runCrashPoint(handshake(), at)
+		if !cp.fired || !want(cp.err) {
+			t.Errorf("crash point %d: fired %v, the opening returned %v", at, cp.fired, cp.err)
+		}
+		for _, v := range cp.violations {
+			t.Errorf("crash point %d: %s", at, v)
+		}
+	}
+}
+
+// TestHandshakeCrashInStreamSetupUnsharesRing: the peer dies while it handles
+// the stream setup, after the ring was shared with it. Connect's refusal
+// dissolves the ring's grant.
+func TestHandshakeCrashInStreamSetupUnsharesRing(t *testing.T) {
+	holdHandshakeCrash(t, isPeerFailed, 11, 12, 13)
+}
+
+// TestHandshakeCrashBeforeArenaShareAbandonsRing: the arena's share is refused
+// with the ring already connected. OpenCUDA abandons the ring it opened.
+func TestHandshakeCrashBeforeArenaShareAbandonsRing(t *testing.T) {
+	holdHandshakeCrash(t, isNotReady, 14, 15, 16)
+}
+
+// TestHandshakeCrashInArenaHeaderRevokesArena: the arena is shared but its
+// geometry cannot be published. The stream's teardown revokes the arena's
+// grant along with the ring's.
+func TestHandshakeCrashInArenaHeaderRevokesArena(t *testing.T) {
+	holdHandshakeCrash(t, isPeerFailed, 17, 18, 19)
+}

@@ -107,15 +107,17 @@ func (s *Session) OpenCUDA(p *sim.Proc, opts CUDAOptions) (*CUDAConn, error) {
 	for i := 0; i < nrings; i++ {
 		client, err := srpc.Connect(p, s.owner, res.eid, secret, edl, expected,
 			s.Platform.D, opts.RingPages)
-		if err != nil {
-			return nil, err
-		}
-		if opts.ZCPayload > 0 {
-			if err := client.GrantArena(p, opts.ZCPayload); err != nil {
-				return nil, err
+		if err == nil {
+			rings = append(rings, client)
+			if opts.ZCPayload > 0 {
+				err = client.GrantArena(p, opts.ZCPayload)
 			}
 		}
-		rings = append(rings, client)
+		if err != nil {
+			// No connection is handed back, so the refusal closes what it opened.
+			(&CUDAConn{rings: rings}).Abandon()
+			return nil, err
+		}
 	}
 	s.manifests[opts.Name] = res.hash
 	pages := opts.RingPages
@@ -139,10 +141,7 @@ type createResult struct {
 // Client exposes the underlying stream (stats, advanced use).
 func (c *CUDAConn) Client() *srpc.Client { return c.client }
 
-// NumRings returns the number of parallel sRPC streams this connection holds.
-func (c *CUDAConn) NumRings() int { return len(c.rings) }
-
-// Ring returns a view of the connection bound to stream i (mod NumRings):
+// Ring returns a view of the connection bound to stream i (mod its rings):
 // the same enclave, chunking and session, but calls issued through it travel
 // the selected ring and executor. Views share lifecycle with the parent —
 // Close/Abandon on the parent tears every ring down.

@@ -21,8 +21,9 @@ import (
 )
 
 // The data-path tests: the buffer-lifetime contract under a poisoning recycle
-// hook, the steady-state allocation budget per call shape, and the 64 KiB
-// microbenchmarks behind BENCH_hotpath.json's srpc rows.
+// hook, the steady-state allocation budget per call shape, and 64 KiB
+// microbenchmarks of each shape (the repository benchmark's srpc_calls
+// workload runs the same shapes end to end).
 
 const dataBuf = 64 << 10
 

@@ -3,6 +3,8 @@ package enclave
 import (
 	"bytes"
 	"errors"
+	"math/big"
+	"strings"
 	"testing"
 )
 
@@ -45,4 +47,52 @@ func FuzzEDL(f *testing.F) {
 			agree(data[i : i+4])
 		}
 	})
+}
+
+// FuzzManifest feeds arbitrary bytes to ParseManifest and the memory cap of
+// whatever it decoded to MemoryBytes, which the mEnclave manager enforces
+// (AllocShared). Neither may panic, and the cap must be exactly the count
+// times its suffix or be refused — never a value that wrapped at 2^64. The
+// seed corpus is under testdata/fuzz/FuzzManifest.
+func FuzzManifest(f *testing.F) {
+	f.Add([]byte(`{"device_type":"gpu","images":{"cuda.edl":"00"},"mecalls":"cuda.edl","resources":{"memory":"128M"}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, _ := ParseManifest(data)
+		got, err := m.Resources.MemoryBytes()
+		want, ok := exactCap(m.Resources.Memory)
+		switch {
+		case ok && want.IsUint64():
+			if err != nil || got != want.Uint64() {
+				t.Fatalf("cap %q = %d, %v; want %s", m.Resources.Memory, got, err, want)
+			}
+		case err == nil:
+			t.Fatalf("cap %q = %d; want a refusal (exact value %v)", m.Resources.Memory, got, want)
+		}
+	})
+}
+
+// exactCap is the memory cap s denotes in arbitrary precision, or false when s
+// is not a decimal count with an optional K, M or G suffix.
+func exactCap(s string) (*big.Int, bool) {
+	s = strings.TrimSpace(s)
+	if s == "" {
+		return new(big.Int), true
+	}
+	shift := uint(0)
+	switch s[len(s)-1] {
+	case 'G':
+		shift = 30
+	case 'M':
+		shift = 20
+	case 'K':
+		shift = 10
+	}
+	if shift > 0 {
+		s = s[:len(s)-1]
+	}
+	if s == "" || strings.Trim(s, "0123456789") != "" {
+		return nil, false
+	}
+	n, _ := new(big.Int).SetString(s, 10)
+	return n.Lsh(n, shift), true
 }

@@ -10,6 +10,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math/bits"
 	"sort"
 	"strconv"
 	"strings"
@@ -22,7 +23,8 @@ type Resources struct {
 	Memory string `json:"memory"` // e.g. "1G", "256M"
 }
 
-// MemoryBytes parses the memory cap. Empty means no explicit cap.
+// MemoryBytes parses the memory cap. Empty means no explicit cap; a cap of
+// 2^64 bytes or more is an error, never a wrapped value.
 func (r Resources) MemoryBytes() (uint64, error) {
 	s := strings.TrimSpace(r.Memory)
 	if s == "" {
@@ -44,7 +46,11 @@ func (r Resources) MemoryBytes() (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("enclave: bad memory cap %q: %w", r.Memory, err)
 	}
-	return n * mult, nil
+	hi, bytes := bits.Mul64(n, mult)
+	if hi != 0 {
+		return 0, fmt.Errorf("enclave: memory cap %q exceeds 2^64 bytes", r.Memory)
+	}
+	return bytes, nil
 }
 
 // Manifest describes one mEnclave, mirroring the paper's Figure 3.

@@ -222,7 +222,7 @@ var lockSites = map[string]string{}
 // TestNoLocksUnderOneKernel fails on a lock or an atomic in the simulated
 // memory system that lockSites does not list: the data path crosses these two
 // packages on every ring word, and a lock nobody can contend is host time
-// (EXPERIMENTS.md "Simulated memory without locks or maps") and a false
+// (the hw and spm rows of EXPERIMENTS.md "Per-layer budgets") and a false
 // statement about who shares the state.
 func TestNoLocksUnderOneKernel(t *testing.T) {
 	root, err := repoRoot()

@@ -77,7 +77,7 @@ type CreateResult struct {
 // caller, and mints an eid whose top 8 bits are the mOS id.
 func (em *EnclaveManager) Create(p *sim.Proc, name string, man enclave.Manifest, files map[string][]byte, callerDHPub []byte) (*CreateResult, *Enclave, error) {
 	if em.mos.Part.State() != spm.PartReady {
-		return nil, nil, fmt.Errorf("mos: partition %q not ready", em.mos.Part.Name)
+		return nil, nil, &spm.NotReadyError{Msg: fmt.Sprintf("mos: partition %q not ready", em.mos.Part.Name)}
 	}
 	if man.DeviceType != em.mos.HAL.DeviceType() {
 		return nil, nil, fmt.Errorf("mos: manifest device type %q does not match this mOS (%q) — %w",

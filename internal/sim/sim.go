@@ -147,8 +147,8 @@ func (d Duration) Milliseconds() float64 { return float64(d) / 1e6 }
 // more through a copy routine — so the generation and the band share a word
 // (gb): with the generation in a word of its own (72 bytes) a self-wake sleep
 // measured 36 ns against 28. The heap stays one array of whole events: a
-// keys-here, bodies-there split was tried and lost to it (EXPERIMENTS.md
-// "Flow-plane allocation budget").
+// keys-here, bodies-there split was tried and lost to it (the flow-plane
+// allocation budget under EXPERIMENTS.md "History").
 type event struct {
 	t    Time
 	a, b uint64

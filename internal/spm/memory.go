@@ -48,7 +48,7 @@ func (g *grant) coversPeer(vpn uint64) bool {
 // read-write into its stage-2 table. It returns the base IPA.
 func (s *SPM) AllocMem(p *Partition, npages int) (uint64, error) {
 	if p.state != PartReady {
-		return 0, fmt.Errorf("spm: partition %q not ready (r_f set)", p.Name)
+		return 0, &NotReadyError{Msg: fmt.Sprintf("spm: partition %q not ready (r_f set)", p.Name)}
 	}
 	base := p.ipaNext
 	for i := 0; i < npages; i++ {
@@ -87,10 +87,10 @@ func (s *SPM) FreeMem(p *Partition, ipa uint64, npages int) {
 // the share-once rule and refuses while either side has r_f set.
 func (s *SPM) Share(owner *Partition, ownerIPA uint64, npages int, peer *Partition) (uint64, int, error) {
 	if owner.state != PartReady {
-		return 0, 0, fmt.Errorf("spm: share refused, owner %q not ready", owner.Name)
+		return 0, 0, &NotReadyError{Msg: fmt.Sprintf("spm: share refused, owner %q not ready", owner.Name)}
 	}
 	if peer.state != PartReady {
-		return 0, 0, fmt.Errorf("spm: share refused, peer %q not ready (r_f set)", peer.Name)
+		return 0, 0, &NotReadyError{Msg: fmt.Sprintf("spm: share refused, peer %q not ready (r_f set)", peer.Name)}
 	}
 	if owner == peer {
 		return 0, 0, fmt.Errorf("spm: cannot share a page with the owning partition")
@@ -269,6 +269,14 @@ func (e *PartitionDownError) Error() string {
 	return fmt.Sprintf("spm: partition %q is down or restarted", e.Name)
 }
 
+// NotReadyError is the refusal of AllocMem, Share, LocalReportFor or the
+// mOS's enclave creation to act on a partition whose r_f is set — restarting,
+// quarantined or revoked. The operation may succeed once AwaitReady returns.
+type NotReadyError struct{ Msg string }
+
+// Error implements error.
+func (e *NotReadyError) Error() string { return e.Msg }
+
 // View is a memory view used by code executing inside a partition: an
 // optional stage-1 table (the mEnclave's VA space) over the partition's
 // stage-2 table. A per-view simulated TLB (tlb.go) caches completed walks;
@@ -294,9 +302,6 @@ type View struct {
 func (s *SPM) NewView(p *Partition, s1 *hw.AddrSpace) *View {
 	return &View{spm: s, part: p, s1: s1, epoch: p.epoch, tlb: make(map[uint64]tlbEntry)}
 }
-
-// Stage1 returns the view's stage-1 table (nil for an mOS view).
-func (v *View) Stage1() *hw.AddrSpace { return v.s1 }
 
 // Partition returns the partition this view executes in.
 func (v *View) Partition() *Partition { return v.part }

@@ -416,7 +416,7 @@ func (s *SPM) BuildReport(enclaves map[string]attest.Measurement, nonce uint64) 
 // partition p — used during sRPC establishment (§IV-A "Local Attestation").
 func (s *SPM) LocalReportFor(p *Partition, eid uint32, enclaveHash attest.Measurement, nonce uint64) (attest.LocalReport, []byte, error) {
 	if p.state != PartReady {
-		return attest.LocalReport{}, nil, fmt.Errorf("spm: partition %q not ready", p.Name)
+		return attest.LocalReport{}, nil, &NotReadyError{Msg: fmt.Sprintf("spm: partition %q not ready", p.Name)}
 	}
 	if s.attestFault != nil {
 		if err := s.attestFault(p); err != nil {

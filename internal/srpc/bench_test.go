@@ -197,7 +197,7 @@ func openBenchStream(p *sim.Proc) (*core.CUDAConn, uint64, error) {
 // the load is spread over parallel rings to one enclave. One ring serializes
 // every record behind a single executor and doorbell; with several rings,
 // independent submitter/executor pairs never touch each other's header
-// words. Host ns/op is the tracked number (exported to BENCH_hotpath.json).
+// words. Host ns/op is the number to watch.
 func BenchmarkSrpcMultiRing(b *testing.B) {
 	for _, rings := range []int{1, 4} {
 		rings := rings

@@ -128,6 +128,13 @@ func Connect(p *sim.Proc, owner *mos.Enclave, peerEID uint32, secret []byte, pee
 		gid:      gid,
 		costs:    costs,
 	}
+	// A refusal from here on dissolves the grant, since it returns no stream.
+	established := false
+	defer func() {
+		if !established {
+			c.teardown()
+		}
+	}()
 	// Initialize the header.
 	challenge := nonce ^ 0xdeadbeefcafef00d
 	if err := c.ring.writeU64(p, offMagic, streamMagic); err != nil {
@@ -174,6 +181,7 @@ func Connect(p *sim.Proc, owner *mos.Enclave, peerEID uint32, secret []byte, pee
 		return nil, fmt.Errorf("srpc: executor creation failed: %w", err)
 	}
 	mStreams.Inc()
+	established = true
 	return c, nil
 }
 

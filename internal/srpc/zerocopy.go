@@ -143,6 +143,8 @@ func (c *Client) GrantArena(p *sim.Proc, payloadCap int) error {
 		return err
 	}
 	c.owner.TrackGrant(gid)
+	// Recorded before anything can fail, so a teardown revokes this grant too.
+	c.arena = &arena{base: ipa, peerIPA: peerIPA, pages: npages, gid: gid, slotBytes: slotBytes, nslots: nslots}
 	p.Sleep(sim.Duration(npages) * c.costs.MapPage)
 	// Publish the geometry in the ring header — trusted shared memory the
 	// executor already reads its indices from — so it can hold every fused
@@ -154,7 +156,6 @@ func (c *Client) GrantArena(p *sim.Proc, payloadCap int) error {
 	if err := c.ring.writeU64(p, offArenaSlot, slotBytes); err != nil {
 		return c.fail(err)
 	}
-	c.arena = &arena{base: ipa, peerIPA: peerIPA, pages: npages, gid: gid, slotBytes: slotBytes, nslots: nslots}
 	return nil
 }
 

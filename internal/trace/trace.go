@@ -6,9 +6,8 @@
 // Tracing is disabled by default and costs one atomic load and a branch per
 // hook when off — and allocates nothing. The collector is safe to record into
 // from any goroutine and safe to Enable/Disable/Write around a running
-// kernel; recorded events are bounded by a configurable cap (see
-// SetMaxEvents) so long runs cannot grow without limit. Events dropped at the
-// cap are counted both on the collector (Dropped) and in the metrics registry
+// kernel; recorded events are bounded by DefaultMaxEvents so long runs cannot
+// grow without limit. Events dropped at the cap are counted both on the collector (Dropped) and in the metrics registry
 // ("trace.events.dropped"), so a truncated trace is never silent.
 //
 // Causal linkage: every event can carry a TraceID (the request it belongs
@@ -39,7 +38,7 @@ import (
 	"cronus/internal/sim"
 )
 
-// DefaultMaxEvents bounds a collector that was not given an explicit cap.
+// DefaultMaxEvents bounds the events a collector retains.
 const DefaultMaxEvents = 1 << 20
 
 // mDropped counts events discarded at the cap, surfacing silent trace
@@ -84,7 +83,7 @@ type Collector struct {
 
 	mu      sync.Mutex
 	events  []Event
-	max     int // 0: DefaultMaxEvents; negative: unlimited
+	max     int // > 0: a lower cap, set only by tests (export_test.go)
 	dropped uint64
 	tap     func(Event)
 
@@ -118,15 +117,6 @@ func (c *Collector) Disable() { c.enabled.Store(false) }
 
 // Enabled reports whether events are being recorded.
 func (c *Collector) Enabled() bool { return c.enabled.Load() }
-
-// SetMaxEvents bounds the number of retained events: once reached, further
-// events are counted as dropped instead of stored. n == 0 restores
-// DefaultMaxEvents; n < 0 removes the bound.
-func (c *Collector) SetMaxEvents(n int) {
-	c.mu.Lock()
-	c.max = n
-	c.mu.Unlock()
-}
 
 // SetTap installs an observer called (under the collector lock) for every
 // event recorded while enabled — the flight recorder's feed. The tap sees
@@ -175,11 +165,7 @@ func (c *Collector) add(e Event) {
 	if c.tap != nil {
 		c.tap(e)
 	}
-	limit := c.max
-	if limit == 0 {
-		limit = DefaultMaxEvents
-	}
-	if limit > 0 && len(c.events) >= limit {
+	if len(c.events) >= DefaultMaxEvents || c.max > 0 && len(c.events) >= c.max {
 		c.dropped++
 		mDropped.Inc()
 		return
