@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check test vet race fuzz bench bench-build chaos smoke doc-lint ci examples tools figures attack loc clean
+.PHONY: all build fmt-check test vet race cover fuzz bench bench-build chaos smoke doc-lint ci examples tools figures attack loc clean
 
 all: build vet test race
 
@@ -18,6 +18,24 @@ fmt-check:
 
 test:
 	$(GO) test ./... -count=1
+
+# Every non-test function under internal/ runs under the test suite or leaves
+# the tree. The suite runs once with coverage over internal/..., the functions
+# that read 0.0% are printed, and any outside the allowlist fails: Error and
+# String methods, which exist for fmt, and internal/prof, which only the CLIs'
+# -cpuprofile/-memprofile flags reach. An empty-bodied function always reads
+# 0.0%, called or not (it has no statement to count) — how three no-op HAL
+# methods once showed up although the restart hook called them — so the gate
+# refuses a new no-op method too.
+cover:
+	@p="$$(mktemp)"; trap 'rm -f "$$p"' EXIT; \
+	$(GO) test -count=1 -coverpkg=./internal/... -coverprofile="$$p" ./... || exit 1; \
+	funcs="$$($(GO) tool cover -func="$$p")" || exit 1; \
+	echo "$$funcs" | tail -n 1; \
+	zero="$$(echo "$$funcs" | awk '$$NF == "0.0%"')"; \
+	echo "functions never run: $$(echo "$$zero" | grep -c .)"; echo "$$zero"; \
+	bad="$$(echo "$$zero" | awk '$$2 != "Error" && $$2 != "String" && $$1 !~ /^cronus\/internal\/prof\//')"; \
+	test -z "$$bad" || { echo "never run and not allowlisted:"; echo "$$bad"; exit 1; }
 
 # The trace/metrics hooks are lock-free on the hot paths; prove it under the
 # race detector (the sim kernel's handshake provides the happens-before edges).
@@ -98,8 +116,9 @@ bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The one CI list — .github/workflows/ci.yml runs exactly `make ci`: the
-# format check, build, vet, the full test suite (the causal-tracing guards and
-# the cronus-attack defences included), the race detector over the concurrency-heavy
+# format check, build, vet, the full test suite under the coverage gate (the
+# causal-tracing guards and the cronus-attack defences included), the race
+# detector over the concurrency-heavy
 # packages, a short fuzz leg per target, the documentation bar, the benchmark
 # module, the CLI smoke runs, the seven examples (nothing else executes them)
 # and the replay-verified chaos soaks.
@@ -107,7 +126,7 @@ ci:
 	$(MAKE) fmt-check
 	$(GO) build ./...
 	$(GO) vet ./...
-	$(GO) test ./... -count=1
+	$(MAKE) cover
 	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/hw ./internal/sim \
 		./internal/experiments ./internal/core ./internal/gpu \
 		./internal/dnn ./internal/workload/rodinia ./internal/tvm

@@ -119,12 +119,6 @@ func NewTicketCache(seed []byte, capacity int, ttl sim.Duration, reg *metrics.Re
 	}
 }
 
-// TTL is the cache's virtual-time ticket lifetime.
-func (c *TicketCache) TTL() sim.Duration { return c.ttl }
-
-// Cap is the cache's live-ticket bound.
-func (c *TicketCache) Cap() int { return c.cap }
-
 // Len is the number of live tickets.
 func (c *TicketCache) Len() int { return c.lru.Len() }
 

@@ -348,6 +348,14 @@ func TestKnownKindsPinned(t *testing.T) {
 	if !strings.Contains(err.Error(), strings.Join(names, ",")) {
 		t.Fatalf("error message does not enumerate every known kind:\n%v", err)
 	}
+	// The usage text's two topology lists partition the vocabulary: the
+	// single-platform kinds, then the cluster kinds, in canonical order.
+	if got := TopologyKinds(false) + "," + TopologyKinds(true); got != strings.Join(names, ",") {
+		t.Errorf("TopologyKinds(false), TopologyKinds(true) = %s, want %s", got, strings.Join(names, ","))
+	}
+	if got := TopologyKinds(false); got != "crash,ring-corrupt,device-hang,attest-fail,persistent-hang,crash-loop" {
+		t.Errorf("TopologyKinds(false) = %s", got)
+	}
 }
 
 // TestCrashLoopCompileDegrades pins the crash-loop draw guards: at most one

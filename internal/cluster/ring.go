@@ -65,9 +65,6 @@ func NewRing(nodes, vnodes int, seed int64) (*Ring, error) {
 	return r, nil
 }
 
-// Nodes returns the node count the ring was built for.
-func (r *Ring) Nodes() int { return r.nodes }
-
 // keyHash positions a key on the circle (seed-perturbed, so assignments
 // across seeds are independent).
 func (r *Ring) keyHash(key string) uint64 {

@@ -320,6 +320,67 @@ func TestDeviceErrorsSurfaceThroughStream(t *testing.T) {
 	}
 }
 
+// TestCUDAMemFreeReturnsMemory: cuMemFree through the stream gives the
+// device memory back. It is asynchronous, so a second free of the pointer is
+// the sticky error the next Sync reports — after which the stream still
+// carries an HtoD and a DtoH.
+func TestCUDAMemFreeReturnsMemory(t *testing.T) {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		s, err := pl.NewSession(p, "free")
+		if err != nil {
+			return err
+		}
+		g, err := s.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("vec_add")})
+		if err != nil {
+			return err
+		}
+		defer g.Close(p)
+		dev := pl.GPUs[0].Dev
+		before := dev.MemUsed()
+		ptr, err := g.MemAlloc(p, 4096)
+		if err != nil {
+			return err
+		}
+		if got := dev.MemUsed(); got != before+4096 {
+			t.Errorf("device memory in use %d after a 4096-byte alloc, %d before", got, before)
+		}
+		if err := g.MemFree(p, ptr); err != nil {
+			return err
+		}
+		if err := g.Sync(p); err != nil {
+			return err
+		}
+		if got := dev.MemUsed(); got != before {
+			t.Errorf("device memory in use %d after the free, %d before the alloc", got, before)
+		}
+		if err := g.MemFree(p, ptr); err != nil {
+			return err
+		}
+		if err := g.Sync(p); err == nil || !strings.Contains(err.Error(), "no such allocation") {
+			t.Errorf("Sync after a double free: %v, want the device's no-such-allocation error", err)
+		}
+		buf, err := g.MemAlloc(p, 16)
+		if err != nil {
+			return err
+		}
+		want := gpu.PackF32([]float32{1, 2, 3, 4})
+		if err := g.HtoD(p, buf, want); err != nil {
+			return err
+		}
+		got, err := g.DtoH(p, buf, len(want))
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("round trip after the double free read %v", gpu.UnpackF32(got))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // The owner enclave dying mid-stream notifies the callee side cleanly: its
 // executor exits via the trap instead of spinning (the mirror of the
 // callee-failure case).

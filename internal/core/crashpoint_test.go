@@ -16,9 +16,9 @@ import (
 // The crash-point sweep: a deterministic kernel can fail a partition before
 // every event of a scenario, not at a sampled instant. A scenario is one
 // mECall shape ending in a Sync — a streamed Launch, a streamed 64 KiB HtoD, a
-// fused ExecZC — or the opening of a stream itself (the dynamic-attestation
-// handshake), and the fault a crash of the callee's GPU partition (SPM.Fail,
-// FailPanic).
+// fused ExecZC, a cuMemAlloc and cuMemFree — or the opening of a stream itself
+// (the dynamic-attestation handshake), and the fault a crash of the callee's
+// GPU partition (SPM.Fail, FailPanic).
 
 const sweepScale = 3
 
@@ -102,6 +102,26 @@ func execZCSync() crashScenario {
 			return err
 		},
 		want: ramp(n, 2*sweepScale),
+	}
+}
+
+// allocFreeSync allocates a second buffer, frees it and Syncs: the teardown
+// of device memory. The stream's own buffer is left as it was.
+func allocFreeSync() crashScenario {
+	const n = 64
+	return crashScenario{
+		elems: n,
+		call: func(p *sim.Proc, conn *core.CUDAConn, _ uint64) error {
+			scratch, err := conn.MemAlloc(p, 4096)
+			if err != nil {
+				return err
+			}
+			if err := conn.MemFree(p, scratch); err != nil {
+				return err
+			}
+			return conn.Sync(p)
+		},
+		want: ramp(n, 1),
 	}
 }
 
@@ -324,6 +344,9 @@ func TestCrashPointSweepHtoDSync(t *testing.T) { sweepCrashPoints(t, htodSync())
 
 // TestCrashPointSweepExecZCSync sweeps a fused ExecZC + Sync.
 func TestCrashPointSweepExecZCSync(t *testing.T) { sweepCrashPoints(t, execZCSync()) }
+
+// TestCrashPointSweepMemAllocFree sweeps a cuMemAlloc, a cuMemFree and a Sync.
+func TestCrashPointSweepMemAllocFree(t *testing.T) { sweepCrashPoints(t, allocFreeSync()) }
 
 // TestCrashPointSweepHandshake sweeps the opening of a stream with an arena.
 func TestCrashPointSweepHandshake(t *testing.T) { sweepCrashPoints(t, handshake()) }

@@ -104,9 +104,6 @@ func (s *Session) OpenNPU(p *sim.Proc, opts NPUOptions) (*NPUConn, error) {
 	return &NPUConn{sess: s, client: client, EID: eid, chunk: chunk}, nil
 }
 
-// Client exposes the underlying stream.
-func (c *NPUConn) Client() *srpc.Client { return c.client }
-
 // MemAlloc implements accel.NPU.
 func (c *NPUConn) MemAlloc(p *sim.Proc, n uint64) (uint64, error) {
 	res, err := c.client.Call(p, driver.CallVTAMemAlloc, driver.EncodeMemAlloc(n))

@@ -220,6 +220,3 @@ func (t *Trainer) GradientBytes() int {
 
 // GradPtrs exposes the per-layer gradient buffers (multi-GPU exchange).
 func (t *Trainer) GradPtrs() []uint64 { return t.dw }
-
-// WeightLens exposes per-layer weight element counts.
-func (t *Trainer) WeightLens() []int { return t.wLen }

@@ -1,8 +1,57 @@
 package experiments
 
 import (
+	"errors"
 	"testing"
+
+	"cronus/internal/core"
+	"cronus/internal/gpu"
+	"cronus/internal/sim"
+	"cronus/internal/srpc"
 )
+
+// TestSyncForcedCUDAFreesAndCloses: the lock-step wrapper's MemFree is a
+// synchronous call — the device memory is back when it returns, and a second
+// free of the pointer fails there, not at the next Sync — and its Close
+// closes the stream.
+func TestSyncForcedCUDAFreesAndCloses(t *testing.T) {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		s, err := pl.NewSession(p, "lock-step")
+		if err != nil {
+			return err
+		}
+		conn, err := s.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("vec_add")})
+		if err != nil {
+			return err
+		}
+		ops := &syncForcedCUDA{inner: conn}
+		dev := pl.GPUs[0].Dev
+		before := dev.MemUsed()
+		ptr, err := ops.MemAlloc(p, 4096)
+		if err != nil {
+			return err
+		}
+		if err := ops.MemFree(p, ptr); err != nil {
+			t.Errorf("MemFree: %v", err)
+		}
+		if got := dev.MemUsed(); got != before {
+			t.Errorf("device memory in use %d after the free, %d before the alloc", got, before)
+		}
+		if err := ops.MemFree(p, ptr); err == nil {
+			t.Error("a second free of the pointer succeeded")
+		}
+		if err := ops.Close(p); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+		if _, err := ops.MemAlloc(p, 64); !errors.Is(err, srpc.ErrStreamClosed) {
+			t.Errorf("MemAlloc after Close: %v, want ErrStreamClosed", err)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestAblationStreamingShowsTheWin(t *testing.T) {
 	rows, err := AblationStreaming()

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -272,6 +273,27 @@ func TestTables(t *testing.T) {
 	}
 	if !strings.Contains(t3.String(), "monolithic total") {
 		t.Error("Table III missing monolithic total")
+	}
+	// cronus-loc's yardstick: one row per package directory, then a total
+	// that is their sum.
+	loc, err := PackageLoC()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, counts := 0, map[string]int{}
+	for _, r := range loc.Rows[:len(loc.Rows)-1] {
+		n, err := strconv.Atoi(r[1])
+		if err != nil || n <= 0 {
+			t.Errorf("package %s: LoC %q", r[0], r[1])
+		}
+		counts[r[0]] = n
+		sum += n
+	}
+	if counts["internal/serve"] <= 0 {
+		t.Errorf("PackageLoC lists no lines for internal/serve: %v", loc.Rows)
+	}
+	if total := loc.Rows[len(loc.Rows)-1]; total[0] != "total" || total[1] != strconv.Itoa(sum) {
+		t.Errorf("last row %v, want total %d", total, sum)
 	}
 }
 

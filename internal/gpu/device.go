@@ -114,9 +114,6 @@ func (d *Device) ConfigureMIG(n int) {
 	d.migSlices = n
 }
 
-// MIGSlices returns the configured slice count (0 = disabled).
-func (d *Device) MIGSlices() int { return d.migSlices }
-
 // Reset implements hw.Device: it drops every context and scrubs all device
 // memory — the SPM's failure-clearing hook (A3).
 func (d *Device) Reset() {
@@ -225,9 +222,6 @@ type Context struct {
 	// by execArgs just before the kernel's Cost or Func reads it.
 	exec Exec
 }
-
-// ID returns the context id.
-func (c *Context) ID() int { return c.id }
 
 func (c *Context) check() error {
 	if c.gen != c.dev.gen {
@@ -380,12 +374,12 @@ func CopyPeer(p *sim.Proc, dst *Context, dstPtr uint64, src *Context, srcPtr uin
 	if err != nil {
 		return err
 	}
-	// Both devices' copy engines are busy for the transfer.
+	// Both devices' copy engines are busy for the transfer (a kill releases).
 	src.dev.copyEng.Acquire(p, 1)
+	defer src.dev.copyEng.Release(1)
 	dst.dev.copyEng.Acquire(p, 1)
+	defer dst.dev.copyEng.Release(1)
 	p.Sleep(src.dev.costs.DMA(n))
-	src.dev.copyEng.Release(1)
-	dst.dev.copyEng.Release(1)
 	copy(db, sb)
 	return nil
 }

@@ -288,6 +288,104 @@ func TestResetScrubsMemoryAndKillsContexts(t *testing.T) {
 	}
 }
 
+// TestDestroyContextScrubsAndFrees: destroying a CUDA mEnclave's context
+// scrubs its memory and gives it back; a sibling context keeps its own.
+func TestDestroyContextScrubsAndFrees(t *testing.T) {
+	inSim(t, func(p *sim.Proc) {
+		d := New(p.Kernel(), sim.DefaultCosts(), TuringConfig("gpu0"))
+		sibling := d.CreateContext()
+		sPtr, _ := sibling.MemAlloc(32)
+		sibling.HtoD(p, sPtr, []byte("the sibling's data.............."))
+		used := d.MemUsed()
+		victim := d.CreateContext()
+		ptr, _ := victim.MemAlloc(64)
+		victim.HtoD(p, ptr, []byte("the victim's weights............"))
+		backing, _ := victim.resolve(ptr, 32)
+		d.DestroyContext(victim)
+		for _, b := range backing {
+			if b != 0 {
+				t.Error("a destroyed context's memory was not scrubbed")
+				break
+			}
+		}
+		if got := d.MemUsed(); got != used {
+			t.Errorf("device memory in use %d after the destroy, %d before the context", got, used)
+		}
+		if err := victim.HtoD(p, ptr, []byte{1}); err == nil {
+			t.Error("a destroyed context still resolves its pointers")
+		}
+		out := make([]byte, 32)
+		if err := sibling.DtoH(p, out, sPtr); err != nil || string(out[:18]) != "the sibling's data" {
+			t.Errorf("the sibling's memory after the destroy: %q, %v", out[:18], err)
+		}
+	})
+}
+
+// TestKilledUserReleasesEngines: recovery kills a partition's procs wherever
+// they are, a DMA or a kernel in flight included. The copy engine or the
+// whole-device lock they held must come back, or the next tenant of the
+// device waits forever.
+func TestKilledUserReleasesEngines(t *testing.T) {
+	Register(&Kernel{
+		Name: "long_kernel",
+		Cost: func(sms float64, _ Dim, _ []uint64) LaunchCost {
+			return LaunchCost{Work: sim.Duration(sim.Millisecond), SMDemand: sms}
+		},
+		Func: func(e *Exec) error { return nil },
+	})
+	for _, tc := range []struct {
+		name string
+		use  func(p *sim.Proc, c, peer *Context, ptr, peerPtr uint64) error
+	}{
+		{"htod", func(p *sim.Proc, c, _ *Context, ptr, _ uint64) error { return c.HtoD(p, ptr, make([]byte, 1<<20)) }},
+		{"peer-copy", func(p *sim.Proc, c, peer *Context, ptr, peerPtr uint64) error {
+			return CopyPeer(p, peer, peerPtr, c, ptr, 1<<20)
+		}},
+		{"exclusive-launch", func(p *sim.Proc, c, _ *Context, _, _ uint64) error {
+			return c.Launch(p, "long_kernel", Dim{1, 1, 1})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			cfg := TuringConfig("gpu0")
+			cfg.MemBytes, cfg.CopyEngs, cfg.MPS = 16<<20, 1, false
+			d := New(k, sim.DefaultCosts(), cfg)
+			cfg.Name = "gpu1"
+			peerDev := New(k, sim.DefaultCosts(), cfg)
+			tenant := func() func(p *sim.Proc) error {
+				c, peer := d.CreateContext(), peerDev.CreateContext()
+				c.LoadModule(BuildCubin("long_kernel"))
+				ptr, _ := c.MemAlloc(1 << 20)
+				peerPtr, _ := peer.MemAlloc(1 << 20)
+				return func(p *sim.Proc) error { return tc.use(p, c, peer, ptr, peerPtr) }
+			}
+			victim, next := tenant(), tenant()
+			vp := k.Spawn("victim", func(p *sim.Proc) {
+				victim(p)
+				t.Error("the victim finished")
+			})
+			k.Spawn("killer", func(p *sim.Proc) {
+				p.Sleep(10 * sim.Microsecond)
+				k.Kill(vp)
+			})
+			done := false
+			k.Spawn("next", func(p *sim.Proc) {
+				p.Sleep(20 * sim.Microsecond)
+				if err := next(p); err != nil {
+					t.Error(err)
+				}
+				done = true
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !done {
+				t.Error("the next tenant never ran")
+			}
+		})
+	}
+}
+
 func TestDeviceAuthenticity(t *testing.T) {
 	k := sim.NewKernel()
 	d := testGPU(k)

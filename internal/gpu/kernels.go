@@ -204,16 +204,20 @@ func (c *Context) Launch(p *sim.Proc, name string, grid Dim, args ...uint64) err
 		// SM pool concurrently.
 		c.dev.sms.Run(p, cost.SMDemand, cost.Work)
 	} else {
-		// Temporal sharing: one context owns the whole device at a time.
-		c.dev.exclusive.Acquire(p, 1)
-		c.dev.sms.Run(p, cost.SMDemand, cost.Work)
-		c.dev.exclusive.Release(1)
+		c.dev.runExclusive(p, cost)
 	}
 	if err := c.check(); err != nil {
 		// The device was reset (partition failure) while we computed.
 		return err
 	}
 	return k.Func(c.execArgs(grid, args))
+}
+
+// runExclusive holds the whole device for one kernel; a killed launcher lets go.
+func (d *Device) runExclusive(p *sim.Proc, cost LaunchCost) {
+	d.exclusive.Acquire(p, 1)
+	defer d.exclusive.Release(1)
+	d.sms.Run(p, cost.SMDemand, cost.Work)
 }
 
 // execArgs loads a launch's grid and arguments into the context's Exec and

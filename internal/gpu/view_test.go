@@ -182,18 +182,18 @@ func TestHostileLaunchDimensions(t *testing.T) {
 			t.Errorf("CopyPeer(MinInt): %v, want ErrInvalidPointer", err)
 		}
 		// Both contexts still compute.
-		for _, c := range []struct {
+		for i, c := range []struct {
 			ctx *Context
 			ptr uint64
 		}{{ctx, a}, {neighbour, n}} {
 			c.ctx.HtoD(p, c.ptr, PackF32([]float32{1, 2, 3, 4, 0}))
 			if err := c.ctx.Launch(p, "reduce_sum", Dim{4, 1, 1}, c.ptr, c.ptr+16); err != nil {
-				t.Errorf("context %d after the hostile launches: %v", c.ctx.ID(), err)
+				t.Errorf("context %d after the hostile launches: %v", i, err)
 			}
 			raw := make([]byte, 4)
 			c.ctx.DtoH(p, raw, c.ptr+16)
 			if got := UnpackF32(raw)[0]; got != 10 {
-				t.Errorf("context %d after the hostile launches: sum %v, want 10", c.ctx.ID(), got)
+				t.Errorf("context %d after the hostile launches: sum %v, want 10", i, got)
 			}
 		}
 	})

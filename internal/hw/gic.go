@@ -58,9 +58,6 @@ func (g *GIC) Register(irq int, w World, h IRQHandler) error {
 	return nil
 }
 
-// Unregister removes a handler.
-func (g *GIC) Unregister(irq int) { delete(g.handlers, irq) }
-
 // Raise fires a line on behalf of a named source device. The source must be
 // the device-tree owner of that line: a malicious or misconfigured device
 // cannot inject interrupts bound to another device's driver.

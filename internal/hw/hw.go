@@ -112,16 +112,6 @@ type Config struct {
 	SecureMemBytes uint64 // secure-world DRAM (TZASC-protected)
 }
 
-// DefaultConfig mirrors the paper's QEMU guest: 8 GB normal + 4 GB secure.
-// The simulation allocates pages lazily, so these are address-space sizes,
-// not host allocations.
-func DefaultConfig() Config {
-	return Config{
-		NormalMemBytes: 8 << 30,
-		SecureMemBytes: 4 << 30,
-	}
-}
-
 // NewMachine builds a machine: normal DRAM at [0, normal), secure DRAM at
 // [normal, normal+secure), with the TZASC configured to protect the secure
 // region, an empty TZPC, SMMU and PCIe bus.

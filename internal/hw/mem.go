@@ -445,6 +445,3 @@ func (t *TZPC) Check(w World, dev string) error {
 	}
 	return nil
 }
-
-// IsSecure reports whether the device is assigned to the secure world.
-func (t *TZPC) IsSecure(dev string) bool { return t.secure[dev] }

@@ -37,9 +37,6 @@ func NewAddrSpace(name string) *AddrSpace {
 // Gen returns the mutation generation (any change bumps it).
 func (a *AddrSpace) Gen() uint64 { return a.gen }
 
-// Len returns the number of entries, valid or invalidated.
-func (a *AddrSpace) Len() int { return len(a.entries) }
-
 // Map installs a translation from page vpn to frame pfn.
 func (a *AddrSpace) Map(vpn, pfn uint64, perm Perm) {
 	a.entries[vpn] = PTE{Frame: pfn, Perm: perm, Valid: true}
@@ -88,21 +85,6 @@ func (a *AddrSpace) InvalidateWhere(pred func(vpn, pfn uint64) bool) int {
 	return n
 }
 
-// UnmapWhere removes every entry whose frame satisfies pred.
-func (a *AddrSpace) UnmapWhere(pred func(vpn, pfn uint64) bool) int {
-	n := 0
-	for vpn, e := range a.entries {
-		if pred(vpn, e.Frame) {
-			delete(a.entries, vpn)
-			n++
-		}
-	}
-	if n > 0 {
-		a.gen++
-	}
-	return n
-}
-
 // Lookup returns the raw entry for vpn.
 func (a *AddrSpace) Lookup(vpn uint64) (PTE, bool) {
 	e, ok := a.entries[vpn]
@@ -122,13 +104,6 @@ func (a *AddrSpace) Translate(vpn uint64, want Perm) (uint64, *Fault) {
 		return 0, &Fault{Kind: FaultPerm, Space: a.Name, Addr: vpn << PageShift}
 	}
 	return e.Frame, nil
-}
-
-// Walk visits every entry (order unspecified).
-func (a *AddrSpace) Walk(fn func(vpn uint64, e PTE)) {
-	for vpn, e := range a.entries {
-		fn(vpn, e)
-	}
 }
 
 // Clear drops all entries.

@@ -59,21 +59,6 @@ func (b *Bus) Attach(dev Device, node DTNode) (*DMAPort, error) {
 	return &DMAPort{bus: b, dev: node.Name, world: world}, nil
 }
 
-// Device returns an attached device by name.
-func (b *Bus) Device(name string) (Device, bool) {
-	d, ok := b.devices[name]
-	return d, ok
-}
-
-// Devices returns the names of all attached devices.
-func (b *Bus) Devices() []string {
-	out := make([]string, 0, len(b.devices))
-	for n := range b.devices {
-		out = append(out, n)
-	}
-	return out
-}
-
 // CheckMMIO validates that world w may touch the device's registers.
 func (b *Bus) CheckMMIO(w World, dev string) error {
 	if _, ok := b.devices[dev]; !ok {
@@ -109,12 +94,6 @@ type DMAPort struct {
 	dev   string
 	world World
 }
-
-// Dev returns the owning device name (the SMMU stream id).
-func (d *DMAPort) Dev() string { return d.dev }
-
-// World returns the world the device's DMA is issued as.
-func (d *DMAPort) World() World { return d.world }
 
 // Read DMAs len(buf) bytes from host memory at iova into the device.
 func (d *DMAPort) Read(iova uint64, buf []byte) error {

@@ -161,6 +161,57 @@ func TestTableRendering(t *testing.T) {
 	if !strings.Contains(out, "no samples") {
 		t.Errorf("table missing empty histogram:\n%s", out)
 	}
+	// A name ending in _ns renders its mean, min and max as durations; any
+	// other histogram as plain numbers.
+	r.Histogram("srpc.call_ns").Observe(1500)
+	r.Histogram("srpc.call_ns").Observe(2500)
+	r.Histogram("serve.batch").Observe(2)
+	r.Histogram("serve.batch").Observe(4)
+	out = r.Snapshot().String()
+	for _, want := range []string{"n=2 mean=2.00us min=1.50us max=2.50us", "n=2 mean=3.0 min=2 max=4"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("table missing %q:\n%s", want, out)
+		}
+	}
+}
+
+func TestFmtNS(t *testing.T) {
+	for _, tc := range []struct {
+		v    float64
+		want string
+	}{
+		{999, "999ns"},
+		{1500, "1.50us"},
+		{2.5e6, "2.50ms"},
+		{5e9, "5.00s"},
+	} {
+		if got := fmtNS(tc.v); got != tc.want {
+			t.Errorf("fmtNS(%v) = %q, want %q", tc.v, got, tc.want)
+		}
+	}
+}
+
+func TestHistMeanAndSummary(t *testing.T) {
+	r := NewRegistry()
+	r.Enable()
+	r.Counter("active").Inc()
+	r.Counter("idle")
+	r.Gauge("depth").Set(3)
+	h := r.Histogram("lat_ns")
+	s := r.Snapshot()
+	if m := s.Histograms["lat_ns"].Mean(); m != 0 {
+		t.Errorf("empty histogram mean = %v, want 0", m)
+	}
+	for _, v := range []int64{10, 20, 60} {
+		h.Observe(v)
+	}
+	s = r.Snapshot()
+	if m := s.Histograms["lat_ns"].Mean(); m != 30 {
+		t.Errorf("mean = %v, want 30", m)
+	}
+	if got, want := s.Summary(), "4 metrics (1 counters active, 3 histogram samples)"; got != want {
+		t.Errorf("Summary() = %q, want %q", got, want)
+	}
 }
 
 // The disabled-path cost contract: hooks must not allocate when the registry

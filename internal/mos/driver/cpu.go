@@ -33,6 +33,3 @@ func (c *CPU) Init(p *sim.Proc, sh *mos.Shim) error {
 func (c *CPU) NewModel(*sim.Proc) (enclave.Model, error) {
 	return enclave.NewCPUModel(c.costs), nil
 }
-
-// Reset implements mos.HAL.
-func (c *CPU) Reset() {}

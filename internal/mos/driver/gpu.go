@@ -69,13 +69,6 @@ func (g *GPU) NewModel(p *sim.Proc) (enclave.Model, error) {
 	return &CUDAModel{hal: g}, nil
 }
 
-// Reset implements mos.HAL.
-func (g *GPU) Reset() {}
-
-// Device exposes the underlying device (experiments configure MPS through
-// it).
-func (g *GPU) Device() *gpu.Device { return g.dev }
-
 // CUDAModel is the CUDA mEnclave runtime (gdev/ocelot stand-in): its image
 // is a cubin and its mECalls are the CUDA driver API surface.
 type CUDAModel struct {

@@ -66,12 +66,6 @@ func (g *NPU) NewModel(p *sim.Proc) (enclave.Model, error) {
 	return &NPUModel{hal: g}, nil
 }
 
-// Reset implements mos.HAL.
-func (g *NPU) Reset() {}
-
-// Device exposes the underlying device model.
-func (g *NPU) Device() *npu.Device { return g.dev }
-
 // NPU mECall names.
 const (
 	CallVTAMemAlloc = "vtaMemAlloc"

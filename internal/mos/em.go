@@ -299,9 +299,6 @@ func (e *Enclave) InvokeStreamed(p *sim.Proc, name string, args []byte, res *wir
 	return e.Model.Call(p, name, args, res)
 }
 
-// Spec returns the EDL entry for an mECall.
-func (e *Enclave) Spec(name string) (enclave.MECallSpec, bool) { return e.EDL.Lookup(name) }
-
 // Secret exposes secret_dhke to the in-partition runtime (sRPC dCheck).
 // Nothing outside the secure world can reach this.
 func (e *Enclave) Secret() []byte { return e.secret }

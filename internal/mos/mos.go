@@ -28,9 +28,6 @@ type HAL interface {
 	// NewModel creates a fresh execution model bound to an isolated
 	// hardware context for one mEnclave.
 	NewModel(p *sim.Proc) (enclave.Model, error)
-	// Reset drops all hardware contexts (mOS-side bookkeeping; the
-	// device itself is scrubbed by the SPM's failure path).
-	Reset()
 }
 
 // MOS is one MicroOS instance.
@@ -69,7 +66,6 @@ func Boot(p *sim.Proc, s *spm.SPM, part *spm.Partition, hal HAL) (*MOS, error) {
 	part.SetRestartHook(func(epoch uint64) {
 		// The partition was recovered by the SPM: the device was
 		// scrubbed, every enclave in the old incarnation is gone.
-		hal.Reset()
 		m.EM = newEnclaveManager(m)
 		s.K.Spawn(fmt.Sprintf("%s-reinit", part.Name), func(proc *sim.Proc) {
 			part.Register(proc)
@@ -153,9 +149,6 @@ type Shim struct {
 	mos *MOS
 }
 
-// MOS returns the owning MicroOS.
-func (sh *Shim) MOS() *MOS { return sh.mos }
-
 // DeviceName returns the device tree node this partition owns.
 func (sh *Shim) DeviceName() string { return sh.mos.Part.Device }
 
@@ -170,15 +163,6 @@ func (sh *Shim) Ioremap(p *sim.Proc) error {
 		return err
 	}
 	p.Sleep(sh.mos.Costs.MapPage)
-	return nil
-}
-
-// MMIORead models one device register read (TZPC-checked each access).
-func (sh *Shim) MMIORead(p *sim.Proc) error {
-	if err := sh.mos.SPM.M.Bus.CheckMMIO(hw.SecureWorld, sh.mos.Part.Device); err != nil {
-		return err
-	}
-	p.Sleep(sh.mos.Costs.DeviceMMIO)
 	return nil
 }
 

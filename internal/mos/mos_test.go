@@ -13,6 +13,7 @@ import (
 	"cronus/internal/mos/driver"
 	"cronus/internal/sim"
 	"cronus/internal/spm"
+	"cronus/internal/srpc"
 	"cronus/internal/wire"
 )
 
@@ -235,31 +236,156 @@ func TestEnclaveMemoryCapEnforced(t *testing.T) {
 	}
 }
 
+func npuManifest() (enclave.Manifest, map[string][]byte) {
+	files := map[string][]byte{"vta.edl": driver.NPUEDL()}
+	return enclave.NewManifest("npu", "vta.edl", "", files, enclave.Resources{Memory: "16M"}), files
+}
+
+// TestEnclaveKillRevokesGrantsAndDies: killing one mEnclave (§IV-D "Handling
+// mEnclave failures") destroys its device context — the device memory it held
+// is back; the device unit tests pin that DestroyContext scrubs it — and
+// revokes its share, so the peer traps, and after the trap no grant to either
+// partition is left.
 func TestEnclaveKillRevokesGrantsAndDies(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		manifest func() (enclave.Manifest, map[string][]byte)
+		mos      func(pl *core.Platform) *mos.MOS
+		peer     func(pl *core.Platform) *spm.Partition
+		memUsed  func(pl *core.Platform) uint64 // nil: no device memory
+		// alloc and htod name the device's calls; the GPU's and the NPU's
+		// take the same arguments.
+		alloc, htod string
+	}{
+		{"cpu", cpuManifest, func(pl *core.Platform) *mos.MOS { return pl.CPUOS },
+			func(pl *core.Platform) *spm.Partition { return pl.GPUs[0].Part }, nil, "", ""},
+		{"gpu", gpuManifest, func(pl *core.Platform) *mos.MOS { return pl.GPUs[0].OS },
+			func(pl *core.Platform) *spm.Partition { return pl.CPUPart },
+			func(pl *core.Platform) uint64 { return pl.GPUs[0].Dev.MemUsed() }, driver.CallMemAlloc, driver.CallHtoD},
+		{"npu", npuManifest, func(pl *core.Platform) *mos.MOS { return pl.NPUs[0].OS },
+			func(pl *core.Platform) *spm.Partition { return pl.CPUPart },
+			func(pl *core.Platform) uint64 { return pl.NPUs[0].Dev.MemUsed() }, driver.CallVTAMemAlloc, driver.CallVTAHtoD},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+				m, peer := tc.mos(pl), tc.peer(pl)
+				man, files := tc.manifest()
+				dh, _ := attest.NewDHKey([]byte("owner"))
+				res, e, err := m.EM.Create(p, "victim", man, files, dh.Pub)
+				if err != nil {
+					return err
+				}
+				var memBefore uint64
+				if tc.memUsed != nil {
+					memBefore = tc.memUsed(pl)
+					out, err := invoke(e, p, tc.alloc, driver.EncodeMemAlloc(4096))
+					if err != nil {
+						return err
+					}
+					ptr, _ := driver.DecodePtr(out)
+					if _, err := invoke(e, p, tc.htod, driver.EncodeHtoD(ptr, []byte("the victim's device secret"))); err != nil {
+						return err
+					}
+					if got := tc.memUsed(pl); got != memBefore+4096 {
+						t.Errorf("device memory in use %d after a 4096-byte alloc, %d before", got, memBefore)
+					}
+				}
+				ipa, err := e.AllocShared(p, 1)
+				if err != nil {
+					return err
+				}
+				peerIPA, gid, err := pl.SPM.Share(m.Part, ipa, 1, peer)
+				if err != nil {
+					return err
+				}
+				e.TrackGrant(gid)
+				e.Kill(p)
+				if _, ok := m.EM.Get(res.EID); ok {
+					t.Error("killed enclave still resolvable")
+				}
+				if tc.memUsed != nil {
+					if got := tc.memUsed(pl); got != memBefore {
+						t.Errorf("device memory in use %d after the kill, %d before the enclave's alloc", got, memBefore)
+					}
+				}
+				// The peer partition traps on access (enclave-failure signal).
+				v := pl.SPM.NewView(peer, nil)
+				if err := v.Read(p, peerIPA, make([]byte, 1)); err == nil {
+					t.Error("peer access after enclave kill succeeded")
+				}
+				// The trap was the peer's notice: the revoked grant is gone, and
+				// nothing names either partition.
+				for _, part := range []*spm.Partition{m.Part, peer} {
+					if cur, stale := pl.SPM.GrantsTo(part); cur != 0 || stale != 0 {
+						t.Errorf("%s: %d current and %d stale grants after the trap, want 0, 0", part.Name, cur, stale)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestMOSPanicRecoversPartition: an mOS panic is a partition failure
+// (FailPanic) the SPM recovers from. The failed incarnation's stream reports
+// the peer failure and, torn down, leaves no grant; the next incarnation
+// serves a fresh stream.
+func TestMOSPanicRecoversPartition(t *testing.T) {
 	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-		man, files := cpuManifest()
-		dh, _ := attest.NewDHKey([]byte("owner"))
-		res, e, err := pl.CPUOS.EM.Create(p, "math-e", man, files, dh.Pub)
+		gp := pl.GPUs[0]
+		s, err := pl.NewSession(p, "panic")
 		if err != nil {
 			return err
 		}
-		ipa, err := e.AllocShared(p, 1)
+		open := func() (*core.CUDAConn, error) {
+			return s.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("vec_add"), Partition: gp.Part.Name})
+		}
+		old, err := open()
 		if err != nil {
 			return err
 		}
-		peerIPA, gid, err := pl.SPM.Share(pl.CPUPart, ipa, 1, pl.GPUs[0].Part)
+		var recs []spm.FailureRecord
+		defer pl.SPM.OnFailure(func(r *spm.FailureRecord) { recs = append(recs, *r) })()
+		epoch := gp.Part.Epoch()
+		gp.OS.Panic()
+		if len(recs) != 1 || recs[0].Partition != gp.Part.Name || recs[0].Reason != spm.FailPanic {
+			t.Errorf("failure records %+v, want one FailPanic of %s", recs, gp.Part.Name)
+		}
+		if err := pl.SPM.AwaitReady(p, gp.Part); err != nil {
+			return err
+		}
+		if got := gp.Part.Epoch(); got != epoch+1 {
+			t.Errorf("epoch %d after the restart, want %d", got, epoch+1)
+		}
+		if err := old.Sync(p); !errors.Is(err, srpc.ErrPeerFailed) {
+			t.Errorf("the old stream answered %v, want ErrPeerFailed", err)
+		}
+		if cur, stale := pl.SPM.GrantsTo(gp.Part); cur != 0 || stale != 0 {
+			t.Errorf("%d current and %d stale grants after the restart, want 0, 0", cur, stale)
+		}
+		p.Sleep(100 * sim.Microsecond) // the mOS re-probes its device
+		fresh, err := open()
 		if err != nil {
 			return err
 		}
-		e.TrackGrant(gid)
-		e.Kill(p)
-		if _, ok := pl.CPUOS.EM.Get(res.EID); ok {
-			t.Error("killed enclave still resolvable")
+		defer fresh.Close(p)
+		ptr, err := fresh.MemAlloc(p, 16)
+		if err != nil {
+			return err
 		}
-		// The peer partition traps on access (enclave-failure signal).
-		v := pl.SPM.NewView(pl.GPUs[0].Part, nil)
-		if err := v.Read(p, peerIPA, make([]byte, 1)); err == nil {
-			t.Error("peer access after enclave kill succeeded")
+		want := gpu.PackF32([]float32{1, 2, 3, 4})
+		if err := fresh.HtoD(p, ptr, want); err != nil {
+			return err
+		}
+		got, err := fresh.DtoH(p, ptr, len(want))
+		if err != nil {
+			return err
+		}
+		if string(got) != string(want) {
+			t.Errorf("a fresh stream read back %v, want %v", gpu.UnpackF32(got), gpu.UnpackF32(want))
 		}
 		return nil
 	})
@@ -369,28 +495,43 @@ func TestHeartbeatKeepsWatchdogQuiet(t *testing.T) {
 }
 
 func TestDeviceInterruptReachesDriver(t *testing.T) {
-	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-		hal, ok := pl.GPUs[0].OS.HAL.(*driver.GPU)
-		if !ok {
-			t.Fatal("unexpected HAL type")
-		}
-		before := hal.IRQs()
-		// The GPU raises its device-tree-assigned line (e.g. a fault or
-		// completion); the driver's handler runs in the secure world.
-		if err := pl.M.Bus.RaiseIRQ("gpu0"); err != nil {
-			return err
-		}
-		if hal.IRQs() != before+1 {
-			t.Errorf("driver handled %d IRQs, want %d", hal.IRQs(), before+1)
-		}
-		// Spoofing from the NPU's identity onto the GPU line is refused.
-		gpuIRQ := 32
-		if err := pl.M.GIC.Raise("npu0", gpuIRQ); err == nil {
-			t.Error("cross-device interrupt spoofing accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		dev, other string
+		irq        int // the device-tree line of dev
+		hal        func(pl *core.Platform) mos.HAL
+	}{
+		{"gpu0", "npu0", 32, func(pl *core.Platform) mos.HAL { return pl.GPUs[0].OS.HAL }},
+		{"npu0", "gpu0", 64, func(pl *core.Platform) mos.HAL { return pl.NPUs[0].OS.HAL }},
+	} {
+		t.Run(tc.dev, func(t *testing.T) {
+			err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+				hal, ok := tc.hal(pl).(interface{ IRQs() int })
+				if !ok {
+					return errors.New("unexpected HAL type")
+				}
+				before := hal.IRQs()
+				// The device raises its device-tree-assigned line (e.g. a
+				// fault or completion); the driver's handler runs in the
+				// secure world.
+				if err := pl.M.Bus.RaiseIRQ(tc.dev); err != nil {
+					return err
+				}
+				if hal.IRQs() != before+1 {
+					t.Errorf("driver handled %d IRQs, want %d", hal.IRQs(), before+1)
+				}
+				// Spoofing from the other device's identity onto this line
+				// is refused, and the driver sees nothing.
+				if err := pl.M.GIC.Raise(tc.other, tc.irq); err == nil {
+					t.Error("cross-device interrupt spoofing accepted")
+				}
+				if hal.IRQs() != before+1 {
+					t.Errorf("driver handled %d IRQs after the spoof, want %d", hal.IRQs(), before+1)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -120,6 +120,7 @@ type Device struct {
 	contexts map[int]*Context
 	nextCtx  int
 	gen      uint64
+	last     *Context // whose stream ran last: the scratchpads hold its data
 
 	priv attest.PrivateKey
 }
@@ -159,6 +160,9 @@ func (d *Device) Name() string { return d.name }
 // MemBytes returns total device DRAM.
 func (d *Device) MemBytes() uint64 { return d.memSize }
 
+// MemUsed returns the device DRAM live contexts hold.
+func (d *Device) MemUsed() uint64 { return d.memUsed }
+
 // PubKey returns the device authenticity key.
 func (d *Device) PubKey() attest.PublicKey { return d.priv.Public().(attest.PublicKey) }
 
@@ -167,28 +171,24 @@ func (d *Device) Authenticate(challenge []byte) []byte { return attest.Sign(d.pr
 
 // Reset implements hw.Device: scrub scratchpads, DRAM and contexts.
 func (d *Device) Reset() {
-	for i := range d.inp {
-		d.inp[i] = 0
-	}
-	for i := range d.wgt {
-		d.wgt[i] = 0
-	}
-	for i := range d.acc {
-		d.acc[i] = 0
-	}
-	for i := range d.out {
-		d.out[i] = 0
-	}
+	d.scrubScratchpads()
 	for _, c := range d.contexts {
 		for _, s := range c.spans {
-			for i := range s.buf {
-				s.buf[i] = 0
-			}
+			clear(s.buf)
 		}
 	}
 	d.contexts = make(map[int]*Context)
 	d.memUsed = 0
 	d.gen++
+}
+
+// scrubScratchpads zeroes the on-chip buffers every context's streams share.
+func (d *Device) scrubScratchpads() {
+	clear(d.inp)
+	clear(d.wgt)
+	clear(d.acc)
+	clear(d.out)
+	d.last = nil
 }
 
 // ErrStaleContext reports use of a context created before a device reset.
@@ -218,19 +218,20 @@ func (d *Device) CreateContext() *Context {
 	return c
 }
 
-// DestroyContext frees (and scrubs) all context memory.
+// DestroyContext scrubs and frees a context's memory and its scratchpad data.
 func (d *Device) DestroyContext(c *Context) {
 	if d.contexts[c.id] != c {
 		return
 	}
 	for _, s := range c.spans {
-		for i := range s.buf {
-			s.buf[i] = 0
-		}
+		clear(s.buf)
 		d.memUsed -= s.size
 	}
 	c.spans = nil
 	delete(d.contexts, c.id)
+	if d.last == c {
+		d.scrubScratchpads()
+	}
 }
 
 func (c *Context) check() error {

@@ -295,6 +295,123 @@ func TestResetScrubsAndInvalidates(t *testing.T) {
 	})
 }
 
+// runSecret gives a context one input and one weight block of ones, then runs
+// a stream that multiplies them and commits the product to output block 0:
+// afterwards all four scratchpads hold data derived from the context's DRAM.
+// It returns the input block's address.
+func runSecret(p *sim.Proc, c *Context) (uint64, error) {
+	ones := func(n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = 1
+		}
+		return b
+	}
+	inp, _ := c.MemAlloc(InpBlockBytes)
+	wgt, _ := c.MemAlloc(WgtBlockBytes)
+	if err := c.HtoD(p, inp, ones(InpBlockBytes)); err != nil {
+		return 0, err
+	}
+	if err := c.HtoD(p, wgt, ones(WgtBlockBytes)); err != nil {
+		return 0, err
+	}
+	return inp, c.Run(p, []Insn{
+		{Op: OpLoad, Mem: MemInp, DRAMAddr: inp, Count: 1},
+		{Op: OpLoad, Mem: MemWgt, DRAMAddr: wgt, Count: 1},
+		{Op: OpGemm, Count: 1, Reset: true},
+		{Op: OpCommit, Count: 1},
+		{Op: OpFinish},
+	})
+}
+
+// scratchpadsClear reports whether no scratchpad holds a non-zero lane.
+func scratchpadsClear(d *Device) bool {
+	for _, pad := range [][]byte{d.inp, d.wgt, d.out} {
+		for _, b := range pad {
+			if b != 0 {
+				return false
+			}
+		}
+	}
+	for _, v := range d.acc {
+		if v != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDestroyContextScrubsAndFrees: destroying an NPU mEnclave's context
+// scrubs its DRAM and — its stream having run last — the shared scratchpads,
+// and gives its DRAM back; a sibling context keeps its own.
+func TestDestroyContextScrubsAndFrees(t *testing.T) {
+	inSim(t, func(k *sim.Kernel, p *sim.Proc) {
+		d := testNPU(k)
+		sibling := d.CreateContext()
+		sAddr, _ := sibling.MemAlloc(32)
+		sibling.HtoD(p, sAddr, []byte("the sibling's data.............."))
+		used := d.MemUsed()
+		victim := d.CreateContext()
+		inp, err := runSecret(p, victim)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		backing, _ := victim.resolve(inp, InpBlockBytes)
+		d.DestroyContext(victim)
+		for _, b := range backing {
+			if b != 0 {
+				t.Error("a destroyed context's DRAM was not scrubbed")
+				break
+			}
+		}
+		if !scratchpadsClear(d) {
+			t.Error("a destroyed context's data is still in the scratchpads")
+		}
+		if got := d.MemUsed(); got != used {
+			t.Errorf("device memory in use %d after the destroy, %d before the context", got, used)
+		}
+		if err := victim.HtoD(p, inp, []byte{1}); err == nil {
+			t.Error("a destroyed context still resolves its pointers")
+		}
+		out := make([]byte, 32)
+		if err := sibling.DtoH(p, out, sAddr); err != nil || string(out[:18]) != "the sibling's data" {
+			t.Errorf("the sibling's DRAM after the destroy: %q, %v", out[:18], err)
+		}
+	})
+}
+
+// TestScratchpadsDoNotCrossContexts: a stream that STOREs the output
+// scratchpad without computing into it reads zeros, never what another
+// context's stream left there.
+func TestScratchpadsDoNotCrossContexts(t *testing.T) {
+	inSim(t, func(k *sim.Kernel, p *sim.Proc) {
+		d := testNPU(k)
+		a, b := d.CreateContext(), d.CreateContext()
+		if _, err := runSecret(p, a); err != nil {
+			t.Error(err)
+			return
+		}
+		if scratchpadsClear(d) {
+			t.Error("the secret stream left nothing in the scratchpads: a vacuous check")
+			return
+		}
+		dst, _ := b.MemAlloc(OutBlockBytes)
+		if err := b.Run(p, []Insn{{Op: OpStore, Mem: MemOut, DRAMAddr: dst, Count: 1}, {Op: OpFinish}}); err != nil {
+			t.Error(err)
+			return
+		}
+		out := make([]byte, OutBlockBytes)
+		b.DtoH(p, out, dst)
+		for _, v := range out {
+			if v != 0 {
+				t.Errorf("context b read context a's output block: %v", out)
+				break
+			}
+		}
+	})
+}
+
 func TestDeviceAuthenticity(t *testing.T) {
 	k := sim.NewKernel()
 	d := testNPU(k)

@@ -662,9 +662,6 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 	return srv, nil
 }
 
-// Registry exposes the run's private metrics registry.
-func (srv *Server) Registry() *metrics.Registry { return srv.reg }
-
 // mark records one stage-entry boundary on a request's timeline — the raw
 // material the conservative latency attribution is cut from. A no-op unless
 // Config.Trace is set.

@@ -91,15 +91,6 @@ func (p *Proc) Spawn(name string, fn func(q *Proc)) *Proc {
 	return k.spawn(p.sh, p.sh.now, name, fn, lid, int(lid|1<<62))
 }
 
-// SetLID assigns the process's logical id (see SpawnOn). It must be set
-// before Parallelize for every process that lives into the parallel phase.
-func (p *Proc) SetLID(lid uint64) {
-	if p.k.parallel {
-		panic("sim: SetLID during the parallel phase")
-	}
-	p.lid = lid
-}
-
 // key returns the mode-appropriate event key charged to this process.
 func (p *Proc) key() (a, b uint64) {
 	if p.k.parallel {
@@ -186,7 +177,7 @@ func (k *Kernel) beginParallel() {
 				continue
 			}
 			if p.lid == 0 {
-				panic(fmt.Sprintf("sim: Parallelize: live process %q has no logical id (SetLID or SpawnOn)", p.name))
+				panic(fmt.Sprintf("sim: Parallelize: live process %q has no logical id (SpawnOn)", p.name))
 			}
 			if other, dup := seen[p.lid]; dup {
 				panic(fmt.Sprintf("sim: Parallelize: processes %q and %q share logical id %d", other, p.name, p.lid))
@@ -423,19 +414,3 @@ func (pt *Port[T]) Recv(p *Proc) T {
 	}
 	return pt.q.Pop()
 }
-
-// TryRecv returns the next message without blocking; ok is false when the
-// port is empty. p must run on the port's shard.
-func (pt *Port[T]) TryRecv(p *Proc) (v T, ok bool) {
-	if p.sh != pt.sh {
-		panic(fmt.Sprintf("sim: TryRecv on port %q from shard %d (port lives on shard %d)", pt.name, p.sh.id, pt.sh.id))
-	}
-	if pt.q.Len() == 0 {
-		return v, false
-	}
-	return pt.q.Pop(), true
-}
-
-// Len returns the number of delivered, unconsumed messages. Call it only
-// from the port's shard.
-func (pt *Port[T]) Len() int { return pt.q.Len() }

@@ -264,10 +264,10 @@ type Proc struct {
 	state  procState
 	gen    uint64
 	killed bool
-	// onKill is the wait queue the process is parked on, if any: a kill while
-	// parked drops the process from it eagerly (in kernel context).
+	// onKill is the wait queue the process last parked on, until it resumes:
+	// a kill before then drops the process from it eagerly (in kernel context).
 	onKill dropper
-	// lid is the application-assigned logical id (SetLID). In the parallel
+	// lid is the application-assigned logical id (SpawnOn). In the parallel
 	// phase it keys every event the process schedules, making event order a
 	// function of the simulated program rather than of shard placement.
 	lid uint64
@@ -720,7 +720,7 @@ func (p *Proc) block() {
 	}
 }
 
-// dropper is a wait queue that can forget a process killed while parked on it.
+// dropper is a wait queue that can forget a killed process it parked or woke.
 type dropper interface{ drop(p *Proc) }
 
 // park blocks the process with no pending event; some other process must
@@ -795,16 +795,15 @@ func (k *Kernel) Kill(p *Proc) {
 	if traceHook != nil {
 		traceHook(k.killNow(p), "kill", p.name)
 	}
-	switch p.state {
-	case procRunning:
+	if p.state == procRunning {
 		// Nothing else runs while a process does (on its shard, in the
 		// parallel phase), so the caller is p itself: unwind in place.
 		panic(killToken{p})
-	case procParked:
-		if p.onKill != nil {
-			p.onKill.drop(p)
-			p.onKill = nil
-		}
+	}
+	// Parked, or woken but not yet resumed: its queue forgets it.
+	if p.onKill != nil {
+		p.onKill.drop(p)
+		p.onKill = nil
 	}
 	k.wake(p) // runnable now, cutting any pending sleep short: it unwinds in block
 }

@@ -216,22 +216,115 @@ func TestResourceOversizedRequestClamped(t *testing.T) {
 }
 
 func TestKillParkedProcess(t *testing.T) {
-	k := NewKernel()
-	mb := NewMailbox[int](k, "mb")
-	var victim *Proc
-	victim = k.Spawn("victim", func(p *Proc) {
-		mb.Recv(p)
-		t.Error("victim should never receive")
+	t.Run("mailbox", func(t *testing.T) {
+		k := NewKernel()
+		mb := NewMailbox[int](k, "mb")
+		var victim *Proc
+		victim = k.Spawn("victim", func(p *Proc) {
+			mb.Recv(p)
+			t.Error("victim should never receive")
+		})
+		k.Spawn("killer", func(p *Proc) {
+			p.Sleep(10)
+			k.Kill(victim)
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !victim.Dead() {
+			t.Fatal("victim still alive")
+		}
 	})
-	k.Spawn("killer", func(p *Proc) {
-		p.Sleep(10)
-		k.Kill(victim)
+	// A partition's recovery kills its procs wherever they are parked, a
+	// device engine's queue included: the killed waiter leaves the queue, and
+	// the waiter it was blocking is granted at once, not at the next release.
+	t.Run("resource", func(t *testing.T) {
+		k := NewKernel()
+		r := NewResource(k, "copy", 2)
+		var victim *Proc
+		var grantedAt Time = -1
+		k.Spawn("holder", func(p *Proc) {
+			r.Use(p, 1, 100)
+		})
+		victim = k.Spawn("victim", func(p *Proc) {
+			p.Sleep(1)
+			r.Acquire(p, 2) // one unit is free: not enough, so it queues
+			t.Error("victim was granted")
+		})
+		k.Spawn("next", func(p *Proc) {
+			p.Sleep(2)
+			r.Acquire(p, 1) // FIFO: queued behind the victim although a unit is free
+			grantedAt = p.Now()
+			p.Sleep(10)
+			r.Release(1)
+		})
+		k.Spawn("killer", func(p *Proc) {
+			p.Sleep(10)
+			k.Kill(victim)
+			if r.waiters.Len() != 0 || r.inUse != 2 {
+				t.Errorf("after the kill: %d waiters, %d units in use; want 0, 2 (holder and next)", r.waiters.Len(), r.inUse)
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !victim.Dead() {
+			t.Fatal("victim still alive")
+		}
+		if grantedAt != 10 {
+			t.Errorf("next was granted at %d, want 10 (the kill)", grantedAt)
+		}
+		if r.inUse != 0 || r.waiters.Len() != 0 {
+			t.Errorf("after every release: %d units in use, %d waiters; want 0, 0", r.inUse, r.waiters.Len())
+		}
 	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !victim.Dead() {
-		t.Fatal("victim still alive")
+}
+
+// TestKilledProcessReturnsResourceUnits: a process killed while it holds a
+// Resource's units, or after a release granted it units but before it
+// resumed, gives them back; the next waiter is not locked out for good.
+func TestKilledProcessReturnsResourceUnits(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		victim func(r *Resource, p *Proc)
+		killAt Duration
+	}{
+		// Killed in Use's service time.
+		{"holding", func(r *Resource, p *Proc) { r.Use(p, 1, 100) }, 10},
+		// Queued behind a holder that releases at 10; the kill lands at 10
+		// too, after the release granted the victim its unit.
+		{"granted", func(r *Resource, p *Proc) {
+			p.Sleep(1)
+			r.Use(p, 1, 100)
+		}, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			k := NewKernel()
+			r := NewResource(k, "pipe", 1)
+			if tc.name == "granted" {
+				k.Spawn("holder", func(p *Proc) { r.Use(p, 1, 10) })
+			}
+			victim := k.Spawn("victim", func(p *Proc) { tc.victim(r, p) })
+			k.Spawn("killer", func(p *Proc) {
+				p.Sleep(tc.killAt)
+				k.Kill(victim)
+			})
+			var nextAt Time = -1
+			k.Spawn("next", func(p *Proc) {
+				p.Sleep(20)
+				r.Use(p, 1, 5)
+				nextAt = p.Now()
+			})
+			if err := k.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if nextAt != 25 {
+				t.Errorf("next finished at %d, want 25", nextAt)
+			}
+			if r.inUse != 0 || r.waiters.Len() != 0 || len(r.granted) != 0 {
+				t.Errorf("%d units in use, %d waiters, %d grants; want none", r.inUse, r.waiters.Len(), len(r.granted))
+			}
+		})
 	}
 }
 

@@ -104,9 +104,6 @@ func NewMailbox[T any](k *Kernel, name string) *Mailbox[T] {
 	return &Mailbox[T]{k: k, name: name}
 }
 
-// Len reports the number of queued values.
-func (m *Mailbox[T]) Len() int { return m.items.Len() }
-
 // Send enqueues v and wakes one waiting receiver. It may be called from any
 // process, or from setup code before Run.
 func (m *Mailbox[T]) Send(v T) {
@@ -157,6 +154,7 @@ type Resource struct {
 	capacity int
 	inUse    int
 	waiters  FIFO[resWait]
+	granted  []resWait // granted units by a release, not yet resumed (see drop)
 }
 
 type resWait struct {
@@ -171,12 +169,6 @@ func NewResource(k *Kernel, name string, capacity int) *Resource {
 	}
 	return &Resource{k: k, name: name, capacity: capacity}
 }
-
-// Capacity returns the configured number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the units currently held.
-func (r *Resource) InUse() int { return r.inUse }
 
 // Acquire blocks p until n units are available and takes them. n is clamped
 // to the capacity so oversized requests degrade instead of deadlocking.
@@ -195,24 +187,25 @@ func (r *Resource) Acquire(p *Proc, n int) {
 	r.waiters.Push(resWait{p: p, n: n})
 	for {
 		p.park(r)
-		// Woken: either our grant happened (inUse already bumped by
-		// Release on our behalf) — signalled by us no longer queued —
-		// or a spurious wake. Check by scanning the queue.
-		if !r.queued(p) {
+		// Woken by our grant (inUse already bumped for us) or spuriously.
+		if r.take(p) > 0 {
 			return
 		}
 	}
 }
 
-func (r *Resource) queued(p *Proc) bool {
-	for _, w := range r.waiters.Live() {
+// take forgets p's grant and returns its units: 0 when it has none.
+func (r *Resource) take(p *Proc) int {
+	for i, w := range r.granted {
 		if w.p == p {
-			return true
+			r.granted = append(r.granted[:i], r.granted[i+1:]...)
+			return w.n
 		}
 	}
-	return false
+	return 0
 }
 
+// drop forgets a killed waiter: queued, it leaves the queue; granted, it releases.
 func (r *Resource) drop(p *Proc) {
 	for i, w := range r.waiters.Live() {
 		if w.p == p {
@@ -220,6 +213,9 @@ func (r *Resource) drop(p *Proc) {
 			r.grant()
 			return
 		}
+	}
+	if n := r.take(p); n > 0 {
+		r.Release(n)
 	}
 }
 
@@ -250,16 +246,17 @@ func (r *Resource) grant() {
 		}
 		r.inUse += w.n
 		r.waiters.Pop()
+		r.granted = append(r.granted, w)
 		r.k.wake(w.p)
 	}
 }
 
-// Use acquires n units, sleeps for d, and releases — the common pattern for
-// occupying an engine for a fixed service time.
+// Use acquires n units, sleeps for d, and releases — also when killed in the
+// sleep — the common pattern for occupying an engine for a fixed service time.
 func (r *Resource) Use(p *Proc, n int, d Duration) {
 	r.Acquire(p, n)
+	defer r.Release(n)
 	p.Sleep(d)
-	r.Release(n)
 }
 
 // Signal is a one-shot broadcast event: Wait blocks until Fire is called;
@@ -272,9 +269,6 @@ type Signal struct {
 
 // NewSignal creates an unfired signal.
 func NewSignal(k *Kernel) *Signal { return &Signal{k: k} }
-
-// Fired reports whether the signal has fired.
-func (s *Signal) Fired() bool { return s.fired }
 
 // Fire releases all current and future waiters. Firing twice is a no-op.
 func (s *Signal) Fire() {

@@ -303,9 +303,6 @@ func (s *SPM) NewView(p *Partition, s1 *hw.AddrSpace) *View {
 	return &View{spm: s, part: p, s1: s1, epoch: p.epoch, tlb: make(map[uint64]tlbEntry)}
 }
 
-// Partition returns the partition this view executes in.
-func (v *View) Partition() *Partition { return v.part }
-
 // Read copies len(buf) bytes from va. proc (optional) is charged trap costs.
 func (v *View) Read(proc *sim.Proc, va uint64, buf []byte) error {
 	return v.access(proc, va, buf, false)

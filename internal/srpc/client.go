@@ -572,8 +572,9 @@ func (c *Client) Abandon() {
 }
 
 // InjectRingCorruption XORs the ring header's producer index (Rid) with
-// mask, modelling a flipped word in the trusted shared region. It exists for
-// the chaos harness (internal/chaos): the executor must detect the
+// mask, modelling a flipped word in the trusted shared region. The
+// header-corruption tests (corrupt_test.go) use it; the chaos harness corrupts
+// a record instead (InjectRecordCorruption). The executor must detect the
 // inconsistent header on its next read and surface ErrRingCorrupt — by
 // poisoning Sid and publishing a sticky corrupt code — rather than misparse.
 func (c *Client) InjectRingCorruption(p *sim.Proc, mask uint64) error {

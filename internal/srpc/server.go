@@ -111,9 +111,6 @@ func setupChannels(secret []byte, streamID uint64) (rx, tx *attest.Channel) {
 	return rx, tx
 }
 
-// EID returns the wrapped enclave's id.
-func (s *Server) EID() uint32 { return s.enc.EID }
-
 // Enclave returns the wrapped enclave.
 func (s *Server) Enclave() *mos.Enclave { return s.enc }
 
