@@ -26,7 +26,10 @@ test:
 # -cpuprofile/-memprofile flags reach. An empty-bodied function always reads
 # 0.0%, called or not (it has no statement to count) — how three no-op HAL
 # methods once showed up although the restart hook called them — so the gate
-# refuses a new no-op method too.
+# refuses a new no-op method too. Two are allowlisted by name: sim's
+# Parallelize and Sequentialize, the no-op entry points bench/layers.go still
+# calls; they leave with internal/sim/compat.go when the benchmark drops
+# sim.sharded_event_host_ns and sim.parallel_speedup (ROADMAP item 2).
 cover:
 	@p="$$(mktemp)"; trap 'rm -f "$$p"' EXIT; \
 	$(GO) test -count=1 -coverpkg=./internal/... -coverprofile="$$p" ./... || exit 1; \
@@ -34,7 +37,8 @@ cover:
 	echo "$$funcs" | tail -n 1; \
 	zero="$$(echo "$$funcs" | awk '$$NF == "0.0%"')"; \
 	echo "functions never run: $$(echo "$$zero" | grep -c .)"; echo "$$zero"; \
-	bad="$$(echo "$$zero" | awk '$$2 != "Error" && $$2 != "String" && $$1 !~ /^cronus\/internal\/prof\//')"; \
+	bad="$$(echo "$$zero" | awk '$$2 != "Error" && $$2 != "String" && $$1 !~ /^cronus\/internal\/prof\// && \
+		!($$1 ~ /^cronus\/internal\/sim\/compat\.go:/ && ($$2 == "Parallelize" || $$2 == "Sequentialize"))')"; \
 	test -z "$$bad" || { echo "never run and not allowlisted:"; echo "$$bad"; exit 1; }
 
 # The trace/metrics hooks are lock-free on the hot paths; prove it under the
@@ -45,7 +49,9 @@ cover:
 # experiments (a figure's cells on concurrent kernels) with the core and gpu
 # packages every cell boots — plus dnn, rodinia and tvm, whose kernels compute
 # through gpu's float32 views of device memory: -race turns on checkptr, which
-# validates the alignment and bounds of every unsafe conversion behind them.
+# validates the alignment and bounds of every unsafe conversion behind them —
+# and mos/driver, whose hostile-count tests bound allocations in a build the
+# detector instruments.
 race:
 	$(GO) test -race ./... -count=1
 
@@ -129,7 +135,7 @@ ci:
 	$(MAKE) cover
 	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/hw ./internal/sim \
 		./internal/experiments ./internal/core ./internal/gpu \
-		./internal/dnn ./internal/workload/rodinia ./internal/tvm
+		./internal/dnn ./internal/workload/rodinia ./internal/tvm ./internal/mos/driver
 	$(MAKE) fuzz
 	$(GO) run ./cmd/cronus-doclint
 	$(MAKE) bench-build

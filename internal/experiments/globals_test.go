@@ -212,18 +212,19 @@ func calleeOf(e ast.Expr) string {
 	return dotted(call.Fun)
 }
 
-// lockSites is every use of sync.Mutex, sync.RWMutex or sync/atomic in a
-// non-test file of internal/hw and internal/spm, as "file: what", with the
-// second goroutine that justifies it. It is empty: a machine and its SPM
-// belong to one sim.Kernel, a kernel runs one of its processes at a time, and
-// two live platforms share nothing below metrics and trace (DESIGN.md §17).
+// lockSites is every import of sync or sync/atomic in a non-test file of
+// internal/hw, internal/spm and internal/sim, as "file: what", with the second
+// goroutine that justifies it. It is empty: a machine and its SPM belong to
+// one sim.Kernel, a kernel is one event domain that runs one of its processes
+// at a time, and two live platforms share nothing below metrics and trace
+// (DESIGN.md §17).
 var lockSites = map[string]string{}
 
-// TestNoLocksUnderOneKernel fails on a lock or an atomic in the simulated
-// memory system that lockSites does not list: the data path crosses these two
-// packages on every ring word, and a lock nobody can contend is host time
-// (the hw and spm rows of EXPERIMENTS.md "Per-layer budgets") and a false
-// statement about who shares the state.
+// TestNoLocksUnderOneKernel fails on a lock or an atomic in the kernel or the
+// simulated memory system that lockSites does not list: the data path crosses
+// these packages on every event and ring word, and a lock nobody can contend
+// is host time (the sim, hw and spm rows of EXPERIMENTS.md "Per-layer
+// budgets") and a false statement about who shares the state.
 func TestNoLocksUnderOneKernel(t *testing.T) {
 	root, err := repoRoot()
 	if err != nil {
@@ -231,16 +232,7 @@ func TestNoLocksUnderOneKernel(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	found := make(map[string]bool)
-	report := func(pos token.Pos, rel, what string) {
-		site := rel + ": " + what
-		if lockSites[site] != "" {
-			found[site] = true
-			return
-		}
-		t.Errorf("%s: %s in %s: exactly one goroutine runs a kernel at a time, so nothing here can contend — "+
-			"drop it, or list %q in lockSites with the goroutine it guards against", fset.Position(pos), what, rel, site)
-	}
-	for _, pkg := range []string{"internal/hw", "internal/spm"} {
+	for _, pkg := range []string{"internal/hw", "internal/spm", "internal/sim"} {
 		files, err := filepath.Glob(filepath.Join(root, pkg, "*.go"))
 		if err != nil {
 			t.Fatal(err)
@@ -249,24 +241,23 @@ func TestNoLocksUnderOneKernel(t *testing.T) {
 			if strings.HasSuffix(path, "_test.go") {
 				continue
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
 			if err != nil {
 				t.Fatal(err)
 			}
 			rel := pkg + "/" + filepath.Base(path)
 			for _, imp := range f.Imports {
-				if imp.Path.Value == `"sync/atomic"` {
-					report(imp.Pos(), rel, "sync/atomic")
+				what := strings.Trim(imp.Path.Value, `"`)
+				if what != "sync" && what != "sync/atomic" {
+					continue
+				}
+				if site := rel + ": " + what; lockSites[site] != "" {
+					found[site] = true
+				} else {
+					t.Errorf("%s: %s imports %s: exactly one goroutine runs a kernel at a time, so nothing here can contend — "+
+						"drop it, or list %q in lockSites with the goroutine it guards against", fset.Position(imp.Pos()), rel, what, site)
 				}
 			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok {
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == "sync" && (sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex") {
-						report(sel.Pos(), rel, "sync."+sel.Sel.Name)
-					}
-				}
-				return true
-			})
 		}
 	}
 	for site := range lockSites {

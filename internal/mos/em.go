@@ -321,6 +321,28 @@ func (e *Enclave) AllocShared(p *sim.Proc, npages int) (uint64, error) {
 // TrackGrant records an SPM share grant owned by this enclave.
 func (e *Enclave) TrackGrant(gid int) { e.grants = append(e.grants, gid) }
 
+// ReleaseShared ends a share of npages AllocShared took at ipa: the grant is
+// dissolved (spm.Unshare, which the failure paths may already have done) and
+// leaves the enclave's list, and the pages go back to the allocator and under
+// the memory cap. Once the partition has left the incarnation the enclave
+// lives in, ipa may name a newer allocation, so the pages are not freed — the
+// recovery that ended the incarnation scrubbed and freed them already.
+func (e *Enclave) ReleaseShared(gid int, ipa uint64, npages int) {
+	m := e.em.mos
+	_ = m.SPM.Unshare(gid)
+	for i, g := range e.grants {
+		if g == gid {
+			e.grants = append(e.grants[:i], e.grants[i+1:]...)
+			break
+		}
+	}
+	if m.Part.Epoch() != e.em.epoch {
+		return
+	}
+	m.SPM.FreeMem(m.Part, ipa, npages)
+	e.memUsed -= uint64(npages) * hw.PageSize
+}
+
 // View returns the memory view sRPC uses for this enclave's partition.
 func (e *Enclave) View() *spm.View { return e.em.mos.Shim.View() }
 

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // BenchmarkKernelContextSwitch measures one simulated process switch (sleep
 // + resume round trip) — the simulation's own overhead floor.
@@ -47,7 +44,7 @@ func BenchmarkKernelSpawnExit(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("parent", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Spawn("child", func(*Proc) {})
+			k.Spawn("child", func(*Proc) {})
 			p.Sleep(1)
 		}
 	})
@@ -120,51 +117,5 @@ func BenchmarkPSEngineChurn(b *testing.B) {
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)
-	}
-}
-
-// BenchmarkShardedEngine measures the sharded kernel on N independent
-// partitions x M events each: every partition worker burns through local
-// sleeps with a cross-shard completion send per batch, the shape of the
-// serving hot path. Sub-benchmarks compare the sequential merge (shards=1)
-// with parallel windows (shards=4/8) over the same workload; vreq-shaped
-// determinism is asserted by TestShardedDeterminismTorture, here we only
-// time the host.
-func BenchmarkShardedEngine(b *testing.B) {
-	const parts = 8
-	for _, shards := range []int{1, 4, 8} {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			events := b.N
-			perPart := events/parts + 1
-			k := NewKernel()
-			k.EnableSharding(shards+1, 25*Microsecond)
-			completions := NewPort[int](k, 0, "done", 25*Microsecond)
-			for i := 0; i < parts; i++ {
-				sh := 0
-				if shards > 1 {
-					sh = 1 + i%shards
-				}
-				k.SpawnOn(sh, uint64(100+i), fmt.Sprintf("worker-%d", i), func(p *Proc) {
-					for n := 0; n < perPart; n++ {
-						p.Sleep(2 * Microsecond)
-					}
-					completions.Send(p, 1)
-				})
-			}
-			k.SpawnOn(0, 1, "host", func(p *Proc) {
-				k.Parallelize()
-				for n := 0; n < parts; n++ {
-					completions.Recv(p)
-				}
-				p.Sequentialize()
-			})
-			b.ResetTimer()
-			if err := k.Run(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			k.Shutdown()
-		})
 	}
 }

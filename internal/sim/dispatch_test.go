@@ -21,12 +21,12 @@ func TestEventQueueMatchesSortOracle(t *testing.T) {
 	noop := func(any) {}
 	var q eventQueue
 	var oracle []event
-	var b uint64
+	var seq uint64
 	// Random pushes and pops, then a full drain so the deep tail is checked too.
 	for step := 0; step < 4000 || len(oracle) > 0; step++ {
 		if step < 4000 && (len(oracle) == 0 || rng.Intn(5) < 3) {
-			b++ // the one component that never collides, as in the kernel
-			e := event{t: Time(rng.Intn(8)), gb: uint64(rng.Intn(2)), a: uint64(rng.Intn(3)), b: b, p: owner, fn: noop, arg: owner}
+			seq++ // the one component that never collides, as in the kernel
+			e := event{t: Time(rng.Intn(8)), gb: uint64(rng.Intn(2)), seq: seq, p: owner, fn: noop, arg: owner}
 			q.push(&e)
 			oracle = append(oracle, e)
 			continue
@@ -36,9 +36,9 @@ func TestEventQueueMatchesSortOracle(t *testing.T) {
 		oracle = oracle[1:]
 		var got event
 		q.pop(&got)
-		if got.t != want.t || got.band() != want.band() || got.a != want.a || got.b != want.b {
-			t.Fatalf("step %d: popped (%d,%d,%d,%d), oracle says (%d,%d,%d,%d)",
-				step, got.t, got.band(), got.a, got.b, want.t, want.band(), want.a, want.b)
+		if got.t != want.t || got.band() != want.band() || got.seq != want.seq {
+			t.Fatalf("step %d: popped (%d,%d,%d), oracle says (%d,%d,%d)",
+				step, got.t, got.band(), got.seq, want.t, want.band(), want.seq)
 		}
 		if len(q) != len(oracle) {
 			t.Fatalf("step %d: heap holds %d events, oracle %d", step, len(q), len(oracle))
@@ -50,8 +50,8 @@ func TestEventQueueMatchesSortOracle(t *testing.T) {
 }
 
 // TestEventFitsOneCacheLine pins the layout the heap's sift cost rests on: an
-// event with its callback argument is 64 bytes (generation and band share a
-// word). A 72-byte event measured 36 ns per self-wake sleep against 28.
+// event with its callback argument is at most 64 bytes (generation and band
+// share a word). A 72-byte event measured 36 ns per self-wake sleep against 28.
 func TestEventFitsOneCacheLine(t *testing.T) {
 	if sz := unsafe.Sizeof(event{}); sz > 64 {
 		t.Fatalf("event is %d bytes, want <= 64", sz)
@@ -60,7 +60,7 @@ func TestEventFitsOneCacheLine(t *testing.T) {
 	// bits hold (a process that blocks every host nanosecond gets there in
 	// two years).
 	p := &Proc{gen: 1<<56 - 1, state: procQueued}
-	ev := wakeEvent(3, 0, 1, p)
+	ev := wakeEvent(3, p)
 	if ev.band() != 1 || ev.stale() {
 		t.Fatalf("wake event at generation 2^56-1: band %d, stale %v", ev.band(), ev.stale())
 	}
@@ -140,7 +140,7 @@ func TestBeforeEventRunsBeforeTheNthEvent(t *testing.T) {
 		k := NewKernel()
 		var log []string
 		var times []Time
-		k.probe = func(_ int, at Time, _ uint8, _, _ uint64) { times = append(times, at) }
+		k.probe = func(at Time, _ uint8, _ uint64) { times = append(times, at) }
 		for i := 0; i < 3; i++ {
 			i := i
 			k.Spawn("p", func(p *Proc) {

@@ -134,6 +134,6 @@ func (e *PSEngine) Run(p *Proc, demand float64, work Duration) {
 // Drain removes all jobs without waking them; used when a device is reset as
 // part of failure recovery (the owning processes are killed separately).
 func (e *PSEngine) Drain() {
-	e.settle(e.k.nowSeq)
+	e.settle(e.k.now)
 	e.jobs = nil
 }

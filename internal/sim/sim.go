@@ -4,20 +4,20 @@
 //
 // The kernel runs each simulated thread of execution (an mEnclave thread, an
 // mOS service loop, a device engine, the untrusted OS) as a runtime coroutine
-// (coro.go), and — in the default sequential mode — only one process ever
-// runs at a time. There is no scheduler between them: the right to dispatch
-// (the "baton") travels with control. A process that blocks (Sleep, mailbox
-// receive, resource acquire) runs the event loop itself — kernel callbacks
-// inline, its own wake returns with no switch at all. When another process's
-// wake comes up, the blocker hands that process, already dispatched, to the
-// coordinator that resumed it (Run's drive loop) and is suspended; drive
-// resumes the other one. That is two coroutine switches — direct hand-offs
-// between goroutines that never enter the Go scheduler, wake a P or touch a
-// futex — where a goroutine per process cost a channel rendezvous. End
-// conditions (deadline, Stop, error, drained queue, mode switch) and process
-// exit give control back to drive the same way, with nothing to resume.
-// Every event carries a unique, totally ordered key, so the pop order — and
-// with it every output — depends neither on the shape of the heap nor on
+// (coro.go), and only one process ever runs at a time. There is no scheduler
+// between them: the right to dispatch (the "baton") travels with control. A
+// process that blocks (Sleep, mailbox receive, resource acquire) runs the
+// event loop itself — kernel callbacks inline, its own wake returns with no
+// switch at all. When another process's wake comes up, the blocker hands that
+// process, already dispatched, to the coordinator that resumed it (Run's
+// drive loop) and is suspended; drive resumes the other one. That is two
+// coroutine switches — direct hand-offs between goroutines that never enter
+// the Go scheduler, wake a P or touch a futex — where a goroutine per process
+// cost a channel rendezvous. End conditions (deadline, Stop, error, drained
+// queue) and process exit give control back to drive the same way, with
+// nothing to resume. The kernel is one event domain — one clock, one queue —
+// and every event carries a unique, totally ordered key, so the pop order —
+// and with it every output — depends neither on the shape of the heap nor on
 // which process happens to dispatch. Virtual time advances only when the
 // event queue does, so simulation results are fully deterministic and
 // independent of the host machine.
@@ -46,21 +46,12 @@
 // returns, Run, and always Shutdown. No non-test file outside this package
 // calls NewKernel or Kernel.Shutdown (a source scan in internal/experiments
 // holds the tree to that).
-//
-// The kernel can additionally be sharded (EnableSharding): processes are
-// placed on shards (SpawnOn) and, after Parallelize, shards simulate
-// concurrently on their own goroutines up to a conservative lookahead
-// horizon, exchanging messages only through Port values whose hop latency is
-// at least the configured lookahead. Event ordering stays deterministic and
-// independent of the shard count — see shard.go and DESIGN.md §13.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"cronus/internal/metrics"
 )
@@ -123,18 +114,10 @@ func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 // Milliseconds reports the duration as a floating point number of milliseconds.
 func (d Duration) Milliseconds() float64 { return float64(d) / 1e6 }
 
-// event is one entry in a shard's queue. The key is (t, band, a, b):
-//
-//   - sequential mode: band 1, a 0, b a global schedule sequence — exactly
-//     the (time, sequence) order of the original single-queue kernel, and
-//     independent of how processes are assigned to shards (the global
-//     sequence makes the multi-queue merge behave as one queue);
-//   - parallel mode: a is the logical id of the process the event belongs
-//     to (or of the sender, for port deliveries) and b a per-process
-//     counter, so the order is a deterministic function of the simulated
-//     program alone — byte-identical for every shard count and assignment;
-//   - band 0 is reserved for Port deliveries, which apply before normal
-//     events at the same instant regardless of mode.
+// event is one entry in the kernel's queue, ordered by the key (t, band, seq).
+// Band 0 is a Port delivery, which applies before the timers and wakes (band
+// 1) of its instant; seq is the kernel's schedule counter, so the key is
+// unique and a band's same-instant events run in the order they were queued.
 //
 // fn events are kernel callbacks (port deliveries, Proc.CallAt/CallAtArg
 // timers): they run inline on whichever process or coordinator holds the
@@ -143,24 +126,24 @@ func (d Duration) Milliseconds() float64 { return float64(d) / 1e6 }
 // the event — fn(arg) — so a caller that binds fn once schedules an occurrence
 // without building a closure for it; a pointer-shaped arg boxes for free.
 //
-// The struct is 64 bytes — the compiler moves that much inline, and one byte
-// more through a copy routine — so the generation and the band share a word
-// (gb): with the generation in a word of its own (72 bytes) a self-wake sleep
-// measured 36 ns against 28. The heap stays one array of whole events: a
+// The struct is at most 64 bytes — the compiler moves that much inline, and
+// one byte more through a copy routine — so the generation and the band share
+// a word (gb): with the generation in a word of its own (72 bytes) a self-wake
+// sleep measured 36 ns against 28. The heap stays one array of whole events: a
 // keys-here, bodies-there split was tried and lost to it (the flow-plane
 // allocation budget under EXPERIMENTS.md "History").
 type event struct {
-	t    Time
-	a, b uint64
-	gb   uint64 // wake generation << 8 | band; stale wakes are skipped
-	p    *Proc
-	fn   func(any)
-	arg  any
+	t   Time
+	seq uint64
+	gb  uint64 // wake generation << 8 | band; stale wakes are skipped
+	p   *Proc
+	fn  func(any)
+	arg any
 }
 
-// wakeEvent keys p's own wake at t: band 1, stamped with p's generation.
-func wakeEvent(t Time, a, b uint64, p *Proc) event {
-	return event{t: t, a: a, b: b, gb: p.gen<<8 | 1, p: p}
+// wakeEvent is p's own wake at t: band 1, stamped with p's generation.
+func wakeEvent(t Time, p *Proc) event {
+	return event{t: t, gb: p.gen<<8 | 1, p: p}
 }
 
 func (e *event) band() uint8 { return uint8(e.gb) }
@@ -171,7 +154,7 @@ func (e *event) stale() bool {
 	return e.p.state == procDead || e.gb>>8 != e.p.gen || e.p.state == procRunning
 }
 
-// keyLess orders two events by the canonical (t, band, a, b) key. Keys are
+// keyLess orders two events by the canonical (t, band, seq) key. Keys are
 // unique, so this is a strict total order.
 func keyLess(x, y *event) bool {
 	if x.t != y.t {
@@ -180,10 +163,7 @@ func keyLess(x, y *event) bool {
 	if x.band() != y.band() {
 		return x.band() < y.band()
 	}
-	if x.a != y.a {
-		return x.a < y.a
-	}
-	return x.b < y.b
+	return x.seq < y.seq
 }
 
 // eventQueue is a binary min-heap of events by key, typed so that scheduling
@@ -252,7 +232,6 @@ type killToken struct{ p *Proc }
 // operations are methods on the Proc that represents the caller.
 type Proc struct {
 	k    *Kernel
-	sh   *shard
 	name string
 	id   int
 	// co resumes the process's coroutine from a coordinator (drive, Shutdown)
@@ -267,14 +246,6 @@ type Proc struct {
 	// onKill is the wait queue the process last parked on, until it resumes:
 	// a kill before then drops the process from it eagerly (in kernel context).
 	onKill dropper
-	// lid is the application-assigned logical id (SpawnOn). In the parallel
-	// phase it keys every event the process schedules, making event order a
-	// function of the simulated program rather than of shard placement.
-	lid uint64
-	// evseq counts events scheduled on behalf of this process in the
-	// parallel phase; (lid, evseq) is the placement-invariant event key.
-	evseq    uint64
-	childCtr uint64
 	// traceID/spanID carry the causal-tracing span context: the request
 	// trace this process is currently working for and the enclosing span.
 	// The kernel never reads them; internal/trace threads them through so
@@ -287,26 +258,21 @@ type Proc struct {
 // Name returns the name the process was spawned with.
 func (p *Proc) Name() string { return p.name }
 
-// ID returns the process's stable identifier: spawn order for processes
-// created in sequential mode, a logical-id-derived value for processes
-// spawned during the parallel phase (so the id is independent of shard
-// placement and host interleaving).
+// ID returns the process's stable identifier: its spawn order.
 func (p *Proc) ID() int { return p.id }
 
 // Kernel returns the owning simulation kernel.
 func (p *Proc) Kernel() *Kernel { return p.k }
 
-// Now returns the current virtual time as seen by this process (its shard's
-// clock; identical to Kernel.Now in the unsharded kernel).
-func (p *Proc) Now() Time { return p.sh.now }
+// Now returns the current virtual time (the same clock as Kernel.Now).
+func (p *Proc) Now() Time { return p.k.now }
 
 // TraceCtx returns the process's current causal span context (trace id and
 // enclosing span id); both are zero when no request context is attached.
 func (p *Proc) TraceCtx() (traceID, spanID uint64) { return p.traceID, p.spanID }
 
 // SetTraceCtx attaches a causal span context to the process (zeros detach).
-// Only one process runs at a time on a given shard, so no synchronization is
-// needed.
+// Only one process runs at a time, so no synchronization is needed.
 func (p *Proc) SetTraceCtx(traceID, spanID uint64) {
 	p.traceID = traceID
 	p.spanID = spanID
@@ -335,162 +301,56 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("sim: process %q panicked: %v", e.Proc, e.Value)
 }
 
-// shard is one event domain of the kernel: its own clock and queue. The
-// unsharded kernel is a single shard. Only one thread of control — the baton
-// holder — touches a shard at a time: in sequential mode one baton covers
-// every shard, during a parallel window each active shard has its own.
-type shard struct {
-	k     *Kernel
-	id    int
-	now   Time
-	eq    eventQueue
-	procs map[*Proc]struct{} // all live processes on this shard
-
-	// outbox buffers cross-shard port sends made during a parallel window;
-	// the coordinator drains it into the target shards at the barrier.
-	outbox []xmsg
-
-	// work/done start a window on the dispatcher goroutine and report its
-	// completion (started lazily at Parallelize).
-	work chan struct{}
-	done chan struct{}
-}
-
-// xmsg is one buffered cross-shard send: the delivery event, already keyed
-// (arrival instant, sender lid, sender seq), and the shard it is bound for.
-type xmsg struct {
-	to *shard
-	ev event
-}
-
 // Kernel is the discrete-event scheduler. The zero value is not usable; use
-// NewKernel.
+// NewKernel. Only one thread of control — the baton holder — touches it at a
+// time.
 type Kernel struct {
-	shards []*shard
-	nowSeq Time   // global clock of the sequential mode
-	gseq   uint64 // global schedule sequence of the sequential mode
+	now    Time
+	eq     eventQueue
+	procs  map[*Proc]struct{} // every live process
+	seq    uint64             // schedule counter: the last component of every key
 	nextID int
-	eps    Duration // lookahead: minimum cross-shard port hop latency
-	seqCur *Proc    // process last dispatched in sequential mode
-	// limit bounds dispatch: only events strictly before it run. It is the
-	// RunUntil deadline+1 in sequential mode and the window horizon in the
-	// parallel phase, written by the coordinator while it holds every baton.
-	limit  Time
-	active []*shard // runParallel's per-window scratch
+	// limit bounds dispatch: only events strictly before it run (the RunUntil
+	// deadline+1).
+	limit Time
 	// probe, set by tests only, sees the key of every dispatched event.
-	probe func(shard int, t Time, band uint8, a, b uint64)
-	// dispatched counts the events next has dispatched in sequential mode;
-	// when it is about to reach armAt (nonzero), armFn runs first (BeforeEvent).
+	probe func(t Time, band uint8, seq uint64)
+	// dispatched counts the events next has dispatched; when it is about to
+	// reach armAt (nonzero), armFn runs first (BeforeEvent).
 	dispatched uint64
 	armAt      uint64
 	armFn      func()
 
-	sharded  bool // EnableSharding called
-	parallel bool // currently in the parallel phase (toggled at safe points)
-	everPar  bool // Parallelize happened (Sequentialize is meaningful)
-	pendPar  bool // Parallelize requested; switch at next dispatch boundary
-	started  bool // shard dispatcher goroutines are running
-
-	live    atomic.Int64
-	stopped atomic.Bool
-	seqReq  atomic.Bool // Sequentialize requested (checked by shard windows)
-	errSet  atomic.Bool
-	errMu   sync.Mutex
-	err     error
+	stopped bool
+	err     error // the first error raised by process code
 	run     bool
 }
 
-// NewKernel creates an empty simulation at time zero with a single shard.
+// NewKernel creates an empty simulation at time zero.
 func NewKernel() *Kernel {
-	k := &Kernel{}
-	k.shards = []*shard{newShard(k, 0)}
-	return k
+	return &Kernel{procs: make(map[*Proc]struct{})}
 }
 
-func newShard(k *Kernel, id int) *shard {
-	return &shard{k: k, id: id, procs: make(map[*Proc]struct{})}
-}
-
-// Now returns the current virtual time of the sequential clock. It must not
-// be called from process code during the parallel phase — shard clocks are
-// decoupled there; use Proc.Now instead (the kernel panics to surface such
-// callers deterministically).
-func (k *Kernel) Now() Time {
-	if k.parallel {
-		panic("sim: Kernel.Now during the parallel phase (use Proc.Now)")
-	}
-	return k.nowSeq
-}
+// Now returns the current virtual time.
+func (k *Kernel) Now() Time { return k.now }
 
 // setErr records the first error raised by process code.
 func (k *Kernel) setErr(err error) {
-	k.errMu.Lock()
 	if k.err == nil {
 		k.err = err
-		k.errSet.Store(true)
 	}
-	k.errMu.Unlock()
-}
-
-func (k *Kernel) getErr() error {
-	if !k.errSet.Load() {
-		return nil
-	}
-	k.errMu.Lock()
-	defer k.errMu.Unlock()
-	return k.err
 }
 
 // Spawn creates a process running fn and schedules it to start at the
-// current virtual time, on the shard of the spawning process (shard 0 when
-// called from outside process code). It may be called before Run or from
-// inside a running process, but not during the parallel phase — use
-// Proc.Spawn there.
+// current virtual time. It may be called before Run, from a running process
+// or from a callback. The coroutine does not run until first resumed.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	return k.SpawnAt(k.seqNow(), name, fn)
-}
-
-func (k *Kernel) seqNow() Time {
-	if k.parallel {
-		panic("sim: Kernel.Spawn during the parallel phase (use Proc.Spawn)")
-	}
-	return k.nowSeq
-}
-
-// SpawnAt creates a process running fn, starting at time t (which must not be
-// in the past; earlier times are clamped to now).
-func (k *Kernel) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	if k.parallel {
-		panic("sim: Kernel.SpawnAt during the parallel phase (use Proc.Spawn)")
-	}
-	if t < k.nowSeq {
-		t = k.nowSeq
-	}
-	sh := k.shards[0]
-	if k.seqCur != nil && k.seqCur.state == procRunning {
-		sh = k.seqCur.sh
-	}
 	k.nextID++
-	return k.spawn(sh, t, name, fn, 0, k.nextID)
-}
-
-// spawn creates the process structure and its coroutine (which does not run
-// until first resumed) and schedules its first event. Callers supply the
-// shard, logical id and stable id appropriate to the current mode.
-func (k *Kernel) spawn(sh *shard, t Time, name string, fn func(p *Proc), lid uint64, id int) *Proc {
-	p := &Proc{
-		k:     k,
-		sh:    sh,
-		name:  name,
-		id:    id,
-		lid:   lid,
-		state: procQueued,
-	}
-	k.live.Add(1)
-	sh.procs[p] = struct{}{}
+	p := &Proc{k: k, name: name, id: k.nextID, state: procQueued}
+	k.procs[p] = struct{}{}
 	mSpawned.Inc()
 	if traceHook != nil {
-		traceHook(t, "spawn", name)
+		traceHook(k.now, "spawn", name)
 	}
 	p.co = newCoro(func(yield func(*Proc) bool) {
 		p.yield = yield
@@ -504,8 +364,7 @@ func (k *Kernel) spawn(sh *shard, t Time, name string, fn func(p *Proc), lid uin
 				}
 			}
 			p.state = procDead
-			k.live.Add(-1)
-			delete(sh.procs, p)
+			delete(k.procs, p)
 		}()
 		p.state = procRunning
 		p.gen++
@@ -514,15 +373,21 @@ func (k *Kernel) spawn(sh *shard, t Time, name string, fn func(p *Proc), lid uin
 		}
 		fn(p)
 	})
-	sh.schedule(t, p)
+	k.schedule(k.now, p)
 	return p
 }
 
-// schedule queues p's next event at time t with the mode-appropriate key.
-func (sh *shard) schedule(t Time, p *Proc) {
-	a, b := p.key()
-	ev := wakeEvent(t, a, b, p)
-	sh.eq.push(&ev)
+// push stamps ev with the next schedule sequence number and queues it.
+func (k *Kernel) push(ev *event) {
+	k.seq++
+	ev.seq = k.seq
+	k.eq.push(ev)
+}
+
+// schedule queues p's next wake at time t.
+func (k *Kernel) schedule(t Time, p *Proc) {
+	ev := wakeEvent(t, p)
+	k.push(&ev)
 }
 
 // Run executes events until the queue drains. It returns nil on a clean
@@ -541,145 +406,93 @@ func (k *Kernel) RunUntil(deadline Time) error {
 	}
 	k.run = true
 	defer func() { k.run = false }()
-	for {
-		if k.pendPar {
-			k.pendPar = false
-			k.beginParallel()
+	k.limit = math.MaxInt64
+	if deadline >= 0 {
+		k.limit = deadline + 1
+	}
+	k.drive()
+	// The baton is back: work out which end condition next ran into.
+	switch {
+	case k.err != nil:
+		return k.err
+	case k.stopped:
+		return nil
+	case len(k.eq) == 0:
+		if len(k.procs) > 0 {
+			return k.deadlock()
 		}
-		if k.parallel {
-			err, finished := k.runParallel(deadline)
-			if finished {
-				return err
-			}
-			continue // Sequentialize switched the mode; keep going below
-		}
-		k.limit = math.MaxInt64
-		if deadline >= 0 {
-			k.limit = deadline + 1
-		}
-		k.shards[0].drive()
-		// The baton is back: work out which end condition next ran into.
-		if k.pendPar {
-			continue
-		}
-		if err := k.getErr(); err != nil {
-			return err
-		}
-		if k.stopped.Load() {
-			return nil
-		}
-		if k.minShard() == nil {
-			if k.live.Load() > 0 {
-				return k.deadlock()
-			}
-			return nil
-		}
-		k.nowSeq = deadline // the earliest pending event lies beyond it
 		return nil
 	}
-}
-
-// minShard returns the shard holding the globally minimal pending event, or
-// nil when every queue is empty. Queue heads are compared in place.
-func (k *Kernel) minShard() *shard {
-	var best *shard
-	for _, sh := range k.shards {
-		if len(sh.eq) > 0 && (best == nil || keyLess(&sh.eq[0], &best.eq[0])) {
-			best = sh
-		}
+	if deadline > k.now {
+		k.now = deadline // the earliest pending event lies beyond it
 	}
-	return best
+	return nil
 }
 
-// deadlock collects the parked-process names across shards.
+// deadlock collects the parked-process names.
 func (k *Kernel) deadlock() error {
 	var names []string
-	for _, sh := range k.shards {
-		for p := range sh.procs {
-			if p.state == procParked {
-				names = append(names, p.name)
-			}
+	for p := range k.procs {
+		if p.state == procParked {
+			names = append(names, p.name)
 		}
 	}
 	sort.Strings(names)
 	return &DeadlockError{Parked: names}
 }
 
-// drive is the coordinator's end of the baton: RunUntil in sequential mode, a
-// shard window in the parallel phase. It resumes the next process and gets
-// control back when that process blocks on another's wake (which it hands
-// over already dispatched), hits an end condition, or exits; in the last two
-// cases drive dispatches for itself. A switch between two processes is thus
-// two coroutine switches through here and no pass through the Go scheduler.
-func (sh *shard) drive() {
-	p := sh.next()
+// drive is the coordinator's end of the baton (RunUntil). It resumes the next
+// process and gets control back when that process blocks on another's wake
+// (which it hands over already dispatched), hits an end condition, or exits;
+// in the last two cases drive dispatches for itself. A switch between two
+// processes is thus two coroutine switches through here and no pass through
+// the Go scheduler.
+func (k *Kernel) drive() {
+	p := k.next()
 	for p != nil {
 		q, _ := p.co()
 		if q == nil {
-			q = sh.next()
+			q = k.next()
 		}
 		p = q
 	}
 }
 
-// next is the one dispatch routine, run by whoever holds the baton — a
-// coordinator or a blocked process — for the unsharded kernel, the sequential
-// shard merge and a parallel window alike. It runs callback events inline,
-// skips stale wakes and returns the next process to run, already marked
-// running with the clocks advanced; nil means an end condition holds (Stop,
-// error, mode switch, drained queue, deadline or horizon) and the baton goes
-// back to the coordinator, which works out which. Stopping early is always
-// safe in a window: running less before a barrier never breaks the lookahead.
-func (sh *shard) next() *Proc {
-	k := sh.k
+// next is the one dispatch routine, run by whoever holds the baton — the
+// coordinator or a blocked process. It runs callback events inline, skips
+// stale wakes and returns the next process to run, already marked running
+// with the clock advanced; nil means an end condition holds (Stop, error,
+// drained queue or deadline) and the baton goes back to the coordinator,
+// which works out which.
+func (k *Kernel) next() *Proc {
 	for {
-		if k.stopped.Load() || k.errSet.Load() {
-			return nil
-		}
-		if k.parallel {
-			if k.seqReq.Load() {
-				return nil
-			}
-		} else if sh = k.minShard(); sh == nil || k.pendPar {
-			return nil // (the sequential merge dispatches from every shard)
-		}
-		if len(sh.eq) == 0 || sh.eq[0].t >= k.limit {
+		if k.stopped || k.err != nil || len(k.eq) == 0 || k.eq[0].t >= k.limit {
 			return nil
 		}
 		var ev event
-		sh.eq.pop(&ev)
+		k.eq.pop(&ev)
 		if ev.fn == nil && ev.stale() {
 			continue
 		}
 		mEvents.Inc()
 		if k.probe != nil {
-			k.probe(sh.id, ev.t, ev.band(), ev.a, ev.b)
+			k.probe(ev.t, ev.band(), ev.seq)
 		}
-		if !k.sharded {
-			gQueueDepth.Set(int64(len(sh.eq)))
+		gQueueDepth.Set(int64(len(k.eq)))
+		if ev.t > k.now {
+			k.now = ev.t
 		}
-		if ev.t > sh.now {
-			sh.now = ev.t
+		if k.dispatched+1 == k.armAt {
+			fn := k.armFn
+			k.armAt, k.armFn = 0, nil
+			fn()
 		}
-		if !k.parallel {
-			if ev.t > k.nowSeq {
-				k.nowSeq = ev.t
-			}
-			if k.dispatched+1 == k.armAt {
-				fn := k.armFn
-				k.armAt, k.armFn = 0, nil
-				fn()
-			}
-			k.dispatched++
-		}
+		k.dispatched++
 		if ev.fn != nil {
 			k.call(&ev)
 			continue
 		}
 		ev.p.state = procRunning
-		if !k.parallel {
-			k.seqCur = ev.p
-		}
 		return ev.p
 	}
 }
@@ -710,7 +523,7 @@ func (p *Proc) block() {
 		p.onKill = nil
 		panic(killToken{p})
 	}
-	if q := p.sh.next(); q != p {
+	if q := p.k.next(); q != p {
 		p.yield(q)
 	}
 	p.gen++
@@ -731,24 +544,16 @@ func (p *Proc) park(onKill dropper) {
 	p.block()
 }
 
-// wake makes a blocked process runnable at the current time (the target's
-// shard clock, or the global clock if that is ahead in sequential mode). For
-// a process in an interruptible sleep this is an early wake; for a parked
-// process it is the only way to resume. No-op for running or dead processes.
-// During the parallel phase the caller must run on p's shard — cross-shard
-// communication goes through Ports.
+// wake makes a blocked process runnable at the current time. For a process
+// in an interruptible sleep this is an early wake; for a parked process it is
+// the only way to resume. No-op for running or dead processes.
 func (k *Kernel) wake(p *Proc) {
-	sh := p.sh
-	t := sh.now
-	if !k.parallel && k.nowSeq > t {
-		t = k.nowSeq
-	}
 	switch p.state {
 	case procParked:
 		p.state = procQueued
-		sh.schedule(t, p)
+		k.schedule(k.now, p)
 	case procQueued:
-		sh.schedule(t, p) // early wake; the original timer goes stale
+		k.schedule(k.now, p) // early wake; the original timer goes stale
 	}
 }
 
@@ -759,7 +564,7 @@ func (p *Proc) Sleep(d Duration) {
 		d = 0
 	}
 	p.state = procQueued
-	p.sh.schedule(p.sh.now+Time(d), p)
+	p.k.schedule(p.k.now+Time(d), p)
 	p.block()
 }
 
@@ -770,22 +575,46 @@ func (p *Proc) SleepInterruptible(d Duration) (interrupted bool) {
 	if d < 0 {
 		d = 0
 	}
-	deadline := p.sh.now + Time(d)
+	deadline := p.k.now + Time(d)
 	p.state = procQueued
-	p.sh.schedule(deadline, p)
+	p.k.schedule(deadline, p)
 	p.block()
-	return p.sh.now < deadline
+	return p.k.now < deadline
 }
 
 // Interrupt wakes p early from an interruptible sleep (or a park). It is a
 // no-op for running or dead processes.
 func (k *Kernel) Interrupt(p *Proc) { k.wake(p) }
 
+// CallAt schedules fn to run in kernel context at time t (clamped to now).
+// The callback runs inline on the dispatching goroutine — whichever holds the
+// baton, often a blocked process — with no handshake. It must not block (no
+// Sleep, Recv, Acquire); it may wake processes, send on ports and chain
+// further CallAt calls through the captured p. A panic in it ends the run as
+// a *PanicError naming p. This is the cheap-timer primitive: one heap
+// operation per occurrence instead of a parked process per timer.
+func (p *Proc) CallAt(t Time, fn func()) { p.CallAtArg(t, callThunk, fn) }
+
+// callThunk is the one trampoline every CallAt rides: the func() is the
+// event's argument (a func value is pointer-shaped, so boxing it is free).
+func callThunk(fn any) { fn.(func())() }
+
+// CallAtArg is CallAt for a callback that takes its argument from the event:
+// fn(arg) runs at t under CallAt's rules. With fn bound once — a method value
+// or closure built at set-up — and a pointer-shaped arg, scheduling an
+// occurrence allocates nothing, where CallAt with a fresh closure per
+// occurrence allocates the closure.
+func (p *Proc) CallAtArg(t Time, fn func(any), arg any) {
+	if t < p.k.now {
+		t = p.k.now
+	}
+	ev := event{t: t, gb: 1, p: p, fn: fn, arg: arg}
+	p.k.push(&ev)
+}
+
 // Kill terminates a process: if it is parked or queued it unwinds at its
 // next scheduling point; a process can also kill itself, which unwinds
-// immediately. Killing a dead process is a no-op. During the parallel phase
-// only same-shard kills are legal (failure paths call Proc.Sequentialize
-// first).
+// immediately. Killing a dead process is a no-op.
 func (k *Kernel) Kill(p *Proc) {
 	if p == nil || p.state == procDead || p.killed {
 		return
@@ -793,11 +622,11 @@ func (k *Kernel) Kill(p *Proc) {
 	p.killed = true
 	mKilled.Inc()
 	if traceHook != nil {
-		traceHook(k.killNow(p), "kill", p.name)
+		traceHook(k.now, "kill", p.name)
 	}
 	if p.state == procRunning {
-		// Nothing else runs while a process does (on its shard, in the
-		// parallel phase), so the caller is p itself: unwind in place.
+		// Nothing else runs while a process does, so the caller is p
+		// itself: unwind in place.
 		panic(killToken{p})
 	}
 	// Parked, or woken but not yet resumed: its queue forgets it.
@@ -808,19 +637,10 @@ func (k *Kernel) Kill(p *Proc) {
 	k.wake(p) // runnable now, cutting any pending sleep short: it unwinds in block
 }
 
-// killNow picks the timestamp reported to the trace hook for a kill.
-func (k *Kernel) killNow(p *Proc) Time {
-	if k.parallel {
-		return p.sh.now
-	}
-	return k.nowSeq
-}
-
 // Stop ends the simulation after the current event: Run/RunUntil returns nil
 // even though service-loop processes (pollers, watchdogs) are still queued.
 // Call it from the driving process when the scenario under test is complete.
-// In a sharded run, Sequentialize before Stop so the cut is deterministic.
-func (k *Kernel) Stop() { k.stopped.Store(true) }
+func (k *Kernel) Stop() { k.stopped = true }
 
 // Shutdown unwinds every remaining process — each is resumed once, marked
 // killed, and runs its deferred calls to the end of its coroutine — so no
@@ -830,16 +650,13 @@ func (k *Kernel) Shutdown() {
 	if k.run {
 		panic("sim: Shutdown during Run")
 	}
-	k.stopDispatchers()
-	for _, sh := range k.shards {
-		for p := range sh.procs {
-			if p.state == procDead {
-				continue
-			}
-			p.killed = true
-			p.state = procQueued
-			p.co()
+	for p := range k.procs {
+		if p.state == procDead {
+			continue
 		}
+		p.killed = true
+		p.state = procQueued
+		p.co()
 	}
 }
 
@@ -863,9 +680,9 @@ func Run(body func(p *Proc) error) error {
 	return bodyErr
 }
 
-// Dispatched returns how many events the kernel has dispatched in sequential
-// mode: process resumptions and callbacks, not the stale wakes it skips. It
-// is the ordinal BeforeEvent counts in.
+// Dispatched returns how many events the kernel has dispatched: process
+// resumptions and callbacks, not the stale wakes it skips. It is the ordinal
+// BeforeEvent counts in.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 
 // BeforeEvent arms fn to run once, just before the n-th dispatched event

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -689,14 +691,12 @@ func TestShutdownUnwindsBlockingDefers(t *testing.T) {
 // it started from, for a process in every state a run can leave behind: never
 // started (its coroutine exists but has not been resumed), parked, asleep,
 // killed while parked with the unwinding wake still queued, and one whose
-// deferred cleanup swallows the kill and blocks again mid-unwind. The second
-// leg leaves them on two shards in the middle of the parallel phase, so the
-// window dispatchers have to go too. The lifecycle rows hold Run (the package
-// function) to the same count however its body ends.
+// deferred cleanup swallows the kill and blocks again mid-unwind. The
+// lifecycle rows hold Run (the package function) to the same count however
+// its body ends.
 func TestShutdownLeavesNoGoroutines(t *testing.T) {
-	// quietBase reads the goroutine count once the window dispatchers of
-	// earlier kernels (the previous leg's, other tests') have exited on their
-	// own time.
+	// quietBase reads the goroutine count once it has held still for 20 ms, so
+	// a goroutine an earlier test left exiting is not counted against this one.
 	quietBase := func() int {
 		base := runtime.NumGoroutine()
 		for quiet := 0; quiet < 20; quiet++ {
@@ -707,97 +707,59 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 		}
 		return base
 	}
-	neverRuns := func(*Proc) { t.Error("a never-started process ran") }
-	// populate leaves one process in each state and ends the run with Stop,
-	// so the victim's wake and the child's first event stay queued.
-	populate := func(k *Kernel, spawn func(name string, fn func(p *Proc)) *Proc, cleanups *int) {
-		never := NewCond(k)
-		cleanup := func() { *cleanups++ }
-		spawn("parked", func(p *Proc) {
+	base := quietBase()
+	k := NewKernel()
+	never := NewCond(k)
+	cleanups := 0
+	cleanup := func() { cleanups++ }
+	k.Spawn("parked", func(p *Proc) {
+		defer cleanup()
+		never.Wait(p)
+	})
+	k.Spawn("sleeping", func(p *Proc) {
+		defer cleanup()
+		p.Sleep(Second)
+	})
+	victim := k.Spawn("killed-while-parked", func(p *Proc) {
+		defer cleanup()
+		never.Wait(p)
+	})
+	k.Spawn("mid-unwind", func(p *Proc) {
+		defer func() {
+			recover() // swallow the kill ...
 			defer cleanup()
-			never.Wait(p)
-		})
-		spawn("sleeping", func(p *Proc) {
-			defer cleanup()
-			p.Sleep(Second)
-		})
-		victim := spawn("killed-while-parked", func(p *Proc) {
-			defer cleanup()
-			never.Wait(p)
-		})
-		spawn("mid-unwind", func(p *Proc) {
-			defer func() {
-				recover() // swallow the kill ...
-				defer cleanup()
-				p.Sleep(1) // ... and block again: must unwind, not suspend
-				t.Error("a killed process slept")
-			}()
-			never.Wait(p)
-		})
-		spawn("killer", func(p *Proc) {
-			defer cleanup()
-			p.Sleep(100 * Microsecond)
-			k.Kill(victim)
-			p.Spawn("never-started", neverRuns)
-			k.Stop()
-			p.Sleep(Second)
-		})
+			p.Sleep(1) // ... and block again: must unwind, not suspend
+			t.Error("a killed process slept")
+		}()
+		never.Wait(p)
+	})
+	// The killer's child and the victim's wake stay queued behind Stop.
+	k.Spawn("killer", func(p *Proc) {
+		defer cleanup()
+		p.Sleep(100 * Microsecond)
+		k.Kill(victim)
+		k.Spawn("never-started", func(*Proc) { t.Error("a never-started process ran") })
+		k.Stop()
+		p.Sleep(Second)
+	})
+	if g := runtime.NumGoroutine(); g != base+len(k.procs) {
+		t.Fatalf("%d goroutines for %d processes over a baseline of %d", g, len(k.procs), base)
 	}
-	// Each leg returns how many of its processes carry a deferred cleanup.
-	legs := map[string]func(k *Kernel, cleanups *int) int{
-		"sequential": func(k *Kernel, cleanups *int) int {
-			populate(k, k.Spawn, cleanups)
-			k.SpawnAt(Time(Second), "never-started", neverRuns)
-			return 5
-		},
-		"parallel phase": func(k *Kernel, cleanups *int) int {
-			k.EnableSharding(3, Microsecond)
-			lid := uint64(1)
-			for sh := 1; sh <= 2; sh++ {
-				sh := sh
-				populate(k, func(name string, fn func(p *Proc)) *Proc {
-					lid++
-					return k.SpawnOn(sh, lid, name, fn)
-				}, cleanups)
-			}
-			k.SpawnOn(0, 1, "host", func(p *Proc) {
-				k.Parallelize()
-				p.Sleep(Second)
-			})
-			return 10
-		},
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
 	}
-	for name, setup := range legs {
-		base := quietBase()
-		k := NewKernel()
-		cleanups := 0
-		want := setup(k, &cleanups)
-		spawned := int(k.live.Load())
-		if g := runtime.NumGoroutine(); g != base+spawned {
-			t.Fatalf("%s: %d goroutines for %d processes over a baseline of %d", name, g, spawned, base)
-		}
-		if err := k.Run(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if cleanups != 0 {
-			t.Fatalf("%s: %d processes unwound before Shutdown", name, cleanups)
-		}
-		k.Shutdown()
-		if live := k.live.Load(); live != 0 {
-			t.Errorf("%s: %d processes alive after Shutdown", name, live)
-		}
-		if cleanups != want {
-			t.Errorf("%s: %d deferred cleanups ran, want %d", name, cleanups, want)
-		}
-		// Process coroutines end inside Shutdown; only the window dispatchers,
-		// told to stop by a channel close, exit on their own time — on a box
-		// busy with other packages' tests that can be milliseconds.
-		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-		if g := runtime.NumGoroutine(); g != base {
-			t.Errorf("%s: %d goroutines after Shutdown, %d before the kernel existed", name, g, base)
-		}
+	if cleanups != 0 {
+		t.Fatalf("%d processes unwound before Shutdown", cleanups)
+	}
+	k.Shutdown()
+	if live := len(k.procs); live != 0 {
+		t.Errorf("%d processes alive after Shutdown", live)
+	}
+	if cleanups != 5 {
+		t.Errorf("%d deferred cleanups ran, want 5", cleanups)
+	}
+	if g := runtime.NumGoroutine(); g != base {
+		t.Errorf("%d goroutines after Shutdown, %d before the kernel existed", g, base)
 	}
 
 	// Every lifecycle row leaves a parked and a sleeping service loop behind
@@ -830,7 +792,7 @@ func TestShutdownLeavesNoGoroutines(t *testing.T) {
 	}
 	for _, row := range rows {
 		base := quietBase()
-		cleanups := 0
+		cleanups = 0
 		err := Run(func(p *Proc) error {
 			never := NewCond(p.Kernel())
 			p.Kernel().Spawn("parked", func(q *Proc) {
@@ -882,4 +844,63 @@ func TestGoexitInProcessEndsRun(t *testing.T) {
 		t.Fatal("the exited process is not marked dead")
 	}
 	k.Shutdown()
+}
+
+// TestPortOrdering pins the delivery order: same-instant messages apply in
+// send order, and before the timers and wakes of their arrival instant.
+func TestPortOrdering(t *testing.T) {
+	k := NewKernel()
+	pt := NewPort[string](k, 0, "in", Microsecond)
+	var log []string
+	for i := 0; i < 2; i++ {
+		k.Spawn(fmt.Sprintf("sender-%d", i), func(p *Proc) {
+			p.Sleep(10 * Microsecond)
+			pt.Send(p, p.Name())
+		})
+	}
+	k.Spawn("timer", func(p *Proc) {
+		// Queued at 0, long before either send: band 0 still goes first.
+		p.CallAt(Time(11*Microsecond), func() {
+			log = append(log, fmt.Sprintf("timer sees %d queued", pt.q.Len()))
+		})
+	})
+	k.Spawn("recv", func(p *Proc) {
+		a, b := pt.Recv(p), pt.Recv(p)
+		log = append(log, fmt.Sprintf("%s then %s at %v", a, b, p.Now()))
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	want := "timer sees 2 queued; sender-0 then sender-1 at 11.00us"
+	if got := strings.Join(log, "; "); got != want {
+		t.Fatalf("delivery order: got %q want %q", got, want)
+	}
+}
+
+// TestCallAt covers the kernel-context timer: ordering against process
+// events and chained re-arming.
+func TestCallAt(t *testing.T) {
+	k := NewKernel()
+	var fired []Time
+	k.Spawn("driver", func(p *Proc) {
+		var tick func()
+		n := 0
+		tick = func() {
+			fired = append(fired, p.Now())
+			n++
+			if n < 3 {
+				p.CallAt(p.Now()+Time(10*Microsecond), tick)
+			}
+		}
+		p.CallAt(p.Now()+Time(10*Microsecond), tick)
+		p.Sleep(Duration(100 * Microsecond))
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	k.Shutdown()
+	if len(fired) != 3 {
+		t.Fatalf("expected 3 chained firings, got %d", len(fired))
+	}
 }

@@ -1,9 +1,12 @@
 package sim
 
+import "fmt"
+
 // This file provides the synchronization primitives used by simulated code:
-// mailboxes (CSP-style queues), counting resources with FIFO admission, and
-// one-shot signals. All blocking methods take the calling Proc explicitly —
-// simulated code always knows which simulated thread it is running on.
+// mailboxes (CSP-style queues), counting resources with FIFO admission,
+// one-shot signals and ports (message queues with a hop latency). All
+// blocking methods take the calling Proc explicitly — simulated code always
+// knows which simulated thread it is running on.
 
 // FIFO is the queue under every wait path, and under any simulated queue that
 // pops from the front: a slice plus a head index, so that a pop keeps the
@@ -317,4 +320,71 @@ func (w *WaitGroup) Wait(p *Proc) {
 		w.waiters.Push(p)
 		p.park(&w.waiters)
 	}
+}
+
+// Port is a single-consumer message queue with a hop latency: a message sent
+// at t arrives at t+hop (the interconnect it crosses) as a band-0 event, so
+// it applies before the timers and wakes of its arrival instant, and
+// same-instant arrivals apply in send order. The message rides in the
+// delivery event, so a Send of a pointer-shaped T allocates nothing.
+type Port[T any] struct {
+	k       *Kernel
+	hop     Duration
+	q       FIFO[T]
+	waiters waitq
+	handler func(at Time, v T)
+	// deliverArg is deliver behind the event's func(any) signature, bound once
+	// here so that a Send schedules it with the message as the argument.
+	deliverArg func(v any)
+}
+
+// NewPort creates a port with the given hop latency (clamped to >= 0). shard
+// must be 0: the kernel has one event domain (compat.go).
+func NewPort[T any](k *Kernel, shard int, name string, hop Duration) *Port[T] {
+	if shard != 0 {
+		panic(fmt.Sprintf("sim: NewPort %q on shard %d: the kernel has one event domain", name, shard))
+	}
+	if hop < 0 {
+		hop = 0
+	}
+	pt := &Port[T]{k: k, hop: hop}
+	pt.deliverArg = func(v any) { pt.deliver(v.(T)) }
+	return pt
+}
+
+// Send queues v for delivery at the current time plus the port's hop
+// latency. It never blocks; p is the sender, named if a handler panics.
+func (pt *Port[T]) Send(p *Proc, v T) {
+	ev := event{t: pt.k.now + Time(pt.hop), p: p, fn: pt.deliverArg, arg: v} // band 0
+	pt.k.push(&ev)
+}
+
+// SetHandler turns the port into a callback port: every delivery invokes fn
+// inline in kernel context at the delivery instant, instead of queueing for
+// a Recv. The callback must not block (no Sleep, Recv, Acquire); it may wake
+// processes, send on ports and fire signals. Handler ports are the
+// zero-handshake completion primitive of the serving data plane: one heap
+// event per message, no parked consumer process. Set the handler before any
+// delivery and never combine it with Recv.
+func (pt *Port[T]) SetHandler(fn func(at Time, v T)) { pt.handler = fn }
+
+// deliver runs in kernel context at the arrival instant.
+func (pt *Port[T]) deliver(v T) {
+	if pt.handler != nil {
+		pt.handler(pt.k.now, v)
+		return
+	}
+	pt.q.Push(v)
+	if pt.waiters.Len() > 0 {
+		pt.k.wake(pt.waiters.Pop())
+	}
+}
+
+// Recv blocks p until a message is available and returns it.
+func (pt *Port[T]) Recv(p *Proc) T {
+	for pt.q.Len() == 0 {
+		pt.waiters.Push(p)
+		p.park(&pt.waiters)
+	}
+	return pt.q.Pop()
 }

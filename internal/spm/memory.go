@@ -64,7 +64,9 @@ func (s *SPM) AllocMem(p *Partition, npages int) (uint64, error) {
 	return base << hw.PageShift, nil
 }
 
-// FreeMem unmaps and scrubs pages previously allocated with AllocMem.
+// FreeMem unmaps and scrubs pages previously allocated with AllocMem, once
+// no grant shares them (Unshare first). It changes no other partition's view,
+// so it raises no isolation-change notification.
 func (s *SPM) FreeMem(p *Partition, ipa uint64, npages int) {
 	vpn := ipa >> hw.PageShift
 	for i := 0; i < npages; i++ {
@@ -79,7 +81,6 @@ func (s *SPM) FreeMem(p *Partition, ipa uint64, npages int) {
 		// cannot fail unless the SPM's own bookkeeping is corrupt.
 		_ = s.M.Mem.FreePage(op.region, hw.PA(op.pfn<<hw.PageShift))
 	}
-	s.isolationChanged()
 }
 
 // Share maps npages of owner's memory (starting at ownerIPA) into peer's

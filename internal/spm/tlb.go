@@ -90,9 +90,9 @@ type isoWatch struct {
 
 // OnIsolationChange registers fn to run whenever the SPM changes the
 // isolation state of any partition — grant teardown (Unshare/RevokeGrant),
-// FreeMem, partition failure, recovery completion, and proceed-trap
-// resolution. Waiters parked on shared-memory doorbells use this to re-check
-// their predicate on failure paths that never write the watched word.
+// partition failure, recovery completion, and proceed-trap resolution.
+// Waiters parked on shared-memory doorbells use this to re-check their
+// predicate on failure paths that never write the watched word.
 // Callbacks run in registration order; the returned id (never zero) removes
 // the hook through OffIsolationChange. Doorbell waiters arm and cancel from
 // their own simulated processes, which the SPM's kernel runs one at a time,

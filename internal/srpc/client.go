@@ -29,7 +29,6 @@ type Client struct {
 	calls    uint64 // records pushed on this stream (chaos hook ordinal)
 	hook     *CallHook
 	lastRec  uint64 // slot index of the most recently pushed record
-	smem     uint64 // owner-side IPA of the region
 	gid      int
 	arena    *arena // zero-copy payload grant (nil until GrantArena)
 	zcSeq    uint64 // fused-call ordinal, rotates arena slots
@@ -124,7 +123,6 @@ func Connect(p *sim.Proc, owner *mos.Enclave, peerEID uint32, secret []byte, pee
 		ring:     newRing(owner.View(), ipa, pages),
 		streamID: streamID,
 		track:    track,
-		smem:     ipa,
 		gid:      gid,
 		costs:    costs,
 	}
@@ -198,14 +196,15 @@ func macEqual(a, b []byte) bool {
 
 func spmPartID(eid uint32) spm.PartitionID { return spm.PartitionID(eid >> 24) }
 
-// teardown clears stream state: revokes the smem grant and marks the stream
-// dead so subsequent calls fail fast instead of touching the ring.
+// teardown clears stream state: dissolves the ring's and the arena's grants,
+// returns their pages to the owner, and marks the stream dead so subsequent
+// calls fail fast instead of touching the ring.
 func (c *Client) teardown() {
 	if !c.dead {
 		c.dead = true
-		_ = c.owner.MOS().SPM.Unshare(c.gid)
+		c.owner.ReleaseShared(c.gid, c.ring.base, c.ring.pages)
 		if c.arena != nil {
-			_ = c.owner.MOS().SPM.Unshare(c.arena.gid)
+			c.owner.ReleaseShared(c.arena.gid, c.arena.base, c.arena.pages)
 		}
 		c.tr.Notifies().drop(c.streamID)
 	}
@@ -528,7 +527,7 @@ func (c *Client) Barrier(p *sim.Proc) error {
 }
 
 // Close drains the stream, signals the executor to stop, and releases the
-// shared region.
+// shared regions (teardown).
 func (c *Client) Close(p *sim.Proc) error {
 	if c.closed {
 		return nil
@@ -542,12 +541,7 @@ func (c *Client) Close(p *sim.Proc) error {
 		return nil // peer already gone; state cleared
 	}
 	_ = c.ring.writeU32(p, offClosed, 1)
-	_ = c.owner.MOS().SPM.Unshare(c.gid)
-	if c.arena != nil {
-		_ = c.owner.MOS().SPM.Unshare(c.arena.gid)
-	}
-	c.tr.Notifies().drop(c.streamID)
-	c.dead = true
+	c.teardown()
 	return nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"cronus/internal/core"
 	"cronus/internal/enclave"
 	"cronus/internal/gpu"
+	"cronus/internal/hw"
 	"cronus/internal/mos"
 	"cronus/internal/mos/driver"
 	"cronus/internal/sim"
@@ -826,5 +827,56 @@ func TestRecordBytesOnRing(t *testing.T) {
 			t.Error("no record wrapped the ring; the sizes above no longer cover the wrap")
 		}
 		return c.Close(p)
+	})
+}
+
+// TestClosedStreamsReturnTheirPages: one owner opens and closes 10,000
+// streams, every other one with a payload arena — far more than its 4M memory
+// cap holds at once — and ends with the grants and the cap it started with.
+// Each Close raises one isolation-change notification per grant it dissolves,
+// none for the pages it frees.
+func TestClosedStreamsReturnTheirPages(t *testing.T) {
+	const streams = 10000
+	run(t, func(h *harness, p *sim.Proc) error {
+		sp := h.owner.MOS().SPM
+		ownerPart, peerPart := h.owner.MOS().Part, h.pl.GPUs[0].Part
+		owner0, _ := sp.GrantsTo(ownerPart)
+		peer0, _ := sp.GrantsTo(peerPart)
+		notes := 0
+		sp.OnIsolationChange(func() { notes++ })
+		for i := 0; i < streams; i++ {
+			c, err := h.connect(p)
+			if err != nil {
+				return fmt.Errorf("open %d: %w", i, err)
+			}
+			grants := 1
+			if i%2 == 1 {
+				if err := c.GrantArena(p, 64); err != nil {
+					return fmt.Errorf("arena %d: %w", i, err)
+				}
+				grants++
+			}
+			notes = 0
+			if err := c.Close(p); err != nil {
+				return fmt.Errorf("close %d: %w", i, err)
+			}
+			if notes != grants {
+				t.Errorf("close %d raised %d isolation-change notifications, want %d", i, notes, grants)
+			}
+		}
+		if cur, stale := sp.GrantsTo(ownerPart); cur != owner0 || stale != 0 {
+			t.Errorf("owner partition: %d current and %d stale grants, want %d and 0", cur, stale, owner0)
+		}
+		if cur, stale := sp.GrantsTo(peerPart); cur != peer0 || stale != 0 {
+			t.Errorf("peer partition: %d current and %d stale grants, want %d and 0", cur, stale, peer0)
+		}
+		// The cap is back where it started: all of it allocates, a page more does not.
+		if _, err := h.owner.AllocShared(p, 4<<20/hw.PageSize); err != nil {
+			t.Errorf("the whole cap after %d closed streams: %v", streams, err)
+		}
+		if _, err := h.owner.AllocShared(p, 1); err == nil {
+			t.Error("a page past the cap was granted")
+		}
+		return nil
 	})
 }
