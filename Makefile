@@ -45,7 +45,10 @@ cover:
 # race detector (the sim kernel's handshake provides the happens-before edges).
 # `make ci` runs the subset where goroutines meet: serve, srpc, spm and hw (which
 # hold no lock: one goroutine runs a kernel at a time, and this is the check
-# that nothing reaches them from a second one), sim, and
+# that nothing reaches them from a second one), sim, trace and otrace (a
+# collector and its flight recorder belong to the one kernel they are attached
+# to and hold no lock either: the detector is the check that no collector is
+# handed to two goroutines), and
 # experiments (a figure's cells on concurrent kernels) with the core and gpu
 # packages every cell boots — plus dnn, rodinia and tvm, whose kernels compute
 # through gpu's float32 views of device memory: -race turns on checkptr, which
@@ -67,8 +70,10 @@ bench:
 # codec (mECall arguments, replies, sealed payloads), the sRPC record header
 # the executor validates before trusting a length, the NPU program decoder
 # (vtaRun payloads and NPU enclave images), the EDL parser whose table a
-# sealed call's name is resolved against, and the manifest parser whose memory
-# cap the mEnclave manager enforces. One short leg per target —
+# sealed call's name is resolved against, the manifest parser whose memory
+# cap the mEnclave manager enforces, and the remote-attestation verifier,
+# which must accept exactly the report the platform signed and refuse every
+# mutation of it with a typed sentinel. One short leg per target —
 # `go test -fuzz` takes a single target and a single package — on top of the
 # checked-in seed corpora under testdata/fuzz, which every plain `go test` run
 # already replays.
@@ -79,6 +84,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInsns$$' -fuzztime $(FUZZTIME) ./internal/mos/driver
 	$(GO) test -run '^$$' -fuzz '^FuzzEDL$$' -fuzztime $(FUZZTIME) ./internal/enclave
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/enclave
+	$(GO) test -run '^$$' -fuzz '^FuzzVerifyReport$$' -fuzztime $(FUZZTIME) ./internal/attest
 
 # Documentation bar: package docs plus doc comments on every exported
 # identifier of the API-bearing packages (serve, srpc, spm, mos, chaos), and
@@ -134,7 +140,7 @@ ci:
 	$(GO) vet ./...
 	$(MAKE) cover
 	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/hw ./internal/sim \
-		./internal/experiments ./internal/core ./internal/gpu \
+		./internal/trace ./internal/otrace ./internal/experiments ./internal/core ./internal/gpu \
 		./internal/dnn ./internal/workload/rodinia ./internal/tvm ./internal/mos/driver
 	$(MAKE) fuzz
 	$(GO) run ./cmd/cronus-doclint

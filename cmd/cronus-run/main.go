@@ -20,13 +20,13 @@ import (
 	"cronus/internal/workload/rodinia"
 )
 
-func writeTrace(path string) error {
+func writeTrace(path string, tc *trace.Collector) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	return trace.Default.WriteChromeTrace(f)
+	return tc.WriteChromeTrace(f)
 }
 
 func writeMetrics(path string, snap *metrics.Snapshot) error {
@@ -48,9 +48,11 @@ func main() {
 
 	// Both observability sinks are written after every run completes; the
 	// combined summary line reports what was captured and where it went.
+	// Each run's kernel records into tc, one run after another.
+	var tc *trace.Collector
 	if *traceOut != "" || *metricsOut != "" {
 		if *traceOut != "" {
-			trace.Default.Enable()
+			tc = &trace.Collector{}
 		}
 		if *metricsOut != "" {
 			metrics.Default.Reset()
@@ -60,11 +62,11 @@ func main() {
 			var parts []string
 			failed := false
 			if *traceOut != "" {
-				if err := writeTrace(*traceOut); err != nil {
+				if err := writeTrace(*traceOut, tc); err != nil {
 					fmt.Fprintln(os.Stderr, "cronus-run:", err)
 					failed = true
 				} else {
-					parts = append(parts, fmt.Sprintf("%s -> %s (open in chrome://tracing or Perfetto)", trace.Default.Summary(), *traceOut))
+					parts = append(parts, fmt.Sprintf("%s -> %s (open in chrome://tracing or Perfetto)", tc.Summary(), *traceOut))
 				}
 			}
 			if *metricsOut != "" {
@@ -77,10 +79,9 @@ func main() {
 				}
 			}
 			// The collector silently caps its buffer; surface the loss so a
-			// truncated export is never mistaken for a complete one. The same
-			// count is exported as the trace.events.dropped counter.
-			if dropped := trace.Default.Dropped(); dropped > 0 {
-				fmt.Fprintf(os.Stderr, "cronus-run: warning: %d trace events dropped at the %d-event cap\n", dropped, trace.DefaultMaxEvents)
+			// truncated export is never mistaken for a complete one.
+			if tc != nil && tc.Dropped() > 0 {
+				fmt.Fprintf(os.Stderr, "cronus-run: warning: %d trace events dropped at the %d-event cap\n", tc.Dropped(), trace.MaxEvents)
 			}
 			for _, line := range parts {
 				fmt.Println(line)
@@ -115,7 +116,7 @@ func main() {
 	}
 	var native sim.Duration
 	for _, s := range systems {
-		d, err := experiments.RunOnSystem(s, b.Cubin(), nil, b.Run)
+		d, err := experiments.RunOnSystem(s, b.Cubin(), nil, tc, b.Run)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cronus-run: %s on %s: %v\n", b.Name, s, err)
 			os.Exit(1)

@@ -187,8 +187,6 @@ func main() {
 	}
 	if *traceOut != "" {
 		cfg.Trace = true
-		trace.Default.Enable()
-		defer trace.Default.Disable()
 	}
 	if *sloTargetUS > 0 {
 		cfg.SLO = &slo.Objective{
@@ -247,7 +245,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "cronus-serve:", err)
 			profile.Exit(1)
 		}
-		if err := trace.Default.WriteChromeTrace(f); err == nil {
+		if err := res.Spans.WriteChromeTrace(f); err == nil {
 			err = f.Close()
 		} else {
 			f.Close()
@@ -256,9 +254,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "cronus-serve:", err)
 			profile.Exit(1)
 		}
-		fmt.Printf("trace: %d spans -> %s\n", trace.Default.Len(), *traceOut)
-		if dropped := trace.Default.Dropped(); dropped > 0 {
-			fmt.Fprintf(os.Stderr, "cronus-serve: warning: %d trace events dropped at the %d-event cap\n", dropped, trace.DefaultMaxEvents)
+		fmt.Printf("trace: %d spans -> %s\n", res.Spans.Len(), *traceOut)
+		if dropped := res.Spans.Dropped(); dropped > 0 {
+			fmt.Fprintf(os.Stderr, "cronus-serve: warning: %d trace events dropped at the %d-event cap\n", dropped, trace.MaxEvents)
 		}
 		// Where the latency went, per tenant and stage, and the p99 tail
 		// tied back to concrete trace ids.

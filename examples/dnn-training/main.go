@@ -44,7 +44,7 @@ func train(p *sim.Proc, ops accel.CUDA, verbose bool) (sim.Duration, error) {
 func main() {
 	// The unprotected run: the evaluation's native system, a bare device.
 	var native sim.Duration
-	_, err := experiments.RunOnSystem(baseline.Native, dnn.Cubin(), nil, func(p *sim.Proc, ops accel.CUDA) (err error) {
+	_, err := experiments.RunOnSystem(baseline.Native, dnn.Cubin(), nil, nil, func(p *sim.Proc, ops accel.CUDA) (err error) {
 		native, err = train(p, ops, false)
 		return err
 	})

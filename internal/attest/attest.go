@@ -83,7 +83,10 @@ type Report struct {
 	Nonce         uint64                 // client freshness challenge
 }
 
-// Encode produces the canonical byte encoding that is signed.
+// Encode produces the canonical byte encoding that is signed. It is
+// injective: every variable-length field — names and device keys alike — is
+// length-prefixed, so no two reports share an encoding and one signature
+// covers exactly one report.
 func (r *Report) Encode() []byte {
 	var buf []byte
 	appendStr := func(s string) {
@@ -120,7 +123,7 @@ func (r *Report) Encode() []byte {
 	buf = append(buf, n[:]...)
 	for _, k := range keys {
 		appendStr(k)
-		buf = append(buf, r.DeviceKeys[k]...)
+		appendStr(string(r.DeviceKeys[k]))
 	}
 	var nn [8]byte
 	binary.LittleEndian.PutUint64(nn[:], r.Nonce)
@@ -222,28 +225,46 @@ type Expected struct {
 	Nonce         uint64
 }
 
-// ErrMeasurementMismatch is VerifyReport's refusal of a report whose mOS,
-// enclave or device-tree measurement differs from the one the client pinned:
-// the platform runs an image the client did not review.
-var ErrMeasurementMismatch = errors.New("measurement mismatch")
+// VerifyReport's refusals, one sentinel per link of the chain; every error
+// it returns wraps exactly one of them.
+var (
+	// ErrAtKNotEndorsed: the attestation service did not endorse the AtK.
+	ErrAtKNotEndorsed = errors.New("AtK not endorsed by attestation service")
+	// ErrBadSignature: the AtK's signature does not cover the report.
+	ErrBadSignature = errors.New("report signature invalid")
+	// ErrStaleNonce: the report answers another challenge than the client's.
+	ErrStaleNonce = errors.New("stale report")
+	// ErrMeasurementMissing: the report lacks an mOS or enclave the client
+	// pinned.
+	ErrMeasurementMissing = errors.New("report missing")
+	// ErrMeasurementMismatch is the refusal of a report whose mOS, enclave
+	// or device-tree measurement differs from the one the client pinned:
+	// the platform runs an image the client did not review.
+	ErrMeasurementMismatch = errors.New("measurement mismatch")
+	// ErrUntrustedVendor: a device names a vendor the client trusts no CA of.
+	ErrUntrustedVendor = errors.New("untrusted vendor")
+	// ErrDeviceNotEndorsed: a device key carries no valid endorsement by its
+	// vendor's CA.
+	ErrDeviceNotEndorsed = errors.New("key not endorsed by vendor")
+)
 
 // VerifyReport checks the complete chain: AtK endorsed by the service, the
 // report signed by AtK, nonce freshness, pinned measurements present and
 // matching, and every device key endorsed by a trusted vendor CA.
 func (v *Verifier) VerifyReport(sr *SignedReport, want Expected) error {
 	if !Verify(v.Service, sr.AtK, sr.AtKCert) {
-		return errors.New("attest: AtK not endorsed by attestation service")
+		return fmt.Errorf("attest: %w", ErrAtKNotEndorsed)
 	}
 	if !Verify(sr.AtK, sr.Report.Encode(), sr.Sig) {
-		return errors.New("attest: report signature invalid")
+		return fmt.Errorf("attest: %w", ErrBadSignature)
 	}
 	if sr.Report.Nonce != want.Nonce {
-		return fmt.Errorf("attest: stale report (nonce %d, want %d)", sr.Report.Nonce, want.Nonce)
+		return fmt.Errorf("attest: %w (nonce %d, want %d)", ErrStaleNonce, sr.Report.Nonce, want.Nonce)
 	}
 	for name, h := range want.MOSHashes {
 		got, ok := sr.Report.MOSHashes[name]
 		if !ok {
-			return fmt.Errorf("attest: report missing mOS %q", name)
+			return fmt.Errorf("attest: %w mOS %q", ErrMeasurementMissing, name)
 		}
 		if got != h {
 			return fmt.Errorf("attest: mOS %q %w", name, ErrMeasurementMismatch)
@@ -252,7 +273,7 @@ func (v *Verifier) VerifyReport(sr *SignedReport, want Expected) error {
 	for name, h := range want.EnclaveHashes {
 		got, ok := sr.Report.EnclaveHashes[name]
 		if !ok {
-			return fmt.Errorf("attest: report missing enclave %q", name)
+			return fmt.Errorf("attest: %w enclave %q", ErrMeasurementMissing, name)
 		}
 		if got != h {
 			return fmt.Errorf("attest: enclave %q %w", name, ErrMeasurementMismatch)
@@ -265,11 +286,11 @@ func (v *Verifier) VerifyReport(sr *SignedReport, want Expected) error {
 		vendor := sr.DeviceVendors[dev]
 		ca, ok := v.VendorCAs[vendor]
 		if !ok {
-			return fmt.Errorf("attest: device %q from untrusted vendor %q", dev, vendor)
+			return fmt.Errorf("attest: device %q from %w %q", dev, ErrUntrustedVendor, vendor)
 		}
 		cert := sr.DeviceCerts[dev]
 		if !Verify(ca, pub, cert) {
-			return fmt.Errorf("attest: device %q key not endorsed by vendor %q", dev, vendor)
+			return fmt.Errorf("attest: device %q %w %q", dev, ErrDeviceNotEndorsed, vendor)
 		}
 	}
 	mReportsVerified.Inc()

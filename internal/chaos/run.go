@@ -154,9 +154,9 @@ func (rr *RunReport) victimTenants() map[int]bool {
 // Serve and audited after, leaving the Injector's and probes' evidence in rr
 // (probe violations land in rr.Violations); the baseline run still plants the
 // probes so the two timelines stay identical until the first fault fires. A
-// non-nil rec records the run's event spine: the global collector and the
-// recorder are armed for this window only, and the rings stay readable after
-// it for violation dumps.
+// non-nil rec records the run's event spine: it taps a collector attached to
+// this window's kernel before the platform boots, and its rings stay readable
+// after it for violation dumps.
 func (rr *RunReport) execute(inject bool, rec *otrace.FlightRecorder) (*serve.Result, error) {
 	cfg := serveConfig(rr.Schedule, rr.Opts, inject)
 	if rr.Opts.cluster() {
@@ -165,16 +165,17 @@ func (rr *RunReport) execute(inject bool, rec *otrace.FlightRecorder) (*serve.Re
 	pcfg := core.DefaultConfig()
 	pcfg.GPUs = rr.Opts.Partitions
 	pcfg.NPUs = 0
-	if rec != nil {
-		trace.Default.Enable()
-		rec.Attach(trace.Default)
-		defer func() {
-			rec.Detach(trace.Default)
-			trace.Default.Disable()
-		}()
-	}
 	var res *serve.Result
-	err := core.Run(pcfg, func(pl *core.Platform, p *sim.Proc) error {
+	err := sim.Run(func(p *sim.Proc) error {
+		if rec != nil {
+			tc := &trace.Collector{}
+			rec.Attach(tc)
+			trace.Attach(p.Kernel(), tc)
+		}
+		pl, err := core.BuildPlatform(p, pcfg)
+		if err != nil {
+			return err
+		}
 		srv, err := serve.New(p, pl, cfg)
 		if err != nil {
 			return err

@@ -16,9 +16,10 @@ import (
 // The crash-point sweep: a deterministic kernel can fail a partition before
 // every event of a scenario, not at a sampled instant. A scenario is one
 // mECall shape ending in a Sync — a streamed Launch, a streamed 64 KiB HtoD, a
-// fused ExecZC, a cuMemAlloc and cuMemFree — or the opening of a stream itself
-// (the dynamic-attestation handshake), and the fault a crash of the callee's
-// GPU partition (SPM.Fail, FailPanic).
+// fused ExecZC, a cuMemAlloc and cuMemFree — the opening of a stream itself
+// (the dynamic-attestation handshake), or the close of the open stream and
+// the opening of its successor, and the fault a crash of the callee's GPU
+// partition (SPM.Fail, FailPanic).
 
 const sweepScale = 3
 
@@ -26,11 +27,14 @@ const sweepScale = 3
 // device buffer's length in floats (HtoD'd with ramp(elems, 1) when the
 // stream opens), the zero-copy arena the stream needs (0: none), and the call
 // itself, which ends in a Sync. A clean call leaves want in the buffer. A nil
-// call sweeps a second OpenCUDA to the partition, beside the open stream.
+// call sweeps a second OpenCUDA to the partition, beside the open stream — or,
+// with reopen set, in its place: the open stream is closed first, and the
+// successor gets a buffer of its own, an HtoD of want and a Sync.
 type crashScenario struct {
 	elems     int
 	zcPayload int
 	call      func(p *sim.Proc, conn *core.CUDAConn, buf uint64) error
+	reopen    bool
 	want      []byte
 }
 
@@ -39,6 +43,13 @@ type crashScenario struct {
 func handshake() crashScenario {
 	const n = 64
 	return crashScenario{elems: n, zcPayload: 4 * n, want: ramp(n, 1)}
+}
+
+// closeReopen closes the open stream and opens another to the same
+// partition: a handshake, a buffer, an HtoD and a Sync.
+func closeReopen() crashScenario {
+	const n = 64
+	return crashScenario{elems: n, reopen: true, want: ramp(n, 3)}
 }
 
 // launchSync is one streamed Launch scaling the buffer, then a Sync.
@@ -148,8 +159,9 @@ type crashPoint struct {
 //     and reads back what it must produce;
 //   - with the executors idle again, PhysMem.WatchCount is what it was
 //     before the call: no doorbell outlived its waiter;
-//   - once every stream is closed the run drains to quiescence — Run
-//     returns with no process parked.
+//   - once every stream is closed the session's enclave holds the trusted
+//     pages it held before the first opening, and the run drains to
+//     quiescence — Run returns with no process parked.
 func runCrashPoint(sc crashScenario, at uint64) crashPoint {
 	var cp crashPoint
 	fail := func(format string, args ...any) { cp.violations = append(cp.violations, fmt.Sprintf(format, args...)) }
@@ -168,6 +180,7 @@ func runCrashPoint(sc crashScenario, at uint64) crashPoint {
 			setupErr = err
 			return
 		}
+		memUsed := sess.Owner().MemUsed()
 		dial := func() (*core.CUDAConn, error) {
 			return sess.OpenCUDA(p, core.CUDAOptions{
 				Cubin: gpu.BuildCubin("scale"), Partition: part.Name, ZCPayload: sc.zcPayload,
@@ -184,6 +197,26 @@ func runCrashPoint(sc crashScenario, at uint64) crashPoint {
 			}
 			return conn, buf, conn.HtoD(p, buf, ramp(sc.elems, 1))
 		}
+		// replace closes s and opens its successor, the reopen scenario's
+		// call. The successor is returned once dialled, so a crash past
+		// the dial still leaves it to tear down.
+		replace := func(s *core.CUDAConn) (*core.CUDAConn, uint64, error) {
+			if err := s.Close(p); err != nil {
+				return nil, 0, err
+			}
+			next, err := dial()
+			if err != nil {
+				return nil, 0, err
+			}
+			nbuf, err := next.MemAlloc(p, uint64(4*sc.elems))
+			if err == nil {
+				err = next.HtoD(p, nbuf, sc.want)
+			}
+			if err == nil {
+				err = next.Sync(p)
+			}
+			return next, nbuf, err
+		}
 		// settle lets the stream's executor go idle on its doorbell.
 		settle := func() { p.Sleep(100 * sim.Microsecond) }
 		conn, buf, err := open()
@@ -198,10 +231,21 @@ func runCrashPoint(sc crashScenario, at uint64) crashPoint {
 		watches := pl.M.Mem.WatchCount()
 
 		// streams are the ones the crash must leave dead: the open one and,
-		// when the swept call is an opening that returned, its stream too.
+		// when the swept call is an opening that returned, its stream too —
+		// or, when the call replaces the open stream, the successor alone.
 		streams := []*core.CUDAConn{conn}
 		call := func() error { return sc.call(p, conn, buf) }
-		if sc.call == nil {
+		switch {
+		case sc.reopen:
+			call = func() error {
+				streams = nil
+				next, _, err := replace(conn)
+				if next != nil {
+					streams = append(streams, next)
+				}
+				return err
+			}
+		case sc.call == nil:
 			call = func() error {
 				second, err := dial()
 				if err == nil {
@@ -229,6 +273,9 @@ func runCrashPoint(sc crashScenario, at uint64) crashPoint {
 					fail("close: %v", err)
 				}
 			}
+			if got := sess.Owner().MemUsed(); got != memUsed {
+				fail("the session's enclave holds %d bytes of trusted pages with every stream closed, %d before the first opening", got, memUsed)
+			}
 		}
 		if at == 0 {
 			closeAll()
@@ -250,7 +297,11 @@ func runCrashPoint(sc crashScenario, at uint64) crashPoint {
 		settle() // the mOS re-probes its device after a restart
 
 		fresh, fbuf, err := open()
-		if err == nil && sc.call != nil {
+		switch {
+		case err != nil:
+		case sc.reopen:
+			fresh, fbuf, err = replace(fresh)
+		case sc.call != nil:
 			err = sc.call(p, fresh, fbuf)
 		}
 		var out []byte
@@ -350,6 +401,10 @@ func TestCrashPointSweepMemAllocFree(t *testing.T) { sweepCrashPoints(t, allocFr
 
 // TestCrashPointSweepHandshake sweeps the opening of a stream with an arena.
 func TestCrashPointSweepHandshake(t *testing.T) { sweepCrashPoints(t, handshake()) }
+
+// TestCrashPointSweepCloseReopen sweeps the close of the open stream, the
+// opening of its successor to the same partition, an HtoD and a Sync.
+func TestCrashPointSweepCloseReopen(t *testing.T) { sweepCrashPoints(t, closeReopen()) }
 
 // holdHandshakeCrash crashes gpu-part0 at each of the handshake's points,
 // which must refuse the opening as want says and keep the contract.

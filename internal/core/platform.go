@@ -222,7 +222,7 @@ func BuildNode(p *sim.Proc, cfg Config, node int) (*Platform, error) {
 // measurements.
 func (pl *Platform) RemoteAttest(p *sim.Proc, nonce uint64, want attest.Expected) error {
 	mRemoteAttests.Inc()
-	defer trace.Default.Span(p, "attest", "client", "remote-attest")()
+	defer trace.Of(p.Kernel()).Span(p, "attest", "client", "remote-attest")()
 	sr := pl.D.BuildReport(p, nonce)
 	p.Sleep(pl.Costs.VerifyFixed * 2)
 	return pl.Verifier.VerifyReport(sr, want)

@@ -65,7 +65,7 @@ func AblationStreaming() ([]AblationStreamingRow, error) {
 	}
 	err = each(len(rows), func(i int) error {
 		var err error
-		rows[i].Total, err = RunOnSystem(baseline.CRONUS, b.Cubin(), nil, func(p *sim.Proc, ops accel.CUDA) error {
+		rows[i].Total, err = RunOnSystem(baseline.CRONUS, b.Cubin(), nil, nil, func(p *sim.Proc, ops accel.CUDA) error {
 			if i == 1 {
 				ops = &syncForcedCUDA{inner: ops.(*core.CUDAConn)}
 			}
@@ -105,7 +105,7 @@ func AblationRingSize() ([]AblationRingRow, error) {
 	rows := []AblationRingRow{{RingPages: 5}, {RingPages: 17}, {RingPages: 65}, {RingPages: 257}}
 	err := each(len(rows), func(i int) error {
 		pages := rows[i].RingPages
-		_, err := runCUDA(baseline.CRONUS, gpu.BuildCubin("vec_add"), pages, nil, func(p *sim.Proc, conn accel.CUDA) error {
+		_, err := runCUDA(baseline.CRONUS, gpu.BuildCubin("vec_add"), pages, nil, nil, func(p *sim.Proc, conn accel.CUDA) error {
 			ptr, err := conn.MemAlloc(p, payload)
 			if err != nil {
 				return err
@@ -173,7 +173,7 @@ func AblationSwitchCost() ([]AblationSwitchRow, error) {
 		return costs
 	}
 	times, err := grid(len(mults), len(systems), func(r, c int) (sim.Duration, error) {
-		return RunOnSystem(systems[c], b.Cubin(), costsAt(mults[r]), b.Run)
+		return RunOnSystem(systems[c], b.Cubin(), costsAt(mults[r]), nil, b.Run)
 	})
 	if err != nil {
 		return nil, err

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"cronus/internal/metrics"
-	"cronus/internal/trace"
 )
 
 // each runs fn(0) … fn(n-1). Every call is one cell of a figure: it builds
@@ -20,13 +19,13 @@ import (
 // caller.
 //
 // At width 1 it is a plain loop on the calling goroutine that stops at the
-// first error — and so it is while metrics.Default or trace.Default records:
-// gauge last-values, span ids and event order in a process-wide recorder
-// depend on the order cells run in, and serial keeps every snapshot and trace
-// export byte-identical.
+// first error — and so it is while metrics.Default records: gauge last-values
+// in the process-wide registry depend on the order cells run in, and serial
+// keeps every snapshot byte-identical. Tracing needs no such rule: a
+// collector belongs to the one kernel it is attached to.
 func each(n int, fn func(i int) error) error {
 	width := min(n, runtime.GOMAXPROCS(0))
-	if width <= 1 || metrics.Default.Enabled() || trace.Default.Enabled() {
+	if width <= 1 || metrics.Default.Enabled() {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {
 				return err

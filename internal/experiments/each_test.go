@@ -16,7 +16,6 @@ import (
 	"cronus/internal/core"
 	"cronus/internal/metrics"
 	"cronus/internal/sim"
-	"cronus/internal/trace"
 )
 
 // atWidth sets GOMAXPROCS for the rest of the test.
@@ -123,8 +122,8 @@ func TestEachPanicSurfacesOnCaller(t *testing.T) {
 	})
 }
 
-// TestEachSerialOnCallingGoroutine: at width 1, and at any width while a
-// process-wide recorder is on, each is a plain loop — every cell on the
+// TestEachSerialOnCallingGoroutine: at width 1, and at any width while the
+// process-wide metrics registry records, each is a plain loop — every cell on the
 // caller's goroutine, in input order, stopping at the first error.
 func TestEachSerialOnCallingGoroutine(t *testing.T) {
 	legs := []struct {
@@ -135,7 +134,6 @@ func TestEachSerialOnCallingGoroutine(t *testing.T) {
 	}{
 		{"width 1", 1, func() {}, func() {}},
 		{"metrics recording", 4, metrics.Default.Enable, metrics.Default.Disable},
-		{"trace recording", 4, trace.Default.Enable, trace.Default.Disable},
 	}
 	for _, leg := range legs {
 		t.Run(leg.name, func(t *testing.T) {

@@ -18,6 +18,7 @@ import (
 	"cronus/internal/gpu"
 	"cronus/internal/npu"
 	"cronus/internal/sim"
+	"cronus/internal/trace"
 )
 
 // Systems evaluated by the GPU experiments, in rendering order.
@@ -34,8 +35,9 @@ type closer interface{ Close(p *sim.Proc) error }
 // sim.DefaultCosts()), runs body against its ops and returns the virtual time
 // body consumed. CRONUS is a booted platform, one session and the mEnclave
 // cronus opens on it, closed on the way out; a baseline is one bare kernel and
-// whatever bare builds on it.
-func testbed[O closer](system baseline.System, costs *sim.CostModel,
+// whatever bare builds on it. A non-nil tc is attached to the kernel before
+// either is built, so it records the boot as well as body.
+func testbed[O closer](system baseline.System, costs *sim.CostModel, tc *trace.Collector,
 	cronus func(p *sim.Proc, s *core.Session) (O, error),
 	bare func(k *sim.Kernel, costs *sim.CostModel) (O, error),
 	body func(p *sim.Proc, ops O) error) (sim.Duration, error) {
@@ -48,31 +50,34 @@ func testbed[O closer](system baseline.System, costs *sim.CostModel,
 		elapsed = sim.Duration(p.Now() - start)
 		return nil
 	}
-	if system == baseline.CRONUS {
+	err := sim.Run(func(p *sim.Proc) error {
+		trace.Attach(p.Kernel(), tc)
+		if system != baseline.CRONUS {
+			bareCosts := costs
+			if bareCosts == nil {
+				bareCosts = sim.DefaultCosts()
+			}
+			ops, err := bare(p.Kernel(), bareCosts)
+			if err != nil {
+				return err
+			}
+			return timed(p, ops)
+		}
 		cfg := core.DefaultConfig()
 		cfg.Costs = costs
-		err := core.Run(cfg, func(pl *core.Platform, p *sim.Proc) error {
-			s, err := pl.NewSession(p, "exp")
-			if err != nil {
-				return err
-			}
-			ops, err := cronus(p, s)
-			if err != nil {
-				return err
-			}
-			defer ops.Close(p)
-			return timed(p, ops)
-		})
-		return elapsed, err
-	}
-	if costs == nil {
-		costs = sim.DefaultCosts()
-	}
-	err := sim.Run(func(p *sim.Proc) error {
-		ops, err := bare(p.Kernel(), costs)
+		pl, err := core.BuildPlatform(p, cfg)
 		if err != nil {
 			return err
 		}
+		s, err := pl.NewSession(p, "exp")
+		if err != nil {
+			return err
+		}
+		ops, err := cronus(p, s)
+		if err != nil {
+			return err
+		}
+		defer ops.Close(p)
 		return timed(p, ops)
 	})
 	return elapsed, err
@@ -80,14 +85,14 @@ func testbed[O closer](system baseline.System, costs *sim.CostModel,
 
 // RunOnSystem executes body against the CUDA ops of the given system in a
 // fresh simulation on costs (nil = sim.DefaultCosts()), returning the virtual
-// time body consumed.
-func RunOnSystem(system baseline.System, cubin []byte, costs *sim.CostModel, body func(p *sim.Proc, ops accel.CUDA) error) (sim.Duration, error) {
-	return runCUDA(system, cubin, 65, costs, body)
+// time body consumed. A non-nil tc records the run, its boot included.
+func RunOnSystem(system baseline.System, cubin []byte, costs *sim.CostModel, tc *trace.Collector, body func(p *sim.Proc, ops accel.CUDA) error) (sim.Duration, error) {
+	return runCUDA(system, cubin, 65, costs, tc, body)
 }
 
 // runCUDA is RunOnSystem with the CRONUS stream's ring size as a parameter.
-func runCUDA(system baseline.System, cubin []byte, ringPages int, costs *sim.CostModel, body func(p *sim.Proc, ops accel.CUDA) error) (sim.Duration, error) {
-	return testbed(system, costs,
+func runCUDA(system baseline.System, cubin []byte, ringPages int, costs *sim.CostModel, tc *trace.Collector, body func(p *sim.Proc, ops accel.CUDA) error) (sim.Duration, error) {
+	return testbed(system, costs, tc,
 		func(p *sim.Proc, s *core.Session) (accel.CUDA, error) {
 			return s.OpenCUDA(p, core.CUDAOptions{Cubin: cubin, RingPages: ringPages})
 		},
@@ -107,7 +112,7 @@ func runCUDA(system baseline.System, cubin []byte, ringPages int, costs *sim.Cos
 
 // runNPU is the NPU flavour of RunOnSystem.
 func runNPU(system baseline.System, costs *sim.CostModel, body func(p *sim.Proc, ops accel.NPU) error) (sim.Duration, error) {
-	return testbed(system, costs,
+	return testbed(system, costs, nil,
 		func(p *sim.Proc, s *core.Session) (accel.NPU, error) {
 			return s.OpenNPU(p, core.NPUOptions{RingPages: 257, Memory: "128M"})
 		},

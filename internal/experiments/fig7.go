@@ -22,7 +22,7 @@ func Figure7() ([]Fig7Row, error) {
 	benches := rodinia.AllExtended()
 	times, err := grid(len(benches), len(GPUSystems), func(r, c int) (sim.Duration, error) {
 		b, system := benches[r], GPUSystems[c]
-		d, err := RunOnSystem(system, b.Cubin(), nil, b.Run)
+		d, err := RunOnSystem(system, b.Cubin(), nil, nil, b.Run)
 		if err != nil {
 			return 0, fmt.Errorf("fig7 %s on %s: %w", b.Name, system, err)
 		}

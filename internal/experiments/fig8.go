@@ -34,7 +34,7 @@ func Figure8(iters, batch int) ([]Fig8Row, error) {
 	stepTimes, err := grid(len(models), len(GPUSystems), func(r, c int) (sim.Duration, error) {
 		model, system := models[r], GPUSystems[c]
 		var steps sim.Duration
-		_, err := RunOnSystem(system, dnn.Cubin(), nil, func(p *sim.Proc, ops accel.CUDA) error {
+		_, err := RunOnSystem(system, dnn.Cubin(), nil, nil, func(p *sim.Proc, ops accel.CUDA) error {
 			tr, err := dnn.NewTrainer(p, ops, model, batch)
 			if err != nil {
 				return err

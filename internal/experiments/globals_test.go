@@ -19,9 +19,7 @@ import (
 // "Independent kernels side by side" carries the same table).
 var sharedGlobals = map[string]string{
 	"metrics.Default": "the process-wide registry: each runs serially while it records; disabled, instruments drop every write",
-	"trace.Default":   "the process-wide collector: each runs serially while it records; disabled, it drops every event",
 
-	"sim.traceHook":          "written once, by trace's package init",
 	"enclave.cpuLibRegistry": "filled at package init (core's session runtime, test libraries); read-only once a kernel runs",
 	"gpu.registry":           "filled at package init, replaced only by tests and examples while no simulation runs",
 
@@ -213,17 +211,18 @@ func calleeOf(e ast.Expr) string {
 }
 
 // lockSites is every import of sync or sync/atomic in a non-test file of
-// internal/hw, internal/spm and internal/sim, as "file: what", with the second
-// goroutine that justifies it. It is empty: a machine and its SPM belong to
-// one sim.Kernel, a kernel is one event domain that runs one of its processes
-// at a time, and two live platforms share nothing below metrics and trace
-// (DESIGN.md §17).
+// internal/hw, internal/spm, internal/sim, internal/trace and internal/otrace,
+// as "file: what", with the second goroutine that justifies it. It is empty: a
+// machine, its SPM and the trace collector and flight recorder attached to
+// its kernel belong to one sim.Kernel, a kernel is one event domain that runs
+// one of its processes at a time, and two live platforms share nothing below
+// metrics (DESIGN.md §17).
 var lockSites = map[string]string{}
 
-// TestNoLocksUnderOneKernel fails on a lock or an atomic in the kernel or the
-// simulated memory system that lockSites does not list: the data path crosses
-// these packages on every event and ring word, and a lock nobody can contend
-// is host time (the sim, hw and spm rows of EXPERIMENTS.md "Per-layer
+// TestNoLocksUnderOneKernel fails on a lock or an atomic in the kernel, the
+// simulated memory system or the tracer that lockSites does not list: the data
+// path crosses these packages on every event, ring word and hook, and a lock
+// nobody can contend is host time (the sim, hw and spm rows of EXPERIMENTS.md "Per-layer
 // budgets") and a false statement about who shares the state.
 func TestNoLocksUnderOneKernel(t *testing.T) {
 	root, err := repoRoot()
@@ -232,7 +231,7 @@ func TestNoLocksUnderOneKernel(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	found := make(map[string]bool)
-	for _, pkg := range []string{"internal/hw", "internal/spm", "internal/sim"} {
+	for _, pkg := range []string{"internal/hw", "internal/spm", "internal/sim", "internal/trace", "internal/otrace"} {
 		files, err := filepath.Glob(filepath.Join(root, pkg, "*.go"))
 		if err != nil {
 			t.Fatal(err)

@@ -197,7 +197,7 @@ func (c *Context) Launch(p *sim.Proc, name string, grid Dim, args ...uint64) err
 		p.Sleep(hangPark)
 		return fmt.Errorf("gpu: kernel %q launch hung (injected) and was released after %v", name, hangPark)
 	}
-	endSpan := trace.Default.Span(p, "gpu", c.dev.name, name)
+	endSpan := trace.Of(p.Kernel()).Span(p, "gpu", c.dev.name, name)
 	defer endSpan()
 	if c.dev.mps || c.dev.migSlices > 0 {
 		// Spatial sharing: kernels from different contexts share the

@@ -56,15 +56,10 @@ func NewRegion(p *sim.Proc, ownerEnc *mos.Enclave, peerPart *spm.Partition, page
 		pages = 1
 	}
 	m := ownerEnc.MOS()
-	ipa, err := ownerEnc.AllocShared(p, pages)
+	ipa, peerIPA, gid, err := ownerEnc.ShareWith(p, pages, peerPart)
 	if err != nil {
 		return nil, err
 	}
-	peerIPA, gid, err := m.SPM.Share(m.Part, ipa, pages, peerPart)
-	if err != nil {
-		return nil, err
-	}
-	ownerEnc.TrackGrant(gid)
 	p.Sleep(sim.Duration(pages) * m.Costs.MapPage)
 	size := uint64(pages) * hw.PageSize
 	return &Region{

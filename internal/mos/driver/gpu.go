@@ -147,7 +147,7 @@ func (m *CUDAModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encode
 			return err
 		}
 		mGPUHtoDBytes.Add(uint64(len(data)))
-		end := trace.Default.Span(p, "driver", m.hal.dev.Name(), "dma-htod")
+		end := trace.Of(p.Kernel()).Span(p, "driver", m.hal.dev.Name(), "dma-htod")
 		err := m.ctx.HtoD(p, dst, data)
 		end()
 		return err
@@ -161,7 +161,7 @@ func (m *CUDAModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encode
 			return err
 		}
 		mGPUDtoHBytes.Add(n)
-		end := trace.Default.Span(p, "driver", m.hal.dev.Name(), "dma-dtoh")
+		end := trace.Of(p.Kernel()).Span(p, "driver", m.hal.dev.Name(), "dma-dtoh")
 		err := m.ctx.DtoH(p, res.U32(uint32(n)).Reserve(int(n)), src)
 		end()
 		return err
@@ -189,7 +189,7 @@ func (m *CUDAModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encode
 			return err
 		}
 		mGPULaunches.Inc()
-		end := trace.Default.Span(p, "driver", m.hal.dev.Name(), "kernel-launch")
+		end := trace.Of(p.Kernel()).Span(p, "driver", m.hal.dev.Name(), "kernel-launch")
 		err := m.ctx.Launch(p, kname, grid, kargs...)
 		end()
 		wire.RecycleWords(kargs)

@@ -132,7 +132,7 @@ func (m *NPUModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder
 			return err
 		}
 		mNPUHtoDBytes.Add(uint64(len(data)))
-		end := trace.Default.Span(p, "driver", m.hal.dev.Name(), "dma-htod")
+		end := trace.Of(p.Kernel()).Span(p, "driver", m.hal.dev.Name(), "dma-htod")
 		err := m.ctx.HtoD(p, dst, data)
 		end()
 		return err
@@ -146,7 +146,7 @@ func (m *NPUModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder
 			return err
 		}
 		mNPUDtoHBytes.Add(n)
-		end := trace.Default.Span(p, "driver", m.hal.dev.Name(), "dma-dtoh")
+		end := trace.Of(p.Kernel()).Span(p, "driver", m.hal.dev.Name(), "dma-dtoh")
 		err := m.ctx.DtoH(p, res.U32(uint32(n)).Reserve(int(n)), src)
 		end()
 		return err
@@ -156,7 +156,7 @@ func (m *NPUModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder
 			return err
 		}
 		mNPURuns.Inc()
-		end := trace.Default.Span(p, "driver", m.hal.dev.Name(), "vta-run")
+		end := trace.Of(p.Kernel()).Span(p, "driver", m.hal.dev.Name(), "vta-run")
 		err = m.ctx.Run(p, insns)
 		end()
 		return err

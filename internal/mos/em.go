@@ -292,8 +292,8 @@ func (e *Enclave) InvokeStreamed(p *sim.Proc, name string, args []byte, res *wir
 	// The dispatch span sits between the executor's exec span and the
 	// device hooks in the causal tree (the proc carries the span context).
 	// The name concatenation only happens when tracing is on.
-	if trace.Default.Enabled() {
-		defer trace.Default.Span(p, "mos", e.em.mos.Part.Name, "dispatch "+name)()
+	if tc := trace.Of(p.Kernel()); tc != nil {
+		defer tc.Span(p, "mos", e.em.mos.Part.Name, "dispatch "+name)()
 	}
 	p.Sleep(e.em.mos.Costs.RPCDispatch)
 	return e.Model.Call(p, name, args, res)
@@ -318,15 +318,33 @@ func (e *Enclave) AllocShared(p *sim.Proc, npages int) (uint64, error) {
 	return ipa, nil
 }
 
-// TrackGrant records an SPM share grant owned by this enclave.
-func (e *Enclave) TrackGrant(gid int) { e.grants = append(e.grants, gid) }
+// MemUsed returns the trusted pages, in bytes, that AllocShared has charged
+// against the enclave's memory cap and that have not been returned.
+func (e *Enclave) MemUsed() uint64 { return e.memUsed }
 
-// ReleaseShared ends a share of npages AllocShared took at ipa: the grant is
+// ShareWith allocates npages of trusted memory (AllocShared), shares them
+// with peer through the SPM and records the grant, so enclave failure revokes
+// it. A refused share — the peer failing or not yet ready — returns the pages,
+// so a failed call leaves the allocator and the memory cap as it found them.
+func (e *Enclave) ShareWith(p *sim.Proc, npages int, peer *spm.Partition) (ipa, peerIPA uint64, gid int, err error) {
+	ipa, err = e.AllocShared(p, npages)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	m := e.em.mos
+	peerIPA, gid, err = m.SPM.Share(m.Part, ipa, npages, peer)
+	if err != nil {
+		e.freeShared(ipa, npages)
+		return 0, 0, 0, err
+	}
+	e.grants = append(e.grants, gid)
+	return ipa, peerIPA, gid, nil
+}
+
+// ReleaseShared ends a share of npages ShareWith took at ipa: the grant is
 // dissolved (spm.Unshare, which the failure paths may already have done) and
 // leaves the enclave's list, and the pages go back to the allocator and under
-// the memory cap. Once the partition has left the incarnation the enclave
-// lives in, ipa may name a newer allocation, so the pages are not freed — the
-// recovery that ended the incarnation scrubbed and freed them already.
+// the memory cap (freeShared).
 func (e *Enclave) ReleaseShared(gid int, ipa uint64, npages int) {
 	m := e.em.mos
 	_ = m.SPM.Unshare(gid)
@@ -336,6 +354,15 @@ func (e *Enclave) ReleaseShared(gid int, ipa uint64, npages int) {
 			break
 		}
 	}
+	e.freeShared(ipa, npages)
+}
+
+// freeShared returns npages AllocShared took at ipa to the allocator and
+// under the memory cap — unless the partition has left the incarnation the
+// enclave lives in: ipa may then name a newer allocation, and the recovery
+// that ended the incarnation scrubbed and freed the pages already.
+func (e *Enclave) freeShared(ipa uint64, npages int) {
+	m := e.em.mos
 	if m.Part.Epoch() != e.em.epoch {
 		return
 	}

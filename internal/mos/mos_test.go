@@ -290,15 +290,10 @@ func TestEnclaveKillRevokesGrantsAndDies(t *testing.T) {
 						t.Errorf("device memory in use %d after a 4096-byte alloc, %d before", got, memBefore)
 					}
 				}
-				ipa, err := e.AllocShared(p, 1)
+				_, peerIPA, _, err := e.ShareWith(p, 1, peer)
 				if err != nil {
 					return err
 				}
-				peerIPA, gid, err := pl.SPM.Share(m.Part, ipa, 1, peer)
-				if err != nil {
-					return err
-				}
-				e.TrackGrant(gid)
 				e.Kill(p)
 				if _, ok := m.EM.Get(res.EID); ok {
 					t.Error("killed enclave still resolvable")

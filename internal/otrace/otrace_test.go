@@ -178,10 +178,8 @@ func TestOutliers(t *testing.T) {
 
 func TestFlightRecorderRingAndAutoDump(t *testing.T) {
 	c := &trace.Collector{}
-	c.Enable()
 	fr := NewFlightRecorder(3)
 	fr.Attach(c)
-	defer fr.Detach(c)
 	for i := 0; i < 5; i++ {
 		c.InstantAt(sim.Time(i), "mos", "part0", "dispatch", nil)
 	}
@@ -206,10 +204,8 @@ func TestFlightRecorderRingAndAutoDump(t *testing.T) {
 
 func TestFlightRecorderDumpAllSorted(t *testing.T) {
 	c := &trace.Collector{}
-	c.Enable()
 	fr := NewFlightRecorder(0)
 	fr.Attach(c)
-	defer fr.Detach(c)
 	c.InstantAt(1, "mos", "zeta", "e", nil)
 	c.InstantAt(2, "mos", "alpha", "e", nil)
 	dumps := fr.DumpAll("invariant-violation", 50)

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"cronus/internal/sim"
 	"cronus/internal/trace"
@@ -35,10 +34,9 @@ type Dump struct {
 }
 
 // FlightRecorder taps a trace.Collector and retains the last N events per
-// track. It is safe for concurrent use (the collector calls the tap under
-// its own lock from whichever goroutine records).
+// track. Like the collector it taps, it belongs to the one kernel that
+// records into that collector, and takes no lock.
 type FlightRecorder struct {
-	mu    sync.Mutex
 	cap   int
 	rings map[string][]trace.Event
 	dumps []Dump
@@ -53,18 +51,12 @@ func NewFlightRecorder(perTrack int) *FlightRecorder {
 	return &FlightRecorder{cap: perTrack, rings: make(map[string][]trace.Event)}
 }
 
-// Attach installs the recorder as the collector's tap. Only one tap can be
-// installed at a time; Detach before attaching another recorder.
+// Attach installs the recorder as the collector's tap, replacing any other.
 func (fr *FlightRecorder) Attach(c *trace.Collector) { c.SetTap(fr.record) }
-
-// Detach removes the recorder from the collector.
-func (fr *FlightRecorder) Detach(c *trace.Collector) { c.SetTap(nil) }
 
 // record is the tap: append to the track's ring, trim, and auto-dump on a
 // quarantine event.
 func (fr *FlightRecorder) record(e trace.Event) {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
 	ring := append(fr.rings[e.Track], e)
 	if len(ring) > fr.cap {
 		ring = ring[len(ring)-fr.cap:]
@@ -81,8 +73,6 @@ func (fr *FlightRecorder) record(e trace.Event) {
 // DumpTrack cuts a dump of one track's current ring (for invariant-violation
 // handlers). The dump is recorded and returned.
 func (fr *FlightRecorder) DumpTrack(track, reason string, at sim.Time) Dump {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
 	d := Dump{Track: track, Reason: reason, At: at,
 		Events: append([]trace.Event(nil), fr.rings[track]...)}
 	fr.dumps = append(fr.dumps, d)
@@ -91,12 +81,10 @@ func (fr *FlightRecorder) DumpTrack(track, reason string, at sim.Time) Dump {
 
 // DumpAll cuts a dump of every track's current ring, in sorted track order.
 func (fr *FlightRecorder) DumpAll(reason string, at sim.Time) []Dump {
-	fr.mu.Lock()
 	tracks := make([]string, 0, len(fr.rings))
 	for t := range fr.rings {
 		tracks = append(tracks, t)
 	}
-	fr.mu.Unlock()
 	sort.Strings(tracks)
 	out := make([]Dump, 0, len(tracks))
 	for _, t := range tracks {
@@ -106,13 +94,7 @@ func (fr *FlightRecorder) DumpAll(reason string, at sim.Time) []Dump {
 }
 
 // Dumps returns the dumps cut so far, in capture order.
-func (fr *FlightRecorder) Dumps() []Dump {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	out := make([]Dump, len(fr.dumps))
-	copy(out, fr.dumps)
-	return out
-}
+func (fr *FlightRecorder) Dumps() []Dump { return append([]Dump(nil), fr.dumps...) }
 
 // String renders the dump as indented text, deterministic for identical
 // inputs: newest events last, spans with duration and causal ids.

@@ -179,10 +179,10 @@ func (srv *Server) submit(now sim.Time, t *tenant, cl *workClass) (*Request, err
 	if srv.cfg.Trace {
 		// The tenant's admission sequence (pre-increment) keys the
 		// deterministic trace id; the root span id is only minted when the
-		// collector is live (attribution works without the event spine).
+		// kernel is traced (attribution works without the event spine).
 		r.TraceID = otrace.DeriveTraceID(t.spec.Name, t.admitted)
-		if trace.Default.Enabled() {
-			r.spanID = trace.Default.NextSpanID()
+		if tc := trace.Of(srv.pl.K); tc != nil {
+			r.spanID = tc.NextSpanID()
 		}
 	}
 	t.admitted++

@@ -434,9 +434,9 @@ func (rep *replica) exec(p *sim.Proc, b *batch) error {
 	// device hooks all link (the proc carries the context; a watchdog kill
 	// still runs the deferred close during unwind, so the span is recorded
 	// and the context restored either way).
-	if rep.srv.cfg.Trace && trace.Default.Enabled() && b.reqs[0].TraceID != 0 {
+	if tc := trace.Of(p.Kernel()); tc != nil && b.reqs[0].TraceID != 0 {
 		head := b.reqs[0]
-		defer trace.Default.StartSpan(p, "serve", rep.part.sp.Name, "batch-exec",
+		defer tc.StartSpan(p, "serve", rep.part.sp.Name, "batch-exec",
 			trace.SpanCtx{Trace: head.TraceID, Span: head.spanID})()
 	}
 	cl := b.class

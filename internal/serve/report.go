@@ -9,6 +9,7 @@ import (
 	"cronus/internal/sim"
 	"cronus/internal/slo"
 	"cronus/internal/spm"
+	"cronus/internal/trace"
 )
 
 // TenantResult is one tenant's per-run SLO accounting.
@@ -82,6 +83,11 @@ type Result struct {
 	// when Config.Trace): feed it to otrace.Attribute for the per-tenant
 	// per-stage latency attribution table.
 	Traces []otrace.RequestTrace
+
+	// Spans is the collector the run's kernel recorded into — the event
+	// spine behind Traces, exported with WriteChromeTrace (nil when the
+	// kernel is untraced; Run attaches one when Config.Trace).
+	Spans *trace.Collector
 
 	// SLOs is the per-tenant burn-rate accounting (set when Config.SLO).
 	SLOs []TenantSLO
@@ -276,6 +282,7 @@ func (srv *Server) result() *Result {
 		DrainedAt: srv.pl.K.Now(),
 		Requests:  srv.requests,
 		Traces:    srv.traces,
+		Spans:     trace.Of(srv.pl.K),
 		Metrics:   srv.reg.Snapshot(),
 	}
 	res.SplitBrain = srv.cl.splitBrain

@@ -7,6 +7,7 @@ import (
 	"cronus/internal/core"
 	"cronus/internal/sim"
 	"cronus/internal/spm"
+	"cronus/internal/trace"
 )
 
 // Serve runs the configured load against the booted plane: spawn workers
@@ -62,8 +63,9 @@ func Run(cfg Config) (*Result, error) {
 
 // boot builds the pool cfg asks for — Config.Nodes independently-booted
 // platforms (each with its own SPM, partition pool and mOS instances) on one
-// fresh simulation (sim.Run) — boots the serving plane over it and runs body
-// on the main proc with the idle server.
+// fresh simulation (sim.Run), with a fresh trace collector attached to its
+// kernel when cfg.Trace — boots the serving plane over it and runs body on
+// the main proc with the idle server.
 func boot(cfg Config, body func(p *sim.Proc, srv *Server) error) error {
 	cfg.defaults()
 	nodes, ppn := cfg.pool()
@@ -72,6 +74,9 @@ func boot(cfg Config, body func(p *sim.Proc, srv *Server) error) error {
 	pcfg.NPUs = 0 // the serving pool is GPU-backed; skip NPU boot time
 	pcfg.MPS = true
 	return sim.Run(func(p *sim.Proc) error {
+		if cfg.Trace {
+			trace.Attach(p.Kernel(), &trace.Collector{})
+		}
 		plats, err := cluster.BootNodes(p, nodes, pcfg)
 		if err != nil {
 			return err

@@ -159,10 +159,12 @@ type Config struct {
 	// a deterministic TraceID (otrace.DeriveTraceID of tenant name and
 	// admission sequence — never wall clock), its latency is decomposed
 	// into conservative stage segments (Result.Traces), whose p99 tail
-	// otrace.Attribution.Outliers names by trace id, and — when the global
-	// trace collector is enabled — linked spans are emitted through admission,
-	// batching, placement, sRPC, mOS dispatch and device launch. Off, the
-	// request path pays one branch per hook and allocates nothing extra.
+	// otrace.Attribution.Outliers names by trace id, and linked spans are
+	// emitted through admission, batching, placement, sRPC, mOS dispatch and
+	// device launch into the kernel's collector: Run attaches a fresh one to
+	// the kernel it boots (Result.Spans); a server built with New records
+	// into whatever collector its kernel carries, if any. Off, the request
+	// path pays one branch per hook and allocates nothing extra.
 	Trace bool
 
 	// SLO, when set, arms a per-tenant SLO tracker with this objective:
@@ -716,7 +718,7 @@ func (srv *Server) finishBatch(b *batch, at sim.Time, err error) {
 }
 
 // finishTrace cuts the request's conservative stage decomposition, retains
-// the causal record, and — when the collector is live — emits the request's
+// the causal record, and — when the kernel is traced — emits the request's
 // root span plus one child span per stage segment onto the tenant's track.
 // Completion order is deterministic, so the emitted span ids are too.
 func (srv *Server) finishTrace(t *tenant, r *Request, err error) {
@@ -732,14 +734,15 @@ func (srv *Server) finishTrace(t *tenant, r *Request, err error) {
 		Replays:  uint32(r.Replays),
 		Segments: segs,
 	})
-	if !trace.Default.Enabled() || r.TraceID == 0 {
+	tc := trace.Of(srv.pl.K)
+	if tc == nil || r.TraceID == 0 {
 		return
 	}
 	track := "req:" + t.spec.Name
-	trace.Default.SpanAtLinked(r.Arrived, r.Done, "req", track,
+	tc.SpanAtLinked(r.Arrived, r.Done, "req", track,
 		"request "+r.Class, r.TraceID, r.spanID, 0)
 	for _, s := range segs {
-		trace.Default.SpanAtLinked(s.From, s.To, "req", track,
-			string(s.Stage), r.TraceID, trace.Default.NextSpanID(), r.spanID)
+		tc.SpanAtLinked(s.From, s.To, "req", track,
+			string(s.Stage), r.TraceID, tc.NextSpanID(), r.spanID)
 	}
 }

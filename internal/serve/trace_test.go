@@ -3,13 +3,13 @@ package serve_test
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"cronus/internal/otrace"
 	"cronus/internal/serve"
 	"cronus/internal/sim"
 	"cronus/internal/slo"
-	"cronus/internal/trace"
 )
 
 // tracedConfig is the shared base load with causal tracing armed.
@@ -68,22 +68,10 @@ func TestTraceAttributionConservative(t *testing.T) {
 	}
 }
 
-// Two identical seeded runs with the collector on must export byte-identical
-// Chrome trace JSON — the determinism contract cronus-serve -trace relies on.
+// Two identical seeded runs must export byte-identical Chrome trace JSON —
+// the determinism contract cronus-serve -trace relies on.
 func TestTraceExportByteIdentical(t *testing.T) {
-	export := func() []byte {
-		trace.Default.Enable()
-		defer trace.Default.Disable()
-		if _, err := serve.Run(tracedConfig(7)); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := trace.Default.WriteChromeTrace(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	a, b := export(), export()
+	a, b := tracedExport(t, 7), tracedExport(t, 7)
 	if len(a) == 0 {
 		t.Fatal("empty export")
 	}
@@ -96,6 +84,55 @@ func TestTraceExportByteIdentical(t *testing.T) {
 			t.Errorf("export missing %q", want)
 		}
 	}
+}
+
+// Each traced run records into the collector attached to its own kernel, so
+// two of them on two goroutines at once export exactly what a solo run does:
+// no event, span id or flow context crosses from one run into the other.
+func TestTracedRunsSideBySide(t *testing.T) {
+	solo := tracedExport(t, 7)
+	var side [2][]byte
+	var wg sync.WaitGroup
+	for i := range side {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			res, err := serve.Run(tracedConfig(7))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			var buf bytes.Buffer
+			if err := res.Spans.WriteChromeTrace(&buf); err != nil {
+				t.Error(err)
+			}
+			side[i] = buf.Bytes()
+		}()
+	}
+	wg.Wait()
+	for i, got := range side {
+		if !bytes.Equal(got, solo) {
+			t.Errorf("run %d of two side by side exported %d bytes that differ from the solo run's %d", i, len(got), len(solo))
+		}
+	}
+}
+
+// tracedExport runs tracedConfig(seed) and returns the Chrome export of the
+// collector serve.Run attached to the run's kernel.
+func tracedExport(t *testing.T, seed int64) []byte {
+	t.Helper()
+	res, err := serve.Run(tracedConfig(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Spans == nil {
+		t.Fatal("a Config.Trace run returned no collector")
+	}
+	var buf bytes.Buffer
+	if err := res.Spans.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // SLO accounting must balance: good + bad == completed + failed, and the

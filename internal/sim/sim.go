@@ -66,14 +66,12 @@ var (
 	gQueueDepth = metrics.Default.Gauge("sim.queue.depth")
 )
 
-// traceHook, when installed, observes scheduler lifecycle transitions
-// ("spawn"/"kill" of a named process). The sim package cannot depend on
-// internal/trace (trace depends on sim for Time), so the trace package
-// installs itself here at init; the hook owns the enabled check.
-var traceHook func(at Time, kind, name string)
-
-// SetTraceHook installs the scheduler lifecycle observer. Pass nil to remove.
-func SetTraceHook(f func(at Time, kind, name string)) { traceHook = f }
+// Tracer records a kernel's scheduler instants: the spawn and the kill of a
+// named process. internal/trace's Collector is the one implementation; sim
+// names only this method because trace depends on sim for its time types.
+type Tracer interface {
+	SchedInstant(at Time, kind, name string)
+}
 
 // Time is a point in virtual time, in nanoseconds since simulation start.
 type Time int64
@@ -321,6 +319,9 @@ type Kernel struct {
 	armAt      uint64
 	armFn      func()
 
+	// tracer, when attached (SetTracer), records this kernel's events.
+	tracer Tracer
+
 	stopped bool
 	err     error // the first error raised by process code
 	run     bool
@@ -333,6 +334,15 @@ func NewKernel() *Kernel {
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
+
+// SetTracer attaches t as the recorder of this kernel's events: its own
+// scheduler instants, and every hook that reaches it through Tracer. A kernel
+// with none records nothing. Attach it before the machine the kernel runs
+// boots.
+func (k *Kernel) SetTracer(t Tracer) { k.tracer = t }
+
+// Tracer returns the attached recorder, or nil.
+func (k *Kernel) Tracer() Tracer { return k.tracer }
 
 // setErr records the first error raised by process code.
 func (k *Kernel) setErr(err error) {
@@ -349,8 +359,8 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{k: k, name: name, id: k.nextID, state: procQueued}
 	k.procs[p] = struct{}{}
 	mSpawned.Inc()
-	if traceHook != nil {
-		traceHook(k.now, "spawn", name)
+	if k.tracer != nil {
+		k.tracer.SchedInstant(k.now, "spawn", name)
 	}
 	p.co = newCoro(func(yield func(*Proc) bool) {
 		p.yield = yield
@@ -621,8 +631,8 @@ func (k *Kernel) Kill(p *Proc) {
 	}
 	p.killed = true
 	mKilled.Inc()
-	if traceHook != nil {
-		traceHook(k.now, "kill", p.name)
+	if k.tracer != nil {
+		k.tracer.SchedInstant(k.now, "kill", p.name)
 	}
 	if p.state == procRunning {
 		// Nothing else runs while a process does, so the caller is p

@@ -130,8 +130,8 @@ func (s *SPM) Share(owner *Partition, ownerIPA uint64, npages int, peer *Partiti
 		s.sharedPFN[pfn] = g.id
 	}
 	mGrantsShared.Inc()
-	if trace.Default.Enabled() {
-		trace.Default.InstantAt(s.K.Now(), "spm", owner.Name, "grant-shared to "+peer.Name, nil)
+	if tc := trace.Of(s.K); tc != nil {
+		tc.InstantAt(s.K.Now(), "spm", owner.Name, "grant-shared to "+peer.Name, nil)
 	}
 	return peerBase << hw.PageShift, g.id, nil
 }
@@ -190,8 +190,8 @@ func (s *SPM) RevokeGrant(gid int, failedBy string) error {
 	}
 	s.invalidateSMMU(g)
 	mGrantsRevoked.Inc()
-	if trace.Default.Enabled() {
-		trace.Default.InstantAt(s.K.Now(), "spm", g.owner.Name, "grant-revoked ("+failedBy+" failed)", nil)
+	if tc := trace.Of(s.K); tc != nil {
+		tc.InstantAt(s.K.Now(), "spm", g.owner.Name, "grant-revoked ("+failedBy+" failed)", nil)
 	}
 	s.isolationChanged()
 	return nil
@@ -391,9 +391,7 @@ func (v *View) walkSlow(proc *sim.Proc, vpn uint64, want hw.Perm) (uint64, error
 func (s *SPM) handleTrap(proc *sim.Proc, q *Partition, ipaPage uint64, raw *hw.Fault) error {
 	mTrapsHandled.Inc()
 	if proc != nil {
-		if trace.Default.Enabled() {
-			trace.Default.Instant(proc, "spm", q.Name, "proceed-trap", nil)
-		}
+		trace.Of(s.K).Instant(proc, "spm", q.Name, "proceed-trap", nil)
 		proc.Sleep(s.Costs.PageFaultTrap)
 	}
 	for _, gid := range s.sortedGrantIDs() {

@@ -129,14 +129,17 @@ func (s *SPM) Fail(p *Partition, reason FailReason) *FailureRecord {
 	s.isolationChanged()
 	mPartsFailed.Inc()
 	countFailReason(reason)
-	trace.Default.InstantAt(failedAt, "spm", p.Name, "partition-failed ("+reason.String()+")", nil)
+	tc := trace.Of(s.K)
+	if tc != nil {
+		tc.InstantAt(failedAt, "spm", p.Name, "partition-failed ("+reason.String()+")", nil)
+	}
 	s.notifyFailure(rec)
 
 	// Steps ②: clear the device and the partition's memory, then reload
 	// the mOS. Runs concurrently with other partitions' recoveries.
 	s.K.Spawn(fmt.Sprintf("spm-recover-%s", p.Name), func(proc *sim.Proc) {
 		p.state = PartRestarting
-		endClear := trace.Default.Span(proc, "spm", p.Name, "failover:device-clear")
+		endClear := tc.Span(proc, "spm", p.Name, "failover:device-clear")
 		proc.Sleep(s.Costs.DeviceClear)
 		// Scrub every page the failed partition owned (A3: crashed
 		// information leaks) and return it to the allocator, in IPA
@@ -184,15 +187,13 @@ func (s *SPM) Fail(p *Partition, reason FailReason) *FailureRecord {
 			mPartsQuarantined.Inc()
 			// The reason and failure count travel in args so a flight-
 			// recorder dump of this track is self-explanatory. Allocated
-			// only when tracing is on (Instant checks first).
-			var args map[string]string
-			if trace.Default.Enabled() {
-				args = map[string]string{
+			// only when the kernel is traced.
+			if tc != nil {
+				tc.Instant(proc, "spm", p.Name, "partition-quarantined", map[string]string{
 					"reason":   reason.String(),
 					"failures": fmt.Sprintf("%d", recent),
-				}
+				})
 			}
-			trace.Default.Instant(proc, "spm", p.Name, "partition-quarantined", args)
 			p.restartSig = sim.NewSignal(s.K)
 			s.isolationChanged()
 			sig.Fire()
@@ -202,13 +203,13 @@ func (s *SPM) Fail(p *Partition, reason FailReason) *FailureRecord {
 		// sliding window delay the reload so a flapping partition cannot
 		// monopolize the recovery path.
 		if rec.Backoff > 0 {
-			endBackoff := trace.Default.Span(proc, "spm", p.Name, "failover:restart-backoff")
+			endBackoff := tc.Span(proc, "spm", p.Name, "failover:restart-backoff")
 			proc.Sleep(rec.Backoff)
 			endBackoff()
 		}
 		// Reload and initialize the mOS image — the pending image if a
 		// software update was requested, else the same image.
-		endRestart := trace.Default.Span(proc, "spm", p.Name, "failover:mos-restart")
+		endRestart := tc.Span(proc, "spm", p.Name, "failover:mos-restart")
 		proc.Sleep(s.Costs.MOSRestart)
 		if p.pendingImage != nil {
 			p.mosHash = attest.Measure(p.pendingImage)
@@ -221,8 +222,8 @@ func (s *SPM) Fail(p *Partition, reason FailReason) *FailureRecord {
 		rec.Epoch = p.epoch
 		mPartsRecovered.Inc()
 		hFailoverNS.Observe(int64(rec.ReadyAt - rec.FailedAt))
-		trace.Default.SpanAt(rec.FailedAt, rec.ReadyAt, "spm", p.Name, "failover", nil)
-		trace.Default.Instant(proc, "spm", p.Name, "partition-ready", nil)
+		tc.SpanAt(rec.FailedAt, rec.ReadyAt, "spm", p.Name, "failover", nil)
+		tc.Instant(proc, "spm", p.Name, "partition-ready", nil)
 		p.restartSig = sim.NewSignal(s.K)
 		s.isolationChanged()
 		if p.onRestart != nil {

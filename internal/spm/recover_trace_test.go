@@ -22,8 +22,8 @@ func TestFailTraceAndFailoverHistogram(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	trace.Default.Enable()
-	defer trace.Default.Disable()
+	tc := &trace.Collector{}
+	trace.Attach(k, tc)
 	metrics.Default.Reset()
 	metrics.Default.Enable()
 	defer metrics.Default.Disable()
@@ -43,7 +43,7 @@ func TestFailTraceAndFailoverHistogram(t *testing.T) {
 	}
 
 	var failed, ready *trace.Event
-	for _, e := range trace.Default.Events() {
+	for _, e := range tc.Events() {
 		e := e
 		switch {
 		case strings.HasPrefix(e.Name, "partition-failed"):
@@ -84,9 +84,10 @@ func TestFailTraceAndFailoverHistogram(t *testing.T) {
 	}
 }
 
-// Two platforms alive in one process, advanced to different virtual times: a
-// TZASC denial on the first is stamped with the first platform's clock, not
-// with the clock of whichever platform booted last.
+// Two platforms alive in one process, advanced to different virtual times,
+// each with its own collector: a TZASC denial on the first is recorded by the
+// first platform's collector alone and stamped with its clock, not with the
+// clock of whichever platform booted last.
 func TestDenialCarriesItsOwnPlatformClock(t *testing.T) {
 	k1, m1, _ := testRig(t)
 	k2, _, _ := testRig(t)
@@ -102,14 +103,18 @@ func TestDenialCarriesItsOwnPlatformClock(t *testing.T) {
 	advance(k1, 3*sim.Millisecond)
 	advance(k2, 7*sim.Millisecond)
 
-	trace.Default.Enable()
-	defer trace.Default.Disable()
+	tc1, tc2 := &trace.Collector{}, &trace.Collector{}
+	trace.Attach(k1, tc1)
+	trace.Attach(k2, tc2)
 	var f *hw.Fault
 	if err := m1.Mem.Read(hw.NormalWorld, m1.SecureBase(), make([]byte, 8)); !errors.As(err, &f) || f.Kind != hw.FaultTZASC {
 		t.Fatalf("normal-world read of secure memory: %v, want a TZASC fault", err)
 	}
 	var denied []trace.Event
-	for _, e := range trace.Default.Events() {
+	if n := tc2.Len(); n != 0 {
+		t.Errorf("the second platform's collector recorded %d events for a denial on the first", n)
+	}
+	for _, e := range tc1.Events() {
 		if strings.HasPrefix(e.Name, "access-denied") {
 			denied = append(denied, e)
 		}

@@ -282,8 +282,8 @@ func Boot(k *sim.Kernel, m *hw.Machine, costs *sim.CostModel) (*SPM, error) {
 	// own so every TZASC/TZPC/SMMU denial shows up as a trace instant at the
 	// time the access was refused.
 	m.ObserveDenials(func(f *hw.Fault) {
-		if trace.Default.Enabled() {
-			trace.Default.InstantAt(k.Now(), "hw", f.Space, "access-denied ("+f.Kind.String()+")", nil)
+		if tc := trace.Of(k); tc != nil {
+			tc.InstantAt(k.Now(), "hw", f.Space, "access-denied ("+f.Kind.String()+")", nil)
 		}
 	})
 	return s, nil
@@ -348,7 +348,7 @@ func (s *SPM) CreatePartition(name, device string, mosImage []byte) (*Partition,
 	}
 	s.parts[id] = p
 	mPartsCreated.Inc()
-	trace.Default.InstantAt(s.K.Now(), "spm", name, "partition-created", nil)
+	trace.Of(s.K).InstantAt(s.K.Now(), "spm", name, "partition-created", nil)
 	return p, nil
 }
 

@@ -76,7 +76,7 @@ func Connect(p *sim.Proc, owner *mos.Enclave, peerEID uint32, secret []byte, pee
 	// in one process cannot interleave each other's id sequences.
 	streamID := tr.NextStreamID()
 	track := fmt.Sprintf("stream-%d", streamID)
-	defer trace.Default.Span(p, "srpc", track, "connect")()
+	defer trace.Of(p.Kernel()).Span(p, "srpc", track, "connect")()
 	nonce := streamID*2654435761 + 12345
 	p.Sleep(costs.UntrustedMsg)
 	rep, mac, err := tr.LocalReport(p, peerEID, nonce)
@@ -99,19 +99,14 @@ func Connect(p *sim.Proc, owner *mos.Enclave, peerEID uint32, secret []byte, pee
 
 	// ② Allocate smem in the owner's partition and share it with the
 	// peer's partition through the SPM.
-	ipa, err := owner.AllocShared(p, pages)
-	if err != nil {
-		return nil, err
-	}
 	peerPart, ok := m.SPM.Partition(spmPartID(peerEID))
 	if !ok {
 		return nil, fmt.Errorf("srpc: no partition for eid %#x", peerEID)
 	}
-	peerIPA, gid, err := m.SPM.Share(m.Part, ipa, pages, peerPart)
+	ipa, peerIPA, gid, err := owner.ShareWith(p, pages, peerPart)
 	if err != nil {
 		return nil, err
 	}
-	owner.TrackGrant(gid)
 	p.Sleep(sim.Duration(pages) * costs.MapPage)
 
 	c := &Client{
@@ -422,9 +417,9 @@ func (c *Client) push(p *sim.Proc, name string, head, bulk []byte, kind uint32, 
 	// this record — the simulated analogue of a trace-context header,
 	// carried out-of-band so ring layout and virtual-time costs are
 	// untouched (see trace.PutFlow).
-	if trace.Default.Enabled() {
+	if tc := trace.Of(p.Kernel()); tc != nil {
 		if tid, sid := p.TraceCtx(); tid != 0 {
-			trace.Default.PutFlow(c.streamID, c.lastRec, trace.SpanCtx{Trace: tid, Span: sid})
+			tc.PutFlow(c.streamID, c.lastRec, trace.SpanCtx{Trace: tid, Span: sid})
 		}
 	}
 	mCalls.Inc()
@@ -443,7 +438,7 @@ func (c *Client) push(p *sim.Proc, name string, head, bulk []byte, kind uint32, 
 // grid instant before each re-read, so the observed Sid values, faults, and
 // the return instant are identical to polling.
 func (c *Client) waitSidPast(p *sim.Proc, target uint64) error {
-	defer trace.Default.Span(p, "srpc", c.track, "sync-wait")()
+	defer trace.Of(p.Kernel()).Span(p, "srpc", c.track, "sync-wait")()
 	first := p.Now() + sim.Time(c.costs.RingPoll)
 	period := c.costs.RingPoll + pollQuantum
 	var db *doorbell

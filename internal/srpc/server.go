@@ -257,16 +257,16 @@ func (s *Server) RunExecutor(p *sim.Proc, streamID uint64) {
 			// Name concatenation only happens when tracing is on — the
 			// executor loop is the hot path of every streamed mECall.
 			end := noopEnd
-			if trace.Default.Enabled() {
+			if tc := trace.Of(p.Kernel()); tc != nil {
 				// Claim the span context the pushing client stashed for
 				// this record (the out-of-band trace header), so the exec
 				// span — and the mOS dispatch and device hooks under it —
 				// link into the caller's request tree. The context is
 				// scoped to this record: cleared once the span closes.
-				if ctx, ok := trace.Default.TakeFlow(st.id, st.sid); ok {
+				if ctx, ok := tc.TakeFlow(st.id, st.sid); ok {
 					p.SetTraceCtx(ctx.Trace, ctx.Span)
 				}
-				spanEnd := trace.Default.BeginSpan(p, "srpc", st.track, "exec "+name)
+				spanEnd := tc.BeginSpan(p, "srpc", st.track, "exec "+name)
 				end = func() {
 					spanEnd()
 					p.SetTraceCtx(0, 0)

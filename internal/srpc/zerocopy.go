@@ -129,20 +129,14 @@ func (c *Client) GrantArena(p *sim.Proc, payloadCap int) error {
 	nslots := c.ring.slots
 	slotBytes := (uint64(payloadCap) + 63) &^ 63 // cache-line rounded
 	npages := int((nslots*slotBytes + hw.PageSize - 1) / hw.PageSize)
-	m := c.owner.MOS()
-	ipa, err := c.owner.AllocShared(p, npages)
-	if err != nil {
-		return err
-	}
-	peerPart, ok := m.SPM.Partition(spmPartID(c.peerEID))
+	peerPart, ok := c.owner.MOS().SPM.Partition(spmPartID(c.peerEID))
 	if !ok {
 		return fmt.Errorf("srpc: no partition for eid %#x", c.peerEID)
 	}
-	peerIPA, gid, err := m.SPM.Share(m.Part, ipa, npages, peerPart)
+	ipa, peerIPA, gid, err := c.owner.ShareWith(p, npages, peerPart)
 	if err != nil {
 		return err
 	}
-	c.owner.TrackGrant(gid)
 	// Recorded before anything can fail, so a teardown revokes this grant too.
 	c.arena = &arena{base: ipa, peerIPA: peerIPA, pages: npages, gid: gid, slotBytes: slotBytes, nslots: nslots}
 	p.Sleep(sim.Duration(npages) * c.costs.MapPage)

@@ -7,74 +7,73 @@ import (
 	"cronus/internal/trace"
 )
 
-// benchProc returns a spawned-but-never-run process: enough for the hooks,
-// which only read its current time.
+// benchProc returns a spawned-but-never-run process on a kernel with no
+// collector attached: enough for the hooks, which only read its current time.
 func benchProc() *sim.Proc {
 	k := sim.NewKernel()
 	return k.Spawn("bench", func(*sim.Proc) {})
 }
 
-// TestDisabledHooksDoNotAllocate is the disabled-path cost contract for trace
-// hooks: one atomic load, one branch, zero allocations. Causal linkage must
-// not weaken it: with a span context threaded through the process, the hooks
-// still allocate nothing while the collector is off.
+// TestDisabledHooksDoNotAllocate is the untraced-path cost contract for trace
+// hooks: each reaches the collector through the kernel it holds, finds none,
+// and allocates nothing. Causal linkage must not weaken it: with a span
+// context threaded through the process, the hooks still allocate nothing on
+// an untraced kernel.
 func TestDisabledHooksDoNotAllocate(t *testing.T) {
-	c := &trace.Collector{}
 	p, pc := benchProc(), benchProc()
 	pc.SetTraceCtx(0xdeadbeef, 42)
 	hooks := []struct {
 		name string
 		fn   func()
 	}{
-		{"Instant", func() { c.Instant(p, "cat", "track", "name", nil) }},
-		{"Span", func() { c.Span(p, "cat", "track", "name")() }},
-		{"InstantAt", func() { c.InstantAt(42, "cat", "track", "name", nil) }},
-		{"Span+ctx", func() { c.Span(pc, "cat", "track", "name")() }},
-		{"BeginSpan+ctx", func() { c.BeginSpan(pc, "cat", "track", "name")() }},
+		{"Instant", func() { trace.Of(p.Kernel()).Instant(p, "cat", "track", "name", nil) }},
+		{"Span", func() { trace.Of(p.Kernel()).Span(p, "cat", "track", "name")() }},
+		{"InstantAt", func() { trace.Of(p.Kernel()).InstantAt(42, "cat", "track", "name", nil) }},
+		{"Span+ctx", func() { trace.Of(pc.Kernel()).Span(pc, "cat", "track", "name")() }},
+		{"BeginSpan+ctx", func() { trace.Of(pc.Kernel()).BeginSpan(pc, "cat", "track", "name")() }},
 		{"StartSpan+ctx", func() {
-			c.StartSpan(pc, "cat", "track", "name", trace.SpanCtx{Trace: 1, Span: 2})()
+			trace.Of(pc.Kernel()).StartSpan(pc, "cat", "track", "name", trace.SpanCtx{Trace: 1, Span: 2})()
 		}},
-		{"SpanAtLinked", func() { c.SpanAtLinked(1, 2, "cat", "track", "name", 1, 2, 3) }},
+		{"SpanAt", func() { trace.Of(p.Kernel()).SpanAt(1, 2, "cat", "track", "name", nil) }},
+		{"SpanAtLinked", func() { trace.Of(p.Kernel()).SpanAtLinked(1, 2, "cat", "track", "name", 1, 2, 3) }},
+		{"SchedInstant", func() { trace.Of(p.Kernel()).SchedInstant(42, "spawn", "name") }},
 	}
 	for _, h := range hooks {
 		if n := testing.AllocsPerRun(100, h.fn); n != 0 {
-			t.Errorf("%s allocated %.1f objects per op when disabled", h.name, n)
+			t.Errorf("%s allocated %.1f objects per op on an untraced kernel", h.name, n)
 		}
 	}
 }
 
 func BenchmarkDisabledInstant(b *testing.B) {
-	c := &trace.Collector{}
 	p := benchProc()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Instant(p, "cat", "track", "name", nil)
+		trace.Of(p.Kernel()).Instant(p, "cat", "track", "name", nil)
 	}
 }
 
 func BenchmarkDisabledSpan(b *testing.B) {
-	c := &trace.Collector{}
 	p := benchProc()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Span(p, "cat", "track", "name")()
+		trace.Of(p.Kernel()).Span(p, "cat", "track", "name")()
 	}
 }
 
 func BenchmarkDisabledSpanWithCtx(b *testing.B) {
-	c := &trace.Collector{}
 	p := benchProc()
 	p.SetTraceCtx(0xdeadbeef, 42)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.Span(p, "cat", "track", "name")()
+		trace.Of(p.Kernel()).Span(p, "cat", "track", "name")()
 	}
 }
 
 func BenchmarkDisabledInstantAt(b *testing.B) {
-	c := &trace.Collector{}
+	p := benchProc()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		c.InstantAt(42, "cat", "track", "name", nil)
+		trace.Of(p.Kernel()).InstantAt(42, "cat", "track", "name", nil)
 	}
 }

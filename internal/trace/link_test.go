@@ -13,7 +13,6 @@ import (
 // instrumentation joins the causal tree with no signature changes.
 func TestSpanInheritsProcContext(t *testing.T) {
 	c := &trace.Collector{}
-	c.Enable()
 	k := sim.NewKernel()
 	k.Spawn("p", func(p *sim.Proc) {
 		p.SetTraceCtx(0xabc, 7)
@@ -48,7 +47,6 @@ func TestSpanInheritsProcContext(t *testing.T) {
 // it) and the close restores the previous context.
 func TestBeginSpanNesting(t *testing.T) {
 	c := &trace.Collector{}
-	c.Enable()
 	k := sim.NewKernel()
 	k.Spawn("p", func(p *sim.Proc) {
 		p.SetTraceCtx(0x1, 100)
@@ -81,7 +79,6 @@ func TestBeginSpanNesting(t *testing.T) {
 // entry point — and restores on close.
 func TestStartSpanExplicitRoot(t *testing.T) {
 	c := &trace.Collector{}
-	c.Enable()
 	k := sim.NewKernel()
 	k.Spawn("p", func(p *sim.Proc) {
 		end := c.StartSpan(p, "serve", "part0", "batch-exec", trace.SpanCtx{Trace: 0x42, Span: 9})
@@ -107,7 +104,6 @@ func TestStartSpanExplicitRoot(t *testing.T) {
 // pushing client, taken exactly once by the consuming executor.
 func TestFlowPutTake(t *testing.T) {
 	c := &trace.Collector{}
-	c.Enable()
 	c.PutFlow(3, 14, trace.SpanCtx{Trace: 0x7, Span: 2})
 	if _, ok := c.TakeFlow(3, 15); ok {
 		t.Fatal("wrong slot claimed a context")
@@ -119,24 +115,17 @@ func TestFlowPutTake(t *testing.T) {
 	if _, ok := c.TakeFlow(3, 14); ok {
 		t.Fatal("context claimed twice")
 	}
-	// Enable clears unclaimed contexts.
-	c.PutFlow(1, 1, trace.SpanCtx{Trace: 0x9, Span: 1})
-	c.Enable()
-	if _, ok := c.TakeFlow(1, 1); ok {
-		t.Fatal("Enable did not clear the flow map")
-	}
 }
 
-// NextSpanID mints a deterministic sequence that resets on Enable.
-func TestNextSpanIDResets(t *testing.T) {
-	c := &trace.Collector{}
-	c.Enable()
-	if a, b := c.NextSpanID(), c.NextSpanID(); a != 1 || b != 2 {
-		t.Fatalf("sequence = %d, %d", a, b)
+// NextSpanID mints a deterministic sequence of the collector's own: a second
+// collector (another kernel's) starts at 1 however far the first has gone.
+func TestNextSpanIDPerCollector(t *testing.T) {
+	a, b := &trace.Collector{}, &trace.Collector{}
+	if x, y := a.NextSpanID(), a.NextSpanID(); x != 1 || y != 2 {
+		t.Fatalf("sequence = %d, %d", x, y)
 	}
-	c.Enable()
-	if got := c.NextSpanID(); got != 1 {
-		t.Fatalf("sequence did not reset: %d", got)
+	if got := b.NextSpanID(); got != 1 {
+		t.Fatalf("second collector's first id = %d, want 1", got)
 	}
 }
 
@@ -144,7 +133,6 @@ func TestNextSpanIDResets(t *testing.T) {
 // which is when a bounded flight recorder matters most.
 func TestTapSeesDroppedEvents(t *testing.T) {
 	c := &trace.Collector{}
-	c.Enable()
 	c.SetMaxEvents(2)
 	var seen int
 	c.SetTap(func(trace.Event) { seen++ })
@@ -162,7 +150,6 @@ func TestTapSeesDroppedEvents(t *testing.T) {
 // Causal ids travel into the Chrome export as args, hex trace id included.
 func TestChromeExportCarriesLinkage(t *testing.T) {
 	c := &trace.Collector{}
-	c.Enable()
 	c.SpanAtLinked(10, 20, "serve", "req:tenant-0", "request resnet18", 0xbeef, 3, 0)
 	var buf bytes.Buffer
 	if err := c.WriteChromeTrace(&buf); err != nil {

@@ -3,26 +3,28 @@
 // Chrome trace-event JSON format, so a CRONUS run can be inspected on a
 // timeline (chrome://tracing, Perfetto).
 //
-// Tracing is disabled by default and costs one atomic load and a branch per
-// hook when off — and allocates nothing. The collector is safe to record into
-// from any goroutine and safe to Enable/Disable/Write around a running
-// kernel; recorded events are bounded by DefaultMaxEvents so long runs cannot
-// grow without limit. Events dropped at the cap are counted both on the collector (Dropped) and in the metrics registry
-// ("trace.events.dropped"), so a truncated trace is never silent.
+// A collector belongs to the sim.Kernel it is attached to (Attach), and every
+// hook reaches it through the kernel or process it already holds (Of). A
+// kernel with none attached records nothing: Of returns nil, every method of
+// a nil *Collector is a no-op, and a hook costs a few loads and a branch and
+// allocates nothing. One kernel runs one process at a time, so a collector
+// needs no lock, and two traced kernels on two goroutines record side by
+// side. Recorded events are bounded by MaxEvents so long runs cannot
+// grow without limit; events dropped at the cap are counted (Dropped), so a
+// truncated trace is never silent.
 //
 // Causal linkage: every event can carry a TraceID (the request it belongs
 // to), a SpanID and a Parent span. Span and Instant read the current span
 // context off the recording process (sim.Proc.TraceCtx), so existing
 // instrumentation joins the causal tree with no signature changes; BeginSpan
 // additionally pushes the new span as the process's current context so nested
-// spans chain correctly. Span ids are minted from a collector-local sequence,
-// reset on Enable — because the sim kernel schedules deterministically, the
-// minted ids (and therefore the whole export) are byte-identical across
-// identical seeded runs. The flow map (PutFlow/TakeFlow) carries a span
-// context across an sRPC ring from the pushing client proc to the consuming
-// executor proc, modelling the trace-context field a real RPC header would
-// carry without perturbing the simulated ring layout or its virtual-time
-// costs.
+// spans chain correctly. Span ids are minted from the collector's own
+// sequence — because the sim kernel schedules deterministically, the minted
+// ids (and therefore the whole export) are byte-identical across identical
+// seeded runs. The flow map (PutFlow/TakeFlow) carries a span context across
+// an sRPC ring from the pushing client proc to the consuming executor proc,
+// modelling the trace-context field a real RPC header would carry without
+// perturbing the simulated ring layout or its virtual-time costs.
 package trace
 
 import (
@@ -31,19 +33,12 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
-	"cronus/internal/metrics"
 	"cronus/internal/sim"
 )
 
-// DefaultMaxEvents bounds the events a collector retains.
-const DefaultMaxEvents = 1 << 20
-
-// mDropped counts events discarded at the cap, surfacing silent trace
-// truncation in every metrics snapshot.
-var mDropped = metrics.Default.Counter("trace.events.dropped")
+// MaxEvents bounds the events a collector retains.
+const MaxEvents = 1 << 20
 
 // Event is one recorded trace event.
 type Event struct {
@@ -75,109 +70,87 @@ type SpanCtx struct {
 // flowKey addresses one record on one sRPC stream.
 type flowKey struct{ stream, slot uint64 }
 
-// Collector gathers events. The zero value is a disabled collector with the
-// default event cap.
+// Collector gathers the events of the kernel it is attached to. The zero
+// value is an empty collector with the default event cap; a nil *Collector
+// records nothing.
 type Collector struct {
-	enabled atomic.Bool
-	spanSeq atomic.Uint64
-
-	mu      sync.Mutex
+	spanSeq uint64
 	events  []Event
 	max     int // > 0: a lower cap, set only by tests (export_test.go)
 	dropped uint64
 	tap     func(Event)
-
-	flowMu sync.Mutex
-	flow   map[flowKey]SpanCtx
+	flow    map[flowKey]SpanCtx
 }
 
-// Default is the process-wide collector the hooks record into.
-var Default = &Collector{}
+// Attach makes c the collector k's hooks record into, the kernel's own
+// spawn and kill instants included. Attach before the platform boots so the
+// export covers it; a nil c leaves the kernel untraced.
+func Attach(k *sim.Kernel, c *Collector) {
+	if c != nil {
+		k.SetTracer(c)
+	}
+}
 
-// noop is the span terminator returned while disabled; a shared value keeps
-// the disabled path allocation-free.
+// Of returns the collector attached to k, or nil when the kernel is
+// untraced — a nil *Collector's methods record nothing.
+func Of(k *sim.Kernel) *Collector {
+	c, _ := k.Tracer().(*Collector)
+	return c
+}
+
+// noop is the span terminator returned while untraced; a shared value keeps
+// that path allocation-free.
 var noop = func() {}
 
-// Enable turns on collection (and clears previous events, the span-id
-// sequence, and the cross-proc flow map).
-func (c *Collector) Enable() {
-	c.mu.Lock()
-	c.events = nil
-	c.dropped = 0
-	c.mu.Unlock()
-	c.flowMu.Lock()
-	c.flow = nil
-	c.flowMu.Unlock()
-	c.spanSeq.Store(0)
-	c.enabled.Store(true)
-}
-
-// Disable stops collection. Events recorded so far remain readable.
-func (c *Collector) Disable() { c.enabled.Store(false) }
-
-// Enabled reports whether events are being recorded.
-func (c *Collector) Enabled() bool { return c.enabled.Load() }
-
-// SetTap installs an observer called (under the collector lock) for every
-// event recorded while enabled — the flight recorder's feed. The tap sees
-// events even once the storage cap is hit and events are being dropped, so a
-// bounded recorder keeps observing the most recent activity exactly when a
-// long run overflows the collector. Pass nil to remove. The tap must not
-// call back into the collector.
-func (c *Collector) SetTap(fn func(Event)) {
-	c.mu.Lock()
-	c.tap = fn
-	c.mu.Unlock()
-}
+// SetTap installs an observer called for every event recorded — the flight
+// recorder's feed. The tap sees events even once the storage cap is hit and
+// events are being dropped, so a bounded recorder keeps observing the most
+// recent activity exactly when a long run overflows the collector. The tap
+// must not call back into the collector.
+func (c *Collector) SetTap(fn func(Event)) { c.tap = fn }
 
 // Len returns the number of recorded events.
-func (c *Collector) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.events)
-}
+func (c *Collector) Len() int { return len(c.events) }
 
 // Dropped returns how many events were discarded because the cap was hit.
-func (c *Collector) Dropped() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dropped
-}
+func (c *Collector) Dropped() uint64 { return c.dropped }
 
 // Events returns a copy of the recorded events, in recording order.
-func (c *Collector) Events() []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Event, len(c.events))
-	copy(out, c.events)
-	return out
-}
+func (c *Collector) Events() []Event { return append([]Event(nil), c.events...) }
 
 // NextSpanID mints a fresh span id. Minting order follows the kernel's
-// deterministic schedule, so ids are stable across identical runs. The
-// sequence resets on Enable.
-func (c *Collector) NextSpanID() uint64 { return c.spanSeq.Add(1) }
+// deterministic schedule, so ids are stable across identical runs.
+func (c *Collector) NextSpanID() uint64 {
+	c.spanSeq++
+	return c.spanSeq
+}
 
-// add appends one event, honoring the cap. Callers check enabled first.
+// add appends one event, honoring the cap. Callers check for nil first.
 func (c *Collector) add(e Event) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.tap != nil {
 		c.tap(e)
 	}
-	if len(c.events) >= DefaultMaxEvents || c.max > 0 && len(c.events) >= c.max {
+	if len(c.events) >= MaxEvents || c.max > 0 && len(c.events) >= c.max {
 		c.dropped++
-		mDropped.Inc()
 		return
 	}
 	c.events = append(c.events, e)
+}
+
+// SchedInstant records a scheduler instant of the kernel c is attached to
+// ("spawn main", "kill spm-recover-gpu-part0"): sim.Tracer's one method.
+func (c *Collector) SchedInstant(at sim.Time, kind, name string) {
+	if c == nil {
+		return
+	}
+	c.add(Event{Name: kind + " " + name, Cat: "sim", Track: "scheduler", Start: at})
 }
 
 // Instant records a zero-duration event at the current virtual time. It
 // inherits the recording process's span context, so instants land inside the
 // span that was current when they fired.
 func (c *Collector) Instant(p *sim.Proc, cat, track, name string, args map[string]string) {
-	if !c.enabled.Load() {
+	if c == nil {
 		return
 	}
 	tid, parent := p.TraceCtx()
@@ -188,7 +161,7 @@ func (c *Collector) Instant(p *sim.Proc, cat, track, name string, args map[strin
 // InstantAt records a zero-duration event at an explicit virtual time (for
 // callers without a process context).
 func (c *Collector) InstantAt(at sim.Time, cat, track, name string, args map[string]string) {
-	if !c.enabled.Load() {
+	if c == nil {
 		return
 	}
 	c.add(Event{Name: name, Cat: cat, Track: track, Start: at, Args: args})
@@ -196,13 +169,13 @@ func (c *Collector) InstantAt(at sim.Time, cat, track, name string, args map[str
 
 // Span starts a span and returns the closure that ends it:
 //
-//	defer trace.Default.Span(p, "srpc", "stream-1", "sync-wait")()
+//	defer trace.Of(p.Kernel()).Span(p, "srpc", "stream-1", "sync-wait")()
 //
 // The span links into the recording process's current span context (trace id
 // and parent) but does not become the current context itself — use BeginSpan
 // when nested hooks should chain under it.
 func (c *Collector) Span(p *sim.Proc, cat, track, name string) func() {
-	if !c.enabled.Load() {
+	if c == nil {
 		return noop
 	}
 	start := p.Now()
@@ -212,9 +185,6 @@ func (c *Collector) Span(p *sim.Proc, cat, track, name string) func() {
 		sid = c.NextSpanID()
 	}
 	return func() {
-		if !c.enabled.Load() {
-			return
-		}
 		c.add(Event{
 			Name: name, Cat: cat, Track: track,
 			Start: start, Dur: sim.Duration(p.Now() - start),
@@ -228,7 +198,7 @@ func (c *Collector) Span(p *sim.Proc, cat, track, name string) func() {
 // records the span and restores the previous context. Use StartSpan to root
 // the context at an explicit trace instead of the inherited one.
 func (c *Collector) BeginSpan(p *sim.Proc, cat, track, name string) func() {
-	if !c.enabled.Load() {
+	if c == nil {
 		return noop
 	}
 	tid, parent := p.TraceCtx()
@@ -241,14 +211,14 @@ func (c *Collector) BeginSpan(p *sim.Proc, cat, track, name string) func() {
 // entry point for work executing on behalf of a request whose context is not
 // already on the process — e.g. a replica worker picking up a placed batch.
 func (c *Collector) StartSpan(p *sim.Proc, cat, track, name string, ctx SpanCtx) func() {
-	if !c.enabled.Load() {
+	if c == nil {
 		return noop
 	}
 	return c.startAt(p, cat, track, name, ctx.Trace, ctx.Span)
 }
 
 // startAt is the shared body of BeginSpan/StartSpan: mint, push, and return
-// the restoring closure. Callers hold the enabled check.
+// the restoring closure. Callers check for nil first.
 func (c *Collector) startAt(p *sim.Proc, cat, track, name string, tid, parent uint64) func() {
 	start := p.Now()
 	var sid uint64
@@ -259,9 +229,6 @@ func (c *Collector) startAt(p *sim.Proc, cat, track, name string, tid, parent ui
 	p.SetTraceCtx(tid, sid)
 	return func() {
 		p.SetTraceCtx(prevTID, prevSID)
-		if !c.enabled.Load() {
-			return
-		}
 		c.add(Event{
 			Name: name, Cat: cat, Track: track,
 			Start: start, Dur: sim.Duration(p.Now() - start),
@@ -273,7 +240,7 @@ func (c *Collector) startAt(p *sim.Proc, cat, track, name string, tid, parent ui
 // SpanAt records a completed span between two explicit virtual times (for
 // phases whose start predates the recording process, e.g. failover).
 func (c *Collector) SpanAt(start, end sim.Time, cat, track, name string, args map[string]string) {
-	if !c.enabled.Load() {
+	if c == nil {
 		return
 	}
 	c.add(Event{Name: name, Cat: cat, Track: track, Start: start, Dur: sim.Duration(end - start), Args: args})
@@ -283,7 +250,7 @@ func (c *Collector) SpanAt(start, end sim.Time, cat, track, name string, args ma
 // with explicit causal linkage — the emission path for request stage
 // segments, whose boundaries were marked earlier than they are recorded.
 func (c *Collector) SpanAtLinked(start, end sim.Time, cat, track, name string, traceID, spanID, parent uint64) {
-	if !c.enabled.Load() {
+	if c == nil {
 		return
 	}
 	c.add(Event{Name: name, Cat: cat, Track: track,
@@ -295,21 +262,17 @@ func (c *Collector) SpanAtLinked(start, end sim.Time, cat, track, name string, t
 // to be claimed by the executor that consumes the record (TakeFlow). It
 // models the trace-context field of a real RPC header out-of-band, so the
 // simulated ring layout and its virtual-time costs are unchanged. Callers
-// check Enabled first; contexts left unclaimed are cleared on Enable.
+// check for nil first.
 func (c *Collector) PutFlow(stream, slot uint64, ctx SpanCtx) {
-	c.flowMu.Lock()
 	if c.flow == nil {
 		c.flow = make(map[flowKey]SpanCtx)
 	}
 	c.flow[flowKey{stream, slot}] = ctx
-	c.flowMu.Unlock()
 }
 
 // TakeFlow claims (and removes) the span context stashed for the record at
 // slot on an sRPC stream, reporting whether one was present.
 func (c *Collector) TakeFlow(stream, slot uint64) (SpanCtx, bool) {
-	c.flowMu.Lock()
-	defer c.flowMu.Unlock()
 	ctx, ok := c.flow[flowKey{stream, slot}]
 	if ok {
 		delete(c.flow, flowKey{stream, slot})
@@ -355,7 +318,7 @@ func chromeArgs(e Event) map[string]string {
 // ingests directly; causally linked events carry their trace/span/parent ids
 // in args.
 func (c *Collector) WriteChromeTrace(w io.Writer) error {
-	events := c.Events()
+	events := c.events
 	tracks := make(map[string]int)
 	var names []string
 	for _, e := range events {
@@ -394,7 +357,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 
 // Summary renders a terse text digest (events per category).
 func (c *Collector) Summary() string {
-	events := c.Events()
+	events := c.events
 	counts := make(map[string]int)
 	for _, e := range events {
 		counts[e.Cat]++
@@ -408,7 +371,7 @@ func (c *Collector) Summary() string {
 	for _, k := range cats {
 		s += fmt.Sprintf(" %s=%d", k, counts[k])
 	}
-	if d := c.Dropped(); d > 0 {
+	if d := c.dropped; d > 0 {
 		s += fmt.Sprintf(" (%d dropped at cap)", d)
 	}
 	return s

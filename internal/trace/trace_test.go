@@ -3,7 +3,6 @@ package trace_test
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"strings"
 	"testing"
 
@@ -14,26 +13,44 @@ import (
 	"cronus/internal/trace"
 )
 
+// A kernel carries no collector until one is attached: Of reads nil and the
+// hooks, reached through it, record nothing; once attached, the kernel's own
+// scheduler instants land in the collector too.
 func TestCollectorDisabledByDefault(t *testing.T) {
-	c := &trace.Collector{}
 	k := sim.NewKernel()
-	k.Spawn("p", func(p *sim.Proc) {
+	if c := trace.Of(k); c != nil {
+		t.Fatalf("a fresh kernel carries collector %p", c)
+	}
+	hooks := func(p *sim.Proc) {
+		c := trace.Of(p.Kernel())
 		c.Instant(p, "x", "t", "e", nil)
 		end := c.Span(p, "x", "t", "s")
 		p.Sleep(10)
 		end()
-	})
+	}
+	k.Spawn("p", hooks)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("disabled collector recorded %d events", c.Len())
+
+	c := &trace.Collector{}
+	k = sim.NewKernel()
+	trace.Attach(k, c)
+	if trace.Of(k) != c {
+		t.Fatal("Of does not return the attached collector")
+	}
+	k.Spawn("p", hooks)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	evs := c.Events()
+	if len(evs) != 3 || evs[0].Name != "spawn p" || evs[0].Track != "scheduler" {
+		t.Fatalf("attached collector recorded %+v, want the spawn instant, the instant and the span", evs)
 	}
 }
 
 func TestSpanAndChromeOutput(t *testing.T) {
 	c := &trace.Collector{}
-	c.Enable()
 	k := sim.NewKernel()
 	k.Spawn("p", func(p *sim.Proc) {
 		end := c.Span(p, "gpu", "gpu0", "matmul")
@@ -66,7 +83,6 @@ func TestSpanAndChromeOutput(t *testing.T) {
 
 func TestMaxEventsCap(t *testing.T) {
 	c := &trace.Collector{}
-	c.Enable()
 	c.SetMaxEvents(3)
 	for i := 0; i < 5; i++ {
 		c.InstantAt(sim.Time(i), "x", "t", "e", nil)
@@ -80,48 +96,10 @@ func TestMaxEventsCap(t *testing.T) {
 	if !strings.Contains(c.Summary(), "dropped") {
 		t.Errorf("summary does not report drops: %q", c.Summary())
 	}
-	// Enable clears both the events and the drop count.
-	c.Enable()
-	if c.Len() != 0 || c.Dropped() != 0 {
-		t.Fatal("Enable did not reset the collector")
-	}
-}
-
-// Enable/Disable/Write must be safe to call around a running kernel — the
-// hooks race against the toggler and the writer (checked under -race).
-func TestConcurrentToggleAndWrite(t *testing.T) {
-	c := &trace.Collector{}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 500; i++ {
-			c.Enable()
-			_ = c.Len()
-			_ = c.WriteChromeTrace(io.Discard)
-			c.Disable()
-		}
-	}()
-	k := sim.NewKernel()
-	k.Spawn("p", func(p *sim.Proc) {
-		for i := 0; i < 500; i++ {
-			c.Instant(p, "a", "t", "e", nil)
-			end := c.Span(p, "a", "t", "s")
-			p.Sleep(1)
-			end()
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	if err := c.WriteChromeTrace(io.Discard); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestEventsAccessor(t *testing.T) {
 	c := &trace.Collector{}
-	c.Enable()
 	c.InstantAt(10, "spm", "part", "first", nil)
 	c.SpanAt(20, 50, "spm", "part", "second", nil)
 	evs := c.Events()
@@ -136,9 +114,13 @@ func TestEventsAccessor(t *testing.T) {
 // End-to-end: a traced platform run captures GPU launches, sync waits and
 // the failure/recovery instants.
 func TestHooksCaptureArchitecturalEvents(t *testing.T) {
-	trace.Default.Enable()
-	defer trace.Default.Disable()
-	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+	c := &trace.Collector{}
+	err := sim.Run(func(p *sim.Proc) error {
+		trace.Attach(p.Kernel(), c)
+		pl, err := core.BuildPlatform(p, core.DefaultConfig())
+		if err != nil {
+			return err
+		}
 		s, err := pl.NewSession(p, "traced")
 		if err != nil {
 			return err
@@ -164,11 +146,11 @@ func TestHooksCaptureArchitecturalEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := trace.Default.WriteChromeTrace(&buf); err != nil {
+	if err := c.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"vec_add", "sync-wait", "partition-failed", "partition-ready"} {
+	for _, want := range []string{"partition-created", "vec_add", "sync-wait", "partition-failed", "partition-ready"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace missing %q", want)
 		}
