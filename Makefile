@@ -111,12 +111,14 @@ chaos:
 
 # cmd/ has no tests: run cronus-serve end to end on the three pool shapes —
 # executed plane, flow-model plane, two-node pool through a node crash — plus
-# README's supervised failover (the one CLI path through Config.Supervise)
-# and one traced run. The CLI audits conservation itself and exits non-zero on
-# an accounting violation.
+# README's supervised failover (the one CLI path through Config.Supervise),
+# README's SLO-coupled admission (the one CLI path through Config.SLO) and one
+# traced run. The CLI audits conservation itself and exits non-zero on an
+# accounting violation.
 smoke:
 	$(GO) run ./cmd/cronus-serve > /dev/null
 	$(GO) run ./cmd/cronus-serve -supervise -fail-at-ms 11 > /dev/null
+	$(GO) run ./cmd/cronus-serve -slo-target-us 400 -slo-admission > /dev/null
 	$(GO) run ./cmd/cronus-serve -shards 2 > /dev/null
 	$(GO) run ./cmd/cronus-serve -nodes 2 -partitions 4 -shards 4 -node-crash-ms 11 > /dev/null
 	t="$$(mktemp)"; $(GO) run ./cmd/cronus-serve -trace "$$t" > /dev/null; rc=$$?; rm -f "$$t"; exit $$rc

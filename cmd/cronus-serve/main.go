@@ -84,7 +84,7 @@ func main() {
 		"arm per-tenant SLOs: latency target in virtual µs (0 = off)")
 	sloBudget := flag.Float64("slo-budget", 0.01, "SLO error budget (fraction of requests)")
 	sloAdmit := flag.Bool("slo-admission", false,
-		"halve a tenant's admission cap while its SLO burn rate is firing")
+		"halve a tenant's admission cap while its SLO burn rate is firing (requires -slo-target-us)")
 	shards := flag.Int("shards", 0,
 		">= 2 selects the flow-model data plane (0 or 1 = classic executed plane)")
 	nodes := flag.Int("nodes", 0,
@@ -123,6 +123,10 @@ func main() {
 		os.Exit(2)
 	}
 
+	if *sloAdmit && *sloTargetUS <= 0 {
+		fmt.Fprintln(os.Stderr, "cronus-serve: -slo-admission requires -slo-target-us")
+		os.Exit(2)
+	}
 	if !*attTickets && (*attTTLUS > 0 || *attReprobeUS > 0) {
 		fmt.Fprintln(os.Stderr, "cronus-serve: -attest-ticket-ttl-us/-attest-reprobe-us require -attest-tickets")
 		os.Exit(2)
@@ -192,7 +196,6 @@ func main() {
 		cfg.SLO = &slo.Objective{
 			LatencyTarget: sim.Duration(*sloTargetUS) * sim.Microsecond,
 			ErrorBudget:   *sloBudget,
-			Window:        cfg.Window,
 		}
 		cfg.SLOAdmission = *sloAdmit
 	}

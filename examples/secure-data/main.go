@@ -33,7 +33,7 @@ func main() {
 		// ② The user (client) verifies the platform before releasing
 		// anything: full chain — service-endorsed AtK, pinned enclave
 		// and mOS hashes, frozen device tree, vendor-endorsed GPU key.
-		client, err := provision.NewClient([]byte("data-owner"), pl.Verifier)
+		client, err := provision.NewClient([]byte("data-owner"), pl.Verifier, pl.Costs)
 		if err != nil {
 			return err
 		}
@@ -64,7 +64,7 @@ func main() {
 
 		// ④ Inside the attested CPU mEnclave: decrypt and stream to the
 		// GPU mEnclave over trusted shared memory.
-		recv, err := provision.NewReceiver(enclaveSeed, client.Pub())
+		recv, err := provision.NewReceiver(enclaveSeed, client.Pub(), pl.Costs)
 		if err != nil {
 			return err
 		}

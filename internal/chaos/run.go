@@ -75,7 +75,6 @@ func serveConfig(s *Schedule, o Options, inject bool) serve.Config {
 	cfg.SLO = &slo.Objective{
 		LatencyTarget: 500 * sim.Microsecond,
 		ErrorBudget:   0.05,
-		Window:        o.Window,
 	}
 	return cfg
 }

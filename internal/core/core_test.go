@@ -294,9 +294,7 @@ func TestCrossTenantIsolation(t *testing.T) {
 // Device OOM inside the callee surfaces as a clean synchronous error
 // through the stream, and the stream survives.
 func TestDeviceErrorsSurfaceThroughStream(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.GPUMemBytes = 1 << 20
-	err := core.Run(cfg, func(pl *core.Platform, p *sim.Proc) error {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 		s, err := pl.NewSession(p, "oom")
 		if err != nil {
 			return err
@@ -306,7 +304,7 @@ func TestDeviceErrorsSurfaceThroughStream(t *testing.T) {
 			return err
 		}
 		defer g.Close(p)
-		if _, err := g.MemAlloc(p, 16<<20); err == nil || !strings.Contains(err.Error(), "out of device memory") {
+		if _, err := g.MemAlloc(p, pl.GPUs[0].Dev.MemBytes()+1); err == nil || !strings.Contains(err.Error(), "out of device memory") {
 			t.Errorf("OOM: err = %v", err)
 		}
 		// The stream is still healthy.

@@ -24,37 +24,31 @@ import (
 // mRemoteAttests counts full client-side remote attestation round trips.
 var mRemoteAttests = metrics.Default.Counter("attest.remote_attestations")
 
-// Config sizes a platform.
+// Config picks what a platform carries. The devices themselves are the
+// paper's testbed (Table II), stated once in gpu.TuringConfig and
+// npu.DefaultConfig, and the machine has normalMemBytes + secureMemBytes of
+// DRAM.
 type Config struct {
-	NormalMemBytes uint64
-	SecureMemBytes uint64
-
-	GPUs        int
-	GPUMemBytes uint64
-	GPUSMs      int
-	MPS         bool // spatial sharing on the GPUs
-
-	NPUs        int
-	NPUMemBytes uint64
+	GPUs int
+	MPS  bool // spatial sharing on the GPUs
+	NPUs int
 
 	// Costs overrides the virtual-time cost model (nil = DefaultCosts).
 	// Used by the ablation experiments to sweep architectural parameters.
 	Costs *sim.CostModel
 }
 
-// DefaultConfig mirrors the paper's testbed shape (Table II): one Turing
-// GPU, one VTA NPU, 4 GiB of secure memory (scaled down for simulation).
+// The machine's DRAM, scaled down for simulation.
+const (
+	normalMemBytes = 256 << 20
+	secureMemBytes = 256 << 20 // TZASC-protected
+)
+
+// DefaultConfig mirrors the paper's testbed shape (Table II): one Turing GPU
+// with MPS, one VTA NPU, 256 MiB of secure memory (scaled down for
+// simulation).
 func DefaultConfig() Config {
-	return Config{
-		NormalMemBytes: 256 << 20,
-		SecureMemBytes: 256 << 20,
-		GPUs:           1,
-		GPUMemBytes:    1 << 30,
-		GPUSMs:         46,
-		MPS:            true,
-		NPUs:           1,
-		NPUMemBytes:    256 << 20,
-	}
+	return Config{GPUs: 1, MPS: true, NPUs: 1}
 }
 
 // GPUNode bundles one GPU with its partition and mOS.
@@ -112,7 +106,7 @@ func BuildNode(p *sim.Proc, cfg Config, node int) (*Platform, error) {
 	if costs == nil {
 		costs = sim.DefaultCosts()
 	}
-	m := hw.NewMachine(hw.Config{NormalMemBytes: cfg.NormalMemBytes, SecureMemBytes: cfg.SecureMemBytes})
+	m := hw.NewMachine(hw.Config{NormalMemBytes: normalMemBytes, SecureMemBytes: secureMemBytes})
 	if err := m.Fuses.Burn("platform-rot", []byte("cronus-platform-rot")); err != nil {
 		return nil, err
 	}
@@ -127,10 +121,10 @@ func BuildNode(p *sim.Proc, cfg Config, node int) (*Platform, error) {
 	var gdevs []*gpu.Device
 	for i := 0; i < cfg.GPUs; i++ {
 		name := fmt.Sprintf("gpu%d", i)
-		d := gpu.New(k, costs, gpu.Config{
-			Name: name, MemBytes: cfg.GPUMemBytes, SMs: cfg.GPUSMs, CopyEngs: 2,
-			MPS: cfg.MPS, KeySeed: "turing/" + name + salt,
-		})
+		gcfg := gpu.TuringConfig(name)
+		gcfg.MPS = cfg.MPS
+		gcfg.KeySeed += salt
+		d := gpu.New(k, costs, gcfg)
 		if _, err := m.Bus.Attach(d, hw.DTNode{
 			Name: name, Compatible: "nvidia,turing", Vendor: "nvidia",
 			MMIOBase: 0x1000_0000 + uint64(i)*0x100_0000, MMIOSize: 0x100_0000,
@@ -143,7 +137,9 @@ func BuildNode(p *sim.Proc, cfg Config, node int) (*Platform, error) {
 	var ndevs []*npu.Device
 	for i := 0; i < cfg.NPUs; i++ {
 		name := fmt.Sprintf("npu%d", i)
-		d := npu.New(k, costs, npu.Config{Name: name, MemBytes: cfg.NPUMemBytes, KeySeed: "vta/" + name + salt})
+		ncfg := npu.DefaultConfig(name)
+		ncfg.KeySeed += salt
+		d := npu.New(k, costs, ncfg)
 		if _, err := m.Bus.Attach(d, hw.DTNode{
 			Name: name, Compatible: "vta,fsim", Vendor: "vta",
 			MMIOBase: 0x3000_0000 + uint64(i)*0x10_0000, MMIOSize: 0x10_0000,

@@ -51,7 +51,7 @@ func TestDatasetDeterministic(t *testing.T) {
 func nativeTrainer(p *sim.Proc, model *dnn.Model, batch int) (*dnn.Trainer, error) {
 	k := p.Kernel()
 	costs := sim.DefaultCosts()
-	dev := gpu.New(k, costs, gpu.Config{Name: "g", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "t"})
+	dev := gpu.New(k, costs, gpu.TuringConfig("g"))
 	ops, err := baseline.NewNativeCUDA(dev, costs, dnn.Cubin())
 	if err != nil {
 		return nil, err

@@ -27,7 +27,7 @@ type kernelRig struct {
 // newTestGPU is the unprotected device the baselines and the bare-context
 // tests run on.
 func newTestGPU(k *sim.Kernel, costs *sim.CostModel) *gpu.Device {
-	return gpu.New(k, costs, gpu.Config{Name: "g", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "t"})
+	return gpu.New(k, costs, gpu.TuringConfig("g"))
 }
 
 func withKernelRig(t testing.TB, body func(r *kernelRig)) {

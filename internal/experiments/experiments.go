@@ -97,7 +97,7 @@ func runCUDA(system baseline.System, cubin []byte, ringPages int, costs *sim.Cos
 			return s.OpenCUDA(p, core.CUDAOptions{Cubin: cubin, RingPages: ringPages})
 		},
 		func(k *sim.Kernel, costs *sim.CostModel) (accel.CUDA, error) {
-			dev := gpu.New(k, costs, gpu.Config{Name: "gpu0", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "exp"})
+			dev := bareGPU(k, costs)
 			switch system {
 			case baseline.Native:
 				return baseline.NewNativeCUDA(dev, costs, cubin)
@@ -117,7 +117,7 @@ func runNPU(system baseline.System, costs *sim.CostModel, body func(p *sim.Proc,
 			return s.OpenNPU(p, core.NPUOptions{RingPages: 257, Memory: "128M"})
 		},
 		func(k *sim.Kernel, costs *sim.CostModel) (accel.NPU, error) {
-			dev := npu.New(k, costs, npu.Config{Name: "npu0", MemBytes: 256 << 20, KeySeed: "exp"})
+			dev := bareNPU(k, costs)
 			switch system {
 			case baseline.Native:
 				return baseline.NewNativeNPU(dev, costs), nil
@@ -126,6 +126,18 @@ func runNPU(system baseline.System, costs *sim.CostModel, body func(p *sim.Proc,
 			}
 			return nil, fmt.Errorf("experiments: unknown NPU system %q", system)
 		}, body)
+}
+
+// bareGPU and bareNPU are the devices every baseline runs on: the platform's
+// own GPU and NPU (core.BuildNode builds from the same configs), without the
+// platform around them, so the Fig 7, 8 and 10 comparisons differ in the
+// system only.
+func bareGPU(k *sim.Kernel, costs *sim.CostModel) *gpu.Device {
+	return gpu.New(k, costs, gpu.TuringConfig("gpu0"))
+}
+
+func bareNPU(k *sim.Kernel, costs *sim.CostModel) *npu.Device {
+	return npu.New(k, costs, npu.DefaultConfig("npu0"))
 }
 
 // grid runs fn(r, c) for every cell of a rows×cols figure through each and

@@ -320,6 +320,27 @@ func TestRecoveryTimes(t *testing.T) {
 	_ = RenderRecovery(rows)
 }
 
+// CRONUS and its baselines run on one device: the GPU and NPU the platform
+// boots and the bare ones runCUDA and runNPU build every baseline on have the
+// same memory, SM count and MPS mode. The Fig 7, 8 and 10 comparisons are fair
+// only while they do.
+func TestBaselinesRunOnThePlatformsDevices(t *testing.T) {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		want, got := pl.GPUs[0].Dev, bareGPU(p.Kernel(), pl.Costs)
+		if got.MemBytes() != want.MemBytes() || got.SMs() != want.SMs() || got.MPS() != want.MPS() {
+			t.Errorf("baseline GPU has %d B, %v SMs, MPS=%v; CRONUS's has %d B, %v SMs, MPS=%v",
+				got.MemBytes(), got.SMs(), got.MPS(), want.MemBytes(), want.SMs(), want.MPS())
+		}
+		if got, want := bareNPU(p.Kernel(), pl.Costs).MemBytes(), pl.NPUs[0].Dev.MemBytes(); got != want {
+			t.Errorf("baseline NPU has %d B, CRONUS's has %d B", got, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // The simulation's determinism claim: running the same experiment twice
 // yields bit-identical results (no map-iteration or host-scheduling order
 // may leak into virtual-time behaviour).

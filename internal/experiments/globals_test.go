@@ -7,9 +7,12 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+
+	"cronus/internal/sim"
 )
 
 // sharedGlobals is every package-level variable under internal/ that two
@@ -113,6 +116,98 @@ func TestNoUnlistedPackageState(t *testing.T) {
 	}
 	if !found[unsafeFile] {
 		t.Errorf("%s no longer imports unsafe: delete the exception", unsafeFile)
+	}
+}
+
+// costFile defines sim.CostModel, its calibration and the helpers that price
+// an operation from its fields.
+const costFile = "internal/sim/cost.go"
+
+// TestEveryCostIsCharged fails on a sim.CostModel field that no non-test file
+// of the module (bench/, its own module, aside) outside costFile reads, either
+// directly or through a costFile helper that reads it (Memcpy reads
+// MemcpyPerByte, SyncRPCSwitch ContextSwitchS2, ...). A constant nothing
+// charges prices nothing: it is calibration with no operation behind it, and
+// cannot carry the source tag every constant owes (ROADMAP item 3). Without
+// type information any selector with a field's or helper's name counts as a
+// read, except the target of a plain assignment.
+func TestEveryCostIsCharged(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	cf, err := parser.ParseFile(fset, filepath.Join(root, costFile), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	helperReads := make(map[string][]string)
+	for _, decl := range cf.Decls {
+		fd, ok := decl.(*ast.FuncDecl)
+		if !ok || fd.Recv == nil {
+			continue
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				helperReads[fd.Name.Name] = append(helperReads[fd.Name.Name], sel.Sel.Name)
+			}
+			return true
+		})
+	}
+	read := make(map[string]bool)
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		rel = filepath.ToSlash(rel)
+		if d.IsDir() {
+			if rel != "." && (rel == "bench" || strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") || rel == costFile {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		written := make(map[ast.Node]bool)
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN {
+					for _, lhs := range n.Lhs {
+						written[lhs] = true
+					}
+				}
+			case *ast.SelectorExpr:
+				if !written[n] {
+					read[n.Sel.Name] = true
+					for _, field := range helperReads[n.Sel.Name] {
+						read[field] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var uncharged []string
+	fields := reflect.TypeOf(sim.CostModel{})
+	for i := 0; i < fields.NumField(); i++ {
+		if name := fields.Field(i).Name; !read[name] {
+			uncharged = append(uncharged, name)
+		}
+	}
+	if len(uncharged) > 0 {
+		t.Errorf("sim.CostModel fields no operation charges: %s — charge each where its operation happens, "+
+			"or delete it from %s", strings.Join(uncharged, ", "), costFile)
 	}
 }
 

@@ -209,23 +209,20 @@ type RecoveryRow struct {
 // RecoveryTimes measures CRONUS's mOS restart against the monolithic
 // systems' machine reboot (§VI-D).
 func RecoveryTimes() ([]RecoveryRow, error) {
-	costs := sim.DefaultCosts()
-	var cronusMeasured sim.Duration
+	var rows []RecoveryRow
 	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 		rec := pl.SPM.Fail(pl.GPUs[0].Part, spm.FailPanic)
 		pl.SPM.AwaitReady(p, pl.GPUs[0].Part)
-		cronusMeasured = rec.Downtime()
+		rows = []RecoveryRow{{System: baseline.CRONUS, Recovery: rec.Downtime(), Measured: true}}
+		for _, sys := range []baseline.System{baseline.TrustZone, baseline.HIX, baseline.Native} {
+			rows = append(rows, RecoveryRow{System: sys, Recovery: baseline.RecoveryTime(sys, pl.Costs)})
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return []RecoveryRow{
-		{System: baseline.CRONUS, Recovery: cronusMeasured, Measured: true},
-		{System: baseline.TrustZone, Recovery: baseline.RecoveryTime(baseline.TrustZone, costs)},
-		{System: baseline.HIX, Recovery: baseline.RecoveryTime(baseline.HIX, costs)},
-		{System: baseline.Native, Recovery: baseline.RecoveryTime(baseline.Native, costs)},
-	}, nil
+	return rows, nil
 }
 
 // RenderRecovery formats the recovery comparison.

@@ -56,21 +56,16 @@ type Config struct {
 	KeySeed  string // device key fuse material
 }
 
-// TuringConfig approximates the paper's GTX 2080: 46 SMs, 8 GB, 2 copy
-// engines. The nouveau/gdev stack in the paper has no MIG, but the GPU model
-// supports MPS-style concurrent kernel execution (§VI-C).
+// TuringConfig is the paper's GTX 2080 (Table II) with 1 GiB of memory,
+// scaled down for simulation: CRONUS's platform and the baselines both build
+// their GPUs from it. The nouveau/gdev stack in the paper has no MIG, but the
+// GPU model supports MPS-style concurrent kernel execution (§VI-C).
 func TuringConfig(name string) Config {
-	return Config{Name: name, MemBytes: 8 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "turing/" + name}
+	return Config{Name: name, MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "turing/" + name}
 }
 
-// New creates a GPU device.
+// New creates a GPU device exactly as cfg sizes it.
 func New(k *sim.Kernel, costs *sim.CostModel, cfg Config) *Device {
-	if cfg.SMs <= 0 {
-		cfg.SMs = 46
-	}
-	if cfg.CopyEngs <= 0 {
-		cfg.CopyEngs = 2
-	}
 	return &Device{
 		name:      cfg.Name,
 		k:         k,

@@ -396,7 +396,9 @@ func TestDeviceAuthenticity(t *testing.T) {
 	}
 	// A fabricated device with a different fuse cannot produce the
 	// vendor-endorsed key's signature.
-	fake := New(k, sim.DefaultCosts(), Config{Name: "gpu0", MemBytes: 1 << 20, KeySeed: "fake"})
+	fakeCfg := TuringConfig("gpu0")
+	fakeCfg.KeySeed = "fake"
+	fake := New(k, sim.DefaultCosts(), fakeCfg)
 	if attest.Verify(d.PubKey(), challenge, fake.Authenticate(challenge)) {
 		t.Fatal("fabricated device impersonated the genuine key")
 	}

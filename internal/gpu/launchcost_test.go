@@ -73,8 +73,9 @@ func TestLaunchPricedForItsOwnDevice(t *testing.T) {
 		k := sim.NewKernel()
 		var devs []*gpu.Device
 		for _, sms := range order {
-			d := gpu.New(k, sim.DefaultCosts(), gpu.Config{Name: fmt.Sprintf("gpu-%dsm", sms), MemBytes: 64 << 20, SMs: sms, MPS: true, KeySeed: "t"})
-			devs = append(devs, d)
+			cfg := gpu.TuringConfig(fmt.Sprintf("gpu-%dsm", sms))
+			cfg.SMs = sms
+			devs = append(devs, gpu.New(k, sim.DefaultCosts(), cfg))
 		}
 		for i, d := range devs {
 			if c := vecAdd.Cost(d.SMs(), gpu.Dim{n, 1, 1}, nil); c.SMDemand != float64(order[i])/2 {

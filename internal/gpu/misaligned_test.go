@@ -81,7 +81,7 @@ func TestMisalignedPointerFaultsEveryFloatKernel(t *testing.T) {
 	k := sim.NewKernel()
 	k.Spawn("main", func(p *sim.Proc) {
 		defer k.Stop()
-		dev := gpu.New(k, sim.DefaultCosts(), gpu.Config{Name: "g", MemBytes: 64 << 20, KeySeed: "t"})
+		dev := gpu.New(k, sim.DefaultCosts(), gpu.TuringConfig("g"))
 		for name, l := range floatKernels {
 			ctx := dev.CreateContext()
 			if err := ctx.LoadModule(gpu.BuildCubin(name)); err != nil {

@@ -132,9 +132,11 @@ type Config struct {
 	KeySeed  string
 }
 
-// DefaultConfig mirrors the paper's VTA PCIe device with 1 GiB of DRAM.
+// DefaultConfig is the paper's VTA PCIe device (Table II) with 256 MiB of
+// DRAM, scaled down for simulation: CRONUS's platform and the baselines both
+// build their NPUs from it.
 func DefaultConfig(name string) Config {
-	return Config{Name: name, MemBytes: 1 << 30, KeySeed: "vta/" + name}
+	return Config{Name: name, MemBytes: 256 << 20, KeySeed: "vta/" + name}
 }
 
 // New creates an NPU device.

@@ -37,18 +37,20 @@ func deriveKey(shared []byte, label string) []byte {
 type Client struct {
 	dh       *attest.DHKey
 	verifier *attest.Verifier
+	costs    *sim.CostModel
 	attested bool
 	key      []byte
 	seq      uint64
 }
 
-// NewClient creates a provisioning client with its own ephemeral key.
-func NewClient(seed []byte, verifier *attest.Verifier) (*Client, error) {
+// NewClient creates a provisioning client with its own ephemeral key that
+// verifies reports with verifier and charges sealing at the platform's costs.
+func NewClient(seed []byte, verifier *attest.Verifier, costs *sim.CostModel) (*Client, error) {
 	dh, err := attest.NewDHKey(append([]byte("provision-client/"), seed...))
 	if err != nil {
 		return nil, err
 	}
-	return &Client{dh: dh, verifier: verifier}, nil
+	return &Client{dh: dh, verifier: verifier, costs: costs}, nil
 }
 
 // Pub returns the client's key-agreement public key (sent to the enclave).
@@ -95,7 +97,7 @@ func (c *Client) Seal(p *sim.Proc, plaintext []byte) (Blob, error) {
 		return Blob{}, err
 	}
 	if p != nil {
-		p.Sleep(sim.DefaultCosts().Encrypt(len(plaintext)))
+		p.Sleep(c.costs.Encrypt(len(plaintext)))
 	}
 	ct := gcm.Seal(nil, nonce[:], plaintext, nonce[:8])
 	return Blob{Seq: c.seq, Nonce: nonce, Ciphertext: ct}, nil
@@ -104,14 +106,15 @@ func (c *Client) Seal(p *sim.Proc, plaintext []byte) (Blob, error) {
 // Receiver is the enclave side: it derives the same key from its own DH key
 // and the client's public key, and enforces in-order exactly-once delivery.
 type Receiver struct {
-	key  []byte
-	last uint64
+	key   []byte
+	last  uint64
+	costs *sim.CostModel
 }
 
 // NewReceiver derives the receiver from the enclave's key-agreement private
-// seed and the client's public key. In deployment this runs inside the
-// attested CPU mEnclave.
-func NewReceiver(enclaveSeed, clientPub []byte) (*Receiver, error) {
+// seed and the client's public key; it charges opening at the platform's
+// costs. In deployment this runs inside the attested CPU mEnclave.
+func NewReceiver(enclaveSeed, clientPub []byte, costs *sim.CostModel) (*Receiver, error) {
 	dh, err := attest.NewDHKey(enclaveSeed)
 	if err != nil {
 		return nil, err
@@ -120,7 +123,7 @@ func NewReceiver(enclaveSeed, clientPub []byte) (*Receiver, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Receiver{key: deriveKey(shared, "dataset")}, nil
+	return &Receiver{key: deriveKey(shared, "dataset"), costs: costs}, nil
 }
 
 // EnclavePub returns the public half the client binds against.
@@ -146,7 +149,7 @@ func (r *Receiver) Open(p *sim.Proc, b Blob) ([]byte, error) {
 		return nil, err
 	}
 	if p != nil {
-		p.Sleep(sim.DefaultCosts().Encrypt(len(b.Ciphertext)))
+		p.Sleep(r.costs.Encrypt(len(b.Ciphertext)))
 	}
 	pt, err := gcm.Open(nil, b.Nonce[:], b.Ciphertext, b.Nonce[:8])
 	if err != nil {

@@ -19,38 +19,82 @@ func attestedPair(t *testing.T) (*provision.Client, *provision.Receiver) {
 	var client *provision.Client
 	var recv *provision.Receiver
 	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-		s, err := pl.NewSession(p, "prov")
-		if err != nil {
-			return err
-		}
-		client, err = provision.NewClient([]byte("user-7"), pl.Verifier)
-		if err != nil {
-			return err
-		}
-		// The session enclave's provisioning key (held in the secure
-		// world; the seed stands for enclave-private entropy).
-		enclaveSeed := []byte("session-enclave-provision-key")
-		pub, err := provision.EnclavePub(enclaveSeed)
-		if err != nil {
-			return err
-		}
-		dt := pl.SPM.DTHash()
-		report := pl.D.BuildReport(p, 5)
-		want := attest.Expected{
-			EnclaveHashes: s.EnclaveMeasurements(),
-			DTHash:        &dt,
-			Nonce:         5,
-		}
-		if err := client.VerifyAndBind(report, want, pub); err != nil {
-			return err
-		}
-		recv, err = provision.NewReceiver(enclaveSeed, client.Pub())
+		var err error
+		client, recv, err = bind(pl, p)
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return client, recv
+}
+
+// bind attests pl from a fresh session and returns a bound client and the
+// matching enclave-side receiver.
+func bind(pl *core.Platform, p *sim.Proc) (*provision.Client, *provision.Receiver, error) {
+	s, err := pl.NewSession(p, "prov")
+	if err != nil {
+		return nil, nil, err
+	}
+	client, err := provision.NewClient([]byte("user-7"), pl.Verifier, pl.Costs)
+	if err != nil {
+		return nil, nil, err
+	}
+	// The session enclave's provisioning key (held in the secure
+	// world; the seed stands for enclave-private entropy).
+	enclaveSeed := []byte("session-enclave-provision-key")
+	pub, err := provision.EnclavePub(enclaveSeed)
+	if err != nil {
+		return nil, nil, err
+	}
+	dt := pl.SPM.DTHash()
+	report := pl.D.BuildReport(p, 5)
+	want := attest.Expected{
+		EnclaveHashes: s.EnclaveMeasurements(),
+		DTHash:        &dt,
+		Nonce:         5,
+	}
+	if err := client.VerifyAndBind(report, want, pub); err != nil {
+		return nil, nil, err
+	}
+	recv, err := provision.NewReceiver(enclaveSeed, client.Pub(), pl.Costs)
+	return client, recv, err
+}
+
+// Sealing and opening are charged at the platform's cost model, not at a
+// second calibration: on a platform whose AES costs three times the default,
+// each takes Encrypt of its bytes at those costs.
+func TestSealAndOpenChargeThePlatformsCosts(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Costs = sim.DefaultCosts()
+	cfg.Costs.AESFixed *= 3
+	cfg.Costs.AESPerByte *= 3
+	err := core.Run(cfg, func(pl *core.Platform, p *sim.Proc) error {
+		client, recv, err := bind(pl, p)
+		if err != nil {
+			return err
+		}
+		data := make([]byte, 4096)
+		start := p.Now()
+		blob, err := client.Seal(p, data)
+		if err != nil {
+			return err
+		}
+		if got, want := sim.Duration(p.Now()-start), cfg.Costs.Encrypt(len(data)); got != want {
+			t.Errorf("Seal took %v, want %v", got, want)
+		}
+		start = p.Now()
+		if _, err := recv.Open(p, blob); err != nil {
+			return err
+		}
+		if got, want := sim.Duration(p.Now()-start), cfg.Costs.Encrypt(len(blob.Ciphertext)); got != want {
+			t.Errorf("Open took %v, want %v", got, want)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestProvisionRoundTrip(t *testing.T) {
@@ -71,7 +115,7 @@ func TestProvisionRoundTrip(t *testing.T) {
 
 func TestSealRefusedBeforeAttestation(t *testing.T) {
 	v := attest.NewVerifier(attest.KeyFromSeed([]byte("svc")).Public().(attest.PublicKey))
-	c, err := provision.NewClient([]byte("u"), v)
+	c, err := provision.NewClient([]byte("u"), v, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +126,7 @@ func TestSealRefusedBeforeAttestation(t *testing.T) {
 
 func TestBindRefusedOnBadReport(t *testing.T) {
 	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
-		client, err := provision.NewClient([]byte("u"), pl.Verifier)
+		client, err := provision.NewClient([]byte("u"), pl.Verifier, pl.Costs)
 		if err != nil {
 			return err
 		}
@@ -139,7 +183,7 @@ func TestEavesdropperCannotDecrypt(t *testing.T) {
 	client, _ := attestedPair(t)
 	blob, _ := client.Seal(nil, []byte("weights"))
 	// The untrusted OS sees the blob but has neither side's private key.
-	evil, err := provision.NewReceiver([]byte("attacker guess"), client.Pub())
+	evil, err := provision.NewReceiver([]byte("attacker guess"), client.Pub(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

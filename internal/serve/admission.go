@@ -103,7 +103,7 @@ func (srv *Server) effectiveCap(t *tenant, now sim.Time) int {
 		// the dead node can no longer carry instead of absorbing it all.
 		c = c * srv.cl.aliveCnt / srv.cl.nodes
 	}
-	if srv.cfg.SLOAdmission && t.slo != nil && t.slo.Signal(now).Firing {
+	if srv.cfg.SLOAdmission && t.slo.Signal(now).Firing {
 		c /= 2
 	}
 	if c < 1 {

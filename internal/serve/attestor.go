@@ -91,8 +91,8 @@ type attState struct {
 // validateAttest rejects attestation configurations the plane cannot run.
 func validateAttest(cfg Config) error {
 	if !cfg.AttestTickets {
-		if cfg.AttestReprobe > 0 || len(cfg.AttestFaults) > 0 {
-			return fmt.Errorf("serve: AttestReprobe/AttestFaults require AttestTickets")
+		if cfg.AttestTicketTTL > 0 || cfg.AttestReprobe > 0 || len(cfg.AttestFaults) > 0 {
+			return fmt.Errorf("serve: AttestTicketTTL/AttestReprobe/AttestFaults require AttestTickets")
 		}
 		return nil
 	}

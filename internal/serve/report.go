@@ -221,8 +221,8 @@ func (r *Result) Report() string {
 			t.Name, t.Shed, t.Timeouts, t.Retried, t.Replayed, t.Failed)
 	}
 	for _, s := range r.SLOs {
-		fmt.Fprintf(&b, "slo: %-12s %s good=%d bad=%d budget-burned=%.1f%% burn fast=%.2f slow=%.2f firing=%v\n",
-			s.Name, s.Objective, s.Good, s.Bad, s.BudgetConsumed*100, s.FastBurn, s.SlowBurn, s.Firing)
+		fmt.Fprintf(&b, "slo: %-12s %s window=%v good=%d bad=%d budget-burned=%.1f%% burn fast=%.2f slow=%.2f firing=%v\n",
+			s.Name, s.Objective, r.Window, s.Good, s.Bad, s.BudgetConsumed*100, s.FastBurn, s.SlowBurn, s.Firing)
 	}
 	for _, f := range r.Failures {
 		switch {

@@ -167,14 +167,14 @@ type Config struct {
 	// path pays one branch per hook and allocates nothing extra.
 	Trace bool
 
-	// SLO, when set, arms a per-tenant SLO tracker with this objective:
-	// every completion is scored good/bad and multi-window burn-rate
+	// SLO, when set, arms a per-tenant SLO tracker with this objective over
+	// Window: every completion is scored good/bad and multi-window burn-rate
 	// signals are evaluated (Result.SLOs).
 	SLO *slo.Objective
 	// SLOAdmission couples the burn-rate signal to admission: while a
 	// tenant's signal fires, its effective queue cap is halved (floor 1),
 	// shedding load with typed *OverloadError while the budget recovers —
-	// degraded mode engaging before circuit breakers trip.
+	// degraded mode engaging before circuit breakers trip. Requires SLO.
 	SLOAdmission bool
 
 	// Shards >= 2 selects the flow-model plane (sharded.go): the per-request
@@ -212,6 +212,7 @@ type Config struct {
 	// revisions.
 	AttestTickets bool
 	// AttestTicketTTL is the virtual-time ticket lifetime (default 5ms).
+	// Requires AttestTickets.
 	AttestTicketTTL sim.Duration
 	// AttestReprobe, when > 0, starts the continuous re-measurement prober:
 	// every AttestReprobe of virtual time each pooled partition's current
@@ -502,6 +503,9 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 	if len(cfg.Tenants) == 0 {
 		return nil, fmt.Errorf("serve: no tenants configured")
 	}
+	if cfg.SLOAdmission && cfg.SLO == nil {
+		return nil, fmt.Errorf("serve: SLOAdmission requires SLO")
+	}
 	for _, validate := range []func(Config) error{validateCluster, validateSharded, validateAttest, validateElastic} {
 		if err := validate(cfg); err != nil {
 			return nil, err
@@ -610,7 +614,7 @@ func NewCluster(p *sim.Proc, plats []*core.Platform, cfg Config) (*Server, error
 			reg.Gauge("serve.tenant."+spec.Name+".queue_depth"))
 		t.latHist = reg.Histogram("serve.tenant." + spec.Name + ".latency_ns")
 		if cfg.SLO != nil {
-			t.slo = slo.NewTracker(*cfg.SLO)
+			t.slo = slo.NewTracker(*cfg.SLO, cfg.Window)
 		}
 		for _, pp := range srv.parts {
 			rep, err := newReplica(p, srv, t, pp, smDemand)

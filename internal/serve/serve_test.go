@@ -3,6 +3,7 @@ package serve_test
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"cronus/internal/core"
@@ -222,6 +223,27 @@ func TestPolicies(t *testing.T) {
 				if tr.Completed == 0 {
 					t.Errorf("%s completed nothing under %s", tr.Name, pol)
 				}
+			}
+		})
+	}
+}
+
+// TestDependentSettingsRefusedAlone: a setting that only means something with
+// another is refused without it, instead of being dropped without a word.
+func TestDependentSettingsRefusedAlone(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*serve.Config)
+		want   string
+	}{
+		{"slo-admission-without-slo", func(c *serve.Config) { c.SLOAdmission = true }, "SLOAdmission requires SLO"},
+		{"ticket-ttl-without-tickets", func(c *serve.Config) { c.AttestTicketTTL = sim.Millisecond }, "require AttestTickets"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := twoTenantConfig(1)
+			tc.mutate(&cfg)
+			if _, err := serve.Run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("got %v, want an error containing %q", err, tc.want)
 			}
 		})
 	}

@@ -142,7 +142,6 @@ func TestSLOAccountingBalances(t *testing.T) {
 	cfg.SLO = &slo.Objective{
 		LatencyTarget: 300 * sim.Microsecond,
 		ErrorBudget:   0.05,
-		Window:        cfg.Window,
 	}
 	res, err := serve.Run(cfg)
 	if err != nil {
@@ -181,7 +180,6 @@ func TestSLOAdmissionDegrades(t *testing.T) {
 		cfg.SLO = &slo.Objective{
 			LatencyTarget: sim.Nanosecond, // unmeetable: everything is bad
 			ErrorBudget:   0.01,
-			Window:        cfg.Window,
 		}
 		cfg.SLOAdmission = admission
 		res, err := serve.Run(cfg)

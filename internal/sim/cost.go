@@ -24,7 +24,6 @@ type CostModel struct {
 	StreamSetup   Duration // stream header init in smem (first call only)
 	LocalAttest   Duration // local attestation round (report + verify)
 	DhkeHandshake Duration // Diffie-Hellman key agreement during create
-	SignFixed     Duration // asymmetric signature (attestation)
 	VerifyFixed   Duration // asymmetric verification (attestation)
 	HashPerByte   float64  // measurement hashing, ns/byte
 	AESFixed      Duration // per-message AES-GCM setup (HIX-style RPC)
@@ -37,8 +36,6 @@ type CostModel struct {
 	PCIePerByte   float64  // PCIe DMA, ns/byte
 	MapPage       Duration // stage-1/stage-2 page table update, per page
 	SpanCheck     Duration // TZASC + stage-2 span permission check (zero-copy grants)
-	SMMUInval     Duration // SMMU TLB invalidation
-	Stage2Inval   Duration // stage-2 invalidation per shared region
 	PageFaultTrap Duration // trap delivery to the SPM and signal to the mEnclave
 	DeviceMMIO    Duration // one MMIO register access
 
@@ -70,7 +67,6 @@ func DefaultCosts() *CostModel {
 		StreamSetup:   2400 * Nanosecond,
 		LocalAttest:   52 * Microsecond,
 		DhkeHandshake: 210 * Microsecond,
-		SignFixed:     160 * Microsecond,
 		VerifyFixed:   240 * Microsecond,
 		HashPerByte:   0.45,
 		AESFixed:      1400 * Nanosecond,
@@ -82,8 +78,6 @@ func DefaultCosts() *CostModel {
 		PCIePerByte:   0.085, // ~11.7 GB/s
 		MapPage:       700 * Nanosecond,
 		SpanCheck:     90 * Nanosecond,
-		SMMUInval:     1100 * Nanosecond,
-		Stage2Inval:   2300 * Nanosecond,
 		PageFaultTrap: 5200 * Nanosecond,
 		DeviceMMIO:    210 * Nanosecond,
 

@@ -21,43 +21,26 @@ type Objective struct {
 	// LatencyTarget: a request is "good" iff it completes without error
 	// within this virtual-time latency.
 	LatencyTarget sim.Duration
-	// ErrorBudget is the tolerated bad fraction over Window (e.g. 0.01
-	// allows 1% of requests to miss the target). Burn rate 1.0 means the
-	// budget is being consumed exactly at the sustainable pace.
+	// ErrorBudget is the tolerated bad fraction over the tracker's window
+	// (e.g. 0.01 allows 1% of requests to miss the target; 0 means 0.01).
+	// Burn rate 1.0 means the budget is being consumed exactly at the
+	// sustainable pace.
 	ErrorBudget float64
-	// Window is the budget window and the slow burn-rate window.
-	Window sim.Duration
-	// FastWindow is the fast burn-rate window; defaults to Window/12.
-	FastWindow sim.Duration
-	// FastBurn/SlowBurn are the firing thresholds for the two windows;
-	// defaults 14.4 and 6 (the classic multi-window page thresholds).
-	FastBurn float64
-	SlowBurn float64
 }
 
-// withDefaults fills unset objective fields.
-func (o Objective) withDefaults() Objective {
-	if o.ErrorBudget <= 0 {
-		o.ErrorBudget = 0.01
-	}
-	if o.Window <= 0 {
-		o.Window = 20 * sim.Millisecond
-	}
-	if o.FastWindow <= 0 {
-		o.FastWindow = o.Window / 12
-	}
-	if o.FastBurn <= 0 {
-		o.FastBurn = 14.4
-	}
-	if o.SlowBurn <= 0 {
-		o.SlowBurn = 6
-	}
-	return o
-}
+// The multi-window burn-rate signal: the slow window is the tracker's whole
+// window and the fast one fastWindowDiv times shorter; the signal fires when
+// the fast burn reaches fastBurn and the slow one slowBurn (the classic
+// multi-window page thresholds).
+const (
+	fastWindowDiv = 12
+	fastBurn      = 14.4
+	slowBurn      = 6
+)
 
 // trackerBuckets is the ring resolution: the slow window is covered by this
-// many buckets, so the fast window (Window/12 by default) still spans
-// several buckets and short bursts are not quantized away.
+// many buckets, so the fast window still spans several buckets and short
+// bursts are not quantized away.
 const trackerBuckets = 60
 
 // bucket accumulates good/bad outcomes for one slice of virtual time.
@@ -71,18 +54,22 @@ type bucket struct {
 // for concurrent use; the serving plane records from kernel context, which
 // is single-threaded by construction.
 type Tracker struct {
-	obj   Objective
-	width sim.Duration
-	ring  [trackerBuckets]bucket
+	obj    Objective
+	window sim.Duration // budget window and slow burn-rate window
+	width  sim.Duration
+	ring   [trackerBuckets]bucket
 	// Cumulative totals (whole run, not windowed).
 	good uint64
 	bad  uint64
 }
 
-// NewTracker returns a tracker for the objective (defaults applied).
-func NewTracker(o Objective) *Tracker {
-	o = o.withDefaults()
-	t := &Tracker{obj: o, width: sim.Duration(int64(o.Window) / trackerBuckets)}
+// NewTracker returns a tracker for the objective over window, the run's
+// budget window.
+func NewTracker(o Objective, window sim.Duration) *Tracker {
+	if o.ErrorBudget <= 0 {
+		o.ErrorBudget = 0.01
+	}
+	t := &Tracker{obj: o, window: window, width: window / trackerBuckets}
 	if t.width <= 0 {
 		t.width = 1
 	}
@@ -92,7 +79,7 @@ func NewTracker(o Objective) *Tracker {
 	return t
 }
 
-// Objective returns the tracker's objective with defaults applied.
+// Objective returns the tracker's objective with its default budget applied.
 func (t *Tracker) Objective() Objective { return t.obj }
 
 // Good reports whether an outcome meets the objective.
@@ -163,10 +150,10 @@ type Signal struct {
 // Signal evaluates the multi-window burn-rate signal at virtual time now.
 func (t *Tracker) Signal(now sim.Time) Signal {
 	s := Signal{
-		Fast: t.burnOver(now, t.obj.FastWindow),
-		Slow: t.burnOver(now, t.obj.Window),
+		Fast: t.burnOver(now, t.window/fastWindowDiv),
+		Slow: t.burnOver(now, t.window),
 	}
-	s.Firing = s.Fast >= t.obj.FastBurn && s.Slow >= t.obj.SlowBurn
+	s.Firing = s.Fast >= fastBurn && s.Slow >= slowBurn
 	return s
 }
 
@@ -186,5 +173,5 @@ func (t *Tracker) BudgetConsumed() float64 {
 
 // String renders the objective compactly for reports.
 func (o Objective) String() string {
-	return fmt.Sprintf("p100<%v budget=%.2g%% window=%v", o.LatencyTarget, o.ErrorBudget*100, o.Window)
+	return fmt.Sprintf("p100<%v budget=%.2g%%", o.LatencyTarget, o.ErrorBudget*100)
 }

@@ -10,22 +10,20 @@ func obj() Objective {
 	return Objective{
 		LatencyTarget: 100 * sim.Microsecond,
 		ErrorBudget:   0.1,
-		Window:        sim.Millisecond,
 	}
 }
 
+// window is the budget window every test tracker runs over.
+const window = sim.Millisecond
+
 func TestDefaults(t *testing.T) {
-	o := Objective{LatencyTarget: sim.Microsecond}.withDefaults()
-	if o.ErrorBudget != 0.01 || o.Window != 20*sim.Millisecond {
-		t.Fatalf("defaults = %+v", o)
-	}
-	if o.FastWindow != o.Window/12 || o.FastBurn != 14.4 || o.SlowBurn != 6 {
-		t.Fatalf("defaults = %+v", o)
+	if o := NewTracker(Objective{LatencyTarget: sim.Microsecond}, window).Objective(); o.ErrorBudget != 0.01 {
+		t.Fatalf("objective = %+v, want the 1%% default budget", o)
 	}
 }
 
 func TestGood(t *testing.T) {
-	tr := NewTracker(obj())
+	tr := NewTracker(obj(), window)
 	if !tr.Good(100*sim.Microsecond, false) {
 		t.Fatal("at-target latency should be good")
 	}
@@ -38,7 +36,7 @@ func TestGood(t *testing.T) {
 }
 
 func TestTotalsAndBudget(t *testing.T) {
-	tr := NewTracker(obj())
+	tr := NewTracker(obj(), window)
 	now := sim.Time(0)
 	for i := 0; i < 18; i++ {
 		tr.Record(now, sim.Microsecond, false)
@@ -57,7 +55,7 @@ func TestTotalsAndBudget(t *testing.T) {
 }
 
 func TestSignalFiresOnSustainedBurn(t *testing.T) {
-	tr := NewTracker(obj())
+	tr := NewTracker(obj(), window)
 	// All-bad traffic with a 10% budget burns at 1/0.1 = 10 in both
 	// windows — over the slow threshold (6) but under the fast one
 	// (14.4), so the multi-window signal must NOT fire.
@@ -77,7 +75,7 @@ func TestSignalFiresOnSustainedBurn(t *testing.T) {
 	// exceed their thresholds and the signal fires.
 	o := obj()
 	o.ErrorBudget = 0.02
-	tr = NewTracker(o)
+	tr = NewTracker(o, window)
 	now = 0
 	for i := 0; i < 50; i++ {
 		tr.Record(now, sim.Millisecond, false)
@@ -92,7 +90,7 @@ func TestSignalFiresOnSustainedBurn(t *testing.T) {
 func TestFastWindowRecovers(t *testing.T) {
 	o := obj()
 	o.ErrorBudget = 0.02
-	tr := NewTracker(o)
+	tr := NewTracker(o, window)
 	// A burst of bad requests early in the window...
 	now := sim.Time(0)
 	for i := 0; i < 20; i++ {
@@ -123,7 +121,7 @@ func TestFastWindowRecovers(t *testing.T) {
 func TestWindowExpiry(t *testing.T) {
 	o := obj()
 	o.ErrorBudget = 0.02
-	tr := NewTracker(o)
+	tr := NewTracker(o, window)
 	tr.Record(0, sim.Millisecond, false) // bad at t=0
 	// Far outside the window, one good request: the stale bucket's epoch
 	// no longer matches, so the window holds only the good outcome.
@@ -141,7 +139,7 @@ func TestWindowExpiry(t *testing.T) {
 }
 
 func TestEmptyTracker(t *testing.T) {
-	tr := NewTracker(obj())
+	tr := NewTracker(obj(), window)
 	if s := tr.Signal(500); s.Fast != 0 || s.Slow != 0 || s.Firing {
 		t.Fatalf("empty tracker signal = %+v", s)
 	}
@@ -152,7 +150,7 @@ func TestEmptyTracker(t *testing.T) {
 
 func TestObjectiveString(t *testing.T) {
 	got := obj().String()
-	want := "p100<100.00us budget=10% window=1000.00us"
+	want := "p100<100.00us budget=10%"
 	if got != want {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}

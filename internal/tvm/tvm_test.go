@@ -16,7 +16,7 @@ import (
 
 func nativeNPU(p *sim.Proc) *baseline.NativeNPU {
 	costs := sim.DefaultCosts()
-	dev := npu.New(p.Kernel(), costs, npu.Config{Name: "n", MemBytes: 256 << 20, KeySeed: "t"})
+	dev := npu.New(p.Kernel(), costs, npu.DefaultConfig("n"))
 	return baseline.NewNativeNPU(dev, costs)
 }
 

@@ -19,7 +19,7 @@ func onContext(t *testing.T, body func(p *sim.Proc, dev *gpu.Device)) {
 	k := sim.NewKernel()
 	k.Spawn("main", func(p *sim.Proc) {
 		defer k.Stop()
-		body(p, gpu.New(k, sim.DefaultCosts(), gpu.Config{Name: "g", MemBytes: 64 << 20, SMs: 46, KeySeed: "t"}))
+		body(p, gpu.New(k, sim.DefaultCosts(), gpu.TuringConfig("g")))
 	})
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

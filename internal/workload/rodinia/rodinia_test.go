@@ -43,7 +43,7 @@ func timeOn(t *testing.T, b rodinia.Benchmark, system baseline.System) sim.Durat
 		k.Spawn("main", func(p *sim.Proc) {
 			defer k.Stop()
 			costs := sim.DefaultCosts()
-			dev := gpu.New(k, costs, gpu.Config{Name: "g", MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "x"})
+			dev := gpu.New(k, costs, gpu.TuringConfig("g"))
 			var ops accel.CUDA
 			var err error
 			switch system {
