@@ -130,7 +130,9 @@ bench-build:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # The one CI list — .github/workflows/ci.yml runs exactly `make ci`: the
-# format check, build, vet, the full test suite under the coverage gate (the
+# format check, build, vet (once more for arm64, which type-checks the Go
+# files no amd64 build compiles: the portable matmul leaf of
+# internal/gpu/rowterms_other.go), the full test suite under the coverage gate (the
 # causal-tracing guards and the cronus-attack defences included), the race
 # detector over the concurrency-heavy
 # packages, a short fuzz leg per target, the documentation bar, the benchmark
@@ -140,6 +142,7 @@ ci:
 	$(MAKE) fmt-check
 	$(GO) build ./...
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	$(MAKE) cover
 	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/hw ./internal/sim \
 		./internal/trace ./internal/otrace ./internal/experiments ./internal/core ./internal/gpu \

@@ -45,13 +45,20 @@ var sentinelName = regexp.MustCompile(`^[Ee]rr[A-Z]`)
 // is a decision too — it goes through that file or moves this line.
 const unsafeFile = "internal/gpu/view.go"
 
+// asmFile is the one assembly file under internal/: the matmul row update's
+// SSE2 body (DESIGN.md §8), held bit for bit to its Go twin by
+// gpu.TestRowTermsMatchPortable. Memory the assembly reads is proven in
+// bounds on the Go side; a second body is a decision too — it moves this line.
+const asmFile = "internal/gpu/rowterms_amd64.s"
+
 // TestNoUnlistedPackageState walks every non-test file under internal/ and
 // fails on a package-level var that is not a blank interface assertion, an
 // Err* sentinel built by errors.New or fmt.Errorf, a metrics.Default instrument
 // handle, or an entry of sharedGlobals. Without type information any other
 // var counts — maps, slices, funcs, pointers, mutexes and interfaces are the
 // ones that bite, and a package-level scalar belongs in a const. The same walk
-// fails on any file but unsafeFile importing unsafe.
+// fails on any file but unsafeFile importing unsafe, and on any .s file but
+// asmFile.
 func TestNoUnlistedPackageState(t *testing.T) {
 	root, err := repoRoot()
 	if err != nil {
@@ -60,6 +67,14 @@ func TestNoUnlistedPackageState(t *testing.T) {
 	fset := token.NewFileSet()
 	found := make(map[string]bool)
 	err = filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".s") {
+			if rel, _ := filepath.Rel(root, path); filepath.ToSlash(rel) == asmFile {
+				found[asmFile] = true
+			} else {
+				t.Errorf("%s: assembly under internal/ is %s's alone", path, asmFile)
+			}
+			return nil
+		}
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return err
 		}
@@ -116,6 +131,9 @@ func TestNoUnlistedPackageState(t *testing.T) {
 	}
 	if !found[unsafeFile] {
 		t.Errorf("%s no longer imports unsafe: delete the exception", unsafeFile)
+	}
+	if !found[asmFile] {
+		t.Errorf("%s is gone: delete the exception", asmFile)
 	}
 }
 

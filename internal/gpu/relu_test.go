@@ -16,7 +16,8 @@ var maskEdges = []uint32{
 
 // TestSignMasksMatchComparisons: negMask(b) is all ones exactly when the
 // float with bits b compares below zero, PosMask exactly when it compares
-// above — over every edge pattern and a million random ones.
+// above, and nonZero is 1 exactly when it compares unequal to zero — over
+// every edge pattern and a million random ones.
 func TestSignMasksMatchComparisons(t *testing.T) {
 	mask := func(cond bool) uint32 {
 		if cond {
@@ -31,6 +32,9 @@ func TestSignMasksMatchComparisons(t *testing.T) {
 		}
 		if got, want := PosMask(b), mask(v > 0); got != want {
 			t.Errorf("PosMask(%#08x) = %#x, %v > 0 says %#x", b, got, v, want)
+		}
+		if got, want := nonZero(b), int(mask(v != 0)&1); got != want {
+			t.Errorf("nonZero(%#08x) = %d, %v != 0 says %d", b, got, v, want)
 		}
 	}
 	for _, b := range maskEdges {

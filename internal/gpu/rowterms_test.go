@@ -1,0 +1,154 @@
+package gpu
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"cronus/internal/sim"
+)
+
+// TestRowTermsMatchPortable holds rowTerms to rowTermsGo bit for bit: rows of
+// every width modulo four and several vectors long, 0–9 and 64 terms, over
+// dense values, subnormal products, ±Inf opposite a non-zero a and one NaN
+// operand. Where rowTermsGo is rowTerms (no assembly body) it compares the
+// function with itself. A lane that meets two NaNs is compared by NaN-ness
+// only: x86 keeps one operand's payload, and which one is the destination
+// differs between the compiler's scalar code and the assembly.
+func TestRowTermsMatchPortable(t *testing.T) {
+	widths := []int{64, 67, 261}
+	for n := 1; n <= 19; n++ {
+		widths = append(widths, n)
+	}
+	terms := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64}
+	fills := []struct {
+		name    string
+		twoNaNs bool // some lane may take two NaN products
+		fill    func(rng *rand.Rand, c, b, av []float32)
+	}{
+		{"dense", false, func(*rand.Rand, []float32, []float32, []float32) {}},
+		{"subnormal", false, func(rng *rand.Rand, c, b, av []float32) {
+			// Products near the smallest normal and below it, added to a
+			// row that starts at zero.
+			for i := range av {
+				av[i] = float32(1+rng.Intn(4)) * 0x1p-70
+			}
+			for i := range b {
+				b[i] = float32(rng.NormFloat64()) * 0x1p-60
+			}
+			clear(c)
+		}},
+		{"inf", false, func(rng *rand.Rand, c, b, av []float32) {
+			// ±Inf in B, opposite a non-zero a: an Inf product, and NaN where
+			// two of opposite signs meet in a lane.
+			for range 1 + len(b)/8 {
+				b[rng.Intn(len(b))] = float32(math.Inf(1 - 2*rng.Intn(2)))
+			}
+		}},
+		{"nan-b", false, func(rng *rand.Rand, c, b, av []float32) {
+			b[rng.Intn(len(b))] = math.Float32frombits(0x7fa00001 | rng.Uint32()&0x801ffffe)
+		}},
+		{"nan-a", false, func(rng *rand.Rand, c, b, av []float32) {
+			if len(av) > 0 {
+				av[rng.Intn(len(av))] = math.Float32frombits(0xffc00003)
+			}
+		}},
+		{"nan-c", false, func(rng *rand.Rand, c, b, av []float32) {
+			c[rng.Intn(len(c))] = math.Float32frombits(0x7fc12345)
+		}},
+		{"nans", true, func(rng *rand.Rand, c, b, av []float32) {
+			for range 1 + len(b)/8 {
+				b[rng.Intn(len(b))] = math.Float32frombits(0x7fc00000 | rng.Uint32()&0x803fffff)
+			}
+		}},
+	}
+	rng := rand.New(rand.NewSource(35))
+	for _, n := range widths {
+		for _, nz := range terms {
+			for _, f := range fills {
+				// B has a row per term plus rows the terms skip, as a
+				// compacted stretch of a sparse A row does.
+				k := 2*nz + 1
+				c, b := make([]float32, n), make([]float32, k*n)
+				av, at := make([]float32, nz), make([]int, nz)
+				for i := range c {
+					c[i] = float32(rng.NormFloat64())
+				}
+				for i := range b {
+					b[i] = float32(rng.NormFloat64())
+				}
+				for g, t := 0, 0; g < nz; g++ {
+					t += rng.Intn(2)
+					av[g], at[g] = float32(rng.NormFloat64()), t*n
+					t++
+				}
+				f.fill(rng, c, b, av)
+				want := append([]float32(nil), c...)
+				rowTermsGo(want, b, av, at)
+				rowTerms(c, b, av, at)
+				for j := range c {
+					g, w := math.Float32bits(c[j]), math.Float32bits(want[j])
+					if g == w || f.twoNaNs && c[j] != c[j] && want[j] != want[j] {
+						continue
+					}
+					t.Errorf("%s n=%d terms=%d: c[%d] = %#08x, rowTermsGo gives %#08x", f.name, n, nz, j, g, w)
+					break
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkMatmulShapes runs MatmulFunc on the five shapes that take most of
+// a paper_figs pass's matmul time, half of A zero as after a ReLU. A shape
+// is variant M×N×K: f is C = A·B, tn A stored K×M, nt B stored N×K.
+func BenchmarkMatmulShapes(b *testing.B) {
+	shapes := []struct {
+		variant string
+		m, n, k int
+	}{
+		{"tn", 150, 16, 200},
+		{"tn", 25, 6, 1152},
+		{"f", 200, 16, 150},
+		{"f", 1152, 6, 25},
+		{"nt", 8, 400, 120},
+	}
+	for _, s := range shapes {
+		b.Run(fmt.Sprintf("%s_%dx%dx%d", s.variant, s.m, s.n, s.k), func(b *testing.B) {
+			ctx := testGPU(sim.NewKernel()).CreateContext()
+			e := &Exec{Ctx: ctx}
+			rng := rand.New(rand.NewSource(35))
+			for _, size := range []int{s.m * s.k, s.k * s.n, s.m * s.n} {
+				ptr, err := ctx.MemAlloc(uint64(4 * size))
+				if err != nil {
+					b.Fatal(err)
+				}
+				v, err := e.F32(ptr, size)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := range v {
+					v[i] = float32(rng.NormFloat64())
+				}
+				if len(e.Args) == 0 {
+					for i := range v {
+						if rng.Intn(2) == 0 {
+							v[i] = 0
+						}
+					}
+				}
+				e.Args = append(e.Args, ptr)
+			}
+			e.Args = append(e.Args, uint64(s.m), uint64(s.n), uint64(s.k))
+			f := MatmulFunc(s.variant == "tn", s.variant == "nt")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if err := f(e); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -107,12 +107,18 @@ func transpose(dst, src F32, rows, cols int) {
 	}
 }
 
+// nonZero is 1 when the float32 whose bits are b is not ±0 and 0 when it is:
+// a != 0 as arithmetic, so that no compiler heuristic turns mulRows'
+// compaction back into a branch. Shifting out the sign leaves a non-zero
+// word exactly for the other floats, NaNs included, and adding 2³²-1 to it
+// carries into bit 32 exactly when it is non-zero.
+func nonZero(b uint32) int { return int((uint64(b<<1) + math.MaxUint32) >> 32) }
+
 // mulRows is C += A × B over row-major C[m×n], A[m×k], B[k×n], n > 0: each C
 // row gains a[t]·B[t,:] for every non-zero a[t] of its A row, t ascending. A
 // row's non-zero terms are first compacted, without a branch (after a ReLU
-// half of A is zero and no predictor guesses which half), then folded four
-// per pass over the C row: one load and one store of c[j] carry four
-// multiply-adds, still applied to it one after the other in t order.
+// half of A is zero and no predictor guesses which half), a stretch of up to
+// 64 at a time, and rowTerms folds each stretch into the C row.
 func mulRows(c, a, b F32, n, k int) {
 	var (
 		av [64]float32 // a stretch of the row's non-zero terms ...
@@ -124,37 +130,18 @@ func mulRows(c, a, b F32, n, k int) {
 			nz := 0
 			for ; t < k && nz < len(av); t++ {
 				av[nz], at[nz] = ar[t], t*n
-				if ar[t] != 0 {
-					nz++
-				}
+				nz += nonZero(math.Float32bits(ar[t]))
 			}
-			g := 0
-			for ; g+4 <= nz; g += 4 {
-				b0, b1, b2, b3 := b[at[g]:][:n], b[at[g+1]:][:n], b[at[g+2]:][:n], b[at[g+3]:][:n]
-				a0, a1, a2, a3 := av[g], av[g+1], av[g+2], av[g+3]
-				for j, v := range cr {
-					v += a0 * b0[j]
-					v += a1 * b1[j]
-					v += a2 * b2[j]
-					v += a3 * b3[j]
-					cr[j] = v
-				}
+			if nz == 0 {
+				continue
 			}
-			// A full stretch is a whole number of groups, so terms are
-			// left over only after the row's last one.
-			for ; g < nz; g++ {
-				axpy(cr, av[g], b[at[g]:][:n])
-			}
+			// rowTerms reads b[at[g]:][:n] for each g < nz without a bounds
+			// check of its own. at ascends, so the first term's row start and
+			// the last one's row end bound every read; av[:nz] and at[:nz]
+			// have the same length.
+			_, _ = b[at[0]], b[at[nz-1]+n-1]
+			rowTerms(cr, b, av[:nz], at[:nz])
 		}
-	}
-}
-
-// axpy is c[j] += a*b[j] over equal-length rows: the matmul inner loop for
-// the up to three terms a row has left after its groups of four.
-func axpy(c []float32, a float32, b []float32) {
-	b = b[:len(c)]
-	for j := range c {
-		c[j] += a * b[j]
 	}
 }
 
