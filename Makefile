@@ -133,8 +133,10 @@ bench-build:
 # format check, build, vet (once more for arm64, which type-checks the Go
 # files no amd64 build compiles: the portable matmul leaf of
 # internal/gpu/rowterms_other.go), the full test suite under the coverage gate (the
-# causal-tracing guards and the cronus-attack defences included), the race
-# detector over the concurrency-heavy
+# causal-tracing guards and the cronus-attack defences included), the suite
+# once more on a 32-bit int (GOARCH=386: a bounds check that sums two
+# peer-supplied lengths wraps there first, and the fuzz seed corpora must end
+# in typed errors at both widths), the race detector over the concurrency-heavy
 # packages, a short fuzz leg per target, the documentation bar, the benchmark
 # module, the CLI smoke runs, the seven examples (nothing else executes them)
 # and the replay-verified chaos soaks.
@@ -144,6 +146,7 @@ ci:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	$(MAKE) cover
+	GOARCH=386 $(GO) test -count=1 ./...
 	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/hw ./internal/sim \
 		./internal/trace ./internal/otrace ./internal/experiments ./internal/core ./internal/gpu \
 		./internal/dnn ./internal/workload/rodinia ./internal/tvm ./internal/mos/driver

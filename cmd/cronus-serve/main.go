@@ -271,7 +271,7 @@ func main() {
 	if *showReqs {
 		for _, r := range res.Requests {
 			fmt.Printf("req %4d %-10s %-9s arrived=%-12d latency=%-12s replays=%d\n",
-				r.ID, r.Tenant, r.Class, int64(r.Arrived), r.Latency(), r.Replays)
+				r.ID, r.Tenant, r.Class(), int64(r.Arrived), r.Latency(), r.Replays)
 		}
 	}
 

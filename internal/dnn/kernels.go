@@ -80,7 +80,7 @@ func RegisterKernels() {
 		Name: "im2col",
 		Cost: gpu.FlopCost(0.4, gpu.ElemFlops(1)),
 		Func: func(e *gpu.Exec) error {
-			srcN := int(e.Arg(2))
+			srcN := e.Int(2)
 			if srcN <= 0 {
 				return nil
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -293,7 +294,7 @@ func TestIm2colRejectsWrappingGrid(t *testing.T) {
 		for _, c := range []struct {
 			grid gpu.Dim
 			srcN uint64
-		}{{gpu.Dim{1 << 62, 1, 1}, 3}, {gpu.Dim{1 << 31, 1 << 31, 1}, 3}, {gpu.Dim{4, 1, 1}, 1 << 62}, {gpu.Dim{5, 1, 1}, 3}} {
+		}{{gpu.Dim{1 << (bits.UintSize - 2), 1, 1}, 3}, {gpu.Dim{1 << (bits.UintSize/2 - 1), 1 << (bits.UintSize/2 - 1), 1}, 3}, {gpu.Dim{4, 1, 1}, 1 << 62}, {gpu.Dim{5, 1, 1}, 3}} {
 			if err := r.ctx.Launch(r.p, "im2col", c.grid, sp, dp, c.srcN); !errors.Is(err, gpu.ErrInvalidPointer) {
 				t.Errorf("grid %v srcN %d: %v, want ErrInvalidPointer", c.grid, c.srcN, err)
 			}

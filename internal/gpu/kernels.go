@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 
 	"cronus/internal/sim"
@@ -43,6 +44,20 @@ func (e *Exec) Bytes(ptr uint64, n int) ([]byte, error) { return e.Ctx.resolve(p
 
 // Arg returns the i-th launch argument.
 func (e *Exec) Arg(i int) uint64 { return e.Args[i] }
+
+// Int returns the i-th launch argument as the int64 it encodes, saturated to
+// the range of int: where int is 32 bits a plain conversion would truncate
+// 2^62 to 0 and let a hostile size pass as an empty one.
+func (e *Exec) Int(i int) int {
+	v := int64(e.Args[i])
+	switch {
+	case v > math.MaxInt:
+		return math.MaxInt
+	case v < math.MinInt:
+		return math.MinInt
+	}
+	return int(v)
+}
 
 // F32 is a float32 view of device memory: indexing it reads and writes the
 // device, there is no copy to write back. Only Exec.F32 and Exec.F32s hand

@@ -49,7 +49,7 @@ func FlopCost(frac float64, flops func(grid Dim, args []uint64) float64) func(fl
 // the compute, so C may alias A or B.
 func MatmulFunc(aT, bT bool) func(*Exec) error {
 	return func(e *Exec) error {
-		m, n, k := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
+		m, n, k := e.Int(3), e.Int(4), e.Int(5)
 		a, err := e.F32(e.Arg(0), m, k)
 		if err != nil {
 			return err

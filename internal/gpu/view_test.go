@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 	"testing"
 
 	"cronus/internal/sim"
@@ -165,8 +166,10 @@ func TestHostileLaunchDimensions(t *testing.T) {
 				t.Errorf("matmul M,N,K = %d: %v, want ErrInvalidPointer", dims, err)
 			}
 		}
-		// Grids whose element count or byte count wraps.
-		for _, grid := range []Dim{{1 << 62, 1, 1}, {1 << 61, 2, 1}, {1 << 32, 1 << 31, 1}, {math.MaxInt, 1, 1}} {
+		// Grids whose element count or byte count wraps, at either int width
+		// (2^62, 2^61·2 and 2^32·2^31 on a 64-bit int).
+		w := bits.UintSize
+		for _, grid := range []Dim{{1 << (w - 2), 1, 1}, {1 << (w - 3), 2, 1}, {1 << (w / 2), 1 << (w/2 - 1), 1}, {math.MaxInt, 1, 1}} {
 			if err := ctx.Launch(p, "vec_add", grid, a, a, a); !errors.Is(err, ErrInvalidPointer) {
 				t.Errorf("vec_add grid %v: %v, want ErrInvalidPointer", grid, err)
 			}

@@ -173,16 +173,15 @@ func (srv *Server) submit(now sim.Time, t *tenant, cl *workClass) (*Request, err
 	r := &srv.reqArena.take(1)[0] // zeroed, and nobody's before
 	r.ID = srv.admittedTotal
 	r.Tenant = t.spec.Name
-	r.Class = cl.spec.Name
 	r.Arrived = now
 	r.class = cl
 	if srv.cfg.Trace {
 		// The tenant's admission sequence (pre-increment) keys the
 		// deterministic trace id; the root span id is only minted when the
 		// kernel is traced (attribution works without the event spine).
-		r.TraceID = otrace.DeriveTraceID(t.spec.Name, t.admitted)
+		r.trace = &reqTrace{traceID: otrace.DeriveTraceID(t.spec.Name, t.admitted)}
 		if tc := trace.Of(srv.pl.K); tc != nil {
-			r.spanID = tc.NextSpanID()
+			r.trace.spanID = tc.NextSpanID()
 		}
 	}
 	t.admitted++

@@ -1,8 +1,11 @@
 package serve
 
-// arenaChunk is how many objects one arena allocation holds. At 256 a chunk
-// of Requests is under 40 KiB, and the three arenas together cost about one
-// allocation per hundred requests.
+// arenaChunk is how many objects one arena allocation holds. At 256 the three
+// arenas together cost about one allocation per hundred requests. A chunk must
+// stay within Go's 32 KiB small-object limit: past it a chunk becomes a
+// large-object span rounded up to whole pages, and every object carved from
+// it pays for the slack. At 96 bytes a request chunk is 24,576 B, exactly one
+// small-object size class (TestRequestLayout).
 const arenaChunk = 256
 
 // arena carves objects out of chunks: take hands out the next n slots of the

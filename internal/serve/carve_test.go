@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"cronus/internal/sim"
 	"cronus/internal/tvm"
@@ -223,17 +224,32 @@ func budgetConfig(window sim.Duration) Config {
 	return cfg
 }
 
-// TestFlowPlaneAllocationBudget is the serve row of the host budget (ROADMAP
-// aim 1): on the flow-model plane a request's whole trip — arrival, admission,
-// batching, the attestation gate, two port crossings, lane service,
-// completion — costs at most a tenth of an allocation. Two run lengths are
-// differenced so that boot, sessions and the report cancel out.
-func TestFlowPlaneAllocationBudget(t *testing.T) {
-	measure := func(window sim.Duration) (mallocs, completed uint64) {
+// TestRequestLayout pins the size of a carved request. A chunk of arenaChunk
+// requests up to 32 KiB is a small object, rounded up to the nearest of Go's
+// size classes; past 32 KiB it becomes a large-object span rounded up to
+// whole 8 KiB pages — at the old 144-byte layout a 36,864-byte chunk took a
+// 40 KiB span, and every request paid for the slack.
+func TestRequestLayout(t *testing.T) {
+	size := unsafe.Sizeof(Request{})
+	if size > 96 {
+		t.Errorf("serve.Request is %d bytes, budget 96: trace-only state belongs behind Request.trace", size)
+	}
+	if chunk := size * arenaChunk; chunk > 32<<10 {
+		t.Errorf("a chunk of %d requests is %d bytes, past Go's 32 KiB small-object limit", arenaChunk, chunk)
+	}
+}
+
+// perRequest differences two runs of different length — allocations, heap
+// bytes and completed requests — so that boot, sessions and the report cancel
+// out, and returns the steady-state allocations and bytes per request. The
+// longer run must complete at least minDiff more requests.
+func perRequest(t *testing.T, run func(window sim.Duration) (*Result, error), short, long sim.Duration, minDiff uint64) (allocs, bytes float64) {
+	t.Helper()
+	measure := func(window sim.Duration) (mallocs, heap, completed uint64) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		res, err := Run(budgetConfig(window))
+		res, err := run(window)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -241,20 +257,40 @@ func TestFlowPlaneAllocationBudget(t *testing.T) {
 		for _, tr := range res.Tenants {
 			completed += tr.Completed
 		}
-		if res.Metrics.Counters["serve.attest.resumed"] == 0 {
-			t.Fatal("vacuous run: no batch resumed on a ticket")
-		}
-		return after.Mallocs - before.Mallocs, completed
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, completed
 	}
-	m1, c1 := measure(10 * sim.Millisecond)
-	m2, c2 := measure(50 * sim.Millisecond)
-	if c2 < c1+5000 {
+	m1, b1, c1 := measure(short)
+	m2, b2, c2 := measure(long)
+	if c2 < c1+minDiff {
 		t.Fatalf("vacuous difference: %d and %d requests completed", c1, c2)
 	}
-	perReq := (float64(m2) - float64(m1)) / float64(c2-c1)
-	t.Logf("%d mallocs / %d requests, %d / %d: %.4f allocations per request", m1, c1, m2, c2, perReq)
-	if perReq > 0.1 {
-		t.Errorf("the flow plane allocates %.3f objects per request in steady state, budget 0.1", perReq)
+	n := float64(c2 - c1)
+	allocs = (float64(m2) - float64(m1)) / n
+	bytes = (float64(b2) - float64(b1)) / n
+	t.Logf("%d mallocs, %d B / %d requests; %d, %d B / %d: %.4f allocations, %.1f B per request",
+		m1, b1, c1, m2, b2, c2, allocs, bytes)
+	return allocs, bytes
+}
+
+// TestFlowPlaneAllocationBudget is the serve row of the host budget (ROADMAP
+// aim 1): on the flow-model plane a request's whole trip — arrival, admission,
+// batching, the attestation gate, two port crossings, lane service,
+// completion — costs at most a tenth of an allocation and 175 heap bytes. A
+// request carved at the old 144-byte layout, whose 256-slot chunk fell on
+// Go's large-object path, measured 202 B in this test; at 96 bytes, 149 B.
+func TestFlowPlaneAllocationBudget(t *testing.T) {
+	allocs, bytes := perRequest(t, func(window sim.Duration) (*Result, error) {
+		res, err := Run(budgetConfig(window))
+		if err == nil && res.Metrics.Counters["serve.attest.resumed"] == 0 {
+			t.Fatal("vacuous run: no batch resumed on a ticket")
+		}
+		return res, err
+	}, 10*sim.Millisecond, 50*sim.Millisecond, 5000)
+	if allocs > 0.1 {
+		t.Errorf("the flow plane allocates %.3f objects per request in steady state, budget 0.1", allocs)
+	}
+	if bytes > 175 {
+		t.Errorf("the flow plane allocates %.1f heap bytes per request in steady state, budget 175", bytes)
 	}
 }
 
@@ -263,8 +299,9 @@ func TestFlowPlaneAllocationBudget(t *testing.T) {
 // two GPU partitions, least-outstanding placement — where every batch really
 // pushes its HtoD, Launch and barrier records through an sRPC ring and a CUDA
 // mEnclave. Differenced the same way, a request's trip costs at most a tenth
-// of an allocation: the data path hands nothing back to the serving plane, so
-// it allocates nothing in steady state.
+// of an allocation — the data path hands nothing back to the serving plane, so
+// it allocates nothing in steady state — and 195 heap bytes: 219 B at the old
+// 144-byte request layout, 168 B at 96 bytes.
 func TestExecutedPlaneAllocationBudget(t *testing.T) {
 	config := func(window sim.Duration) Config {
 		mix := []WorkClass{
@@ -283,29 +320,14 @@ func TestExecutedPlaneAllocationBudget(t *testing.T) {
 		}
 		return cfg
 	}
-	measure := func(window sim.Duration) (mallocs, completed uint64) {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		res, err := Run(config(window))
-		runtime.ReadMemStats(&after)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tr := range res.Tenants {
-			completed += tr.Completed
-		}
-		return after.Mallocs - before.Mallocs, completed
+	allocs, bytes := perRequest(t, func(window sim.Duration) (*Result, error) {
+		return Run(config(window))
+	}, 10*sim.Millisecond, 40*sim.Millisecond, 2000)
+	if allocs > 0.1 {
+		t.Errorf("the executed plane allocates %.3f objects per request in steady state, budget 0.1", allocs)
 	}
-	m1, c1 := measure(10 * sim.Millisecond)
-	m2, c2 := measure(40 * sim.Millisecond)
-	if c2 < c1+2000 {
-		t.Fatalf("vacuous difference: %d and %d requests completed", c1, c2)
-	}
-	perReq := (float64(m2) - float64(m1)) / float64(c2-c1)
-	t.Logf("%d mallocs / %d requests, %d / %d: %.4f allocations per request", m1, c1, m2, c2, perReq)
-	if perReq > 0.1 {
-		t.Errorf("the executed plane allocates %.3f objects per request in steady state, budget 0.1", perReq)
+	if bytes > 195 {
+		t.Errorf("the executed plane allocates %.1f heap bytes per request in steady state, budget 195", bytes)
 	}
 }
 

@@ -434,10 +434,10 @@ func (rep *replica) exec(p *sim.Proc, b *batch) error {
 	// device hooks all link (the proc carries the context; a watchdog kill
 	// still runs the deferred close during unwind, so the span is recorded
 	// and the context restored either way).
-	if tc := trace.Of(p.Kernel()); tc != nil && b.reqs[0].TraceID != 0 {
-		head := b.reqs[0]
+	if tc := trace.Of(p.Kernel()); tc != nil && b.reqs[0].TraceID() != 0 {
+		head := b.reqs[0].trace
 		defer tc.StartSpan(p, "serve", rep.part.sp.Name, "batch-exec",
-			trace.SpanCtx{Trace: head.TraceID, Span: head.spanID})()
+			trace.SpanCtx{Trace: head.traceID, Span: head.spanID})()
 	}
 	cl := b.class
 	if cl.spec.Bench != nil {

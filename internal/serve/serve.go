@@ -315,10 +315,14 @@ func HealthPolicy() spm.Supervision {
 }
 
 // Request is one admitted unit of tenant work.
+//
+// Its layout is held to 96 bytes (TestRequestLayout): state only a traced
+// run uses lives behind the one trace pointer, and the class name is read
+// through class rather than copied, so a carved chunk of arenaChunk requests
+// stays within Go's small-object size classes.
 type Request struct {
 	ID      uint64
 	Tenant  string
-	Class   string
 	Arrived sim.Time
 	Done    sim.Time
 	Err     error
@@ -328,17 +332,33 @@ type Request struct {
 	// Retries counts watchdog-driven attempt retries (timeouts, ring
 	// corruption) — distinct from Replays, which are partition failovers.
 	Retries int
-	// TraceID is the request's deterministic causal trace id (0 unless
-	// Config.Trace is set).
-	TraceID uint64
 
 	class       *workClass
 	completions int
-	// spanID is the request's root span (minted at admission when the
-	// trace collector is enabled); marks are the ordered stage-entry
-	// boundaries the conservative latency attribution is cut from.
-	spanID uint64
-	marks  []otrace.Mark
+	// trace is nil unless Config.Trace is set.
+	trace *reqTrace
+}
+
+// reqTrace is the part of a request only a traced run reads: the
+// deterministic causal trace id, the root span (minted at admission when the
+// trace collector is enabled), and the ordered stage-entry boundaries the
+// conservative latency attribution is cut from.
+type reqTrace struct {
+	traceID uint64
+	spanID  uint64
+	marks   []otrace.Mark
+}
+
+// Class is the name of the request's work class.
+func (r *Request) Class() string { return r.class.spec.Name }
+
+// TraceID is the request's deterministic causal trace id (0 unless
+// Config.Trace is set).
+func (r *Request) TraceID() uint64 {
+	if r.trace == nil {
+		return 0
+	}
+	return r.trace.traceID
 }
 
 // Latency is the admitted-to-completed virtual time.
@@ -675,7 +695,7 @@ func (srv *Server) mark(r *Request, st otrace.Stage, at sim.Time) {
 	if !srv.cfg.Trace {
 		return
 	}
-	r.marks = append(r.marks, otrace.Mark{Stage: st, At: at})
+	r.trace.marks = append(r.trace.marks, otrace.Mark{Stage: st, At: at})
 }
 
 // markBatch marks every request of a batch at once.
@@ -684,7 +704,7 @@ func (srv *Server) markBatch(b *batch, st otrace.Stage, at sim.Time) {
 		return
 	}
 	for _, r := range b.reqs {
-		r.marks = append(r.marks, otrace.Mark{Stage: st, At: at})
+		r.trace.marks = append(r.trace.marks, otrace.Mark{Stage: st, At: at})
 	}
 }
 
@@ -726,11 +746,12 @@ func (srv *Server) finishBatch(b *batch, at sim.Time, err error) {
 // root span plus one child span per stage segment onto the tenant's track.
 // Completion order is deterministic, so the emitted span ids are too.
 func (srv *Server) finishTrace(t *tenant, r *Request, err error) {
-	segs := otrace.SegmentsFromMarks(r.Arrived, r.Done, r.marks)
+	rt := r.trace
+	segs := otrace.SegmentsFromMarks(r.Arrived, r.Done, rt.marks)
 	srv.traces = append(srv.traces, otrace.RequestTrace{
-		TraceID:  r.TraceID,
+		TraceID:  rt.traceID,
 		Tenant:   t.spec.Name,
-		Class:    r.Class,
+		Class:    r.Class(),
 		Arrived:  r.Arrived,
 		Done:     r.Done,
 		Failed:   err != nil,
@@ -739,14 +760,14 @@ func (srv *Server) finishTrace(t *tenant, r *Request, err error) {
 		Segments: segs,
 	})
 	tc := trace.Of(srv.pl.K)
-	if tc == nil || r.TraceID == 0 {
+	if tc == nil || rt.traceID == 0 {
 		return
 	}
 	track := "req:" + t.spec.Name
 	tc.SpanAtLinked(r.Arrived, r.Done, "req", track,
-		"request "+r.Class, r.TraceID, r.spanID, 0)
+		"request "+r.Class(), rt.traceID, rt.spanID, 0)
 	for _, s := range segs {
 		tc.SpanAtLinked(s.From, s.To, "req", track,
-			string(s.Stage), r.TraceID, tc.NextSpanID(), r.spanID)
+			string(s.Stage), rt.traceID, tc.NextSpanID(), rt.spanID)
 	}
 }

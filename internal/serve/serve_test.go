@@ -104,7 +104,7 @@ func TestServeDeterministic(t *testing.T) {
 	}
 	for i := range a.Requests {
 		x, y := a.Requests[i], b.Requests[i]
-		if x.ID != y.ID || x.Tenant != y.Tenant || x.Class != y.Class ||
+		if x.ID != y.ID || x.Tenant != y.Tenant || x.Class() != y.Class() ||
 			x.Arrived != y.Arrived || x.Done != y.Done || x.Replays != y.Replays {
 			t.Fatalf("request %d differs: %+v vs %+v", i, x, y)
 		}

@@ -42,7 +42,7 @@ func requestsDigest(t *testing.T, res *serve.Result) string {
 	var b strings.Builder
 	for _, r := range res.Requests {
 		fmt.Fprintf(&b, "%d %s/%s %d+%d replays=%d retries=%d err=%v\n",
-			r.ID, r.Tenant, r.Class, r.Arrived, r.Latency(), r.Replays, r.Retries, r.Err)
+			r.ID, r.Tenant, r.Class(), r.Arrived, r.Latency(), r.Replays, r.Retries, r.Err)
 	}
 	return b.String()
 }
@@ -218,7 +218,7 @@ func TestIntakeIdenticalAcrossPlanes(t *testing.T) {
 	intake := func(res *serve.Result) string {
 		var b strings.Builder
 		for _, r := range res.Requests {
-			fmt.Fprintf(&b, "%d %s/%s +%d\n", r.ID, r.Tenant, r.Class, r.Arrived-res.Requests[0].Arrived)
+			fmt.Fprintf(&b, "%d %s/%s +%d\n", r.ID, r.Tenant, r.Class(), r.Arrived-res.Requests[0].Arrived)
 		}
 		return b.String()
 	}

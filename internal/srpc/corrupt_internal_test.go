@@ -2,6 +2,7 @@ package srpc
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"cronus/internal/wire"
@@ -23,7 +24,7 @@ func TestRecordSlotsConsistency(t *testing.T) {
 		if c.respCap+8 > c.payload {
 			body = recHdrSize + c.respCap + 8
 		}
-		want := slotsFor(body)
+		want := slotsFor(uint64(body))
 		if got := recordSlots(uint32(c.payload), uint32(c.respCap)); got != want {
 			t.Errorf("recordSlots(%d, %d) = %d, the framing rule gives %d", c.payload, c.respCap, got, want)
 		}
@@ -33,6 +34,14 @@ func TestRecordSlotsConsistency(t *testing.T) {
 			if uint64(uint32(want)^bit) == recordSlots(uint32(c.payload), uint32(c.respCap)) {
 				t.Errorf("flipped slots word %d still validates for (%d, %d)", uint32(want)^bit, c.payload, c.respCap)
 			}
+		}
+	}
+	// Header words near 2^32 keep their full footprint at any int width:
+	// (16 + 2^32-1 + 2047) / 2048 slots, never a sum wrapped to one slot.
+	for _, c := range [][2]uint32{{math.MaxUint32, 0}, {0, math.MaxUint32 - 8}, {math.MaxUint32, math.MaxUint32}} {
+		want := (uint64(recHdrSize) + max(uint64(c[0]), uint64(c[1])+8) + SlotSize - 1) / SlotSize
+		if got := recordSlots(c[0], c[1]); got != want || got < 1<<21 {
+			t.Errorf("recordSlots(%d, %d) = %d, want %d", c[0], c[1], got, want)
 		}
 	}
 }

@@ -115,10 +115,11 @@ var ErrRingCorrupt = errors.New("srpc: ring corruption detected; stream torn dow
 // recordSlots is the slot footprint of a record with the given header words:
 // push frames with it, and the executor re-derives it to validate that a
 // decoded header is self-consistent before trusting any length field.
+// The sums are uint64: two header words near 2^32 would wrap a 32-bit int.
 func recordSlots(payloadLen, respCap uint32) uint64 {
-	body := recHdrSize + int(payloadLen)
-	if int(respCap)+8 > int(payloadLen) {
-		body = recHdrSize + int(respCap) + 8
+	body := recHdrSize + uint64(payloadLen)
+	if uint64(respCap)+8 > uint64(payloadLen) {
+		body = recHdrSize + uint64(respCap) + 8
 	}
 	return slotsFor(body)
 }
@@ -253,8 +254,8 @@ func (r *ring) span(idx uint64, off, n int) (at uint64, first int) {
 	return r.base + slotBase + pos, first
 }
 
-func slotsFor(n int) uint64 {
-	return uint64((n + SlotSize - 1) / SlotSize)
+func slotsFor(n uint64) uint64 {
+	return (n + SlotSize - 1) / SlotSize
 }
 
 // doorbell is the event-efficient replacement for ring-header poll loops: a

@@ -120,7 +120,9 @@ func (d *Decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if d.off+n > len(d.buf) {
+	// n against the bytes left, not off+n against len: the sum can wrap on a
+	// 32-bit int. As a uint a negative n is larger than any buffer.
+	if uint(n) > uint(len(d.buf)-d.off) {
 		d.err = fmt.Errorf("%w: need %d bytes at offset %d of %d", ErrTruncated, n, d.off, len(d.buf))
 		return nil
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -37,6 +38,19 @@ func TestTruncationDetected(t *testing.T) {
 	_ = d.U32()
 	if !errors.Is(d.Err(), ErrTruncated) {
 		t.Fatal("error not sticky")
+	}
+}
+
+// TestTakeBoundIsWidthSafe: a length is checked against the unread bytes,
+// never summed with the offset, so neither a negative length (a 2^32-1
+// prefix read where int is 32 bits) nor one that would wrap off+n passes.
+func TestTakeBoundIsWidthSafe(t *testing.T) {
+	for _, n := range []int{-1, math.MinInt, math.MaxInt, math.MaxInt - 1, 4} {
+		d := NewDecoder([]byte{1, 2, 3, 4, 5})
+		d.take(2)
+		if b := d.take(n); b != nil || !errors.Is(d.Err(), ErrTruncated) {
+			t.Errorf("take(%d) at offset 2 of 5 = %v, err %v; want nil, ErrTruncated", n, b, d.Err())
+		}
 	}
 }
 

@@ -21,8 +21,8 @@ func registerExtendedKernels() {
 		Name: "lud_diagonal",
 		Cost: rodCost(18*sim.Microsecond, 2, 0.15),
 		Func: func(e *gpu.Exec) error {
-			size := int(e.Arg(1))
-			off := int(e.Arg(2))
+			size := e.Int(1)
+			off := e.Int(2)
 			a, err := e.F32(e.Arg(0), size, size)
 			if err != nil {
 				return err
@@ -57,8 +57,8 @@ func registerExtendedKernels() {
 		Name: "lud_perimeter",
 		Cost: rodCost(35*sim.Microsecond, 4, 0.4),
 		Func: func(e *gpu.Exec) error {
-			size := int(e.Arg(1))
-			off := int(e.Arg(2))
+			size := e.Int(1)
+			off := e.Int(2)
 			a, err := e.F32(e.Arg(0), size, size)
 			if err != nil {
 				return err
@@ -88,8 +88,8 @@ func registerExtendedKernels() {
 		Name: "lud_internal",
 		Cost: rodCost(80*sim.Microsecond, 8, 0.9),
 		Func: func(e *gpu.Exec) error {
-			size := int(e.Arg(1))
-			off := int(e.Arg(2))
+			size := e.Int(1)
+			off := e.Int(2)
 			a, err := e.F32(e.Arg(0), size, size)
 			if err != nil {
 				return err
@@ -143,7 +143,7 @@ func registerExtendedKernels() {
 		Name: "sc_assign",
 		Cost: rodCost(150*sim.Microsecond, 35, 0.85),
 		Func: func(e *gpu.Exec) error {
-			n, k, dims := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
+			n, k, dims := e.Int(3), e.Int(4), e.Int(5)
 			if dims < 1 { // a k×0 view bounds no k
 				return badArg("sc_assign", "dims", dims)
 			}

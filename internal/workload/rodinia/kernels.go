@@ -111,8 +111,8 @@ func RegisterKernels() {
 		Name: "gaussian_fan1",
 		Cost: rodCost(25*sim.Microsecond, 0.5, 0.3),
 		Func: func(e *gpu.Exec) error {
-			size := int(e.Arg(2))
-			col := int(e.Arg(3))
+			size := e.Int(2)
+			col := e.Int(3)
 			a, err := e.F32(e.Arg(0), size, size)
 			if err != nil {
 				return err
@@ -140,8 +140,8 @@ func RegisterKernels() {
 		Name: "gaussian_fan2",
 		Cost: rodCost(60*sim.Microsecond, 1.0, 0.6),
 		Func: func(e *gpu.Exec) error {
-			size := int(e.Arg(3))
-			col := int(e.Arg(4))
+			size := e.Int(3)
+			col := e.Int(4)
 			a, err := e.F32(e.Arg(0), size, size)
 			if err != nil {
 				return err
@@ -177,7 +177,7 @@ func RegisterKernels() {
 		Name: "hotspot_step",
 		Cost: rodCost(90*sim.Microsecond, 10, 0.8),
 		Func: func(e *gpu.Exec) error {
-			rows, cols := int(e.Arg(3)), int(e.Arg(4))
+			rows, cols := e.Int(3), e.Int(4)
 			ti, err := e.F32(e.Arg(0), rows, cols)
 			if err != nil {
 				return err
@@ -222,7 +222,7 @@ func RegisterKernels() {
 		Name: "kmeans_assign",
 		Cost: rodCost(200*sim.Microsecond, 40, 0.8),
 		Func: func(e *gpu.Exec) error {
-			n, k, dims := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
+			n, k, dims := e.Int(3), e.Int(4), e.Int(5)
 			if dims < 1 { // a k×0 view bounds no k
 				return badArg("kmeans_assign", "dims", dims)
 			}
@@ -262,7 +262,7 @@ func RegisterKernels() {
 		Name: "kmeans_update",
 		Cost: rodCost(50*sim.Microsecond, 2, 0.5),
 		Func: func(e *gpu.Exec) error {
-			n, k, dims := int(e.Arg(3)), int(e.Arg(4)), int(e.Arg(5))
+			n, k, dims := e.Int(3), e.Int(4), e.Int(5)
 			if dims < 1 { // a k×0 view bounds no k
 				return badArg("kmeans_update", "dims", dims)
 			}
@@ -307,7 +307,7 @@ func RegisterKernels() {
 		Name: "nn_dist",
 		Cost: rodCost(100*sim.Microsecond, 20, 1.0),
 		Func: func(e *gpu.Exec) error {
-			n, dims := int(e.Arg(3)), int(e.Arg(4))
+			n, dims := e.Int(3), e.Int(4)
 			fr, err := e.F32(e.Arg(0), n, dims)
 			if err != nil {
 				return err
@@ -338,8 +338,8 @@ func RegisterKernels() {
 		Name: "nw_diag",
 		Cost: rodCost(25*sim.Microsecond, 40, 0.25),
 		Func: func(e *gpu.Exec) error {
-			size := int(e.Arg(2))
-			diag := int(e.Arg(3))
+			size := e.Int(2)
+			diag := e.Int(3)
 			penalty := math.Float32frombits(uint32(e.Arg(4)))
 			w := size + 1
 			fs, err := e.F32(e.Arg(0), w, w)
@@ -379,8 +379,8 @@ func RegisterKernels() {
 		Name: "pathfinder_row",
 		Cost: rodCost(30*sim.Microsecond, 5, 0.3),
 		Func: func(e *gpu.Exec) error {
-			cols := int(e.Arg(3))
-			row := int(e.Arg(4))
+			cols := e.Int(3)
+			row := e.Int(4)
 			if row < 0 { // row -1 views 0×cols of the wall
 				return badArg("pathfinder_row", "row", row)
 			}
@@ -421,7 +421,7 @@ func RegisterKernels() {
 			if err := matmul(e); err != nil {
 				return err
 			}
-			y, err := e.F32(e.Arg(2), int(e.Arg(3)), int(e.Arg(4)))
+			y, err := e.F32(e.Arg(2), e.Int(3), e.Int(4))
 			if err != nil {
 				return err
 			}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -186,6 +187,10 @@ func neg(v int64) uint64 { return uint64(v) }
 
 var one = gpu.FloatBits(1)
 
+// hugeGrid is a launch dimension of 2^(w-2) for a w-bit int — 2^62 on a
+// 64-bit int — whose element byte count wraps.
+const hugeGrid = 1 << (bits.UintSize - 2)
+
 // hostileLaunches covers every Rodinia kernel. Each used to panic, spin for
 // ~2^62 iterations or allocate from an unchecked count — or is pinned here
 // because a dimension product is where that would start.
@@ -214,8 +219,8 @@ var hostileLaunches = []hostileLaunch{
 	{kernel: "pathfinder_row", why: "row+1 wraps", grid: gpu.Dim{1, 1, 1}, ptrs: 3, scalars: []uint64{8, math.MaxInt64}},
 	{kernel: "bp_layerforward", why: "M -1", grid: gpu.Dim{1, 1, 1}, ptrs: 3, scalars: []uint64{neg(-1), 5, 7}},
 	{kernel: "bp_layerforward", why: "M 2^62", grid: gpu.Dim{1, 1, 1}, ptrs: 3, scalars: []uint64{1 << 62, 1, 1}},
-	{kernel: "bp_adjust", why: "grid 2^62", grid: gpu.Dim{1 << 62, 1, 1}, ptrs: 2, scalars: []uint64{one}},
-	{kernel: "srad_step", why: "grid 2^62", grid: gpu.Dim{1 << 62, 1, 1}, ptrs: 2, scalars: []uint64{1 << 62, one}},
+	{kernel: "bp_adjust", why: "grid 2^(w-2)", grid: gpu.Dim{hugeGrid, 1, 1}, ptrs: 2, scalars: []uint64{one}},
+	{kernel: "srad_step", why: "grid 2^(w-2)", grid: gpu.Dim{hugeGrid, 1, 1}, ptrs: 2, scalars: []uint64{1 << 62, one}},
 	{kernel: "lud_diagonal", why: "offset -16", grid: gpu.Dim{1, 1, 1}, ptrs: 1, scalars: []uint64{16, neg(-16)}},
 	{kernel: "lud_diagonal", why: "offset past size", grid: gpu.Dim{1, 1, 1}, ptrs: 1, scalars: []uint64{16, 17}},
 	{kernel: "lud_diagonal", why: "offset+16 wraps", grid: gpu.Dim{1, 1, 1}, ptrs: 1, scalars: []uint64{16, math.MaxInt64 - 5}},
@@ -223,7 +228,7 @@ var hostileLaunches = []hostileLaunch{
 	{kernel: "lud_perimeter", why: "offset+16 wraps", grid: gpu.Dim{1, 1, 1}, ptrs: 1, scalars: []uint64{32, math.MaxInt64}},
 	{kernel: "lud_internal", why: "offset -16", grid: gpu.Dim{1, 1, 1}, ptrs: 1, scalars: []uint64{32, neg(-16)}},
 	{kernel: "lud_internal", why: "offset past size", grid: gpu.Dim{1, 1, 1}, ptrs: 1, scalars: []uint64{32, 33}},
-	{kernel: "srad_reduce", why: "grid 2^62", grid: gpu.Dim{1 << 62, 1, 1}, ptrs: 2, scalars: []uint64{1 << 62}},
+	{kernel: "srad_reduce", why: "grid 2^(w-2)", grid: gpu.Dim{hugeGrid, 1, 1}, ptrs: 2, scalars: []uint64{1 << 62}},
 	{kernel: "sc_assign", why: "dims 0 leaves k unbounded", grid: gpu.Dim{1, 1, 1}, ptrs: 3, scalars: []uint64{8, 1 << 62, 0}},
 }
 
