@@ -1,9 +1,10 @@
 // Command cronus-attack demonstrates CRONUS's security isolation (R3.2):
 // it plays the malicious normal OS from the threat model (§III-B) against a
-// live platform — misrouting enclave requests, tampering / replaying RPC
-// establishment traffic, forging local attestation, invoking mECalls
-// without ownership, substituting a crashed mOS — and reports that every
-// attack is defeated, each by the typed refusal (errors.Is) of its check.
+// live platform — misrouting enclave requests, swapping the owner's key in
+// an enclave create, tampering / replaying RPC establishment traffic,
+// forging local attestation, invoking mECalls without ownership,
+// substituting a crashed mOS — and reports that every attack is defeated,
+// each by the typed refusal (errors.Is) of its check.
 package main
 
 import (
@@ -97,6 +98,24 @@ func attacks() []attack {
 				return true, "establishment failed safe: " + firstLine(err)
 			}
 			return false, "tampered setup accepted"
+		}},
+		{"swap the owner's DH key in an mEnclave create", func(pl *core.Platform, p *sim.Proc) (bool, string) {
+			s, err := pl.NewSession(p, "atk-mitm")
+			if err != nil {
+				return false, err.Error()
+			}
+			mitm, _ := attest.NewDHKey([]byte("atk-mitm"))
+			pl.D.TamperCreate = func([]byte) []byte { return mitm.Pub }
+			defer func() { pl.D.TamperCreate = nil }()
+			before := s.Owner().MemUsed()
+			_, err = s.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("vec_add")})
+			if !errors.Is(err, attest.ErrTampered) {
+				return false, fmt.Sprintf("err=%v", err)
+			}
+			if after := s.Owner().MemUsed(); after != before {
+				return false, fmt.Sprintf("refused open left the owner's memory at %d B, %d B before", after, before)
+			}
+			return true, "the mOS agreed secret_dhke with the OS's key; stream setup failed its MAC: " + firstLine(err)
 		}},
 		{"forge a local attestation report", func(pl *core.Platform, p *sim.Proc) (bool, string) {
 			pl.D.FakeLocalReport = func(eid uint32, nonce uint64) (attest.LocalReport, []byte) {

@@ -78,8 +78,23 @@ type Channel struct {
 // send direction with the same label the receiver uses for its receive
 // direction; conventionally "a->b" and "b->a".
 func NewChannel(secret []byte, label string) *Channel {
+	return newChannel(hmac.New(sha256.New, secret), label)
+}
+
+// NewChannelPair builds the two directions of one link, labelled a and b,
+// with one keyed KDF: each channel's key is exactly NewChannel's.
+func NewChannelPair(secret []byte, a, b string) (*Channel, *Channel) {
 	kdf := hmac.New(sha256.New, secret)
-	kdf.Write([]byte("channel/" + label))
+	ca := newChannel(kdf, a)
+	kdf.Reset()
+	return ca, newChannel(kdf, b)
+}
+
+// newChannel derives the channel key for label with kdf, HMAC keyed with
+// the secret and at its keyed state.
+func newChannel(kdf hash.Hash, label string) *Channel {
+	kdf.Write([]byte("channel/"))
+	kdf.Write([]byte(label))
 	return &Channel{mac: hmac.New(sha256.New, kdf.Sum(nil)), label: label}
 }
 
@@ -127,13 +142,17 @@ func (c *Channel) Open(m SealedMsg) ([]byte, error) {
 // attestation between mEnclaves on the same machine (§IV-A). Only code
 // running in the secure world ever holds a *LocalSealer.
 type LocalSealer struct {
-	key []byte
+	// mac is HMAC-SHA256 keyed with the LSK, built once and Reset per
+	// report, as Channel's is.
+	mac hash.Hash
+	// buf is one report's encoding, written and hashed within one seal.
+	buf [localReportSize]byte
 }
 
 // NewLocalSealer derives the LSK from platform fuse material.
 func NewLocalSealer(seed []byte) *LocalSealer {
 	h := sha256.Sum256(append([]byte("lsk/"), seed...))
-	return &LocalSealer{key: h[:]}
+	return &LocalSealer{mac: hmac.New(sha256.New, h[:])}
 }
 
 // LocalReport identifies an mEnclave to a co-located challenger.
@@ -144,28 +163,33 @@ type LocalReport struct {
 	Nonce       uint64
 }
 
-func (r *LocalReport) encode() []byte {
-	buf := make([]byte, 4+32+32+8)
+// localReportSize is the length of a LocalReport's encoding.
+const localReportSize = 4 + 32 + 32 + 8
+
+// encode writes the report's fixed-layout encoding into buf.
+func (r *LocalReport) encode(buf *[localReportSize]byte) []byte {
 	binary.LittleEndian.PutUint32(buf[0:], r.EnclaveID)
 	copy(buf[4:], r.EnclaveHash[:])
 	copy(buf[36:], r.MOSHash[:])
 	binary.LittleEndian.PutUint64(buf[68:], r.Nonce)
-	return buf
+	return buf[:]
 }
 
-// Seal MACs a local report with the LSK.
+// Seal MACs a local report with the LSK. The tag is the caller's.
 func (s *LocalSealer) Seal(r LocalReport) []byte {
 	mLocalSeals.Inc()
-	return s.seal(r)
+	return s.seal(r, nil)
 }
 
-func (s *LocalSealer) seal(r LocalReport) []byte {
-	m := hmac.New(sha256.New, s.key)
-	m.Write(r.encode())
-	return m.Sum(nil)
+// seal appends the report's tag to dst.
+func (s *LocalSealer) seal(r LocalReport, dst []byte) []byte {
+	s.mac.Reset()
+	s.mac.Write(r.encode(&s.buf))
+	return s.mac.Sum(dst)
 }
 
 // Verify checks that a local report was sealed by this machine's SPM.
 func (s *LocalSealer) Verify(r LocalReport, mac []byte) bool {
-	return hmac.Equal(mac, s.seal(r))
+	var tag [sha256.Size]byte
+	return hmac.Equal(mac, s.seal(r, tag[:0]))
 }

@@ -128,3 +128,94 @@ func TestChannelRejectionsStayTyped(t *testing.T) {
 		})
 	}
 }
+
+// TestChannelPairMatchesReference: the two channels NewChannelPair derives
+// with one keyed KDF seal exactly what two NewChannel calls would.
+func TestChannelPairMatchesReference(t *testing.T) {
+	secret := []byte("pair-secret")
+	a, b := NewChannelPair(secret, "srpc-setup:7:owner->enclave", "srpc-setup:7:enclave->owner")
+	for i, c := range []struct {
+		ch    *Channel
+		label string
+	}{{a, "srpc-setup:7:owner->enclave"}, {b, "srpc-setup:7:enclave->owner"}} {
+		payload := []byte{byte(i), 1, 2, 3}
+		m := c.ch.Seal(payload)
+		if want := referenceMAC(secret, c.label, m.Seq, payload); !hmac.Equal(m.MAC[:], want) {
+			t.Errorf("channel %q: MAC %x, NewChannel reference %x", c.label, m.MAC, want)
+		}
+		if c.ch.label != c.label {
+			t.Errorf("channel %d labelled %q, want %q", i, c.ch.label, c.label)
+		}
+	}
+}
+
+// TestLocalSealMatchesReference: the sealer's kept HMAC state, Reset per
+// report, tags a local report with exactly the bytes a fresh
+// hmac.New(sha256.New, LSK) over the report's encoding gives, seal after seal
+// and verify between them; and a report changed in any one field, or under
+// another LSK, is refused.
+func TestLocalSealMatchesReference(t *testing.T) {
+	seed := []byte("platform-fuse")
+	key := sha256.Sum256(append([]byte("lsk/"), seed...))
+	reference := func(r LocalReport) []byte {
+		var b [4 + 32 + 32 + 8]byte
+		binary.LittleEndian.PutUint32(b[0:], r.EnclaveID)
+		copy(b[4:], r.EnclaveHash[:])
+		copy(b[36:], r.MOSHash[:])
+		binary.LittleEndian.PutUint64(b[68:], r.Nonce)
+		m := hmac.New(sha256.New, key[:])
+		m.Write(b[:])
+		return m.Sum(nil)
+	}
+	lsk := NewLocalSealer(seed)
+	var tags [][]byte
+	for i := 0; i < 8; i++ {
+		r := LocalReport{
+			EnclaveID:   uint32(0x01000000 + i),
+			EnclaveHash: Measure([]byte{byte(i)}),
+			MOSHash:     Measure([]byte("mos")),
+			Nonce:       uint64(i) * 977,
+		}
+		tag := lsk.Seal(r)
+		if want := reference(r); !hmac.Equal(tag, want) {
+			t.Fatalf("report %d: tag %x, hmac.New reference %x", i, tag, want)
+		}
+		if !lsk.Verify(r, tag) {
+			t.Fatalf("report %d: genuine tag refused", i)
+		}
+		tags = append(tags, tag)
+	}
+	// A returned tag is the caller's: later seals do not write over it.
+	for i, tag := range tags {
+		r := LocalReport{EnclaveID: uint32(0x01000000 + i), EnclaveHash: Measure([]byte{byte(i)}), MOSHash: Measure([]byte("mos")), Nonce: uint64(i) * 977}
+		if !hmac.Equal(tag, reference(r)) {
+			t.Fatalf("tag %d changed after later seals", i)
+		}
+	}
+
+	r := LocalReport{EnclaveID: 0x01000002, EnclaveHash: Measure([]byte("e")), MOSHash: Measure([]byte("m")), Nonce: 9}
+	tag := lsk.Seal(r)
+	tampered := map[string]func(*LocalReport){
+		"EnclaveID":   func(r *LocalReport) { r.EnclaveID ^= 1 << 24 },
+		"EnclaveHash": func(r *LocalReport) { r.EnclaveHash[31] ^= 1 },
+		"MOSHash":     func(r *LocalReport) { r.MOSHash[0] ^= 0x80 },
+		"Nonce":       func(r *LocalReport) { r.Nonce++ },
+	}
+	for field, change := range tampered {
+		bad := r
+		change(&bad)
+		if lsk.Verify(bad, tag) {
+			t.Errorf("report with %s changed verified under the original tag", field)
+		}
+	}
+	if NewLocalSealer([]byte("other-machine")).Verify(r, tag) {
+		t.Error("another machine's LSK verified the tag")
+	}
+	short := append([]byte(nil), tag[:len(tag)-1]...)
+	if lsk.Verify(r, short) {
+		t.Error("a truncated tag verified")
+	}
+	if !lsk.Verify(r, tag) {
+		t.Error("the genuine tag stopped verifying after the refusals")
+	}
+}

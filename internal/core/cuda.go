@@ -4,12 +4,9 @@ import (
 	"fmt"
 
 	"cronus/internal/accel"
-	"cronus/internal/attest"
-	"cronus/internal/enclave"
 	"cronus/internal/gpu"
 	"cronus/internal/mos/driver"
 	"cronus/internal/sim"
-	"cronus/internal/spm"
 	"cronus/internal/srpc"
 	"cronus/internal/wire"
 )
@@ -63,49 +60,21 @@ func (s *Session) OpenCUDA(p *sim.Proc, opts CUDAOptions) (*CUDAConn, error) {
 	if opts.Name == "" {
 		opts.Name = s.Name + "/cuda"
 	}
-	files := map[string][]byte{
-		"cuda.edl":  driver.CUDAEDL(),
-		"app.cubin": opts.Cubin,
-	}
-	man := enclave.NewManifest("gpu", "cuda.edl", "app.cubin", files, enclave.Resources{Memory: opts.Memory})
-	dh, err := attest.NewDHKey([]byte(s.Name + "/" + opts.Name + s.Platform.salt))
+	enc, err := s.create(p, accelSpec{
+		device: "gpu", edlName: "cuda.edl", edl: driver.CUDAEDL(),
+		imageName: "app.cubin", image: opts.Cubin,
+		memory: opts.Memory, partition: opts.Partition, name: opts.Name,
+	})
 	if err != nil {
 		return nil, err
-	}
-	var res *createResult
-	if opts.Partition != "" {
-		r, err := s.Platform.D.CreateEnclaveAt(p, opts.Partition, opts.Name, man, files, dh.Pub)
-		if err != nil {
-			return nil, err
-		}
-		res = &createResult{r.EID, r.DHPub, r.Hash}
-	} else {
-		r, err := s.Platform.D.CreateEnclave(p, opts.Name, man, files, dh.Pub)
-		if err != nil {
-			return nil, err
-		}
-		res = &createResult{r.EID, r.DHPub, r.Hash}
-	}
-	secret, err := dh.Shared(res.dhPub)
-	if err != nil {
-		return nil, err
-	}
-	edl, err := enclave.ParseEDL(files["cuda.edl"])
-	if err != nil {
-		return nil, err
-	}
-	part, ok := s.Platform.SPM.Partition(spm.PartitionID(res.eid >> 24))
-	if !ok {
-		return nil, fmt.Errorf("core: partition vanished for eid %#x", res.eid)
 	}
 	nrings := opts.Rings
 	if nrings < 1 {
 		nrings = 1
 	}
-	expected := srpc.Expected{EnclaveHash: man.Measure(files), MOSHash: part.MOSHash()}
 	rings := make([]*srpc.Client, 0, nrings)
 	for i := 0; i < nrings; i++ {
-		client, err := srpc.Connect(p, s.owner, res.eid, secret, edl, expected,
+		client, err := srpc.Connect(p, s.owner, enc.eid, enc.secret, s.Platform.cudaEDL, enc.expected,
 			s.Platform.D, opts.RingPages)
 		if err == nil {
 			rings = append(rings, client)
@@ -119,23 +88,8 @@ func (s *Session) OpenCUDA(p *sim.Proc, opts CUDAOptions) (*CUDAConn, error) {
 			return nil, err
 		}
 	}
-	s.manifests[opts.Name] = res.hash
-	pages := opts.RingPages
-	if pages < 2 {
-		pages = srpc.DefaultPages
-	}
-	// Chunk transfers to a quarter of the ring so streaming overlaps.
-	chunk := (pages - 1) * 4096 / 4
-	if chunk < srpc.SlotSize {
-		chunk = srpc.SlotSize
-	}
-	return &CUDAConn{sess: s, client: rings[0], rings: rings, EID: res.eid, chunk: chunk}, nil
-}
-
-type createResult struct {
-	eid   uint32
-	dhPub []byte
-	hash  attest.Measurement
+	s.manifests[opts.Name] = enc.hash
+	return &CUDAConn{sess: s, client: rings[0], rings: rings, EID: enc.eid, chunk: ringChunk(opts.RingPages)}, nil
 }
 
 // Client exposes the underlying stream (stats, advanced use).

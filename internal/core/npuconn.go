@@ -1,15 +1,10 @@
 package core
 
 import (
-	"fmt"
-
 	"cronus/internal/accel"
-	"cronus/internal/attest"
-	"cronus/internal/enclave"
 	"cronus/internal/mos/driver"
 	"cronus/internal/npu"
 	"cronus/internal/sim"
-	"cronus/internal/spm"
 	"cronus/internal/srpc"
 )
 
@@ -45,63 +40,24 @@ func (s *Session) OpenNPU(p *sim.Proc, opts NPUOptions) (*NPUConn, error) {
 	if opts.Name == "" {
 		opts.Name = s.Name + "/npu"
 	}
-	files := map[string][]byte{
-		"npu.edl": driver.NPUEDL(),
+	spec := accelSpec{
+		device: "npu", edlName: "npu.edl", edl: driver.NPUEDL(),
+		memory: opts.Memory, partition: opts.Partition, name: opts.Name,
 	}
-	imageName := ""
 	if len(opts.Program) > 0 {
-		files["prog.vta"] = opts.Program
-		imageName = "prog.vta"
+		spec.imageName, spec.image = "prog.vta", opts.Program
 	}
-	man := enclave.NewManifest("npu", "npu.edl", imageName, files, enclave.Resources{Memory: opts.Memory})
-	dh, err := attest.NewDHKey([]byte(s.Name + "/" + opts.Name + s.Platform.salt))
+	enc, err := s.create(p, spec)
 	if err != nil {
 		return nil, err
 	}
-	var eid uint32
-	var dhPub []byte
-	var hash attest.Measurement
-	if opts.Partition != "" {
-		r, err := s.Platform.D.CreateEnclaveAt(p, opts.Partition, opts.Name, man, files, dh.Pub)
-		if err != nil {
-			return nil, err
-		}
-		eid, dhPub, hash = r.EID, r.DHPub, r.Hash
-	} else {
-		r, err := s.Platform.D.CreateEnclave(p, opts.Name, man, files, dh.Pub)
-		if err != nil {
-			return nil, err
-		}
-		eid, dhPub, hash = r.EID, r.DHPub, r.Hash
-	}
-	secret, err := dh.Shared(dhPub)
-	if err != nil {
-		return nil, err
-	}
-	edl, err := enclave.ParseEDL(files["npu.edl"])
-	if err != nil {
-		return nil, err
-	}
-	part, ok := s.Platform.SPM.Partition(spm.PartitionID(eid >> 24))
-	if !ok {
-		return nil, fmt.Errorf("core: partition vanished for eid %#x", eid)
-	}
-	client, err := srpc.Connect(p, s.owner, eid, secret, edl,
-		srpc.Expected{EnclaveHash: man.Measure(files), MOSHash: part.MOSHash()},
+	client, err := srpc.Connect(p, s.owner, enc.eid, enc.secret, s.Platform.npuEDL, enc.expected,
 		s.Platform.D, opts.RingPages)
 	if err != nil {
 		return nil, err
 	}
-	s.manifests[opts.Name] = hash
-	pages := opts.RingPages
-	if pages < 2 {
-		pages = srpc.DefaultPages
-	}
-	chunk := (pages - 1) * 4096 / 4
-	if chunk < srpc.SlotSize {
-		chunk = srpc.SlotSize
-	}
-	return &NPUConn{sess: s, client: client, EID: eid, chunk: chunk}, nil
+	s.manifests[opts.Name] = enc.hash
+	return &NPUConn{sess: s, client: client, EID: enc.eid, chunk: ringChunk(opts.RingPages)}, nil
 }
 
 // MemAlloc implements accel.NPU.

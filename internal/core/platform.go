@@ -9,6 +9,7 @@ import (
 	"fmt"
 
 	"cronus/internal/attest"
+	"cronus/internal/enclave"
 	"cronus/internal/gpu"
 	"cronus/internal/hw"
 	"cronus/internal/metrics"
@@ -84,6 +85,11 @@ type Platform struct {
 	// salt is the node fuse (BuildNode), folded into the seeds of the DH
 	// keys the platform's sessions make; empty on a single platform.
 	salt string
+
+	// cudaEDL and npuEDL are driver.CUDAEDL and driver.NPUEDL parsed once,
+	// the tables the owner side of every stream to a CUDA or NPU mEnclave
+	// reads. The mOS parses its own, from the bytes it is sent.
+	cudaEDL, npuEDL *enclave.EDL
 }
 
 // BuildPlatform boots a platform inside simulated process p: device tree
@@ -172,6 +178,12 @@ func BuildNode(p *sim.Proc, cfg Config, node int) (*Platform, error) {
 		K: k, M: m, SPM: s, Costs: costs,
 		Service: svc, Verifier: verifier,
 		salt: salt,
+	}
+	if pl.cudaEDL, err = enclave.ParseEDL(driver.CUDAEDL()); err != nil {
+		return nil, err
+	}
+	if pl.npuEDL, err = enclave.ParseEDL(driver.NPUEDL()); err != nil {
+		return nil, err
 	}
 
 	pl.CPUPart, err = s.CreatePartition("cpu-part", "", []byte("optee-based CPU mOS image v1"))

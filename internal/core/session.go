@@ -7,6 +7,8 @@ import (
 	"cronus/internal/enclave"
 	"cronus/internal/mos"
 	"cronus/internal/sim"
+	"cronus/internal/spm"
+	"cronus/internal/srpc"
 	"cronus/internal/wire"
 )
 
@@ -29,13 +31,15 @@ func init() {
 	})
 }
 
-// SessionEDL is the mECall surface of the session's CPU mEnclave.
-func SessionEDL() []byte {
-	return enclave.BuildEDL(
-		enclave.MECallSpec{Name: "ping", Async: false},
-		enclave.MECallSpec{Name: "seal_result", Async: false},
-	)
-}
+// sessionEDL is the text of SessionEDL, what enclave.BuildEDL writes for its
+// table.
+const sessionEDL = "// CRONUS EDL\n" +
+	"mecall ping sync\n" +
+	"mecall seal_result sync\n"
+
+// SessionEDL returns the mECall surface of the session's CPU mEnclave. The
+// slice is the caller's.
+func SessionEDL() []byte { return []byte(sessionEDL) }
 
 // Session is a protected application context (the paper's App-1 workflow,
 // §III-D): a CPU mEnclave owned by the application, from which accelerator
@@ -47,6 +51,12 @@ type Session struct {
 	owner *mos.Enclave // the CPU mEnclave (mE_A)
 	EID   uint32
 	Hash  attest.Measurement
+
+	// dh is the owner's DH key. Its Pub goes with every create the session
+	// makes — its own CPU mEnclave's and each accelerator mEnclave's — and
+	// each secret_dhke is its agreement with the key the mOS derives fresh
+	// for that enclave (§IV-A).
+	dh *attest.DHKey
 
 	// App <-> CPU-enclave sealed channels (untrusted-memory path), and the
 	// encoder Ping seals its request from when no other Ping holds it.
@@ -81,16 +91,87 @@ func (pl *Platform) NewSession(p *sim.Proc, name string) (*Session, error) {
 	if srv == nil {
 		return nil, fmt.Errorf("core: no endpoint for session enclave")
 	}
+	tx, rx := attest.NewChannelPair(secret, "owner->enclave", "enclave->owner")
 	return &Session{
 		Platform:  pl,
 		Name:      name,
 		owner:     srv.Enclave(),
 		EID:       res.EID,
 		Hash:      res.Hash,
-		tx:        attest.NewChannel(secret, "owner->enclave"),
-		rx:        attest.NewChannel(secret, "enclave->owner"),
+		dh:        dh,
+		tx:        tx,
+		rx:        rx,
 		manifests: map[string]attest.Measurement{name: res.Hash},
 	}, nil
+}
+
+// accelSpec is what an accelerator mEnclave is built from: its manifest's
+// device type, EDL file and image, memory cap, and where it is placed.
+type accelSpec struct {
+	device    string
+	edlName   string
+	edl       []byte
+	imageName string // "" = no image
+	image     []byte
+	memory    string
+	partition string // "" = the dispatcher places it
+	name      string
+}
+
+// accelEnclave is a created accelerator mEnclave: what its streams are
+// established with.
+type accelEnclave struct {
+	eid      uint32
+	hash     attest.Measurement // as the mOS measured it
+	secret   []byte             // secret_dhke
+	expected srpc.Expected      // what local attestation must report
+}
+
+// create is the handshake every accelerator connection opens with: it builds
+// the manifest, has the mOS create the enclave with the session's owner key,
+// and derives secret_dhke from the key the mOS answers with. The enclave
+// measurement the streams expect is computed here from what was sent, and
+// the mOS measurement from the partition the enclave id names.
+func (s *Session) create(p *sim.Proc, spec accelSpec) (accelEnclave, error) {
+	files := map[string][]byte{spec.edlName: spec.edl}
+	if spec.imageName != "" {
+		files[spec.imageName] = spec.image
+	}
+	man := enclave.NewManifest(spec.device, spec.edlName, spec.imageName, files, enclave.Resources{Memory: spec.memory})
+	var res *mos.CreateResult
+	var err error
+	if spec.partition != "" {
+		res, err = s.Platform.D.CreateEnclaveAt(p, spec.partition, spec.name, man, files, s.dh.Pub)
+	} else {
+		res, err = s.Platform.D.CreateEnclave(p, spec.name, man, files, s.dh.Pub)
+	}
+	if err != nil {
+		return accelEnclave{}, err
+	}
+	secret, err := s.dh.Shared(res.DHPub)
+	if err != nil {
+		return accelEnclave{}, err
+	}
+	part, ok := s.Platform.SPM.Partition(spm.PartitionID(res.EID >> 24))
+	if !ok {
+		return accelEnclave{}, fmt.Errorf("core: partition vanished for eid %#x", res.EID)
+	}
+	return accelEnclave{
+		eid:      res.EID,
+		hash:     res.Hash,
+		secret:   secret,
+		expected: srpc.Expected{EnclaveHash: man.Measure(files), MOSHash: part.MOSHash()},
+	}, nil
+}
+
+// ringChunk is the transfer chunk for a ring of pages (0 or 1 = the
+// default): a quarter of its slot area, so streaming overlaps, and never
+// below one slot.
+func ringChunk(pages int) int {
+	if pages < 2 {
+		pages = srpc.DefaultPages
+	}
+	return max((pages-1)*4096/4, srpc.SlotSize)
 }
 
 // Ping exercises the sealed untrusted-memory mECall path end to end. The

@@ -134,8 +134,17 @@ func HashImage(blob []byte) string {
 // Measure computes the enclave measurement covering the manifest and every
 // measured image, in canonical order.
 func (m Manifest) Measure(files map[string][]byte) attest.Measurement {
+	out, _ := m.MeasureCounted(files)
+	return out
+}
+
+// MeasureCounted is Measure that also returns the length of the manifest's
+// canonical encoding it hashed, for a caller that prices the measurement by
+// the bytes it covers without encoding the manifest a second time.
+func (m Manifest) MeasureCounted(files map[string][]byte) (attest.Measurement, int) {
+	enc := m.Encode()
 	h := sha256.New()
-	h.Write(m.Encode())
+	h.Write(enc)
 	names := make([]string, 0, len(m.Images))
 	for n := range m.Images {
 		names = append(names, n)
@@ -147,8 +156,8 @@ func (m Manifest) Measure(files map[string][]byte) attest.Measurement {
 		h.Write(files[n])
 	}
 	var out attest.Measurement
-	copy(out[:], h.Sum(nil))
-	return out
+	h.Sum(out[:0])
+	return out, len(enc)
 }
 
 // NewManifest builds a manifest from raw files, computing the digests.

@@ -23,15 +23,58 @@ type PTE struct {
 // domain to frame numbers in another. It is used for mEnclave stage-1 tables
 // (VA→IPA), partition stage-2 tables (IPA→PA) and SMMU stream tables
 // (IOVA→PA).
+//
+// Entries live in chunks of chunkPages consecutive page numbers, found by
+// chunk index: tables are filled and walked in runs of consecutive pages (a
+// partition's IPAs are handed out in order), so a run costs one chunk
+// lookup, not one map operation per page.
 type AddrSpace struct {
-	Name    string
-	entries map[uint64]PTE
+	Name   string
+	chunks map[uint64]*ptChunk
+	// last is the chunk the previous operation used, at index lastKey.
+	last    *ptChunk
+	lastKey uint64
 	gen     uint64 // bumped on every change, for TLB-style caching upstream
 }
 
+// chunkShift sets the pages a chunk covers: 512 slots of 16 bytes, 8 KiB.
+const (
+	chunkShift = 9
+	chunkPages = 1 << chunkShift
+)
+
+// ptSlot is one page's entry; set tells a mapped page from a hole.
+type ptSlot struct {
+	frame uint64
+	perm  Perm
+	valid bool
+	set   bool
+}
+
+type ptChunk [chunkPages]ptSlot
+
 // NewAddrSpace creates an empty address space.
 func NewAddrSpace(name string) *AddrSpace {
-	return &AddrSpace{Name: name, entries: make(map[uint64]PTE)}
+	return &AddrSpace{Name: name, chunks: make(map[uint64]*ptChunk)}
+}
+
+// slot returns vpn's slot, creating its chunk when create is set; nil when
+// the chunk does not exist and create is not set.
+func (a *AddrSpace) slot(vpn uint64, create bool) *ptSlot {
+	key := vpn >> chunkShift
+	c := a.last
+	if c == nil || a.lastKey != key {
+		c = a.chunks[key]
+		if c == nil {
+			if !create {
+				return nil
+			}
+			c = new(ptChunk)
+			a.chunks[key] = c
+		}
+		a.last, a.lastKey = c, key
+	}
+	return &c[vpn&(chunkPages-1)]
 }
 
 // Gen returns the mutation generation (any change bumps it).
@@ -39,21 +82,23 @@ func (a *AddrSpace) Gen() uint64 { return a.gen }
 
 // Map installs a translation from page vpn to frame pfn.
 func (a *AddrSpace) Map(vpn, pfn uint64, perm Perm) {
-	a.entries[vpn] = PTE{Frame: pfn, Perm: perm, Valid: true}
+	*a.slot(vpn, true) = ptSlot{frame: pfn, perm: perm, valid: true, set: true}
 	a.gen++
 }
 
 // MapRange installs n consecutive translations starting at (vpn, pfn).
 func (a *AddrSpace) MapRange(vpn, pfn uint64, n int, perm Perm) {
 	for i := 0; i < n; i++ {
-		a.entries[vpn+uint64(i)] = PTE{Frame: pfn + uint64(i), Perm: perm, Valid: true}
+		*a.slot(vpn+uint64(i), true) = ptSlot{frame: pfn + uint64(i), perm: perm, valid: true, set: true}
 	}
 	a.gen++
 }
 
 // Unmap removes the translation entirely; later accesses fault as unmapped.
 func (a *AddrSpace) Unmap(vpn uint64) {
-	delete(a.entries, vpn)
+	if e := a.slot(vpn, false); e != nil {
+		*e = ptSlot{}
+	}
 	a.gen++
 }
 
@@ -61,9 +106,8 @@ func (a *AddrSpace) Unmap(vpn uint64) {
 // FaultInvalidated — the distinguishable trap the proceed-trap protocol
 // relies on (§IV-D step ①).
 func (a *AddrSpace) Invalidate(vpn uint64) {
-	if e, ok := a.entries[vpn]; ok {
-		e.Valid = false
-		a.entries[vpn] = e
+	if e := a.slot(vpn, false); e != nil && e.set {
+		e.valid = false
 		a.gen++
 	}
 }
@@ -72,11 +116,13 @@ func (a *AddrSpace) Invalidate(vpn uint64) {
 // returns how many entries were invalidated.
 func (a *AddrSpace) InvalidateWhere(pred func(vpn, pfn uint64) bool) int {
 	n := 0
-	for vpn, e := range a.entries {
-		if e.Valid && pred(vpn, e.Frame) {
-			e.Valid = false
-			a.entries[vpn] = e
-			n++
+	for key, c := range a.chunks {
+		for i := range c {
+			e := &c[i]
+			if e.set && e.valid && pred(key<<chunkShift|uint64(i), e.frame) {
+				e.valid = false
+				n++
+			}
 		}
 	}
 	if n > 0 {
@@ -87,28 +133,32 @@ func (a *AddrSpace) InvalidateWhere(pred func(vpn, pfn uint64) bool) int {
 
 // Lookup returns the raw entry for vpn.
 func (a *AddrSpace) Lookup(vpn uint64) (PTE, bool) {
-	e, ok := a.entries[vpn]
-	return e, ok
+	e := a.slot(vpn, false)
+	if e == nil || !e.set {
+		return PTE{}, false
+	}
+	return PTE{Frame: e.frame, Perm: e.perm, Valid: e.valid}, true
 }
 
 // Translate resolves one page access. want is the permission required.
 func (a *AddrSpace) Translate(vpn uint64, want Perm) (uint64, *Fault) {
-	e, ok := a.entries[vpn]
-	if !ok {
+	e := a.slot(vpn, false)
+	if e == nil || !e.set {
 		return 0, &Fault{Kind: FaultUnmapped, Space: a.Name, Addr: vpn << PageShift}
 	}
-	if !e.Valid {
+	if !e.valid {
 		return 0, &Fault{Kind: FaultInvalidated, Space: a.Name, Addr: vpn << PageShift}
 	}
-	if e.Perm&want != want {
+	if e.perm&want != want {
 		return 0, &Fault{Kind: FaultPerm, Space: a.Name, Addr: vpn << PageShift}
 	}
-	return e.Frame, nil
+	return e.frame, nil
 }
 
 // Clear drops all entries.
 func (a *AddrSpace) Clear() {
-	a.entries = make(map[uint64]PTE)
+	a.chunks = make(map[uint64]*ptChunk)
+	a.last = nil
 	a.gen++
 }
 

@@ -1,6 +1,7 @@
 package driver_test
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"strings"
@@ -38,6 +39,39 @@ func call(m enclave.Model, p *sim.Proc, name string, args []byte) ([]byte, error
 	var res wire.Encoder
 	err := m.Call(p, name, args, &res)
 	return res.Bytes(), err
+}
+
+// TestEDLTextIsBuildEDLs holds the constant EDL texts to what
+// enclave.BuildEDL writes for the same tables: an mEnclave's measurement
+// covers these bytes, so a spelling drift would move every enclave hash.
+func TestEDLTextIsBuildEDLs(t *testing.T) {
+	cuda := enclave.BuildEDL(
+		enclave.MECallSpec{Name: driver.CallMemAlloc, Async: false},
+		enclave.MECallSpec{Name: driver.CallMemFree, Async: true},
+		enclave.MECallSpec{Name: driver.CallHtoD, Async: true},
+		enclave.MECallSpec{Name: driver.CallDtoH, Async: false},
+		enclave.MECallSpec{Name: driver.CallLaunch, Async: true},
+		enclave.MECallSpec{Name: driver.CallSync, Async: false},
+	)
+	npuText := enclave.BuildEDL(
+		enclave.MECallSpec{Name: driver.CallVTAMemAlloc, Async: false},
+		enclave.MECallSpec{Name: driver.CallVTAHtoD, Async: true},
+		enclave.MECallSpec{Name: driver.CallVTADtoH, Async: false},
+		enclave.MECallSpec{Name: driver.CallVTARun, Async: true},
+		enclave.MECallSpec{Name: driver.CallVTASync, Async: false},
+	)
+	if got := driver.CUDAEDL(); !bytes.Equal(got, cuda) {
+		t.Errorf("CUDAEDL = %q, BuildEDL writes %q", got, cuda)
+	}
+	if got := driver.NPUEDL(); !bytes.Equal(got, npuText) {
+		t.Errorf("NPUEDL = %q, BuildEDL writes %q", got, npuText)
+	}
+	// Each call hands out its own bytes.
+	a := driver.CUDAEDL()
+	a[0] ^= 0xff
+	if !bytes.Equal(driver.CUDAEDL(), cuda) {
+		t.Error("CUDAEDL returned shared storage")
+	}
 }
 
 func TestCUDAModelArgValidation(t *testing.T) {

@@ -75,16 +75,16 @@ const (
 	CallVTASync     = "vtaSync"
 )
 
-// NPUEDL returns the EDL for NPU mEnclaves.
-func NPUEDL() []byte {
-	return enclave.BuildEDL(
-		enclave.MECallSpec{Name: CallVTAMemAlloc, Async: false},
-		enclave.MECallSpec{Name: CallVTAHtoD, Async: true},
-		enclave.MECallSpec{Name: CallVTADtoH, Async: false},
-		enclave.MECallSpec{Name: CallVTARun, Async: true},
-		enclave.MECallSpec{Name: CallVTASync, Async: false},
-	)
-}
+// npuEDL is the text of NPUEDL, what enclave.BuildEDL writes for its table.
+const npuEDL = "// CRONUS EDL\n" +
+	"mecall " + CallVTAMemAlloc + " sync\n" +
+	"mecall " + CallVTAHtoD + " async\n" +
+	"mecall " + CallVTADtoH + " sync\n" +
+	"mecall " + CallVTARun + " async\n" +
+	"mecall " + CallVTASync + " sync\n"
+
+// NPUEDL returns the EDL for NPU mEnclaves. The slice is the caller's.
+func NPUEDL() []byte { return []byte(npuEDL) }
 
 // NPUModel is the NPU mEnclave runtime (fsim runtime stand-in). Its image,
 // when present, is a pre-verified instruction program; streams may also be

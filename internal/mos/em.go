@@ -41,8 +41,11 @@ type Enclave struct {
 	Hash     attest.Measurement
 	Model    enclave.Model
 
-	em      *EnclaveManager
-	secret  []byte // secret_dhke with the owner (§IV-A)
+	em     *EnclaveManager
+	secret []byte // secret_dhke with the owner (§IV-A)
+	// rxOwner and txOwner are the sealed mECall path's channels with the
+	// owner, built by the first sealed call: a streamed enclave never
+	// reads them.
 	rxOwner *attest.Channel
 	txOwner *attest.Channel
 	memCap  uint64
@@ -106,12 +109,11 @@ func (em *EnclaveManager) Create(p *sim.Proc, name string, man enclave.Manifest,
 		return nil, nil, err
 	}
 	// Measurement covers the manifest and all images (runtime + code).
-	totalBytes := len(man.Encode())
+	hash, totalBytes := man.MeasureCounted(files)
 	for _, b := range files {
 		totalBytes += len(b)
 	}
 	p.Sleep(em.mos.Costs.Hash(totalBytes))
-	hash := man.Measure(files)
 
 	em.nextLocal++
 	eid := uint32(em.mos.Part.ID)<<24 | (em.nextLocal & 0xffffff)
@@ -141,8 +143,6 @@ func (em *EnclaveManager) Create(p *sim.Proc, name string, man enclave.Manifest,
 		Model:    model,
 		em:       em,
 		secret:   secret,
-		rxOwner:  attest.NewChannel(secret, "owner->enclave"),
-		txOwner:  attest.NewChannel(secret, "enclave->owner"),
 		memCap:   memCap,
 	}
 	em.enclaves[eid] = e
@@ -197,6 +197,9 @@ func (em *EnclaveManager) InvokeSealed(p *sim.Proc, eid uint32, msg attest.Seale
 		return attest.SealedMsg{}, fmt.Errorf("mos: no enclave %#x", eid)
 	}
 	p.Sleep(em.mos.Costs.MACFixed) // verify request MAC
+	if e.rxOwner == nil {
+		e.rxOwner, e.txOwner = attest.NewChannelPair(e.secret, "owner->enclave", "enclave->owner")
+	}
 	payload, err := e.rxOwner.Open(msg)
 	if err != nil {
 		return attest.SealedMsg{}, fmt.Errorf("mos: mECall rejected: %w", err)

@@ -41,6 +41,7 @@ type Dispatcher struct {
 
 	// Attack knobs — everything a malicious normal OS could do.
 	RouteOverride   func(deviceType string) string                              // dispatch to the wrong partition
+	TamperCreate    func(pub []byte) []byte                                     // swap the owner's DH key in a create
 	TamperSetup     func(msg attest.SealedMsg) attest.SealedMsg                 // corrupt sRPC setup traffic
 	ReplaySetup     bool                                                        // replay the previous setup message
 	FakeLocalReport func(eid uint32, nonce uint64) (attest.LocalReport, []byte) // forge local attestation
@@ -155,6 +156,9 @@ func (d *Dispatcher) CreateEnclaveAt(p *sim.Proc, partName, name string, man enc
 }
 
 func (d *Dispatcher) createAt(p *sim.Proc, m *mos.MOS, name string, man enclave.Manifest, files map[string][]byte, callerDHPub []byte) (*mos.CreateResult, error) {
+	if d.TamperCreate != nil {
+		callerDHPub = d.TamperCreate(callerDHPub)
+	}
 	mWorldSwitches.Add(2)
 	p.Sleep(2 * d.Costs.WorldSwitch)
 	res, e, err := m.EM.Create(p, name, man, files, callerDHPub)

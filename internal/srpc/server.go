@@ -2,6 +2,7 @@ package srpc
 
 import (
 	"fmt"
+	"strconv"
 
 	"cronus/internal/attest"
 	"cronus/internal/mos"
@@ -106,9 +107,8 @@ func NewServer(e *mos.Enclave, notifies Notifies) *Server {
 // secret_dhke: binding the stream id into the key defeats cross-stream
 // splicing, and the per-direction sequence defeats replay within a stream.
 func setupChannels(secret []byte, streamID uint64) (rx, tx *attest.Channel) {
-	rx = attest.NewChannel(secret, fmt.Sprintf("srpc-setup:%d:owner->enclave", streamID))
-	tx = attest.NewChannel(secret, fmt.Sprintf("srpc-setup:%d:enclave->owner", streamID))
-	return rx, tx
+	id := "srpc-setup:" + strconv.FormatUint(streamID, 10)
+	return attest.NewChannelPair(secret, id+":owner->enclave", id+":enclave->owner")
 }
 
 // Enclave returns the wrapped enclave.
