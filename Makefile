@@ -73,7 +73,10 @@ bench:
 # sealed call's name is resolved against, the manifest parser whose memory
 # cap the mEnclave manager enforces, and the remote-attestation verifier,
 # which must accept exactly the report the platform signed and refuse every
-# mutation of it with a typed sentinel. One short leg per target —
+# mutation of it with a typed sentinel — plus one that faces no peer:
+# FuzzPSEngineRekey decodes bytes into a GPU-sharing schedule and holds the
+# re-keying engine to the key sequence of one that resumes every job. One
+# short leg per target —
 # `go test -fuzz` takes a single target and a single package — on top of the
 # checked-in seed corpora under testdata/fuzz, which every plain `go test` run
 # already replays.
@@ -85,6 +88,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEDL$$' -fuzztime $(FUZZTIME) ./internal/enclave
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/enclave
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyReport$$' -fuzztime $(FUZZTIME) ./internal/attest
+	$(GO) test -run '^$$' -fuzz '^FuzzPSEngineRekey$$' -fuzztime $(FUZZTIME) ./internal/sim
 
 # Documentation bar: package docs plus doc comments on every exported
 # identifier of the API-bearing packages (serve, srpc, spm, mos, chaos), and

@@ -1,6 +1,7 @@
 package hw
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -262,6 +263,24 @@ func (m *PhysMem) fireWatches(lo, hi PA) {
 			w.fn()
 		}
 	}
+}
+
+// Load64 returns the little-endian 8-byte word at pa as memory holds it, with
+// no TZASC verdict: a peek for a secure-world reader, which the TZASC never
+// refuses. It allocates nothing, fires no watch and touches nothing; ok is
+// false when the word does not lie whole inside one page of memory.
+func (m *PhysMem) Load64(pa PA) (v uint64, ok bool) {
+	po := int(pa.Offset())
+	if po > PageSize-8 || m.size < 8 || uint64(pa) > m.size-8 {
+		return 0, false
+	}
+	pfn := pa.PFN()
+	if leaf := m.frames[pfn>>leafShift]; leaf != nil {
+		if f := leaf[pfn&(leafFrames-1)]; f != nil {
+			v = binary.LittleEndian.Uint64(f[po:])
+		}
+	}
+	return v, true
 }
 
 // ScrubPage zeroes a physical page regardless of world — used by the SPM's

@@ -2,6 +2,7 @@ package hw
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -262,4 +263,52 @@ func TestWatchRegistryZeroAllocs(t *testing.T) {
 		t.Fatalf("watches rang %d times, want %d", rung, 2*101)
 	}
 	m.Mem.Unwatch(keep)
+}
+
+// TestLoad64: the peek returns the word a secure-world Read of those eight
+// bytes returns — in a written frame, in an untouched one (zero, and the
+// frame stays unallocated), at the last word of a page and of memory — and
+// declines a word that crosses a page or lies past the end of memory.
+func TestLoad64(t *testing.T) {
+	m := testMachine()
+	size := m.Mem.Size()
+	if err := m.Mem.Write(SecureWorld, 3*PageSize-8, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		pa   uint64
+		ok   bool
+	}{
+		{"last word of a written page", 3*PageSize - 8, true},
+		{"untouched frame", 7 * PageSize, true},
+		{"last word of memory", size - 8, true},
+		{"crossing a page", 3*PageSize - 4, false},
+		{"straddling the end", size - 4, false},
+		{"past the end", size, false},
+	} {
+		got, ok := m.Mem.Load64(PA(tc.pa))
+		if ok != tc.ok {
+			t.Errorf("%s: ok = %v, want %v", tc.name, ok, tc.ok)
+			continue
+		}
+		if !ok {
+			continue
+		}
+		var b [8]byte
+		if err := m.Mem.Read(SecureWorld, PA(tc.pa), b[:]); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := binary.LittleEndian.Uint64(b[:]); got != want {
+			t.Errorf("%s: Load64 = %#x, Read gives %#x", tc.name, got, want)
+		}
+	}
+	// Page 9 shares its leaf with the written page 2 and was never touched.
+	leaf := m.Mem.frames[0]
+	if leaf == nil || leaf[9] != nil {
+		t.Fatal("the fixture's first leaf is not allocated or page 9 has a frame")
+	}
+	if v, _ := m.Mem.Load64(9 * PageSize); v != 0 || leaf[9] != nil {
+		t.Errorf("peeking an untouched frame read %#x or allocated it", v)
+	}
 }

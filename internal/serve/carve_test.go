@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"cronus/internal/metrics"
 	"cronus/internal/sim"
 	"cronus/internal/tvm"
 )
@@ -303,25 +304,8 @@ func TestFlowPlaneAllocationBudget(t *testing.T) {
 // it allocates nothing in steady state — and 195 heap bytes: 219 B at the old
 // 144-byte request layout, 168 B at 96 bytes.
 func TestExecutedPlaneAllocationBudget(t *testing.T) {
-	config := func(window sim.Duration) Config {
-		mix := []WorkClass{
-			{Name: "resnet18", Weight: 2, Graph: tvm.ResNet18()},
-			{Name: "resnet50", Weight: 1, Graph: tvm.ResNet50()},
-		}
-		cfg := Config{
-			Seed: 17, Window: window, Policy: LeastOutstanding,
-			MaxBatch: 4, BatchWindow: 40 * sim.Microsecond,
-			GPUPartitions: 2, GPUFlopsPerNs: 400,
-		}
-		for i := 0; i < 2; i++ {
-			cfg.Tenants = append(cfg.Tenants, TenantSpec{
-				Name: fmt.Sprintf("t%d", i), Arrival: Poisson, Rate: 80000, QueueCap: 64, Mix: mix,
-			})
-		}
-		return cfg
-	}
 	allocs, bytes := perRequest(t, func(window sim.Duration) (*Result, error) {
-		return Run(config(window))
+		return Run(execLoadConfig(window))
 	}, 10*sim.Millisecond, 40*sim.Millisecond, 2000)
 	if allocs > 0.1 {
 		t.Errorf("the executed plane allocates %.3f objects per request in steady state, budget 0.1", allocs)
@@ -329,6 +313,55 @@ func TestExecutedPlaneAllocationBudget(t *testing.T) {
 	if bytes > 195 {
 		t.Errorf("the executed plane allocates %.1f heap bytes per request in steady state, budget 195", bytes)
 	}
+}
+
+// execLoadConfig is the serve_exec load over window: two Poisson tenants
+// mixing resnet18 and resnet50 on two GPU partitions, least-outstanding
+// placement.
+func execLoadConfig(window sim.Duration) Config {
+	mix := []WorkClass{
+		{Name: "resnet18", Weight: 2, Graph: tvm.ResNet18()},
+		{Name: "resnet50", Weight: 1, Graph: tvm.ResNet50()},
+	}
+	cfg := Config{
+		Seed: 17, Window: window, Policy: LeastOutstanding,
+		MaxBatch: 4, BatchWindow: 40 * sim.Microsecond,
+		GPUPartitions: 2, GPUFlopsPerNs: 400,
+	}
+	for i := 0; i < 2; i++ {
+		cfg.Tenants = append(cfg.Tenants, TenantSpec{
+			Name: fmt.Sprintf("t%d", i), Arrival: Poisson, Rate: 80000, QueueCap: 64, Mix: mix,
+		})
+	}
+	return cfg
+}
+
+// TestExecutedPlaneRekeysWakes: a batch on the executed plane is a Sync wait
+// behind its HtoD and Launch records, an executor parked between batches and
+// GPU jobs that share the engine, and wakes that would only send one of them
+// back to sleep — a doorbell ahead of the read grid, a Sid still short of the
+// Sync's target, a reprojection that moves a job's finish — are answered in
+// the kernel. The serve_exec load must re-key at least one wake per batch
+// (sim.wakes.rekeyed), and every one of them is still a dispatched event.
+func TestExecutedPlaneRekeysWakes(t *testing.T) {
+	metrics.Default.Reset()
+	metrics.Default.Enable()
+	defer metrics.Default.Disable()
+	pre := metrics.Default.Snapshot()
+	res, err := Run(execLoadConfig(10 * sim.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := metrics.Default.Snapshot()
+	rekeyed, events := post.CounterDelta(pre, "sim.wakes.rekeyed"), post.CounterDelta(pre, "sim.events.dispatched")
+	if res.Batches == 0 {
+		t.Fatal("vacuous run: no batch")
+	}
+	if rekeyed < res.Batches || rekeyed > events {
+		t.Errorf("%d wakes re-keyed over %d batches and %d dispatched events, want at least one a batch", rekeyed, res.Batches, events)
+	}
+	t.Logf("%d batches, %d events dispatched, %d wakes re-keyed (%.2f a batch)",
+		res.Batches, events, rekeyed, float64(rekeyed)/float64(res.Batches))
 }
 
 // BenchmarkFlowBatch is one full batch through the flow-model plane of a

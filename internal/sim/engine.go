@@ -28,6 +28,7 @@ type PSEngine struct {
 }
 
 type psJob struct {
+	e         *PSEngine
 	p         *Proc
 	demand    float64
 	remaining float64 // ideal nanoseconds of work left
@@ -73,7 +74,8 @@ func (e *PSEngine) settle(now Time) {
 }
 
 // reproject wakes every other active job so it recomputes its finish time
-// against the new factor.
+// against the new factor. The job's Rescheduler answers each such wake in the
+// kernel, so a job whose finish merely moves is not resumed for it.
 func (e *PSEngine) reproject(except *psJob) {
 	for _, j := range e.jobs {
 		if j != except {
@@ -101,7 +103,7 @@ func (e *PSEngine) Run(p *Proc, demand float64, work Duration) {
 	} else {
 		j = new(psJob)
 	}
-	*j = psJob{p: p, demand: demand, remaining: float64(work)}
+	*j = psJob{e: e, p: p, demand: demand, remaining: float64(work)}
 	e.settle(p.Now())
 	e.jobs = append(e.jobs, j)
 	e.reproject(j)
@@ -121,14 +123,35 @@ func (e *PSEngine) Run(p *Proc, demand float64, work Duration) {
 		e.free = append(e.free, j)
 	}()
 	for {
-		e.settle(p.Now())
-		if j.remaining <= 0.5 {
+		t, done := j.finish(p.Now())
+		if done {
 			return
 		}
-		f := e.factor()
-		d := Duration(math.Ceil(j.remaining / f))
-		p.SleepInterruptible(d)
+		p.resched = j
+		p.SleepInterruptible(Duration(t - p.Now()))
+		p.resched = nil
 	}
+}
+
+// finish is one pass of Run's loop at instant now: it settles the engine and
+// returns the instant the job would next sleep until, or done when its work
+// is complete.
+func (j *psJob) finish(now Time) (t Time, done bool) {
+	j.e.settle(now)
+	if j.remaining <= 0.5 {
+		return 0, true
+	}
+	return now + Time(math.Ceil(j.remaining/j.e.factor())), false
+}
+
+// Reschedule is Run's loop body answered in the kernel: a job whose wake
+// finds its work unfinished sleeps to its new finish instant without being
+// resumed. The settle is what the resumed job would have done first.
+func (j *psJob) Reschedule(now Time) (Time, *Cond) {
+	if t, done := j.finish(now); !done {
+		return t, nil
+	}
+	return now, nil
 }
 
 // Drain removes all jobs without waking them; used when a device is reset as

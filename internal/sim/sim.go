@@ -56,11 +56,13 @@ import (
 	"cronus/internal/metrics"
 )
 
-// Scheduler metrics: how many events the kernel dispatched, process churn,
-// and the runnable-queue high-water mark. Recording is a no-op until the
-// registry is enabled.
+// Scheduler metrics: how many events the kernel dispatched, how many of the
+// wakes among them it re-keyed instead of resuming their process (see
+// Rescheduler), process churn, and the runnable-queue high-water mark.
+// Recording is a no-op until the registry is enabled.
 var (
 	mEvents     = metrics.Default.Counter("sim.events.dispatched")
+	mRekeyed    = metrics.Default.Counter("sim.wakes.rekeyed")
 	mSpawned    = metrics.Default.Counter("sim.procs.spawned")
 	mKilled     = metrics.Default.Counter("sim.procs.killed")
 	gQueueDepth = metrics.Default.Gauge("sim.queue.depth")
@@ -244,6 +246,10 @@ type Proc struct {
 	// onKill is the wait queue the process last parked on, until it resumes:
 	// a kill before then drops the process from it eagerly (in kernel context).
 	onKill dropper
+	// resched, while set, answers for the blocked process when one of its
+	// wakes comes up (see Rescheduler); resumes counts the wakes that ran it.
+	resched Rescheduler
+	resumes uint64
 	// traceID/spanID carry the causal-tracing span context: the request
 	// trace this process is currently working for and the enclosing span.
 	// The kernel never reads them; internal/trace threads them through so
@@ -264,6 +270,15 @@ func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time (the same clock as Kernel.Now).
 func (p *Proc) Now() Time { return p.k.now }
+
+// Resumes returns how many times the process has run again after blocking. A
+// wake its Rescheduler answered in the kernel is not a resume.
+func (p *Proc) Resumes() uint64 { return p.resumes }
+
+// SetRescheduler installs r to answer for the process while it is blocked:
+// set it before the wait it covers, clear it (nil) once that wait returns. A
+// killed process is never asked about, so an unwind need not clear it.
+func (p *Proc) SetRescheduler(r Rescheduler) { p.resched = r }
 
 // TraceCtx returns the process's current causal span context (trace id and
 // enclosing span id); both are zero when no request context is attached.
@@ -502,9 +517,59 @@ func (k *Kernel) next() *Proc {
 			k.call(&ev)
 			continue
 		}
+		if ev.p.resched != nil && !ev.p.killed && k.rekey(ev.p) {
+			continue
+		}
 		ev.p.state = procRunning
 		return ev.p
 	}
+}
+
+// Rescheduler answers, in kernel context, for a blocked process whose wake
+// has come up: it computes exactly what the process would do if it were
+// resumed at now, when all that would be is to block again. The kernel then
+// does the blocking for it and keeps dispatching, and the process is spared a
+// resume that would change nothing. The wake still counts as dispatched — the
+// probe, BeforeEvent and sim.events.dispatched see the same events as
+// without it — and its re-key is scheduled at the very point in the key
+// sequence where the resumed process would have scheduled its own wake, so
+// the event order is the same one, key for key.
+//
+// Reschedule returns what the process would do:
+//   - wait != nil: wait on that Cond again (it would have found its
+//     predicate false and called wait.Wait);
+//   - until > now: sleep until that instant (Sleep or SleepInterruptible);
+//   - anything else: run — the kernel resumes it.
+//
+// It must change nothing but what the resumed process would have changed
+// before blocking, and must not block, wake or schedule. The kernel consults
+// it only for a live wake of a process that has not been killed: a killed
+// process always resumes, to unwind.
+type Rescheduler interface {
+	Reschedule(now Time) (until Time, wait *Cond)
+}
+
+// rekey asks p's Rescheduler about p's wake at the current instant and, when
+// p would only block again, blocks it in its place — the resume bookkeeping
+// of block (gen++, onKill cleared), then the Wait or Sleep the process would
+// have entered. It reports whether p stays blocked.
+func (k *Kernel) rekey(p *Proc) bool {
+	until, wait := p.resched.Reschedule(k.now)
+	if wait == nil && until <= k.now {
+		return false
+	}
+	mRekeyed.Inc()
+	p.gen++
+	if wait != nil {
+		wait.waiters.Push(p)
+		p.state = procParked
+		p.onKill = &wait.waiters
+		return true
+	}
+	p.onKill = nil
+	p.state = procQueued
+	k.schedule(until, p)
+	return true
 }
 
 // call runs a callback event. The goroutine it runs on may be a blocked
@@ -536,6 +601,7 @@ func (p *Proc) block() {
 	if q := p.k.next(); q != p {
 		p.yield(q)
 	}
+	p.resumes++
 	p.gen++
 	p.onKill = nil
 	if p.killed {
@@ -691,7 +757,8 @@ func Run(body func(p *Proc) error) error {
 }
 
 // Dispatched returns how many events the kernel has dispatched: process
-// resumptions and callbacks, not the stale wakes it skips. It is the ordinal
+// resumptions, the wakes it re-keyed in their place (Rescheduler) and
+// callbacks, not the stale wakes it skips. It is the ordinal
 // BeforeEvent counts in.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 

@@ -141,7 +141,12 @@ func (s *SPM) isolationChanged() {
 // ResolvePA resolves va to a physical address under the view's current
 // mappings without charging virtual time or entering the trap protocol —
 // used to locate doorbell words, never to authorize an access.
-func (v *View) ResolvePA(va uint64) (hw.PA, bool) {
+func (v *View) ResolvePA(va uint64) (hw.PA, bool) { return v.resolve(va, 0) }
+
+// resolve is ResolvePA for an access that needs want at both stages: it
+// succeeds exactly when such an access would find va mapped, valid and
+// permitted.
+func (v *View) resolve(va uint64, want hw.Perm) (hw.PA, bool) {
 	if v.part.state != PartReady || v.part.epoch != v.epoch {
 		return 0, false
 	}
@@ -149,16 +154,30 @@ func (v *View) ResolvePA(va uint64) (hw.PA, bool) {
 	ipa := vpn
 	if v.s1 != nil {
 		e, ok := v.s1.Lookup(vpn)
-		if !ok || !e.Valid {
+		if !ok || !e.Valid || e.Perm&want != want {
 			return 0, false
 		}
 		ipa = e.Frame
 	}
 	e, ok := v.part.stage2.Lookup(ipa)
-	if !ok || !e.Valid {
+	if !ok || !e.Valid || e.Perm&want != want {
 		return 0, false
 	}
 	return hw.PA(e.Frame<<hw.PageShift | va&(hw.PageSize-1)), true
+}
+
+// PeekU64 returns the 8-byte word at va as a Read through the view would find
+// it now, without performing one: no virtual time, no TLB fill or flush, no
+// counter. ok is false whenever that Read could do anything but return the
+// word — the partition is down, va is not mapped readable at both stages
+// (an invalidated page would trap), or the word crosses a page — and the
+// caller must then read for real.
+func (v *View) PeekU64(va uint64) (uint64, bool) {
+	pa, ok := v.resolve(va, hw.PermR)
+	if !ok {
+		return 0, false
+	}
+	return v.spm.M.Mem.Load64(pa)
 }
 
 // WatchWrite arms a doorbell on the n bytes at va: fn runs after every

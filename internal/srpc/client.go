@@ -372,7 +372,10 @@ func (c *Client) push(p *sim.Proc, name string, head, bulk []byte, kind uint32, 
 			break
 		}
 		if db == nil {
-			db = c.ring.armDoorbell(p.Kernel(), [2]uint64{offSid, 8})
+			// The record fits once Sid reaches rid+slots-ringSlots. A
+			// concurrent fused push only raises c.rid, so the target
+			// stays a bound the wait cannot end below.
+			db = c.ring.armDoorbell(p.Kernel(), c.rid+slots-c.ring.slots, [2]uint64{offSid, 8})
 		}
 		if db == nil {
 			p.Sleep(pollQuantum)
@@ -464,7 +467,7 @@ func (c *Client) waitSidPast(p *sim.Proc, target uint64) error {
 			return nil
 		}
 		if db == nil {
-			db = c.ring.armDoorbell(p.Kernel(), [2]uint64{offSid, 8})
+			db = c.ring.armDoorbell(p.Kernel(), target, [2]uint64{offSid, 8})
 		}
 		if db == nil {
 			// Header word not mapped (teardown in progress): keep the

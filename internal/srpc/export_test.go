@@ -1,6 +1,10 @@
 package srpc
 
-import "cronus/internal/sim"
+import (
+	"errors"
+
+	"cronus/internal/sim"
+)
 
 // PushRawFused pushes a fused record carrying descriptor bytes the test built
 // itself — what an owner that skips CallZC's own checks could write — with
@@ -55,7 +59,7 @@ func (c *Client) DoorbellWait(p *sim.Proc, armed func(), offs ...uint64) bool {
 	for i, off := range offs {
 		words[i] = [2]uint64{off, 8}
 	}
-	db := c.ring.armDoorbell(p.Kernel(), words[:len(offs)]...)
+	db := c.ring.armDoorbell(p.Kernel(), 0, words[:len(offs)]...)
 	if db == nil {
 		return false
 	}
@@ -77,3 +81,56 @@ func (c *Client) RewriteSid(p *sim.Proc) error {
 
 // IdleDoorbells returns how many disarmed doorbells the owner's ring holds.
 func (c *Client) IdleDoorbells() int { return len(c.ring.idle) }
+
+// Doorbell waits WaitSid can make, from the doorbell every wake resumes to
+// the one armed for its waiter's target.
+const (
+	WaitResumed  = iota // no Rescheduler: every wake resumes the waiter
+	WaitUnarmed         // doorbell armed for 0: every grid read goes to the waiter
+	WaitTargeted        // doorbell armed for the target
+)
+
+// WaitSid waits the way waitSidPast does — read Sid, and while it is short of
+// target wait on a doorbell for the next read on the grid {first + k·period}
+// — in one of the three ways above. It returns the Sid read last.
+func (c *Client) WaitSid(p *sim.Proc, target uint64, period sim.Duration, mode int) (uint64, error) {
+	first := p.Now()
+	var db *doorbell
+	defer func() {
+		if db != nil {
+			db.disarm()
+		}
+	}()
+	for {
+		sid, err := c.ring.readU64(p, offSid)
+		if err != nil || sid >= target {
+			return sid, err
+		}
+		if db == nil {
+			armedFor := uint64(0)
+			if mode == WaitTargeted {
+				armedFor = target
+			}
+			if db = c.ring.armDoorbell(p.Kernel(), armedFor, [2]uint64{offSid, 8}); db == nil {
+				return sid, errors.New("doorbell fell back")
+			}
+		}
+		if mode != WaitResumed {
+			alignedWait(p, db, first, period, p.Now())
+			continue
+		}
+		// alignedWait as it was before doorbells answered for their waiters.
+		lastRead := p.Now()
+		db.cond.Wait(p)
+		readAt := sim.NextPollInstant(first, period, p.Now())
+		if readAt <= lastRead {
+			readAt = lastRead + sim.Time(period)
+		}
+		if d := sim.Duration(readAt - p.Now()); d > 0 {
+			p.Sleep(d)
+		}
+	}
+}
+
+// WriteSid stores v as the consumer index.
+func (c *Client) WriteSid(p *sim.Proc, v uint64) error { return c.ring.writeU64(p, offSid, v) }

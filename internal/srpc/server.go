@@ -215,7 +215,7 @@ func (s *Server) RunExecutor(p *sim.Proc, streamID uint64) {
 				idleAnchor = p.Now()
 			}
 			if db == nil {
-				db = r.armDoorbell(p.Kernel(), [2]uint64{offRid, 8}, [2]uint64{offClosed, 4})
+				db = r.armDoorbell(p.Kernel(), 0, [2]uint64{offRid, 8}, [2]uint64{offClosed, 4})
 			}
 			if db == nil {
 				p.Sleep(idlePeriod)

@@ -266,6 +266,11 @@ func slotsFor(n uint64) uint64 {
 // polling loop would have used (see alignedWait), so simulated results are
 // unchanged; the event queue just carries one wakeup instead of one timer
 // per poll quantum.
+//
+// The doorbell is also the waiter's sim.Rescheduler while it waits: a wake
+// that would only send the waiter to sleep until the next grid instant, and —
+// for a Sid waiter — a grid read that would only find Sid short of its target
+// and wait again, are answered in the kernel instead of resuming the waiter.
 type doorbell struct {
 	r    *ring
 	cond sim.Cond
@@ -274,16 +279,26 @@ type doorbell struct {
 	// isolation-change hook (zero = not registered).
 	words [2]int
 	iso   int
+	// target is the Sid the arming's waiter waits for (0: none — every grid
+	// read goes back to the waiter).
+	target uint64
+	// The wait in progress (alignedWait): its read grid, the instant of its
+	// last read, and whether the kernel has put it to sleep until the next.
+	first    sim.Time
+	period   sim.Duration
+	lastRead sim.Time
+	asleep   bool
 }
 
 // armDoorbell watches the given (offset, length) header words — two at most —
-// and the SPM's isolation changes. Registrations are made afresh for every
-// wait, in the order the waits begin: that order is the order watches fire in,
-// so it is part of the simulation's determinism. Only the doorbell itself is
-// recycled. It returns nil, and counts a fallback, when any word is not
-// currently mapped — callers then keep the plain polling loop, whose next
-// read faults or observes the teardown.
-func (r *ring) armDoorbell(k *sim.Kernel, watch ...[2]uint64) *doorbell {
+// and the SPM's isolation changes, for a waiter that waits for Sid to reach
+// target (0: a waiter that reads something else). Registrations are made
+// afresh for every wait, in the order the waits begin: that order is the
+// order watches fire in, so it is part of the simulation's determinism. Only
+// the doorbell itself is recycled. It returns nil, and counts a fallback,
+// when any word is not currently mapped — callers then keep the plain polling
+// loop, whose next read faults or observes the teardown.
+func (r *ring) armDoorbell(k *sim.Kernel, target uint64, watch ...[2]uint64) *doorbell {
 	var db *doorbell
 	if n := len(r.idle); n > 0 {
 		db, r.idle = r.idle[n-1], r.idle[:n-1]
@@ -291,6 +306,7 @@ func (r *ring) armDoorbell(k *sim.Kernel, watch ...[2]uint64) *doorbell {
 		db = &doorbell{r: r, cond: *sim.NewCond(k)}
 		db.wake = db.cond.Broadcast
 	}
+	db.target = target
 	for i, w := range watch {
 		id, ok := r.view.WatchWrite(r.base+w[0], w[1], db.wake)
 		if !ok {
@@ -323,16 +339,51 @@ func (db *doorbell) disarm() {
 // lastRead — the instant the replaced polling loop would have performed its
 // next read. A wake landing exactly on a grid instant reads immediately
 // (zero sleep): the producer's write is already visible, as it would be to a
-// poll read dispatched after the write at the same instant.
+// poll read dispatched after the write at the same instant. While p waits,
+// db answers for it in the kernel (Reschedule).
 func alignedWait(p *sim.Proc, db *doorbell, first sim.Time, period sim.Duration, lastRead sim.Time) {
+	db.first, db.period, db.lastRead, db.asleep = first, period, lastRead, false
+	p.SetRescheduler(db)
 	db.cond.Wait(p)
-	readAt := sim.NextPollInstant(first, period, p.Now())
-	if readAt <= lastRead {
-		readAt = lastRead + sim.Time(period)
+	p.SetRescheduler(nil)
+	if db.asleep {
+		return // the kernel already slept to the grid on p's behalf
 	}
-	if d := sim.Duration(readAt - p.Now()); d > 0 {
+	if d := sim.Duration(db.readAt(p.Now()) - p.Now()); d > 0 {
 		p.Sleep(d)
 	}
+}
+
+// readAt is the grid instant a waiter woken at now reads at.
+func (db *doorbell) readAt(now sim.Time) sim.Time {
+	at := sim.NextPollInstant(db.first, db.period, now)
+	if at <= db.lastRead {
+		at = db.lastRead + sim.Time(db.period)
+	}
+	return at
+}
+
+// Reschedule answers a wake of the waiting process the way it would itself.
+// Woken from the condition, it would sleep to its grid instant: the kernel
+// does that sleep. At the grid instant it would read; a Sid waiter that would
+// find Sid still short of its target would wait on the condition again — short
+// is only "not yet" to it, since a poisoned Sid lies past every target — so
+// the kernel puts it back there with the read recorded. A read the view cannot answer without
+// performing it (a torn-down or invalidated mapping) goes to the waiter.
+func (db *doorbell) Reschedule(now sim.Time) (sim.Time, *sim.Cond) {
+	if !db.asleep {
+		if at := db.readAt(now); at > now {
+			db.asleep = true
+			return at, nil
+		}
+	}
+	if db.target != 0 {
+		if sid, ok := db.r.view.PeekU64(db.r.base + offSid); ok && sid < db.target {
+			db.lastRead, db.asleep = now, false
+			return 0, &db.cond
+		}
+	}
+	return now, nil
 }
 
 // dcheckMAC computes the dCheck proof: possession of secret_dhke bound to
