@@ -73,10 +73,12 @@ bench:
 # sealed call's name is resolved against, the manifest parser whose memory
 # cap the mEnclave manager enforces, and the remote-attestation verifier,
 # which must accept exactly the report the platform signed and refuse every
-# mutation of it with a typed sentinel — plus one that faces no peer:
+# mutation of it with a typed sentinel — plus three that face no peer:
 # FuzzPSEngineRekey decodes bytes into a GPU-sharing schedule and holds the
-# re-keying engine to the key sequence of one that resumes every job. One
-# short leg per target —
+# re-keying engine to the key sequence of one that resumes every job;
+# FuzzEventQueue holds the kernel's two-tier event queue to a sort;
+# FuzzTicketResume holds the attestation ticket cache to a map-based model
+# (TTL, LRU capacity, epochs, revocation). One short leg per target —
 # `go test -fuzz` takes a single target and a single package — on top of the
 # checked-in seed corpora under testdata/fuzz, which every plain `go test` run
 # already replays.
@@ -89,6 +91,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/enclave
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyReport$$' -fuzztime $(FUZZTIME) ./internal/attest
 	$(GO) test -run '^$$' -fuzz '^FuzzPSEngineRekey$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzTicketResume$$' -fuzztime $(FUZZTIME) ./internal/attest
 
 # Documentation bar: package docs plus doc comments on every exported
 # identifier of the API-bearing packages (serve, srpc, spm, mos, chaos), and

@@ -5,6 +5,8 @@ import (
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -361,4 +363,150 @@ func TestTicketDeterminism(t *testing.T) {
 	if a != b {
 		t.Fatalf("snapshots diverged:\n%s\n---\n%s", a, b)
 	}
+}
+
+// ticketModel is the reference FuzzTicketResume holds TicketCache to: the
+// same rules written as plain maps and a recency-ordered slice, with no MAC
+// (nothing in the schedule tampers with a ticket).
+type ticketModel struct {
+	cap     int
+	ttl     sim.Time
+	live    map[ticketKey]ticketModelEntry
+	lru     []ticketKey // most recently used first
+	revoked map[Measurement]string
+}
+
+type ticketModelEntry struct {
+	epoch   uint64
+	expires sim.Time
+}
+
+// touch moves k to the front of the recency order, inserting it if absent.
+func (m *ticketModel) touch(k ticketKey) {
+	m.unlink(k)
+	m.lru = append([]ticketKey{k}, m.lru...)
+}
+
+// unlink removes k from the recency order.
+func (m *ticketModel) unlink(k ticketKey) {
+	for i, x := range m.lru {
+		if x == k {
+			m.lru = append(m.lru[:i:i], m.lru[i+1:]...)
+			return
+		}
+	}
+}
+
+// forget removes k's ticket.
+func (m *ticketModel) forget(k ticketKey) {
+	delete(m.live, k)
+	m.unlink(k)
+}
+
+func (m *ticketModel) mint(k ticketKey, epoch uint64, now sim.Time) {
+	if _, ok := m.live[k]; !ok && m.cap > 0 && len(m.lru) >= m.cap {
+		m.forget(m.lru[len(m.lru)-1])
+	}
+	m.touch(k)
+	m.live[k] = ticketModelEntry{epoch: epoch, expires: now + m.ttl}
+}
+
+func (m *ticketModel) resume(k ticketKey, epoch uint64, now sim.Time) (bool, *RevokedError) {
+	if part, ok := m.revoked[k.meas]; ok {
+		return false, &RevokedError{Tenant: k.tenant, Partition: part, Meas: k.meas}
+	}
+	e, ok := m.live[k]
+	switch {
+	case !ok:
+		return false, nil
+	case e.epoch != epoch || now >= e.expires:
+		m.forget(k)
+		return false, nil
+	}
+	m.touch(k)
+	return true, nil
+}
+
+func (m *ticketModel) revoke(part string, meas Measurement) int {
+	m.revoked[meas] = part
+	n := 0
+	for _, k := range append([]ticketKey(nil), m.lru...) {
+		if k.meas == meas {
+			m.forget(k)
+			n++
+		}
+	}
+	return n
+}
+
+func (m *ticketModel) storm() int {
+	n := len(m.lru)
+	m.live, m.lru = make(map[ticketKey]ticketModelEntry), nil
+	return n
+}
+
+// FuzzTicketResume runs a schedule of Mint, Resume, RevokeMeasurement and
+// Storm calls on a TicketCache and on ticketModel side by side. The first
+// byte sets the capacity (0–4, 0 unbounded) and the second the TTL (1–256
+// ns). Each later group of four bytes is one call:
+//   - byte 0: the operation (low two bits: Mint, Resume, RevokeMeasurement,
+//     Storm) and the tenant (next two bits, four tenants);
+//   - byte 1: the measurement (low two bits, four images) and, for a
+//     revocation, the partition named (next bit);
+//   - byte 2: the epoch (0–2);
+//   - byte 3: how far the clock advances before the call, in ns.
+//
+// Every Resume verdict and typed *RevokedError, every revocation and storm
+// count, and Len after every call must equal the model's.
+func FuzzTicketResume(f *testing.F) {
+	f.Add([]byte{})
+	// Capacity 2, TTL 10: mint three tenants' tickets and resume the first.
+	f.Add([]byte{2, 9, 0x00, 0, 1, 0, 0x04, 0, 1, 1, 0x08, 0, 1, 1, 0x01, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if len(b) < 2 {
+			return
+		}
+		capacity, ttl := int(b[0]%5), sim.Duration(1+int(b[1]))
+		c, _ := testCache(capacity, ttl)
+		m := &ticketModel{cap: capacity, ttl: sim.Time(ttl), live: make(map[ticketKey]ticketModelEntry),
+			revoked: make(map[Measurement]string)}
+		now := sim.Time(0)
+		for i := 2; i+4 <= len(b); i += 4 {
+			op, tenant := b[i]&3, fmt.Sprintf("tenant-%d", b[i]>>2&3)
+			meas, part := Measure([]byte{b[i+1] & 3}), fmt.Sprintf("gpu-part%d", b[i+1]>>2&1)
+			epoch := uint64(b[i+2] % 3)
+			now += sim.Time(b[i+3])
+			call := fmt.Sprintf("call %d (op %d, %s, meas %d, epoch %d, at %d)", (i-2)/4, op, tenant, b[i+1]&3, epoch, now)
+			switch op {
+			case 0:
+				c.Mint(tenant, meas, epoch, now)
+				m.mint(ticketKey{tenant, meas}, epoch, now)
+			case 1:
+				hit, err := c.Resume(tenant, meas, epoch, now)
+				wantHit, wantErr := m.resume(ticketKey{tenant, meas}, epoch, now)
+				var re *RevokedError
+				switch {
+				case hit != wantHit:
+					t.Fatalf("%s: Resume hit %v, the model %v", call, hit, wantHit)
+				case wantErr == nil && err != nil:
+					t.Fatalf("%s: Resume error %v, the model none", call, err)
+				case wantErr != nil && !errors.As(err, &re):
+					t.Fatalf("%s: Resume error %v, the model %v", call, err, wantErr)
+				case wantErr != nil && *re != *wantErr:
+					t.Fatalf("%s: Resume error %+v, the model %+v", call, *re, *wantErr)
+				}
+			case 2:
+				if n, want := c.RevokeMeasurement(part, meas), m.revoke(part, meas); n != want {
+					t.Fatalf("%s: RevokeMeasurement purged %d, the model %d", call, n, want)
+				}
+			default:
+				if n, want := c.Storm(now), m.storm(); n != want {
+					t.Fatalf("%s: Storm flushed %d, the model %d", call, n, want)
+				}
+			}
+			if c.Len() != len(m.lru) {
+				t.Fatalf("%s: Len %d, the model %d", call, c.Len(), len(m.lru))
+			}
+		}
+	})
 }

@@ -11,10 +11,11 @@ import (
 	"unsafe"
 )
 
-// TestEventQueueMatchesSortOracle drives the typed heap with random pushes and
-// pops over keys that collide on t and band, and checks every pop against a
-// sorted slice. It also pins that a popped slot keeps nothing reachable — the
-// owner, the callback or the callback's argument.
+// TestEventQueueMatchesSortOracle drives the two-tier queue with random pushes
+// and pops over keys that collide on t and band, and checks every pop against
+// a sorted slice. The queue grows well past the front's capacity, so pops come
+// from both tiers. It also pins that a vacated slot in either tier keeps
+// nothing reachable — the owner, the callback or the callback's argument.
 func TestEventQueueMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	owner := &Proc{}
@@ -34,22 +35,60 @@ func TestEventQueueMatchesSortOracle(t *testing.T) {
 		sort.Slice(oracle, func(i, j int) bool { return keyLess(&oracle[i], &oracle[j]) })
 		want := oracle[0]
 		oracle = oracle[1:]
+		if m := q.min(); m.seq != want.seq {
+			t.Fatalf("step %d: min has seq %d, oracle says %d", step, m.seq, want.seq)
+		}
 		var got event
 		q.pop(&got)
 		if got.t != want.t || got.band() != want.band() || got.seq != want.seq {
 			t.Fatalf("step %d: popped (%d,%d,%d), oracle says (%d,%d,%d)",
 				step, got.t, got.band(), got.seq, want.t, want.band(), want.seq)
 		}
-		if len(q) != len(oracle) {
-			t.Fatalf("step %d: heap holds %d events, oracle %d", step, len(q), len(oracle))
+		if q.len() != len(oracle) {
+			t.Fatalf("step %d: queue holds %d events, oracle %d", step, q.len(), len(oracle))
 		}
-		if slot := q[:len(q)+1][len(q)]; slot.p != nil || slot.fn != nil || slot.arg != nil {
-			t.Fatalf("step %d: vacated slot still holds p=%v fn set=%v arg=%v", step, slot.p, slot.fn != nil, slot.arg)
+		if err := checkQueueTiers(&q); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
+	}
+	if cap(q.front) != frontCap || cap(q.back) == 0 {
+		t.Fatalf("the schedule did not use both tiers: front cap %d, heap cap %d", cap(q.front), cap(q.back))
 	}
 }
 
-// TestEventFitsOneCacheLine pins the layout the heap's sift cost rests on: an
+// checkQueueTiers checks the queue's layout: the front within its capacity and
+// sorted descending, every front key below every heap key, and every vacated
+// slot of either tier holding no process, callback or argument.
+func checkQueueTiers(q *eventQueue) error {
+	f, h := q.front, q.back
+	if cap(f) > frontCap {
+		return fmt.Errorf("front capacity %d, want at most %d", cap(f), frontCap)
+	}
+	for i := 1; i < len(f); i++ {
+		if !keyLess(&f[i], &f[i-1]) {
+			return fmt.Errorf("front slots %d and %d out of order", i-1, i)
+		}
+	}
+	if len(f) > 0 && len(h) > 0 && !keyLess(&f[0], &h[0]) {
+		return fmt.Errorf("front's largest (%d,%d,%d) is not below the heap's minimum (%d,%d,%d)",
+			f[0].t, f[0].band(), f[0].seq, h[0].t, h[0].band(), h[0].seq)
+	}
+	for _, tier := range []struct {
+		name  string
+		slots []event
+	}{{"front", f}, {"heap", h}} {
+		s := tier.slots
+		for i, slot := range s[len(s):cap(s)] {
+			if slot.p != nil || slot.fn != nil || slot.arg != nil {
+				return fmt.Errorf("vacated %s slot %d still holds p=%v fn set=%v arg=%v",
+					tier.name, len(s)+i, slot.p, slot.fn != nil, slot.arg)
+			}
+		}
+	}
+	return nil
+}
+
+// TestEventFitsOneCacheLine pins the layout the queue's event moves rest on: an
 // event with its callback argument is at most 64 bytes (generation and band
 // share a word). A 72-byte event measured 36 ns per self-wake sleep against 28.
 func TestEventFitsOneCacheLine(t *testing.T) {
@@ -125,6 +164,87 @@ func TestFifoMatchesSliceOracle(t *testing.T) {
 	if &rt.buf[:1][0] != base {
 		t.Fatal("a drained fifo did not reuse its backing array")
 	}
+}
+
+// rekeyTimes is a Rescheduler that answers its process's first n wakes with
+// one more nanosecond of sleep and then lets it resume.
+type rekeyTimes struct{ n int }
+
+func (r *rekeyTimes) Reschedule(now Time) (Time, *Cond) {
+	if r.n == 0 {
+		return now, nil
+	}
+	r.n--
+	return now + 1, nil
+}
+
+// TestKernelStats checks every counter of Kernel.Stats on scenarios counted by
+// hand, each on a fresh kernel:
+//   - two sleepers due at the same instants hand the baton back and forth:
+//     every block after the first dispatches the other one's wake;
+//   - a lone sleeper's own wake is always next, and a Rescheduler answers
+//     two of its wakes in the kernel;
+//   - 100 timers queued nearest-last overflow the front and spill its
+//     largest event 36 times, and a sleep behind them goes straight to the
+//     heap.
+func TestKernelStats(t *testing.T) {
+	run := func(name string, want Stats, body func(k *Kernel)) {
+		t.Helper()
+		k := NewKernel()
+		body(k)
+		if err := k.Run(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		k.Shutdown()
+		if got := k.Stats(); got != want {
+			t.Errorf("%s: Stats() = %+v, want %+v", name, got, want)
+		}
+	}
+	// a and b spawn at 0 and each sleep 2 ns three times. The spawns are
+	// pushes 1–2, the sleeps 3–8; a runs first, and each of its and b's six
+	// blocks dispatches the other's event: b's spawn, then the wakes at 2,
+	// 2, 4, 4, 6. a's exit hands the baton back, and drive dispatches b's
+	// last wake.
+	run("alternating", Stats{Dispatched: 8, Switches: 6, Pushes: 8, QueueMax: 2}, func(k *Kernel) {
+		for _, name := range []string{"a", "b"} {
+			k.Spawn(name, func(p *Proc) {
+				for i := 0; i < 3; i++ {
+					p.Sleep(2)
+				}
+			})
+		}
+	})
+	// c's first sleep ends at 1, 2 and 3: two wakes re-keyed, then a
+	// resume; two plain sleeps follow. Three blocks, each returning on its
+	// own wake; six events: the spawn, three wakes of the first sleep, one
+	// of each other.
+	run("lone", Stats{Dispatched: 6, Rekeyed: 2, Inline: 3, Pushes: 6, QueueMax: 1}, func(k *Kernel) {
+		k.Spawn("c", func(p *Proc) {
+			p.SetRescheduler(&rekeyTimes{n: 2})
+			p.Sleep(1)
+			p.SetRescheduler(nil)
+			p.Sleep(1)
+			p.Sleep(1)
+		})
+	})
+	// The spawn, then timers at 100 down to 1: the first 64 fill the front,
+	// each later one is its new minimum and spills its largest into the
+	// heap (36). The sleep to 1000 lies behind the heap's minimum (65):
+	// the 37th heap push, at 101 pending events. The block dispatches all
+	// 100 timers inline, then its own wake.
+	run("deep", Stats{Dispatched: 102, Inline: 1, Pushes: 102, HeapPushes: 37, QueueMax: 101}, func(k *Kernel) {
+		k.Spawn("main", func(p *Proc) {
+			fired := 0
+			tick := func(any) { fired++ }
+			for at := Time(100); at >= 1; at-- {
+				p.CallAtArg(at, tick, nil)
+			}
+			p.Sleep(1000)
+			if fired != 100 {
+				t.Errorf("deep: %d timers fired, want 100", fired)
+			}
+		})
+	})
 }
 
 // TestBeforeEventRunsBeforeTheNthEvent pins the fault-injection hook: armed

@@ -17,7 +17,7 @@
 // queue) and process exit give control back to drive the same way, with
 // nothing to resume. The kernel is one event domain — one clock, one queue —
 // and every event carries a unique, totally ordered key, so the pop order —
-// and with it every output — depends neither on the shape of the heap nor on
+// and with it every output — depends neither on the shape of the queue nor on
 // which process happens to dispatch. Virtual time advances only when the
 // event queue does, so simulation results are fully deterministic and
 // independent of the host machine.
@@ -27,7 +27,7 @@
 // at an instant, and a Port with a handler delivers each message the same
 // way. A callback event carries its argument — the event holds fn and arg and
 // the kernel calls fn(arg) — so a timer or a delivery that recurs costs one
-// heap operation and no allocation: bind fn once (a method value at set-up,
+// queue operation and no allocation: bind fn once (a method value at set-up,
 // the port's deliver function at NewPort), pass the occurrence's state as a
 // pointer. CallAt(t, func()) is the same event with the func() as the
 // argument of one static trampoline; it allocates exactly what building that
@@ -129,9 +129,10 @@ func (d Duration) Milliseconds() float64 { return float64(d) / 1e6 }
 // The struct is at most 64 bytes — the compiler moves that much inline, and
 // one byte more through a copy routine — so the generation and the band share
 // a word (gb): with the generation in a word of its own (72 bytes) a self-wake
-// sleep measured 36 ns against 28. The heap stays one array of whole events: a
-// keys-here, bodies-there split was tried and lost to it (the flow-plane
-// allocation budget under EXPERIMENTS.md "History").
+// sleep measured 36 ns against 28. The queue holds whole events in both its
+// tiers, moved in and out in place: a keys-here, bodies-there split was tried
+// and lost to one array of whole events (the flow-plane allocation budget
+// under EXPERIMENTS.md "History").
 type event struct {
 	t   Time
 	seq uint64
@@ -166,14 +167,106 @@ func keyLess(x, y *event) bool {
 	return x.seq < y.seq
 }
 
-// eventQueue is a binary min-heap of events by key, typed so that scheduling
-// boxes nothing: push and pop allocate only when the backing array grows.
-// Events go in and come out through pointers, and the sift reads the moving
-// event where it lies: a 64-byte event copied through arguments, results and
-// temporaries was a third of the cost of a self-wake sleep.
-type eventQueue []event
+// frontCap is how many of the nearest events the queue keeps sorted in its
+// front tier. The two serving planes never fill it (the benchmark's serve_exec
+// peaks at 30 pending events, serve_flow at 23), so every push and pop there
+// is a short slice scan: serve_exec's host time per request fell ≈12% against
+// the heap alone (10 alternating pairs at seed 17). serve_cluster_faults peaks
+// at 66 and sends 24% of its pushes to the heap (Kernel.Stats).
+const frontCap = 64
 
-func (q *eventQueue) push(e *event) {
+// eventQueue is a priority queue of whole events by key, in two tiers: front
+// holds the nearest events, at most frontCap of them, sorted descending so the
+// minimum is its last element; back is a binary heap of everything later.
+// Every front key is below every back key. Most pushes land at or near the
+// front's minimum — a wake at now, a new earliest timer — and there a sorted
+// slice inserts after a scan of a few events and pops by trimming, where the
+// heap sifts to its root and back down its whole depth. The heap stays for a
+// deep queue, where a sorted slice's insert would be linear: past the front's
+// capacity the largest front event moves behind it. Keys are unique, so both
+// tiers pop the same sequence a single heap would. Events go in and come out
+// through pointers, and vacated slots are zeroed in both tiers.
+type eventQueue struct {
+	front []event
+	back  eventHeap
+}
+
+// len returns the number of pending events.
+func (q *eventQueue) len() int { return len(q.front) + len(q.back) }
+
+// min returns the minimal pending event in place; the queue must not be empty.
+func (q *eventQueue) min() *event {
+	if n := len(q.front); n > 0 {
+		return &q.front[n-1]
+	}
+	return &q.back[0]
+}
+
+// push queues *e and reports whether the push reached the heap tier: e itself
+// went behind the front, or the front was full and spilled its largest event.
+func (q *eventQueue) push(e *event) (heap bool) {
+	if len(q.back) > 0 && keyLess(&q.back[0], e) {
+		q.back.push(e)
+		return true
+	}
+	n := len(q.front)
+	i := n
+	for i > 0 && keyLess(&q.front[i-1], e) {
+		i--
+	}
+	if n == cap(q.front) {
+		if n == frontCap {
+			q.spill(e, i)
+			return true
+		}
+		// Grow by doubling: a kernel whose queue stays shallow keeps a
+		// small front, and a deep one reaches frontCap once.
+		g := make([]event, n, min(max(2*n, 8), frontCap))
+		copy(g, q.front)
+		q.front = g
+	}
+	q.front = q.front[:n+1]
+	if i < n {
+		copy(q.front[i+1:], q.front[i:n])
+	}
+	q.front[i] = *e
+	return false
+}
+
+// spill queues *e, which belongs at front[i], into a full front: the heap
+// takes e if it would be the front's largest event (i == 0), and the front's
+// largest otherwise.
+func (q *eventQueue) spill(e *event, i int) {
+	f := q.front
+	if i == 0 {
+		q.back.push(e)
+		return
+	}
+	q.back.push(&f[0])
+	copy(f, f[1:i])
+	f[i-1] = *e
+}
+
+// pop moves the minimal event into *top; the queue must not be empty.
+func (q *eventQueue) pop(top *event) {
+	n := len(q.front) - 1
+	if n < 0 {
+		q.back.pop(top)
+		return
+	}
+	*top = q.front[n]
+	q.front[n] = event{}
+	q.front = q.front[:n]
+}
+
+// eventHeap is a binary min-heap of events by key, typed so that scheduling
+// boxes nothing: push and pop allocate only when the backing array grows.
+// The sift reads the moving event where it lies: a 64-byte event copied
+// through arguments, results and temporaries was a third of the cost of a
+// self-wake sleep.
+type eventHeap []event
+
+func (q *eventHeap) push(e *event) {
 	h := append(*q, event{})
 	i := len(h) - 1
 	for i > 0 {
@@ -190,7 +283,7 @@ func (q *eventQueue) push(e *event) {
 
 // pop moves the minimal event into *top. The vacated slot is zeroed so the
 // queue does not keep a popped *Proc, callback or callback argument reachable.
-func (q *eventQueue) pop(top *event) {
+func (q *eventHeap) pop(top *event) {
 	h := *q
 	n := len(h) - 1
 	*top = h[0]
@@ -333,6 +426,9 @@ type Kernel struct {
 	dispatched uint64
 	armAt      uint64
 	armFn      func()
+	// The rest of the kernel's own account (Stats).
+	rekeyed, switches, inline, heapPushes uint64
+	queueMax                              int
 
 	// tracer, when attached (SetTracer), records this kernel's events.
 	tracer Tracer
@@ -406,7 +502,12 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 func (k *Kernel) push(ev *event) {
 	k.seq++
 	ev.seq = k.seq
-	k.eq.push(ev)
+	if k.eq.push(ev) {
+		k.heapPushes++
+	}
+	if n := k.eq.len(); n > k.queueMax {
+		k.queueMax = n
+	}
 }
 
 // schedule queues p's next wake at time t.
@@ -442,7 +543,7 @@ func (k *Kernel) RunUntil(deadline Time) error {
 		return k.err
 	case k.stopped:
 		return nil
-	case len(k.eq) == 0:
+	case k.eq.len() == 0:
 		if len(k.procs) > 0 {
 			return k.deadlock()
 		}
@@ -491,7 +592,7 @@ func (k *Kernel) drive() {
 // which works out which.
 func (k *Kernel) next() *Proc {
 	for {
-		if k.stopped || k.err != nil || len(k.eq) == 0 || k.eq[0].t >= k.limit {
+		if k.stopped || k.err != nil || k.eq.len() == 0 || k.eq.min().t >= k.limit {
 			return nil
 		}
 		var ev event
@@ -503,7 +604,7 @@ func (k *Kernel) next() *Proc {
 		if k.probe != nil {
 			k.probe(ev.t, ev.band(), ev.seq)
 		}
-		gQueueDepth.Set(int64(len(k.eq)))
+		gQueueDepth.Set(int64(k.eq.len()))
 		if ev.t > k.now {
 			k.now = ev.t
 		}
@@ -559,6 +660,7 @@ func (k *Kernel) rekey(p *Proc) bool {
 		return false
 	}
 	mRekeyed.Inc()
+	k.rekeyed++
 	p.gen++
 	if wait != nil {
 		wait.waiters.Push(p)
@@ -599,7 +701,10 @@ func (p *Proc) block() {
 		panic(killToken{p})
 	}
 	if q := p.k.next(); q != p {
+		p.k.switches++
 		p.yield(q)
+	} else {
+		p.k.inline++
 	}
 	p.resumes++
 	p.gen++
@@ -775,6 +880,32 @@ func (k *Kernel) BeforeEvent(n uint64, fn func()) {
 		n, fn = 0, nil
 	}
 	k.armAt, k.armFn = n, fn
+}
+
+// Stats is a kernel's account of its own dispatching since NewKernel.
+type Stats struct {
+	Dispatched uint64 // events dispatched: Dispatched()
+	Rekeyed    uint64 // wakes a Rescheduler answered in place of a resume
+	Switches   uint64 // blocks that gave the baton away: another process's wake or an end condition came first
+	Inline     uint64 // blocks whose own wake came up first and returned with no switch
+	Pushes     uint64 // events queued
+	HeapPushes uint64 // pushes that reached the queue's heap tier (see eventQueue.push)
+	QueueMax   int    // the most events ever pending at once
+}
+
+// Stats returns the kernel's counters. They are plain fields the dispatch
+// path bumps as it goes, independent of the metrics registry, and reading
+// them costs nothing.
+func (k *Kernel) Stats() Stats {
+	return Stats{
+		Dispatched: k.dispatched,
+		Rekeyed:    k.rekeyed,
+		Switches:   k.switches,
+		Inline:     k.inline,
+		Pushes:     k.seq,
+		HeapPushes: k.heapPushes,
+		QueueMax:   k.queueMax,
+	}
 }
 
 // Killed reports whether the process has been marked for termination.
