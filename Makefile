@@ -78,7 +78,10 @@ bench:
 # re-keying engine to the key sequence of one that resumes every job;
 # FuzzEventQueue holds the kernel's two-tier event queue to a sort;
 # FuzzTicketResume holds the attestation ticket cache to a map-based model
-# (TTL, LRU capacity, epochs, revocation). One short leg per target —
+# (TTL, LRU capacity, epochs, revocation) — plus FuzzNormalOS, whose bytes
+# pick what a malicious normal OS does with each SMC of a fixed session (drop,
+# replay, flip, reroute, forge), each step ending in its honest result or a
+# typed refusal. One short leg per target —
 # `go test -fuzz` takes a single target and a single package — on top of the
 # checked-in seed corpora under testdata/fuzz, which every plain `go test` run
 # already replays.
@@ -93,6 +96,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPSEngineRekey$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTicketResume$$' -fuzztime $(FUZZTIME) ./internal/attest
+	$(GO) test -run '^$$' -fuzz '^FuzzNormalOS$$' -fuzztime $(FUZZTIME) ./internal/normal
 
 # Documentation bar: package docs plus doc comments on every exported
 # identifier of the API-bearing packages (serve, srpc, spm, mos, chaos), and

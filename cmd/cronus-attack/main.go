@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"strings"
 
 	"cronus/internal/attest"
 	"cronus/internal/core"
@@ -19,6 +18,7 @@ import (
 	"cronus/internal/gpu"
 	"cronus/internal/mos"
 	"cronus/internal/mos/driver"
+	"cronus/internal/normal"
 	"cronus/internal/sim"
 	"cronus/internal/spm"
 	"cronus/internal/srpc"
@@ -82,63 +82,42 @@ func attacks() []attack {
 			return false, "replay accepted"
 		}},
 		{"tamper with sRPC stream establishment", func(pl *core.Platform, p *sim.Proc) (bool, string) {
-			pl.D.TamperSetup = func(m attest.SealedMsg) attest.SealedMsg {
-				if len(m.Payload) > 0 {
-					m.Payload[0] ^= 0xff
-				}
-				return m
-			}
-			defer func() { pl.D.TamperSetup = nil }()
-			s, err := pl.NewSession(p, "atk-tamper")
-			if err != nil {
-				return false, err.Error()
-			}
-			_, err = s.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("vec_add")})
+			_, _, err := openUnder(pl, p, "atk-tamper", spm.CallStreamSetup, func(p *sim.Proc, c spm.Call, gate normal.Gate) (spm.Reply, error) {
+				c.Msg.Payload = append([]byte(nil), c.Msg.Payload...)
+				c.Msg.Payload[0] ^= 0xff
+				return gate(p, c)
+			})
 			if errors.Is(err, attest.ErrTampered) {
-				return true, "establishment failed safe: " + firstLine(err)
+				return true, "establishment failed safe: " + err.Error()
 			}
 			return false, "tampered setup accepted"
 		}},
 		{"swap the owner's DH key in an mEnclave create", func(pl *core.Platform, p *sim.Proc) (bool, string) {
-			s, err := pl.NewSession(p, "atk-mitm")
-			if err != nil {
-				return false, err.Error()
-			}
 			mitm, _ := attest.NewDHKey([]byte("atk-mitm"))
-			pl.D.TamperCreate = func([]byte) []byte { return mitm.Pub }
-			defer func() { pl.D.TamperCreate = nil }()
-			before := s.Owner().MemUsed()
-			_, err = s.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("vec_add")})
+			s, _, err := openUnder(pl, p, "atk-mitm", spm.CallCreate, func(p *sim.Proc, c spm.Call, gate normal.Gate) (spm.Reply, error) {
+				c.DHPub = mitm.Pub
+				return gate(p, c)
+			})
 			if !errors.Is(err, attest.ErrTampered) {
 				return false, fmt.Sprintf("err=%v", err)
 			}
-			if after := s.Owner().MemUsed(); after != before {
-				return false, fmt.Sprintf("refused open left the owner's memory at %d B, %d B before", after, before)
+			if used := s.Owner().MemUsed(); used != 0 { // a new session's enclave shares no pages
+				return false, fmt.Sprintf("refused open left %d B of the owner's memory in use", used)
 			}
-			return true, "the mOS agreed secret_dhke with the OS's key; stream setup failed its MAC: " + firstLine(err)
+			return true, "the mOS agreed secret_dhke with the OS's key; stream setup failed its MAC: " + err.Error()
 		}},
 		{"forge a local attestation report", func(pl *core.Platform, p *sim.Proc) (bool, string) {
-			pl.D.FakeLocalReport = func(eid uint32, nonce uint64) (attest.LocalReport, []byte) {
-				r := attest.LocalReport{EnclaveID: eid, Nonce: nonce}
-				return r, attest.NewLocalSealer([]byte("not-the-LSK")).Seal(r)
-			}
-			defer func() { pl.D.FakeLocalReport = nil }()
-			s, err := pl.NewSession(p, "atk-forge")
-			if err != nil {
-				return false, err.Error()
-			}
-			_, err = s.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("vec_add")})
+			_, _, err := openUnder(pl, p, "atk-forge", spm.CallLocalReport, func(_ *sim.Proc, c spm.Call, _ normal.Gate) (spm.Reply, error) {
+				r := attest.LocalReport{EnclaveID: c.EID, Nonce: c.Nonce}
+				return spm.Reply{Local: r, MAC: attest.NewLocalSealer([]byte("not-the-LSK")).Seal(r)}, nil
+			})
 			if errors.Is(err, srpc.ErrForgedReport) {
 				return true, "LSK verification failed the forged report"
 			}
 			return false, "forged local report accepted"
 		}},
 		{"crash a partition mid-stream (TOCTOU / substitution window)", func(pl *core.Platform, p *sim.Proc) (bool, string) {
-			s, err := pl.NewSession(p, "atk-crash")
-			if err != nil {
-				return false, err.Error()
-			}
-			conn, err := s.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("vec_add")})
+			_, conn, err := openUnder(pl, p, "atk-crash", 0, nil)
 			if err != nil {
 				return false, err.Error()
 			}
@@ -150,11 +129,7 @@ func attacks() []attack {
 			return false, fmt.Sprintf("err=%v", err)
 		}},
 		{"remote attestation of a substituted enclave image", func(pl *core.Platform, p *sim.Proc) (bool, string) {
-			s, err := pl.NewSession(p, "atk-subst")
-			if err != nil {
-				return false, err.Error()
-			}
-			if _, err := s.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("vec_add")}); err != nil {
+			if _, _, err := openUnder(pl, p, "atk-subst", 0, nil); err != nil {
 				return false, err.Error()
 			}
 			// The client pins the expected image hash; the platform
@@ -176,9 +151,24 @@ func attacks() []attack {
 	}
 }
 
-func firstLine(err error) string {
-	line, _, _ := strings.Cut(err.Error(), "\n")
-	return line
+// openUnder opens a CUDA mEnclave from a new session while the normal OS
+// plays f, if any, on every call of kind and relays the others untouched.
+func openUnder(pl *core.Platform, p *sim.Proc, name string, kind spm.CallKind, f normal.RelayFunc) (*core.Session, *core.CUDAConn, error) {
+	s, err := pl.NewSession(p, name)
+	if err != nil {
+		return nil, nil, err
+	}
+	if f != nil {
+		pl.D.Adversary = normal.RelayFunc(func(p *sim.Proc, c spm.Call, gate normal.Gate) (spm.Reply, error) {
+			if c.Kind != kind {
+				return gate(p, c)
+			}
+			return f(p, c, gate)
+		})
+		defer func() { pl.D.Adversary = nil }()
+	}
+	conn, err := s.OpenCUDA(p, core.CUDAOptions{Cubin: gpu.BuildCubin("vec_add")})
+	return s, conn, err
 }
 
 func main() {

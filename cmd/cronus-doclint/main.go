@@ -6,9 +6,10 @@
 // exempt. Run on the default package set it also checks the documents:
 // DESIGN.md §4 names exactly the ids of experiments.Catalog (`-exp <id>`);
 // every DESIGN.md §N[.M] or quoted EXPERIMENTS.md heading cited in a Go file,
-// README.md, DESIGN.md or a SKILL.md exists; and every line of
+// README.md, DESIGN.md or a SKILL.md exists; every line of
 // BENCH_history.jsonl holds a hex commit, an integer seed, a workload of
-// BENCHMARK.json and exactly its end-to-end metrics, each positive.
+// BENCHMARK.json and exactly its end-to-end metrics, each positive; and
+// DESIGN.md stays within designBudget bytes.
 //
 // It is the `make doc-lint` backend: zero findings exit 0, anything missing
 // is listed one per line (file:line) and exits 1.
@@ -37,6 +38,10 @@ import (
 
 	"cronus/internal/experiments"
 )
+
+// designBudget is the most bytes DESIGN.md may hold: a change that adds to
+// the design document makes room in it first. It only ever goes down.
+const designBudget = 128533
 
 // defaultDirs is the package set `make doc-lint` holds to the bar.
 var defaultDirs = []string{
@@ -130,7 +135,16 @@ func lintDocuments(design []byte) []string {
 	for _, f := range files {
 		out = append(out, lintCitations(f, mustRead(f), cited)...)
 	}
+	out = append(out, lintBudget("DESIGN.md", design, designBudget)...)
 	return append(out, lintHistory("BENCH_history.jsonl", mustRead("BENCH_history.jsonl"), mustRead("BENCHMARK.json"))...)
+}
+
+// lintBudget reports a document longer than budget bytes.
+func lintBudget(name string, doc []byte, budget int) []string {
+	if len(doc) > budget {
+		return []string{fmt.Sprintf("%s: %d bytes, %d over its budget of %d", name, len(doc), len(doc)-budget, budget)}
+	}
+	return nil
 }
 
 func mustRead(path string) []byte {

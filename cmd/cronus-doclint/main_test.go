@@ -54,3 +54,13 @@ func TestHistoryLines(t *testing.T) {
 		}
 	}
 }
+
+func TestBudget(t *testing.T) {
+	if got := lintBudget("d", []byte("1234"), 4); len(got) != 0 {
+		t.Fatalf("a document at its budget: %v", got)
+	}
+	got := lintBudget("d", []byte("12345"), 4)
+	if len(got) != 1 || got[0] != "d: 5 bytes, 1 over its budget of 4" {
+		t.Fatalf("a document one byte over: %v", got)
+	}
+}

@@ -43,7 +43,10 @@ func main() {
 			return err
 		}
 		dt := pl.SPM.DTHash()
-		report := pl.D.BuildReport(p, 99)
+		report, err := pl.D.BuildReport(p, 99)
+		if err != nil {
+			return err
+		}
 		want := attest.Expected{EnclaveHashes: s.EnclaveMeasurements(), DTHash: &dt, Nonce: 99}
 		if err := client.VerifyAndBind(report, want, enclavePub); err != nil {
 			return err

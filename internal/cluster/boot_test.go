@@ -95,8 +95,8 @@ func TestReplicaSecretsDifferAcrossNodes(t *testing.T) {
 				return err
 			}
 			secrets[i] = [2][]byte{
-				pl.D.Server(sess.EID).Enclave().Secret(),
-				pl.D.Server(conn.EID).Enclave().Secret(),
+				pl.Server(sess.EID).Enclave().Secret(),
+				pl.Server(conn.EID).Enclave().Secret(),
 			}
 			if err := conn.Close(p); err != nil {
 				return err

@@ -12,7 +12,6 @@ import (
 	"cronus/internal/core"
 	"cronus/internal/enclave"
 	"cronus/internal/gpu"
-	"cronus/internal/mos"
 	"cronus/internal/mos/driver"
 	"cronus/internal/npu"
 	"cronus/internal/sim"
@@ -84,15 +83,11 @@ func init() {
 // different partitions), creates a CPU mEnclave running the echo library in
 // it, and connects an sRPC stream to it from the session's enclave.
 func openEcho(r *dataRig) (*srpc.Client, error) {
-	part, err := r.pl.SPM.CreatePartition("cpu-part-echo", "", []byte("optee-based CPU mOS image v1"))
+	echo, err := r.pl.BootMOS(r.p, "cpu-part-echo", "", []byte("optee-based CPU mOS image v1"), driver.NewCPU(r.pl.Costs))
 	if err != nil {
 		return nil, err
 	}
-	os, err := mos.Boot(r.p, r.pl.SPM, part, driver.NewCPU(r.pl.Costs))
-	if err != nil {
-		return nil, err
-	}
-	r.pl.D.RegisterMOS(os)
+	part := echo.Part
 	files := map[string][]byte{
 		"echo.edl": enclave.BuildEDL(enclave.MECallSpec{Name: "echo", Async: false}),
 		"echo.so":  enclave.BuildCPUImage("datapath-echo"),

@@ -8,6 +8,7 @@ import (
 	"cronus/internal/core"
 	"cronus/internal/enclave"
 	"cronus/internal/gpu"
+	"cronus/internal/normal"
 	"cronus/internal/sim"
 	"cronus/internal/spm"
 )
@@ -33,11 +34,13 @@ func TestSessionEDLIsBuildEDLs(t *testing.T) {
 func TestOwnerKeyAndFreshSecrets(t *testing.T) {
 	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 		var pubs [][]byte
-		pl.D.TamperCreate = func(pub []byte) []byte {
-			pubs = append(pubs, append([]byte(nil), pub...))
-			return pub
-		}
-		defer func() { pl.D.TamperCreate = nil }()
+		pl.D.Adversary = normal.RelayFunc(func(p *sim.Proc, c spm.Call, gate normal.Gate) (spm.Reply, error) {
+			if c.Kind == spm.CallCreate {
+				pubs = append(pubs, append([]byte(nil), c.DHPub...))
+			}
+			return gate(p, c)
+		})
+		defer func() { pl.D.Adversary = nil }()
 		s, err := pl.NewSession(p, "proto")
 		if err != nil {
 			return err
@@ -55,7 +58,7 @@ func TestOwnerKeyAndFreshSecrets(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		secretOf := func(eid uint32) []byte { return pl.D.Server(eid).Enclave().Secret() }
+		secretOf := func(eid uint32) []byte { return pl.Server(eid).Enclave().Secret() }
 
 		if len(pubs) != 4 {
 			t.Fatalf("%d creates observed, want 4 (session, two CUDA, one NPU)", len(pubs))

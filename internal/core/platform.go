@@ -19,6 +19,7 @@ import (
 	"cronus/internal/npu"
 	"cronus/internal/sim"
 	"cronus/internal/spm"
+	"cronus/internal/srpc"
 	"cronus/internal/trace"
 )
 
@@ -74,13 +75,17 @@ type Platform struct {
 	D     *normal.Dispatcher
 	Costs *sim.CostModel
 
-	CPUPart *spm.Partition
-	CPUOS   *mos.MOS
-	GPUs    []GPUNode
-	NPUs    []NPUNode
+	CPUOS *mos.MOS
+	GPUs  []GPUNode
+	NPUs  []NPUNode
 
 	Service  *attest.Service
 	Verifier *attest.Verifier
+
+	// gates are the partitions' SMC handlers, in boot order; servers the
+	// sRPC endpoints of the enclaves created through them.
+	gates   []*mosGate
+	servers map[uint32]*srpc.Server
 
 	// salt is the node fuse (BuildNode), folded into the seeds of the DH
 	// keys the platform's sessions make; empty on a single platform.
@@ -94,8 +99,8 @@ type Platform struct {
 
 // BuildPlatform boots a platform inside simulated process p: device tree
 // construction and validation, SPM boot (TZASC/TZPC/fuse lock-down), key
-// endorsement, partition creation, mOS boot, dispatcher registration. It is
-// BuildNode's node 0.
+// endorsement, then partition creation and mOS boot, each mOS reachable
+// through the SMC gate and the dispatcher (BootMOS). It is BuildNode's node 0.
 func BuildPlatform(p *sim.Proc, cfg Config) (*Platform, error) {
 	return BuildNode(p, cfg, 0)
 }
@@ -175,9 +180,9 @@ func BuildNode(p *sim.Proc, cfg Config, node int) (*Platform, error) {
 	verifier.TrustVendor("vta", vtaCA.Identity)
 
 	pl := &Platform{
-		K: k, M: m, SPM: s, Costs: costs,
+		K: k, M: m, SPM: s, D: normal.NewDispatcher(s), Costs: costs,
 		Service: svc, Verifier: verifier,
-		salt: salt,
+		salt: salt, servers: make(map[uint32]*srpc.Server),
 	}
 	if pl.cudaEDL, err = enclave.ParseEDL(driver.CUDAEDL()); err != nil {
 		return nil, err
@@ -186,40 +191,24 @@ func BuildNode(p *sim.Proc, cfg Config, node int) (*Platform, error) {
 		return nil, err
 	}
 
-	pl.CPUPart, err = s.CreatePartition("cpu-part", "", []byte("optee-based CPU mOS image v1"))
-	if err != nil {
+	if pl.CPUOS, err = pl.BootMOS(p, "cpu-part", "", []byte("optee-based CPU mOS image v1"), driver.NewCPU(costs)); err != nil {
 		return nil, err
 	}
-	pl.CPUOS, err = mos.Boot(p, s, pl.CPUPart, driver.NewCPU(costs))
-	if err != nil {
-		return nil, err
-	}
-	pl.D = normal.NewDispatcher(s)
-	pl.D.RegisterMOS(pl.CPUOS)
-
 	for i, d := range gdevs {
-		part, err := s.CreatePartition(fmt.Sprintf("gpu-part%d", i), d.Name(), []byte("nouveau+gdev GPU mOS image v1"))
+		os, err := pl.BootMOS(p, fmt.Sprintf("gpu-part%d", i), d.Name(), []byte("nouveau+gdev GPU mOS image v1"),
+			driver.NewGPU(d, costs, "nvidia", nvCA.EndorseDevice(d.PubKey())))
 		if err != nil {
 			return nil, err
 		}
-		os, err := mos.Boot(p, s, part, driver.NewGPU(d, costs, "nvidia", nvCA.EndorseDevice(d.PubKey())))
-		if err != nil {
-			return nil, err
-		}
-		pl.D.RegisterMOS(os)
-		pl.GPUs = append(pl.GPUs, GPUNode{Dev: d, Part: part, OS: os})
+		pl.GPUs = append(pl.GPUs, GPUNode{Dev: d, Part: os.Part, OS: os})
 	}
 	for i, d := range ndevs {
-		part, err := s.CreatePartition(fmt.Sprintf("npu-part%d", i), d.Name(), []byte("vta fsim NPU mOS image v1"))
+		os, err := pl.BootMOS(p, fmt.Sprintf("npu-part%d", i), d.Name(), []byte("vta fsim NPU mOS image v1"),
+			driver.NewNPU(d, costs, "vta", vtaCA.EndorseDevice(d.PubKey())))
 		if err != nil {
 			return nil, err
 		}
-		os, err := mos.Boot(p, s, part, driver.NewNPU(d, costs, "vta", vtaCA.EndorseDevice(d.PubKey())))
-		if err != nil {
-			return nil, err
-		}
-		pl.D.RegisterMOS(os)
-		pl.NPUs = append(pl.NPUs, NPUNode{Dev: d, Part: part, OS: os})
+		pl.NPUs = append(pl.NPUs, NPUNode{Dev: d, Part: os.Part, OS: os})
 	}
 	return pl, nil
 }
@@ -231,7 +220,10 @@ func BuildNode(p *sim.Proc, cfg Config, node int) (*Platform, error) {
 func (pl *Platform) RemoteAttest(p *sim.Proc, nonce uint64, want attest.Expected) error {
 	mRemoteAttests.Inc()
 	defer trace.Of(p.Kernel()).Span(p, "attest", "client", "remote-attest")()
-	sr := pl.D.BuildReport(p, nonce)
+	sr, err := pl.D.BuildReport(p, nonce)
+	if err != nil {
+		return err
+	}
 	p.Sleep(pl.Costs.VerifyFixed * 2)
 	return pl.Verifier.VerifyReport(sr, want)
 }

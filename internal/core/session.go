@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"maps"
 
 	"cronus/internal/attest"
 	"cronus/internal/enclave"
@@ -87,9 +88,9 @@ func (pl *Platform) NewSession(p *sim.Proc, name string) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := pl.D.Server(res.EID)
+	srv := pl.Server(res.EID)
 	if srv == nil {
-		return nil, fmt.Errorf("core: no endpoint for session enclave")
+		return nil, fmt.Errorf("core: %w for session enclave %#x", srpc.ErrNoEndpoint, res.EID)
 	}
 	tx, rx := attest.NewChannelPair(secret, "owner->enclave", "enclave->owner")
 	return &Session{
@@ -138,7 +139,7 @@ func (s *Session) create(p *sim.Proc, spec accelSpec) (accelEnclave, error) {
 		files[spec.imageName] = spec.image
 	}
 	man := enclave.NewManifest(spec.device, spec.edlName, spec.imageName, files, enclave.Resources{Memory: spec.memory})
-	var res *mos.CreateResult
+	var res spm.Reply
 	var err error
 	if spec.partition != "" {
 		res, err = s.Platform.D.CreateEnclaveAt(p, spec.partition, spec.name, man, files, s.dh.Pub)
@@ -154,7 +155,7 @@ func (s *Session) create(p *sim.Proc, spec accelSpec) (accelEnclave, error) {
 	}
 	part, ok := s.Platform.SPM.Partition(spm.PartitionID(res.EID >> 24))
 	if !ok {
-		return accelEnclave{}, fmt.Errorf("core: partition vanished for eid %#x", res.EID)
+		return accelEnclave{}, fmt.Errorf("core: %w for eid %#x", spm.ErrNoPartition, res.EID)
 	}
 	return accelEnclave{
 		eid:      res.EID,
@@ -201,11 +202,7 @@ func (s *Session) Owner() *mos.Enclave { return s.owner }
 // created, keyed by name — the closure the user pins during remote
 // attestation (§IV-A).
 func (s *Session) EnclaveMeasurements() map[string]attest.Measurement {
-	out := make(map[string]attest.Measurement, len(s.manifests))
-	for k, v := range s.manifests {
-		out[k] = v
-	}
-	return out
+	return maps.Clone(s.manifests)
 }
 
 // Attest runs remote attestation for this session: the client verifies the

@@ -8,7 +8,9 @@ import (
 
 	"cronus/internal/baseline"
 	"cronus/internal/core"
+	"cronus/internal/normal"
 	"cronus/internal/sim"
+	"cronus/internal/spm"
 )
 
 func TestFigure7ShapeMatchesPaper(t *testing.T) {
@@ -189,8 +191,14 @@ func TestTrainTenantsFailsLoudly(t *testing.T) {
 
 	// The normal world refuses to create executor threads: no tenant's
 	// OpenCUDA can establish its stream.
-	steps, err = trainTenants(2, window, func(pl *core.Platform) { pl.D.DropExecutor = true }, nil)
-	if err == nil || !strings.Contains(err.Error(), "tenant 0") || !strings.Contains(err.Error(), "executor") {
+	dropSpawns := normal.RelayFunc(func(p *sim.Proc, c spm.Call, gate normal.Gate) (spm.Reply, error) {
+		if c.Kind == spm.CallSpawnExecutor {
+			return spm.Reply{}, normal.ErrDropped
+		}
+		return gate(p, c)
+	})
+	steps, err = trainTenants(2, window, func(pl *core.Platform) { pl.D.Adversary = dropSpawns }, nil)
+	if !errors.Is(err, normal.ErrDropped) || !strings.Contains(err.Error(), "tenant 0") || !strings.Contains(err.Error(), "executor") {
 		t.Errorf("OpenCUDA refused: %d steps, err %v; want an error naming tenant 0 and the executor refusal", steps, err)
 	}
 

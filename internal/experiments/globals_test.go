@@ -378,3 +378,39 @@ func TestNoLocksUnderOneKernel(t *testing.T) {
 		}
 	}
 }
+
+// TestNormalWorldHoldsNoSecurePointer holds the untrusted normal world to the
+// SMC gate (DESIGN.md §3.2): no non-test file of internal/normal imports an
+// mOS package, so the dispatcher cannot call into an Enclave Manager, and
+// none reads the cost model's WorldSwitch, which only spm.SMC charges.
+func TestNormalWorldHoldsNoSecurePointer(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(root, "internal/normal", "*.go"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no files under internal/normal: %v", err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if what := strings.Trim(imp.Path.Value, `"`); strings.HasPrefix(what+"/", "cronus/internal/mos/") {
+				t.Errorf("%s: the normal world imports %s: reach the secure world through spm.SMC", fset.Position(imp.Pos()), what)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "WorldSwitch" {
+				t.Errorf("%s: the normal world reads WorldSwitch: spm.SMC charges the world switches", fset.Position(sel.Pos()))
+			}
+			return true
+		})
+	}
+}

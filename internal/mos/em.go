@@ -66,47 +66,42 @@ type Enclave struct {
 // (§III-B).
 var ErrWrongPartition = errors.New("wrong partition")
 
-// CreateResult is returned to the caller of create: the new enclave id and
-// its DH public key so the caller can derive secret_dhke.
-type CreateResult struct {
-	EID   uint32
-	DHPub []byte
-	Hash  attest.Measurement
-}
+// ErrNoEnclave refuses a call naming an enclave this mOS does not host.
+var ErrNoEnclave = errors.New("no enclave")
 
 // Create implements the mEnclave creation flow (§IV-A): the Enclave Manager
 // verifies the manifest against the images, allocates resources, loads the
 // execution model (me_create), performs the Diffie-Hellman exchange with the
 // caller, and mints an eid whose top 8 bits are the mOS id.
-func (em *EnclaveManager) Create(p *sim.Proc, name string, man enclave.Manifest, files map[string][]byte, callerDHPub []byte) (*CreateResult, *Enclave, error) {
+func (em *EnclaveManager) Create(p *sim.Proc, name string, man enclave.Manifest, files map[string][]byte, callerDHPub []byte) (spm.Reply, *Enclave, error) {
 	if em.mos.Part.State() != spm.PartReady {
-		return nil, nil, &spm.NotReadyError{Msg: fmt.Sprintf("mos: partition %q not ready", em.mos.Part.Name)}
+		return spm.Reply{}, nil, &spm.NotReadyError{Msg: fmt.Sprintf("mos: partition %q not ready", em.mos.Part.Name)}
 	}
 	if man.DeviceType != em.mos.HAL.DeviceType() {
-		return nil, nil, fmt.Errorf("mos: manifest device type %q does not match this mOS (%q) — %w",
+		return spm.Reply{}, nil, fmt.Errorf("mos: manifest device type %q does not match this mOS (%q) — %w",
 			man.DeviceType, em.mos.HAL.DeviceType(), ErrWrongPartition)
 	}
 	if err := man.VerifyImages(files); err != nil {
-		return nil, nil, err
+		return spm.Reply{}, nil, err
 	}
 	edl, err := enclave.ParseEDL(files[man.MECalls])
 	if err != nil {
-		return nil, nil, err
+		return spm.Reply{}, nil, err
 	}
 	memCap, err := man.Resources.MemoryBytes()
 	if err != nil {
-		return nil, nil, err
+		return spm.Reply{}, nil, err
 	}
 	model, err := em.mos.HAL.NewModel(p)
 	if err != nil {
-		return nil, nil, err
+		return spm.Reply{}, nil, err
 	}
 	var image []byte
 	if man.Image != "" {
 		image = files[man.Image]
 	}
 	if err := model.Create(p, image); err != nil {
-		return nil, nil, err
+		return spm.Reply{}, nil, err
 	}
 	// Measurement covers the manifest and all images (runtime + code).
 	hash, totalBytes := man.MeasureCounted(files)
@@ -126,11 +121,11 @@ func (em *EnclaveManager) Create(p *sim.Proc, name string, man enclave.Manifest,
 	copy(seed[12:], em.mos.Part.Name)
 	dh, err := attest.NewDHKey(append(seed[:], em.mos.SPM.NodeSalt()...))
 	if err != nil {
-		return nil, nil, err
+		return spm.Reply{}, nil, err
 	}
 	secret, err := dh.Shared(callerDHPub)
 	if err != nil {
-		return nil, nil, fmt.Errorf("mos: caller DH key invalid: %w", err)
+		return spm.Reply{}, nil, fmt.Errorf("mos: caller DH key invalid: %w", err)
 	}
 	p.Sleep(em.mos.Costs.DhkeHandshake)
 
@@ -147,7 +142,7 @@ func (em *EnclaveManager) Create(p *sim.Proc, name string, man enclave.Manifest,
 	}
 	em.enclaves[eid] = e
 	mEnclavesMade.Inc()
-	return &CreateResult{EID: eid, DHPub: dh.Pub, Hash: hash}, e, nil
+	return spm.Reply{EID: eid, DHPub: dh.Pub, Hash: hash}, e, nil
 }
 
 // Get returns a live enclave by id.
@@ -176,7 +171,7 @@ func (em *EnclaveManager) Measurements() map[string]attest.Measurement {
 func (em *EnclaveManager) LocalReport(eid uint32, nonce uint64) (attest.LocalReport, []byte, error) {
 	e, ok := em.Get(eid)
 	if !ok {
-		return attest.LocalReport{}, nil, fmt.Errorf("mos: no enclave %#x", eid)
+		return attest.LocalReport{}, nil, fmt.Errorf("mos: %w %#x", ErrNoEnclave, eid)
 	}
 	return em.mos.SPM.LocalReportFor(em.mos.Part, eid, e.Hash, nonce)
 }
@@ -194,7 +189,7 @@ func (em *EnclaveManager) LocalReport(eid uint32, nonce uint64) (attest.LocalRep
 func (em *EnclaveManager) InvokeSealed(p *sim.Proc, eid uint32, msg attest.SealedMsg) (attest.SealedMsg, error) {
 	e, ok := em.Get(eid)
 	if !ok {
-		return attest.SealedMsg{}, fmt.Errorf("mos: no enclave %#x", eid)
+		return attest.SealedMsg{}, fmt.Errorf("mos: %w %#x", ErrNoEnclave, eid)
 	}
 	p.Sleep(em.mos.Costs.MACFixed) // verify request MAC
 	if e.rxOwner == nil {

@@ -60,7 +60,7 @@ func TestCreateAndInvokeCPUEnclave(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if spm.PartitionID(res.EID>>24) != pl.CPUPart.ID {
+		if spm.PartitionID(res.EID>>24) != pl.CPUOS.Part.ID {
 			t.Errorf("eid %#x not minted for CPU partition", res.EID)
 		}
 		secret, err := callerDH.Shared(res.DHPub)
@@ -260,10 +260,10 @@ func TestEnclaveKillRevokesGrantsAndDies(t *testing.T) {
 		{"cpu", cpuManifest, func(pl *core.Platform) *mos.MOS { return pl.CPUOS },
 			func(pl *core.Platform) *spm.Partition { return pl.GPUs[0].Part }, nil, "", ""},
 		{"gpu", gpuManifest, func(pl *core.Platform) *mos.MOS { return pl.GPUs[0].OS },
-			func(pl *core.Platform) *spm.Partition { return pl.CPUPart },
+			func(pl *core.Platform) *spm.Partition { return pl.CPUOS.Part },
 			func(pl *core.Platform) uint64 { return pl.GPUs[0].Dev.MemUsed() }, driver.CallMemAlloc, driver.CallHtoD},
 		{"npu", npuManifest, func(pl *core.Platform) *mos.MOS { return pl.NPUs[0].OS },
-			func(pl *core.Platform) *spm.Partition { return pl.CPUPart },
+			func(pl *core.Platform) *spm.Partition { return pl.CPUOS.Part },
 			func(pl *core.Platform) uint64 { return pl.NPUs[0].Dev.MemUsed() }, driver.CallVTAMemAlloc, driver.CallVTAHtoD},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,81 +1,74 @@
 // Package normal models CRONUS's untrusted normal world (§III-A): the rich
-// OS and the Enclave Dispatcher that routes enclave requests to partitions,
-// relays establishment messages, and creates executor threads. Everything in
-// this package is untrusted: the dispatcher exposes attack knobs that let
-// tests play the malicious-OS role from the threat model (§III-B) —
-// misrouting, tampering, replaying, dropping — and the secure world must
-// stay safe regardless.
+// OS and the Enclave Dispatcher, which routes enclave requests to partitions,
+// relays establishment messages and creates executor threads, each one
+// spm.Call through the SMC gate. An Adversary, the malicious OS of §III-B,
+// sees every call before the gate; the secure world must stay safe anyway.
 package normal
 
 import (
+	"errors"
 	"fmt"
 
 	"cronus/internal/attest"
 	"cronus/internal/enclave"
-	"cronus/internal/mos"
 	"cronus/internal/sim"
 	"cronus/internal/spm"
 	"cronus/internal/srpc"
 )
 
-// Dispatcher is the normal world's Enclave Dispatcher. It records each
-// partition's device type and mOS so requests can be routed (§III-A), and
-// implements srpc.Transport.
+// ErrDropped is the refusal of a call the normal OS would not relay.
+var ErrDropped = errors.New("normal: call dropped by the OS")
+
+// Gate is the SMC, spm.SPM.SMC, as an Adversary is handed it.
+type Gate = func(*sim.Proc, spm.Call) (spm.Reply, error)
+
+// Adversary is a malicious normal OS: Relay sees each call on its way to gate
+// and may pass, drop, replay, alter, reroute or answer it without the gate.
+type Adversary interface {
+	Relay(p *sim.Proc, c spm.Call, gate Gate) (spm.Reply, error)
+}
+
+// RelayFunc adapts a function to Adversary.
+type RelayFunc func(p *sim.Proc, c spm.Call, gate Gate) (spm.Reply, error)
+
+// Relay implements Adversary.
+func (f RelayFunc) Relay(p *sim.Proc, c spm.Call, gate Gate) (spm.Reply, error) { return f(p, c, gate) }
+
+// Dispatcher is the normal world's Enclave Dispatcher: it routes requests to
+// the partitions the device tree names (§III-A) and implements srpc.Transport.
 type Dispatcher struct {
-	K     *sim.Kernel
-	SPM   *spm.SPM
-	Costs *sim.CostModel
+	Adversary Adversary // nil: an honest OS
+	gate      Gate      // spm.SPM.SMC
 
-	byPart map[spm.PartitionID]*mos.MOS
-	byType map[string][]*mos.MOS
-	rr     map[string]int // round-robin cursor per device type
+	byName map[string]spm.PartitionID
+	byType map[string][]spm.PartitionID
+	rr     map[string]int  // round-robin cursor per device type
+	first  spm.PartitionID // relays the platform report
 
-	servers  map[uint32]*srpc.Server
 	notifies srpc.Notifies // shared by this platform's clients and servers
 	callHook srpc.CallHook // read by this platform's clients on every push
 
-	// nextStream is this platform's stream-id counter (srpc.Transport
-	// requires per-platform minting so co-resident platforms stay
-	// deterministic).
-	nextStream uint64
-
-	// Attack knobs — everything a malicious normal OS could do.
-	RouteOverride   func(deviceType string) string                              // dispatch to the wrong partition
-	TamperCreate    func(pub []byte) []byte                                     // swap the owner's DH key in a create
-	TamperSetup     func(msg attest.SealedMsg) attest.SealedMsg                 // corrupt sRPC setup traffic
-	ReplaySetup     bool                                                        // replay the previous setup message
-	FakeLocalReport func(eid uint32, nonce uint64) (attest.LocalReport, []byte) // forge local attestation
-	TamperInvoke    func(msg attest.SealedMsg) attest.SealedMsg                 // corrupt lock-step mECalls
-	DropExecutor    bool                                                        // refuse to create executor threads
-	lastSetup       map[uint32]setupRecord
-}
-
-type setupRecord struct {
-	streamID uint64
-	msg      attest.SealedMsg
+	nextStream uint64 // minted per platform, so co-resident ones stay deterministic
 }
 
 // NewDispatcher creates the dispatcher for a platform.
 func NewDispatcher(s *spm.SPM) *Dispatcher {
 	return &Dispatcher{
-		K:         s.K,
-		SPM:       s,
-		Costs:     s.Costs,
-		byPart:    make(map[spm.PartitionID]*mos.MOS),
-		byType:    make(map[string][]*mos.MOS),
-		rr:        make(map[string]int),
-		servers:   make(map[uint32]*srpc.Server),
-		notifies:  make(srpc.Notifies),
-		lastSetup: make(map[uint32]setupRecord),
+		gate:     s.SMC,
+		byName:   make(map[string]spm.PartitionID),
+		byType:   make(map[string][]spm.PartitionID),
+		rr:       make(map[string]int),
+		notifies: make(srpc.Notifies),
 	}
 }
 
-// RegisterMOS records a booted mOS (its partition's device type and usable
-// resources) for routing.
-func (d *Dispatcher) RegisterMOS(m *mos.MOS) {
-	d.byPart[m.Part.ID] = m
-	t := m.HAL.DeviceType()
-	d.byType[t] = append(d.byType[t], m)
+// RegisterPartition records a partition's id, name and device type for routing.
+func (d *Dispatcher) RegisterPartition(id spm.PartitionID, name, deviceType string) {
+	if d.first == 0 {
+		d.first = id
+	}
+	d.byName[name] = id
+	d.byType[deviceType] = append(d.byType[deviceType], id)
 }
 
 // NextStreamID implements srpc.Transport: ids are minted per platform,
@@ -85,13 +78,10 @@ func (d *Dispatcher) NextStreamID() uint64 {
 	return d.nextStream
 }
 
-// SetStreamBase offsets this platform's stream-id counter. Multi-node
-// fabrics boot several platforms into one simulation kernel; each node gets
-// a disjoint stream-id range (cluster.BootNodes assigns node<<16) so a stream
-// id names one stream across the simulation — chaos schedules and the trace
-// flow map refer to streams by id. Only naming depends on it: every table
-// keyed by stream id is per platform. Call it before the first stream is
-// minted.
+// SetStreamBase offsets this platform's stream-id counter, before the first
+// stream is minted: each node of a multi-node fabric gets a disjoint range
+// (cluster.BootNodes assigns node<<16), so a stream id names one stream
+// across the simulation, as chaos schedules and the trace flow map need.
 func (d *Dispatcher) SetStreamBase(base uint64) {
 	d.nextStream = base
 }
@@ -102,169 +92,70 @@ func (d *Dispatcher) Notifies() srpc.Notifies { return d.notifies }
 // CallHook implements srpc.Transport.
 func (d *Dispatcher) CallHook() *srpc.CallHook { return &d.callHook }
 
-// mosFor locates the mOS hosting an enclave id.
-func (d *Dispatcher) mosFor(eid uint32) (*mos.MOS, error) {
-	m, ok := d.byPart[spm.PartitionID(eid>>24)]
-	if !ok {
-		return nil, fmt.Errorf("normal: no partition for eid %#x", eid)
+// smc sends c through the Adversary, if there is one, to the gate.
+func (d *Dispatcher) smc(p *sim.Proc, c spm.Call) (spm.Reply, error) {
+	if d.Adversary != nil {
+		return d.Adversary.Relay(p, c, d.gate)
 	}
-	return m, nil
-}
-
-// selectMOS picks a partition for a device type, round-robin across
-// partitions of the same type (multi-GPU placement).
-func (d *Dispatcher) selectMOS(deviceType string) (*mos.MOS, error) {
-	if d.RouteOverride != nil {
-		if name := d.RouteOverride(deviceType); name != "" {
-			for _, m := range d.byPart {
-				if m.Part.Name == name {
-					return m, nil
-				}
-			}
-			return nil, fmt.Errorf("normal: no partition %q", name)
-		}
-	}
-	list := d.byType[deviceType]
-	if len(list) == 0 {
-		return nil, fmt.Errorf("normal: no partition hosts device type %q", deviceType)
-	}
-	i := d.rr[deviceType] % len(list)
-	d.rr[deviceType]++
-	return list[i], nil
+	return d.gate(p, c)
 }
 
 // CreateEnclave routes a creation request to a partition of the manifest's
-// device type and returns the creation result. The world switch into the
-// secure world is charged; the mOS enforces that the manifest matches its
-// device (so misrouting fails safe).
-func (d *Dispatcher) CreateEnclave(p *sim.Proc, name string, man enclave.Manifest, files map[string][]byte, callerDHPub []byte) (*mos.CreateResult, error) {
-	m, err := d.selectMOS(man.DeviceType)
-	if err != nil {
-		return nil, err
+// device type, round-robin across partitions of the same type (multi-GPU
+// placement). The mOS enforces that the manifest matches its device, so
+// misrouting fails safe.
+func (d *Dispatcher) CreateEnclave(p *sim.Proc, name string, man enclave.Manifest, files map[string][]byte, callerDHPub []byte) (spm.Reply, error) {
+	ids := d.byType[man.DeviceType]
+	if len(ids) == 0 {
+		return spm.Reply{}, fmt.Errorf("normal: %w hosts device type %q", spm.ErrNoPartition, man.DeviceType)
 	}
-	return d.createAt(p, m, name, man, files, callerDHPub)
+	i := d.rr[man.DeviceType] % len(ids)
+	d.rr[man.DeviceType]++
+	return d.smc(p, spm.Call{Kind: spm.CallCreate, Part: ids[i], Name: name, Manifest: man, Files: files, DHPub: callerDHPub})
 }
 
 // CreateEnclaveAt routes creation to a named partition (explicit placement).
-func (d *Dispatcher) CreateEnclaveAt(p *sim.Proc, partName, name string, man enclave.Manifest, files map[string][]byte, callerDHPub []byte) (*mos.CreateResult, error) {
-	for _, m := range d.byPart {
-		if m.Part.Name == partName {
-			return d.createAt(p, m, name, man, files, callerDHPub)
-		}
+func (d *Dispatcher) CreateEnclaveAt(p *sim.Proc, partName, name string, man enclave.Manifest, files map[string][]byte, callerDHPub []byte) (spm.Reply, error) {
+	id, ok := d.byName[partName]
+	if !ok {
+		return spm.Reply{}, fmt.Errorf("normal: %w %q", spm.ErrNoPartition, partName)
 	}
-	return nil, fmt.Errorf("normal: no partition %q", partName)
-}
-
-func (d *Dispatcher) createAt(p *sim.Proc, m *mos.MOS, name string, man enclave.Manifest, files map[string][]byte, callerDHPub []byte) (*mos.CreateResult, error) {
-	if d.TamperCreate != nil {
-		callerDHPub = d.TamperCreate(callerDHPub)
-	}
-	mWorldSwitches.Add(2)
-	p.Sleep(2 * d.Costs.WorldSwitch)
-	res, e, err := m.EM.Create(p, name, man, files, callerDHPub)
-	if err != nil {
-		return nil, err
-	}
-	d.servers[res.EID] = srpc.NewServer(e, d.notifies)
-	return res, nil
+	return d.smc(p, spm.Call{Kind: spm.CallCreate, Part: id, Name: name, Manifest: man, Files: files, DHPub: callerDHPub})
 }
 
 // InvokeSealed is the lock-step mECall path over untrusted memory: four
-// world/context switches round trip, used by normal-world applications and
-// by the HIX baseline.
+// world switches round trip, used by normal-world applications and by the
+// HIX baseline.
 func (d *Dispatcher) InvokeSealed(p *sim.Proc, eid uint32, msg attest.SealedMsg) (attest.SealedMsg, error) {
-	if d.TamperInvoke != nil {
-		msg = d.TamperInvoke(msg)
-	}
-	m, err := d.mosFor(eid)
-	if err != nil {
-		return attest.SealedMsg{}, err
-	}
-	mWorldSwitches.Add(2)
-	p.Sleep(2*d.Costs.WorldSwitch + d.Costs.UntrustedMsg)
-	reply, err := m.EM.InvokeSealed(p, eid, msg)
-	if err != nil {
-		return attest.SealedMsg{}, err
-	}
-	mWorldSwitches.Add(2)
-	p.Sleep(2 * d.Costs.WorldSwitch)
-	return reply, nil
+	r, err := d.smc(p, spm.Call{Kind: spm.CallInvoke, Part: partOf(eid), EID: eid, Msg: msg})
+	return r.Msg, err
 }
 
 // BuildReport relays a remote attestation request into the secure world.
-func (d *Dispatcher) BuildReport(p *sim.Proc, nonce uint64) *attest.SignedReport {
-	mWorldSwitches.Add(2)
-	p.Sleep(2 * d.Costs.WorldSwitch)
-	enclaves := make(map[string]attest.Measurement)
-	for _, m := range d.byPart {
-		for n, h := range m.EM.Measurements() {
-			enclaves[n] = h
-		}
-	}
-	return d.SPM.BuildReport(enclaves, nonce)
+func (d *Dispatcher) BuildReport(p *sim.Proc, nonce uint64) (*attest.SignedReport, error) {
+	r, err := d.smc(p, spm.Call{Kind: spm.CallReport, Part: d.first, Nonce: nonce})
+	return r.Report, err
 }
-
-// Server returns the sRPC endpoint for an enclave (nil if unknown).
-func (d *Dispatcher) Server(eid uint32) *srpc.Server { return d.servers[eid] }
-
-// --- srpc.Transport implementation -------------------------------------
 
 // LocalReport implements srpc.Transport.
 func (d *Dispatcher) LocalReport(p *sim.Proc, eid uint32, nonce uint64) (attest.LocalReport, []byte, error) {
-	if d.FakeLocalReport != nil {
-		r, mac := d.FakeLocalReport(eid, nonce)
-		return r, mac, nil
-	}
-	m, err := d.mosFor(eid)
-	if err != nil {
-		return attest.LocalReport{}, nil, err
-	}
-	mWorldSwitches.Add(2)
-	p.Sleep(2 * d.Costs.WorldSwitch)
-	return m.EM.LocalReport(eid, nonce)
+	r, err := d.smc(p, spm.Call{Kind: spm.CallLocalReport, Part: partOf(eid), EID: eid, Nonce: nonce})
+	return r.Local, r.MAC, err
 }
 
 // StreamSetup implements srpc.Transport.
 func (d *Dispatcher) StreamSetup(p *sim.Proc, eid uint32, streamID uint64, msg attest.SealedMsg) (attest.SealedMsg, error) {
-	if d.ReplaySetup {
-		if old, ok := d.lastSetup[eid]; ok {
-			msg, streamID = old.msg, old.streamID
-		}
-	}
-	d.lastSetup[eid] = setupRecord{streamID: streamID, msg: msg}
-	if d.TamperSetup != nil {
-		msg = d.TamperSetup(msg)
-	}
-	srv := d.servers[eid]
-	if srv == nil {
-		return attest.SealedMsg{}, fmt.Errorf("normal: no sRPC endpoint for eid %#x", eid)
-	}
-	mWorldSwitches.Add(2)
-	p.Sleep(2 * d.Costs.WorldSwitch)
-	return srv.HandleSetup(p, streamID, msg)
+	r, err := d.smc(p, spm.Call{Kind: spm.CallStreamSetup, Part: partOf(eid), EID: eid, Stream: streamID, Msg: msg})
+	return r.Msg, err
 }
 
 // SpawnExecutor implements srpc.Transport: the normal world creates the
 // executor thread, which immediately enters the secure world and loops
 // inside the callee's partition.
 func (d *Dispatcher) SpawnExecutor(p *sim.Proc, eid uint32, streamID uint64) error {
-	if d.DropExecutor {
-		return fmt.Errorf("normal: executor creation refused (malicious OS)")
-	}
-	srv := d.servers[eid]
-	if srv == nil {
-		return fmt.Errorf("normal: no sRPC endpoint for eid %#x", eid)
-	}
-	m, err := d.mosFor(eid)
-	if err != nil {
-		return err
-	}
-	d.K.Spawn(fmt.Sprintf("executor-%#x-%d", eid, streamID), func(tp *sim.Proc) {
-		m.Part.Register(tp)
-		defer m.Part.Unregister(tp)
-		mWorldSwitches.Inc()
-		tp.Sleep(d.Costs.WorldSwitch)
-		srv.RunExecutor(tp, streamID)
-	})
-	return nil
+	_, err := d.smc(p, spm.Call{Kind: spm.CallSpawnExecutor, Part: partOf(eid), EID: eid, Stream: streamID})
+	return err
 }
+
+// partOf is the partition an enclave id names: its top 8 bits.
+func partOf(eid uint32) spm.PartitionID { return spm.PartitionID(eid >> 24) }

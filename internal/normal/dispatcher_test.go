@@ -11,7 +11,9 @@ import (
 	"cronus/internal/gpu"
 	"cronus/internal/mos"
 	"cronus/internal/mos/driver"
+	"cronus/internal/normal"
 	"cronus/internal/sim"
+	"cronus/internal/spm"
 )
 
 func gpuManifest() (enclave.Manifest, map[string][]byte) {
@@ -48,7 +50,7 @@ func TestRoutingByDeviceType(t *testing.T) {
 			t.Errorf("npu manifest routed to partition %d", res2.EID>>24)
 		}
 		// The dispatcher registered sRPC endpoints for both.
-		if d.Server(res.EID) == nil || d.Server(res2.EID) == nil {
+		if pl.Server(res.EID) == nil || pl.Server(res2.EID) == nil {
 			t.Error("missing sRPC endpoints")
 		}
 		return nil
@@ -65,7 +67,7 @@ func TestRoutingUnknownDeviceType(t *testing.T) {
 		man := enclave.NewManifest("fpga", "f.edl", "", files, enclave.Resources{})
 		dh, _ := attest.NewDHKey([]byte("r"))
 		_, err := d.CreateEnclave(p, "f", man, files, dh.Pub)
-		if err == nil || !strings.Contains(err.Error(), "no partition hosts") {
+		if !errors.Is(err, spm.ErrNoPartition) || !strings.Contains(err.Error(), "no partition hosts") {
 			t.Errorf("err = %v", err)
 		}
 		return nil
@@ -80,7 +82,10 @@ func TestRouteOverrideIsMaliciousButHarmless(t *testing.T) {
 		d := pl.D
 		// The malicious OS redirects GPU requests to the NPU partition;
 		// the mOS's device-type check stops it (§III-B).
-		d.RouteOverride = func(string) string { return "npu-part0" }
+		d.Adversary = normal.RelayFunc(func(p *sim.Proc, c spm.Call, gate normal.Gate) (spm.Reply, error) {
+			c.Part = pl.NPUs[0].Part.ID
+			return gate(p, c)
+		})
 		dh, _ := attest.NewDHKey([]byte("r"))
 		gman, gfiles := gpuManifest()
 		_, err := d.CreateEnclave(p, "g", gman, gfiles, dh.Pub)
@@ -99,7 +104,7 @@ func TestCreateEnclaveAtUnknownPartition(t *testing.T) {
 		d := pl.D
 		dh, _ := attest.NewDHKey([]byte("r"))
 		gman, gfiles := gpuManifest()
-		if _, err := d.CreateEnclaveAt(p, "mars-part", "g", gman, gfiles, dh.Pub); err == nil {
+		if _, err := d.CreateEnclaveAt(p, "mars-part", "g", gman, gfiles, dh.Pub); !errors.Is(err, spm.ErrNoPartition) {
 			t.Error("unknown partition accepted")
 		}
 		return nil
@@ -138,7 +143,7 @@ func TestInvokeSealedToUnknownEID(t *testing.T) {
 	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
 		d := pl.D
 		_, err := d.InvokeSealed(p, 0xFF000001, attest.SealedMsg{})
-		if err == nil {
+		if !errors.Is(err, spm.ErrNoPartition) {
 			t.Error("invoke to unknown partition accepted")
 		}
 		return nil
@@ -156,7 +161,10 @@ func TestBuildReportAggregatesAllPartitions(t *testing.T) {
 		if _, err := d.CreateEnclave(p, "report-e", gman, gfiles, dh.Pub); err != nil {
 			return err
 		}
-		sr := d.BuildReport(p, 9)
+		sr, err := d.BuildReport(p, 9)
+		if err != nil {
+			return err
+		}
 		if len(sr.Report.MOSHashes) != 3 {
 			t.Errorf("report covers %d mOSes, want 3", len(sr.Report.MOSHashes))
 		}

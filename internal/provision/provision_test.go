@@ -48,7 +48,10 @@ func bind(pl *core.Platform, p *sim.Proc) (*provision.Client, *provision.Receive
 		return nil, nil, err
 	}
 	dt := pl.SPM.DTHash()
-	report := pl.D.BuildReport(p, 5)
+	report, err := pl.D.BuildReport(p, 5)
+	if err != nil {
+		return nil, nil, err
+	}
 	want := attest.Expected{
 		EnclaveHashes: s.EnclaveMeasurements(),
 		DTHash:        &dt,
@@ -130,7 +133,10 @@ func TestBindRefusedOnBadReport(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		report := pl.D.BuildReport(p, 1)
+		report, err := pl.D.BuildReport(p, 1)
+		if err != nil {
+			return err
+		}
 		// Client pins a different enclave hash (substituted image).
 		want := attest.Expected{
 			EnclaveHashes: map[string]attest.Measurement{"x": attest.Measure([]byte("other"))},

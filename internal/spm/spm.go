@@ -3,36 +3,24 @@
 // stage-2 page table, creates and isolates partitions (one per device, each
 // running one mOS), brokers trusted shared memory between partitions
 // (§IV-C), and drives the proceed-trap failure recovery procedure (§IV-D).
+// It also plays the secure monitor: SMC (smc.go) is the normal world's one
+// way in, and the SPM derives the platform attestation key from the fused
+// root of trust, measures mOS images and signs platform reports (§IV-A).
 //
-// The SPM also plays the secure monitor's attestation role (§IV-A): it
-// derives the platform attestation key from the fused root of trust,
-// measures mOS images, and signs platform reports.
-//
-// Failure handling is the proceed-trap procedure of §IV-D (recover.go):
-// Fail invalidates a partition's isolation state in one step — stage-2
-// tables cleared, shared-memory grants revoked, registered procs killed —
-// then restarts the device and mOS in a new partition epoch while peers
+// Failure handling (recover.go): Fail invalidates a partition's isolation
+// state in one step — stage-2 tables cleared, grants revoked, registered
+// procs killed — then restarts the device and mOS in a new epoch while peers
 // observe *PeerFault on their next access instead of blocking. OnFailure
-// lets policy layers (the serving plane's scheduler) learn of a trap the
-// instant it fires; AwaitReady parks callers until the recovery completes.
-//
-// Health supervision (supervise.go) closes the watchdog loop of §IV-D's
-// third failure circumstance: each supervised mOS publishes a monotonic
-// heartbeat word into SPM-visible memory, a watchdog process fails silent
-// partitions with FailHang after MissedBeats periods, restart backoff grows
-// exponentially with the sliding-window failure history, and a partition
-// that crash-loops past QuarantineAfter is parked in PartQuarantined for
-// good: quarantine is terminal.
-//
-// Two hooks exist for deterministic fault injection (the chaos harness):
-// Fail itself doubles as the crash injection point, and SetAttestFault can
-// veto local-attestation reports to model provisioning outages during a
-// replica restart. Both are ordinary control flow — no test-only build
-// tags — so injected faults exercise exactly the production paths.
+// tells policy layers the instant a trap fires; AwaitReady parks callers
+// until the recovery completes. Supervision (supervise.go) adds §IV-D's
+// heartbeat watchdog, exponential restart backoff and terminal quarantine.
+// Fail and SetAttestFault double as the chaos harness's injection points:
+// ordinary control flow, so injected faults run the production paths.
 package spm
 
 import (
 	"fmt"
+	"maps"
 
 	"cronus/internal/attest"
 	"cronus/internal/hw"
@@ -189,10 +177,11 @@ type SPM struct {
 	M     *hw.Machine
 	Costs *sim.CostModel
 
-	parts  map[PartitionID]*Partition
-	nextID PartitionID
-	grants map[int]*grant
-	nextG  int
+	parts    map[PartitionID]*Partition
+	nextID   PartitionID
+	handlers map[PartitionID]Handler // SMC entries (RegisterHandler)
+	grants   map[int]*grant
+	nextG    int
 	// sharedPFN enforces the §IV-D rule that a physical page may be
 	// shared at most once: pfn -> grant id.
 	sharedPFN map[uint64]int
@@ -264,6 +253,7 @@ func Boot(k *sim.Kernel, m *hw.Machine, costs *sim.CostModel) (*SPM, error) {
 		M:          m,
 		Costs:      costs,
 		parts:      make(map[PartitionID]*Partition),
+		handlers:   make(map[PartitionID]Handler),
 		nextID:     1,
 		grants:     make(map[int]*grant),
 		sharedPFN:  make(map[uint64]int),
@@ -385,30 +375,19 @@ func (s *SPM) BuildReport(enclaves map[string]attest.Measurement, nonce uint64) 
 		MOSHashes:     make(map[string]attest.Measurement),
 		EnclaveHashes: enclaves,
 		DTHash:        s.dtHash,
-		DeviceKeys:    make(map[string]attest.PublicKey),
+		DeviceKeys:    maps.Clone(s.deviceKeys),
 		Nonce:         nonce,
 	}
 	for _, p := range s.parts {
 		r.MOSHashes[p.Name] = p.mosHash
-	}
-	for d, k := range s.deviceKeys {
-		r.DeviceKeys[d] = k
-	}
-	certs := make(map[string][]byte, len(s.deviceCert))
-	vends := make(map[string]string, len(s.deviceVend))
-	for d, c := range s.deviceCert {
-		certs[d] = c
-	}
-	for d, v := range s.deviceVend {
-		vends[d] = v
 	}
 	return &attest.SignedReport{
 		Report:        r,
 		Sig:           attest.Sign(s.atkPriv, r.Encode()),
 		AtK:           s.AtKPub,
 		AtKCert:       s.AtKCert,
-		DeviceCerts:   certs,
-		DeviceVendors: vends,
+		DeviceCerts:   maps.Clone(s.deviceCert),
+		DeviceVendors: maps.Clone(s.deviceVend),
 	}
 }
 

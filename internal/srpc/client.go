@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"cronus/internal/attest"
 	"cronus/internal/enclave"
 	"cronus/internal/mos"
 	"cronus/internal/sim"
@@ -55,6 +56,10 @@ type Client struct {
 // (the untrusted OS relaying it) produced it.
 var ErrForgedReport = errors.New("srpc: local report not sealed by this machine's SPM")
 
+// ErrReportIdentity refuses a genuine local report for another enclave or
+// another request: one the normal OS replayed or rerouted.
+var ErrReportIdentity = errors.New("srpc: local report identity mismatch")
+
 // Connect establishes a stream from the owner enclave to peer eid (§IV-C):
 // ① local attestation of the peer (automatic, verified against want),
 // ② trusted shared memory establishment through the SPM,
@@ -88,13 +93,13 @@ func Connect(p *sim.Proc, owner *mos.Enclave, peerEID uint32, secret []byte, pee
 		return nil, ErrForgedReport
 	}
 	if rep.EnclaveID != peerEID || rep.Nonce != nonce {
-		return nil, fmt.Errorf("srpc: local report identity mismatch")
+		return nil, ErrReportIdentity
 	}
 	if rep.EnclaveHash != want.EnclaveHash {
-		return nil, fmt.Errorf("srpc: peer enclave measurement mismatch (substituted mEnclave?)")
+		return nil, fmt.Errorf("srpc: peer enclave measurement mismatch (substituted mEnclave?): %w", attest.ErrMeasurementMismatch)
 	}
 	if rep.MOSHash != want.MOSHash {
-		return nil, fmt.Errorf("srpc: peer mOS measurement mismatch (substituted mOS?)")
+		return nil, fmt.Errorf("srpc: peer mOS measurement mismatch (substituted mOS?): %w", attest.ErrMeasurementMismatch)
 	}
 
 	// ② Allocate smem in the owner's partition and share it with the

@@ -1,6 +1,7 @@
 package srpc
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 
@@ -39,8 +40,13 @@ type Transport interface {
 	CallHook() *CallHook
 }
 
+// ErrNoEndpoint refuses an establishment message for an enclave without an
+// sRPC endpoint in the partition it was sent to.
+var ErrNoEndpoint = errors.New("no sRPC endpoint")
+
 // Server is the callee-side sRPC endpoint wrapped around one mEnclave. The
-// dispatcher creates one per enclave; its mOS hosts the executor threads.
+// secure side of the SMC gate creates one per enclave; its mOS hosts the
+// executor threads.
 // One enclave serves many streams (one per caller thread, §IV-C).
 type Server struct {
 	enc      *mos.Enclave
@@ -124,7 +130,7 @@ func (s *Server) Enclave() *mos.Enclave { return s.enc }
 // would otherwise reset Sid and re-execute consumed records.
 func (s *Server) HandleSetup(p *sim.Proc, streamID uint64, msg attest.SealedMsg) (attest.SealedMsg, error) {
 	if _, dup := s.streams[streamID]; dup {
-		return attest.SealedMsg{}, fmt.Errorf("srpc: stream %d already established (replayed setup?)", streamID)
+		return attest.SealedMsg{}, fmt.Errorf("srpc: stream %d already established (replayed setup?): %w", streamID, attest.ErrReplayed)
 	}
 	rx, tx := setupChannels(s.enc.Secret(), streamID)
 	payload, err := rx.Open(msg)
@@ -163,11 +169,24 @@ func (s *Server) HandleSetup(p *sim.Proc, streamID uint64, msg attest.SealedMsg)
 	return tx.Seal(wire.NewEncoder().U64(streamID).Bytes()), nil
 }
 
-// RunExecutor is the body of the executor thread T (§IV-C): it drains the
+// ErrNoStream refuses an executor for a stream that is not set up, or that
+// already has one: a spawn the normal OS altered or replayed.
+var ErrNoStream = errors.New("srpc: no stream awaiting an executor")
+
+// Executor returns the executor loop of a stream that is set up and not yet
+// served, for the executor thread to run inside the callee's partition.
+func (s *Server) Executor(streamID uint64) (func(*sim.Proc), error) {
+	if st, ok := s.streams[streamID]; !ok || st.running {
+		return nil, fmt.Errorf("%w (stream %d)", ErrNoStream, streamID)
+	}
+	return func(p *sim.Proc) { s.runExecutor(p, streamID) }, nil
+}
+
+// runExecutor is the body of the executor thread T (§IV-C): it drains the
 // ring, executes each mECall strictly in order, publishes results for
 // synchronous records, and advances Sid. It returns when the stream closes
 // or the peer fails.
-func (s *Server) RunExecutor(p *sim.Proc, streamID uint64) {
+func (s *Server) runExecutor(p *sim.Proc, streamID uint64) {
 	st, ok := s.streams[streamID]
 	if !ok || st.running {
 		return // unknown stream, or a duplicated executor (replay attempt)

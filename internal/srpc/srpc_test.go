@@ -15,6 +15,7 @@ import (
 	"cronus/internal/hw"
 	"cronus/internal/mos"
 	"cronus/internal/mos/driver"
+	"cronus/internal/normal"
 	"cronus/internal/sim"
 	"cronus/internal/spm"
 	"cronus/internal/srpc"
@@ -109,6 +110,16 @@ func run(t *testing.T, body func(h *harness, p *sim.Proc) error) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// on is a normal OS that plays f on every call of kind and relays the others.
+func on(kind spm.CallKind, f normal.RelayFunc) normal.Adversary {
+	return normal.RelayFunc(func(p *sim.Proc, c spm.Call, gate normal.Gate) (spm.Reply, error) {
+		if c.Kind != kind {
+			return gate(p, c)
+		}
+		return f(p, c, gate)
+	})
 }
 
 func (h *harness) connect(p *sim.Proc) (*srpc.Client, error) {
@@ -321,13 +332,13 @@ func TestConnectRejectsSubstitutedEnclaveMeasurement(t *testing.T) {
 func TestConnectRejectsForgedLocalReport(t *testing.T) {
 	run(t, func(h *harness, p *sim.Proc) error {
 		// The malicious OS forges a local report (it cannot: no LSK).
-		h.pl.D.FakeLocalReport = func(eid uint32, nonce uint64) (attest.LocalReport, []byte) {
-			r := attest.LocalReport{EnclaveID: eid, EnclaveHash: h.wantB.EnclaveHash, MOSHash: h.wantB.MOSHash, Nonce: nonce}
+		h.pl.D.Adversary = on(spm.CallLocalReport, func(_ *sim.Proc, c spm.Call, _ normal.Gate) (spm.Reply, error) {
+			r := attest.LocalReport{EnclaveID: c.EID, EnclaveHash: h.wantB.EnclaveHash, MOSHash: h.wantB.MOSHash, Nonce: c.Nonce}
 			fake := attest.NewLocalSealer([]byte("attacker guess"))
-			return r, fake.Seal(r)
-		}
+			return spm.Reply{Local: r, MAC: fake.Seal(r)}, nil
+		})
 		_, err := h.connect(p)
-		if err == nil || !strings.Contains(err.Error(), "SPM") {
+		if !errors.Is(err, srpc.ErrForgedReport) || !strings.Contains(err.Error(), "SPM") {
 			t.Errorf("err = %v, want LSK verification failure", err)
 		}
 		return nil
@@ -336,35 +347,43 @@ func TestConnectRejectsForgedLocalReport(t *testing.T) {
 
 func TestSetupTamperAndReplayDetected(t *testing.T) {
 	run(t, func(h *harness, p *sim.Proc) error {
-		h.pl.D.TamperSetup = func(m attest.SealedMsg) attest.SealedMsg {
-			if len(m.Payload) > 0 {
-				m.Payload[0] ^= 0xff
+		h.pl.D.Adversary = on(spm.CallStreamSetup, func(p *sim.Proc, c spm.Call, gate normal.Gate) (spm.Reply, error) {
+			c.Msg.Payload = append([]byte(nil), c.Msg.Payload...)
+			c.Msg.Payload[0] ^= 0xff
+			return gate(p, c)
+		})
+		if _, err := h.connect(p); !errors.Is(err, attest.ErrTampered) {
+			t.Errorf("tampered setup: err %v, want attest.ErrTampered", err)
+		}
+		// A legitimate connect's setup is recorded; the next connect's is
+		// replaced by it, which the server refuses as a replay.
+		var last *spm.Call
+		h.pl.D.Adversary = on(spm.CallStreamSetup, func(p *sim.Proc, c spm.Call, gate normal.Gate) (spm.Reply, error) {
+			if last != nil {
+				return gate(p, *last)
 			}
-			return m
-		}
-		if _, err := h.connect(p); err == nil {
-			t.Error("tampered setup accepted")
-		}
-		h.pl.D.TamperSetup = nil
-		// First legitimate connect primes lastSetup; the replayed copy
-		// must then be rejected by the channel sequence check.
+			last = &c
+			return gate(p, c)
+		})
 		good, err := h.connect(p)
 		if err != nil {
 			return err
 		}
 		defer good.Close(p)
-		h.pl.D.ReplaySetup = true
-		if _, err := h.connect(p); err == nil {
-			t.Error("replayed setup accepted")
+		if _, err := h.connect(p); !errors.Is(err, attest.ErrReplayed) {
+			t.Errorf("replayed setup: err %v, want attest.ErrReplayed", err)
 		}
+		h.pl.D.Adversary = nil
 		return nil
 	})
 }
 
 func TestDroppedExecutorFailsEstablishment(t *testing.T) {
 	run(t, func(h *harness, p *sim.Proc) error {
-		h.pl.D.DropExecutor = true
-		if _, err := h.connect(p); err == nil {
+		h.pl.D.Adversary = on(spm.CallSpawnExecutor, func(*sim.Proc, spm.Call, normal.Gate) (spm.Reply, error) {
+			return spm.Reply{}, normal.ErrDropped
+		})
+		if _, err := h.connect(p); !errors.Is(err, normal.ErrDropped) {
 			t.Error("connect succeeded without an executor")
 		}
 		return nil
@@ -444,7 +463,7 @@ func TestEnclaveFailureNotifiesOwner(t *testing.T) {
 		}
 		// Only the callee mEnclave dies (not the partition). Note the
 		// grant is owned by mE_A; enclave-level kill revokes via the EM.
-		srv := h.pl.D.Server(h.eidB)
+		srv := h.pl.Server(h.eidB)
 		srv.Enclave().Kill(p)
 		_, err = c.Call(p, driver.CallDtoH, driver.EncodeDtoH(0, 4))
 		if err == nil {

@@ -223,7 +223,7 @@ func TestFusedRecordHeldToArenaSlot(t *testing.T) {
 		launch := driver.EncodeLaunch(new(wire.Encoder), "saxpy", gpu.Dim{16, 1, 1}, dst, dst, 2)
 		arena, slot := c.ArenaGeometry()
 		ringSlots := uint64((srpc.DefaultPages - 1) * 4096 / srpc.SlotSize)
-		srv := h.pl.D.Server(h.eidB)
+		srv := h.pl.Server(h.eidB)
 
 		fused := func(arenaIPA, off, n uint64) error {
 			desc := wire.NewEncoder().U64(arenaIPA).U64(off).U64(n).
