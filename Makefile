@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check test vet race cover fuzz bench bench-build chaos smoke doc-lint ci examples tools figures attack loc clean
+.PHONY: all build fmt-check fma-check test vet race cover fuzz bench bench-build chaos smoke doc-lint ci examples tools figures attack loc clean
 
 all: build vet test race
 
@@ -78,13 +78,17 @@ bench:
 # re-keying engine to the key sequence of one that resumes every job;
 # FuzzEventQueue holds the kernel's two-tier event queue to a sort;
 # FuzzTicketResume holds the attestation ticket cache to a map-based model
-# (TTL, LRU capacity, epochs, revocation) — plus FuzzNormalOS, whose bytes
+# (TTL, LRU capacity, epochs, revocation); FuzzMatmul holds every matmul
+# variant, through the register tiles, their Inf/NaN-in-B fallback and the row
+# path, to the textbook loop bit for bit — plus FuzzNormalOS, whose bytes
 # pick what a malicious normal OS does with each SMC of a fixed session (drop,
 # replay, flip, reroute, forge), each step ending in its honest result or a
 # typed refusal. One short leg per target —
 # `go test -fuzz` takes a single target and a single package — on top of the
-# checked-in seed corpora under testdata/fuzz, which every plain `go test` run
-# already replays.
+# checked-in seed corpora under testdata/fuzz and the f.Add seeds, which every
+# plain `go test` run already replays. FuzzNormalOS runs 60 s, not FUZZTIME:
+# each of its inputs boots a platform and runs a session (~600 execs/s), so
+# 10 s explores too little of its strategy space.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime $(FUZZTIME) ./internal/wire
@@ -96,7 +100,20 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPSEngineRekey$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTicketResume$$' -fuzztime $(FUZZTIME) ./internal/attest
-	$(GO) test -run '^$$' -fuzz '^FuzzNormalOS$$' -fuzztime $(FUZZTIME) ./internal/normal
+	$(GO) test -run '^$$' -fuzz '^FuzzMatmul$$' -fuzztime $(FUZZTIME) ./internal/gpu
+	$(GO) test -run '^$$' -fuzz '^FuzzNormalOS$$' -fuzztime 60s ./internal/normal
+
+# No fused multiply-add under internal/: the Go spec lets a compiler fuse x*y + z
+# into one rounding unless the product is converted explicitly (float32(x*y),
+# float64(x*y)), and arm64's compiler does where amd64's (GOAMD64=v1) cannot,
+# so an unconverted product would give arm64 other virtual times and kernel
+# bits. The arm64 compiler's listing of every package of this module must name
+# no FMADD/FMSUB/FNMADD/FNMSUB; the build cache replays the listing, so a warm
+# run takes seconds.
+fma-check:
+	@out="$$(GOARCH=arm64 $(GO) build -gcflags='cronus/...=-S' ./... 2>&1)" || { echo "$$out" | tail -n 20; exit 1; }; \
+	fused="$$(echo "$$out" | grep -E '\bFN?M(ADD|SUB)[DS]\b')"; \
+	test -z "$$fused" || { echo "fused multiply-add in the arm64 build:"; echo "$$fused"; exit 1; }
 
 # Documentation bar: package docs plus doc comments on every exported
 # identifier of the API-bearing packages (serve, srpc, spm, mos, chaos), and
@@ -143,8 +160,9 @@ bench-build:
 
 # The one CI list — .github/workflows/ci.yml runs exactly `make ci`: the
 # format check, build, vet (once more for arm64, which type-checks the Go
-# files no amd64 build compiles: the portable matmul leaf of
-# internal/gpu/rowterms_other.go), the full test suite under the coverage gate (the
+# files no amd64 build compiles: the portable matmul leaves of
+# internal/gpu/rowterms_other.go), the arm64 fused-multiply-add check, the full
+# test suite under the coverage gate (the
 # causal-tracing guards and the cronus-attack defences included), the suite
 # once more on a 32-bit int (GOARCH=386: a bounds check that sums two
 # peer-supplied lengths wraps there first, and the fuzz seed corpora must end
@@ -157,6 +175,7 @@ ci:
 	$(GO) build ./...
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
+	$(MAKE) fma-check
 	$(MAKE) cover
 	GOARCH=386 $(GO) test -count=1 ./...
 	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/hw ./internal/sim \

@@ -117,9 +117,9 @@ func (f *Fabric) SlowMultAt(node int, at sim.Time) float64 {
 // carried by the sim.Port hop so event ordering and cost accounting
 // agree on when bytes arrive.
 func (f *Fabric) TransferNS(node int, nbytes int, at sim.Time) sim.Duration {
-	ns := f.SerPerByte*float64(nbytes) + float64(nbytes)/f.GBps
+	ns := float64(f.SerPerByte*float64(nbytes)) + float64(nbytes)/f.GBps
 	if mult := f.SlowMultAt(node, at); mult > 1 {
-		ns += 2 * (mult - 1) * float64(f.Latency)
+		ns += float64(2 * (mult - 1) * float64(f.Latency))
 	}
 	return sim.Duration(ns)
 }

@@ -24,7 +24,7 @@ func (l Layer) Rows(batch int) int { return batch * l.Spatial }
 
 // FLOPs returns the forward FLOPs of the layer at a batch size.
 func (l Layer) FLOPs(batch int) float64 {
-	return 2 * float64(l.Rows(batch)) * float64(l.K) * float64(l.N)
+	return float64(2 * float64(l.Rows(batch)) * float64(l.K) * float64(l.N))
 }
 
 // Model is a structural DNN definition. Share one by pointer; a Model is not

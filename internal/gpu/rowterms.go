@@ -9,7 +9,9 @@ package gpu
 
 // rowTermsGo is rowTerms in Go: the terms folded four per pass over the row —
 // one load and one store of c[j] carry four multiply-adds, still applied to
-// it one after the other — and the last up to three through axpy.
+// it one after the other — and the last up to three through axpy. Every
+// product is converted to float32 before its add: the Go spec forbids a
+// compiler to fuse a converted product, and arm64's fuses one that is not.
 func rowTermsGo(c, b, av []float32, at []int) {
 	n := len(c)
 	g := 0
@@ -17,10 +19,10 @@ func rowTermsGo(c, b, av []float32, at []int) {
 		b0, b1, b2, b3 := b[at[g]:][:n], b[at[g+1]:][:n], b[at[g+2]:][:n], b[at[g+3]:][:n]
 		a0, a1, a2, a3 := av[g], av[g+1], av[g+2], av[g+3]
 		for j, v := range c {
-			v += a0 * b0[j]
-			v += a1 * b1[j]
-			v += a2 * b2[j]
-			v += a3 * b3[j]
+			v += float32(a0 * b0[j])
+			v += float32(a1 * b1[j])
+			v += float32(a2 * b2[j])
+			v += float32(a3 * b3[j])
 			c[j] = v
 		}
 	}
@@ -34,6 +36,32 @@ func rowTermsGo(c, b, av []float32, at []int) {
 func axpy(c []float32, a float32, b []float32) {
 	b = b[:len(c)]
 	for j := range c {
-		c[j] += a * b[j]
+		c[j] += float32(a * b[j])
 	}
+}
+
+// tileTerms(out, a, ao, rt, bp) computes one 4×8 tile of C from nothing:
+// out[q][j] = Σ_t a[ao[q]+t·rt]·bp[8t+j] over t = 0 … len(bp)/8−1, t
+// ascending, every term taken — zero a values included — as one multiply and
+// one add onto a sum that starts at +0. Row q of op(A) is read in place with
+// stride rt, so one body serves A stored M×K (ao[q] = i·K, rt = 1) and K×M
+// (ao[q] = i, rt = M); bp is one panel of packPanels. The caller proves every
+// read in bounds: len(bp)%8 == 0, the ao[q] ascend, and when len(bp) > 0
+// a[ao[3]+(len(bp)/8−1)·rt] is in a. On amd64 the body is SSE2 assembly
+// (rowterms_amd64.s); elsewhere it is tileTermsGo.
+
+// tileTermsGo is tileTerms in Go, each product converted to float32 before
+// its add as in rowTermsGo: the assembly's MULPS and ADDPS are two roundings.
+func tileTermsGo(out *[4][8]float32, a []float32, ao *[4]int, rt int, bp []float32) {
+	var c [4][8]float32
+	for t := 0; t < len(bp)/8; t++ {
+		b := (*[8]float32)(bp[8*t:])
+		for q := range c {
+			v := a[ao[q]+t*rt]
+			for j := range c[q] {
+				c[q][j] += float32(v * b[j])
+			}
+		}
+	}
+	*out = c
 }

@@ -6,3 +6,9 @@ package gpu
 //
 //go:noescape
 func rowTerms(c, b, av []float32, at []int)
+
+// tileTerms is the SSE2 body in rowterms_amd64.s: the tile's 32 sums live in
+// X0–X7 for all of k, and each term is one MULPS/ADDPS pair per four columns.
+//
+//go:noescape
+func tileTerms(out *[4][8]float32, a []float32, ao *[4]int, rt int, bp []float32)

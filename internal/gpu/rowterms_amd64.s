@@ -126,3 +126,89 @@ singlenext:
 
 done:
 	RET
+
+// func tileTerms(out *[4][8]float32, a []float32, ao *[4]int, rt int, bp []float32)
+//
+// X0-X7 hold the tile, row q in X(2q) (columns 0-3) and X(2q+1) (columns
+// 4-7), from +0. A step of t loads the panel row into X8 and X9, and for
+// each row broadcasts its a value from R9, R10, R11 or R12 (the row's start)
+// plus AX (t·rt bytes) into X10, MULPS it by both halves and ADDPS the
+// products into the row. Every lane takes its products in t order, one
+// rounding each, and there is no FMA. Nothing is skipped: a zero a adds a
+// ±0 product, which leaves every sum as it is (a sum that starts at +0 is
+// never −0 under round to nearest) as long as the panel is finite.
+TEXT ·tileTerms(SB), NOSPLIT, $0-72
+	MOVQ out+0(FP), DI
+	MOVQ a_base+8(FP), SI
+	MOVQ ao+32(FP), R8
+	MOVQ rt+40(FP), DX
+	MOVQ bp_base+48(FP), BX
+	MOVQ bp_len+56(FP), CX
+	SHRQ $3, CX // k: one panel row of eight per term
+	SHLQ $2, DX // rt in bytes
+	MOVQ 0(R8), R9
+	LEAQ (SI)(R9*4), R9
+	MOVQ 8(R8), R10
+	LEAQ (SI)(R10*4), R10
+	MOVQ 16(R8), R11
+	LEAQ (SI)(R11*4), R11
+	MOVQ 24(R8), R12
+	LEAQ (SI)(R12*4), R12
+	XORQ AX, AX
+	XORPS X0, X0
+	XORPS X1, X1
+	XORPS X2, X2
+	XORPS X3, X3
+	XORPS X4, X4
+	XORPS X5, X5
+	XORPS X6, X6
+	XORPS X7, X7
+	TESTQ CX, CX
+	JEQ   tilestore
+
+tileloop:
+	MOVUPS 0(BX), X8
+	MOVUPS 16(BX), X9
+	MOVSS  (R9)(AX*1), X10
+	SHUFPS $0, X10, X10
+	MOVAPS X10, X11
+	MULPS  X8, X10
+	MULPS  X9, X11
+	ADDPS  X10, X0
+	ADDPS  X11, X1
+	MOVSS  (R10)(AX*1), X10
+	SHUFPS $0, X10, X10
+	MOVAPS X10, X11
+	MULPS  X8, X10
+	MULPS  X9, X11
+	ADDPS  X10, X2
+	ADDPS  X11, X3
+	MOVSS  (R11)(AX*1), X10
+	SHUFPS $0, X10, X10
+	MOVAPS X10, X11
+	MULPS  X8, X10
+	MULPS  X9, X11
+	ADDPS  X10, X4
+	ADDPS  X11, X5
+	MOVSS  (R12)(AX*1), X10
+	SHUFPS $0, X10, X10
+	MOVAPS X10, X11
+	MULPS  X8, X10
+	MULPS  X9, X11
+	ADDPS  X10, X6
+	ADDPS  X11, X7
+	ADDQ   $32, BX
+	ADDQ   DX, AX
+	DECQ   CX
+	JNE    tileloop
+
+tilestore:
+	MOVUPS X0, 0(DI)
+	MOVUPS X1, 16(DI)
+	MOVUPS X2, 32(DI)
+	MOVUPS X3, 48(DI)
+	MOVUPS X4, 64(DI)
+	MOVUPS X5, 80(DI)
+	MOVUPS X6, 96(DI)
+	MOVUPS X7, 112(DI)
+	RET

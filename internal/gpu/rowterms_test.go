@@ -100,9 +100,96 @@ func TestRowTermsMatchPortable(t *testing.T) {
 	}
 }
 
-// BenchmarkMatmulShapes runs MatmulFunc on the five shapes that take most of
-// a paper_figs pass's matmul time, half of A zero as after a ReLU. A shape
-// is variant M×N×K: f is C = A·B, tn A stored K×M, nt B stored N×K.
+// TestTileTermsMatchPortable holds tileTerms to tileTermsGo bit for bit: A
+// stored both ways (rt 1 and rt M), a trailing group of one to four rows
+// (the ao of the missing rows repeat the last), 0–9, 64 and 300 terms, over
+// dense values, zero a values of both signs, subnormal products, ±Inf in
+// either operand and one NaN operand. Where tileTermsGo is tileTerms it
+// compares the function with itself. A lane that meets two NaNs is compared
+// by NaN-ness only, as in TestRowTermsMatchPortable.
+func TestTileTermsMatchPortable(t *testing.T) {
+	fills := []struct {
+		name    string
+		twoNaNs bool
+		fill    func(rng *rand.Rand, a, bp []float32)
+	}{
+		{"dense", false, func(*rand.Rand, []float32, []float32) {}},
+		{"zeros", false, func(rng *rand.Rand, a, _ []float32) {
+			for i := range a {
+				if rng.Intn(2) == 0 {
+					a[i] = float32(math.Copysign(0, float64(rng.Intn(2)*2-1)))
+				}
+			}
+		}},
+		{"subnormal", false, func(rng *rand.Rand, a, bp []float32) {
+			for i := range a {
+				a[i] = float32(1+rng.Intn(4)) * 0x1p-70
+			}
+			for i := range bp {
+				bp[i] = float32(rng.NormFloat64()) * 0x1p-60
+			}
+		}},
+		{"inf", false, func(rng *rand.Rand, a, bp []float32) {
+			bp[rng.Intn(len(bp))] = float32(math.Inf(1 - 2*rng.Intn(2)))
+			a[rng.Intn(len(a))] = float32(math.Inf(1 - 2*rng.Intn(2)))
+		}},
+		{"nan-a", false, func(rng *rand.Rand, a, _ []float32) {
+			a[rng.Intn(len(a))] = math.Float32frombits(0xffc00003)
+		}},
+		{"nan-b", false, func(rng *rand.Rand, _, bp []float32) {
+			bp[rng.Intn(len(bp))] = math.Float32frombits(0x7fa00001 | rng.Uint32()&0x801ffffe)
+		}},
+		{"nans", true, func(rng *rand.Rand, a, bp []float32) {
+			for range 1 + len(bp)/8 {
+				bp[rng.Intn(len(bp))] = math.Float32frombits(0x7fc00000 | rng.Uint32()&0x803fffff)
+			}
+			a[rng.Intn(len(a))] = math.Float32frombits(0xffc00003)
+		}},
+	}
+	rng := rand.New(rand.NewSource(36))
+	for _, k := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 300} {
+		for m := 1; m <= 4; m++ {
+			for _, aT := range []bool{false, true} {
+				for _, f := range fills {
+					a, bp := make([]float32, m*k+1), make([]float32, 8*k+8)
+					for i := range a {
+						a[i] = float32(rng.NormFloat64())
+					}
+					for i := range bp {
+						bp[i] = float32(rng.NormFloat64())
+					}
+					f.fill(rng, a, bp)
+					a, bp = a[:m*k], bp[:8*k]
+					ri, rt := k, 1
+					if aT {
+						ri, rt = 1, m
+					}
+					var ao [4]int
+					for q := range ao {
+						ao[q] = min(q, m-1) * ri
+					}
+					var got, want [4][8]float32
+					tileTermsGo(&want, a, &ao, rt, bp)
+					tileTerms(&got, a, &ao, rt, bp)
+					for q := range got {
+						for j := range got[q] {
+							gv, wv := got[q][j], want[q][j]
+							g, w := math.Float32bits(gv), math.Float32bits(wv)
+							if g != w && !(f.twoNaNs && gv != gv && wv != wv) {
+								t.Fatalf("%s k=%d m=%d aT=%v: tile[%d][%d] = %#08x, tileTermsGo gives %#08x", f.name, k, m, aT, q, j, g, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkMatmulShapes runs MatmulFunc on the shapes that take most of a
+// paper_figs pass's matmul time, half of A zero as after a ReLU. A shape is
+// variant M×N×K: f is C = A·B, tn A stored K×M, nt B stored N×K. All but the
+// last are narrow (N ≤ 16, mulTiles); nt_8x400x120 is the wide control.
 func BenchmarkMatmulShapes(b *testing.B) {
 	shapes := []struct {
 		variant string
@@ -112,6 +199,10 @@ func BenchmarkMatmulShapes(b *testing.B) {
 		{"tn", 25, 6, 1152},
 		{"f", 200, 16, 150},
 		{"f", 1152, 6, 25},
+		{"tn", 144, 4, 256},
+		{"f", 256, 4, 144},
+		{"tn", 72, 8, 1024},
+		{"f", 1024, 8, 72},
 		{"nt", 8, 400, 120},
 	}
 	for _, s := range shapes {

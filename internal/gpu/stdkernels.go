@@ -43,10 +43,13 @@ func FlopCost(frac float64, flops func(grid Dim, args []uint64) float64) func(fl
 // a, b, c, M, N, K. aT says A is stored K×M, bT that B is stored N×K. The
 // variants differ only in how the operands lie in memory: each C[i,j] adds its
 // K products in ascending t, skipping zero A elements, one multiply and one
-// add per product, so they all round like the textbook triple loop. A and B
-// are read where they lie in device memory, a transposed one after being
-// turned into the device arena; C is built in the arena and copied out after
-// the compute, so C may alias A or B.
+// add per product, so they all round like the textbook triple loop. C's width
+// picks the leaf: a C of at most narrowN columns is computed in register tiles
+// by mulTiles, which reads A where it lies, unless B holds an Inf or a NaN; a
+// wider C, and that fallback, go a row at a time through mulRows, which reads
+// A and an untransposed B where they lie and a transposed one after turning it
+// into the device arena. C is built in the arena and copied out after the
+// compute, so C may alias A or B.
 func MatmulFunc(aT, bT bool) func(*Exec) error {
 	return func(e *Exec) error {
 		m, n, k := e.Int(3), e.Int(4), e.Int(5)
@@ -67,6 +70,9 @@ func MatmulFunc(aT, bT bool) func(*Exec) error {
 		}
 		// From here every loop bound and arena size is a dimension of a
 		// non-empty view, so the allocations the caller owns bound them all.
+		if n <= narrowN && mulTiles(e, out, a, b, m, n, k, aT, bT) {
+			return nil
+		}
 		size := m * n
 		if aT {
 			size += m * k
@@ -88,6 +94,96 @@ func MatmulFunc(aT, bT bool) func(*Exec) error {
 		mulRows(c, a, b, n, k)
 		copy(out, c)
 		return nil
+	}
+}
+
+// narrowN is the widest C that mulTiles computes, two panels of eight
+// columns: up to it every shape of BenchmarkMatmulShapes runs faster in tiles
+// than in rows; past it the rows' skipping of zero A terms starts to win on
+// some shapes (a 1152×25×6 nt, K = 6, runs slower in tiles at N = 25).
+const narrowN = 16
+
+// mulTiles computes C = op(A) × op(B) into out four rows and one eight-column
+// panel at a time (tileTerms), B packed into the arena after C. Every A term
+// is taken, zero or not, which is exact only against a finite B: ±0 times a
+// finite b is ±0, and adding ±0 to a sum that started at +0 changes no bit,
+// but ±0 times an Inf or a NaN is a NaN the textbook loop never makes. So it
+// reports false, having written nothing to out, when B holds an Inf or a NaN.
+// A trailing group of fewer than four rows repeats row m−1 in its unused
+// places and copies out only its own rows.
+func mulTiles(e *Exec, out, a, b F32, m, n, k int, aT, bT bool) bool {
+	if !allFinite(b) {
+		return false
+	}
+	panels := (n + 7) / 8
+	s := e.Scratch(m*n + panels*8*k)
+	c, bp := s[:m*n], s[m*n:]
+	packPanels(bp, b, n, k, bT)
+	ri, rt := k, 1 // op(A)[i,t] is a[i·ri + t·rt]
+	if aT {
+		ri, rt = 1, m
+	}
+	var (
+		tile [4][8]float32
+		ao   [4]int
+	)
+	for i := 0; i < m; i += 4 {
+		for q := range ao {
+			ao[q] = min(i+q, m-1) * ri
+		}
+		// tileTerms reads a[ao[q] + t·rt] for t < k without a bounds check
+		// of its own; the ao[q] ascend, so the last row's last term bounds
+		// them all.
+		if k > 0 {
+			_ = a[ao[3]+(k-1)*rt]
+		}
+		rows := min(4, m-i)
+		for j := 0; j < n; j += 8 {
+			tileTerms(&tile, a, &ao, rt, bp[j*k:][:8*k])
+			w := min(8, n-j)
+			for q := range rows {
+				copy(c[(i+q)*n+j:][:w], tile[q][:w])
+			}
+		}
+	}
+	copy(out, c)
+	return true
+}
+
+// allFinite reports whether no element of x is an Inf or a NaN: those are the
+// floats whose exponent bits are all ones, and adding one to the exponent
+// field carries into the sign bit exactly for them.
+func allFinite(x []float32) bool {
+	var carry uint32
+	for _, v := range x {
+		carry |= math.Float32bits(v)&0x7f800000 + 0x00800000
+	}
+	return carry>>31 == 0
+}
+
+// packPanels stores op(B) (k×n; B itself is n×k when bT) into bp as
+// ⌈n/8⌉ panels of k rows of eight floats: panel p row t is columns 8p…8p+7 of
+// op(B)'s row t, zero past column n−1 — no C column reads those lanes, but a
+// stale subnormal left there would slow every multiply by it. len(bp) ==
+// ⌈n/8⌉·8·k.
+func packPanels(bp, b F32, n, k int, bT bool) {
+	for j := 0; j < n; j += 8 {
+		panel, w := bp[j*k:][:8*k], min(8, n-j)
+		if bT {
+			clear(panel)
+			for jj := range w {
+				col := b[(j+jj)*k:][:k]
+				for t, v := range col {
+					panel[8*t+jj] = v
+				}
+			}
+			continue
+		}
+		for t := range k {
+			row := panel[8*t:][:8]
+			copy(row, b[t*n+j:][:w])
+			clear(row[w:])
+		}
 	}
 }
 
@@ -212,7 +308,7 @@ func RegisterStdKernels() {
 			}
 			alpha := math.Float32frombits(uint32(e.Arg(2)))
 			for i := range y {
-				y[i] += alpha * x[i]
+				y[i] += float32(alpha * x[i])
 			}
 			return nil
 		},

@@ -335,7 +335,7 @@ func (h HistValue) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(h.Count)
+	rank := float64(q * float64(h.Count))
 	cum := float64(0)
 	clamp := func(v float64) float64 {
 		if v < float64(h.Min) {
@@ -357,7 +357,7 @@ func (h HistValue) Quantile(q float64) float64 {
 			if pos > 1 {
 				pos = 1
 			}
-			return clamp(lo + pos*(hi-lo))
+			return clamp(lo + float64(pos*(hi-lo)))
 		}
 		cum += n
 	}

@@ -68,7 +68,7 @@ func (e *PSEngine) settle(now Time) {
 	f := e.factor()
 	dt := float64(now - e.last)
 	for _, j := range e.jobs {
-		j.remaining -= dt * f
+		j.remaining -= float64(dt * f)
 	}
 	e.last = now
 }

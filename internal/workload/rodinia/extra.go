@@ -44,7 +44,7 @@ func registerExtendedKernels() {
 					m := a[at(r, i)] / piv
 					a[at(r, i)] = m
 					for c := i + 1; c < b; c++ {
-						a[at(r, c)] -= m * a[at(i, c)]
+						a[at(r, c)] -= float32(m * a[at(i, c)])
 					}
 				}
 			}
@@ -73,7 +73,7 @@ func registerExtendedKernels() {
 					for c := 0; c < b; c++ {
 						var s float32
 						for k := 0; k < i; k++ {
-							s += a[(off+i)*size+off+k] * a[(off+k)*size+cb+c]
+							s += float32(a[(off+i)*size+off+k] * a[(off+k)*size+cb+c])
 						}
 						a[(off+i)*size+cb+c] -= s
 					}
@@ -102,9 +102,9 @@ func registerExtendedKernels() {
 				for c := off + b; c < size; c++ {
 					var s float32
 					for k := 0; k < b; k++ {
-						s += a[r*size+off+k] * a[(off+k)*size+c]
+						s += float32(a[r*size+off+k] * a[(off+k)*size+c])
 					}
-					a[r*size+c] -= 0.001 * s
+					a[r*size+c] -= float32(0.001 * s)
 				}
 			}
 			return nil
@@ -129,7 +129,7 @@ func registerExtendedKernels() {
 			for _, f := range fi {
 				v := float64(f)
 				sum += v
-				sq += v * v
+				sq += float64(v * v)
 			}
 			fs[0] = float32(sum / float64(n))
 			fs[1] = float32(sq / float64(n))
@@ -166,7 +166,7 @@ func registerExtendedKernels() {
 					var d float64
 					for j := 0; j < dims; j++ {
 						diff := float64(fp[i*dims+j] - fc[c*dims+j])
-						d += diff * diff
+						d += float64(diff * diff)
 					}
 					if d < best {
 						best = d

@@ -163,9 +163,9 @@ func RegisterKernels() {
 					continue
 				}
 				for c := col; c < size; c++ {
-					a[r*size+c] -= mult * a[col*size+c]
+					a[r*size+c] -= float32(mult * a[col*size+c])
 				}
-				bv[r] -= mult * bv[col]
+				bv[r] -= float32(mult * bv[col])
 			}
 			return nil
 		},
@@ -208,7 +208,7 @@ func RegisterKernels() {
 			for r := 0; r < rows; r++ {
 				for c := 0; c < cols; c++ {
 					center := at(r, c)
-					delta := 0.2*(at(r-1, c)+at(r+1, c)+at(r, c-1)+at(r, c+1)-4*center) + 0.05*pw[r*cols+c]
+					delta := float32(0.2*(at(r-1, c)+at(r+1, c)+at(r, c-1)+at(r, c+1)-float32(4*center))) + float32(0.05*pw[r*cols+c])
 					to[r*cols+c] = center + delta
 				}
 			}
@@ -244,7 +244,7 @@ func RegisterKernels() {
 					var d float32
 					for j := 0; j < dims; j++ {
 						diff := fp[i*dims+j] - fc[c*dims+j]
-						d += diff * diff
+						d += float32(diff * diff)
 					}
 					if d < bestD {
 						bestD, best = d, c
@@ -324,7 +324,7 @@ func RegisterKernels() {
 				var d float32
 				for j := 0; j < dims; j++ {
 					diff := fr[i*dims+j] - fq[j]
-					d += diff * diff
+					d += float32(diff * diff)
 				}
 				fo[i] = float32(math.Sqrt(float64(d)))
 			}
@@ -443,7 +443,7 @@ func RegisterKernels() {
 			}
 			alpha := math.Float32frombits(uint32(e.Arg(2)))
 			for i := range w {
-				w[i] += alpha * g[i]
+				w[i] += float32(alpha * g[i])
 			}
 			return nil
 		},
@@ -464,7 +464,7 @@ func RegisterKernels() {
 			for i := 0; i < n; i++ {
 				left := fi[(i+n-1)%n]
 				right := fi[(i+1)%n]
-				fo[i] = fi[i] + lambda*(left+right-2*fi[i])
+				fo[i] = fi[i] + float32(lambda*(left+right-float32(2*fi[i])))
 			}
 			return nil
 		},
