@@ -80,15 +80,18 @@ bench:
 # FuzzTicketResume holds the attestation ticket cache to a map-based model
 # (TTL, LRU capacity, epochs, revocation); FuzzMatmul holds every matmul
 # variant, through the register tiles, their Inf/NaN-in-B fallback and the row
-# path, to the textbook loop bit for bit — plus FuzzNormalOS, whose bytes
-# pick what a malicious normal OS does with each SMC of a fixed session (drop,
-# replay, flip, reroute, forge), each step ending in its honest result or a
-# typed refusal. One short leg per target —
+# path, to the textbook loop bit for bit; FuzzIsolation reads the SPM's
+# Alloc/Share/Unshare/Fail/recover/Access schedule on persistent views from
+# bytes and checks the isolation invariants I1–I5 after every step — plus
+# FuzzNormalOS, whose bytes pick what a malicious normal OS does with each SMC
+# of a fixed session (drop, replay, flip, reroute, forge), each step ending in
+# its honest result or a typed refusal. One short leg per target —
 # `go test -fuzz` takes a single target and a single package — on top of the
 # checked-in seed corpora under testdata/fuzz and the f.Add seeds, which every
 # plain `go test` run already replays. FuzzNormalOS runs 60 s, not FUZZTIME:
 # each of its inputs boots a platform and runs a session (~600 execs/s), so
-# 10 s explores too little of its strategy space.
+# 10 s explores too little of its strategy space. FuzzIsolation runs 60 s too:
+# each input boots an SPM and walks up to 400 rounds of its state machine.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime $(FUZZTIME) ./internal/wire
@@ -102,6 +105,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTicketResume$$' -fuzztime $(FUZZTIME) ./internal/attest
 	$(GO) test -run '^$$' -fuzz '^FuzzMatmul$$' -fuzztime $(FUZZTIME) ./internal/gpu
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalOS$$' -fuzztime 60s ./internal/normal
+	$(GO) test -run '^$$' -fuzz '^FuzzIsolation$$' -fuzztime 60s ./internal/spm
 
 # No fused multiply-add under internal/: the Go spec lets a compiler fuse x*y + z
 # into one rounding unless the product is converted explicitly (float32(x*y),

@@ -16,7 +16,7 @@
 //
 // # Attestation at scale
 //
-// Three pieces amortize the per-session cost (DESIGN.md §15):
+// Three pieces amortize the per-session cost (DESIGN.md §11):
 //
 //   - TicketCache: a successful dynamic attestation mints a sealed,
 //     epoch-bound Ticket keyed by (tenant, partition measurement); later

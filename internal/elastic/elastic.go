@@ -1,6 +1,6 @@
 // Package elastic is the serving plane's elastic-capacity layer: a
 // load-driven autoscaler control loop and the planned live-migration state
-// machine (DESIGN.md §16). The package itself is pure policy — deterministic
+// machine (DESIGN.md §23). The package itself is pure policy — deterministic
 // decision logic over signals the serving plane already collects (queue
 // depth, shed rate) — while the mechanism
 // (quiescing lanes, checkpointing mEnclaves, fabric transfer, exactly-once

@@ -19,7 +19,7 @@ import (
 // simulations alive in one process can both reach, each with the reason it is
 // safe for each to run them side by side. A new one is a decision, not an
 // accident: TestNoUnlistedPackageState fails until it is listed here (DESIGN.md
-// "Independent kernels side by side" carries the same table).
+// §26 carries the same table).
 var sharedGlobals = map[string]string{
 	"metrics.Default": "the process-wide registry: each runs serially while it records; disabled, instruments drop every write",
 
@@ -41,12 +41,12 @@ var sharedGlobals = map[string]string{
 var sentinelName = regexp.MustCompile(`^[Ee]rr[A-Z]`)
 
 // unsafeFile is the one non-test file under internal/ that may import unsafe:
-// the float32 → byte view of device memory (DESIGN.md §3.3). A second cast
+// the float32 → byte view of device memory (DESIGN.md §15). A second cast
 // is a decision too — it goes through that file or moves this line.
 const unsafeFile = "internal/gpu/view.go"
 
 // asmFile is the one assembly file under internal/: the matmul row update's
-// SSE2 body (DESIGN.md §8), held bit for bit to its Go twin by
+// SSE2 body (DESIGN.md §15), held bit for bit to its Go twin by
 // gpu.TestRowTermsMatchPortable. Memory the assembly reads is proven in
 // bounds on the Go side; a second body is a decision too — it moves this line.
 const asmFile = "internal/gpu/rowterms_amd64.s"
@@ -329,7 +329,7 @@ func calleeOf(e ast.Expr) string {
 // machine, its SPM and the trace collector and flight recorder attached to
 // its kernel belong to one sim.Kernel, a kernel is one event domain that runs
 // one of its processes at a time, and two live platforms share nothing below
-// metrics (DESIGN.md §17).
+// metrics (DESIGN.md §26).
 var lockSites = map[string]string{}
 
 // TestNoLocksUnderOneKernel fails on a lock or an atomic in the kernel, the
@@ -380,7 +380,7 @@ func TestNoLocksUnderOneKernel(t *testing.T) {
 }
 
 // TestNormalWorldHoldsNoSecurePointer holds the untrusted normal world to the
-// SMC gate (DESIGN.md §3.2): no non-test file of internal/normal imports an
+// SMC gate (DESIGN.md §13): no non-test file of internal/normal imports an
 // mOS package, so the dispatcher cannot call into an Enclave Manager, and
 // none reads the cost model's WorldSwitch, which only spm.SMC charges.
 func TestNormalWorldHoldsNoSecurePointer(t *testing.T) {

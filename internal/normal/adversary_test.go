@@ -291,7 +291,7 @@ func FuzzNormalOS(f *testing.F) {
 }
 
 // availability marks a cell whose refusal only denies service, which
-// DESIGN.md §11 excludes.
+// DESIGN.md §5 excludes.
 const availability = "DoS¹"
 
 // cell runs one strategy on the first call of kind and names what refused
@@ -340,7 +340,7 @@ func TestNormalOSMatrix(t *testing.T) {
 		}
 		b.WriteString("\n")
 	}
-	b.WriteString("\n¹ Availability only. DESIGN.md §11: \"DoS, timing side channels of an mECall, rollback of sealed\n" +
+	b.WriteString("\n¹ Availability only. DESIGN.md §5: \"DoS, timing side channels of an mECall, rollback of sealed\n" +
 		"data, architectural side channels, physical attacks — exactly the paper's out-of-scope list (§III-B).\"\n")
 	table := b.String()
 

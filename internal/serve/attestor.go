@@ -1,6 +1,6 @@
 package serve
 
-// The attestation admission gate (DESIGN.md §15): the serving-plane half of
+// The attestation admission gate (DESIGN.md §21.5): the serving-plane half of
 // attestation at scale. With Config.AttestTickets set, every batch dispatch
 // is gated on the dispatching tenant holding a valid attestation of the
 // target partition:

@@ -1,6 +1,6 @@
 package serve
 
-// The elastic-capacity layer (DESIGN.md §16): planned live migration and the
+// The elastic-capacity layer (DESIGN.md §21.6): planned live migration and the
 // load-driven autoscaler, both built on the flow-model plane's existing
 // exactly-once machinery rather than beside it.
 //

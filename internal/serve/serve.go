@@ -204,7 +204,7 @@ type Config struct {
 	NodeFaults []cluster.Fault
 
 	// AttestTickets arms the attestation admission gate (attestor.go,
-	// DESIGN.md §15): every batch dispatch is gated on the tenant holding a
+	// DESIGN.md §21.5): every batch dispatch is gated on the tenant holding a
 	// valid session ticket for the target partition's measurement. A live
 	// ticket resumes for one MAC check; a cold session pays the full quote
 	// verification (through the per-epoch verification cache) and mints a
@@ -227,7 +227,7 @@ type Config struct {
 	AttestFaults []AttestFault
 
 	// Migrations schedules planned live migrations (elastic.go, DESIGN.md
-	// §16): at each offset from serving start the source partition's lanes
+	// §21.6): at each offset from serving start the source partition's lanes
 	// quiesce, the mEnclave state checkpoints, transfers (fabric-priced
 	// across nodes), and the source releases only after the in-flight work
 	// replayed exactly once on the destination. Requires the flow-model

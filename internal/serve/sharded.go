@@ -42,7 +42,7 @@ package serve
 // deadline — a batch whose service time exceeds it burns maxRetries+1
 // timeout windows plus the doubling retryBackoff gaps on its lane and
 // completes with the typed TimeoutError, matching the classic watchdog's
-// accounting). Capacity has one lifecycle (DESIGN.md §14.4): in-flight
+// accounting). Capacity has one lifecycle (DESIGN.md §21.3): in-flight
 // batches on a dead replica are evacuated (their pending lane/completion
 // events become no-ops) and their requests requeued to the tenant backlog, a
 // recovery proc runs the classic worker's failover body — wait out the SPM

@@ -254,7 +254,7 @@ func (s *SPM) UpdateMOS(p *Partition, newImage []byte) *FailureRecord {
 // gets, but with the crash-loop counting bypassed — a revoked measurement
 // is never a transient, so the partition parks in PartQuarantined
 // regardless of its failure history and stays there. This is the recovery
-// half of continuous re-measurement (DESIGN.md §15): the serving plane calls
+// half of continuous re-measurement (DESIGN.md §21.5): the serving plane calls
 // it when a background probe finds the partition's measurement stale or
 // mismatched, and the quarantine propagates to placement exactly like a
 // hang does today.
