@@ -55,8 +55,8 @@ func main() {
 		gx, _ := g.MemAlloc(p, batch*feat*4)
 		gy, _ := g.MemAlloc(p, batch*feat*4)
 		start := p.Now()
-		g.HtoD(p, gw, gpu.PackF32(w))
-		g.HtoD(p, gx, gpu.PackF32(input))
+		g.HtoD(p, gw, gpu.Bytes(w))
+		g.HtoD(p, gx, gpu.Bytes(input))
 		g.Launch(p, "matmul", gpu.Dim{1, 1, 1}, gx, gw, gy, batch, feat, feat)
 		g.Launch(p, "relu", gpu.Dim{batch * feat, 1, 1}, gy, gy)
 		features, err := g.DtoH(p, gy, batch*feat*4)

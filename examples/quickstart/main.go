@@ -63,10 +63,10 @@ func main() {
 			bv[i] = float32(i * i)
 		}
 		start := p.Now()
-		if err := g.HtoD(p, a, gpu.PackF32(av)); err != nil {
+		if err := g.HtoD(p, a, gpu.Bytes(av)); err != nil {
 			return err
 		}
-		if err := g.HtoD(p, b, gpu.PackF32(bv)); err != nil {
+		if err := g.HtoD(p, b, gpu.Bytes(bv)); err != nil {
 			return err
 		}
 		if err := g.Launch(p, "vec_add", gpu.Dim{n, 1, 1}, a, b, c); err != nil {

@@ -59,7 +59,7 @@ func main() {
 		for i := range samples {
 			samples[i] = float32(i%10) / 10
 		}
-		blob, err := client.Seal(p, gpu.PackF32(samples))
+		blob, err := client.Seal(p, gpu.Bytes(samples))
 		if err != nil {
 			return err
 		}

@@ -17,7 +17,9 @@ type CUDA interface {
 	MemAlloc(p *sim.Proc, n uint64) (uint64, error)
 	// MemFree releases device memory.
 	MemFree(p *sim.Proc, ptr uint64) error
-	// HtoD copies host data to the device (may be asynchronous).
+	// HtoD copies host data to the device (may be asynchronous). It
+	// neither keeps nor writes data: the caller may reuse data as soon as
+	// HtoD returns, so one host buffer can stage every upload of a loop.
 	HtoD(p *sim.Proc, dst uint64, data []byte) error
 	// DtoH copies device data to the host (synchronous).
 	DtoH(p *sim.Proc, src uint64, n int) ([]byte, error)
@@ -33,6 +35,8 @@ type CUDA interface {
 // NPU is the VTA-driver-level operation surface.
 type NPU interface {
 	MemAlloc(p *sim.Proc, n uint64) (uint64, error)
+	// HtoD copies host data to the device (may be asynchronous); as with
+	// CUDA.HtoD, the caller may reuse data as soon as it returns.
 	HtoD(p *sim.Proc, dst uint64, data []byte) error
 	DtoH(p *sim.Proc, src uint64, n int) ([]byte, error)
 	// Run submits an instruction stream (may be asynchronous).

@@ -83,7 +83,7 @@ func chattyCUDA(p *sim.Proc, ops accel.CUDA) ([]byte, error) {
 		xs[i] = float32(i%7) - 2.5
 	}
 	for _, dst := range []uint64{a, b} {
-		if err := ops.HtoD(p, dst, gpu.PackF32(xs)); err != nil {
+		if err := ops.HtoD(p, dst, gpu.Bytes(xs)); err != nil {
 			return nil, err
 		}
 	}
@@ -147,7 +147,7 @@ func TestCUDASystemsAgreeAndChargeWhatTheyDocument(t *testing.T) {
 	for i := range want {
 		want[i] = (float32(i%7) - 2.5) * float32(cudaLaunches+1)
 	}
-	if !bytes.Equal(outs[0], gpu.PackF32(want)) {
+	if !bytes.Equal(outs[0], gpu.Bytes(want)) {
 		t.Errorf("native result is not %d·a", cudaLaunches+1)
 	}
 	for i, s := range cudaSystems {

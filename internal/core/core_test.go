@@ -85,10 +85,10 @@ func TestOpenCUDAComputeAndChunkedTransfers(t *testing.T) {
 			av[i] = float32(i % 97)
 			bv[i] = float32(i % 31)
 		}
-		if err := g.HtoD(p, a, gpu.PackF32(av)); err != nil {
+		if err := g.HtoD(p, a, gpu.Bytes(av)); err != nil {
 			return err
 		}
-		if err := g.HtoD(p, b, gpu.PackF32(bv)); err != nil {
+		if err := g.HtoD(p, b, gpu.Bytes(bv)); err != nil {
 			return err
 		}
 		if err := g.Launch(p, "vec_add", gpu.Dim{n, 1, 1}, a, b, c); err != nil {
@@ -361,7 +361,7 @@ func TestCUDAMemFreeReturnsMemory(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		want := gpu.PackF32([]float32{1, 2, 3, 4})
+		want := gpu.Bytes([]float32{1, 2, 3, 4})
 		if err := g.HtoD(p, buf, want); err != nil {
 			return err
 		}

@@ -341,7 +341,7 @@ func ramp(n int, step float32) []byte {
 	for i := range xs {
 		xs[i] = step * float32(i+1)
 	}
-	return gpu.PackF32(xs)
+	return gpu.Bytes(xs)
 }
 
 // sweepCrashPoints runs the scenario once clean to count its N events, then N

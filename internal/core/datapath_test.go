@@ -55,7 +55,7 @@ func withDataRig(tb testing.TB, body func(r *dataRig) error) {
 		if r.scratch, err = conn.MemAlloc(p, 64); err != nil {
 			return err
 		}
-		if err := conn.HtoD(p, r.scratch, gpu.PackF32([]float32{1})); err != nil {
+		if err := conn.HtoD(p, r.scratch, gpu.Bytes([]float32{1})); err != nil {
 			return err
 		}
 		if err := body(r); err != nil {
@@ -375,7 +375,7 @@ func TestRingsDoNotShareLaunchStorage(t *testing.T) {
 		remaining := len(lanes)
 		for i, l := range lanes {
 			ring, l := conn.Ring(i), l
-			payload := gpu.PackF32(l.xs)
+			payload := gpu.Bytes(l.xs)
 			p.Kernel().Spawn(fmt.Sprintf("pusher-%d", i), func(q *sim.Proc) {
 				defer func() {
 					if remaining--; remaining == 0 {

@@ -49,7 +49,7 @@ func (t *Trainer) Restore(p *sim.Proc, ck *Checkpoint) error {
 		if len(w) != t.wLen[l] {
 			return fmt.Errorf("dnn: layer %d shape mismatch (%d vs %d)", l, len(w), t.wLen[l])
 		}
-		if err := t.ops.HtoD(p, t.w[l], gpu.PackF32(w)); err != nil {
+		if err := t.ops.HtoD(p, t.w[l], gpu.Bytes(w)); err != nil {
 			return fmt.Errorf("dnn: restore layer %d: %w", l, err)
 		}
 	}

@@ -1,6 +1,6 @@
 package dnn
 
-import "math/rand"
+import "cronus/internal/workload"
 
 // Dataset is a deterministic synthetic dataset generator standing in for
 // MNIST / CIFAR-10 / ImageNet. Training-time measurements are independent of
@@ -11,16 +11,16 @@ type Dataset struct {
 	Name       string
 	SampleSize int // floats per sample
 	Classes    int
-	rng        *rand.Rand
+	fill       *workload.Filler
 }
 
-// NewDataset creates a generator with a fixed seed.
-func NewDataset(name string, sampleSize, classes int, seed int64) *Dataset {
+// NewDataset creates a generator drawing from the filler of seed.
+func NewDataset(name string, sampleSize, classes int, seed uint64) *Dataset {
 	return &Dataset{
 		Name:       name,
 		SampleSize: sampleSize,
 		Classes:    classes,
-		rng:        rand.New(rand.NewSource(seed)),
+		fill:       workload.NewFiller(seed),
 	}
 }
 
@@ -45,15 +45,15 @@ func ForModel(m *Model) *Dataset {
 	}
 }
 
-// Batch produces one mini-batch: normalized inputs and integer labels.
-func (d *Dataset) Batch(n int) (inputs []float32, labels []int) {
-	inputs = make([]float32, n*d.SampleSize)
-	labels = make([]int, n)
-	for i := range inputs {
-		inputs[i] = d.rng.Float32()*2 - 1
+// Batch draws the next mini-batch into buffers the caller owns and reuses:
+// inputs gets its len(inputs)/SampleSize samples' pixels, uniform in
+// [−1, 1), and targets one row of width floats per sample, all zero but a 1
+// at the sample's label (drawn after the pixels, in [0, Classes), modulo
+// width).
+func (d *Dataset) Batch(inputs, targets []float32, width int) {
+	d.fill.Float32s(inputs, -1, 1)
+	clear(targets)
+	for i := 0; i < len(inputs)/d.SampleSize; i++ {
+		targets[i*width+d.fill.Intn(d.Classes)%width] = 1
 	}
-	for i := range labels {
-		labels[i] = d.rng.Intn(d.Classes)
-	}
-	return inputs, labels
 }

@@ -1,6 +1,7 @@
 package dnn_test
 
 import (
+	"slices"
 	"testing"
 
 	"cronus/internal/baseline"
@@ -36,14 +37,45 @@ func TestModelShapes(t *testing.T) {
 	}
 }
 
+// TestDatasetDeterministic: two instances of a dataset draw the same
+// mini-batches into caller-owned buffers, a target row is one-hot, and the
+// next batch redraws every buffer (stale targets are cleared).
 func TestDatasetDeterministic(t *testing.T) {
-	a1, l1 := dnn.MNIST().Batch(4)
-	a2, l2 := dnn.MNIST().Batch(4)
-	if a1[0] != a2[0] || l1[0] != l2[0] {
+	const batch, width = 4, 10
+	draw := func(ds *dnn.Dataset) (in, tgt []float32) {
+		in, tgt = make([]float32, batch*28*28), make([]float32, batch*width)
+		ds.Batch(in, tgt, width)
+		return in, tgt
+	}
+	ds := dnn.MNIST()
+	a1, l1 := draw(ds)
+	a2, l2 := draw(dnn.MNIST())
+	if !slices.Equal(a1, a2) || !slices.Equal(l1, l2) {
 		t.Fatal("dataset not deterministic across instances")
 	}
-	if len(a1) != 4*28*28 {
-		t.Fatalf("MNIST batch size %d", len(a1))
+	next := slices.Clone(l1)
+	ds.Batch(a1, next, width)
+	if slices.Equal(a1, a2) {
+		t.Error("the second batch repeats the first's pixels")
+	}
+	for _, tgt := range [][]float32{l1, next} {
+		for i := 0; i < batch; i++ {
+			var ones, sum float32
+			for _, v := range tgt[i*width : (i+1)*width] {
+				if v == 1 {
+					ones++
+				}
+				sum += v
+			}
+			if ones != 1 || sum != 1 {
+				t.Errorf("target row %d = %v, want one-hot", i, tgt[i*width:(i+1)*width])
+			}
+		}
+	}
+	for _, v := range a1 {
+		if v < -1 || v >= 1 {
+			t.Fatalf("pixel %v outside [-1, 1)", v)
+		}
 	}
 }
 

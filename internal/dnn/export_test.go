@@ -1,6 +1,6 @@
 package dnn
 
-import "math/rand"
+import "cronus/internal/workload"
 
 // LayerBuffers is one layer's device state, for tests that inspect values.
 type LayerBuffers struct {
@@ -14,12 +14,12 @@ func (t *Trainer) Buffers(l int) LayerBuffers {
 	return LayerBuffers{Out: t.out[l], Dout: t.dout[l], Dw: t.dw[l], OutLen: t.outLen[l], WLen: t.wLen[l]}
 }
 
-// halfSource makes rand.Rand.Float32 return exactly 0.5 on every draw, which
-// Dataset.Batch maps to a pixel value of 0.
+// halfSource draws 1<<63|1<<23 every time: both 24-bit halves a Float32s
+// draw reads are 2²³, the middle of the range, which Dataset.Batch maps to a
+// pixel value of exactly 0.
 type halfSource struct{}
 
-func (halfSource) Int63() int64 { return 1 << 52 }
-func (halfSource) Seed(int64)   {}
+func (halfSource) Uint64() uint64 { return 1<<63 | 1<<23 }
 
 // ZeroInputs makes every later mini-batch all-zero pixels.
-func (t *Trainer) ZeroInputs() { t.ds.rng = rand.New(halfSource{}) }
+func (t *Trainer) ZeroInputs() { t.ds.fill = workload.NewFillerFrom(halfSource{}) }

@@ -16,6 +16,7 @@ import (
 	"cronus/internal/dnn"
 	"cronus/internal/gpu"
 	"cronus/internal/sim"
+	"cronus/internal/workload"
 )
 
 // kernelRig is one bare GPU context with every matmul variant and the
@@ -56,7 +57,7 @@ func (r *kernelRig) upload(t testing.TB, xs []float32) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ctx.HtoD(r.p, ptr, gpu.PackF32(xs)); err != nil {
+	if err := r.ctx.HtoD(r.p, ptr, gpu.Bytes(xs)); err != nil {
 		t.Fatal(err)
 	}
 	return ptr
@@ -417,8 +418,10 @@ func onSystem(t testing.TB, system baseline.System, register func(), body func(p
 // TestVirtualTimeIgnoresValues is the property the functional-value changes
 // lean on: cost models read shapes, never values. The LeNet-2 row of Fig 8
 // (2 iterations, batch 16) takes the same virtual time on each of the four
-// systems with the shipped weights, with weights drawn from another seed, and
-// with all-zero input pixels.
+// systems with the shipped weights, with weights from another filler seed,
+// and with all-zero input pixels (a filler pinned to the middle of its
+// range). The rodinia, vtabench and tvm packages hold Fig 7 and Fig 10 to
+// the same property.
 func TestVirtualTimeIgnoresValues(t *testing.T) {
 	variants := []struct {
 		name  string
@@ -426,11 +429,9 @@ func TestVirtualTimeIgnoresValues(t *testing.T) {
 	}{
 		{"shipped init", func(*dnn.Trainer, *dnn.Checkpoint) {}},
 		{"other weight seed", func(_ *dnn.Trainer, ck *dnn.Checkpoint) {
-			rng := rand.New(rand.NewSource(1234))
+			f := workload.NewFiller(1234)
 			for _, w := range ck.Weights {
-				for i := range w {
-					w[i] = (rng.Float32()*2 - 1) * 0.05
-				}
+				f.Float32s(w, -0.05, 0.05)
 			}
 		}},
 		{"zero inputs", func(tr *dnn.Trainer, _ *dnn.Checkpoint) { tr.ZeroInputs() }},
@@ -479,12 +480,13 @@ func TestVirtualTimeIgnoresValues(t *testing.T) {
 }
 
 // denseNetDeadLayer is the first DenseNet layer whose activations are all
-// zero: d11.3x3. The scaled-down dense blocks chain 4-channel ReLU layers
+// zero: d38.3x3. The scaled-down dense blocks chain 4-channel ReLU layers
 // without the real network's concatenation, and by this layer every one of
-// its 256 outputs at batch 16 is negative before the ReLU — under the old
-// init and the new. Nothing after it, and no gradient before it, is alive;
-// reviving it needs a different launch stream (ROADMAP item 4 note).
-const denseNetDeadLayer = 25
+// its 64 outputs at batch 16 is negative before the ReLU under the filler's
+// seed-42 init (the math/rand draws it replaced died earlier, at d11.3x3).
+// Nothing after it, and no gradient before it, is alive; reviving it needs a
+// different launch stream (ROADMAP item 4 note).
+const denseNetDeadLayer = 81
 
 // TestTrainingNumericsAlive checks that the functional values are numbers a
 // CPU computes at full speed: after 2 steps at batch 16 no activation,
@@ -533,8 +535,8 @@ func TestTrainingNumericsAlive(t *testing.T) {
 						}
 					} else if l < denseNetDeadLayer && out == 0 {
 						t.Errorf("layer %d %s: activations all zero before the documented dead layer %d", l, layer.Name, denseNetDeadLayer)
-					} else if l == denseNetDeadLayer && (out != 0 || layer.Name != "d11.3x3") {
-						t.Errorf("layer %d %s has %d live activations: the DenseNet chain no longer dies at d11.3x3, update the note", l, layer.Name, out)
+					} else if l == denseNetDeadLayer && (out != 0 || layer.Name != "d38.3x3") {
+						t.Errorf("layer %d %s has %d live activations: the DenseNet chain no longer dies at d38.3x3, update the note", l, layer.Name, out)
 					}
 				}
 				return nil
@@ -591,7 +593,7 @@ func registerOldKernels() {
 					}
 				}
 			}
-			copy(cb, gpu.PackF32(c))
+			copy(cb, gpu.Bytes(c))
 			return nil
 		}})
 	}

@@ -3,10 +3,9 @@ package dnn
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 
-	"cronus/internal/gpu"
+	"cronus/internal/workload"
 )
 
 // Layer is one trainable layer lowered to its im2col matmul shape: for a
@@ -38,32 +37,30 @@ type Model struct {
 	Layers      []Layer
 
 	init    sync.Once
-	weights [][]byte // see initialWeights
+	weights [][]float32 // see initialWeights
 }
 
-// initialWeights returns each layer's initial weights as the bytes device
-// memory holds for them: He-uniform, ±√(6/K), drawn from one seed-42 stream
-// running through the layers in order. Weight variance 2/K makes a layer's
-// pre-activation variance twice its input's second moment, and the ReLU that
-// follows halves it again — activations and gradients keep their scale
-// through all ~100 layers. A tighter bound (say ±1/(2√K), variance 1/(12K))
-// shrinks them ~24× per layer until the backward pass multiplies subnormals,
-// which a CPU does in microcode at a fraction of its arithmetic speed.
+// initialWeights returns each layer's initial weights: He-uniform, K·N floats
+// in [−√(6/K), √(6/K)) drawn by the filler of seed 42 running through the
+// layers in order (workload.Filler.Float32s), uploaded as they lie. Weight
+// variance 2/K makes a layer's pre-activation variance twice its input's
+// second moment, and the ReLU that follows halves it again — activations and
+// gradients keep their scale through all ~100 layers. A tighter bound (say
+// ±1/(2√K), variance 1/(12K)) shrinks them ~24× per layer until the backward
+// pass multiplies subnormals, which a CPU does in microcode at a fraction of
+// its arithmetic speed.
 //
 // The weights are a function of the layers alone, so they are drawn once and
 // shared, read-only, by every trainer built on the model — on whichever
 // simulation, concurrently or not, as tvm.Graph shares its weights.
-func (m *Model) initialWeights() [][]byte {
+func (m *Model) initialWeights() [][]float32 {
 	m.init.Do(func() {
-		rng := rand.New(rand.NewSource(42))
-		m.weights = make([][]byte, len(m.Layers))
+		f := workload.NewFiller(42)
+		m.weights = make([][]float32, len(m.Layers))
 		for l, layer := range m.Layers {
 			scale := float32(math.Sqrt(6 / float64(layer.K)))
-			w := make([]float32, layer.K*layer.N)
-			for i := range w {
-				w[i] = (rng.Float32()*2 - 1) * scale
-			}
-			m.weights[l] = gpu.PackF32(w)
+			m.weights[l] = make([]float32, layer.K*layer.N)
+			f.Float32s(m.weights[l], -scale, scale)
 		}
 	})
 	return m.weights

@@ -26,6 +26,10 @@ type Trainer struct {
 	tgt  uint64 // target one-hot block (last layer M×N)
 	loss uint64 // scalar loss cell
 
+	// The host side of x and tgt: every step draws its mini-batch into
+	// these and uploads them as they lie (HtoD leaves them reusable).
+	inputs, targets []float32
+
 	w, in, out     []uint64 // per layer: weights, im2col input, output
 	dw, din, dout  []uint64 // per layer gradients
 	inLen, outLen  []int    // element counts
@@ -89,7 +93,7 @@ func NewTrainer(p *sim.Proc, ops accel.CUDA, model *Model, batch int) (*Trainer,
 		if t.dout[l], err = alloc(t.outLen[l]); err != nil {
 			return nil, err
 		}
-		if err := ops.HtoD(p, t.w[l], init[l]); err != nil {
+		if err := ops.HtoD(p, t.w[l], gpu.Bytes(init[l])); err != nil {
 			return nil, err
 		}
 	}
@@ -100,6 +104,8 @@ func NewTrainer(p *sim.Proc, ops accel.CUDA, model *Model, batch int) (*Trainer,
 	if t.loss, err = alloc(1); err != nil {
 		return nil, err
 	}
+	t.inputs = make([]float32, batch*model.InputFloats)
+	t.targets = make([]float32, t.outLen[last])
 	if err := ops.Sync(p); err != nil {
 		return nil, err
 	}
@@ -115,13 +121,13 @@ func (t *Trainer) Step(p *sim.Proc) (float32, error) {
 
 	// ① Upload the mini-batch (the data enters through the protected
 	// channel; volume is the dataset's true per-batch size).
-	inputs, labels := t.ds.Batch(t.batch)
-	if err := t.ops.HtoD(p, t.x, gpu.PackF32(inputs)); err != nil {
+	t.ds.Batch(t.inputs, t.targets, m.Layers[last].N)
+	if err := t.ops.HtoD(p, t.x, gpu.Bytes(t.inputs)); err != nil {
 		return 0, err
 	}
 	// Device-side im2col of the raw input into layer 0's input layout.
 	if err := t.ops.Launch(p, "im2col", gpu.Dim{t.inLen[0], 1, 1},
-		t.x, t.in[0], uint64(len(inputs))); err != nil {
+		t.x, t.in[0], uint64(len(t.inputs))); err != nil {
 		return 0, err
 	}
 
@@ -144,12 +150,7 @@ func (t *Trainer) Step(p *sim.Proc) (float32, error) {
 	}
 
 	// ③ Loss: dout_last = (logits - onehot)/batch; loss = Σ dout_last.
-	onehot := make([]float32, t.outLen[last])
-	classes := m.Layers[last].N
-	for i, lab := range labels {
-		onehot[i*classes+lab%classes] = 1
-	}
-	if err := t.ops.HtoD(p, t.tgt, gpu.PackF32(onehot)); err != nil {
+	if err := t.ops.HtoD(p, t.tgt, gpu.Bytes(t.targets)); err != nil {
 		return 0, err
 	}
 	if err := t.ops.Launch(p, "sub", gpu.Dim{t.outLen[last], 1, 1}, t.out[last], t.tgt, t.dout[last]); err != nil {

@@ -3,29 +3,27 @@ package dnn_test
 import (
 	"bytes"
 	"math"
-	"math/rand"
 	"sync"
 	"testing"
 
 	"cronus/internal/dnn"
 	"cronus/internal/gpu"
 	"cronus/internal/sim"
+	"cronus/internal/workload"
 )
 
 // perTrainerDraw is the initialisation every NewTrainer drew for itself
-// before the weights became the Model's: per layer, K·N He-uniform floats,
-// ±√(6/K), from one rand.NewSource(42) stream running through the layers in
-// order — as the bytes device memory holds.
+// before the weights became the Model's, on the filler's definition: per
+// layer, K·N He-uniform floats in [−√(6/K), √(6/K)) from one seed-42 filler
+// running through the layers in order — as the bytes device memory holds.
 func perTrainerDraw(m *dnn.Model) [][]byte {
-	rng := rand.New(rand.NewSource(42))
+	f := workload.NewFiller(42)
 	var draw [][]byte
 	for _, layer := range m.Layers {
 		scale := float32(math.Sqrt(6 / float64(layer.K)))
 		w := make([]float32, layer.K*layer.N)
-		for i := range w {
-			w[i] = (rng.Float32()*2 - 1) * scale
-		}
-		draw = append(draw, gpu.PackF32(w))
+		f.Float32s(w, -scale, scale)
+		draw = append(draw, gpu.Bytes(w))
 	}
 	return draw
 }
@@ -46,7 +44,7 @@ func trainerWeights(model *dnn.Model) (w [][]byte, err error) {
 			return
 		}
 		for _, l := range ck.Weights {
-			w = append(w, gpu.PackF32(l))
+			w = append(w, gpu.Bytes(l))
 		}
 		for i := 0; i < 2 && err == nil; i++ {
 			_, err = tr.Step(p)

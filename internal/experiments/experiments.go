@@ -110,8 +110,8 @@ func runCUDA(system baseline.System, cubin []byte, ringPages int, costs *sim.Cos
 		}, body)
 }
 
-// runNPU is the NPU flavour of RunOnSystem.
-func runNPU(system baseline.System, costs *sim.CostModel, body func(p *sim.Proc, ops accel.NPU) error) (sim.Duration, error) {
+// RunOnNPU is the NPU flavour of RunOnSystem.
+func RunOnNPU(system baseline.System, costs *sim.CostModel, body func(p *sim.Proc, ops accel.NPU) error) (sim.Duration, error) {
 	return testbed(system, costs, nil,
 		func(p *sim.Proc, s *core.Session) (accel.NPU, error) {
 			return s.OpenNPU(p, core.NPUOptions{RingPages: 257, Memory: "128M"})

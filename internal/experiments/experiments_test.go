@@ -329,7 +329,7 @@ func TestRecoveryTimes(t *testing.T) {
 }
 
 // CRONUS and its baselines run on one device: the GPU and NPU the platform
-// boots and the bare ones runCUDA and runNPU build every baseline on have the
+// boots and the bare ones runCUDA and RunOnNPU build every baseline on have the
 // same memory, SM count and MPS mode. The Fig 7, 8 and 10 comparisons are fair
 // only while they do.
 func TestBaselinesRunOnThePlatformsDevices(t *testing.T) {

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 
 	"cronus/internal/accel"
 	"cronus/internal/baseline"
@@ -29,7 +28,7 @@ func Figure10a() ([]Fig10aRow, error) {
 	cells, err := grid(len(benches), len(NPUSystems), func(r, c int) (cell, error) {
 		b, system := benches[r], NPUSystems[c]
 		var ops int
-		d, err := runNPU(system, nil, func(p *sim.Proc, o accel.NPU) (err error) {
+		d, err := RunOnNPU(system, nil, func(p *sim.Proc, o accel.NPU) (err error) {
 			ops, err = b.Run(p, o)
 			return err
 		})
@@ -89,15 +88,6 @@ type Fig10bRow struct {
 // CPU-enclave fallback.
 func Figure10b() ([]Fig10bRow, error) {
 	graphs := tvm.InferenceGraphs()
-	// Each graph's weights are drawn in a cell of its own, the largest
-	// first, before any grid cell compiles it: otherwise a row's cells wait
-	// on the one drawing them while the other cores idle.
-	bySize := slices.Clone(graphs)
-	slices.SortStableFunc(bySize, func(a, b *tvm.Graph) int { return b.WeightBytes() - a.WeightBytes() })
-	each(len(bySize), func(i int) error {
-		bySize[i].DrawWeights()
-		return nil
-	})
 	// A graph's cells: each NPU system, then the CPU fallback.
 	lats, err := grid(len(graphs), len(NPUSystems)+1, func(r, c int) (sim.Duration, error) {
 		g := graphs[r]
@@ -110,7 +100,7 @@ func Figure10b() ([]Fig10bRow, error) {
 			return lat, err
 		}
 		system := NPUSystems[c]
-		_, err := runNPU(system, nil, func(p *sim.Proc, o accel.NPU) error {
+		_, err := RunOnNPU(system, nil, func(p *sim.Proc, o accel.NPU) error {
 			e, err := tvm.Compile(p, o, g)
 			if err != nil {
 				return err

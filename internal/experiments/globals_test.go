@@ -414,3 +414,68 @@ func TestNormalWorldHoldsNoSecurePointer(t *testing.T) {
 		})
 	}
 }
+
+// drawExceptions are the functions under internal/workload/rodinia that may
+// draw from math/rand: BFS's graph sets how many frontier rounds run, and
+// streamcluster's points and centres (randFloats) decide through its cost
+// read-back how many centres it opens — there values feed time (DESIGN.md
+// §18).
+var drawExceptions = map[string]bool{"BFS": true, "randFloats": true}
+
+// TestValueDrawsUseTheFiller keeps synthetic values off math/rand's slow
+// stream: no non-test file of dnn, tvm or vtabench imports math/rand (their
+// values come from workload.Filler), and in rodinia only drawExceptions call
+// rand.New.
+func TestValueDrawsUseTheFiller(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	found := make(map[string]bool)
+	for _, pkg := range []string{"internal/dnn", "internal/tvm", "internal/workload/vtabench", "internal/workload/rodinia"} {
+		files, err := filepath.Glob(filepath.Join(root, pkg, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no files under %s: %v", pkg, err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pkg != "internal/workload/rodinia" {
+				for _, imp := range f.Imports {
+					if what := strings.Trim(imp.Path.Value, `"`); strings.HasPrefix(what, "math/rand") {
+						t.Errorf("%s: %s imports %s: draw synthetic values with workload.Filler", fset.Position(imp.Pos()), pkg, what)
+					}
+				}
+				continue
+			}
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				ast.Inspect(fn, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok && calleeOf(call) == "rand.New" {
+						if drawExceptions[fn.Name.Name] {
+							found[fn.Name.Name] = true
+						} else {
+							t.Errorf("%s: %s draws from math/rand: only the draws whose values feed time (drawExceptions) may",
+								fset.Position(call.Pos()), fn.Name.Name)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	for name := range drawExceptions {
+		if !found[name] {
+			t.Errorf("drawExceptions lists %s, which no longer draws from math/rand: delete the entry", name)
+		}
+	}
+}

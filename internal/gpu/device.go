@@ -241,7 +241,7 @@ func (c *Context) MemAlloc(n uint64) (uint64, error) {
 	va := uint64(c.id)<<40 | (c.nextVA + 0x1000)
 	c.nextVA += (n + 0xfff) &^ 0xfff
 	words := make([]float32, (n+3)/4)
-	c.spans = append(c.spans, &span{va: va, size: n, words: words, buf: f32Bytes(words)[:n]})
+	c.spans = append(c.spans, &span{va: va, size: n, words: words, buf: Bytes(words)[:n]})
 	c.dev.memUsed += n
 	return va, nil
 }

@@ -37,7 +37,7 @@ func TestMemAllocCopyRoundTrip(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		src := PackF32([]float32{1, 2, 3, 4})
+		src := Bytes([]float32{1, 2, 3, 4})
 		if err := ctx.HtoD(p, ptr, src); err != nil {
 			t.Error(err)
 			return
@@ -146,8 +146,8 @@ func TestLaunchVecAddComputes(t *testing.T) {
 			av[i] = float32(i)
 			bv[i] = float32(2 * i)
 		}
-		ctx.HtoD(p, a, PackF32(av))
-		ctx.HtoD(p, b, PackF32(bv))
+		ctx.HtoD(p, a, Bytes(av))
+		ctx.HtoD(p, b, Bytes(bv))
 		if err := ctx.Launch(p, "vec_add", Dim{n, 1, 1}, a, b, c); err != nil {
 			t.Error(err)
 			return
@@ -177,8 +177,8 @@ func TestLaunchMatmulComputes(t *testing.T) {
 		a, _ := ctx.MemAlloc(24)
 		b, _ := ctx.MemAlloc(24)
 		c, _ := ctx.MemAlloc(16)
-		ctx.HtoD(p, a, PackF32([]float32{1, 2, 3, 4, 5, 6}))
-		ctx.HtoD(p, b, PackF32([]float32{7, 8, 9, 10, 11, 12}))
+		ctx.HtoD(p, a, Bytes([]float32{1, 2, 3, 4, 5, 6}))
+		ctx.HtoD(p, b, Bytes([]float32{7, 8, 9, 10, 11, 12}))
 		if err := ctx.Launch(p, "matmul", Dim{2, 2, 1}, a, b, c, 2, 2, 3); err != nil {
 			t.Error(err)
 			return

@@ -71,7 +71,7 @@ func TestMisalignedPointerFaultsEveryFloatKernel(t *testing.T) {
 		}
 	}
 	const bufBytes = 4096
-	ones := gpu.PackF32(func() []float32 {
+	ones := gpu.Bytes(func() []float32 {
 		f := make([]float32, bufBytes/4)
 		for i := range f {
 			f[i] = 1

@@ -6,18 +6,10 @@ import (
 	"cronus/internal/sim"
 )
 
-// PackF32 encodes a float32 slice into bytes (host-side staging helper): the
-// bytes device memory holds for those floats.
-func PackF32(xs []float32) []byte {
-	out := make([]byte, 4*len(xs))
-	copy(out, f32Bytes(xs))
-	return out
-}
-
 // UnpackF32 decodes bytes into float32s; b may sit at any host offset.
 func UnpackF32(b []byte) []float32 {
 	out := make([]float32, len(b)/4)
-	copy(f32Bytes(out), b)
+	copy(Bytes(out), b)
 	return out
 }
 

@@ -7,7 +7,9 @@ import "unsafe"
 // allocated as float32 words and its byte face is derived from that, never
 // the other way round: a cast in this direction cannot be misaligned.
 
-// f32Bytes returns the memory of f as bytes, in host byte order.
-func f32Bytes(f []float32) []byte {
+// Bytes returns the memory of f as bytes, in host byte order: the bytes
+// device memory holds for those floats, without a copy. Host code uploads a
+// float tensor as gpu.Bytes(f).
+func Bytes(f []float32) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 4*len(f))
 }

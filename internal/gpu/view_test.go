@@ -11,21 +11,29 @@ import (
 	"cronus/internal/sim"
 )
 
-// TestPackF32IsTheDeviceRepresentation pins the one float representation:
-// PackF32's bytes are the float32s in host byte order — on a little-endian
-// host exactly what binary.LittleEndian writes, NaN payloads included — and
-// UnpackF32 reads them back from any host offset, aligned or not.
-func TestPackF32IsTheDeviceRepresentation(t *testing.T) {
+// TestBytesIsTheDeviceRepresentation pins the one float representation:
+// Bytes's bytes are the float32s in host byte order — on a little-endian
+// host exactly what binary.LittleEndian writes, NaN payloads included — they
+// are the floats' own memory, not a copy, and UnpackF32 reads them back from
+// any host offset, aligned or not.
+func TestBytesIsTheDeviceRepresentation(t *testing.T) {
 	xs := []float32{0, float32(math.Copysign(0, -1)), 1, -2.5, 3e-41, math.MaxFloat32, float32(math.Inf(-1)),
 		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffa00000)}
-	packed := PackF32(xs)
+	view := Bytes(xs)
 	want := make([]byte, 0, 4*len(xs))
 	for _, x := range xs {
 		want = binary.NativeEndian.AppendUint32(want, math.Float32bits(x))
 	}
-	if !bytes.Equal(packed, want) {
-		t.Errorf("PackF32 = % x, host byte order is % x", packed, want)
+	if !bytes.Equal(view, want) {
+		t.Errorf("Bytes = % x, host byte order is % x", view, want)
 	}
+	packed := bytes.Clone(view)
+	saved := xs[2]
+	xs[2] = 7
+	if got := binary.NativeEndian.Uint32(view[8:]); got != math.Float32bits(7) {
+		t.Errorf("after a store to xs[2], Bytes reads %#x there: a copy, not a view", got)
+	}
+	xs[2] = saved
 	if binary.NativeEndian.Uint16([]byte{1, 0}) == 1 {
 		for i, x := range xs {
 			if got := binary.LittleEndian.Uint32(packed[4*i:]); got != math.Float32bits(x) {
@@ -85,13 +93,13 @@ func TestViewIsDeviceMemory(t *testing.T) {
 			return UnpackF32(raw)
 		}
 		buf, _ := ctx.MemAlloc(4 * 6)
-		ctx.HtoD(p, buf, PackF32([]float32{10, 20, 30, 40, 50, 60}))
+		ctx.HtoD(p, buf, Bytes([]float32{10, 20, 30, 40, 50, 60}))
 		// Bump elements 2..4 through a view that starts 8 bytes in, twice,
 		// with a host write in between.
 		if err := ctx.Launch(p, "test_view_bump", Dim{3, 1, 1}, buf+8); err != nil {
 			t.Error(err)
 		}
-		ctx.HtoD(p, buf+12, PackF32([]float32{-1}))
+		ctx.HtoD(p, buf+12, Bytes([]float32{-1}))
 		if err := ctx.Launch(p, "test_view_bump", Dim{3, 1, 1}, buf+8); err != nil {
 			t.Error(err)
 		}
@@ -102,8 +110,8 @@ func TestViewIsDeviceMemory(t *testing.T) {
 		a, _ := ctx.MemAlloc(4 * 4)
 		b, _ := ctx.MemAlloc(4 * 4)
 		c, _ := ctx.MemAlloc(4 * 4)
-		ctx.HtoD(p, a, PackF32([]float32{1, 2, 3, 4}))
-		ctx.HtoD(p, b, PackF32([]float32{1, 0, 0, 1}))
+		ctx.HtoD(p, a, Bytes([]float32{1, 2, 3, 4}))
+		ctx.HtoD(p, b, Bytes([]float32{1, 0, 0, 1}))
 		for _, wantC := range [][]float32{{1, 2, 3, 4}, {1, 2, 0, 4}} {
 			if err := ctx.Launch(p, "matmul", Dim{1, 1, 1}, a, b, c, 2, 2, 2); err != nil {
 				t.Error(err)
@@ -111,7 +119,7 @@ func TestViewIsDeviceMemory(t *testing.T) {
 			if got := read(c, 4); !equalF32(got, wantC) {
 				t.Errorf("A × I = %v, want %v", got, wantC)
 			}
-			ctx.HtoD(p, a+8, PackF32([]float32{0})) // A[1,0] = 0 for the second round
+			ctx.HtoD(p, a+8, Bytes([]float32{0})) // A[1,0] = 0 for the second round
 		}
 	})
 }
@@ -189,7 +197,7 @@ func TestHostileLaunchDimensions(t *testing.T) {
 			ctx *Context
 			ptr uint64
 		}{{ctx, a}, {neighbour, n}} {
-			c.ctx.HtoD(p, c.ptr, PackF32([]float32{1, 2, 3, 4, 0}))
+			c.ctx.HtoD(p, c.ptr, Bytes([]float32{1, 2, 3, 4, 0}))
 			if err := c.ctx.Launch(p, "reduce_sum", Dim{4, 1, 1}, c.ptr, c.ptr+16); err != nil {
 				t.Errorf("context %d after the hostile launches: %v", i, err)
 			}

@@ -186,10 +186,10 @@ func TestCUDAEnclaveComputesOnGPU(t *testing.T) {
 			return ptr
 		}
 		a, b, c := alloc(16), alloc(16), alloc(16)
-		if _, err := invoke(e, p, driver.CallHtoD, driver.EncodeHtoD(a, gpu.PackF32([]float32{1, 2, 3, 4}))); err != nil {
+		if _, err := invoke(e, p, driver.CallHtoD, driver.EncodeHtoD(a, gpu.Bytes([]float32{1, 2, 3, 4}))); err != nil {
 			return err
 		}
-		if _, err := invoke(e, p, driver.CallHtoD, driver.EncodeHtoD(b, gpu.PackF32([]float32{10, 20, 30, 40}))); err != nil {
+		if _, err := invoke(e, p, driver.CallHtoD, driver.EncodeHtoD(b, gpu.Bytes([]float32{10, 20, 30, 40}))); err != nil {
 			return err
 		}
 		if _, err := invoke(e, p, driver.CallLaunch, driver.EncodeLaunch(new(wire.Encoder), "vec_add", gpu.Dim{4, 1, 1}, a, b, c)); err != nil {
@@ -244,8 +244,8 @@ func npuManifest() (enclave.Manifest, map[string][]byte) {
 // TestEnclaveKillRevokesGrantsAndDies: killing one mEnclave (§IV-D "Handling
 // mEnclave failures") destroys its device context — the device memory it held
 // is back; the device unit tests pin that DestroyContext scrubs it — and
-// revokes its share, so the peer traps, and after the trap no grant to either
-// partition is left.
+// revokes its share, so the peer traps; the owning partition's trap recovers
+// its page, and after both traps no grant to either partition is left.
 func TestEnclaveKillRevokesGrantsAndDies(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -290,7 +290,7 @@ func TestEnclaveKillRevokesGrantsAndDies(t *testing.T) {
 						t.Errorf("device memory in use %d after a 4096-byte alloc, %d before", got, memBefore)
 					}
 				}
-				_, peerIPA, _, err := e.ShareWith(p, 1, peer)
+				ownerIPA, peerIPA, _, err := e.ShareWith(p, 1, peer)
 				if err != nil {
 					return err
 				}
@@ -308,8 +308,17 @@ func TestEnclaveKillRevokesGrantsAndDies(t *testing.T) {
 				if err := v.Read(p, peerIPA, make([]byte, 1)); err == nil {
 					t.Error("peer access after enclave kill succeeded")
 				}
-				// The trap was the peer's notice: the revoked grant is gone, and
-				// nothing names either partition.
+				// The trap was the peer's notice. The owning partition's own
+				// trap recovers its access to the page; then the revoked grant
+				// is gone, and nothing names either partition.
+				var pf *spm.PeerFault
+				ov := pl.SPM.NewView(m.Part, nil)
+				if err := ov.Read(p, ownerIPA, make([]byte, 1)); !errors.As(err, &pf) {
+					t.Errorf("owner access after the peer's trap: %v, want a PeerFault", err)
+				}
+				if err := ov.Read(p, ownerIPA, make([]byte, 1)); err != nil {
+					t.Errorf("owner access after its trap: %v", err)
+				}
 				for _, part := range []*spm.Partition{m.Part, peer} {
 					if cur, stale := pl.SPM.GrantsTo(part); cur != 0 || stale != 0 {
 						t.Errorf("%s: %d current and %d stale grants after the trap, want 0, 0", part.Name, cur, stale)
@@ -371,7 +380,7 @@ func TestMOSPanicRecoversPartition(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		want := gpu.PackF32([]float32{1, 2, 3, 4})
+		want := gpu.Bytes([]float32{1, 2, 3, 4})
 		if err := fresh.HtoD(p, ptr, want); err != nil {
 			return err
 		}

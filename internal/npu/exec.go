@@ -28,6 +28,7 @@ func (c *Context) Run(p *sim.Proc, insns []Insn) error {
 	}
 	c.dev.pipeline.Acquire(p, 1)
 	defer c.dev.pipeline.Release(1)
+	c.dev.allocScratchpads()
 	if c.dev.last != c {
 		// Another context ran last: its data must not reach this stream.
 		c.dev.scrubScratchpads()

@@ -82,6 +82,8 @@ func randomGemm(rng *rand.Rand) Insn {
 func TestGemmMatchesMapReference(t *testing.T) {
 	k := sim.NewKernel()
 	got, want := testNPU(k), testNPU(k)
+	got.allocScratchpads()
+	want.allocScratchpads()
 	rng := rand.New(rand.NewSource(25))
 	for i := range got.wgt {
 		got.wgt[i] = byte(rng.Intn(256))
@@ -166,6 +168,7 @@ func TestRunAllocatesNothing(t *testing.T) {
 // 16×16 int8 MACs into one accumulator block, with Reset.
 func BenchmarkNPUGemm(b *testing.B) {
 	d := testNPU(sim.NewKernel())
+	d.allocScratchpads()
 	rng := rand.New(rand.NewSource(1))
 	for i := range d.wgt {
 		d.wgt[i] = byte(int8(rng.Intn(7) - 3))

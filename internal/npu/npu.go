@@ -110,7 +110,9 @@ type Device struct {
 
 	// Scratchpads (shared by all contexts; executions are serialized like
 	// the single physical VTA pipeline). inp, wgt and out hold int8 lanes as
-	// the bytes DMA moves, so LOAD and STORE are copies.
+	// the bytes DMA moves, so LOAD and STORE are copies. They are allocated
+	// by the first stream that runs (Run), not by New: most platforms boot
+	// an NPU that never runs one.
 	inp []byte
 	wgt []byte
 	acc []int32
@@ -146,10 +148,6 @@ func New(k *sim.Kernel, costs *sim.CostModel, cfg Config) *Device {
 		k:        k,
 		costs:    costs,
 		memSize:  cfg.MemBytes,
-		inp:      make([]byte, InpBufBlocks*InpBlockBytes),
-		wgt:      make([]byte, WgtBufBlocks*WgtBlockBytes),
-		acc:      make([]int32, AccBufBlocks*BlockOut),
-		out:      make([]byte, OutBufBlocks*OutBlockBytes),
 		pipeline: sim.NewResource(k, cfg.Name+"/pipe", 1),
 		contexts: make(map[int]*Context),
 		priv:     attest.KeyFromSeed([]byte("npu-device-key/" + cfg.KeySeed)),
@@ -182,6 +180,18 @@ func (d *Device) Reset() {
 	d.contexts = make(map[int]*Context)
 	d.memUsed = 0
 	d.gen++
+}
+
+// allocScratchpads allocates the on-chip buffers, zeroed, if no stream has
+// yet.
+func (d *Device) allocScratchpads() {
+	if d.inp != nil {
+		return
+	}
+	d.inp = make([]byte, InpBufBlocks*InpBlockBytes)
+	d.wgt = make([]byte, WgtBufBlocks*WgtBlockBytes)
+	d.acc = make([]int32, AccBufBlocks*BlockOut)
+	d.out = make([]byte, OutBufBlocks*OutBlockBytes)
 }
 
 // scrubScratchpads zeroes the on-chip buffers every context's streams share.

@@ -276,6 +276,9 @@ func TestResetScrubsAndInvalidates(t *testing.T) {
 		addr, _ := ctx.MemAlloc(64)
 		ctx.HtoD(p, addr, []byte("npu tenant secret..............."))
 		backing, _ := ctx.resolve(addr, 32)
+		if _, err := runSecret(p, ctx); err != nil || scratchpadsClear(d) {
+			t.Fatalf("the secret stream left nothing in the scratchpads (err %v): a vacuous check", err)
+		}
 		d.Reset()
 		for _, b := range backing {
 			if b != 0 {
@@ -286,11 +289,8 @@ func TestResetScrubsAndInvalidates(t *testing.T) {
 		if _, err := ctx.MemAlloc(16); err != ErrStaleContext {
 			t.Errorf("stale context: err = %v", err)
 		}
-		for _, v := range d.acc {
-			if v != 0 {
-				t.Error("accumulator scratchpad not scrubbed")
-				return
-			}
+		if !scratchpadsClear(d) {
+			t.Error("scratchpads not scrubbed")
 		}
 	})
 }
@@ -408,6 +408,32 @@ func TestScratchpadsDoNotCrossContexts(t *testing.T) {
 				t.Errorf("context b read context a's output block: %v", out)
 				break
 			}
+		}
+	})
+}
+
+// TestScratchpadsAllocatedByFirstRun: New allocates no scratchpad — a
+// platform that never runs an NPU stream never pays for 448 KiB of them — a
+// reset or a destroy before any stream leaves them unallocated, and the
+// first stream's Run allocates all four at their full sizes.
+func TestScratchpadsAllocatedByFirstRun(t *testing.T) {
+	inSim(t, func(k *sim.Kernel, p *sim.Proc) {
+		d := testNPU(k)
+		c := d.CreateContext()
+		d.DestroyContext(c)
+		d.Reset()
+		if d.inp != nil || d.wgt != nil || d.acc != nil || d.out != nil {
+			t.Fatal("scratchpads allocated before any stream ran")
+		}
+		if _, err := runSecret(p, d.CreateContext()); err != nil {
+			t.Fatal(err)
+		}
+		if len(d.inp) != InpBufBlocks*InpBlockBytes || len(d.wgt) != WgtBufBlocks*WgtBlockBytes ||
+			len(d.acc) != AccBufBlocks*BlockOut || len(d.out) != OutBufBlocks*OutBlockBytes {
+			t.Fatalf("scratchpads after the first run: inp %d wgt %d acc %d out %d", len(d.inp), len(d.wgt), len(d.acc), len(d.out))
+		}
+		if got := len(d.inp) + len(d.wgt) + 4*len(d.acc) + len(d.out); got != 448<<10 {
+			t.Errorf("scratchpads hold %d bytes, want 448 KiB", got)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package spm
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -12,20 +13,22 @@ import (
 // that reached the teardown paths from one that only allocated.
 type isolationReach struct {
 	shares, fails, traps, staleAccesses int
+	revokes, peerTraps                  int
 }
 
 // runIsolationSchedule drives the SPM's grant/failure state machine with a
-// schedule of allocations, shares, unshares, partition failures, recoveries
-// and memory accesses read from b, and checks the §IV-C/§IV-D invariants
-// after every step:
+// schedule of allocations, shares, unshares, grant revocations (an
+// mEnclave's failure), partition failures, recoveries and memory accesses
+// read from b, and checks the §IV-C/§IV-D invariants after every step:
 //
 //	I1  a physical frame is referenced by at most one live grant
 //	I2  every live grant's owner and peer hold valid stage-2 entries for
 //	    its frames, and the peer loses its entry when the grant is
 //	    dissolved or the owner fails
 //	I3  a survivor's first access to a page shared with a failed peer
-//	    traps, and after the trap the owner regains exclusive, working
-//	    access to its own pages
+//	    or under a revoked grant traps, and after the trap the owner
+//	    regains exclusive, working access to its own pages and can share
+//	    them again — whether or not the peer trapped first
 //	I4  accesses through healthy, unshared allocations always succeed
 //	I5  no operation ever panics or deadlocks the simulation
 //
@@ -75,13 +78,15 @@ func runIsolationSchedule(t testing.TB, b []byte, rounds int) isolationReach {
 		// warm translations when shares are torn down, partitions fail,
 		// or pages are freed — the cache-staleness oracle.
 		view *View
+		// revoked: the grant was revoked, so the owner's next access traps.
+		revoked bool
 	}
 	var allocs, stale []*alloc
 
 	k.Spawn("fuzz", func(p *sim.Proc) {
 		defer k.Stop()
 		for round := 0; round < rounds && len(b) > 0; round++ {
-			switch pick(10) {
+			switch pick(11) {
 			case 0, 1, 2: // allocate a page on a ready partition
 				part := parts[pick(len(parts))]
 				if part.State() != PartReady {
@@ -138,7 +143,7 @@ func runIsolationSchedule(t testing.TB, b []byte, rounds int) isolationReach {
 				if err := a.peerView.Write(p, a.peerIPA, []byte{byte(round)}); err == nil {
 					t.Fatalf("round %d: peer still reaches a page unshared from it", round)
 				}
-				a.gid, a.peer = 0, nil
+				a.gid, a.peer, a.revoked = 0, nil, false
 			case 6: // fail a partition
 				failed := parts[pick(len(parts))]
 				if s.Fail(failed, FailPanic) == nil {
@@ -177,6 +182,31 @@ func runIsolationSchedule(t testing.TB, b []byte, rounds int) isolationReach {
 						t.Fatalf("round %d: stale-epoch view access succeeded", round)
 					}
 				}
+			case 10: // revoke a live grant: an mEnclave on its owner failed
+				if len(allocs) == 0 {
+					continue
+				}
+				a := allocs[pick(len(allocs))]
+				if a.gid == 0 || a.epoch != a.part.Epoch() || a.part.State() != PartReady || s.grants[a.gid].dead {
+					continue
+				}
+				if err := s.RevokeGrant(a.gid, "enclave"); err != nil {
+					t.Fatalf("round %d: revoke: %v", round, err)
+				}
+				a.revoked = true
+				reach.revokes++
+				// Either side may trap first; half the time it is the
+				// peer, which loses the page for good (I3).
+				if pick(2) == 0 && a.peer.State() == PartReady && a.peer.Epoch() == a.peerEpoch {
+					var pf *PeerFault
+					if err := a.peerView.Write(p, a.peerIPA, []byte{byte(round)}); !errors.As(err, &pf) {
+						t.Fatalf("round %d: peer's first access under a revoked grant: %v, want a PeerFault", round, err)
+					}
+					if err := a.peerView.Write(p, a.peerIPA, []byte{byte(round)}); err == nil {
+						t.Fatalf("round %d: peer still reaches a page after its trap", round)
+					}
+					reach.peerTraps++
+				}
 			default: // access an allocation
 				if len(allocs) == 0 {
 					continue
@@ -194,7 +224,7 @@ func runIsolationSchedule(t testing.TB, b []byte, rounds int) isolationReach {
 					continue
 				}
 				v := a.view
-				peerFailed := a.gid != 0 && (a.peer.Epoch() != a.peerEpoch || a.peer.State() != PartReady)
+				peerFailed := a.gid != 0 && (a.revoked || a.peer.Epoch() != a.peerEpoch || a.peer.State() != PartReady)
 				err := v.Write(p, a.ipa, []byte{byte(round)})
 				if err == nil && peerFailed {
 					// I3: the survivor of a failed peer traps on its
@@ -209,7 +239,7 @@ func runIsolationSchedule(t testing.TB, b []byte, rounds int) isolationReach {
 						t.Fatalf("round %d: unshared access failed: %v", round, err)
 					}
 					reach.traps++
-					a.gid, a.peer = 0, nil
+					a.gid, a.peer, a.revoked = 0, nil, false
 					if err2 := v.Write(p, a.ipa, []byte{byte(round)}); err2 != nil {
 						t.Fatalf("round %d: access after trap still fails: %v", round, err2)
 					}
@@ -290,13 +320,14 @@ const (
 // input: isolationRounds rounds whose choices are bytes drawn from seed
 // 0xC0FFEE (a round reads at most three). The input must reach every
 // teardown path the invariants are about — shares, failures, a trap
-// delivered on access and an access through a dead incarnation's view — or
-// it checks less than it claims.
+// delivered on access, an access through a dead incarnation's view and a
+// revoked grant — or it checks less than it claims. (A peer trapping first
+// on a revoked grant is the checked-in revoke-peer-traps-first seed's.)
 func TestShareFailureStateMachineFuzz(t *testing.T) {
 	b := make([]byte, 3*isolationRounds)
 	rand.New(rand.NewSource(0xC0FFEE)).Read(b)
 	r := runIsolationSchedule(t, b, isolationRounds)
-	if r.shares == 0 || r.fails == 0 || r.traps == 0 || r.staleAccesses == 0 {
+	if r.shares == 0 || r.fails == 0 || r.traps == 0 || r.staleAccesses == 0 || r.revokes == 0 {
 		t.Errorf("the fixed schedule reached %+v: some teardown path never ran", r)
 	}
 	t.Logf("reach: %+v", r)
@@ -305,8 +336,9 @@ func TestShareFailureStateMachineFuzz(t *testing.T) {
 // FuzzIsolation runs the isolation schedule on bytes the fuzzer writes, up to
 // fuzzRounds rounds, with the same invariants checked after every step. The
 // checked-in corpus under testdata/fuzz/FuzzIsolation holds schedules that
-// share and then fail the owner, fail the peer and take the trap, and unshare
-// before two failures.
+// share and then fail the owner, fail the peer and take the trap, unshare
+// before two failures, and revoke a grant whose peer traps before its owner
+// (then share the page again).
 func FuzzIsolation(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {

@@ -22,6 +22,10 @@ type grant struct {
 	pfns     []uint64
 	dead     bool
 	failedBy string // name of the failed party once dead
+	// Once dead, each side whose stage-2 entries were invalidated awaits
+	// its own trap: RevokeGrant invalidates both, Fail only the
+	// survivor's. Whichever traps first, the other still recovers.
+	ownerTraps, peerTraps bool
 	// IPA page numbers only mean something within one partition
 	// incarnation: every grant records the epochs it was created in, and
 	// no path may touch a partition's stage-2 through a grant from a
@@ -42,6 +46,23 @@ func (g *grant) coversOwner(vpn uint64) bool {
 func (g *grant) coversPeer(vpn uint64) bool {
 	return g.peer.epoch == g.peerEpoch &&
 		vpn >= g.peerIPA && vpn < g.peerIPA+uint64(g.npages)
+}
+
+// awaitsTrap reports whether a side of a dead grant, in the incarnation the
+// grant was made in, still has invalidated entries its trap must recover.
+func (g *grant) awaitsTrap() bool {
+	return g.ownerTraps && g.owner.epoch == g.ownerEpoch ||
+		g.peerTraps && g.peer.epoch == g.peerEpoch
+}
+
+// releasePFNs makes the grant's frames shareable again, unless a newer grant
+// already shares one.
+func (s *SPM) releasePFNs(g *grant) {
+	for _, pfn := range g.pfns {
+		if s.sharedPFN[pfn] == g.id {
+			delete(s.sharedPFN, pfn)
+		}
+	}
 }
 
 // AllocMem allocates npages of secure memory to partition p and maps them
@@ -151,16 +172,12 @@ func (s *SPM) Unshare(gid int) error {
 			g.peer.stage2.Unmap(g.peerIPA + uint64(i))
 		}
 	}
-	if g.dead && g.owner.epoch == g.ownerEpoch {
+	if g.ownerTraps && g.owner.epoch == g.ownerEpoch {
 		for i := 0; i < g.npages; i++ {
 			g.owner.stage2.Map(g.ownerIPA+uint64(i), g.pfns[i], hw.PermRW)
 		}
 	}
-	for _, pfn := range g.pfns {
-		if s.sharedPFN[pfn] == gid {
-			delete(s.sharedPFN, pfn)
-		}
-	}
+	s.releasePFNs(g)
 	delete(s.grants, gid)
 	mGrantsUnshared.Inc()
 	s.isolationChanged()
@@ -180,6 +197,7 @@ func (s *SPM) RevokeGrant(gid int, failedBy string) error {
 	}
 	g.dead = true
 	g.failedBy = failedBy
+	g.ownerTraps, g.peerTraps = true, true
 	for i := 0; i < g.npages; i++ {
 		if g.owner.epoch == g.ownerEpoch {
 			g.owner.stage2.Invalidate(g.ownerIPA + uint64(i))
@@ -400,34 +418,33 @@ func (s *SPM) handleTrap(proc *sim.Proc, q *Partition, ipaPage uint64, raw *hw.F
 			continue
 		}
 		switch {
-		case g.owner == q && g.coversOwner(ipaPage):
+		case g.owner == q && g.ownerTraps && g.coversOwner(ipaPage):
 			// Pages owned by the surviving partition: recover its
 			// exclusive access (§IV-D: "CRONUS recovers P_i's
-			// accesses to the page by changing pt²").
+			// accesses to the page by changing pt²"), and let it
+			// share them again.
 			for i := 0; i < g.npages; i++ {
 				q.stage2.Map(g.ownerIPA+uint64(i), g.pfns[i], hw.PermRW)
 			}
-			for _, pfn := range g.pfns {
-				if s.sharedPFN[pfn] == g.id {
-					delete(s.sharedPFN, pfn)
-				}
-			}
-			failed := g.failedBy
-			delete(s.grants, g.id)
-			s.isolationChanged()
-			return &PeerFault{Failed: failed, IPA: ipaPage << hw.PageShift}
-		case g.peer == q && g.coversPeer(ipaPage):
-			// Pages owned by the failed partition: reclaim the
-			// peer-side mappings; the frames are scrubbed by the
-			// owner's recovery.
+			g.ownerTraps = false
+			s.releasePFNs(g)
+		case g.peer == q && g.peerTraps && g.coversPeer(ipaPage):
+			// Pages owned by the failed party: reclaim the peer-side
+			// mappings. A failed owner's frames are scrubbed by its
+			// recovery; a surviving owner's wait for its own trap.
 			for i := 0; i < g.npages; i++ {
 				q.stage2.Unmap(g.peerIPA + uint64(i))
 			}
-			failed := g.failedBy
-			delete(s.grants, g.id)
-			s.isolationChanged()
-			return &PeerFault{Failed: failed, IPA: ipaPage << hw.PageShift}
+			g.peerTraps = false
+		default:
+			continue
 		}
+		if !g.awaitsTrap() {
+			s.releasePFNs(g)
+			delete(s.grants, g.id)
+		}
+		s.isolationChanged()
+		return &PeerFault{Failed: g.failedBy, IPA: ipaPage << hw.PageShift}
 	}
 	return raw
 }

@@ -89,6 +89,7 @@ func (s *SPM) Fail(p *Partition, reason FailReason) *FailureRecord {
 		}
 		g.dead = true
 		g.failedBy = p.Name
+		g.ownerTraps, g.peerTraps = g.peer == p, g.owner == p
 		other, otherBase, otherEpoch := g.peer, g.peerIPA, g.peerEpoch
 		if g.peer == p {
 			other, otherBase, otherEpoch = g.owner, g.ownerIPA, g.ownerEpoch
@@ -171,11 +172,7 @@ func (s *SPM) Fail(p *Partition, reason FailReason) *FailureRecord {
 		for _, gid := range s.sortedGrantIDs() {
 			g := s.grants[gid]
 			if g.owner.epoch != g.ownerEpoch && g.peer.epoch != g.peerEpoch {
-				for _, pfn := range g.pfns {
-					if s.sharedPFN[pfn] == gid {
-						delete(s.sharedPFN, pfn)
-					}
-				}
+				s.releasePFNs(g)
 				delete(s.grants, gid)
 			}
 		}

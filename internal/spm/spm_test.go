@@ -471,6 +471,51 @@ func TestRevokeGrantNotifiesPeerOfEnclaveFailure(t *testing.T) {
 	}
 }
 
+// TestRevokedGrantPeerTrapsFirst: after RevokeGrant (an mEnclave failure)
+// each surviving side gets its own recovery whichever traps first. Here the
+// peer traps first and loses the page; the owner's next access still traps,
+// recovers its exclusive access, and the page can be shared again.
+func TestRevokedGrantPeerTrapsFirst(t *testing.T) {
+	k, _, s := testRig(t)
+	pa, _ := s.CreatePartition("cpu", "", []byte("a"))
+	pb, _ := s.CreatePartition("gpu", "gpu0", []byte("b"))
+	k.Spawn("test", func(proc *sim.Proc) {
+		ipaA, _ := s.AllocMem(pa, 1)
+		ipaB, gid, err := s.Share(pa, ipaA, 1, pb)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := s.RevokeGrant(gid, "enclave-a"); err != nil {
+			t.Error(err)
+			return
+		}
+		va, vb := s.NewView(pa, nil), s.NewView(pb, nil)
+		var pf *PeerFault
+		if err := vb.Read(proc, ipaB, make([]byte, 1)); !errors.As(err, &pf) || pf.Failed != "enclave-a" {
+			t.Errorf("peer read after revoke: err = %v, want PeerFault", err)
+		}
+		if err := vb.Read(proc, ipaB, make([]byte, 1)); err == nil || errors.As(err, &pf) {
+			t.Errorf("peer's second read: err = %v, want a raw fault (the page is gone)", err)
+		}
+		if err := va.Read(proc, ipaA, make([]byte, 1)); !errors.As(err, &pf) || pf.Failed != "enclave-a" {
+			t.Errorf("owner read after the peer's trap: err = %v, want PeerFault", err)
+		}
+		if err := va.Read(proc, ipaA, make([]byte, 1)); err != nil {
+			t.Errorf("owner read after its trap: %v", err)
+		}
+		if cur, stale := s.GrantsTo(pa); cur != 0 || stale != 0 {
+			t.Errorf("owner holds %d current, %d stale grants after both traps", cur, stale)
+		}
+		if _, _, err := s.Share(pa, ipaA, 1, pb); err != nil {
+			t.Errorf("re-share after recovery: %v", err)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLocalReportValidation(t *testing.T) {
 	_, _, s := testRig(t)
 	p, _ := s.CreatePartition("gpu", "gpu0", []byte("b"))

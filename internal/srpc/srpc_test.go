@@ -142,10 +142,10 @@ func TestStreamEndToEndCompute(t *testing.T) {
 		}
 		a, b, cc := alloc(16), alloc(16), alloc(16)
 		// Async stream: two copies and a launch, no waiting.
-		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(a, gpu.PackF32([]float32{1, 2, 3, 4}))); err != nil {
+		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(a, gpu.Bytes([]float32{1, 2, 3, 4}))); err != nil {
 			return err
 		}
-		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(b, gpu.PackF32([]float32{5, 6, 7, 8}))); err != nil {
+		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(b, gpu.Bytes([]float32{5, 6, 7, 8}))); err != nil {
 			return err
 		}
 		if _, err := c.Call(p, driver.CallLaunch, driver.EncodeLaunch(new(wire.Encoder), "vec_add", gpu.Dim{4, 1, 1}, a, b, cc)); err != nil {
@@ -213,7 +213,7 @@ func TestOrderingPreservedAcrossAsyncCalls(t *testing.T) {
 		ptr, _ := driver.DecodePtr(res)
 		// 20 async overwrites; the final sync read must observe the last.
 		for i := 1; i <= 20; i++ {
-			if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(ptr, gpu.PackF32([]float32{float32(i)}))); err != nil {
+			if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(ptr, gpu.Bytes([]float32{float32(i)}))); err != nil {
 				return err
 			}
 		}
@@ -519,8 +519,8 @@ func TestTwoStreamsOneCalleeInterleave(t *testing.T) {
 		r2, _ := c2.Call(p, driver.CallMemAlloc, driver.EncodeMemAlloc(16))
 		p1, _ := driver.DecodePtr(r1)
 		p2, _ := driver.DecodePtr(r2)
-		c1.Call(p, driver.CallHtoD, driver.EncodeHtoD(p1, gpu.PackF32([]float32{1, 1, 1, 1})))
-		c2.Call(p, driver.CallHtoD, driver.EncodeHtoD(p2, gpu.PackF32([]float32{2, 2, 2, 2})))
+		c1.Call(p, driver.CallHtoD, driver.EncodeHtoD(p1, gpu.Bytes([]float32{1, 1, 1, 1})))
+		c2.Call(p, driver.CallHtoD, driver.EncodeHtoD(p2, gpu.Bytes([]float32{2, 2, 2, 2})))
 		o1, err := c1.Call(p, driver.CallDtoH, driver.EncodeDtoH(p1, 16))
 		if err != nil {
 			return err
@@ -549,7 +549,7 @@ func TestSRPCBeatsLockStepLatency(t *testing.T) {
 		}
 		res, _ := c.Call(p, driver.CallMemAlloc, driver.EncodeMemAlloc(64))
 		ptr, _ := driver.DecodePtr(res)
-		data := gpu.PackF32(make([]float32, 16))
+		data := gpu.Bytes(make([]float32, 16))
 		start := p.Now()
 		for i := 0; i < 50; i++ {
 			if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(ptr, data)); err != nil {
@@ -646,7 +646,7 @@ func TestDuplicateExecutorSpawnIsHarmless(t *testing.T) {
 		}
 		res, _ := c.Call(p, driver.CallMemAlloc, driver.EncodeMemAlloc(4))
 		ptr, _ := driver.DecodePtr(res)
-		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(ptr, gpu.PackF32([]float32{42}))); err != nil {
+		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(ptr, gpu.Bytes([]float32{42}))); err != nil {
 			return err
 		}
 		if err := c.Barrier(p); err != nil {
@@ -657,7 +657,7 @@ func TestDuplicateExecutorSpawnIsHarmless(t *testing.T) {
 		_ = h.pl.D.SpawnExecutor(p, h.eidB, 1)
 		p.Sleep(10 * sim.Microsecond)
 		// The stream still behaves: one more overwrite, one read.
-		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(ptr, gpu.PackF32([]float32{43}))); err != nil {
+		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(ptr, gpu.Bytes([]float32{43}))); err != nil {
 			return err
 		}
 		out, err := c.Call(p, driver.CallDtoH, driver.EncodeDtoH(ptr, 4))

@@ -35,13 +35,13 @@ func TestZeroCopyFusedExec(t *testing.T) {
 			return ptr
 		}
 		a, b, cc := alloc(16), alloc(16), alloc(16)
-		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(b, gpu.PackF32([]float32{5, 6, 7, 8}))); err != nil {
+		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(b, gpu.Bytes([]float32{5, 6, 7, 8}))); err != nil {
 			return err
 		}
 		done := sim.NewSignal(p.Kernel())
 		var notifyErr error
 		req := srpc.ZCRequest{
-			Payload:  gpu.PackF32([]float32{1, 2, 3, 4}),
+			Payload:  gpu.Bytes([]float32{1, 2, 3, 4}),
 			CopyCall: driver.CallHtoD,
 			Dst:      a,
 			ExecCall: driver.CallLaunch,
@@ -95,7 +95,7 @@ func TestZeroCopyArenaRotation(t *testing.T) {
 			return ptr
 		}
 		a, b, cc := alloc(16), alloc(16), alloc(16)
-		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(b, gpu.PackF32([]float32{0, 0, 0, 0}))); err != nil {
+		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(b, gpu.Bytes([]float32{0, 0, 0, 0}))); err != nil {
 			return err
 		}
 		const calls = 100 // > ring slots, so arena slots rotate
@@ -104,7 +104,7 @@ func TestZeroCopyArenaRotation(t *testing.T) {
 		for i := 0; i < calls; i++ {
 			v := float32(i)
 			req := srpc.ZCRequest{
-				Payload:  gpu.PackF32([]float32{v, v, v, v}),
+				Payload:  gpu.Bytes([]float32{v, v, v, v}),
 				CopyCall: driver.CallHtoD,
 				Dst:      a,
 				ExecCall: driver.CallLaunch,
@@ -316,7 +316,7 @@ func TestFusedCompletionsStayOnTheirPlatform(t *testing.T) {
 		for i, s := range sides {
 			kernel := []string{"vec_add", "not_in_the_module"}[i]
 			req := srpc.ZCRequest{
-				Payload:  gpu.PackF32([]float32{1, 2, 3, 4}),
+				Payload:  gpu.Bytes([]float32{1, 2, 3, 4}),
 				CopyCall: driver.CallHtoD,
 				Dst:      s.buf,
 				ExecCall: driver.CallLaunch,

@@ -8,14 +8,13 @@ package tvm
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"cronus/internal/accel"
 	"cronus/internal/dnn"
 	"cronus/internal/npu"
 	"cronus/internal/sim"
-	"cronus/internal/workload/vtabench"
+	"cronus/internal/workload"
 )
 
 // Graph is an inference network: a named sequence of matmul-lowered layers.
@@ -28,52 +27,40 @@ type Graph struct {
 	weights [][]byte // see packedWeights
 }
 
-// packedWeights returns each layer's synthetic weights, quantized to int8 and
-// packed into NPU weight blocks: per layer, a row-major k×n matrix of
-// rand.Intn(7)-3 draws from one seed-99 stream running through the layers in
-// order. They are a function of the graph alone, so they are drawn once and
-// shared, read-only, by every engine compiled from it — on whichever
-// simulation, concurrently or not.
+// packedWeights returns each layer's synthetic int8 weights, laid out as the
+// NPU's weight blocks: per layer, roundUp(K, 16)·roundUp(N, 16) values in
+// [−3, 3] drawn in block order by the filler of seed 99 running through the
+// layers in order (workload.Filler.Int8s). They are a function of the graph
+// alone, so they are drawn once and shared, read-only, by every engine
+// compiled from it — on whichever simulation, concurrently or not.
 func (g *Graph) packedWeights() [][]byte {
-	g.lower.Do(func() {
-		src := rand.NewSource(99)
-		g.weights = make([][]byte, len(g.Layers))
-		for li, l := range g.Layers {
-			k, n := roundUp(l.K, npu.BlockIn), roundUp(l.N, npu.BlockOut)
-			w := make([]byte, k*n)
-			for i := range w {
-				w[i] = byte(int8(intn7(src) - 3))
-			}
-			g.weights[li] = vtabench.PackWeights(w, k, n)
-		}
-	})
+	g.lower.Do(func() { g.weights = g.drawWeights(weightSeed) })
 	return g.weights
 }
 
-// DrawWeights draws the graph's weights now, if nothing has yet: a figure
-// calls it in a cell of its own so that the cells compiling the graph find
-// them drawn rather than wait on a neighbour that is drawing them.
-func (g *Graph) DrawWeights() { g.packedWeights() }
+// weightSeed is the seed of every graph's weights.
+const weightSeed = 99
 
-// WeightBytes is the size of the graph's packed weights.
-func (g *Graph) WeightBytes() int {
+// drawWeights draws the layers' packed weights from the filler of seed, in
+// one pass over one allocation that the layers' slices then divide.
+func (g *Graph) drawWeights(seed uint64) [][]byte {
+	all := make([]byte, g.weightBytes())
+	workload.NewFiller(seed).Int8s(all, -3, 3)
+	weights := make([][]byte, len(g.Layers))
+	for li, l := range g.Layers {
+		n := roundUp(l.K, npu.BlockIn) * roundUp(l.N, npu.BlockOut)
+		weights[li], all = all[:n:n], all[n:]
+	}
+	return weights
+}
+
+// weightBytes is the size of the graph's packed weights.
+func (g *Graph) weightBytes() int {
 	n := 0
 	for _, l := range g.Layers {
 		n += roundUp(l.K, npu.BlockIn) * roundUp(l.N, npu.BlockOut)
 	}
 	return n
-}
-
-// intn7 is rand.New(src).Intn(7) — the same draws from src, the same value —
-// without the four calls between them: Int31n(7) takes the top 31 bits of an
-// Int63 and redraws the two values above the largest multiple of 7.
-func intn7(src rand.Source) int32 {
-	const max = 1<<31 - 1 - (1<<31)%7
-	v := int32(src.Int63() >> 32)
-	for v > max {
-		v = int32(src.Int63() >> 32)
-	}
-	return v % 7
 }
 
 // FLOPs returns total inference FLOPs (batch 1).

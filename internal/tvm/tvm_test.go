@@ -2,7 +2,6 @@ package tvm_test
 
 import (
 	"bytes"
-	"math/rand"
 	"sync"
 	"testing"
 
@@ -11,7 +10,7 @@ import (
 	"cronus/internal/npu"
 	"cronus/internal/sim"
 	"cronus/internal/tvm"
-	"cronus/internal/workload/vtabench"
+	"cronus/internal/workload"
 )
 
 func nativeNPU(p *sim.Proc) *baseline.NativeNPU {
@@ -206,23 +205,22 @@ func (u *uploadLog) HtoD(p *sim.Proc, dst uint64, data []byte) error {
 }
 
 // TestCompiledWeightsIdentical holds the weights a graph computes once and
-// shares to the ones Compile used to draw on every call: per layer, k·n draws
-// of Intn(7)-3 from one rand.NewSource(99) stream running through the layers
-// in order, packed by PackWeights. Two engines of one graph — compiled on
-// concurrent simulations, as a Fig 10b row's cells are — upload those bytes
-// after the same MemAlloc sequence, and neither upload disturbs the other's.
+// shares to the filler's definition of what Compile used to draw on every
+// call: per layer, k·n int8 values in [−3, 3] in VTA block order, from one
+// seed-99 filler running through the layers in order. Two engines of one
+// graph — compiled on concurrent simulations, as a Fig 10b row's cells are —
+// upload those bytes after the same MemAlloc sequence, and neither upload
+// disturbs the other's.
 func TestCompiledWeightsIdentical(t *testing.T) {
 	for _, g := range tvm.InferenceGraphs() {
-		rng := rand.New(rand.NewSource(99))
+		f := workload.NewFiller(99)
 		var want [][]byte
 		for _, l := range g.Layers {
 			k := (l.K + npu.BlockIn - 1) / npu.BlockIn * npu.BlockIn
 			n := (l.N + npu.BlockOut - 1) / npu.BlockOut * npu.BlockOut
 			w := make([]byte, k*n)
-			for i := range w {
-				w[i] = byte(int8(rng.Intn(7) - 3))
-			}
-			want = append(want, vtabench.PackWeights(w, k, n))
+			f.Int8s(w, -3, 3)
+			want = append(want, w)
 		}
 		logs := make([]*uploadLog, 2)
 		var wg sync.WaitGroup

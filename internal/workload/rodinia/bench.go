@@ -7,14 +7,25 @@ import (
 	"cronus/internal/accel"
 	"cronus/internal/gpu"
 	"cronus/internal/sim"
+	"cronus/internal/workload"
 )
 
 // Benchmark is one Rodinia workload.
 type Benchmark struct {
 	Name    string
 	Kernels []string
-	// Run executes one full benchmark pass through ops.
-	Run func(p *sim.Proc, ops accel.CUDA) error
+	seed    uint64 // of the filler a pass draws its inputs from
+	run     func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error
+}
+
+// Run executes one full benchmark pass through ops. Its synthetic inputs are
+// floats in [0, 1) drawn by the filler of the benchmark's seed straight into
+// the buffers HtoD uploads — except BFS's graph and streamcluster's points
+// and centres, whose values decide how many rounds run and what they
+// upload: those keep their math/rand streams, so their times stay the ones
+// the figures report.
+func (b Benchmark) Run(p *sim.Proc, ops accel.CUDA) error {
+	return b.run(p, ops, workload.NewFiller(b.seed))
 }
 
 // Cubin returns the module image for a benchmark (plus the std kernels the
@@ -24,6 +35,8 @@ func (b Benchmark) Cubin() []byte {
 	return gpu.BuildCubin(names...)
 }
 
+// randFloats is streamcluster's math/rand stream of floats in [0, 1): its
+// cost read-back, and so its centre count and uploads, depend on them.
 func randFloats(seed int64, n int) []float32 {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]float32, n)
@@ -33,12 +46,20 @@ func randFloats(seed int64, n int) []float32 {
 	return out
 }
 
+// allocUpload allocates device memory for data and uploads it as it lies.
 func allocUpload(p *sim.Proc, ops accel.CUDA, data []float32) (uint64, error) {
 	ptr, err := ops.MemAlloc(p, uint64(len(data)*4))
 	if err != nil {
 		return 0, err
 	}
-	return ptr, ops.HtoD(p, ptr, gpu.PackF32(data))
+	return ptr, ops.HtoD(p, ptr, gpu.Bytes(data))
+}
+
+// upload allocates and uploads n floats in [0, 1) that f draws.
+func upload(p *sim.Proc, ops accel.CUDA, f *workload.Filler, n int) (uint64, error) {
+	data := make([]float32, n)
+	f.Float32s(data, 0, 1)
+	return allocUpload(p, ops, data)
 }
 
 // All returns the eight Figure 7 benchmarks.
@@ -65,17 +86,18 @@ func Backprop() Benchmark {
 	return Benchmark{
 		Name:    "backprop",
 		Kernels: []string{"bp_layerforward", "bp_adjust"},
-		Run: func(p *sim.Proc, ops accel.CUDA) error {
+		seed:    1,
+		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
 			const in, hid, out, batch = 256, 128, 64, 32
-			w1, err := allocUpload(p, ops, randFloats(1, in*hid))
+			w1, err := upload(p, ops, f, in*hid)
 			if err != nil {
 				return err
 			}
-			w2, err := allocUpload(p, ops, randFloats(2, hid*out))
+			w2, err := upload(p, ops, f, hid*out)
 			if err != nil {
 				return err
 			}
-			x, err := allocUpload(p, ops, randFloats(3, batch*in))
+			x, err := upload(p, ops, f, batch*in)
 			if err != nil {
 				return err
 			}
@@ -113,7 +135,7 @@ func BFS() Benchmark {
 	return Benchmark{
 		Name:    "bfs",
 		Kernels: []string{"bfs_step"},
-		Run: func(p *sim.Proc, ops accel.CUDA) error {
+		run: func(p *sim.Proc, ops accel.CUDA, _ *workload.Filler) error {
 			const nodes = 2048
 			const degree = 4
 			rng := rand.New(rand.NewSource(7))
@@ -157,8 +179,9 @@ func BFS() Benchmark {
 			if err != nil {
 				return err
 			}
+			zero := make([]byte, 4)
 			for level := 0; level < 32; level++ {
-				if err := ops.HtoD(p, gFlag, gpu.PackF32([]float32{0})); err != nil {
+				if err := ops.HtoD(p, gFlag, zero); err != nil {
 					return err
 				}
 				if err := ops.Launch(p, "bfs_step", gpu.Dim{nodes, 1, 1},
@@ -187,13 +210,14 @@ func Gaussian() Benchmark {
 	return Benchmark{
 		Name:    "gaussian",
 		Kernels: []string{"gaussian_fan1", "gaussian_fan2"},
-		Run: func(p *sim.Proc, ops accel.CUDA) error {
+		seed:    11,
+		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
 			const size = 96
-			a, err := allocUpload(p, ops, randFloats(11, size*size))
+			a, err := upload(p, ops, f, size*size)
 			if err != nil {
 				return err
 			}
-			b, err := allocUpload(p, ops, randFloats(12, size))
+			b, err := upload(p, ops, f, size)
 			if err != nil {
 				return err
 			}
@@ -222,9 +246,10 @@ func Hotspot() Benchmark {
 	return Benchmark{
 		Name:    "hotspot",
 		Kernels: []string{"hotspot_step"},
-		Run: func(p *sim.Proc, ops accel.CUDA) error {
+		seed:    21,
+		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
 			const rows, cols, steps = 96, 96, 24
-			tin, err := allocUpload(p, ops, randFloats(21, rows*cols))
+			tin, err := upload(p, ops, f, rows*cols)
 			if err != nil {
 				return err
 			}
@@ -232,7 +257,7 @@ func Hotspot() Benchmark {
 			if err != nil {
 				return err
 			}
-			power, err := allocUpload(p, ops, randFloats(22, rows*cols))
+			power, err := upload(p, ops, f, rows*cols)
 			if err != nil {
 				return err
 			}
@@ -256,13 +281,14 @@ func KMeans() Benchmark {
 	return Benchmark{
 		Name:    "kmeans",
 		Kernels: []string{"kmeans_assign", "kmeans_update"},
-		Run: func(p *sim.Proc, ops accel.CUDA) error {
+		seed:    31,
+		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
 			const n, k, dims, rounds = 2048, 8, 16, 6
-			pts, err := allocUpload(p, ops, randFloats(31, n*dims))
+			pts, err := upload(p, ops, f, n*dims)
 			if err != nil {
 				return err
 			}
-			cents, err := allocUpload(p, ops, randFloats(32, k*dims))
+			cents, err := upload(p, ops, f, k*dims)
 			if err != nil {
 				return err
 			}
@@ -292,13 +318,14 @@ func NN() Benchmark {
 	return Benchmark{
 		Name:    "nn",
 		Kernels: []string{"nn_dist"},
-		Run: func(p *sim.Proc, ops accel.CUDA) error {
+		seed:    41,
+		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
 			const n, dims = 16384, 8
-			recs, err := allocUpload(p, ops, randFloats(41, n*dims))
+			recs, err := upload(p, ops, f, n*dims)
 			if err != nil {
 				return err
 			}
-			q, err := allocUpload(p, ops, randFloats(42, dims))
+			q, err := upload(p, ops, f, dims)
 			if err != nil {
 				return err
 			}
@@ -325,7 +352,8 @@ func NW() Benchmark {
 	return Benchmark{
 		Name:    "nw",
 		Kernels: []string{"nw_diag"},
-		Run: func(p *sim.Proc, ops accel.CUDA) error {
+		seed:    51,
+		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
 			const size = 128
 			sc, err := ops.MemAlloc(p, (size+1)*(size+1)*4)
 			if err != nil {
@@ -336,10 +364,10 @@ func NW() Benchmark {
 				init[i*(size+1)] = float32(-i)
 				init[i] = float32(-i)
 			}
-			if err := ops.HtoD(p, sc, gpu.PackF32(init)); err != nil {
+			if err := ops.HtoD(p, sc, gpu.Bytes(init)); err != nil {
 				return err
 			}
-			ref, err := allocUpload(p, ops, randFloats(51, size*size))
+			ref, err := upload(p, ops, f, size*size)
 			if err != nil {
 				return err
 			}
@@ -362,9 +390,10 @@ func Pathfinder() Benchmark {
 	return Benchmark{
 		Name:    "pathfinder",
 		Kernels: []string{"pathfinder_row"},
-		Run: func(p *sim.Proc, ops accel.CUDA) error {
+		seed:    61,
+		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
 			const rows, cols = 64, 1024
-			wall, err := allocUpload(p, ops, randFloats(61, rows*cols))
+			wall, err := upload(p, ops, f, rows*cols)
 			if err != nil {
 				return err
 			}

@@ -6,6 +6,7 @@ import (
 	"cronus/internal/accel"
 	"cronus/internal/gpu"
 	"cronus/internal/sim"
+	"cronus/internal/workload"
 )
 
 // This file adds the remaining Rodinia workloads the paper's Figure 7
@@ -188,9 +189,10 @@ func LUD() Benchmark {
 	return Benchmark{
 		Name:    "lud",
 		Kernels: []string{"lud_diagonal", "lud_perimeter", "lud_internal"},
-		Run: func(p *sim.Proc, ops accel.CUDA) error {
+		seed:    71,
+		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
 			const size = 128
-			a, err := allocUpload(p, ops, randFloats(71, size*size))
+			a, err := upload(p, ops, f, size*size)
 			if err != nil {
 				return err
 			}
@@ -221,9 +223,10 @@ func SRAD() Benchmark {
 	return Benchmark{
 		Name:    "srad",
 		Kernels: []string{"srad_reduce", "srad_step"},
-		Run: func(p *sim.Proc, ops accel.CUDA) error {
+		seed:    81,
+		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
 			const n, iters = 8192, 12
-			img, err := allocUpload(p, ops, randFloats(81, n))
+			img, err := upload(p, ops, f, n)
 			if err != nil {
 				return err
 			}
@@ -269,7 +272,7 @@ func Streamcluster() Benchmark {
 	return Benchmark{
 		Name:    "streamcluster",
 		Kernels: []string{"sc_assign"},
-		Run: func(p *sim.Proc, ops accel.CUDA) error {
+		run: func(p *sim.Proc, ops accel.CUDA, _ *workload.Filler) error {
 			const n, dims, rounds = 1024, 8, 10
 			pts, err := allocUpload(p, ops, randFloats(91, n*dims))
 			if err != nil {
@@ -287,7 +290,7 @@ func Streamcluster() Benchmark {
 			}
 			prevCost := float32(math.MaxFloat32)
 			for r := 0; r < rounds; r++ {
-				if err := ops.HtoD(p, gCents, gpu.PackF32(centers)); err != nil {
+				if err := ops.HtoD(p, gCents, gpu.Bytes(centers)); err != nil {
 					return err
 				}
 				if err := ops.Launch(p, "sc_assign", gpu.Dim{n, 1, 1}, pts, gCents, gCost, n, uint64(k), dims); err != nil {

@@ -33,7 +33,7 @@ func upload(t *testing.T, p *sim.Proc, ctx *gpu.Context, xs []float32) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ctx.HtoD(p, ptr, gpu.PackF32(xs)); err != nil {
+	if err := ctx.HtoD(p, ptr, gpu.Bytes(xs)); err != nil {
 		t.Fatal(err)
 	}
 	return ptr

@@ -1,0 +1,7 @@
+package vtabench
+
+// WithSeed returns b drawing its operands from seed instead of its own.
+func (b Benchmark) WithSeed(seed uint64) Benchmark {
+	b.seed = seed
+	return b
+}

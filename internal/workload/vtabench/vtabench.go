@@ -6,19 +6,27 @@ package vtabench
 
 import (
 	"fmt"
-	"math/rand"
 
 	"cronus/internal/accel"
 	"cronus/internal/npu"
 	"cronus/internal/sim"
+	"cronus/internal/workload"
 )
 
 // Benchmark is one vta-bench workload.
 type Benchmark struct {
 	Name string
-	// Run executes one pass and returns the number of NPU "operations"
-	// (GEMM block ops + ALU block ops) performed, for throughput reports.
-	Run func(p *sim.Proc, ops accel.NPU) (int, error)
+	seed uint64 // of the filler a pass draws its operands from
+	run  func(p *sim.Proc, ops accel.NPU, f *workload.Filler) (int, error)
+}
+
+// Run executes one pass and returns the number of NPU "operations" (GEMM
+// block ops + ALU block ops) performed, for throughput reports. Its operands
+// are int8 values in [−4, 4], drawn by the filler of the benchmark's seed
+// straight into the buffers HtoD uploads; a GEMM's weights are drawn in VTA
+// block order.
+func (b Benchmark) Run(p *sim.Proc, ops accel.NPU) (int, error) {
+	return b.run(p, ops, workload.NewFiller(b.seed))
 }
 
 // All returns the vta-bench suite.
@@ -26,13 +34,11 @@ func All() []Benchmark {
 	return []Benchmark{GEMM(64, 64, 64), GEMM(128, 64, 128), ALU(4096), Conv(16, 16, 16, 16)}
 }
 
-func randBytes(seed int64, n int) []byte {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = byte(int8(rng.Intn(9) - 4))
-	}
-	return out
+// operands returns n int8 operands drawn by f.
+func operands(f *workload.Filler, n int) []byte {
+	b := make([]byte, n)
+	f.Int8s(b, -4, 4)
+	return b
 }
 
 // PackWeights lays out B[K×N] int8 as VTA weight blocks W[nb][kb][o][k]
@@ -89,10 +95,10 @@ func MatmulProgram(aAddr, wAddr, cAddr uint64, m, n, kk int) []npu.Insn {
 func GEMM(m, k, n int) Benchmark {
 	return Benchmark{
 		Name: fmt.Sprintf("gemm-%dx%dx%d", m, k, n),
-		Run: func(p *sim.Proc, ops accel.NPU) (int, error) {
-			a := randBytes(1, m*k)
-			b := randBytes(2, k*n)
-			w := PackWeights(b, k, n)
+		seed: 1,
+		run: func(p *sim.Proc, ops accel.NPU, f *workload.Filler) (int, error) {
+			a := operands(f, m*k)
+			w := operands(f, k*n)
 			aAddr, err := ops.MemAlloc(p, uint64(len(a)))
 			if err != nil {
 				return 0, err
@@ -134,8 +140,9 @@ func ALU(blocks int) Benchmark {
 	}
 	return Benchmark{
 		Name: fmt.Sprintf("alu-%d", blocks),
-		Run: func(p *sim.Proc, ops accel.NPU) (int, error) {
-			accBytes := randBytes(3, blocks*npu.AccBlockBytes)
+		seed: 3,
+		run: func(p *sim.Proc, ops accel.NPU, f *workload.Filler) (int, error) {
+			accBytes := operands(f, blocks*npu.AccBlockBytes)
 			addr, err := ops.MemAlloc(p, uint64(len(accBytes)))
 			if err != nil {
 				return 0, err
@@ -188,11 +195,12 @@ func ALU(blocks int) Benchmark {
 func Conv(h, w, cin, cout int) Benchmark {
 	return Benchmark{
 		Name: fmt.Sprintf("conv-%dx%dx%d-%d", h, w, cin, cout),
-		Run: func(p *sim.Proc, ops accel.NPU) (int, error) {
+		seed: 1,
+		run: func(p *sim.Proc, ops accel.NPU, f *workload.Filler) (int, error) {
 			m := h * w
 			k := ((cin*9 + npu.BlockIn - 1) / npu.BlockIn) * npu.BlockIn
 			n := ((cout + npu.BlockOut - 1) / npu.BlockOut) * npu.BlockOut
-			return GEMM(m, k, n).Run(p, ops)
+			return GEMM(m, k, n).run(p, ops, f)
 		},
 	}
 }
