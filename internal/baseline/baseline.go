@@ -49,6 +49,7 @@ func RecoveryTime(s System, c *sim.CostModel) sim.Duration {
 type NativeCUDA struct {
 	Ctx   *gpu.Context
 	Costs *sim.CostModel
+	dev   *gpu.Device
 }
 
 var _ accel.CUDA = (*NativeCUDA)(nil)
@@ -59,7 +60,7 @@ func NewNativeCUDA(d *gpu.Device, costs *sim.CostModel, cubin []byte) (*NativeCU
 	if err := ctx.LoadModule(cubin); err != nil {
 		return nil, err
 	}
-	return &NativeCUDA{Ctx: ctx, Costs: costs}, nil
+	return &NativeCUDA{Ctx: ctx, Costs: costs, dev: d}, nil
 }
 
 // MemAlloc implements accel.CUDA.
@@ -92,9 +93,13 @@ func (n *NativeCUDA) Launch(p *sim.Proc, kernel string, grid gpu.Dim, args ...ui
 // Sync implements accel.CUDA.
 func (n *NativeCUDA) Sync(p *sim.Proc) error { return nil }
 
-// Close implements accel.CUDA.
+// Close implements accel.CUDA: the context is destroyed, its memory
+// scrubbed and given back, at no virtual cost.
 func (n *NativeCUDA) Close(p *sim.Proc) error {
-	n.Ctx = nil
+	if n.Ctx != nil {
+		n.dev.DestroyContext(n.Ctx)
+		n.Ctx = nil
+	}
 	return nil
 }
 
@@ -257,13 +262,14 @@ func (h *HIXCUDA) Close(p *sim.Proc) error { return h.inner.Close(p) }
 type NativeNPU struct {
 	Ctx   *npu.Context
 	Costs *sim.CostModel
+	dev   *npu.Device
 }
 
 var _ accel.NPU = (*NativeNPU)(nil)
 
 // NewNativeNPU creates a native NPU context.
 func NewNativeNPU(d *npu.Device, costs *sim.CostModel) *NativeNPU {
-	return &NativeNPU{Ctx: d.CreateContext(), Costs: costs}
+	return &NativeNPU{Ctx: d.CreateContext(), Costs: costs, dev: d}
 }
 
 // MemAlloc implements accel.NPU.
@@ -287,9 +293,13 @@ func (n *NativeNPU) Run(p *sim.Proc, insns []npu.Insn) error { return n.Ctx.Run(
 // Sync implements accel.NPU.
 func (n *NativeNPU) Sync(p *sim.Proc) error { return nil }
 
-// Close implements accel.NPU.
+// Close implements accel.NPU: the context is destroyed, its memory
+// scrubbed and given back, at no virtual cost.
 func (n *NativeNPU) Close(p *sim.Proc) error {
-	n.Ctx = nil
+	if n.Ctx != nil {
+		n.dev.DestroyContext(n.Ctx)
+		n.Ctx = nil
+	}
 	return nil
 }
 

@@ -266,3 +266,66 @@ func TestRecoveryTimePerSystem(t *testing.T) {
 		t.Error("an mOS restart is not two orders under a machine reboot")
 	}
 }
+
+// TestCloseGivesDeviceMemoryBack: closing a baseline's stream destroys its
+// device context, so memory it never freed is back at once and the device's
+// MemUsed reads what it did before the open; the close charges no virtual
+// time, and a second one does nothing.
+func TestCloseGivesDeviceMemoryBack(t *testing.T) {
+	costs := sim.DefaultCosts()
+	type device interface{ MemUsed() uint64 }
+	type stream interface {
+		MemAlloc(p *sim.Proc, n uint64) (uint64, error)
+		Close(p *sim.Proc) error
+	}
+	check := func(t *testing.T, p *sim.Proc, dev device, open func() (stream, error)) {
+		t.Helper()
+		before := dev.MemUsed()
+		ops, err := open()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []uint64{4096, 100} {
+			if _, err := ops.MemAlloc(p, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if dev.MemUsed() <= before {
+			t.Fatal("the allocations did not show in MemUsed")
+		}
+		start := p.Now()
+		for i := 0; i < 2; i++ {
+			if err := ops.Close(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := dev.MemUsed(); got != before {
+			t.Errorf("MemUsed %d after the close, %d before the open", got, before)
+		}
+		if p.Now() != start {
+			t.Errorf("the close took %v of virtual time", sim.Duration(p.Now()-start))
+		}
+	}
+	for _, s := range cudaSystems {
+		t.Run("cuda/"+string(s.system), func(t *testing.T) {
+			inSim(t, func(k *sim.Kernel, p *sim.Proc) error {
+				dev := gpu.New(k, costs, gpu.TuringConfig("gpu0"))
+				check(t, p, dev, func() (stream, error) {
+					return s.open(dev, costs, gpu.BuildCubin("vec_add"))
+				})
+				return nil
+			})
+		})
+	}
+	for _, s := range npuSystems {
+		t.Run("npu/"+string(s.system), func(t *testing.T) {
+			inSim(t, func(k *sim.Kernel, p *sim.Proc) error {
+				dev := npu.New(k, costs, npu.Config{Name: "npu0", MemBytes: 1 << 20, KeySeed: "t"})
+				check(t, p, dev, func() (stream, error) {
+					return s.open(dev, costs), nil
+				})
+				return nil
+			})
+		})
+	}
+}

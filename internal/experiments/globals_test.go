@@ -27,6 +27,7 @@ var sharedGlobals = map[string]string{
 	"gpu.registry":           "filled at package init, replaced only by tests and examples while no simulation runs",
 
 	"wire.recycleHook": "buffer-poisoning hook of one test at a time",
+	"gpu.backings":     "one mutex guards it; it holds only zeroed device-memory backings that no live span or scratch arena references",
 
 	"experiments.Catalog":    "read-only table",
 	"experiments.GPUSystems": "read-only table",

@@ -64,9 +64,10 @@ func TuringConfig(name string) Config {
 	return Config{Name: name, MemBytes: 1 << 30, SMs: 46, CopyEngs: 2, MPS: true, KeySeed: "turing/" + name}
 }
 
-// New creates a GPU device exactly as cfg sizes it.
+// New creates a GPU device exactly as cfg sizes it. Its memory goes back to
+// the recycler when k shuts down.
 func New(k *sim.Kernel, costs *sim.CostModel, cfg Config) *Device {
-	return &Device{
+	d := &Device{
 		name:      cfg.Name,
 		k:         k,
 		costs:     costs,
@@ -78,6 +79,8 @@ func New(k *sim.Kernel, costs *sim.CostModel, cfg Config) *Device {
 		contexts:  make(map[int]*Context),
 		priv:      attest.KeyFromSeed([]byte("gpu-device-key/" + cfg.KeySeed)),
 	}
+	k.AtShutdown(d.dropContexts)
+	return d
 }
 
 // Name implements hw.Device.
@@ -112,15 +115,22 @@ func (d *Device) ConfigureMIG(n int) {
 // Reset implements hw.Device: it drops every context and scrubs all device
 // memory — the SPM's failure-clearing hook (A3).
 func (d *Device) Reset() {
+	d.dropContexts()
+	d.sms.Drain()
+}
+
+// dropContexts scrubs every span and the scratch arena into the recycler and
+// makes every context stale, with no span left to resolve: Reset, and the
+// end of the kernel the device lives on.
+func (d *Device) dropContexts() {
 	for _, c := range d.contexts {
-		for _, s := range c.spans {
-			clear(s.words)
-		}
+		c.release()
 	}
+	backings.put(d.scratch)
+	d.scratch = nil
 	d.contexts = make(map[int]*Context)
 	d.memUsed = 0
 	d.gen++
-	d.sms.Drain()
 }
 
 // hangPark is how long a hang-injected launch parks: far beyond any
@@ -169,11 +179,7 @@ func (d *Device) DestroyContext(c *Context) {
 	if d.contexts[c.id] != c {
 		return
 	}
-	for _, s := range c.spans {
-		clear(s.words)
-		d.memUsed -= s.size
-	}
-	c.spans = nil
+	d.memUsed -= c.release()
 	delete(d.contexts, c.id)
 }
 
@@ -192,10 +198,11 @@ var ErrInvalidPointer = errors.New("gpu: invalid device pointer")
 var ErrMisaligned = errors.New("gpu: misaligned device pointer")
 
 // span is one device memory allocation (contiguous VA and backing). The
-// backing is allocated as 4-byte words, so every float32 view of it is
+// backing is 4-byte words from the recycler, so every float32 view of it is
 // aligned by its type, whatever the allocator returned; buf is the same
 // memory as bytes, cut to size. Floats sit in it in host byte order, as a
-// GPU shares its host's.
+// GPU shares its host's. No view reaches past len(words): the recycler
+// relies on the rest of the capacity staying zero.
 type span struct {
 	va    uint64
 	size  uint64
@@ -218,6 +225,17 @@ type Context struct {
 	exec Exec
 }
 
+// release scrubs the context's spans into the recycler and forgets them,
+// returning the bytes they held.
+func (c *Context) release() (n uint64) {
+	for _, s := range c.spans {
+		backings.put(s.words)
+		n += s.size
+	}
+	c.spans = nil
+	return n
+}
+
 func (c *Context) check() error {
 	if c.gen != c.dev.gen {
 		return ErrStaleContext
@@ -233,14 +251,14 @@ func (c *Context) MemAlloc(n uint64) (uint64, error) {
 	if n == 0 {
 		return 0, fmt.Errorf("gpu: zero-byte allocation")
 	}
-	if c.dev.memUsed+n > c.dev.memSize {
+	if n > c.dev.memSize-c.dev.memUsed {
 		return 0, fmt.Errorf("gpu: out of device memory (%d used of %d)", c.dev.memUsed, c.dev.memSize)
 	}
 	// VA layout: context id in the top bits makes cross-context pointer
 	// forgery structurally impossible to resolve.
 	va := uint64(c.id)<<40 | (c.nextVA + 0x1000)
 	c.nextVA += (n + 0xfff) &^ 0xfff
-	words := make([]float32, (n+3)/4)
+	words := backings.get(int((n + 3) / 4))
 	c.spans = append(c.spans, &span{va: va, size: n, words: words, buf: Bytes(words)[:n]})
 	c.dev.memUsed += n
 	return va, nil
@@ -248,9 +266,12 @@ func (c *Context) MemAlloc(n uint64) (uint64, error) {
 
 // MemFree releases an allocation (scrubbed).
 func (c *Context) MemFree(va uint64) error {
+	if err := c.check(); err != nil {
+		return err
+	}
 	for i, s := range c.spans {
 		if s.va == va {
-			clear(s.words)
+			backings.put(s.words)
 			c.dev.memUsed -= s.size
 			c.spans = append(c.spans[:i], c.spans[i+1:]...)
 			return nil
@@ -306,7 +327,7 @@ func (c *Context) f32(ptr uint64, dims ...int) (F32, error) {
 	if !fits || n > (s.size-off)/4 {
 		return nil, fmt.Errorf("%w %#x (float32 × %d) in context %d", ErrInvalidPointer, ptr, n, c.id)
 	}
-	return s.words[off/4 : off/4+n], nil
+	return s.words[off/4 : off/4+n : len(s.words)], nil
 }
 
 // CheckRange reports whether [ptr, ptr+n) lies inside one live allocation of
@@ -321,52 +342,68 @@ func (c *Context) CheckRange(ptr, n uint64) error {
 	return err
 }
 
+// A copy checks its ranges before it charges the transfer and resolves them
+// again after: while it slept, a free, a destroy or a reset may have handed
+// the memory back to the recycler, and the copy must then neither read nor
+// write it.
+
 // HtoD copies host bytes to device memory, occupying a copy engine for the
 // PCIe transfer time.
 func (c *Context) HtoD(p *sim.Proc, dst uint64, src []byte) error {
+	if _, err := c.resolve(dst, len(src)); err != nil {
+		return err
+	}
+	c.dev.copyEng.Use(p, 1, c.dev.costs.DMA(len(src)))
 	buf, err := c.resolve(dst, len(src))
 	if err != nil {
 		return err
 	}
-	c.dev.copyEng.Use(p, 1, c.dev.costs.DMA(len(src)))
 	copy(buf, src)
 	return nil
 }
 
 // DtoH copies device memory to host bytes.
 func (c *Context) DtoH(p *sim.Proc, dst []byte, src uint64) error {
+	if _, err := c.resolve(src, len(dst)); err != nil {
+		return err
+	}
+	c.dev.copyEng.Use(p, 1, c.dev.costs.DMA(len(dst)))
 	buf, err := c.resolve(src, len(dst))
 	if err != nil {
 		return err
 	}
-	c.dev.copyEng.Use(p, 1, c.dev.costs.DMA(len(dst)))
 	copy(dst, buf)
 	return nil
 }
 
 // DtoD copies within the device (no PCIe; modelled at memcpy bandwidth).
 func (c *Context) DtoD(p *sim.Proc, dst, src uint64, n int) error {
-	sb, err := c.resolve(src, n)
-	if err != nil {
-		return err
-	}
-	db, err := c.resolve(dst, n)
-	if err != nil {
+	if _, _, err := resolvePair(c, dst, c, src, n); err != nil {
 		return err
 	}
 	c.dev.copyEng.Use(p, 1, c.dev.costs.Memcpy(n))
+	db, sb, err := resolvePair(c, dst, c, src, n)
+	if err != nil {
+		return err
+	}
 	copy(db, sb)
 	return nil
 }
 
+// resolvePair resolves a copy's source, then its destination.
+func resolvePair(dst *Context, dstPtr uint64, src *Context, srcPtr uint64, n int) (db, sb []byte, err error) {
+	if sb, err = src.resolve(srcPtr, n); err != nil {
+		return nil, nil, err
+	}
+	if db, err = dst.resolve(dstPtr, n); err != nil {
+		return nil, nil, err
+	}
+	return db, sb, nil
+}
+
 // CopyPeer copies between two devices over PCIe (GPU P2P, Figure 11b).
 func CopyPeer(p *sim.Proc, dst *Context, dstPtr uint64, src *Context, srcPtr uint64, n int) error {
-	sb, err := src.resolve(srcPtr, n)
-	if err != nil {
-		return err
-	}
-	db, err := dst.resolve(dstPtr, n)
-	if err != nil {
+	if _, _, err := resolvePair(dst, dstPtr, src, srcPtr, n); err != nil {
 		return err
 	}
 	// Both devices' copy engines are busy for the transfer (a kill releases).
@@ -375,6 +412,10 @@ func CopyPeer(p *sim.Proc, dst *Context, dstPtr uint64, src *Context, srcPtr uin
 	dst.dev.copyEng.Acquire(p, 1)
 	defer dst.dev.copyEng.Release(1)
 	p.Sleep(src.dev.costs.DMA(n))
+	db, sb, err := resolvePair(dst, dstPtr, src, srcPtr, n)
+	if err != nil {
+		return err
+	}
 	copy(db, sb)
 	return nil
 }

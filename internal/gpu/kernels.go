@@ -85,11 +85,15 @@ func (e *Exec) F32s(n int, dst ...*F32) error {
 // Scratch returns n float32s of the device's working memory, contents
 // undefined, valid until the kernel returns. One arena per device is enough:
 // a kernel Func never blocks and a sim kernel runs one process at a time, so
-// no two kernels of a device are ever inside their Func together.
+// no two kernels of a device are ever inside their Func together. The arena
+// comes from the recycler and spans its backing's whole capacity, a power of
+// two, so it grows geometrically; the one it outgrows goes back scrubbed.
 func (e *Exec) Scratch(n int) []float32 {
 	d := e.Ctx.dev
 	if cap(d.scratch) < n {
-		d.scratch = make([]float32, n)
+		backings.put(d.scratch)
+		d.scratch = backings.get(n)
+		d.scratch = d.scratch[:cap(d.scratch)]
 	}
 	return d.scratch[:n]
 }

@@ -52,9 +52,10 @@ type Enclave struct {
 	memUsed uint64
 	dead    bool
 
-	// grants tracks sRPC shared-memory grants owned by this enclave so
-	// enclave failure can revoke them (§IV-D "Handling mEnclave failures").
-	grants []int
+	// shares tracks the sRPC shared-memory grants this enclave owns, with
+	// the pages each covers, so enclave failure can revoke them (§IV-D
+	// "Handling mEnclave failures") and free the pages.
+	shares []share
 	// spareReply is a sealed call's reply encoder between calls. A call
 	// takes it (or a new one, if another call holds it) and puts it back
 	// emptied, its buffer gone with the reply.
@@ -320,6 +321,14 @@ func (e *Enclave) AllocShared(p *sim.Proc, npages int) (uint64, error) {
 // against the enclave's memory cap and that have not been returned.
 func (e *Enclave) MemUsed() uint64 { return e.memUsed }
 
+// share is one grant ShareWith made: the SPM's grant id and the owner-side
+// pages it covers.
+type share struct {
+	gid    int
+	ipa    uint64
+	npages int
+}
+
 // ShareWith allocates npages of trusted memory (AllocShared), shares them
 // with peer through the SPM and records the grant, so enclave failure revokes
 // it. A refused share — the peer failing or not yet ready — returns the pages,
@@ -335,24 +344,25 @@ func (e *Enclave) ShareWith(p *sim.Proc, npages int, peer *spm.Partition) (ipa, 
 		e.freeShared(ipa, npages)
 		return 0, 0, 0, err
 	}
-	e.grants = append(e.grants, gid)
+	e.shares = append(e.shares, share{gid: gid, ipa: ipa, npages: npages})
 	return ipa, peerIPA, gid, nil
 }
 
 // ReleaseShared ends a share of npages ShareWith took at ipa: the grant is
 // dissolved (spm.Unshare, which the failure paths may already have done) and
 // leaves the enclave's list, and the pages go back to the allocator and under
-// the memory cap (freeShared).
+// the memory cap (freeShared) — unless they left with it already: a second
+// release, or one after Kill, frees nothing.
 func (e *Enclave) ReleaseShared(gid int, ipa uint64, npages int) {
 	m := e.em.mos
 	_ = m.SPM.Unshare(gid)
-	for i, g := range e.grants {
-		if g == gid {
-			e.grants = append(e.grants[:i], e.grants[i+1:]...)
-			break
+	for i, sh := range e.shares {
+		if sh.gid == gid {
+			e.shares = append(e.shares[:i], e.shares[i+1:]...)
+			e.freeShared(ipa, npages)
+			return
 		}
 	}
-	e.freeShared(ipa, npages)
 }
 
 // freeShared returns npages AllocShared took at ipa to the allocator and
@@ -376,7 +386,9 @@ func (e *Enclave) MOS() *MOS { return e.em.mos }
 
 // Kill tears down a single failed mEnclave (§IV-D "Handling mEnclave
 // failures"): its device state is destroyed and every shared-memory grant it
-// owned is revoked so communicating mEnclaves are notified by trap.
+// owned is revoked so communicating mEnclaves are notified by trap. The
+// shared pages are freed at once: nothing of the dead enclave will touch
+// them again, so the grant only waits for the peer's trap.
 func (e *Enclave) Kill(p *sim.Proc) {
 	if e.dead {
 		return
@@ -384,8 +396,10 @@ func (e *Enclave) Kill(p *sim.Proc) {
 	e.dead = true
 	mEnclavesDead.Inc()
 	e.Model.Destroy(p)
-	for _, gid := range e.grants {
-		_ = e.em.mos.SPM.RevokeGrant(gid, e.Name)
+	for _, sh := range e.shares {
+		_ = e.em.mos.SPM.RevokeGrant(sh.gid, e.Name)
+		e.freeShared(sh.ipa, sh.npages)
 	}
+	e.shares = nil
 	delete(e.em.enclaves, e.EID)
 }

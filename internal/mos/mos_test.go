@@ -244,8 +244,9 @@ func npuManifest() (enclave.Manifest, map[string][]byte) {
 // TestEnclaveKillRevokesGrantsAndDies: killing one mEnclave (§IV-D "Handling
 // mEnclave failures") destroys its device context — the device memory it held
 // is back; the device unit tests pin that DestroyContext scrubs it — and
-// revokes its share, so the peer traps; the owning partition's trap recovers
-// its page, and after both traps no grant to either partition is left.
+// revokes its share, so the peer traps with a PeerFault. The kill frees the
+// shared page itself, so after the peer's trap no grant to either partition
+// is left, without the owner touching the page.
 func TestEnclaveKillRevokesGrantsAndDies(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -290,7 +291,8 @@ func TestEnclaveKillRevokesGrantsAndDies(t *testing.T) {
 						t.Errorf("device memory in use %d after a 4096-byte alloc, %d before", got, memBefore)
 					}
 				}
-				ownerIPA, peerIPA, _, err := e.ShareWith(p, 1, peer)
+				sharedBefore := e.MemUsed()
+				ownerIPA, peerIPA, gid, err := e.ShareWith(p, 1, peer)
 				if err != nil {
 					return err
 				}
@@ -303,26 +305,27 @@ func TestEnclaveKillRevokesGrantsAndDies(t *testing.T) {
 						t.Errorf("device memory in use %d after the kill, %d before the enclave's alloc", got, memBefore)
 					}
 				}
+				if got := e.MemUsed(); got != sharedBefore {
+					t.Errorf("the enclave holds %d B of trusted memory after the kill, %d before the share", got, sharedBefore)
+				}
 				// The peer partition traps on access (enclave-failure signal).
-				v := pl.SPM.NewView(peer, nil)
-				if err := v.Read(p, peerIPA, make([]byte, 1)); err == nil {
-					t.Error("peer access after enclave kill succeeded")
-				}
-				// The trap was the peer's notice. The owning partition's own
-				// trap recovers its access to the page; then the revoked grant
-				// is gone, and nothing names either partition.
 				var pf *spm.PeerFault
-				ov := pl.SPM.NewView(m.Part, nil)
-				if err := ov.Read(p, ownerIPA, make([]byte, 1)); !errors.As(err, &pf) {
-					t.Errorf("owner access after the peer's trap: %v, want a PeerFault", err)
+				v := pl.SPM.NewView(peer, nil)
+				if err := v.Read(p, peerIPA, make([]byte, 1)); !errors.As(err, &pf) {
+					t.Errorf("peer access after the enclave kill: %v, want a PeerFault", err)
 				}
-				if err := ov.Read(p, ownerIPA, make([]byte, 1)); err != nil {
-					t.Errorf("owner access after its trap: %v", err)
-				}
+				// The trap was the peer's notice, and the last the revoked
+				// grant waited for: nothing names either partition.
 				for _, part := range []*spm.Partition{m.Part, peer} {
 					if cur, stale := pl.SPM.GrantsTo(part); cur != 0 || stale != 0 {
 						t.Errorf("%s: %d current and %d stale grants after the trap, want 0, 0", part.Name, cur, stale)
 					}
+				}
+				// A late release of the share (its stream's teardown) frees
+				// nothing twice.
+				e.ReleaseShared(gid, ownerIPA, 1)
+				if got := e.MemUsed(); got != sharedBefore {
+					t.Errorf("the enclave holds %d B of trusted memory after a late release, %d before the share", got, sharedBefore)
 				}
 				return nil
 			})

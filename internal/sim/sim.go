@@ -432,6 +432,8 @@ type Kernel struct {
 
 	// tracer, when attached (SetTracer), records this kernel's events.
 	tracer Tracer
+	// atShutdown runs, in order, once Shutdown has unwound every process.
+	atShutdown []func()
 
 	stopped bool
 	err     error // the first error raised by process code
@@ -825,8 +827,9 @@ func (k *Kernel) Stop() { k.stopped = true }
 
 // Shutdown unwinds every remaining process — each is resumed once, marked
 // killed, and runs its deferred calls to the end of its coroutine — so no
-// goroutine outlives the kernel. Call it after Run/RunUntil returns, never
-// from inside a running process. The kernel cannot be used again afterwards.
+// goroutine outlives the kernel, then runs the AtShutdown functions. Call it
+// after Run/RunUntil returns, never from inside a running process. The
+// kernel cannot be used again afterwards.
 func (k *Kernel) Shutdown() {
 	if k.run {
 		panic("sim: Shutdown during Run")
@@ -839,7 +842,17 @@ func (k *Kernel) Shutdown() {
 		p.state = procQueued
 		p.co()
 	}
+	for _, fn := range k.atShutdown {
+		fn()
+	}
+	k.atShutdown = nil
 }
+
+// AtShutdown arranges for fn to run when Shutdown has unwound every process,
+// after the functions registered before it: where a device hands back what
+// it holds once nothing can reach it. fn runs on Shutdown's caller, outside
+// any process and any event; it must not schedule.
+func (k *Kernel) AtShutdown(fn func()) { k.atShutdown = append(k.atShutdown, fn) }
 
 // Run is the one kernel lifecycle: it creates a kernel, runs body as the
 // process "main", stops the simulation when body returns (service loops —

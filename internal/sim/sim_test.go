@@ -687,6 +687,36 @@ func TestShutdownUnwindsBlockingDefers(t *testing.T) {
 	}
 }
 
+// TestAtShutdownRunsAfterTheLastUnwind: the AtShutdown functions run once,
+// in registration order, after every process's deferred calls, and add no
+// event: the clock and the dispatch count are what Run left.
+func TestAtShutdownRunsAfterTheLastUnwind(t *testing.T) {
+	var order []string
+	err := Run(func(p *Proc) error {
+		k := p.Kernel()
+		k.AtShutdown(func() { order = append(order, "first") })
+		k.Spawn("parked", func(p *Proc) {
+			defer func() { order = append(order, "unwound") }()
+			NewCond(p.Kernel()).Wait(p)
+		})
+		p.Sleep(Microsecond)
+		now, dispatched := k.Now(), k.Dispatched()
+		k.AtShutdown(func() {
+			order = append(order, "second")
+			if k.Now() != now || k.Dispatched() != dispatched {
+				t.Errorf("shutdown moved the kernel to %v / %d events from %v / %d", k.Now(), k.Dispatched(), now, dispatched)
+			}
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(order, " "); got != "unwound first second" {
+		t.Errorf("shutdown order %q, want \"unwound first second\"", got)
+	}
+}
+
 // TestShutdownLeavesNoGoroutines holds Shutdown to the exact goroutine count
 // it started from, for a process in every state a run can leave behind: never
 // started (its coroutine exists but has not been resumed), parked, asleep,

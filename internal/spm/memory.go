@@ -86,14 +86,22 @@ func (s *SPM) AllocMem(p *Partition, npages int) (uint64, error) {
 }
 
 // FreeMem unmaps and scrubs pages previously allocated with AllocMem, once
-// no grant shares them (Unshare first). It changes no other partition's view,
-// so it raises no isolation-change notification.
+// no live grant shares them (Unshare first). Pages a dead grant shares end
+// the owner's wait for its trap, since there is no access left to recover:
+// the grant then waits only for the peer's. It changes no other partition's
+// view, so it raises no isolation-change notification.
 func (s *SPM) FreeMem(p *Partition, ipa uint64, npages int) {
 	vpn := ipa >> hw.PageShift
 	for i := 0; i < npages; i++ {
 		op, ok := p.ownPages[vpn+uint64(i)]
 		if !ok {
 			continue
+		}
+		if g := s.grants[s.sharedPFN[op.pfn]]; g != nil && g.dead && g.owner == p && g.coversOwner(vpn+uint64(i)) {
+			g.ownerTraps = false
+			if !g.awaitsTrap() {
+				delete(s.grants, g.id)
+			}
 		}
 		delete(p.ownPages, vpn+uint64(i))
 		delete(s.sharedPFN, op.pfn)

@@ -516,6 +516,51 @@ func TestRevokedGrantPeerTrapsFirst(t *testing.T) {
 	}
 }
 
+// TestOwnerFreeEndsItsWaitOnARevokedGrant: an owner that frees the pages of
+// a revoked grant has no access left to recover, so the grant waits only for
+// the peer's trap, which still gets its PeerFault — whether the free comes
+// before that trap or after it. Then no grant names either partition.
+func TestOwnerFreeEndsItsWaitOnARevokedGrant(t *testing.T) {
+	for _, peerFirst := range []bool{false, true} {
+		k, _, s := testRig(t)
+		pa, _ := s.CreatePartition("cpu", "", []byte("a"))
+		pb, _ := s.CreatePartition("gpu", "gpu0", []byte("b"))
+		k.Spawn("test", func(proc *sim.Proc) {
+			ipaA, _ := s.AllocMem(pa, 1)
+			ipaB, gid, err := s.Share(pa, ipaA, 1, pb)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := s.RevokeGrant(gid, "enclave-a"); err != nil {
+				t.Error(err)
+				return
+			}
+			peerTrap := func() {
+				var pf *PeerFault
+				if err := s.NewView(pb, nil).Read(proc, ipaB, make([]byte, 1)); !errors.As(err, &pf) {
+					t.Errorf("peer first %v: peer read after the revoke: %v, want PeerFault", peerFirst, err)
+				}
+			}
+			if peerFirst {
+				peerTrap()
+			}
+			s.FreeMem(pa, ipaA, 1)
+			if !peerFirst {
+				peerTrap()
+			}
+			for _, part := range []*Partition{pa, pb} {
+				if cur, stale := s.GrantsTo(part); cur != 0 || stale != 0 {
+					t.Errorf("peer first %v: %s holds %d current, %d stale grants", peerFirst, part.Name, cur, stale)
+				}
+			}
+		})
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestLocalReportValidation(t *testing.T) {
 	_, _, s := testRig(t)
 	p, _ := s.CreatePartition("gpu", "gpu0", []byte("b"))
