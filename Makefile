@@ -184,7 +184,7 @@ ci:
 	GOARCH=386 $(GO) test -count=1 ./...
 	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/hw ./internal/sim \
 		./internal/trace ./internal/otrace ./internal/experiments ./internal/core ./internal/gpu \
-		./internal/dnn ./internal/workload/rodinia ./internal/tvm ./internal/mos/driver
+		./internal/dnn ./internal/workload/rodinia ./internal/tvm ./internal/mos/driver ./internal/npu ./internal/recycle
 	$(MAKE) fuzz
 	$(GO) run ./cmd/cronus-doclint
 	$(MAKE) bench-build

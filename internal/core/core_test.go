@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -312,6 +313,40 @@ func TestDeviceErrorsSurfaceThroughStream(t *testing.T) {
 			t.Errorf("stream broken after device error: %v", err)
 		}
 		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNPUMemAllocSizeCannotWrap: an NPU mEnclave's allocation size comes off
+// the wire, and one that would wrap the device's accounting past 2^64 is the
+// device's out-of-memory refusal carried back as an srpc.CallError, not a
+// panic; the session's next call still works.
+func TestNPUMemAllocSizeCannotWrap(t *testing.T) {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		s, err := pl.NewSession(p, "wrap")
+		if err != nil {
+			return err
+		}
+		n, err := s.OpenNPU(p, core.NPUOptions{})
+		if err != nil {
+			return err
+		}
+		defer n.Close(p)
+		if _, err := n.MemAlloc(p, 4096); err != nil {
+			return err
+		}
+		_, err = n.MemAlloc(p, 1<<64-101)
+		var ce *srpc.CallError
+		if !errors.As(err, &ce) || !strings.HasPrefix(ce.Msg, npu.ErrOutOfMemory.Error()) {
+			t.Errorf("MemAlloc(2^64-101): %v, want a CallError carrying %v", err, npu.ErrOutOfMemory)
+		}
+		addr, err := n.MemAlloc(p, 64)
+		if err != nil {
+			t.Errorf("the session's next call: %v", err)
+		}
+		return n.HtoD(p, addr, make([]byte, 64))
 	})
 	if err != nil {
 		t.Fatal(err)

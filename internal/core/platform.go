@@ -118,6 +118,7 @@ func BuildNode(p *sim.Proc, cfg Config, node int) (*Platform, error) {
 		costs = sim.DefaultCosts()
 	}
 	m := hw.NewMachine(hw.Config{NormalMemBytes: normalMemBytes, SecureMemBytes: secureMemBytes})
+	k.AtShutdown(m.Mem.Release)
 	if err := m.Fuses.Burn("platform-rot", []byte("cronus-platform-rot")); err != nil {
 		return nil, err
 	}

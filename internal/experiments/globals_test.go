@@ -27,7 +27,9 @@ var sharedGlobals = map[string]string{
 	"gpu.registry":           "filled at package init, replaced only by tests and examples while no simulation runs",
 
 	"wire.recycleHook": "buffer-poisoning hook of one test at a time",
-	"gpu.backings":     "one mutex guards it; it holds only zeroed device-memory backings that no live span or scratch arena references",
+	"recycle.Float32s": "one mutex guards each recycler; it holds only zeroed backings that no live span, arena, scratchpad or frame references",
+	"recycle.Bytes":    "one mutex guards each recycler; it holds only zeroed backings that no live span, arena, scratchpad or frame references",
+	"recycle.Int32s":   "one mutex guards each recycler; it holds only zeroed backings that no live span, arena, scratchpad or frame references",
 
 	"experiments.Catalog":    "read-only table",
 	"experiments.GPUSystems": "read-only table",

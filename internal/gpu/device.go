@@ -18,6 +18,7 @@ import (
 	"sort"
 
 	"cronus/internal/attest"
+	"cronus/internal/recycle"
 	"cronus/internal/sim"
 )
 
@@ -36,7 +37,6 @@ type Device struct {
 	migSlices int           // >0: MIG-style static SM slices
 	contexts  map[int]*Context
 	nextCtx   int
-	gen       uint64 // bumped on Reset; stale contexts die
 
 	scratch []float32 // kernel working set, see Exec.Scratch
 
@@ -126,11 +126,10 @@ func (d *Device) dropContexts() {
 	for _, c := range d.contexts {
 		c.release()
 	}
-	backings.put(d.scratch)
+	recycle.Float32s.Put(d.scratch)
 	d.scratch = nil
 	d.contexts = make(map[int]*Context)
 	d.memUsed = 0
-	d.gen++
 }
 
 // hangPark is how long a hang-injected launch parks: far beyond any
@@ -168,13 +167,14 @@ func (d *Device) Authenticate(challenge []byte) []byte {
 // CreateContext makes an isolated GPU context (own VA space, own memory).
 func (d *Device) CreateContext() *Context {
 	d.nextCtx++
-	c := &Context{id: d.nextCtx, dev: d, gen: d.gen, modules: make(map[string]*Kernel)}
+	c := &Context{id: d.nextCtx, dev: d, modules: make(map[string]*Kernel)}
 	c.exec.Ctx = c
 	d.contexts[c.id] = c
 	return c
 }
 
-// DestroyContext frees all of a context's memory (scrubbed).
+// DestroyContext frees all of a context's memory (scrubbed); every later use
+// of c is ErrStaleContext.
 func (d *Device) DestroyContext(c *Context) {
 	if d.contexts[c.id] != c {
 		return
@@ -183,8 +183,9 @@ func (d *Device) DestroyContext(c *Context) {
 	delete(d.contexts, c.id)
 }
 
-// ErrStaleContext reports use of a context from before a device reset.
-var ErrStaleContext = fmt.Errorf("gpu: context predates device reset")
+// ErrStaleContext reports use of a context its device no longer holds: one
+// destroyed, or created before a reset or the end of its kernel.
+var ErrStaleContext = errors.New("gpu: context destroyed or reset")
 
 // ErrInvalidPointer reports a device range that is not inside one live
 // allocation of the context: a forged or freed pointer, a length or element
@@ -216,7 +217,7 @@ type span struct {
 type Context struct {
 	id      int
 	dev     *Device
-	gen     uint64
+	stale   bool    // released: destroyed, reset or shut down
 	spans   []*span // sorted by va: nextVA only grows, so append keeps the order
 	nextVA  uint64
 	modules map[string]*Kernel
@@ -225,19 +226,20 @@ type Context struct {
 	exec Exec
 }
 
-// release scrubs the context's spans into the recycler and forgets them,
-// returning the bytes they held.
+// release scrubs the context's spans into the recycler, forgets them and
+// makes the context stale, returning the bytes they held.
 func (c *Context) release() (n uint64) {
 	for _, s := range c.spans {
-		backings.put(s.words)
+		recycle.Float32s.Put(s.words)
 		n += s.size
 	}
 	c.spans = nil
+	c.stale = true
 	return n
 }
 
 func (c *Context) check() error {
-	if c.gen != c.dev.gen {
+	if c.stale {
 		return ErrStaleContext
 	}
 	return nil
@@ -258,7 +260,7 @@ func (c *Context) MemAlloc(n uint64) (uint64, error) {
 	// forgery structurally impossible to resolve.
 	va := uint64(c.id)<<40 | (c.nextVA + 0x1000)
 	c.nextVA += (n + 0xfff) &^ 0xfff
-	words := backings.get(int((n + 3) / 4))
+	words := recycle.Float32s.Get(int((n + 3) / 4))
 	c.spans = append(c.spans, &span{va: va, size: n, words: words, buf: Bytes(words)[:n]})
 	c.dev.memUsed += n
 	return va, nil
@@ -271,7 +273,7 @@ func (c *Context) MemFree(va uint64) error {
 	}
 	for i, s := range c.spans {
 		if s.va == va {
-			backings.put(s.words)
+			recycle.Float32s.Put(s.words)
 			c.dev.memUsed -= s.size
 			c.spans = append(c.spans[:i], c.spans[i+1:]...)
 			return nil

@@ -1,6 +1,7 @@
 package gpu
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -319,6 +320,27 @@ func TestDestroyContextScrubsAndFrees(t *testing.T) {
 			t.Errorf("the sibling's memory after the destroy: %q, %v", out[:18], err)
 		}
 	})
+}
+
+// TestDestroyedContextAllocatesNothing: a destroyed context is stale. An
+// allocation through it is ErrStaleContext and holds no device memory, so
+// MemUsed is back at its value before the create, also after a second
+// destroy.
+func TestDestroyedContextAllocatesNothing(t *testing.T) {
+	d := testGPU(sim.NewKernel())
+	before := d.MemUsed()
+	c := d.CreateContext()
+	if _, err := c.MemAlloc(4096); err != nil {
+		t.Fatal(err)
+	}
+	d.DestroyContext(c)
+	if _, err := c.MemAlloc(4096); !errors.Is(err, ErrStaleContext) {
+		t.Errorf("MemAlloc on a destroyed context: %v, want ErrStaleContext", err)
+	}
+	d.DestroyContext(c)
+	if got := d.MemUsed(); got != before {
+		t.Errorf("device memory in use %d after the destroys, %d before the create", got, before)
+	}
 }
 
 // TestKilledUserReleasesEngines: recovery kills a partition's procs wherever

@@ -7,6 +7,7 @@ import (
 	"math"
 	"strings"
 
+	"cronus/internal/recycle"
 	"cronus/internal/sim"
 	"cronus/internal/trace"
 )
@@ -91,8 +92,8 @@ func (e *Exec) F32s(n int, dst ...*F32) error {
 func (e *Exec) Scratch(n int) []float32 {
 	d := e.Ctx.dev
 	if cap(d.scratch) < n {
-		backings.put(d.scratch)
-		d.scratch = backings.get(n)
+		recycle.Float32s.Put(d.scratch)
+		d.scratch = recycle.Float32s.Get(n)
 		d.scratch = d.scratch[:cap(d.scratch)]
 	}
 	return d.scratch[:n]

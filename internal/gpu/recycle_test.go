@@ -267,9 +267,9 @@ func TestStaleContextReadsNoRecycledMemory(t *testing.T) {
 }
 
 // TestRecyclerAcrossGoroutines: two kernels on two goroutines allocate and
-// free through the one recycler; every backing handed out is zero over its
-// whole capacity and belongs to one span. make race runs it under the
-// detector.
+// free through the shared recycle.Float32s; every backing handed out is zero
+// over its whole capacity and belongs to one span. make race runs it under
+// the detector.
 func TestRecyclerAcrossGoroutines(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
@@ -310,27 +310,4 @@ func TestRecyclerAcrossGoroutines(t *testing.T) {
 		}(int64(g))
 	}
 	wg.Wait()
-}
-
-// TestRecyclerDropsOversizedBackings: a backing past the largest kept class
-// is made to its exact length and goes back to the garbage collector.
-func TestRecyclerDropsOversizedBackings(t *testing.T) {
-	w := backings.get(1<<maxRecycledClass + 1)
-	if len(w) != cap(w) || len(w) != 1<<maxRecycledClass+1 {
-		t.Fatalf("an oversized backing: len %d cap %d", len(w), cap(w))
-	}
-	w[0] = 1
-	backings.put(w)
-	if w[0] != 0 {
-		t.Error("an oversized backing was not scrubbed")
-	}
-	backings.mu.Lock()
-	defer backings.mu.Unlock()
-	for c, list := range backings.free {
-		for _, b := range list {
-			if &b[:1][0] == &w[0] {
-				t.Errorf("class %d keeps an oversized backing", c)
-			}
-		}
-	}
 }

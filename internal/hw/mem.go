@@ -2,8 +2,11 @@ package hw
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
+
+	"cronus/internal/recycle"
 )
 
 // PhysMem is the machine's physical memory: sparse 4 KiB frames guarded by
@@ -15,11 +18,14 @@ import (
 // frame table nor the watch registry is locked. Two live platforms in one
 // process share nothing at this level; code that reaches a PhysMem from a
 // goroutine its kernel did not schedule is a bug the race detector reports.
+// Frames come from recycle.Bytes, whose one mutex is the only state a
+// PhysMem shares with another machine.
 type PhysMem struct {
 	size uint64
 	// frames is a two-level table indexed by PFN: the top level is sized
 	// from size at construction (one pointer per 2 MiB of address space),
-	// leaves and the frames in them are allocated on first touch.
+	// leaves are allocated and frames taken from the recycler on first
+	// touch. Release sets it to nil, and size to 0.
 	frames  []*frameLeaf
 	tzasc   *TZASC
 	regions map[string]*MemRegion
@@ -54,6 +60,10 @@ type memWatch struct {
 	fn     func()
 }
 
+// ErrReleased reports an access to physical memory after Release gave its
+// frames back.
+var ErrReleased = errors.New("hw: physical memory released")
+
 // NewPhysMem creates memory of the given size guarded by tzasc.
 func NewPhysMem(size uint64, tzasc *TZASC) *PhysMem {
 	leaves := size / (leafFrames * PageSize)
@@ -68,7 +78,8 @@ func NewPhysMem(size uint64, tzasc *TZASC) *PhysMem {
 	}
 }
 
-// Size returns the total physical address space size in bytes.
+// Size returns the total physical address space size in bytes, 0 once the
+// memory is released.
 func (m *PhysMem) Size() uint64 { return m.size }
 
 // AddRegion registers a named allocatable region.
@@ -144,8 +155,9 @@ func (m *PhysMem) zeroPage(pfn uint64) {
 	}
 }
 
-// page returns the backing frame, allocating leaf and frame on first touch.
-// The caller has bounded pfn by Size().
+// page returns the backing frame, allocating the leaf and taking a zeroed
+// frame from the recycler on first touch. The caller has bounded pfn by
+// Size().
 func (m *PhysMem) page(pfn uint64) *frame {
 	leaf := m.frames[pfn>>leafShift]
 	if leaf == nil {
@@ -154,10 +166,27 @@ func (m *PhysMem) page(pfn uint64) *frame {
 	}
 	f := leaf[pfn&(leafFrames-1)]
 	if f == nil {
-		f = new(frame)
+		f = (*frame)(recycle.Bytes.Get(PageSize))
 		leaf[pfn&(leafFrames-1)] = f
 	}
 	return f
+}
+
+// Release scrubs every touched frame into the recycler and retires the
+// memory: afterwards Read and Write return ErrReleased and Load64 finds no
+// word. The platform registers it to run when its kernel shuts down.
+func (m *PhysMem) Release() {
+	for _, leaf := range m.frames {
+		if leaf == nil {
+			continue
+		}
+		for _, f := range leaf {
+			if f != nil {
+				recycle.Bytes.Put(f[:])
+			}
+		}
+	}
+	m.frames, m.size = nil, 0
 }
 
 // Read copies len(buf) bytes starting at pa into buf, checking the TZASC for
@@ -173,8 +202,11 @@ func (m *PhysMem) Write(w World, pa PA, data []byte) error {
 
 func (m *PhysMem) access(w World, pa PA, buf []byte, write bool) error {
 	// [pa, pa+len) must lie inside memory; compared without forming the
-	// sum, which wraps for a pa near 2^64.
+	// sum, which wraps for a pa near 2^64. Released memory has size 0.
 	if n := uint64(len(buf)); n > m.size || uint64(pa) > m.size-n {
+		if m.frames == nil {
+			return ErrReleased
+		}
 		return &Fault{Kind: FaultUnmapped, Space: "physmem", Addr: uint64(pa), World: w}
 	}
 	off := 0
@@ -268,7 +300,8 @@ func (m *PhysMem) fireWatches(lo, hi PA) {
 // Load64 returns the little-endian 8-byte word at pa as memory holds it, with
 // no TZASC verdict: a peek for a secure-world reader, which the TZASC never
 // refuses. It allocates nothing, fires no watch and touches nothing; ok is
-// false when the word does not lie whole inside one page of memory.
+// false when the word does not lie whole inside one page of memory, and
+// always once the memory is released.
 func (m *PhysMem) Load64(pa PA) (v uint64, ok bool) {
 	po := int(pa.Offset())
 	if po > PageSize-8 || m.size < 8 || uint64(pa) > m.size-8 {

@@ -312,3 +312,54 @@ func TestLoad64(t *testing.T) {
 		t.Errorf("peeking an untouched frame read %#x or allocated it", v)
 	}
 }
+
+// TestReleaseRecyclesFrames: Release scrubs every touched frame into the
+// recycler, the next machine's first touches take those frames zeroed, and
+// every access to the released memory is ErrReleased — never a fresh frame.
+func TestReleaseRecyclesFrames(t *testing.T) {
+	m := testMachine()
+	data := bytes.Repeat([]byte{0xA5}, 3*PageSize)
+	if err := m.Mem.Write(SecureWorld, PageSize, data); err != nil {
+		t.Fatal(err)
+	}
+	released := make(map[*byte][]byte)
+	for pfn := uint64(1); pfn <= 3; pfn++ {
+		f := m.Mem.frames[0][pfn]
+		released[&f[0]] = f[:]
+	}
+	m.Mem.Release()
+	for _, f := range released {
+		if !bytes.Equal(f, make([]byte, PageSize)) {
+			t.Fatal("a released frame was not scrubbed")
+		}
+	}
+	buf := make([]byte, 8)
+	for op, err := range map[string]error{
+		"Read":  m.Mem.Read(SecureWorld, PageSize, buf),
+		"Write": m.Mem.Write(SecureWorld, 5*PageSize, buf),
+	} {
+		if !errors.Is(err, ErrReleased) {
+			t.Errorf("%s after Release: %v, want ErrReleased", op, err)
+		}
+	}
+	if _, ok := m.Mem.Load64(PageSize); ok {
+		t.Error("Load64 found a word in released memory")
+	}
+	if m.Mem.frames != nil {
+		t.Error("an access after Release made a frame")
+	}
+
+	next := testMachine()
+	for pfn := uint64(0); pfn < 3; pfn++ {
+		if err := next.Mem.Write(NormalWorld, PA(pfn*PageSize), []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		f := next.Mem.frames[0][pfn]
+		if released[&f[0]] == nil {
+			t.Fatalf("frame %d of the next machine is not a released one", pfn)
+		}
+		if f[0] != 1 || !bytes.Equal(f[1:], make([]byte, PageSize-1)) {
+			t.Fatalf("frame %d of the next machine came back non-zero", pfn)
+		}
+	}
+}

@@ -82,8 +82,9 @@ func randomGemm(rng *rand.Rand) Insn {
 func TestGemmMatchesMapReference(t *testing.T) {
 	k := sim.NewKernel()
 	got, want := testNPU(k), testNPU(k)
-	got.allocScratchpads()
-	want.allocScratchpads()
+	gc, wc := got.CreateContext(), want.CreateContext()
+	got.takeScratchpads(gc)
+	want.takeScratchpads(wc)
 	rng := rand.New(rand.NewSource(25))
 	for i := range got.wgt {
 		got.wgt[i] = byte(rng.Intn(256))
@@ -97,7 +98,6 @@ func TestGemmMatchesMapReference(t *testing.T) {
 	copy(want.wgt, got.wgt)
 	copy(want.inp, got.inp)
 	copy(want.acc, got.acc)
-	gc, wc := got.CreateContext(), want.CreateContext()
 	faults := 0
 	for n := 0; n < 400; n++ {
 		in := randomGemm(rng)
@@ -168,7 +168,8 @@ func TestRunAllocatesNothing(t *testing.T) {
 // 16×16 int8 MACs into one accumulator block, with Reset.
 func BenchmarkNPUGemm(b *testing.B) {
 	d := testNPU(sim.NewKernel())
-	d.allocScratchpads()
+	ctx := d.CreateContext()
+	d.takeScratchpads(ctx)
 	rng := rand.New(rand.NewSource(1))
 	for i := range d.wgt {
 		d.wgt[i] = byte(int8(rng.Intn(7) - 3))
@@ -176,7 +177,6 @@ func BenchmarkNPUGemm(b *testing.B) {
 	for i := range d.inp {
 		d.inp[i] = byte(rng.Intn(256))
 	}
-	ctx := d.CreateContext()
 	in := Insn{Op: OpGemm, InpStride: 1, WgtStride: 1, Count: 64, Reset: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -9,10 +9,12 @@
 package npu
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"cronus/internal/attest"
+	"cronus/internal/recycle"
 	"cronus/internal/sim"
 )
 
@@ -110,9 +112,9 @@ type Device struct {
 
 	// Scratchpads (shared by all contexts; executions are serialized like
 	// the single physical VTA pipeline). inp, wgt and out hold int8 lanes as
-	// the bytes DMA moves, so LOAD and STORE are copies. They are allocated
-	// by the first stream that runs (Run), not by New: most platforms boot
-	// an NPU that never runs one.
+	// the bytes DMA moves, so LOAD and STORE are copies. A stream's Run takes
+	// them from the recycler, not New: most platforms boot an NPU that never
+	// runs one.
 	inp []byte
 	wgt []byte
 	acc []int32
@@ -121,7 +123,6 @@ type Device struct {
 	pipeline *sim.Resource // whole-pipeline exclusivity per instruction stream
 	contexts map[int]*Context
 	nextCtx  int
-	gen      uint64
 	last     *Context // whose stream ran last: the scratchpads hold its data
 
 	priv attest.PrivateKey
@@ -141,9 +142,10 @@ func DefaultConfig(name string) Config {
 	return Config{Name: name, MemBytes: 256 << 20, KeySeed: "vta/" + name}
 }
 
-// New creates an NPU device.
+// New creates an NPU device. Its DRAM and scratchpads go back to the
+// recycler when k shuts down.
 func New(k *sim.Kernel, costs *sim.CostModel, cfg Config) *Device {
-	return &Device{
+	d := &Device{
 		name:     cfg.Name,
 		k:        k,
 		costs:    costs,
@@ -152,6 +154,8 @@ func New(k *sim.Kernel, costs *sim.CostModel, cfg Config) *Device {
 		contexts: make(map[int]*Context),
 		priv:     attest.KeyFromSeed([]byte("npu-device-key/" + cfg.KeySeed)),
 	}
+	k.AtShutdown(d.Reset)
+	return d
 }
 
 // Name implements hw.Device.
@@ -169,43 +173,55 @@ func (d *Device) PubKey() attest.PublicKey { return d.priv.Public().(attest.Publ
 // Authenticate signs a challenge with the fused device key.
 func (d *Device) Authenticate(challenge []byte) []byte { return attest.Sign(d.priv, challenge) }
 
-// Reset implements hw.Device: scrub scratchpads, DRAM and contexts.
+// Reset implements hw.Device: it scrubs the scratchpads and every
+// context's DRAM into the recycler and makes every context stale — the
+// SPM's failure-clearing hook (A3), and the end of the kernel the device
+// lives on.
 func (d *Device) Reset() {
-	d.scrubScratchpads()
+	d.dropScratchpads()
 	for _, c := range d.contexts {
-		for _, s := range c.spans {
-			clear(s.buf)
-		}
+		c.release()
 	}
 	d.contexts = make(map[int]*Context)
 	d.memUsed = 0
-	d.gen++
 }
 
-// allocScratchpads allocates the on-chip buffers, zeroed, if no stream has
-// yet.
-func (d *Device) allocScratchpads() {
-	if d.inp != nil {
+// takeScratchpads gives a stream zeroed on-chip buffers: a context's first
+// stream since another context's ran, or since a reset, takes them from the
+// recycler, which scrubbed them when they were dropped.
+func (d *Device) takeScratchpads(c *Context) {
+	if d.last == c {
 		return
 	}
-	d.inp = make([]byte, InpBufBlocks*InpBlockBytes)
-	d.wgt = make([]byte, WgtBufBlocks*WgtBlockBytes)
-	d.acc = make([]int32, AccBufBlocks*BlockOut)
-	d.out = make([]byte, OutBufBlocks*OutBlockBytes)
+	d.dropScratchpads() // another context's data must not reach this stream
+	d.inp = recycle.Bytes.Get(InpBufBlocks * InpBlockBytes)
+	d.wgt = recycle.Bytes.Get(WgtBufBlocks * WgtBlockBytes)
+	d.acc = recycle.Int32s.Get(AccBufBlocks * BlockOut)
+	d.out = recycle.Bytes.Get(OutBufBlocks * OutBlockBytes)
+	d.last = c
 }
 
-// scrubScratchpads zeroes the on-chip buffers every context's streams share.
-func (d *Device) scrubScratchpads() {
-	clear(d.inp)
-	clear(d.wgt)
-	clear(d.acc)
-	clear(d.out)
+// dropScratchpads scrubs the on-chip buffers every context's streams share
+// into the recycler.
+func (d *Device) dropScratchpads() {
+	recycle.Bytes.Put(d.inp)
+	recycle.Bytes.Put(d.wgt)
+	recycle.Int32s.Put(d.acc)
+	recycle.Bytes.Put(d.out)
+	d.inp, d.wgt, d.acc, d.out = nil, nil, nil, nil
 	d.last = nil
 }
 
-// ErrStaleContext reports use of a context created before a device reset.
-var ErrStaleContext = fmt.Errorf("npu: context predates device reset")
+// ErrStaleContext reports use of a context its device no longer holds: one
+// destroyed, or created before a reset or the end of its kernel.
+var ErrStaleContext = errors.New("npu: context destroyed or reset")
 
+// ErrOutOfMemory reports an allocation larger than the device DRAM left.
+var ErrOutOfMemory = errors.New("npu: out of device memory")
+
+// span is one DRAM allocation. buf is a backing from the recycler, cut to
+// size; no view of it reaches past its length, which the recycler relies on
+// to keep the rest of the capacity zero.
 type span struct {
 	addr uint64
 	size uint64
@@ -217,7 +233,7 @@ type span struct {
 type Context struct {
 	id    int
 	dev   *Device
-	gen   uint64
+	stale bool // released: destroyed, reset or shut down
 	spans []*span
 	next  uint64
 }
@@ -225,29 +241,38 @@ type Context struct {
 // CreateContext makes an isolated context.
 func (d *Device) CreateContext() *Context {
 	d.nextCtx++
-	c := &Context{id: d.nextCtx, dev: d, gen: d.gen}
+	c := &Context{id: d.nextCtx, dev: d}
 	d.contexts[c.id] = c
 	return c
 }
 
-// DestroyContext scrubs and frees a context's memory and its scratchpad data.
+// DestroyContext scrubs a context's DRAM, and the scratchpads if its stream
+// ran last, into the recycler; every later use of c is ErrStaleContext.
 func (d *Device) DestroyContext(c *Context) {
 	if d.contexts[c.id] != c {
 		return
 	}
-	for _, s := range c.spans {
-		clear(s.buf)
-		d.memUsed -= s.size
-	}
-	c.spans = nil
+	d.memUsed -= c.release()
 	delete(d.contexts, c.id)
 	if d.last == c {
-		d.scrubScratchpads()
+		d.dropScratchpads()
 	}
 }
 
+// release scrubs the context's spans into the recycler, forgets them and
+// makes the context stale, returning the bytes they held.
+func (c *Context) release() (n uint64) {
+	for _, s := range c.spans {
+		recycle.Bytes.Put(s.buf)
+		n += s.size
+	}
+	c.spans = nil
+	c.stale = true
+	return n
+}
+
 func (c *Context) check() error {
-	if c.gen != c.dev.gen {
+	if c.stale {
 		return ErrStaleContext
 	}
 	return nil
@@ -261,12 +286,12 @@ func (c *Context) MemAlloc(n uint64) (uint64, error) {
 	if n == 0 {
 		return 0, fmt.Errorf("npu: zero-byte allocation")
 	}
-	if c.dev.memUsed+n > c.dev.memSize {
-		return 0, fmt.Errorf("npu: out of device memory")
+	if n > c.dev.memSize-c.dev.memUsed {
+		return 0, fmt.Errorf("%w (%d used of %d)", ErrOutOfMemory, c.dev.memUsed, c.dev.memSize)
 	}
 	addr := uint64(c.id)<<40 | (c.next + 0x1000)
 	c.next += (n + 0xfff) &^ 0xfff
-	c.spans = append(c.spans, &span{addr: addr, size: n, buf: make([]byte, n)})
+	c.spans = append(c.spans, &span{addr: addr, size: n, buf: recycle.Bytes.Get(int(n))})
 	c.dev.memUsed += n
 	return addr, nil
 }
@@ -278,7 +303,7 @@ func (c *Context) resolve(addr uint64, n int) ([]byte, error) {
 	for _, s := range c.spans {
 		if addr >= s.addr && addr+uint64(n) <= s.addr+s.size {
 			off := addr - s.addr
-			return s.buf[off : off+uint64(n)], nil
+			return s.buf[off : off+uint64(n) : off+uint64(n)], nil
 		}
 	}
 	return nil, fmt.Errorf("npu: invalid device address %#x (+%d) in context %d", addr, n, c.id)
@@ -296,24 +321,34 @@ func (c *Context) CheckRange(addr, n uint64) error {
 	return err
 }
 
-// HtoD copies host bytes into device DRAM (PCIe DMA).
+// HtoD copies host bytes into device DRAM (PCIe DMA). The range is resolved
+// before the DMA is charged and again after it: a destroy or a reset in
+// between has given the memory back to the recycler, and the copy then
+// writes nothing.
 func (c *Context) HtoD(p *sim.Proc, dst uint64, src []byte) error {
+	if _, err := c.resolve(dst, len(src)); err != nil {
+		return err
+	}
+	p.Sleep(c.dev.costs.DMA(len(src)))
 	buf, err := c.resolve(dst, len(src))
 	if err != nil {
 		return err
 	}
-	p.Sleep(c.dev.costs.DMA(len(src)))
 	copy(buf, src)
 	return nil
 }
 
-// DtoH copies device DRAM to host bytes.
+// DtoH copies device DRAM to host bytes, resolving the range again after the
+// DMA as HtoD does, so it never reads memory that has gone back.
 func (c *Context) DtoH(p *sim.Proc, dst []byte, src uint64) error {
+	if _, err := c.resolve(src, len(dst)); err != nil {
+		return err
+	}
+	p.Sleep(c.dev.costs.DMA(len(dst)))
 	buf, err := c.resolve(src, len(dst))
 	if err != nil {
 		return err
 	}
-	p.Sleep(c.dev.costs.DMA(len(dst)))
 	copy(dst, buf)
 	return nil
 }

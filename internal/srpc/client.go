@@ -60,6 +60,15 @@ var ErrForgedReport = errors.New("srpc: local report not sealed by this machine'
 // another request: one the normal OS replayed or rerouted.
 var ErrReportIdentity = errors.New("srpc: local report identity mismatch")
 
+// CallError is a synchronous mECall the peer ran and refused. Only the text
+// of the peer's error crosses the ring, so Msg is that text.
+type CallError struct {
+	Name, Msg string
+}
+
+// Error reads as the refusal did before it had a type.
+func (e *CallError) Error() string { return fmt.Sprintf("srpc: mECall %q failed: %s", e.Name, e.Msg) }
+
 // Connect establishes a stream from the owner enclave to peer eid (§IV-C):
 // ① local attestation of the peer (automatic, verified against want),
 // ② trusted shared memory establishment through the SPM,
@@ -326,7 +335,7 @@ func (c *Client) callSync(p *sim.Proc, name string, head, bulk []byte, respCap i
 		return nil, c.fail(err)
 	}
 	if status != 0 {
-		return nil, fmt.Errorf("srpc: mECall %q failed: %s", name, res)
+		return nil, &CallError{Name: name, Msg: string(res)}
 	}
 	return res, nil
 }
