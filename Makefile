@@ -54,7 +54,8 @@ cover:
 # through gpu's float32 views of device memory: -race turns on checkptr, which
 # validates the alignment and bounds of every unsafe conversion behind them —
 # and mos/driver, whose hostile-count tests bound allocations in a build the
-# detector instruments.
+# detector instruments — plus npu, recycle and devmem, the device memory both
+# accelerators share through one recycler per element type.
 race:
 	$(GO) test -race ./... -count=1
 
@@ -78,7 +79,9 @@ bench:
 # re-keying engine to the key sequence of one that resumes every job;
 # FuzzEventQueue holds the kernel's two-tier event queue to a sort;
 # FuzzTicketResume holds the attestation ticket cache to a map-based model
-# (TTL, LRU capacity, epochs, revocation); FuzzMatmul holds every matmul
+# (TTL, LRU capacity, epochs, revocation); FuzzDeviceMemory holds the GPU's and
+# NPU's one device-memory model to a map of live allocations through hostile
+# addresses and lengths; FuzzMatmul holds every matmul
 # variant, through the register tiles, their Inf/NaN-in-B fallback and the row
 # path, to the textbook loop bit for bit; FuzzIsolation reads the SPM's
 # Alloc/Share/Unshare/Fail/recover/Access schedule on persistent views from
@@ -103,6 +106,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPSEngineRekey$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTicketResume$$' -fuzztime $(FUZZTIME) ./internal/attest
+	$(GO) test -run '^$$' -fuzz '^FuzzDeviceMemory$$' -fuzztime $(FUZZTIME) ./internal/devmem
 	$(GO) test -run '^$$' -fuzz '^FuzzMatmul$$' -fuzztime $(FUZZTIME) ./internal/gpu
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalOS$$' -fuzztime 60s ./internal/normal
 	$(GO) test -run '^$$' -fuzz '^FuzzIsolation$$' -fuzztime 60s ./internal/spm
@@ -184,7 +188,7 @@ ci:
 	GOARCH=386 $(GO) test -count=1 ./...
 	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/hw ./internal/sim \
 		./internal/trace ./internal/otrace ./internal/experiments ./internal/core ./internal/gpu \
-		./internal/dnn ./internal/workload/rodinia ./internal/tvm ./internal/mos/driver ./internal/npu ./internal/recycle
+		./internal/dnn ./internal/workload/rodinia ./internal/tvm ./internal/mos/driver ./internal/npu ./internal/recycle ./internal/devmem
 	$(MAKE) fuzz
 	$(GO) run ./cmd/cronus-doclint
 	$(MAKE) bench-build

@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -347,6 +348,73 @@ func TestNPUMemAllocSizeCannotWrap(t *testing.T) {
 			t.Errorf("the session's next call: %v", err)
 		}
 		return n.HtoD(p, addr, make([]byte, 64))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestNPUWrappingAddressIsTyped: an NPU mEnclave's device addresses and
+// block counts come off the wire. An HtoD, a DtoH and a vtaRun LOAD or STORE
+// at 2^64-10, and a LOAD or STORE of 2^31 blocks, are the device's typed
+// refusals carried back by message — a DtoH's as an srpc.CallError, an
+// asynchronous call's as the error the next Sync reports — not a panic that
+// kills the executor, and the session's next MemAlloc, HtoD and DtoH still
+// work.
+func TestNPUWrappingAddressIsTyped(t *testing.T) {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		s, err := pl.NewSession(p, "wrap")
+		if err != nil {
+			return err
+		}
+		n, err := s.OpenNPU(p, core.NPUOptions{})
+		if err != nil {
+			return err
+		}
+		defer n.Close(p)
+		addr, err := n.MemAlloc(p, 4096)
+		if err != nil {
+			return err
+		}
+		const wrap = 1<<64 - 10
+		refused := func(what string, err error, want error) {
+			if err == nil || !strings.Contains(err.Error(), want.Error()) {
+				t.Errorf("%s: %v, want the refusal carrying %v", what, err, want)
+			}
+		}
+		run := func(in npu.Insn) error {
+			if err := n.Run(p, []npu.Insn{in, {Op: npu.OpFinish}}); err != nil {
+				return err
+			}
+			return n.Sync(p)
+		}
+		if err := n.HtoD(p, wrap, make([]byte, 100)); err != nil {
+			refused("HtoD at 2^64-10", err, npu.ErrInvalidPointer)
+		} else {
+			refused("HtoD at 2^64-10, at the next Sync", n.Sync(p), npu.ErrInvalidPointer)
+		}
+		var ce *srpc.CallError
+		if _, err = n.DtoH(p, wrap, 100); !errors.As(err, &ce) {
+			t.Errorf("DtoH at 2^64-10: %v, want an srpc.CallError", err)
+		}
+		refused("DtoH at 2^64-10", err, npu.ErrInvalidPointer)
+		refused("LOAD at 2^64-10", run(npu.Insn{Op: npu.OpLoad, Mem: npu.MemInp, DRAMAddr: wrap, Count: 1}), npu.ErrInvalidPointer)
+		refused("STORE at 2^64-10", run(npu.Insn{Op: npu.OpStore, Mem: npu.MemOut, DRAMAddr: wrap, Count: 1}), npu.ErrInvalidPointer)
+		refused("LOAD of 2^31 blocks", run(npu.Insn{Op: npu.OpLoad, Mem: npu.MemInp, DRAMAddr: addr, Count: 1 << 31}), npu.ErrScratchpadOverflow)
+		refused("STORE of 2^31 blocks", run(npu.Insn{Op: npu.OpStore, Mem: npu.MemOut, DRAMAddr: addr, Count: 1 << 31}), npu.ErrScratchpadOverflow)
+		next, err := n.MemAlloc(p, 64)
+		if err != nil {
+			return fmt.Errorf("the session's next MemAlloc: %w", err)
+		}
+		want := bytes.Repeat([]byte{7}, 64)
+		if err := n.HtoD(p, next, want); err != nil {
+			return err
+		}
+		got, err := n.DtoH(p, next, 64)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("the session's next HtoD and DtoH: %v, %x", err, got)
+		}
+		return n.Sync(p)
 	})
 	if err != nil {
 		t.Fatal(err)

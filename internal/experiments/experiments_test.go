@@ -300,6 +300,17 @@ func TestTables(t *testing.T) {
 	if counts["internal/serve"] <= 0 {
 		t.Errorf("PackageLoC lists no lines for internal/serve: %v", loc.Rows)
 	}
+	// The GPU and NPU rows both carry internal/devmem; the monolithic total
+	// counts it once.
+	rows := 0
+	for _, r := range t3.Rows[:len(t3.Rows)-1] {
+		n, _ := strconv.Atoi(r[1])
+		rows += n
+	}
+	if mono, _ := strconv.Atoi(t3.Rows[len(t3.Rows)-1][1]); rows-mono != counts["internal/devmem"] || mono <= 0 {
+		t.Errorf("Table III rows sum to %d and the monolithic total is %d, want internal/devmem's %d counted once",
+			rows, mono, counts["internal/devmem"])
+	}
 	if total := loc.Rows[len(loc.Rows)-1]; total[0] != "total" || total[1] != strconv.Itoa(sum) {
 		t.Errorf("last row %v, want total %d", total, sum)
 	}

@@ -41,7 +41,7 @@ type Exec struct {
 }
 
 // Bytes resolves a device pointer argument into device memory.
-func (e *Exec) Bytes(ptr uint64, n int) ([]byte, error) { return e.Ctx.resolve(ptr, n) }
+func (e *Exec) Bytes(ptr uint64, n int) ([]byte, error) { return e.Ctx.Resolve(ptr, n) }
 
 // Arg returns the i-th launch argument.
 func (e *Exec) Arg(i int) uint64 { return e.Args[i] }
@@ -161,7 +161,7 @@ func ParseCubin(image []byte) ([]string, error) {
 // kernel. Loading fails if a kernel is not present in the "hardware"
 // registry (like a missing SASS section).
 func (c *Context) LoadModule(image []byte) error {
-	if err := c.check(); err != nil {
+	if err := c.Check(); err != nil {
 		return err
 	}
 	names, err := ParseCubin(image)
@@ -183,12 +183,12 @@ func (c *Context) LoadModule(image []byte) error {
 // on device memory. Streaming/asynchrony is provided above this layer by
 // sRPC (§IV-C).
 func (c *Context) Launch(p *sim.Proc, name string, grid Dim, args ...uint64) error {
-	if err := c.check(); err != nil {
+	if err := c.Check(); err != nil {
 		return err
 	}
 	k, ok := c.modules[name]
 	if !ok {
-		return fmt.Errorf("gpu: kernel %q not loaded in context %d", name, c.id)
+		return fmt.Errorf("gpu: kernel %q not loaded in context %d", name, c.ID())
 	}
 	// The arguments are the caller's: they reach the kernel's Cost and Func
 	// through the context's Exec, written here and again after the engine
@@ -226,7 +226,7 @@ func (c *Context) Launch(p *sim.Proc, name string, grid Dim, args ...uint64) err
 	} else {
 		c.dev.runExclusive(p, cost)
 	}
-	if err := c.check(); err != nil {
+	if err := c.Check(); err != nil {
 		// The device was reset (partition failure) while we computed.
 		return err
 	}

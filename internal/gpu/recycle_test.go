@@ -13,11 +13,11 @@ import (
 // holding ptr.
 func backingOf(t *testing.T, c *Context, ptr uint64) []float32 {
 	t.Helper()
-	s, _, err := c.locate(ptr)
+	s, _, err := c.Locate(ptr)
 	if err != nil || s == nil {
 		t.Fatalf("no span at %#x: %v", ptr, err)
 	}
-	return s.words[:cap(s.words)]
+	return s.Words[:cap(s.Words)]
 }
 
 func allZero(w []float32) bool {
@@ -33,36 +33,26 @@ func allZero(w []float32) bool {
 // capacity: 3,001 words of a 4,096-word class.
 const dirtyBytes = 4*3000 + 1
 
-// TestRecycledBackingsComeBackZero: a backing written non-zero and given back
-// by each return path is the one the next allocation of its class gets — on
-// another kernel and another device — and it is zero over its whole
-// capacity.
+// TestRecycledBackingsComeBackZero: the scratch arena, written non-zero and
+// given back by a reset, the end of its kernel or its own growth, is the
+// backing the next allocation of its class gets — on another kernel and
+// another device — and it is zero over its whole capacity. The device memory
+// of spans is held to the same by devmem.TestRecycledBackingsComeBackZero.
 func TestRecycledBackingsComeBackZero(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		// dirty fills some device memory of c with non-zero words and
-		// returns its whole backing; give hands it back.
-		dirty func(c *Context) []float32
-		give  func(k *sim.Kernel, d *Device, c *Context)
+		give func(k *sim.Kernel, d *Device, c *Context)
 	}{
-		{"MemFree", dirtySpan, func(_ *sim.Kernel, _ *Device, c *Context) {
-			if err := c.MemFree(c.spans[0].va); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"DestroyContext", dirtySpan, func(_ *sim.Kernel, d *Device, c *Context) { d.DestroyContext(c) }},
-		{"Reset", dirtySpan, func(_ *sim.Kernel, d *Device, _ *Context) { d.Reset() }},
-		{"shutdown", dirtySpan, func(k *sim.Kernel, _ *Device, _ *Context) { k.Shutdown() }},
-		{"scratch growth", func(c *Context) []float32 {
-			s := (&Exec{Ctx: c}).Scratch(3001)
-			return fill(s[:cap(s)])
-		}, func(_ *sim.Kernel, _ *Device, c *Context) { (&Exec{Ctx: c}).Scratch(5000) }},
+		{"Reset", func(_ *sim.Kernel, d *Device, _ *Context) { d.Reset() }},
+		{"shutdown", func(k *sim.Kernel, _ *Device, _ *Context) { k.Shutdown() }},
+		{"scratch growth", func(_ *sim.Kernel, _ *Device, c *Context) { (&Exec{Ctx: c}).Scratch(5000) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			k := sim.NewKernel()
 			d := testGPU(k)
 			c := d.CreateContext()
-			w := tc.dirty(c)
+			s := (&Exec{Ctx: c}).Scratch(3001)
+			w := fill(s[:cap(s)])
 			if cap(w) != 4096 {
 				t.Fatalf("the dirtied backing has %d words, want a 4096-word class", cap(w))
 			}
@@ -84,19 +74,6 @@ func TestRecycledBackingsComeBackZero(t *testing.T) {
 			}
 		})
 	}
-}
-
-// dirtySpan allocates dirtyBytes in c and fills the span's words, which stop
-// short of the backing's capacity, with non-zero values; it returns the
-// backing.
-func dirtySpan(c *Context) []float32 {
-	ptr, err := c.MemAlloc(dirtyBytes)
-	if err != nil {
-		panic(err)
-	}
-	s, _, _ := c.locate(ptr)
-	fill(s.words)
-	return s.words[:cap(s.words)]
 }
 
 // fill sets every word of w to -1 and returns w.
@@ -125,7 +102,7 @@ func TestViewsStopAtTheSpan(t *testing.T) {
 	if err != nil || cap(f) != 2 {
 		t.Errorf("the last float's view has capacity %d (%v), want 2", cap(f), err)
 	}
-	b, err := c.resolve(ptr+dirtyBytes-1, 1)
+	b, err := c.Resolve(ptr+dirtyBytes-1, 1)
 	if err != nil || cap(b) > 4 {
 		t.Errorf("the last byte's view has capacity %d (%v), want at most its word", cap(b), err)
 	}
@@ -170,18 +147,20 @@ func TestStaleContextReadsNoRecycledMemory(t *testing.T) {
 	})
 
 	t.Run("shutdown", func(t *testing.T) {
+		var d *Device
 		var c *Context
 		var ptr uint64
 		if err := sim.Run(func(p *sim.Proc) error {
-			c = testGPU(p.Kernel()).CreateContext()
+			d = testGPU(p.Kernel())
+			c = d.CreateContext()
 			c.LoadModule(BuildCubin("stale_probe"))
 			ptr, _ = c.MemAlloc(64)
 			return nil
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if c.spans != nil {
-			t.Error("a context still lists spans after its kernel shut down")
+		if d.MemUsed() != 0 {
+			t.Errorf("the device counts %d bytes in use after its kernel shut down", d.MemUsed())
 		}
 		inSim(t, func(p *sim.Proc) { check(t, uses(p, c, ptr)) })
 	})
@@ -293,12 +272,12 @@ func TestRecyclerAcrossGoroutines(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					s, _, _ := c.locate(ptr)
-					if !allZero(s.words[:cap(s.words)]) {
+					s, _, _ := c.Locate(ptr)
+					if !allZero(s.Words[:cap(s.Words)]) {
 						return errors.New("a backing came out of the recycler non-zero")
 					}
-					for i := range s.words {
-						s.words[i] = float32(seed + 1)
+					for i := range s.Words {
+						s.Words[i] = float32(seed + 1)
 					}
 					live = append(live, ptr)
 				}

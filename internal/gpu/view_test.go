@@ -183,7 +183,7 @@ func TestHostileLaunchDimensions(t *testing.T) {
 			}
 		}
 		// A negative length reaches resolve from every copy entry point.
-		if _, err := ctx.resolve(a, -1); !errors.Is(err, ErrInvalidPointer) {
+		if _, err := ctx.Resolve(a, -1); !errors.Is(err, ErrInvalidPointer) {
 			t.Errorf("resolve(-1): %v, want ErrInvalidPointer", err)
 		}
 		if err := ctx.DtoD(p, a, a+32, -8); !errors.Is(err, ErrInvalidPointer) {

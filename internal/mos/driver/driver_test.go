@@ -367,3 +367,29 @@ func FuzzDecodeInsns(f *testing.F) {
 		}
 	})
 }
+
+// TestEncodeInsnsAllocatesOnce: EncodeInsns sizes its encoder once, for the
+// header and every instruction, so a stream is one allocation of exactly its
+// length, and it decodes to the instructions encoded.
+func TestEncodeInsnsAllocatesOnce(t *testing.T) {
+	insns := make([]npu.Insn, 100)
+	for i := range insns {
+		insns[i] = npu.Insn{Op: npu.OpGemm, DRAMAddr: uint64(i) << 33, Count: uint32(i), Reset: i%2 == 0, UseImm: i%3 == 0, Imm: -int32(i)}
+	}
+	var out []byte
+	if n := testing.AllocsPerRun(20, func() { out = driver.EncodeInsns(insns) }); n != 1 {
+		t.Errorf("EncodeInsns made %v allocations, want 1", n)
+	}
+	if len(out) != cap(out) {
+		t.Errorf("a %d-byte stream in a buffer of %d", len(out), cap(out))
+	}
+	back, err := driver.DecodeInsns(out)
+	if err != nil || len(back) != len(insns) {
+		t.Fatalf("decoded %d instructions: %v", len(back), err)
+	}
+	for i := range insns {
+		if back[i] != insns[i] {
+			t.Fatalf("instruction %d: decoded %+v, encoded %+v", i, back[i], insns[i])
+		}
+	}
+}

@@ -4,10 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"cronus/internal/attest"
 	"cronus/internal/enclave"
 	"cronus/internal/gpu"
-	"cronus/internal/mos"
 	"cronus/internal/sim"
 	"cronus/internal/trace"
 	"cronus/internal/wire"
@@ -17,55 +15,20 @@ import (
 // gdev-style runtime factory. It authenticates the physical device at init
 // and hands each CUDA mEnclave an isolated GPU context (§V-B).
 type GPU struct {
-	dev    *gpu.Device
-	costs  *sim.CostModel
-	vendor string
-	cert   []byte // vendor CA endorsement of the device key
-	nonce  uint64
-	irqs   int
+	accel
+	dev *gpu.Device
 }
 
 // NewGPU creates the GPU HAL for a device whose key the named vendor
 // endorsed with cert.
 func NewGPU(dev *gpu.Device, costs *sim.CostModel, vendor string, cert []byte) *GPU {
-	return &GPU{dev: dev, costs: costs, vendor: vendor, cert: cert}
+	return &GPU{dev: dev, accel: accel{kind: "gpu", dev: dev, costs: costs, vendor: vendor, cert: cert,
+		calls: memCalls{CallMemAlloc, CallHtoD, CallDtoH, CallSync, mGPUHtoDBytes, mGPUDtoHBytes}}}
 }
-
-// DeviceType implements mos.HAL.
-func (g *GPU) DeviceType() string { return "gpu" }
-
-// Init implements mos.HAL: map the BARs (TZPC-checked), challenge the device
-// to prove possession of its fused key (authenticity, §IV-A), and register
-// the key with the SPM for attestation reports.
-func (g *GPU) Init(p *sim.Proc, sh *mos.Shim) error {
-	if err := sh.Ioremap(p); err != nil {
-		return err
-	}
-	g.nonce++
-	var challenge [16]byte
-	binary.LittleEndian.PutUint64(challenge[:], g.nonce)
-	copy(challenge[8:], sh.DeviceName())
-	sig := g.dev.Authenticate(challenge[:])
-	p.Sleep(g.costs.VerifyFixed)
-	if !attest.Verify(g.dev.PubKey(), challenge[:], sig) {
-		return fmt.Errorf("driver: device %q failed authenticity check (fabricated accelerator?)", sh.DeviceName())
-	}
-	sh.RegisterDeviceKey(g.vendor, g.dev.PubKey(), g.cert)
-	// request_irq: fault/completion interrupts from the device are routed
-	// to this partition's line (secure-world only, spoof-checked by the
-	// GIC against the device tree).
-	if err := sh.RequestIRQ(func() { g.irqs++ }); err != nil {
-		return err
-	}
-	return nil
-}
-
-// IRQs reports how many device interrupts the driver has handled.
-func (g *GPU) IRQs() int { return g.irqs }
 
 // NewModel implements mos.HAL.
 func (g *GPU) NewModel(p *sim.Proc) (enclave.Model, error) {
-	p.Sleep(g.costs.EnclaveEntry)
+	g.enter(p)
 	return &CUDAModel{hal: g}, nil
 }
 
@@ -116,57 +79,23 @@ const cudaEDL = "// CRONUS EDL\n" +
 // The slice is the caller's.
 func CUDAEDL() []byte { return []byte(cudaEDL) }
 
-// Call implements enclave.Model. Arguments are consumed in place — an HtoD
-// payload is DMA-copied to the device straight out of args, a DtoH lands
-// straight in res — so nothing here outlives the call (see enclave.Model).
+// Call implements enclave.Model: the memory mECalls are the HAL's
+// (memCall), the rest the CUDA driver's.
 func (m *CUDAModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder) error {
 	if m.ctx == nil {
 		return fmt.Errorf("driver: CUDA model not created")
 	}
+	if ok, err := memCall(&m.hal.accel, p, &m.ctx.Space, name, args, res); ok {
+		return err
+	}
 	d := wire.NewDecoder(args)
 	switch name {
-	case CallMemAlloc:
-		size := d.U64()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		ptr, err := m.ctx.MemAlloc(size)
-		if err != nil {
-			return err
-		}
-		res.U64(ptr)
-		return nil
 	case CallMemFree:
 		ptr := d.U64()
 		if err := d.Err(); err != nil {
 			return err
 		}
 		return m.ctx.MemFree(ptr)
-	case CallHtoD:
-		dst := d.U64()
-		data := d.BlobRef()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		mGPUHtoDBytes.Add(uint64(len(data)))
-		end := trace.Of(p.Kernel()).Span(p, "driver", m.hal.dev.Name(), "dma-htod")
-		err := m.ctx.HtoD(p, dst, data)
-		end()
-		return err
-	case CallDtoH:
-		src := d.U64()
-		n := d.U64()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if err := m.ctx.CheckRange(src, n); err != nil {
-			return err
-		}
-		mGPUDtoHBytes.Add(n)
-		end := trace.Of(p.Kernel()).Span(p, "driver", m.hal.dev.Name(), "dma-dtoh")
-		err := m.ctx.DtoH(p, res.U32(uint32(n)).Reserve(int(n)), src)
-		end()
-		return err
 	case CallLaunch:
 		kname := m.kernels.Intern(d.StrRef())
 		var grid gpu.Dim
@@ -196,11 +125,6 @@ func (m *CUDAModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encode
 		end()
 		wire.RecycleWords(kargs)
 		return err
-	case CallSync:
-		// Device-level synchronization: in the model, launches already
-		// completed when executed; charge the driver round trip.
-		p.Sleep(m.hal.costs.DeviceMMIO)
-		return nil
 	}
 	return fmt.Errorf("driver: unknown CUDA mECall %q", name)
 }

@@ -1,12 +1,9 @@
 package driver
 
 import (
-	"encoding/binary"
 	"fmt"
 
-	"cronus/internal/attest"
 	"cronus/internal/enclave"
-	"cronus/internal/mos"
 	"cronus/internal/npu"
 	"cronus/internal/sim"
 	"cronus/internal/trace"
@@ -17,52 +14,19 @@ import (
 // gets an isolated device memory context; instruction streams are submitted
 // through the vtaRun mECall.
 type NPU struct {
-	dev    *npu.Device
-	costs  *sim.CostModel
-	vendor string
-	cert   []byte
-	nonce  uint64
-	irqs   int
+	accel
+	dev *npu.Device
 }
 
 // NewNPU creates the NPU HAL.
 func NewNPU(dev *npu.Device, costs *sim.CostModel, vendor string, cert []byte) *NPU {
-	return &NPU{dev: dev, costs: costs, vendor: vendor, cert: cert}
+	return &NPU{dev: dev, accel: accel{kind: "npu", dev: dev, costs: costs, vendor: vendor, cert: cert,
+		calls: memCalls{CallVTAMemAlloc, CallVTAHtoD, CallVTADtoH, CallVTASync, mNPUHtoDBytes, mNPUDtoHBytes}}}
 }
-
-// DeviceType implements mos.HAL.
-func (g *NPU) DeviceType() string { return "npu" }
-
-// Init implements mos.HAL.
-func (g *NPU) Init(p *sim.Proc, sh *mos.Shim) error {
-	if err := sh.Ioremap(p); err != nil {
-		return err
-	}
-	g.nonce++
-	var challenge [16]byte
-	binary.LittleEndian.PutUint64(challenge[:], g.nonce)
-	copy(challenge[8:], sh.DeviceName())
-	sig := g.dev.Authenticate(challenge[:])
-	p.Sleep(g.costs.VerifyFixed)
-	if !attest.Verify(g.dev.PubKey(), challenge[:], sig) {
-		return fmt.Errorf("driver: device %q failed authenticity check", sh.DeviceName())
-	}
-	sh.RegisterDeviceKey(g.vendor, g.dev.PubKey(), g.cert)
-	// request_irq: fault/completion interrupts from the device are routed
-	// to this partition's line (secure-world only, spoof-checked by the
-	// GIC against the device tree).
-	if err := sh.RequestIRQ(func() { g.irqs++ }); err != nil {
-		return err
-	}
-	return nil
-}
-
-// IRQs reports how many device interrupts the driver has handled.
-func (g *NPU) IRQs() int { return g.irqs }
 
 // NewModel implements mos.HAL.
 func (g *NPU) NewModel(p *sim.Proc) (enclave.Model, error) {
-	p.Sleep(g.costs.EnclaveEntry)
+	g.enter(p)
 	return &NPUModel{hal: g}, nil
 }
 
@@ -106,50 +70,16 @@ func (m *NPUModel) Create(p *sim.Proc, image []byte) error {
 	return nil
 }
 
-// Call implements enclave.Model; like the CUDA model it consumes args in
-// place and DMA-copies a DtoH straight into res.
+// Call implements enclave.Model: the memory mECalls are the HAL's
+// (memCall), vtaRun the VTA runtime's.
 func (m *NPUModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder) error {
 	if m.ctx == nil {
 		return fmt.Errorf("driver: NPU model not created")
 	}
-	d := wire.NewDecoder(args)
+	if ok, err := memCall(&m.hal.accel, p, &m.ctx.Space, name, args, res); ok {
+		return err
+	}
 	switch name {
-	case CallVTAMemAlloc:
-		size := d.U64()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		addr, err := m.ctx.MemAlloc(size)
-		if err != nil {
-			return err
-		}
-		res.U64(addr)
-		return nil
-	case CallVTAHtoD:
-		dst := d.U64()
-		data := d.BlobRef()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		mNPUHtoDBytes.Add(uint64(len(data)))
-		end := trace.Of(p.Kernel()).Span(p, "driver", m.hal.dev.Name(), "dma-htod")
-		err := m.ctx.HtoD(p, dst, data)
-		end()
-		return err
-	case CallVTADtoH:
-		src := d.U64()
-		n := d.U64()
-		if err := d.Err(); err != nil {
-			return err
-		}
-		if err := m.ctx.CheckRange(src, n); err != nil {
-			return err
-		}
-		mNPUDtoHBytes.Add(n)
-		end := trace.Of(p.Kernel()).Span(p, "driver", m.hal.dev.Name(), "dma-dtoh")
-		err := m.ctx.DtoH(p, res.U32(uint32(n)).Reserve(int(n)), src)
-		end()
-		return err
 	case CallVTARun:
 		insns, err := DecodeInsns(args)
 		if err != nil {
@@ -160,9 +90,6 @@ func (m *NPUModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder
 		err = m.ctx.Run(p, insns)
 		end()
 		return err
-	case CallVTASync:
-		p.Sleep(m.hal.costs.DeviceMMIO)
-		return nil
 	}
 	return fmt.Errorf("driver: unknown NPU mECall %q", name)
 }
@@ -179,11 +106,14 @@ func (m *NPUModel) Destroy(*sim.Proc) {
 // the u64 DRAM address.
 const insnBytes = 16*4 + 8
 
+// insnMagic heads every encoded instruction stream.
+const insnMagic = "VTAPROG v1"
+
 // EncodeInsns serializes an NPU instruction stream for vtaRun (also the NPU
-// enclave image format).
+// enclave image format) into one allocation of its exact size.
 func EncodeInsns(insns []npu.Insn) []byte {
-	e := wire.NewEncoder()
-	e.Str("VTAPROG v1")
+	var e wire.Encoder
+	e.Grow(4 + len(insnMagic) + 4 + len(insns)*insnBytes).Str(insnMagic)
 	e.U32(uint32(len(insns)))
 	for i := range insns {
 		in := &insns[i]
@@ -191,26 +121,26 @@ func EncodeInsns(insns []npu.Insn) []byte {
 		e.U64(in.DRAMAddr).U32(in.SRAMIdx).U32(in.Count)
 		e.U32(in.InpIdx).U32(in.WgtIdx).U32(in.AccIdx)
 		e.U32(in.InpStride).U32(in.WgtStride).U32(in.AccStride)
-		if in.Reset {
-			e.U32(1)
-		} else {
-			e.U32(0)
-		}
+		e.U32(flag(in.Reset))
 		e.U32(uint32(in.Alu)).U32(in.DstIdx).U32(in.SrcIdx)
-		if in.UseImm {
-			e.U32(1)
-		} else {
-			e.U32(0)
-		}
+		e.U32(flag(in.UseImm))
 		e.U32(uint32(in.Imm))
 	}
 	return e.Bytes()
 }
 
+// flag encodes a bool as a u32.
+func flag(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // DecodeInsns parses a vtaRun payload / NPU program image.
 func DecodeInsns(data []byte) ([]npu.Insn, error) {
 	d := wire.NewDecoder(data)
-	if magic := d.Str(); magic != "VTAPROG v1" {
+	if magic := d.Str(); magic != insnMagic {
 		return nil, fmt.Errorf("driver: not a VTA program (magic %q)", magic)
 	}
 	insns := make([]npu.Insn, d.Count(insnBytes))

@@ -1,10 +1,14 @@
 package npu
 
 import (
+	"errors"
 	"fmt"
 
 	"cronus/internal/sim"
 )
+
+// ErrScratchpadOverflow reports a LOAD or STORE past the end of its scratchpad.
+var ErrScratchpadOverflow = errors.New("scratchpad overflow")
 
 // Cycle costs of the pipeline stages. LOAD/STORE move 16 bytes per cycle
 // after a fixed DMA setup; the GEMM array retires one block operation
@@ -23,31 +27,29 @@ const (
 // occupies the pipeline for the modelled cycle count). Streams from
 // different contexts serialize on the single physical pipeline.
 func (c *Context) Run(p *sim.Proc, insns []Insn) error {
-	if err := c.check(); err != nil {
+	if err := c.Check(); err != nil {
 		return err
 	}
 	c.dev.pipeline.Acquire(p, 1)
 	defer c.dev.pipeline.Release(1)
 	c.dev.takeScratchpads(c)
-	var cycles uint64
 	for i := range insns {
-		n, err := c.exec(&insns[i])
-		if err != nil {
+		if err := c.exec(&insns[i]); err != nil {
 			return fmt.Errorf("npu: insn %d: %w", i, err)
 		}
-		cycles += n + issueCyclesPerOp
 		if insns[i].Op == OpFinish {
 			break
 		}
 	}
-	p.Sleep(sim.Duration(float64(cycles) / c.dev.costs.NPUCyclePerNs))
-	if err := c.check(); err != nil {
+	p.Sleep(sim.Duration(float64(CycleCount(insns)) / c.dev.costs.NPUCyclePerNs))
+	if err := c.Check(); err != nil {
 		return err // device reset while the stream was in flight
 	}
 	return nil
 }
 
-// CycleCount returns the modelled cycles of a stream without executing it.
+// CycleCount returns the modelled cycles of a stream, up to and including its
+// first FINISH: what Run charges once the stream has executed.
 func CycleCount(insns []Insn) uint64 {
 	var cycles uint64
 	for i := range insns {
@@ -70,21 +72,15 @@ func CycleCount(insns []Insn) uint64 {
 	return cycles
 }
 
+// blockBytes is the size of a block of m's scratchpad; an unknown m's is INP's.
 func blockBytes(m Mem) int {
-	switch m {
-	case MemInp:
+	if m > MemOut {
 		return InpBlockBytes
-	case MemWgt:
-		return WgtBlockBytes
-	case MemAcc:
-		return AccBlockBytes
-	case MemOut:
-		return OutBlockBytes
 	}
-	return InpBlockBytes
+	return [...]int{InpBlockBytes, WgtBlockBytes, AccBlockBytes, OutBlockBytes}[m]
 }
 
-func (c *Context) exec(in *Insn) (uint64, error) {
+func (c *Context) exec(in *Insn) error {
 	switch in.Op {
 	case OpLoad:
 		return c.load(in)
@@ -95,62 +91,55 @@ func (c *Context) exec(in *Insn) (uint64, error) {
 	case OpAlu:
 		return c.alu(in)
 	case OpCommit:
-		if err := c.CommitOut(in.SrcIdx, in.DstIdx, in.Count); err != nil {
-			return 0, err
-		}
-		return uint64(in.Count) * aluCyclesPerOp, nil
+		return c.CommitOut(in.SrcIdx, in.DstIdx, in.Count)
 	case OpFinish:
-		return finishCycles, nil
+		return nil
 	}
-	return 0, fmt.Errorf("unknown opcode %d", in.Op)
+	return fmt.Errorf("unknown opcode %d", in.Op)
 }
 
-func (c *Context) load(in *Insn) (uint64, error) {
-	bb := blockBytes(in.Mem)
-	total := int(in.Count) * bb
-	src, err := c.resolve(in.DRAMAddr, total)
-	if err != nil {
-		return 0, err
+func (c *Context) load(in *Insn) error {
+	if in.Mem > MemAcc {
+		return fmt.Errorf("cannot LOAD into OUT scratchpad")
 	}
-	switch in.Mem {
+	src, err := c.dram(in)
+	if err != nil {
+		return err
+	}
+	switch at := int(in.SRAMIdx) * blockBytes(in.Mem); in.Mem {
 	case MemInp:
-		if int(in.SRAMIdx)+int(in.Count) > InpBufBlocks {
-			return 0, fmt.Errorf("inp scratchpad overflow")
-		}
-		copy(c.dev.inp[int(in.SRAMIdx)*InpBlockBytes:], src)
+		copy(c.dev.inp[at:], src)
 	case MemWgt:
-		if int(in.SRAMIdx)+int(in.Count) > WgtBufBlocks {
-			return 0, fmt.Errorf("wgt scratchpad overflow")
-		}
-		copy(c.dev.wgt[int(in.SRAMIdx)*WgtBlockBytes:], src)
-	case MemAcc:
-		if int(in.SRAMIdx)+int(in.Count) > AccBufBlocks {
-			return 0, fmt.Errorf("acc scratchpad overflow")
-		}
+		copy(c.dev.wgt[at:], src)
+	default:
 		dst := c.dev.acc[int(in.SRAMIdx)*BlockOut:]
-		for i := 0; i < int(in.Count)*BlockOut; i++ {
+		for i := range dst[:int(in.Count)*BlockOut] {
 			dst[i] = int32(uint32(src[i*4]) | uint32(src[i*4+1])<<8 | uint32(src[i*4+2])<<16 | uint32(src[i*4+3])<<24)
 		}
-	default:
-		return 0, fmt.Errorf("cannot LOAD into OUT scratchpad")
 	}
-	return loadSetupCycles + uint64(total)/bytesPerCycle, nil
+	return nil
 }
 
-func (c *Context) store(in *Insn) (uint64, error) {
+func (c *Context) store(in *Insn) error {
 	if in.Mem != MemOut {
-		return 0, fmt.Errorf("STORE only writes the OUT scratchpad to DRAM")
+		return fmt.Errorf("STORE only writes the OUT scratchpad to DRAM")
 	}
-	total := int(in.Count) * OutBlockBytes
-	if int(in.SRAMIdx)+int(in.Count) > OutBufBlocks {
-		return 0, fmt.Errorf("out scratchpad overflow")
-	}
-	dst, err := c.resolve(in.DRAMAddr, total)
+	dst, err := c.dram(in)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	copy(dst, c.dev.out[int(in.SRAMIdx)*OutBlockBytes:])
-	return loadSetupCycles + uint64(total)/bytesPerCycle, nil
+	return nil
+}
+
+// dram holds a LOAD's or STORE's blocks to its scratchpad in uint64, where no
+// int width wraps, before it resolves the DRAM they move.
+func (c *Context) dram(in *Insn) ([]byte, error) {
+	blocks := [...]uint64{InpBufBlocks, WgtBufBlocks, AccBufBlocks, OutBufBlocks}
+	if uint64(in.SRAMIdx)+uint64(in.Count) > blocks[in.Mem] {
+		return nil, fmt.Errorf("%s %w", [...]string{"inp", "wgt", "acc", "out"}[in.Mem], ErrScratchpadOverflow)
+	}
+	return c.Resolve(in.DRAMAddr, int(in.Count)*blockBytes(in.Mem))
 }
 
 // gemm: for i in [0,Count): acc[AccIdx+i*AccStride] +=
@@ -161,14 +150,14 @@ func (c *Context) store(in *Insn) (uint64, error) {
 // order they are added in changes no bit. A fixed bitset on the stack records
 // which accumulator blocks Reset has zeroed. An index out of range stops the
 // instruction there, with the blocks before it already accumulated.
-func (c *Context) gemm(in *Insn) (uint64, error) {
+func (c *Context) gemm(in *Insn) error {
 	var reset [AccBufBlocks / 64]uint64
 	for i := uint32(0); i < in.Count; i++ {
 		ai := in.AccIdx + i*in.AccStride
 		wi := in.WgtIdx + i*in.WgtStride
 		ii := in.InpIdx + i*in.InpStride
 		if ai >= AccBufBlocks || wi >= WgtBufBlocks || ii >= InpBufBlocks {
-			return 0, fmt.Errorf("gemm scratchpad index out of range (acc=%d wgt=%d inp=%d)", ai, wi, ii)
+			return fmt.Errorf("gemm scratchpad index out of range (acc=%d wgt=%d inp=%d)", ai, wi, ii)
 		}
 		acc := (*[BlockOut]int32)(c.dev.acc[ai*BlockOut:])
 		if in.Reset && reset[ai/64]&(1<<(ai%64)) == 0 {
@@ -188,21 +177,21 @@ func (c *Context) gemm(in *Insn) (uint64, error) {
 				int32(int8(w[12]))*x[12] + int32(int8(w[13]))*x[13] + int32(int8(w[14]))*x[14] + int32(int8(w[15]))*x[15]
 		}
 	}
-	return uint64(in.Count) * gemmCyclesPerOp, nil
+	return nil
 }
 
-func (c *Context) alu(in *Insn) (uint64, error) {
+func (c *Context) alu(in *Insn) error {
 	for i := uint32(0); i < in.Count; i++ {
 		di := in.DstIdx + i
 		if di >= AccBufBlocks {
-			return 0, fmt.Errorf("alu dst index out of range")
+			return fmt.Errorf("alu dst index out of range")
 		}
 		dst := c.dev.acc[di*BlockOut : (di+1)*BlockOut]
 		var src []int32
 		if !in.UseImm {
 			si := in.SrcIdx + i
 			if si >= AccBufBlocks {
-				return 0, fmt.Errorf("alu src index out of range")
+				return fmt.Errorf("alu src index out of range")
 			}
 			src = c.dev.acc[si*BlockOut : (si+1)*BlockOut]
 		}
@@ -226,17 +215,17 @@ func (c *Context) alu(in *Insn) (uint64, error) {
 				sh := operand & 31
 				dst[o] >>= uint(sh)
 			default:
-				return 0, fmt.Errorf("unknown alu op %d", in.Alu)
+				return fmt.Errorf("unknown alu op %d", in.Alu)
 			}
 		}
 	}
-	return uint64(in.Count) * aluCyclesPerOp, nil
+	return nil
 }
 
 // CommitOut narrows accumulator blocks to int8 output blocks (the VTA
 // pipeline's implicit ACC→OUT path before a STORE).
 func (c *Context) CommitOut(accIdx, outIdx, count uint32) error {
-	if accIdx+count > AccBufBlocks || outIdx+count > OutBufBlocks {
+	if uint64(accIdx)+uint64(count) > AccBufBlocks || uint64(outIdx)+uint64(count) > OutBufBlocks {
 		return fmt.Errorf("npu: CommitOut out of range")
 	}
 	for i := uint32(0); i < count; i++ {

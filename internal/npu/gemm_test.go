@@ -13,14 +13,14 @@ import (
 // as the reference (the scratchpads it read were []int8 then, so its lanes
 // are converted here): a map per instruction records which accumulator
 // blocks Reset has zeroed, and every int8 product is indexed through a slice.
-func (c *Context) mapGemm(in *Insn) (uint64, error) {
+func (c *Context) mapGemm(in *Insn) error {
 	resetSeen := make(map[uint32]bool)
 	for i := uint32(0); i < in.Count; i++ {
 		ai := in.AccIdx + i*in.AccStride
 		wi := in.WgtIdx + i*in.WgtStride
 		ii := in.InpIdx + i*in.InpStride
 		if ai >= AccBufBlocks || wi >= WgtBufBlocks || ii >= InpBufBlocks {
-			return 0, fmt.Errorf("gemm scratchpad index out of range (acc=%d wgt=%d inp=%d)", ai, wi, ii)
+			return fmt.Errorf("gemm scratchpad index out of range (acc=%d wgt=%d inp=%d)", ai, wi, ii)
 		}
 		acc := c.dev.acc[ai*BlockOut : (ai+1)*BlockOut]
 		if in.Reset && !resetSeen[ai] {
@@ -39,7 +39,7 @@ func (c *Context) mapGemm(in *Insn) (uint64, error) {
 			acc[o] += s
 		}
 	}
-	return uint64(in.Count) * gemmCyclesPerOp, nil
+	return nil
 }
 
 // randomGemm draws one GEMM instruction: strides 0 (every iteration on one
@@ -101,10 +101,9 @@ func TestGemmMatchesMapReference(t *testing.T) {
 	faults := 0
 	for n := 0; n < 400; n++ {
 		in := randomGemm(rng)
-		gCycles, gErr := gc.gemm(&in)
-		wCycles, wErr := wc.mapGemm(&in)
-		if gCycles != wCycles || fmt.Sprint(gErr) != fmt.Sprint(wErr) {
-			t.Fatalf("insn %d %+v: (%d, %v), reference (%d, %v)", n, in, gCycles, gErr, wCycles, wErr)
+		gErr, wErr := gc.gemm(&in), wc.mapGemm(&in)
+		if fmt.Sprint(gErr) != fmt.Sprint(wErr) {
+			t.Fatalf("insn %d %+v: %v, reference %v", n, in, gErr, wErr)
 		}
 		if wErr != nil {
 			faults++
@@ -180,7 +179,7 @@ func BenchmarkNPUGemm(b *testing.B) {
 	in := Insn{Op: OpGemm, InpStride: 1, WgtStride: 1, Count: 64, Reset: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ctx.gemm(&in); err != nil {
+		if err := ctx.gemm(&in); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -10,10 +10,9 @@ package npu
 
 import (
 	"errors"
-	"fmt"
-	"math"
 
 	"cronus/internal/attest"
+	"cronus/internal/devmem"
 	"cronus/internal/recycle"
 	"cronus/internal/sim"
 )
@@ -104,11 +103,8 @@ type Insn struct {
 // Device is one NPU. It implements hw.Device.
 type Device struct {
 	name  string
-	k     *sim.Kernel
 	costs *sim.CostModel
-
-	memSize uint64
-	memUsed uint64
+	mem   devmem.Device[byte]
 
 	// Scratchpads (shared by all contexts; executions are serialized like
 	// the single physical VTA pipeline). inp, wgt and out hold int8 lanes as
@@ -121,9 +117,7 @@ type Device struct {
 	out []byte
 
 	pipeline *sim.Resource // whole-pipeline exclusivity per instruction stream
-	contexts map[int]*Context
-	nextCtx  int
-	last     *Context // whose stream ran last: the scratchpads hold its data
+	last     *Context      // whose stream ran last: the scratchpads hold its data
 
 	priv attest.PrivateKey
 }
@@ -147,13 +141,12 @@ func DefaultConfig(name string) Config {
 func New(k *sim.Kernel, costs *sim.CostModel, cfg Config) *Device {
 	d := &Device{
 		name:     cfg.Name,
-		k:        k,
 		costs:    costs,
-		memSize:  cfg.MemBytes,
 		pipeline: sim.NewResource(k, cfg.Name+"/pipe", 1),
-		contexts: make(map[int]*Context),
 		priv:     attest.KeyFromSeed([]byte("npu-device-key/" + cfg.KeySeed)),
 	}
+	d.mem = devmem.New(devmem.Errors{Kind: "npu", Stale: ErrStaleContext, InvalidPointer: ErrInvalidPointer, OutOfMemory: ErrOutOfMemory},
+		cfg.MemBytes, &recycle.Bytes, func(b []byte) []byte { return b }, func(p *sim.Proc, n int) { p.Sleep(costs.DMA(n)) })
 	k.AtShutdown(d.Reset)
 	return d
 }
@@ -162,10 +155,10 @@ func New(k *sim.Kernel, costs *sim.CostModel, cfg Config) *Device {
 func (d *Device) Name() string { return d.name }
 
 // MemBytes returns total device DRAM.
-func (d *Device) MemBytes() uint64 { return d.memSize }
+func (d *Device) MemBytes() uint64 { return d.mem.MemBytes() }
 
 // MemUsed returns the device DRAM live contexts hold.
-func (d *Device) MemUsed() uint64 { return d.memUsed }
+func (d *Device) MemUsed() uint64 { return d.mem.MemUsed() }
 
 // PubKey returns the device authenticity key.
 func (d *Device) PubKey() attest.PublicKey { return d.priv.Public().(attest.PublicKey) }
@@ -179,11 +172,7 @@ func (d *Device) Authenticate(challenge []byte) []byte { return attest.Sign(d.pr
 // lives on.
 func (d *Device) Reset() {
 	d.dropScratchpads()
-	for _, c := range d.contexts {
-		c.release()
-	}
-	d.contexts = make(map[int]*Context)
-	d.memUsed = 0
+	d.mem.Reset()
 }
 
 // takeScratchpads gives a stream zeroed on-chip buffers: a context's first
@@ -212,143 +201,31 @@ func (d *Device) dropScratchpads() {
 	d.last = nil
 }
 
-// ErrStaleContext reports use of a context its device no longer holds: one
-// destroyed, or created before a reset or the end of its kernel.
-var ErrStaleContext = errors.New("npu: context destroyed or reset")
-
-// ErrOutOfMemory reports an allocation larger than the device DRAM left.
-var ErrOutOfMemory = errors.New("npu: out of device memory")
-
-// span is one DRAM allocation. buf is a backing from the recycler, cut to
-// size; no view of it reaches past its length, which the recycler relies on
-// to keep the rest of the capacity zero.
-type span struct {
-	addr uint64
-	size uint64
-	buf  []byte
-}
+// The typed faults of NPU memory (devmem.Errors).
+var (
+	ErrStaleContext   = errors.New("npu: context destroyed or reset")
+	ErrInvalidPointer = errors.New("npu: invalid device pointer")
+	ErrOutOfMemory    = errors.New("npu: out of device memory")
+)
 
 // Context is an isolated NPU memory space ("virtual memory" isolation of
 // concurrent NPU tenants, §V-B).
 type Context struct {
-	id    int
-	dev   *Device
-	stale bool // released: destroyed, reset or shut down
-	spans []*span
-	next  uint64
+	devmem.Space[byte]
+	dev *Device
 }
 
 // CreateContext makes an isolated context.
 func (d *Device) CreateContext() *Context {
-	d.nextCtx++
-	c := &Context{id: d.nextCtx, dev: d}
-	d.contexts[c.id] = c
+	c := &Context{dev: d}
+	d.mem.Open(&c.Space)
 	return c
 }
 
 // DestroyContext scrubs a context's DRAM, and the scratchpads if its stream
 // ran last, into the recycler; every later use of c is ErrStaleContext.
 func (d *Device) DestroyContext(c *Context) {
-	if d.contexts[c.id] != c {
-		return
-	}
-	d.memUsed -= c.release()
-	delete(d.contexts, c.id)
-	if d.last == c {
+	if d.mem.Close(&c.Space) && d.last == c {
 		d.dropScratchpads()
 	}
-}
-
-// release scrubs the context's spans into the recycler, forgets them and
-// makes the context stale, returning the bytes they held.
-func (c *Context) release() (n uint64) {
-	for _, s := range c.spans {
-		recycle.Bytes.Put(s.buf)
-		n += s.size
-	}
-	c.spans = nil
-	c.stale = true
-	return n
-}
-
-func (c *Context) check() error {
-	if c.stale {
-		return ErrStaleContext
-	}
-	return nil
-}
-
-// MemAlloc allocates device DRAM and returns its device address.
-func (c *Context) MemAlloc(n uint64) (uint64, error) {
-	if err := c.check(); err != nil {
-		return 0, err
-	}
-	if n == 0 {
-		return 0, fmt.Errorf("npu: zero-byte allocation")
-	}
-	if n > c.dev.memSize-c.dev.memUsed {
-		return 0, fmt.Errorf("%w (%d used of %d)", ErrOutOfMemory, c.dev.memUsed, c.dev.memSize)
-	}
-	addr := uint64(c.id)<<40 | (c.next + 0x1000)
-	c.next += (n + 0xfff) &^ 0xfff
-	c.spans = append(c.spans, &span{addr: addr, size: n, buf: recycle.Bytes.Get(int(n))})
-	c.dev.memUsed += n
-	return addr, nil
-}
-
-func (c *Context) resolve(addr uint64, n int) ([]byte, error) {
-	if err := c.check(); err != nil {
-		return nil, err
-	}
-	for _, s := range c.spans {
-		if addr >= s.addr && addr+uint64(n) <= s.addr+s.size {
-			off := addr - s.addr
-			return s.buf[off : off+uint64(n) : off+uint64(n)], nil
-		}
-	}
-	return nil, fmt.Errorf("npu: invalid device address %#x (+%d) in context %d", addr, n, c.id)
-}
-
-// CheckRange reports whether [addr, addr+n) lies inside one live allocation
-// of this context, with the error a transfer over that range would return. A
-// driver asks before it sizes a host-side buffer from a length the caller
-// supplied.
-func (c *Context) CheckRange(addr, n uint64) error {
-	if n > math.MaxInt32 {
-		return fmt.Errorf("npu: transfer of %d bytes exceeds the device", n)
-	}
-	_, err := c.resolve(addr, int(n))
-	return err
-}
-
-// HtoD copies host bytes into device DRAM (PCIe DMA). The range is resolved
-// before the DMA is charged and again after it: a destroy or a reset in
-// between has given the memory back to the recycler, and the copy then
-// writes nothing.
-func (c *Context) HtoD(p *sim.Proc, dst uint64, src []byte) error {
-	if _, err := c.resolve(dst, len(src)); err != nil {
-		return err
-	}
-	p.Sleep(c.dev.costs.DMA(len(src)))
-	buf, err := c.resolve(dst, len(src))
-	if err != nil {
-		return err
-	}
-	copy(buf, src)
-	return nil
-}
-
-// DtoH copies device DRAM to host bytes, resolving the range again after the
-// DMA as HtoD does, so it never reads memory that has gone back.
-func (c *Context) DtoH(p *sim.Proc, dst []byte, src uint64) error {
-	if _, err := c.resolve(src, len(dst)); err != nil {
-		return err
-	}
-	p.Sleep(c.dev.costs.DMA(len(dst)))
-	buf, err := c.resolve(src, len(dst))
-	if err != nil {
-		return err
-	}
-	copy(dst, buf)
-	return nil
 }

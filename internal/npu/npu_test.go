@@ -1,6 +1,7 @@
 package npu
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -21,26 +22,6 @@ func inSim(t *testing.T, body func(k *sim.Kernel, p *sim.Proc)) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestMemAllocIsolation(t *testing.T) {
-	inSim(t, func(k *sim.Kernel, p *sim.Proc) {
-		d := testNPU(k)
-		a := d.CreateContext()
-		b := d.CreateContext()
-		pa, err := a.MemAlloc(256)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := a.HtoD(p, pa, make([]byte, 256)); err != nil {
-			t.Error(err)
-		}
-		// Context b cannot touch a's device memory.
-		if err := b.DtoH(p, make([]byte, 16), pa); err == nil {
-			t.Error("cross-context NPU memory access succeeded")
-		}
-	})
 }
 
 // buildMatmul emits the instruction stream for C[M×N] = A[M×K] × Bᵀ, with B
@@ -275,7 +256,7 @@ func TestResetScrubsAndInvalidates(t *testing.T) {
 		ctx := d.CreateContext()
 		addr, _ := ctx.MemAlloc(64)
 		ctx.HtoD(p, addr, []byte("npu tenant secret..............."))
-		backing, _ := ctx.resolve(addr, 32)
+		backing, _ := ctx.Resolve(addr, 32)
 		if _, err := runSecret(p, ctx); err != nil || scratchpadsClear(d) {
 			t.Fatalf("the secret stream left nothing in the scratchpads (err %v): a vacuous check", err)
 		}
@@ -357,7 +338,7 @@ func TestDestroyContextScrubsAndFrees(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		backing, _ := victim.resolve(inp, InpBlockBytes)
+		backing, _ := victim.Resolve(inp, InpBlockBytes)
 		d.DestroyContext(victim)
 		for _, b := range backing {
 			if b != 0 {
@@ -492,6 +473,48 @@ func TestGemmQuickProperty(t *testing.T) {
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 			t.Error(err)
+		}
+	})
+}
+
+// TestHostileInsnsAreTyped: a LOAD or STORE whose DRAM address wraps past
+// 2^64, one of 2^31 blocks — which an int of 32 bits once sized to nothing —
+// and a commit whose block range wraps uint32 are typed errors at every int
+// width (make ci runs the suite under GOARCH=386 too), never a panic or a
+// silent no-op, and the context runs the next stream.
+func TestHostileInsnsAreTyped(t *testing.T) {
+	inSim(t, func(k *sim.Kernel, p *sim.Proc) {
+		c := testNPU(k).CreateContext()
+		addr, err := c.MemAlloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const wrap = 1<<64 - 10
+		for _, tc := range []struct {
+			name string
+			in   Insn
+			want error
+		}{
+			{"LOAD at 2^64-10", Insn{Op: OpLoad, Mem: MemInp, DRAMAddr: wrap, Count: 1}, ErrInvalidPointer},
+			{"LOAD acc at 2^64-10", Insn{Op: OpLoad, Mem: MemAcc, DRAMAddr: wrap, Count: 1}, ErrInvalidPointer},
+			{"STORE at 2^64-10", Insn{Op: OpStore, Mem: MemOut, DRAMAddr: wrap, Count: 1}, ErrInvalidPointer},
+			{"LOAD of 2^31 blocks", Insn{Op: OpLoad, Mem: MemInp, DRAMAddr: addr, Count: 1 << 31}, ErrScratchpadOverflow},
+			{"LOAD wgt of 2^32-1 blocks", Insn{Op: OpLoad, Mem: MemWgt, DRAMAddr: addr, SRAMIdx: 1, Count: 1<<32 - 1}, ErrScratchpadOverflow},
+			{"STORE of 2^31 blocks", Insn{Op: OpStore, Mem: MemOut, DRAMAddr: addr, Count: 1 << 31}, ErrScratchpadOverflow},
+		} {
+			err := c.Run(p, []Insn{tc.in, {Op: OpFinish}})
+			if !errors.Is(err, tc.want) {
+				t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
+			}
+		}
+		if err := c.Run(p, []Insn{{Op: OpCommit, SrcIdx: 1<<32 - 1, Count: 1}}); err == nil {
+			t.Error("a commit from accumulator block 2^32-1 ran")
+		}
+		if err := c.Run(p, []Insn{{Op: OpCommit, DstIdx: 1<<32 - 1, Count: 1}}); err == nil {
+			t.Error("a commit to output block 2^32-1 ran")
+		}
+		if err := c.Run(p, []Insn{{Op: OpStore, Mem: MemOut, DRAMAddr: addr, Count: 1}, {Op: OpFinish}}); err != nil {
+			t.Errorf("the next stream: %v", err)
 		}
 	})
 }

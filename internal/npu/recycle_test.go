@@ -7,46 +7,29 @@ import (
 	"cronus/internal/sim"
 )
 
-// dirtyBytes is an allocation whose backing is handed out short of its
-// capacity: 3,001 bytes of a 4,096-byte class.
-const dirtyBytes = 3001
-
 // backingOf returns the whole backing, capacity included, behind the span
 // holding addr.
 func backingOf(t *testing.T, c *Context, addr uint64) []byte {
 	t.Helper()
-	for _, s := range c.spans {
-		if s.addr == addr {
-			return s.buf[:cap(s.buf)]
-		}
+	s, _, err := c.Locate(addr)
+	if err != nil || s == nil {
+		t.Fatalf("no span at %#x: %v", addr, err)
 	}
-	t.Fatalf("no span at %#x", addr)
-	return nil
+	return s.Words[:cap(s.Words)]
 }
 
-// memory is one device's DRAM span and scratchpads at their whole
-// capacities.
-type memory struct {
-	span []byte
+// scratchpads are one device's scratchpads at their whole capacities.
+type scratchpads struct {
 	pads [][]byte // inp, wgt, out
 	acc  []int32
 }
 
-// dirty gives c a span and the scratchpads, fills what it was handed of
-// them non-zero and returns their whole backings.
-func dirty(t *testing.T, d *Device, c *Context) memory {
-	t.Helper()
-	addr, err := c.MemAlloc(dirtyBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
+// dirty gives c the scratchpads, fills them non-zero and returns their whole
+// backings.
+func dirty(d *Device, c *Context) scratchpads {
 	d.takeScratchpads(c)
-	m := memory{span: backingOf(t, c, addr), acc: d.acc[:cap(d.acc)],
-		pads: [][]byte{d.inp[:cap(d.inp)], d.wgt[:cap(d.wgt)], d.out[:cap(d.out)]}}
-	if cap(m.span) != 4096 {
-		t.Fatalf("the span's backing holds %d bytes, want the 4096-byte class", cap(m.span))
-	}
-	for _, b := range append(m.pads, m.span[:dirtyBytes]) {
+	m := scratchpads{acc: d.acc[:cap(d.acc)], pads: [][]byte{d.inp[:cap(d.inp)], d.wgt[:cap(d.wgt)], d.out[:cap(d.out)]}}
+	for _, b := range m.pads {
 		for i := range b {
 			b[i] = 0xA5
 		}
@@ -66,10 +49,11 @@ func zeroBytes(b []byte) bool {
 	return true
 }
 
-// TestRecycledMemoryComesBackZero: a DRAM span and the four scratchpads,
-// written non-zero and given back by a destroy, a reset or the end of their
-// kernel, are zero over their whole capacity, and an NPU on another kernel
-// takes the same backings for its next span and its scratchpads.
+// TestRecycledMemoryComesBackZero: the four scratchpads, written non-zero and
+// given back by a destroy, a reset or the end of their kernel, are zero over
+// their whole capacity, and an NPU on another kernel takes the same backings
+// for its scratchpads. DRAM spans are held to the same by
+// devmem.TestRecycledBackingsComeBackZero.
 func TestRecycledMemoryComesBackZero(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -83,12 +67,12 @@ func TestRecycledMemoryComesBackZero(t *testing.T) {
 			k := sim.NewKernel()
 			d := testNPU(k)
 			c := d.CreateContext()
-			m := dirty(t, d, c)
+			m := dirty(d, c)
 			tc.give(k, d, c)
 			if d.inp != nil || d.wgt != nil || d.acc != nil || d.out != nil {
 				t.Error("the device still holds scratchpads it gave back")
 			}
-			for _, b := range append(m.pads, m.span) {
+			for _, b := range m.pads {
 				if !zeroBytes(b) {
 					t.Fatal("a backing given back was not scrubbed")
 				}
@@ -100,15 +84,7 @@ func TestRecycledMemoryComesBackZero(t *testing.T) {
 			}
 
 			other := testNPU(sim.NewKernel())
-			oc := other.CreateContext()
-			addr, err := oc.MemAlloc(4096)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := backingOf(t, oc, addr); &got[0] != &m.span[0] {
-				t.Error("the next allocation of the class did not reuse the span's backing")
-			}
-			other.takeScratchpads(oc)
+			other.takeScratchpads(other.CreateContext())
 			// inp and out share a class, so either may take either.
 			same := func(a, b []byte) bool { return &a[0] == &b[0] }
 			inp, wgt, out := m.pads[0], m.pads[1], m.pads[2]
@@ -183,27 +159,6 @@ func TestStaleTransfersTouchNoRecycledMemory(t *testing.T) {
 			}
 			clear(w) // as the recycler keeps it
 		})
-	}
-}
-
-// TestDestroyedContextAllocatesNothing: a destroyed context is stale. An
-// allocation through it is ErrStaleContext and holds no device memory, so
-// MemUsed is back at its value before the create, also after a second
-// destroy.
-func TestDestroyedContextAllocatesNothing(t *testing.T) {
-	d := testNPU(sim.NewKernel())
-	before := d.MemUsed()
-	c := d.CreateContext()
-	if _, err := c.MemAlloc(4096); err != nil {
-		t.Fatal(err)
-	}
-	d.DestroyContext(c)
-	if _, err := c.MemAlloc(4096); !errors.Is(err, ErrStaleContext) {
-		t.Errorf("MemAlloc on a destroyed context: %v, want ErrStaleContext", err)
-	}
-	d.DestroyContext(c)
-	if got := d.MemUsed(); got != before {
-		t.Errorf("device memory in use %d after the destroys, %d before the create", got, before)
 	}
 }
 

@@ -207,15 +207,18 @@ func Compile(p *sim.Proc, ops accel.NPU, g *Graph) (*Engine, error) {
 		if li == 0 {
 			in = e.inAddr
 		}
-		var prog []npu.Insn
+		// Each tile is a weight load, then per row an input load, a GEMM per
+		// output block, and a ReLU, a commit and a store; a finish ends it.
 		nb := n / npu.BlockOut
+		tiles := (nb + maxNb - 1) / maxNb
+		prog := make([]npu.Insn, 0, tiles*(1+4*l.Spatial)+l.Spatial*nb+1)
 		for base := 0; base < nb; base += maxNb {
 			cnt := maxNb
 			if cnt > nb-base {
 				cnt = nb - base
 			}
-			prog = append(prog, tileProgram(in, wAddr+uint64(base*kb*npu.WgtBlockBytes),
-				dst+uint64(base*npu.BlockOut), l.Spatial, cnt, kb, n)...)
+			prog = tileProgram(prog, in, wAddr+uint64(base*kb*npu.WgtBlockBytes),
+				dst+uint64(base*npu.BlockOut), l.Spatial, cnt, kb, n)
 		}
 		prog = append(prog, npu.Insn{Op: npu.OpFinish})
 		e.progs = append(e.progs, prog)
@@ -227,11 +230,10 @@ func Compile(p *sim.Proc, ops accel.NPU, g *Graph) (*Engine, error) {
 	return e, nil
 }
 
-// tileProgram emits the stream computing cnt output blocks of one layer
-// tile: for each spatial row, load the input row, GEMM over kb blocks per
-// output block, commit and store with the full-row stride.
-func tileProgram(inAddr, wAddr, outAddr uint64, rows, cnt, kb, rowStride int) []npu.Insn {
-	var insns []npu.Insn
+// tileProgram appends to insns the stream computing cnt output blocks of one
+// layer tile: for each spatial row, load the input row, GEMM over kb blocks
+// per output block, commit and store with the full-row stride.
+func tileProgram(insns []npu.Insn, inAddr, wAddr, outAddr uint64, rows, cnt, kb, rowStride int) []npu.Insn {
 	insns = append(insns, npu.Insn{Op: npu.OpLoad, Mem: npu.MemWgt, DRAMAddr: wAddr, Count: uint32(cnt * kb)})
 	for r := 0; r < rows; r++ {
 		insns = append(insns, npu.Insn{
