@@ -69,7 +69,9 @@ bench:
 
 # Native fuzzing of the decoders that face bytes another party wrote: the wire
 # codec (mECall arguments, replies, sealed payloads), the sRPC record header
-# the executor validates before trusting a length, the NPU program decoder
+# the executor validates before trusting a length, the reply-frame decoder
+# every refusal crossing a ring or the sealed channel goes through (a peer
+# writes its code, length and text), the NPU program decoder
 # (vtaRun payloads and NPU enclave images), the EDL parser whose table a
 # sealed call's name is resolved against, the manifest parser whose memory
 # cap the mEnclave manager enforces, and the remote-attestation verifier,
@@ -99,6 +101,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime $(FUZZTIME) ./internal/wire
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordHeader$$' -fuzztime $(FUZZTIME) ./internal/srpc
+	$(GO) test -run '^$$' -fuzz '^FuzzRemoteError$$' -fuzztime $(FUZZTIME) ./internal/mos
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInsns$$' -fuzztime $(FUZZTIME) ./internal/mos/driver
 	$(GO) test -run '^$$' -fuzz '^FuzzEDL$$' -fuzztime $(FUZZTIME) ./internal/enclave
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/enclave

@@ -8,10 +8,10 @@ import (
 
 	"cronus/internal/attest"
 	"cronus/internal/cluster"
+	"cronus/internal/mos"
 	"cronus/internal/serve"
 	"cronus/internal/sim"
 	"cronus/internal/spm"
-	"cronus/internal/srpc"
 )
 
 // A survivor tenant's faulted p95 may differ from its baseline p95 by
@@ -62,7 +62,7 @@ func (rr *RunReport) checkInvariants() []string {
 			var np *cluster.NetPartitionedError
 			var rv *attest.RevokedError
 			if !errors.As(r.Err, &te) && !errors.As(r.Err, &pq) && !errors.As(r.Err, &np) &&
-				!errors.As(r.Err, &rv) && !errors.Is(r.Err, srpc.ErrRingCorrupt) {
+				!errors.As(r.Err, &rv) && !errors.Is(r.Err, mos.ErrRingCorrupt) {
 				v = append(v, fmt.Sprintf("request %d (%s) failed with untyped error %q",
 					r.ID, r.Tenant, r.Err))
 			}

@@ -306,8 +306,10 @@ func TestDeviceErrorsSurfaceThroughStream(t *testing.T) {
 			return err
 		}
 		defer g.Close(p)
-		if _, err := g.MemAlloc(p, pl.GPUs[0].Dev.MemBytes()+1); err == nil || !strings.Contains(err.Error(), "out of device memory") {
-			t.Errorf("OOM: err = %v", err)
+		_, err = g.MemAlloc(p, pl.GPUs[0].Dev.MemBytes()+1)
+		var ce *mos.CallError
+		if !errors.Is(err, gpu.ErrOutOfMemory) || !errors.As(err, &ce) || ce.Name != driver.CallMemAlloc {
+			t.Errorf("OOM: err = %v, want the %s refusal carrying %v", err, driver.CallMemAlloc, gpu.ErrOutOfMemory)
 		}
 		// The stream is still healthy.
 		if _, err := g.MemAlloc(p, 1024); err != nil {
@@ -320,9 +322,55 @@ func TestDeviceErrorsSurfaceThroughStream(t *testing.T) {
 	}
 }
 
+// TestSealedRefusalIsTyped: a refusal that crosses the sealed channel keeps
+// its type, as one across a ring does — an undeclared mECall is the admission
+// check's mos.ErrUndeclaredCall and a device's out-of-memory its sentinel,
+// each a mos.CallError naming the call.
+func TestSealedRefusalIsTyped(t *testing.T) {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		dh, err := attest.NewDHKey([]byte("sealed-refusal"))
+		if err != nil {
+			return err
+		}
+		files := map[string][]byte{"cuda.edl": driver.CUDAEDL(), "app.cubin": gpu.BuildCubin("vec_add")}
+		man := enclave.NewManifest("gpu", "cuda.edl", "app.cubin", files, enclave.Resources{Memory: "16M"})
+		res, err := pl.D.CreateEnclave(p, "sealed", man, files, dh.Pub)
+		if err != nil {
+			return err
+		}
+		sec, err := dh.Shared(res.DHPub)
+		if err != nil {
+			return err
+		}
+		tx, rx := attest.NewChannel(sec, "owner->enclave"), attest.NewChannel(sec, "enclave->owner")
+		for _, c := range []struct {
+			name string
+			args []byte
+			want error
+		}{
+			{"cuWarpDrive", nil, mos.ErrUndeclaredCall},
+			{driver.CallMemAlloc, driver.EncodeMemAlloc(pl.GPUs[0].Dev.MemBytes() + 1), gpu.ErrOutOfMemory},
+		} {
+			reply, err := pl.D.InvokeSealed(p, res.EID, mos.SealRequest(tx, new(wire.Encoder), c.name, c.args))
+			if err != nil {
+				return err
+			}
+			_, err = mos.OpenReply(rx, c.name, reply)
+			var ce *mos.CallError
+			if !errors.Is(err, c.want) || !errors.As(err, &ce) || ce.Name != c.name {
+				t.Errorf("sealed %s: %v, want a mos.CallError naming it and carrying %v", c.name, err, c.want)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestNPUMemAllocSizeCannotWrap: an NPU mEnclave's allocation size comes off
 // the wire, and one that would wrap the device's accounting past 2^64 is the
-// device's out-of-memory refusal carried back as an srpc.CallError, not a
+// device's out-of-memory refusal carried back as a mos.CallError, not a
 // panic; the session's next call still works.
 func TestNPUMemAllocSizeCannotWrap(t *testing.T) {
 	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
@@ -339,8 +387,8 @@ func TestNPUMemAllocSizeCannotWrap(t *testing.T) {
 			return err
 		}
 		_, err = n.MemAlloc(p, 1<<64-101)
-		var ce *srpc.CallError
-		if !errors.As(err, &ce) || !strings.HasPrefix(ce.Msg, npu.ErrOutOfMemory.Error()) {
+		var ce *mos.CallError
+		if !errors.As(err, &ce) || !errors.Is(err, npu.ErrOutOfMemory) {
 			t.Errorf("MemAlloc(2^64-101): %v, want a CallError carrying %v", err, npu.ErrOutOfMemory)
 		}
 		addr, err := n.MemAlloc(p, 64)
@@ -357,8 +405,8 @@ func TestNPUMemAllocSizeCannotWrap(t *testing.T) {
 // TestNPUWrappingAddressIsTyped: an NPU mEnclave's device addresses and
 // block counts come off the wire. An HtoD, a DtoH and a vtaRun LOAD or STORE
 // at 2^64-10, and a LOAD or STORE of 2^31 blocks, are the device's typed
-// refusals carried back by message — a DtoH's as an srpc.CallError, an
-// asynchronous call's as the error the next Sync reports — not a panic that
+// refusals carried back by their reply frames — a DtoH's as a mos.CallError,
+// an asynchronous call's as the one the next Sync reports — not a panic that
 // kills the executor, and the session's next MemAlloc, HtoD and DtoH still
 // work.
 func TestNPUWrappingAddressIsTyped(t *testing.T) {
@@ -378,7 +426,7 @@ func TestNPUWrappingAddressIsTyped(t *testing.T) {
 		}
 		const wrap = 1<<64 - 10
 		refused := func(what string, err error, want error) {
-			if err == nil || !strings.Contains(err.Error(), want.Error()) {
+			if !errors.Is(err, want) {
 				t.Errorf("%s: %v, want the refusal carrying %v", what, err, want)
 			}
 		}
@@ -393,9 +441,9 @@ func TestNPUWrappingAddressIsTyped(t *testing.T) {
 		} else {
 			refused("HtoD at 2^64-10, at the next Sync", n.Sync(p), npu.ErrInvalidPointer)
 		}
-		var ce *srpc.CallError
+		var ce *mos.CallError
 		if _, err = n.DtoH(p, wrap, 100); !errors.As(err, &ce) {
-			t.Errorf("DtoH at 2^64-10: %v, want an srpc.CallError", err)
+			t.Errorf("DtoH at 2^64-10: %v, want a mos.CallError", err)
 		}
 		refused("DtoH at 2^64-10", err, npu.ErrInvalidPointer)
 		refused("LOAD at 2^64-10", run(npu.Insn{Op: npu.OpLoad, Mem: npu.MemInp, DRAMAddr: wrap, Count: 1}), npu.ErrInvalidPointer)
@@ -457,7 +505,7 @@ func TestCUDAMemFreeReturnsMemory(t *testing.T) {
 		if err := g.MemFree(p, ptr); err != nil {
 			return err
 		}
-		if err := g.Sync(p); err == nil || !strings.Contains(err.Error(), "no such allocation") {
+		if err := g.Sync(p); !errors.Is(err, gpu.ErrInvalidPointer) {
 			t.Errorf("Sync after a double free: %v, want the device's no-such-allocation error", err)
 		}
 		buf, err := g.MemAlloc(p, 16)

@@ -190,7 +190,7 @@ func (s *Session) Ping(p *sim.Proc, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return mos.OpenReply(s.rx, reply)
+	return mos.OpenReply(s.rx, "ping", reply)
 }
 
 // Owner exposes the session's CPU mEnclave — the trusted context from which

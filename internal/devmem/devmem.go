@@ -149,7 +149,7 @@ func (s *Space[T]) MemFree(va uint64) error {
 	}
 	i := s.index(va)
 	if i == len(s.spans) || s.spans[i].VA != va {
-		return fmt.Errorf("%s: MemFree(%#x): no such allocation", s.dev.errs.Kind, va)
+		return fmt.Errorf("%w: MemFree(%#x): no such allocation", s.dev.errs.InvalidPointer, va)
 	}
 	s.dev.rec.Put(s.spans[i].Words)
 	s.dev.used -= s.spans[i].Size

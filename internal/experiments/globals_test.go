@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -481,4 +482,109 @@ func TestValueDrawsUseTheFiller(t *testing.T) {
 			t.Errorf("drawExceptions lists %s, which no longer draws from math/rand: delete the entry", name)
 		}
 	}
+}
+
+// textMatchAllowed is every test function that still matches an error by its
+// text, keyed "dir.Func", with why no sentinel serves. A refusal that crosses
+// a ring or the sealed channel keeps its type (mos.CallError unwraps to its
+// sentinel), so a text match on one is an errors.Is not yet written.
+var textMatchAllowed = map[string]string{
+	"internal/chaos.TestKnownKindsPinned":                         "a -kinds parse error must list every known kind: the list is the text",
+	"internal/chaos.TestParseKinds":                               "a -kinds parse error must name the bad kind and the known ones",
+	"internal/chaos.TestRunRejectsTopologyMismatch":               "the campaign must refuse exactly as the single run did: the two errors' texts are compared",
+	"internal/core.TestOpenCUDARequiresCubin":                     "option validation before any enclave exists; no sentinel",
+	"internal/enclave.TestManifestRejectsTamperedImage":           "manifest verification names the image whose hash differs; no sentinel",
+	"internal/experiments.TestTrainTenantsFailsLoudly":            "errors.Is checks the sentinel; the text checks which tenant and step the runner names",
+	"internal/hw.TestDeviceTreeValidation":                        "each malformed tree is refused by a message naming what is wrong; no sentinel",
+	"internal/mos.FuzzRemoteError":                                "the reply-frame codec's own fuzz: a refusal must keep the peer's text byte for byte",
+	"internal/mos.TestRefusalTable":                               "the reply-frame codec's own test: a code the table does not list must keep the peer's text",
+	"internal/mos/driver.FuzzDecodeInsns":                         "a bad program magic has no sentinel: mos/driver sits above mos, so its errors cannot join the refusal table",
+	"internal/mos/driver.TestCUDAModelArgValidation":              "the model is called directly; the EDL admission check (mos.ErrUndeclaredCall) refuses an unknown name before any ring reaches it",
+	"internal/partition.TestPartitionRejectsImplicitSharedState":  "the partitioning tool reports source-level findings as text",
+	"internal/partition.TestPartitionRejectsReadBeforeWrite":      "the partitioning tool reports source-level findings as text",
+	"internal/partition.TestPartitionRejectsUnknownCallAndDevice": "the partitioning tool reports source-level findings as text",
+	"internal/serve.TestAdmissionShedsTyped":                      "checks that OverloadError renders at all, not which error it is",
+	"internal/serve.TestDependentSettingsRefusedAlone":            "config validation names the missing setting; no sentinel",
+	"internal/serve.TestNodeFaultsOnOneNodePool":                  "config validation names the bad fault; no sentinel",
+	"internal/spm.TestShareOnceRule":                              "the SPM's double-share refusal has no sentinel; it never crosses a ring",
+}
+
+// TestNoErrorTextMatch fails on a test that matches an error's text —
+// strings.Contains or strings.HasPrefix on an Error() call or a Msg field, or
+// == / != on either — unless textMatchAllowed names it, and on an entry that
+// no longer matches anything.
+func TestNoErrorTextMatch(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	found := make(map[string]bool)
+	for _, dir := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			rel, err := filepath.Rel(root, filepath.Dir(path))
+			if err != nil {
+				return err
+			}
+			for _, decl := range f.Decls {
+				fn, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				key := filepath.ToSlash(rel) + "." + fn.Name.Name
+				ast.Inspect(fn, func(n ast.Node) bool {
+					var operands []ast.Expr
+					switch n := n.(type) {
+					case *ast.CallExpr:
+						if callee := calleeOf(n); callee == "strings.Contains" || callee == "strings.HasPrefix" {
+							operands = n.Args
+						}
+					case *ast.BinaryExpr:
+						if n.Op == token.EQL || n.Op == token.NEQ {
+							operands = []ast.Expr{n.X, n.Y}
+						}
+					}
+					if !slices.ContainsFunc(operands, isErrorText) {
+						return true
+					}
+					if textMatchAllowed[key] != "" {
+						found[key] = true
+					} else {
+						t.Errorf("%s: %s matches an error by its text: use errors.Is on its sentinel, or list the test in textMatchAllowed with why none serves",
+							fset.Position(n.Pos()), key)
+					}
+					return true
+				})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for key := range textMatchAllowed {
+		if !found[key] {
+			t.Errorf("textMatchAllowed lists %s, which matches no error text: delete the entry", key)
+		}
+	}
+}
+
+// isErrorText reports whether x reads an error's text: a call of an Error
+// method or a Msg field (mos.CallError's peer text).
+func isErrorText(x ast.Expr) bool {
+	switch x := x.(type) {
+	case *ast.CallExpr:
+		sel, ok := x.Fun.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Error" && len(x.Args) == 0
+	case *ast.SelectorExpr:
+		return x.Sel.Name == "Msg"
+	}
+	return false
 }

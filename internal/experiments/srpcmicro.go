@@ -129,7 +129,7 @@ func SRPCMicro(calls, payload int) ([]SRPCMicroRow, error) {
 		if err != nil {
 			return err
 		}
-		out, err := mos.OpenReply(rx, reply)
+		out, err := mos.OpenReply(rx, driver.CallMemAlloc, reply)
 		if err != nil {
 			return err
 		}
@@ -144,7 +144,7 @@ func SRPCMicro(calls, payload int) ([]SRPCMicroRow, error) {
 			if err != nil {
 				return err
 			}
-			if _, err := mos.OpenReply(rx, reply); err != nil {
+			if _, err := mos.OpenReply(rx, driver.CallHtoD, reply); err != nil {
 				return err
 			}
 		}

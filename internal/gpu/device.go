@@ -178,6 +178,10 @@ var (
 // decided on the device VA, never on a host address, so it is deterministic.
 var ErrMisaligned = errors.New("gpu: misaligned device pointer")
 
+// ErrKernelNotLoaded refuses a launch of a kernel no module of the context
+// holds.
+var ErrKernelNotLoaded = errors.New("gpu: kernel not loaded")
+
 // Context is a GPU context: an isolated VA space of 4-byte words, so a float32
 // view is aligned by its type (floats in host byte order), and its modules.
 type Context struct {

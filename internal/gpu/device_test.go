@@ -1,8 +1,8 @@
 package gpu
 
 import (
+	"errors"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -63,7 +63,7 @@ func TestOutOfMemory(t *testing.T) {
 	cfg.MemBytes = 1 << 20
 	d := New(k, sim.DefaultCosts(), cfg)
 	ctx := d.CreateContext()
-	if _, err := ctx.MemAlloc(2 << 20); err == nil || !strings.Contains(err.Error(), "out of device memory") {
+	if _, err := ctx.MemAlloc(2 << 20); !errors.Is(err, ErrOutOfMemory) {
 		t.Fatalf("err = %v", err)
 	}
 	// Free returns capacity.

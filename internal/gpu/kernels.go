@@ -188,7 +188,7 @@ func (c *Context) Launch(p *sim.Proc, name string, grid Dim, args ...uint64) err
 	}
 	k, ok := c.modules[name]
 	if !ok {
-		return fmt.Errorf("gpu: kernel %q not loaded in context %d", name, c.ID())
+		return fmt.Errorf("%w: %q in context %d", ErrKernelNotLoaded, name, c.ID())
 	}
 	// The arguments are the caller's: they reach the kernel's Cost and Func
 	// through the context's Exec, written here and again after the engine

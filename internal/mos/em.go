@@ -224,7 +224,7 @@ func (em *EnclaveManager) InvokeSealed(p *sim.Proc, eid uint32, msg attest.Seale
 	reply.Grow(8 + len(args)).U32(0)
 	mark := reply.BeginBlob()
 	if err := e.Invoke(p, spec.Name, args, reply); err != nil {
-		reply.Reset().U32(1).Str(err.Error())
+		EncodeRefusal(reply.Reset(), err)
 	} else {
 		reply.EndBlob(mark)
 	}
@@ -243,31 +243,23 @@ func SealRequest(ch *attest.Channel, e *wire.Encoder, name string, args []byte) 
 	return ch.Seal(e.Reset().Grow(8 + len(name) + len(args)).Str(name).Blob(args).Bytes())
 }
 
-// OpenReply is the owner-side helper decoding an InvokeSealed reply. The
-// result aliases msg.Payload — the reply message is the caller's, so the
-// bytes are too.
-func OpenReply(ch *attest.Channel, msg attest.SealedMsg) ([]byte, error) {
+// OpenReply is the owner-side helper decoding the InvokeSealed reply to
+// mECall name (DecodeReply). The result aliases msg.Payload — the reply
+// message is the caller's, so the bytes are too.
+func OpenReply(ch *attest.Channel, name string, msg attest.SealedMsg) ([]byte, error) {
 	payload, err := ch.Open(msg)
 	if err != nil {
 		return nil, err
 	}
-	d := wire.NewDecoder(payload)
-	if code := d.U32(); code != 0 {
-		return nil, fmt.Errorf("mECall failed: %s", d.Str())
-	}
-	res := d.BlobRef()
-	return res, d.Err()
+	return DecodeReply(name, 0, payload)
 }
 
 // Invoke dispatches an mECall arriving from outside the enclave (the sealed
 // untrusted-memory path): it pays the enclave entry plus dispatch. args and
 // res follow enclave.Model.Call's lifetime rule.
 func (e *Enclave) Invoke(p *sim.Proc, name string, args []byte, res *wire.Encoder) error {
-	if e.dead {
-		return fmt.Errorf("mos: enclave %#x is dead", e.EID)
-	}
-	if _, ok := e.EDL.Lookup(name); !ok {
-		return fmt.Errorf("mos: mECall %q not declared in EDL of enclave %#x", name, e.EID)
+	if err := e.admit(name); err != nil {
+		return err
 	}
 	mSealedCalls.Inc()
 	mCtxSwitchS2.Add(2) // enclave entry + exit each cross S-EL2
@@ -281,11 +273,8 @@ func (e *Enclave) Invoke(p *sim.Proc, name string, args []byte, res *wire.Encode
 // context-switch saving that makes sRPC fast. args is the executor's staging
 // buffer and res its reply encoder (enclave.Model.Call's lifetime rule).
 func (e *Enclave) InvokeStreamed(p *sim.Proc, name string, args []byte, res *wire.Encoder) error {
-	if e.dead {
-		return fmt.Errorf("mos: enclave %#x is dead", e.EID)
-	}
-	if _, ok := e.EDL.Lookup(name); !ok {
-		return fmt.Errorf("mos: mECall %q not declared in EDL of enclave %#x", name, e.EID)
+	if err := e.admit(name); err != nil {
+		return err
 	}
 	mStreamedCalls.Inc()
 	// The dispatch span sits between the executor's exec span and the
@@ -296,6 +285,19 @@ func (e *Enclave) InvokeStreamed(p *sim.Proc, name string, args []byte, res *wir
 	}
 	p.Sleep(e.em.mos.Costs.RPCDispatch)
 	return e.Model.Call(p, name, args, res)
+}
+
+// admit is the one admission check of a call from outside the enclave,
+// sealed or streamed: a killed enclave and an mECall its EDL does not declare
+// are refused.
+func (e *Enclave) admit(name string) error {
+	if e.dead {
+		return fmt.Errorf("%w (%#x)", ErrEnclaveDead, e.EID)
+	}
+	if _, ok := e.EDL.Lookup(name); !ok {
+		return fmt.Errorf("%w: %q (enclave %#x)", ErrUndeclaredCall, name, e.EID)
+	}
+	return nil
 }
 
 // Secret exposes secret_dhke to the in-partition runtime (sRPC dCheck).

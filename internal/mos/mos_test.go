@@ -2,7 +2,6 @@ package mos_test
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"cronus/internal/attest"
@@ -74,7 +73,7 @@ func TestCreateAndInvokeCPUEnclave(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		out, err := mos.OpenReply(rx, reply)
+		out, err := mos.OpenReply(rx, "sum", reply)
 		if err != nil {
 			return err
 		}
@@ -159,7 +158,7 @@ func TestMECallMustBeDeclaredInEDL(t *testing.T) {
 		}
 		// An undeclared name is rejected even though the library has
 		// no such function anyway — the EDL is the contract.
-		if _, err := invoke(e, p, "backdoor", nil); err == nil || !strings.Contains(err.Error(), "EDL") {
+		if _, err := invoke(e, p, "backdoor", nil); !errors.Is(err, mos.ErrUndeclaredCall) {
 			t.Errorf("undeclared call: err = %v", err)
 		}
 		return nil

@@ -6,6 +6,7 @@ import (
 
 	"cronus/internal/core"
 	"cronus/internal/gpu"
+	"cronus/internal/mos"
 	"cronus/internal/otrace"
 	"cronus/internal/sim"
 	"cronus/internal/spm"
@@ -349,7 +350,7 @@ func (rep *replica) execWithRetry(p *sim.Proc, b *batch) error {
 			}
 		} else {
 			rep.consecTimeouts = 0
-			if !errors.Is(err, srpc.ErrRingCorrupt) {
+			if !errors.Is(err, mos.ErrRingCorrupt) {
 				return err
 			}
 		}

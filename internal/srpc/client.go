@@ -60,15 +60,6 @@ var ErrForgedReport = errors.New("srpc: local report not sealed by this machine'
 // another request: one the normal OS replayed or rerouted.
 var ErrReportIdentity = errors.New("srpc: local report identity mismatch")
 
-// CallError is a synchronous mECall the peer ran and refused. Only the text
-// of the peer's error crosses the ring, so Msg is that text.
-type CallError struct {
-	Name, Msg string
-}
-
-// Error reads as the refusal did before it had a type.
-func (e *CallError) Error() string { return fmt.Sprintf("srpc: mECall %q failed: %s", e.Name, e.Msg) }
-
 // Connect establishes a stream from the owner enclave to peer eid (§IV-C):
 // ① local attestation of the peer (automatic, verified against want),
 // ② trusted shared memory establishment through the SPM,
@@ -233,16 +224,35 @@ func (c *Client) fail(err error) error {
 	switch {
 	case errors.Is(err, ErrPeerFailed):
 		c.markDead()
-	case errors.Is(err, ErrRingCorrupt):
+	case errors.Is(err, mos.ErrRingCorrupt):
 		c.teardown() // counted as srpc.ring.corruptions by the detector
 	}
 	return err
 }
 
-// corruptf builds an ErrRingCorrupt-wrapped error for an owner-side
+// corruptf builds an mos.ErrRingCorrupt-wrapped error for an owner-side
 // consistency violation.
 func corruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", ErrRingCorrupt, fmt.Sprintf(format, args...))
+	return fmt.Errorf("%w: %s", mos.ErrRingCorrupt, fmt.Sprintf(format, args...))
+}
+
+// admit is the owner-side check of a stream operation: it refuses one on a
+// closed or failed stream, and one naming an mECall the peer's EDL does not
+// declare. spec is the first name's.
+func (c *Client) admit(names ...string) (spec enclave.MECallSpec, err error) {
+	switch {
+	case c.closed:
+		return spec, ErrStreamClosed
+	case c.dead:
+		return spec, ErrPeerFailed
+	}
+	for i := len(names) - 1; i >= 0; i-- {
+		var ok bool
+		if spec, ok = c.edl.Lookup(names[i]); !ok {
+			return spec, fmt.Errorf("srpc: mECall %q not in peer EDL", names[i])
+		}
+	}
+	return spec, nil
 }
 
 // Call issues an mECall on the stream. Calls declared async in the EDL
@@ -270,15 +280,9 @@ func (c *Client) Args() *wire.Encoder { return c.args.Reset() }
 // first assemble head‖bulk in a buffer of its own — the one copy the host
 // makes is the one the model charges. Result ownership is Call's.
 func (c *Client) CallVec(p *sim.Proc, name string, head, bulk []byte) ([]byte, error) {
-	if c.closed {
-		return nil, ErrStreamClosed
-	}
-	if c.dead {
-		return nil, ErrPeerFailed
-	}
-	spec, ok := c.edl.Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("srpc: mECall %q not in peer EDL", name)
+	spec, err := c.admit(name)
+	if err != nil {
+		return nil, err
 	}
 	if spec.Async {
 		return nil, c.push(p, name, head, bulk, kindAsync, 0)
@@ -289,14 +293,8 @@ func (c *Client) CallVec(p *sim.Proc, name string, head, bulk []byte) ([]byte, e
 // CallSyncCap issues a synchronous mECall reserving respCap bytes for the
 // result (use for large DtoH transfers). Result ownership is Call's.
 func (c *Client) CallSyncCap(p *sim.Proc, name string, args []byte, respCap int) ([]byte, error) {
-	if c.closed {
-		return nil, ErrStreamClosed
-	}
-	if c.dead {
-		return nil, ErrPeerFailed
-	}
-	if _, ok := c.edl.Lookup(name); !ok {
-		return nil, fmt.Errorf("srpc: mECall %q not in peer EDL", name)
+	if _, err := c.admit(name); err != nil {
+		return nil, err
 	}
 	return c.callSync(p, name, args, nil, respCap)
 }
@@ -315,29 +313,25 @@ func (c *Client) callSync(p *sim.Proc, name string, head, bulk []byte, respCap i
 	if err := c.checkSticky(p); err != nil {
 		return nil, err
 	}
-	// The reply sits where the record was: a status word, then the
-	// length-prefixed result (or error text). Only the bytes the prefix
-	// declares are read, and only once the prefix is known to fit the
-	// record — the reply buffer is bounded by the ring, not by the peer.
+	// The reply frame sits where the record was. No more of it is read than
+	// its length word declares and the record holds (mos.DecodeReply).
 	var pre [8]byte
 	if err := c.ring.readAt(p, recSlot, 0, pre[:]); err != nil {
 		return nil, c.fail(err)
 	}
-	status, n := binary.LittleEndian.Uint32(pre[0:]), int(binary.LittleEndian.Uint32(pre[4:]))
-	if room := int(c.rid-recSlot) * SlotSize; n > room-len(pre) {
-		return nil, c.fail(corruptf("reply of %d bytes exceeds its %d-byte record", n, room))
-	}
-	if cap(c.reply) < n {
+	n := 8 + min(uint64(binary.LittleEndian.Uint32(pre[4:])), (c.rid-recSlot)*SlotSize-8)
+	if uint64(cap(c.reply)) < n {
 		c.reply = make([]byte, n)
 	}
-	res := c.reply[:n:n]
-	if err := c.ring.readAt(p, recSlot, len(pre), res); err != nil {
+	frame := append(c.reply[:0], pre[:]...)[:n]
+	if err := c.ring.readAt(p, recSlot, 8, frame[8:]); err != nil {
 		return nil, c.fail(err)
 	}
-	if status != 0 {
-		return nil, &CallError{Name: name, Msg: string(res)}
+	res, err := mos.DecodeReply(name, recSlot, frame)
+	if _, refused := err.(*mos.CallError); err != nil && !refused {
+		return nil, c.fail(err)
 	}
-	return res, nil
+	return res, err
 }
 
 // push frames and enqueues one record whose argument bytes are head‖bulk,
@@ -472,7 +466,7 @@ func (c *Client) waitSidPast(p *sim.Proc, target uint64) error {
 		}
 		if sid > c.rid {
 			// Poisoned or corrupted consumer index (see push). Surfacing
-			// this as ErrRingCorrupt — not a satisfied wait — is what lets
+			// this as mos.ErrRingCorrupt — not a satisfied wait — is what lets
 			// a caller blocked in a synchronous mECall escape when the
 			// executor aborts on a corrupt record.
 			return corruptf("consumer index %d ahead of producer %d", sid, c.rid)
@@ -493,43 +487,36 @@ func (c *Client) waitSidPast(p *sim.Proc, target uint64) error {
 	}
 }
 
+// checkSticky surfaces the sticky failure the executor published, if any,
+// and consumes it — unless it is a ring corruption: that one stays, so every
+// later caller sees the same terminal condition.
 func (c *Client) checkSticky(p *sim.Proc) error {
-	sticky, err := c.ring.readU32(p, offSticky)
+	code, err := c.ring.readU32(p, offSticky)
 	if err != nil {
 		return c.fail(err)
 	}
-	if sticky == stickyNone {
+	if code == 0 {
 		return nil
 	}
-	n, err := c.ring.readU32(p, offErrLen)
-	if err != nil {
+	var f [offErrName + 4 + maxErrName - offErrSid]byte
+	if err := c.ring.view.Read(p, c.ring.base+offErrSid, f[:]); err != nil {
 		return c.fail(err)
 	}
-	if n > maxErrMsg {
-		n = maxErrMsg
-	}
-	msg := make([]byte, n)
-	if err := c.ring.view.Read(p, c.ring.base+offErrMsg, msg); err != nil {
+	nb := f[offErrName-offErrSid:]
+	spec, _ := c.edl.LookupBytes(nb[4 : 4+min(binary.LittleEndian.Uint32(nb), maxErrName)])
+	sid := binary.LittleEndian.Uint64(f[:])
+	if _, err = mos.DecodeReply(spec.Name, sid, f[8:16+mos.MaxRefusal]); errors.Is(err, mos.ErrRingCorrupt) {
 		return c.fail(err)
 	}
-	if sticky == stickyCorrupt {
-		// The executor aborted on a corrupt record; the stream is
-		// unusable. Do not clear the word — every later caller must see
-		// the same terminal condition.
-		return c.fail(corruptf("executor aborted: %s", msg))
-	}
-	_ = c.ring.writeU32(p, offSticky, stickyNone) // consumed
-	return fmt.Errorf("srpc: asynchronous mECall failed: %s", msg)
+	_ = c.ring.writeU32(p, offSticky, 0) // consumed
+	return err
 }
 
 // Barrier is streamCheck (§IV-C): it blocks until every enqueued record has
 // executed (Sid == Rid) and surfaces any sticky asynchronous error.
 func (c *Client) Barrier(p *sim.Proc) error {
-	if c.closed {
-		return ErrStreamClosed
-	}
-	if c.dead {
-		return ErrPeerFailed
+	if _, err := c.admit(); err != nil {
+		return err
 	}
 	mSyncWaits.Inc()
 	if err := c.waitSidPast(p, c.rid); err != nil {
@@ -577,33 +564,13 @@ func (c *Client) Abandon() {
 	c.teardown()
 }
 
-// InjectRingCorruption XORs the ring header's producer index (Rid) with
-// mask, modelling a flipped word in the trusted shared region. The
-// header-corruption tests (corrupt_test.go) use it; the chaos harness corrupts
-// a record instead (InjectRecordCorruption). The executor must detect the
-// inconsistent header on its next read and surface ErrRingCorrupt — by
-// poisoning Sid and publishing a sticky corrupt code — rather than misparse.
-func (c *Client) InjectRingCorruption(p *sim.Proc, mask uint64) error {
-	if c.closed || c.dead {
-		return ErrStreamClosed
-	}
-	v, err := c.ring.readU64(p, offRid)
-	if err != nil {
-		return c.fail(err)
-	}
-	if err := c.ring.writeU64(p, offRid, v^mask); err != nil {
-		return c.fail(err)
-	}
-	return nil
-}
-
 // InjectRecordCorruption XORs the slots word in the header of the most
 // recently pushed record, in place in the ring. Unlike a Rid flip — which
 // the owner's next push rewrites with a clean value — a record header is
 // written exactly once, so the corruption reliably reaches the executor
 // whenever it has not yet consumed the record. The executor's framing
 // validation (recordSlots) must reject it and abort the stream with
-// ErrRingCorrupt semantics.
+// mos.ErrRingCorrupt semantics.
 func (c *Client) InjectRecordCorruption(p *sim.Proc, mask uint32) error {
 	if c.closed || c.dead {
 		return ErrStreamClosed

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"cronus/internal/mos"
 	"cronus/internal/wire"
 )
 
@@ -75,7 +76,7 @@ func FuzzRecordHeader(f *testing.F) {
 		copy(hdr[:], raw)
 		h, err := parseRecHeader(&hdr, uint64(ringSlots))
 		if err != nil {
-			if !errors.Is(err, ErrRingCorrupt) {
+			if !errors.Is(err, mos.ErrRingCorrupt) {
 				t.Fatalf("rejection is not ErrRingCorrupt: %v", err)
 			}
 			return

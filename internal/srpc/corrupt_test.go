@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"cronus/internal/mos"
 	"cronus/internal/mos/driver"
 	"cronus/internal/sim"
 	"cronus/internal/srpc"
@@ -56,7 +57,7 @@ func TestRingCorruptionTypedError(t *testing.T) {
 		if err == nil {
 			t.Fatal("sync call on corrupted ring succeeded; want ErrRingCorrupt")
 		}
-		if !errors.Is(err, srpc.ErrRingCorrupt) {
+		if !errors.Is(err, mos.ErrRingCorrupt) {
 			t.Fatalf("sync call error = %v; want ErrRingCorrupt", err)
 		}
 		if !c.Dead() {
@@ -111,7 +112,7 @@ func TestRingCorruptionFlowControl(t *testing.T) {
 		if lastErr == nil {
 			t.Fatal("no error surfaced after ring corruption")
 		}
-		if !errors.Is(lastErr, srpc.ErrRingCorrupt) {
+		if !errors.Is(lastErr, mos.ErrRingCorrupt) {
 			t.Fatalf("error = %v; want ErrRingCorrupt", lastErr)
 		}
 		return nil

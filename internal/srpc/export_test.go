@@ -134,3 +134,23 @@ func (c *Client) WaitSid(p *sim.Proc, target uint64, period sim.Duration, mode i
 
 // WriteSid stores v as the consumer index.
 func (c *Client) WriteSid(p *sim.Proc, v uint64) error { return c.ring.writeU64(p, offSid, v) }
+
+// InjectRingCorruption XORs the ring header's producer index (Rid) with
+// mask, modelling a flipped word in the trusted shared region; the chaos
+// harness corrupts a record instead (InjectRecordCorruption). The executor
+// must detect the inconsistent header on its next read and surface
+// mos.ErrRingCorrupt — by poisoning Sid and publishing a sticky refusal of
+// that code — rather than misparse.
+func (c *Client) InjectRingCorruption(p *sim.Proc, mask uint64) error {
+	if c.closed || c.dead {
+		return ErrStreamClosed
+	}
+	v, err := c.ring.readU64(p, offRid)
+	if err != nil {
+		return c.fail(err)
+	}
+	if err := c.ring.writeU64(p, offRid, v^mask); err != nil {
+		return c.fail(err)
+	}
+	return nil
+}

@@ -25,6 +25,6 @@ var (
 	mArenaBytes = metrics.Default.Counter("srpc.zc.arena_bytes")
 	// mRingCorrupt counts streams aborted by a failed ring-consistency
 	// check (corrupted producer index or record header). Each abort tears
-	// exactly one stream down and surfaces ErrRingCorrupt to its owner.
+	// exactly one stream down and surfaces mos.ErrRingCorrupt to its owner.
 	mRingCorrupt = metrics.Default.Counter("srpc.ring.corruptions")
 )

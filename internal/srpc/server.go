@@ -221,7 +221,7 @@ func (s *Server) runExecutor(p *sim.Proc, streamID uint64) {
 			// index, and flow control bounds it to one ring of backlog. A
 			// value outside that window is a corrupted header word — abort
 			// before trusting any record it implies.
-			s.corrupt(p, st, fmt.Sprintf("producer index %d outside window [%d, %d]", rid, st.sid, st.sid+r.slots))
+			s.corrupt(p, st, corruptf("producer index %d outside window [%d, %d]", rid, st.sid, st.sid+r.slots))
 			return
 		}
 		if st.sid >= rid {
@@ -252,7 +252,7 @@ func (s *Server) runExecutor(p *sim.Proc, streamID uint64) {
 		}
 		h, err := parseRecHeader(&hdr, r.slots)
 		if err != nil {
-			s.corrupt(p, st, fmt.Sprintf("corrupt record header at sid %d (%s)", st.sid, h))
+			s.corrupt(p, st, fmt.Errorf("%w at sid %d", err, st.sid))
 			return
 		}
 		body := st.bodyBuf(h)
@@ -295,14 +295,13 @@ func (s *Server) runExecutor(p *sim.Proc, streamID uint64) {
 			end()
 		}
 		if h.kind == kindSync {
-			// Publish the result in place, then advance Sid.
-			if callErr != nil {
-				res.Reset().U32(1).Str(callErr.Error())
-			} else {
-				res.EndBlob(mark)
+			// Publish the reply frame in place, then advance Sid. A
+			// refusal's frame always fits: a record is at least a slot.
+			if res.EndBlob(mark); callErr == nil && len(res.Bytes()) > int(h.slots)*SlotSize {
+				callErr = mos.ErrResultTooLarge
 			}
-			if len(res.Bytes()) > int(h.slots)*SlotSize {
-				res.Reset().U32(1).Str("srpc: result exceeds record capacity")
+			if callErr != nil {
+				mos.EncodeRefusal(res.Reset(), callErr)
 			}
 			if err := r.writeAt(p, st.sid, 0, res.Bytes()); err != nil {
 				return
@@ -310,7 +309,7 @@ func (s *Server) runExecutor(p *sim.Proc, streamID uint64) {
 		} else if callErr != nil && h.kind != kindNotify {
 			// Asynchronous failure: sticky error, surfaced at the
 			// next synchronization point (CUDA-style).
-			s.sticky(p, r, stickyAppErr, callErr.Error())
+			s.sticky(p, st, st.sid, name, callErr)
 		}
 		st.recycle()
 		recSlot := st.sid
@@ -325,29 +324,28 @@ func (s *Server) runExecutor(p *sim.Proc, streamID uint64) {
 			if fn, ok := s.notifies.take(st.id, recSlot); ok {
 				fn(p, callErr)
 			} else if callErr != nil {
-				s.sticky(p, r, stickyAppErr, callErr.Error())
+				s.sticky(p, st, recSlot, name, callErr)
 			}
 		}
 	}
 }
 
-func (s *Server) sticky(p *sim.Proc, r *ring, code uint32, msg string) {
-	if len(msg) > maxErrMsg {
-		msg = msg[:maxErrMsg]
-	}
-	_ = r.view.Write(p, r.base+offErrMsg, []byte(msg))
-	_ = r.writeU32(p, offErrLen, uint32(len(msg)))
-	_ = r.writeU32(p, offSticky, code)
+// sticky publishes err as the stream's sticky failure, that of mECall name
+// in the record at slot sid.
+func (s *Server) sticky(p *sim.Proc, st *serverStream, sid uint64, name string, err error) {
+	r := st.ring
+	_ = r.view.Write(p, r.base+offErrName, st.res.Reset().Str(name[:min(len(name), maxErrName)]).Bytes())
+	_ = r.view.Write(p, r.base+offErrSid, mos.EncodeRefusal(st.res.Reset().U64(sid), err).Bytes())
 }
 
 // corrupt is the executor's abort path for a failed ring-consistency check:
 // record the event, publish a sticky corrupt code, then poison Sid to the
 // maximum so every owner-side waiter — sync waits and flow control alike —
 // wakes through the Sid doorbell, observes consumer > producer, and fails
-// with the typed ErrRingCorrupt instead of hanging on a stream nobody will
+// with the typed mos.ErrRingCorrupt instead of hanging on a stream nobody will
 // ever advance again.
-func (s *Server) corrupt(p *sim.Proc, st *serverStream, detail string) {
+func (s *Server) corrupt(p *sim.Proc, st *serverStream, err error) {
 	mRingCorrupt.Inc()
-	s.sticky(p, st.ring, stickyCorrupt, detail)
+	s.sticky(p, st, st.sid, "", err)
 	_ = st.ring.writeU64(p, offSid, ^uint64(0))
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"cronus/internal/attest"
@@ -237,16 +236,45 @@ func TestStickyAsyncErrorSurfacesAtSyncPoint(t *testing.T) {
 		}
 		// Async launch of a kernel that is not loaded fails in the
 		// executor; the error must surface at the next barrier.
+		launch := c.NextSlot()
 		if _, err := c.Call(p, driver.CallLaunch, driver.EncodeLaunch(new(wire.Encoder), "reduce_sum", gpu.Dim{1, 1, 1}, 0, 0)); err != nil {
 			return err // enqueue itself must succeed
 		}
 		err = c.Barrier(p)
-		if err == nil || !strings.Contains(err.Error(), "not loaded") {
-			t.Errorf("barrier err = %v, want sticky launch failure", err)
+		var ce *mos.CallError
+		if !errors.Is(err, gpu.ErrKernelNotLoaded) || !errors.As(err, &ce) || ce.Name != driver.CallLaunch || ce.Sid != launch {
+			t.Errorf("barrier err = %v (%+v), want the sticky %s failure of slot %d", err, ce, driver.CallLaunch, launch)
 		}
 		// The stream stays usable after consuming the sticky error.
 		if _, err := c.Call(p, driver.CallMemAlloc, driver.EncodeMemAlloc(16)); err != nil {
 			t.Errorf("stream dead after sticky error: %v", err)
+		}
+		return c.Close(p)
+	})
+}
+
+// TestOversizeResultIsTyped: a synchronous result that outgrows the reply
+// room its record reserved is mos.ErrResultTooLarge, a mos.CallError naming
+// the call, and the stream carries the next call as before.
+func TestOversizeResultIsTyped(t *testing.T) {
+	run(t, func(h *harness, p *sim.Proc) error {
+		c, err := h.connect(p)
+		if err != nil {
+			return err
+		}
+		res, err := c.Call(p, driver.CallMemAlloc, driver.EncodeMemAlloc(8<<10))
+		if err != nil {
+			return err
+		}
+		ptr, _ := driver.DecodePtr(res)
+		// Call reserves 4 KiB for a result; 8 KiB of DtoH overflows its record.
+		_, err = c.Call(p, driver.CallDtoH, driver.EncodeDtoH(ptr, 8<<10))
+		var ce *mos.CallError
+		if !errors.Is(err, mos.ErrResultTooLarge) || !errors.As(err, &ce) || ce.Name != driver.CallDtoH {
+			t.Errorf("oversize DtoH: %v, want the %s refusal carrying %v", err, driver.CallDtoH, mos.ErrResultTooLarge)
+		}
+		if _, err := c.Call(p, driver.CallMemAlloc, driver.EncodeMemAlloc(16)); err != nil {
+			t.Errorf("stream broken after an oversize result: %v", err)
 		}
 		return c.Close(p)
 	})
@@ -322,7 +350,7 @@ func TestConnectRejectsSubstitutedEnclaveMeasurement(t *testing.T) {
 		bad := h.wantB
 		bad.EnclaveHash = attest.Measure([]byte("some other image"))
 		_, err := srpc.Connect(p, h.owner, h.eidB, h.secB, h.edlB, bad, h.pl.D, 0)
-		if err == nil || !strings.Contains(err.Error(), "measurement mismatch") {
+		if !errors.Is(err, attest.ErrMeasurementMismatch) {
 			t.Errorf("err = %v, want measurement mismatch", err)
 		}
 		return nil
@@ -338,7 +366,7 @@ func TestConnectRejectsForgedLocalReport(t *testing.T) {
 			return spm.Reply{Local: r, MAC: fake.Seal(r)}, nil
 		})
 		_, err := h.connect(p)
-		if !errors.Is(err, srpc.ErrForgedReport) || !strings.Contains(err.Error(), "SPM") {
+		if !errors.Is(err, srpc.ErrForgedReport) {
 			t.Errorf("err = %v, want LSK verification failure", err)
 		}
 		return nil
@@ -576,7 +604,7 @@ func TestSRPCBeatsLockStepLatency(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		out, err := mos.OpenReply(rx, reply)
+		out, err := mos.OpenReply(rx, driver.CallMemAlloc, reply)
 		if err != nil {
 			return err
 		}
@@ -587,7 +615,7 @@ func TestSRPCBeatsLockStepLatency(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if _, err := mos.OpenReply(rx, reply); err != nil {
+			if _, err := mos.OpenReply(rx, driver.CallHtoD, reply); err != nil {
 				return err
 			}
 		}

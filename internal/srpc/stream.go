@@ -24,7 +24,7 @@
 // stream — the executor publishes a sticky corruption code and poisons the
 // consumer index so even owners already parked in a synchronous wait or in
 // flow control escape promptly — and every owner-side call from then on
-// returns the typed ErrRingCorrupt. Recovery is re-establishment: Abandon
+// returns the typed mos.ErrRingCorrupt. Recovery is re-establishment: Abandon
 // the dead client and Connect a fresh stream. The chaos harness drives this
 // path deliberately via CallHook.Set + InjectRecordCorruption.
 package srpc
@@ -59,7 +59,6 @@ const (
 	offRid    = 8
 	offSid    = 16
 	offClosed = 24
-	offSticky = 28
 	offDCheck = 32
 	offDMAC   = 40 // 32 bytes
 	offChal   = 72
@@ -69,11 +68,16 @@ const (
 	// of one payload slot (0 = no arena granted).
 	offArenaIPA  = 88
 	offArenaSlot = 96
-	offErrLen    = 128
-	offErrMsg    = 132
-	maxErrMsg    = 890
-	slotBase     = headerBytes
-	recHdrSize   = 16
+	// The sticky failure the executor publishes for the owner's next
+	// synchronization point: the slot of the failing record, then its reply
+	// frame (mos.DecodeReply), whose code word is 0 while there is none, and
+	// at offErrName the record's mECall, length-prefixed.
+	offErrSid  = 116
+	offSticky  = 124
+	offErrName = 1024
+	maxErrName = 128
+	slotBase   = headerBytes
+	recHdrSize = 16
 )
 
 const streamMagic = 0x5352504356310001 // "SRPCV1" + version
@@ -89,28 +93,12 @@ const (
 	kindNotify = 2
 )
 
-// Sticky-word codes (offSticky). The executor publishes asynchronous
-// failures here; the owner consumes them at the next synchronization point.
-const (
-	stickyNone    = 0 // healthy
-	stickyAppErr  = 1 // an asynchronous mECall returned an error
-	stickyCorrupt = 2 // the executor detected ring-header corruption
-)
-
 // ErrPeerFailed reports that the communicating partition or mEnclave failed
 // while the stream was live; the stream has cleared its state (§IV-D).
 var ErrPeerFailed = errors.New("srpc: peer failed; stream torn down")
 
 // ErrStreamClosed reports use of a closed stream.
 var ErrStreamClosed = errors.New("srpc: stream closed")
-
-// ErrRingCorrupt reports that a ring-header word (producer/consumer index or
-// a record header) failed consistency validation. The side that detects the
-// corruption stops parsing immediately — a corrupt length or slot count is
-// never trusted — poisons the stream so blocked peers wake with this same
-// typed error, and tears its state down. Callers recover exactly as for
-// ErrPeerFailed: abandon the stream and re-establish.
-var ErrRingCorrupt = errors.New("srpc: ring corruption detected; stream torn down")
 
 // recordSlots is the slot footprint of a record with the given header words:
 // push frames with it, and the executor re-derives it to validate that a
@@ -138,7 +126,7 @@ type recHeader struct {
 // kind must be known, and the slot count must be what push would have framed
 // for these lengths — which bounds payloadLen to the record and the record to
 // the ring, so the staging read that follows can never run past either. A
-// mismatch is a corrupted header (ErrRingCorrupt); misparsing it would
+// mismatch is a corrupted header (mos.ErrRingCorrupt); misparsing it would
 // desynchronize Sid from the record framing for the rest of the stream.
 func parseRecHeader(b *[recHdrSize]byte, ringSlots uint64) (recHeader, error) {
 	h := recHeader{

@@ -114,11 +114,8 @@ type arena struct {
 // safe without any extra synchronization. The grant is tracked on the owning
 // enclave and revoked with the stream.
 func (c *Client) GrantArena(p *sim.Proc, payloadCap int) error {
-	if c.closed {
-		return ErrStreamClosed
-	}
-	if c.dead {
-		return ErrPeerFailed
+	if _, err := c.admit(); err != nil {
+		return err
 	}
 	if c.arena != nil {
 		return fmt.Errorf("srpc: stream %d already has an arena", c.streamID)
@@ -153,29 +150,18 @@ func (c *Client) GrantArena(p *sim.Proc, payloadCap int) error {
 	return nil
 }
 
-// ArenaSize returns the granted arena's capacity in bytes (0 when no arena).
-func (c *Client) ArenaSize() uint64 {
-	if c.arena == nil {
-		return 0
-	}
-	return uint64(c.arena.pages) * hw.PageSize
-}
-
 // ArenaWrite stages payload bytes at off in the arena. The bytes land in the
 // trusted shared region through the owner's view — no ring copy — so the
 // virtual time charged is only the span permission check.
 func (c *Client) ArenaWrite(p *sim.Proc, off uint64, data []byte) error {
-	if c.closed {
-		return ErrStreamClosed
-	}
-	if c.dead {
-		return ErrPeerFailed
+	if _, err := c.admit(); err != nil {
+		return err
 	}
 	if c.arena == nil {
 		return fmt.Errorf("srpc: stream %d has no arena", c.streamID)
 	}
-	if off+uint64(len(data)) > c.ArenaSize() {
-		return fmt.Errorf("srpc: arena write [%d,%d) exceeds %d-byte arena", off, off+uint64(len(data)), c.ArenaSize())
+	if size := uint64(c.arena.pages) * hw.PageSize; off+uint64(len(data)) > size {
+		return fmt.Errorf("srpc: arena write [%d,%d) exceeds %d-byte arena", off, off+uint64(len(data)), size)
 	}
 	p.Sleep(c.costs.SpanCheck)
 	if err := c.ring.view.Write(p, c.arena.base+off, data); err != nil {
@@ -210,23 +196,14 @@ type ZCRequest struct {
 // flow control guarantees the executor consumed — payload read included —
 // every record more than one ring of slots behind the producer index.
 func (c *Client) CallZC(p *sim.Proc, req ZCRequest, notify NotifyFn) error {
-	if c.closed {
-		return ErrStreamClosed
-	}
-	if c.dead {
-		return ErrPeerFailed
+	if _, err := c.admit(req.CopyCall, req.ExecCall); err != nil {
+		return err
 	}
 	if c.arena == nil {
 		return fmt.Errorf("srpc: stream %d has no arena", c.streamID)
 	}
 	if uint64(len(req.Payload)) > c.arena.slotBytes {
 		return fmt.Errorf("srpc: fused payload of %d bytes exceeds %d-byte arena slot", len(req.Payload), c.arena.slotBytes)
-	}
-	if _, ok := c.edl.Lookup(req.CopyCall); !ok {
-		return fmt.Errorf("srpc: mECall %q not in peer EDL", req.CopyCall)
-	}
-	if _, ok := c.edl.Lookup(req.ExecCall); !ok {
-		return fmt.Errorf("srpc: mECall %q not in peer EDL", req.ExecCall)
 	}
 	off := (c.zcSeq % c.arena.nslots) * c.arena.slotBytes
 	c.zcSeq++

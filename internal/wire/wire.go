@@ -4,6 +4,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -170,14 +171,7 @@ func (d *Decoder) Count(size int) int {
 func (d *Decoder) I64() int64 { return int64(d.U64()) }
 
 // Str reads a length-prefixed string.
-func (d *Decoder) Str() string {
-	n := d.U32()
-	b := d.take(int(n))
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
+func (d *Decoder) Str() string { return string(d.StrRef()) }
 
 // StrRef reads a length-prefixed string WITHOUT copying it: the result aliases
 // the decoder's buffer under BlobRef's lifetime rule. It is for a name that
@@ -189,15 +183,7 @@ func (d *Decoder) StrRef() []byte {
 
 // Blob reads a length-prefixed byte string (copied): the result is the
 // caller's to keep and to modify.
-func (d *Decoder) Blob() []byte {
-	b := d.BlobRef()
-	if b == nil {
-		return nil
-	}
-	out := make([]byte, len(b))
-	copy(out, b)
-	return out
-}
+func (d *Decoder) Blob() []byte { return bytes.Clone(d.BlobRef()) }
 
 // BlobRef reads a length-prefixed byte string WITHOUT copying it: the result
 // aliases the decoder's buffer and is only valid while that buffer is — for a
