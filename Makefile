@@ -90,7 +90,11 @@ bench:
 # bytes and checks the isolation invariants I1–I5 after every step — plus
 # FuzzNormalOS, whose bytes pick what a malicious normal OS does with each SMC
 # of a fixed session (drop, replay, flip, reroute, forge), each step ending in
-# its honest result or a typed refusal. One short leg per target —
+# its honest result or a typed refusal — plus FuzzNPUInsns, which runs every
+# stream that decodes on a fresh NPU context with DRAM and requires success or
+# an error wrapping an npu sentinel; it minimizes no new input
+# (-fuzzminimizetime 1x), since shrinking a kilobyte stream byte by byte, one
+# simulation per candidate, would eat the whole leg. One short leg per target —
 # `go test -fuzz` takes a single target and a single package — on top of the
 # checked-in seed corpora under testdata/fuzz and the f.Add seeds, which every
 # plain `go test` run already replays. FuzzNormalOS runs 60 s, not FUZZTIME:
@@ -103,6 +107,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzRecordHeader$$' -fuzztime $(FUZZTIME) ./internal/srpc
 	$(GO) test -run '^$$' -fuzz '^FuzzRemoteError$$' -fuzztime $(FUZZTIME) ./internal/mos
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeInsns$$' -fuzztime $(FUZZTIME) ./internal/mos/driver
+	$(GO) test -run '^$$' -fuzz '^FuzzNPUInsns$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1x ./internal/mos/driver
 	$(GO) test -run '^$$' -fuzz '^FuzzEDL$$' -fuzztime $(FUZZTIME) ./internal/enclave
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime $(FUZZTIME) ./internal/enclave
 	$(GO) test -run '^$$' -fuzz '^FuzzVerifyReport$$' -fuzztime $(FUZZTIME) ./internal/attest

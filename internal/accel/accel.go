@@ -23,13 +23,31 @@ type CUDA interface {
 	HtoD(p *sim.Proc, dst uint64, data []byte) error
 	// DtoH copies device data to the host (synchronous).
 	DtoH(p *sim.Proc, src uint64, n int) ([]byte, error)
-	// Launch enqueues a kernel (may be asynchronous).
+	// Launch enqueues a kernel (may be asynchronous). Like HtoD with its
+	// data, it neither keeps nor writes args once it returns, so one
+	// argument buffer can carry every launch of a loop (Launcher).
 	Launch(p *sim.Proc, kernel string, grid gpu.Dim, args ...uint64) error
 	// Sync blocks until all enqueued work completed and surfaces any
 	// asynchronous error.
 	Sync(p *sim.Proc) error
 	// Close releases the execution context.
 	Close(p *sim.Proc) error
+}
+
+// Launcher is a CUDA surface whose Launch copies its arguments into one
+// buffer it reuses and passes that on. A variadic list handed straight to
+// CUDA.Launch is heap-allocated at every call, since the compiler cannot see
+// that no implementation keeps it; a list handed to Launcher.Launch, a static
+// call that only copies it, stays on the caller's stack.
+type Launcher struct {
+	CUDA
+	args []uint64
+}
+
+// Launch implements CUDA.Launch through the reused argument buffer.
+func (l *Launcher) Launch(p *sim.Proc, kernel string, grid gpu.Dim, args ...uint64) error {
+	l.args = append(l.args[:0], args...)
+	return l.CUDA.Launch(p, kernel, grid, l.args...)
 }
 
 // NPU is the VTA-driver-level operation surface.

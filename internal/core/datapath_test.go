@@ -424,9 +424,11 @@ func TestRingsDoNotShareLaunchStorage(t *testing.T) {
 }
 
 // TestDataPathAllocationBudget pins the steady-state allocation count of each
-// call shape: a call allocates only what it hands back to its caller — DtoH's
-// bytes, Ping's reply — and nothing else anywhere in the process (caller,
-// stream, executor, driver, device, kernel). Counts are averaged over 200
+// call shape on the concrete *CUDAConn: a call allocates only what it hands
+// back to its caller — DtoH's bytes, Ping's reply — and nothing else in the
+// stream, executor, driver, device or kernel. A caller going through
+// accel.CUDA pays for its own argument list as well; the figures' path is
+// experiments.TestCUDAAllocationsPerCall's. Counts are averaged over 200
 // calls after a warm-up, and the fused launches' completion callback is
 // bound once, outside the count. A per-call allocation reads as a whole one;
 // the slack of 0.05 is for the runtime's own rare ones (a type-assertion

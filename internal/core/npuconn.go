@@ -81,7 +81,7 @@ func (c *NPUConn) DtoH(p *sim.Proc, src uint64, n int) ([]byte, error) {
 
 // Run implements accel.NPU (asynchronous instruction stream submission).
 func (c *NPUConn) Run(p *sim.Proc, insns []npu.Insn) error {
-	_, err := c.client.Call(p, driver.CallVTARun, driver.EncodeInsns(insns))
+	_, err := c.client.Call(p, driver.CallVTARun, driver.EncodeInsns(c.client.Args(), insns))
 	return err
 }
 

@@ -709,6 +709,47 @@ func BenchmarkTrainStep(b *testing.B) {
 	}
 }
 
+// TestWarmStepAllocatesOnlyItsLoss: once warm, a training step of each of
+// the four models allocates one object on each of the four systems — the
+// four bytes of its loss readback, which accel.CUDA.DtoH hands back — and
+// nothing per launch, though every launch goes through the interface. Each
+// model warms with four steps, two trips round a CRONUS stream's ring for the
+// smallest, and the count is the least of three single steps, so a GC cycle
+// landing in one step does not read as the step's.
+func TestWarmStepAllocatesOnlyItsLoss(t *testing.T) {
+	for _, system := range []baseline.System{baseline.Native, baseline.TrustZone, baseline.HIX, baseline.CRONUS} {
+		for _, model := range dnn.TrainingModels() {
+			onSystem(t, system, dnn.RegisterKernels, func(p *sim.Proc, ops accel.CUDA) error {
+				tr, err := dnn.NewTrainer(p, ops, model, 16)
+				if err != nil {
+					return err
+				}
+				for i := 0; i < 4; i++ {
+					if _, err := tr.Step(p); err != nil {
+						return err
+					}
+				}
+				least := uint64(math.MaxUint64)
+				for i := 0; i < 3; i++ {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					_, err := tr.Step(p)
+					runtime.ReadMemStats(&after)
+					if err != nil {
+						return err
+					}
+					least = min(least, after.Mallocs-before.Mallocs)
+				}
+				t.Logf("%s %s: %d allocations per warm step", system, model.Name, least)
+				if least > 1 {
+					t.Errorf("%s on %s: a warm step makes %d allocations, want 1 (its loss readback)", model.Name, system, least)
+				}
+				return nil
+			})
+		}
+	}
+}
+
 // reluInputs is 64 Ki floats: every special a sign test can trip on — ±0,
 // ±Inf, NaNs of both signs and payloads, the smallest and largest subnormals
 // — then values of random sign, half of them random bit patterns.

@@ -1,6 +1,7 @@
 package dnn
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -16,7 +17,7 @@ import (
 // synchronization point), backward matmuls, SGD weight updates, and a final
 // barrier.
 type Trainer struct {
-	ops   accel.CUDA
+	ops   accel.Launcher // every launch from one reused argument buffer
 	model *Model
 	batch int
 	ds    *Dataset
@@ -44,7 +45,7 @@ func NewTrainer(p *sim.Proc, ops accel.CUDA, model *Model, batch int) (*Trainer,
 		batch = 8
 	}
 	t := &Trainer{
-		ops:   ops,
+		ops:   accel.Launcher{CUDA: ops},
 		model: model,
 		batch: batch,
 		ds:    ForModel(model),
@@ -202,7 +203,7 @@ func (t *Trainer) Step(p *sim.Proc) (float32, error) {
 		return 0, err
 	}
 	t.Steps++
-	loss := gpu.UnpackF32(lossBytes)[0]
+	loss := math.Float32frombits(binary.LittleEndian.Uint32(lossBytes))
 	if math.IsNaN(float64(loss)) || math.IsInf(float64(loss), 0) {
 		return loss, fmt.Errorf("dnn: non-finite loss at step %d", t.Steps)
 	}

@@ -150,18 +150,18 @@ func TestCPUModelLifecycle(t *testing.T) {
 			return
 		}
 		var res wire.Encoder
-		if err := m.Call(p, "double", wire.NewEncoder().U64(21).Bytes(), &res); err != nil {
+		if err := m.Call(p, "double", wire.NewEncoder().U64(21).Bytes(), &res, nil); err != nil {
 			t.Error(err)
 			return
 		}
 		if wire.NewDecoder(res.Bytes()).U64() != 42 {
 			t.Error("wrong result")
 		}
-		if err := m.Call(p, "nope", nil, &res); err == nil {
+		if err := m.Call(p, "nope", nil, &res, nil); err == nil {
 			t.Error("unknown entry point accepted")
 		}
 		m.Destroy(p)
-		if err := m.Call(p, "double", nil, &res); err == nil {
+		if err := m.Call(p, "double", nil, &res, nil); err == nil {
 			t.Error("destroyed model still callable")
 		}
 	})

@@ -26,11 +26,19 @@ type Model interface {
 	// or a sealed message — so an implementation must consume it (copy it
 	// into device memory, decode it) before returning and must not retain
 	// it or any sub-slice of it. res is likewise the transport's: append
-	// to it, never keep it. What a failed call appended is discarded.
-	Call(p *sim.Proc, name string, args []byte, res *wire.Encoder) error
+	// to it, never keep it. What a failed call appended is discarded. sc is
+	// the calling thread's Scratch, nil when the transport lends none.
+	Call(p *sim.Proc, name string, args []byte, res *wire.Encoder, sc *Scratch) error
 	// Destroy releases device state (scrubbed).
 	Destroy(p *sim.Proc)
 }
+
+// Scratch is storage a transport thread owns and lends to every mECall it
+// runs, one call at a time: the sRPC executor keeps one per stream. A model
+// that decodes arguments into a buffer it reuses keeps the buffer here, not
+// in itself — another stream's executor can be inside the same model, asleep
+// mid-call, and would overwrite it. What V holds is the model's.
+type Scratch struct{ V any }
 
 // CPUFunc is one entry point of a CPU mEnclave's "dynamic library". args
 // follows Model.Call's lifetime rule; the returned bytes are copied into the
@@ -88,7 +96,7 @@ func (m *CPUModel) Create(p *sim.Proc, image []byte) error {
 }
 
 // Call implements Model.
-func (m *CPUModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder) error {
+func (m *CPUModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder, _ *Scratch) error {
 	if m.lib == nil {
 		return fmt.Errorf("enclave: CPU model not created")
 	}

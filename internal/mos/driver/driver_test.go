@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,6 +15,7 @@ import (
 	"cronus/internal/npu"
 	"cronus/internal/sim"
 	"cronus/internal/wire"
+	"cronus/internal/workload/vtabench"
 )
 
 // cudaModel builds a CUDA model through the platform's GPU HAL.
@@ -37,7 +39,7 @@ func cudaModel(t *testing.T, pl *core.Platform, p *sim.Proc) *driver.CUDAModel {
 // to an encoder the caller owns.
 func call(m enclave.Model, p *sim.Proc, name string, args []byte) ([]byte, error) {
 	var res wire.Encoder
-	err := m.Call(p, name, args, &res)
+	err := m.Call(p, name, args, &res, nil)
 	return res.Bytes(), err
 }
 
@@ -153,8 +155,8 @@ func TestNPUModelInsnCodec(t *testing.T) {
 		{Op: npu.OpAlu, Alu: npu.AluShr, DstIdx: 4, UseImm: true, Imm: -2, Count: 5},
 		{Op: npu.OpFinish},
 	}
-	enc := driver.EncodeInsns(insns)
-	got, err := driver.DecodeInsns(enc)
+	enc := driver.EncodeInsns(wire.NewEncoder(), insns)
+	got, err := driver.DecodeInsns(nil, enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestNPUModelInsnCodec(t *testing.T) {
 			t.Fatalf("insn %d mismatch: %+v vs %+v", i, got[i], insns[i])
 		}
 	}
-	if _, err := driver.DecodeInsns([]byte("ELF")); err == nil {
+	if _, err := driver.DecodeInsns(nil, []byte("ELF")); err == nil {
 		t.Fatal("garbage decoded as VTA program")
 	}
 }
@@ -182,7 +184,7 @@ func TestNPUModelValidatesProgramImage(t *testing.T) {
 		}
 		// Valid image and nil image both load.
 		m2, _ := pl.NPUs[0].OS.HAL.NewModel(p)
-		if err := m2.Create(p, driver.EncodeInsns([]npu.Insn{{Op: npu.OpFinish}})); err != nil {
+		if err := m2.Create(p, driver.EncodeInsns(wire.NewEncoder(), []npu.Insn{{Op: npu.OpFinish}})); err != nil {
 			t.Errorf("valid program rejected: %v", err)
 		}
 		m3, _ := pl.NPUs[0].OS.HAL.NewModel(p)
@@ -213,7 +215,7 @@ func TestNPUModelRunAndSync(t *testing.T) {
 		if _, err := call(m, p, driver.CallVTAHtoD, driver.EncodeHtoD(addr, make([]byte, 256))); err != nil {
 			return err
 		}
-		prog := driver.EncodeInsns([]npu.Insn{
+		prog := driver.EncodeInsns(wire.NewEncoder(), []npu.Insn{
 			{Op: npu.OpLoad, Mem: npu.MemInp, DRAMAddr: addr, Count: 4},
 			{Op: npu.OpFinish},
 		})
@@ -286,7 +288,7 @@ func TestDecodeInsnsHostileCount(t *testing.T) {
 	payload := wire.NewEncoder().Str("VTAPROG v1").U32(hostileCount).Bytes()
 	payload = append(payload, make([]byte, 72)...)
 	var err error
-	per := allocBytes(func() { _, err = driver.DecodeInsns(payload) })
+	per := allocBytes(func() { _, err = driver.DecodeInsns(nil, payload) })
 	if !errors.Is(err, wire.ErrTruncated) {
 		t.Fatalf("DecodeInsns error = %v, want one wrapping wire.ErrTruncated", err)
 	}
@@ -335,14 +337,14 @@ func TestCUDALaunchHostileArgCount(t *testing.T) {
 // is a bad magic or a typed truncation; a decoded program fits in the bytes
 // it came from and survives an encode/decode round trip unchanged.
 func FuzzDecodeInsns(f *testing.F) {
-	f.Add(driver.EncodeInsns([]npu.Insn{
+	f.Add(driver.EncodeInsns(wire.NewEncoder(), []npu.Insn{
 		{Op: npu.OpLoad, Mem: npu.MemWgt, DRAMAddr: 0x1234, SRAMIdx: 7, Count: 3},
 		{Op: npu.OpGemm, InpIdx: 1, WgtIdx: 2, AccIdx: 3, InpStride: 1, WgtStride: 2, Count: 9, Reset: true},
 		{Op: npu.OpAlu, Alu: npu.AluShr, DstIdx: 4, UseImm: true, Imm: -2, Count: 5},
 		{Op: npu.OpFinish},
 	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		insns, err := driver.DecodeInsns(data)
+		insns, err := driver.DecodeInsns(nil, data)
 		if err != nil {
 			if insns != nil {
 				t.Fatalf("error %v with %d instructions", err, len(insns))
@@ -352,11 +354,11 @@ func FuzzDecodeInsns(f *testing.F) {
 			}
 			return
 		}
-		enc := driver.EncodeInsns(insns)
+		enc := driver.EncodeInsns(wire.NewEncoder(), insns)
 		if len(enc) > len(data) {
 			t.Fatalf("%d instructions re-encode to %d bytes, decoded from %d", len(insns), len(enc), len(data))
 		}
-		again, err := driver.DecodeInsns(enc)
+		again, err := driver.DecodeInsns(nil, enc)
 		if err != nil || len(again) != len(insns) {
 			t.Fatalf("round trip: %d instructions, err %v; want %d", len(again), err, len(insns))
 		}
@@ -364,6 +366,71 @@ func FuzzDecodeInsns(f *testing.F) {
 			if again[i] != insns[i] {
 				t.Fatalf("round trip: insn %d %+v, want %+v", i, again[i], insns[i])
 			}
+		}
+	})
+}
+
+// fuzzRunBudget bounds the cycles of a stream FuzzNPUInsns runs: a GEMM of
+// 2^32 iterations on one block in range is a valid stream, just hours of
+// host time, and the fuzz leg is after refusals, not length.
+const fuzzRunBudget = 1 << 18
+
+// fuzzContext makes the FuzzNPUInsns context on p's kernel and allocates it
+// 64 KiB of DRAM, whose address it returns: a fresh context's first
+// allocation, the same on every run, so a seed can name it.
+func fuzzContext(p *sim.Proc) (*npu.Context, uint64, error) {
+	cfg := npu.DefaultConfig("npu-fuzz")
+	cfg.MemBytes = 1 << 20
+	c := npu.New(p.Kernel(), sim.DefaultCosts(), cfg).CreateContext()
+	addr, err := c.MemAlloc(64 << 10)
+	return c, addr, err
+}
+
+// FuzzNPUInsns feeds attacker-chosen bytes through the vtaRun path an NPU
+// mEnclave takes — DecodeInsns, then Run on a fresh context with DRAM — and
+// requires every stream that decodes to end in success or in an error that
+// wraps one of the npu package's sentinels: never a panic, never an untyped
+// refusal. The seeds are a vta-bench GEMM over the context's DRAM and the
+// hostile instructions of npu.TestHostileInsnsAreTyped, the GEMM whose
+// accumulator stride wraps uint32 back into range among them.
+func FuzzNPUInsns(f *testing.F) {
+	var dram uint64
+	if err := sim.Run(func(p *sim.Proc) (err error) {
+		_, dram, err = fuzzContext(p)
+		return err
+	}); err != nil {
+		f.Fatal(err)
+	}
+	seeds := [][]npu.Insn{
+		vtabench.MatmulProgram(dram, dram+16<<10, dram+32<<10, 2, 32, 32),
+		{{Op: npu.OpGemm, AccIdx: 5, AccStride: 1<<32 - 4, Count: 2}, {Op: npu.OpFinish}},
+		{{Op: npu.OpAlu, Alu: npu.AluMax, SrcIdx: npu.AccBufBlocks - 1, Count: 2}},
+		{{Op: npu.OpCommit, SrcIdx: 1<<32 - 1, Count: 1}},
+		{{Op: npu.OpLoad, Mem: npu.MemWgt, DRAMAddr: dram, SRAMIdx: 1, Count: 1<<32 - 1}},
+		{{Op: npu.OpStore, Mem: npu.MemOut, DRAMAddr: 1<<64 - 10, Count: 1}},
+		{{Op: npu.OpLoad, Mem: npu.MemOut, DRAMAddr: dram, Count: 1}, {Op: 99}},
+	}
+	for _, insns := range seeds {
+		f.Add(driver.EncodeInsns(wire.NewEncoder(), insns))
+	}
+	sentinels := []error{npu.ErrScratchpadOverflow, npu.ErrInvalidInsn, npu.ErrInvalidPointer, npu.ErrStaleContext, npu.ErrOutOfMemory}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		insns, err := driver.DecodeInsns(nil, data)
+		if err != nil || npu.CycleCount(insns) > fuzzRunBudget {
+			return // FuzzDecodeInsns holds the decoder's refusals
+		}
+		var runErr error
+		if err := sim.Run(func(p *sim.Proc) error {
+			c, _, err := fuzzContext(p)
+			if err == nil {
+				runErr = c.Run(p, insns)
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if runErr != nil && !slices.ContainsFunc(sentinels, func(s error) bool { return errors.Is(runErr, s) }) {
+			t.Fatalf("untyped refusal of a %d-instruction stream: %v", len(insns), runErr)
 		}
 	})
 }
@@ -377,13 +444,13 @@ func TestEncodeInsnsAllocatesOnce(t *testing.T) {
 		insns[i] = npu.Insn{Op: npu.OpGemm, DRAMAddr: uint64(i) << 33, Count: uint32(i), Reset: i%2 == 0, UseImm: i%3 == 0, Imm: -int32(i)}
 	}
 	var out []byte
-	if n := testing.AllocsPerRun(20, func() { out = driver.EncodeInsns(insns) }); n != 1 {
+	if n := testing.AllocsPerRun(20, func() { out = driver.EncodeInsns(wire.NewEncoder(), insns) }); n != 1 {
 		t.Errorf("EncodeInsns made %v allocations, want 1", n)
 	}
 	if len(out) != cap(out) {
 		t.Errorf("a %d-byte stream in a buffer of %d", len(out), cap(out))
 	}
-	back, err := driver.DecodeInsns(out)
+	back, err := driver.DecodeInsns(nil, out)
 	if err != nil || len(back) != len(insns) {
 		t.Fatalf("decoded %d instructions: %v", len(back), err)
 	}

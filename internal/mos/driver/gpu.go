@@ -81,7 +81,7 @@ func CUDAEDL() []byte { return []byte(cudaEDL) }
 
 // Call implements enclave.Model: the memory mECalls are the HAL's
 // (memCall), the rest the CUDA driver's.
-func (m *CUDAModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder) error {
+func (m *CUDAModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder, _ *enclave.Scratch) error {
 	if m.ctx == nil {
 		return fmt.Errorf("driver: CUDA model not created")
 	}

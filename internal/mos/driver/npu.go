@@ -63,7 +63,7 @@ func (m *NPUModel) Create(p *sim.Proc, image []byte) error {
 	m.ctx = m.hal.dev.CreateContext()
 	if len(image) > 0 {
 		p.Sleep(m.hal.costs.Hash(len(image)))
-		if _, err := DecodeInsns(image); err != nil {
+		if _, err := DecodeInsns(nil, image); err != nil {
 			return fmt.Errorf("driver: bad NPU program image: %w", err)
 		}
 	}
@@ -72,7 +72,7 @@ func (m *NPUModel) Create(p *sim.Proc, image []byte) error {
 
 // Call implements enclave.Model: the memory mECalls are the HAL's
 // (memCall), vtaRun the VTA runtime's.
-func (m *NPUModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder) error {
+func (m *NPUModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder, sc *enclave.Scratch) error {
 	if m.ctx == nil {
 		return fmt.Errorf("driver: NPU model not created")
 	}
@@ -81,10 +81,15 @@ func (m *NPUModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder
 	}
 	switch name {
 	case CallVTARun:
-		insns, err := DecodeInsns(args)
+		// The stream is decoded into the calling thread's buffer, never
+		// the model's: another ring's executor can be inside this same
+		// model, parked in its Run, while this call decodes.
+		buf := insnBuf(sc)
+		insns, err := DecodeInsns(*buf, args)
 		if err != nil {
 			return err
 		}
+		*buf = insns
 		mNPURuns.Inc()
 		end := trace.Of(p.Kernel()).Span(p, "driver", m.hal.dev.Name(), "vta-run")
 		err = m.ctx.Run(p, insns)
@@ -92,6 +97,20 @@ func (m *NPUModel) Call(p *sim.Proc, name string, args []byte, res *wire.Encoder
 		return err
 	}
 	return fmt.Errorf("driver: unknown NPU mECall %q", name)
+}
+
+// insnBuf returns the instruction buffer sc keeps for vtaRun, made on its
+// first use; without a Scratch, a fresh one the call owns alone.
+func insnBuf(sc *enclave.Scratch) *[]npu.Insn {
+	if sc == nil {
+		return new([]npu.Insn)
+	}
+	buf, ok := sc.V.(*[]npu.Insn)
+	if !ok {
+		buf = new([]npu.Insn)
+		sc.V = buf
+	}
+	return buf
 }
 
 // Destroy implements enclave.Model.
@@ -109,10 +128,12 @@ const insnBytes = 16*4 + 8
 // insnMagic heads every encoded instruction stream.
 const insnMagic = "VTAPROG v1"
 
-// EncodeInsns serializes an NPU instruction stream for vtaRun (also the NPU
-// enclave image format) into one allocation of its exact size.
-func EncodeInsns(insns []npu.Insn) []byte {
-	var e wire.Encoder
+// EncodeInsns appends an NPU instruction stream for vtaRun (also the NPU
+// enclave image format) to e and returns e's bytes, growing e once to the
+// stream's exact size. As with EncodeLaunch, a stream's caller encodes into
+// the stream's own scratch (srpc.Client.Args); anyone else passes a fresh
+// encoder.
+func EncodeInsns(e *wire.Encoder, insns []npu.Insn) []byte {
 	e.Grow(4 + len(insnMagic) + 4 + len(insns)*insnBytes).Str(insnMagic)
 	e.U32(uint32(len(insns)))
 	for i := range insns {
@@ -137,13 +158,20 @@ func flag(b bool) uint32 {
 	return 0
 }
 
-// DecodeInsns parses a vtaRun payload / NPU program image.
-func DecodeInsns(data []byte) ([]npu.Insn, error) {
+// DecodeInsns parses a vtaRun payload / NPU program image into buf's storage
+// when it holds the stream, into a new slice of the stream's length
+// otherwise. Every field of every instruction is written, so nothing of
+// buf's earlier contents survives.
+func DecodeInsns(buf []npu.Insn, data []byte) ([]npu.Insn, error) {
 	d := wire.NewDecoder(data)
-	if magic := d.Str(); magic != insnMagic {
+	if magic := d.StrRef(); string(magic) != insnMagic {
 		return nil, fmt.Errorf("driver: not a VTA program (magic %q)", magic)
 	}
-	insns := make([]npu.Insn, d.Count(insnBytes))
+	n := d.Count(insnBytes)
+	if cap(buf) < n {
+		buf = make([]npu.Insn, n)
+	}
+	insns := buf[:n]
 	for i := range insns {
 		in := &insns[i]
 		in.Op = npu.Op(d.U32())

@@ -256,7 +256,7 @@ func OpenReply(ch *attest.Channel, name string, msg attest.SealedMsg) ([]byte, e
 
 // Invoke dispatches an mECall arriving from outside the enclave (the sealed
 // untrusted-memory path): it pays the enclave entry plus dispatch. args and
-// res follow enclave.Model.Call's lifetime rule.
+// res follow enclave.Model.Call's lifetime rule; the path lends no Scratch.
 func (e *Enclave) Invoke(p *sim.Proc, name string, args []byte, res *wire.Encoder) error {
 	if err := e.admit(name); err != nil {
 		return err
@@ -264,15 +264,16 @@ func (e *Enclave) Invoke(p *sim.Proc, name string, args []byte, res *wire.Encode
 	mSealedCalls.Inc()
 	mCtxSwitchS2.Add(2) // enclave entry + exit each cross S-EL2
 	p.Sleep(e.em.mos.Costs.EnclaveEntry + e.em.mos.Costs.RPCDispatch)
-	return e.Model.Call(p, name, args, res)
+	return e.Model.Call(p, name, args, res, nil)
 }
 
 // InvokeStreamed dispatches an mECall from the sRPC executor thread, which
 // already executes inside the enclave (§IV-C: the execution loop runs in
 // mE_B), so only the record dispatch is charged — this is precisely the
 // context-switch saving that makes sRPC fast. args is the executor's staging
-// buffer and res its reply encoder (enclave.Model.Call's lifetime rule).
-func (e *Enclave) InvokeStreamed(p *sim.Proc, name string, args []byte, res *wire.Encoder) error {
+// buffer, res its reply encoder and sc its scratch (enclave.Model.Call's
+// lifetime rule).
+func (e *Enclave) InvokeStreamed(p *sim.Proc, name string, args []byte, res *wire.Encoder, sc *enclave.Scratch) error {
 	if err := e.admit(name); err != nil {
 		return err
 	}
@@ -284,7 +285,7 @@ func (e *Enclave) InvokeStreamed(p *sim.Proc, name string, args []byte, res *wir
 		defer tc.Span(p, "mos", e.em.mos.Part.Name, "dispatch "+name)()
 	}
 	p.Sleep(e.em.mos.Costs.RPCDispatch)
-	return e.Model.Call(p, name, args, res)
+	return e.Model.Call(p, name, args, res, sc)
 }
 
 // admit is the one admission check of a call from outside the enclave,

@@ -7,8 +7,16 @@ import (
 	"cronus/internal/sim"
 )
 
-// ErrScratchpadOverflow reports a LOAD or STORE past the end of its scratchpad.
-var ErrScratchpadOverflow = errors.New("scratchpad overflow")
+// The typed refusals of an instruction stream: every error Run returns for
+// what a stream asks, rather than for the context it runs on, wraps one.
+var (
+	// ErrScratchpadOverflow reports a block index past the end of its
+	// scratchpad: a LOAD, STORE, GEMM, ALU or commit out of range.
+	ErrScratchpadOverflow = errors.New("scratchpad overflow")
+	// ErrInvalidInsn reports an instruction no pipeline stage runs: an
+	// unknown opcode or ALU op, or a LOAD or STORE on the wrong scratchpad.
+	ErrInvalidInsn = errors.New("invalid instruction")
+)
 
 // Cycle costs of the pipeline stages. LOAD/STORE move 16 bytes per cycle
 // after a fixed DMA setup; the GEMM array retires one block operation
@@ -95,12 +103,12 @@ func (c *Context) exec(in *Insn) error {
 	case OpFinish:
 		return nil
 	}
-	return fmt.Errorf("unknown opcode %d", in.Op)
+	return fmt.Errorf("opcode %d: %w", in.Op, ErrInvalidInsn)
 }
 
 func (c *Context) load(in *Insn) error {
 	if in.Mem > MemAcc {
-		return fmt.Errorf("cannot LOAD into OUT scratchpad")
+		return fmt.Errorf("LOAD into scratchpad %d, not INP, WGT or ACC: %w", in.Mem, ErrInvalidInsn)
 	}
 	src, err := c.dram(in)
 	if err != nil {
@@ -122,7 +130,7 @@ func (c *Context) load(in *Insn) error {
 
 func (c *Context) store(in *Insn) error {
 	if in.Mem != MemOut {
-		return fmt.Errorf("STORE only writes the OUT scratchpad to DRAM")
+		return fmt.Errorf("STORE from scratchpad %d, not OUT: %w", in.Mem, ErrInvalidInsn)
 	}
 	dst, err := c.dram(in)
 	if err != nil {
@@ -149,15 +157,17 @@ func (c *Context) dram(in *Insn) ([]byte, error) {
 // output lane's 16 products are one unrolled sum. int32 sums wrap, so the
 // order they are added in changes no bit. A fixed bitset on the stack records
 // which accumulator blocks Reset has zeroed. An index out of range stops the
-// instruction there, with the blocks before it already accumulated.
+// instruction there, with the blocks before it already accumulated. Indices
+// are summed in uint64, where index + i·stride of two uint32s cannot wrap
+// back into range.
 func (c *Context) gemm(in *Insn) error {
 	var reset [AccBufBlocks / 64]uint64
-	for i := uint32(0); i < in.Count; i++ {
-		ai := in.AccIdx + i*in.AccStride
-		wi := in.WgtIdx + i*in.WgtStride
-		ii := in.InpIdx + i*in.InpStride
+	for i := uint64(0); i < uint64(in.Count); i++ {
+		ai := uint64(in.AccIdx) + i*uint64(in.AccStride)
+		wi := uint64(in.WgtIdx) + i*uint64(in.WgtStride)
+		ii := uint64(in.InpIdx) + i*uint64(in.InpStride)
 		if ai >= AccBufBlocks || wi >= WgtBufBlocks || ii >= InpBufBlocks {
-			return fmt.Errorf("gemm scratchpad index out of range (acc=%d wgt=%d inp=%d)", ai, wi, ii)
+			return fmt.Errorf("gemm blocks acc=%d wgt=%d inp=%d: %w", ai, wi, ii, ErrScratchpadOverflow)
 		}
 		acc := (*[BlockOut]int32)(c.dev.acc[ai*BlockOut:])
 		if in.Reset && reset[ai/64]&(1<<(ai%64)) == 0 {
@@ -180,18 +190,19 @@ func (c *Context) gemm(in *Insn) error {
 	return nil
 }
 
+// alu sums its block indices in uint64, as gemm does.
 func (c *Context) alu(in *Insn) error {
-	for i := uint32(0); i < in.Count; i++ {
-		di := in.DstIdx + i
+	for i := uint64(0); i < uint64(in.Count); i++ {
+		di := uint64(in.DstIdx) + i
 		if di >= AccBufBlocks {
-			return fmt.Errorf("alu dst index out of range")
+			return fmt.Errorf("alu dst block %d: %w", di, ErrScratchpadOverflow)
 		}
 		dst := c.dev.acc[di*BlockOut : (di+1)*BlockOut]
 		var src []int32
 		if !in.UseImm {
-			si := in.SrcIdx + i
+			si := uint64(in.SrcIdx) + i
 			if si >= AccBufBlocks {
-				return fmt.Errorf("alu src index out of range")
+				return fmt.Errorf("alu src block %d: %w", si, ErrScratchpadOverflow)
 			}
 			src = c.dev.acc[si*BlockOut : (si+1)*BlockOut]
 		}
@@ -215,7 +226,7 @@ func (c *Context) alu(in *Insn) error {
 				sh := operand & 31
 				dst[o] >>= uint(sh)
 			default:
-				return fmt.Errorf("unknown alu op %d", in.Alu)
+				return fmt.Errorf("alu op %d: %w", in.Alu, ErrInvalidInsn)
 			}
 		}
 	}
@@ -226,7 +237,7 @@ func (c *Context) alu(in *Insn) error {
 // pipeline's implicit ACC→OUT path before a STORE).
 func (c *Context) CommitOut(accIdx, outIdx, count uint32) error {
 	if uint64(accIdx)+uint64(count) > AccBufBlocks || uint64(outIdx)+uint64(count) > OutBufBlocks {
-		return fmt.Errorf("npu: CommitOut out of range")
+		return fmt.Errorf("npu: commit of %d blocks acc=%d out=%d: %w", count, accIdx, outIdx, ErrScratchpadOverflow)
 	}
 	for i := uint32(0); i < count; i++ {
 		acc := c.dev.acc[(accIdx+i)*BlockOut : (accIdx+i+1)*BlockOut]

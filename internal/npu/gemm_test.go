@@ -20,7 +20,7 @@ func (c *Context) mapGemm(in *Insn) error {
 		wi := in.WgtIdx + i*in.WgtStride
 		ii := in.InpIdx + i*in.InpStride
 		if ai >= AccBufBlocks || wi >= WgtBufBlocks || ii >= InpBufBlocks {
-			return fmt.Errorf("gemm scratchpad index out of range (acc=%d wgt=%d inp=%d)", ai, wi, ii)
+			return fmt.Errorf("gemm blocks acc=%d wgt=%d inp=%d: %w", ai, wi, ii, ErrScratchpadOverflow)
 		}
 		acc := c.dev.acc[ai*BlockOut : (ai+1)*BlockOut]
 		if in.Reset && !resetSeen[ai] {

@@ -6,6 +6,7 @@ import (
 	"strconv"
 
 	"cronus/internal/attest"
+	"cronus/internal/enclave"
 	"cronus/internal/mos"
 	"cronus/internal/sim"
 	"cronus/internal/trace"
@@ -68,9 +69,12 @@ type serverStream struct {
 	// validated header bounds by the ring. zc is the same for a fused
 	// record's arena payload, bounded by the arena slot. res is where a
 	// synchronous record's reply is encoded before it is written back.
-	stage []byte
-	zc    []byte
-	res   wire.Encoder
+	// scratch is what the mECall may keep decoded arguments in (an NPU
+	// stream's instructions).
+	stage   []byte
+	zc      []byte
+	res     wire.Encoder
+	scratch enclave.Scratch
 	// names holds the mECall names this stream has carried, so naming a
 	// call again allocates nothing (bounded: the owner chooses the bytes).
 	names wire.Names
@@ -291,7 +295,7 @@ func (s *Server) runExecutor(p *sim.Proc, streamID uint64) {
 					p.SetTraceCtx(0, 0)
 				}
 			}
-			callErr = s.enc.InvokeStreamed(p, name, args, res)
+			callErr = s.enc.InvokeStreamed(p, name, args, res, &st.scratch)
 			end()
 		}
 		if h.kind == kindSync {
@@ -331,8 +335,17 @@ func (s *Server) runExecutor(p *sim.Proc, streamID uint64) {
 }
 
 // sticky publishes err as the stream's sticky failure, that of mECall name
-// in the record at slot sid.
+// in the record at slot sid, unless one is published and not yet consumed:
+// the first asynchronous failure is the one the owner's next synchronization
+// point reports.
 func (s *Server) sticky(p *sim.Proc, st *serverStream, sid uint64, name string, err error) {
+	if code, rerr := st.ring.readU32(p, offSticky); rerr == nil && code == 0 {
+		s.publish(p, st, sid, name, err)
+	}
+}
+
+// publish writes err into the stream's sticky slot, over whatever it holds.
+func (s *Server) publish(p *sim.Proc, st *serverStream, sid uint64, name string, err error) {
 	r := st.ring
 	_ = r.view.Write(p, r.base+offErrName, st.res.Reset().Str(name[:min(len(name), maxErrName)]).Bytes())
 	_ = r.view.Write(p, r.base+offErrSid, mos.EncodeRefusal(st.res.Reset().U64(sid), err).Bytes())
@@ -346,6 +359,6 @@ func (s *Server) sticky(p *sim.Proc, st *serverStream, sid uint64, name string, 
 // ever advance again.
 func (s *Server) corrupt(p *sim.Proc, st *serverStream, err error) {
 	mRingCorrupt.Inc()
-	s.sticky(p, st, st.sid, "", err)
+	s.publish(p, st, st.sid, "", err) // terminal: it overrides any earlier failure
 	_ = st.ring.writeU64(p, offSid, ^uint64(0))
 }

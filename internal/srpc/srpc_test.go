@@ -253,6 +253,39 @@ func TestStickyAsyncErrorSurfacesAtSyncPoint(t *testing.T) {
 	})
 }
 
+// TestFirstAsyncFailureWins: two asynchronous launches of unloaded kernels
+// fail in the executor one after the other; the barrier reports the first —
+// slot 0's — not the one that overwrote it, and consumes it, so the next
+// barrier is clean.
+func TestFirstAsyncFailureWins(t *testing.T) {
+	run(t, func(h *harness, p *sim.Proc) error {
+		c, err := h.connect(p)
+		if err != nil {
+			return err
+		}
+		var slots []uint64
+		for _, kernel := range []string{"reduce_sum", "scale"} {
+			slots = append(slots, c.NextSlot())
+			if _, err := c.Call(p, driver.CallLaunch, driver.EncodeLaunch(new(wire.Encoder), kernel, gpu.Dim{1, 1, 1}, 0, 0)); err != nil {
+				return err
+			}
+		}
+		if slots[0] != 0 || slots[1] != 1 {
+			t.Fatalf("launches at slots %v, want [0 1]", slots)
+		}
+		first := slots[0]
+		err = c.Barrier(p)
+		var ce *mos.CallError
+		if !errors.As(err, &ce) || ce.Name != driver.CallLaunch || ce.Sid != first || !errors.Is(err, gpu.ErrKernelNotLoaded) {
+			t.Errorf("barrier err = %v (%+v), want the %s failure of slot %d", err, ce, driver.CallLaunch, first)
+		}
+		if err := c.Barrier(p); err != nil {
+			t.Errorf("second barrier: %v, want the sticky failure consumed", err)
+		}
+		return c.Close(p)
+	})
+}
+
 // TestOversizeResultIsTyped: a synchronous result that outgrows the reply
 // room its record reserved is mos.ErrResultTooLarge, a mos.CallError naming
 // the call, and the stream carries the next call as before.

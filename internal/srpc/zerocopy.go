@@ -286,8 +286,8 @@ func (s *Server) execZC(p *sim.Proc, st *serverStream, name string, args []byte)
 	// Neither call's result is delivered (completion is the callback), so
 	// both write to the record's reply encoder, which a fused record never
 	// publishes.
-	if err := s.enc.InvokeStreamed(p, copyCall, copyArgs, &st.res); err != nil {
+	if err := s.enc.InvokeStreamed(p, copyCall, copyArgs, &st.res, &st.scratch); err != nil {
 		return err
 	}
-	return s.enc.InvokeStreamed(p, execCall, execArgs, &st.res)
+	return s.enc.InvokeStreamed(p, execCall, execArgs, &st.res, &st.scratch)
 }

@@ -15,7 +15,7 @@ type Benchmark struct {
 	Name    string
 	Kernels []string
 	seed    uint64 // of the filler a pass draws its inputs from
-	run     func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error
+	run     func(p *sim.Proc, ops *accel.Launcher, f *workload.Filler) error
 }
 
 // Run executes one full benchmark pass through ops. Its synthetic inputs are
@@ -25,7 +25,7 @@ type Benchmark struct {
 // upload: those keep their math/rand streams, so their times stay the ones
 // the figures report.
 func (b Benchmark) Run(p *sim.Proc, ops accel.CUDA) error {
-	return b.run(p, ops, workload.NewFiller(b.seed))
+	return b.run(p, &accel.Launcher{CUDA: ops}, workload.NewFiller(b.seed))
 }
 
 // Cubin returns the module image for a benchmark (plus the std kernels the
@@ -87,7 +87,7 @@ func Backprop() Benchmark {
 		Name:    "backprop",
 		Kernels: []string{"bp_layerforward", "bp_adjust"},
 		seed:    1,
-		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
+		run: func(p *sim.Proc, ops *accel.Launcher, f *workload.Filler) error {
 			const in, hid, out, batch = 256, 128, 64, 32
 			w1, err := upload(p, ops, f, in*hid)
 			if err != nil {
@@ -135,7 +135,7 @@ func BFS() Benchmark {
 	return Benchmark{
 		Name:    "bfs",
 		Kernels: []string{"bfs_step"},
-		run: func(p *sim.Proc, ops accel.CUDA, _ *workload.Filler) error {
+		run: func(p *sim.Proc, ops *accel.Launcher, _ *workload.Filler) error {
 			const nodes = 2048
 			const degree = 4
 			rng := rand.New(rand.NewSource(7))
@@ -211,7 +211,7 @@ func Gaussian() Benchmark {
 		Name:    "gaussian",
 		Kernels: []string{"gaussian_fan1", "gaussian_fan2"},
 		seed:    11,
-		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
+		run: func(p *sim.Proc, ops *accel.Launcher, f *workload.Filler) error {
 			const size = 96
 			a, err := upload(p, ops, f, size*size)
 			if err != nil {
@@ -247,7 +247,7 @@ func Hotspot() Benchmark {
 		Name:    "hotspot",
 		Kernels: []string{"hotspot_step"},
 		seed:    21,
-		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
+		run: func(p *sim.Proc, ops *accel.Launcher, f *workload.Filler) error {
 			const rows, cols, steps = 96, 96, 24
 			tin, err := upload(p, ops, f, rows*cols)
 			if err != nil {
@@ -282,7 +282,7 @@ func KMeans() Benchmark {
 		Name:    "kmeans",
 		Kernels: []string{"kmeans_assign", "kmeans_update"},
 		seed:    31,
-		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
+		run: func(p *sim.Proc, ops *accel.Launcher, f *workload.Filler) error {
 			const n, k, dims, rounds = 2048, 8, 16, 6
 			pts, err := upload(p, ops, f, n*dims)
 			if err != nil {
@@ -319,7 +319,7 @@ func NN() Benchmark {
 		Name:    "nn",
 		Kernels: []string{"nn_dist"},
 		seed:    41,
-		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
+		run: func(p *sim.Proc, ops *accel.Launcher, f *workload.Filler) error {
 			const n, dims = 16384, 8
 			recs, err := upload(p, ops, f, n*dims)
 			if err != nil {
@@ -353,7 +353,7 @@ func NW() Benchmark {
 		Name:    "nw",
 		Kernels: []string{"nw_diag"},
 		seed:    51,
-		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
+		run: func(p *sim.Proc, ops *accel.Launcher, f *workload.Filler) error {
 			const size = 128
 			sc, err := ops.MemAlloc(p, (size+1)*(size+1)*4)
 			if err != nil {
@@ -391,7 +391,7 @@ func Pathfinder() Benchmark {
 		Name:    "pathfinder",
 		Kernels: []string{"pathfinder_row"},
 		seed:    61,
-		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
+		run: func(p *sim.Proc, ops *accel.Launcher, f *workload.Filler) error {
 			const rows, cols = 64, 1024
 			wall, err := upload(p, ops, f, rows*cols)
 			if err != nil {

@@ -190,7 +190,7 @@ func LUD() Benchmark {
 		Name:    "lud",
 		Kernels: []string{"lud_diagonal", "lud_perimeter", "lud_internal"},
 		seed:    71,
-		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
+		run: func(p *sim.Proc, ops *accel.Launcher, f *workload.Filler) error {
 			const size = 128
 			a, err := upload(p, ops, f, size*size)
 			if err != nil {
@@ -224,7 +224,7 @@ func SRAD() Benchmark {
 		Name:    "srad",
 		Kernels: []string{"srad_reduce", "srad_step"},
 		seed:    81,
-		run: func(p *sim.Proc, ops accel.CUDA, f *workload.Filler) error {
+		run: func(p *sim.Proc, ops *accel.Launcher, f *workload.Filler) error {
 			const n, iters = 8192, 12
 			img, err := upload(p, ops, f, n)
 			if err != nil {
@@ -272,7 +272,7 @@ func Streamcluster() Benchmark {
 	return Benchmark{
 		Name:    "streamcluster",
 		Kernels: []string{"sc_assign"},
-		run: func(p *sim.Proc, ops accel.CUDA, _ *workload.Filler) error {
+		run: func(p *sim.Proc, ops *accel.Launcher, _ *workload.Filler) error {
 			const n, dims, rounds = 1024, 8, 10
 			pts, err := allocUpload(p, ops, randFloats(91, n*dims))
 			if err != nil {
