@@ -55,7 +55,9 @@ cover:
 # validates the alignment and bounds of every unsafe conversion behind them —
 # and mos/driver, whose hostile-count tests bound allocations in a build the
 # detector instruments — plus npu, recycle and devmem, the device memory both
-# accelerators share through one recycler per element type.
+# accelerators share through one recycler per element type — plus attest,
+# whose ed25519 memo is one table of atomic slots that every cell's keys,
+# endorsements and verdicts go through.
 race:
 	$(GO) test -race ./... -count=1
 
@@ -81,7 +83,10 @@ bench:
 # re-keying engine to the key sequence of one that resumes every job;
 # FuzzEventQueue holds the kernel's two-tier event queue to a sort;
 # FuzzTicketResume holds the attestation ticket cache to a map-based model
-# (TTL, LRU capacity, epochs, revocation); FuzzDeviceMemory holds the GPU's and
+# (TTL, LRU capacity, epochs, revocation); FuzzSigMemo holds the ed25519 memo's
+# every derivation, signature and verdict — through tampers and in-place
+# mutations of a returned key or signature — to raw crypto/ed25519's;
+# FuzzDeviceMemory holds the GPU's and
 # NPU's one device-memory model to a map of live allocations through hostile
 # addresses and lengths; FuzzMatmul holds every matmul
 # variant, through the register tiles, their Inf/NaN-in-B fallback and the row
@@ -114,6 +119,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPSEngineRekey$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzEventQueue$$' -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTicketResume$$' -fuzztime $(FUZZTIME) ./internal/attest
+	$(GO) test -run '^$$' -fuzz '^FuzzSigMemo$$' -fuzztime $(FUZZTIME) ./internal/attest
 	$(GO) test -run '^$$' -fuzz '^FuzzDeviceMemory$$' -fuzztime $(FUZZTIME) ./internal/devmem
 	$(GO) test -run '^$$' -fuzz '^FuzzMatmul$$' -fuzztime $(FUZZTIME) ./internal/gpu
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalOS$$' -fuzztime 60s ./internal/normal
@@ -196,7 +202,8 @@ ci:
 	GOARCH=386 $(GO) test -count=1 ./...
 	$(GO) test -race -count=1 ./internal/serve ./internal/srpc ./internal/spm ./internal/hw ./internal/sim \
 		./internal/trace ./internal/otrace ./internal/experiments ./internal/core ./internal/gpu \
-		./internal/dnn ./internal/workload/rodinia ./internal/tvm ./internal/mos/driver ./internal/npu ./internal/recycle ./internal/devmem
+		./internal/dnn ./internal/workload/rodinia ./internal/tvm ./internal/mos/driver ./internal/npu ./internal/recycle ./internal/devmem \
+		./internal/attest
 	$(MAKE) fuzz
 	$(GO) run ./cmd/cronus-doclint
 	$(MAKE) bench-build

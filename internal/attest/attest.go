@@ -30,10 +30,12 @@
 //     flipped measurement, RevokeMeasurement purges the partition's
 //     tickets and later lookups shed with the typed *RevokedError.
 //
-// All asymmetric cryptography is Ed25519; key material is derived
-// deterministically from hardware fuse values, and the caches are driven
-// entirely by caller-supplied virtual time, so simulations are
-// reproducible byte-for-byte.
+// Signatures are Ed25519; key material is derived deterministically from
+// hardware fuse values, and the caches are driven entirely by
+// caller-supplied virtual time, so simulations are reproducible
+// byte-for-byte. Because a platform's chain is fixed when the machine is
+// made, KeyFromSeed, Sign and Verify answer a repeated call over identical
+// bytes from one fixed process-wide table (memo.go).
 package attest
 
 import (
@@ -59,19 +61,6 @@ func Measure(data []byte) Measurement { return sha256.Sum256(data) }
 
 // String renders the first bytes of the digest for logs.
 func (m Measurement) String() string { return fmt.Sprintf("%x", m[:8]) }
-
-// KeyFromSeed derives a deterministic Ed25519 private key from arbitrary
-// seed material (a fuse value).
-func KeyFromSeed(seed []byte) PrivateKey {
-	h := sha256.Sum256(seed)
-	return ed25519.NewKeyFromSeed(h[:])
-}
-
-// Sign signs msg.
-func Sign(priv PrivateKey, msg []byte) []byte { return ed25519.Sign(priv, msg) }
-
-// Verify checks sig over msg.
-func Verify(pub PublicKey, msg, sig []byte) bool { return ed25519.Verify(pub, msg, sig) }
 
 // Report is the platform attestation report (§IV-A):
 // ⟨hash(mEnclave), hash(mOS), DT, PubK_acc⟩ plus a client nonce.
@@ -151,7 +140,7 @@ type SignedReport struct {
 // service".
 type Service struct {
 	priv     PrivateKey
-	genuine  map[string]bool // hex(rot pub) -> genuine
+	genuine  map[string]bool // string(rot pub) -> genuine
 	Identity PublicKey
 }
 

@@ -32,6 +32,8 @@ var sharedGlobals = map[string]string{
 	"recycle.Bytes":    "one mutex guards each recycler; it holds only zeroed backings that no live span, arena, scratchpad or frame references",
 	"recycle.Int32s":   "one mutex guards each recycler; it holds only zeroed backings that no live span, arena, scratchpad or frame references",
 
+	"attest.memo": "ed25519 answers over identical bytes: slots of atomic pointers to immutable entries of pure functions, a hit hands out a copy, and no false verdict or X25519 key is stored",
+
 	"experiments.Catalog":    "read-only table",
 	"experiments.GPUSystems": "read-only table",
 	"experiments.NPUSystems": "read-only table",
