@@ -106,6 +106,9 @@ bench:
 # each of its inputs boots a platform and runs a session (~600 execs/s), so
 # 10 s explores too little of its strategy space. FuzzIsolation runs 60 s too:
 # each input boots an SPM and walks up to 400 rounds of its state machine.
+# FuzzMatmul runs 30 s: the matmul leaves' AVX bodies are hand-written
+# assembly, whose every lane, tail and trailing tile group must keep the Go
+# twins' bits, and each input runs on both.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime $(FUZZTIME) ./internal/wire
@@ -121,7 +124,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTicketResume$$' -fuzztime $(FUZZTIME) ./internal/attest
 	$(GO) test -run '^$$' -fuzz '^FuzzSigMemo$$' -fuzztime $(FUZZTIME) ./internal/attest
 	$(GO) test -run '^$$' -fuzz '^FuzzDeviceMemory$$' -fuzztime $(FUZZTIME) ./internal/devmem
-	$(GO) test -run '^$$' -fuzz '^FuzzMatmul$$' -fuzztime $(FUZZTIME) ./internal/gpu
+	$(GO) test -run '^$$' -fuzz '^FuzzMatmul$$' -fuzztime 30s ./internal/gpu
 	$(GO) test -run '^$$' -fuzz '^FuzzNormalOS$$' -fuzztime 60s ./internal/normal
 	$(GO) test -run '^$$' -fuzz '^FuzzIsolation$$' -fuzztime 60s ./internal/spm
 

@@ -232,6 +232,8 @@ func main() {
 		profile.Exit(1)
 	}
 	fmt.Print(res.Report())
+	// Jain's index over the tenants' completed counts: 1 is an equal share.
+	fmt.Printf("fairness: jain=%.4f over %d tenants' completed requests\n", res.Fairness(), len(res.Tenants))
 	if *attTickets {
 		// The admission-gate counters: how much of the dispatch volume rode
 		// a session-ticket resume (one MAC) versus a cold quote verification.

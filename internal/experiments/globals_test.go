@@ -26,6 +26,7 @@ var sharedGlobals = map[string]string{
 
 	"enclave.cpuLibRegistry": "filled at package init (core's session runtime, test libraries); read-only once a kernel runs",
 	"gpu.registry":           "filled at package init, replaced only by tests and examples while no simulation runs",
+	"gpu.useAVX":             "the matmul leaves' CPU check, set once at package init; read-only after, but for the gpu tests' hook that runs the Go twins while no other matmul runs",
 
 	"wire.recycleHook": "buffer-poisoning hook of one test at a time",
 	"recycle.Float32s": "one mutex guards each recycler; it holds only zeroed backings that no live span, arena, scratchpad or frame references",
@@ -51,10 +52,11 @@ var sentinelName = regexp.MustCompile(`^[Ee]rr[A-Z]`)
 // is a decision too — it goes through that file or moves this line.
 const unsafeFile = "internal/gpu/view.go"
 
-// asmFile is the one assembly file under internal/: the matmul row update's
-// SSE2 body (DESIGN.md §15), held bit for bit to its Go twin by
-// gpu.TestRowTermsMatchPortable. Memory the assembly reads is proven in
-// bounds on the Go side; a second body is a decision too — it moves this line.
+// asmFile is the one assembly file under internal/: the matmul leaves' AVX
+// bodies and the CPU check that picks them (DESIGN.md §15), held bit for bit
+// to their Go twins by gpu.TestRowTermsMatchPortable and
+// gpu.TestTileTermsMatchPortable. Memory the assembly reads is proven in
+// bounds on the Go side; a second file is a decision too — it moves this line.
 const asmFile = "internal/gpu/rowterms_amd64.s"
 
 // TestNoUnlistedPackageState walks every non-test file under internal/ and

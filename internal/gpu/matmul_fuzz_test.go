@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cronus/internal/sim"
@@ -21,12 +22,13 @@ const (
 )
 
 // replayMatmul decodes b into one matmul, runs MatmulFunc on it and compares
-// C with the textbook loop bit for bit. b[0]%3 picks the variant (f, tn, nt),
+// C with the textbook loop bit for bit; it returns the leaf taken and C's
+// shape. b[0]%3 picks the variant (f, tn, nt),
 // b[1], b[2] and b[3] mod 41 are M, N and K, and the bytes after them pick,
 // one each, the operands in storage order (A, then B): mod 16 they are +0,
 // −0, +1, −1, a subnormal, +Inf, −Inf, a NaN, or (8–15, and every operand
 // past the end of b) a normal draw from a generator seeded by the header.
-func replayMatmul(ctx *Context, b []byte) (matmulLeaf, error) {
+func replayMatmul(ctx *Context, b []byte) (leaf matmulLeaf, m, n int, err error) {
 	at := func(i int) byte {
 		if i < len(b) {
 			return b[i]
@@ -35,6 +37,10 @@ func replayMatmul(ctx *Context, b []byte) (matmulLeaf, error) {
 	}
 	aT, bT := at(0)%3 == 1, at(0)%3 == 2
 	m, n, k := int(at(1))%41, int(at(2))%41, int(at(3))%41
+	leaf = leafRows
+	if n <= narrowN {
+		leaf = leafTiles
+	}
 	var header [4]byte
 	copy(header[:], b)
 	rng := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint32(header[:]))))
@@ -62,10 +68,6 @@ func replayMatmul(ctx *Context, b []byte) (matmulLeaf, error) {
 	a, bs := make([]float32, m*k), make([]float32, k*n)
 	for i := range a {
 		a[i] = operand(at(4 + i))
-	}
-	leaf := leafRows
-	if n <= narrowN {
-		leaf = leafTiles
 	}
 	for i := range bs {
 		bs[i] = operand(at(4 + len(a) + i))
@@ -110,41 +112,42 @@ func replayMatmul(ctx *Context, b []byte) (matmulLeaf, error) {
 	for _, v := range [][]float32{a, bs, make([]float32, m*n)} {
 		ptr, err := ctx.MemAlloc(uint64(4 * (len(v) + 1)))
 		if err != nil {
-			return leaf, err
+			return leaf, m, n, err
 		}
 		defer ctx.MemFree(ptr)
 		view, err := e.F32(ptr, len(v)+1)
 		if err != nil {
-			return leaf, err
+			return leaf, m, n, err
 		}
 		copy(view, v)
 		e.Args = append(e.Args, ptr)
 	}
 	c, err := e.F32(e.Args[2], m*n+1)
 	if err != nil {
-		return leaf, err
+		return leaf, m, n, err
 	}
 	for i := range c {
 		c[i] = math.Float32frombits(0x7fbadbad) // every element must be written
 	}
 	e.Args = append(e.Args, uint64(m), uint64(n), uint64(k))
 	if err := MatmulFunc(aT, bT)(e); err != nil {
-		return leaf, err
+		return leaf, m, n, err
 	}
 	for i, w := range want {
 		g := c[i]
 		if math.Float32bits(g) == math.Float32bits(w) || twoNaNs[i] && g != g && w != w {
 			continue
 		}
-		return leaf, fmt.Errorf("aT=%v bT=%v %dx%dx%d: C[%d] = %#08x, the textbook loop gives %#08x",
+		return leaf, m, n, fmt.Errorf("aT=%v bT=%v %dx%dx%d: C[%d] = %#08x, the textbook loop gives %#08x",
 			aT, bT, m, n, k, i, math.Float32bits(g), math.Float32bits(w))
 	}
-	return leaf, nil
+	return leaf, m, n, nil
 }
 
 // matmulSeeds are FuzzMatmul's seed inputs: every variant through the tiles
-// (trailing groups of one to three rows, one and two panels), the rows path
-// for a wide C, and the fallback for an Inf and for a NaN in B.
+// (trailing groups of one to seven rows, one and two panels), the rows path
+// for a wide C of every width modulo eight, and the fallback for an Inf and
+// for a NaN in B.
 func matmulSeeds() [][]byte {
 	seed := func(variant, m, n, k byte, classes ...byte) []byte {
 		return append([]byte{variant, m, n, k}, classes...)
@@ -158,38 +161,132 @@ func matmulSeeds() [][]byte {
 		seed(0, 4, 8, 0),
 		seed(2, 5, 20, 11, zeros...),
 		seed(0, 3, 40, 40),
+		seed(1, 11, 17, 9, zeros...),
+		seed(2, 3, 18, 21),
+		seed(0, 13, 19, 12, zeros...),
+		seed(1, 2, 21, 70),
+		seed(2, 5, 22, 6),
+		seed(0, 4, 23, 33, zeros...),
 		seed(0, 5, 6, 3, append(bytes.Repeat([]byte{0, 8, 1}, 5), 8, 8, 5)...),    // +Inf in B opposite a ±0
 		seed(1, 2, 3, 4, append(bytes.Repeat([]byte{8, 0}, 4), 8, 8, 8, 8, 7)...), // a NaN in B
 	}
 }
 
 // FuzzMatmul holds every variant of MatmulFunc, through every leaf, to the
-// textbook loop over inputs the fuzzer writes (replayMatmul).
+// textbook loop over inputs the fuzzer writes (replayMatmul). Each input runs
+// on the leaves' AVX bodies, where this host has them, and on their Go twins.
 func FuzzMatmul(f *testing.F) {
 	for _, s := range matmulSeeds() {
 		f.Add(s)
 	}
 	ctx := testGPU(sim.NewKernel()).CreateContext()
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if _, err := replayMatmul(ctx, b); err != nil {
-			t.Fatal(err)
+		eachLeafBody(t, func(t *testing.T) {
+			if _, _, _, err := replayMatmul(ctx, b); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+}
+
+// TestMatmulFuzzSeedsReachEveryLeaf requires FuzzMatmul's seeds, under each
+// body eachLeafBody picks and taken together, to hold every matmul to the
+// textbook loop and to reach a tile group of fewer than eight rows (M % 8 ≠ 0),
+// the rows path at every width modulo eight (the eight-lane loop alone, and
+// with the four-lane step and the scalar tail of every length after it), and
+// the fallback.
+func TestMatmulFuzzSeedsReachEveryLeaf(t *testing.T) {
+	eachLeafBody(t, func(t *testing.T) {
+		ctx := testGPU(sim.NewKernel()).CreateContext()
+		var (
+			shortTile, fallback bool
+			rowTails            [8]bool
+		)
+		for _, s := range matmulSeeds() {
+			leaf, m, n, err := replayMatmul(ctx, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch leaf {
+			case leafTiles:
+				shortTile = shortTile || m%8 != 0
+			case leafFallback:
+				fallback = true
+			case leafRows:
+				rowTails[n%8] = true
+			}
+		}
+		if !shortTile || !fallback || rowTails != [8]bool{true, true, true, true, true, true, true, true} {
+			t.Fatalf("tile with M %% 8 ≠ 0 %v, fallback %v, rows by N %% 8 %v", shortTile, fallback, rowTails)
 		}
 	})
 }
 
-// TestMatmulFuzzSeedsReachEveryLeaf requires FuzzMatmul's seeds, taken
-// together, to reach the tiles, the rows path and the fallback.
-func TestMatmulFuzzSeedsReachEveryLeaf(t *testing.T) {
-	ctx := testGPU(sim.NewKernel()).CreateContext()
-	var reached [3]bool
-	for _, s := range matmulSeeds() {
-		leaf, err := replayMatmul(ctx, s)
-		if err != nil {
-			t.Fatal(err)
+// TestMatmulAliasedOperands holds MatmulFunc to the textbook loop when C's
+// memory meets A's or B's: C at A's start or B's, straddling either's middle,
+// and apart from both, for every variant on the tiles and on the rows, under
+// each body eachLeafBody picks. Every element outside C must keep its value.
+func TestMatmulAliasedOperands(t *testing.T) {
+	eachLeafBody(t, func(t *testing.T) {
+		ctx := testGPU(sim.NewKernel()).CreateContext()
+		rng := rand.New(rand.NewSource(37))
+		for _, s := range []struct{ m, n, k int }{{9, 6, 9}, {12, 12, 12}, {5, 20, 20}, {17, 24, 7}} {
+			for variant := range 3 {
+				aT, bT := variant == 1, variant == 2
+				sa, sb, sc := s.m*s.k, s.k*s.n, s.m*s.n
+				oa, ob := 0, sa+3
+				for _, oc := range []int{oa, oa + sa/2, ob, ob + sb/2, ob + sb + 1} {
+					size := max(ob+sb, oc+sc)
+					ptr, err := ctx.MemAlloc(uint64(4 * size))
+					if err != nil {
+						t.Fatal(err)
+					}
+					e := &Exec{Ctx: ctx}
+					mem, err := e.F32(ptr, size)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i := range mem {
+						mem[i] = float32(rng.NormFloat64())
+						if rng.Intn(3) == 0 {
+							mem[i] = 0
+						}
+					}
+					a, b := slices.Clone(mem[oa:][:sa]), slices.Clone(mem[ob:][:sb])
+					want := slices.Clone(mem)
+					for i := range s.m {
+						for j := range s.n {
+							var c float32
+							for tt := range s.k {
+								av, bv := a[i*s.k+tt], b[tt*s.n+j]
+								if aT {
+									av = a[tt*s.m+i]
+								}
+								if bT {
+									bv = b[j*s.k+tt]
+								}
+								if av != 0 {
+									c += float32(av * bv)
+								}
+							}
+							want[oc+i*s.n+j] = c
+						}
+					}
+					e.Args = []uint64{ptr + uint64(4*oa), ptr + uint64(4*ob), ptr + uint64(4*oc), uint64(s.m), uint64(s.n), uint64(s.k)}
+					if err := MatmulFunc(aT, bT)(e); err != nil {
+						t.Fatal(err)
+					}
+					for i, w := range want {
+						if math.Float32bits(mem[i]) != math.Float32bits(w) {
+							t.Fatalf("aT=%v bT=%v %dx%dx%d, C at %d (A at %d, B at %d): element %d = %v, want %v",
+								aT, bT, s.m, s.n, s.k, oc, oa, ob, i, mem[i], w)
+						}
+					}
+					if err := ctx.MemFree(ptr); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 		}
-		reached[leaf] = true
-	}
-	if reached != [3]bool{true, true, true} {
-		t.Fatalf("tiles, fallback, rows reached: %v", reached)
-	}
+	})
 }

@@ -4,8 +4,9 @@ package gpu
 // every g, g ascending: each c[j] takes its terms' products one after the
 // other, one multiply and one add each, so every lane rounds as the textbook
 // loop does. The caller proves every read in bounds: len(av) == len(at), and
-// at ascends with b[at[0]] and b[at[len(at)-1]+len(c)-1] both in b. On amd64
-// the body is SSE2 assembly (rowterms_amd64.s); elsewhere it is rowTermsGo.
+// at ascends with b[at[0]] and b[at[len(at)-1]+len(c)-1] both in b. On an
+// amd64 CPU with AVX the body is assembly (rowterms_amd64.s); elsewhere it is
+// rowTermsGo.
 
 // rowTermsGo is rowTerms in Go: the terms folded four per pass over the row —
 // one load and one store of c[j] carry four multiply-adds, still applied to
@@ -40,20 +41,20 @@ func axpy(c []float32, a float32, b []float32) {
 	}
 }
 
-// tileTerms(out, a, ao, rt, bp) computes one 4×8 tile of C from nothing:
+// tileTerms(out, a, ao, rt, bp) computes one 8×8 tile of C from nothing:
 // out[q][j] = Σ_t a[ao[q]+t·rt]·bp[8t+j] over t = 0 … len(bp)/8−1, t
 // ascending, every term taken — zero a values included — as one multiply and
 // one add onto a sum that starts at +0. Row q of op(A) is read in place with
 // stride rt, so one body serves A stored M×K (ao[q] = i·K, rt = 1) and K×M
 // (ao[q] = i, rt = M); bp is one panel of packPanels. The caller proves every
 // read in bounds: len(bp)%8 == 0, the ao[q] ascend, and when len(bp) > 0
-// a[ao[3]+(len(bp)/8−1)·rt] is in a. On amd64 the body is SSE2 assembly
-// (rowterms_amd64.s); elsewhere it is tileTermsGo.
+// a[ao[7]+(len(bp)/8−1)·rt] is in a. On an amd64 CPU with AVX the body is
+// assembly (rowterms_amd64.s); elsewhere it is tileTermsGo.
 
 // tileTermsGo is tileTerms in Go, each product converted to float32 before
-// its add as in rowTermsGo: the assembly's MULPS and ADDPS are two roundings.
-func tileTermsGo(out *[4][8]float32, a []float32, ao *[4]int, rt int, bp []float32) {
-	var c [4][8]float32
+// its add as in rowTermsGo: the assembly's VMULPS and VADDPS are two roundings.
+func tileTermsGo(out *[8][8]float32, a []float32, ao *[8]int, rt int, bp []float32) {
+	var c [8][8]float32
 	for t := 0; t < len(bp)/8; t++ {
 		b := (*[8]float32)(bp[8*t:])
 		for q := range c {

@@ -10,13 +10,18 @@ import (
 )
 
 // TestRowTermsMatchPortable holds rowTerms to rowTermsGo bit for bit: rows of
-// every width modulo four and several vectors long, 0–9 and 64 terms, over
+// every width modulo eight and several vectors long, 0–9 and 64 terms, over
 // dense values, subnormal products, ±Inf opposite a non-zero a and one NaN
-// operand. Where rowTermsGo is rowTerms (no assembly body) it compares the
-// function with itself. A lane that meets two NaNs is compared by NaN-ness
-// only: x86 keeps one operand's payload, and which one is the destination
-// differs between the compiler's scalar code and the assembly.
+// operand, under each body eachLeafBody picks; where rowTerms runs rowTermsGo
+// it compares the function with itself. A lane that meets two NaNs is
+// compared by NaN-ness only: x86 keeps one operand's payload, and which one is
+// the first source differs between the compiler's scalar code and the
+// assembly.
 func TestRowTermsMatchPortable(t *testing.T) {
+	eachLeafBody(t, testRowTermsMatchPortable)
+}
+
+func testRowTermsMatchPortable(t *testing.T) {
 	widths := []int{64, 67, 261}
 	for n := 1; n <= 19; n++ {
 		widths = append(widths, n)
@@ -101,13 +106,18 @@ func TestRowTermsMatchPortable(t *testing.T) {
 }
 
 // TestTileTermsMatchPortable holds tileTerms to tileTermsGo bit for bit: A
-// stored both ways (rt 1 and rt M), a trailing group of one to four rows
+// stored both ways (rt 1 and rt M), every tile height from one to eight rows
 // (the ao of the missing rows repeat the last), 0–9, 64 and 300 terms, over
 // dense values, zero a values of both signs, subnormal products, ±Inf in
-// either operand and one NaN operand. Where tileTermsGo is tileTerms it
-// compares the function with itself. A lane that meets two NaNs is compared
-// by NaN-ness only, as in TestRowTermsMatchPortable.
+// either operand and one NaN operand, under each body eachLeafBody picks;
+// where tileTerms runs tileTermsGo it compares the function with itself. A
+// lane that meets two NaNs is compared by NaN-ness only, as in
+// TestRowTermsMatchPortable.
 func TestTileTermsMatchPortable(t *testing.T) {
+	eachLeafBody(t, testTileTermsMatchPortable)
+}
+
+func testTileTermsMatchPortable(t *testing.T) {
 	fills := []struct {
 		name    string
 		twoNaNs bool
@@ -148,7 +158,7 @@ func TestTileTermsMatchPortable(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(36))
 	for _, k := range []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 300} {
-		for m := 1; m <= 4; m++ {
+		for m := 1; m <= 8; m++ {
 			for _, aT := range []bool{false, true} {
 				for _, f := range fills {
 					a, bp := make([]float32, m*k+1), make([]float32, 8*k+8)
@@ -164,11 +174,11 @@ func TestTileTermsMatchPortable(t *testing.T) {
 					if aT {
 						ri, rt = 1, m
 					}
-					var ao [4]int
+					var ao [8]int
 					for q := range ao {
 						ao[q] = min(q, m-1) * ri
 					}
-					var got, want [4][8]float32
+					var got, want [8][8]float32
 					tileTermsGo(&want, a, &ao, rt, bp)
 					tileTerms(&got, a, &ao, rt, bp)
 					for q := range got {
@@ -189,7 +199,8 @@ func TestTileTermsMatchPortable(t *testing.T) {
 // BenchmarkMatmulShapes runs MatmulFunc on the shapes that take most of a
 // paper_figs pass's matmul time, half of A zero as after a ReLU. A shape is
 // variant M×N×K: f is C = A·B, tn A stored K×M, nt B stored N×K. All but the
-// last are narrow (N ≤ 16, mulTiles); nt_8x400x120 is the wide control.
+// last are narrow (N ≤ 16, mulTiles); f_20x10x800 ends in a tile of four rows
+// repeating its last (M % 8 ≠ 0), and nt_8x400x120 is the wide control.
 func BenchmarkMatmulShapes(b *testing.B) {
 	shapes := []struct {
 		variant string
@@ -203,6 +214,7 @@ func BenchmarkMatmulShapes(b *testing.B) {
 		{"f", 256, 4, 144},
 		{"tn", 72, 8, 1024},
 		{"f", 1024, 8, 72},
+		{"f", 20, 10, 800},
 		{"nt", 8, 400, 120},
 	}
 	for _, s := range shapes {
@@ -241,5 +253,32 @@ func BenchmarkMatmulShapes(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestTransposeMatchesIndexing holds transpose to dst[c·rows+r] =
+// src[r·cols+c] on shapes with and without 8×8 blocks, both edges, and more
+// than one 256-column strip, and checks it writes nothing past cols·rows.
+func TestTransposeMatchesIndexing(t *testing.T) {
+	for _, rows := range []int{1, 7, 8, 9, 16, 23, 261} {
+		for _, cols := range []int{1, 5, 8, 13, 64, 263, 520} {
+			src := make([]float32, rows*cols)
+			for i := range src {
+				src[i] = float32(i)
+			}
+			dst := make([]float32, rows*cols+1)
+			dst[rows*cols] = -1
+			transpose(dst[:rows*cols], src, rows, cols)
+			for r := range rows {
+				for c := range cols {
+					if got, want := dst[c*rows+r], src[r*cols+c]; got != want {
+						t.Fatalf("%dx%d: dst[%d] = %v, want src[%d] = %v", rows, cols, c*rows+r, got, r*cols+c, want)
+					}
+				}
+			}
+			if dst[rows*cols] != -1 {
+				t.Fatalf("%dx%d: wrote past the end", rows, cols)
+			}
+		}
 	}
 }

@@ -40,8 +40,9 @@ func FlopCost(frac float64, flops func(grid Dim, args []uint64) float64) func(fl
 // by mulTiles, which reads A where it lies, unless B holds an Inf or a NaN; a
 // wider C, and that fallback, go a row at a time through mulRows, which reads
 // A and an untransposed B where they lie and a transposed one after turning it
-// into the device arena. C is built in the arena and copied out after the
-// compute, so C may alias A or B.
+// into the device arena. C is computed where it lies, unless its memory meets
+// an operand read where it lies: then it is built in the arena and copied out
+// after the compute, so C may alias A or B.
 func MatmulFunc(aT, bT bool) func(*Exec) error {
 	return func(e *Exec) error {
 		m, n, k := e.Int(3), e.Int(4), e.Int(5)
@@ -62,10 +63,17 @@ func MatmulFunc(aT, bT bool) func(*Exec) error {
 		}
 		// From here every loop bound and arena size is a dimension of a
 		// non-empty view, so the allocations the caller owns bound them all.
-		if n <= narrowN && mulTiles(e, out, a, b, m, n, k, aT, bT) {
+		apartA := apart(e.Arg(2), m*n, e.Arg(0), m*k)
+		if n <= narrowN && mulTiles(e, out, a, b, m, n, k, aT, bT, apartA) {
 			return nil
 		}
-		size := m * n
+		// A transposed operand is read from the arena, so only one read
+		// where it lies can meet C.
+		inPlace := (aT || apartA) && (bT || apart(e.Arg(2), m*n, e.Arg(1), k*n))
+		size := 0
+		if !inPlace {
+			size += m * n
+		}
 		if aT {
 			size += m * k
 		}
@@ -73,7 +81,10 @@ func MatmulFunc(aT, bT bool) func(*Exec) error {
 			size += k * n
 		}
 		s := e.Scratch(size)
-		c, s := s[:m*n], s[m*n:]
+		c := out
+		if !inPlace {
+			c, s = s[:m*n], s[m*n:]
+		}
 		if aT {
 			transpose(s[:m*k], a, k, m)
 			a, s = s[:m*k], s[m*k:]
@@ -82,11 +93,21 @@ func MatmulFunc(aT, bT bool) func(*Exec) error {
 			transpose(s, b, n, k)
 			b = s
 		}
-		clear(c)
 		mulRows(c, a, b, n, k)
-		copy(out, c)
+		if !inPlace {
+			copy(out, c)
+		}
 		return nil
 	}
+}
+
+// apart reports whether the launch's views at device addresses p and q, of n
+// and m float32s, share no memory. A launch resolves every view in its own
+// context, whose allocations have backings of their own, so two views meet
+// exactly where their address ranges do. The ranges are compared by their
+// last bytes, which cannot wrap: each lies inside an allocation.
+func apart(p uint64, n int, q uint64, m int) bool {
+	return n == 0 || m == 0 || p+4*uint64(n)-1 < q || q+4*uint64(m)-1 < p
 }
 
 // narrowN is the widest C that mulTiles computes, two panels of eight
@@ -95,31 +116,38 @@ func MatmulFunc(aT, bT bool) func(*Exec) error {
 // some shapes (a 1152×25×6 nt, K = 6, runs slower in tiles at N = 25).
 const narrowN = 16
 
-// mulTiles computes C = op(A) × op(B) into out four rows and one eight-column
-// panel at a time (tileTerms), B packed into the arena after C. Every A term
+// mulTiles computes C = op(A) × op(B) into out eight rows and one eight-column
+// panel at a time (tileTerms), B packed into the arena. C is written to out as
+// each tile is done when apartA says out and A share no memory, and otherwise
+// built in the arena before B's panels and copied out at the end. Every A term
 // is taken, zero or not, which is exact only against a finite B: ±0 times a
 // finite b is ±0, and adding ±0 to a sum that started at +0 changes no bit,
 // but ±0 times an Inf or a NaN is a NaN the textbook loop never makes. So it
 // reports false, having written nothing to out, when B holds an Inf or a NaN.
-// A trailing group of fewer than four rows repeats row m−1 in its unused
+// A trailing group of fewer than eight rows repeats row m−1 in its unused
 // places and copies out only its own rows.
-func mulTiles(e *Exec, out, a, b F32, m, n, k int, aT, bT bool) bool {
+func mulTiles(e *Exec, out, a, b F32, m, n, k int, aT, bT, apartA bool) bool {
 	if !allFinite(b) {
 		return false
 	}
-	panels := (n + 7) / 8
-	s := e.Scratch(m*n + panels*8*k)
-	c, bp := s[:m*n], s[m*n:]
+	size := (n + 7) / 8 * 8 * k // B's panels
+	if !apartA {
+		size += m * n
+	}
+	c, bp := out, e.Scratch(size)
+	if !apartA {
+		c, bp = bp[:m*n], bp[m*n:]
+	}
 	packPanels(bp, b, n, k, bT)
 	ri, rt := k, 1 // op(A)[i,t] is a[i·ri + t·rt]
 	if aT {
 		ri, rt = 1, m
 	}
 	var (
-		tile [4][8]float32
-		ao   [4]int
+		tile [8][8]float32
+		ao   [8]int
 	)
-	for i := 0; i < m; i += 4 {
+	for i := 0; i < m; i += 8 {
 		for q := range ao {
 			ao[q] = min(i+q, m-1) * ri
 		}
@@ -127,9 +155,9 @@ func mulTiles(e *Exec, out, a, b F32, m, n, k int, aT, bT bool) bool {
 		// of its own; the ao[q] ascend, so the last row's last term bounds
 		// them all.
 		if k > 0 {
-			_ = a[ao[3]+(k-1)*rt]
+			_ = a[ao[7]+(k-1)*rt]
 		}
-		rows := min(4, m-i)
+		rows := min(8, m-i)
 		for j := 0; j < n; j += 8 {
 			tileTerms(&tile, a, &ao, rt, bp[j*k:][:8*k])
 			w := min(8, n-j)
@@ -138,7 +166,9 @@ func mulTiles(e *Exec, out, a, b F32, m, n, k int, aT, bT bool) bool {
 			}
 		}
 	}
-	copy(out, c)
+	if !apartA {
+		copy(out, c)
+	}
 	return true
 }
 
@@ -179,19 +209,48 @@ func packPanels(bp, b F32, n, k int, bT bool) {
 	}
 }
 
-// transpose stores the rows×cols matrix src into dst as cols×rows. dst is
-// written in order and src read down a column, 256 rows at a time: the lines
-// those reads touch (16 KiB) stay in L1 for the 15 columns that share them.
+// transpose stores the rows×cols matrix src into dst as cols×rows, in 8×8
+// blocks: a block reads eight runs of eight floats from eight src rows and
+// writes eight runs of eight to eight dst rows, every index proven in bounds
+// by its run's conversion to *[8]float32. The columns go in strips of 256, so
+// the 256 dst lines a strip writes stay in L1 while its blocks walk down the
+// rows and fill each line. The last rows%8 rows and cols%8 columns go one
+// element at a time.
 func transpose(dst, src F32, rows, cols int) {
-	const block = 256
-	for r0 := 0; r0 < rows; r0 += block {
-		r1 := min(r0+block, rows)
-		for c := 0; c < cols; c++ {
-			d, s := dst[c*rows+r0:c*rows+r1], src[r0*cols+c:]
-			for r := range d {
-				d[r] = s[r*cols]
+	const strip = 256
+	r8, c8 := rows&^7, cols&^7
+	for c0 := 0; c0 < c8; c0 += strip {
+		c1 := min(c0+strip, c8)
+		for r := 0; r < r8; r += 8 {
+			for c := c0; c < c1; c += 8 {
+				transpose8(dst[c*rows+r:], src[r*cols+c:], rows, cols)
 			}
 		}
+	}
+	for r := r8; r < rows; r++ {
+		for c, v := range src[r*cols:][:c8] {
+			dst[c*rows+r] = v
+		}
+	}
+	for c := c8; c < cols; c++ {
+		d := dst[c*rows:][:rows]
+		for r := range d {
+			d[r] = src[r*cols+c]
+		}
+	}
+}
+
+// transpose8 stores the 8×8 block at the start of src (row stride cols) into
+// dst (row stride rows) transposed.
+func transpose8(dst, src F32, rows, cols int) {
+	s0, s1 := (*[8]float32)(src), (*[8]float32)(src[cols:])
+	s2, s3 := (*[8]float32)(src[2*cols:]), (*[8]float32)(src[3*cols:])
+	s4, s5 := (*[8]float32)(src[4*cols:]), (*[8]float32)(src[5*cols:])
+	s6, s7 := (*[8]float32)(src[6*cols:]), (*[8]float32)(src[7*cols:])
+	for q := range s0 {
+		d := (*[8]float32)(dst[q*rows:])
+		d[0], d[1], d[2], d[3] = s0[q], s1[q], s2[q], s3[q]
+		d[4], d[5], d[6], d[7] = s4[q], s5[q], s6[q], s7[q]
 	}
 }
 
@@ -202,23 +261,29 @@ func transpose(dst, src F32, rows, cols int) {
 // carries into bit 32 exactly when it is non-zero.
 func nonZero(b uint32) int { return int((uint64(b<<1) + math.MaxUint32) >> 32) }
 
-// mulRows is C += A × B over row-major C[m×n], A[m×k], B[k×n], n > 0: each C
-// row gains a[t]·B[t,:] for every non-zero a[t] of its A row, t ascending. A
-// row's non-zero terms are first compacted, without a branch (after a ReLU
-// half of A is zero and no predictor guesses which half), a stretch of up to
-// 64 at a time, and rowTerms folds each stretch into the C row.
+// mulRows is C = A × B over row-major C[m×n], A[m×k], B[k×n], n > 0: each C
+// row is cleared just before its turn, so it is still in cache when it gains
+// a[t]·B[t,:] for every non-zero a[t] of its A row, t ascending. A row is read
+// a stretch of up to 64 terms at a time; each stretch's non-zero terms are
+// first compacted, without a branch (after a ReLU half of A is zero and no
+// predictor guesses which half), and rowTerms folds them into the C row.
 func mulRows(c, a, b F32, n, k int) {
+	const stretch = 64
 	var (
-		av [64]float32 // a stretch of the row's non-zero terms ...
-		at [64]int     // ... and where their B rows start
+		av [stretch]float32 // a stretch's non-zero terms ...
+		at [stretch]int     // ... and where their B rows start
 	)
 	for ; len(c) > 0; c, a = c[n:], a[k:] {
-		cr, ar := c[:n], a[:k]
-		for t := 0; t < k; {
-			nz := 0
-			for ; t < k && nz < len(av); t++ {
-				av[nz], at[nz] = ar[t], t*n
-				nz += nonZero(math.Float32bits(ar[t]))
+		cr := c[:n]
+		clear(cr)
+		for t0 := 0; t0 < k; t0 += stretch {
+			nz, bt := 0, t0*n
+			for _, v := range a[t0:min(t0+stretch, k)] {
+				// nz never passes the stretch's own index; the mask only
+				// proves it to the compiler.
+				av[nz&(stretch-1)], at[nz&(stretch-1)] = v, bt
+				nz += nonZero(math.Float32bits(v))
+				bt += n
 			}
 			if nz == 0 {
 				continue

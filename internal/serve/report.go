@@ -150,6 +150,23 @@ func (r *Result) AvgBatch() float64 {
 	return float64(r.BatchReqs) / float64(r.Batches)
 }
 
+// Fairness is Jain's index over the tenants' completed counts (Jain, Chiu and
+// Hawe, DEC-TR-301, 1984): (Σx)² / (n·Σx²). It is 1 when every tenant
+// completed as many requests as every other (nothing at all included) and
+// (n−1)/n when one of n tenants completed none and the rest the same.
+func (r *Result) Fairness() float64 {
+	var sum, sq float64
+	for _, t := range r.Tenants {
+		x := float64(t.Completed)
+		sum += x
+		sq += float64(x * x)
+	}
+	if sq == 0 {
+		return 1
+	}
+	return sum * sum / (float64(len(r.Tenants)) * sq)
+}
+
 // Conservation audits the run's flow balance, one line per violation (none
 // for a sound run): per tenant, offered = admitted + shed, admitted =
 // completed + failed, and zero duplicate completions.

@@ -277,3 +277,28 @@ func TestServeBadConfigs(t *testing.T) {
 		t.Error("more partitions than GPUs: want error")
 	}
 }
+
+// TestFairnessIsJainsIndex holds Result.Fairness to Jain's index at its two
+// reference points: equal completed counts give 1, and one of n tenants
+// starved while the rest complete the same gives (n−1)/n.
+func TestFairnessIsJainsIndex(t *testing.T) {
+	for n := 1; n <= 5; n++ {
+		var r serve.Result
+		for i := range n {
+			r.Tenants = append(r.Tenants, serve.TenantResult{Name: string(rune('a' + i)), Completed: 700})
+		}
+		if got := r.Fairness(); got != 1 {
+			t.Errorf("%d equal tenants: Fairness = %v, want 1", n, got)
+		}
+		if n < 2 {
+			continue
+		}
+		r.Tenants[n-1].Completed = 0
+		if got, want := r.Fairness(), float64(n-1)/float64(n); got != want {
+			t.Errorf("one of %d tenants starved: Fairness = %v, want %v", n, got, want)
+		}
+	}
+	if got := (&serve.Result{Tenants: make([]serve.TenantResult, 3)}).Fairness(); got != 1 {
+		t.Errorf("no tenant completed anything: Fairness = %v, want 1", got)
+	}
+}

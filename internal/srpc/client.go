@@ -170,7 +170,10 @@ func Connect(p *sim.Proc, owner *mos.Enclave, peerEID uint32, secret []byte, pee
 	}
 	wantMAC := dcheckMAC(secret, streamID, challenge)
 	if !macEqual(gotMAC, wantMAC) {
-		return nil, fmt.Errorf("srpc: dCheck failed — region not shared with the genuine peer")
+		// A proof keyed by another secret_dhke: the region is not shared
+		// with the genuine peer, or a relay answered each side of the
+		// create with its own DH half.
+		return nil, fmt.Errorf("srpc: dCheck failed — region not shared with the genuine peer: %w", attest.ErrTampered)
 	}
 
 	// ④ The normal world creates the executor thread on demand.
