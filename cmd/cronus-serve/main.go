@@ -232,8 +232,10 @@ func main() {
 		profile.Exit(1)
 	}
 	fmt.Print(res.Report())
-	// Jain's index over the tenants' completed counts: 1 is an equal share.
-	fmt.Printf("fairness: jain=%.4f over %d tenants' completed requests\n", res.Fairness(), len(res.Tenants))
+	// Jain's index over the tenants' completed counts, and the shortest
+	// tenant's count over the mean: 1 is an equal share.
+	fmt.Printf("fairness: jain=%.4f worst=%.4f over %d tenants' completed requests\n",
+		res.Fairness(), res.WorstShare(), len(res.Tenants))
 	if *attTickets {
 		// The admission-gate counters: how much of the dispatch volume rode
 		// a session-ticket resume (one MAC) versus a cold quote verification.

@@ -7,6 +7,7 @@ import (
 	"cronus/internal/baseline"
 	"cronus/internal/sim"
 	"cronus/internal/tvm"
+	"cronus/internal/workload"
 	"cronus/internal/workload/vtabench"
 )
 
@@ -83,6 +84,11 @@ type Fig10bRow struct {
 	CPULatency sim.Duration
 }
 
+// fig10bInputSeed is the seed of the input every Fig 10b inference runs on:
+// int8s in the weights' range [−3, 3], so the NPU's GEMMs multiply drawn
+// values rather than zeros. Latency counts cycles, not values.
+const fig10bInputSeed = 10
+
 // Figure10b reproduces the TVM inference latency comparison: ResNet18,
 // ResNet50 and YoloV3 on the (simulated) NPU under each system, plus the
 // CPU-enclave fallback.
@@ -106,6 +112,7 @@ func Figure10b() ([]Fig10bRow, error) {
 				return err
 			}
 			input := make([]byte, e.InLen)
+			workload.NewFiller(fig10bInputSeed).Int8s(input, -3, 3)
 			start := p.Now()
 			if _, err := e.Infer(p, input); err != nil {
 				return err

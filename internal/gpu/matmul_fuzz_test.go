@@ -12,23 +12,22 @@ import (
 	"cronus/internal/sim"
 )
 
-// matmulLeaf names the path MatmulFunc takes for C's width and B's contents.
-type matmulLeaf int
+// replay is what one replayMatmul run saw: the path matmul took, C's shape,
+// and whether B held an Inf or a NaN.
+type replay struct {
+	path       matmulPath
+	m, n       int
+	nonFiniteB bool
+}
 
-const (
-	leafTiles    matmulLeaf = iota // n ≤ narrowN, B finite: mulTiles
-	leafFallback                   // n ≤ narrowN, an Inf or a NaN in B: mulRows
-	leafRows                       // n > narrowN: mulRows
-)
-
-// replayMatmul decodes b into one matmul, runs MatmulFunc on it and compares
-// C with the textbook loop bit for bit; it returns the leaf taken and C's
-// shape. b[0]%3 picks the variant (f, tn, nt),
-// b[1], b[2] and b[3] mod 41 are M, N and K, and the bytes after them pick,
-// one each, the operands in storage order (A, then B): mod 16 they are +0,
-// −0, +1, −1, a subnormal, +Inf, −Inf, a NaN, or (8–15, and every operand
-// past the end of b) a normal draw from a generator seeded by the header.
-func replayMatmul(ctx *Context, b []byte) (leaf matmulLeaf, m, n int, err error) {
+// replayMatmul decodes b into one matmul, runs it and compares C with the
+// textbook loop bit for bit. b[0]%3 picks the variant (f, tn, nt), b[1], b[2]
+// and b[3] mod 41 are M, N and K, and the bytes after them pick, one each, the
+// operands in storage order (A, then B): mod 16 they are +0, −0, +1, −1, a
+// subnormal, +Inf, −Inf, a NaN, a finite value of at least 2¹²⁷ in magnitude
+// (15: two such products overflow a sum), or (8–14, and every operand past
+// the end of b) a normal draw from a generator seeded by the header.
+func replayMatmul(ctx *Context, b []byte) (r replay, err error) {
 	at := func(i int) byte {
 		if i < len(b) {
 			return b[i]
@@ -37,10 +36,7 @@ func replayMatmul(ctx *Context, b []byte) (leaf matmulLeaf, m, n int, err error)
 	}
 	aT, bT := at(0)%3 == 1, at(0)%3 == 2
 	m, n, k := int(at(1))%41, int(at(2))%41, int(at(3))%41
-	leaf = leafRows
-	if n <= narrowN {
-		leaf = leafTiles
-	}
+	r.m, r.n = m, n
 	var header [4]byte
 	copy(header[:], b)
 	rng := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint32(header[:]))))
@@ -62,6 +58,8 @@ func replayMatmul(ctx *Context, b []byte) (leaf matmulLeaf, m, n int, err error)
 			return float32(math.Inf(-1))
 		case 7:
 			return math.Float32frombits(rng.Uint32()&0x807fffff | 0x7f800001)
+		case 15:
+			return math.Float32frombits(rng.Uint32()&0x807fffff | 0x7f000000)
 		}
 		return float32(rng.NormFloat64())
 	}
@@ -71,9 +69,7 @@ func replayMatmul(ctx *Context, b []byte) (leaf matmulLeaf, m, n int, err error)
 	}
 	for i := range bs {
 		bs[i] = operand(at(4 + len(a) + i))
-		if leaf == leafTiles && (math.IsInf(float64(bs[i]), 0) || bs[i] != bs[i]) {
-			leaf = leafFallback
-		}
+		r.nonFiniteB = r.nonFiniteB || math.IsInf(float64(bs[i]), 0) || bs[i] != bs[i]
 	}
 
 	// The oracle: each C[i,j] from +0, adding a·b for every non-zero a of
@@ -112,42 +108,44 @@ func replayMatmul(ctx *Context, b []byte) (leaf matmulLeaf, m, n int, err error)
 	for _, v := range [][]float32{a, bs, make([]float32, m*n)} {
 		ptr, err := ctx.MemAlloc(uint64(4 * (len(v) + 1)))
 		if err != nil {
-			return leaf, m, n, err
+			return r, err
 		}
 		defer ctx.MemFree(ptr)
 		view, err := e.F32(ptr, len(v)+1)
 		if err != nil {
-			return leaf, m, n, err
+			return r, err
 		}
 		copy(view, v)
 		e.Args = append(e.Args, ptr)
 	}
 	c, err := e.F32(e.Args[2], m*n+1)
 	if err != nil {
-		return leaf, m, n, err
+		return r, err
 	}
 	for i := range c {
 		c[i] = math.Float32frombits(0x7fbadbad) // every element must be written
 	}
 	e.Args = append(e.Args, uint64(m), uint64(n), uint64(k))
-	if err := MatmulFunc(aT, bT)(e); err != nil {
-		return leaf, m, n, err
+	if r.path, err = matmul(e, aT, bT); err != nil {
+		return r, err
 	}
 	for i, w := range want {
 		g := c[i]
 		if math.Float32bits(g) == math.Float32bits(w) || twoNaNs[i] && g != g && w != w {
 			continue
 		}
-		return leaf, m, n, fmt.Errorf("aT=%v bT=%v %dx%dx%d: C[%d] = %#08x, the textbook loop gives %#08x",
+		return r, fmt.Errorf("aT=%v bT=%v %dx%dx%d: C[%d] = %#08x, the textbook loop gives %#08x",
 			aT, bT, m, n, k, i, math.Float32bits(g), math.Float32bits(w))
 	}
-	return leaf, m, n, nil
+	return r, nil
 }
 
 // matmulSeeds are FuzzMatmul's seed inputs: every variant through the tiles
-// (trailing groups of one to seven rows, one and two panels), the rows path
-// for a wide C of every width modulo eight, and the fallback for an Inf and
-// for a NaN in B.
+// over C and over Cᵀ (trailing groups of one to seven rows, short last
+// panels), the rows for a C of every width modulo eight (a short A: its
+// tiles would be mostly padding), a B with an Inf refused before the tiles
+// (K ≤ M), and a C made non-finite by a NaN in B or by overflowing sums
+// caught after them (K > M).
 func matmulSeeds() [][]byte {
 	seed := func(variant, m, n, k byte, classes ...byte) []byte {
 		return append([]byte{variant, m, n, k}, classes...)
@@ -161,14 +159,16 @@ func matmulSeeds() [][]byte {
 		seed(0, 4, 8, 0),
 		seed(2, 5, 20, 11, zeros...),
 		seed(0, 3, 40, 40),
-		seed(1, 11, 17, 9, zeros...),
-		seed(2, 3, 18, 21),
-		seed(0, 13, 19, 12, zeros...),
+		seed(1, 1, 17, 9, zeros...),
+		seed(1, 2, 18, 21),
+		seed(0, 1, 19, 12, zeros...),
+		seed(1, 2, 20, 14),
 		seed(1, 2, 21, 70),
-		seed(2, 5, 22, 6),
-		seed(0, 4, 23, 33, zeros...),
+		seed(2, 2, 22, 6),
+		seed(0, 1, 23, 33, zeros...),
 		seed(0, 5, 6, 3, append(bytes.Repeat([]byte{0, 8, 1}, 5), 8, 8, 5)...),    // +Inf in B opposite a ±0
-		seed(1, 2, 3, 4, append(bytes.Repeat([]byte{8, 0}, 4), 8, 8, 8, 8, 7)...), // a NaN in B
+		seed(1, 2, 3, 4, append(bytes.Repeat([]byte{8, 0}, 4), 8, 8, 8, 8, 7)...), // a NaN in B opposite a ±0
+		seed(0, 9, 6, 25, bytes.Repeat([]byte{15}, 9*25+25*6)...),                 // sums past 2¹²⁸
 	}
 }
 
@@ -182,7 +182,7 @@ func FuzzMatmul(f *testing.F) {
 	ctx := testGPU(sim.NewKernel()).CreateContext()
 	f.Fuzz(func(t *testing.T, b []byte) {
 		eachLeafBody(t, func(t *testing.T) {
-			if _, _, _, err := replayMatmul(ctx, b); err != nil {
+			if _, err := replayMatmul(ctx, b); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -191,48 +191,69 @@ func FuzzMatmul(f *testing.F) {
 
 // TestMatmulFuzzSeedsReachEveryLeaf requires FuzzMatmul's seeds, under each
 // body eachLeafBody picks and taken together, to hold every matmul to the
-// textbook loop and to reach a tile group of fewer than eight rows (M % 8 ≠ 0),
-// the rows path at every width modulo eight (the eight-lane loop alone, and
-// with the four-lane step and the scalar tail of every length after it), and
-// the fallback.
+// textbook loop and to reach every path matmul can take: tiles over C with a
+// group of fewer than eight rows (M % 8 ≠ 0); tiles over Cᵀ with such a group
+// (N % 8 ≠ 0) and a short last panel (M % 8 ≠ 0); the rows at every width
+// modulo eight (the eight-lane loop alone, and with the four-lane step and the
+// scalar tail of every length after it); a B with an Inf or a NaN refused
+// before the tiles; and a non-finite C caught after them, both from an Inf or
+// a NaN in B and from finite operands whose sums overflow.
 func TestMatmulFuzzSeedsReachEveryLeaf(t *testing.T) {
 	eachLeafBody(t, func(t *testing.T) {
 		ctx := testGPU(sim.NewKernel()).CreateContext()
 		var (
-			shortTile, fallback bool
-			rowTails            [8]bool
+			shortTile, shortTileT, shortPanelT bool
+			refused, redoneB, redoneSum        bool
+			rowTails                           [8]bool
 		)
 		for _, s := range matmulSeeds() {
-			leaf, m, n, err := replayMatmul(ctx, s)
+			r, err := replayMatmul(ctx, s)
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch leaf {
-			case leafTiles:
-				shortTile = shortTile || m%8 != 0
-			case leafFallback:
-				fallback = true
-			case leafRows:
-				rowTails[n%8] = true
+			switch r.path {
+			case pathTiles:
+				shortTile = shortTile || r.m%8 != 0
+			case pathTilesT:
+				shortTileT = shortTileT || r.n%8 != 0
+				shortPanelT = shortPanelT || r.m%8 != 0
+			case pathRefused:
+				refused = true
+			case pathRedone:
+				redoneB = redoneB || r.nonFiniteB
+				redoneSum = redoneSum || !r.nonFiniteB
+			case pathRows:
+				rowTails[r.n%8] = true
 			}
 		}
-		if !shortTile || !fallback || rowTails != [8]bool{true, true, true, true, true, true, true, true} {
-			t.Fatalf("tile with M %% 8 ≠ 0 %v, fallback %v, rows by N %% 8 %v", shortTile, fallback, rowTails)
+		if !shortTile || !shortTileT || !shortPanelT || !refused || !redoneB || !redoneSum ||
+			rowTails != [8]bool{true, true, true, true, true, true, true, true} {
+			t.Fatalf("tiles over C with M %% 8 ≠ 0 %v; over Cᵀ with N %% 8 ≠ 0 %v, M %% 8 ≠ 0 %v; "+
+				"B refused %v; C redone from B %v, from a sum %v; rows by N %% 8 %v",
+				shortTile, shortTileT, shortPanelT, refused, redoneB, redoneSum, rowTails)
 		}
 	})
 }
 
 // TestMatmulAliasedOperands holds MatmulFunc to the textbook loop when C's
 // memory meets A's or B's: C at A's start or B's, straddling either's middle,
-// and apart from both, for every variant on the tiles and on the rows, under
-// each body eachLeafBody picks. Every element outside C must keep its value.
+// and apart from both, for every variant, with B finite and with an Inf in
+// B, under each body eachLeafBody picks. The shapes take the tiles over C and
+// over Cᵀ, each with B checked before (K ≤ M) and C after (K > M), and the
+// rows; the rows, both tiles, the refused B and the redone C must each have
+// met C with A and with B, so the operand read in place (A over C, B over
+// Cᵀ) and the packed one are both overwritten somewhere, also when the rows
+// must then start over. Every element outside C must keep its value.
 func TestMatmulAliasedOperands(t *testing.T) {
 	eachLeafBody(t, func(t *testing.T) {
 		ctx := testGPU(sim.NewKernel()).CreateContext()
 		rng := rand.New(rand.NewSource(37))
-		for _, s := range []struct{ m, n, k int }{{9, 6, 9}, {12, 12, 12}, {5, 20, 20}, {17, 24, 7}} {
-			for variant := range 3 {
-				aT, bT := variant == 1, variant == 2
+		var meets [pathRedone + 1][2]bool // by path: C met A, C met B
+		for _, s := range []struct{ m, n, k int }{
+			{9, 6, 9}, {12, 12, 12}, {9, 6, 25}, {5, 20, 20}, {24, 40, 24}, {2, 24, 3},
+		} {
+			for variant := range 6 {
+				aT, bT, inf := variant%3 == 1, variant%3 == 2, variant >= 3
 				sa, sb, sc := s.m*s.k, s.k*s.n, s.m*s.n
 				oa, ob := 0, sa+3
 				for _, oc := range []int{oa, oa + sa/2, ob, ob + sb/2, ob + sb + 1} {
@@ -251,6 +272,9 @@ func TestMatmulAliasedOperands(t *testing.T) {
 						if rng.Intn(3) == 0 {
 							mem[i] = 0
 						}
+					}
+					if inf {
+						mem[ob+sb/3] = float32(math.Inf(1))
 					}
 					a, b := slices.Clone(mem[oa:][:sa]), slices.Clone(mem[ob:][:sb])
 					want := slices.Clone(mem)
@@ -273,9 +297,12 @@ func TestMatmulAliasedOperands(t *testing.T) {
 						}
 					}
 					e.Args = []uint64{ptr + uint64(4*oa), ptr + uint64(4*ob), ptr + uint64(4*oc), uint64(s.m), uint64(s.n), uint64(s.k)}
-					if err := MatmulFunc(aT, bT)(e); err != nil {
+					path, err := matmul(e, aT, bT)
+					if err != nil {
 						t.Fatal(err)
 					}
+					meets[path][0] = meets[path][0] || oc < oa+sa
+					meets[path][1] = meets[path][1] || oc+sc > ob && oc < ob+sb
 					for i, w := range want {
 						if math.Float32bits(mem[i]) != math.Float32bits(w) {
 							t.Fatalf("aT=%v bT=%v %dx%dx%d, C at %d (A at %d, B at %d): element %d = %v, want %v",
@@ -288,5 +315,57 @@ func TestMatmulAliasedOperands(t *testing.T) {
 				}
 			}
 		}
+		for _, p := range []matmulPath{pathRows, pathTiles, pathTilesT, pathRefused, pathRedone} {
+			if meets[p] != [2]bool{true, true} {
+				t.Fatalf("path %d: C met A %v, B %v", p, meets[p][0], meets[p][1])
+			}
+		}
 	})
+}
+
+// TestMatmulLeafKeepsTheMeasuredChoices holds matmulLeaf to the leaf that
+// forced-leaf timings found fastest on paper_figs launch shapes, every other
+// element of A zero as after a ReLU (a period a fixed-stride sample of A
+// would misread): the rows where skipping zero terms wins, the tiles
+// elsewhere, over Cᵀ exactly when M < N. A's values move the choice only
+// through its non-zero terms: f_32x128x256 takes the tiles on a dense A and
+// the rows on an all-zero one.
+func TestMatmulLeafKeepsTheMeasuredChoices(t *testing.T) {
+	half := func(n int) F32 {
+		a := make(F32, n)
+		for i := 0; i < n; i += 2 {
+			a[i] = 1
+		}
+		return a
+	}
+	for _, c := range []struct {
+		variant string
+		m, n, k int
+		want    matmulPath
+	}{
+		{"nt", 128, 288, 32, pathRows},
+		{"nt", 32, 576, 64, pathRows},
+		{"tn", 400, 120, 8, pathRows},
+		{"tn", 288, 32, 128, pathTiles},
+		{"f", 128, 32, 288, pathTiles},
+		{"nt", 1152, 25, 6, pathTiles},
+		{"tn", 576, 64, 32, pathTiles},
+		{"nt", 8, 400, 120, pathTilesT},
+		{"f", 20, 10, 800, pathTiles},
+		{"tn", 25, 6, 1152, pathTiles},
+	} {
+		if got := matmulLeaf(c.m, c.n, c.k, half(c.m*c.k), c.variant == "tn", c.variant == "nt"); got != c.want {
+			t.Errorf("%s_%dx%dx%d: path %d, want %d", c.variant, c.m, c.n, c.k, got, c.want)
+		}
+	}
+	dense := make(F32, 32*256)
+	for i := range dense {
+		dense[i] = 1
+	}
+	if got := matmulLeaf(32, 128, 256, dense, false, false); got != pathTilesT {
+		t.Errorf("f_32x128x256, dense A: path %d, want %d", got, pathTilesT)
+	}
+	if got := matmulLeaf(32, 128, 256, make(F32, 32*256), false, false); got != pathRows {
+		t.Errorf("f_32x128x256, zero A: path %d, want %d", got, pathRows)
+	}
 }

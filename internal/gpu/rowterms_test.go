@@ -198,9 +198,13 @@ func testTileTermsMatchPortable(t *testing.T) {
 
 // BenchmarkMatmulShapes runs MatmulFunc on the shapes that take most of a
 // paper_figs pass's matmul time, half of A zero as after a ReLU. A shape is
-// variant M×N×K: f is C = A·B, tn A stored K×M, nt B stored N×K. All but the
-// last are narrow (N ≤ 16, mulTiles); f_20x10x800 ends in a tile of four rows
-// repeating its last (M % 8 ≠ 0), and nt_8x400x120 is the wide control.
+// variant M×N×K: f is C = A·B, tn A stored K×M, nt B stored N×K. The shapes
+// were found by timing every launch of one pass by shape (launches and host
+// ms per pass) with a temporary timer around MatmulFunc, which is not kept.
+// They fall on both sides of matmulLeaf's choice: the rows for
+// nt_128x288x32, nt_32x576x64, tn_400x120x8 and f_8x120x400, tiles over Cᵀ
+// (M < N) for nt_8x400x120 and f_20x10x800, tiles over C for the rest;
+// f_20x10x800 also ends in a tile of four rows repeating its last.
 func BenchmarkMatmulShapes(b *testing.B) {
 	shapes := []struct {
 		variant string
@@ -216,6 +220,14 @@ func BenchmarkMatmulShapes(b *testing.B) {
 		{"f", 1024, 8, 72},
 		{"f", 20, 10, 800},
 		{"nt", 8, 400, 120},
+		{"nt", 1152, 25, 6},
+		{"tn", 288, 32, 128},
+		{"f", 128, 32, 288},
+		{"tn", 576, 64, 32},
+		{"tn", 400, 120, 8},
+		{"nt", 128, 288, 32},
+		{"nt", 32, 576, 64},
+		{"f", 8, 120, 400},
 	}
 	for _, s := range shapes {
 		b.Run(fmt.Sprintf("%s_%dx%dx%d", s.variant, s.m, s.n, s.k), func(b *testing.B) {

@@ -35,70 +35,94 @@ func FlopCost(frac float64, flops func(grid Dim, args []uint64) float64) func(fl
 // a, b, c, M, N, K. aT says A is stored K×M, bT that B is stored N×K. The
 // variants differ only in how the operands lie in memory: each C[i,j] adds its
 // K products in ascending t, skipping zero A elements, one multiply and one
-// add per product, so they all round like the textbook triple loop. C's width
-// picks the leaf: a C of at most narrowN columns is computed in register tiles
-// by mulTiles, which reads A where it lies, unless B holds an Inf or a NaN; a
-// wider C, and that fallback, go a row at a time through mulRows, which reads
-// A and an untransposed B where they lie and a transposed one after turning it
-// into the device arena. C is computed where it lies, unless its memory meets
-// an operand read where it lies: then it is built in the arena and copied out
-// after the compute, so C may alias A or B.
+// add per product, so they all round like the textbook triple loop. Each
+// launch takes the cheaper of two leaves by matmulLeaf: register tiles
+// (mulTiles), which pack the smaller operand and read the other where it
+// lies, or rows (mulRows), which skip zero A terms and read A and an
+// untransposed B where they lie and a transposed one after turning it into
+// the device arena. The tiles give way to the rows when B holds an Inf or a
+// NaN. C is computed where it lies, unless its memory meets an operand read
+// where it lies: then it is built in the arena and copied out after the
+// compute, so C may alias A or B.
 func MatmulFunc(aT, bT bool) func(*Exec) error {
 	return func(e *Exec) error {
-		m, n, k := e.Int(3), e.Int(4), e.Int(5)
-		a, err := e.F32(e.Arg(0), m, k)
-		if err != nil {
-			return err
-		}
-		b, err := e.F32(e.Arg(1), k, n)
-		if err != nil {
-			return err
-		}
-		out, err := e.F32(e.Arg(2), m, n)
-		if err != nil {
-			return err
-		}
-		if m == 0 || n == 0 {
-			return nil
-		}
-		// From here every loop bound and arena size is a dimension of a
-		// non-empty view, so the allocations the caller owns bound them all.
-		apartA := apart(e.Arg(2), m*n, e.Arg(0), m*k)
-		if n <= narrowN && mulTiles(e, out, a, b, m, n, k, aT, bT, apartA) {
-			return nil
-		}
-		// A transposed operand is read from the arena, so only one read
-		// where it lies can meet C.
-		inPlace := (aT || apartA) && (bT || apart(e.Arg(2), m*n, e.Arg(1), k*n))
-		size := 0
-		if !inPlace {
-			size += m * n
-		}
-		if aT {
-			size += m * k
-		}
-		if bT {
-			size += k * n
-		}
-		s := e.Scratch(size)
-		c := out
-		if !inPlace {
-			c, s = s[:m*n], s[m*n:]
-		}
-		if aT {
-			transpose(s[:m*k], a, k, m)
-			a, s = s[:m*k], s[m*k:]
-		}
-		if bT {
-			transpose(s, b, n, k)
-			b = s
-		}
-		mulRows(c, a, b, n, k)
-		if !inPlace {
-			copy(out, c)
-		}
-		return nil
+		_, err := matmul(e, aT, bT)
+		return err
 	}
+}
+
+// matmulPath is the way one launch computed C, which matmul reports so the
+// tests can tell every leaf and fallback apart.
+type matmulPath int
+
+const (
+	pathRows    matmulPath = iota // matmulLeaf chose the rows
+	pathTiles                     // mulTiles over C
+	pathTilesT                    // mulTiles over Cᵀ
+	pathRefused                   // tiles chosen, B not finite: the rows
+	pathRedone                    // the tiles made a non-finite C: the rows
+)
+
+// matmul is MatmulFunc's launch: it reports the path C took.
+func matmul(e *Exec, aT, bT bool) (matmulPath, error) {
+	m, n, k := e.Int(3), e.Int(4), e.Int(5)
+	a, err := e.F32(e.Arg(0), m, k)
+	if err != nil {
+		return pathRows, err
+	}
+	b, err := e.F32(e.Arg(1), k, n)
+	if err != nil {
+		return pathRows, err
+	}
+	out, err := e.F32(e.Arg(2), m, n)
+	if err != nil {
+		return pathRows, err
+	}
+	if m == 0 || n == 0 {
+		return pathRows, nil
+	}
+	// From here every loop bound and arena size is a dimension of a
+	// non-empty view, so the allocations the caller owns bound them all.
+	apartA := apart(e.Arg(2), m*n, e.Arg(0), m*k)
+	apartB := apart(e.Arg(2), m*n, e.Arg(1), k*n)
+	path := matmulLeaf(m, n, k, a, aT, bT)
+	if path != pathRows {
+		path = mulTiles(e, out, a, b, m, n, k, aT, bT, path == pathTilesT, apartA, apartB)
+		if path == pathTiles || path == pathTilesT {
+			return path, nil
+		}
+	}
+	// A transposed operand is read from the arena, so only one read
+	// where it lies can meet C.
+	inPlace := (aT || apartA) && (bT || apartB)
+	size := 0
+	if !inPlace {
+		size += m * n
+	}
+	if aT {
+		size += m * k
+	}
+	if bT {
+		size += k * n
+	}
+	s := e.Scratch(size)
+	c := out
+	if !inPlace {
+		c, s = s[:m*n], s[m*n:]
+	}
+	if aT {
+		transpose(s[:m*k], a, k, m)
+		a, s = s[:m*k], s[m*k:]
+	}
+	if bT {
+		transpose(s, b, n, k)
+		b = s
+	}
+	mulRows(c, a, b, n, k)
+	if !inPlace {
+		copy(out, c)
+	}
+	return path, nil
 }
 
 // apart reports whether the launch's views at device addresses p and q, of n
@@ -110,66 +134,183 @@ func apart(p uint64, n int, q uint64, m int) bool {
 	return n == 0 || m == 0 || p+4*uint64(n)-1 < q || q+4*uint64(m)-1 < p
 }
 
-// narrowN is the widest C that mulTiles computes, two panels of eight
-// columns: up to it every shape of BenchmarkMatmulShapes runs faster in tiles
-// than in rows; past it the rows' skipping of zero A terms starts to win on
-// some shapes (a 1152×25×6 nt, K = 6, runs slower in tiles at N = 25).
-const narrowN = 16
+// matmulLeaf picks the path a launch's C takes — pathRows, pathTiles or
+// pathTilesT — from estimates of each leaf's host time, in units of about
+// 1/20 ns, fitted to each leaf's timings, forced, on the launch shapes of a
+// paper_figs pass on an AVX host. The tiles pack the smaller operand: they
+// go over Cᵀ when M < N. They cost a fixed amount per 8×8 tile and per step
+// of t in it, whatever A holds, plus the pack, the stores (a tile of Cᵀ is
+// scattered a float at a time) and the finiteness check. The rows cost a
+// compaction step per A element, a setup per C row, and per non-zero A term
+// one pass over the C row in eight-wide vectors, a four-wide one and scalars,
+// plus the transposes of a transposed operand. Only the terms depend on A's
+// values: when the choice turns on them, their number is estimated from a
+// sample of A (sampleNonZero).
+func matmulLeaf(m, n, k int, a F32, aT, bT bool) matmulPath {
+	m64, n64, k64 := int64(m), int64(n), int64(k)
+	tiles := int64((m+7)/8) * int64((n+7)/8)
+	leaf, packed, store := pathTiles, int64((n+7)/8*8)*k64, 2*m64*n64
+	if m < n {
+		leaf, packed, store = pathTilesT, int64((m+7)/8*8)*k64, 14*m64*n64
+	}
+	checked := m64 * n64
+	if k <= m {
+		checked = k64 * n64
+	}
+	tileCost := (64*k64+500)*tiles + 6*packed + store + 7*checked
 
-// mulTiles computes C = op(A) × op(B) into out eight rows and one eight-column
-// panel at a time (tileTerms), B packed into the arena. C is written to out as
-// each tile is done when apartA says out and A share no memory, and otherwise
-// built in the arena before B's panels and copied out at the end. Every A term
-// is taken, zero or not, which is exact only against a finite B: ±0 times a
-// finite b is ±0, and adding ±0 to a sum that started at +0 changes no bit,
-// but ±0 times an Inf or a NaN is a NaN the textbook loop never makes. So it
-// reports false, having written nothing to out, when B holds an Inf or a NaN.
-// A trailing group of fewer than eight rows repeats row m−1 in its unused
-// places and copies out only its own rows.
-func mulTiles(e *Exec, out, a, b F32, m, n, k int, aT, bT, apartA bool) bool {
-	if !allFinite(b) {
-		return false
+	rowCost := 50*m64*k64 + 300*m64
+	if aT {
+		rowCost += 14 * m64 * k64
 	}
-	size := (n + 7) / 8 * 8 * k // B's panels
-	if !apartA {
-		size += m * n
+	if bT {
+		rowCost += 14 * k64 * n64
 	}
-	c, bp := out, e.Scratch(size)
-	if !apartA {
-		c, bp = bp[:m*n], bp[m*n:]
+	term := 4 + 9*int64(n/8+n%8/4+n%4) // rowTerms' steps along a C row
+	switch {
+	case tileCost <= rowCost: // the rows cost more with no term at all
+		return leaf
+	case tileCost >= rowCost+term*m64*k64: // the tiles cost more than every term
+		return pathRows
+	case tileCost < rowCost+term*sampleNonZero(a):
+		return leaf
 	}
-	packPanels(bp, b, n, k, bT)
-	ri, rt := k, 1 // op(A)[i,t] is a[i·ri + t·rt]
+	return pathRows
+}
+
+// sampleNonZero estimates the non-zero elements of a from at most 256 of
+// them: all of a short one, else those at ⌊frac(i·φ)·len(a)⌋ for i < 256,
+// φ the golden ratio in 32-bit fixed point. The points spread evenly over a,
+// and an irrational step keeps them out of step with any period of its
+// layout: a fixed stride could land on the same few columns of every row,
+// and a ReLU's dead channels zero whole columns.
+func sampleNonZero(a F32) int64 {
+	const samples = 256
+	if len(a) <= samples {
+		nz := 0
+		for _, v := range a {
+			nz += nonZero(math.Float32bits(v))
+		}
+		return int64(nz)
+	}
+	nz := 0
+	for i := range uint32(samples) {
+		nz += nonZero(math.Float32bits(a[uint64(i*0x9e3779b9)*uint64(len(a))>>32]))
+	}
+	return int64(len(a)) * int64(nz) / samples
+}
+
+// mulTiles computes C = op(A) × op(B) into out in 8×8 register tiles
+// (tileTerms) of D: C, or Cᵀ = op(B)ᵀ × op(A)ᵀ when overT. D's right operand
+// (op(B), or op(A) over Cᵀ) is packed into the arena as panels of eight
+// columns (packPanels), and its left one read where it lies. D is written to
+// out tile by tile when out meets no operand that may still be read, and is
+// otherwise built in the arena before the panels and copied out at the end.
+// Every A term is taken, zero or not, which is exact only against a finite
+// B: ±0 times a finite b is ±0, and adding ±0 to a sum that started at +0
+// changes no bit, but ±0 times an Inf or a NaN is a NaN the textbook loop
+// never makes. So B is checked on the cheaper side. When K ≤ M, B itself,
+// before the tiles: an Inf or a NaN returns pathRefused with nothing written.
+// Otherwise C, after them: an Inf or a NaN returns pathRedone, with out
+// perhaps overwritten but both operands intact, for the rows to compute C
+// again. Every term of a C column meets every element of its B column, so an
+// Inf or a NaN in B leaves its whole column non-finite, and a finite C proves
+// B finite. A trailing group of fewer than eight rows of D repeats its last
+// row in its unused places and stores only its own rows.
+func mulTiles(e *Exec, out, a, b F32, m, n, k int, aT, bT, overT, apartA, apartB bool) matmulPath {
+	checkB := k <= m
+	if checkB && !allFinite(b) {
+		return pathRefused
+	}
+	// D's row r, term t is s[r·ri + t·rt]; D[r, c] is d[r·dr + c·dc].
+	path, rows, cols := pathTiles, m, n
+	s, ri, rt := a, k, 1
 	if aT {
 		ri, rt = 1, m
+	}
+	dr, dc := n, 1
+	apartS, apartP := apartA, apartB
+	if overT {
+		path, rows, cols = pathTilesT, n, m
+		s, ri, rt = b, 1, n
+		if bT {
+			ri, rt = k, 1
+		}
+		dr, dc = 1, n
+		apartS, apartP = apartB, apartA
+	}
+	inArena := !apartS || !checkB && !apartP
+	size := (cols + 7) / 8 * 8 * k // the panels
+	if inArena {
+		size += m * n
+	}
+	d, pp := out, e.Scratch(size)
+	if inArena {
+		d, pp = pp[:m*n], pp[m*n:]
+	}
+	if path == pathTiles {
+		packPanels(pp, b, n, k, bT)
+	} else {
+		packPanels(pp, a, m, k, !aT)
 	}
 	var (
 		tile [8][8]float32
 		ao   [8]int
 	)
-	for i := 0; i < m; i += 8 {
+	for r := 0; r < rows; r += 8 {
 		for q := range ao {
-			ao[q] = min(i+q, m-1) * ri
+			ao[q] = min(r+q, rows-1) * ri
 		}
-		// tileTerms reads a[ao[q] + t·rt] for t < k without a bounds check
+		// tileTerms reads s[ao[q] + t·rt] for t < k without a bounds check
 		// of its own; the ao[q] ascend, so the last row's last term bounds
 		// them all.
 		if k > 0 {
-			_ = a[ao[7]+(k-1)*rt]
+			_ = s[ao[7]+(k-1)*rt]
 		}
-		rows := min(8, m-i)
-		for j := 0; j < n; j += 8 {
-			tileTerms(&tile, a, &ao, rt, bp[j*k:][:8*k])
-			w := min(8, n-j)
-			for q := range rows {
-				copy(c[(i+q)*n+j:][:w], tile[q][:w])
+		h := min(8, rows-r)
+		for c := 0; c < cols; c += 8 {
+			tileTerms(&tile, s, &ao, rt, pp[c*k:][:8*k])
+			storeTile(d[r*dr+c*dc:], &tile, h, min(8, cols-c), n, path == pathTilesT)
+		}
+	}
+	if !checkB && !allFinite(d) {
+		return pathRedone
+	}
+	if inArena {
+		copy(out, d)
+	}
+	return path
+}
+
+// storeTile writes the h×w corner of tile into C from d[0], C's rows n floats
+// apart: tile row q to C row q, or, when t (a tile of Cᵀ), to C column q.
+// A full tile row goes as one [8]float32 assignment.
+func storeTile(d F32, tile *[8][8]float32, h, w, n int, t bool) {
+	switch {
+	case !t && w == 8:
+		for q := range h {
+			*(*[8]float32)(d[q*n:]) = tile[q]
+		}
+	case !t:
+		for q := range h {
+			copy(d[q*n:][:w], tile[q][:w])
+		}
+	case h == 8:
+		// Element stores: an [8]float32 built first and stored whole would
+		// be read back from eight stores, which no store forwarding serves.
+		for x := range w {
+			col := (*[8]float32)(d[x*n:])
+			col[0], col[1], col[2], col[3] = tile[0][x], tile[1][x], tile[2][x], tile[3][x]
+			col[4], col[5], col[6], col[7] = tile[4][x], tile[5][x], tile[6][x], tile[7][x]
+		}
+	default:
+		for x := range w {
+			col := d[x*n:][:h]
+			for q := range col {
+				col[q] = tile[q][x]
 			}
 		}
 	}
-	if !apartA {
-		copy(out, c)
-	}
-	return true
 }
 
 // allFinite reports whether no element of x is an Inf or a NaN: those are the
@@ -183,28 +324,43 @@ func allFinite(x []float32) bool {
 	return carry>>31 == 0
 }
 
-// packPanels stores op(B) (k×n; B itself is n×k when bT) into bp as
-// ⌈n/8⌉ panels of k rows of eight floats: panel p row t is columns 8p…8p+7 of
-// op(B)'s row t, zero past column n−1 — no C column reads those lanes, but a
-// stale subnormal left there would slow every multiply by it. len(bp) ==
-// ⌈n/8⌉·8·k.
-func packPanels(bp, b F32, n, k int, bT bool) {
+// packPanels stores P (k×n: p[t·n + j], or p[j·k + t] when pT) into pp as
+// ⌈n/8⌉ panels of k rows of eight floats: panel i row t is columns 8i…8i+7 of
+// P's row t, zero past column n−1 — no C element reads those lanes, but a
+// stale subnormal left there would slow every multiply by it. len(pp) ==
+// ⌈n/8⌉·8·k. Rows of an untransposed P move as [8]float32s through a
+// local: assigned from array to array in memory, which may overlap, they
+// would each be a memmove call.
+func packPanels(pp, p F32, n, k int, pT bool) {
 	for j := 0; j < n; j += 8 {
-		panel, w := bp[j*k:][:8*k], min(8, n-j)
-		if bT {
+		panel, w := pp[j*k:][:8*k], min(8, n-j)
+		if pT {
 			clear(panel)
 			for jj := range w {
-				col := b[(j+jj)*k:][:k]
+				col := p[(j+jj)*k:][:k]
 				for t, v := range col {
 					panel[8*t+jj] = v
 				}
 			}
 			continue
 		}
-		for t := range k {
-			row := panel[8*t:][:8]
-			copy(row, b[t*n+j:][:w])
-			clear(row[w:])
+		// Eight floats from P's row, the lanes past w (the next row's) then
+		// zeroed in place; in a panel short of eight columns the last rows,
+		// whose eight would run past p, go a float at a time.
+		t := 0
+		for ; t < k && t*n+j+8 <= len(p); t++ {
+			src, row := *(*[8]float32)(p[t*n+j:]), (*[8]float32)(panel[8*t:])
+			*row = src
+			for x := w; x < 8; x++ {
+				row[x] = 0
+			}
+		}
+		for ; t < k; t++ {
+			row := (*[8]float32)(panel[8*t:])
+			*row = [8]float32{}
+			for x, v := range p[t*n+j:][:w] {
+				row[x] = v
+			}
 		}
 	}
 }

@@ -167,6 +167,27 @@ func (r *Result) Fairness() float64 {
 	return sum * sum / (float64(len(r.Tenants)) * sq)
 }
 
+// WorstShare is the fewest requests a tenant completed over the mean of all
+// tenants' completed counts: 1 when every tenant completed as many as every
+// other (nothing at all included) and 0 when one completed none while
+// another did. It names the short tenant Jain's index averages away: one of
+// four tenants 26% short of the other three leaves Fairness at 0.986 and
+// WorstShare at 0.79.
+func (r *Result) WorstShare() float64 {
+	var sum uint64
+	for _, t := range r.Tenants {
+		sum += t.Completed
+	}
+	if sum == 0 {
+		return 1
+	}
+	least := r.Tenants[0].Completed
+	for _, t := range r.Tenants {
+		least = min(least, t.Completed)
+	}
+	return float64(least) * float64(len(r.Tenants)) / float64(sum)
+}
+
 // Conservation audits the run's flow balance, one line per violation (none
 // for a sound run): per tenant, offered = admitted + shed, admitted =
 // completed + failed, and zero duplicate completions.

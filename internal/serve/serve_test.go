@@ -278,6 +278,33 @@ func TestServeBadConfigs(t *testing.T) {
 	}
 }
 
+// TestWorstShareIsTheShortestTenant holds Result.WorstShare to the fewest
+// completed requests over the mean: equal counts, no tenant and nothing
+// completed give 1, a starved tenant 0, and one of four tenants 26% short of
+// the other three 0.79, its count over the mean of the four.
+func TestWorstShareIsTheShortestTenant(t *testing.T) {
+	for _, c := range []struct {
+		completed []uint64
+		want      float64
+	}{
+		{nil, 1},
+		{[]uint64{0, 0, 0}, 1},
+		{[]uint64{700}, 1},
+		{[]uint64{700, 700, 700, 700}, 1},
+		{[]uint64{700, 0}, 0},
+		{[]uint64{100, 100, 100, 74}, 74 * 4 / 374.0},
+		{[]uint64{300, 100, 200}, 0.5},
+	} {
+		var r serve.Result
+		for i, x := range c.completed {
+			r.Tenants = append(r.Tenants, serve.TenantResult{Name: string(rune('a' + i)), Completed: x})
+		}
+		if got := r.WorstShare(); got != c.want {
+			t.Errorf("completed %v: WorstShare = %v, want %v", c.completed, got, c.want)
+		}
+	}
+}
+
 // TestFairnessIsJainsIndex holds Result.Fairness to Jain's index at its two
 // reference points: equal completed counts give 1, and one of n tenants
 // starved while the rest complete the same gives (n−1)/n.
