@@ -75,8 +75,8 @@ bench:
 # every refusal crossing a ring or the sealed channel goes through (a peer
 # writes its code, length and text), the NPU program decoder
 # (vtaRun payloads and NPU enclave images), the EDL parser whose table a
-# sealed call's name is resolved against, the manifest parser whose memory
-# cap the mEnclave manager enforces, and the remote-attestation verifier,
+# sealed call's name is resolved against, the manifest admission check and
+# memory cap the mEnclave manager enforces, and the remote-attestation verifier,
 # which must accept exactly the report the platform signed and refuse every
 # mutation of it with a typed sentinel — plus three that face no peer:
 # FuzzPSEngineRekey decodes bytes into a GPU-sharing schedule and holds the

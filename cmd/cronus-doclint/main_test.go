@@ -81,6 +81,7 @@ func TestPackageSections(t *testing.T) {
 		"internal/b/c/c.go":            {},
 		"internal/onlytests/x_test.go": {},
 		"internal/b/README.md":         {},
+		"internal/a/testdata/m/m.go":   {},
 	}
 	pkgs := packageDirs(fsys, "internal")
 	if strings.Join(pkgs, " ") != "internal/a internal/b/c" {

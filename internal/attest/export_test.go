@@ -5,3 +5,6 @@ package attest
 func MemoMisses() (derive, sign, verify uint64) {
 	return memo.misses[opDerive].Load(), memo.misses[opSign].Load(), memo.misses[opVerify].Load()
 }
+
+// Len is the number of live tickets.
+func (c *TicketCache) Len() int { return c.lru.Len() }

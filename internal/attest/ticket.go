@@ -119,9 +119,6 @@ func NewTicketCache(seed []byte, capacity int, ttl sim.Duration, reg *metrics.Re
 	}
 }
 
-// Len is the number of live tickets.
-func (c *TicketCache) Len() int { return c.lru.Len() }
-
 // seal MACs the ticket body (tenant ‖ meas ‖ epoch ‖ expires) under the cache
 // key. The result aliases c.tag: it is valid until the next seal. It allocates
 // nothing once the scratch fits the longest tenant name.

@@ -26,8 +26,8 @@ type CUDAOptions struct {
 	Name string
 	// Rings opens that many parallel sRPC streams to the enclave (default
 	// 1), each with its own executor thread, so independent batches never
-	// contend on one ring's doorbell. Ring(i) selects a stream; the
-	// zero-argument methods use ring 0.
+	// contend on one ring's doorbell. The methods use ring 0; only tests
+	// select another (Ring, in export_test.go).
 	Rings int
 	// ZCPayload, when positive, grants a zero-copy payload arena on every
 	// ring sized for fused ExecZC calls of up to this many bytes.
@@ -94,16 +94,6 @@ func (s *Session) OpenCUDA(p *sim.Proc, opts CUDAOptions) (*CUDAConn, error) {
 
 // Client exposes the underlying stream (stats, advanced use).
 func (c *CUDAConn) Client() *srpc.Client { return c.client }
-
-// Ring returns a view of the connection bound to stream i (mod its rings):
-// the same enclave, chunking and session, but calls issued through it travel
-// the selected ring and executor. Views share lifecycle with the parent —
-// Close/Abandon on the parent tears every ring down.
-func (c *CUDAConn) Ring(i int) *CUDAConn {
-	r := *c
-	r.client = c.rings[i%len(c.rings)]
-	return &r
-}
 
 // ExecZC pushes one fused zero-copy record on this ring: an HtoD of payload
 // to dst followed by a kernel launch, with completion (or the first error)

@@ -431,16 +431,16 @@ func onSystem(t testing.TB, system baseline.System, register func(), body func(p
 func TestVirtualTimeIgnoresValues(t *testing.T) {
 	variants := []struct {
 		name  string
-		apply func(tr *dnn.Trainer, ck *dnn.Checkpoint)
+		apply func(tr *dnn.Trainer, weights [][]float32)
 	}{
-		{"shipped init", func(*dnn.Trainer, *dnn.Checkpoint) {}},
-		{"other weight seed", func(_ *dnn.Trainer, ck *dnn.Checkpoint) {
+		{"shipped init", func(*dnn.Trainer, [][]float32) {}},
+		{"other weight seed", func(_ *dnn.Trainer, weights [][]float32) {
 			f := workload.NewFiller(1234)
-			for _, w := range ck.Weights {
+			for _, w := range weights {
 				f.Float32s(w, -0.05, 0.05)
 			}
 		}},
-		{"zero inputs", func(tr *dnn.Trainer, _ *dnn.Checkpoint) { tr.ZeroInputs() }},
+		{"zero inputs", func(tr *dnn.Trainer, _ [][]float32) { tr.ZeroInputs() }},
 	}
 	for _, system := range []baseline.System{baseline.Native, baseline.TrustZone, baseline.HIX, baseline.CRONUS} {
 		var times []sim.Duration
@@ -453,12 +453,12 @@ func TestVirtualTimeIgnoresValues(t *testing.T) {
 				}
 				// Every variant round-trips the weights, so the three runs
 				// issue the same stream before the timed steps as well.
-				ck, err := tr.Checkpoint(p)
+				w, err := tr.Weights(p)
 				if err != nil {
 					return err
 				}
-				v.apply(tr, ck)
-				if err := tr.Restore(p, ck); err != nil {
+				v.apply(tr, w)
+				if err := tr.SetWeights(p, w); err != nil {
 					return err
 				}
 				start := p.Now()

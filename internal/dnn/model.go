@@ -66,15 +66,6 @@ func (m *Model) initialWeights() [][]float32 {
 	return m.weights
 }
 
-// FLOPs returns the total forward FLOPs per iteration.
-func (m *Model) FLOPs(batch int) float64 {
-	var s float64
-	for _, l := range m.Layers {
-		s += l.FLOPs(batch)
-	}
-	return s
-}
-
 // String implements fmt.Stringer.
 func (m *Model) String() string {
 	return fmt.Sprintf("%s(%d layers, %s)", m.Name, len(m.Layers), m.Dataset)

@@ -39,11 +39,11 @@ func trainerWeights(model *dnn.Model) (w [][]byte, err error) {
 		if tr, err = nativeTrainer(p, model, 4); err != nil {
 			return
 		}
-		var ck *dnn.Checkpoint
-		if ck, err = tr.Checkpoint(p); err != nil {
+		var weights [][]float32
+		if weights, err = tr.Weights(p); err != nil {
 			return
 		}
-		for _, l := range ck.Weights {
+		for _, l := range weights {
 			w = append(w, gpu.Bytes(l))
 		}
 		for i := 0; i < 2 && err == nil; i++ {

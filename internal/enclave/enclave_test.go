@@ -1,7 +1,9 @@
 package enclave
 
 import (
+	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,18 +18,36 @@ func testFiles() map[string][]byte {
 	}
 }
 
+// TestManifestRoundTrip: the canonical encoding the measurement hashes
+// carries every field of the manifest, and decodes back to it; the manifest
+// NewManifest builds passes Check with its cap and VerifyImages.
 func TestManifestRoundTrip(t *testing.T) {
 	files := testFiles()
 	m := NewManifest("gpu", "mat.edl", "mat.cubin", files, Resources{Memory: "1G"})
-	data := m.Encode()
-	m2, err := ParseManifest(data)
-	if err != nil {
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(m.Encode(), &fields); err != nil {
 		t.Fatal(err)
 	}
-	if m2.DeviceType != "gpu" || m2.MECalls != "mat.edl" || m2.Image != "mat.cubin" {
-		t.Fatalf("parsed %+v", m2)
+	if n := reflect.TypeOf(m).NumField(); len(fields) != n {
+		t.Fatalf("Encode carries %d fields, Manifest has %d", len(fields), n)
 	}
-	if err := m2.VerifyImages(files); err != nil {
+	var back struct {
+		DeviceType string            `json:"device_type"`
+		Images     map[string]string `json:"images"`
+		MECalls    string            `json:"mecalls"`
+		Image      string            `json:"image"`
+		Resources  Resources         `json:"resources"`
+	}
+	if err := json.Unmarshal(m.Encode(), &back); err != nil {
+		t.Fatal(err)
+	}
+	if got := Manifest(back); !reflect.DeepEqual(got, m) {
+		t.Fatalf("decoded %+v, encoded %+v", got, m)
+	}
+	if memCap, err := m.Check(); err != nil || memCap != 1<<30 {
+		t.Fatalf("Check = %d, %v; want 1 GiB", memCap, err)
+	}
+	if err := m.VerifyImages(files); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -52,17 +72,22 @@ func TestManifestRejectsMissingImage(t *testing.T) {
 }
 
 func TestManifestValidation(t *testing.T) {
-	if _, err := ParseManifest([]byte(`{"device_type":"gpu"}`)); err == nil {
-		t.Fatal("manifest without mecalls accepted")
+	measured := map[string]string{"a.edl": "00", "a.so": "00"}
+	for _, tc := range []struct {
+		what string
+		m    Manifest
+	}{
+		{"no mecalls", Manifest{DeviceType: "gpu", Images: measured}},
+		{"no device type", Manifest{MECalls: "a.edl", Images: measured}},
+		{"unmeasured EDL", Manifest{DeviceType: "gpu", MECalls: "a.edl"}},
+		{"unmeasured image", Manifest{DeviceType: "cpu", MECalls: "a.edl", Image: "b.so", Images: measured}},
+	} {
+		if _, err := tc.m.Check(); !errors.Is(err, ErrManifest) {
+			t.Errorf("%s: Check = %v, want ErrManifest", tc.what, err)
+		}
 	}
-	if _, err := ParseManifest([]byte(`{"mecalls":"a.edl","images":{"a.edl":"00"}}`)); err == nil {
-		t.Fatal("manifest without device_type accepted")
-	}
-	if _, err := ParseManifest([]byte(`{"device_type":"gpu","mecalls":"a.edl","images":{}}`)); err == nil {
-		t.Fatal("manifest with unmeasured EDL accepted")
-	}
-	if _, err := ParseManifest([]byte(`not json`)); err == nil {
-		t.Fatal("garbage accepted")
+	if _, err := (Manifest{DeviceType: "cpu", MECalls: "a.edl", Image: "a.so", Images: measured}).Check(); err != nil {
+		t.Fatalf("a complete manifest refused: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/big"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -49,24 +50,44 @@ func FuzzEDL(f *testing.F) {
 	})
 }
 
-// FuzzManifest feeds arbitrary bytes to ParseManifest and the memory cap of
-// whatever it decoded to MemoryBytes, which the mEnclave manager enforces
-// (AllocShared). Neither may panic, and the cap must be exactly the count
-// times its suffix or be refused — never a value that wrapped at 2^64. The
-// seed corpus is under testdata/fuzz/FuzzManifest.
+// FuzzManifest builds a manifest from arbitrary fields — measured is the
+// comma-separated names Images lists — and holds Check, the Enclave Manager's
+// admission of a manifest, and MemoryBytes, whose cap it enforces
+// (AllocShared), to a model. Check must refuse with ErrManifest exactly when
+// the device type or EDL is missing or the EDL or image is not measured, and
+// otherwise return MemoryBytes' answer. Neither may panic, and the cap must
+// be exactly the count times its suffix or be refused — never a value that
+// wrapped at 2^64. The seed corpus is under testdata/fuzz/FuzzManifest.
 func FuzzManifest(f *testing.F) {
-	f.Add([]byte(`{"device_type":"gpu","images":{"cuda.edl":"00"},"mecalls":"cuda.edl","resources":{"memory":"128M"}}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, _ := ParseManifest(data)
+	f.Add("gpu", "cuda.edl", "mat.cubin", "cuda.edl,mat.cubin", "128M")
+	f.Fuzz(func(t *testing.T, device, mecalls, image, measured, memory string) {
+		m := Manifest{DeviceType: device, MECalls: mecalls, Image: image, Images: map[string]string{},
+			Resources: Resources{Memory: memory}}
+		for _, name := range strings.Split(measured, ",") {
+			m.Images[name] = "00"
+		}
 		got, err := m.Resources.MemoryBytes()
-		want, ok := exactCap(m.Resources.Memory)
+		want, ok := exactCap(memory)
 		switch {
 		case ok && want.IsUint64():
 			if err != nil || got != want.Uint64() {
-				t.Fatalf("cap %q = %d, %v; want %s", m.Resources.Memory, got, err, want)
+				t.Fatalf("cap %q = %d, %v; want %s", memory, got, err, want)
 			}
 		case err == nil:
-			t.Fatalf("cap %q = %d; want a refusal (exact value %v)", m.Resources.Memory, got, want)
+			t.Fatalf("cap %q = %d; want a refusal (exact value %v)", memory, got, want)
+		}
+
+		listed := func(name string) bool { return slices.Contains(strings.Split(measured, ","), name) }
+		admitted, checkErr := m.Check()
+		switch {
+		case device == "" || mecalls == "" || !listed(mecalls) || image != "" && !listed(image):
+			if !errors.Is(checkErr, ErrManifest) {
+				t.Fatalf("Check(%+v) = %d, %v; want ErrManifest", m, admitted, checkErr)
+			}
+		case errors.Is(checkErr, ErrManifest):
+			t.Fatalf("Check(%+v) refused a complete manifest: %v", m, checkErr)
+		case admitted != got || (checkErr == nil) != (err == nil):
+			t.Fatalf("Check(%+v) = %d, %v; MemoryBytes says %d, %v", m, admitted, checkErr, got, err)
 		}
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/bits"
 	"sort"
@@ -18,7 +19,8 @@ import (
 	"cronus/internal/attest"
 )
 
-// Resources caps what an mEnclave may consume in its partition.
+// Resources caps what an mEnclave may consume in its partition. The tag names
+// the field in Encode's canonical form.
 type Resources struct {
 	Memory string `json:"memory"` // e.g. "1G", "256M"
 }
@@ -56,41 +58,42 @@ func (r Resources) MemoryBytes() (uint64, error) {
 // Manifest describes one mEnclave, mirroring the paper's Figure 3.
 type Manifest struct {
 	// DeviceType selects the execution model: "cpu", "gpu" (CUDA) or "npu".
-	DeviceType string `json:"device_type"`
+	DeviceType string
 	// Images maps file names to hex SHA-256 digests. The mEnclave image
 	// (dynamic library / CUDA ELF / NPU program) and the EDL file must be
 	// listed here so they are covered by attestation.
-	Images map[string]string `json:"images"`
+	Images map[string]string
 	// MECalls names the EDL file (an entry of Images).
-	MECalls string `json:"mecalls"`
+	MECalls string
 	// Image names the main executable image (an entry of Images; may be
 	// empty for devices with fixed functions).
-	Image string `json:"image"`
+	Image string
 	// Resources caps resource usage.
-	Resources Resources `json:"resources"`
+	Resources Resources
 }
 
-// ParseManifest decodes a JSON manifest.
-func ParseManifest(data []byte) (Manifest, error) {
-	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("enclave: bad manifest: %w", err)
-	}
-	if m.DeviceType == "" {
-		return m, fmt.Errorf("enclave: manifest missing device_type")
-	}
-	if m.MECalls == "" {
-		return m, fmt.Errorf("enclave: manifest missing mecalls")
+// ErrManifest is Check's refusal of a manifest that does not describe a
+// loadable mEnclave.
+var ErrManifest = errors.New("enclave: bad manifest")
+
+// Check refuses a manifest with no device type or no EDL, or whose EDL or
+// image Images does not list — the Enclave Manager would load bytes that
+// VerifyImages never compared and the measurement never hashed — and returns
+// the manifest's memory cap.
+func (m Manifest) Check() (memCap uint64, err error) {
+	switch {
+	case m.DeviceType == "":
+		return 0, fmt.Errorf("%w: missing device type", ErrManifest)
+	case m.MECalls == "":
+		return 0, fmt.Errorf("%w: missing mecalls", ErrManifest)
 	}
 	if _, ok := m.Images[m.MECalls]; !ok {
-		return m, fmt.Errorf("enclave: EDL file %q not measured in images", m.MECalls)
+		return 0, fmt.Errorf("%w: EDL file %q not measured in images", ErrManifest, m.MECalls)
 	}
-	if m.Image != "" {
-		if _, ok := m.Images[m.Image]; !ok {
-			return m, fmt.Errorf("enclave: image %q not measured in images", m.Image)
-		}
+	if _, ok := m.Images[m.Image]; m.Image != "" && !ok {
+		return 0, fmt.Errorf("%w: image %q not measured in images", ErrManifest, m.Image)
 	}
-	return m, nil
+	return m.Resources.MemoryBytes()
 }
 
 // Encode serializes the manifest canonically (for measurement).

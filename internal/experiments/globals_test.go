@@ -3,9 +3,13 @@ package experiments
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"reflect"
 	"regexp"
@@ -143,6 +147,430 @@ func TestNoUnlistedPackageState(t *testing.T) {
 	if !found[asmFile] {
 		t.Errorf("%s is gone: delete the exception", asmFile)
 	}
+}
+
+// uncalledOK is every exported name under internal/ that no non-test file
+// references but another package's tests read — an oracle or a hook — keyed
+// as TestEveryExportHasACaller reports it, with the test that reads it.
+var uncalledOK = map[string]string{
+	"cluster.Fabric.Nodes":   "serve.TestOneNodeLinkIsLocal and chaos.TestRunNodeCrashFailover read the node count of the fabric a pool built",
+	"enclave.BuildEDL":       "the oracle of core.TestSessionEDLIsBuildEDLs and mos/driver.TestEDLTextIsBuildEDLs, and the EDL of the test enclaves of mos, srpc, ipc and normal",
+	"gpu.Device.MemUsed":     "device-memory oracle of core.TestCUDAMemFreeReturnsMemory, baseline.TestCloseGivesDeviceMemoryBack and mos.TestEnclaveKillRevokesGrantsAndDies",
+	"npu.Device.MemUsed":     "device-memory oracle of mos.TestEnclaveKillRevokesGrantsAndDies's NPU row",
+	"hw.DeviceTree.Frozen":   "spm.TestBootFreezesPlatform checks that boot freezes the device tree",
+	"hw.TZASC.Locked":        "spm.TestBootFreezesPlatform checks that boot locks the TZASC",
+	"hw.Machine.SecureBase":  "spm.TestDenialCarriesItsOwnPlatformClock aims a normal-world read at secure DRAM",
+	"hw.PhysMem.WatchCount":  "leak oracle of core.TestCrashPointSweepMemAllocFree and srpc.TestDoorbellPartialArmLeavesNoWatch",
+	"hw.Bus.RaiseIRQ":        "the genuine line mos.TestDeviceInterruptReachesDriver raises beside the spoof, whose hw twin is TestGICInterruptSpoofingRejected (DESIGN.md §7: devices complete by polled doorbell)",
+	"metrics.Counter.Value":  "spm.TestSMCChargesByKind counts world switches",
+	"mos/driver.accel.IRQs":  "mos.TestDeviceInterruptReachesDriver counts the interrupts the driver handled",
+	"normal.ErrDropped":      "the refusal the adversaries of normal.TestNormalOSMatrix, srpc.TestDroppedExecutorFailsEstablishment and experiments.TestTrainTenantsFailsLoudly return",
+	"sim.Proc.Resumes":       "srpc.TestBarrierResumesItsClientOnce and srpc.TestSidDoorbellMatchesResumedWaits count resumes",
+	"sim.Kernel.Dispatched":  "event-index oracle of core.TestCrashPointSweepLaunchSync and srpc.TestSidDoorbellMatchesResumedWaits",
+	"sim.Kernel.BeforeEvent": "the crash-point hook of core.TestCrashPointSweepLaunchSync and its siblings",
+	"spm.SPM.GrantsTo":       "leaked-grant oracle of core.TestCrashPointSweepLaunchSync, mos.TestMOSPanicRecoversPartition and srpc.TestClosedStreamsReturnTheirPages",
+	"trace.Collector.Events": "spm.TestFailTraceAndFailoverHistogram and spm.TestDenialCarriesItsOwnPlatformClock read the recorded events",
+	"wire.SetRecycleHook":    "core.TestBufferLifetimesUnderPoison poisons every recycled buffer",
+	"workload.NewFillerFrom": "dnn's export_test.go pins the filler for dnn.TestVirtualTimeIgnoresValues",
+}
+
+// awaitingCaller is every exported mechanism under internal/ that no non-test
+// file references yet, keyed to the open ROADMAP item that gives it one. The
+// set is closed: a new mechanism lands with its caller.
+var awaitingCaller = map[string]string{
+	"ipc.NewRegion":        "item 24: the hetero pipeline's GPU → NPU hand-off, or ipc is deleted",
+	"ipc.Region.Owner":     "item 24",
+	"ipc.Region.Peer":      "item 24",
+	"ipc.NewSpinLock":      "item 24",
+	"ipc.SpinLock.Lock":    "item 24",
+	"ipc.SpinLock.Unlock":  "item 24",
+	"ipc.NewPipe":          "item 24",
+	"ipc.Pipe.Write":       "item 24",
+	"ipc.Pipe.Read":        "item 24",
+	"ipc.Pipe.CloseWrite":  "item 24",
+	"gpu.CopyPeer":         "item 26c: Fig 11b's P2P all-reduce",
+	"gpu.Context.DtoD":     "item 26c: the all-reduce's on-device copies",
+	"dnn.Trainer.GradPtrs": "item 26c: the gradients Fig 11b's workers exchange",
+	"spm.SPM.UpdateMOS":    "item 28: re-attestation after an update to a listed or unlisted image",
+	"mos.Enclave.Kill":     "item 4: CUDAConn.Close destroying the callee mEnclave",
+	"sim.Kernel.Stats":     "item 12b: cronus-serve -report json carries it",
+}
+
+// callerTrees are the directories whose non-test files count as callers. bench/
+// is its own module (cronus/bench) but its import paths are the directory's,
+// so one scan type-checks it with the rest.
+var callerTrees = []string{"internal", "cmd", "examples", "bench"}
+
+// TestEveryExportHasACaller type-checks every package under callerTrees and
+// fails on an exported func, method, type, const or package var under
+// internal/ that no non-test file references outside its own declaration,
+// unless uncalledOK or awaitingCaller lists it, and on an entry of either that
+// is gone or has gained a caller. A method counts as called when it, or a
+// method promoted from it, implements an interface method, and a use of a
+// generic instance counts for its origin. A name with no caller looks like
+// coverage the reproduction does not have: delete it, or move it into the
+// export_test.go of the one package whose tests read it (DESIGN.md §26).
+func TestEveryExportHasACaller(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncalled, err := uncalledExports(root, callerTrees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, msg := range callerFindings(uncalled, uncalledOK, awaitingCaller) {
+		t.Error(msg)
+	}
+}
+
+// TestCallerScanFixture runs the scan on testdata/callers, a module whose
+// names exercise each rule: a method that implements an interface through an
+// embedding counts as called, a generic method called only through an
+// instantiation counts, a call from a _test.go file does not, a call from
+// bench/ does, and a table entry whose name has a caller is a finding.
+func TestCallerScanFixture(t *testing.T) {
+	root, err := repoRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncalled, err := uncalledExports(filepath.Join(root, "internal/experiments/testdata/callers"), callerTrees)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for name := range uncalled {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	if want := []string{"lib.Listed", "lib.TestOnly"}; !slices.Equal(names, want) {
+		t.Fatalf("uncalled %v, want %v", names, want)
+	}
+	findings := callerFindings(uncalled, map[string]string{"lib.Listed": "a hook", "lib.BenchOnly": "stale: bench/ calls it"}, nil)
+	if len(findings) != 2 || !strings.Contains(findings[0], "lib.TestOnly has no caller") ||
+		!strings.HasPrefix(findings[1], "uncalledOK lists lib.BenchOnly") {
+		t.Fatalf("findings:\n%s", strings.Join(findings, "\n"))
+	}
+}
+
+// callerFindings compares the uncalled names with the two tables: one line
+// per unlisted name, stale entry or name listed twice, sorted.
+func callerFindings(uncalled map[string]token.Position, ok, awaiting map[string]string) []string {
+	var out []string
+	for name, pos := range uncalled {
+		if ok[name] == "" && awaiting[name] == "" {
+			out = append(out, fmt.Sprintf("%s: %s has no caller outside tests: delete it, move it into its package's export_test.go, "+
+				"or list it in uncalledOK (a hook another package's tests read) or awaitingCaller (with the ROADMAP item that wires it)", pos, name))
+		}
+	}
+	for table, entries := range map[string]map[string]string{"uncalledOK": ok, "awaitingCaller": awaiting} {
+		for name := range entries {
+			if _, still := uncalled[name]; !still {
+				out = append(out, fmt.Sprintf("%s lists %s, which is gone or has a caller now: delete the entry", table, name))
+			}
+		}
+	}
+	for name := range ok {
+		if awaiting[name] != "" {
+			out = append(out, fmt.Sprintf("%s is in both uncalledOK and awaitingCaller: keep one", name))
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// uncalledExports type-checks the non-test files of every package under the
+// trees of the module at root and returns each exported func, method, type,
+// const and package var declared under root/internal that none of them
+// references, keyed "dir.Name" or "dir.Type.Method" with dir the package's
+// directory under internal/. Imports outside the module are type-checked from
+// GOROOT's sources, so the scan needs nothing but the toolchain.
+func uncalledExports(root string, trees []string) (map[string]token.Position, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	var modPath string
+	for _, line := range strings.Split(string(mod), "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			modPath = strings.TrimSpace(rest)
+		}
+	}
+	fset := token.NewFileSet()
+	s := &exportScan{
+		fset:    fset,
+		root:    root,
+		modPath: modPath,
+		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		pkgs:    make(map[string]*types.Package),
+	}
+	for _, tree := range trees {
+		err := filepath.WalkDir(filepath.Join(root, tree), func(path string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if name := d.Name(); name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			rel, _ := filepath.Rel(root, path)
+			_, err = s.load(modPath+"/"+filepath.ToSlash(rel), path)
+			return err
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	used := make(map[types.Object]bool)
+	var concrete []*types.Named
+	var ifaces []*types.Interface
+	seen := make(map[types.Type]bool)
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok && it.IsMethodSet() && it.NumMethods() > 0 && !seen[t] {
+			if n, ok := t.(*types.Named); !ok || n.TypeParams().Len() == 0 {
+				seen[t] = true
+				ifaces = append(ifaces, it)
+			}
+		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	dyn, err := parser.ParseFile(fset, "dynamic.go", dynamicIfaces, 0)
+	if err != nil {
+		return nil, err
+	}
+	dynPkg, err := new(types.Config).Check("dynamic", fset, []*ast.File{dyn}, nil)
+	if err != nil {
+		return nil, err
+	}
+	for _, name := range dynPkg.Scope().Names() {
+		addIface(dynPkg.Scope().Lookup(name).Type())
+	}
+	for _, c := range s.checked {
+		for _, imp := range c.pkg.Imports() {
+			if _, ours := s.dirOf(imp.Path()); ours {
+				continue
+			}
+			for _, name := range imp.Scope().Names() {
+				if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+					addIface(tn.Type())
+				}
+			}
+		}
+		for _, tv := range c.info.Types {
+			if _, ok := tv.Type.(*types.Interface); ok {
+				addIface(tv.Type)
+			}
+		}
+		// A name used inside its own declaration (recursion, a self-referencing
+		// type) or as a method receiver has no caller by that use.
+		own := make(map[types.Object][2]token.Pos)
+		recvIdents := make(map[*ast.Ident]bool)
+		for _, f := range c.files {
+			for _, decl := range f.Decls {
+				switch d := decl.(type) {
+				case *ast.FuncDecl:
+					own[c.info.Defs[d.Name]] = [2]token.Pos{d.Pos(), d.End()}
+					if d.Recv != nil {
+						ast.Inspect(d.Recv, func(n ast.Node) bool {
+							if id, ok := n.(*ast.Ident); ok {
+								recvIdents[id] = true
+							}
+							return true
+						})
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						if ts, ok := spec.(*ast.TypeSpec); ok {
+							own[c.info.Defs[ts.Name]] = [2]token.Pos{ts.Pos(), ts.End()}
+						}
+					}
+				}
+			}
+		}
+		for id, obj := range c.info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				obj = fn.Origin()
+			}
+			if span, ok := own[obj]; (ok && span[0] <= id.Pos() && id.Pos() < span[1]) || recvIdents[id] {
+				continue
+			}
+			used[obj] = true
+		}
+		for _, obj := range c.info.Defs {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			if n, ok := tn.Type().(*types.Named); ok {
+				if _, isIface := n.Underlying().(*types.Interface); isIface {
+					addIface(n)
+				} else if n.TypeParams().Len() == 0 {
+					concrete = append(concrete, n)
+				}
+			}
+		}
+	}
+	// A method that implements an interface method — directly or promoted
+	// through an embedded field — is called through the interface. Generic
+	// types and interfaces are left out: Implements is unspecified for an
+	// uninstantiated type.
+	for _, n := range concrete {
+		mset := types.NewMethodSet(types.NewPointer(n))
+		if mset.Len() == 0 {
+			continue
+		}
+		for _, it := range ifaces {
+			if !types.Implements(types.NewPointer(n), it) {
+				continue
+			}
+			for i := 0; i < it.NumMethods(); i++ {
+				m := it.Method(i)
+				if sel := mset.Lookup(m.Pkg(), m.Name()); sel != nil {
+					used[sel.Obj().(*types.Func).Origin()] = true
+				}
+			}
+		}
+	}
+
+	uncalled := make(map[string]token.Position)
+	internal := filepath.Join(root, "internal") + string(filepath.Separator)
+	for _, c := range s.checked {
+		if !strings.HasPrefix(c.dir+string(filepath.Separator), internal) {
+			continue
+		}
+		dir := filepath.ToSlash(strings.TrimPrefix(c.dir, internal))
+		for id, obj := range c.info.Defs {
+			if obj == nil || !obj.Exported() || used[obj] {
+				continue
+			}
+			key := dir + "." + id.Name
+			switch o := obj.(type) {
+			case *types.Func:
+				if recv := o.Type().(*types.Signature).Recv(); recv != nil {
+					base := recv.Type()
+					if p, ok := base.(*types.Pointer); ok {
+						base = p.Elem()
+					}
+					n, ok := base.(*types.Named)
+					if !ok || types.IsInterface(n) {
+						continue
+					}
+					key = dir + "." + n.Obj().Name() + "." + id.Name
+				} else if o.Parent() != c.pkg.Scope() {
+					continue
+				}
+			case *types.TypeName, *types.Const, *types.Var:
+				if obj.Parent() != c.pkg.Scope() {
+					continue
+				}
+			default:
+				continue
+			}
+			uncalled[key] = fset.Position(id.Pos())
+		}
+	}
+	return uncalled, nil
+}
+
+// dynamicIfaces are interfaces the standard library asserts on without
+// exporting them: errors.Is, errors.As and errors.Unwrap reach a wrapped
+// error's Unwrap, Is and As methods through these.
+const dynamicIfaces = `package dynamic
+
+type (
+	unwrapper      interface{ Unwrap() error }
+	multiUnwrapper interface{ Unwrap() []error }
+	iser           interface{ Is(error) bool }
+	aser           interface{ As(any) bool }
+)
+`
+
+// exportScan loads the module's packages for uncalledExports, each once, in
+// dependency order.
+type exportScan struct {
+	fset    *token.FileSet
+	root    string
+	modPath string
+	std     types.ImporterFrom
+	pkgs    map[string]*types.Package // nil while its imports load
+	checked []checkedPkg
+}
+
+type checkedPkg struct {
+	dir   string
+	pkg   *types.Package
+	info  *types.Info
+	files []*ast.File
+}
+
+// dirOf maps an import path of the module to its directory.
+func (s *exportScan) dirOf(path string) (string, bool) {
+	if path == s.modPath {
+		return s.root, true
+	}
+	rest, ok := strings.CutPrefix(path, s.modPath+"/")
+	return filepath.Join(s.root, filepath.FromSlash(rest)), ok
+}
+
+func (s *exportScan) Import(path string) (*types.Package, error) {
+	return s.ImportFrom(path, s.root, 0)
+}
+
+func (s *exportScan) ImportFrom(path, dir string, mode types.ImportMode) (*types.Package, error) {
+	if pkgDir, ok := s.dirOf(path); ok {
+		return s.load(path, pkgDir)
+	}
+	return s.std.ImportFrom(path, dir, mode)
+}
+
+// load type-checks the non-test files of dir that build.Default selects, or
+// returns nil if there are none.
+func (s *exportScan) load(path, dir string) (*types.Package, error) {
+	if pkg, seen := s.pkgs[path]; seen {
+		if pkg == nil {
+			return nil, fmt.Errorf("import cycle through %s", path)
+		}
+		return pkg, nil
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if match, err := build.Default.MatchFile(dir, name); err != nil || !match {
+			if err != nil {
+				return nil, err
+			}
+			continue
+		}
+		f, err := parser.ParseFile(s.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		return nil, nil
+	}
+	s.pkgs[path] = nil
+	info := &types.Info{
+		Types: make(map[ast.Expr]types.TypeAndValue),
+		Defs:  make(map[*ast.Ident]types.Object),
+		Uses:  make(map[*ast.Ident]types.Object),
+	}
+	conf := types.Config{Importer: s}
+	pkg, err := conf.Check(path, s.fset, files, info)
+	if err != nil {
+		return nil, err
+	}
+	s.pkgs[path] = pkg
+	s.checked = append(s.checked, checkedPkg{dir: dir, pkg: pkg, info: info, files: files})
+	return pkg, nil
 }
 
 // costFile defines sim.CostModel, its calibration and the helpers that price

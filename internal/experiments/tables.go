@@ -147,8 +147,8 @@ func PackageLoC() (*Table, error) {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		if path != root && strings.HasPrefix(d.Name(), ".") {
-			return filepath.SkipDir // .git, and the benchmark's build cache
+		if path != root && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir // .git, the benchmark's build cache, and fixtures
 		}
 		n, err := countGoLines(path)
 		if err != nil || n == 0 {

@@ -75,6 +75,3 @@ func (g *GIC) Raise(source string, irq int) error {
 	}
 	return nil
 }
-
-// Delivered returns how many times a line fired.
-func (g *GIC) Delivered(irq int) int { return g.delivered[irq] }

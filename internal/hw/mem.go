@@ -78,10 +78,6 @@ func NewPhysMem(size uint64, tzasc *TZASC) *PhysMem {
 	}
 }
 
-// Size returns the total physical address space size in bytes, 0 once the
-// memory is released.
-func (m *PhysMem) Size() uint64 { return m.size }
-
 // AddRegion registers a named allocatable region.
 func (m *PhysMem) AddRegion(name string, base PA, size uint64) {
 	m.regions[name] = &MemRegion{Name: name, Base: base, Size: size}
@@ -244,7 +240,7 @@ func (m *PhysMem) access(w World, pa PA, buf []byte, write bool) error {
 
 // WatchWrite registers fn to run after every guarded write that overlaps
 // [pa, pa+n) — a simulated doorbell on a physical range. Watches observe only
-// Write traffic: ScrubPage and allocator zeroing are privileged maintenance,
+// Write traffic: allocator zeroing is privileged maintenance,
 // not producer stores. The returned id (never zero) removes the watch through
 // Unwatch; watches fire in registration order so wakeup order is
 // deterministic.
@@ -315,10 +311,6 @@ func (m *PhysMem) Load64(pa PA) (v uint64, ok bool) {
 	}
 	return v, true
 }
-
-// ScrubPage zeroes a physical page regardless of world — used by the SPM's
-// failure-clearing logic (it runs at the highest privilege).
-func (m *PhysMem) ScrubPage(pa PA) { m.zeroPage(pa.PFN()) }
 
 // TZASC filters physical memory accesses by world, region by region
 // (the TrustZone Address Space Controller).
@@ -457,12 +449,6 @@ func (t *TZASC) CheckSpan(w World, pa PA) (spanEnd PA, err error) {
 		return 0, f
 	}
 	return end, nil
-}
-
-// IsSecure reports whether pa falls inside a secure region.
-func (t *TZASC) IsSecure(pa PA) bool {
-	secure, _ := t.lookup(pa)
-	return secure
 }
 
 // TZPC filters peripheral (MMIO) access by world (the TrustZone Protection

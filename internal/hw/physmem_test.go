@@ -51,8 +51,8 @@ func TestPhysMemBounds(t *testing.T) {
 	}
 
 	// Privileged maintenance past the end touches nothing and does not panic.
-	m.Mem.ScrubPage(PA(size))
-	m.Mem.ScrubPage(PA(^uint64(0)))
+	m.Mem.zeroPage(PA(size).PFN())
+	m.Mem.zeroPage(PA(^uint64(0)).PFN())
 	m.Mem.AddRegion("top", PA(^uint64(0)-4*PageSize+1), 4*PageSize)
 	for _, pa := range []PA{PA(size), PA(^uint64(0) - PageSize + 1)} {
 		if err := m.Mem.FreePage("secure", pa); err == nil {
@@ -155,7 +155,7 @@ func TestPhysMemMatchesMapOracle(t *testing.T) {
 				}
 			}
 		case op == 8: // scrub
-			m.Mem.ScrubPage(PA(pa))
+			m.Mem.zeroPage(PA(pa).PFN())
 			delete(oracle, pa>>PageShift)
 		default: // free a frame of whichever region holds it, or take one
 			region := "normal"

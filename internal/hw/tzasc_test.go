@@ -215,7 +215,7 @@ func TestWatchWrite(t *testing.T) {
 	if err := m.Mem.Read(NormalWorld, 16, make([]byte, 16)); err != nil {
 		t.Fatal(err)
 	}
-	m.Mem.ScrubPage(0)
+	m.Mem.zeroPage(0)
 	expect("overlap filtering", "w1", "w1", "w2")
 
 	// Unwatch removes the watch; a second Unwatch and the zero id are ignored.

@@ -1,0 +1,17 @@
+package metrics
+
+// Value returns the last value set.
+func (g *Gauge) Value() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.v.Load()
+}
+
+// Max returns the high-water mark.
+func (g *Gauge) Max() int64 {
+	if g == nil {
+		return 0
+	}
+	return g.max.Load()
+}

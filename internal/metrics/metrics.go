@@ -168,14 +168,6 @@ func (g *Gauge) Set(v int64) {
 	g.raise(v)
 }
 
-// Add adjusts the current value by delta.
-func (g *Gauge) Add(delta int64) {
-	if g == nil || !g.r.enabled.Load() {
-		return
-	}
-	g.raise(g.v.Add(delta))
-}
-
 func (g *Gauge) raise(v int64) {
 	for {
 		m := g.max.Load()
@@ -183,22 +175,6 @@ func (g *Gauge) raise(v int64) {
 			return
 		}
 	}
-}
-
-// Value returns the last value set.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// Max returns the high-water mark.
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.max.Load()
 }
 
 // Histogram accumulates samples into fixed power-of-two buckets: no

@@ -225,11 +225,11 @@ func TestNPUModelRunAndSync(t *testing.T) {
 		if _, err := call(m, p, driver.CallVTASync, nil); err != nil {
 			return err
 		}
-		out, err := call(m, p, driver.CallVTADtoH, driver.EncodeDtoH(addr, 16))
+		out, err := call(m, p, driver.CallVTADtoH, dtoh(addr, 16))
 		if err != nil {
 			return err
 		}
-		blob, err := driver.DecodeBlob(out)
+		blob, err := blobOf(out)
 		if err != nil || len(blob) != 16 {
 			t.Errorf("DtoH blob %d bytes, err=%v", len(blob), err)
 		}
@@ -245,7 +245,7 @@ func TestDriverEncodersDecoders(t *testing.T) {
 	// parses it.
 	args := driver.EncodeLaunch(new(wire.Encoder), "matmul", gpu.Dim{4, 5, 6}, 10, 20)
 	d := wire.NewDecoder(args)
-	if d.Str() != "matmul" {
+	if string(d.StrRef()) != "matmul" {
 		t.Fatal("kernel name mangled")
 	}
 	if d.U32() != 4 || d.U32() != 5 || d.U32() != 6 {
@@ -459,4 +459,17 @@ func TestEncodeInsnsAllocatesOnce(t *testing.T) {
 			t.Fatalf("instruction %d: decoded %+v, encoded %+v", i, back[i], insns[i])
 		}
 	}
+}
+
+// dtoh is cuMemcpyDtoH's arguments as a slice.
+func dtoh(src, n uint64) []byte {
+	head := driver.DtoHHead(src, n)
+	return head[:]
+}
+
+// blobOf reads a data reply's bytes (cuMemcpyDtoH).
+func blobOf(res []byte) ([]byte, error) {
+	d := wire.NewDecoder(res)
+	b := d.BlobRef()
+	return b, d.Err()
 }

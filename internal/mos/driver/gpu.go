@@ -179,12 +179,6 @@ func DtoHHead(src, n uint64) (head [16]byte) {
 	return head
 }
 
-// EncodeDtoH builds cuMemcpyDtoH arguments.
-func EncodeDtoH(src uint64, n uint64) []byte {
-	head := DtoHHead(src, n)
-	return head[:]
-}
-
 // EncodeMemAlloc builds cuMemAlloc arguments.
 func EncodeMemAlloc(n uint64) []byte { return wire.NewEncoder().U64(n).Bytes() }
 
@@ -196,11 +190,4 @@ func DecodePtr(res []byte) (uint64, error) {
 	d := wire.NewDecoder(res)
 	p := d.U64()
 	return p, d.Err()
-}
-
-// DecodeBlob reads a data reply (cuMemcpyDtoH).
-func DecodeBlob(res []byte) ([]byte, error) {
-	d := wire.NewDecoder(res)
-	b := d.Blob()
-	return b, d.Err()
 }

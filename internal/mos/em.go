@@ -82,14 +82,14 @@ func (em *EnclaveManager) Create(p *sim.Proc, name string, man enclave.Manifest,
 		return spm.Reply{}, nil, fmt.Errorf("mos: manifest device type %q does not match this mOS (%q) — %w",
 			man.DeviceType, em.mos.HAL.DeviceType(), ErrWrongPartition)
 	}
+	memCap, err := man.Check()
+	if err != nil {
+		return spm.Reply{}, nil, err
+	}
 	if err := man.VerifyImages(files); err != nil {
 		return spm.Reply{}, nil, err
 	}
 	edl, err := enclave.ParseEDL(files[man.MECalls])
-	if err != nil {
-		return spm.Reply{}, nil, err
-	}
-	memCap, err := man.Resources.MemoryBytes()
 	if err != nil {
 		return spm.Reply{}, nil, err
 	}

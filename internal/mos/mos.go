@@ -81,10 +81,6 @@ func Boot(p *sim.Proc, s *spm.SPM, part *spm.Partition, hal HAL) (*MOS, error) {
 	return m, nil
 }
 
-// Panic reports an unrecoverable mOS fault to the SPM, triggering the
-// proceed-trap recovery for this partition.
-func (m *MOS) Panic() { m.SPM.Fail(m.Part, spm.FailPanic) }
-
 // StartHeartbeat opts the partition into watchdog supervision and spawns
 // the heartbeat publisher: a registered mOS proc that allocates one
 // SPM-visible page, arms it as the partition's heartbeat word, and bumps

@@ -137,6 +137,27 @@ func TestWrongPartitionDispatchRejected(t *testing.T) {
 	}
 }
 
+// TestCreateRefusesUnmeasuredFiles: the normal world hands Create a manifest
+// whose image, or whose EDL, Images does not list, with the file's bytes
+// beside it. VerifyImages compares only the files Images lists, so without
+// Check the Enclave Manager would load bytes the measurement never hashed.
+func TestCreateRefusesUnmeasuredFiles(t *testing.T) {
+	err := core.Run(core.DefaultConfig(), func(pl *core.Platform, p *sim.Proc) error {
+		for _, file := range []string{"math.so", "math.edl"} {
+			man, files := cpuManifest()
+			delete(man.Images, file)
+			dh, _ := attest.NewDHKey([]byte("owner"))
+			if _, _, err := pl.CPUOS.EM.Create(p, "unmeasured", man, files, dh.Pub); !errors.Is(err, enclave.ErrManifest) {
+				t.Errorf("%s not in Images: Create err = %v, want enclave.ErrManifest", file, err)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // invoke runs one mECall through Enclave.Invoke and returns its encoded result.
 func invoke(e *mos.Enclave, p *sim.Proc, name string, args []byte) ([]byte, error) {
 	var res wire.Encoder
@@ -194,11 +215,11 @@ func TestCUDAEnclaveComputesOnGPU(t *testing.T) {
 		if _, err := invoke(e, p, driver.CallLaunch, driver.EncodeLaunch(new(wire.Encoder), "vec_add", gpu.Dim{4, 1, 1}, a, b, c)); err != nil {
 			return err
 		}
-		res, err := invoke(e, p, driver.CallDtoH, driver.EncodeDtoH(c, 16))
+		res, err := invoke(e, p, driver.CallDtoH, dtoh(c, 16))
 		if err != nil {
 			return err
 		}
-		blob, _ := driver.DecodeBlob(res)
+		blob, _ := blobOf(res)
 		got := gpu.UnpackF32(blob)
 		want := []float32{11, 22, 33, 44}
 		for i := range want {
@@ -540,4 +561,17 @@ func TestDeviceInterruptReachesDriver(t *testing.T) {
 			}
 		})
 	}
+}
+
+// dtoh is cuMemcpyDtoH's arguments as a slice.
+func dtoh(src, n uint64) []byte {
+	head := driver.DtoHHead(src, n)
+	return head[:]
+}
+
+// blobOf reads a data reply's bytes (cuMemcpyDtoH).
+func blobOf(res []byte) ([]byte, error) {
+	d := wire.NewDecoder(res)
+	b := d.BlobRef()
+	return b, d.Err()
 }

@@ -45,9 +45,6 @@ func NewPSEngine(k *Kernel, name string, capacity float64) *PSEngine {
 // Capacity returns the configured capacity in demand units.
 func (e *PSEngine) Capacity() float64 { return e.capacity }
 
-// Active returns the number of jobs currently executing.
-func (e *PSEngine) Active() int { return len(e.jobs) }
-
 // factor is the speed multiplier every active job currently runs at.
 func (e *PSEngine) factor() float64 {
 	total := 0.0

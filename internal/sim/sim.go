@@ -352,9 +352,6 @@ type Proc struct {
 	spanID  uint64
 }
 
-// Name returns the name the process was spawned with.
-func (p *Proc) Name() string { return p.name }
-
 // ID returns the process's stable identifier: its spawn order.
 func (p *Proc) ID() int { return p.id }
 

@@ -558,8 +558,8 @@ func TestPSEngineKilledJobLeavesEngine(t *testing.T) {
 	if survivorEnd < 1095 || survivorEnd > 1105 {
 		t.Fatalf("survivor end = %d, want ~1100", survivorEnd)
 	}
-	if e.Active() != 0 {
-		t.Fatalf("engine still has %d active jobs", e.Active())
+	if len(e.jobs) != 0 {
+		t.Fatalf("engine still has %d active jobs", len(e.jobs))
 	}
 }
 

@@ -141,14 +141,6 @@ func (m *Mailbox[T]) Recv(p *Proc) (v T, ok bool) {
 	}
 }
 
-// TryRecv dequeues a value without blocking.
-func (m *Mailbox[T]) TryRecv() (v T, ok bool) {
-	if m.items.Len() == 0 {
-		return v, false
-	}
-	return m.items.Pop(), true
-}
-
 // Resource is a counting resource (e.g., DMA engines, copy queues) with FIFO
 // admission: requests are granted strictly in arrival order.
 type Resource struct {

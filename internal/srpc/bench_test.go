@@ -38,7 +38,7 @@ func BenchmarkSRPCSyncCall(b *testing.B) {
 		if err != nil {
 			return err
 		}
-		args := driver.EncodeDtoH(ptr, 8)
+		args := dtoh(ptr, 8)
 		if _, err := c.Call(p, driver.CallDtoH, args); err != nil {
 			return err
 		}

@@ -547,9 +547,6 @@ func (c *Client) Close(p *sim.Proc) error {
 	return nil
 }
 
-// Dead reports whether the stream was torn down by a peer failure.
-func (c *Client) Dead() bool { return c.dead }
-
 // StreamID returns the transport-minted id of this stream (deterministic
 // 1,2,3,… per platform); chaos fault triggers are keyed on it.
 func (c *Client) StreamID() uint64 { return c.streamID }

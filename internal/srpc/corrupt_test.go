@@ -50,7 +50,7 @@ func TestRingCorruptionTypedError(t *testing.T) {
 		// Call 3 is synchronous: the hook corrupts Rid right after its
 		// record is pushed, so this caller blocks on a stream nobody will
 		// legitimately advance again.
-		_, err = c.Call(p, driver.CallDtoH, driver.EncodeDtoH(a, 64))
+		_, err = c.Call(p, driver.CallDtoH, dtoh(a, 64))
 		if !injected {
 			t.Fatal("corruption hook never fired")
 		}

@@ -154,3 +154,6 @@ func (c *Client) InjectRingCorruption(p *sim.Proc, mask uint64) error {
 	}
 	return nil
 }
+
+// Dead reports whether the stream was torn down by a peer failure.
+func (c *Client) Dead() bool { return c.dead }

@@ -151,11 +151,11 @@ func TestStreamEndToEndCompute(t *testing.T) {
 			return err
 		}
 		// Sync call returns the data (implicit streamCheck ordering).
-		res, err := c.Call(p, driver.CallDtoH, driver.EncodeDtoH(cc, 16))
+		res, err := c.Call(p, driver.CallDtoH, dtoh(cc, 16))
 		if err != nil {
 			return err
 		}
-		blob, _ := driver.DecodeBlob(res)
+		blob, _ := blobOf(res)
 		got := gpu.UnpackF32(blob)
 		want := []float32{6, 8, 10, 12}
 		for i := range want {
@@ -216,11 +216,11 @@ func TestOrderingPreservedAcrossAsyncCalls(t *testing.T) {
 				return err
 			}
 		}
-		out, err := c.Call(p, driver.CallDtoH, driver.EncodeDtoH(ptr, 4))
+		out, err := c.Call(p, driver.CallDtoH, dtoh(ptr, 4))
 		if err != nil {
 			return err
 		}
-		blob, _ := driver.DecodeBlob(out)
+		blob, _ := blobOf(out)
 		if v := gpu.UnpackF32(blob)[0]; v != 20 {
 			t.Errorf("final value %v, want 20 (RPCs reordered?)", v)
 		}
@@ -301,7 +301,7 @@ func TestOversizeResultIsTyped(t *testing.T) {
 		}
 		ptr, _ := driver.DecodePtr(res)
 		// Call reserves 4 KiB for a result; 8 KiB of DtoH overflows its record.
-		_, err = c.Call(p, driver.CallDtoH, driver.EncodeDtoH(ptr, 8<<10))
+		_, err = c.Call(p, driver.CallDtoH, dtoh(ptr, 8<<10))
 		var ce *mos.CallError
 		if !errors.Is(err, mos.ErrResultTooLarge) || !errors.As(err, &ce) || ce.Name != driver.CallDtoH {
 			t.Errorf("oversize DtoH: %v, want the %s refusal carrying %v", err, driver.CallDtoH, mos.ErrResultTooLarge)
@@ -328,11 +328,11 @@ func TestLargePayloadSpansSlots(t *testing.T) {
 		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(ptr, payload)); err != nil {
 			return err
 		}
-		out, err := c.CallSyncCap(p, driver.CallDtoH, driver.EncodeDtoH(ptr, uint64(len(payload))), len(payload)+64)
+		out, err := c.CallSyncCap(p, driver.CallDtoH, dtoh(ptr, uint64(len(payload))), len(payload)+64)
 		if err != nil {
 			return err
 		}
-		blob, _ := driver.DecodeBlob(out)
+		blob, _ := blobOf(out)
 		if len(blob) != len(payload) {
 			t.Fatalf("got %d bytes back, want %d", len(blob), len(payload))
 		}
@@ -526,7 +526,7 @@ func TestEnclaveFailureNotifiesOwner(t *testing.T) {
 		// grant is owned by mE_A; enclave-level kill revokes via the EM.
 		srv := h.pl.Server(h.eidB)
 		srv.Enclave().Kill(p)
-		_, err = c.Call(p, driver.CallDtoH, driver.EncodeDtoH(0, 4))
+		_, err = c.Call(p, driver.CallDtoH, dtoh(0, 4))
 		if err == nil {
 			t.Error("call to killed enclave succeeded")
 		}
@@ -582,16 +582,16 @@ func TestTwoStreamsOneCalleeInterleave(t *testing.T) {
 		p2, _ := driver.DecodePtr(r2)
 		c1.Call(p, driver.CallHtoD, driver.EncodeHtoD(p1, gpu.Bytes([]float32{1, 1, 1, 1})))
 		c2.Call(p, driver.CallHtoD, driver.EncodeHtoD(p2, gpu.Bytes([]float32{2, 2, 2, 2})))
-		o1, err := c1.Call(p, driver.CallDtoH, driver.EncodeDtoH(p1, 16))
+		o1, err := c1.Call(p, driver.CallDtoH, dtoh(p1, 16))
 		if err != nil {
 			return err
 		}
-		o2, err := c2.Call(p, driver.CallDtoH, driver.EncodeDtoH(p2, 16))
+		o2, err := c2.Call(p, driver.CallDtoH, dtoh(p2, 16))
 		if err != nil {
 			return err
 		}
-		b1, _ := driver.DecodeBlob(o1)
-		b2, _ := driver.DecodeBlob(o2)
+		b1, _ := blobOf(o1)
+		b2, _ := blobOf(o2)
 		if gpu.UnpackF32(b1)[0] != 1 || gpu.UnpackF32(b2)[0] != 2 {
 			t.Error("streams interfered with each other")
 		}
@@ -721,11 +721,11 @@ func TestDuplicateExecutorSpawnIsHarmless(t *testing.T) {
 		if _, err := c.Call(p, driver.CallHtoD, driver.EncodeHtoD(ptr, gpu.Bytes([]float32{43}))); err != nil {
 			return err
 		}
-		out, err := c.Call(p, driver.CallDtoH, driver.EncodeDtoH(ptr, 4))
+		out, err := c.Call(p, driver.CallDtoH, dtoh(ptr, 4))
 		if err != nil {
 			return err
 		}
-		blob, _ := driver.DecodeBlob(out)
+		blob, _ := blobOf(out)
 		if v := gpu.UnpackF32(blob)[0]; v != 43 {
 			t.Errorf("value %v after duplicate-executor attack, want 43", v)
 		}
@@ -766,11 +766,11 @@ func TestStreamRandomOpsProperty(t *testing.T) {
 			case 3: // sync read + compare
 				n := 1 + rng.Intn(20<<10)
 				off := rng.Intn(bufSize - n)
-				out, err := c.CallSyncCap(p, driver.CallDtoH, driver.EncodeDtoH(ptr+uint64(off), uint64(n)), n+64)
+				out, err := c.CallSyncCap(p, driver.CallDtoH, dtoh(ptr+uint64(off), uint64(n)), n+64)
 				if err != nil {
 					return fmt.Errorf("op %d read: %w", op, err)
 				}
-				blob, err := driver.DecodeBlob(out)
+				blob, err := blobOf(out)
 				if err != nil {
 					return err
 				}
@@ -784,11 +784,11 @@ func TestStreamRandomOpsProperty(t *testing.T) {
 			}
 		}
 		// Final full comparison.
-		out, err := c.CallSyncCap(p, driver.CallDtoH, driver.EncodeDtoH(ptr, bufSize), bufSize+64)
+		out, err := c.CallSyncCap(p, driver.CallDtoH, dtoh(ptr, bufSize), bufSize+64)
 		if err != nil {
 			return err
 		}
-		blob, _ := driver.DecodeBlob(out)
+		blob, _ := blobOf(out)
 		if !bytes.Equal(blob, shadow) {
 			t.Fatal("final device state diverged from the shadow")
 		}
@@ -959,4 +959,17 @@ func TestClosedStreamsReturnTheirPages(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// dtoh is cuMemcpyDtoH's arguments as a slice.
+func dtoh(src, n uint64) []byte {
+	head := driver.DtoHHead(src, n)
+	return head[:]
+}
+
+// blobOf reads a data reply's bytes (cuMemcpyDtoH).
+func blobOf(res []byte) ([]byte, error) {
+	d := wire.NewDecoder(res)
+	b := d.BlobRef()
+	return b, d.Err()
 }

@@ -57,11 +57,11 @@ func TestZeroCopyFusedExec(t *testing.T) {
 		if notifyErr != nil {
 			return fmt.Errorf("fused exec failed: %w", notifyErr)
 		}
-		res, err := c.Call(p, driver.CallDtoH, driver.EncodeDtoH(cc, 16))
+		res, err := c.Call(p, driver.CallDtoH, dtoh(cc, 16))
 		if err != nil {
 			return err
 		}
-		blob, _ := driver.DecodeBlob(res)
+		blob, _ := blobOf(res)
 		got := gpu.UnpackF32(blob)
 		want := []float32{6, 8, 10, 12}
 		for i := range want {
@@ -130,11 +130,11 @@ func TestZeroCopyArenaRotation(t *testing.T) {
 		}
 		// The executor runs records strictly in order, so the last fused
 		// HtoD to land in a must carry the last payload.
-		res, err := c.Call(p, driver.CallDtoH, driver.EncodeDtoH(a, 16))
+		res, err := c.Call(p, driver.CallDtoH, dtoh(a, 16))
 		if err != nil {
 			return err
 		}
-		blob, _ := driver.DecodeBlob(res)
+		blob, _ := blobOf(res)
 		got := gpu.UnpackF32(blob)
 		for i := range got {
 			if got[i] != float32(calls-1) {

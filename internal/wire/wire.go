@@ -4,7 +4,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -80,9 +79,6 @@ func (e *Encoder) U64(v uint64) *Encoder {
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, v)
 	return e
 }
-
-// I64 appends an int64.
-func (e *Encoder) I64(v int64) *Encoder { return e.U64(uint64(v)) }
 
 // Str appends a length-prefixed string.
 func (e *Encoder) Str(s string) *Encoder {
@@ -167,12 +163,6 @@ func (d *Decoder) Count(size int) int {
 	return int(n)
 }
 
-// I64 reads an int64.
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// Str reads a length-prefixed string.
-func (d *Decoder) Str() string { return string(d.StrRef()) }
-
 // StrRef reads a length-prefixed string WITHOUT copying it: the result aliases
 // the decoder's buffer under BlobRef's lifetime rule. It is for a name that
 // is only compared or looked up (Names.Intern) before the buffer is reused.
@@ -181,16 +171,12 @@ func (d *Decoder) StrRef() []byte {
 	return d.take(int(n))
 }
 
-// Blob reads a length-prefixed byte string (copied): the result is the
-// caller's to keep and to modify.
-func (d *Decoder) Blob() []byte { return bytes.Clone(d.BlobRef()) }
-
 // BlobRef reads a length-prefixed byte string WITHOUT copying it: the result
 // aliases the decoder's buffer and is only valid while that buffer is — for a
 // message decoded out of a recycled staging buffer, until the buffer's owner
 // reuses it. Its capacity is clamped to its length, so an append by the
 // holder reallocates instead of writing over the bytes that follow the blob
-// in the message. Use Blob when the bytes must outlive the message.
+// in the message. Clone it when the bytes must outlive the message.
 func (d *Decoder) BlobRef() []byte {
 	n := d.U32()
 	b := d.take(int(n))
