@@ -440,3 +440,116 @@ func TestHandshakeCrashBeforeArenaShareAbandonsRing(t *testing.T) {
 func TestHandshakeCrashInArenaHeaderRevokesArena(t *testing.T) {
 	holdHandshakeCrash(t, isPeerFailed, 17, 18, 19)
 }
+
+// runNPUCrashPoint boots a fresh platform and a session with one NPU stream
+// open, then opens a second stream to npu-part0 beside it and runs a MemAlloc,
+// an HtoD and a Sync on it — crashing npu-part0 before the at-th event of
+// that call unless at is 0. The call must return nil, ErrPeerFailed or
+// *spm.NotReadyError; once the partition is back and both streams are closed,
+// the session's enclave must hold the trusted pages it held before the first
+// opening, and the run must drain to quiescence.
+func runNPUCrashPoint(at uint64) crashPoint {
+	var cp crashPoint
+	fail := func(format string, args ...any) { cp.violations = append(cp.violations, fmt.Sprintf(format, args...)) }
+	k := sim.NewKernel()
+	defer k.Shutdown()
+	k.Spawn("main", func(p *sim.Proc) {
+		pl, err := core.BuildPlatform(p, core.DefaultConfig())
+		if err != nil {
+			fail("setup: %v", err)
+			return
+		}
+		part := pl.NPUs[0].Part
+		sess, err := pl.NewSession(p, "npu-sweep")
+		if err != nil {
+			fail("setup: %v", err)
+			return
+		}
+		memUsed := sess.Owner().MemUsed()
+		first, err := sess.OpenNPU(p, core.NPUOptions{Name: "npu-sweep/a"})
+		if err != nil {
+			fail("setup: %v", err)
+			return
+		}
+		streams := []*core.NPUConn{first}
+		start := k.Dispatched()
+		if at > 0 {
+			k.BeforeEvent(start+at, func() {
+				cp.fired = true
+				pl.SPM.Fail(part, spm.FailPanic)
+			})
+		}
+		cp.err = func() error {
+			second, err := sess.OpenNPU(p, core.NPUOptions{Name: "npu-sweep/b"})
+			if err != nil {
+				return err
+			}
+			streams = append(streams, second)
+			buf, err := second.MemAlloc(p, 256)
+			if err == nil {
+				err = second.HtoD(p, buf, ramp(64, 1))
+			}
+			if err == nil {
+				err = second.Sync(p)
+			}
+			return err
+		}()
+		cp.events = k.Dispatched() - start
+		k.BeforeEvent(0, nil)
+		if cp.err != nil && !isPeerFailed(cp.err) && !isNotReady(cp.err) {
+			fail("the call returned %v, not nil, ErrPeerFailed or NotReadyError", cp.err)
+		}
+		if at > 0 {
+			if err := pl.SPM.AwaitReady(p, part); err != nil {
+				fail("npu-part0 did not recover: %v", err)
+				return
+			}
+		}
+		for _, s := range streams {
+			if err := s.Close(p); err != nil {
+				fail("close: %v", err)
+			}
+		}
+		if got := sess.Owner().MemUsed(); got != memUsed {
+			fail("the session's enclave holds %d bytes of trusted pages with every stream closed, %d before the first opening", got, memUsed)
+		}
+	})
+	if err := k.Run(); err != nil {
+		fail("the run did not reach quiescence: %v", err)
+	}
+	return cp
+}
+
+// TestCrashPointSweepNPUOpenAllocHtoD crashes npu-part0 before every event of
+// an OpenNPU beside an open NPU stream, a MemAlloc, an HtoD and a Sync.
+func TestCrashPointSweepNPUOpenAllocHtoD(t *testing.T) {
+	clean := runNPUCrashPoint(0)
+	if clean.err != nil || len(clean.violations) > 0 {
+		t.Fatalf("clean run: err %v, %v", clean.err, clean.violations)
+	}
+	n := clean.events
+	if n < 4 {
+		t.Fatalf("the clean call dispatched %d events: a vacuous sweep", n)
+	}
+	held, peerFailed, notReady := 0, 0, 0
+	for at := uint64(1); at <= n; at++ {
+		cp := runNPUCrashPoint(at)
+		if !cp.fired {
+			t.Errorf("crash point %d of %d: the armed crash never fired", at, n)
+		}
+		switch {
+		case isPeerFailed(cp.err):
+			peerFailed++
+		case isNotReady(cp.err):
+			notReady++
+		}
+		for _, v := range cp.violations {
+			t.Errorf("crash point %d of %d: %s", at, n, v)
+		}
+		if cp.fired && len(cp.violations) == 0 {
+			held++
+		}
+	}
+	t.Logf("%d of %d crash points hold (calls returned ErrPeerFailed %d, NotReadyError %d, nil %d)",
+		held, n, peerFailed, notReady, int(n)-peerFailed-notReady)
+}

@@ -79,7 +79,6 @@ type Platform struct {
 	GPUs  []GPUNode
 	NPUs  []NPUNode
 
-	Service  *attest.Service
 	Verifier *attest.Verifier
 
 	// gates are the partitions' SMC handlers, in boot order; servers the
@@ -182,8 +181,8 @@ func BuildNode(p *sim.Proc, cfg Config, node int) (*Platform, error) {
 
 	pl := &Platform{
 		K: k, M: m, SPM: s, D: normal.NewDispatcher(s), Costs: costs,
-		Service: svc, Verifier: verifier,
-		salt: salt, servers: make(map[uint32]*srpc.Server),
+		Verifier: verifier,
+		salt:     salt, servers: make(map[uint32]*srpc.Server),
 	}
 	if pl.cudaEDL, err = enclave.ParseEDL(driver.CUDAEDL()); err != nil {
 		return nil, err

@@ -71,47 +71,37 @@ type Session struct {
 // NewSession creates the application's CPU mEnclave and the sealed channel
 // to it.
 func (pl *Platform) NewSession(p *sim.Proc, name string) (*Session, error) {
-	files := map[string][]byte{
-		"session.edl": SessionEDL(),
-		"session.so":  enclave.BuildCPUImage("cronus-session-runtime"),
-	}
-	man := enclave.NewManifest("cpu", "session.edl", "session.so", files, enclave.Resources{Memory: "64M"})
 	dh, err := attest.NewDHKey([]byte("app/" + name + pl.salt))
 	if err != nil {
 		return nil, err
 	}
-	res, err := pl.D.CreateEnclave(p, name, man, files, dh.Pub)
+	s := &Session{Platform: pl, Name: name, dh: dh}
+	enc, err := s.create(p, enclaveSpec{
+		device: "cpu", edlName: "session.edl", edl: SessionEDL(),
+		imageName: "session.so", image: enclave.BuildCPUImage("cronus-session-runtime"),
+		memory: "64M", name: name,
+	})
 	if err != nil {
 		return nil, err
 	}
-	secret, err := dh.Shared(res.DHPub)
-	if err != nil {
-		return nil, err
-	}
-	srv := pl.Server(res.EID)
+	srv := pl.Server(enc.eid)
 	if srv == nil {
-		return nil, fmt.Errorf("core: %w for session enclave %#x", srpc.ErrNoEndpoint, res.EID)
+		return nil, fmt.Errorf("core: %w for session enclave %#x", srpc.ErrNoEndpoint, enc.eid)
 	}
-	tx, rx := attest.NewChannelPair(secret, "owner->enclave", "enclave->owner")
-	return &Session{
-		Platform:  pl,
-		Name:      name,
-		owner:     srv.Enclave(),
-		EID:       res.EID,
-		Hash:      res.Hash,
-		dh:        dh,
-		tx:        tx,
-		rx:        rx,
-		manifests: map[string]attest.Measurement{name: res.Hash},
-	}, nil
+	s.owner, s.EID, s.Hash = srv.Enclave(), enc.eid, enc.hash
+	s.tx, s.rx = attest.NewChannelPair(enc.secret, "owner->enclave", "enclave->owner")
+	s.manifests = map[string]attest.Measurement{name: enc.hash}
+	return s, nil
 }
 
-// accelSpec is what an accelerator mEnclave is built from: its manifest's
-// device type, EDL file and image, memory cap, and where it is placed.
-type accelSpec struct {
+// enclaveSpec is what an mEnclave is built from: its manifest's device type,
+// EDL file and image, memory cap, and where it is placed; for an accelerator,
+// also the parsed EDL the owner side of its streams reads.
+type enclaveSpec struct {
 	device    string
 	edlName   string
 	edl       []byte
+	table     *enclave.EDL
 	imageName string // "" = no image
 	image     []byte
 	memory    string
@@ -119,21 +109,21 @@ type accelSpec struct {
 	name      string
 }
 
-// accelEnclave is a created accelerator mEnclave: what its streams are
-// established with.
-type accelEnclave struct {
-	eid      uint32
-	hash     attest.Measurement // as the mOS measured it
-	secret   []byte             // secret_dhke
-	expected srpc.Expected      // what local attestation must report
+// createdEnclave is what a create establishes: the enclave, the secret the
+// owner shares with it, and the manifest and files it was created from.
+type createdEnclave struct {
+	eid    uint32
+	hash   attest.Measurement // as the mOS measured it
+	secret []byte             // secret_dhke
+	man    enclave.Manifest
+	files  map[string][]byte
 }
 
-// create is the handshake every accelerator connection opens with: it builds
-// the manifest, has the mOS create the enclave with the session's owner key,
-// and derives secret_dhke from the key the mOS answers with. The enclave
-// measurement the streams expect is computed here from what was sent, and
-// the mOS measurement from the partition the enclave id names.
-func (s *Session) create(p *sim.Proc, spec accelSpec) (accelEnclave, error) {
+// create is the one way a session makes an mEnclave, its own CPU mEnclave's
+// and each accelerator's: it builds the manifest, has the mOS create the
+// enclave with the session's owner key, and derives secret_dhke from the key
+// the mOS answers with (§III-D, §IV-A).
+func (s *Session) create(p *sim.Proc, spec enclaveSpec) (createdEnclave, error) {
 	files := map[string][]byte{spec.edlName: spec.edl}
 	if spec.imageName != "" {
 		files[spec.imageName] = spec.image
@@ -147,32 +137,13 @@ func (s *Session) create(p *sim.Proc, spec accelSpec) (accelEnclave, error) {
 		res, err = s.Platform.D.CreateEnclave(p, spec.name, man, files, s.dh.Pub)
 	}
 	if err != nil {
-		return accelEnclave{}, err
+		return createdEnclave{}, err
 	}
 	secret, err := s.dh.Shared(res.DHPub)
 	if err != nil {
-		return accelEnclave{}, err
+		return createdEnclave{}, err
 	}
-	part, ok := s.Platform.SPM.Partition(spm.PartitionID(res.EID >> 24))
-	if !ok {
-		return accelEnclave{}, fmt.Errorf("core: %w for eid %#x", spm.ErrNoPartition, res.EID)
-	}
-	return accelEnclave{
-		eid:      res.EID,
-		hash:     res.Hash,
-		secret:   secret,
-		expected: srpc.Expected{EnclaveHash: man.Measure(files), MOSHash: part.MOSHash()},
-	}, nil
-}
-
-// ringChunk is the transfer chunk for a ring of pages (0 or 1 = the
-// default): a quarter of its slot area, so streaming overlaps, and never
-// below one slot.
-func ringChunk(pages int) int {
-	if pages < 2 {
-		pages = srpc.DefaultPages
-	}
-	return max((pages-1)*4096/4, srpc.SlotSize)
+	return createdEnclave{eid: res.EID, hash: res.Hash, secret: secret, man: man, files: files}, nil
 }
 
 // Ping exercises the sealed untrusted-memory mECall path end to end. The

@@ -31,12 +31,11 @@ type Trainer struct {
 	// these and uploads them as they lie (HtoD leaves them reusable).
 	inputs, targets []float32
 
-	w, in, out     []uint64 // per layer: weights, im2col input, output
-	dw, din, dout  []uint64 // per layer gradients
-	inLen, outLen  []int    // element counts
-	wLen           []int
-	Steps          int
-	BytesPerUpload int
+	w, in, out    []uint64 // per layer: weights, im2col input, output
+	dw, din, dout []uint64 // per layer gradients
+	inLen, outLen []int    // element counts
+	wLen          []int
+	Steps         int
 }
 
 // NewTrainer allocates and initializes all device state through ops.
@@ -69,7 +68,6 @@ func NewTrainer(p *sim.Proc, ops accel.CUDA, model *Model, batch int) (*Trainer,
 	if t.x, err = alloc(batch * model.InputFloats); err != nil {
 		return nil, err
 	}
-	t.BytesPerUpload = batch * model.InputFloats * 4
 	init := model.initialWeights()
 	for l, layer := range model.Layers {
 		m := layer.Rows(batch)

@@ -14,7 +14,6 @@ import (
 // Fig10aRow is one vta-bench workload's throughput across systems.
 type Fig10aRow struct {
 	Benchmark  string
-	Ops        int
 	Times      map[baseline.System]sim.Duration
 	Throughput map[baseline.System]float64 // block ops per ms
 }
@@ -50,7 +49,6 @@ func Figure10a() ([]Fig10aRow, error) {
 		}
 		for s, system := range NPUSystems {
 			c := cells[r][s]
-			row.Ops = c.ops
 			row.Times[system] = c.d
 			row.Throughput[system] = float64(c.ops) / c.d.Milliseconds()
 		}

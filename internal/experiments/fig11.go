@@ -11,11 +11,10 @@ import (
 // Fig11aRow is one spatial-sharing configuration: n LeNet training tenants
 // on one GPU.
 type Fig11aRow struct {
-	Tenants           int
-	SpatialSteps      int // total steps completed in the window with MPS
-	TemporalSteps     int // with exclusive (dedicated/temporal) device access
-	SpatialGainPct    float64
-	TemporalBaseline1 int
+	Tenants        int
+	SpatialSteps   int // total steps completed in the window with MPS
+	TemporalSteps  int // with exclusive (dedicated/temporal) device access
+	SpatialGainPct float64
 }
 
 // trainTenants boots one platform, lets setup configure it, and has n tenants
@@ -97,18 +96,13 @@ func Figure11a(window sim.Duration) ([]Fig11aRow, error) {
 		return nil, err
 	}
 	var rows []Fig11aRow
-	base1 := 0
 	for r, tenants := range tenantCounts {
 		spatial, temporal := steps[r][0], steps[r][1]
-		if tenants == 1 {
-			base1 = spatial
-		}
 		rows = append(rows, Fig11aRow{
-			Tenants:           tenants,
-			SpatialSteps:      spatial,
-			TemporalSteps:     temporal,
-			SpatialGainPct:    100 * (float64(spatial)/float64(temporal) - 1),
-			TemporalBaseline1: base1,
+			Tenants:        tenants,
+			SpatialSteps:   spatial,
+			TemporalSteps:  temporal,
+			SpatialGainPct: 100 * (float64(spatial)/float64(temporal) - 1),
 		})
 	}
 	return rows, nil

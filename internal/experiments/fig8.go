@@ -14,8 +14,7 @@ type Fig8Row struct {
 	Model    string
 	Dataset  string
 	Batch    int
-	Iters    int
-	Times    map[baseline.System]sim.Duration // total for Iters iterations
+	Times    map[baseline.System]sim.Duration // total over the run's iterations
 	Overhead map[baseline.System]float64      // vs native
 }
 
@@ -62,7 +61,6 @@ func Figure8(iters, batch int) ([]Fig8Row, error) {
 			Model:    model.Name,
 			Dataset:  model.Dataset,
 			Batch:    batch,
-			Iters:    iters,
 			Times:    make(map[baseline.System]sim.Duration),
 			Overhead: make(map[baseline.System]float64),
 		}

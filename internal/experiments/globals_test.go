@@ -149,9 +149,10 @@ func TestNoUnlistedPackageState(t *testing.T) {
 	}
 }
 
-// uncalledOK is every exported name under internal/ that no non-test file
-// references but another package's tests read — an oracle or a hook — keyed
-// as TestEveryExportHasACaller reports it, with the test that reads it.
+// uncalledOK is every name under internal/ that no non-test file references
+// (or, for a field, sets) but another package's tests read — an oracle or a
+// hook — keyed as TestEveryExportHasACaller reports it, with the test that
+// reads it.
 var uncalledOK = map[string]string{
 	"cluster.Fabric.Nodes":   "serve.TestOneNodeLinkIsLocal and chaos.TestRunNodeCrashFailover read the node count of the fabric a pool built",
 	"enclave.BuildEDL":       "the oracle of core.TestSessionEDLIsBuildEDLs and mos/driver.TestEDLTextIsBuildEDLs, and the EDL of the test enclaves of mos, srpc, ipc and normal",
@@ -174,9 +175,9 @@ var uncalledOK = map[string]string{
 	"workload.NewFillerFrom": "dnn's export_test.go pins the filler for dnn.TestVirtualTimeIgnoresValues",
 }
 
-// awaitingCaller is every exported mechanism under internal/ that no non-test
-// file references yet, keyed to the open ROADMAP item that gives it one. The
-// set is closed: a new mechanism lands with its caller.
+// awaitingCaller is every mechanism under internal/ that no non-test file
+// references or sets yet, keyed to the open ROADMAP item that gives it one.
+// The set is closed: a new mechanism lands with its caller.
 var awaitingCaller = map[string]string{
 	"ipc.NewRegion":        "item 24: the hetero pipeline's GPU → NPU hand-off, or ipc is deleted",
 	"ipc.Region.Owner":     "item 24",
@@ -194,6 +195,7 @@ var awaitingCaller = map[string]string{
 	"spm.SPM.UpdateMOS":    "item 28: re-attestation after an update to a listed or unlisted image",
 	"mos.Enclave.Kill":     "item 4: CUDAConn.Close destroying the callee mEnclave",
 	"sim.Kernel.Stats":     "item 12b: cronus-serve -report json carries it",
+	"hw.DMAPort.transfer":  "item 27: the devices' host-side transfers go through the DMA port",
 }
 
 // callerTrees are the directories whose non-test files count as callers. bench/
@@ -202,14 +204,18 @@ var awaitingCaller = map[string]string{
 var callerTrees = []string{"internal", "cmd", "examples", "bench"}
 
 // TestEveryExportHasACaller type-checks every package under callerTrees and
-// fails on an exported func, method, type, const or package var under
-// internal/ that no non-test file references outside its own declaration,
-// unless uncalledOK or awaitingCaller lists it, and on an entry of either that
-// is gone or has gained a caller. A method counts as called when it, or a
-// method promoted from it, implements an interface method, and a use of a
-// generic instance counts for its origin. A name with no caller looks like
-// coverage the reproduction does not have: delete it, or move it into the
-// export_test.go of the one package whose tests read it (DESIGN.md §26).
+// fails on a name under internal/ that no non-test file uses — an exported
+// func, method, type, const or package var, or an unexported func or method,
+// that none references outside its own declaration, or an exported struct
+// field that none sets (markSets; a tagged field counts as set, an embedded
+// one is not checked) — unless uncalledOK or awaitingCaller lists it, and on
+// an entry of either that is gone or has gained a caller. A method counts as
+// called when it, or a method promoted from it, implements an interface
+// method, exported or not, and a use of a generic instance counts for its
+// origin. A name with no caller looks like coverage the reproduction does not
+// have, and a field no caller sets like a knob it does not turn: delete it, or
+// move it into the export_test.go of the one package whose tests read it
+// (DESIGN.md §26).
 func TestEveryExportHasACaller(t *testing.T) {
 	root, err := repoRoot()
 	if err != nil {
@@ -226,9 +232,11 @@ func TestEveryExportHasACaller(t *testing.T) {
 
 // TestCallerScanFixture runs the scan on testdata/callers, a module whose
 // names exercise each rule: a method that implements an interface through an
-// embedding counts as called, a generic method called only through an
-// instantiation counts, a call from a _test.go file does not, a call from
-// bench/ does, and a table entry whose name has a caller is a finding.
+// embedding counts as called, and so does an unexported one reached only
+// through an unexported interface; a generic method called only through an
+// instantiation counts; a call from a _test.go file does not, to an exported
+// or an unexported func, nor does a field set only there; a call from bench/
+// counts, and a table entry whose name has a caller is a finding.
 func TestCallerScanFixture(t *testing.T) {
 	root, err := repoRoot()
 	if err != nil {
@@ -243,13 +251,15 @@ func TestCallerScanFixture(t *testing.T) {
 		names = append(names, name)
 	}
 	slices.Sort(names)
-	if want := []string{"lib.Listed", "lib.TestOnly"}; !slices.Equal(names, want) {
+	if want := []string{"lib.Listed", "lib.Opts.TestSet", "lib.TestOnly", "lib.testHelper"}; !slices.Equal(names, want) {
 		t.Fatalf("uncalled %v, want %v", names, want)
 	}
 	findings := callerFindings(uncalled, map[string]string{"lib.Listed": "a hook", "lib.BenchOnly": "stale: bench/ calls it"}, nil)
-	if len(findings) != 2 || !strings.Contains(findings[0], "lib.TestOnly has no caller") ||
-		!strings.HasPrefix(findings[1], "uncalledOK lists lib.BenchOnly") {
-		t.Fatalf("findings:\n%s", strings.Join(findings, "\n"))
+	want := []string{"lib.TestOnly has no caller", "lib.Opts.TestSet has no caller", "lib.testHelper has no caller", "uncalledOK lists lib.BenchOnly"}
+	for _, w := range want {
+		if len(findings) != len(want) || !slices.ContainsFunc(findings, func(f string) bool { return strings.Contains(f, w) }) {
+			t.Fatalf("findings:\n%s\nwant one line each with %q", strings.Join(findings, "\n"), want)
+		}
 	}
 }
 
@@ -259,7 +269,7 @@ func callerFindings(uncalled map[string]token.Position, ok, awaiting map[string]
 	var out []string
 	for name, pos := range uncalled {
 		if ok[name] == "" && awaiting[name] == "" {
-			out = append(out, fmt.Sprintf("%s: %s has no caller outside tests: delete it, move it into its package's export_test.go, "+
+			out = append(out, fmt.Sprintf("%s: %s has no caller outside tests (a field: nothing there sets it): delete it, move it into its package's export_test.go, "+
 				"or list it in uncalledOK (a hook another package's tests read) or awaitingCaller (with the ROADMAP item that wires it)", pos, name))
 		}
 	}
@@ -281,10 +291,12 @@ func callerFindings(uncalled map[string]token.Position, ok, awaiting map[string]
 
 // uncalledExports type-checks the non-test files of every package under the
 // trees of the module at root and returns each exported func, method, type,
-// const and package var declared under root/internal that none of them
-// references, keyed "dir.Name" or "dir.Type.Method" with dir the package's
-// directory under internal/. Imports outside the module are type-checked from
-// GOROOT's sources, so the scan needs nothing but the toolchain.
+// const and package var and each unexported func and method declared under
+// root/internal that none of them references, and each exported struct field
+// there that none of them sets, keyed "dir.Name", "dir.Type.Method" or
+// "dir.Type.Field" with dir the package's directory under internal/. Imports
+// outside the module are type-checked from GOROOT's sources, so the scan
+// needs nothing but the toolchain.
 func uncalledExports(root string, trees []string) (map[string]token.Position, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
@@ -322,6 +334,7 @@ func uncalledExports(root string, trees []string) (map[string]token.Position, er
 	}
 
 	used := make(map[types.Object]bool)
+	set := make(map[*types.Var]bool)
 	var concrete []*types.Named
 	var ifaces []*types.Interface
 	seen := make(map[types.Type]bool)
@@ -396,6 +409,9 @@ func uncalledExports(root string, trees []string) (map[string]token.Position, er
 			}
 			used[obj] = true
 		}
+		for _, f := range c.files {
+			markSets(c.info, f, set)
+		}
 		for _, obj := range c.info.Defs {
 			tn, ok := obj.(*types.TypeName)
 			if !ok || tn.IsAlias() {
@@ -440,7 +456,23 @@ func uncalledExports(root string, trees []string) (map[string]token.Position, er
 		}
 		dir := filepath.ToSlash(strings.TrimPrefix(c.dir, internal))
 		for id, obj := range c.info.Defs {
-			if obj == nil || !obj.Exported() || used[obj] {
+			tn, ok := obj.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() && !set[f] && st.Tag(i) == "" {
+					uncalled[dir+"."+id.Name+"."+f.Name()] = fset.Position(f.Pos())
+				}
+			}
+		}
+		for id, obj := range c.info.Defs {
+			_, isFunc := obj.(*types.Func)
+			if obj == nil || used[obj] || !obj.Exported() && (!isFunc || id.Name == "init") {
 				continue
 			}
 			key := dir + "." + id.Name
@@ -470,6 +502,65 @@ func uncalledExports(root string, trees []string) (map[string]token.Position, er
 		}
 	}
 	return uncalled, nil
+}
+
+// markSets adds to set every struct field f sets: through a keyed or
+// positional composite literal, or as the target of an assignment, an
+// op-assign, ++, -- or a range clause. A target's field that holds it by value
+// — x.F in x.F.G = v or x.F[i] = v with F an array — is set with it.
+func markSets(info *types.Info, f *ast.File, set map[*types.Var]bool) {
+	target := func(e ast.Expr) {
+		for {
+			switch x := ast.Unparen(e).(type) {
+			case *ast.SelectorExpr:
+				v, ok := info.Uses[x.Sel].(*types.Var)
+				if !ok || !v.IsField() {
+					return
+				}
+				set[v.Origin()] = true
+				if _, byValue := info.TypeOf(x.X).Underlying().(*types.Struct); !byValue {
+					return
+				}
+				e = x.X
+			case *ast.IndexExpr:
+				if _, byValue := info.TypeOf(x.X).Underlying().(*types.Array); !byValue {
+					return
+				}
+				e = x.X
+			default:
+				return
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.CompositeLit:
+			t := info.TypeOf(x)
+			if ptr, ok := t.(*types.Pointer); ok {
+				t = ptr.Elem() // an element of []*T written as {...}
+			}
+			st, ok := t.Underlying().(*types.Struct)
+			for i, elt := range x.Elts {
+				if kv, keyed := elt.(*ast.KeyValueExpr); keyed && ok {
+					set[info.Uses[kv.Key.(*ast.Ident)].(*types.Var).Origin()] = true
+				} else if ok {
+					set[st.Field(i).Origin()] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				target(lhs)
+			}
+		case *ast.IncDecStmt:
+			target(x.X)
+		case *ast.RangeStmt:
+			if x.Tok == token.ASSIGN {
+				target(x.Key)
+				target(x.Value)
+			}
+		}
+		return true
+	})
 }
 
 // dynamicIfaces are interfaces the standard library asserts on without

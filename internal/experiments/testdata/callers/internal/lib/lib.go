@@ -31,3 +31,29 @@ func BenchOnly() {}
 
 // Listed has no caller; the fixture's table lists it.
 func Listed() {}
+
+// Opts is a struct of options cmd/app sets one of.
+type Opts struct {
+	// Set is set by cmd/app's literal.
+	Set int
+	// TestSet is set only in lib_test.go: nothing sets it.
+	TestSet int
+}
+
+// sizer is an unexported interface.
+type sizer interface{ size() int }
+
+type box struct{}
+
+// size has no caller by name, but box implements sizer with it: it counts as
+// called.
+func (box) size() int { return 1 }
+
+// Total is called from cmd/app, and calls size through sizer.
+func Total() int {
+	var s sizer = box{}
+	return s.size()
+}
+
+// testHelper is called only from lib_test.go: it has no caller.
+func testHelper() {}

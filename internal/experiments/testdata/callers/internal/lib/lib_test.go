@@ -2,4 +2,8 @@ package lib
 
 import "testing"
 
-func TestTestOnly(t *testing.T) { TestOnly() }
+func TestTestOnly(t *testing.T) {
+	TestOnly()
+	testHelper()
+	_ = Opts{TestSet: 1}
+}

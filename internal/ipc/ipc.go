@@ -31,7 +31,6 @@ const pollQuantum = 300 * sim.Nanosecond
 type Region struct {
 	spm    *spm.SPM
 	gid    int
-	pages  int
 	owner  *Endpoint
 	peer   *Endpoint
 	closed bool
@@ -65,7 +64,6 @@ func NewRegion(p *sim.Proc, ownerEnc *mos.Enclave, peerPart *spm.Partition, page
 	return &Region{
 		spm:   m.SPM,
 		gid:   gid,
-		pages: pages,
 		owner: &Endpoint{view: ownerEnc.View(), base: ipa, size: size, costs: m.Costs},
 		peer:  &Endpoint{view: m.SPM.NewView(peerPart, nil), base: peerIPA, size: size, costs: m.Costs},
 	}, nil

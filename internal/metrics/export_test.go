@@ -15,3 +15,11 @@ func (g *Gauge) Max() int64 {
 	}
 	return g.max.Load()
 }
+
+// Count returns the number of recorded samples.
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.count.Load()
+}

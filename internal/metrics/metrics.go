@@ -214,14 +214,6 @@ func (h *Histogram) Observe(v int64) {
 	}
 }
 
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // value copies the histogram's current state into its serialized form (the
 // same shape Snapshot produces).
 func (h *Histogram) value() HistValue {

@@ -1,9 +1,9 @@
 // Package provision implements the sensitive-data provisioning flow of the
 // application workflow (§III-D): after remote attestation succeeds, the
-// user derives a session key bound to the attested enclave (X25519 +
+// user derives a session key with the enclave key it is handed (X25519 +
 // HKDF-style derivation), encrypts the dataset under AES-GCM, and ships the
-// ciphertext through the untrusted world; only the attested CPU mEnclave
-// can decrypt it.
+// ciphertext through the untrusted world. No report covers that key: binding
+// it to the attested enclave is ROADMAP item 22.
 package provision
 
 import (
@@ -57,7 +57,7 @@ func NewClient(seed []byte, verifier *attest.Verifier, costs *sim.CostModel) (*C
 func (c *Client) Pub() []byte { return c.dh.Pub }
 
 // VerifyAndBind checks the platform report against the pinned expectations
-// and, only on success, derives the data key with the enclave's public key.
+// and only then derives the data key with enclavePub, which no report covers.
 func (c *Client) VerifyAndBind(report *attest.SignedReport, want attest.Expected, enclavePub []byte) error {
 	if err := c.verifier.VerifyReport(report, want); err != nil {
 		return fmt.Errorf("provision: attestation failed, refusing to release data: %w", err)

@@ -27,10 +27,9 @@ type TenantResult struct {
 	Duplicates uint64 // duplicate completions observed (must stay 0)
 
 	// Latency quantiles over completed requests, virtual nanoseconds.
-	P50NS  float64
-	P95NS  float64
-	P99NS  float64
-	MeanNS float64
+	P50NS float64
+	P95NS float64
+	P99NS float64
 
 	// GoodputRPS is completed requests per virtual second of load window.
 	GoodputRPS float64
@@ -346,11 +345,6 @@ func (srv *Server) result() *Result {
 			P99NS:      t.latHist.Quantile(0.99),
 			Home:       t.home0,
 			Rehomed:    t.rehomed,
-		}
-		if n := t.latHist.Count(); n > 0 {
-			// The histogram keeps the exact sum; read it from the one snapshot.
-			sum := res.Metrics.Histograms["serve.tenant."+t.spec.Name+".latency_ns"].Sum
-			tr.MeanNS = float64(sum) / float64(n)
 		}
 		if winSec > 0 {
 			tr.GoodputRPS = float64(t.completed) / winSec
